@@ -1,29 +1,25 @@
-"""Columnar hot-path speedup — the tentpole gate for the columnar refactor.
+"""Columnar kernels against their scalar references — a kernel micro-bench.
 
-Two hot paths are measured against their scalar oracles on synthetic
-corpora sized by ``BENCH_COLUMNAR_RECORDS`` (default 100k records):
+Two kernels are measured against the reference functions the equivalence
+suites compare them with, on synthetic corpora sized by
+``BENCH_COLUMNAR_RECORDS`` (default 100k records):
 
 - **blocking**: ``_block_columnar`` (one searchsorted join + bincount
   scores + batched banded Levenshtein rescue) vs ``_block_scalar``
   (dict probes, per-pair Levenshtein), both downstream of the shared
   TF-IDF model build;
-- **baseline feature extraction**: ``PairFeatureExtractor`` columnar vs
-  scalar over the full Magellan/Ditto metric menu.
+- **baseline feature extraction**: ``PairFeatureExtractor.transform`` vs
+  stacked ``transform_pair`` rows over the full Magellan/Ditto metric menu.
 
-The scalar side of feature extraction is measured on a
+The reference side of feature extraction is measured on a
 ``BENCH_COLUMNAR_SCALAR_SAMPLE`` subset (default 4000 pairs) and
 rate-extrapolated — running the per-pair oracle over all 100k pairs
 would take minutes and adds no information.  Both paths are also checked
 for *identical output* while being timed, so the speedup can never come
 from computing something different.
 
-A final section runs the ER demo app under ``RunProfile`` with columnar
-execution on and off: the provider/local split shows where the saved time
-lives, and the profile must reconcile with the cost snapshot in both
-modes.
-
-Acceptance gate: ``BENCH_COLUMNAR_MIN_SPEEDUP`` (default 5.0) on both hot
-paths.  CI smoke narrows the corpus via the env knobs.
+Acceptance gate: ``BENCH_COLUMNAR_MIN_SPEEDUP`` (default 5.0) on both
+kernels.  CI smoke narrows the corpus via the env knobs.
 """
 
 from __future__ import annotations
@@ -36,12 +32,8 @@ import time
 
 import numpy as np
 
-from repro.core.runtime.system import LinguaManga
-from repro.datasets.entity_resolution import generate_er_dataset
 from repro.ml.features import PAIR_FEATURE_NAMES, PairFeatureExtractor
-from repro.obs import Observability
 from repro.tasks.blocking import _block_columnar, _block_scalar
-from repro.tasks.entity_resolution import run_lingua_manga_er
 from repro.text.normalize import normalize_text
 from repro.text.similarity import TfIdfModel
 
@@ -51,8 +43,6 @@ N_RECORDS = int(os.environ.get("BENCH_COLUMNAR_RECORDS", "100000"))
 SCALAR_SAMPLE = int(os.environ.get("BENCH_COLUMNAR_SCALAR_SAMPLE", "4000"))
 MIN_SPEEDUP = float(os.environ.get("BENCH_COLUMNAR_MIN_SPEEDUP", "5.0"))
 REPEATS = int(os.environ.get("BENCH_COLUMNAR_REPEATS", "2"))
-
-GOLDEN_ER_F1 = 0.9090909090909091
 
 
 def _best_of(fn):
@@ -207,15 +197,17 @@ def test_feature_extraction_speedup():
     pairs = _candidate_pairs(n_pairs, seed=3)
     attributes = ("name", "brand", "abv")
 
-    scalar_seconds, scalar_matrix = _best_of(
-        lambda: PairFeatureExtractor(attributes, columnar=False).transform(
-            pairs[:sample]
+    def reference_rows():
+        extractor = PairFeatureExtractor(attributes)
+        return np.stack(
+            [extractor.transform_pair(left, right) for left, right in pairs[:sample]]
         )
-    )
+
+    scalar_seconds, scalar_matrix = _best_of(reference_rows)
     scalar_rate = sample / scalar_seconds
 
     columnar_seconds, columnar_matrix = _best_of(
-        lambda: PairFeatureExtractor(attributes, columnar=True).transform(pairs)
+        lambda: PairFeatureExtractor(attributes).transform(pairs)
     )
     columnar_rate = n_pairs / columnar_seconds
 
@@ -247,46 +239,3 @@ def test_feature_extraction_speedup():
         speedup=speedup,
     )
     assert speedup >= MIN_SPEEDUP
-
-
-def test_profile_split_and_report_parity():
-    """RunProfile's provider/local split under both execution modes.
-
-    The demo corpus is small, so no timing gate here — the point is that
-    the profile reconciles with the cost snapshot in both modes and the
-    reports are byte-identical (columnar execution is invisible).
-    """
-    dataset = generate_er_dataset("beer")
-    rows = []
-    arms = []
-    reports = []
-    for columnar in (False, True):
-        system = LinguaManga(obs=Observability())
-        started = time.perf_counter()
-        result = run_lingua_manga_er(system, dataset, columnar=columnar)
-        seconds = time.perf_counter() - started
-        assert result.f1 == GOLDEN_ER_F1
-        profile = result.report.profile
-        assert profile.reconciles_with(result.report.cost)
-        provider = sum(row.provider_calls for row in profile.rows)
-        rows.append(
-            f"columnar={str(columnar):5s} wall {seconds * 1000:8.1f}ms, "
-            f"provider calls {provider}, f1 {result.f1:.4f}"
-        )
-        arms.append(
-            {
-                "name": f"columnar={columnar}",
-                "wall_seconds": seconds,
-                "provider_calls": provider,
-                "f1": result.f1,
-            }
-        )
-        reports.append(result.report.canonical_json())
-    assert reports[0] == reports[1]
-    emit(
-        "columnar_profile",
-        "ER demo app under RunProfile (provider/local split):\n"
-        + "\n".join(rows)
-        + "\nreports byte-identical across modes",
-    )
-    emit_json("columnar_profile", arms, reports_identical=True)

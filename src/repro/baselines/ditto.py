@@ -43,7 +43,6 @@ class DittoMatcher:
     n_features: int = 1024
     epochs: int = 400
     seed: int = 0
-    columnar: bool | None = None  # None: follow the ambient columnar mode
     _extractor: PairFeatureExtractor | None = field(default=None, repr=False)
     _vectorizer: HashingVectorizer = field(
         default_factory=lambda: HashingVectorizer(n_features=512, word_ngrams=(1,)),
@@ -62,9 +61,7 @@ class DittoMatcher:
         """Train on labelled pairs (thousands, per the paper's protocol)."""
         if not pairs:
             raise ValueError("cannot fit on an empty pair set")
-        self._extractor = PairFeatureExtractor(
-            attributes, normalize=True, columnar=self.columnar
-        )
+        self._extractor = PairFeatureExtractor(attributes, normalize=True)
         X = self._features(pairs, attributes)
         y = [p.label for p in pairs]
         self._model = RandomForest(

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.datasets.imputation import ImputationRecord
 from repro.ml.metrics import accuracy
-from repro.storage.columnar import resolve_columnar
 
 __all__ = ["HoloCleanImputer", "evaluate_holoclean"]
 
@@ -43,7 +42,6 @@ class HoloCleanImputer:
     """Co-occurrence voting over frequent categorical tokens."""
 
     min_token_frequency: int = 25
-    columnar: bool | None = None  # None: follow the ambient columnar mode
     _exact: dict[str, Counter] = field(default_factory=dict, repr=False)
     _token_votes: dict[str, Counter] = field(default_factory=dict, repr=False)
     _prior: Counter = field(default_factory=Counter, repr=False)
@@ -88,7 +86,7 @@ class HoloCleanImputer:
         return self
 
     def predict_one(self, record: dict) -> str:
-        """Repair one record's manufacturer."""
+        """Repair one record's manufacturer (:meth:`predict`'s reference)."""
         if not self._prior:
             raise RuntimeError("imputer is not fitted; call fit() first")
         name = str(record.get("name", "")).lower()
@@ -105,15 +103,10 @@ class HoloCleanImputer:
     def predict(self, records: list[dict]) -> list[str]:
         """Repair a batch of records.
 
-        The columnar path accumulates every record's token votes in one
-        integer matrix pass; votes are exact counts, so it agrees with
-        :meth:`predict_one` on every record.
+        Every record's token votes accumulate in one integer matrix pass;
+        votes are exact counts, so it agrees with :meth:`predict_one` on
+        every record.
         """
-        if resolve_columnar(self.columnar):
-            return self._predict_columnar(records)
-        return [self.predict_one(record) for record in records]
-
-    def _predict_columnar(self, records: list[dict]) -> list[str]:
         if not self._prior:
             raise RuntimeError("imputer is not fitted; call fit() first")
         if not records:

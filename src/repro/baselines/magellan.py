@@ -26,7 +26,6 @@ class MagellanMatcher:
     n_trees: int = 30
     max_depth: int = 10
     seed: int = 0
-    columnar: bool | None = None  # None: follow the ambient columnar mode
     _extractor: PairFeatureExtractor | None = field(default=None, repr=False)
     _model: RandomForest | None = field(default=None, repr=False)
 
@@ -42,7 +41,6 @@ class MagellanMatcher:
             normalize=False,
             metrics=("jaccard", "jaro_winkler", "levenshtein", "overlap",
                      "numeric", "both_present"),
-            columnar=self.columnar,
         )
         X = self._extractor.transform([(p.left, p.right) for p in pairs])
         y = [p.label for p in pairs]

@@ -31,7 +31,7 @@ resume and the prompt-cache ledger notice parameter changes.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro._util import stable_hash
 from repro.core.compiler.context import CompilerContext
@@ -45,7 +45,8 @@ from repro.core.modules.base import Module
 from repro.core.modules.cascade import CascadeModule
 from repro.core.modules.custom import CustomModule
 from repro.core.modules.llm_module import LLMModule, parse_yes_no
-from repro.text.minhash import band_keys, minhash_params, minhash_signature
+from repro.storage.columnar import band_keys_many, minhash_signatures_many
+from repro.text.minhash import MinHashParams, minhash_params
 from repro.text.overlap import build_ngram_index, overlap_profile
 from repro.text.quality import rule_quality_score
 from repro.text.shingle import (
@@ -69,6 +70,7 @@ __all__ = [
     "QUALITY_RULE_UPPER",
     "DECONTAM_HARD_N",
     "DECONTAM_SOFT_N",
+    "tier_band_keys",
     "dedup_candidate_pairs",
     "candidate_pair_records",
     "render_document",
@@ -155,6 +157,30 @@ def _bucket_pairs(buckets: Iterable[set], pairs: set) -> None:
                 pairs.add((left, right))
 
 
+def tier_band_keys(
+    texts: Sequence[str],
+    params: MinHashParams,
+    bands: int,
+    rows: int,
+    shingle_n: int,
+    dual: bool,
+) -> Iterator[tuple[str, list[list[str]]]]:
+    """Per LSH tier, the band keys of every text in ``texts``.
+
+    Yields ``(tag, keys_per_text)``: ``"s"`` for the knowledge-free
+    canonical form, then (``dual=True``) ``"k"`` for the knowledge canonical
+    form.  The in-memory scan and the streaming scan both bucket on these
+    keys, which is what keeps their candidate sets identical.
+    """
+    tiers: list[tuple[str, Callable[[str], str]]] = [("s", simple_canonical)]
+    if dual:
+        tiers.append(("k", knowledge_canonical))
+    for tag, canonical in tiers:
+        id_rows = [shingle_ids(canonical(text), shingle_n) for text in texts]
+        signatures = minhash_signatures_many(id_rows, params.a, params.b)
+        yield tag, band_keys_many(signatures, bands, rows)
+
+
 def dedup_candidate_pairs(
     docs: Sequence[Any],
     *,
@@ -163,7 +189,6 @@ def dedup_candidate_pairs(
     rows: int = DEDUP_ROWS,
     shingle_n: int = DEDUP_SHINGLE_N,
     dual: bool = True,
-    columnar: bool | None = None,
 ) -> list[tuple]:
     """Candidate duplicate pairs of ``docs``, globally sorted by id.
 
@@ -176,14 +201,10 @@ def dedup_candidate_pairs(
        rewrites, typos) still collide.
 
     Output is a sorted list of ``(left_id, right_id)`` with ``left < right``
-    — order-insensitive in the corpus and identical between the scalar and
-    columnar kernel paths (their band keys are bitwise-equal).
+    — order-insensitive in the corpus.
     """
     if bands * rows != num_perm:
         raise ValueError(f"bands*rows must equal num_perm ({bands}*{rows} != {num_perm})")
-    from repro.storage.columnar import resolve_columnar
-
-    use_columnar = resolve_columnar(columnar)
     ids = [_doc_id(doc, index) for index, doc in enumerate(docs)]
     texts = [_doc_text(doc) for doc in docs]
 
@@ -197,22 +218,8 @@ def dedup_candidate_pairs(
 
     # Tiers 2 + 3: LSH banding per canonicaliser.
     params = minhash_params(num_perm)
-    canonicals: list[Callable[[str], str]] = [simple_canonical]
-    if dual:
-        canonicals.append(knowledge_canonical)
-    for canonical in canonicals:
-        id_rows = [shingle_ids(canonical(text), shingle_n) for text in texts]
+    for _tag, doc_keys in tier_band_keys(texts, params, bands, rows, shingle_n, dual):
         buckets: dict[str, set] = {}
-        if use_columnar:
-            from repro.storage.columnar import band_keys_many, minhash_signatures_many
-
-            signatures = minhash_signatures_many(id_rows, params.a, params.b)
-            doc_keys = band_keys_many(signatures, bands, rows)
-        else:
-            doc_keys = [
-                band_keys(minhash_signature(row, params), bands, rows)
-                for row in id_rows
-            ]
         for doc_id, keys in zip(ids, doc_keys):
             for key in keys:
                 buckets.setdefault(key, set()).add(doc_id)
@@ -248,11 +255,10 @@ def _dedup_candidates_factory(
         raise CompileError(
             f"operator {operator.name!r}: emit must be 'records' or 'ids', got {emit!r}"
         )
-    columnar = params.get("columnar")  # None -> follow the global mode
 
     def candidates(docs: Any) -> list:
         corpus = list(docs)
-        pairs = dedup_candidate_pairs(corpus, columnar=columnar, **config)
+        pairs = dedup_candidate_pairs(corpus, **config)
         if emit == "ids":
             return [{"a": a, "b": b} for a, b in pairs]
         return candidate_pair_records(corpus, pairs)

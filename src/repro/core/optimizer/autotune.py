@@ -3,8 +3,8 @@
 The rest of the optimizer measures what a run cost (:mod:`cost`), which
 tier answered each prompt (:mod:`repro.llm.cache`) and what every operator
 spent (:mod:`repro.obs.profile`) — but until now the execution knobs
-(worker count, chunk size, batched-vs-single provider path, columnar mode)
-were hand-picked per call site.  This module closes the loop:
+(worker count, chunk size, batched-vs-single provider path) were
+hand-picked per call site.  This module closes the loop:
 
 - :class:`ProfileStore` — a crash-tolerant, append-only JSONL store beside
   the cache journal (same torn-tail truncation and compaction discipline
@@ -20,24 +20,24 @@ were hand-picked per call site.  This module closes the loop:
   extrapolation from the store.  Deterministic given the store contents.
 - :class:`PlanTuner` — consulted by ``system.run(autotune=True)`` /
   ``run_stream(autotune=True)`` at plan-build time.  It chooses worker
-  count, chunk size, the batched-vs-single provider path, columnar on/off,
-  and records cache-tier / distillation-threshold recommendations, writing
-  every decision and the predicted-vs-actual delta into the trace and
+  count, chunk size and the batched-vs-single provider path, writing every
+  decision and the predicted-vs-actual delta into the trace and
   ``RunReport.tuning``.
 
 **Tuning never changes outputs.**  Applied decisions are restricted to
 knobs proven byte-identical by the determinism suite — scheduler worker
-counts (1/2/8) and columnar on/off always; chunk size and prefetch on/off
-only on *verified fully-warm* batch runs, where every prompt the plan
+counts (1/2/8) always; chunk size and prefetch on/off only on *verified
+fully-warm* batch runs, where every prompt the plan
 will ask is already in the exact cache tier (proved by comparing the
 stored key digests of the previous run's ledger against the live cache),
 so chunk boundaries and the prime scan are provably output-neutral.
 Streaming runs tune the worker count only: their plan key excludes the
 input data, so warmth can never be verified, and a resumable shard ledger
-is keyed by chunk-size-dependent fingerprints anyway.  Knobs that do
-change outputs — the distillation routing threshold (order-dependent) and
-the near-duplicate cache tier (changes ledger provenance) — are recorded
-as **advisory** decisions with ``applied: false``.
+is keyed by chunk-size-dependent fingerprints anyway.  A decision that
+cannot be applied without changing outputs (the cold batch engine switch,
+anything under a checkpoint) is recorded with ``applied: false``; knobs
+that always change outputs — the distillation routing threshold, the
+near-duplicate cache tier — are not tuned at all.
 """
 
 from __future__ import annotations
@@ -97,9 +97,6 @@ WARM_CHUNK_SIZE = 64
 #: Predicted provider seconds above which a cold streaming run is worth
 #: spreading over the full safe worker count.
 _PARALLEL_SECONDS_BAR = 1.0
-
-#: Predicted local wall seconds above which columnar kernels are chosen.
-_COLUMNAR_SECONDS_BAR = 0.05
 
 
 def _canonical_json(payload: Any) -> str:
@@ -611,7 +608,6 @@ class TuningPlan:
     verified_warm: bool
     workers: int | None
     chunk_size: int | None
-    columnar: bool | None
     decisions: list[TuningDecision] = field(default_factory=list)
     pinned: dict[str, Any] = field(default_factory=dict)
     predicted: PlanPrediction = field(default_factory=PlanPrediction)
@@ -720,7 +716,6 @@ class PlanTuner:
         inputs: dict | None = None,
         workers: int | None = None,
         chunk_size: int | None = None,
-        columnar: bool | None = None,
         checkpointed: bool = False,
         records_in: int = 0,
     ) -> TuningPlan:
@@ -750,7 +745,6 @@ class PlanTuner:
             verified_warm=verified_warm,
             workers=workers,
             chunk_size=chunk_size,
-            columnar=columnar,
             predicted=predicted,
         )
         have_history = any(m.observations for m in models.values())
@@ -758,14 +752,9 @@ class PlanTuner:
             tuning.pinned["workers"] = workers
         if chunk_size is not None:
             tuning.pinned["chunk_size"] = chunk_size
-        if columnar is not None:
-            tuning.pinned["columnar"] = columnar
         if have_history:
             self._decide_workers(tuning, checkpointed)
-            self._decide_columnar(tuning, models, records)
             self._decide_chunking(tuning, checkpointed)
-            self._advise_cache_tier(tuning, plan_key)
-            self._advise_distillation(tuning, plan_key)
         self._tuning = tuning
         self._mark()
         return tuning
@@ -848,39 +837,6 @@ class PlanTuner:
                 )
             )
 
-    def _decide_columnar(
-        self,
-        tuning: TuningPlan,
-        models: dict[str, OperatorCostModel],
-        records: int,
-    ) -> None:
-        if "columnar" in tuning.pinned:
-            return
-        from repro.storage.columnar import resolve_columnar
-
-        ambient = resolve_columnar(None)
-        local_wall = sum(
-            model.base_wall + records * model.per_record_wall
-            for model in models.values()
-            if model.calls_per_record == 0.0
-        )
-        chosen = ambient or local_wall >= _COLUMNAR_SECONDS_BAR
-        tuning.decisions.append(
-            TuningDecision(
-                op="*",
-                knob="columnar",
-                default=ambient,
-                chosen=chosen,
-                basis=(
-                    f"predicted local (non-provider) wall {local_wall:.3f}s; "
-                    "columnar and scalar reports are byte-identical"
-                ),
-                applied=chosen != ambient,
-            )
-        )
-        if chosen != ambient:
-            tuning.columnar = chosen
-
     def _decide_chunking(self, tuning: TuningPlan, checkpointed: bool) -> None:
         if self.engine == "stream":
             # Streaming tunes workers only: a resumable ledger keys its
@@ -943,60 +899,6 @@ class PlanTuner:
                     (module, "prefetch_enabled", False, module.prefetch_enabled)
                 )
 
-    def _advise_cache_tier(self, tuning: TuningPlan, plan_key: str) -> None:
-        observations = self.store.observations(plan_key)
-        near = sum(int(o.row.get("cache_near", 0)) for o in observations)
-        if observations and near == 0:
-            tuning.decisions.append(
-                TuningDecision(
-                    op="*",
-                    knob="cache.near_enabled",
-                    default=True,
-                    chosen=False,
-                    basis=(
-                        "near tier never hit for this plan; disabling would "
-                        "skip the TF-IDF lookup but changes ledger provenance "
-                        "if it ever did hit — advisory only"
-                    ),
-                    applied=False,
-                )
-            )
-
-    def _advise_distillation(self, tuning: TuningPlan, plan_key: str) -> None:
-        for binding in self.plan.bound:
-            module = _find_distillation_router(binding.module)
-            if module is None:
-                continue
-            observations = self.store.observations(
-                plan_key, binding.operator.name
-            )
-            distilled = sum(
-                int(o.row.get("distilled", 0)) for o in observations
-            )
-            calls = sum(int(o.row.get("calls", 0)) for o in observations)
-            threshold = getattr(module, "confidence_threshold", None)
-            if threshold is None or not calls:
-                continue
-            if distilled == 0:
-                chosen = round(max(0.5, threshold - 0.05), 4)
-            else:
-                chosen = threshold
-            tuning.decisions.append(
-                TuningDecision(
-                    op=binding.operator.name,
-                    knob="distill.confidence_threshold",
-                    default=threshold,
-                    chosen=chosen,
-                    basis=(
-                        f"{distilled}/{calls} answers distilled; routing is "
-                        "order-dependent (parallel_safe=False) so the "
-                        "threshold changes outputs — recorded as a "
-                        "recommendation only"
-                    ),
-                    applied=False,
-                )
-            )
-
     # -- recording ---------------------------------------------------------------
 
     def _mark(self) -> None:
@@ -1022,7 +924,6 @@ class PlanTuner:
         knobs = {
             "workers": tuning.workers,
             "chunk_size": tuning.chunk_size,
-            "columnar": tuning.columnar,
             "engine": self.engine,
         }
         rows = {row.module: row for row in report.profile.rows}
@@ -1155,21 +1056,6 @@ def _count_records(inputs: dict | None) -> int:
         (len(value) for value in inputs.values() if isinstance(value, list)),
         default=0,
     )
-
-
-def _find_distillation_router(module: Any):
-    """The DistillationRouter inside a module tree, if any."""
-    from repro.core.optimizer.distill import DistillationRouter
-
-    if isinstance(module, DistillationRouter):
-        return module
-    for attribute in ("inner", "stage", "fallback", "teacher"):
-        child = getattr(module, attribute, None)
-        if child is not None and hasattr(child, "run"):
-            found = _find_distillation_router(child)
-            if found is not None:
-                return found
-    return None
 
 
 @contextmanager

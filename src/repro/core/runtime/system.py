@@ -8,7 +8,8 @@ system exclusively through this facade.
 
 from __future__ import annotations
 
-from typing import Any
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator
 
 from repro.core.compiler.compiler import LinguaMangaCompiler
 from repro.core.compiler.context import CompilerContext
@@ -122,7 +123,6 @@ class LinguaManga:
         checkpoint_path: "str | Any | None" = None,
         resume: bool = True,
         checkpoint: "Any | None" = None,
-        columnar: bool | None = None,
         autotune: bool = False,
         profile_path: "str | Any | None" = None,
         cancel: "Any | None" = None,
@@ -145,22 +145,16 @@ class LinguaManga:
         batching.  Checkpointed runs default to ``workers=1`` (chunked
         execution is what the journal records).
 
-        ``columnar`` pins the columnar-execution mode for the run's local
-        hot paths (blocking, similarity features — see
-        :mod:`repro.storage.columnar`); ``None`` keeps the ambient default.
-        Both modes produce byte-identical reports.
-
         ``autotune=True`` consults the profile store (``profile_path``, or
         a journal derived from the cache journal's path, or memory-only)
         before executing: a :class:`~repro.core.optimizer.autotune.
         PlanTuner` fits cost models from previous runs of the same plan
-        and chooses worker count, chunk size, the batched-vs-single
-        provider path and columnar mode — but only within knobs proven
-        byte-identical, so the report matches an untuned run byte for
-        byte.  Decisions, predictions and the realized deltas land in
-        ``report.tuning`` and the trace; the finished run's profile is
-        appended to the store for the next run.  Caller-pinned knobs are
-        never overridden (they are recorded under ``tuning["pinned"]``).
+        and chooses worker count, chunk size and the batched-vs-single
+        provider path — but only within knobs proven byte-identical, so
+        the report matches an untuned run byte for byte.  Decisions,
+        predictions and the realized deltas land in ``report.tuning`` and
+        the trace; the finished run's profile is appended to the store for
+        the next run.  Caller-pinned knobs are never overridden (they are recorded under ``tuning["pinned"]``).
 
         ``cancel`` (a :class:`~repro.core.runtime.cancel.CancelToken`)
         makes the run cooperatively cancellable: the serving layer cancels
@@ -169,72 +163,82 @@ class LinguaManga:
         operator/chunk boundary — combined with ``checkpoint_path`` the
         cancelled run stays resumable.
         """
-        from repro.storage.columnar import columnar_mode, resolve_columnar
-
         if checkpoint is not None and checkpoint_path is not None:
             raise ValueError("pass checkpoint= or checkpoint_path=, not both")
         if checkpoint is None and checkpoint_path is not None:
             from repro.core.runtime.checkpoint import RunCheckpoint
 
             checkpoint = RunCheckpoint(checkpoint_path, resume=resume)
-        plan = None
-        tuner = None
-        tuning = None
-        store = None
         try:
-            if autotune:
-                from repro.core.optimizer.autotune import (
-                    PlanTuner,
-                    ProfileStore,
-                    resolve_profile_path,
+            plan = self.compile(pipeline)
+            with self._tuned(
+                autotune,
+                plan,
+                "batch",
+                profile_path,
+                inputs,
+                workers=workers,
+                chunk_size=chunk_size,
+                checkpointed=checkpoint is not None,
+            ) as (workers, measured):
+                if checkpoint is not None and workers is None:
+                    workers = 1
+                return measured(
+                    lambda: plan.execute(
+                        inputs,
+                        workers=workers,
+                        chunk_size=chunk_size,
+                        checkpoint=checkpoint,
+                        cancel=cancel,
+                    )
                 )
-
-                plan = self.compile(pipeline)
-                store = ProfileStore(
-                    resolve_profile_path(profile_path, self.service)
-                )
-                tuner = PlanTuner(store, plan, self.service, engine="batch")
-                tuning = tuner.tune(
-                    inputs,
-                    workers=workers,
-                    chunk_size=chunk_size,
-                    columnar=columnar,
-                    checkpointed=checkpoint is not None,
-                )
-                workers = tuning.workers
-                columnar = tuning.columnar
-            if checkpoint is not None and workers is None:
-                workers = 1
-            try:
-                with columnar_mode(resolve_columnar(columnar)):
-                    if tuner is None:
-                        return self.compile(pipeline).execute(
-                            inputs,
-                            workers=workers,
-                            chunk_size=chunk_size,
-                            checkpoint=checkpoint,
-                            cancel=cancel,
-                        )
-                    from repro.core.optimizer.autotune import observe_run
-
-                    with tuning.applied(), observe_run() as walltime:
-                        report = plan.execute(
-                            inputs,
-                            workers=workers,
-                            chunk_size=chunk_size,
-                            checkpoint=checkpoint,
-                            cancel=cancel,
-                        )
-                    tuner.record(report, walltime["wall_seconds"])
-                    return report
-            finally:
-                if checkpoint is not None:
-                    checkpoint.close()
         finally:
-            # The store takes a journal file handle at construction, so it
-            # must close even when tune() or plan setup raises.
-            if store is not None:
-                store.close()
+            if checkpoint is not None:
+                checkpoint.close()
+
+    @contextmanager
+    def _tuned(
+        self,
+        autotune: bool,
+        plan: PhysicalPlan,
+        engine: str,
+        profile_path: "str | Any | None",
+        inputs: dict[str, Any] | None,
+        **pins: Any,
+    ) -> Iterator[tuple[int | None, Callable[[Callable[[], RunReport]], RunReport]]]:
+        """The autotune scaffolding shared by :meth:`run` and :meth:`run_stream`.
+
+        Yields ``(workers, measured)``: the worker count to execute with and
+        a wrapper that runs ``execute()`` under the tuned module knobs,
+        appends the finished run's profile to the store and attaches the
+        audit to the report.  With ``autotune=False`` both are pass-throughs.
+        The store takes a journal file handle at construction, so it closes
+        on exit even when ``tune()`` or the caller's executor set-up raises.
+        """
+        if not autotune:
+            yield pins["workers"], lambda execute: execute()
+            return
+        from repro.core.optimizer.autotune import (
+            PlanTuner,
+            ProfileStore,
+            observe_run,
+            resolve_profile_path,
+        )
+
+        store = ProfileStore(resolve_profile_path(profile_path, self.service))
+        try:
+            tuner = PlanTuner(store, plan, self.service, engine=engine)
+            tuning = tuner.tune(inputs, **pins)
+
+            def measured(execute: Callable[[], RunReport]) -> RunReport:
+                with tuning.applied(), observe_run() as walltime:
+                    report = execute()
+                tuner.record(report, walltime["wall_seconds"])
+                return report
+
+            yield tuning.workers, measured
+        finally:
+            store.close()
 
     def run_stream(
         self,
@@ -303,23 +307,15 @@ class LinguaManga:
         if ledger is not None and ledger_path is not None:
             raise ValueError("pass ledger= or ledger_path=, not both")
         plan = self.compile(pipeline)
-        tuner = None
-        tuning = None
-        store = None
-        try:
-            if autotune:
-                from repro.core.optimizer.autotune import (
-                    PlanTuner,
-                    ProfileStore,
-                    resolve_profile_path,
-                )
-
-                store = ProfileStore(
-                    resolve_profile_path(profile_path, self.service)
-                )
-                tuner = PlanTuner(store, plan, self.service, engine="stream")
-                tuning = tuner.tune(None, workers=workers, chunk_size=chunk_size)
-                workers = tuning.workers
+        with self._tuned(
+            autotune,
+            plan,
+            "stream",
+            profile_path,
+            None,
+            workers=workers,
+            chunk_size=chunk_size,
+        ) as (workers, measured):
             if workers is None:
                 workers = 1
             ephemeral = False
@@ -349,24 +345,12 @@ class LinguaManga:
                 spill_fault=spill_fault,
             )
             try:
-                if tuner is None:
-                    report = executor.execute(inputs)
-                else:
-                    from repro.core.optimizer.autotune import observe_run
-
-                    with tuning.applied(), observe_run() as walltime:
-                        report = executor.execute(inputs)
-                    tuner.record(report, walltime["wall_seconds"])
+                report = measured(lambda: executor.execute(inputs))
                 if ephemeral:
                     ledger.delete()
                 return report
             finally:
                 ledger.close()
-        finally:
-            # The store takes a journal file handle at construction, so it
-            # must close even when tune() or executor setup raises.
-            if store is not None:
-                store.close()
 
     # -- data and services ---------------------------------------------------------------
 

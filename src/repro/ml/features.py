@@ -16,7 +16,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro._util import stable_hash
-from repro.storage.columnar import resolve_columnar
 from repro.text.normalize import extract_numbers, normalize_text
 from repro.text.similarity import (
     jaccard_similarity,
@@ -112,8 +111,7 @@ class PairFeatureExtractor:
     attributes: Sequence[str]
     normalize: bool = True
     metrics: Sequence[str] = PAIR_FEATURE_NAMES
-    columnar: bool | None = None
-    _cache: dict[int, str] = field(default_factory=dict, repr=False)
+    _cache: dict[str, str] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         unknown = set(self.metrics) - set(PAIR_FEATURE_NAMES)
@@ -137,18 +135,15 @@ class PairFeatureExtractor:
         text = "" if value is None else str(value)
         if not self.normalize:
             return text
-        key = id(value) if isinstance(value, str) else None
-        if key is not None and key in self._cache:
-            return self._cache[key]
-        cleaned = normalize_text(text)
-        if key is not None:
-            self._cache[key] = cleaned
+        cleaned = self._cache.get(text)
+        if cleaned is None:
+            cleaned = self._cache[text] = normalize_text(text)
         return cleaned
 
     def transform_pair(
         self, left: Mapping[str, object], right: Mapping[str, object]
     ) -> np.ndarray:
-        """Feature vector for one record pair."""
+        """Feature vector for one record pair (:meth:`transform`'s reference)."""
         values: list[float] = []
         for attribute in self.attributes:
             a = self._clean(left.get(attribute))
@@ -183,31 +178,12 @@ class PairFeatureExtractor:
     ) -> np.ndarray:
         """Feature matrix for a batch of pairs.
 
-        The columnar path (``columnar``, ``None`` following the ambient
-        mode) computes every metric over the whole batch at once; it is
+        Every metric is computed over the whole batch at once; the result is
         bitwise-identical to stacking :meth:`transform_pair` rows.
         """
         if not pairs:
             return np.zeros((0, self.n_features), dtype=np.float64)
-        if resolve_columnar(self.columnar):
-            return self._transform_columnar(pairs)
-        return np.stack([self.transform_pair(left, right) for left, right in pairs])
-
-    def _transform_columnar(
-        self, pairs: Sequence[tuple[Mapping[str, object], Mapping[str, object]]]
-    ) -> np.ndarray:
-        clean_cache: dict[str, str] = {}
-
-        def clean(value: object) -> str:
-            text = "" if value is None else str(value)
-            if not self.normalize:
-                return text
-            cached = clean_cache.get(text)
-            if cached is None:
-                cached = normalize_text(text)
-                clean_cache[text] = cached
-            return cached
-
+        clean = self._clean
         number_cache: dict[str, float | None] = {}
 
         def first_number(text: str) -> float | None:

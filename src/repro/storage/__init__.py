@@ -1,14 +1,6 @@
 """Relational storage substrate: typed tables, a SQL subset, a catalog."""
 
-from repro.storage.columnar import (
-    ColumnarBlock,
-    TokenColumn,
-    Vocabulary,
-    columnar_mode,
-    default_columnar,
-    resolve_columnar,
-    set_default_columnar,
-)
+from repro.storage.columnar import ColumnarBlock, TokenColumn, Vocabulary
 from repro.storage.database import Database, QueryLogEntry
 from repro.storage.spill import SpillStore, SpillWriteError
 from repro.storage.sql.executor import SqlExecutionError, execute_statement
@@ -20,10 +12,6 @@ __all__ = [
     "ColumnarBlock",
     "TokenColumn",
     "Vocabulary",
-    "columnar_mode",
-    "default_columnar",
-    "resolve_columnar",
-    "set_default_columnar",
     "Database",
     "QueryLogEntry",
     "SpillStore",

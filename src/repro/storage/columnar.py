@@ -17,10 +17,12 @@ introduces the columnar substrate those hot paths vectorize over:
 - low-level packing kernels (:func:`pack_codepoints`, :func:`token_id_rows`,
   :func:`unique_id_rows`) used by the vectorized similarity functions in
   :mod:`repro.text.similarity`;
-- the process-wide **columnar mode toggle** (:func:`columnar_mode`,
-  :func:`resolve_columnar`): every vectorized call site keeps its scalar
-  implementation as the testing oracle and consults the toggle when the
-  caller passes ``columnar=None``.
+- the batched MinHash / LSH kernels (:func:`minhash_signatures_many`,
+  :func:`band_keys_many`) behind the dedup candidate scan.
+
+Every vectorized call site is the only production path; the scalar
+implementation it replaced stays beside it as the reference the
+equivalence suites compare against by name.
 
 Determinism contract: token ids are assigned in sorted token order and all
 array layouts are pure functions of the input rows, so two processes (or a
@@ -29,8 +31,7 @@ spill/restore round trip) always agree bit for bit.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -41,58 +42,11 @@ __all__ = [
     "pack_codepoints",
     "token_id_rows",
     "unique_id_rows",
-    "set_default_columnar",
-    "default_columnar",
-    "columnar_mode",
-    "resolve_columnar",
     "spill_encode",
     "spill_decode",
     "minhash_signatures_many",
     "band_keys_many",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Columnar mode toggle
-# ---------------------------------------------------------------------------
-
-# Process-global default plus an override stack.  The stack is intentionally
-# *not* thread-local: the scheduler fans module chunks out to worker threads,
-# and a run-scoped ``columnar_mode(...)`` entered on the driver thread must
-# govern those workers too.  Concurrent runs with conflicting overrides are
-# not supported (the same holds for every other process-global knob here).
-_DEFAULT_COLUMNAR = True
-_OVERRIDES: list[bool] = []
-
-
-def set_default_columnar(enabled: bool) -> None:
-    """Set the process-wide default for ``columnar=None`` call sites."""
-    global _DEFAULT_COLUMNAR
-    _DEFAULT_COLUMNAR = bool(enabled)
-
-
-def default_columnar() -> bool:
-    """Current effective mode (innermost override, else the default)."""
-    if _OVERRIDES:
-        return _OVERRIDES[-1]
-    return _DEFAULT_COLUMNAR
-
-
-@contextmanager
-def columnar_mode(enabled: bool) -> Iterator[None]:
-    """Scope the effective columnar mode (nestable)."""
-    _OVERRIDES.append(bool(enabled))
-    try:
-        yield
-    finally:
-        _OVERRIDES.pop()
-
-
-def resolve_columnar(flag: bool | None) -> bool:
-    """Resolve a call-site ``columnar`` argument against the ambient mode."""
-    if flag is None:
-        return default_columnar()
-    return bool(flag)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +421,7 @@ def band_keys_many(signatures: np.ndarray, bands: int, rows: int) -> list[list[s
 
     The digest input is the 4-byte little-endian band index followed by the
     band's values packed ``<u4`` — exactly the :func:`repro.text.minhash.band_key`
-    layout — so candidate buckets agree between modes.
+    layout — so candidate buckets agree with the scalar reference.
     """
     import hashlib
     import struct

@@ -21,15 +21,11 @@ edits?" in O(n·d) and exits early otherwise.  Only neighbours clearing
 ``fallback_similarity`` become candidates — disjoint vocabularies still
 produce nothing.
 
-Two implementations share this contract:
-
-* the **scalar** path (dict probes, per-pair Levenshtein) — the testing
-  oracle, and
-* the **columnar** path (sorted token-id arrays, one ``searchsorted`` join,
-  ``bincount`` score accumulation, batched banded Levenshtein) — the
-  default.
-
-Both accumulate each pair's TF-IDF score in ascending-token order, so the
+:func:`block_records` runs the array kernel :func:`_block_columnar` (sorted
+token-id arrays, one ``searchsorted`` join, ``bincount`` score accumulation,
+batched banded Levenshtein).  :func:`_block_scalar` (dict probes, per-pair
+Levenshtein) is the reference the equivalence tests compare it against:
+both accumulate each pair's TF-IDF score in ascending-token order, so the
 float sums — and therefore every tie-break — are bitwise identical.
 """
 
@@ -41,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.storage.columnar import resolve_columnar
 from repro.text.normalize import normalize_text
 from repro.text.similarity import TfIdfModel, levenshtein_distance, levenshtein_distance_many
 
@@ -105,7 +100,7 @@ def _block_scalar(
     neighborhood_window: int,
     fallback_similarity: float,
 ) -> tuple[list[tuple[int, int]], int]:
-    """Dict-probe reference implementation (the columnar path's oracle)."""
+    """Dict-probe reference implementation (the array kernel's oracle)."""
     index: dict[str, list[int]] = defaultdict(list)
     for j, text in enumerate(right_texts):
         for token in set(text.split()):
@@ -309,7 +304,6 @@ def block_records(
     min_shared_tokens: int = 1,
     neighborhood_window: int = 3,
     fallback_similarity: float = 0.55,
-    columnar: bool | None = None,
 ) -> BlockingResult:
     """TF-IDF token blocking between two record collections.
 
@@ -321,10 +315,6 @@ def block_records(
     keys in lexicographic order, admitted only above
     ``fallback_similarity`` edit similarity (banded Levenshtein).  Set
     ``neighborhood_window=0`` to disable the fallback.
-
-    ``columnar`` picks the implementation (``None`` follows the ambient
-    :func:`repro.storage.columnar.resolve_columnar` mode); both produce
-    identical results, pair for pair and count for count.
     """
     if not left or not right:
         return BlockingResult([], 0, 1.0)
@@ -336,8 +326,7 @@ def block_records(
     right_texts = [key_text(r) for r in right]
     model = TfIdfModel(left_texts + right_texts)
 
-    implementation = _block_columnar if resolve_columnar(columnar) else _block_scalar
-    pairs, considered = implementation(
+    pairs, considered = _block_columnar(
         left_texts,
         right_texts,
         model,

@@ -35,19 +35,18 @@ from repro.core.compiler.curation import (
     DEDUP_NUM_PERM,
     DEDUP_ROWS,
     DEDUP_SHINGLE_N,
+    _bucket_pairs,
+    _doc_id,
+    _doc_text,
     dedup_candidate_pairs,
+    tier_band_keys,
 )
 from repro.core.runtime.system import LinguaManga
 from repro.core.templates.library import get_template
 from repro.datasets.curation import CurationCorpus
 from repro.ml.metrics import f1_score
-from repro.text.minhash import band_keys, minhash_params, minhash_signature
-from repro.text.shingle import (
-    document_digest,
-    knowledge_canonical,
-    shingle_ids,
-    simple_canonical,
-)
+from repro.text.minhash import MinHashParams, minhash_params
+from repro.text.shingle import document_digest
 
 __all__ = [
     "CurationResult",
@@ -88,12 +87,11 @@ class CurationResult:
 
 def _posting_lines(
     batch: list[Any],
-    params,
+    params: MinHashParams,
     bands: int,
     rows: int,
     shingle_n: int,
     dual: bool,
-    use_columnar: bool,
 ) -> Iterator[tuple[str, Any]]:
     """``(bucket_key, doc_id)`` postings for one record batch.
 
@@ -101,35 +99,14 @@ def _posting_lines(
     ``k:`` knowledge LSH) so buckets never mix across tiers — exactly the
     separation the in-memory kernel keeps with its per-tier dictionaries.
     """
-    ids = []
-    texts = []
-    for offset, record in enumerate(batch):
-        if isinstance(record, dict):
-            ids.append(record.get("id", offset))
-            texts.append(str(record.get("text", "")))
-        else:
-            ids.append(offset)
-            texts.append(str(record))
+    ids = [_doc_id(record, offset) for offset, record in enumerate(batch)]
+    texts = [_doc_text(record) for record in batch]
     for doc_id, text in zip(ids, texts):
         yield f"x:{document_digest(text)}", doc_id
-    passes = [("s", simple_canonical)]
-    if dual:
-        passes.append(("k", knowledge_canonical))
-    for prefix, canonical in passes:
-        id_rows = [shingle_ids(canonical(text), shingle_n) for text in texts]
-        if use_columnar:
-            from repro.storage.columnar import band_keys_many, minhash_signatures_many
-
-            signatures = minhash_signatures_many(id_rows, params.a, params.b)
-            all_keys = band_keys_many(signatures, bands, rows)
-        else:
-            all_keys = [
-                band_keys(minhash_signature(row, params), bands, rows)
-                for row in id_rows
-            ]
+    for tag, all_keys in tier_band_keys(texts, params, bands, rows, shingle_n, dual):
         for doc_id, keys in zip(ids, all_keys):
             for key in keys:
-                yield f"{prefix}:{key}", doc_id
+                yield f"{tag}:{key}", doc_id
 
 
 def iter_dedup_candidate_ids(
@@ -140,7 +117,6 @@ def iter_dedup_candidate_ids(
     rows: int = DEDUP_ROWS,
     shingle_n: int = DEDUP_SHINGLE_N,
     dual: bool = True,
-    columnar: bool | None = None,
     partitions: int = 16,
     batch_size: int = 256,
     spill_dir: str | Path | None = None,
@@ -165,9 +141,6 @@ def iter_dedup_candidate_ids(
         raise ValueError(f"bands*rows must equal num_perm ({bands}*{rows} != {num_perm})")
     if partitions <= 0:
         raise ValueError("partitions must be positive")
-    from repro.storage.columnar import resolve_columnar
-
-    use_columnar = resolve_columnar(columnar)
     params = minhash_params(num_perm)
     own_dir = spill_dir is None
     root = Path(tempfile.mkdtemp(prefix="repro-dedup-")) if own_dir else Path(spill_dir)
@@ -179,7 +152,7 @@ def iter_dedup_candidate_ids(
             for batch in chunked(records, batch_size):
                 accounting["docs"] += len(batch)
                 for key, doc_id in _posting_lines(
-                    batch, params, bands, rows, shingle_n, dual, use_columnar
+                    batch, params, bands, rows, shingle_n, dual
                 ):
                     line = f"{key}\t{doc_id}\n"
                     files[stable_hash("dedup-part", key) % partitions].write(line)
@@ -201,13 +174,7 @@ def iter_dedup_candidate_ids(
                 accounting["peak_partition_postings"], count
             )
             pairs: set[tuple] = set()
-            for bucket in buckets.values():
-                if len(bucket) < 2:
-                    continue
-                members = sorted(bucket)
-                for i, left in enumerate(members):
-                    for right in members[i + 1 :]:
-                        pairs.add((left, right))
+            _bucket_pairs(buckets.values(), pairs)
             return sorted(pairs)
 
         merged = heapq.merge(*(partition_pairs(i) for i in range(partitions)))
@@ -287,7 +254,6 @@ def run_dedup(
     checkpoint_path: Any = None,
     ledger_path: Any = None,
     resume: bool = True,
-    columnar: bool | None = None,
     autotune: bool = False,
     num_perm: int = DEDUP_NUM_PERM,
     bands: int = DEDUP_BANDS,
@@ -313,7 +279,7 @@ def run_dedup(
         )
         report = system.run_stream(
             pipeline,
-            {"pairs": iter_dedup_candidates(corpus, columnar=columnar, **kernel)},
+            {"pairs": iter_dedup_candidates(corpus, **kernel)},
             workers=workers,
             chunk_size=chunk_size,
             ledger_path=ledger_path,
@@ -321,7 +287,7 @@ def run_dedup(
             source_id=f"{corpus.fingerprint}|dedup-pairs",
             autotune=autotune,
         )
-        pair_ids = list(iter_dedup_candidate_ids(corpus.inputs(), columnar=columnar, **kernel))
+        pair_ids = list(iter_dedup_candidate_ids(corpus.inputs(), **kernel))
     else:
         pipeline = get_template("document_dedup").instantiate(
             mode="docs", examples=examples, **kernel
@@ -334,10 +300,9 @@ def run_dedup(
             chunk_size=chunk_size,
             checkpoint_path=checkpoint_path,
             resume=resume,
-            columnar=columnar,
             autotune=autotune,
         )
-        pair_ids = dedup_candidate_pairs(records, columnar=columnar, **kernel)
+        pair_ids = dedup_candidate_pairs(records, **kernel)
     usage = _report_usage(report) if stream else _usage_delta(before, system.usage())
     verdicts = next(iter(report.outputs.values()))
     if len(verdicts) != len(pair_ids):
@@ -374,7 +339,6 @@ def _run_doc_flag_task(
     checkpoint_path: Any,
     ledger_path: Any,
     resume: bool,
-    columnar: bool | None,
     autotune: bool,
     source_tag: str,
 ) -> tuple[dict, list[int], list[int], Any]:
@@ -400,7 +364,6 @@ def _run_doc_flag_task(
             chunk_size=chunk_size,
             checkpoint_path=checkpoint_path,
             resume=resume,
-            columnar=columnar,
             autotune=autotune,
         )
     usage = _report_usage(report) if stream else _usage_delta(before, system.usage())
@@ -420,7 +383,6 @@ def run_quality_filter(
     checkpoint_path: Any = None,
     ledger_path: Any = None,
     resume: bool = True,
-    columnar: bool | None = None,
     autotune: bool = False,
     distill: bool = False,
     distill_config: dict | None = None,
@@ -443,7 +405,6 @@ def run_quality_filter(
         checkpoint_path=checkpoint_path,
         ledger_path=ledger_path,
         resume=resume,
-        columnar=columnar,
         autotune=autotune,
         source_tag="quality",
     )
@@ -467,7 +428,6 @@ def run_decontamination(
     checkpoint_path: Any = None,
     ledger_path: Any = None,
     resume: bool = True,
-    columnar: bool | None = None,
     autotune: bool = False,
 ) -> CurationResult:
     """Scan ``corpus`` against its held-out eval set, score contamination F1."""
@@ -487,7 +447,6 @@ def run_decontamination(
         checkpoint_path=checkpoint_path,
         ledger_path=ledger_path,
         resume=resume,
-        columnar=columnar,
         autotune=autotune,
         source_tag="decontam",
     )

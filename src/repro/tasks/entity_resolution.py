@@ -70,7 +70,6 @@ def run_lingua_manga_er(
     checkpoint_path: str | None = None,
     resume: bool = True,
     checkpoint: Any = None,
-    columnar: bool | None = None,
     autotune: bool = False,
     profile_path: str | None = None,
     cancel: Any = None,
@@ -96,7 +95,6 @@ def run_lingua_manga_er(
         checkpoint_path=checkpoint_path,
         resume=resume,
         checkpoint=checkpoint,
-        columnar=columnar,
         autotune=autotune,
         profile_path=profile_path,
         cancel=cancel,

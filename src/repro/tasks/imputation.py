@@ -71,7 +71,6 @@ def run_llm_imputation(
     checkpoint_path: str | None = None,
     resume: bool = True,
     checkpoint: Any = None,
-    columnar: bool | None = None,
     autotune: bool = False,
     profile_path: str | None = None,
     cancel: Any = None,
@@ -96,7 +95,6 @@ def run_llm_imputation(
         checkpoint_path=checkpoint_path,
         resume=resume,
         checkpoint=checkpoint,
-        columnar=columnar,
         autotune=autotune,
         profile_path=profile_path,
         cancel=cancel,
@@ -120,7 +118,6 @@ def run_hybrid_imputation(
     checkpoint_path: str | None = None,
     resume: bool = True,
     checkpoint: Any = None,
-    columnar: bool | None = None,
     autotune: bool = False,
     profile_path: str | None = None,
     cancel: Any = None,
@@ -142,7 +139,6 @@ def run_hybrid_imputation(
         checkpoint_path=checkpoint_path,
         resume=resume,
         checkpoint=checkpoint,
-        columnar=columnar,
         autotune=autotune,
         profile_path=profile_path,
         cancel=cancel,

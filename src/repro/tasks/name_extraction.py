@@ -65,7 +65,6 @@ def run_name_extraction(
     checkpoint_path: str | None = None,
     resume: bool = True,
     checkpoint: Any = None,
-    columnar: bool | None = None,
     autotune: bool = False,
     profile_path: str | None = None,
     cancel: Any = None,
@@ -86,7 +85,6 @@ def run_name_extraction(
         checkpoint_path=checkpoint_path,
         resume=resume,
         checkpoint=checkpoint,
-        columnar=columnar,
         autotune=autotune,
         profile_path=profile_path,
         cancel=cancel,

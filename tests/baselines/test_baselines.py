@@ -106,32 +106,32 @@ class TestIMP:
 
 
 class TestColumnarBaselines:
-    """Scalar vs columnar toggles on the classical baselines.
+    """The baselines' batch kernels against their per-record references.
 
-    The columnar feature path must be *bitwise* identical (the random
-    forest goldens are sensitive to any float drift), so fitted models and
-    predictions match exactly; HoloClean's vote matrix is integer-exact.
+    The batch feature path must be *bitwise* identical to stacked
+    ``transform_pair`` rows (the random forest goldens are sensitive to any
+    float drift) on the split the model is fitted on and the split it
+    predicts, so fitted models and predictions are the ones the reference
+    features would give; HoloClean's vote matrix is integer-exact.
     """
 
-    def test_magellan_features_and_predictions_identical(self, beer):
+    @staticmethod
+    def _assert_features_match_reference(extractor, pairs):
         import numpy as np
 
-        pairs = beer.train[:200]
-        scalar = MagellanMatcher(columnar=False).fit(["name", "abv"], pairs)
-        columnar = MagellanMatcher(columnar=True).fit(["name", "abv"], pairs)
-        test = beer.test[:100]
-        sx = scalar._extractor.transform([(p.left, p.right) for p in test])
-        cx = columnar._extractor.transform([(p.left, p.right) for p in test])
-        assert np.array_equal(sx, cx)
-        assert scalar.predict(test) == columnar.predict(test)
+        rows = [(p.left, p.right) for p in pairs]
+        reference = np.stack([extractor.transform_pair(a, b) for a, b in rows])
+        assert np.array_equal(extractor.transform(rows), reference)
+
+    def test_magellan_features_and_predictions_identical(self, beer):
+        matcher = MagellanMatcher().fit(["name", "abv"], beer.train[:200])
+        self._assert_features_match_reference(matcher._extractor, beer.train[:200])
+        self._assert_features_match_reference(matcher._extractor, beer.test[:100])
 
     def test_ditto_predictions_identical(self, beer):
-        pairs = beer.train[:200]
-        test = beer.test[:100]
-        scalar = DittoMatcher(columnar=False).fit(["name", "abv"], pairs)
-        columnar = DittoMatcher(columnar=True).fit(["name", "abv"], pairs)
-        assert scalar._threshold == columnar._threshold
-        assert scalar.predict(test) == columnar.predict(test)
+        matcher = DittoMatcher().fit(["name", "abv"], beer.train[:200])
+        self._assert_features_match_reference(matcher._extractor, beer.train[:200])
+        self._assert_features_match_reference(matcher._extractor, beer.test[:100])
 
     def test_holoclean_predictions_identical(self, buy):
         imputer = HoloCleanImputer().fit(buy.train)
@@ -140,8 +140,4 @@ class TestColumnarBaselines:
             {"name": "zzz qqq completely unseen"},
             {"name": buy.train[0].name},
         ]
-        imputer.columnar = False
-        scalar = imputer.predict(records)
-        imputer.columnar = True
-        columnar = imputer.predict(records)
-        assert scalar == columnar
+        assert imputer.predict(records) == [imputer.predict_one(r) for r in records]

@@ -100,3 +100,13 @@ def assert_reports_identical(*reports, ignore: tuple[str, ...] = ()) -> None:
             difflib.unified_diff(a, b, "report[0]", f"report[{position}]", lineterm="")
         )
         raise AssertionError(f"run reports diverge:\n{diff[:4000]}")
+
+
+def block_records_reference(*args, **kwargs):
+    """``block_records`` with the dict-probe reference kernel swapped in."""
+    from unittest import mock
+
+    from repro.tasks import blocking
+
+    with mock.patch.object(blocking, "_block_columnar", blocking._block_scalar):
+        return blocking.block_records(*args, **kwargs)

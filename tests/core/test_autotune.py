@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -156,14 +157,34 @@ class TestDecisionDeterminism:
     def test_pinned_knobs_never_overridden(self, tmp_path, er_dataset):
         cache, prof = _paths(tmp_path, "a")
         _run(er_dataset, cache, prof)
-        result = _run(
-            er_dataset, cache, prof, workers=2, columnar=False
-        )
+        result = _run(er_dataset, cache, prof, workers=2)
         tuning = result.report.tuning
-        assert tuning["pinned"] == {"workers": 2, "columnar": False}
+        assert tuning["pinned"] == {"workers": 2}
         knobs = {d["knob"] for d in tuning["decisions"]}
         assert "workers" not in knobs
-        assert "columnar" not in knobs
+
+    def test_parent_written_store_gives_same_decisions(self, tmp_path, er_dataset):
+        """Journals written before the ``columnar`` knob was deleted carry
+        ``knobs.columnar``; they must load whole and tune exactly like a
+        journal written today."""
+        cache, prof = _paths(tmp_path, "a")
+        _run(er_dataset, cache, prof)  # seed cache + store
+        old_cache, old_prof = _paths(tmp_path, "old")
+        shutil.copy(cache, old_cache)
+        lines = [json.loads(line) for line in prof.read_text().splitlines()]
+        for line in lines:
+            line["knobs"]["columnar"] = None
+        old_prof.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        store = ProfileStore(old_prof)
+        assert (store.lines_loaded, store.torn_bytes) == (len(lines), 0)
+        store.close()
+        current = _run(er_dataset, cache, prof).report.tuning
+        old = _run(er_dataset, old_cache, old_prof).report.tuning
+        assert old["verified_warm"] is True
+        assert {d["knob"] for d in old["decisions"]} == {
+            "workers", "chunk_size", "prefetch"
+        }
+        assert old["decisions"] == current["decisions"]
 
 
 class TestCheckpointInteraction:

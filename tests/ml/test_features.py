@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro._util import seeded_rng
 from repro.ml.features import PAIR_FEATURE_NAMES, HashingVectorizer, PairFeatureExtractor
 
 
@@ -96,3 +97,19 @@ class TestPairFeatureExtractor:
         ex = PairFeatureExtractor(["name", "abv"])
         vec = ex.transform_pair(self.LEFT, self.RIGHT)
         assert (vec >= 0).all() and (vec <= 1).all()
+
+    def test_memo_survives_string_address_reuse(self):
+        """A long-lived extractor must not serve a freed string's text.
+
+        Records are built and dropped in a loop, so CPython hands later
+        strings the addresses of earlier ones; every vector must still
+        equal what a fresh extractor computes.
+        """
+        rng = seeded_rng("pair-feature-memo")
+        words = ["stone", "ipa", "pale", "ale", "lager", "St.", "12oz", "Co."]
+        shared = PairFeatureExtractor(["name"])
+        for _ in range(300):
+            left = {"name": " ".join(rng.choice(words) for _ in range(3))}
+            right = {"name": " ".join(rng.choice(words) for _ in range(3))}
+            fresh = PairFeatureExtractor(["name"]).transform_pair(left, right)
+            assert np.array_equal(shared.transform_pair(left, right), fresh)

@@ -15,20 +15,12 @@ import pytest
 from repro.core.runtime.system import LinguaManga
 from repro.core.templates.library import get_template
 from repro.datasets.entity_resolution import generate_er_dataset
-from repro.datasets.imputation import generate_buy_dataset
-from repro.datasets.names import generate_name_dataset
 from repro.llm.faults import ChaosProvider, FaultKind, FaultSpec
 from repro.llm.providers import SimulatedProvider
 from repro.llm.service import LLMService
 from repro.tasks.blocking import block_records
-from repro.tasks.entity_resolution import (
-    pairs_as_inputs,
-    pick_examples,
-    run_lingua_manga_er,
-)
-from repro.tasks.imputation import run_llm_imputation
-from repro.tasks.name_extraction import run_name_extraction
-from tests.conftest import assert_reports_identical
+from repro.tasks.entity_resolution import pairs_as_inputs, pick_examples
+from tests.conftest import assert_reports_identical, block_records_reference
 
 WORKER_COUNTS = (1, 2, 8)
 
@@ -124,56 +116,13 @@ class TestChaosDeterminism:
 
 
 class TestColumnarDeterminism:
-    """Columnar vs scalar execution is invisible in the reports.
-
-    All three demo apps, both columnar modes, every worker count: the
-    canonical run reports must be byte-identical (the columnar hot paths
-    are engineered to accumulate floats in the scalar order, so this is an
-    exact contract, not a tolerance).
-    """
-
-    @pytest.fixture(scope="class")
-    def name_documents(self):
-        return generate_name_dataset(seed=3, n_documents=40).documents
-
-    @pytest.fixture(scope="class")
-    def buy_dataset(self):
-        return generate_buy_dataset(seed=11, n_train=40, n_test=60)
-
-    def _matrix(self, run):
-        reports = [
-            run(workers=workers, columnar=columnar).report.canonical_json()
-            for columnar in (False, True)
-            for workers in WORKER_COUNTS
-        ]
-        assert_reports_identical(*reports)
-
-    def test_er_byte_identical(self, dataset):
-        self._matrix(
-            lambda workers, columnar: run_lingua_manga_er(
-                LinguaManga(), dataset, workers=workers, columnar=columnar
-            )
-        )
-
-    def test_name_extraction_byte_identical(self, name_documents):
-        self._matrix(
-            lambda workers, columnar: run_name_extraction(
-                LinguaManga(), name_documents, workers=workers, columnar=columnar
-            )
-        )
-
-    def test_imputation_byte_identical(self, buy_dataset):
-        self._matrix(
-            lambda workers, columnar: run_llm_imputation(
-                LinguaManga(), buy_dataset.test, workers=workers, columnar=columnar
-            )
-        )
+    """The array blocking kernel agrees with its dict-probe reference."""
 
     def test_blocking_candidate_sets_identical(self, dataset):
         left = [dict(p.left) for p in dataset.test[:40]]
         right = [dict(p.right) for p in dataset.test[:40]]
-        scalar = block_records(left, right, "name", columnar=False)
-        columnar = block_records(left, right, "name", columnar=True)
+        scalar = block_records_reference(left, right, "name")
+        columnar = block_records(left, right, "name")
         assert scalar.pairs == columnar.pairs
         assert scalar.candidates_considered == columnar.candidates_considered
         assert scalar.reduction_ratio == columnar.reduction_ratio

@@ -1,10 +1,10 @@
 """Tests for the columnar batch representation and its spill interop.
 
 Covers the determinism contract (sorted vocabularies, platform-stable
-arrays), the one-pass tokenization cache, the mode toggle, and the
-satellite requirement that a spilled shard round-trips through the
-columnar block codec unchanged — including a crash mid-spill via the
-existing fault hooks, a resume, and an array-for-array comparison.
+arrays), the one-pass tokenization cache, and the satellite requirement
+that a spilled shard round-trips through the columnar block codec
+unchanged — including a crash mid-spill via the existing fault hooks, a
+resume, and an array-for-array comparison.
 """
 
 from __future__ import annotations
@@ -18,11 +18,7 @@ from repro.storage.columnar import (
     ColumnarBlock,
     TokenColumn,
     Vocabulary,
-    columnar_mode,
-    default_columnar,
     pack_codepoints,
-    resolve_columnar,
-    set_default_columnar,
     spill_decode,
     spill_encode,
 )
@@ -111,34 +107,6 @@ class TestColumnarBlock:
             [{"v": True}, {"v": 1}, {"v": 1.0}], fields=("v",)
         )
         assert block.column("v").texts == ("True", "1", "1.0")
-
-
-class TestModeToggle:
-    def test_default_is_columnar(self):
-        assert default_columnar() is True
-        assert resolve_columnar(None) is True
-
-    def test_explicit_flag_wins_over_ambient(self):
-        with columnar_mode(False):
-            assert resolve_columnar(True) is True
-            assert resolve_columnar(False) is False
-            assert resolve_columnar(None) is False
-
-    def test_context_nests_and_restores(self):
-        assert resolve_columnar(None) is True
-        with columnar_mode(False):
-            with columnar_mode(True):
-                assert resolve_columnar(None) is True
-            assert resolve_columnar(None) is False
-        assert resolve_columnar(None) is True
-
-    def test_set_default_columnar(self):
-        try:
-            set_default_columnar(False)
-            assert resolve_columnar(None) is False
-        finally:
-            set_default_columnar(True)
-        assert resolve_columnar(None) is True
 
 
 class TestSpillInterop:

@@ -10,6 +10,7 @@ from repro.storage.database import Database
 from repro.storage.table import Table
 from repro.tasks.blocking import block_records
 from repro.tasks.discovery import search_tables
+from tests.conftest import block_records_reference
 
 
 class TestBlocking:
@@ -108,8 +109,8 @@ class TestColumnarBlocking:
 
     def _both(self, left, right, **kwargs):
         return (
-            block_records(left, right, key="beer_name", columnar=False, **kwargs),
-            block_records(left, right, key="beer_name", columnar=True, **kwargs),
+            block_records_reference(left, right, key="beer_name", **kwargs),
+            block_records(left, right, key="beer_name", **kwargs),
         )
 
     def test_identical_on_corrupted_views(self, two_views):
@@ -145,19 +146,10 @@ class TestColumnarBlocking:
             {"k": ""},
             {"k": None},
         ]
-        scalar = block_records(left, right, key="k", columnar=False)
-        columnar = block_records(left, right, key="k", columnar=True)
+        scalar = block_records_reference(left, right, key="k")
+        columnar = block_records(left, right, key="k")
         assert scalar.pairs == columnar.pairs
         assert scalar.candidates_considered == columnar.candidates_considered
-
-    def test_ambient_mode_is_honoured(self, two_views):
-        from repro.storage.columnar import columnar_mode
-
-        left, right = two_views
-        explicit = block_records(left, right, key="beer_name", columnar=True)
-        with columnar_mode(True):
-            ambient = block_records(left, right, key="beer_name")
-        assert explicit.pairs == ambient.pairs
 
 
 class TestDiscovery:

@@ -18,9 +18,18 @@ The locked invariants:
 
 from __future__ import annotations
 
+import itertools
+from collections import defaultdict
+
 import pytest
 
-from repro.core.compiler.curation import dedup_candidate_pairs
+from repro.core.compiler.curation import (
+    DEDUP_BANDS,
+    DEDUP_NUM_PERM,
+    DEDUP_ROWS,
+    DEDUP_SHINGLE_N,
+    dedup_candidate_pairs,
+)
 from repro.core.runtime.system import LinguaManga
 from repro.core.templates import get_template
 from repro.datasets.curation import CurationCorpus
@@ -35,6 +44,14 @@ from repro.tasks.curation import (
     run_decontamination,
     run_dedup,
     run_quality_filter,
+)
+
+from repro.text.minhash import band_keys, minhash_params, minhash_signature
+from repro.text.shingle import (
+    document_digest,
+    knowledge_canonical,
+    shingle_ids,
+    simple_canonical,
 )
 
 from ..conftest import assert_reports_identical
@@ -126,6 +143,31 @@ class TestDedupInvariants:
 
 
 class TestMemoryFlatCandidateScan:
+    def test_scans_equal_scalar_reference(self, corpus):
+        """Both scans against per-document scalar MinHash / band keys."""
+        records = [d.record() for d in corpus]
+        params = minhash_params(DEDUP_NUM_PERM)
+        buckets: dict = defaultdict(set)
+        for record in records:
+            text = record["text"]
+            buckets["x", document_digest(text)].add(record["id"])
+            for tag, canonical in (("s", simple_canonical), ("k", knowledge_canonical)):
+                signature = minhash_signature(
+                    shingle_ids(canonical(text), DEDUP_SHINGLE_N), params
+                )
+                for key in band_keys(signature, DEDUP_BANDS, DEDUP_ROWS):
+                    buckets[tag, key].add(record["id"])
+        expected = sorted(
+            {
+                pair
+                for bucket in buckets.values()
+                for pair in itertools.combinations(sorted(bucket), 2)
+            }
+        )
+        assert expected
+        assert dedup_candidate_pairs(records) == expected
+        assert list(iter_dedup_candidate_ids(corpus.inputs())) == expected
+
     def test_external_scan_equals_kernel(self, corpus):
         records = [d.record() for d in corpus]
         stats: dict = {}

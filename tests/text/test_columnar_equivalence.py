@@ -8,14 +8,9 @@ accumulate in the scalar's addition order and are asserted bit-equal by the
 feature-extractor tests.  Inputs include mixed-script unicode, empty
 strings and ``max_distance`` band edges (0, exact distance, distance ± 1,
 per-pair bands).
-
-``COLUMNAR_EQ_EXAMPLES`` narrows the hypothesis example budget for CI
-smoke runs (matching the crash-matrix narrowing pattern).
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
@@ -50,7 +45,7 @@ from repro.text.similarity import (  # noqa: E402
     qgram_similarity_many,
 )
 
-MAX_EXAMPLES = int(os.environ.get("COLUMNAR_EQ_EXAMPLES", "60"))
+MAX_EXAMPLES = 60
 
 # Mixed scripts and accents; bounded so quadratic oracles stay fast.
 TEXT = st.text(
