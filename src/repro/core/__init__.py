@@ -31,12 +31,10 @@ from repro.core.modules import (
 from repro.core.optimizer import (
     CostComparison,
     CostTracker,
-    CrossCheckedModule,
     ModuleValidator,
     SimulatedModule,
     TabularConnector,
     TestCase,
-    make_llm_variants,
 )
 from repro.core.runtime import LinguaManga
 from repro.core.templates import available_templates, get_template, search_templates
@@ -66,8 +64,6 @@ __all__ = [
     "SequentialModule",
     "CostComparison",
     "CostTracker",
-    "CrossCheckedModule",
-    "make_llm_variants",
     "ModuleValidator",
     "SimulatedModule",
     "TabularConnector",

@@ -99,14 +99,6 @@ class RunReport:
     #: counters are exactly what differs between the crashed and the
     #: uninterrupted execution.
     recovery: dict[str, Any] | None = None
-    #: The autotune audit trail (``system.run(autotune=True)``): the
-    #: PlanTuner's per-knob decisions, its cost-model predictions and the
-    #: predicted-vs-actual deltas.  **Excluded** from
-    #: :meth:`canonical_dict` like ``recovery``: tuning must never change
-    #: outputs, so a tuned and an untuned run of the same plan are
-    #: byte-identical — the decisions themselves are observations *about*
-    #: the run, not results of it.
-    tuning: dict[str, Any] | None = None
 
     def to_text(self) -> str:
         """Readable execution summary."""
@@ -131,20 +123,6 @@ class RunReport:
                     f"{key}={value}" for key, value in sorted(interesting.items())
                 )
                 lines.append(f"  recovery: {rendered}")
-        if self.tuning:
-            decisions = self.tuning.get("decisions", [])
-            applied = sum(1 for d in decisions if d.get("applied"))
-            lines.append(
-                f"  tuning: {applied}/{len(decisions)} decision(s) applied"
-            )
-            for decision in decisions:
-                marker = "*" if decision.get("applied") else " "
-                lines.append(
-                    f"   {marker} {decision.get('op', '*')}."
-                    f"{decision.get('knob')}: "
-                    f"{decision.get('default')!r} -> {decision.get('chosen')!r} "
-                    f"({decision.get('basis', '')})"
-                )
         return "\n".join(lines)
 
     def canonical_dict(self) -> dict[str, Any]:

@@ -128,16 +128,6 @@ class Module(ABC):
     parallel_safe: bool = True
     #: chunk size the module prefers (``None`` = scheduler default)
     preferred_chunk_size: int | None = None
-    #: chunk size chosen by the autotune PlanTuner for one run (``None`` =
-    #: untuned).  Set and restored around ``execute`` by the tuner; ranks
-    #: below an explicit caller ``chunk_size`` but above
-    #: ``preferred_chunk_size`` (see
-    #: :func:`repro.core.runtime.scheduler.resolve_chunk_size`).
-    tuned_chunk_size: int | None = None
-    #: gate for the batched provider path (chunk prefetch).  The tuner
-    #: turns it off only on verified fully-warm runs, where priming is a
-    #: provable no-op; every other path leaves it on.
-    prefetch_enabled: bool = True
 
     def __init__(self, name: str):
         self.name = name

@@ -106,14 +106,8 @@ class MapModule(Module):
         return 0
 
     def apply_chunk(self, chunk: list[Any]) -> ChunkOutcome:
-        """Scheduler hook: process one record chunk in isolation.
-
-        ``prefetch_enabled`` is the autotune batched-vs-single knob: the
-        PlanTuner clears it only on verified fully-warm runs, where the
-        prime scan cannot reach the provider anyway.
-        """
-        if self.prefetch_enabled:
-            self.prefetch(chunk)
+        """Scheduler hook: process one record chunk in isolation."""
+        self.prefetch(chunk)
         with self.collecting_quarantine() as bucket:
             out, degraded = self._apply_items(chunk)
         return ChunkOutcome(outputs=out, quarantine=bucket, degraded=degraded)

@@ -1,14 +1,5 @@
 """The Lingua Manga optimizer: validator, simulator, connector, cost model."""
 
-from repro.core.optimizer.autotune import (
-    OperatorCostModel,
-    PlanTuner,
-    ProfileStore,
-    TuningDecision,
-    TuningPlan,
-    fit_cost_model,
-    resolve_profile_path,
-)
 from repro.core.optimizer.connector import (
     ConnectorAnswer,
     ConnectorPolicyError,
@@ -16,11 +7,6 @@ from repro.core.optimizer.connector import (
     TabularConnector,
 )
 from repro.core.optimizer.cost import CostComparison, CostSnapshot, CostTracker
-from repro.core.optimizer.crosscheck import (
-    CrossCheckedModule,
-    CrossCheckStats,
-    make_llm_variants,
-)
 from repro.core.optimizer.distill import DistillationRouter, DistillStats
 from repro.core.optimizer.simulator import SimulatedModule, SimulatorStats
 from repro.core.optimizer.validator import (
@@ -31,20 +17,10 @@ from repro.core.optimizer.validator import (
 )
 
 __all__ = [
-    "OperatorCostModel",
-    "PlanTuner",
-    "ProfileStore",
-    "TuningDecision",
-    "TuningPlan",
-    "fit_cost_model",
-    "resolve_profile_path",
     "ConnectorAnswer",
     "ConnectorPolicyError",
     "ExposureReport",
     "TabularConnector",
-    "CrossCheckedModule",
-    "CrossCheckStats",
-    "make_llm_variants",
     "CostComparison",
     "CostSnapshot",
     "CostTracker",

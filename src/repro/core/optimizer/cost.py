@@ -35,9 +35,7 @@ class CostSnapshot:
     near_hits: int = 0
     distilled_calls: int = 0
     #: virtual latency of provider-path calls only; ``latency_seconds``
-    #: minus cached/distilled time.  Kept separate so the autotune cost
-    #: models can fit per-provider-call rates without distilled local
-    #: answers biasing them.
+    #: minus cached/distilled time.
     provider_seconds: float = 0.0
     #: virtual latency spent in distilled local-model answers, under its
     #: own key instead of folded into provider time.

@@ -98,14 +98,11 @@ def resolve_chunk_size(module: Module, chunk_size: int | None = None) -> int:
 
     Shared by the batch scheduler and the streaming executor so both
     engines cut identical shard boundaries: an explicit ``chunk_size``
-    wins, then the autotuner's ``tuned_chunk_size`` (set only for runs
-    where chunk boundaries are provably output-neutral), then the module's
-    ``preferred_chunk_size``, then :data:`DEFAULT_CHUNK_SIZE`.
+    wins, then the module's ``preferred_chunk_size``, then
+    :data:`DEFAULT_CHUNK_SIZE`.
     """
     if chunk_size is not None:
         return chunk_size
-    if module.tuned_chunk_size is not None:
-        return module.tuned_chunk_size
     if module.preferred_chunk_size is not None:
         return module.preferred_chunk_size
     return DEFAULT_CHUNK_SIZE

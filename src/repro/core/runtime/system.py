@@ -8,8 +8,7 @@ system exclusively through this facade.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator
+from typing import Any
 
 from repro.core.compiler.compiler import LinguaMangaCompiler
 from repro.core.compiler.context import CompilerContext
@@ -123,8 +122,6 @@ class LinguaManga:
         checkpoint_path: "str | Any | None" = None,
         resume: bool = True,
         checkpoint: "Any | None" = None,
-        autotune: bool = False,
-        profile_path: "str | Any | None" = None,
         cancel: "Any | None" = None,
     ) -> RunReport:
         """Compile and execute in one step.
@@ -145,17 +142,6 @@ class LinguaManga:
         batching.  Checkpointed runs default to ``workers=1`` (chunked
         execution is what the journal records).
 
-        ``autotune=True`` consults the profile store (``profile_path``, or
-        a journal derived from the cache journal's path, or memory-only)
-        before executing: a :class:`~repro.core.optimizer.autotune.
-        PlanTuner` fits cost models from previous runs of the same plan
-        and chooses worker count, chunk size and the batched-vs-single
-        provider path — but only within knobs proven byte-identical, so
-        the report matches an untuned run byte for byte.  Decisions,
-        predictions and the realized deltas land in ``report.tuning`` and
-        the trace; the finished run's profile is appended to the store for
-        the next run.  Caller-pinned knobs are never overridden (they are recorded under ``tuning["pinned"]``).
-
         ``cancel`` (a :class:`~repro.core.runtime.cancel.CancelToken`)
         makes the run cooperatively cancellable: the serving layer cancels
         a job from another thread and execution unwinds with
@@ -171,74 +157,18 @@ class LinguaManga:
             checkpoint = RunCheckpoint(checkpoint_path, resume=resume)
         try:
             plan = self.compile(pipeline)
-            with self._tuned(
-                autotune,
-                plan,
-                "batch",
-                profile_path,
+            if checkpoint is not None and workers is None:
+                workers = 1
+            return plan.execute(
                 inputs,
                 workers=workers,
                 chunk_size=chunk_size,
-                checkpointed=checkpoint is not None,
-            ) as (workers, measured):
-                if checkpoint is not None and workers is None:
-                    workers = 1
-                return measured(
-                    lambda: plan.execute(
-                        inputs,
-                        workers=workers,
-                        chunk_size=chunk_size,
-                        checkpoint=checkpoint,
-                        cancel=cancel,
-                    )
-                )
+                checkpoint=checkpoint,
+                cancel=cancel,
+            )
         finally:
             if checkpoint is not None:
                 checkpoint.close()
-
-    @contextmanager
-    def _tuned(
-        self,
-        autotune: bool,
-        plan: PhysicalPlan,
-        engine: str,
-        profile_path: "str | Any | None",
-        inputs: dict[str, Any] | None,
-        **pins: Any,
-    ) -> Iterator[tuple[int | None, Callable[[Callable[[], RunReport]], RunReport]]]:
-        """The autotune scaffolding shared by :meth:`run` and :meth:`run_stream`.
-
-        Yields ``(workers, measured)``: the worker count to execute with and
-        a wrapper that runs ``execute()`` under the tuned module knobs,
-        appends the finished run's profile to the store and attaches the
-        audit to the report.  With ``autotune=False`` both are pass-throughs.
-        The store takes a journal file handle at construction, so it closes
-        on exit even when ``tune()`` or the caller's executor set-up raises.
-        """
-        if not autotune:
-            yield pins["workers"], lambda execute: execute()
-            return
-        from repro.core.optimizer.autotune import (
-            PlanTuner,
-            ProfileStore,
-            observe_run,
-            resolve_profile_path,
-        )
-
-        store = ProfileStore(resolve_profile_path(profile_path, self.service))
-        try:
-            tuner = PlanTuner(store, plan, self.service, engine=engine)
-            tuning = tuner.tune(inputs, **pins)
-
-            def measured(execute: Callable[[], RunReport]) -> RunReport:
-                with tuning.applied(), observe_run() as walltime:
-                    report = execute()
-                tuner.record(report, walltime["wall_seconds"])
-                return report
-
-            yield tuning.workers, measured
-        finally:
-            store.close()
 
     def run_stream(
         self,
@@ -261,8 +191,6 @@ class LinguaManga:
         kill: "Any | None" = None,
         lease_fault: "Any | None" = None,
         spill_fault: "Any | None" = None,
-        autotune: bool = False,
-        profile_path: "str | Any | None" = None,
     ) -> RunReport:
         """Compile and execute as a memory-bounded stream.
 
@@ -279,10 +207,10 @@ class LinguaManga:
         with jittered backoff and is quarantined as poison after
         ``max_attempts`` (reported, never fatal), and re-running with the
         same path resumes at the shard frontier with a byte-identical
-        report.  Without it a temporary ledger is used and removed on
-        success.  ``source_id`` should carry the input source's own stable
-        fingerprint (e.g. ``StreamingERCorpus.fingerprint``) so a resumed
-        ledger cannot silently pair with a different source.
+        report.  Without it a temporary ledger is used and removed when
+        the run ends.  ``source_id`` should carry the input source's own
+        stable fingerprint (e.g. ``StreamingERCorpus.fingerprint``) so a
+        resumed ledger cannot silently pair with a different source.
 
         ``sink`` streams outputs out instead of collecting them: a callable
         receiving each shard's output list in shard order; the report then
@@ -291,14 +219,8 @@ class LinguaManga:
 
         ``crash`` / ``kill`` / ``lease_fault`` / ``spill_fault`` are chaos
         hooks (:mod:`repro.llm.faults`) for the crash-resume test matrix.
-
-        ``autotune=True`` behaves as in :meth:`run`, restricted to the one
-        knob streaming proves output-neutral at any cache temperature: the
-        worker count (shard boundaries depend only on ``chunk_size``, and
-        the crash matrix pins byte-identical reports at any worker count).
-        Chunk-size tuning is excluded — it would change the shard
-        fingerprints a resumable ledger is keyed by.
         """
+        import shutil
         import tempfile
         from pathlib import Path
 
@@ -307,26 +229,15 @@ class LinguaManga:
         if ledger is not None and ledger_path is not None:
             raise ValueError("pass ledger= or ledger_path=, not both")
         plan = self.compile(pipeline)
-        with self._tuned(
-            autotune,
-            plan,
-            "stream",
-            profile_path,
-            None,
-            workers=workers,
-            chunk_size=chunk_size,
-        ) as (workers, measured):
-            if workers is None:
-                workers = 1
-            ephemeral = False
-            if ledger is None:
-                if ledger_path is None:
-                    ledger_path = (
-                        Path(tempfile.mkdtemp(prefix="repro-stream-"))
-                        / "ledger.jsonl"
-                    )
-                    ephemeral = True
-                ledger = ShardLedger(ledger_path, resume=resume)
+        if workers is None:
+            workers = 1
+        ephemeral_dir = None
+        if ledger is None:
+            if ledger_path is None:
+                ephemeral_dir = tempfile.mkdtemp(prefix="repro-stream-")
+                ledger_path = Path(ephemeral_dir) / "ledger.jsonl"
+            ledger = ShardLedger(ledger_path, resume=resume)
+        try:
             executor = StreamingExecutor(
                 plan,
                 ledger=ledger,
@@ -344,13 +255,13 @@ class LinguaManga:
                 lease_fault=lease_fault,
                 spill_fault=spill_fault,
             )
-            try:
-                report = measured(lambda: executor.execute(inputs))
-                if ephemeral:
-                    ledger.delete()
-                return report
-            finally:
-                ledger.close()
+            return executor.execute(inputs)
+        finally:
+            ledger.close()
+            if ephemeral_dir is not None:
+                # Nobody holds the path, so the ledger (and the executor's
+                # spill directory beside it) can never be resumed.
+                shutil.rmtree(ephemeral_dir, ignore_errors=True)
 
     # -- data and services ---------------------------------------------------------------
 

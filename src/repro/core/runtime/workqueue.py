@@ -521,10 +521,6 @@ class ShardLedger:
         """fsync and release the journal file handle."""
         self.journal.close()
 
-    def delete(self) -> None:
-        """Close and remove the ledger file, if present."""
-        self.journal.delete()
-
 
 # -- the work queue -----------------------------------------------------------------
 
@@ -1327,8 +1323,7 @@ class StreamingExecutor:
             failed_calls=totals.failures,
             near_hits=totals.cache_near,
             distilled_calls=totals.distilled,
-            # Distilled time under its own key: folding it into provider
-            # time would bias the autotune per-call cost models.
+            # Distilled time under its own key, not folded into provider time.
             provider_seconds=totals.provider_seconds,
             distilled_seconds=totals.distilled_seconds,
         )

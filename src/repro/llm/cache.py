@@ -33,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import threading
 from collections import Counter, OrderedDict
 from dataclasses import asdict, dataclass, field
@@ -264,6 +265,9 @@ class CacheJournal:
                 handle.write(_encode_entry(key, response) + "\n")
                 count += 1
             handle.flush()
+            # Data must reach the disk before the rename can: otherwise a
+            # power cut persists the new name over unwritten blocks.
+            os.fsync(handle.fileno())
         if self.crash_hook is not None:
             self.crash_hook("compaction:tmp-written")
         tmp.replace(self.path)
@@ -468,16 +472,6 @@ class PromptCache:
         """Whether the exact tier holds ``key`` (no stats, no LRU touch)."""
         with self._lock:
             return key in self._entries
-
-    def exact_digests(self) -> set[str]:
-        """Digests of every exact-tier key (no stats, no LRU touch).
-
-        The autotune PlanTuner compares these against the key digests a
-        prior run's ledger recorded to *prove* a rerun fully warm before it
-        touches knobs that are only output-neutral on warm runs.
-        """
-        with self._lock:
-            return {key_digest(key) for key in self._entries}
 
     def put(self, key: CacheKey, response: LLMResponse) -> None:
         """Insert/refresh an entry, evicting LRU past ``max_entries``."""

@@ -76,6 +76,7 @@ from repro.resilience.policy import (
 __all__ = [
     "CallRecord",
     "UsageSummary",
+    "usage_delta",
     "CallScope",
     "LLMService",
     "CoalesceHub",
@@ -168,6 +169,17 @@ class UsageSummary:
                 f"failed={self.failed_calls}"
             )
         return text
+
+
+def usage_delta(before: UsageSummary, after: UsageSummary) -> dict[str, float]:
+    """What one run used: the usage fields every task result carries."""
+    return {
+        "llm_calls": after.served_calls - before.served_calls,
+        "cost": after.cost - before.cost,
+        "cached_calls": after.cached_calls - before.cached_calls,
+        "near_hits": after.near_hits - before.near_hits,
+        "distilled_calls": after.distilled_calls - before.distilled_calls,
+    }
 
 
 @dataclass

@@ -6,7 +6,6 @@ simulator and the paper's baselines (Magellan, Ditto, IMP) are built on.
 
 from repro.ml.features import PAIR_FEATURE_NAMES, HashingVectorizer, PairFeatureExtractor
 from repro.ml.forest import RandomForest
-from repro.ml.knn import KNNClassifier
 from repro.ml.logistic import LogisticRegression, SoftmaxRegression
 from repro.ml.metrics import (
     ClassificationReport,
@@ -17,7 +16,6 @@ from repro.ml.metrics import (
     precision_recall_f1,
 )
 from repro.ml.naive_bayes import MultinomialNaiveBayes
-from repro.ml.selftrain import SelfTrainingClassifier
 from repro.ml.split import kfold_indices, stratified_split, train_test_split
 from repro.ml.tree import DecisionTree
 
@@ -26,7 +24,6 @@ __all__ = [
     "HashingVectorizer",
     "PairFeatureExtractor",
     "RandomForest",
-    "KNNClassifier",
     "LogisticRegression",
     "SoftmaxRegression",
     "ClassificationReport",
@@ -36,7 +33,6 @@ __all__ = [
     "f1_score",
     "precision_recall_f1",
     "MultinomialNaiveBayes",
-    "SelfTrainingClassifier",
     "kfold_indices",
     "stratified_split",
     "train_test_split",

@@ -57,8 +57,8 @@ class ProfileRow:
     latency_seconds: float = 0.0
     #: virtual latency attributable to *provider-path* records only (not
     #: cached, any outcome).  ``latency_seconds`` is the all-provenance
-    #: total; the split keeps distilled local-model time out of the
-    #: provider time the autotune cost models fit per-call rates from.
+    #: total; the split keeps distilled local-model time out of
+    #: provider time.
     provider_seconds: float = 0.0
     #: virtual latency of distilled local-model answers (provenance
     #: ``distilled``), surfaced under its own key rather than folded into

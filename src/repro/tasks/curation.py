@@ -44,6 +44,7 @@ from repro.core.compiler.curation import (
 from repro.core.runtime.system import LinguaManga
 from repro.core.templates.library import get_template
 from repro.datasets.curation import CurationCorpus
+from repro.llm.service import usage_delta
 from repro.ml.metrics import f1_score
 from repro.text.minhash import MinHashParams, minhash_params
 from repro.text.shingle import document_digest
@@ -215,16 +216,6 @@ def iter_dedup_candidates(
 # ---------------------------------------------------------------------------
 
 
-def _usage_delta(before, after) -> dict:
-    return {
-        "llm_calls": after.served_calls - before.served_calls,
-        "cost": after.cost - before.cost,
-        "cached_calls": after.cached_calls - before.cached_calls,
-        "near_hits": after.near_hits - before.near_hits,
-        "distilled_calls": after.distilled_calls - before.distilled_calls,
-    }
-
-
 def _report_usage(report) -> dict:
     """Usage of a streamed run, read off the report's cost snapshot.
 
@@ -254,7 +245,6 @@ def run_dedup(
     checkpoint_path: Any = None,
     ledger_path: Any = None,
     resume: bool = True,
-    autotune: bool = False,
     num_perm: int = DEDUP_NUM_PERM,
     bands: int = DEDUP_BANDS,
     rows: int = DEDUP_ROWS,
@@ -285,7 +275,6 @@ def run_dedup(
             ledger_path=ledger_path,
             resume=resume,
             source_id=f"{corpus.fingerprint}|dedup-pairs",
-            autotune=autotune,
         )
         pair_ids = list(iter_dedup_candidate_ids(corpus.inputs(), **kernel))
     else:
@@ -300,10 +289,9 @@ def run_dedup(
             chunk_size=chunk_size,
             checkpoint_path=checkpoint_path,
             resume=resume,
-            autotune=autotune,
         )
         pair_ids = dedup_candidate_pairs(records, **kernel)
-    usage = _report_usage(report) if stream else _usage_delta(before, system.usage())
+    usage = _report_usage(report) if stream else usage_delta(before, system.usage())
     verdicts = next(iter(report.outputs.values()))
     if len(verdicts) != len(pair_ids):
         raise RuntimeError(
@@ -339,7 +327,6 @@ def _run_doc_flag_task(
     checkpoint_path: Any,
     ledger_path: Any,
     resume: bool,
-    autotune: bool,
     source_tag: str,
 ) -> tuple[dict, list[int], list[int], Any]:
     """Shared run/score plumbing of the two per-document flag tasks."""
@@ -354,7 +341,6 @@ def _run_doc_flag_task(
             ledger_path=ledger_path,
             resume=resume,
             source_id=f"{corpus.fingerprint}|{source_tag}",
-            autotune=autotune,
         )
     else:
         report = system.run(
@@ -364,9 +350,8 @@ def _run_doc_flag_task(
             chunk_size=chunk_size,
             checkpoint_path=checkpoint_path,
             resume=resume,
-            autotune=autotune,
         )
-    usage = _report_usage(report) if stream else _usage_delta(before, system.usage())
+    usage = _report_usage(report) if stream else usage_delta(before, system.usage())
     output = next(iter(report.outputs.values()))
     predictions = [int(bool(item[out_key])) for item in output]
     labels = [int(label_of(doc)) for doc in corpus]
@@ -383,7 +368,6 @@ def run_quality_filter(
     checkpoint_path: Any = None,
     ledger_path: Any = None,
     resume: bool = True,
-    autotune: bool = False,
     distill: bool = False,
     distill_config: dict | None = None,
 ) -> CurationResult:
@@ -405,7 +389,6 @@ def run_quality_filter(
         checkpoint_path=checkpoint_path,
         ledger_path=ledger_path,
         resume=resume,
-        autotune=autotune,
         source_tag="quality",
     )
     return CurationResult(
@@ -428,7 +411,6 @@ def run_decontamination(
     checkpoint_path: Any = None,
     ledger_path: Any = None,
     resume: bool = True,
-    autotune: bool = False,
 ) -> CurationResult:
     """Scan ``corpus`` against its held-out eval set, score contamination F1."""
     delta, labels, predictions, report = _run_doc_flag_task(
@@ -447,7 +429,6 @@ def run_decontamination(
         checkpoint_path=checkpoint_path,
         ledger_path=ledger_path,
         resume=resume,
-        autotune=autotune,
         source_tag="decontam",
     )
     return CurationResult(

@@ -13,6 +13,7 @@ from typing import Any
 from repro.core.runtime.system import LinguaManga
 from repro.core.templates.library import get_template
 from repro.datasets.entity_resolution import ERDataset, RecordPair
+from repro.llm.service import usage_delta
 from repro.ml.metrics import f1_score
 
 __all__ = ["ERResult", "pick_examples", "run_lingua_manga_er", "pairs_as_inputs"]
@@ -70,8 +71,6 @@ def run_lingua_manga_er(
     checkpoint_path: str | None = None,
     resume: bool = True,
     checkpoint: Any = None,
-    autotune: bool = False,
-    profile_path: str | None = None,
     cancel: Any = None,
 ) -> ERResult:
     """Instantiate the ER template, run it on the test split, score F1.
@@ -95,8 +94,6 @@ def run_lingua_manga_er(
         checkpoint_path=checkpoint_path,
         resume=resume,
         checkpoint=checkpoint,
-        autotune=autotune,
-        profile_path=profile_path,
         cancel=cancel,
     )
     after = system.usage()
@@ -106,10 +103,6 @@ def run_lingua_manga_er(
         dataset=dataset.name,
         f1=f1_score([p.label for p in dataset.test], predictions),
         predictions=predictions,
-        llm_calls=after.served_calls - before.served_calls,
-        cost=after.cost - before.cost,
-        cached_calls=after.cached_calls - before.cached_calls,
-        near_hits=after.near_hits - before.near_hits,
-        distilled_calls=after.distilled_calls - before.distilled_calls,
+        **usage_delta(before, after),
         report=report,
     )

@@ -18,6 +18,7 @@ from repro.core.dsl.builder import PipelineBuilder
 from repro.core.runtime.system import LinguaManga
 from repro.core.templates.library import get_template
 from repro.datasets.imputation import ImputationRecord
+from repro.llm.service import usage_delta
 from repro.ml.metrics import accuracy
 
 __all__ = ["ImputationResult", "run_llm_imputation", "run_hybrid_imputation"]
@@ -55,11 +56,7 @@ def _score(
         method=method,
         accuracy=accuracy([r.manufacturer for r in records], predictions),
         predictions=predictions,
-        llm_calls=after.served_calls - before.served_calls,
-        cost=after.cost - before.cost,
-        cached_calls=after.cached_calls - before.cached_calls,
-        near_hits=after.near_hits - before.near_hits,
-        distilled_calls=after.distilled_calls - before.distilled_calls,
+        **usage_delta(before, after),
         report=report,
     )
 
@@ -71,8 +68,6 @@ def run_llm_imputation(
     checkpoint_path: str | None = None,
     resume: bool = True,
     checkpoint: Any = None,
-    autotune: bool = False,
-    profile_path: str | None = None,
     cancel: Any = None,
 ) -> ImputationResult:
     """Pure LLM-module pipeline: one (validated) prompt per record.
@@ -95,8 +90,6 @@ def run_llm_imputation(
         checkpoint_path=checkpoint_path,
         resume=resume,
         checkpoint=checkpoint,
-        autotune=autotune,
-        profile_path=profile_path,
         cancel=cancel,
     )
     after = system.usage()
@@ -118,8 +111,6 @@ def run_hybrid_imputation(
     checkpoint_path: str | None = None,
     resume: bool = True,
     checkpoint: Any = None,
-    autotune: bool = False,
-    profile_path: str | None = None,
     cancel: Any = None,
 ) -> ImputationResult:
     """The expert template: LLMGC rules + LLM escalation (Figure 4).
@@ -139,8 +130,6 @@ def run_hybrid_imputation(
         checkpoint_path=checkpoint_path,
         resume=resume,
         checkpoint=checkpoint,
-        autotune=autotune,
-        profile_path=profile_path,
         cancel=cancel,
     )
     after = system.usage()

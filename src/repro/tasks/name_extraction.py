@@ -14,6 +14,7 @@ from typing import Any
 from repro.core.runtime.system import LinguaManga
 from repro.core.templates.library import get_template
 from repro.datasets.names import NameDocument
+from repro.llm.service import usage_delta
 
 __all__ = ["NameExtractionResult", "score_extractions", "run_name_extraction"]
 
@@ -65,8 +66,6 @@ def run_name_extraction(
     checkpoint_path: str | None = None,
     resume: bool = True,
     checkpoint: Any = None,
-    autotune: bool = False,
-    profile_path: str | None = None,
     cancel: Any = None,
 ) -> NameExtractionResult:
     """Run the Figure 3 template over ``documents`` and score it.
@@ -85,8 +84,6 @@ def run_name_extraction(
         checkpoint_path=checkpoint_path,
         resume=resume,
         checkpoint=checkpoint,
-        autotune=autotune,
-        profile_path=profile_path,
         cancel=cancel,
     )
     after = system.usage()
@@ -116,11 +113,7 @@ def run_name_extraction(
         precision=precision,
         recall=recall,
         f1=f1,
-        llm_calls=after.served_calls - before.served_calls,
-        cost=after.cost - before.cost,
         per_language_f1=per_language,
-        cached_calls=after.cached_calls - before.cached_calls,
-        near_hits=after.near_hits - before.near_hits,
-        distilled_calls=after.distilled_calls - before.distilled_calls,
+        **usage_delta(before, after),
         report=report,
     )

@@ -1,95 +1,11 @@
-"""Tests for the extension features: cross-checking and the logical rewriter."""
+"""Tests for the logical rewriter."""
 
 from __future__ import annotations
-
-import pytest
 
 from repro.core.compiler.rewriter import rewrite_pipeline
 from repro.core.dsl.builder import PipelineBuilder
 from repro.core.dsl.operators import LogicalOperator, OperatorKind
 from repro.core.dsl.pipeline import Pipeline
-from repro.core.modules.custom import CustomModule
-from repro.core.modules.llm_module import LLMModule, parse_leading_word
-from repro.core.optimizer.crosscheck import CrossCheckedModule, make_llm_variants
-
-
-class TestCrossCheckedModule:
-    def test_unanimous_answer_passes_through(self):
-        variants = [CustomModule(f"v{i}", lambda x: x * 2) for i in range(3)]
-        module = CrossCheckedModule("cc", variants)
-        assert module.run(4) == 8
-        assert module.check_stats.unanimous == 1
-
-    def test_majority_outvotes_hallucination(self):
-        good = CustomModule("g1", lambda x: "Sony")
-        good2 = CustomModule("g2", lambda x: "Sony")
-        hallucinating = CustomModule("h", lambda x: "Samsung")
-        module = CrossCheckedModule("cc", [hallucinating, good, good2])
-        assert module.run("product") == "Sony"
-        assert module.check_stats.majority == 1
-
-    def test_full_disagreement_uses_fallback(self):
-        variants = [
-            CustomModule("a", lambda x: "one"),
-            CustomModule("b", lambda x: "two"),
-            CustomModule("c", lambda x: "three"),
-        ]
-        module = CrossCheckedModule("cc", variants, fallback="Unknown")
-        assert module.run("x") == "Unknown"
-        assert module.check_stats.disagreements == 1
-
-    def test_disagreement_without_fallback_trusts_primary(self):
-        variants = [CustomModule("a", lambda x: "one"), CustomModule("b", lambda x: "two")]
-        module = CrossCheckedModule("cc", variants)
-        assert module.run("x") == "one"
-
-    def test_needs_two_variants(self):
-        with pytest.raises(ValueError):
-            CrossCheckedModule("cc", [CustomModule("only", lambda x: x)])
-
-    def test_flag_rate(self):
-        variants = [CustomModule("a", lambda x: x), CustomModule("b", lambda x: x)]
-        module = CrossCheckedModule("cc", variants)
-        module.run(1)
-        assert module.check_stats.flag_rate() == 0.0
-
-    def test_llm_variants_share_configuration(self, service):
-        base = LLMModule(
-            "impute",
-            service,
-            task_description="Which company is the manufacturer of this product?",
-            parser=parse_leading_word,
-            payload_label="Product",
-        )
-        variants = make_llm_variants(base, ["Who makes this product? Name the manufacturer."])
-        assert len(variants) == 2
-        assert variants[0] is base
-        assert variants[1].payload_label == "Product"
-        assert variants[1].task_description != base.task_description
-
-    def test_cross_checked_imputation_end_to_end(self, service):
-        base = LLMModule(
-            "impute",
-            service,
-            task_description=(
-                "Which company is the manufacturer of this product? Answer "
-                "with the company name only."
-            ),
-            parser=parse_leading_word,
-            payload_label="Product",
-        )
-        variants = make_llm_variants(
-            base,
-            [
-                "Name the company that manufactures the following product. "
-                "Answer with the company name only.",
-                "Identify the manufacturer of this product. Answer with the "
-                "company name only.",
-            ],
-        )
-        module = CrossCheckedModule("impute_cc", variants)
-        answer = module.run({"name": "PlayStation 2 Memory Card"})
-        assert answer == "Sony"
 
 
 class TestRewriter:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -219,6 +221,26 @@ class TestJournalDirect:
         assert written == 1
         assert journal.lines_appended == 0
         assert [k for k, _ in journal.load()] == [key("b")]
+
+    def test_compact_fsyncs_tmp_before_rename(self, tmp_path, monkeypatch):
+        """The rewritten file must be on disk before its rename can be."""
+        journal = CacheJournal(tmp_path / "j.jsonl")
+        journal.append(key("a"), response("a"))
+        events = []
+        real_fsync, real_replace = os.fsync, Path.replace
+
+        def fsync(fd):
+            events.append("fsync")
+            real_fsync(fd)
+
+        def replace(self, target):
+            events.append(("replace", self.name, Path(target).name))
+            return real_replace(self, target)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(Path, "replace", replace)
+        journal.compact([(key("a"), response("a"))])
+        assert events == ["fsync", ("replace", "j.jsonl.compact", "j.jsonl")]
 
 
 class TestServiceCacheLifecycle:

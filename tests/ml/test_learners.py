@@ -7,7 +7,6 @@ import pytest
 
 from repro._util import seeded_rng
 from repro.ml.forest import RandomForest
-from repro.ml.knn import KNNClassifier
 from repro.ml.logistic import LogisticRegression, SoftmaxRegression
 from repro.ml.naive_bayes import MultinomialNaiveBayes
 from repro.ml.tree import DecisionTree
@@ -165,21 +164,3 @@ class TestRandomForest:
         probs = RandomForest(n_trees=5, seed=0).fit(X, y).predict_proba(X)
         assert (probs >= 0).all() and (probs <= 1).all()
 
-
-class TestKNN:
-    def test_nearest_neighbour_recall(self):
-        X = np.eye(4)
-        y = ["a", "b", "c", "d"]
-        model = KNNClassifier(k=1).fit(X, y)
-        assert model.predict(X) == y
-
-    def test_majority_vote(self):
-        X = np.array([[1, 0], [1, 0.1], [0, 1.0]])
-        model = KNNClassifier(k=3).fit(X, ["x", "x", "y"])
-        label, confidence = model.predict_with_confidence(np.array([1, 0.05]))
-        assert label == "x"
-        assert confidence > 0.5
-
-    def test_unfitted_raises(self):
-        with pytest.raises(RuntimeError):
-            KNNClassifier().predict_one(np.zeros(2))

@@ -163,6 +163,7 @@ class TestScheduler:
         assert Scheduler(chunk_size=3)._chunk_size_for(module) == 3
         module.preferred_chunk_size = 5
         assert Scheduler()._chunk_size_for(module) == 5
+        assert Scheduler(chunk_size=3)._chunk_size_for(module) == 3  # caller wins
         module.preferred_chunk_size = None
         assert Scheduler()._chunk_size_for(module) == DEFAULT_CHUNK_SIZE
 

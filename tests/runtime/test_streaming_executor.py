@@ -8,6 +8,9 @@ ledger, and on a pure-replay resume.
 
 from __future__ import annotations
 
+import itertools
+import json
+import tempfile
 import threading
 
 import pytest
@@ -100,6 +103,40 @@ class TestByteIdentity:
     def test_recovery_excluded_from_canonical(self):
         report, _ = run_streaming()
         assert "recovery" not in report.canonical_dict()
+
+    def test_distilled_seconds_surfaced_separately(self):
+        report, _ = run_streaming()
+        payload = json.loads(report.canonical_json())
+        assert "provider_seconds" in payload["cost"]
+        assert "distilled_seconds" in payload["cost"]
+        assert payload["cost"]["distilled_seconds"] == 0.0
+
+
+class TestEphemeralLedger:
+    """Without ``ledger_path`` the temporary ledger directory never outlives the run."""
+
+    def test_temp_directory_removed_on_success_and_failure(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+
+        def leftovers():
+            return sorted(tmp_path.glob("repro-stream-*"))
+
+        assert leftovers() == []
+        report, _ = run_streaming(workers=2)
+        assert report.recovery["spill_writes"] == 6  # the spill dir was used
+        assert leftovers() == []
+
+        def exploding_source():
+            yield from itertools.islice(CORPUS.inputs(), 12)
+            raise RuntimeError("source died mid-stream")
+
+        with pytest.raises(RuntimeError, match="source died"):
+            LinguaManga().run_stream(
+                er_pipeline(), {"pairs": exploding_source()}, chunk_size=8
+            )
+        assert leftovers() == []
 
 
 class TestSinkMode:
