@@ -171,7 +171,6 @@ class RunReport:
                 "retries": self.cost.retries,
                 "fallback_calls": self.cost.fallback_calls,
                 "failed_calls": self.cost.failed_calls,
-                "near_hits": self.cost.near_hits,
                 "distilled_calls": self.cost.distilled_calls,
                 "provider_seconds": round(self.cost.provider_seconds, 9),
                 "distilled_seconds": round(self.cost.distilled_seconds, 9),

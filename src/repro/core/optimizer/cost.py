@@ -32,7 +32,6 @@ class CostSnapshot:
     retries: int = 0
     fallback_calls: int = 0
     failed_calls: int = 0
-    near_hits: int = 0
     distilled_calls: int = 0
     #: virtual latency of provider-path calls only; ``latency_seconds``
     #: minus cached/distilled time.
@@ -47,8 +46,8 @@ class CostSnapshot:
             f"llm_calls={self.served_calls} (+{self.cached_calls} cached) "
             f"cost=${self.cost:.4f} latency={self.latency_seconds:.1f}s"
         )
-        if self.near_hits or self.distilled_calls:
-            text += f" near_hits={self.near_hits} distilled={self.distilled_calls}"
+        if self.distilled_calls:
+            text += f" distilled={self.distilled_calls}"
         if self.retries or self.fallback_calls or self.failed_calls:
             text += (
                 f" retries={self.retries} fallbacks={self.fallback_calls} "
@@ -87,7 +86,6 @@ class CostTracker:
             retries=after.retries - self._before.retries,
             fallback_calls=after.fallback_calls - self._before.fallback_calls,
             failed_calls=after.failed_calls - self._before.failed_calls,
-            near_hits=after.near_hits - self._before.near_hits,
             distilled_calls=after.distilled_calls - self._before.distilled_calls,
             provider_seconds=after.provider_seconds - self._before.provider_seconds,
             distilled_seconds=(

@@ -10,8 +10,8 @@ The journal is JSONL with three record types:
 
 - ``header`` — written once, before any work: the plan/config
   **fingerprint** (:meth:`PhysicalPlan.fingerprint`), the virtual clock at
-  execute begin, and key digests describing the prompt-cache state
-  (both tiers) at that instant.  Resume refuses a journal whose
+  execute begin, and key digests describing the prompt-cache state at
+  that instant.  Resume refuses a journal whose
   fingerprint does not match the recompiled plan, and rewinds the cache to
   the recorded state — a crashed run keeps appending to the *cache*
   journal right up to the kill, and serving those extra entries early
@@ -31,7 +31,7 @@ The journal is JSONL with three record types:
 Resume replays committed operators (and committed chunks of the operator
 in flight) *verbatim from the journal* — ledger records are re-inserted,
 not re-requested, so completed work costs zero provider calls — then warms
-the exact cache tier from the replayed records and hands the scheduler only
+the prompt cache from the replayed records and hands the scheduler only
 the remaining chunks.  Because replay re-inserts the exact bytes the
 original run produced, merged in the same chunk order and canonicalized by
 the same pass, a resumed :class:`RunReport` (cost, profile, trace) is
@@ -89,6 +89,7 @@ __all__ = [
     "OperatorContext",
     "CheckpointStats",
     "RunCheckpoint",
+    "begin_journal",
     "fingerprint_payload",
     "digest_inputs",
 ]
@@ -229,20 +230,27 @@ class ReplayedValue:
 
 
 def _dump_line(record: dict) -> bytes:
-    """Encode one compact JSONL line (orjson when present, else stdlib)."""
+    """Encode one compact JSONL line (orjson when present, else stdlib).
+
+    A line orjson refused (non-str keys, an integer beyond 64 bits) is
+    written by the stdlib behind one leading space, so :func:`_parse_line`
+    hands it back to the stdlib: ``orjson.loads`` would read such an
+    integer as a float and a resumed run would silently differ.
+    """
+    lead = ""
     if _orjson is not None:
         try:
             return _orjson.dumps(record) + b"\n"
         except TypeError:
-            pass  # non-str keys, inf/nan, ...: stdlib json is more lenient
+            lead = " "
     return (
-        json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n"
+        lead + json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n"
     ).encode("utf-8")
 
 
 def _parse_line(line: bytes) -> Any:
     """Decode one JSONL line; raises ValueError/UnicodeDecodeError on junk."""
-    if _orjson is not None:
+    if _orjson is not None and line[:1] != b" ":
         return _orjson.loads(line)
     return json.loads(line.decode("utf-8"))
 
@@ -393,6 +401,118 @@ class CheckpointJournal:
         self.close()
         if self.path.exists():
             self.path.unlink()
+
+
+# -- the run-start header protocol -------------------------------------------------
+
+
+def emit_torn_tail(obs, clock, path, torn_bytes: int, journal: str) -> None:
+    """Surface one torn-tail truncation as a metric and a trace event.
+
+    Called by :func:`begin_journal` whenever a journal load discarded
+    unacknowledged trailing bytes — expected after a crash mid-write, but
+    worth counting: a torn tail on every start means something else is
+    truncating the file.
+    """
+    if obs is None or torn_bytes <= 0:
+        return
+    obs.metrics.counter("journal.torn_tails").inc()
+    obs.metrics.counter("journal.torn_bytes").inc(torn_bytes)
+    if obs.tracer.enabled:
+        obs.tracer.add_span(
+            f"torn-tail[{journal}]",
+            kind="event",
+            start=float(clock.now) if clock is not None else 0.0,
+            bytes=torn_bytes,
+            journal=journal,
+            path=str(path),
+        )
+
+
+def begin_journal(
+    owner,
+    fingerprint: str,
+    service: LLMService,
+    *,
+    format_version: int,
+    noun: str,
+    label: str,
+    mode: str | None = None,
+) -> list[dict]:
+    """Validate (or create) a run's write-ahead journal before any work runs.
+
+    The one run-start protocol behind :meth:`RunCheckpoint.begin` and
+    :meth:`~repro.core.runtime.workqueue.ShardLedger.begin`; ``owner`` is
+    either (both carry ``journal``, ``resume``, ``stats`` and ``_began``).
+    On resume: checks the header's type, schema version, ``mode``, the
+    plan/config fingerprint and the virtual clock at begin (a recompiled
+    plan is deterministic, so any divergence means the configuration
+    changed), then rewinds the prompt cache to the recorded run-start
+    state.  On a fresh journal: writes the header durably.  A torn tail is
+    truncated, counted in ``stats.torn_bytes`` and surfaced as a metric
+    plus an ``event`` trace span when observability is attached.
+
+    Returns the lines after the header, for the caller to index (empty
+    for a fresh journal).  Header fields this build does not read (an older
+    build recorded a second digest list) are ignored.
+    """
+    if owner._began:
+        raise CheckpointError(
+            f"a {type(owner).__name__} drives exactly one execute(); create "
+            "a new one (same path) to resume"
+        )
+    owner._began = True
+    journal, stats = owner.journal, owner.stats
+    path = journal.path
+    if not owner.resume:
+        journal.delete()
+    lines = journal.load()
+    stats.torn_bytes = journal.torn_bytes
+    emit_torn_tail(
+        getattr(service, "obs", None), service.clock, path, stats.torn_bytes, label
+    )
+    if not lines:
+        header = {"type": "header", "format": format_version}
+        if mode is not None:
+            header["mode"] = mode
+        header["fingerprint"] = fingerprint
+        header["clock_start"] = service.clock.now
+        header["cache_exact"] = service.cache.state_digests()
+        journal.append(header, durable=True)
+        return []
+    header = lines[0]
+    if header.get("type") != "header":
+        raise CheckpointError(
+            f"{path}: first record is {header.get('type')!r}, "
+            f"not a {noun} header"
+        )
+    if header.get("format") != format_version:
+        raise CheckpointError(
+            f"{path}: {noun} format {header.get('format')!r} "
+            f"(this build reads {format_version})"
+        )
+    if header.get("mode") != mode:
+        raise CheckpointError(
+            f"{path}: journal mode {header.get('mode')!r} is not {mode!r}"
+        )
+    if header.get("fingerprint") != fingerprint:
+        raise CheckpointMismatchError(
+            f"{path}: {noun} fingerprint {header.get('fingerprint')!r} does "
+            f"not match this plan/config ({fingerprint!r}); pass "
+            "resume=False to discard it"
+        )
+    if float(header.get("clock_start", 0.0)) != service.clock.now:
+        raise CheckpointMismatchError(
+            f"{path}: virtual clock at begin is {service.clock.now!r}, "
+            f"{noun} recorded {header.get('clock_start')!r}; the set-up "
+            "before execute diverged from the original run"
+        )
+    if service.cache_enabled:
+        stats.cache_entries_pruned = service.cache.restore_state(
+            header.get("cache_exact", [])
+        )
+    stats.resumed = True
+    return lines[1:]
 
 
 # -- decoded journal records ------------------------------------------------------
@@ -734,88 +854,22 @@ class RunCheckpoint:
     # -- lifecycle ---------------------------------------------------------------
 
     def begin(self, fingerprint: str, service: LLMService) -> None:
-        """Validate (or create) the journal before any work runs.
-
-        On resume: checks the schema version, the plan/config fingerprint
-        and the virtual clock at execute begin (a recompiled plan is
-        deterministic, so any divergence means the configuration changed),
-        rewinds the prompt cache to the recorded run-start state, and
-        indexes ``op``/``chunk`` records for replay.  On a fresh journal:
-        writes the header durably.
-        """
-        if self._began:
-            raise CheckpointError(
-                "a RunCheckpoint drives exactly one execute(); create a new "
-                "one (same path) to resume"
-            )
-        self._began = True
-        if not self.resume:
-            self.journal.delete()
-        lines = self.journal.load()
-        self.stats.torn_bytes = self.journal.torn_bytes
-        if self.stats.torn_bytes:
-            # Imported lazily: workqueue imports this module.
-            from repro.core.runtime.workqueue import emit_torn_tail
-
-            emit_torn_tail(
-                getattr(service, "obs", None),
-                service.clock,
-                self.path,
-                self.stats.torn_bytes,
-                "checkpoint",
-            )
-        if lines:
-            header = lines[0]
-            if header.get("type") != "header":
-                raise CheckpointError(
-                    f"{self.path}: first record is {header.get('type')!r}, "
-                    "not a journal header"
-                )
-            if header.get("format") != JOURNAL_FORMAT_VERSION:
-                raise CheckpointError(
-                    f"{self.path}: journal format {header.get('format')!r} "
-                    f"(this build reads {JOURNAL_FORMAT_VERSION})"
-                )
-            if header.get("fingerprint") != fingerprint:
-                raise CheckpointMismatchError(
-                    f"{self.path}: journal fingerprint "
-                    f"{header.get('fingerprint')!r} does not match this "
-                    f"plan/config ({fingerprint!r}); pass resume=False to "
-                    "discard it"
-                )
-            if float(header.get("clock_start", 0.0)) != service.clock.now:
-                raise CheckpointMismatchError(
-                    f"{self.path}: virtual clock at execute begin is "
-                    f"{service.clock.now!r}, journal recorded "
-                    f"{header.get('clock_start')!r}; the compile phase "
-                    "diverged from the original run"
-                )
-            if service.cache_enabled:
-                self.stats.cache_entries_pruned = service.cache.restore_state(
-                    header.get("cache_exact", []), header.get("cache_sealed", [])
-                )
-            self.stats.resumed = True
-            for line in lines[1:]:
-                kind = line.get("type")
-                if kind == "op":
-                    self._ops[int(line["index"])] = line
-                elif kind == "chunk":
-                    self._chunks.setdefault(int(line["op"]), {})[
-                        int(line["chunk"])
-                    ] = line
-        else:
-            exact, sealed = service.cache.state_digests()
-            self.journal.append(
-                {
-                    "type": "header",
-                    "format": JOURNAL_FORMAT_VERSION,
-                    "fingerprint": fingerprint,
-                    "clock_start": service.clock.now,
-                    "cache_exact": exact,
-                    "cache_sealed": sealed,
-                },
-                durable=True,
-            )
+        """Run :func:`begin_journal`, then index ``op``/``chunk`` records."""
+        for line in begin_journal(
+            self,
+            fingerprint,
+            service,
+            format_version=JOURNAL_FORMAT_VERSION,
+            noun="journal",
+            label="checkpoint",
+        ):
+            kind = line.get("type")
+            if kind == "op":
+                self._ops[int(line["index"])] = line
+            elif kind == "chunk":
+                self._chunks.setdefault(int(line["op"]), {})[
+                    int(line["chunk"])
+                ] = line
 
     def close(self) -> None:
         """Release the journal file handle."""

@@ -128,17 +128,14 @@ def _canonical_rank(record) -> int:
     """Within one same-prompt group, the order sequential execution produces.
 
     The record that *originated* the answer precedes the exact-cache hits
-    it feeds: a provider call first, then a near-duplicate donor, then a
-    distilled answer, then plain exact hits.
+    it feeds: a provider call first, then a distilled answer, then plain
+    exact hits.
     """
     if not record.cached:
         return 0
-    provenance = getattr(record, "provenance", "")
-    if provenance == "cache-near":
+    if getattr(record, "provenance", "") == "distilled":
         return 1
-    if provenance == "distilled":
-        return 2
-    return 3
+    return 2
 
 
 def canonicalize_ledger(records: list, mark: int) -> None:
@@ -147,8 +144,7 @@ def canonicalize_ledger(records: list, mark: int) -> None:
     Sequential execution always serves the *first* occurrence of a prompt
     and answers later duplicates from the cache.  Under coalescing, the
     thread that wins leadership may belong to a later chunk, leaving the
-    originating record (a provider call or a near-duplicate cache hit) at
-    a later position.  Within each same-prompt group this reorders records
+    originating record (a provider call) at a later position.  Within each same-prompt group this reorders records
     so originating entries precede exact-cache hits (stable otherwise),
     restoring the sequential shape byte for byte.
     """

@@ -82,7 +82,6 @@ from repro.core.compiler.plan import (
 from repro.core.modules.base import QuarantinedRecord
 from repro.core.optimizer.cost import CostSnapshot
 from repro.core.runtime.checkpoint import (
-    CheckpointError,
     CheckpointJournal,
     CheckpointMismatchError,
     DEFAULT_FSYNC_EVERY,
@@ -93,6 +92,7 @@ from repro.core.runtime.checkpoint import (
     _decode_records,
     _encode_quarantine,
     _encode_records,
+    begin_journal,
     decode_value,
     encode_value,
     fingerprint_payload,
@@ -147,30 +147,6 @@ _POISONED = "poisoned"
 
 class StreamingPlanError(RuntimeError):
     """The plan cannot run as a stream (non-linear, no chunkable core)."""
-
-
-def emit_torn_tail(obs, clock, path, torn_bytes: int, journal: str) -> None:
-    """Surface one torn-tail truncation as a metric and a trace event.
-
-    Called by both :meth:`ShardLedger.begin` and
-    :meth:`~repro.core.runtime.checkpoint.RunCheckpoint.begin` whenever a
-    journal load discarded unacknowledged trailing bytes — expected after
-    a crash mid-write, but worth counting: a torn tail on every start
-    means something else is truncating the file.
-    """
-    if obs is None or torn_bytes <= 0:
-        return
-    obs.metrics.counter("journal.torn_tails").inc()
-    obs.metrics.counter("journal.torn_bytes").inc(torn_bytes)
-    if obs.tracer.enabled:
-        obs.tracer.add_span(
-            f"torn-tail[{journal}]",
-            kind="event",
-            start=float(clock.now) if clock is not None else 0.0,
-            bytes=torn_bytes,
-            journal=journal,
-            path=str(path),
-        )
 
 
 # -- decoded ledger records ---------------------------------------------------------
@@ -277,88 +253,23 @@ class ShardLedger:
         return self.journal.path
 
     def begin(self, fingerprint: str, service: LLMService) -> None:
-        """Validate (or create) the ledger before any work runs.
-
-        Mirrors :meth:`RunCheckpoint.begin`: schema/fingerprint/clock
-        validation, cache rewind to the journalled run-start state, and
-        indexing of shard/fail/poison lines for replay.  A torn tail is
-        truncated, counted in ``stats.torn_bytes`` and surfaced as a
-        metric plus an ``event`` trace span when observability is attached.
-        """
-        if self._began:
-            raise CheckpointError(
-                "a ShardLedger drives exactly one execute(); create a new "
-                "one (same path) to resume"
-            )
-        self._began = True
-        if not self.resume:
-            self.journal.delete()
-        lines = self.journal.load()
-        self.stats.torn_bytes = self.journal.torn_bytes
-        emit_torn_tail(
-            getattr(service, "obs", None),
-            service.clock,
-            self.path,
-            self.stats.torn_bytes,
-            "shard-ledger",
-        )
-        if lines:
-            header = lines[0]
-            if header.get("type") != "header":
-                raise CheckpointError(
-                    f"{self.path}: first record is {header.get('type')!r}, "
-                    "not a ledger header"
-                )
-            if header.get("format") != SHARD_LEDGER_FORMAT_VERSION:
-                raise CheckpointError(
-                    f"{self.path}: ledger format {header.get('format')!r} "
-                    f"(this build reads {SHARD_LEDGER_FORMAT_VERSION})"
-                )
-            if header.get("mode") != "streaming":
-                raise CheckpointError(
-                    f"{self.path}: journal mode {header.get('mode')!r} is "
-                    "not a streaming shard ledger"
-                )
-            if header.get("fingerprint") != fingerprint:
-                raise CheckpointMismatchError(
-                    f"{self.path}: ledger fingerprint "
-                    f"{header.get('fingerprint')!r} does not match this "
-                    f"plan/config ({fingerprint!r}); pass resume=False to "
-                    "discard it"
-                )
-            if float(header.get("clock_start", 0.0)) != service.clock.now:
-                raise CheckpointMismatchError(
-                    f"{self.path}: virtual clock at begin is "
-                    f"{service.clock.now!r}, ledger recorded "
-                    f"{header.get('clock_start')!r}"
-                )
-            if service.cache_enabled:
-                self.stats.cache_entries_pruned = service.cache.restore_state(
-                    header.get("cache_exact", []), header.get("cache_sealed", [])
-                )
-            self.stats.resumed = True
-            for line in lines[1:]:
-                kind = line.get("type")
-                if kind == "shard":
-                    self._shards[int(line["index"])] = line
-                elif kind == "poison":
-                    self._poisons[int(line["index"])] = line
-                elif kind == "fail":
-                    self._fails.setdefault(int(line["index"]), []).append(line)
-        else:
-            exact, sealed = service.cache.state_digests()
-            self.journal.append(
-                {
-                    "type": "header",
-                    "format": SHARD_LEDGER_FORMAT_VERSION,
-                    "mode": "streaming",
-                    "fingerprint": fingerprint,
-                    "clock_start": service.clock.now,
-                    "cache_exact": exact,
-                    "cache_sealed": sealed,
-                },
-                durable=True,
-            )
+        """Run :func:`begin_journal`, then index shard/fail/poison lines."""
+        for line in begin_journal(
+            self,
+            fingerprint,
+            service,
+            format_version=SHARD_LEDGER_FORMAT_VERSION,
+            noun="ledger",
+            label="shard-ledger",
+            mode="streaming",
+        ):
+            kind = line.get("type")
+            if kind == "shard":
+                self._shards[int(line["index"])] = line
+            elif kind == "poison":
+                self._poisons[int(line["index"])] = line
+            elif kind == "fail":
+                self._fails.setdefault(int(line["index"]), []).append(line)
 
     # -- resume-side reads ---------------------------------------------------------
 
@@ -981,7 +892,6 @@ def _add_rows(accumulated: ProfileRow, row: ProfileRow) -> ProfileRow:
         calls=accumulated.calls + row.calls,
         provider_calls=accumulated.provider_calls + row.provider_calls,
         cache_exact=accumulated.cache_exact + row.cache_exact,
-        cache_near=accumulated.cache_near + row.cache_near,
         distilled=accumulated.distilled + row.distilled,
         cost=accumulated.cost + row.cost,
         latency_seconds=accumulated.latency_seconds + row.latency_seconds,
@@ -1321,7 +1231,6 @@ class StreamingExecutor:
             retries=totals.retries,
             fallback_calls=totals.fallbacks,
             failed_calls=totals.failures,
-            near_hits=totals.cache_near,
             distilled_calls=totals.distilled,
             # Distilled time under its own key, not folded into provider time.
             provider_seconds=totals.provider_seconds,

@@ -14,13 +14,11 @@ from repro.llm.errors import (
 )
 from repro.llm.cache import (
     PROVENANCE_CACHE_EXACT,
-    PROVENANCE_CACHE_NEAR,
     PROVENANCE_DISTILLED,
     PROVENANCE_PROVIDER,
     CacheJournal,
     CacheKey,
     CacheStats,
-    NearDuplicateIndex,
     PromptCache,
 )
 from repro.llm.faults import ChaosProvider, FaultKind, FaultSpec
@@ -57,12 +55,10 @@ __all__ = [
     "UsageSummary",
     "PROVENANCE_PROVIDER",
     "PROVENANCE_CACHE_EXACT",
-    "PROVENANCE_CACHE_NEAR",
     "PROVENANCE_DISTILLED",
     "CacheJournal",
     "CacheKey",
     "CacheStats",
-    "NearDuplicateIndex",
     "PromptCache",
     "count_tokens",
     "estimate_cost",

@@ -4,10 +4,10 @@ Lingua Manga's "Highly Performant" property (paper section 1) is about
 *minimising LLM service calls* — every cost and call-count number in the
 evaluation is measured here.  The service wraps a provider with:
 
-- a **layered prompt cache** (:mod:`repro.llm.cache`): exact hits on a
+- a **prompt cache** (:mod:`repro.llm.cache`): exact hits on a
   versioned key (provider identity, prompt-template version, prompt,
-  ``max_tokens``), near-duplicate hits against a sealed warm snapshot,
-  and optional JSONL persistence so repeated runs warm-start,
+  ``max_tokens``) and optional JSONL persistence so repeated runs
+  warm-start,
 - a **budget** (max calls and/or max dollars; exceeding raises
   :class:`BudgetExceededError`),
 - a **resilience policy** (retry backoff, per-call deadline, circuit
@@ -44,7 +44,6 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.llm.cache import (
     PROVENANCE_CACHE_EXACT,
-    PROVENANCE_CACHE_NEAR,
     PROVENANCE_DISTILLED,
     PROVENANCE_PROVIDER,
     CacheKey,
@@ -141,7 +140,6 @@ class UsageSummary:
     retries: int = 0
     fallback_calls: int = 0
     failed_calls: int = 0
-    near_hits: int = 0
     distilled_calls: int = 0
     cache_evictions: int = 0
     #: virtual latency of provider-path records only (not cached); the
@@ -158,10 +156,9 @@ class UsageSummary:
             f"{self.completion_tokens} cost=${self.cost:.4f} "
             f"latency={self.latency_seconds:.1f}s"
         )
-        if self.near_hits or self.distilled_calls or self.cache_evictions:
+        if self.distilled_calls or self.cache_evictions:
             text += (
-                f" near_hits={self.near_hits} distilled={self.distilled_calls} "
-                f"evictions={self.cache_evictions}"
+                f" distilled={self.distilled_calls} evictions={self.cache_evictions}"
             )
         if self.retries or self.fallback_calls or self.failed_calls:
             text += (
@@ -177,7 +174,6 @@ def usage_delta(before: UsageSummary, after: UsageSummary) -> dict[str, float]:
         "llm_calls": after.served_calls - before.served_calls,
         "cost": after.cost - before.cost,
         "cached_calls": after.cached_calls - before.cached_calls,
-        "near_hits": after.near_hits - before.near_hits,
         "distilled_calls": after.distilled_calls - before.distilled_calls,
     }
 
@@ -467,12 +463,10 @@ class LLMService:
 
         Concurrent callers asking the identical versioned key are
         **coalesced** (cache enabled only): one caller leads, the rest wait
-        and are answered as cache hits.  The leader consults the
-        near-duplicate tier before paying for the provider; a near donor is
-        promoted into the exact tier so followers (and later calls) hit it
-        exactly.  A leader failure releases the followers, who then retry
-        leadership one at a time — so per-prompt provider attempts stay
-        sequential and deterministic even under heavy concurrency.
+        and are answered as cache hits.  A leader failure releases the
+        followers, who then retry leadership one at a time — so per-prompt
+        provider attempts stay sequential and deterministic even under
+        heavy concurrency.
         """
         if not self.cache_enabled:
             return self._complete_uncached(prompt, purpose, max_tokens, version)
@@ -491,7 +485,6 @@ class LLMService:
                         cached,
                         prompt,
                         purpose,
-                        provenance=PROVENANCE_CACHE_EXACT,
                         max_tokens=max_tokens,
                         version=version,
                     )
@@ -507,23 +500,6 @@ class LLMService:
             # Re-check: the leader either cached a response (-> hit) or
             # failed (-> compete to become the next leader).
         try:
-            with self._lock:
-                epoch = self._cache_epoch
-            near = self.cache.get_near(cache_key)
-            if near is not None:
-                response, _score = near
-                self._record(
-                    self._cached_record(
-                        response,
-                        prompt,
-                        purpose,
-                        provenance=PROVENANCE_CACHE_NEAR,
-                        max_tokens=max_tokens,
-                        version=version,
-                    )
-                )
-                self._cache_put(cache_key, response, epoch)
-                return response.text
             return self._complete_uncached(prompt, purpose, max_tokens, version)
         finally:
             with self._lock:
@@ -536,7 +512,6 @@ class LLMService:
         response: LLMResponse,
         prompt: str,
         purpose: str,
-        provenance: str = PROVENANCE_CACHE_EXACT,
         max_tokens: int = 256,
         version: str = _NO_VERSION,
     ) -> CallRecord:
@@ -551,7 +526,7 @@ class LLMService:
             purpose=purpose,
             latency_seconds=0.0,
             outcome=OUTCOME_CACHED,
-            provenance=provenance,
+            provenance=PROVENANCE_CACHE_EXACT,
             max_tokens=max_tokens,
             version=version,
             model=response.model,
@@ -660,14 +635,14 @@ class LLMService:
     ) -> int:
         """Warm the cache for ``prompts`` via one batched provider call.
 
-        The cache is consulted first — both tiers: prompts with an exact
-        entry or a sealed near-duplicate donor never enter the provider
-        batch (the chunk-prefetch path rides on this, so a warm run primes
-        nothing).  The remaining distinct not-in-flight prompts are
-        submitted together through :meth:`LLMProvider.complete_batch`
-        (N prompts per call instead of N calls).  Best effort: a batch
-        failure is swallowed so per-item calls can retry with the full
-        resilience policy.  Returns the number of prompts served.
+        The cache is consulted first: prompts with a cached answer never
+        enter the provider batch (the chunk-prefetch path rides on this,
+        so a warm run primes nothing).  The remaining distinct
+        not-in-flight prompts are submitted together through
+        :meth:`LLMProvider.complete_batch` (N prompts per call instead of
+        N calls).  Best effort: a batch failure is swallowed so per-item
+        calls can retry with the full resilience policy.  Returns the
+        number of prompts served.
         """
         if not self.cache_enabled:
             return 0
@@ -676,7 +651,7 @@ class LLMService:
             epoch = self._cache_epoch
             for prompt in prompts:
                 key = self._cache_key(prompt, max_tokens, version)
-                if key in self._inflight or self.cache.has_any(key):
+                if key in self._inflight or self.cache.peek(key):
                     continue
                 if any(k == key for k, _ in batch):
                     continue
@@ -891,15 +866,15 @@ class LLMService:
 
         The checkpoint runtime calls this before re-executing any live
         chunk: every answer a completed chunk *paid for* (provider calls,
-        including retried/fallback ones) or *promoted* (near-duplicate
-        donors) must be back in the exact tier first, or a live chunk that
-        originally hit the cache would re-pay the provider and the resumed
-        ledger would no longer be byte-identical to an uninterrupted run.
+        including retried/fallback ones) must be back in the cache first,
+        or a live chunk that originally hit the cache would re-pay the
+        provider and the resumed ledger would no longer be byte-identical
+        to an uninterrupted run.
 
-        Exact-tier hits are deliberately skipped: their backing entry is
-        restored by whichever provider/near record originally created it,
-        and re-inserting from a hit would also resurrect entries that
-        predate the run.  Returns the number of entries inserted.
+        Cache hits are deliberately skipped: their backing entry is
+        restored by whichever provider record originally created it, and
+        re-inserting from a hit would also resurrect entries that predate
+        the run.  Returns the number of entries inserted.
         """
         if not self.cache_enabled:
             return 0
@@ -909,7 +884,7 @@ class LLMService:
         for record in records:
             if not record.succeeded:
                 continue
-            if record.cached and record.provenance != PROVENANCE_CACHE_NEAR:
+            if record.cached:
                 continue
             response = LLMResponse(
                 text=record.response_text,
@@ -1062,11 +1037,6 @@ class LLMService:
         return sum(1 for r in self.records if not r.succeeded)
 
     @property
-    def near_hits(self) -> int:
-        """Calls answered by the near-duplicate cache tier."""
-        return sum(1 for r in self.records if r.provenance == PROVENANCE_CACHE_NEAR)
-
-    @property
     def distilled_calls(self) -> int:
         """Calls answered by a distilled local model."""
         return sum(1 for r in self.records if r.provenance == PROVENANCE_DISTILLED)
@@ -1094,9 +1064,6 @@ class LLMService:
             retries=sum(r.retries for r in records),
             fallback_calls=sum(1 for r in records if r.outcome == OUTCOME_FALLBACK),
             failed_calls=sum(1 for r in records if not r.succeeded),
-            near_hits=sum(
-                1 for r in records if r.provenance == PROVENANCE_CACHE_NEAR
-            ),
             distilled_calls=sum(
                 1 for r in records if r.provenance == PROVENANCE_DISTILLED
             ),
@@ -1149,7 +1116,7 @@ class LLMService:
             self.clock.reset()
 
     def clear_cache(self) -> None:
-        """Drop all cached responses (both tiers, and the journal contents).
+        """Drop all cached responses (and the journal contents).
 
         Bumps the cache epoch so provider answers already in flight when
         the clear fired do not repopulate the fresh cache — a ``complete``

@@ -4,7 +4,7 @@ A :class:`RunProfile` is attached to every
 :class:`~repro.core.compiler.plan.RunReport` (``report.profile``): one
 :class:`ProfileRow` per operator, derived from that operator's
 canonicalized ledger slice, breaking down how its answers were produced
-(provider / exact cache / near-duplicate / distilled), what they cost,
+(provider / exact cache / distilled), what they cost,
 and what the resilience layer absorbed (retries, fallbacks, failures,
 quarantined records).
 
@@ -22,7 +22,6 @@ from typing import Any, Iterable
 
 from repro.llm.cache import (
     PROVENANCE_CACHE_EXACT,
-    PROVENANCE_CACHE_NEAR,
     PROVENANCE_DISTILLED,
 )
 from repro.resilience.policy import OUTCOME_FALLBACK
@@ -34,7 +33,6 @@ _COLUMNS = (
     ("calls", 6),
     ("provider", 9),
     ("exact", 6),
-    ("near", 5),
     ("distilled", 9),
     ("cost", 10),
     ("retries", 8),
@@ -51,7 +49,6 @@ class ProfileRow:
     calls: int = 0  # every ledger record the operator produced
     provider_calls: int = 0  # paid, successful provider answers
     cache_exact: int = 0
-    cache_near: int = 0
     distilled: int = 0
     cost: float = 0.0
     latency_seconds: float = 0.0
@@ -71,8 +68,8 @@ class ProfileRow:
 
     @property
     def cached_calls(self) -> int:
-        """All zero-cost answers (exact + near + distilled)."""
-        return self.cache_exact + self.cache_near + self.distilled
+        """All zero-cost answers (exact + distilled)."""
+        return self.cache_exact + self.distilled
 
     def to_dict(self) -> dict[str, Any]:
         """Canonical dict with cost fields normalized (rounded)."""
@@ -81,7 +78,6 @@ class ProfileRow:
             "calls": self.calls,
             "provider_calls": self.provider_calls,
             "cache_exact": self.cache_exact,
-            "cache_near": self.cache_near,
             "distilled": self.distilled,
             "cost": round(self.cost, 10),
             "latency_seconds": round(self.latency_seconds, 9),
@@ -103,7 +99,7 @@ def profile_records(
     object with the same fields works).  The slice must already be
     canonicalized — the executor profiles after the scheduler's merge.
     """
-    calls = provider = exact = near = distilled = 0
+    calls = provider = exact = distilled = 0
     retries = fallbacks = failures = 0
     cost = latency = provider_seconds = distilled_seconds = 0.0
     for record in records:
@@ -120,9 +116,7 @@ def profile_records(
         if not record.succeeded:
             failures += 1
         elif record.cached:
-            if record.provenance == PROVENANCE_CACHE_NEAR:
-                near += 1
-            elif record.provenance == PROVENANCE_DISTILLED:
+            if record.provenance == PROVENANCE_DISTILLED:
                 distilled += 1
             else:
                 exact += 1
@@ -133,7 +127,6 @@ def profile_records(
         calls=calls,
         provider_calls=provider,
         cache_exact=exact,
-        cache_near=near,
         distilled=distilled,
         cost=cost,
         latency_seconds=latency,
@@ -166,7 +159,6 @@ class RunProfile:
             calls=sum(r.calls for r in self.rows),
             provider_calls=sum(r.provider_calls for r in self.rows),
             cache_exact=sum(r.cache_exact for r in self.rows),
-            cache_near=sum(r.cache_near for r in self.rows),
             distilled=sum(r.distilled for r in self.rows),
             # float(): summing zero rows yields int 0, which would render
             # differently from 0.0 in canonical report JSON.
@@ -183,7 +175,7 @@ class RunProfile:
     def reconciles_with(self, cost: Any) -> bool:
         """Whether the rows decompose ``cost`` (a ``CostSnapshot``) exactly.
 
-        Served/cached/near/distilled/retry/fallback/failure counts must
+        Served/cached/distilled/retry/fallback/failure counts must
         match integer-exactly; dollar cost and virtual latency to within
         float-sum tolerance.
         """
@@ -191,7 +183,6 @@ class RunProfile:
         return (
             totals.provider_calls == cost.served_calls
             and totals.cached_calls == cost.cached_calls
-            and totals.cache_near == cost.near_hits
             and totals.distilled == cost.distilled_calls
             and totals.retries == cost.retries
             and totals.fallbacks == cost.fallback_calls
@@ -219,7 +210,6 @@ class RunProfile:
                 row.calls,
                 row.provider_calls,
                 row.cache_exact,
-                row.cache_near,
                 row.distilled,
                 f"${row.cost:.4f}",
                 row.retries,

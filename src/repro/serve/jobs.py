@@ -276,7 +276,6 @@ def result_payload(spec: JobSpec, result: Any) -> dict:
             "llm_calls",
             "cost",
             "cached_calls",
-            "near_hits",
             "distilled_calls",
         ):
             value = getattr(result, metric, None)

@@ -106,9 +106,8 @@ class _IsolationAudit:
                             }
                         )
                 else:
-                    # provider calls, near-hit promotions and distilled
-                    # answers all *create* the exact-tier entry this
-                    # tenant may hit later.
+                    # provider calls and distilled answers both *create*
+                    # the cache entry this tenant may hit later.
                     self._creators.setdefault(digest, set()).add(tenant)
 
 
@@ -308,21 +307,21 @@ class JobQueue:
             return
         snapshot_path = job_dir / "cache_state.json"
         if job.attempts == 0:
-            exact, sealed = tenant_state.cache.state_digests()
+            exact = tenant_state.cache.state_digests()
             tmp_path = snapshot_path.with_name(snapshot_path.name + ".tmp")
-            tmp_path.write_text(
-                json.dumps({"exact": exact, "sealed": sealed}), encoding="utf-8"
-            )
+            tmp_path.write_text(json.dumps({"exact": exact}), encoding="utf-8")
             os.replace(tmp_path, snapshot_path)
         elif snapshot_path.exists():
             try:
                 state = json.loads(snapshot_path.read_text(encoding="utf-8"))
-                exact, sealed = state["exact"], state["sealed"]
+                # An older build's snapshot carries a second list; only
+                # "exact" is read.
+                exact = state["exact"]
             except (ValueError, KeyError, TypeError, OSError):
                 # A torn or unreadable snapshot is treated as absent: the
                 # resume still runs, it just skips the cache rewind.
                 return
-            tenant_state.cache.restore_state(exact, sealed)
+            tenant_state.cache.restore_state(exact)
 
     def _run_job(self, job: JobRecord, token: CancelToken) -> None:
         spec = job.spec

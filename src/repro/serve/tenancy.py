@@ -86,16 +86,7 @@ class TenantRegistry:
     def job_started(self, name: str) -> None:
         tenant = self.get(name)
         with self._lock:
-            only_job = tenant.active_jobs == 0
             tenant.active_jobs += 1
-        if only_job:
-            # Re-seal the near-duplicate tier at job entry.  A direct warm
-            # run seals at cache construction (journal load); a long-lived
-            # server must refresh the seal so this job's sealed snapshot
-            # equals "everything previous jobs cached" — the exact state a
-            # fresh journal load would produce.  Only safe when no sibling
-            # job is mid-flight (per-tenant max_running=1, the default).
-            tenant.cache.seal()
 
     def job_finished(self, name: str) -> None:
         tenant = self.get(name)

@@ -75,7 +75,6 @@ class CurationResult:
     llm_calls: int
     cost: float
     cached_calls: int = 0
-    near_hits: int = 0
     distilled_calls: int = 0
     #: the underlying RunReport (module stats, quarantine, profile)
     report: Any = None
@@ -230,7 +229,6 @@ def _report_usage(report) -> dict:
         "llm_calls": cost.served_calls,
         "cost": cost.cost,
         "cached_calls": cost.cached_calls,
-        "near_hits": cost.near_hits,
         "distilled_calls": cost.distilled_calls,
     }
 

@@ -23,9 +23,9 @@ __all__ = ["ERResult", "pick_examples", "run_lingua_manga_er", "pairs_as_inputs"
 class ERResult:
     """Outcome of one entity-resolution run.
 
-    ``cached_calls``/``near_hits``/``distilled_calls`` break down how many
-    answers were produced without paying the provider (exact cache hits,
-    near-duplicate cache hits, and distilled local-model answers).
+    ``cached_calls``/``distilled_calls`` break down how many answers were
+    produced without paying the provider (cache hits and distilled
+    local-model answers).
     """
 
     dataset: str
@@ -34,7 +34,6 @@ class ERResult:
     llm_calls: int
     cost: float
     cached_calls: int = 0
-    near_hits: int = 0
     distilled_calls: int = 0
     #: the underlying RunReport (module stats, quarantine, profile)
     report: Any = None

@@ -34,7 +34,6 @@ class ImputationResult:
     llm_calls: int
     cost: float
     cached_calls: int = 0
-    near_hits: int = 0
     distilled_calls: int = 0
     #: the underlying RunReport (module stats, quarantine, profile)
     report: Any = None

@@ -31,7 +31,6 @@ class NameExtractionResult:
     cost: float
     per_language_f1: dict[str, float]
     cached_calls: int = 0
-    near_hits: int = 0
     distilled_calls: int = 0
     #: the underlying RunReport (module stats, quarantine, profile)
     report: Any = None

@@ -1,4 +1,4 @@
-"""The multi-tier prompt cache: keys, LRU, journal, near-duplicate tier."""
+"""The prompt cache: keys, LRU, journal."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.llm.cache import CacheJournal, CacheKey, NearDuplicateIndex, PromptCache
+from repro.llm.cache import CacheJournal, CacheKey, PromptCache
 from repro.llm.providers import LLMResponse, SimulatedProvider
 from repro.llm.service import LLMService
 
@@ -140,64 +140,22 @@ class TestJournal:
         assert trimmed.get(key("d")).text == "d"  # most recent survive
         assert trimmed.get(key("a")) is None
 
+    def test_warm_open_and_hits_do_no_per_entry_text_work(self, tmp_path, monkeypatch):
+        """Opening a journal and serving exact hits never normalises a prompt."""
+        path = tmp_path / "cache.jsonl"
+        cold = PromptCache(path=path)
+        keys = [key(f"Match the records: Pale Ale {i} vs Pale Ale {i}.") for i in range(50)]
+        for k in keys:
+            cold.put(k, response("yes"))
 
-class TestNearDuplicateIndex:
-    def donor_key(self):
-        return key("Match the records: Sierra Nevada Pale Ale vs Sierra Nevada Pale Ale.")
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the cache read path normalised a prompt")
 
-    def test_canonically_equal_prompt_hits(self):
-        index = NearDuplicateIndex(threshold=0.92)
-        index.build([(self.donor_key(), response("yes"))])
-        probe = key("match  the records:  sierra nevada pale ale VS sierra nevada pale ale.")
-        found = index.lookup(probe)
-        assert found is not None
-        assert found[0].text == "yes"
-        assert found[1] == 1.0
-
-    def test_near_identical_prompt_hits_below_threshold_misses(self):
-        index = NearDuplicateIndex(threshold=0.92)
-        index.build([(self.donor_key(), response("yes"))])
-        near = key("Match the records: Sierra Nevada Pale Ales vs Sierra Nevada Pale Ale.")
-        assert index.lookup(near) is not None
-        far = key("Summarise the quarterly revenue table for the board meeting.")
-        assert index.lookup(far) is None
-
-    def test_hits_never_cross_version_or_provider_scope(self):
-        index = NearDuplicateIndex(threshold=0.92)
-        index.build([(self.donor_key(), response("yes"))])
-        assert index.lookup(key(self.donor_key().prompt, version="v2")) is None
-        assert index.lookup(key(self.donor_key().prompt, provider="other")) is None
-        assert index.lookup(key(self.donor_key().prompt, max_tokens=999)) is None
-
-    def test_threshold_validated(self):
-        with pytest.raises(ValueError):
-            NearDuplicateIndex(threshold=0.0)
-
-    def test_snapshot_is_sealed_against_midrun_puts(self):
-        cache = PromptCache()
-        cache.put(self.donor_key(), response("yes"))
-        # Not sealed yet: tier 2 cannot see the entry...
-        assert cache.get_near(self.donor_key()) is None
-        # ...until a seal() snapshots it.
-        cache.seal()
-        found = cache.get_near(self.donor_key())
-        assert found is not None and found[0].text == "yes"
-        assert cache.stats.near_hits == 1
-
-    def test_near_tier_can_be_disabled(self):
-        cache = PromptCache(near_enabled=False)
-        cache.put(self.donor_key(), response("yes"))
-        cache.seal()
-        assert cache.get_near(self.donor_key()) is None
-
-    def test_has_any_covers_both_tiers(self):
-        cache = PromptCache()
-        cache.put(self.donor_key(), response("yes"))
-        cache.seal()
-        probe = key("match  the records:  sierra nevada pale ale VS sierra nevada pale ale.")
-        assert cache.has_any(self.donor_key())  # exact
-        assert cache.has_any(probe)  # near
-        assert not cache.has_any(key("completely unrelated prompt"))
+        monkeypatch.setattr("repro.text.normalize.normalize_text", forbidden)
+        monkeypatch.setattr("repro.llm.cache.normalize_text", forbidden, raising=False)
+        warm = PromptCache(path=path)
+        assert [warm.get(k).text for k in keys] == ["yes"] * len(keys)
+        assert warm.stats.exact_hits == len(keys)
 
 
 class TestJournalDirect:

@@ -38,15 +38,13 @@ class TestProfileRecords:
             record(cached=True, cost=0.0, outcome=OUTCOME_CACHED,
                    provenance="cache-exact"),
             record(cached=True, cost=0.0, outcome=OUTCOME_CACHED,
-                   provenance="cache-near"),
-            record(cached=True, cost=0.0, outcome=OUTCOME_CACHED,
                    provenance="distilled"),
         ]
         row = profile_records("m", rows, quarantined=2)
-        assert row.calls == 4
+        assert row.calls == 3
         assert row.provider_calls == 1
-        assert (row.cache_exact, row.cache_near, row.distilled) == (1, 1, 1)
-        assert row.cached_calls == 3
+        assert (row.cache_exact, row.distilled) == (1, 1)
+        assert row.cached_calls == 2
         assert row.quarantined == 2
         assert row.cost == pytest.approx(0.01)
 
@@ -132,7 +130,6 @@ class TestRunProfile:
             retries=totals.retries,
             fallback_calls=totals.fallbacks,
             failed_calls=totals.failures,
-            near_hits=totals.cache_near,
             distilled_calls=totals.distilled,
             provider_seconds=totals.provider_seconds,
             distilled_seconds=totals.distilled_seconds,

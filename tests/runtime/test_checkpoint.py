@@ -25,8 +25,10 @@ from repro.core.runtime.checkpoint import (
     encode_value,
     fingerprint_payload,
 )
+from repro.core.runtime.system import LinguaManga
 from repro.core.templates.library import get_template
 from repro.datasets.entity_resolution import generate_er_dataset
+from repro.llm.faults import CrashInjected, CrashPoint
 from repro.llm.providers import LLMResponse, SimulatedProvider
 from repro.llm.service import LLMService
 from repro.tasks.entity_resolution import pairs_as_inputs, pick_examples
@@ -318,9 +320,8 @@ class TestCacheRewind:
         cache = PromptCache()
         early = CacheKey("sim", "v1", "prompt one", 64)
         cache.put(early, self._response("a"))
-        cache.seal()
-        exact, sealed = cache.state_digests()
-        assert len(exact) == 1 and len(sealed) == 1
+        exact = cache.state_digests()
+        assert len(exact) == 1
 
         # The crashed run appends more entries before dying...
         cache.put(CacheKey("sim", "v1", "prompt two", 64), self._response("b"))
@@ -328,20 +329,48 @@ class TestCacheRewind:
         assert len(cache) == 3
 
         # ...and the resume rewinds to the recorded state.
-        dropped = cache.restore_state(exact, sealed)
+        dropped = cache.restore_state(exact)
         assert dropped == 2
         assert len(cache) == 1
         assert cache.peek(early)
-        assert cache.state_digests() == (exact, sealed)
+        assert cache.state_digests() == exact
 
-    def test_state_digests_separate_exact_and_sealed_tiers(self):
-        from repro.llm.cache import CacheKey, PromptCache
+    def test_resumes_a_journal_whose_header_an_older_build_wrote(
+        self, er_dataset, tmp_path
+    ):
+        """Upgrade compatibility: the header used to carry a second digest
+        list (``cache_sealed``); it is ignored and the resume still rewinds
+        the cache and reproduces the uninterrupted report byte for byte."""
 
-        cache = PromptCache()
-        cache.put(CacheKey("sim", "v1", "sealed prompt", 64), self._response("a"))
-        cache.seal()
-        cache.put(CacheKey("sim", "v1", "live only", 64), self._response("b"))
-        exact, sealed = cache.state_digests()
-        assert len(exact) == 2
-        assert len(sealed) == 1
-        assert set(sealed) < set(exact)
+        def run(cache_name, checkpoint=None):
+            system = LinguaManga(cache_path=str(tmp_path / cache_name))
+            plan_inputs = {"pairs": pairs_as_inputs(er_dataset.test)}
+            pipeline = get_template("entity_resolution").instantiate(
+                examples=pick_examples(er_dataset.train, 4)
+            )
+            return system.run(
+                pipeline, plan_inputs, workers=2, chunk_size=2, checkpoint=checkpoint
+            )
+
+        baseline = run("uninterrupted.jsonl").canonical_json()
+        wal = tmp_path / "run.wal"
+        crash = CrashPoint("chunk:journaled", hits=2)
+        with pytest.raises(CrashInjected):
+            run("crashed.jsonl", RunCheckpoint(wal, crash=crash))
+        header, *rest = wal.read_bytes().splitlines(keepends=True)
+        written = json.loads(header)
+        older = {
+            "type": "header",
+            "format": 1,
+            "fingerprint": written["fingerprint"],
+            "clock_start": written["clock_start"],
+            "cache_exact": written["cache_exact"],
+            "cache_sealed": [],
+        }
+        wal.write_bytes(json.dumps(older).encode() + b"\n" + b"".join(rest))
+
+        resume = RunCheckpoint(wal)
+        resumed = run("crashed.jsonl", resume)
+        assert resume.stats.resumed
+        assert resume.stats.cache_entries_pruned > 0  # the crashed run's appends
+        assert resumed.canonical_json() == baseline

@@ -91,6 +91,29 @@ class TestByteIdentity:
         assert second.recovery["resumed"]
         assert second.recovery["replayed_shards"] == 6
 
+    def test_resumes_a_ledger_whose_header_an_older_build_wrote(self, tmp_path):
+        """Upgrade compatibility: the header used to carry a second digest
+        list (``cache_sealed``); it is ignored on resume."""
+        wal = tmp_path / "run.wal"
+        first, _ = run_streaming(workers=2, ledger_path=wal)
+        header, *shards = wal.read_bytes().splitlines(keepends=True)
+        written = json.loads(header)
+        older = {
+            "type": "header",
+            "format": 1,
+            "mode": "streaming",
+            "fingerprint": written["fingerprint"],
+            "clock_start": written["clock_start"],
+            "cache_exact": written["cache_exact"],
+            "cache_sealed": [],
+        }
+        # Keep half the shard lines: the resume replays three, runs three.
+        wal.write_bytes(json.dumps(older).encode() + b"\n" + b"".join(shards[:3]))
+        second, _ = run_streaming(workers=2, ledger_path=wal)
+        assert_reports_identical(first, second)
+        assert second.recovery["resumed"]
+        assert second.recovery["replayed_shards"] == 3
+
     def test_recovery_counters_shape(self):
         report, _ = run_streaming(workers=2)
         recovery = report.recovery

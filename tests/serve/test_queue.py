@@ -218,7 +218,7 @@ def test_first_attempt_snapshot_is_atomic_and_parseable(queue, serve_dir):
     queue.store.wait_for(job.job_id)
     job_dir = serve_dir / "jobs" / job.job_id
     snapshot = json.loads((job_dir / "cache_state.json").read_text())
-    assert set(snapshot) == {"exact", "sealed"}
+    assert set(snapshot) == {"exact"}
     # the write goes through a tmp file + rename; no tmp file survives
     assert not (job_dir / "cache_state.json.tmp").exists()
 
@@ -242,6 +242,25 @@ def test_torn_cache_snapshot_is_treated_as_absent(queue, serve_dir):
         queue._restore_cache_state(record, "acme", job_dir)  # must not raise
     finally:
         queue.registry.job_finished("acme")
+
+
+def test_older_builds_cache_snapshot_still_rewinds_a_reattempt(queue, serve_dir):
+    """Upgrade compatibility: ``cache_state.json`` used to carry a second
+    list (``sealed``); a re-attempt ignores it and still rewinds."""
+    job = queue.submit(make_spec("imputation"))
+    queue.store.wait_for(job.job_id)
+    job_dir = serve_dir / "jobs" / job.job_id
+    snapshot_path = job_dir / "cache_state.json"
+    exact = json.loads(snapshot_path.read_text())["exact"]
+    snapshot_path.write_text(json.dumps({"exact": exact, "sealed": exact}))
+    cache = queue.registry.get("acme").cache
+    assert len(cache) > len(exact)  # the job's own answers, cached since
+    queue.registry.job_started("acme")
+    try:
+        queue._restore_cache_state(queue.store.get(job.job_id), "acme", job_dir)
+    finally:
+        queue.registry.job_finished("acme")
+    assert cache.state_digests() == exact
 
 
 def test_failed_job_cache_entries_count_as_self_paid(serve_dir, virtual_clock):
