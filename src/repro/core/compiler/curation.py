@@ -31,7 +31,7 @@ resume and the prompt-cache ledger notice parameter changes.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro._util import stable_hash
 from repro.core.compiler.context import CompilerContext
@@ -49,13 +49,7 @@ from repro.storage.columnar import band_keys_many, minhash_signatures_many
 from repro.text.minhash import MinHashParams, minhash_params
 from repro.text.overlap import build_ngram_index, overlap_profile
 from repro.text.quality import rule_quality_score
-from repro.text.shingle import (
-    document_digest,
-    exact_jaccard,
-    knowledge_canonical,
-    shingle_ids,
-    simple_canonical,
-)
+from repro.text.shingle import DocumentSketch, document_sketch, exact_jaccard
 
 __all__ = [
     "CorpusKernelModule",
@@ -158,25 +152,23 @@ def _bucket_pairs(buckets: Iterable[set], pairs: set) -> None:
 
 
 def tier_band_keys(
-    texts: Sequence[str],
+    sketches: Sequence[DocumentSketch],
     params: MinHashParams,
     bands: int,
     rows: int,
-    shingle_n: int,
     dual: bool,
 ) -> Iterator[tuple[str, list[list[str]]]]:
-    """Per LSH tier, the band keys of every text in ``texts``.
+    """Per LSH tier, the band keys of every sketched document.
 
-    Yields ``(tag, keys_per_text)``: ``"s"`` for the knowledge-free
+    Yields ``(tag, keys_per_document)``: ``"s"`` for the knowledge-free
     canonical form, then (``dual=True``) ``"k"`` for the knowledge canonical
     form.  The in-memory scan and the streaming scan both bucket on these
     keys, which is what keeps their candidate sets identical.
     """
-    tiers: list[tuple[str, Callable[[str], str]]] = [("s", simple_canonical)]
+    tiers = [("s", [sketch.simple_ids for sketch in sketches])]
     if dual:
-        tiers.append(("k", knowledge_canonical))
-    for tag, canonical in tiers:
-        id_rows = [shingle_ids(canonical(text), shingle_n) for text in texts]
+        tiers.append(("k", [sketch.knowledge_ids for sketch in sketches]))
+    for tag, id_rows in tiers:
         signatures = minhash_signatures_many(id_rows, params.a, params.b)
         yield tag, band_keys_many(signatures, bands, rows)
 
@@ -206,19 +198,20 @@ def dedup_candidate_pairs(
     if bands * rows != num_perm:
         raise ValueError(f"bands*rows must equal num_perm ({bands}*{rows} != {num_perm})")
     ids = [_doc_id(doc, index) for index, doc in enumerate(docs)]
-    texts = [_doc_text(doc) for doc in docs]
+    # Each document is canonicalised and shingled here, once, for all tiers.
+    sketches = [document_sketch(_doc_text(doc), shingle_n) for doc in docs]
 
     pairs: set[tuple] = set()
 
     # Tier 1: exact content digests.
     by_digest: dict[str, set] = {}
-    for doc_id, text in zip(ids, texts):
-        by_digest.setdefault(document_digest(text), set()).add(doc_id)
+    for doc_id, sketch in zip(ids, sketches):
+        by_digest.setdefault(sketch.digest, set()).add(doc_id)
     _bucket_pairs(by_digest.values(), pairs)
 
     # Tiers 2 + 3: LSH banding per canonicaliser.
     params = minhash_params(num_perm)
-    for _tag, doc_keys in tier_band_keys(texts, params, bands, rows, shingle_n, dual):
+    for _tag, doc_keys in tier_band_keys(sketches, params, bands, rows, dual):
         buckets: dict[str, set] = {}
         for doc_id, keys in zip(ids, doc_keys):
             for key in keys:
@@ -452,9 +445,11 @@ def _match_cascade_factory(
 
     def rule(pair: Any) -> float:
         left, right = _pair_sides(pair)
-        ids_a = shingle_ids(knowledge_canonical(_doc_text(left)), shingle_n)
-        ids_b = shingle_ids(knowledge_canonical(_doc_text(right)), shingle_n)
-        return exact_jaccard(ids_a, ids_b)
+        # Usually already sketched by the candidate scan that proposed the pair.
+        return exact_jaccard(
+            document_sketch(_doc_text(left), shingle_n).knowledge_ids,
+            document_sketch(_doc_text(right), shingle_n).knowledge_ids,
+        )
 
     teacher = make_pair_matcher(
         f"{operator.name}_teacher",

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import json
 import shutil
 import tempfile
 from dataclasses import dataclass
@@ -47,7 +48,7 @@ from repro.datasets.curation import CurationCorpus
 from repro.llm.service import usage_delta
 from repro.ml.metrics import f1_score
 from repro.text.minhash import MinHashParams, minhash_params
-from repro.text.shingle import document_digest
+from repro.text.shingle import document_sketch
 
 __all__ = [
     "CurationResult",
@@ -85,28 +86,44 @@ class CurationResult:
 # ---------------------------------------------------------------------------
 
 
+def _spill_id(doc_id: Any) -> str:
+    """A document id as its spill-file field (JSON, so its type survives)."""
+    if not isinstance(doc_id, (str, int)):
+        raise TypeError(
+            f"streaming dedup needs str or int document ids, got {doc_id!r}"
+        )
+    return json.dumps(doc_id)
+
+
 def _posting_lines(
     batch: list[Any],
+    start: int,
     params: MinHashParams,
     bands: int,
     rows: int,
     shingle_n: int,
     dual: bool,
-) -> Iterator[tuple[str, Any]]:
-    """``(bucket_key, doc_id)`` postings for one record batch.
+) -> Iterator[tuple[str, str]]:
+    """``(bucket_key, id_field)`` postings for one record batch.
 
-    Bucket keys are namespaced per tier (``x:`` digest, ``s:`` simple LSH,
-    ``k:`` knowledge LSH) so buckets never mix across tiers — exactly the
-    separation the in-memory kernel keeps with its per-tier dictionaries.
+    ``start`` is the stream position of the batch's first record: a record
+    without an ``"id"`` is numbered by its position in the whole stream, as
+    the in-memory kernel numbers it.  Bucket keys are namespaced per tier
+    (``x:`` digest, ``s:`` simple LSH, ``k:`` knowledge LSH) so buckets
+    never mix across tiers — exactly the separation the in-memory kernel
+    keeps with its per-tier dictionaries.
     """
-    ids = [_doc_id(record, offset) for offset, record in enumerate(batch)]
-    texts = [_doc_text(record) for record in batch]
-    for doc_id, text in zip(ids, texts):
-        yield f"x:{document_digest(text)}", doc_id
-    for tag, all_keys in tier_band_keys(texts, params, bands, rows, shingle_n, dual):
-        for doc_id, keys in zip(ids, all_keys):
+    fields = [
+        _spill_id(_doc_id(record, start + offset))
+        for offset, record in enumerate(batch)
+    ]
+    sketches = [document_sketch(_doc_text(record), shingle_n) for record in batch]
+    for field, sketch in zip(fields, sketches):
+        yield f"x:{sketch.digest}", field
+    for tag, all_keys in tier_band_keys(sketches, params, bands, rows, dual):
+        for field, keys in zip(fields, all_keys):
             for key in keys:
-                yield f"{tag}:{key}", doc_id
+                yield f"{tag}:{key}", field
 
 
 def iter_dedup_candidate_ids(
@@ -131,7 +148,9 @@ def iter_dedup_candidate_ids(
     ``partitions`` hash partitions on disk, pass 2 buckets one partition at
     a time and merges the per-partition sorted pair runs.  Peak memory is
     O(``batch_size`` documents + one partition's postings), independent of
-    corpus size.
+    corpus size.  Document ids must be ``str`` or ``int``: they cross the
+    spill as JSON fields and come back with their type, so the merged order
+    is the kernel's.
 
     ``stats`` (optional dict) receives accounting the memory-flatness tests
     assert on: ``docs``, ``postings``, ``peak_partition_postings``,
@@ -147,14 +166,15 @@ def iter_dedup_candidate_ids(
     root.mkdir(parents=True, exist_ok=True)
     accounting = {"docs": 0, "postings": 0, "peak_partition_postings": 0, "spilled_bytes": 0}
     try:
-        files = [open(root / f"part-{i:03d}.tsv", "w", encoding="utf-8") for i in range(partitions)]
+        files = [open(root / f"part-{i:03d}.tsv", "wb") for i in range(partitions)]
         try:
             for batch in chunked(records, batch_size):
+                start = accounting["docs"]
                 accounting["docs"] += len(batch)
-                for key, doc_id in _posting_lines(
-                    batch, params, bands, rows, shingle_n, dual
+                for key, field in _posting_lines(
+                    batch, start, params, bands, rows, shingle_n, dual
                 ):
-                    line = f"{key}\t{doc_id}\n"
+                    line = f"{key}\t{field}\n".encode("ascii")
                     files[stable_hash("dedup-part", key) % partitions].write(line)
                     accounting["postings"] += 1
                     accounting["spilled_bytes"] += len(line)
@@ -165,16 +185,22 @@ def iter_dedup_candidate_ids(
         def partition_pairs(index: int) -> list[tuple]:
             buckets: dict[str, set] = {}
             count = 0
-            with open(root / f"part-{index:03d}.tsv", encoding="utf-8") as handle:
+            with open(root / f"part-{index:03d}.tsv", encoding="ascii") as handle:
                 for line in handle:
-                    key, _, doc_id = line.rstrip("\n").partition("\t")
-                    buckets.setdefault(key, set()).add(doc_id)
+                    key, _, field = line.partition("\t")
+                    buckets.setdefault(key, set()).add(field)
                     count += 1
             accounting["peak_partition_postings"] = max(
                 accounting["peak_partition_postings"], count
             )
             pairs: set[tuple] = set()
-            _bucket_pairs(buckets.values(), pairs)
+            # Most buckets hold one document; only the rest need their ids back.
+            shared = (
+                {json.loads(field) for field in bucket}
+                for bucket in buckets.values()
+                if len(bucket) > 1
+            )
+            _bucket_pairs(shared, pairs)
             return sorted(pairs)
 
         merged = heapq.merge(*(partition_pairs(i) for i in range(partitions)))
@@ -260,26 +286,36 @@ def run_dedup(
     """
     kernel = dict(num_perm=num_perm, bands=bands, rows=rows, shingle_n=shingle_n, dual=dual)
     examples = corpus.dedup_examples(n_examples)
+    # Batch derives each document once, for records and labels; stream stays lazy.
+    docs = corpus if stream else list(corpus)
     before = system.usage()
     if stream:
         pipeline = get_template("document_dedup").instantiate(
             mode="pairs", examples=examples
         )
+        # The executor drains the source on every run (a resume consumes and
+        # discards the shards it replays), so the ids it saw are all of them.
+        pair_ids: list[tuple] = []
+
+        def candidates() -> Iterator[dict]:
+            for pair in iter_dedup_candidates(corpus, **kernel):
+                pair_ids.append((pair["left"]["id"], pair["right"]["id"]))
+                yield pair
+
         report = system.run_stream(
             pipeline,
-            {"pairs": iter_dedup_candidates(corpus, **kernel)},
+            {"pairs": candidates()},
             workers=workers,
             chunk_size=chunk_size,
             ledger_path=ledger_path,
             resume=resume,
             source_id=f"{corpus.fingerprint}|dedup-pairs",
         )
-        pair_ids = list(iter_dedup_candidate_ids(corpus.inputs(), **kernel))
     else:
         pipeline = get_template("document_dedup").instantiate(
             mode="docs", examples=examples, **kernel
         )
-        records = [doc.record() for doc in corpus]
+        records = [doc.record() for doc in docs]
         report = system.run(
             pipeline,
             {"documents": records},
@@ -288,6 +324,8 @@ def run_dedup(
             checkpoint_path=checkpoint_path,
             resume=resume,
         )
+        # Pair ids are not part of the report; the kernel's sketches are still
+        # in the LRU, so this is a MinHash + bucket pass, not a second shingling.
         pair_ids = dedup_candidate_pairs(records, **kernel)
     usage = _report_usage(report) if stream else usage_delta(before, system.usage())
     verdicts = next(iter(report.outputs.values()))
@@ -298,7 +336,7 @@ def run_dedup(
     duplicates = {max(a, b) for (a, b), verdict in zip(pair_ids, verdicts) if verdict}
     labels = []
     predictions = []
-    for doc in corpus:
+    for doc in docs:
         labels.append(int(doc.is_duplicate))
         predictions.append(int(doc.doc_id in duplicates))
     return CurationResult(
@@ -329,6 +367,8 @@ def _run_doc_flag_task(
 ) -> tuple[dict, list[int], list[int], Any]:
     """Shared run/score plumbing of the two per-document flag tasks."""
     pipeline = get_template(template).instantiate(**template_kwargs)
+    # Batch derives each document once, for records and labels; stream stays lazy.
+    docs = corpus if stream else list(corpus)
     before = system.usage()
     if stream:
         report = system.run_stream(
@@ -343,7 +383,7 @@ def _run_doc_flag_task(
     else:
         report = system.run(
             pipeline,
-            {"documents": [doc.record() for doc in corpus]},
+            {"documents": [doc.record() for doc in docs]},
             workers=workers,
             chunk_size=chunk_size,
             checkpoint_path=checkpoint_path,
@@ -352,7 +392,7 @@ def _run_doc_flag_task(
     usage = _report_usage(report) if stream else usage_delta(before, system.usage())
     output = next(iter(report.outputs.values()))
     predictions = [int(bool(item[out_key])) for item in output]
-    labels = [int(label_of(doc)) for doc in corpus]
+    labels = [int(label_of(doc)) for doc in docs]
     return usage, labels, predictions, report
 
 

@@ -72,6 +72,8 @@ _NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
 
 def strip_accents(text: str) -> str:
     """Remove diacritics: ``'Köln' -> 'Koln'``."""
+    if text.isascii():
+        return text  # NFKD leaves ASCII alone and ASCII has no combining marks
     decomposed = unicodedata.normalize("NFKD", text)
     return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
 

@@ -33,6 +33,15 @@ __all__ = [
 _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+")
 _WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
 _CONSONANT_CLUSTER_RE = re.compile(r"[bcdfghjklmnpqrstvwxz]{4,}")
+_ASCII_DIGIT_RE = re.compile(r"[0-9]")
+
+
+def _has_digit(token: str) -> bool:
+    """``any(c.isdigit() for c in token)``, one regex search when ASCII."""
+    if _ASCII_DIGIT_RE.search(token):
+        return True
+    # str.isdigit also accepts non-ASCII digits ("²", "٣").
+    return not token.isascii() and any(c.isdigit() for c in token)
 
 
 @dataclass(frozen=True)
@@ -57,7 +66,7 @@ def quality_stats(text: str) -> QualityStats:
     n_tokens = len(tokens)
     n_sentences = len(sentences)
     caps = sum(1 for t in tokens if len(t) > 2 and t.isupper())
-    digits = sum(1 for t in tokens if any(c.isdigit() for c in t))
+    digits = sum(1 for t in tokens if _has_digit(t))
     clustered = sum(1 for w in words if _CONSONANT_CLUSTER_RE.search(w))
     return QualityStats(
         n_tokens=n_tokens,

@@ -26,14 +26,23 @@ MinHash permutation ``(a * x + b) mod (2**31 - 1)`` stays exact in both
 plain Python integers and numpy ``uint64`` arithmetic (``a, x < 2**31``
 implies ``a * x + b < 2**62``) — the columnar kernels in
 :mod:`repro.storage.columnar` are bitwise-identical to these oracles.
+
+A curation run needs the same document's canonical forms and shingle ids
+several times (the in-pipeline candidate scan, the runner's id pass, both
+sides of every candidate pair in the verify rung).  :func:`document_sketch`
+is the one place the curation kernels compute them: a pure function of
+``(text, shingle_n)`` memoised in a small content-keyed LRU, so each
+document is canonicalised and shingled once per run.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
+from array import array
+from functools import lru_cache
+from typing import Iterable, NamedTuple
 
-from repro._util import stable_hash
 from repro.text.normalize import normalize_text, normalize_whitespace
 
 __all__ = [
@@ -45,6 +54,8 @@ __all__ = [
     "shingle_ids",
     "exact_jaccard",
     "document_digest",
+    "DocumentSketch",
+    "document_sketch",
 ]
 
 #: Shingle identifiers are drawn from ``[0, SHINGLE_SPACE)`` — one below the
@@ -90,9 +101,20 @@ def word_shingles(text: str, n: int = 3) -> list[str]:
     return [" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
 
 
+#: blake2b state after ``stable_hash("shingle", ...)``'s constant prefix;
+#: each shingle copies it and feeds only its own ``repr``.
+_SHINGLE_PREFIX = hashlib.blake2b(b"'shingle'\x1f", digest_size=8)
+
+
 def shingle_id(shingle: str) -> int:
-    """Stable 31-bit identifier of one shingle string."""
-    return stable_hash("shingle", shingle) % SHINGLE_SPACE
+    """Stable 31-bit identifier of one shingle string.
+
+    Equal to ``stable_hash("shingle", shingle) % SHINGLE_SPACE`` (the
+    property suite locks it) without the generic variadic join.
+    """
+    state = _SHINGLE_PREFIX.copy()
+    state.update(repr(shingle).encode("utf-8"))
+    return int.from_bytes(state.digest(), "big") % SHINGLE_SPACE
 
 
 def shingle_ids(text: str, n: int = 3) -> tuple[int, ...]:
@@ -104,7 +126,7 @@ def shingle_ids(text: str, n: int = 3) -> tuple[int, ...]:
     return tuple(sorted({shingle_id(s) for s in word_shingles(text, n)}))
 
 
-def exact_jaccard(ids_a: tuple[int, ...], ids_b: tuple[int, ...]) -> float:
+def exact_jaccard(ids_a: Iterable[int], ids_b: Iterable[int]) -> float:
     """Exact Jaccard resemblance of two shingle-id sets."""
     a, b = set(ids_a), set(ids_b)
     if not a and not b:
@@ -113,7 +135,45 @@ def exact_jaccard(ids_a: tuple[int, ...], ids_b: tuple[int, ...]) -> float:
     return len(a & b) / union if union else 0.0
 
 
+def _canonical_digest(canonical: str) -> str:
+    return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
+
+
 def document_digest(text: str) -> str:
     """Exact-duplicate key: blake2b over the simple-canonical text."""
-    canonical = simple_canonical(text)
-    return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
+    return _canonical_digest(simple_canonical(text))
+
+
+class DocumentSketch(NamedTuple):
+    """Everything the dedup kernels derive from one document's text.
+
+    The id fields hold the values of :func:`shingle_ids` in a read-only
+    buffer of 4-byte unsigned ints (not a boxed ``int`` each): sketches are
+    shared between callers through the LRU, so nobody may write to one.
+    """
+
+    digest: str  #: :func:`document_digest` of the text
+    simple_ids: memoryview  #: ``shingle_ids(simple_canonical(text), n)``
+    knowledge_ids: memoryview  #: ``shingle_ids(knowledge_canonical(text), n)``
+
+
+def _frozen_ids(ids: tuple[int, ...]) -> memoryview:
+    return memoryview(array("I", ids)).toreadonly()
+
+
+#: Documents the sketch LRU holds (a few KB each).  One scan never relies on
+#: it — every scan sketches its documents once and passes the sketches along
+#: — so capacity only bounds how large a corpus the *later* passes of a run
+#: (id pass, verify rung) find already sketched; past it they recompute.
+_SKETCH_CAPACITY = 1024
+
+
+@lru_cache(maxsize=_SKETCH_CAPACITY)
+def document_sketch(text: str, n: int = 3) -> DocumentSketch:
+    """The :class:`DocumentSketch` of ``text`` for shingle width ``n``."""
+    simple = simple_canonical(text)
+    return DocumentSketch(
+        _canonical_digest(simple),
+        _frozen_ids(shingle_ids(simple, n)),
+        _frozen_ids(shingle_ids(knowledge_canonical(text), n)),
+    )
