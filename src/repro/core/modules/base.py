@@ -213,11 +213,28 @@ class Module(ABC):
         with self._lock:
             drained = list(self.quarantine)
             self.quarantine.clear()
+        for _, child in self._children():
+            drained.extend(child.drain_quarantine())
+        return drained
+
+    def _children(self) -> Iterator[tuple[str, "Module"]]:
+        """The wrapped modules, under their conventional attribute names."""
         for attribute in ("inner", "stage", "fallback", "teacher"):
             child = getattr(self, attribute, None)
             if isinstance(child, Module):
-                drained.extend(child.drain_quarantine())
-        return drained
+                yield attribute, child
+
+    def drop_prefetched(self) -> None:
+        """Forget what ``prefetch`` left on this thread, here and below.
+
+        A module's ``prefetch`` may keep per-record work for the per-item
+        calls of the same chunk (the LLM module keeps the prompts it
+        rendered).  :meth:`apply_chunk` implementations that prefetch call
+        this when the chunk ends — also when it raises — so nothing a
+        chunk prepared outlives it.
+        """
+        for _, child in self._children():
+            child.drop_prefetched()
 
     def config_identity(self) -> dict:
         """JSON-safe identity of this module's *configuration*.
@@ -231,10 +248,8 @@ class Module(ABC):
         :meth:`drain_quarantine` walks.
         """
         identity: dict = {"type": self.module_type, "name": self.name}
-        for attribute in ("inner", "stage", "fallback", "teacher"):
-            child = getattr(self, attribute, None)
-            if isinstance(child, Module):
-                identity[attribute] = child.config_identity()
+        for attribute, child in self._children():
+            identity[attribute] = child.config_identity()
         return identity
 
     def describe(self) -> str:

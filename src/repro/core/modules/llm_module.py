@@ -169,17 +169,55 @@ class LLMModule(Module):
         (:meth:`LLMService.prime`).  The per-item :meth:`run` calls then
         hit the cache, so a chunk of N records costs one provider round
         trip.  Best effort: failures surface on the per-item path, which
-        owns retry/fallback/quarantine semantics.
+        owns retry/fallback/quarantine semantics — a value whose prompt
+        cannot be rendered is left out here and fails there.
+
+        The rendered prompts stay on this thread for the per-item calls of
+        the same chunk (see :meth:`_first_prompt`), until
+        :meth:`drop_prefetched`.
         """
-        prompts = [self.build_prompt(value, strictness=0) for value in values]
+        rendered: dict[int, tuple[Any, str]] = {}
+        prompts: list[str] = []
+        for value in values:
+            try:
+                prompt = self.build_prompt(value, strictness=0)
+            except Exception:
+                # Not this method's failure to report: ``run`` renders the
+                # value again and raises inside the caller's error policy.
+                continue
+            rendered[id(value)] = (value, prompt)
+            prompts.append(prompt)
+        self._tls.rendered = rendered
         return self.service.prime(
             prompts, purpose=self.purpose, version=self.prompt_version
         )
 
+    def drop_prefetched(self) -> None:
+        """Forget the prompts :meth:`prefetch` rendered on this thread."""
+        self._tls.rendered = None
+
+    def _first_prompt(self, value: Any) -> str:
+        """The first-attempt prompt: prefetch's rendering of ``value``, once.
+
+        The hand-off is keyed on the identity of the value object — each
+        entry holds its value, so an ``id`` cannot be recycled while the
+        entry exists — and an entry is taken, not read: any other object
+        (a copy, a replacement) and any second run render afresh.
+        """
+        rendered = getattr(self._tls, "rendered", None)
+        if rendered:
+            entry = rendered.pop(id(value), None)
+            if entry is not None:
+                return entry[1]
+        return self.build_prompt(value, strictness=0)
+
     def _run(self, value: Any) -> Any:
         last_problem = ""
         for attempt in range(self.max_attempts):
-            prompt = self.build_prompt(value, strictness=attempt)
+            if attempt == 0:
+                prompt = self._first_prompt(value)
+            else:
+                prompt = self.build_prompt(value, strictness=attempt)
             try:
                 text = self.service.complete(
                     prompt, purpose=self.purpose, version=self.prompt_version

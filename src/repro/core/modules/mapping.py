@@ -107,9 +107,12 @@ class MapModule(Module):
 
     def apply_chunk(self, chunk: list[Any]) -> ChunkOutcome:
         """Scheduler hook: process one record chunk in isolation."""
-        self.prefetch(chunk)
-        with self.collecting_quarantine() as bucket:
-            out, degraded = self._apply_items(chunk)
+        try:
+            self.prefetch(chunk)
+            with self.collecting_quarantine() as bucket:
+                out, degraded = self._apply_items(chunk)
+        finally:
+            self.drop_prefetched()
         return ChunkOutcome(outputs=out, quarantine=bucket, degraded=degraded)
 
     def describe(self) -> str:

@@ -174,12 +174,21 @@ class CacheJournal:
     damage, garbage) and counts them in ``corrupt_lines`` instead of
     failing the load.  :meth:`compact` rewrites the file from the live
     entries, dropping superseded duplicates and evicted entries.
+
+    Durability contract: every appended line is flushed to the operating
+    system before :meth:`append` returns, so it survives the death of the
+    process; it is ``fsync``-ed — survives power loss — only at
+    :meth:`compact` and :meth:`close`.  Appends go through one handle held
+    from the first append until :meth:`close`; anything that replaces the
+    file under the path (:meth:`compact`, :meth:`recover`) releases it
+    first, so the next append opens the new file.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.corrupt_lines = 0
         self.lines_appended = 0
+        self._handle = None
         #: optional callable invoked at named internal boundaries
         #: (``compaction:tmp-written``); the crash-injection harness arms a
         #: :class:`repro.llm.faults.CrashPoint` here to simulate process
@@ -204,6 +213,7 @@ class CacheJournal:
         tmp = self._compact_tmp
         if not tmp.exists():
             return None
+        self._release()
         if self.path.exists():
             tmp.unlink()
             return "dropped-orphan-tmp"
@@ -236,11 +246,33 @@ class CacheJournal:
         return list(entries.items())
 
     def append(self, key: CacheKey, response: LLMResponse) -> None:
-        """Durably record one entry (one line, flushed)."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(_encode_entry(key, response) + "\n")
+        """Record one entry: one line, flushed to the operating system.
+
+        Survives process death once this returns; not ``fsync``-ed (see
+        the class docstring).
+        """
+        handle = self._handle
+        if handle is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            handle = self._handle = self.path.open("a", encoding="utf-8")
+        handle.write(_encode_entry(key, response) + "\n")
+        handle.flush()
         self.lines_appended += 1
+
+    def _release(self) -> None:
+        """Close the append handle; the next :meth:`append` reopens the path."""
+        handle, self._handle = self._handle, None
+        if handle is not None:
+            handle.close()
+
+    def close(self) -> None:
+        """Flush, ``fsync`` and release the append handle (idempotent)."""
+        if self._handle is not None:
+            try:
+                self._handle.flush()
+                os.fsync(self._handle.fileno())
+            finally:
+                self._release()
 
     def compact(self, entries: Iterable[tuple[CacheKey, LLMResponse]]) -> int:
         """Rewrite the journal from ``entries``; returns lines written."""
@@ -257,6 +289,7 @@ class CacheJournal:
             os.fsync(handle.fileno())
         if self.crash_hook is not None:
             self.crash_hook("compaction:tmp-written")
+        self._release()
         tmp.replace(self.path)
         self.lines_appended = 0
         return count
@@ -422,6 +455,15 @@ class PromptCache:
             if self.journal is None:
                 return 0
             return self.journal.compact(self._entries.items())
+
+    def close(self) -> None:
+        """Flush, ``fsync`` and release the journal handle (idempotent).
+
+        The cache stays usable: a later :meth:`put` reopens the journal.
+        """
+        with self._lock:
+            if self.journal is not None:
+                self.journal.close()
 
     def entries(self) -> list[tuple[CacheKey, LLMResponse]]:
         """A stable copy of the live entries (LRU order, oldest first)."""

@@ -469,7 +469,7 @@ class LLMService:
         heavy concurrency.
         """
         if not self.cache_enabled:
-            return self._complete_uncached(prompt, purpose, max_tokens, version)
+            return self._complete_uncached(prompt, purpose, max_tokens, version, None)
         cache_key = self._cache_key(prompt, max_tokens, version)
         while True:
             leader_gate: threading.Event | None = None
@@ -500,7 +500,9 @@ class LLMService:
             # Re-check: the leader either cached a response (-> hit) or
             # failed (-> compete to become the next leader).
         try:
-            return self._complete_uncached(prompt, purpose, max_tokens, version)
+            return self._complete_uncached(
+                prompt, purpose, max_tokens, version, cache_key
+            )
         finally:
             with self._lock:
                 gate = self._inflight.pop(cache_key, None)
@@ -549,9 +551,18 @@ class LLMService:
             self.cache.put(key, response)
 
     def _complete_uncached(
-        self, prompt: str, purpose: str, max_tokens: int, version: str = _NO_VERSION
+        self,
+        prompt: str,
+        purpose: str,
+        max_tokens: int,
+        version: str,
+        cache_key: CacheKey | None,
     ) -> str:
-        """Provider path: budget check, resilient call, record, cache."""
+        """Provider path: budget check, resilient call, record, cache.
+
+        ``cache_key`` is the key :meth:`complete` already built for this
+        call (``None`` with the cache disabled: nothing is stored).
+        """
         self._check_budget()
         with self._lock:
             epoch = self._cache_epoch
@@ -581,10 +592,8 @@ class LLMService:
                 model=response.model,
             )
         )
-        if self.cache_enabled:
-            self._cache_put(
-                self._cache_key(prompt, max_tokens, version), response, epoch
-            )
+        if cache_key is not None:
+            self._cache_put(cache_key, response, epoch)
         return response.text
 
     def _complete_via_hub(
@@ -651,9 +660,9 @@ class LLMService:
             epoch = self._cache_epoch
             for prompt in prompts:
                 key = self._cache_key(prompt, max_tokens, version)
+                # Every key this batch holds is in ``_inflight`` from the
+                # moment it joins, so this is also the duplicate test.
                 if key in self._inflight or self.cache.peek(key):
-                    continue
-                if any(k == key for k, _ in batch):
                     continue
                 self._inflight[key] = threading.Event()
                 batch.append((key, prompt))

@@ -123,6 +123,8 @@ class TenantRegistry:
         )
 
     def close(self) -> None:
-        """Release tenant state (cache journals write through per append)."""
+        """Close every tenant's cache journal and release tenant state."""
         with self._lock:
+            for tenant in self._tenants.values():
+                tenant.cache.close()
             self._tenants.clear()

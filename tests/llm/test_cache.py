@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,8 +16,20 @@ from repro.llm.providers import LLMResponse, SimulatedProvider
 from repro.llm.service import LLMService
 
 
-def key(prompt: str, version: str = "", provider: str = "sim", max_tokens: int = 64):
-    return CacheKey(provider=provider, version=version, prompt=prompt, max_tokens=max_tokens)
+def key(
+    prompt: str,
+    version: str = "",
+    provider: str = "sim",
+    max_tokens: int = 64,
+    namespace: str = "",
+):
+    return CacheKey(
+        provider=provider,
+        version=version,
+        prompt=prompt,
+        max_tokens=max_tokens,
+        namespace=namespace,
+    )
 
 
 def response(text: str) -> LLMResponse:
@@ -303,3 +318,175 @@ class TestCompactionCrashRecovery:
         assert fresh.compact(live) == 2  # no crash hook armed this time
         assert not fresh._compact_tmp.exists()
         assert [k for k, _ in fresh.load()] == [key("a"), key("b")]
+
+
+def _lines(path):
+    return [json.loads(line)["prompt"] for line in path.read_text("utf-8").splitlines()]
+
+
+class TestHeldJournalHandle:
+    """Appends go through one held handle: flushed per entry, fsync-ed at
+    compact/close, released before anything replaces the file."""
+
+    def test_open_is_called_once_for_many_puts(self, tmp_path, monkeypatch):
+        path = tmp_path / "deep" / "cache.jsonl"
+        opened = []
+        real_open = Path.open
+
+        def counting_open(self, *args, **kwargs):
+            if self == path:
+                opened.append(args[:1])
+            return real_open(self, *args, **kwargs)
+
+        cache = PromptCache(path=path)
+        monkeypatch.setattr(Path, "open", counting_open)
+        for i in range(100):
+            cache.put(key(f"p{i}"), response("x"))
+        assert opened == [("a",)]
+        assert len(_lines(path)) == 100  # each line visible without a close
+
+    def test_every_append_is_flushed_before_it_returns(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = PromptCache(path=path)
+        for i in range(5):
+            cache.put(key(f"p{i}"), response("x"))
+            assert _lines(path) == [f"p{n}" for n in range(i + 1)]
+
+    def test_put_after_compact_lands_in_the_new_file(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = PromptCache(path=path)
+        cache.put(key("a"), response("1"))
+        cache.put(key("a"), response("2"))
+        assert cache.compact() == 1
+        cache.put(key("b"), response("3"))
+        assert _lines(path) == ["a", "b"]
+        assert [k for k, _ in CacheJournal(path).load()] == [key("a"), key("b")]
+
+    def test_put_after_clear_lands_in_the_new_file(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = PromptCache(path=path)
+        cache.put(key("a"), response("1"))
+        cache.clear()
+        assert path.read_bytes() == b""
+        cache.put(key("b"), response("2"))
+        assert _lines(path) == ["b"]
+
+    def test_auto_compaction_keeps_later_puts(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = PromptCache(path=path, max_entries=2)
+        for i in range(200):  # crosses the 128-line compaction threshold
+            cache.put(key(f"p{i % 4}"), response(str(i)))
+        reopened = PromptCache(path=path, max_entries=2)
+        assert [(k.prompt, r.text) for k, r in reopened.entries()] == [
+            ("p2", "198"),
+            ("p3", "199"),
+        ]
+
+    def test_recover_with_a_handle_open_drops_the_orphan_tmp(self, tmp_path):
+        from repro.llm.faults import CrashInjected, CrashPoint
+
+        journal = CacheJournal(tmp_path / "cache.jsonl")
+        journal.append(key("a"), response("a"))
+        journal.crash_hook = CrashPoint("compaction:tmp-written").reached
+        with pytest.raises(CrashInjected):
+            journal.compact([(key("a"), response("a"))])
+        journal.crash_hook = None
+        # Same object, handle still open on the uncompacted journal.
+        assert journal.recover() == "dropped-orphan-tmp"
+        journal.append(key("b"), response("b"))
+        assert _lines(journal.path) == ["a", "b"]
+
+    def test_recover_with_a_handle_open_promotes_the_tmp(self, tmp_path):
+        from repro.llm.faults import CrashInjected, CrashPoint
+
+        journal = CacheJournal(tmp_path / "cache.jsonl")
+        journal.append(key("a"), response("a"))
+        journal.append(key("b"), response("b"))
+        journal.crash_hook = CrashPoint("compaction:tmp-written").reached
+        with pytest.raises(CrashInjected):
+            journal.compact([(key("b"), response("b"))])
+        journal.crash_hook = None
+        journal.path.unlink()  # the held handle now points at an unlinked inode
+        assert journal.recover() == "promoted-tmp"
+        journal.append(key("c"), response("c"))
+        assert _lines(journal.path) == ["b", "c"]
+
+    def test_entries_of_a_process_that_died_without_closing_all_load(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        script = (
+            "import os, sys\n"
+            "from repro.llm.cache import CacheKey, PromptCache\n"
+            "from repro.llm.providers import LLMResponse\n"
+            "cache = PromptCache(path=sys.argv[1])\n"
+            "for i in range(40):\n"
+            "    cache.put(CacheKey('sim', '', f'p{i}', 64),\n"
+            "              LLMResponse(text=str(i), prompt_tokens=1, completion_tokens=1, model='sim'))\n"
+            "os._exit(3)\n"  # no close, no interpreter shutdown, no buffers flushed
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert done.returncode == 3
+        survivor = PromptCache(path=path)
+        assert survivor.stats.loaded == 40
+        assert survivor.journal.corrupt_lines == 0
+        assert survivor.get(key("p39")).text == "39"
+
+    def test_close_fsyncs_releases_and_is_idempotent(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.jsonl"
+        cache = PromptCache(path=path)
+        cache.put(key("a"), response("1"))
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd)))
+        cache.close()
+        assert len(synced) == 1
+        assert cache.journal._handle is None
+        cache.close()
+        assert len(synced) == 1
+        cache.put(key("b"), response("2"))  # a later put reopens
+        assert _lines(path) == ["a", "b"]
+        cache.close()
+        PromptCache().close()  # no journal: nothing to do
+
+    def test_tenant_registry_close_closes_every_tenant_journal(self, tmp_path):
+        from repro.serve.tenancy import TenantRegistry
+
+        registry = TenantRegistry(tmp_path)
+        caches = [registry.get(name).cache for name in ("acme", "globex")]
+        for cache in caches:
+            cache.put(key("p", namespace="t"), response("x"))
+            assert cache.journal._handle is not None
+        registry.close()
+        assert [cache.journal._handle for cache in caches] == [None, None]
+
+    def test_journal_bytes_for_a_fixed_put_sequence_are_pinned(self, tmp_path):
+        """Digests recorded from the open-per-append implementation: the held
+        handle changes when bytes reach the file, never which bytes."""
+        path = tmp_path / "cache.jsonl"
+        cache = PromptCache(path=path, max_entries=3)
+        prompts = ["plain", "naïve café ☕", 'quote " and \\ and\nnewline', "d", "e"]
+        for turn in range(140):  # > 128 appended lines: one auto-compaction on the way
+            cache.put(
+                key(
+                    prompts[turn % len(prompts)],
+                    version=f"v{turn % 2}",
+                    namespace="acme" if turn % 7 == 0 else "",
+                ),
+                response(f"answer {turn}"),
+            )
+        data = path.read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (
+            3018,
+            "5939c7223e29acc5173d9977f8ed4c12eb04858239c40f5e4ed093a18aa7a005",
+        )
+        cache.clear()
+        cache.put(key("after clear"), response("kept"))
+        data = path.read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (
+            205,
+            "6d2c14e6b3759c5a0553b4ecf6eb3e825f4cb72c610a9e6af9c31abf7c020ffd",
+        )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.llm.cache import CacheKey
 from repro.llm.errors import BudgetExceededError, ProviderError
 from repro.llm.providers import FlakyProvider, LLMRequest, SimulatedProvider
 from repro.llm.service import LLMService
@@ -132,6 +133,63 @@ class TestLedger:
         service.complete(PROMPT)
         text = service.usage().to_text()
         assert "calls=1" in text and "cost=$" in text
+
+
+class _BatchRecorder(SimulatedProvider):
+    def __init__(self):
+        super().__init__()
+        self.batches: list[list[str]] = []
+
+    def complete_batch(self, requests):
+        self.batches.append([request.prompt for request in requests])
+        return super().complete_batch(requests)
+
+
+class TestPrimeBatch:
+    def test_building_the_batch_is_linear_in_its_size(self, monkeypatch):
+        """``_inflight`` is the duplicate test: no key is compared with the
+        keys that joined the batch before it (2 000 prompts used to make
+        ~2 million ``CacheKey.__eq__`` calls)."""
+        compared = []
+        real_eq = CacheKey.__eq__
+
+        def counting_eq(self, other):
+            compared.append(1)
+            return real_eq(self, other)
+
+        monkeypatch.setattr(CacheKey, "__eq__", counting_eq)
+        provider = _BatchRecorder()
+        service = LLMService(provider)
+        prompts = [f"{PROMPT} (variant {i})" for i in range(2000)]
+        assert service.prime(prompts) == 2000
+        assert [len(batch) for batch in provider.batches] == [2000]
+        assert len(compared) <= 4 * len(prompts)
+
+    def test_a_repeated_prompt_is_sent_and_recorded_once(self):
+        provider = _BatchRecorder()
+        service = LLMService(provider)
+        other = PROMPT + " Also this."
+        assert service.prime([PROMPT, other, PROMPT, PROMPT]) == 2
+        assert provider.batches == [[PROMPT, other]]
+        assert service.served_calls == 2 and len(service.records) == 2
+        assert service._inflight == {}
+        assert service.prime([PROMPT, PROMPT]) == 0  # cached now: nothing to send
+        assert len(provider.batches) == 1
+
+    def test_each_call_builds_one_key_per_prompt(self, monkeypatch):
+        built = []
+        real_key = LLMService._cache_key
+
+        def counting_key(self, prompt, max_tokens, version):
+            built.append(prompt)
+            return real_key(self, prompt, max_tokens, version)
+
+        monkeypatch.setattr(LLMService, "_cache_key", counting_key)
+        service = LLMService(SimulatedProvider())
+        service.complete(PROMPT)  # miss: provider call, then the cache insert
+        assert built == [PROMPT]
+        service.prime([PROMPT + " Also this."])
+        assert len(built) == 2
 
 
 class TestSimulatedProviderDeterminism:
