@@ -2,9 +2,10 @@
 
 ``run_stream()`` executes a linear pipeline as a pipelined stream of
 fixed-size shards pulled from a durable work queue: the input generator
-is never materialized, in-flight shards spill to disk, verdicts leave
-through a sink as each shard folds, and peak residency stays
-O(chunk_size x window) no matter how many records flow through.
+is never materialized, at most ``window`` shards wait in memory between
+the source and the fold, verdicts leave through a sink as each shard
+folds, and peak residency stays O(chunk_size x window) no matter how many
+records flow through.
 
 The demo also stages the failures the queue is built to absorb:
 
@@ -66,8 +67,9 @@ def main() -> None:
     summary = next(iter(baseline.outputs.values()))
     print(f"streamed {summary['records']} pairs in {baseline.recovery['shards']} "
           f"shards: {matches} matches, {full_calls} provider calls")
-    print(f"spill high-watermark: {baseline.recovery['spill_peak_bytes']} bytes "
-          f"(O(chunk x window), independent of corpus size)")
+    print(f"in-flight high-watermark: "
+          f"{baseline.recovery['inflight_peak_records']} records "
+          f"(<= chunk x window, independent of corpus size)")
 
     # 2. Kill a worker mid-shard: the lease is re-claimed, nothing is lost.
     kill = WorkerKillPoint("shard:executed", hits=3)

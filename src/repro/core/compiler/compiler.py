@@ -176,24 +176,11 @@ class LinguaMangaCompiler:
         return wrap(module)
 
 
-#: Attribute names under which wrapper modules expose wrapped children
-#: (mirrors the scheduler's traversal, plus list-valued containers).
-_CHILD_ATTRIBUTES = ("inner", "stage", "fallback", "teacher", "primary", "wrapper")
-
-
 def _attach_obs(module: Module, obs) -> None:
     """Point a module tree at the system's observability hub."""
     module.obs = obs
-    for attribute in _CHILD_ATTRIBUTES:
-        child = getattr(module, attribute, None)
-        if isinstance(child, Module):
-            _attach_obs(child, obs)
-    for attribute in ("stages", "variants"):
-        children = getattr(module, attribute, None)
-        if isinstance(children, (list, tuple)):
-            for child in children:
-                if isinstance(child, Module):
-                    _attach_obs(child, obs)
+    for _, child in module._children():
+        _attach_obs(child, obs)
 
 
 def compile_pipeline(

@@ -23,6 +23,7 @@ import json
 import re
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from repro.core.compiler.context import CompilerContext
@@ -32,7 +33,13 @@ from repro.core.modules.base import Module, QuarantinedRecord
 from repro.core.optimizer.cost import CostSnapshot, CostTracker
 from repro.obs.profile import RunProfile, profile_records
 
-__all__ = ["BoundOperator", "OperatorResilience", "RunReport", "PhysicalPlan"]
+__all__ = [
+    "BoundOperator",
+    "OperatorResilience",
+    "RunReport",
+    "PhysicalPlan",
+    "run_operator_step",
+]
 
 # Wall-clock fragment of ModuleStats.to_text(); stripped from canonical
 # reports because host timing is nondeterministic by nature.
@@ -327,10 +334,7 @@ class PhysicalPlan:
                     argument = values[operator.inputs[0]]
                 else:
                     argument = tuple(values[name] for name in operator.inputs)
-                ledger_mark = len(service.records)
-                degraded_before = _tree_degraded(binding.module)
                 stats_before = _stats_snapshot(binding.module)
-                module_start = service.clock.now
                 replay = None
                 op_ctx = None
                 if checkpoint is not None:
@@ -339,86 +343,23 @@ class PhysicalPlan:
                         op_ctx = checkpoint.operator_context(
                             op_index, operator.name
                         )
-                phase_span = (
-                    tracer.span(
-                        operator.name,
-                        "phase",
-                        clock=service.clock,
-                        operator_kind=operator.kind,
+                run = journalled = None
+                if replay is not None:
+                    run = partial(
+                        _replay_operator, checkpoint, binding.module, replay,
+                        service, tracer,
                     )
-                    if tracer is not None
-                    else nullcontext()
-                )
-                with phase_span:
-                    module_span = (
-                        tracer.span(
-                            binding.module.name,
-                            "module",
-                            clock=service.clock,
-                            module_type=type(binding.module).__name__,
-                        )
-                        if tracer is not None
-                        else nullcontext()
+                    journalled = (list(replay.quarantine), replay.tree_degraded)
+                elif scheduler is not None:
+                    run = partial(
+                        scheduler.run_operator, binding.module,
+                        service=service, op_ctx=op_ctx,
                     )
-                    with module_span as span:
-                        if replay is not None:
-                            # Committed operator: re-apply its journalled
-                            # effects verbatim — outputs, ledger slice,
-                            # clock, stats, cache warmth — at zero
-                            # provider cost.
-                            values[operator.name] = replay.outputs
-                            checkpoint.apply_operator_replay(
-                                binding.module, replay, service
-                            )
-                            if tracer is not None:
-                                for summary in replay.chunk_summaries:
-                                    tracer.add_span(
-                                        f"chunk[{summary['chunk']}]",
-                                        kind="chunk",
-                                        start=module_start,
-                                        records=summary["records"],
-                                        outputs=summary["outputs"],
-                                        quarantined=summary["quarantined"],
-                                        degraded=summary["degraded"],
-                                    )
-                            drained = list(replay.quarantine)
-                            degraded = replay.tree_degraded
-                        else:
-                            if scheduler is not None:
-                                values[operator.name] = scheduler.run_operator(
-                                    binding.module, argument, service,
-                                    op_ctx=op_ctx,
-                                )
-                            else:
-                                values[operator.name] = binding.module.run(
-                                    argument
-                                )
-                            drained = binding.module.drain_quarantine()
-                            degraded = (
-                                _tree_degraded(binding.module) - degraded_before
-                            )
-                        # The slice is canonical here (the scheduler merged
-                        # and canonicalized; the sequential path is ordered
-                        # by construction; replay re-inserts the canonical
-                        # slice), so spans and profile rows are
-                        # deterministic at any worker count.
-                        slice_ = service.records[ledger_mark:]
-                        if tracer is not None:
-                            span.set("quarantined", len(drained))
-                            span.set("degraded", degraded)
-                    if tracer is not None:
-                        _add_call_spans(span, slice_, module_start)
-                report.quarantine.extend(drained)
-                row = profile_records(
-                    operator.name, slice_, quarantined=len(drained)
-                )
-                profile.rows.append(row)
-                report.resilience[operator.name] = OperatorResilience(
-                    quarantined=len(drained),
-                    degraded=degraded,
-                    llm_retries=row.retries,
-                    llm_fallbacks=row.fallbacks,
-                    llm_failures=row.failures,
+                values[operator.name], slice_, drained, degraded = (
+                    run_operator_step(
+                        binding, argument, report, profile, tracer, service,
+                        run=run, journalled=journalled,
+                    )
                 )
                 if checkpoint is not None and replay is None:
                     checkpoint.commit_operator(
@@ -471,6 +412,109 @@ class PhysicalPlan:
         for binding in self.bound:
             lines.append(f"  {binding.describe()}")
         return "\n".join(lines)
+
+
+def run_operator_step(
+    binding: BoundOperator,
+    argument: Any,
+    report: RunReport,
+    profile: RunProfile,
+    tracer,
+    service,
+    run=None,
+    journalled=None,
+):
+    """Run one operator coordinator-side and book it into ``report``.
+
+    The one step both engines share — every operator of
+    :meth:`PhysicalPlan.execute` and the streaming executor's prefix and
+    suffix: opens the phase and module spans, produces the operator's
+    value, drains the module tree's quarantine, measures its degraded
+    delta, derives the ``llm_call`` spans and the profile row from the
+    ledger slice the operator appended, and records its
+    :class:`OperatorResilience`.
+
+    ``run(argument)`` produces the value; it defaults to the module's own
+    ``run`` (the batch engine passes the scheduler's chunked runner).
+    ``journalled`` is set only for a checkpoint replay, whose ``run``
+    re-applies a committed operator's effects: the ``(quarantine,
+    degraded)`` the journal holds, used instead of draining and measuring
+    a module that did not execute.
+
+    Returns ``(value, ledger slice, drained quarantine, degraded)``.
+    """
+    operator = binding.operator
+    module = binding.module
+    ledger_mark = len(service.records)
+    degraded_before = _tree_degraded(module)
+    module_start = service.clock.now
+    phase_span = (
+        tracer.span(
+            operator.name, "phase", clock=service.clock,
+            operator_kind=operator.kind,
+        )
+        if tracer is not None
+        else nullcontext()
+    )
+    with phase_span:
+        module_span = (
+            tracer.span(
+                module.name, "module", clock=service.clock,
+                module_type=type(module).__name__,
+            )
+            if tracer is not None
+            else nullcontext()
+        )
+        with module_span as span:
+            value = (run or module.run)(argument)
+            if journalled is not None:
+                drained, degraded = journalled
+            else:
+                drained = module.drain_quarantine()
+                degraded = _tree_degraded(module) - degraded_before
+            # The slice is canonical here (the scheduler merged and
+            # canonicalized; the sequential path is ordered by
+            # construction; replay re-inserts the canonical slice), so
+            # spans and profile rows are deterministic at any worker count.
+            slice_ = service.records[ledger_mark:]
+            if tracer is not None:
+                span.set("quarantined", len(drained))
+                span.set("degraded", degraded)
+        if tracer is not None:
+            _add_call_spans(span, slice_, module_start)
+    report.quarantine.extend(drained)
+    row = profile_records(operator.name, slice_, quarantined=len(drained))
+    profile.rows.append(row)
+    report.resilience[operator.name] = OperatorResilience(
+        quarantined=len(drained),
+        degraded=degraded,
+        llm_retries=row.retries,
+        llm_fallbacks=row.fallbacks,
+        llm_failures=row.failures,
+    )
+    return value, slice_, drained, degraded
+
+
+def _replay_operator(checkpoint, module, replay, service, tracer, _argument):
+    """Re-apply a committed operator's journalled effects verbatim.
+
+    Outputs, ledger slice, clock, stats and cache warmth come back at zero
+    provider cost; the journalled chunk summaries become ``chunk`` spans.
+    """
+    start = service.clock.now
+    checkpoint.apply_operator_replay(module, replay, service)
+    if tracer is not None:
+        for summary in replay.chunk_summaries:
+            tracer.add_span(
+                f"chunk[{summary['chunk']}]",
+                kind="chunk",
+                start=start,
+                records=summary["records"],
+                outputs=summary["outputs"],
+                quarantined=summary["quarantined"],
+                degraded=summary["degraded"],
+            )
+    return replay.outputs
 
 
 def _add_call_spans(parent, records, module_start: float) -> None:
@@ -531,9 +575,6 @@ def _stats_delta(
 
 def _tree_degraded(module: Module) -> int:
     """Sum ``stats.degraded`` over a module and its wrapped children."""
-    total = module.stats.degraded
-    for attribute in ("inner", "stage", "fallback", "teacher"):
-        child = getattr(module, attribute, None)
-        if isinstance(child, Module):
-            total += _tree_degraded(child)
-    return total
+    return module.stats.degraded + sum(
+        _tree_degraded(child) for _, child in module._children()
+    )

@@ -206,9 +206,9 @@ class Module(ABC):
     def drain_quarantine(self) -> list[QuarantinedRecord]:
         """Take (and clear) quarantined records from this module and its children.
 
-        Wrapper modules expose their wrapped module under conventional
-        attribute names (``inner``, ``stage``, ``fallback``, ``teacher``);
-        the plan executor drains the whole tree after each operator.
+        Wrapper modules expose their wrapped modules under conventional
+        attribute names (see :meth:`_children`); the plan executor drains
+        the whole tree after each operator.
         """
         with self._lock:
             drained = list(self.quarantine)
@@ -218,11 +218,24 @@ class Module(ABC):
         return drained
 
     def _children(self) -> Iterator[tuple[str, "Module"]]:
-        """The wrapped modules, under their conventional attribute names."""
-        for attribute in ("inner", "stage", "fallback", "teacher"):
+        """The wrapped modules, each once, under the name that holds them.
+
+        The one module-tree walker: quarantine draining, prefetch
+        clean-up, configuration identity, the degraded count and the
+        parallel-safety check all recurse through it.  Children live under
+        the conventional attributes ``inner``, ``stage``, ``fallback``,
+        ``teacher``, ``primary`` and ``wrapper``, or in a ``stages``
+        sequence (named ``stages[i]``).
+        """
+        for attribute in (
+            "inner", "stage", "fallback", "teacher", "primary", "wrapper"
+        ):
             child = getattr(self, attribute, None)
             if isinstance(child, Module):
                 yield attribute, child
+        for index, child in enumerate(getattr(self, "stages", ())):
+            if isinstance(child, Module):
+                yield f"stages[{index}]", child
 
     def drop_prefetched(self) -> None:
         """Forget what ``prefetch`` left on this thread, here and below.

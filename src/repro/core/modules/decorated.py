@@ -14,7 +14,7 @@ and be enhanced by the optimizer".  Two composition forms are provided:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.core.modules.base import Module
 
@@ -61,6 +61,10 @@ class DecoratedModule(Module):
 
     def _run(self, value: Any) -> Any:
         return self.wrapper.run(value)
+
+    def _children(self) -> Iterator[tuple[str, Module]]:
+        # ``inner`` is reached through ``wrapper``, which already wraps it.
+        yield "wrapper", self.wrapper
 
     def describe(self) -> str:
         """Inner module plus attached decorations."""

@@ -815,24 +815,10 @@ class RunCheckpoint:
         Optional :class:`~repro.llm.faults.CrashPoint`; every named
         execution boundary is announced to it, so tests can kill the run
         at any chunk or commit boundary.
-    fsync_every:
-        Appends between batched fsyncs.
-    fsync_interval:
-        Group-commit window in seconds for durable appends (header and
-        operator commits); ``0.0`` restores an fsync per commit.
     """
 
-    def __init__(
-        self,
-        path: str | Path,
-        resume: bool = True,
-        crash=None,
-        fsync_every: int = DEFAULT_FSYNC_EVERY,
-        fsync_interval: float = DEFAULT_FSYNC_INTERVAL,
-    ):
-        self.journal = CheckpointJournal(
-            path, fsync_every=fsync_every, fsync_interval=fsync_interval
-        )
+    def __init__(self, path: str | Path, resume: bool = True, crash=None):
+        self.journal = CheckpointJournal(path)
         self.resume = resume
         self.crash = crash
         self.stats = CheckpointStats()

@@ -55,9 +55,6 @@ __all__ = [
 #: derived from the worker count.
 DEFAULT_CHUNK_SIZE = 8
 
-#: Attribute names under which wrapper modules expose wrapped children.
-_CHILD_ATTRIBUTES = ("inner", "stage", "fallback", "teacher", "primary", "wrapper")
-
 
 def partition(values: Sequence[Any], chunk_size: int) -> list[list[Any]]:
     """Split ``values`` into consecutive chunks of ``chunk_size``.
@@ -110,18 +107,9 @@ def resolve_chunk_size(module: Module, chunk_size: int | None = None) -> int:
 
 def tree_parallel_safe(module: Module) -> bool:
     """Whether ``module`` and every wrapped child tolerate parallelism."""
-    if not module.parallel_safe:
-        return False
-    for attribute in _CHILD_ATTRIBUTES:
-        child = getattr(module, attribute, None)
-        if isinstance(child, Module) and not tree_parallel_safe(child):
-            return False
-    children = getattr(module, "stages", None)
-    if isinstance(children, (list, tuple)):
-        for child in children:
-            if isinstance(child, Module) and not tree_parallel_safe(child):
-                return False
-    return True
+    return module.parallel_safe and all(
+        tree_parallel_safe(child) for _, child in module._children()
+    )
 
 
 def _canonical_rank(record) -> int:

@@ -138,9 +138,9 @@ class LinguaManga:
         uninterrupted run.  ``resume=False`` discards any journal at the
         path and starts fresh.  Pass a preconfigured
         :class:`~repro.core.runtime.checkpoint.RunCheckpoint` via
-        ``checkpoint=`` instead for crash injection or custom fsync
-        batching.  Checkpointed runs default to ``workers=1`` (chunked
-        execution is what the journal records).
+        ``checkpoint=`` instead for crash injection.  Checkpointed runs
+        default to ``workers=1`` (chunked execution is what the journal
+        records).
 
         ``cancel`` (a :class:`~repro.core.runtime.cancel.CancelToken`)
         makes the run cooperatively cancellable: the serving layer cancels
@@ -180,17 +180,13 @@ class LinguaManga:
         window: int | None = None,
         ledger_path: "str | Any | None" = None,
         resume: bool = True,
-        ledger: "Any | None" = None,
         sink: "Any | None" = None,
         source_id: str = "",
         max_attempts: int = 3,
-        spill_dir: "str | Any | None" = None,
-        spill_budget_bytes: int | None = None,
         lease_timeout: float = 300.0,
         crash: "Any | None" = None,
         kill: "Any | None" = None,
         lease_fault: "Any | None" = None,
-        spill_fault: "Any | None" = None,
     ) -> RunReport:
         """Compile and execute as a memory-bounded stream.
 
@@ -198,7 +194,9 @@ class LinguaManga:
         iterable (a generator over millions of records is never
         materialized), the pipeline's chunk-capable core pulls fixed-size
         shards from a durable work queue, and peak memory stays
-        O(chunk_size x window) regardless of dataset size.  Requires a
+        O(chunk_size x window) regardless of dataset size: at most
+        ``window`` shards wait, in memory, between the source and the fold
+        (``report.recovery["inflight_peak_records"]``).  Requires a
         linear pipeline with a chunk-capable, parallel-safe core (see
         :class:`~repro.core.runtime.workqueue.StreamingExecutor`).
 
@@ -217,8 +215,8 @@ class LinguaManga:
         carries ``{"records", "sha256"}`` instead of the output list, and
         every operator after the streamed core must be a pass-through save.
 
-        ``crash`` / ``kill`` / ``lease_fault`` / ``spill_fault`` are chaos
-        hooks (:mod:`repro.llm.faults`) for the crash-resume test matrix.
+        ``crash`` / ``kill`` / ``lease_fault`` are chaos hooks
+        (:mod:`repro.llm.faults`) for the crash-resume test matrix.
         """
         import shutil
         import tempfile
@@ -226,17 +224,14 @@ class LinguaManga:
 
         from repro.core.runtime.workqueue import ShardLedger, StreamingExecutor
 
-        if ledger is not None and ledger_path is not None:
-            raise ValueError("pass ledger= or ledger_path=, not both")
         plan = self.compile(pipeline)
         if workers is None:
             workers = 1
         ephemeral_dir = None
-        if ledger is None:
-            if ledger_path is None:
-                ephemeral_dir = tempfile.mkdtemp(prefix="repro-stream-")
-                ledger_path = Path(ephemeral_dir) / "ledger.jsonl"
-            ledger = ShardLedger(ledger_path, resume=resume)
+        if ledger_path is None:
+            ephemeral_dir = tempfile.mkdtemp(prefix="repro-stream-")
+            ledger_path = Path(ephemeral_dir) / "ledger.jsonl"
+        ledger = ShardLedger(ledger_path, resume=resume)
         try:
             executor = StreamingExecutor(
                 plan,
@@ -247,20 +242,16 @@ class LinguaManga:
                 max_attempts=max_attempts,
                 lease_timeout=lease_timeout,
                 sink=sink,
-                spill_dir=spill_dir,
-                spill_budget_bytes=spill_budget_bytes,
                 source_id=source_id,
                 crash=crash,
                 kill=kill,
                 lease_fault=lease_fault,
-                spill_fault=spill_fault,
             )
             return executor.execute(inputs)
         finally:
             ledger.close()
             if ephemeral_dir is not None:
-                # Nobody holds the path, so the ledger (and the executor's
-                # spill directory beside it) can never be resumed.
+                # Nobody holds the path, so the ledger can never be resumed.
                 shutil.rmtree(ephemeral_dir, ignore_errors=True)
 
     # -- data and services ---------------------------------------------------------------

@@ -24,7 +24,8 @@ Three pieces:
   backoff on a dedicated virtual clock; a shard that keeps failing is
   **quarantined as poison** after ``max_attempts`` — reported, never
   aborting the run.  Backpressure: shards are materialized from the source
-  only while the in-flight window and the disk-spill budget have room.
+  only while the in-flight window has room, and a live shard's records
+  wait on its queue entry until the shard is folded.
 - :class:`StreamingExecutor` — drives a compiled
   :class:`~repro.core.compiler.plan.PhysicalPlan` through the queue and
   folds shard results into a normal :class:`RunReport`.
@@ -58,7 +59,7 @@ Fault points (for :class:`~repro.llm.faults.CrashPoint` /
 :class:`~repro.llm.faults.WorkerKillPoint` /
 :class:`~repro.llm.faults.TriggerPoint`): the per-shard boundaries
 ``shard:claimed``, ``shard:executed``, ``shard:journaled``; lease expiry
-injection at ``lease:granted``; spill-write failure at ``spill:write``.
+injection at ``lease:granted``.
 """
 
 from __future__ import annotations
@@ -76,16 +77,13 @@ from repro.core.compiler.plan import (
     OperatorResilience,
     PhysicalPlan,
     RunReport,
-    _add_call_spans,
-    _tree_degraded,
+    run_operator_step,
 )
 from repro.core.modules.base import QuarantinedRecord
 from repro.core.optimizer.cost import CostSnapshot
 from repro.core.runtime.checkpoint import (
     CheckpointJournal,
     CheckpointMismatchError,
-    DEFAULT_FSYNC_EVERY,
-    DEFAULT_FSYNC_INTERVAL,
     ReplayedValue,
     UnserializableValueError,
     _decode_quarantine,
@@ -107,7 +105,6 @@ from repro.llm.service import CallRecord, LLMService
 from repro.obs.profile import ProfileRow, RunProfile, profile_records
 from repro.resilience.clock import VirtualClock
 from repro.resilience.policy import RetryPolicy
-from repro.storage.spill import SpillStore, SpillWriteError
 
 __all__ = [
     "SHARD_LEDGER_FORMAT_VERSION",
@@ -132,9 +129,6 @@ DEFAULT_LEASE_TIMEOUT = 300.0
 
 #: Failed executions before a shard is quarantined as poison.
 DEFAULT_MAX_ATTEMPTS = 3
-
-#: Consecutive spill-write failures tolerated before the run aborts.
-MAX_SPILL_FAILURES = 8
 
 #: Deadline sentinel for leases that must not expire (poison in progress).
 _FOREVER = float("inf")
@@ -229,16 +223,8 @@ class ShardLedger:
       never re-executed after this line commits.
     """
 
-    def __init__(
-        self,
-        path: str | Path,
-        resume: bool = True,
-        fsync_every: int = DEFAULT_FSYNC_EVERY,
-        fsync_interval: float = DEFAULT_FSYNC_INTERVAL,
-    ):
-        self.journal = CheckpointJournal(
-            path, fsync_every=fsync_every, fsync_interval=fsync_interval
-        )
+    def __init__(self, path: str | Path, resume: bool = True):
+        self.journal = CheckpointJournal(path)
         self.resume = resume
         self.stats = ShardLedgerStats()
         self._shards: dict[int, dict] = {}
@@ -460,6 +446,9 @@ class _Shard:
     token: int = 0
     deadline: float = 0.0
     worker: str = ""
+    #: What the source produced for a live shard, shared by every attempt
+    #: (never mutated in place); replay and poison shards hold nothing.
+    records: list[Any] | None = None
 
 
 class WorkQueue:
@@ -474,10 +463,14 @@ class WorkQueue:
     makes backoff schedules deterministic too.
 
     Shards are materialized lazily from ``chunks`` (an iterator of record
-    lists) under two backpressure gates: the in-flight **window** (at most
-    ``window`` shards past the fold frontier) and the spill store's byte
-    budget.  Chunks whose index already has a ledger ``shard``/``poison``
-    line are registered as replay/poison folds and their records discarded
+    lists) under one backpressure gate, the in-flight **window**: at most
+    ``window`` shards past the fold frontier exist at once, so the queue
+    holds at most ``window x chunk_size`` source records
+    (``inflight_peak_records`` is the observed high-watermark).  A live
+    shard's record list stays on its entry — a retry re-reads it without
+    rewinding the source — and goes with the entry at :meth:`mark_folded`.
+    Chunks whose index already has a ledger ``shard``/``poison`` line are
+    registered as replay/poison folds and their records discarded
     immediately — a resume re-iterates the (deterministic) source instead
     of persisting shard inputs.
     """
@@ -487,7 +480,6 @@ class WorkQueue:
         chunks: Iterable[list[Any]],
         *,
         window: int,
-        spill: SpillStore,
         ledger: ShardLedger,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
@@ -504,7 +496,6 @@ class WorkQueue:
             raise ValueError("lease_timeout must be positive")
         self._chunks = iter(chunks)
         self.window = window
-        self.spill = spill
         self.ledger = ledger
         self.max_attempts = max_attempts
         self.lease_timeout = lease_timeout
@@ -520,15 +511,13 @@ class WorkQueue:
         self.metrics = metrics
         self._cond = threading.Condition()
         self._shards: dict[int, _Shard] = {}
-        self._pending_chunk: list[Any] | None = None
         self._next_index = 0
         self._exhausted = False
         self.n_shards: int | None = None
         self._frontier = 0
         self._token = 0
         self._aborted = False
-        self._spill_failures = 0
-        self._spill_estimate = 0
+        self.inflight_peak_records = 0
         self.lease_expiries = 0
         self.shard_failures = 0
         self.poisoned = 0
@@ -640,23 +629,21 @@ class WorkQueue:
             return False
         if self._next_index >= self._frontier + self.window:
             return False  # in-flight window full: backpressure
-        if self._pending_chunk is None:
-            try:
-                self._pending_chunk = next(self._chunks)
-            except StopIteration:
-                self._exhausted = True
-                self.n_shards = self._next_index
-                recorded = self.ledger.max_recorded_index()
-                if recorded >= self.n_shards:
-                    raise CheckpointMismatchError(
-                        f"ledger mentions shard {recorded} but the source "
-                        f"produced only {self.n_shards} shard(s); the source "
-                        "changed under a reused ledger"
-                    )
-                self._cond.notify_all()
-                return True
+        try:
+            chunk = next(self._chunks)
+        except StopIteration:
+            self._exhausted = True
+            self.n_shards = self._next_index
+            recorded = self.ledger.max_recorded_index()
+            if recorded >= self.n_shards:
+                raise CheckpointMismatchError(
+                    f"ledger mentions shard {recorded} but the source "
+                    f"produced only {self.n_shards} shard(s); the source "
+                    "changed under a reused ledger"
+                )
+            self._cond.notify_all()
+            return True
         index = self._next_index
-        chunk = self._pending_chunk
         if self.ledger.has_shard(index):
             expected = self.ledger.shard_n_records(index)
             if expected != len(chunk):
@@ -686,18 +673,6 @@ class WorkQueue:
                     _Shard(index, len(chunk), status=_POISONED, source="poison")
                 )
                 return True
-        if index > self._frontier and not self.spill.has_room(self._spill_estimate):
-            return False  # spill budget full: backpressure (frontier always runs)
-        try:
-            written = self.spill.put(str(index), chunk)
-        except SpillWriteError:
-            self._spill_failures += 1
-            if self._spill_failures >= MAX_SPILL_FAILURES:
-                raise
-            # The pulled chunk is kept; the next pass retries the write.
-            return True
-        self._spill_failures = 0
-        self._spill_estimate = written
         self._register_locked(
             _Shard(
                 index,
@@ -706,13 +681,19 @@ class WorkQueue:
                 source="live",
                 attempts=self.ledger.attempts(index),
                 not_before=self.clock.now,
+                records=chunk,
             )
         )
+        held = sum(
+            shard.n_records
+            for shard in self._shards.values()
+            if shard.records is not None
+        )
+        self.inflight_peak_records = max(self.inflight_peak_records, held)
         return True
 
     def _register_locked(self, shard: _Shard) -> None:
         self._shards[shard.index] = shard
-        self._pending_chunk = None
         self._next_index += 1
         self._cond.notify_all()
         self._gauges_locked()
@@ -760,6 +741,17 @@ class WorkQueue:
         ):
             return None
         return shard
+
+    def records(self, lease: Lease) -> list[Any] | None:
+        """What the source produced for ``lease``'s shard.
+
+        ``None`` once the shard has been folded, which only a zombie can
+        observe: its lease expired and the re-claiming worker finished
+        and folded the shard first.
+        """
+        with self._cond:
+            shard = self._shards.get(lease.index)
+            return None if shard is None else shard.records
 
     def heartbeat(self, lease: Lease) -> bool:
         """Extend a still-valid lease's deadline; False if already lost."""
@@ -904,13 +896,6 @@ def _add_rows(accumulated: ProfileRow, row: ProfileRow) -> ProfileRow:
     )
 
 
-@dataclass
-class _LivePoison:
-    """A quarantine verdict pending fold, with the live record objects."""
-
-    info: PoisonInfo
-
-
 # -- the streaming executor ----------------------------------------------------------
 
 
@@ -944,16 +929,11 @@ class StreamingExecutor:
         window: int | None = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
-        backoff: RetryPolicy | None = None,
         sink: Callable[[list[Any]], Any] | None = None,
-        spill_dir: str | Path | None = None,
-        spill_budget_bytes: int | None = None,
         source_id: str = "",
         crash: Any = None,
         kill: Any = None,
         lease_fault: Any = None,
-        spill_fault: Any = None,
-        queue_clock: VirtualClock | None = None,
     ):
         if workers < 1:
             raise ValueError("workers must be at least 1")
@@ -964,18 +944,12 @@ class StreamingExecutor:
         self.window = window if window is not None else max(4 * workers, 8)
         self.max_attempts = max_attempts
         self.lease_timeout = lease_timeout
-        self.backoff = backoff
         self.sink = sink
-        self.spill_dir = spill_dir
-        self.spill_budget_bytes = spill_budget_bytes
         self.source_id = source_id
         self.crash = crash
         self.kill = kill
         self.lease_fault = lease_fault
-        self.spill_fault = spill_fault
-        self.queue_clock = queue_clock or VirtualClock()
         self.queue: WorkQueue | None = None
-        self.spill: SpillStore | None = None
         # fold state
         self._fold_lock = threading.Lock()
         self._results_lock = threading.Lock()
@@ -1038,53 +1012,6 @@ class StreamingExecutor:
                         f"{binding.operator.kind!r}"
                     )
         return prefix, middle, suffix
-
-    # -- coordinator-side operators (prefix / suffix) -----------------------------------
-
-    def _run_op(self, binding, argument, report, profile, tracer, service):
-        """Execute one operator coordinator-side, exactly like plan.execute."""
-        ledger_mark = len(service.records)
-        degraded_before = _tree_degraded(binding.module)
-        module_start = service.clock.now
-        operator = binding.operator
-        phase_span = (
-            tracer.span(
-                operator.name, "phase", clock=service.clock,
-                operator_kind=operator.kind,
-            )
-            if tracer is not None
-            else nullcontext()
-        )
-        with phase_span:
-            module_span = (
-                tracer.span(
-                    binding.module.name, "module", clock=service.clock,
-                    module_type=type(binding.module).__name__,
-                )
-                if tracer is not None
-                else nullcontext()
-            )
-            with module_span as span:
-                value = binding.module.run(argument)
-                drained = binding.module.drain_quarantine()
-                degraded = _tree_degraded(binding.module) - degraded_before
-                slice_ = service.records[ledger_mark:]
-                if tracer is not None:
-                    span.set("quarantined", len(drained))
-                    span.set("degraded", degraded)
-            if tracer is not None:
-                _add_call_spans(span, slice_, module_start)
-        report.quarantine.extend(drained)
-        row = profile_records(operator.name, slice_, quarantined=len(drained))
-        profile.rows.append(row)
-        report.resilience[operator.name] = OperatorResilience(
-            quarantined=len(drained),
-            degraded=degraded,
-            llm_retries=row.retries,
-            llm_fallbacks=row.fallbacks,
-            llm_failures=row.failures,
-        )
-        return value
 
     # -- fault boundaries --------------------------------------------------------------
 
@@ -1152,9 +1079,9 @@ class StreamingExecutor:
             # a prefix with LLM calls re-pays and re-records identically).
             argument: Any = inputs or {}
             for binding in prefix:
-                argument = self._run_op(
+                argument = run_operator_step(
                     binding, argument, report, report.profile, tracer, service
-                )
+                )[0]
             # Re-warm the exact cache from the replayable shard prefix
             # *after* the prefix re-executed — the same temporal order the
             # original run inserted cache entries in.
@@ -1169,24 +1096,12 @@ class StreamingExecutor:
                     f"{prefix[-1].operator.name if prefix else '<inputs>'} "
                     "produced no iterable for the streamed core"
                 )
-            self.spill = SpillStore(
-                self._spill_directory(),
-                budget_bytes=self.spill_budget_bytes,
-                encode=encode_value,
-                decode=decode_value,
-                write_fault=self.spill_fault,
-            )
-            if obs is not None:
-                self.spill.metrics = obs.metrics
             self.queue = WorkQueue(
                 iter_chunks(argument, chunk_size),
                 window=self.window,
-                spill=self.spill,
                 ledger=self.ledger,
                 max_attempts=self.max_attempts,
                 lease_timeout=self.lease_timeout,
-                backoff=self.backoff,
-                clock=self.queue_clock,
                 lease_fault=self.lease_fault,
                 metrics=obs.metrics if obs is not None else None,
             )
@@ -1208,9 +1123,9 @@ class StreamingExecutor:
                 value: Any = self._output_buffer
                 values[middle[-1].operator.name] = value
                 for binding in suffix:
-                    value = self._run_op(
+                    value = run_operator_step(
                         binding, value, report, report.profile, tracer, service
-                    )
+                    )[0]
                     values[binding.operator.name] = value
             else:
                 summary = {
@@ -1220,7 +1135,6 @@ class StreamingExecutor:
                 values[middle[-1].operator.name] = summary
                 for binding in suffix:
                     values[binding.operator.name] = summary
-            self.spill.clear()
         report.partial = bool(report.quarantine)
         totals = report.profile.totals()
         report.cost = CostSnapshot(
@@ -1250,16 +1164,10 @@ class StreamingExecutor:
         report.recovery = self._recovery_summary()
         return report
 
-    def _spill_directory(self) -> Path:
-        if self.spill_dir is not None:
-            return Path(self.spill_dir)
-        return self.ledger.path.parent / (self.ledger.path.stem + ".spill")
-
     def _recovery_summary(self) -> dict:
         """Operational (non-canonical) counters for ``report.recovery``."""
         stats = self.ledger.stats
         queue = self.queue
-        spill = self.spill
         return {
             "mode": "streaming",
             "resumed": stats.resumed,
@@ -1272,11 +1180,12 @@ class StreamingExecutor:
             "torn_bytes": stats.torn_bytes,
             "lease_expiries": queue.lease_expiries if queue is not None else 0,
             "shard_failures": queue.shard_failures if queue is not None else 0,
-            "spill_peak_bytes": spill.peak_bytes if spill is not None else 0,
-            "spill_writes": spill.writes if spill is not None else 0,
-            "spill_write_failures": (
-                spill.write_failures if spill is not None else 0
+            "inflight_peak_records": (
+                queue.inflight_peak_records if queue is not None else 0
             ),
+            # Pinned: there is no spill tier, but the frozen
+            # benchmarks/e2e/workloads.py subscripts this key.
+            "spill_peak_bytes": 0,
         }
 
     # -- worker pool -------------------------------------------------------------------
@@ -1324,14 +1233,15 @@ class StreamingExecutor:
             self._execute_shard(lease)
 
     def _execute_shard(self, lease: Lease) -> None:
-        """One shard attempt: spill -> ops -> journal -> complete."""
+        """One shard attempt: ops -> journal -> complete."""
         service = self.plan.context.service
         queue = self.queue
         scopes: list = []
         op_name = self._middle[0].operator.name
-        records: list[Any] | None = None
+        records = queue.records(lease)
+        if records is None:
+            return  # zombie: the shard was re-claimed and folded already
         try:
-            records = self.spill.get(str(lease.index))
             self._announce("shard:claimed")
             current = records
             op_results = []
@@ -1379,8 +1289,6 @@ class StreamingExecutor:
                 return
             self.ledger.record_fail(lease.index, attempts, op_name, str(error))
             if verdict == "poison":
-                if records is None:
-                    records = self.spill.get(str(lease.index))
                 info = PoisonInfo(
                     index=lease.index,
                     n_records=len(records),
@@ -1397,7 +1305,7 @@ class StreamingExecutor:
     def _poison_carried(self, lease: Lease) -> None:
         """Quarantine a shard whose attempt budget died in a prior run."""
         op_name, error = self.ledger.last_fail(lease.index)
-        records = self.spill.get(str(lease.index))
+        records = self.queue.records(lease)
         info = PoisonInfo(
             index=lease.index,
             n_records=len(records),
@@ -1436,7 +1344,7 @@ class StreamingExecutor:
         report = self._report
         index = shard.index
         if shard.status == _POISONED:
-            self._fold_poison(index, shard, report, tracer, service)
+            self._fold_poison(index, report, tracer, service)
             return
         with self._results_lock:
             live = self._results.pop(index, None)
@@ -1503,10 +1411,8 @@ class StreamingExecutor:
                 degraded=degraded,
                 replayed=live is None,
             )
-        if shard.source == "live":
-            self.spill.remove(str(index))
 
-    def _fold_poison(self, index, shard, report, tracer, service) -> None:
+    def _fold_poison(self, index, report, tracer, service) -> None:
         with self._results_lock:
             info = self._live_poisons.pop(index, None)
         if info is None:
@@ -1543,5 +1449,3 @@ class StreamingExecutor:
                 degraded=0,
                 poisoned=True,
             )
-        if shard.source == "live":
-            self.spill.remove(str(index))

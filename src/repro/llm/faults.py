@@ -131,10 +131,8 @@ class TriggerPoint(CrashPoint):
 
     Used for fault points where the faulted component must decide what
     failing means locally: the work queue arms one on ``lease:granted`` to
-    force a lease expiry, and :class:`repro.storage.spill.SpillStore` arms
-    one on ``spill:write`` to fail a shard's disk spill.  :meth:`fires`
-    returns ``True`` exactly once, on the ``hits``-th arrival at the armed
-    boundary.
+    force a lease expiry.  :meth:`fires` returns ``True`` exactly once, on
+    the ``hits``-th arrival at the armed boundary.
     """
 
     def fires(self, boundary: str) -> bool:

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.compiler.plan import _tree_degraded
 from repro.core.modules.base import ModuleExecutionError
 from repro.core.modules.custom import CustomModule
-from repro.core.modules.decorated import RouterModule, SequentialModule
+from repro.core.modules.decorated import (
+    DecoratedModule,
+    RouterModule,
+    SequentialModule,
+)
 from repro.core.modules.llm_module import (
     LLMModule,
     parse_leading_word,
@@ -23,6 +28,7 @@ from repro.core.modules.validation import (
     RegexValidator,
     TypeValidator,
 )
+from repro.core.runtime.scheduler import tree_parallel_safe
 from repro.llm.errors import MalformedResponseError
 
 
@@ -68,6 +74,45 @@ class TestComposition:
         assert router.run("easy") == "cheap"
         assert router.run("hard") == "expensive"
         assert router.escalations == 1
+
+    def test_decorated_children_are_walked_once(self):
+        """One tree walker: stages, ``primary`` and ``wrapper`` are children."""
+
+        def picky(value):
+            if value == "bad":
+                raise ValueError("bad record")
+            return value
+
+        def skipping_map(name):
+            return MapModule(
+                name, CustomModule(f"{name}-inner", picky),
+                error_policy="skip_record",
+            )
+
+        seq = SequentialModule("s", [skipping_map("m")])
+        assert seq.run(["a", "bad", "b"]) == ["a", "b"]
+        assert [q.record for q in seq.drain_quarantine()] == ["bad"]
+        assert seq.config_identity() != SequentialModule(
+            "s", [skipping_map("m"), CustomModule("tail", picky)]
+        ).config_identity()
+
+        router = RouterModule(
+            "r", skipping_map("p"), CustomModule("f", picky), lambda v, r: False
+        )
+        assert router.run(["bad"]) == []
+        assert [q.record for q in router.drain_quarantine()] == ["bad"]
+
+        # ``inner`` is reached through ``wrapper``: drained once, not twice.
+        inner = skipping_map("i")
+        decorated = DecoratedModule(
+            "d", inner, SequentialModule("w", [inner]), ["validator"]
+        )
+        assert decorated.run(["bad", "c"]) == ["c"]
+        assert [name for name, _ in decorated._children()] == ["wrapper"]
+        assert [q.record for q in decorated.drain_quarantine()] == ["bad"]
+        inner.parallel_safe = False
+        assert not tree_parallel_safe(decorated)
+        assert _tree_degraded(decorated) == 0
 
     def test_map_module(self):
         mapper = MapModule("m", CustomModule("inc", lambda x: x + 1))

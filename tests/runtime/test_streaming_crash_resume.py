@@ -1,11 +1,11 @@
 """Chaos matrix for the streaming work-queue executor.
 
 The tentpole invariant (PR 6): a streaming run killed at *any* shard
-boundary — by whole-process death, by the death of a single worker, by a
-lease expiring under a live holder, or by a failing spill write — and then
-resumed (or simply left to carry on, for the survivable faults) produces a
-:class:`RunReport` byte-identical to an uninterrupted run, at workers 1,
-2 and 8, cold or warm cache.
+boundary — by whole-process death, by the death of a single worker, or by
+a lease expiring under a live holder — and then resumed (or simply left to
+carry on, for the survivable faults) produces a :class:`RunReport`
+byte-identical to an uninterrupted run, at workers 1, 2 and 8, cold or
+warm cache.
 
 Boundaries are enumerated mechanically with a probe run (a
 :class:`CrashPoint` armed on a name that never fires, read back through
@@ -149,13 +149,6 @@ class TestSurvivableFaults:
             assert fault.fired
             assert_reports_identical(baselines["cold"], report)
             assert report.recovery["lease_expiries"] >= 1
-
-    def test_spill_write_failure_is_retried(self, workers, baselines, tmp_path):
-        fault = TriggerPoint("spill:write", hits=2)
-        report, _ = run_er(workers, spill_fault=fault)
-        assert fault.fired
-        assert_reports_identical(baselines["cold"], report)
-        assert report.recovery["spill_write_failures"] == 1
 
 
 class TestResumeDetails:

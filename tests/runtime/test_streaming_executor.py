@@ -8,6 +8,7 @@ ledger, and on a pure-replay resume.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import tempfile
@@ -28,7 +29,7 @@ from repro.core.runtime.workqueue import (
     StreamingPlanError,
 )
 from repro.core.templates.library import get_template
-from repro.datasets import StreamingERCorpus
+from repro.datasets import CurationCorpus, StreamingERCorpus
 from repro.llm.providers import SimulatedProvider
 from repro.llm.service import LLMService
 from repro.obs import Observability
@@ -120,7 +121,8 @@ class TestByteIdentity:
         assert recovery["mode"] == "streaming"
         assert recovery["shards"] == 6
         assert recovery["journaled_shards"] == 6
-        assert recovery["spill_writes"] == 6
+        assert 0 < recovery["inflight_peak_records"] <= 48
+        assert recovery["spill_peak_bytes"] == 0  # pinned key, nothing spills
         assert not recovery["resumed"]
 
     def test_recovery_excluded_from_canonical(self):
@@ -148,7 +150,7 @@ class TestEphemeralLedger:
 
         assert leftovers() == []
         report, _ = run_streaming(workers=2)
-        assert report.recovery["spill_writes"] == 6  # the spill dir was used
+        assert report.recovery["inflight_peak_records"] > 0  # shards ran
         assert leftovers() == []
 
         def exploding_source():
@@ -199,7 +201,7 @@ class TestObservability:
         assert sum(s.attributes["records"] for s in shard_spans) == 24
         names = set(obs.metrics.as_dict())
         assert "workqueue.depth" in names
-        assert "spill.writes" in names
+        assert not any(name.startswith("spill.") for name in names)
 
 
 # -- hand-built plans for failure-path tests ------------------------------------
@@ -220,6 +222,17 @@ class Flaky(Module):
         if any(v == "POISON" for v in chunk):
             raise RuntimeError("poison pill")
         return ChunkOutcome(outputs=[v * 2 for v in chunk])
+
+
+class Scripted(Flaky):
+    """Chunk-capable toy module whose chunk function the test supplies."""
+
+    def __init__(self, fn, name="work"):
+        super().__init__(name)
+        self.fn = fn
+
+    def apply_chunk(self, chunk):
+        return ChunkOutcome(outputs=self.fn(chunk))
 
 
 def toy_plan(middle=None):
@@ -245,8 +258,11 @@ def toy_plan(middle=None):
     return PhysicalPlan(pipeline=pipeline, bound=bound, context=context)
 
 
-def run_toy(records, tmp_path, name="run.wal", workers=1, max_attempts=2, **kwargs):
-    plan = toy_plan()
+def run_toy(
+    records, tmp_path, name="run.wal", workers=1, max_attempts=2, middle=None,
+    **kwargs,
+):
+    plan = toy_plan(middle)
     ledger = ShardLedger(tmp_path / name)
     executor = StreamingExecutor(
         plan, ledger=ledger, workers=workers, chunk_size=2,
@@ -289,6 +305,108 @@ class TestPoisonQuarantine:
         a = run_toy(records, tmp_path, name="a.wal", workers=1)
         b = run_toy(records, tmp_path, name="b.wal", workers=4)
         assert_reports_identical(a, b)
+
+    def test_poison_quarantine_reprs_are_the_source_records(self, tmp_path):
+        # Shards used to reach the quarantine as decoded copies of a JSON
+        # round trip; the reprs the canonical report renders are pinned here.
+        def work(chunk):
+            if any(record["bad"] for record in chunk):
+                raise RuntimeError("poison pill")
+            return [record["id"] for record in chunk]
+
+        records = [
+            {"id": 1, "bad": False, "pair": ("a", "b")},
+            {"id": 2, "bad": False, "pair": ("c", "d")},
+            {"id": 3, "bad": True, "pair": ("caf\u00e9", 1.5), "nested": {"x": [1, None]}},
+            {"id": 4, "bad": False, "pair": ("e", "f")},
+        ]
+        expected = [
+            {
+                "module": "work",
+                "record": "{'id': 3, 'bad': True, 'pair': ('caf\u00e9', 1.5), "
+                "'nested': {'x': [1, None]}}",
+                "error": "shard 1 poisoned after 2 attempt(s): poison pill",
+            },
+            {
+                "module": "work",
+                "record": "{'id': 4, 'bad': False, 'pair': ('e', 'f')}",
+                "error": "shard 1 poisoned after 2 attempt(s): poison pill",
+            },
+        ]
+        first = run_toy(records, tmp_path, middle=Scripted(work))
+        assert first.canonical_dict()["quarantine"] == expected
+        resumed = run_toy(records, tmp_path, middle=Scripted(work))
+        assert resumed.canonical_dict()["quarantine"] == expected
+
+    def test_failed_shard_retries_on_what_the_source_produced(self, tmp_path):
+        seen = []
+
+        def work(chunk):
+            seen.append(list(chunk))
+            if len(seen) == 1:
+                raise RuntimeError("transient")
+            return [record["id"] for record in chunk]
+
+        records = [{"id": i, "pair": (i, str(i))} for i in range(4)]
+        report = run_toy(records, tmp_path, middle=Scripted(work))
+        # Shard 0 fails, backs off behind shard 1, then runs again.
+        assert seen == [records[:2], records[2:], records[:2]]
+        assert seen[2][0] is records[0]  # attempts share the source's objects
+        assert not report.partial
+        assert report.recovery["shard_failures"] == 1
+        assert next(iter(report.outputs.values())) == [0, 1, 2, 3]
+
+
+class TestShardInputs:
+    """A shard's records are the source's own objects, whatever they hold."""
+
+    def test_records_the_journal_cannot_encode_stream_like_batch(self, tmp_path):
+        def work(chunk):
+            return [len(record["tags"]) + record["id"] for record in chunk]
+
+        records = [{"id": i, "tags": frozenset({"a", i})} for i in range(6)]
+        streamed = run_toy(records, tmp_path, middle=Scripted(work))
+        batch = toy_plan(Scripted(work)).execute(
+            {"records": records}, workers=1, chunk_size=2
+        )
+        # Dict equality, not bytes: on a plan without a single LLM call the
+        # engines spell the zero cost totals ``0.0`` and ``0``.
+        assert streamed.canonical_dict() == batch.canonical_dict()
+        assert next(iter(streamed.outputs.values())) == [2, 3, 4, 5, 6, 7]
+
+    @pytest.mark.parametrize(
+        "template", ["entity_resolution", "quality_filter", "decontamination"]
+    )
+    def test_templates_do_not_mutate_shard_inputs(self, template, tmp_path):
+        # Every attempt of a shard is handed the same record objects, so
+        # the streamed operators must leave them as the source made them.
+        if template == "entity_resolution":
+            pipeline, inputs = er_pipeline(), {"pairs": CORPUS.inputs()}
+        else:
+            docs = CurationCorpus(n_docs=12, seed=7)
+            if template == "quality_filter":
+                kwargs = {"examples": docs.quality_examples(4)}
+            else:
+                kwargs = {
+                    "eval_items": list(docs.eval_set.items()),
+                    "examples": docs.decontamination_examples(4),
+                }
+            pipeline = get_template(template).instantiate(**kwargs)
+            inputs = {"documents": docs.inputs()}
+        executor = StreamingExecutor(
+            LinguaManga().compile(pipeline), ledger=ShardLedger(tmp_path / "x.wal")
+        )
+        prefix, middle, _ = executor._split_chain()
+        source = inputs
+        for binding in prefix:
+            source = binding.module.run(source)
+        shard = list(itertools.islice(source, 8))
+        before = copy.deepcopy(shard)
+        current = shard
+        for binding in middle:
+            current = list(binding.module.apply_chunk(current).outputs)
+        assert len(current) == len(shard) == 8
+        assert shard == before
 
 
 class TestPlanValidation:
@@ -399,3 +517,23 @@ class TestMemoryBounding:
         assert next(iter(report.outputs.values())) == [v * 2 for v in range(40)]
         # Never more than the window's worth of shards resident at once.
         assert 0 < high_water["value"] <= 3
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_inflight_records_bounded_by_window_times_chunk(
+        self, workers, tmp_path
+    ):
+        report = run_toy(range(80), tmp_path, workers=workers, window=3)
+        assert report.recovery["shards"] == 40
+        assert 0 < report.recovery["inflight_peak_records"] <= 3 * 2
+
+    def test_resume_holds_no_records_for_replayed_or_poisoned_shards(
+        self, tmp_path
+    ):
+        records = [1, 2, "POISON", 4, 5, 6]
+        first = run_toy(records, tmp_path)
+        assert first.recovery["inflight_peak_records"] > 0
+        second = run_toy(records, tmp_path)
+        assert second.recovery["resumed"]
+        assert second.recovery["replayed_shards"] == 2
+        assert second.recovery["quarantined_shards"] == 1
+        assert second.recovery["inflight_peak_records"] == 0

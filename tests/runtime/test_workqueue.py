@@ -8,8 +8,6 @@ from repro.core.runtime.checkpoint import (
     CheckpointError,
     CheckpointMismatchError,
     ReplayedValue,
-    decode_value,
-    encode_value,
 )
 from repro.core.runtime.workqueue import (
     PoisonInfo,
@@ -18,7 +16,6 @@ from repro.core.runtime.workqueue import (
 )
 from repro.llm.faults import TriggerPoint
 from repro.llm.service import LLMService
-from repro.storage.spill import SpillStore
 
 
 class _Scope:
@@ -45,15 +42,8 @@ def make_ledger(tmp_path, name="ledger.jsonl", resume=True, fingerprint="fp"):
 
 def make_queue(tmp_path, chunks, ledger=None, **kwargs):
     ledger = ledger or make_ledger(tmp_path)
-    spill = SpillStore(
-        tmp_path / "spill",
-        budget_bytes=kwargs.pop("spill_budget_bytes", None),
-        encode=encode_value,
-        decode=decode_value,
-        write_fault=kwargs.pop("spill_fault", None),
-    )
     kwargs.setdefault("window", 8)
-    return WorkQueue(iter(chunks), spill=spill, ledger=ledger, **kwargs), ledger
+    return WorkQueue(iter(chunks), ledger=ledger, **kwargs), ledger
 
 
 class TestShardLedger:
@@ -247,30 +237,43 @@ class TestWorkQueueBackpressure:
         with queue._cond:
             assert queue._materialize_locked()  # frontier advanced
 
-    def test_spill_budget_blocks_non_frontier(self, tmp_path):
-        big = [{"pad": "x" * 200}]
-        queue, _ = make_queue(
-            tmp_path, [list(big), list(big)], spill_budget_bytes=64
-        )
-        kind, lease0 = queue.next_task("w0")
-        assert kind == "lease"  # frontier shard always materializes
-        with queue._cond:
-            assert not queue._materialize_locked()  # budget exhausted
-        queue.complete(lease0)
-        queue.mark_folded(0)  # executor's fold removes the spill file
-        queue.spill.remove("0")
-        with queue._cond:
-            assert queue._materialize_locked()
+    def test_held_records_bounded_by_window_times_chunk(self, tmp_path):
+        # The window is the one memory bound: 40 two-record shards through a
+        # window of 3 never leave more than 3 x 2 source records waiting.
+        queue, _ = make_queue(tmp_path, [[i, -i] for i in range(40)], window=3)
+        while True:
+            kind, lease = queue.next_task("w0")
+            if kind == "done":
+                break
+            if kind == "retry":
+                queue.mark_folded(queue.next_foldable().index)
+                continue
+            assert queue.records(lease) == [lease.index, -lease.index]
+            assert queue.complete(lease)
+        assert queue.n_shards == 40
+        assert 0 < queue.inflight_peak_records <= 3 * 2
+        assert queue._shards == {}  # records went with their entries
 
-    def test_spill_write_failure_retries_same_chunk(self, tmp_path):
-        fault = TriggerPoint("spill:write", hits=1)
-        queue, _ = make_queue(tmp_path, [[1, 2]], spill_fault=fault)
+    def test_replayed_and_poisoned_shards_hold_no_records(self, tmp_path):
+        ledger = make_ledger(tmp_path)
+        ledger.record_shard(0, 2, [("op", _Scope(), _Outcome())], [1, 2])
+        ledger.record_poison(
+            PoisonInfo(
+                index=1, n_records=2, attempts=3, op="op", error="bad",
+                records=[3, 4],
+            )
+        )
+        ledger.close()
+        again = ShardLedger(tmp_path / "ledger.jsonl")
+        again.begin("fp", LLMService())
+        queue, _ = make_queue(tmp_path, [[1, 2], [3, 4], [5, 6]], ledger=again)
         kind, lease = queue.next_task("w0")
-        assert kind == "lease"
-        assert queue.spill.write_failures == 1
-        # The chunk survived the failed write: same records, not dropped.
-        assert queue.spill.get("0") == [1, 2]
-        assert queue.complete(lease)
+        assert (kind, lease.index) == ("lease", 2)  # the only live shard
+        assert queue.records(lease) == [5, 6]
+        with queue._cond:
+            assert queue._shards[0].records is None  # replay: discarded
+            assert queue._shards[1].records is None  # poison: discarded
+        assert queue.inflight_peak_records == 2
 
 
 class TestWorkQueueFailure:
@@ -294,6 +297,19 @@ class TestWorkQueueFailure:
         assert queue.next_task("w0") == ("done", None)
         assert queue.poisoned == 1
         assert queue.shard_failures == 2
+
+    def test_retry_is_handed_what_the_source_produced(self, tmp_path):
+        queue, _ = make_queue(tmp_path, [[{"k": 1}, {"k": (2, "b")}]])
+        _, lease = queue.next_task("w0")
+        first = queue.records(lease)
+        assert queue.fail(lease, "boom")[0] == "retry"
+        _, again = queue.next_task("w0")
+        assert again.attempt == 2
+        assert queue.records(again) == [{"k": 1}, {"k": (2, "b")}]
+        assert queue.records(again) is first  # attempts share the objects
+        assert queue.complete(again)
+        queue.mark_folded(0)
+        assert queue.records(again) is None  # gone with the folded entry
 
     def test_backoff_is_jittered_per_shard(self, tmp_path):
         queue, _ = make_queue(tmp_path, [[1], [2]])

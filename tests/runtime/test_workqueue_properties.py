@@ -21,7 +21,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.runtime.workqueue import ShardLedger, WorkQueue
 from repro.llm.faults import TriggerPoint
 from repro.llm.service import LLMService
-from repro.storage import SpillStore
 
 
 class _Scope:
@@ -46,8 +45,7 @@ def fresh_ledger(tmp_path, name):
 
 def fresh_queue(tmp_path, chunks, name="q", **kwargs):
     ledger = fresh_ledger(tmp_path, f"{name}.jsonl")
-    spill = SpillStore(tmp_path / f"{name}.spill")
-    queue = WorkQueue(iter(chunks), window=64, spill=spill, ledger=ledger, **kwargs)
+    queue = WorkQueue(iter(chunks), window=64, ledger=ledger, **kwargs)
     return queue, ledger
 
 
@@ -178,10 +176,7 @@ def test_replay_of_prefix_composes_with_resume(
     # Resume: journalled shards replay, the suffix executes.
     ledger = ShardLedger(prefix_path)
     ledger.begin("fp", LLMService())
-    spill = SpillStore(tmp_path / "resume.spill")
-    queue = WorkQueue(
-        iter(chunks), window=64, spill=spill, ledger=ledger, max_attempts=2
-    )
+    queue = WorkQueue(iter(chunks), window=64, ledger=ledger, max_attempts=2)
     resumed = drain(queue, ledger, fails)
     ledger.close()
 
@@ -237,13 +232,8 @@ def test_poisoned_shards_never_reexecute_after_commit(
     for round_ in range(2):
         ledger = ShardLedger(tmp_path / "run.jsonl")
         ledger.begin("fp", LLMService())
-        spill = SpillStore(tmp_path / f"again{round_}.spill")
         queue = WorkQueue(
-            iter(chunks),
-            window=64,
-            spill=spill,
-            ledger=ledger,
-            max_attempts=max_attempts,
+            iter(chunks), window=64, ledger=ledger, max_attempts=max_attempts
         )
         while True:
             kind, lease = queue.next_task("w")
