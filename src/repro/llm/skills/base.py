@@ -20,6 +20,8 @@ from repro.llm.knowledge import KnowledgeBase
 
 __all__ = ["Skill", "extract_json_field", "extract_text_field", "count_examples"]
 
+_JSON = json.JSONDecoder()
+
 
 class Skill(ABC):
     """One capability of the simulated LLM."""
@@ -36,6 +38,16 @@ class Skill(ABC):
         """The model's textual answer to ``prompt``."""
 
 
+def _last_labelled(prompt: str, label: str, tail: str) -> "re.Match[str] | None":
+    """Match of the right-most ``<label><tail>`` in ``prompt``, label case-blind.
+
+    The greedy any-character prefix makes the engine try start positions
+    from the end of the prompt backwards, so it stops at the last occurrence
+    without visiting the worked examples before it.
+    """
+    return re.match("(?s:.*)" + re.escape(label) + tail, prompt, re.IGNORECASE)
+
+
 def extract_json_field(prompt: str, label: str) -> dict[str, Any] | None:
     """Parse ``<label>: {json object}`` out of ``prompt``.
 
@@ -44,50 +56,27 @@ def extract_json_field(prompt: str, label: str) -> dict[str, Any] | None:
     inside worked examples, and the actual payload always comes last.
     Returns ``None`` when the label or valid JSON is absent.
     """
-    pattern = re.compile(re.escape(label) + r"\s*:\s*\{", re.IGNORECASE)
-    matches = list(pattern.finditer(prompt))
-    if not matches:
+    match = _last_labelled(prompt, label, r"\s*:\s*\{")
+    if match is None:
         return None
-    match = matches[-1]
-    start = match.end() - 1
-    depth = 0
-    in_string = False
-    escaped = False
-    for i in range(start, len(prompt)):
-        ch = prompt[i]
-        if in_string:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_string = False
-            continue
-        if ch == '"':
-            in_string = True
-        elif ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth == 0:
-                try:
-                    return json.loads(prompt[start : i + 1])
-                except json.JSONDecodeError:
-                    return None
-    return None
+    try:
+        # A valid object ends where its braces balance, so decoding from the
+        # opening brace reads exactly the ``{...}`` a brace count would cut.
+        return _JSON.raw_decode(prompt, match.end() - 1)[0]
+    except json.JSONDecodeError:
+        return None
 
 
 def extract_text_field(prompt: str, label: str) -> str | None:
     """Parse ``<label>: value`` (to end of line) out of ``prompt``.
 
     Takes the *last* occurrence: few-shot prompts repeat field labels inside
-    examples, and the payload always follows them.
+    examples, and the payload always follows them.  Last means the right-most
+    label that has a value, also when it sits inside an earlier occurrence's
+    value (``Input: see Input: x`` is ``x``).
     """
-    pattern = re.compile(
-        re.escape(label) + r"\s*:\s*(.+?)\s*$", re.IGNORECASE | re.MULTILINE
-    )
-    matches = list(pattern.finditer(prompt))
-    return matches[-1].group(1).strip() if matches else None
+    match = _last_labelled(prompt, label, r"\s*:\s*(.+?)\s*(?m:$)")
+    return match.group(1).strip() if match else None
 
 
 def count_examples(prompt: str) -> int:

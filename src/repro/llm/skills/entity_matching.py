@@ -104,6 +104,8 @@ def _fuzzy_containment(a: str, b: str) -> float:
     generic = [t for t in shorter if t in _GENERIC_TOKENS]
 
     def best(token: str) -> float:
+        if token in longer:
+            return 1.0  # what Jaro-Winkler gives equal strings, and its maximum
         return max(jaro_winkler_similarity(token, other) for other in longer)
 
     if distinctive:
@@ -147,11 +149,12 @@ def match_score(left: Mapping[str, Any], right: Mapping[str, Any]) -> float:
         elif weight >= 3.0:
             sim = _fuzzy_containment(a, b)
         else:
+            jaccard = jaccard_similarity(a, b)
             sim = max(
-                0.45 * jaccard_similarity(a, b)
+                0.45 * jaccard
                 + 0.35 * jaro_winkler_similarity(a, b)
                 + 0.20 * qgram_similarity(a, b),
-                jaccard_similarity(a, b),
+                jaccard,
             )
         total += weight * sim
         total_weight += weight

@@ -61,9 +61,27 @@ _UNIT_PATTERNS = [
     (re.compile(r"(\d+(?:\.\d+)?)\s*(?:ml|milliliter)s?\b", re.I), r"\1ml"),
     (re.compile(r"(\d+(?:\.\d+)?)\s*(?:gb|gigabyte)s?\b", re.I), r"\1gb"),
     (re.compile(r"(\d+(?:\.\d+)?)\s*(?:mb|megabyte)s?\b", re.I), r"\1mb"),
-    (re.compile(r"(\d+(?:\.\d+)?)\s*(?:in|inch|\")\b", re.I), r"\1in"),
+    # The inch mark is not a word character: ``\b`` belongs to the words only.
+    (re.compile(r"(\d+(?:\.\d+)?)\s*(?:(?:in|inch)\b|\")", re.I), r"\1in"),
     (re.compile(r"(\d+(?:\.\d+)?)\s*%", re.I), r"\1pct"),
 ]
+
+# One scan that says which of the rewrites above can match at all: group
+# ``k`` is a necessary condition for ``_UNIT_PATTERNS[k - 1]`` (a digit,
+# then what that pattern must read next — the first letters of each of its
+# unit words, under the same flags).  The lookahead consumes only the digit,
+# so ``3:45oz`` reports the digit before ``:45`` and the one before ``oz``;
+# at one digit at most one group can match (no unit word starts another's).
+# A rewrite leaves its digits glued to ``s``/``oz``/``ml``/``gb``/``mb``/
+# ``in``/``pct`` and everything after the match untouched, and none of those
+# suffixes can begin a later pattern's word, so it never puts a digit in
+# front of one: a hint taken before the first rewrite holds for all eight
+# (DESIGN §13 walks the table).
+_UNIT_HINT = re.compile(
+    r"\d(?=(:[0-5]\d)|\s*(?:(sec)|(fl|oz|ounce)|(ml|milliliter)|(gb|gigabyte)"
+    r"|(mb|megabyte)|(in|\")|(%)))",
+    re.I,
+)
 
 _WHITESPACE_RE = re.compile(r"\s+")
 _PUNCT_RE = re.compile(r"[^\w\s.%'-]", re.UNICODE)
@@ -93,7 +111,9 @@ def expand_abbreviations(text: str) -> str:
 
 def normalize_units(text: str) -> str:
     """Canonicalise measurement expressions (``12 fl oz`` -> ``12oz``)."""
-    for pattern, replacement in _UNIT_PATTERNS:
+    hinted = {match.lastindex for match in _UNIT_HINT.finditer(text)}
+    for index in sorted(hinted):
+        pattern, replacement = _UNIT_PATTERNS[index - 1]
         text = pattern.sub(replacement, text)
     return text
 
@@ -114,6 +134,23 @@ def _normalize_pass(text: str) -> str:
     return normalize_whitespace(text)
 
 
+def _settled(normalized: str) -> bool:
+    """Whether another sweep provably returns ``normalized`` (a sweep's output).
+
+    A sweep's output is lowercase, ``&``- and punctuation-free and single
+    spaced, and every step but two is a projection, so re-applying it there
+    changes nothing; accent stripping is one too once the text is ASCII.  The
+    two that can still move are the unit rewrites (run here: a canonical
+    ``12oz`` reads as a unit and rewrites to itself) and abbreviation
+    expansion (no token is a key: none expands).
+    """
+    return (
+        normalized.isascii()
+        and normalize_units(normalized) == normalized
+        and _ABBREVIATIONS.keys().isdisjoint(normalized.split())
+    )
+
+
 def normalize_text(text: str) -> str:
     """Full normalisation pipeline used by matchers before comparison.
 
@@ -121,11 +158,13 @@ def normalize_text(text: str) -> str:
     drops stray punctuation and collapses whitespace.  The pipeline is
     applied until a fixpoint, which makes it idempotent: stripping
     punctuation can expose tokens (abbreviations, unit expressions) that an
-    earlier step already passed over, so a single sweep is not stable.
+    earlier step already passed over, so a single sweep is not stable.  The
+    sweep that confirms the fixpoint is skipped when :func:`_settled` proves
+    what it would return.
     """
     for _ in range(10):
         normalized = _normalize_pass(text)
-        if normalized == text:
+        if normalized == text or _settled(normalized):
             return normalized
         text = normalized
     return text

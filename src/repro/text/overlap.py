@@ -23,6 +23,7 @@ mechanical rungs stay knowledge-free; the knowledge lives in the LLM rung.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -36,12 +37,15 @@ __all__ = [
 ]
 
 
-def ngram_set(text: str, n: int) -> set[tuple[str, ...]]:
-    """All word ``n``-grams of ``text`` (already canonicalised by caller)."""
-    tokens = text.split()
+def _token_ngrams(tokens: list[str], n: int) -> set[tuple[str, ...]]:
     if len(tokens) < n:
         return {tuple(tokens)} if tokens else set()
     return {tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)}
+
+
+def ngram_set(text: str, n: int) -> set[tuple[str, ...]]:
+    """All word ``n``-grams of ``text`` (already canonicalised by caller)."""
+    return _token_ngrams(text.split(), n)
 
 
 def build_ngram_index(
@@ -84,25 +88,19 @@ def overlap_profile(
     soft_n: int = 4,
 ) -> OverlapProfile:
     """Scan one document against pre-built hard and soft eval indexes."""
-    canonical = simple_canonical(text)
-    hard_grams = ngram_set(canonical, hard_n)
-    soft_grams = ngram_set(canonical, soft_n)
-    hard_hits = sum(1 for g in hard_grams if g in hard_index)
-    votes: dict[int, int] = {}
-    soft_hits = 0
-    for gram in soft_grams:
-        item = soft_index.get(gram)
-        if item is not None:
-            soft_hits += 1
-            votes[item] = votes.get(item, 0) + 1
+    tokens = simple_canonical(text).split()
+    hard_grams = _token_ngrams(tokens, hard_n)
+    # ``set & keys`` probes the index once per document n-gram, in C.
+    soft_found = _token_ngrams(tokens, soft_n) & soft_index.keys()
+    votes = Counter(soft_index[gram] for gram in soft_found)
     best_item = -1
     if votes:
         # Highest vote count; ties broken by lowest item index so the
         # profile is independent of dict iteration order.
         best_item = min(votes, key=lambda item: (-votes[item], item))
     return OverlapProfile(
-        hard_hits=hard_hits,
-        soft_hits=soft_hits,
+        hard_hits=len(hard_grams & hard_index.keys()),
+        soft_hits=len(soft_found),
         doc_ngrams=len(hard_grams),
         best_item=best_item,
     )

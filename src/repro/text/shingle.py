@@ -32,7 +32,8 @@ several times (the in-pipeline candidate scan, the runner's id pass, both
 sides of every candidate pair in the verify rung).  :func:`document_sketch`
 is the one place the curation kernels compute them: a pure function of
 ``(text, shingle_n)`` memoised in a small content-keyed LRU, so each
-document is canonicalised and shingled once per run.
+document is canonicalised and shingled once per run — and, within one
+sketch, each distinct shingle string of the two forms is hashed once.
 """
 
 from __future__ import annotations
@@ -157,8 +158,8 @@ class DocumentSketch(NamedTuple):
     knowledge_ids: memoryview  #: ``shingle_ids(knowledge_canonical(text), n)``
 
 
-def _frozen_ids(ids: tuple[int, ...]) -> memoryview:
-    return memoryview(array("I", ids)).toreadonly()
+def _frozen_ids(ids: Iterable[int]) -> memoryview:
+    return memoryview(array("I", sorted(ids))).toreadonly()
 
 
 #: Documents the sketch LRU holds (a few KB each).  One scan never relies on
@@ -172,8 +173,13 @@ _SKETCH_CAPACITY = 1024
 def document_sketch(text: str, n: int = 3) -> DocumentSketch:
     """The :class:`DocumentSketch` of ``text`` for shingle width ``n``."""
     simple = simple_canonical(text)
+    simple_shingles = word_shingles(simple, n)
+    knowledge_shingles = word_shingles(knowledge_canonical(text), n)
+    # The two forms share most of their shingle strings (and a form repeats
+    # its own): each distinct string is hashed once and both tiers read it.
+    ids = {s: shingle_id(s) for s in {*simple_shingles, *knowledge_shingles}}
     return DocumentSketch(
         _canonical_digest(simple),
-        _frozen_ids(shingle_ids(simple, n)),
-        _frozen_ids(shingle_ids(knowledge_canonical(text), n)),
+        _frozen_ids({ids[s] for s in simple_shingles}),
+        _frozen_ids({ids[s] for s in knowledge_shingles}),
     )

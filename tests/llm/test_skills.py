@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import random
+import re
 
 import pytest
 
@@ -48,6 +50,95 @@ class TestPromptParsing:
     def test_count_examples(self):
         prompt = "Task: t\nExample 1:\nInput: a\nExample 2:\nInput: b\nInput: c"
         assert count_examples(prompt) == 2
+
+    def test_extract_json_multi_line_object_and_escaped_quote(self):
+        prompt = 'record a :\n  {"name": "7\\" {vinyl}",\n   "n": [1, {"m": 2}]}\nOutput:'
+        assert extract_json_field(prompt, "Record A") == {
+            "name": '7" {vinyl}',
+            "n": [1, {"m": 2}],
+        }
+
+    def test_extract_json_malformed_last_object_is_none(self):
+        # The last labelled object is the payload; a broken one is not
+        # papered over with a worked example's.
+        prompt = 'Record A: {"name": "example"}\nRecord A: {"name": }'
+        assert extract_json_field(prompt, "Record A") is None
+        assert extract_json_field('Record A: {"open": 1', "Record A") is None
+
+    def test_a_later_label_without_a_value_is_stepped_over(self):
+        prompt = 'Record A: {"name": "payload"}\nCompare Record A: to Record B.\nInput: x\nInput:'
+        assert extract_json_field(prompt, "Record A") == {"name": "payload"}
+        assert extract_text_field(prompt, "Input") == "x"
+
+    def test_the_right_most_label_wins_inside_an_earlier_value(self):
+        assert extract_text_field("Input: see Input: x", "Input") == "x"
+
+    def test_field_parsers_equal_the_scan_everything_form(self):
+        """From-the-right parsing ≡ ``list(finditer)[-1]`` + brace counting."""
+        rng = random.Random(19)
+        lines = [
+            'Record A: {"name": "x", "n": 1}',
+            'record a : {"outer": {"inner": "a } \\" { b"}}',
+            'RECORD A:{"name": "y"} trailing',
+            'Record A: {"broken": ',
+            'Record A: {"bad": }',
+            "Record A: see below",
+            'Record A:\n  {"multi":\n    "line"}',
+            "Example 1:",
+            "Input: some value  ",
+            "input :\tother value",
+            "INPUT: {not json}",
+            "Output: Yes",
+            "",
+            "   ",
+            '{"stray": "object"}',
+        ]
+        for _ in range(1500):
+            prompt = "\n".join(rng.choice(lines) for _ in range(rng.randint(0, 7)))
+            assert extract_json_field(prompt, "Record A") == _json_field_reference(
+                prompt, "Record A"
+            ), prompt
+            assert extract_text_field(prompt, "Input") == _text_field_reference(
+                prompt, "Input"
+            ), prompt
+
+
+def _json_field_reference(prompt: str, label: str):
+    matches = list(re.finditer(re.escape(label) + r"\s*:\s*\{", prompt, re.IGNORECASE))
+    if not matches:
+        return None
+    start = matches[-1].end() - 1
+    depth, in_string, escaped = 0, False, False
+    for i in range(start, len(prompt)):
+        ch = prompt[i]
+        if in_string:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == '"':
+                in_string = False
+        elif ch == '"':
+            in_string = True
+        elif ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+            if depth == 0:
+                try:
+                    return json.loads(prompt[start : i + 1])
+                except json.JSONDecodeError:
+                    return None
+    return None
+
+
+def _text_field_reference(prompt: str, label: str):
+    matches = list(
+        re.finditer(
+            re.escape(label) + r"\s*:\s*(.+?)\s*$", prompt, re.IGNORECASE | re.MULTILINE
+        )
+    )
+    return matches[-1].group(1).strip() if matches else None
 
 
 class TestRouting:
