@@ -242,9 +242,9 @@ class Module(ABC):
 
         A module's ``prefetch`` may keep per-record work for the per-item
         calls of the same chunk (the LLM module keeps the prompts it
-        rendered).  :meth:`apply_chunk` implementations that prefetch call
-        this when the chunk ends — also when it raises — so nothing a
-        chunk prepared outlives it.
+        rendered and the answers it paid for).  :meth:`apply_chunk`
+        implementations that prefetch call this when the chunk ends — also
+        when it raises — so nothing a chunk prepared outlives it.
         """
         for _, child in self._children():
             child.drop_prefetched()

@@ -162,18 +162,18 @@ class LLMModule(Module):
         return "\n".join(lines)
 
     def prefetch(self, values: Sequence[Any]) -> int:
-        """Warm the service cache for ``values`` with one batched call.
+        """Pay for ``values``' uncached prompts with one batched call.
 
         Builds the first-attempt prompt for every value and submits the
         distinct uncached ones through the service's batched provider path
-        (:meth:`LLMService.prime`).  The per-item :meth:`run` calls then
-        hit the cache, so a chunk of N records costs one provider round
-        trip.  Best effort: failures surface on the per-item path, which
-        owns retry/fallback/quarantine semantics — a value whose prompt
-        cannot be rendered is left out here and fails there.
+        (:meth:`LLMService.prime`), so a chunk of N records costs one
+        provider round trip.  Best effort: failures surface on the per-item
+        path, which owns retry/fallback/quarantine semantics — a value whose
+        prompt cannot be rendered is left out here and fails there.
 
-        The rendered prompts stay on this thread for the per-item calls of
-        the same chunk (see :meth:`_first_prompt`), until
+        The rendered prompts and the answers this call paid for stay on
+        this thread for the per-item calls of the same chunk (see
+        :meth:`_first_prompt`, :meth:`_paid_answer`), until
         :meth:`drop_prefetched`.
         """
         rendered: dict[int, tuple[Any, str]] = {}
@@ -187,14 +187,17 @@ class LLMModule(Module):
                 continue
             rendered[id(value)] = (value, prompt)
             prompts.append(prompt)
+        answers: dict[str, str] = {}
         self._tls.rendered = rendered
+        self._tls.answers = answers
         return self.service.prime(
-            prompts, purpose=self.purpose, version=self.prompt_version
+            prompts, purpose=self.purpose, version=self.prompt_version, answers=answers
         )
 
     def drop_prefetched(self) -> None:
-        """Forget the prompts :meth:`prefetch` rendered on this thread."""
+        """Forget what :meth:`prefetch` rendered and paid for on this thread."""
         self._tls.rendered = None
+        self._tls.answers = None
 
     def _first_prompt(self, value: Any) -> str:
         """The first-attempt prompt: prefetch's rendering of ``value``, once.
@@ -211,24 +214,38 @@ class LLMModule(Module):
                 return entry[1]
         return self.build_prompt(value, strictness=0)
 
+    def _paid_answer(self, prompt: str) -> str | None:
+        """The answer prefetch paid for ``prompt`` in this chunk, once.
+
+        The provider call is already in the ledger and the cache; asking
+        the service again would only ledger a cache hit for an answer
+        nothing reused.  Taken, not read: a second record with the same
+        prompt asks the service and is the cache hit it looks like.
+        """
+        answers = getattr(self._tls, "answers", None)
+        return answers.pop(prompt, None) if answers else None
+
     def _run(self, value: Any) -> Any:
         last_problem = ""
         for attempt in range(self.max_attempts):
+            text = None
             if attempt == 0:
                 prompt = self._first_prompt(value)
+                text = self._paid_answer(prompt)
             else:
                 prompt = self.build_prompt(value, strictness=attempt)
-            try:
-                text = self.service.complete(
-                    prompt, purpose=self.purpose, version=self.prompt_version
-                )
-            except ProviderError:
-                # The service already exhausted its resilience policy
-                # (retries, fallback providers, breaker); count it so run
-                # reports can attribute outages per operator, then let the
-                # executor's error policy decide the record's fate.
-                self.provider_failures += 1
-                raise
+            if text is None:
+                try:
+                    text = self.service.complete(
+                        prompt, purpose=self.purpose, version=self.prompt_version
+                    )
+                except ProviderError:
+                    # The service already exhausted its resilience policy
+                    # (retries, fallback providers, breaker); count it so run
+                    # reports can attribute outages per operator, then let the
+                    # executor's error policy decide the record's fate.
+                    self.provider_failures += 1
+                    raise
             try:
                 parsed = self.parser(text)
             except MalformedResponseError as error:

@@ -31,8 +31,8 @@ class MapModule(Module):
     Map application is chunk-capable: the parallel scheduler may split the
     input list into record chunks and run :meth:`apply_chunk` on several
     worker threads.  When the inner module exposes ``prefetch`` (the LLM
-    module does), each chunk first warms the service cache with one batched
-    provider call, so N records cost one provider round trip, not N.
+    module does), each chunk first pays for its uncached prompts with one
+    batched provider call, so N records cost one provider round trip, not N.
     """
 
     module_type = "decorated"

@@ -341,9 +341,7 @@ class PromptCache:
         with self._lock:
             response = self._entries.get(key)
             if response is None:
-                self.stats.misses += 1
-                if self.metrics is not None:
-                    self.metrics.counter("cache.misses").inc()
+                self.count_misses(1)
                 return None
             self._entries.move_to_end(key)
             self.stats.exact_hits += 1
@@ -355,6 +353,18 @@ class PromptCache:
         """Whether the cache holds ``key`` (no stats, no LRU touch)."""
         with self._lock:
             return key in self._entries
+
+    def count_misses(self, count: int) -> None:
+        """Book ``count`` lookups that found nothing.
+
+        :meth:`get` books its own; the service's batched path looks a
+        whole chunk up with :meth:`peek`, which counts nothing, pays for
+        what is absent and books those misses here, once per batch.
+        """
+        with self._lock:
+            self.stats.misses += count
+            if self.metrics is not None:
+                self.metrics.counter("cache.misses").inc(count)
 
     def put(self, key: CacheKey, response: LLMResponse) -> None:
         """Insert/refresh an entry, evicting LRU past ``max_entries``."""

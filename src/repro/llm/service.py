@@ -28,7 +28,9 @@ The service is **thread safe** and built for the concurrent scheduler
   prompt is never served twice just because callers raced;
 - :meth:`prime` / :meth:`complete_many` are the **batched provider path**:
   N distinct uncached prompts go to the provider as one
-  ``complete_batch`` request instead of N sequential calls;
+  ``complete_batch`` request instead of N sequential calls, and each
+  answer is handed to the caller that asked (one ledger record per paid
+  prompt — a ``cached`` record always means an answer was reused);
 - :meth:`scoped` gives a worker thread its own ledger buffer and shadow
   clock so the scheduler can merge per-chunk call records in a
   deterministic order, independent of thread completion order.
@@ -641,6 +643,7 @@ class LLMService:
         purpose: str = "",
         max_tokens: int = 256,
         version: str = _NO_VERSION,
+        answers: dict[str, str] | None = None,
     ) -> int:
         """Warm the cache for ``prompts`` via one batched provider call.
 
@@ -652,10 +655,21 @@ class LLMService:
         N calls).  Best effort: a batch failure is swallowed so per-item
         calls can retry with the full resilience policy.  Returns the
         number of prompts served.
+
+        ``answers`` is an out-parameter: it receives ``prompt -> response
+        text`` for exactly the prompts this call paid for (and ledgered
+        as provider calls), so the caller can give each answer to the
+        record that asked for it instead of calling :meth:`complete` for
+        what would be an immediate cache hit.  Prompts skipped as cached
+        or in flight, and prompts the batch gave up on, are not in it.
+        Each paid prompt counts one cache miss — the lookup that found it
+        absent used :meth:`PromptCache.peek`, which counts nothing.
         """
         if not self.cache_enabled:
             return 0
         batch: list[tuple[CacheKey, str]] = []
+        # One gate for the whole batch: its keys are released together.
+        gate = threading.Event()
         with self._lock:
             epoch = self._cache_epoch
             for prompt in prompts:
@@ -664,7 +678,7 @@ class LLMService:
                 # moment it joins, so this is also the duplicate test.
                 if key in self._inflight or self.cache.peek(key):
                     continue
-                self._inflight[key] = threading.Event()
+                self._inflight[key] = gate
                 batch.append((key, prompt))
         if not batch:
             return 0
@@ -717,13 +731,15 @@ class LLMService:
                         )
                     )
                     self._cache_put(key, response, epoch)
+                    if answers is not None:
+                        answers[prompt] = response.text
                     served += 1
+                self.cache.count_misses(served)
         finally:
             with self._lock:
-                gates = [self._inflight.pop(key, None) for key, _ in batch]
-            for gate in gates:
-                if gate is not None:
-                    gate.set()
+                for key, _ in batch:
+                    self._inflight.pop(key, None)
+            gate.set()
         return served
 
     def _prime_via_hub(
@@ -821,17 +837,30 @@ class LLMService:
     ) -> list[str]:
         """Answer many prompts, batching the distinct uncached ones.
 
-        Equivalent to calling :meth:`complete` per prompt, except the cache
-        is first primed with one batched provider request; per-prompt
-        semantics (ledger records, errors, resilience) are unchanged.
+        One batched provider request pays for the distinct uncached
+        prompts and each answer goes to the first occurrence of its
+        prompt; every other prompt — cached, repeated, or given up on by
+        the batch — is a :meth:`complete` call with its per-prompt
+        semantics (ledger record, errors, resilience).  The ledger is the
+        one a prefetched ``MapModule`` chunk over the same prompts leaves.
         """
-        self.prime(prompts, purpose=purpose, max_tokens=max_tokens, version=version)
-        return [
-            self.complete(
-                prompt, purpose=purpose, max_tokens=max_tokens, version=version
-            )
-            for prompt in prompts
-        ]
+        answers: dict[str, str] = {}
+        self.prime(
+            prompts,
+            purpose=purpose,
+            max_tokens=max_tokens,
+            version=version,
+            answers=answers,
+        )
+        texts: list[str] = []
+        for prompt in prompts:
+            text = answers.pop(prompt, None)
+            if text is None:
+                text = self.complete(
+                    prompt, purpose=purpose, max_tokens=max_tokens, version=version
+                )
+            texts.append(text)
+        return texts
 
     def record_distilled(
         self,

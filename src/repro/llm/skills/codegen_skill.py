@@ -28,6 +28,20 @@ _SUGGEST_TRIGGER = re.compile(
 )
 
 
+def _mentions(prompt: str, *words: str) -> bool:
+    """Whether the lower-cased ``prompt`` holds any of ``words``.
+
+    The look before a trigger runs: the triggers are case-blind
+    alternations with no literal prefix, tried at every offset of the
+    prompt, and nearly every prompt is not about code.  Each alternative
+    contains one of ``words``, and they are spelt without ``i``, ``k`` and
+    ``s`` — the letters ``IGNORECASE`` also matches to ``İ ı K ſ`` — so
+    ``str.lower`` sees every spelling the regex would accept.
+    """
+    lowered = prompt.lower()
+    return any(word in lowered for word in words)
+
+
 def _task_from_prompt(prompt: str) -> str | None:
     description = extract_text_field(prompt, "Task") or prompt
     return codegen.route_task(description)
@@ -49,7 +63,9 @@ class CodeGenerationSkill(Skill):
     name = "codegen"
 
     def matches(self, prompt: str) -> bool:
-        return bool(_GENERATE_TRIGGER.search(prompt))
+        return _mentions(prompt, "code", "unct") and bool(
+            _GENERATE_TRIGGER.search(prompt)
+        )
 
     def respond(self, prompt: str, kb: KnowledgeBase) -> str:
         task = _task_from_prompt(prompt)
@@ -73,7 +89,7 @@ class CodeSuggestionSkill(Skill):
     name = "suggest"
 
     def matches(self, prompt: str) -> bool:
-        return bool(_SUGGEST_TRIGGER.search(prompt))
+        return _mentions(prompt, "code") and bool(_SUGGEST_TRIGGER.search(prompt))
 
     def respond(self, prompt: str, kb: KnowledgeBase) -> str:
         task = _task_from_prompt(prompt)

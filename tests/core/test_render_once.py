@@ -6,8 +6,9 @@ prefetch rendered are handed to those runs, so ``build_prompt`` is called
 once per record — plus once per validation re-prompt — and never for a
 record the wrapper stack does not send to the LLM.  These tests pin the
 call counts, the hand-off's scope (one chunk, one thread, one value
-object) and the error-policy behaviour of a record whose prompt cannot
-be rendered.
+object — for the rendered prompt and for the answer prefetch paid for,
+see ``test_single_pass.py``) and the error-policy behaviour of a record
+whose prompt cannot be rendered.
 """
 
 from __future__ import annotations
@@ -81,7 +82,12 @@ def records(n: int, start: int = 0) -> list[dict]:
 
 
 def handoff(module: LLMModule):
-    return getattr(module._tls, "rendered", None)
+    """What ``prefetch`` left on this thread: (rendered prompts, paid answers)."""
+    return getattr(module._tls, "rendered", None), getattr(module._tls, "answers", None)
+
+
+def cached_flags(module: LLMModule) -> list[bool]:
+    return [record.cached for record in module.service.records]
 
 
 class TestRenderCounts:
@@ -165,9 +171,10 @@ class TestHandOffScope:
         llm = CountingLLM(LLMService(ScriptedProvider()))
         items = records(5)
         MapModule("map", llm).apply_chunk(items)
-        assert handoff(llm) is None
+        assert handoff(llm) == (None, None)
         llm.run(items[0])
         assert llm.renders == [0] * 6
+        assert cached_flags(llm) == [False] * 5 + [True]  # asked the service again
 
     def test_nothing_is_kept_after_the_chunk_raises(self):
         provider = ScriptedProvider(rejects=lambda prompt: '"id": 2,' in prompt)
@@ -176,9 +183,10 @@ class TestHandOffScope:
         with pytest.raises(ModuleExecutionError, match="failed validation"):
             MapModule("map", llm).apply_chunk(items)  # fail policy: record 2 aborts it
         assert llm.renders == [0] * 5
-        assert handoff(llm) is None
-        llm.run(items[4])  # rendered by prefetch, never run: must render again
-        assert llm.renders == [0] * 6
+        assert handoff(llm) == (None, None)
+        llm.run(items[4])  # rendered and paid for by prefetch, never run
+        assert llm.renders == [0] * 6  # must render again
+        assert cached_flags(llm) == [False] * 5 + [True]  # and ask the service
 
     def test_a_replaced_value_is_rendered_again(self):
         provider = ScriptedProvider()
@@ -190,11 +198,15 @@ class TestHandOffScope:
             llm.run(changed)
             llm.run(dict(items[1]))  # equal content, another object
             llm.run(items[2])  # the very object prefetch saw
+            # The answer goes by prompt: the equal copy asked what prefetch
+            # paid for, the changed record did not.
+            assert list(handoff(llm)[1]) == [llm.build_prompt(items[0])]
         finally:
             llm.drop_prefetched()
-        assert llm.renders == [0] * 5
+        assert llm.renders == [0] * 6
         # The changed record was asked about as it is now, not as prefetched.
         assert [prompt.count('"score": 0.99') for prompt in provider.singles] == [1]
+        assert cached_flags(llm) == [False] * 4
 
     def test_a_prompt_is_handed_over_once(self):
         llm = CountingLLM(LLMService(ScriptedProvider()))
@@ -206,6 +218,7 @@ class TestHandOffScope:
         finally:
             llm.drop_prefetched()
         assert llm.renders == [0, 0]
+        assert cached_flags(llm) == [False, True]  # the second run is a real hit
 
     def test_another_thread_does_not_see_the_hand_off(self):
         llm = CountingLLM(LLMService(ScriptedProvider()))
@@ -217,8 +230,10 @@ class TestHandOffScope:
             worker.join(timeout=30)
             assert not worker.is_alive()
             assert llm.renders == [0] * 3
+            assert cached_flags(llm) == [False, False, True]  # it asked the service
             llm.run(items[1])
             assert llm.renders == [0] * 3
+            assert len(llm.service.records) == 3  # this thread took its answer
         finally:
             llm.drop_prefetched()
 
@@ -273,4 +288,4 @@ class TestUnrenderableRecord:
         assert isinstance(from_chunk.value.cause, ValueError)
         assert str(from_chunk.value.cause) == "cannot render 'bad'"
         assert str(from_chunk.value) == str(from_run.value)
-        assert handoff(mapper.inner) is None
+        assert handoff(mapper.inner) == (None, None)

@@ -192,6 +192,89 @@ class TestPrimeBatch:
         assert len(built) == 2
 
 
+class _NoBatches(_BatchRecorder):
+    """The batch endpoint is down; single calls work."""
+
+    def complete_batch(self, requests):
+        self.batches.append([request.prompt for request in requests])
+        raise ProviderError("batch endpoint down")
+
+
+def _shape(service: LLMService) -> list[tuple]:
+    return [(r.prompt, r.cached, r.outcome, r.provenance) for r in service.records]
+
+
+class TestCompleteMany:
+    """One pass: the batch pays, each answer goes to the prompt that asked."""
+
+    PROMPTS = [f"{PROMPT} (variant {i})" for i in range(6)]
+
+    def test_cold_is_one_provider_record_per_prompt(self):
+        provider = _BatchRecorder()
+        service = LLMService(provider)
+        texts = service.complete_many(self.PROMPTS, purpose="ask")
+        assert texts == [SimulatedProvider().complete(LLMRequest(p)).text for p in self.PROMPTS]
+        assert provider.batches == [self.PROMPTS]
+        assert _shape(service) == [
+            (p, False, "served", "provider") for p in self.PROMPTS
+        ]
+        assert (service.cache.stats.exact_hits, service.cache.stats.misses) == (0, 6)
+
+    def test_warm_is_one_cache_hit_per_prompt(self):
+        provider = _BatchRecorder()
+        service = LLMService(provider)
+        cold = service.complete_many(self.PROMPTS)
+        service.reset_usage()
+        assert service.complete_many(self.PROMPTS) == cold
+        assert len(provider.batches) == 1
+        assert _shape(service) == [
+            (p, True, "cached", "cache-exact") for p in self.PROMPTS
+        ]
+
+    def test_a_repeated_prompt_is_paid_once_and_answered_in_order(self):
+        provider = _BatchRecorder()
+        service = LLMService(provider)
+        a, b = PROMPT, "Which language is this? Text: The report was filed yesterday."
+        texts = service.complete_many([a, b, a, a])
+        assert texts[0] == texts[2] == texts[3] != texts[1]
+        assert provider.batches == [[a, b]]
+        assert [(r.prompt, r.cached) for r in service.records] == [
+            (a, False), (b, False), (a, True), (a, True)
+        ]
+
+    def test_a_failed_batch_falls_back_to_per_prompt_resilience(self):
+        provider = _NoBatches()
+        service = LLMService(provider, max_retries=2)
+        texts = service.complete_many(self.PROMPTS)
+        assert len(provider.batches) == 3  # the batch was retried, then given up
+        assert texts == [SimulatedProvider().complete(LLMRequest(p)).text for p in self.PROMPTS]
+        assert _shape(service) == [
+            (p, False, "served", "provider") for p in self.PROMPTS
+        ]
+
+    def test_budget_exhausted_mid_list_raises_at_that_prompt(self):
+        service = LLMService(_NoBatches(), max_calls=2)
+        with pytest.raises(BudgetExceededError):
+            service.complete_many(self.PROMPTS)
+        assert [r.prompt for r in service.records] == self.PROMPTS[:2]
+
+    def test_the_ledger_is_a_prefetched_chunks_ledger(self):
+        from repro.core.modules.llm_module import LLMModule
+        from repro.core.modules.mapping import MapModule
+
+        class Verbatim(LLMModule):
+            def build_prompt(self, value, strictness: int = 0) -> str:
+                return value
+
+        prompts = self.PROMPTS + self.PROMPTS[1:3]
+        direct = LLMService(SimulatedProvider())
+        direct.complete_many(prompts, purpose="ask")
+        chunked = LLMService(SimulatedProvider())
+        MapModule("map", Verbatim("ask", chunked, "unused")).apply_chunk(prompts)
+        assert direct.records == chunked.records
+        assert direct.served_calls == 6 and direct.cached_calls == 2
+
+
 class TestSimulatedProviderDeterminism:
     def test_same_prompt_same_answer(self):
         a = SimulatedProvider().complete(LLMRequest(prompt=PROMPT))

@@ -5,12 +5,16 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.llm.knowledge import KnowledgeBase
 from repro.llm.providers import LLMRequest, SimulatedProvider
 from repro.llm.skills import default_skills
+from repro.llm.skills import codegen_skill
 from repro.llm.skills.base import count_examples, extract_json_field, extract_text_field
 from repro.llm.skills.entity_matching import EntityMatchingSkill, match_score
 
@@ -172,6 +176,109 @@ class TestRouting:
 
     def test_fallback_always_answers(self):
         assert self.prompt_for("completely unrelated request") == "chat"
+
+
+#: Each code skill beside the trigger it may skip running.
+_CODE_SKILLS = [
+    (codegen_skill.CodeGenerationSkill(), codegen_skill._GENERATE_TRIGGER),
+    (codegen_skill.CodeSuggestionSkill(), codegen_skill._SUGGEST_TRIGGER),
+]
+
+#: The triggers' words in mixed case, with and without the four letters
+#: ``IGNORECASE`` matches beyond ASCII (``İ ı K ſ``).
+_TRIGGER_WORDS = [
+    "write", "WRİTE", "wrıte", "a", "the", "THE", "python", "Python",
+    "code", "CODE", "Code", "cod", "function", "FUNCTION", "FUNCTİON",
+    "functıon", "Function", "generate", "GENERATE", "implement", "ımplement",
+    "why", "does", "doeſ", "DOES", "this", "THIS", "thıſ", "fail", "FAİL",
+    "critique", "crıtıque", "read", "and", "K", "ſ", "İ", "ı",
+]
+
+
+def _assert_code_skills_equal_their_triggers(prompt: str) -> None:
+    for skill, trigger in _CODE_SKILLS:
+        assert skill.matches(prompt) == bool(trigger.search(prompt)), (
+            skill.name,
+            prompt,
+        )
+
+
+class TestCodeSkillTriggers:
+    """The look before a code trigger runs never changes what it decides."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.lists(
+            st.sampled_from(_TRIGGER_WORDS) | st.text(max_size=6), max_size=12
+        ),
+        st.sampled_from([" ", " ", "", "\n"]),
+    )
+    def test_matches_equals_the_bare_search(self, words, separator):
+        _assert_code_skills_equal_their_triggers(separator.join(words))
+
+    def test_every_documented_trigger_phrase_still_matches(self):
+        for phrase in (
+            "Write a Python function that splits names",
+            "WRITE THE CODE",
+            "please generate code for it",
+            "Implement A Function",
+            "wrİte functİon",
+        ):
+            assert codegen_skill.CodeGenerationSkill().matches(phrase), phrase
+        for phrase in (
+            "Why does this code fail?",
+            "CRITIQUE THIS CODE",
+            "Read the code and the failures",
+            "why doeſ the code faİl",
+        ):
+            assert codegen_skill.CodeSuggestionSkill().matches(phrase), phrase
+
+    def test_the_needles_have_no_case_partner_beyond_ascii(self):
+        """``str.lower`` sees every character the regex takes for these letters."""
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        for letter in "codeunt":
+            taken = set(re.findall(letter, every, re.IGNORECASE))
+            assert taken == {letter, letter.upper()}, (letter, taken)
+
+    def test_matches_equals_the_bare_search_on_task_prompts(self):
+        """Every prompt the ER, names, imputation and curation runs send."""
+        from repro.core.runtime.system import LinguaManga
+        from repro.datasets import generate_er_dataset
+        from repro.datasets.curation import CurationCorpus
+        from repro.datasets.imputation import generate_buy_dataset
+        from repro.datasets.names import generate_name_dataset
+        from repro.llm.service import LLMService
+        from repro.tasks.curation import (
+            run_decontamination,
+            run_dedup,
+            run_quality_filter,
+        )
+        from repro.tasks.entity_resolution import run_lingua_manga_er
+        from repro.tasks.imputation import run_llm_imputation
+        from repro.tasks.name_extraction import run_name_extraction
+
+        prompts: list[str] = []
+
+        class Recording(SimulatedProvider):
+            def complete(self, request: LLMRequest):
+                prompts.append(request.prompt)
+                return super().complete(request)
+
+        system = LinguaManga(service=LLMService(Recording()))
+        run_lingua_manga_er(system, generate_er_dataset("beer"))
+        run_name_extraction(system, generate_name_dataset(n_documents=30).documents)
+        run_llm_imputation(system, generate_buy_dataset(n_train=50, n_test=30).test)
+        corpus = CurationCorpus(60)
+        run_dedup(system, corpus)
+        run_quality_filter(system, corpus)
+        run_decontamination(system, corpus)
+        assert len(prompts) > 300
+        skills = {
+            next(s.name for s in default_skills() if s.matches(p)) for p in prompts
+        }
+        assert {"codegen", "suggest", "entity_matching", "tagging", "imputation"} <= skills
+        for prompt in prompts:
+            _assert_code_skills_equal_their_triggers(prompt)
 
 
 class TestEntityMatchingSkill:
