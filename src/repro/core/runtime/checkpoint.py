@@ -66,14 +66,10 @@ from dataclasses import fields as dataclass_fields
 from pathlib import Path
 from typing import Any, Iterable
 
+from repro._jsonl import _dump_line, _parse_line
 from repro.core.modules.base import QuarantinedRecord
 from repro.llm.service import CallRecord, CallScope, LLMService
 from repro.resilience.clock import VirtualClock
-
-try:  # pre-installed accelerator; journal bytes never require it
-    import orjson as _orjson
-except ImportError:  # pragma: no cover - exercised via the fallback paths
-    _orjson = None
 
 __all__ = [
     "JOURNAL_FORMAT_VERSION",
@@ -227,32 +223,6 @@ class ReplayedValue:
 
 
 # -- journal file -----------------------------------------------------------------
-
-
-def _dump_line(record: dict) -> bytes:
-    """Encode one compact JSONL line (orjson when present, else stdlib).
-
-    A line orjson refused (non-str keys, an integer beyond 64 bits) is
-    written by the stdlib behind one leading space, so :func:`_parse_line`
-    hands it back to the stdlib: ``orjson.loads`` would read such an
-    integer as a float and a resumed run would silently differ.
-    """
-    lead = ""
-    if _orjson is not None:
-        try:
-            return _orjson.dumps(record) + b"\n"
-        except TypeError:
-            lead = " "
-    return (
-        lead + json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n"
-    ).encode("utf-8")
-
-
-def _parse_line(line: bytes) -> Any:
-    """Decode one JSONL line; raises ValueError/UnicodeDecodeError on junk."""
-    if _orjson is not None and line[:1] != b" ":
-        return _orjson.loads(line)
-    return json.loads(line.decode("utf-8"))
 
 
 class CheckpointJournal:

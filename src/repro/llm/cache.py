@@ -25,7 +25,6 @@ every ledger record with which path answered it.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import threading
 from collections import OrderedDict
@@ -33,6 +32,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable
 
+from repro._jsonl import _dump_line, _dump_scalar, _parse_line
 from repro.llm.providers import LLMResponse
 
 __all__ = [
@@ -76,6 +76,9 @@ class CacheKey:
     prompt: str
     max_tokens: int
     namespace: str = ""
+    #: :func:`key_digest` of this key, kept once computed; no part of its
+    #: identity (constructor, ``==``, ``hash`` and ``repr`` do not see it).
+    _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def key_digest(key: CacheKey) -> str:
@@ -88,11 +91,17 @@ def key_digest(key: CacheKey) -> str:
     digested payload; the un-namespaced payload shape is unchanged, so
     every digest recorded before namespaces existed still verifies.
     """
-    parts: list = [key.provider, key.version, key.prompt, key.max_tokens]
-    if key.namespace:
-        parts.append(key.namespace)
-    payload = json.dumps(parts, ensure_ascii=False)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+    digest = key._digest
+    if digest is None:
+        parts: list = [key.provider, key.version, key.prompt, key.max_tokens]
+        if key.namespace:
+            parts.append(key.namespace)
+        # The bytes ``json.dumps(parts, ensure_ascii=False)`` encodes to:
+        # recorded digests are of exactly these.
+        payload = b"[" + b", ".join(map(_dump_scalar, parts)) + b"]"
+        digest = hashlib.sha256(payload).hexdigest()[:16]
+        object.__setattr__(key, "_digest", digest)
+    return digest
 
 
 @dataclass
@@ -116,36 +125,29 @@ class CacheStats:
         )
 
 
-def _encode_entry(key: CacheKey, response: LLMResponse) -> str:
-    payload: dict = {
-        "provider": key.provider,
-        "version": key.version,
-        "prompt": key.prompt,
-        "max_tokens": key.max_tokens,
-    }
+def _encode_entry(key: CacheKey, response: LLMResponse) -> bytes:
+    """One journal line, keys inserted in the sorted order they are written in."""
+    payload: dict = {"max_tokens": key.max_tokens}
     if key.namespace:
         # Written only when set so un-namespaced journals keep their
-        # pre-namespace byte format (and digests) exactly.
+        # pre-namespace format (and digests) exactly.
         payload["namespace"] = key.namespace
-    return json.dumps(
-        {
-            **payload,
-            "response": {
-                "text": response.text,
-                "prompt_tokens": response.prompt_tokens,
-                "completion_tokens": response.completion_tokens,
-                "model": response.model,
-                "skill": response.skill,
-                "latency_seconds": response.latency_seconds,
-            },
-        },
-        ensure_ascii=False,
-        sort_keys=True,
-    )
+    payload["prompt"] = key.prompt
+    payload["provider"] = key.provider
+    payload["response"] = {
+        "completion_tokens": response.completion_tokens,
+        "latency_seconds": response.latency_seconds,
+        "model": response.model,
+        "prompt_tokens": response.prompt_tokens,
+        "skill": response.skill,
+        "text": response.text,
+    }
+    payload["version"] = key.version
+    return _dump_line(payload)
 
 
-def _decode_entry(line: str) -> tuple[CacheKey, LLMResponse]:
-    payload = json.loads(line)
+def _decode_entry(line: bytes) -> tuple[CacheKey, LLMResponse]:
+    payload = _parse_line(line)
     key = CacheKey(
         provider=str(payload["provider"]),
         version=str(payload["version"]),
@@ -171,9 +173,12 @@ class CacheJournal:
     Every ``put`` appends one line; a rerun replays the journal to
     warm-start.  The format is crash tolerant: :meth:`load` skips lines
     that fail to parse (a truncated final line after a crash, editor
-    damage, garbage) and counts them in ``corrupt_lines`` instead of
-    failing the load.  :meth:`compact` rewrites the file from the live
-    entries, dropping superseded duplicates and evicted entries.
+    damage, bytes that are not UTF-8, garbage) and counts them in
+    ``corrupt_lines`` instead of failing the load, and the first
+    :meth:`append` after a torn final line ends that line before writing
+    its own.  :meth:`compact` rewrites the file from the live entries,
+    dropping superseded duplicates and evicted entries.  Lines go through
+    the codec all four journals share (:mod:`repro._jsonl`).
 
     Durability contract: every appended line is flushed to the operating
     system before :meth:`append` returns, so it survives the death of the
@@ -231,14 +236,13 @@ class CacheJournal:
         if not self.path.exists():
             return []
         entries: "OrderedDict[CacheKey, LLMResponse]" = OrderedDict()
-        with self.path.open("r", encoding="utf-8") as handle:
+        with self.path.open("rb") as handle:
             for line in handle:
-                line = line.strip()
-                if not line:
+                if line.isspace():
                     continue
                 try:
                     key, response = _decode_entry(line)
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                except (KeyError, TypeError, ValueError):
                     self.corrupt_lines += 1
                     continue
                 entries.pop(key, None)  # re-puts refresh recency order
@@ -254,8 +258,16 @@ class CacheJournal:
         handle = self._handle
         if handle is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            handle = self._handle = self.path.open("a", encoding="utf-8")
-        handle.write(_encode_entry(key, response) + "\n")
+            handle = self._handle = self.path.open("ab")
+            if handle.tell():
+                with self.path.open("rb") as written:
+                    written.seek(-1, os.SEEK_END)
+                    if written.read(1) != b"\n":
+                        # A crash mid-append left a line without its
+                        # newline.  It stays (load skips and counts it);
+                        # end it, or this entry is glued on and lost too.
+                        handle.write(b"\n")
+        handle.write(_encode_entry(key, response))
         handle.flush()
         self.lines_appended += 1
 
@@ -279,9 +291,9 @@ class CacheJournal:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         tmp = self._compact_tmp
         count = 0
-        with tmp.open("w", encoding="utf-8") as handle:
+        with tmp.open("wb") as handle:
             for key, response in entries:
-                handle.write(_encode_entry(key, response) + "\n")
+                handle.write(_encode_entry(key, response))
                 count += 1
             handle.flush()
             # Data must reach the disk before the rename can: otherwise a

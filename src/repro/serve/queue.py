@@ -78,15 +78,24 @@ class _IsolationAudit:
 
     def __init__(self) -> None:
         self._creators: dict[str, set[str]] = {}
+        #: tenant -> the cache keys its last :meth:`seed` saw, all registered.
+        self._seeded: dict[str, set] = {}
         self.violations: list[dict] = []
         self._lock = threading.Lock()
 
     def seed(self, tenant: str, keys) -> None:
-        """Register a tenant's journal-loaded cache keys as self-paid."""
+        """Register a tenant's cached keys as self-paid, each key once.
+
+        Called with the whole cache on every submit; only keys the
+        previous call did not see are digested, so a job's share of this
+        does not grow with what its tenant has cached.
+        """
         with self._lock:
-            for key in keys:
+            live = set(keys)
+            for key in live.difference(self._seeded.get(tenant, ())):
                 digest = _base_digest(key.prompt, key.max_tokens, key.version)
                 self._creators.setdefault(digest, set()).add(tenant)
+            self._seeded[tenant] = live
 
     def fold(self, tenant: str, job_id: str, records) -> None:
         with self._lock:

@@ -342,7 +342,7 @@ class TestHeldJournalHandle:
         monkeypatch.setattr(Path, "open", counting_open)
         for i in range(100):
             cache.put(key(f"p{i}"), response("x"))
-        assert opened == [("a",)]
+        assert opened == [("ab",)]
         assert len(_lines(path)) == 100  # each line visible without a close
 
     def test_every_append_is_flushed_before_it_returns(self, tmp_path):
@@ -464,8 +464,21 @@ class TestHeldJournalHandle:
         assert [cache.journal._handle for cache in caches] == [None, None]
 
     def test_journal_bytes_for_a_fixed_put_sequence_are_pinned(self, tmp_path):
-        """Digests recorded from the open-per-append implementation: the held
-        handle changes when bytes reach the file, never which bytes."""
+        """Which bytes reach the file for a fixed put sequence.  The line
+        format moved to the shared compact codec: each line re-encoded the
+        way every earlier build wrote it gives back the bytes pinned here
+        since the open-per-append implementation."""
+
+        def as_written_before(data: bytes) -> bytes:
+            return b"".join(
+                json.dumps(json.loads(line), ensure_ascii=False, sort_keys=True).encode()
+                + b"\n"
+                for line in data.splitlines()
+            )
+
+        def pin(data: bytes) -> tuple[int, str]:
+            return len(data), hashlib.sha256(data).hexdigest()
+
         path = tmp_path / "cache.jsonl"
         cache = PromptCache(path=path, max_entries=3)
         prompts = ["plain", "naïve café ☕", 'quote " and \\ and\nnewline', "d", "e"]
@@ -479,14 +492,22 @@ class TestHeldJournalHandle:
                 response(f"answer {turn}"),
             )
         data = path.read_bytes()
-        assert (len(data), hashlib.sha256(data).hexdigest()) == (
+        assert pin(data) == (
+            2734,
+            "2e4753abebba79ed2e575a5e1f2153469e4a493a5b30b43d26c8267c261eaf3a",
+        )
+        assert pin(as_written_before(data)) == (
             3018,
             "5939c7223e29acc5173d9977f8ed4c12eb04858239c40f5e4ed093a18aa7a005",
         )
         cache.clear()
         cache.put(key("after clear"), response("kept"))
         data = path.read_bytes()
-        assert (len(data), hashlib.sha256(data).hexdigest()) == (
+        assert pin(data) == (
+            185,
+            "686431001894a43cd4ca186dc505a8ac0f4073302fd0f25d027ba22246d57a34",
+        )
+        assert pin(as_written_before(data)) == (
             205,
             "6d2c14e6b3759c5a0553b4ecf6eb3e825f4cb72c610a9e6af9c31abf7c020ffd",
         )

@@ -123,11 +123,11 @@ def test_tenant_caches_stay_isolated_on_disk(queue, serve_dir):
     job = queue.submit(make_spec("imputation", tenant="globex"))
     queue.store.wait_for(job.job_id)
     queue.drain()
-    acme = (serve_dir / "tenants" / "acme" / "cache.jsonl").read_text()
-    globex = (serve_dir / "tenants" / "globex" / "cache.jsonl").read_text()
-    assert '"namespace": "acme"' in acme and '"namespace": "globex"' in globex
-    assert '"namespace": "globex"' not in acme
-    assert '"namespace": "acme"' not in globex
+    for tenant in ("acme", "globex"):
+        journal = serve_dir / "tenants" / tenant / "cache.jsonl"
+        lines = journal.read_bytes().splitlines()
+        namespaces = [json.loads(line)["namespace"] for line in lines]
+        assert namespaces and set(namespaces) == {tenant}
 
 
 def test_audit_tripwire_flags_alien_cache_hits(queue):
@@ -311,5 +311,80 @@ def test_failed_job_cache_entries_count_as_self_paid(serve_dir, virtual_clock):
     assert queue.store.wait_for(sibling.job_id).status == "succeeded"
     # the sibling's exact hits on the failed attempt's entries are its
     # own tenant's — the audit must stay clean.
+    assert queue.audit_violations == []
+    queue.close()
+
+
+def seeding_digests(queue, monkeypatch) -> list:
+    """Record every ``_base_digest`` call ``audit.seed`` makes from here on.
+
+    Jobs fold their ledgers from worker threads, so a caller that wants
+    seeding alone submits only while nothing runs.
+    """
+    from repro.serve import queue as queue_module
+
+    digested, seeding = [], []
+    real_digest, real_seed = queue_module._base_digest, queue.audit.seed
+
+    def digest(*args):
+        if seeding:
+            digested.append(args)
+        return real_digest(*args)
+
+    def seed(tenant, keys):
+        seeding.append(tenant)
+        try:
+            real_seed(tenant, keys)
+        finally:
+            seeding.pop()
+
+    monkeypatch.setattr(queue_module, "_base_digest", digest)
+    monkeypatch.setattr(queue.audit, "seed", seed)
+    return digested
+
+
+def test_audit_seeding_digests_each_cache_key_once(queue, monkeypatch):
+    """Every submit seeds the audit with its tenant's whole cache; a key
+    seeded before is skipped, so 12 jobs digest each key once — not each
+    key once per later submit."""
+    digested = seeding_digests(queue, monkeypatch)
+    for _ in range(2):  # the second round is answered from the caches
+        for tenant in ("acme", "globex", "initech"):
+            for task in ("imputation", "names"):
+                job = queue.submit(make_spec(task, tenant=tenant))
+                assert queue.store.wait_for(job.job_id).status == "succeeded"
+    queue.drain()
+    cached = sum(
+        len(queue.registry.get(tenant).cache)
+        for tenant in ("acme", "globex", "initech")
+    )
+    assert cached > 0 and len(digested) == cached
+    assert queue.audit_violations == []
+
+
+def test_keys_of_a_cancelled_attempt_are_seeded_by_the_next_submit(
+    serve_dir, virtual_clock, monkeypatch
+):
+    """A chunk cancelled in flight leaves cache entries no ledger fold saw;
+    the next submit must register them before a job can hit them."""
+    provider = GateProvider(SimulatedProvider(), gate_after=2)
+    queue = JobQueue(serve_dir, provider=provider, max_workers=1, clock=virtual_clock)
+    first = queue.submit(make_spec("imputation"))
+    assert provider.gated.wait(timeout=30)
+    queue.cancel(first.job_id)
+    provider.release.set()
+    assert queue.store.wait_for(first.job_id).status == "cancelled"
+    queue.drain()
+    left_behind = len(queue.registry.get("acme").cache)
+    assert left_behind > 0
+
+    digested = seeding_digests(queue, monkeypatch)
+    second = queue.submit(make_spec("imputation"))
+    assert len(digested) == left_behind
+    assert queue.store.wait_for(second.job_id).status == "succeeded"
+    queue.drain()
+    third = queue.submit(make_spec("imputation"))  # all hits, all its own
+    assert queue.store.wait_for(third.job_id).status == "succeeded"
+    assert len(digested) == len(queue.registry.get("acme").cache)
     assert queue.audit_violations == []
     queue.close()
