@@ -17,6 +17,7 @@ full-size run uses 1 000 000).
 from __future__ import annotations
 
 import gc
+import hashlib
 import os
 import time
 
@@ -80,6 +81,9 @@ def run_arm(n_pairs: int, workers: int) -> dict:
         "shards": report.recovery["shards"],
         "inflight_peak_records": report.recovery["inflight_peak_records"],
         "peak_rss_mb": max(peak_rss),
+        "report_sha256": hashlib.sha256(
+            report.canonical_json().encode("utf-8")
+        ).hexdigest(),
     }
 
 
@@ -142,10 +146,9 @@ def test_streaming_bench():
     # RSS stays flat too (soft gate: the meter is noisy under GC).
     if base["peak_rss_mb"] and big["peak_rss_mb"]:
         assert big["peak_rss_mb"] <= base["peak_rss_mb"] * 1.5 + 64
-    # Throughput does not collapse when workers scale up (the simulated
-    # provider is GIL-bound, so this is a no-regression gate, not speedup).
-    eight = arms[f"{PAIRS} pairs / 8w"]
-    assert eight["records_per_sec"] >= 0.4 * one["records_per_sec"]
+    # What the worker count may not change: the streamed report.
+    two = arms[f"{PAIRS} pairs / 2w"]
+    assert one["report_sha256"] == two["report_sha256"] == base["report_sha256"]
 
 
 def test_streaming_matches_batch_verdicts():

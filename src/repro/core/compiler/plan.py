@@ -100,8 +100,8 @@ class RunReport:
     quarantine: list[QuarantinedRecord] = field(default_factory=list)
     resilience: dict[str, OperatorResilience] = field(default_factory=dict)
     profile: RunProfile | None = None
-    #: Operational recovery counters (checkpoint replay, torn tails, lease
-    #: churn).  Deliberately **excluded** from :meth:`canonical_dict`: a
+    #: Operational recovery counters (checkpoint replay, torn tails, shard
+    #: failures).  Deliberately **excluded** from :meth:`canonical_dict`: a
     #: resumed run must produce a byte-identical canonical report, and these
     #: counters are exactly what differs between the crashed and the
     #: uninterrupted execution.

@@ -10,7 +10,6 @@ from repro.core.runtime.checkpoint import (
 from repro.core.runtime.scheduler import Scheduler
 from repro.core.runtime.system import LinguaManga
 from repro.core.runtime.workqueue import (
-    Lease,
     PoisonInfo,
     ShardLedger,
     StreamingExecutor,
@@ -29,7 +28,6 @@ __all__ = [
     "CheckpointMismatchError",
     "ShardLedger",
     "WorkQueue",
-    "Lease",
     "PoisonInfo",
     "StreamingExecutor",
     "StreamingPlanError",

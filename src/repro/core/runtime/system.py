@@ -183,10 +183,7 @@ class LinguaManga:
         sink: "Any | None" = None,
         source_id: str = "",
         max_attempts: int = 3,
-        lease_timeout: float = 300.0,
         crash: "Any | None" = None,
-        kill: "Any | None" = None,
-        lease_fault: "Any | None" = None,
     ) -> RunReport:
         """Compile and execute as a memory-bounded stream.
 
@@ -202,8 +199,8 @@ class LinguaManga:
 
         ``ledger_path`` makes the run crash-safe shard by shard: every
         completed shard is journalled write-ahead, a failed shard retries
-        with jittered backoff and is quarantined as poison after
-        ``max_attempts`` (reported, never fatal), and re-running with the
+        at once and is quarantined as poison after ``max_attempts``
+        (reported, never fatal), and re-running with the
         same path resumes at the shard frontier with a byte-identical
         report.  Without it a temporary ledger is used and removed when
         the run ends.  ``source_id`` should carry the input source's own
@@ -215,8 +212,8 @@ class LinguaManga:
         carries ``{"records", "sha256"}`` instead of the output list, and
         every operator after the streamed core must be a pass-through save.
 
-        ``crash`` / ``kill`` / ``lease_fault`` are chaos hooks
-        (:mod:`repro.llm.faults`) for the crash-resume test matrix.
+        ``crash`` is the chaos hook (:class:`repro.llm.faults.CrashPoint`)
+        for the crash-resume test matrix.
         """
         import shutil
         import tempfile
@@ -240,12 +237,9 @@ class LinguaManga:
                 chunk_size=chunk_size,
                 window=window,
                 max_attempts=max_attempts,
-                lease_timeout=lease_timeout,
                 sink=sink,
                 source_id=source_id,
                 crash=crash,
-                kill=kill,
-                lease_fault=lease_fault,
             )
             return executor.execute(inputs)
         finally:

@@ -17,15 +17,14 @@ Three pieces:
   when a shard exhausts its attempt budget.  The header pins the run
   fingerprint, the virtual clock and the prompt-cache state exactly like
   :class:`~repro.core.runtime.checkpoint.RunCheckpoint` does.
-- :class:`WorkQueue` — the in-memory shard state machine.  Every shard is
-  a ledger entry with a **lease** (claim -> heartbeat -> complete /
-  expire): a worker that dies mid-shard loses its lease and the shard is
-  re-claimed; deterministic failures retry with jittered exponential
-  backoff on a dedicated virtual clock; a shard that keeps failing is
-  **quarantined as poison** after ``max_attempts`` — reported, never
-  aborting the run.  Backpressure: shards are materialized from the source
-  only while the in-flight window has room, and a live shard's records
-  wait on its queue entry until the shard is folded.
+- :class:`WorkQueue` — the in-memory shard state machine: ``pending ->
+  running -> done | poisoned``.  A shard whose execution raises is
+  pending again at once and, being the smallest pending index, is what
+  the next idle worker runs; a shard that keeps failing is **quarantined
+  as poison** after ``max_attempts`` — reported, never aborting the run.
+  Backpressure: shards are materialized from the source only while the
+  in-flight window has room, and a live shard's records wait on its
+  queue entry until the shard is folded.
 - :class:`StreamingExecutor` — drives a compiled
   :class:`~repro.core.compiler.plan.PhysicalPlan` through the queue and
   folds shard results into a normal :class:`RunReport`.
@@ -40,26 +39,22 @@ The mechanics:
   (shard, op) order — the same float addition sequence live or replayed;
 - per-shard ledger records are **not** retained (that would be O(dataset)
   memory); instead the fold accumulates per-operator profile sums, which
-  are invariant under coalescing races and lease churn because every
+  are invariant under coalescing races and retries because every
   distinct prompt contributes exactly one originating record plus its
   exact-cache hits regardless of which shard attempt produced them;
-- an abandoned shard attempt (worker killed, lease lost after an injected
-  expiry) has its cache inserts **rolled back**
+- a failed shard attempt has its cache inserts **rolled back**
   (:meth:`~repro.llm.service.LLMService.rollback_scope`), so the retry
   re-serves exactly what an undisturbed run would have served.  This
   requires that duplicate prompts not straddle shards that can race with
-  a kill — :class:`repro.datasets.streaming.StreamingERCorpus` makes
-  prompts corpus-unique for precisely this reason;
-- lease losses never count toward the poison budget; only deterministic
-  failures (the module raising) do, so the poison verdict — and the
-  quarantine section of the report — is identical under any kill or crash
-  schedule.
+  a failing one — :class:`repro.datasets.streaming.StreamingERCorpus`
+  makes prompts corpus-unique for precisely this reason.  What a failed
+  attempt paid the provider is not in the report;
+- the poison verdict counts executions that raised, carried across a
+  crash by the ledger's ``fail`` lines, so the quarantine section of the
+  report is identical under any crash schedule.
 
-Fault points (for :class:`~repro.llm.faults.CrashPoint` /
-:class:`~repro.llm.faults.WorkerKillPoint` /
-:class:`~repro.llm.faults.TriggerPoint`): the per-shard boundaries
-``shard:claimed``, ``shard:executed``, ``shard:journaled``; lease expiry
-injection at ``lease:granted``.
+Fault points (for :class:`~repro.llm.faults.CrashPoint`): the per-shard
+boundaries ``shard:claimed``, ``shard:executed``, ``shard:journaled``.
 """
 
 from __future__ import annotations
@@ -100,18 +95,13 @@ from repro.core.runtime.scheduler import (
     resolve_chunk_size,
     tree_parallel_safe,
 )
-from repro.llm.faults import CrashInjected, WorkerKilled
 from repro.llm.service import CallRecord, LLMService
 from repro.obs.profile import ProfileRow, RunProfile, profile_records
-from repro.resilience.clock import VirtualClock
-from repro.resilience.policy import RetryPolicy
 
 __all__ = [
     "SHARD_LEDGER_FORMAT_VERSION",
-    "DEFAULT_LEASE_TIMEOUT",
     "DEFAULT_MAX_ATTEMPTS",
     "StreamingPlanError",
-    "Lease",
     "ShardOpReplay",
     "ShardReplay",
     "PoisonInfo",
@@ -124,17 +114,11 @@ __all__ = [
 #: Bumped whenever the shard-ledger schema changes; resume refuses others.
 SHARD_LEDGER_FORMAT_VERSION = 1
 
-#: Virtual seconds a lease stays valid without a heartbeat.
-DEFAULT_LEASE_TIMEOUT = 300.0
-
 #: Failed executions before a shard is quarantined as poison.
 DEFAULT_MAX_ATTEMPTS = 3
 
-#: Deadline sentinel for leases that must not expire (poison in progress).
-_FOREVER = float("inf")
-
 _PENDING = "pending"
-_LEASED = "leased"
+_RUNNING = "running"
 _DONE = "done"
 _POISONED = "poisoned"
 
@@ -209,10 +193,10 @@ class ShardLedger:
       columnar, prefix-shared encoding shared with the batch journal),
       per-operator virtual elapsed time, quarantine and degraded counts,
       and the shard's final outputs.  Written *before* the queue marks the
-      lease complete, so an acknowledged completion is always resumable.
-      Duplicate lines for one index are tolerated (a lease lost after
-      journalling but before completion re-executes and re-journals);
-      the last line wins.
+      shard done, so an acknowledged completion is always resumable.
+      Duplicate lines for one index are tolerated (a shard whose outputs
+      did not serialize re-executes on resume and re-journals); the last
+      line wins.
     - ``fail`` — one deterministic shard failure: attempt number, the
       operator that raised, the error text.  Resume counts a shard's fail
       lines to carry its attempt budget across a crash; they are ignored
@@ -362,7 +346,7 @@ class ShardLedger:
         op_results: list[tuple[str, Any, Any]],
         outputs: list[Any],
     ) -> None:
-        """Journal one executed shard (write-ahead of lease completion)."""
+        """Journal one executed shard (write-ahead of its completion)."""
         try:
             encoded = encode_value(list(outputs))
             replayable = True
@@ -422,16 +406,6 @@ class ShardLedger:
 # -- the work queue -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Lease:
-    """One worker's claim on one shard; the token fences zombie writers."""
-
-    index: int
-    token: int
-    attempt: int
-    worker: str
-
-
 @dataclass
 class _Shard:
     """Mutable per-shard queue state (guarded by the queue condition)."""
@@ -440,27 +414,21 @@ class _Shard:
     n_records: int
     status: str = _PENDING
     source: str = "live"  # live | replay | poison
-    attempts: int = 0  # deterministic failures (never lease losses)
-    lease_losses: int = 0
-    not_before: float = 0.0
-    token: int = 0
-    deadline: float = 0.0
-    worker: str = ""
+    attempts: int = 0  # executions that raised, this run and prior ones
     #: What the source produced for a live shard, shared by every attempt
     #: (never mutated in place); replay and poison shards hold nothing.
     records: list[Any] | None = None
 
 
 class WorkQueue:
-    """The durable shard state machine: claim -> heartbeat -> complete/expire.
+    """The shard state machine: pending -> running -> done | poisoned.
 
-    Single condition variable; every state change notifies.  The queue
-    runs on its own :class:`VirtualClock` (``clock``) — lease deadlines
-    and retry backoff are operational time, deliberately separate from the
-    service's canonical clock, so retries and lease churn never perturb
-    the deterministic report.  The clock only advances when the queue is
-    otherwise idle (no leases, nothing claimable or materializable), which
-    makes backoff schedules deterministic too.
+    Single condition variable; every state change notifies.  A claim is
+    the shard's index: :meth:`next_task` hands the smallest pending index
+    to an idle worker, which ends the attempt with :meth:`complete` or
+    :meth:`fail`.  A failed shard is pending again at once, so it is the
+    next thing run; after ``max_attempts`` failures it is held running
+    until the caller has journalled the verdict and confirms the poison.
 
     Shards are materialized lazily from ``chunks`` (an iterator of record
     lists) under one backpressure gate, the in-flight **window**: at most
@@ -482,32 +450,16 @@ class WorkQueue:
         window: int,
         ledger: ShardLedger,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
-        backoff: RetryPolicy | None = None,
-        clock: VirtualClock | None = None,
-        lease_fault: Any = None,
         metrics: Any = None,
     ):
         if window < 1:
             raise ValueError("window must be at least 1")
         if max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if lease_timeout <= 0:
-            raise ValueError("lease_timeout must be positive")
         self._chunks = iter(chunks)
         self.window = window
         self.ledger = ledger
         self.max_attempts = max_attempts
-        self.lease_timeout = lease_timeout
-        self.backoff = backoff or RetryPolicy(
-            max_retries=max_attempts,
-            backoff_seconds=0.5,
-            multiplier=2.0,
-            jitter=0.25,
-            seed="shard-backoff",
-        )
-        self.clock = clock or VirtualClock()
-        self.lease_fault = lease_fault
         self.metrics = metrics
         self._cond = threading.Condition()
         self._shards: dict[int, _Shard] = {}
@@ -515,10 +467,8 @@ class WorkQueue:
         self._exhausted = False
         self.n_shards: int | None = None
         self._frontier = 0
-        self._token = 0
         self._aborted = False
         self.inflight_peak_records = 0
-        self.lease_expiries = 0
         self.shard_failures = 0
         self.poisoned = 0
         self.replayed = 0
@@ -543,11 +493,11 @@ class WorkQueue:
 
     # -- the single evaluation pass ---------------------------------------------------
 
-    def next_task(self, worker: str) -> tuple[str, Lease | None]:
+    def next_task(self) -> tuple[str, int | None]:
         """One scheduling decision for one idle worker.
 
-        Returns ``("lease", lease)`` to execute a shard, ``("poison",
-        lease)`` when a shard's carried-over attempt budget is already
+        Returns ``("run", index)`` to execute a shard, ``("poison",
+        index)`` when a shard's carried-over attempt budget is already
         exhausted (the caller writes the verdict without re-executing),
         ``("retry", None)`` when the caller should fold and ask again, and
         ``("done", None)`` when every shard is folded (or the queue
@@ -557,71 +507,37 @@ class WorkQueue:
             while True:
                 if self._aborted:
                     return ("done", None)
-                now = self.clock.now
-                self._expire_locked(now)
-                shard = self._claimable_locked(now)
+                shard = self._claimable_locked()
                 if shard is not None:
-                    return (self._claim_locked(shard, worker, now), shard.lease)
+                    shard.status = _RUNNING
+                    self._gauges_locked()
+                    # A prior run burned the whole budget (crash landed
+                    # between the final fail line and the poison line):
+                    # quarantine without re-executing, so the resumed
+                    # verdict matches the uninterrupted one byte for byte.
+                    carried = shard.attempts >= self.max_attempts
+                    return ("poison" if carried else "run", shard.index)
                 if self._materialize_locked():
                     continue
                 if self._foldable_locked():
                     return ("retry", None)
                 if self._done_locked():
                     return ("done", None)
-                if self._advance_clock_locked():
-                    continue
                 # Timeout guards against a missed notify under real-time
                 # scheduling jitter; state is re-evaluated on every wake.
                 self._cond.wait(timeout=0.1)
 
-    def _expire_locked(self, now: float) -> None:
-        """Release every lease whose deadline has passed (lease loss)."""
-        for shard in self._shards.values():
-            if shard.status == _LEASED and shard.deadline <= now:
-                shard.status = _PENDING
-                shard.lease_losses += 1
-                shard.not_before = now
-                self.lease_expiries += 1
-                if self.metrics is not None:
-                    self.metrics.counter("workqueue.lease_expiries").inc()
-                self._cond.notify_all()
-
-    def _claimable_locked(self, now: float) -> _Shard | None:
-        """Smallest-index live shard ready to run right now."""
+    def _claimable_locked(self) -> _Shard | None:
+        """Smallest-index pending live shard."""
         candidate = None
         for shard in self._shards.values():
             if (
                 shard.status == _PENDING
                 and shard.source == "live"
-                and shard.not_before <= now
                 and (candidate is None or shard.index < candidate.index)
             ):
                 candidate = shard
         return candidate
-
-    def _claim_locked(self, shard: _Shard, worker: str, now: float) -> str:
-        """Grant a lease on ``shard``; returns the task kind."""
-        self._token += 1
-        shard.status = _LEASED
-        shard.token = self._token
-        shard.worker = worker
-        shard.deadline = now + self.lease_timeout
-        if self.lease_fault is not None and self.lease_fault.fires("lease:granted"):
-            # Injected expiry: the holder's completion will be rejected as
-            # stale and the shard re-claimed, exactly as if the lease had
-            # timed out under a stalled worker.
-            shard.deadline = now
-        shard.lease = Lease(shard.index, shard.token, shard.attempts + 1, worker)
-        if shard.attempts >= self.max_attempts:
-            # A prior run burned the whole budget (crash landed between the
-            # final fail line and the poison line): quarantine without
-            # re-executing, so the resumed verdict matches the
-            # uninterrupted one byte for byte.
-            shard.deadline = _FOREVER
-            self._gauges_locked()
-            return "poison"
-        self._gauges_locked()
-        return "lease"
 
     def _materialize_locked(self) -> bool:
         """Pull (at most) one chunk from the source; True if state changed."""
@@ -680,7 +596,6 @@ class WorkQueue:
                 status=_PENDING,
                 source="live",
                 attempts=self.ledger.attempts(index),
-                not_before=self.clock.now,
                 records=chunk,
             )
         )
@@ -705,137 +620,57 @@ class WorkQueue:
     def _done_locked(self) -> bool:
         return self._exhausted and self._frontier == self.n_shards
 
-    def _advance_clock_locked(self) -> bool:
-        """Jump the queue clock to the earliest backoff release, when idle.
+    # -- attempt verbs (a claim is the shard's index) ----------------------------------
 
-        Only legal with no outstanding leases — advancing under a live
-        lease could expire it while its holder is still executing, and
-        then rollback could race re-execution.  With every worker parked
-        here, the jump is exactly what a real scheduler's timed sleep
-        would do, minus the wall-clock wait.
-        """
-        if any(shard.status == _LEASED for shard in self._shards.values()):
-            return False
-        pending = [
-            shard.not_before
-            for shard in self._shards.values()
-            if shard.status == _PENDING and shard.source == "live"
-        ]
-        if not pending:
-            return False
-        target = min(pending)
-        if target <= self.clock.now:
-            return False
-        self.clock.now = target
-        return True
-
-    # -- lease verbs -------------------------------------------------------------------
-
-    def _holder_locked(self, lease: Lease) -> _Shard | None:
-        """The shard iff ``lease`` is still the live claim on it."""
-        shard = self._shards.get(lease.index)
-        if (
-            shard is None
-            or shard.status != _LEASED
-            or shard.token != lease.token
-        ):
-            return None
+    def _running_locked(self, index: int) -> _Shard:
+        shard = self._shards.get(index)
+        if shard is None or shard.status != _RUNNING:
+            raise RuntimeError(f"shard {index} is not running")
         return shard
 
-    def records(self, lease: Lease) -> list[Any] | None:
-        """What the source produced for ``lease``'s shard.
-
-        ``None`` once the shard has been folded, which only a zombie can
-        observe: its lease expired and the re-claiming worker finished
-        and folded the shard first.
-        """
+    def records(self, index: int) -> list[Any] | None:
+        """What the source produced for shard ``index`` (None once folded)."""
         with self._cond:
-            shard = self._shards.get(lease.index)
+            shard = self._shards.get(index)
             return None if shard is None else shard.records
 
-    def heartbeat(self, lease: Lease) -> bool:
-        """Extend a still-valid lease's deadline; False if already lost."""
+    def complete(self, index: int) -> None:
+        """Mark a running shard done: the fold may take it."""
         with self._cond:
-            shard = self._holder_locked(lease)
-            if shard is None or shard.deadline <= self.clock.now:
-                return False
-            if shard.deadline < _FOREVER:
-                shard.deadline = self.clock.now + self.lease_timeout
-            return True
-
-    def complete(self, lease: Lease) -> bool:
-        """Mark the shard done; False when the lease is stale.
-
-        A stale completion (expired or superseded lease) is rejected so a
-        zombie worker's half-done results are discarded — the caller must
-        roll back the attempt's cache inserts.
-        """
-        with self._cond:
-            shard = self._holder_locked(lease)
-            if shard is None or shard.deadline <= self.clock.now:
-                return False
-            shard.status = _DONE
+            self._running_locked(index).status = _DONE
             self._cond.notify_all()
             self._gauges_locked()
-            return True
 
-    def fail(self, lease: Lease, error: str) -> tuple[str, int, float]:
-        """Register a deterministic failure; returns the verdict.
+    def fail(self, index: int) -> tuple[str, int]:
+        """Register a failed execution; returns the verdict.
 
-        ``("retry", attempts, delay)`` schedules the re-claim after a
-        jittered exponential backoff on the queue clock; ``("poison",
-        attempts, 0.0)`` means the budget is spent — the caller journals
-        the verdict and confirms; ``("stale", 0, 0.0)`` means the lease
-        was already lost (the failure belongs to a zombie and counts for
-        nothing).
+        ``("retry", attempts)``: the shard is pending again and is the
+        next thing run; ``("poison", attempts)``: the budget is spent and
+        the shard stays running until the caller has journalled the
+        verdict and calls :meth:`confirm_poison`.
         """
         with self._cond:
-            shard = self._holder_locked(lease)
-            if shard is None or shard.deadline <= self.clock.now:
-                return ("stale", 0, 0.0)
+            shard = self._running_locked(index)
             shard.attempts += 1
             self.shard_failures += 1
             if self.metrics is not None:
                 self.metrics.counter("workqueue.shard_failures").inc()
             if shard.attempts >= self.max_attempts:
-                shard.deadline = _FOREVER  # held until the verdict commits
-                return ("poison", shard.attempts, 0.0)
-            delay = self.backoff.delay(shard.attempts - 1, key=str(shard.index))
+                return ("poison", shard.attempts)
             shard.status = _PENDING
-            shard.not_before = self.clock.now + delay
             self._cond.notify_all()
             self._gauges_locked()
-            return ("retry", shard.attempts, delay)
+            return ("retry", shard.attempts)
 
-    def confirm_poison(self, lease: Lease) -> bool:
+    def confirm_poison(self, index: int) -> None:
         """Commit the quarantine after the poison line is journalled."""
         with self._cond:
-            shard = self._holder_locked(lease)
-            if shard is None:
-                return False
-            shard.status = _POISONED
+            self._running_locked(index).status = _POISONED
             self.poisoned += 1
             if self.metrics is not None:
                 self.metrics.counter("workqueue.poisoned").inc()
             self._cond.notify_all()
             self._gauges_locked()
-            return True
-
-    def release(self, lease: Lease) -> bool:
-        """Give a lease back untouched (worker killed mid-shard)."""
-        with self._cond:
-            shard = self._holder_locked(lease)
-            if shard is None:
-                return False
-            shard.status = _PENDING
-            shard.lease_losses += 1
-            shard.not_before = self.clock.now
-            self.lease_expiries += 1
-            if self.metrics is not None:
-                self.metrics.counter("workqueue.lease_expiries").inc()
-            self._cond.notify_all()
-            self._gauges_locked()
-            return True
 
     # -- fold frontier -----------------------------------------------------------------
 
@@ -863,14 +698,14 @@ class WorkQueue:
     def _gauges_locked(self) -> None:
         if self.metrics is None:
             return
-        pending = leased = 0
+        pending = running = 0
         for shard in self._shards.values():
             if shard.status == _PENDING:
                 pending += 1
-            elif shard.status == _LEASED:
-                leased += 1
+            elif shard.status == _RUNNING:
+                running += 1
         self.metrics.gauge("workqueue.depth").set(pending)
-        self.metrics.gauge("workqueue.inflight").set(leased)
+        self.metrics.gauge("workqueue.inflight").set(running)
         self.metrics.gauge("workqueue.frontier").set(self._frontier)
 
 
@@ -928,12 +763,9 @@ class StreamingExecutor:
         chunk_size: int | None = None,
         window: int | None = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
         sink: Callable[[list[Any]], Any] | None = None,
         source_id: str = "",
         crash: Any = None,
-        kill: Any = None,
-        lease_fault: Any = None,
     ):
         if workers < 1:
             raise ValueError("workers must be at least 1")
@@ -943,12 +775,9 @@ class StreamingExecutor:
         self.chunk_size = chunk_size
         self.window = window if window is not None else max(4 * workers, 8)
         self.max_attempts = max_attempts
-        self.lease_timeout = lease_timeout
         self.sink = sink
         self.source_id = source_id
         self.crash = crash
-        self.kill = kill
-        self.lease_fault = lease_fault
         self.queue: WorkQueue | None = None
         # fold state
         self._fold_lock = threading.Lock()
@@ -1016,11 +845,9 @@ class StreamingExecutor:
     # -- fault boundaries --------------------------------------------------------------
 
     def _announce(self, boundary: str) -> None:
-        """Offer one named boundary to the armed crash and kill points."""
+        """Offer one named boundary to the armed crash point."""
         if self.crash is not None:
             self.crash.reached(boundary)
-        if self.kill is not None:
-            self.kill.reached(boundary)
 
     # -- execution ---------------------------------------------------------------------
 
@@ -1030,7 +857,7 @@ class StreamingExecutor:
         The caller's inputs are deliberately excluded (generator reprs are
         not stable); ``source_id`` carries the source's own fingerprint —
         e.g. :attr:`repro.datasets.streaming.StreamingERCorpus.fingerprint`.
-        Worker count, window and lease settings are operational knobs, not
+        Worker count, window and attempt budget are operational knobs, not
         identity: a run may resume with any of them changed.
         """
         return fingerprint_payload(
@@ -1101,8 +928,6 @@ class StreamingExecutor:
                 window=self.window,
                 ledger=self.ledger,
                 max_attempts=self.max_attempts,
-                lease_timeout=self.lease_timeout,
-                lease_fault=self.lease_fault,
                 metrics=obs.metrics if obs is not None else None,
             )
             self._run_workers()
@@ -1178,7 +1003,6 @@ class StreamingExecutor:
             "quarantined_shards": stats.quarantined_shards,
             "cache_entries_pruned": stats.cache_entries_pruned,
             "torn_bytes": stats.torn_bytes,
-            "lease_expiries": queue.lease_expiries if queue is not None else 0,
             "shard_failures": queue.shard_failures if queue is not None else 0,
             "inflight_peak_records": (
                 queue.inflight_peak_records if queue is not None else 0
@@ -1194,130 +1018,103 @@ class StreamingExecutor:
         errors: list[BaseException] = []
         errors_lock = threading.Lock()
 
-        def runner(name: str) -> None:
+        def runner() -> None:
             try:
-                self._worker_loop(name)
+                self._worker_loop()
             except BaseException as error:  # noqa: BLE001 - propagated below
                 with errors_lock:
                     errors.append(error)
                 self.queue.abort()
 
         if self.workers == 1:
-            runner("w0")
+            runner()
         else:
             with ThreadPoolExecutor(
                 max_workers=self.workers, thread_name_prefix="repro-stream"
             ) as pool:
-                futures = [
-                    pool.submit(runner, f"w{i}") for i in range(self.workers)
-                ]
+                futures = [pool.submit(runner) for _ in range(self.workers)]
                 for future in futures:
                     future.result()
         if errors:
             raise errors[0]
 
-    def _worker_loop(self, worker: str) -> None:
+    def _worker_loop(self) -> None:
         """One worker: fold what is ready, then claim and execute a shard."""
-        service = self.plan.context.service
-        queue = self.queue
         while True:
             self._fold_ready()
-            kind, lease = queue.next_task(worker)
+            kind, index = self.queue.next_task()
             if kind == "done":
                 return
-            if kind == "retry":
-                continue
             if kind == "poison":
-                self._poison_carried(lease)
-                continue
-            self._execute_shard(lease)
+                self._poison_carried(index)
+            elif kind == "run":
+                self._execute_shard(index)
 
-    def _execute_shard(self, lease: Lease) -> None:
+    def _execute_shard(self, index: int) -> None:
         """One shard attempt: ops -> journal -> complete."""
         service = self.plan.context.service
         queue = self.queue
         scopes: list = []
         op_name = self._middle[0].operator.name
-        records = queue.records(lease)
-        if records is None:
-            return  # zombie: the shard was re-claimed and folded already
+        records = queue.records(index)
         try:
             self._announce("shard:claimed")
             current = records
             op_results = []
             for binding in self._middle:
                 op_name = binding.operator.name
-                if not queue.heartbeat(lease):
-                    # Lease lost (injected expiry or supersession) before
-                    # this op: abandon the attempt and hand the shard back.
-                    # A born-expired lease fails its *first* heartbeat, so
-                    # the zombie executes nothing and the re-claiming
-                    # worker never observes its cache state.
-                    for scope in scopes:
-                        service.rollback_scope(scope)
-                    queue.release(lease)
-                    return
                 with service.scoped(self._run_base) as scope:
+                    # Registered on entry: an operator that raises after
+                    # paying must still have its cache inserts rolled back.
+                    scopes.append(scope)
                     outcome = binding.module.apply_chunk(current)
-                scopes.append(scope)
                 op_results.append((op_name, scope, outcome))
                 current = list(outcome.outputs)
             self._announce("shard:executed")
-            self.ledger.record_shard(lease.index, len(records), op_results, current)
+            self.ledger.record_shard(index, len(records), op_results, current)
             self._announce("shard:journaled")
-            if queue.complete(lease):
-                with self._results_lock:
-                    self._results[lease.index] = (op_results, current)
-            else:
-                # Lease lost (injected expiry or supersession): this
-                # attempt's results are zombie state — discard them and
-                # un-cache whatever its provider calls inserted, so the
-                # re-claimed attempt re-serves identically.
-                for scope in scopes:
-                    service.rollback_scope(scope)
-        except WorkerKilled:
+            # Results first: once the shard is done another worker may fold it.
+            with self._results_lock:
+                self._results[index] = (op_results, current)
+            queue.complete(index)
+        except Exception as error:  # a CrashInjected unwinds past this
             for scope in scopes:
                 service.rollback_scope(scope)
-            queue.release(lease)
-        except CrashInjected:
-            raise
-        except Exception as error:  # deterministic shard failure
-            for scope in scopes:
-                service.rollback_scope(scope)
-            verdict, attempts, _delay = queue.fail(lease, str(error))
-            if verdict == "stale":
-                return
-            self.ledger.record_fail(lease.index, attempts, op_name, str(error))
+            verdict, attempts = queue.fail(index)
+            self.ledger.record_fail(index, attempts, op_name, str(error))
             if verdict == "poison":
-                info = PoisonInfo(
-                    index=lease.index,
-                    n_records=len(records),
-                    attempts=attempts,
-                    op=op_name,
-                    error=str(error),
-                    records=records,
+                self._quarantine(
+                    PoisonInfo(
+                        index=index,
+                        n_records=len(records),
+                        attempts=attempts,
+                        op=op_name,
+                        error=str(error),
+                        records=records,
+                    )
                 )
-                self.ledger.record_poison(info)
-                with self._results_lock:
-                    self._live_poisons[lease.index] = info
-                queue.confirm_poison(lease)
 
-    def _poison_carried(self, lease: Lease) -> None:
+    def _poison_carried(self, index: int) -> None:
         """Quarantine a shard whose attempt budget died in a prior run."""
-        op_name, error = self.ledger.last_fail(lease.index)
-        records = self.queue.records(lease)
-        info = PoisonInfo(
-            index=lease.index,
-            n_records=len(records),
-            attempts=lease.attempt - 1,
-            op=op_name or self._middle[0].operator.name,
-            error=error,
-            records=records,
+        op_name, error = self.ledger.last_fail(index)
+        records = self.queue.records(index)
+        self._quarantine(
+            PoisonInfo(
+                index=index,
+                n_records=len(records),
+                attempts=self.ledger.attempts(index),
+                op=op_name or self._middle[0].operator.name,
+                error=error,
+                records=records,
+            )
         )
+
+    def _quarantine(self, info: PoisonInfo) -> None:
+        """Journal the poison verdict, then commit it in the queue."""
         self.ledger.record_poison(info)
         with self._results_lock:
-            self._live_poisons[lease.index] = info
-        self.queue.confirm_poison(lease)
+            self._live_poisons[info.index] = info
+        self.queue.confirm_poison(info.index)
 
     # -- the fold ----------------------------------------------------------------------
 

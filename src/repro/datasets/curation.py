@@ -579,8 +579,8 @@ class CurationCorpus:
             sentences = sentences[:position] + [splice] + sentences[position:]
         doc_id = f"D{index:07d}"
         # A per-document reference sentence keeps every rendered prompt
-        # corpus-unique — the streaming executor's worker-kill cache
-        # rollback relies on that (see repro.core.runtime.workqueue).
+        # corpus-unique — the streaming executor's rollback of a failed
+        # attempt relies on that (see repro.core.runtime.workqueue).
         text = " ".join(sentences + [f"Catalogue ref {doc_id}."])
         return CurationDoc(
             index=index,

@@ -12,8 +12,8 @@ inputs by skipping the source forward instead of persisting them.
 
 Every record carries an index-derived ``lot`` attribute, which makes each
 pair's rendered prompt unique across the corpus.  That is deliberate: the
-streaming executor's byte-identity guarantee under *worker kills* relies on
-an abandoned shard attempt's cache inserts being removable without another
+streaming executor's byte-identity guarantee under *shard retries* relies on
+a failed shard attempt's cache inserts being removable without another
 in-flight shard having already consumed them, which prompt-uniqueness makes
 structural (see ``repro.core.runtime.workqueue``).  Process-crash resume
 has no such requirement.

@@ -400,9 +400,8 @@ class PromptCache:
     def remove(self, key: CacheKey) -> bool:
         """Drop one entry (in-memory only); True if it existed.
 
-        This is the scope-rollback hook: when a streaming shard attempt is
-        abandoned (worker killed, lease lost mid-flight), the entries that
-        attempt inserted must not survive it, or the retry would find its
+        This is the scope-rollback hook: when a streaming shard attempt
+        fails (an operator raised), the entries that attempt inserted must not survive it, or the retry would find its
         own half-done answers already cached and report a cheaper run than
         an undisturbed execution.  The journal is deliberately left alone —
         a durable resume reconciles it against the run header's

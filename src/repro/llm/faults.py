@@ -27,9 +27,6 @@ __all__ = [
     "ChaosProvider",
     "CrashInjected",
     "CrashPoint",
-    "WorkerKilled",
-    "WorkerKillPoint",
-    "TriggerPoint",
 ]
 
 
@@ -53,8 +50,9 @@ class CrashPoint:
 
     The checkpoint runtime (:mod:`repro.core.runtime.checkpoint`) announces
     named execution boundaries — ``chunk:entered``, ``chunk:executed``,
-    ``chunk:journaled``, ``operator:committed`` — and the cache journal
-    announces ``compaction:tmp-written``.  A crash point armed on one of
+    ``chunk:journaled``, ``operator:committed`` — the streaming work queue
+    ``shard:claimed``, ``shard:executed``, ``shard:journaled``, and the
+    cache journal ``compaction:tmp-written``.  A crash point armed on one of
     them raises :class:`CrashInjected` on its ``hits``-th arrival, which
     unwinds the run exactly as process death would: whatever the write-ahead
     journal durably holds is all a resume gets to see.
@@ -66,9 +64,6 @@ class CrashPoint:
     enumerate "every chunk boundary" before killing at each one.
     """
 
-    #: exception type raised when the armed hit lands (subclasses override)
-    exception: type[BaseException] = CrashInjected
-
     def __init__(self, boundary: str, hits: int = 1):
         if hits < 1:
             raise ValueError("hits must be at least 1")
@@ -78,71 +73,15 @@ class CrashPoint:
         self.seen: Counter[str] = Counter()
         self._lock = threading.Lock()
 
-    def _armed_hit(self, boundary: str) -> bool:
-        """Count one arrival; True exactly when the armed hit lands."""
-        self.seen[boundary] += 1
-        if boundary != self.boundary or self.fired:
-            return False
-        if self.seen[boundary] == self.hits:
-            self.fired = True
-            return True
-        return False
-
     def reached(self, boundary: str) -> None:
         """Announce one boundary arrival; raises when the armed hit lands."""
         with self._lock:
-            if self._armed_hit(boundary):
-                raise type(self).exception(boundary, self.hits)
-
-
-class WorkerKilled(BaseException):
-    """Simulated death of a single worker raised by a :class:`WorkerKillPoint`.
-
-    Unlike :class:`CrashInjected` — which models whole-process death and
-    unwinds the run — a worker kill is survivable: the streaming executor
-    catches it at the worker loop, releases the victim's shard lease, rolls
-    back the half-done shard's cache inserts, and carries on as the
-    replacement worker.  ``BaseException`` for the same reason as
-    :class:`CrashInjected`: the resilience layer must never absorb it as a
-    recoverable record failure.
-    """
-
-    def __init__(self, boundary: str, hit: int):
-        super().__init__(f"injected worker kill at boundary {boundary!r} (hit {hit})")
-        self.boundary = boundary
-        self.hit = hit
-
-
-class WorkerKillPoint(CrashPoint):
-    """Kill one *worker* (not the process) the Nth time a boundary is reached.
-
-    The streaming work-queue announces per-shard boundaries —
-    ``shard:claimed``, ``shard:executed``, ``shard:journaled`` — and a kill
-    point armed on one of them raises :class:`WorkerKilled` there, exactly
-    as if the worker thread had been destroyed mid-shard: its lease is
-    released and the shard is re-claimed by a surviving worker.
-    """
-
-    exception = WorkerKilled
-
-
-class TriggerPoint(CrashPoint):
-    """A boundary counter that *reports* the armed hit instead of raising.
-
-    Used for fault points where the faulted component must decide what
-    failing means locally: the work queue arms one on ``lease:granted`` to
-    force a lease expiry.  :meth:`fires` returns ``True`` exactly once, on
-    the ``hits``-th arrival at the armed boundary.
-    """
-
-    def fires(self, boundary: str) -> bool:
-        """Count one arrival; True exactly when the armed hit lands."""
-        with self._lock:
-            return self._armed_hit(boundary)
-
-    def reached(self, boundary: str) -> None:
-        """Trigger points never raise; use :meth:`fires`."""
-        self.fires(boundary)
+            self.seen[boundary] += 1
+            if boundary != self.boundary or self.fired:
+                return
+            if self.seen[boundary] == self.hits:
+                self.fired = True
+                raise CrashInjected(boundary, self.hits)
 
 
 class FaultKind:

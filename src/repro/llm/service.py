@@ -196,7 +196,7 @@ class CallScope:
     records: list[CallRecord] = field(default_factory=list)
     #: exact-tier cache keys this scope *created* (first insert, not a
     #: refresh of a pre-existing entry); :meth:`LLMService.rollback_scope`
-    #: removes them when the scope's work is abandoned mid-flight.
+    #: removes them when the scope's shard attempt fails.
     cache_keys: list[CacheKey] = field(default_factory=list)
 
     @property
@@ -389,9 +389,9 @@ class LLMService:
         """Undo an abandoned scope's cache inserts; returns entries removed.
 
         The streaming executor calls this instead of :meth:`merge_scope`
-        when a shard attempt dies mid-flight (worker killed, lease lost):
-        its ledger records are discarded with the scope, but the exact-tier
-        entries its provider calls created would otherwise survive — and
+        when a shard attempt fails (an operator raised): its ledger
+        records are discarded with the scope, but the exact-tier entries
+        its provider calls created would otherwise survive — and
         the shard's *retry* would then find its own half-done answers
         cached, making the disturbed run cheaper than an undisturbed one
         instead of byte-identical.  Only entries this scope created are

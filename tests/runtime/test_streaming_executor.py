@@ -11,8 +11,10 @@ from __future__ import annotations
 import copy
 import itertools
 import json
+import shutil
 import tempfile
 import threading
+import time
 
 import pytest
 
@@ -22,14 +24,17 @@ from repro.core.compiler.context import CompilerContext
 from repro.core.compiler.plan import BoundOperator, PhysicalPlan
 from repro.core.modules.base import ChunkOutcome, Module
 from repro.core.modules.custom import CustomModule
+from repro.core.modules.mapping import MapModule
 from repro.core.runtime.system import LinguaManga
 from repro.core.runtime.workqueue import (
     ShardLedger,
     StreamingExecutor,
     StreamingPlanError,
+    WorkQueue,
 )
 from repro.core.templates.library import get_template
 from repro.datasets import CurationCorpus, StreamingERCorpus
+from repro.llm.faults import CrashInjected, CrashPoint
 from repro.llm.providers import SimulatedProvider
 from repro.llm.service import LLMService
 from repro.obs import Observability
@@ -114,6 +119,23 @@ class TestByteIdentity:
         assert_reports_identical(first, second)
         assert second.recovery["resumed"]
         assert second.recovery["replayed_shards"] == 3
+
+    def test_done_shard_always_folds_from_its_live_results(self, monkeypatch):
+        # A worker that stalls right after marking its shard done must not
+        # leave the other worker a done shard with no results to fold.
+        complete = WorkQueue.complete
+
+        def slow_complete(self, index):
+            try:
+                return complete(self, index)
+            finally:
+                time.sleep(0.05)
+
+        monkeypatch.setattr(WorkQueue, "complete", slow_complete)
+        stalled, _ = run_streaming(workers=2, n_pairs=24)
+        assert stalled.recovery["replayed_shards"] == 0
+        monkeypatch.undo()
+        assert_reports_identical(run_streaming(workers=1, n_pairs=24)[0], stalled)
 
     def test_recovery_counters_shape(self):
         report, _ = run_streaming(workers=2)
@@ -349,12 +371,76 @@ class TestPoisonQuarantine:
 
         records = [{"id": i, "pair": (i, str(i))} for i in range(4)]
         report = run_toy(records, tmp_path, middle=Scripted(work))
-        # Shard 0 fails, backs off behind shard 1, then runs again.
-        assert seen == [records[:2], records[2:], records[:2]]
-        assert seen[2][0] is records[0]  # attempts share the source's objects
+        # Shard 0 fails and, the smallest pending index, runs again at once.
+        assert seen == [records[:2], records[:2], records[2:]]
+        assert seen[1][0] is records[0]  # attempts share the source's objects
         assert not report.partial
         assert report.recovery["shard_failures"] == 1
         assert next(iter(report.outputs.values())) == [0, 1, 2, 3]
+
+    @staticmethod
+    def _fail_shard_zero_once_after_serving(monkeypatch):
+        """Shard 0's first attempt raises *after* its LLM calls were paid."""
+        apply_chunk = MapModule.apply_chunk
+        armed = [True]
+
+        def failing_once(self, chunk):
+            outcome = apply_chunk(self, chunk)
+            if chunk[0]["left"]["lot"] == "LOT-00000000" and armed:
+                armed.pop()
+                raise RuntimeError("died after paying")
+            return outcome
+
+        monkeypatch.setattr(MapModule, "apply_chunk", failing_once)
+
+    @pytest.mark.parametrize("phase", ["cold", "warm"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_attempt_that_fails_after_paying_is_rolled_back(
+        self, workers, phase, tmp_path, monkeypatch
+    ):
+        warm = 0
+        if phase == "warm":
+            # Half of shard 0 is cached before the run: the rollback must
+            # drop what the failed attempt added and keep these four.
+            warm = 4
+            seed = tmp_path / "seed.cache.jsonl"
+            LinguaManga(cache_path=str(seed)).run_stream(
+                er_pipeline(),
+                {"pairs": itertools.islice(CORPUS.inputs(), warm)},
+                chunk_size=8,
+            )
+
+        def run(tag):
+            cache_path = None
+            if warm:
+                cache_path = str(tmp_path / f"{tag}.cache.jsonl")
+                shutil.copy(seed, cache_path)
+            service = LLMService(SimulatedProvider(), cache_path=cache_path)
+            return run_streaming(workers, n_pairs=24, service=service)[0]
+
+        clean = run("clean")
+        assert (clean.cost.served_calls, clean.cost.cached_calls) == (24 - warm, warm)
+        self._fail_shard_zero_once_after_serving(monkeypatch)
+        disturbed = run("disturbed")
+        assert disturbed.recovery["shard_failures"] == 1
+        assert_reports_identical(clean, disturbed)
+
+    def test_failed_attempt_then_crash_then_resume_is_identical(
+        self, tmp_path, monkeypatch
+    ):
+        # The crash lands after the retry was journalled: the resume replays
+        # the retry's records, so they must be those of an undisturbed run.
+        clean, _ = run_streaming(workers=2, n_pairs=24)
+        self._fail_shard_zero_once_after_serving(monkeypatch)
+        wal = tmp_path / "run.wal"
+        with pytest.raises(CrashInjected):
+            run_streaming(
+                workers=2, n_pairs=24, ledger_path=wal,
+                crash=CrashPoint("shard:journaled", hits=3),
+            )
+        resumed, _ = run_streaming(workers=2, n_pairs=24, ledger_path=wal)
+        assert resumed.recovery["resumed"]
+        assert_reports_identical(clean, resumed)
 
 
 class TestShardInputs:

@@ -14,7 +14,6 @@ from repro.core.runtime.workqueue import (
     ShardLedger,
     WorkQueue,
 )
-from repro.llm.faults import TriggerPoint
 from repro.llm.service import LLMService
 
 
@@ -160,38 +159,34 @@ class TestWorkQueueLifecycle:
         queue, _ = make_queue(tmp_path, [[1, 2], [3, 4], [5]])
         seen = []
         while True:
-            kind, lease = queue.next_task("w0")
+            kind, index = queue.next_task()
             if kind == "done":
                 break
             if kind == "retry":
                 shard = queue.next_foldable()
                 queue.mark_folded(shard.index)
                 continue
-            seen.append(lease.index)
-            assert queue.complete(lease)
+            seen.append(index)
+            queue.complete(index)
         assert seen == [0, 1, 2]
         assert queue.n_shards == 3
 
-    def test_complete_is_token_fenced(self, tmp_path):
-        queue, _ = make_queue(tmp_path, [[1]])
-        kind, lease = queue.next_task("w0")
-        assert kind == "lease"
-        assert queue.release(lease)  # lease lost
-        assert not queue.complete(lease)  # zombie completion rejected
-        kind, fresh = queue.next_task("w0")
-        assert fresh.token != lease.token
-        assert queue.complete(fresh)
-
     def test_fold_order_enforced(self, tmp_path):
         queue, _ = make_queue(tmp_path, [[1], [2]])
-        _, lease0 = queue.next_task("w0")
-        _, lease1 = queue.next_task("w1")
-        queue.complete(lease0)
-        queue.complete(lease1)
+        assert queue.next_task() == ("run", 0)
+        assert queue.next_task() == ("run", 1)
+        queue.complete(0)
+        queue.complete(1)
         with pytest.raises(RuntimeError):
             queue.mark_folded(1)
         queue.mark_folded(0)
         queue.mark_folded(1)
+
+    def test_abort_wakes_everyone(self, tmp_path):
+        queue, _ = make_queue(tmp_path, [[1]])
+        queue.abort()
+        assert queue.next_task() == ("done", None)
+        assert queue.aborted
 
     def test_source_growth_under_reused_ledger_rejected(self, tmp_path):
         ledger = make_ledger(tmp_path)
@@ -200,14 +195,14 @@ class TestWorkQueueLifecycle:
         again = ShardLedger(tmp_path / "ledger.jsonl")
         again.begin("fp", LLMService())
         queue, _ = make_queue(tmp_path, [[1], [2]], ledger=again)
-        _, lease = queue.next_task("w0")
-        queue.complete(lease)
+        _, index = queue.next_task()
+        queue.complete(index)
         queue.mark_folded(0)
         with pytest.raises(CheckpointMismatchError):
             while True:
-                kind, lease = queue.next_task("w0")
-                if kind == "lease":
-                    queue.complete(lease)
+                kind, index = queue.next_task()
+                if kind == "run":
+                    queue.complete(index)
                 elif kind == "retry":
                     queue.mark_folded(queue.next_foldable().index)
 
@@ -219,7 +214,7 @@ class TestWorkQueueLifecycle:
         again.begin("fp", LLMService())
         queue, _ = make_queue(tmp_path, [[1, 2]], ledger=again)
         with pytest.raises(CheckpointMismatchError):
-            queue.next_task("w0")
+            queue.next_task()
 
 
 class TestWorkQueueBackpressure:
@@ -227,12 +222,12 @@ class TestWorkQueueBackpressure:
         queue, _ = make_queue(
             tmp_path, [[i] for i in range(6)], window=2
         )
-        _, lease0 = queue.next_task("w0")
-        _, lease1 = queue.next_task("w1")
+        queue.next_task()
+        queue.next_task()
         assert queue._next_index == 2
         with queue._cond:
             assert not queue._materialize_locked()  # window full
-        queue.complete(lease0)
+        queue.complete(0)
         queue.mark_folded(0)
         with queue._cond:
             assert queue._materialize_locked()  # frontier advanced
@@ -242,14 +237,14 @@ class TestWorkQueueBackpressure:
         # window of 3 never leave more than 3 x 2 source records waiting.
         queue, _ = make_queue(tmp_path, [[i, -i] for i in range(40)], window=3)
         while True:
-            kind, lease = queue.next_task("w0")
+            kind, index = queue.next_task()
             if kind == "done":
                 break
             if kind == "retry":
                 queue.mark_folded(queue.next_foldable().index)
                 continue
-            assert queue.records(lease) == [lease.index, -lease.index]
-            assert queue.complete(lease)
+            assert queue.records(index) == [index, -index]
+            queue.complete(index)
         assert queue.n_shards == 40
         assert 0 < queue.inflight_peak_records <= 3 * 2
         assert queue._shards == {}  # records went with their entries
@@ -267,9 +262,8 @@ class TestWorkQueueBackpressure:
         again = ShardLedger(tmp_path / "ledger.jsonl")
         again.begin("fp", LLMService())
         queue, _ = make_queue(tmp_path, [[1, 2], [3, 4], [5, 6]], ledger=again)
-        kind, lease = queue.next_task("w0")
-        assert (kind, lease.index) == ("lease", 2)  # the only live shard
-        assert queue.records(lease) == [5, 6]
+        assert queue.next_task() == ("run", 2)  # the only live shard
+        assert queue.records(2) == [5, 6]
         with queue._cond:
             assert queue._shards[0].records is None  # replay: discarded
             assert queue._shards[1].records is None  # poison: discarded
@@ -279,65 +273,29 @@ class TestWorkQueueBackpressure:
 class TestWorkQueueFailure:
     def test_retry_backoff_then_poison(self, tmp_path):
         queue, _ = make_queue(tmp_path, [[1]], max_attempts=2)
-        _, lease = queue.next_task("w0")
-        verdict, attempts, delay = queue.fail(lease, "boom")
-        assert (verdict, attempts) == ("retry", 1)
-        assert delay > 0
-        before = queue.clock.now
-        kind, lease = queue.next_task("w0")  # advances the queue clock
-        assert kind == "lease"
-        assert lease.attempt == 2
-        assert queue.clock.now >= before + delay
-        verdict, attempts, _ = queue.fail(lease, "boom")
-        assert (verdict, attempts) == ("poison", 2)
-        assert queue.confirm_poison(lease)
+        assert queue.next_task() == ("run", 0)
+        assert queue.fail(0) == ("retry", 1)
+        assert queue.next_task() == ("run", 0)  # pending again at once
+        assert queue.fail(0) == ("poison", 2)
+        queue.confirm_poison(0)
         shard = queue.next_foldable()
         assert shard.status == "poisoned"
         queue.mark_folded(0)
-        assert queue.next_task("w0") == ("done", None)
+        assert queue.next_task() == ("done", None)
         assert queue.poisoned == 1
         assert queue.shard_failures == 2
 
     def test_retry_is_handed_what_the_source_produced(self, tmp_path):
         queue, _ = make_queue(tmp_path, [[{"k": 1}, {"k": (2, "b")}]])
-        _, lease = queue.next_task("w0")
-        first = queue.records(lease)
-        assert queue.fail(lease, "boom")[0] == "retry"
-        _, again = queue.next_task("w0")
-        assert again.attempt == 2
-        assert queue.records(again) == [{"k": 1}, {"k": (2, "b")}]
-        assert queue.records(again) is first  # attempts share the objects
-        assert queue.complete(again)
+        queue.next_task()
+        first = queue.records(0)
+        assert queue.fail(0) == ("retry", 1)
+        assert queue.next_task() == ("run", 0)
+        assert queue.records(0) == [{"k": 1}, {"k": (2, "b")}]
+        assert queue.records(0) is first  # attempts share the objects
+        queue.complete(0)
         queue.mark_folded(0)
-        assert queue.records(again) is None  # gone with the folded entry
-
-    def test_backoff_is_jittered_per_shard(self, tmp_path):
-        queue, _ = make_queue(tmp_path, [[1], [2]])
-        _, lease0 = queue.next_task("w0")
-        _, lease1 = queue.next_task("w1")
-        _, _, delay0 = queue.fail(lease0, "boom")
-        _, _, delay1 = queue.fail(lease1, "boom")
-        assert delay0 != delay1  # keyed on the shard index
-        # ... but deterministic: the same policy reproduces both.
-        assert delay0 == queue.backoff.delay(0, key="0")
-        assert delay1 == queue.backoff.delay(0, key="1")
-
-    def test_release_requeues_without_attempt(self, tmp_path):
-        queue, _ = make_queue(tmp_path, [[1]])
-        _, lease = queue.next_task("w0")
-        assert lease.attempt == 1
-        assert queue.release(lease)
-        _, again = queue.next_task("w0")
-        assert again.attempt == 1  # lease losses never burn the budget
-        assert queue.lease_expiries == 1
-
-    def test_stale_fail_counts_for_nothing(self, tmp_path):
-        queue, _ = make_queue(tmp_path, [[1]])
-        _, lease = queue.next_task("w0")
-        queue.release(lease)
-        assert queue.fail(lease, "boom") == ("stale", 0, 0.0)
-        _, again = queue.next_task("w0")
-        assert again.attempt == 1
+        assert queue.records(0) is None  # gone with the folded entry
 
     def test_carried_budget_poisons_without_reexecution(self, tmp_path):
         ledger = make_ledger(tmp_path)
@@ -347,37 +305,5 @@ class TestWorkQueueFailure:
         again = ShardLedger(tmp_path / "ledger.jsonl")
         again.begin("fp", LLMService())
         queue, _ = make_queue(tmp_path, [[1]], ledger=again, max_attempts=2)
-        kind, lease = queue.next_task("w0")
-        assert kind == "poison"  # budget spent in a prior run
-        assert queue.confirm_poison(lease)
-
-
-class TestLeaseExpiry:
-    def test_injected_expiry_rejects_holder_and_reclaims(self, tmp_path):
-        fault = TriggerPoint("lease:granted", hits=1)
-        queue, _ = make_queue(tmp_path, [[1]], lease_fault=fault)
-        _, lease = queue.next_task("w0")
-        assert not queue.heartbeat(lease)  # already expired at grant
-        assert not queue.complete(lease)  # zombie result rejected
-        kind, fresh = queue.next_task("w1")  # expiry sweep re-queues
-        assert kind == "lease"
-        assert fresh.token != lease.token
-        assert fresh.attempt == 1  # expiry is a lease loss, not a failure
-        assert queue.lease_expiries == 1
-        assert queue.complete(fresh)
-
-    def test_heartbeat_extends_valid_lease(self, tmp_path):
-        queue, _ = make_queue(tmp_path, [[1]], lease_timeout=10.0)
-        _, lease = queue.next_task("w0")
-        with queue._cond:
-            first_deadline = queue._shards[0].deadline
-        queue.clock.advance(5.0)
-        assert queue.heartbeat(lease)
-        with queue._cond:
-            assert queue._shards[0].deadline > first_deadline
-
-    def test_abort_wakes_everyone(self, tmp_path):
-        queue, _ = make_queue(tmp_path, [[1]])
-        queue.abort()
-        assert queue.next_task("w0") == ("done", None)
-        assert queue.aborted
+        assert queue.next_task() == ("poison", 0)  # budget spent in a prior run
+        queue.confirm_poison(0)

@@ -1,15 +1,12 @@
 """Hypothesis property tests for the shard ledger and work queue.
 
-Three laws the streaming tentpole rests on, checked over generated
+Two laws the streaming tentpole rests on, checked over generated
 schedules instead of hand-picked ones:
 
-1. **Lease idempotence** — losing a lease (expiry or release) and
-   re-claiming, any number of times, never burns the attempt budget and
-   never changes what the queue ultimately serves.
-2. **Replay composition** — journalling a prefix, reopening the ledger and
+1. **Replay composition** — journalling a prefix, reopening the ledger and
    executing the suffix yields the same fold sequence as one uninterrupted
    run: ``replay(prefix) . resume == full``.
-3. **Poison finality** — once a poison verdict is journalled and confirmed,
+2. **Poison finality** — once a poison verdict is journalled and confirmed,
    that shard is never served for execution again, in this run or any
    resumed one.
 """
@@ -19,7 +16,6 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.core.runtime.workqueue import ShardLedger, WorkQueue
-from repro.llm.faults import TriggerPoint
 from repro.llm.service import LLMService
 
 
@@ -49,11 +45,11 @@ def fresh_queue(tmp_path, chunks, name="q", **kwargs):
     return queue, ledger
 
 
-def drain(queue, ledger, fail_indexes=frozenset(), worker="w"):
+def drain(queue, ledger, fail_indexes=frozenset()):
     """Run the queue to completion; returns the folded (index, kind) list."""
     folded = []
     while True:
-        kind, lease = queue.next_task(worker)
+        kind, index = queue.next_task()
         if kind == "done":
             return folded
         if kind == "retry":
@@ -64,75 +60,18 @@ def drain(queue, ledger, fail_indexes=frozenset(), worker="w"):
                 shard = queue.next_foldable()
             continue
         if kind == "poison":  # carried budget from a prior run
-            queue.confirm_poison(lease)
+            queue.confirm_poison(index)
             continue
-        if lease.index in fail_indexes:
-            verdict, attempts, _ = queue.fail(lease, "boom")
+        if index in fail_indexes:
+            verdict, attempts = queue.fail(index)
+            ledger.record_fail(index, attempts, "op", "boom")
             if verdict == "poison":
-                ledger.record_fail(lease.index, attempts, "op", "boom")
-                queue.confirm_poison(lease)
-            elif verdict == "retry":
-                ledger.record_fail(lease.index, attempts, "op", "boom")
+                queue.confirm_poison(index)
         else:
             ledger.record_shard(
-                lease.index,
-                1,
-                [("op", _Scope([]), _Outcome())],
-                [lease.index],
+                index, 1, [("op", _Scope([]), _Outcome())], [index]
             )
-            queue.complete(lease)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    n_shards=st.integers(min_value=1, max_value=8),
-    losses=st.lists(
-        st.tuples(st.integers(min_value=0, max_value=7), st.booleans()),
-        max_size=12,
-    ),
-)
-def test_lease_loss_and_reclaim_is_idempotent(tmp_path_factory, n_shards, losses):
-    """Any schedule of releases/injected expiries never burns attempts."""
-    tmp_path = tmp_path_factory.mktemp("lease")
-    queue, ledger = fresh_queue(tmp_path, [[i] for i in range(n_shards)])
-    try:
-        loss_plan = [(i % n_shards, by_release) for i, by_release in losses]
-        completed = []
-        while True:
-            kind, lease = queue.next_task("w")
-            if kind == "done":
-                break
-            if kind == "retry":
-                shard = queue.next_foldable()
-                while shard is not None:
-                    queue.mark_folded(shard.index)
-                    shard = queue.next_foldable()
-                continue
-            assert kind == "lease"
-            if loss_plan and loss_plan[0][0] == lease.index:
-                _, by_release = loss_plan.pop(0)
-                if by_release:
-                    assert queue.release(lease)
-                else:
-                    # Simulate expiry: the holder's lease dies underneath it.
-                    with queue._cond:
-                        queue._shards[lease.index].deadline = queue.clock.now
-                    assert not queue.heartbeat(lease)
-                    assert not queue.complete(lease)
-                    queue.release(lease)  # holder hands it back
-                # Whatever happened, the shard is served again, fresh.
-                continue
-            assert lease.attempt == 1  # lease losses never burn the budget
-            ledger.record_shard(
-                lease.index, 1, [("op", _Scope([]), _Outcome())], [lease.index]
-            )
-            queue.complete(lease)
-            completed.append(lease.index)
-        assert sorted(completed) == list(range(n_shards))
-        assert queue.shard_failures == 0
-        assert queue.poisoned == 0
-    finally:
-        ledger.close()
+            queue.complete(index)
 
 
 @settings(max_examples=30, deadline=None)
@@ -201,7 +140,7 @@ def test_poisoned_shards_never_reexecute_after_commit(
     )
     serves = {poison_shard: 0}
     while True:
-        kind, lease = queue.next_task("w")
+        kind, index = queue.next_task()
         if kind == "done":
             break
         if kind == "retry":
@@ -210,18 +149,16 @@ def test_poisoned_shards_never_reexecute_after_commit(
                 queue.mark_folded(shard.index)
                 shard = queue.next_foldable()
             continue
-        assert kind == "lease"
-        if lease.index == poison_shard:
+        assert kind == "run"
+        if index == poison_shard:
             serves[poison_shard] += 1
-            verdict, attempts, _ = queue.fail(lease, "boom")
-            ledger.record_fail(lease.index, attempts, "op", "boom")
+            verdict, attempts = queue.fail(index)
+            ledger.record_fail(index, attempts, "op", "boom")
             if verdict == "poison":
-                queue.confirm_poison(lease)
+                queue.confirm_poison(index)
             continue
-        ledger.record_shard(
-            lease.index, 1, [("op", _Scope([]), _Outcome())], [lease.index]
-        )
-        queue.complete(lease)
+        ledger.record_shard(index, 1, [("op", _Scope([]), _Outcome())], [index])
+        queue.complete(index)
     # The budget bounds execution attempts exactly.
     assert serves[poison_shard] == max_attempts
     assert queue.poisoned == 1
@@ -236,7 +173,7 @@ def test_poisoned_shards_never_reexecute_after_commit(
             iter(chunks), window=64, ledger=ledger, max_attempts=max_attempts
         )
         while True:
-            kind, lease = queue.next_task("w")
+            kind, index = queue.next_task()
             if kind == "done":
                 break
             if kind == "retry":
@@ -245,41 +182,7 @@ def test_poisoned_shards_never_reexecute_after_commit(
                     queue.mark_folded(shard.index)
                     shard = queue.next_foldable()
                 continue
-            assert kind != "lease", "poisoned shard re-executed after commit"
-            assert kind == "poison" and lease.index == poison_shard
-            queue.confirm_poison(lease)
+            assert kind != "run", "poisoned shard re-executed after commit"
+            assert kind == "poison" and index == poison_shard
+            queue.confirm_poison(index)
         ledger.close()
-
-
-@settings(max_examples=25, deadline=None)
-@given(hits=st.integers(min_value=1, max_value=6))
-def test_injected_expiry_reclaim_serves_every_shard_once(tmp_path_factory, hits):
-    """An injected born-expired lease is re-served without attempt burn."""
-    tmp_path = tmp_path_factory.mktemp("expiry")
-    fault = TriggerPoint("lease:granted", hits=hits)
-    queue, ledger = fresh_queue(
-        tmp_path, [[i] for i in range(4)], name="run", lease_fault=fault
-    )
-    completed = []
-    while True:
-        kind, lease = queue.next_task("w")
-        if kind == "done":
-            break
-        if kind == "retry":
-            shard = queue.next_foldable()
-            while shard is not None:
-                queue.mark_folded(shard.index)
-                shard = queue.next_foldable()
-            continue
-        if not queue.heartbeat(lease):
-            queue.release(lease)
-            continue
-        assert lease.attempt == 1
-        ledger.record_shard(
-            lease.index, 1, [("op", _Scope([]), _Outcome())], [lease.index]
-        )
-        queue.complete(lease)
-        completed.append(lease.index)
-    assert sorted(completed) == [0, 1, 2, 3]
-    assert queue.shard_failures == 0
-    ledger.close()

@@ -23,7 +23,7 @@ from repro.core.compiler.curation import dedup_candidate_pairs
 from repro.core.runtime.system import LinguaManga
 from repro.core.templates import get_template
 from repro.datasets.curation import CurationCorpus
-from repro.llm.faults import CrashInjected, CrashPoint, WorkerKillPoint
+from repro.llm.faults import CrashInjected, CrashPoint
 from repro.tasks.curation import iter_dedup_candidate_ids, iter_dedup_candidates
 from tests.conftest import assert_reports_identical
 
@@ -85,13 +85,6 @@ class TestCrashResumeAtScale:
             stream_dedup(workers=8, ledger_path=wal, crash=crash)
         resumed = stream_dedup(workers=1, ledger_path=wal)
         assert_reports_identical(baseline, resumed)
-
-    def test_worker_kill_is_survivable_without_resume(self, baseline):
-        kill = WorkerKillPoint("shard:executed", hits=2)
-        report = stream_dedup(workers=4, kill=kill)
-        assert kill.fired
-        assert_reports_identical(baseline, report)
-        assert report.recovery["lease_expiries"] >= 1
 
 
 class TestMemoryFlatAtScale:
