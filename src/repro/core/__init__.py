@@ -32,7 +32,6 @@ from repro.core.optimizer import (
     CostComparison,
     CostTracker,
     ModuleValidator,
-    SimulatedModule,
     TabularConnector,
     TestCase,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "CostComparison",
     "CostTracker",
     "ModuleValidator",
-    "SimulatedModule",
     "TabularConnector",
     "TestCase",
     "LinguaManga",

@@ -7,11 +7,10 @@ the compiler also honours the optimizer attachments declared on operators:
 - ``validator_cases=[TestCase, ...]`` — run the validator's test-and-repair
   cycle on the bound module at compile time (LLMGC modules get repaired).
 - ``simulate=True`` (plus optional ``simulate_config={...}``) — wrap the
-  per-item module with the optimizer's ML simulator.
-- ``distill=True`` (plus optional ``distill_config={...}``) — wrap the
-  per-item module with the optimizer's cost-minimizing distillation
-  router, which answers high-confidence records with a shadow-trained
-  local model and ledgers them with ``distilled`` provenance.
+  per-item module with the optimizer's simulator
+  (:class:`~repro.core.optimizer.distill.DistillationRouter`), which
+  answers high-confidence records with a shadow-trained, audited local
+  model and ledgers them with ``distilled`` provenance.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from repro.core.modules.cascade import CascadeModule
 from repro.core.modules.llmgc import LLMGCModule
 from repro.core.modules.mapping import EnrichModule, MapModule
 from repro.core.optimizer.distill import DistillationRouter
-from repro.core.optimizer.simulator import SimulatedModule
 from repro.core.optimizer.validator import ModuleValidator, TestCase, ValidationReport
 
 __all__ = ["CompileError", "LinguaMangaCompiler", "compile_pipeline"]
@@ -77,7 +75,6 @@ class LinguaMangaCompiler:
             module = build_module(operator, self.context)
             module = self._apply_validator(operator, module)
             module = self._apply_simulator(operator, module)
-            module = self._apply_distill(operator, module)
             if obs is not None:
                 _attach_obs(module, obs)
             bound.append(BoundOperator(operator=operator, module=module))
@@ -120,30 +117,6 @@ class LinguaMangaCompiler:
         config = dict(operator.params.get("simulate_config", {}))
         config.setdefault("featurize", _default_featurize)
 
-        def wrap(teacher: Module) -> SimulatedModule:
-            return SimulatedModule(
-                name=f"{operator.name}_simulated", teacher=teacher, **config
-            )
-
-        target = _innermost(module)
-        holder = getattr(target, "tagger_holder", None)
-        if holder is not None:
-            holder["tagger"] = wrap(holder["tagger"])
-            return module
-        if isinstance(module, MapModule):
-            module.inner = wrap(module.inner)
-            return module
-        if isinstance(module, EnrichModule) and isinstance(module.stage, Module):
-            module.stage = wrap(module.stage)
-            return module
-        return wrap(module)
-
-    def _apply_distill(self, operator: LogicalOperator, module: Module) -> Module:
-        if not operator.params.get("distill", False):
-            return module
-        config = dict(operator.params.get("distill_config", {}))
-        config.setdefault("featurize", _default_featurize)
-
         def wrap(teacher: Module) -> DistillationRouter:
             return DistillationRouter(
                 name=f"{operator.name}_distilled",
@@ -153,27 +126,23 @@ class LinguaMangaCompiler:
                 **config,
             )
 
-        target = _innermost(module)
-        holder = getattr(target, "tagger_holder", None)
+        holder = getattr(_innermost(module), "tagger_holder", None)
         if holder is not None:
             holder["tagger"] = wrap(holder["tagger"])
             return module
-        if isinstance(module, MapModule):
-            # A classifier cascade distills its *teacher* rung: the router
-            # sits between the cheap rules and the LLM, so high-confidence
-            # escalations are answered by the student model.
-            if isinstance(module.inner, CascadeModule):
-                module.inner.teacher = wrap(module.inner.teacher)
-            else:
-                module.inner = wrap(module.inner)
-            return module
-        if isinstance(module, EnrichModule) and isinstance(module.stage, Module):
+        item = module.inner if isinstance(module, MapModule) else module
+        if isinstance(item, CascadeModule):
+            # A classifier cascade simulates its *teacher* rung: the student
+            # sits between the free rules and the LLM, so it answers
+            # high-confidence escalations and never shadows a rule.
+            item.teacher = wrap(item.teacher)
+        elif isinstance(module, MapModule):
+            module.inner = wrap(item)
+        elif isinstance(module, EnrichModule) and isinstance(module.stage, Module):
             module.stage = wrap(module.stage)
-            return module
-        if isinstance(module, CascadeModule):
-            module.teacher = wrap(module.teacher)
-            return module
-        return wrap(module)
+        else:
+            return wrap(module)
+        return module
 
 
 def _attach_obs(module: Module, obs) -> None:

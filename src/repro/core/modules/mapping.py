@@ -97,8 +97,8 @@ class MapModule(Module):
 
         Makes prefetch compose through wrapper stacks — a map over a map
         (or over a distillation router exposing its teacher's prefetch)
-        still batches provider calls per chunk.  The service consults both
-        cache tiers before priming, so a warm run prefetches nothing.
+        still batches provider calls per chunk.  The service consults the
+        cache before priming, so a warm run prefetches nothing.
         """
         prefetch = getattr(self.inner, "prefetch", None)
         if callable(prefetch):

@@ -8,7 +8,6 @@ from repro.core.optimizer.connector import (
 )
 from repro.core.optimizer.cost import CostComparison, CostSnapshot, CostTracker
 from repro.core.optimizer.distill import DistillationRouter, DistillStats
-from repro.core.optimizer.simulator import SimulatedModule, SimulatorStats
 from repro.core.optimizer.validator import (
     CaseResult,
     ModuleValidator,
@@ -26,8 +25,6 @@ __all__ = [
     "CostTracker",
     "DistillationRouter",
     "DistillStats",
-    "SimulatedModule",
-    "SimulatorStats",
     "CaseResult",
     "ModuleValidator",
     "TestCase",

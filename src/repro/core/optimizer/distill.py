@@ -1,15 +1,22 @@
-"""Cost-minimizing distillation router (tier 3 of the call-avoidance stack).
+"""The optimizer's simulator: one student take-over module (paper section 3.2).
 
-Caching (tiers 1–2, :mod:`repro.llm.cache`) only avoids paying for a prompt
-the system has *already* paid for.  Distillation goes further: as teacher
-answers accumulate, a cheap local classifier (:mod:`repro.ml`) is
+"A simulator automatically generates a more efficient and equally effective
+alternative to a given module that already functions well. ... Because each
+module is treated as a black-box function, an ML-based simulator can
+replicate the target module through supervised learning.  The target module
+will function as intended during initialization, and a control logic will
+decide when the simulated version should take over, such as after achieving
+the desired accuracy or reaching a certain level of confidence."
+
+:class:`DistillationRouter` is that simulator, and the call-avoidance tier
+behind the prompt cache.  Caching (:mod:`repro.llm.cache`) only avoids paying
+for a prompt the system has *already* paid for; the router goes further: as
+teacher answers accumulate, a cheap local classifier (:mod:`repro.ml`) is
 shadow-trained on ``(featurized input, teacher label)`` pairs, and once its
-held-out accuracy clears a configurable bar the router starts answering
+held-out accuracy clears a configurable bar the router answers
 high-confidence records locally — reserving provider calls for the
-low-confidence tail.
-
-The router differs from the optimizer's :class:`SimulatedModule` in the two
-ways that make it a *cost* instrument rather than a latency one:
+low-confidence tail, which keeps training the student (the paper's
+"continuously monitors the real data flow").
 
 - **ledger provenance** — every locally answered record is written to the
   LLM service ledger via :meth:`LLMService.record_distilled` with
@@ -267,6 +274,20 @@ class DistillationRouter(Module):
         """Latest held-out accuracy measured at refit time."""
         return self._holdout_accuracy
 
+    def _book_audit(self, agreed: bool) -> None:
+        self.distill_stats.audits += 1
+        self._bump("audits")
+        if not agreed:
+            self.distill_stats.audit_disagreements += 1
+        self._audit_results.append(agreed)
+        if (
+            self._promoted
+            and len(self._audit_results) >= self.min_audits
+            and sum(self._audit_results) / len(self._audit_results)
+            < self.demote_below
+        ):
+            self._demote()
+
     def _demote(self) -> None:
         self._promoted = False
         self._holdout_accuracy = 0.0
@@ -286,7 +307,9 @@ class DistillationRouter(Module):
                 pass
         return self.featurize(value)
 
-    def _teach(self, value: Any, vector: np.ndarray) -> Any:
+    def _teach(self, value: Any, vector: np.ndarray) -> tuple[Any, bool]:
+        """Ask the teacher: ``(label, True)``, or on an outage the trained
+        student's ``(label, False)``."""
         try:
             label = self.teacher.run(value)
         except Exception:
@@ -304,11 +327,11 @@ class DistillationRouter(Module):
                 purpose=self.purpose,
                 skill="distilled-degraded",
             )
-            return label
+            return label, False
         self.distill_stats.teacher_calls += 1
         self._bump("teacher_calls")
         self._record_sample(vector, label)
-        return label
+        return label, True
 
     def _vector_for(self, value: Any) -> np.ndarray:
         if self._vectorize is not None:
@@ -325,24 +348,12 @@ class DistillationRouter(Module):
             if confidence >= self.confidence_threshold:
                 self._since_audit += 1
                 if self._since_audit >= self.audit_every:
-                    # Audit: pay the teacher for this one and compare.
+                    # Audit: pay the teacher for this one and compare.  An
+                    # audit the teacher never answered is not an audit.
                     self._since_audit = 0
-                    self.distill_stats.audits += 1
-                    self._bump("audits")
-                    teacher_label = self._teach(value, vector)
-                    agreed = teacher_label == label
-                    if not agreed:
-                        self.distill_stats.audit_disagreements += 1
-                    self._audit_results.append(agreed)
-                    if (
-                        self._promoted
-                        and len(self._audit_results) >= self.min_audits
-                        and (
-                            sum(self._audit_results) / len(self._audit_results)
-                            < self.demote_below
-                        )
-                    ):
-                        self._demote()
+                    teacher_label, answered = self._teach(value, vector)
+                    if answered:
+                        self._book_audit(teacher_label == label)
                     return teacher_label
                 self.distill_stats.student_calls += 1
                 self._bump("student_calls")
@@ -352,7 +363,7 @@ class DistillationRouter(Module):
                 return label
             self.distill_stats.deferrals += 1
             self._bump("deferrals")
-        return self._teach(value, vector)
+        return self._teach(value, vector)[0]
 
     def describe(self) -> str:
         """Teacher plus routing state."""

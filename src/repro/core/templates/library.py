@@ -77,8 +77,8 @@ def _entity_resolution_template(
     "label efficient" story: a handful of examples, not thousands.
     ``error_policy="skip_record"`` makes the matcher quarantine poisoned
     pairs instead of aborting the run (chaos/production mode).
-    ``distill=True`` attaches the optimizer's cost-minimizing distillation
-    router to the matcher: a local classifier shadow-trains on the LLM's
+    ``distill=True`` attaches the optimizer's simulator (the ``simulate``
+    hint) to the matcher: a local classifier shadow-trains on the LLM's
     verdicts and takes over high-confidence pairs once its held-out
     accuracy clears the bar.
     """
@@ -96,7 +96,7 @@ def _entity_resolution_template(
     if error_policy:
         params["error_policy"] = error_policy
     if distill:
-        params["distill"] = True
+        params["simulate"] = True
         config = dict(distill_config or {})
         # The student that actually distils an LLM matcher is the Magellan
         # shape: a forest over per-attribute similarity features, not a
@@ -107,7 +107,7 @@ def _entity_resolution_template(
         config.setdefault("accuracy_bar", 0.85)
         config.setdefault("confidence_threshold", 0.9)
         config.setdefault("refit_every", 20)
-        params["distill_config"] = config
+        params["simulate_config"] = config
     return (
         builder.load(source="pairs")
         .match_entities(**params)
@@ -143,7 +143,7 @@ def _name_extraction_template(
         tag_params["simulate"] = True
         tag_params["simulate_config"] = {
             "min_samples": 60,
-            "agreement_threshold": 0.8,
+            "accuracy_bar": 0.8,
             "confidence_threshold": 0.65,
             "refit_every": 30,
         }
@@ -274,9 +274,9 @@ def _quality_filter_template(
 
     The free surface heuristic answers documents outside its uncertainty
     band; the band escalates to the LLM teacher.  ``distill=True`` slots
-    the optimizer's distillation router *between* the rules and the
-    teacher, so escalations are progressively absorbed by a shadow-trained
-    local classifier over the document text.
+    the optimizer's simulator (the ``simulate`` hint) *between* the rules
+    and the teacher, so escalations are progressively absorbed by a
+    shadow-trained local classifier over the document text.
     """
     builder = PipelineBuilder(
         "quality_filter_template",
@@ -294,7 +294,7 @@ def _quality_filter_template(
     if rule_upper is not None:
         params["rule_upper"] = rule_upper
     if distill:
-        params["distill"] = True
+        params["simulate"] = True
         config = dict(distill_config or {})
         # The student reads the document text, not the record repr.
         config.setdefault(
@@ -305,7 +305,7 @@ def _quality_filter_template(
         config.setdefault("accuracy_bar", 0.85)
         config.setdefault("confidence_threshold", 0.9)
         config.setdefault("refit_every", 20)
-        params["distill_config"] = config
+        params["simulate_config"] = config
     return (
         builder.load(source="documents")
         .quality_filter(**params)

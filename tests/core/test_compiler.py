@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.compiler.compiler import LinguaMangaCompiler
-from repro.core.compiler.context import CompilerContext
 from repro.core.compiler.explain import explain_pipeline, render_architecture
 from repro.core.compiler.registry import CompileError, build_module, strategies_for
 from repro.core.dsl.builder import PipelineBuilder
 from repro.core.dsl.operators import LogicalOperator, OperatorKind
-from repro.core.optimizer.simulator import SimulatedModule
+from repro.core.modules.cascade import CascadeModule
+from repro.core.optimizer.distill import DistillationRouter
 from repro.core.optimizer.validator import TestCase
 from repro.core.templates.library import (
     available_templates,
@@ -148,21 +147,35 @@ class TestValidatorAttachment:
             system.compile(pipeline)
 
 
-class TestSimulatorAttachment:
-    def test_simulate_wraps_map_inner(self, system):
-        pipeline = (
-            PipelineBuilder("p")
-            .load(source="items")
-            .transform(fn=lambda x: x * 2, simulate=True)
-            .save(key="out")
-            .build()
-        )
-        plan = system.compile(pipeline)
-        transform_module = plan.module(pipeline.operators[1].name)
-        from repro.core.modules.mapping import MapModule
+#: placement -> (builder step, its params, where the student must sit)
+PLACEMENTS = {
+    "tagger_holder": ("tag_names", {}, lambda m: m.inner.tagger_holder["tagger"]),
+    "map": ("transform", {"fn": lambda x: x * 2}, lambda m: m.inner),
+    "map_over_cascade": ("quality_filter", {}, lambda m: m.inner.teacher),
+    "enrich": ("detect_language", {"impl": "llm", "map": False}, lambda m: m.stage),
+    "bare": ("match_entities", {"impl": "llm", "map": False}, lambda m: m),
+}
 
-        assert isinstance(transform_module, MapModule)
-        assert isinstance(transform_module.inner, SimulatedModule)
+
+class TestSimulatorAttachment:
+    @pytest.mark.parametrize("placement", sorted(PLACEMENTS))
+    def test_simulate_places_the_student(self, system, placement):
+        step, params, student_of = PLACEMENTS[placement]
+        builder = PipelineBuilder("p").load(source="items")
+        getattr(builder, step)(simulate=True, **params)
+        pipeline = builder.save(key="out").build()
+        module = system.compile(pipeline).module(pipeline.operators[1].name)
+        student = student_of(module)
+        assert isinstance(student, DistillationRouter)
+        assert not isinstance(student.teacher, (DistillationRouter, CascadeModule))
+        if placement == "map_over_cascade":
+            # The student sits behind the free rule rung, never in front of
+            # it: a document the rule decides is not shown to it.
+            cascade = module.inner
+            assert not cascade.escalates({"text": "zzz"})
+            cascade.run({"text": "zzz"})
+            assert cascade.rule_decisions == 1 and cascade.escalations == 0
+            assert student.distill_stats.total == 0
 
 
 class TestTemplates:

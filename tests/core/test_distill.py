@@ -1,4 +1,4 @@
-"""The cost-minimizing distillation router (tier 3 of call avoidance)."""
+"""The optimizer's simulator: the audited distillation router (paper 3.2)."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.modules.base import Module
+from repro.core.modules.custom import CustomModule
 from repro.core.optimizer.distill import DistillationRouter
 from repro.llm.cache import PROVENANCE_DISTILLED
 from repro.llm.faults import ChaosProvider, FaultKind, FaultSpec
@@ -174,6 +175,27 @@ class TestTeacherOutage:
         assert len(degraded) == 1
         assert degraded[0].provenance == PROVENANCE_DISTILLED
 
+    def test_audit_the_teacher_never_answered_is_not_an_audit(self):
+        # Regression: on an outage _teach hands back the student's own
+        # label, and the audit compared it with itself — 20 agreements
+        # nobody gave refilled the demotion window.
+        service = LLMService(SimulatedProvider())
+        teacher = SignTeacher()
+        router = make_router(teacher, service=service, audit_every=2)
+        for value in stream(40):
+            router.run(value)
+        assert router.promoted
+        audits_before = router.distill_stats.audits
+        window_before = list(router._audit_results)
+        teacher.down = True
+        values = stream(40)
+        assert [router.run(value) for value in values] == [v > 0 for v in values]
+        assert router.distill_stats.degraded_answers == 20
+        assert router.distill_stats.audits == audits_before
+        assert list(router._audit_results) == window_before
+        degraded = [r for r in service.records if r.skill == "distilled-degraded"]
+        assert len(degraded) == 20
+
 
 class TestUnderChaosFaults:
     def test_promotes_and_keeps_routing_despite_injected_faults(self):
@@ -205,3 +227,45 @@ class TestUnderChaosFaults:
         for value in stream(40):
             router.run(value)
         assert "promoted" in router.describe()
+
+
+class TestHashedTextStudent:
+    """The default student: hashed bag-of-words over ``featurize(value)``."""
+
+    def inputs(self, n: int) -> list[str]:
+        words = ["ab", "a very long sentence indeed", "xy", "tiny",
+                 "another extremely long input string", "ok"]
+        return [words[i % len(words)] + f" {i % 7}" for i in range(n)]
+
+    def length_teacher(self) -> CustomModule:
+        return CustomModule("teacher", lambda v: "long" if len(v) > 10 else "short")
+
+    def test_student_agrees_with_teacher(self):
+        router = DistillationRouter(
+            "router",
+            self.length_teacher(),
+            LLMService(SimulatedProvider()),
+            min_samples=40,
+            confidence_threshold=0.6,
+        )
+        for value in self.inputs(200):
+            router.run(value)
+        assert router.promoted and router.distill_stats.student_calls > 0
+        reference = self.length_teacher()
+        test_inputs = self.inputs(60)
+        agreement = sum(
+            1 for v in test_inputs if router.run(v) == reference.run(v)
+        ) / len(test_inputs)
+        assert agreement > 0.9
+
+    def test_single_label_never_takes_over(self):
+        router = DistillationRouter(
+            "router",
+            CustomModule("const", lambda v: "same"),
+            LLMService(SimulatedProvider()),
+            min_samples=10,
+        )
+        for value in self.inputs(50):
+            router.run(value)
+        assert not router.promoted  # needs two classes to fit
+        assert router.distill_stats.teacher_calls == 50

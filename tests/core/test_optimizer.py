@@ -1,4 +1,7 @@
-"""Tests for the optimizer: validator, simulator, connector, cost model."""
+"""Tests for the optimizer: validator, connector, cost model.
+
+The simulator (``DistillationRouter``) is tested in ``test_distill.py``.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +11,6 @@ from repro.core.modules.custom import CustomModule
 from repro.core.modules.llmgc import LLMGCModule
 from repro.core.optimizer.connector import ConnectorPolicyError, TabularConnector
 from repro.core.optimizer.cost import CostComparison, CostSnapshot, CostTracker
-from repro.core.optimizer.simulator import SimulatedModule
 from repro.core.optimizer.validator import ModuleValidator, TestCase
 from repro.storage.database import Database
 from repro.storage.table import Table
@@ -82,70 +84,6 @@ class TestValidator:
         module = CustomModule("bad", lambda text: [])
         report = ModuleValidator(service, [TestCase("a", ["a"])]).validate_and_repair(module)
         assert "FAILED" in report.to_text()
-
-
-class TestSimulator:
-    def make_teacher(self):
-        calls = {"n": 0}
-
-        def classify(value: str) -> str:
-            calls["n"] += 1
-            return "long" if len(value) > 10 else "short"
-
-        return CustomModule("teacher", classify), calls
-
-    def inputs(self, n: int) -> list[str]:
-        words = ["ab", "a very long sentence indeed", "xy", "tiny",
-                 "another extremely long input string", "ok"]
-        return [words[i % len(words)] + f" {i % 7}" for i in range(n)]
-
-    def test_warmup_uses_teacher_only(self):
-        teacher, calls = self.make_teacher()
-        simulated = SimulatedModule("sim", teacher, min_samples=50)
-        for value in self.inputs(30):
-            simulated.run(value)
-        assert calls["n"] == 30
-        assert simulated.sim_stats.student_calls == 0
-
-    def test_takeover_reduces_teacher_calls(self):
-        teacher, calls = self.make_teacher()
-        simulated = SimulatedModule(
-            "sim", teacher, min_samples=40, confidence_threshold=0.6, refit_every=20
-        )
-        for value in self.inputs(300):
-            simulated.run(value)
-        assert simulated.takeover_ready
-        assert simulated.sim_stats.student_calls > 0
-        assert calls["n"] < 300
-
-    def test_student_agrees_with_teacher(self):
-        teacher, _ = self.make_teacher()
-        simulated = SimulatedModule(
-            "sim", teacher, min_samples=40, confidence_threshold=0.6
-        )
-        for value in self.inputs(200):
-            simulated.run(value)
-        reference, _ = self.make_teacher()
-        test_inputs = self.inputs(60)
-        agreement = sum(
-            1 for v in test_inputs if simulated.run(v) == reference.run(v)
-        ) / len(test_inputs)
-        assert agreement > 0.9
-
-    def test_savings_reported(self):
-        teacher, _ = self.make_teacher()
-        simulated = SimulatedModule("sim", teacher, min_samples=30, confidence_threshold=0.55)
-        for value in self.inputs(200):
-            simulated.run(value)
-        assert 0.0 < simulated.sim_stats.savings() < 1.0
-        assert "savings" in simulated.sim_stats.to_text()
-
-    def test_single_label_never_takes_over(self):
-        teacher = CustomModule("const", lambda v: "same")
-        simulated = SimulatedModule("sim", teacher, min_samples=10)
-        for value in self.inputs(50):
-            simulated.run(value)
-        assert not simulated.takeover_ready  # needs two classes to fit
 
 
 class TestConnector:

@@ -5,9 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core.runtime.system import LinguaManga
+from repro.core.templates.library import get_template
 from repro.datasets.entity_resolution import generate_er_dataset
 from repro.datasets.imputation import generate_buy_dataset
 from repro.datasets.names import generate_name_dataset
+from repro.llm.cache import PROVENANCE_DISTILLED
 from repro.tasks.entity_resolution import pick_examples, run_lingua_manga_er
 from repro.tasks.imputation import run_hybrid_imputation, run_llm_imputation
 from repro.tasks.name_extraction import run_name_extraction, score_extractions
@@ -104,6 +106,29 @@ class TestNameExtractionTask:
         # The caching layer already absorbs repeats; the simulator must cut
         # provider traffic further on top of that.
         assert simulated.llm_calls <= plain.llm_calls
+
+    def test_simulator_answers_are_ledgered_distilled(self):
+        documents = generate_name_dataset(n_documents=120).documents
+        plain = run_name_extraction(LinguaManga(), documents, multilingual=True)
+        system = LinguaManga()
+        pipeline = get_template("name_extraction").instantiate(
+            multilingual=True, simulate_tagging=True
+        )
+        plan = system.compile(pipeline)
+        report = plan.execute({"documents": [{"text": d.text} for d in documents]})
+        tag = next(op.name for op in pipeline.operators if op.kind == "tag_names")
+        stats = plan.module(tag).inner.tagger_holder["tagger"].distill_stats
+        assert stats.student_calls > 0
+        distilled = [
+            r for r in system.service.records if r.provenance == PROVENANCE_DISTILLED
+        ]
+        assert all(r.cost == 0.0 for r in distilled)
+        assert (
+            report.cost.distilled_calls
+            == len(distilled)
+            == stats.student_calls + stats.degraded_answers
+        )
+        assert system.usage().served_calls <= plain.llm_calls
 
     def test_per_language_breakdown_present(self, system):
         documents = generate_name_dataset(n_documents=50).documents
