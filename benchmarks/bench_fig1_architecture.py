@@ -30,7 +30,7 @@ def test_fig1_architecture(benchmark):
     sections = [render_architecture(), ""]
     arms = []
     for template in available_templates():
-        pipeline = template.instantiate()
+        pipeline = template.instantiate(**template.sample_args)
         plan = system.compile(pipeline)
         sections.append(explain_plan(plan))
         sections.append("")

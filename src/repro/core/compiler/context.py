@@ -32,14 +32,3 @@ class CompilerContext:
         """The simulated provider's knowledge base, when available."""
         provider = self.service.provider
         return getattr(provider, "knowledge", None)
-
-    def with_options(self, **options: Any) -> "CompilerContext":
-        """A shallow copy with extra options (shares service and database)."""
-        merged = dict(self.options)
-        merged.update(options)
-        return CompilerContext(
-            service=self.service,
-            database=self.database,
-            tools=dict(self.tools),
-            options=merged,
-        )

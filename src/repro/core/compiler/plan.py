@@ -6,15 +6,14 @@ poisoned records instead of aborting the DAG, and the run report always
 carries the work that succeeded (``partial`` flags whether anything was
 lost, ``quarantine`` says exactly what and why).
 
-Execution is also **concurrent on demand**: ``execute(workers=N)`` routes
-each operator through the :class:`~repro.core.runtime.scheduler.Scheduler`,
-which splits list inputs into record chunks, runs them on a bounded worker
-pool and merges results in deterministic chunk order.  ``workers=None``
-(the default) keeps the legacy strictly sequential path.  The determinism
-contract — same seed, same fault spec, byte-identical results at any worker
-count — is expressed through :meth:`RunReport.canonical_json`, which
-excludes wall-clock measurements (they are observations about the run, not
-results of it).
+Every operator runs through the
+:class:`~repro.core.runtime.scheduler.Scheduler`, which splits list inputs
+into record chunks, runs them on a pool of ``workers`` threads (inline at
+1, the default) and merges results in deterministic chunk order.  The
+determinism contract — same seed, same fault spec, byte-identical results
+at any worker count — is expressed through :meth:`RunReport.canonical_json`,
+which excludes wall-clock measurements (they are observations about the
+run, not results of it).
 """
 
 from __future__ import annotations
@@ -271,11 +270,10 @@ class PhysicalPlan:
         via ``report.partial`` — callers always receive the work that
         succeeded rather than an exception that discards it.
 
-        ``workers`` selects the execution engine: ``None`` (default) is
-        the legacy strictly sequential path; any integer >= 1 routes
-        operators through the concurrent scheduler, which chunks list
-        inputs (``chunk_size`` records per chunk) and merges results in
-        deterministic chunk order — ``workers=1`` and ``workers=8``
+        Operators run through the scheduler, which chunks list inputs
+        (``chunk_size`` records per chunk), runs up to ``workers`` chunks
+        at once (``None`` means 1: inline, no threads) and merges results
+        in deterministic chunk order — ``workers=1`` and ``workers=8``
         produce identical :meth:`RunReport.canonical_json` output.
 
         ``checkpoint`` (a :class:`~repro.core.runtime.checkpoint.
@@ -283,9 +281,7 @@ class PhysicalPlan:
         and operator is journalled write-ahead, and a resume replays the
         journalled prefix verbatim — zero provider calls for completed
         work — before executing only what remains, producing a report
-        byte-identical to an uninterrupted run.  Checkpointed execution
-        always rides the scheduler (``workers`` defaults to 1 here) so
-        chunk boundaries exist to journal.
+        byte-identical to an uninterrupted run.
 
         ``cancel`` (a :class:`~repro.core.runtime.cancel.CancelToken`)
         enables cooperative cancellation: the token is checked between
@@ -295,15 +291,13 @@ class PhysicalPlan:
         leaves a valid replayable journal prefix behind (it is resumable,
         not lost).
         """
-        scheduler = None
-        if workers is not None or checkpoint is not None:
-            # Imported lazily: the runtime package imports the system
-            # facade, which imports this module.
-            from repro.core.runtime.scheduler import Scheduler
+        # Imported lazily: the runtime package imports the system facade,
+        # which imports this module.
+        from repro.core.runtime.scheduler import Scheduler
 
-            scheduler = Scheduler(
-                workers=workers or 1, chunk_size=chunk_size, cancel=cancel
-            )
+        scheduler = Scheduler(
+            workers=workers or 1, chunk_size=chunk_size, cancel=cancel
+        )
         inputs = inputs or {}
         values: dict[str, Any] = {}
         report = RunReport(pipeline_name=self.pipeline.name)
@@ -343,14 +337,14 @@ class PhysicalPlan:
                         op_ctx = checkpoint.operator_context(
                             op_index, operator.name
                         )
-                run = journalled = None
+                journalled = None
                 if replay is not None:
                     run = partial(
                         _replay_operator, checkpoint, binding.module, replay,
                         service, tracer,
                     )
                     journalled = (list(replay.quarantine), replay.tree_degraded)
-                elif scheduler is not None:
+                else:
                     run = partial(
                         scheduler.run_operator, binding.module,
                         service=service, op_ctx=op_ctx,
@@ -473,7 +467,7 @@ def run_operator_step(
                 drained = module.drain_quarantine()
                 degraded = _tree_degraded(module) - degraded_before
             # The slice is canonical here (the scheduler merged and
-            # canonicalized; the sequential path is ordered by
+            # canonicalized; a whole-input ``module.run`` is ordered by
             # construction; replay re-inserts the canonical slice), so
             # spans and profile rows are deterministic at any worker count.
             slice_ = service.records[ledger_mark:]

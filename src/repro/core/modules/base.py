@@ -160,10 +160,6 @@ class Module(ABC):
             with self._lock:
                 self.stats.total_seconds += elapsed
 
-    def run_batch(self, values: list[Any]) -> list[Any]:
-        """Process a list of inputs (default: item by item)."""
-        return [self.run(v) for v in values]
-
     def apply_chunk(self, chunk: list[Any]) -> ChunkOutcome:
         """Process one record chunk for the parallel scheduler.
 

@@ -14,7 +14,8 @@ Contract details that keep the serving guarantees intact:
   change which items reach the teacher — warm reruns replay bit-identically.
 - **Prefetch**: :meth:`prefetch` filters the chunk down to the items that
   *will* escalate and warms only those prompts, so a chunk costs one
-  provider round trip for exactly the escalated subset.
+  provider round trip for exactly the escalated subset; the scores it
+  computed are handed to the per-item calls, so the rule runs once an item.
 - **Identity**: thresholds and the rule tag are part of
   :meth:`config_identity`; the teacher is walked through the conventional
   ``teacher`` attribute (checkpoint fingerprints, quarantine draining).
@@ -81,8 +82,19 @@ class CascadeModule(Module):
         """Whether ``item`` falls in the uncertainty band (pure)."""
         return self.lower <= self.rule(item) < self.upper
 
+    def _score(self, value: Any) -> float:
+        """The rule's score: prefetch's, once, else scored here.
+
+        Same hand-off as :meth:`LLMModule._first_prompt`: keyed on the
+        value object (pinned by its entry), taken rather than read, so any
+        other object and any second run score afresh.
+        """
+        scored = getattr(self._tls, "scored", None)
+        entry = scored.pop(id(value), None) if scored else None
+        return self.rule(value) if entry is None else entry[1]
+
     def _run(self, value: Any) -> Any:
-        score = self.rule(value)
+        score = self._score(value)
         if score < self.lower:
             verdict: Any = False
             with self._lock:
@@ -102,14 +114,36 @@ class CascadeModule(Module):
         return verdict
 
     def prefetch(self, values: list[Any]) -> int:
-        """Warm the teacher's cache for exactly the items that will escalate."""
-        escalated = [v for v in values if self.escalates(v)]
+        """Warm the teacher's cache for exactly the items that will escalate.
+
+        Each item is scored once: the scores stay on this thread for the
+        per-item calls of the same chunk (see :meth:`_score`) until
+        :meth:`drop_prefetched`.  An item the rule cannot score is left
+        out — ``run`` scores it again and raises inside the caller's
+        error policy.
+        """
+        scored: dict[int, tuple[Any, float]] = {}
+        escalated = []
+        for value in values:
+            try:
+                score = self.rule(value)
+            except Exception:
+                continue
+            scored[id(value)] = (value, score)
+            if self.lower <= score < self.upper:
+                escalated.append(value)
+        self._tls.scored = scored
         if not escalated:
             return 0
         prefetch = getattr(self.teacher, "prefetch", None)
         if callable(prefetch):
             return prefetch(escalated)
         return 0
+
+    def drop_prefetched(self) -> None:
+        """Forget this thread's scores, then the teacher's prefetch."""
+        self._tls.scored = None
+        super().drop_prefetched()
 
     def config_identity(self) -> dict:
         identity = super().config_identity()

@@ -1,12 +1,11 @@
-"""The concurrent batched execution engine.
+"""The batched execution engine every run goes through.
 
-The plan executor walks records one operator at a time, but inside one
-operator there is no reason to walk records one *thread* at a time: the LLM
-provider is the dominant latency source, and independent record chunks can
-be in flight simultaneously.  :class:`Scheduler` partitions an operator's
-list input into fixed-size record chunks and runs them on a bounded worker
-pool, then merges everything back **in chunk order**, which is what makes
-parallel runs reproducible:
+The plan executor walks one operator at a time; inside an operator the LLM
+provider is the dominant latency source and independent record chunks can
+be in flight at once.  :class:`Scheduler` partitions an operator's list
+input into fixed-size record chunks, runs them on a bounded worker pool
+(inline at ``workers=1``) and merges everything back **in chunk order**,
+which is what makes runs reproducible at any worker count:
 
 - every chunk executes inside an :meth:`LLMService.scoped` call scope — a
   private ledger buffer plus a shadow virtual clock frozen at the

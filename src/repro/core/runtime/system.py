@@ -126,10 +126,10 @@ class LinguaManga:
     ) -> RunReport:
         """Compile and execute in one step.
 
-        ``workers`` enables the concurrent scheduler (see
+        Every operator runs through the scheduler (see
         :meth:`repro.core.compiler.plan.PhysicalPlan.execute`): record
-        chunks of each operator run on a bounded thread pool with
-        deterministic merge order.  ``None`` keeps sequential execution.
+        chunks of ``chunk_size``, up to ``workers`` of them at once
+        (``None`` means 1), merged in deterministic chunk order.
 
         ``checkpoint_path`` makes the run crash-safe: execution keeps a
         write-ahead journal beside the cache journal, and re-running with
@@ -138,9 +138,7 @@ class LinguaManga:
         uninterrupted run.  ``resume=False`` discards any journal at the
         path and starts fresh.  Pass a preconfigured
         :class:`~repro.core.runtime.checkpoint.RunCheckpoint` via
-        ``checkpoint=`` instead for crash injection.  Checkpointed runs
-        default to ``workers=1`` (chunked execution is what the journal
-        records).
+        ``checkpoint=`` instead for crash injection.
 
         ``cancel`` (a :class:`~repro.core.runtime.cancel.CancelToken`)
         makes the run cooperatively cancellable: the serving layer cancels
@@ -157,8 +155,6 @@ class LinguaManga:
             checkpoint = RunCheckpoint(checkpoint_path, resume=resume)
         try:
             plan = self.compile(pipeline)
-            if checkpoint is not None and workers is None:
-                workers = 1
             return plan.execute(
                 inputs,
                 workers=workers,

@@ -50,11 +50,6 @@ class ERDataset:
     valid: list[RecordPair] = field(default_factory=list)
     test: list[RecordPair] = field(default_factory=list)
 
-    @property
-    def all_pairs(self) -> list[RecordPair]:
-        """Every pair across splits."""
-        return self.train + self.valid + self.test
-
     def summary(self) -> str:
         """One-line dataset description."""
         def pos(pairs: list[RecordPair]) -> int:

@@ -11,7 +11,7 @@ results fully isolated.  The load-bearing properties:
   run report byte-identical to calling ``system.run`` directly, cold or
   warm, at any worker count;
 - **multi-tenancy is enforced, not assumed**: per-tenant namespaced
-  cache keys, per-tenant journals, quota/rate admission, round-robin
+  cache keys, per-tenant journals, quota admission, round-robin
   dispatch, and a live provenance audit that trips on the first
   cross-tenant cache hit;
 - **crashes are a feature**: the job ledger is write-ahead JSONL with
@@ -34,7 +34,6 @@ from repro.serve.admission import (
     AdmissionController,
     QuotaExceeded,
     TenantQuota,
-    TokenBucket,
 )
 from repro.serve.jobs import (
     JOB_STATUSES,
@@ -61,7 +60,6 @@ __all__ = [
     "JobServer",
     "Tenant",
     "TenantRegistry",
-    "TokenBucket",
     "TenantQuota",
     "AdmissionController",
     "QuotaExceeded",

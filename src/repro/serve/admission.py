@@ -1,14 +1,9 @@
-"""Admission control: per-tenant quotas, token buckets, round-robin dispatch.
+"""Admission control: per-tenant quotas and round-robin dispatch.
 
 The service shares one provider and one worker pool across every tenant,
 so admission is where multi-tenancy becomes *fair* instead of merely
 concurrent:
 
-- a **token bucket** per tenant rate-limits submissions (capacity =
-  burst, refill = sustained rate).  Time comes from an injected clock
-  object (any ``.now`` — a :class:`~repro.resilience.clock.VirtualClock`
-  in every test), never from the wall, so bucket behaviour is exactly
-  reproducible;
 - **quotas** bound how many jobs a tenant may have queued and running at
   once — a tenant flooding the queue is refused at submission, not
   starved at dispatch;
@@ -17,19 +12,17 @@ concurrent:
   cursor *after* the last tenant served.
 
 The hypothesis property suite (``tests/serve/test_admission_properties.py``)
-pins the invariants: counters never go negative, tokens never exceed
-capacity, grant/release sequences commute, and round-robin serves every
-backlogged tenant within one full rotation.
+pins the invariants: counters never go negative, grant/release sequences
+commute, and round-robin serves every backlogged tenant within one full
+rotation.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any
 
 __all__ = [
-    "TokenBucket",
     "TenantQuota",
     "QuotaExceeded",
     "AdmissionController",
@@ -38,10 +31,10 @@ __all__ = [
 
 
 class QuotaExceeded(Exception):
-    """Submission refused: rate limit or queue quota hit.
+    """Submission refused: queue quota hit.
 
-    ``retryable`` distinguishes a 429 (try again later: rate/queue
-    pressure) from a hard refusal.
+    ``retryable`` distinguishes a 429 (try again later: queue pressure)
+    from a hard refusal.
     """
 
     def __init__(self, reason: str, retryable: bool = True):
@@ -50,70 +43,12 @@ class QuotaExceeded(Exception):
         self.retryable = retryable
 
 
-class _ZeroClock:
-    now = 0.0
-
-
-class TokenBucket:
-    """A deterministic token bucket on an injected clock.
-
-    ``capacity`` is the burst size, ``refill_rate`` tokens per (virtual)
-    second.  Tokens are lazily refilled on every :meth:`try_acquire` from
-    the elapsed clock delta; they never exceed ``capacity`` and never go
-    negative — both invariants are property-tested.
-    """
-
-    def __init__(
-        self,
-        capacity: float,
-        refill_rate: float,
-        clock: Any = None,
-    ):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if refill_rate < 0:
-            raise ValueError("refill_rate must be non-negative")
-        self.capacity = float(capacity)
-        self.refill_rate = float(refill_rate)
-        self.clock = clock if clock is not None else _ZeroClock()
-        self._tokens = self.capacity
-        self._last = float(self.clock.now)
-        self._lock = threading.Lock()
-
-    def _refill_locked(self) -> None:
-        now = float(self.clock.now)
-        if now > self._last:
-            self._tokens = min(
-                self.capacity, self._tokens + (now - self._last) * self.refill_rate
-            )
-        self._last = max(self._last, now)
-
-    @property
-    def tokens(self) -> float:
-        with self._lock:
-            self._refill_locked()
-            return self._tokens
-
-    def try_acquire(self, n: float = 1.0) -> bool:
-        """Take ``n`` tokens if available; never blocks, never goes negative."""
-        if n < 0:
-            raise ValueError("cannot acquire a negative token count")
-        with self._lock:
-            self._refill_locked()
-            if self._tokens + 1e-12 < n:
-                return False
-            self._tokens = max(0.0, self._tokens - n)
-            return True
-
-
 @dataclass
 class TenantQuota:
     """Static limits for one tenant."""
 
     max_queued: int = 16
     max_running: int = 1
-    rate: float = 0.0  # submissions per virtual second; 0 = unlimited
-    burst: float = 4.0
 
     def __post_init__(self) -> None:
         if self.max_queued < 1:
@@ -136,12 +71,10 @@ class AdmissionController:
     visited in sorted-name order starting after the last tenant served.
     """
 
-    def __init__(self, clock: Any = None, default_quota: TenantQuota | None = None):
-        self.clock = clock if clock is not None else _ZeroClock()
+    def __init__(self, default_quota: TenantQuota | None = None):
         self.default_quota = default_quota or DEFAULT_QUOTA
         self._lock = threading.RLock()
         self._quotas: dict[str, TenantQuota] = {}
-        self._buckets: dict[str, TokenBucket] = {}
         self._queued: dict[str, int] = {}
         self._running: dict[str, int] = {}
         self._cursor: str | None = None
@@ -154,14 +87,7 @@ class AdmissionController:
         with self._lock:
             if quota is not None:
                 self._quotas[tenant] = quota
-                self._buckets.pop(tenant, None)
             resolved = self._quotas.setdefault(tenant, self.default_quota)
-            if tenant not in self._buckets and resolved.rate > 0:
-                self._buckets[tenant] = TokenBucket(
-                    capacity=resolved.burst,
-                    refill_rate=resolved.rate,
-                    clock=self.clock,
-                )
             self._queued.setdefault(tenant, 0)
             self._running.setdefault(tenant, 0)
             return resolved
@@ -175,17 +101,12 @@ class AdmissionController:
     def admit(self, tenant: str) -> None:
         """Account one submission; raises :class:`QuotaExceeded` on refusal.
 
-        Checks the rate bucket first (a refused submission consumes no
-        tokens and no quota), then the queued-jobs quota.  On success the
-        tenant's queued count is incremented — callers must pair every
-        admit with exactly one of :meth:`start` or :meth:`forget_queued`.
+        A refused submission consumes no quota.  On success the tenant's
+        queued count is incremented — callers must pair every admit with
+        exactly one of :meth:`start` or :meth:`forget_queued`.
         """
         with self._lock:
             quota = self.register(tenant)
-            bucket = self._buckets.get(tenant)
-            if bucket is not None and not bucket.try_acquire():
-                self.refusals += 1
-                raise QuotaExceeded(f"tenant {tenant!r} rate limit exceeded")
             if self._queued[tenant] >= quota.max_queued:
                 self.refusals += 1
                 raise QuotaExceeded(
@@ -195,7 +116,7 @@ class AdmissionController:
             self._queued[tenant] += 1
 
     def restore_queued(self, tenant: str) -> None:
-        """Re-account a queued job on restart (bypasses the rate bucket)."""
+        """Re-account a queued job on restart (no quota check)."""
         with self._lock:
             self.register(tenant)
             self._queued[tenant] += 1

@@ -52,7 +52,6 @@ from typing import Any, Callable
 
 from repro.core.runtime.cancel import CancelToken, JobCancelled
 from repro.obs import Observability, progress_events
-from repro.resilience.clock import VirtualClock
 from repro.serve.admission import AdmissionController, QuotaExceeded, TenantQuota
 from repro.serve.jobs import (
     TERMINAL_STATUSES,
@@ -141,9 +140,6 @@ class JobQueue:
         way — such jobs bypass the coalesce hub automatically).
     max_workers:
         Concurrent jobs across all tenants.
-    clock:
-        Admission-control clock (``.now``); defaults to a
-        :class:`VirtualClock` so rate-limit behaviour is deterministic.
     """
 
     def __init__(
@@ -151,7 +147,6 @@ class JobQueue:
         data_dir: str | Path,
         provider: Any = None,
         max_workers: int = 4,
-        clock: Any = None,
         default_quota: TenantQuota | None = None,
         cache_enabled: bool = True,
         provider_factory: Callable[[JobSpec], Any] | None = None,
@@ -161,16 +156,13 @@ class JobQueue:
             raise ValueError("max_workers must be at least 1")
         self.data_dir = Path(data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
-        self.clock = clock if clock is not None else VirtualClock()
         self.max_workers = max_workers
         self.provider_factory = provider_factory
         self.store = JobStore(self.data_dir / "jobs.jsonl")
         self.registry = TenantRegistry(
             self.data_dir, provider=provider, cache_enabled=cache_enabled
         )
-        self.admission = AdmissionController(
-            clock=self.clock, default_quota=default_quota
-        )
+        self.admission = AdmissionController(default_quota=default_quota)
         self.audit = _IsolationAudit()
         self._lock = threading.RLock()
         self._backlog: dict[str, deque[str]] = {}

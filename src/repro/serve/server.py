@@ -16,7 +16,7 @@ Routes::
     POST /jobs/<id>/cancel   cancel queued or running
 
 Status codes: 202 accepted, 200 ok, 400 malformed request or headers,
-404 unknown job, 413 oversized body, 429 quota/rate refused,
+404 unknown job, 413 oversized body, 429 quota refused,
 503 shutting down.
 
 :class:`JobServer` runs the loop in a daemon thread so tests (and

@@ -50,10 +50,6 @@ class TestCustomModule:
             module.run(1)
         assert module.stats.failures == 1
 
-    def test_run_batch(self):
-        module = CustomModule("inc", lambda x: x + 1)
-        assert module.run_batch([1, 2, 3]) == [2, 3, 4]
-
 
 class TestComposition:
     def test_sequential_chains(self):

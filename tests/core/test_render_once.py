@@ -289,3 +289,61 @@ class TestUnrenderableRecord:
         assert str(from_chunk.value.cause) == "cannot render 'bad'"
         assert str(from_chunk.value) == str(from_run.value)
         assert handoff(mapper.inner) == (None, None)
+
+
+class CountingRule:
+    """``item -> item["score"]``, noting every item it is asked about."""
+
+    def __init__(self):
+        self.seen: list = []
+
+    def __call__(self, item) -> float:
+        self.seen.append(item)
+        return item["score"]
+
+
+class TestCascadeScoresOnce:
+    """The cascade's rule score goes from prefetch to the record that asked."""
+
+    def _cascade(self, rule) -> CascadeModule:
+        llm = CountingLLM(LLMService(ScriptedProvider()))
+        return CascadeModule("cascade", rule, llm, lower=0.3, upper=0.7)
+
+    def test_a_chunk_scores_each_item_once(self):
+        rule = CountingRule()
+        cascade = self._cascade(rule)
+        items = records(30)
+        outcome = MapModule("map", cascade).apply_chunk(items)
+        assert len(outcome.outputs) == 30
+        assert [item["id"] for item in rule.seen] == list(range(30))
+        assert cascade.rule_decisions + cascade.escalations == 30
+        assert getattr(cascade._tls, "scored", None) is None
+
+    def test_a_score_is_taken_once_and_only_by_the_object_it_was_made_for(self):
+        rule = CountingRule()
+        cascade = self._cascade(rule)
+        items = records(3)
+        cascade.prefetch(items)
+        try:
+            cascade.run(items[0])  # takes prefetch's score
+            cascade.run(items[0])  # scores afresh
+            cascade.run(dict(items[1]))  # equal content, another object
+        finally:
+            cascade.drop_prefetched()
+        assert [item["id"] for item in rule.seen] == [0, 1, 2, 0, 1]
+        assert handoff(cascade.teacher) == (None, None)  # dropped below as well
+
+    def test_an_unscorable_record_belongs_to_the_error_policy(self):
+        values = [{"text": "ab"}, {"nope": 1}, {"text": "abcdefghi"}]
+
+        def mapper() -> MapModule:
+            cascade = self._cascade(lambda doc: len(doc["text"]) / 10)
+            return MapModule("map", cascade, error_policy=ErrorPolicy.SKIP_RECORD)
+
+        by_run = mapper()
+        assert by_run.run(values) == [False, True]
+        assert [entry.record for entry in by_run.drain_quarantine()] == [{"nope": 1}]
+        outcome = mapper().apply_chunk(values)
+        assert outcome.outputs == [False, True]
+        assert [entry.record for entry in outcome.quarantine] == [{"nope": 1}]
+        assert "'text'" in outcome.quarantine[0].error

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.runtime.scheduler import partition, tree_parallel_safe
 from repro.core.runtime.system import LinguaManga
 from repro.core.templates.library import get_template
 from repro.datasets.entity_resolution import generate_er_dataset
@@ -30,13 +31,15 @@ def dataset():
     return generate_er_dataset("beer", seed=7, n_entities=60)
 
 
-def _run_clean(dataset, workers: int, chunk_size: int | None = None) -> str:
-    system = LinguaManga()
-    pipeline = get_template("entity_resolution").instantiate(
-        examples=pick_examples(dataset.train, 4)
+def _er_pipeline(dataset, **options):
+    return get_template("entity_resolution").instantiate(
+        examples=pick_examples(dataset.train, 4), **options
     )
-    report = system.run(
-        pipeline,
+
+
+def _run_clean(dataset, workers: int, chunk_size: int | None = None) -> str:
+    report = LinguaManga().run(
+        _er_pipeline(dataset),
         {"pairs": pairs_as_inputs(dataset.test)},
         workers=workers,
         chunk_size=chunk_size,
@@ -55,12 +58,10 @@ def _run_chaos(dataset, workers: int, rate: float) -> "tuple[str, object]":
         key_mode="content",
     )
     system = LinguaManga(service=LLMService(provider))
-    pipeline = get_template("entity_resolution").instantiate(
-        examples=pick_examples(dataset.train, 4),
-        error_policy="skip_record",
-    )
     report = system.run(
-        pipeline, {"pairs": pairs_as_inputs(dataset.test)}, workers=workers
+        _er_pipeline(dataset, error_policy="skip_record"),
+        {"pairs": pairs_as_inputs(dataset.test)},
+        workers=workers,
     )
     return report.canonical_json(), report
 
@@ -81,18 +82,64 @@ class TestCleanDeterminism:
         )
 
     def test_parallel_matches_sequential_results(self, dataset):
-        """Outputs/quarantine/cost match the legacy path; only ledger
-        cache-hit counts differ (the batched path primes the cache)."""
-        import json
-
-        sequential = json.loads(_run_clean(dataset, None))
-        parallel = json.loads(_run_clean(dataset, 8))
-        for key in ("pipeline", "outputs", "partial", "quarantine"):
-            assert sequential[key] == parallel[key]
-        assert sequential["cost"]["cost"] == parallel["cost"]["cost"]
-        assert (
-            sequential["cost"]["served_calls"] == parallel["cost"]["served_calls"]
+        """Chunked at 8 workers against the reference that still exists: the
+        whole-input ``module.run(list)`` a non-parallel-safe operator takes.
+        Only cache-hit counts may differ (the chunked path primes in batches).
+        """
+        pairs = pairs_as_inputs(dataset.test)
+        whole, chunked = LinguaManga(), LinguaManga()
+        outputs = whole.compile(_er_pipeline(dataset)).module("match_entities_2").run(
+            pairs
         )
+        report = chunked.run(_er_pipeline(dataset), {"pairs": pairs}, workers=8)
+        assert report.outputs == {"save_3": outputs}
+        assert not report.partial
+        assert report.cost.cost == whole.usage().cost
+        assert report.cost.served_calls == whole.service.served_calls
+
+
+class CountingProvider(SimulatedProvider):
+    """The simulator, noting the size of every round trip."""
+
+    def __init__(self):
+        super().__init__()
+        self.singles = 0
+        self.batches: list[int] = []
+
+    def complete(self, request):
+        self.singles += 1
+        return super().complete(request)
+
+    def complete_batch(self, requests):
+        self.batches.append(len(requests))
+        return [SimulatedProvider.complete(self, request) for request in requests]
+
+
+class TestOneEngine:
+    """``run()`` without ``workers=`` is the scheduler at one worker."""
+
+    def test_default_run_pays_one_round_trip_per_chunk(self, dataset):
+        provider = CountingProvider()
+        system = LinguaManga(service=LLMService(provider))
+        pairs = pairs_as_inputs(dataset.test)
+        report = system.run(_er_pipeline(dataset), {"pairs": pairs}, chunk_size=5)
+        assert provider.singles == 0
+        assert provider.batches == [len(chunk) for chunk in partition(pairs, 5)]
+        assert_reports_identical(
+            report.canonical_json(), _run_clean(dataset, 8, chunk_size=5)
+        )
+
+    def test_an_online_learner_still_runs_whole_input_once(self, dataset):
+        plan = LinguaManga().compile(_er_pipeline(dataset, distill=True))
+        matcher = plan.module("match_entities_2")
+        assert not tree_parallel_safe(matcher)
+        calls: list = []
+        run, matcher.apply_chunk = matcher.run, lambda chunk: calls.append("chunk")
+        matcher.run = lambda value: calls.append(len(value)) or run(value)
+        pairs = pairs_as_inputs(dataset.test)
+        report = plan.execute({"pairs": pairs})
+        assert calls == [len(pairs)]
+        assert len(report.outputs["save_3"]) == len(pairs)
 
 
 class TestChaosDeterminism:

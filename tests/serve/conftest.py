@@ -1,9 +1,8 @@
 """Shared fixtures for the serving-layer suite.
 
 Everything runs over real sockets and real threads, but **no wall-clock
-behaviour**: admission clocks are the shared ``virtual_clock`` fixture,
-job execution accrues virtual latency only, and every wait is a bounded
-condition wait that fails loud instead of a polling sleep.
+behaviour**: job execution accrues virtual latency only, and every wait is
+a bounded condition wait that fails loud instead of a polling sleep.
 """
 
 from __future__ import annotations
@@ -40,8 +39,8 @@ def serve_dir(tmp_path):
 
 
 @pytest.fixture
-def queue(serve_dir, virtual_clock):
-    queue = JobQueue(serve_dir, max_workers=4, clock=virtual_clock)
+def queue(serve_dir):
+    queue = JobQueue(serve_dir, max_workers=4)
     yield queue
     if not queue._killed:
         queue.close(drain=False)

@@ -1,13 +1,9 @@
 """Property suite for admission control.
 
-Hypothesis drives random interleavings of submissions, grants, releases
-and clock advances against the token bucket, the quota counters and the
-round-robin dispatcher, pinning the invariants the serving layer leans
-on:
+Hypothesis drives random interleavings of submissions, grants and releases
+against the quota counters and the round-robin dispatcher, pinning the
+invariants the serving layer leans on:
 
-- token counts stay within ``[0, capacity]`` under any acquire/advance
-  sequence, and refill is *additive over time*: advancing the clock in
-  two steps grants exactly what one combined step grants;
 - queued/running counters never go negative and always reconcile with
   the number of outstanding grants (grant/release sequences commute);
 - round-robin dispatch never starves: any tenant with ready work is
@@ -20,81 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.resilience.clock import VirtualClock
 from repro.serve.admission import (
     AdmissionController,
     QuotaExceeded,
     TenantQuota,
-    TokenBucket,
 )
 
 TENANTS = ("alpha", "bravo", "charlie", "delta")
-
-
-# -- token bucket ---------------------------------------------------------------
-
-
-@given(
-    capacity=st.floats(min_value=0.5, max_value=32.0),
-    rate=st.floats(min_value=0.0, max_value=8.0),
-    steps=st.lists(
-        st.one_of(
-            st.tuples(st.just("advance"), st.floats(min_value=0.0, max_value=10.0)),
-            st.tuples(st.just("acquire"), st.floats(min_value=0.0, max_value=4.0)),
-        ),
-        max_size=50,
-    ),
-)
-@settings(max_examples=120, deadline=None)
-def test_tokens_stay_bounded(capacity, rate, steps):
-    clock = VirtualClock()
-    bucket = TokenBucket(capacity, rate, clock=clock)
-    for action, amount in steps:
-        if action == "advance":
-            clock.advance(amount)
-        else:
-            granted = bucket.try_acquire(amount)
-            if granted and amount > capacity:
-                pytest.fail("granted more than capacity in one acquire")
-        tokens = bucket.tokens
-        assert 0.0 <= tokens <= capacity + 1e-9
-
-
-@given(
-    rate=st.floats(min_value=0.1, max_value=8.0),
-    split=st.floats(min_value=0.0, max_value=1.0),
-    total=st.floats(min_value=0.0, max_value=20.0),
-)
-@settings(max_examples=80, deadline=None)
-def test_refill_is_additive_over_time(rate, split, total):
-    """advance(a); advance(b) refills exactly like advance(a + b)."""
-    one = TokenBucket(100.0, rate, clock=VirtualClock())
-    two = TokenBucket(100.0, rate, clock=VirtualClock())
-    for bucket in (one, two):
-        assert bucket.try_acquire(100.0)  # drain to zero
-    one.clock.advance(total)
-    two.clock.advance(total * split)
-    assert two.tokens <= one.tokens + 1e-9  # monotone in elapsed time
-    two.clock.advance(total * (1.0 - split))
-    assert one.tokens == pytest.approx(two.tokens, abs=1e-6)
-
-
-@given(
-    acquires=st.lists(st.floats(min_value=0.1, max_value=3.0), max_size=30)
-)
-@settings(max_examples=80, deadline=None)
-def test_never_grants_more_than_refilled(acquires):
-    """Total granted tokens never exceed capacity + refilled amount."""
-    clock = VirtualClock()
-    bucket = TokenBucket(4.0, 1.0, clock=clock)
-    granted = 0.0
-    for index, amount in enumerate(acquires):
-        if index % 3 == 0:
-            clock.advance(0.5)
-        if bucket.try_acquire(amount):
-            granted += amount
-    refilled = 0.5 * ((len(acquires) + 2) // 3)
-    assert granted <= 4.0 + refilled + 1e-6
 
 
 # -- quota counters -------------------------------------------------------------
@@ -119,7 +47,6 @@ def _admission_ops(draw):
 @settings(max_examples=120, deadline=None)
 def test_counters_never_negative(ops):
     controller = AdmissionController(
-        clock=VirtualClock(),
         default_quota=TenantQuota(max_queued=4, max_running=2),
     )
     queued = {tenant: 0 for tenant in TENANTS}
@@ -164,7 +91,6 @@ def test_counters_never_negative(ops):
 def test_grant_release_commutes(grants, order):
     """Releasing outstanding grants in any order reconciles to zero."""
     controller = AdmissionController(
-        clock=VirtualClock(),
         default_quota=TenantQuota(max_queued=32, max_running=32),
     )
     started = []
@@ -194,7 +120,6 @@ def test_grant_release_commutes(grants, order):
 def test_round_robin_never_starves(backlog):
     """Every backlogged tenant is served within one full rotation."""
     controller = AdmissionController(
-        clock=VirtualClock(),
         default_quota=TenantQuota(max_queued=32, max_running=32),
     )
     remaining = dict(backlog)
@@ -216,19 +141,3 @@ def test_round_robin_never_starves(backlog):
     # each tenant's first grant happens within the first |tenants| picks
     for tenant in backlog:
         assert first_service_round[tenant] <= len(backlog)
-
-
-def test_rate_limited_tenant_is_refused_then_recovers(virtual_clock):
-    controller = AdmissionController(clock=virtual_clock)
-    controller.register(
-        "metered", TenantQuota(max_queued=32, max_running=1, rate=1.0, burst=2.0)
-    )
-    assert controller.queued("metered") == 0
-    controller.admit("metered")
-    controller.admit("metered")  # burst of 2 consumed
-    with pytest.raises(QuotaExceeded):
-        controller.admit("metered")
-    virtual_clock.advance(1.0)  # one token refilled at rate=1/s
-    controller.admit("metered")
-    assert controller.queued("metered") == 3
-    assert controller.refusals == 1

@@ -97,8 +97,8 @@ def test_health_and_listing(queue, client):
     assert status == 200 and filtered["jobs"] == []
 
 
-def test_cancel_over_http(serve_dir, virtual_clock):
-    queue = JobQueue(serve_dir, max_workers=1, clock=virtual_clock, start=False)
+def test_cancel_over_http(serve_dir):
+    queue = JobQueue(serve_dir, max_workers=1, start=False)
     with JobServer(queue) as server:
         client = ApiClient(server.host, server.port)
         _, accepted = client.submit(make_spec("imputation"))
@@ -136,11 +136,10 @@ def test_error_paths(queue, client, server):
     assert queue.store.jobs() == []  # nothing refused left a ledger trace
 
 
-def test_quota_refusal_maps_to_429(serve_dir, virtual_clock):
+def test_quota_refusal_maps_to_429(serve_dir):
     queue = JobQueue(
         serve_dir,
         max_workers=1,
-        clock=virtual_clock,
         default_quota=TenantQuota(max_queued=1, max_running=1),
         start=False,
     )
@@ -153,8 +152,8 @@ def test_quota_refusal_maps_to_429(serve_dir, virtual_clock):
     queue.close(drain=False)
 
 
-def test_shutdown_maps_to_503(serve_dir, virtual_clock):
-    queue = JobQueue(serve_dir, max_workers=1, clock=virtual_clock)
+def test_shutdown_maps_to_503(serve_dir):
+    queue = JobQueue(serve_dir, max_workers=1)
     with JobServer(queue) as server:
         client = ApiClient(server.host, server.port)
         queue.close()

@@ -48,11 +48,10 @@ def test_invalid_specs_are_refused_without_a_ledger_trace(queue, serve_dir):
     assert queue.store.jobs() == []
 
 
-def test_queue_quota_refuses_floods(serve_dir, virtual_clock):
+def test_queue_quota_refuses_floods(serve_dir):
     queue = JobQueue(
         serve_dir,
         max_workers=1,
-        clock=virtual_clock,
         default_quota=TenantQuota(max_queued=2, max_running=1),
         start=False,  # keep everything queued so the quota is what refuses
     )
@@ -67,8 +66,8 @@ def test_queue_quota_refuses_floods(serve_dir, virtual_clock):
     queue.close(drain=False)
 
 
-def test_cancel_queued_job_never_runs(serve_dir, virtual_clock):
-    queue = JobQueue(serve_dir, max_workers=1, clock=virtual_clock, start=False)
+def test_cancel_queued_job_never_runs(serve_dir):
+    queue = JobQueue(serve_dir, max_workers=1, start=False)
     job = queue.submit(make_spec("imputation"))
     cancelled = queue.cancel(job.job_id)
     assert cancelled.status == "cancelled"
@@ -79,9 +78,9 @@ def test_cancel_queued_job_never_runs(serve_dir, virtual_clock):
     assert not (serve_dir / "jobs" / job.job_id).exists()
 
 
-def test_cancel_running_job_interrupts_at_chunk_boundary(serve_dir, virtual_clock):
+def test_cancel_running_job_interrupts_at_chunk_boundary(serve_dir):
     provider = GateProvider(SimulatedProvider(), gate_after=2)
-    queue = JobQueue(serve_dir, provider=provider, max_workers=1, clock=virtual_clock)
+    queue = JobQueue(serve_dir, provider=provider, max_workers=1)
     job = queue.submit(make_spec("imputation"))
     assert provider.gated.wait(timeout=30)
     result = queue.cancel(job.job_id)
@@ -148,21 +147,21 @@ def test_audit_tripwire_flags_alien_cache_hits(queue):
     assert violations[0]["owners"] == ["acme"]
 
 
-def test_restart_recovers_queued_jobs(serve_dir, virtual_clock):
-    queue = JobQueue(serve_dir, max_workers=1, clock=virtual_clock, start=False)
+def test_restart_recovers_queued_jobs(serve_dir):
+    queue = JobQueue(serve_dir, max_workers=1, start=False)
     job = queue.submit(make_spec("imputation"))
     queue.close(drain=False)  # graceful stop before the job ever started
 
-    revived = JobQueue(serve_dir, max_workers=1, clock=virtual_clock)
+    revived = JobQueue(serve_dir, max_workers=1)
     done = revived.store.wait_for(job.job_id)
     assert done.status == "succeeded"
     assert done.attempts == 1 and done.resumed is False
     revived.close()
 
 
-def test_kill_midrun_then_resume(serve_dir, virtual_clock):
+def test_kill_midrun_then_resume(serve_dir):
     provider = GateProvider(SimulatedProvider(), gate_after=3)
-    queue = JobQueue(serve_dir, provider=provider, max_workers=1, clock=virtual_clock)
+    queue = JobQueue(serve_dir, provider=provider, max_workers=1)
     job = queue.submit(make_spec("imputation", workers=2))
     assert provider.gated.wait(timeout=30)
 
@@ -181,7 +180,7 @@ def test_kill_midrun_then_resume(serve_dir, virtual_clock):
     ]
     assert statuses == [None, "running"]  # submit record, then running
 
-    revived = JobQueue(serve_dir, max_workers=1, clock=virtual_clock)
+    revived = JobQueue(serve_dir, max_workers=1)
     done = revived.store.wait_for(job.job_id)
     assert done.status == "succeeded"
     assert done.resumed is True and done.attempts == 2
@@ -189,8 +188,8 @@ def test_kill_midrun_then_resume(serve_dir, virtual_clock):
     revived.close()
 
 
-def test_submit_after_shutdown_is_refused(serve_dir, virtual_clock):
-    queue = JobQueue(serve_dir, max_workers=1, clock=virtual_clock)
+def test_submit_after_shutdown_is_refused(serve_dir):
+    queue = JobQueue(serve_dir, max_workers=1)
     queue.close()
     with pytest.raises(QuotaExceeded) as refusal:
         queue.submit(make_spec("imputation"))
@@ -263,7 +262,7 @@ def test_older_builds_cache_snapshot_still_rewinds_a_reattempt(queue, serve_dir)
     assert cache.state_digests() == exact
 
 
-def test_failed_job_cache_entries_count_as_self_paid(serve_dir, virtual_clock):
+def test_failed_job_cache_entries_count_as_self_paid(serve_dir):
     """Entries a *failed* attempt cached must be folded into the audit.
 
     Pre-fix only succeeded/cancelled jobs folded their ledgers, so a
@@ -298,7 +297,6 @@ def test_failed_job_cache_entries_count_as_self_paid(serve_dir, virtual_clock):
         serve_dir,
         provider=shared,
         max_workers=1,
-        clock=virtual_clock,
         provider_factory=lambda spec: (
             DieAfter(shared, 2) if spec.options.get("die") else None
         ),
@@ -363,12 +361,12 @@ def test_audit_seeding_digests_each_cache_key_once(queue, monkeypatch):
 
 
 def test_keys_of_a_cancelled_attempt_are_seeded_by_the_next_submit(
-    serve_dir, virtual_clock, monkeypatch
+    serve_dir, monkeypatch
 ):
     """A chunk cancelled in flight leaves cache entries no ledger fold saw;
     the next submit must register them before a job can hit them."""
     provider = GateProvider(SimulatedProvider(), gate_after=2)
-    queue = JobQueue(serve_dir, provider=provider, max_workers=1, clock=virtual_clock)
+    queue = JobQueue(serve_dir, provider=provider, max_workers=1)
     first = queue.submit(make_spec("imputation"))
     assert provider.gated.wait(timeout=30)
     queue.cancel(first.job_id)

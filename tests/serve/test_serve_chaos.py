@@ -37,7 +37,6 @@ from repro.llm.errors import LLMError
 from repro.llm.faults import ChaosProvider, FaultSpec
 from repro.llm.providers import SimulatedProvider
 from repro.llm.service import LLMService
-from repro.resilience.clock import VirtualClock
 from repro.serve import JobQueue
 from repro.serve.jobs import JobSpec, run_task
 from tests.serve.conftest import GateProvider
@@ -95,7 +94,6 @@ def _direct_replay(spec: JobSpec, cache_path) -> str | None:
     service = LLMService(
         _chaos_factory(SimulatedProvider())(spec),
         cache=PromptCache(path=cache_path),
-        clock=VirtualClock(),
     )
     workers = int(spec.options.get("workers", 1))
     try:
@@ -106,7 +104,7 @@ def _direct_replay(spec: JobSpec, cache_path) -> str | None:
     return report.canonical_json()
 
 
-def test_chaos_flood_kill_restart_drain(tmp_path, virtual_clock):
+def test_chaos_flood_kill_restart_drain(tmp_path):
     serve_dir = tmp_path / "serve"
     gate = GateProvider(SimulatedProvider(), gate_after=max(20, 2 * N_JOBS))
     queue = JobQueue(
@@ -114,7 +112,6 @@ def test_chaos_flood_kill_restart_drain(tmp_path, virtual_clock):
         provider=gate,
         provider_factory=_chaos_factory(gate),
         max_workers=8,
-        clock=virtual_clock,
     )
 
     # -- flood -------------------------------------------------------------------
@@ -153,7 +150,6 @@ def test_chaos_flood_kill_restart_drain(tmp_path, virtual_clock):
         provider=SimulatedProvider(),
         provider_factory=_chaos_factory(SimulatedProvider()),
         max_workers=8,
-        clock=virtual_clock,
         start=False,
     )
     after_kill = revived.store.statuses()

@@ -18,7 +18,6 @@ from repro.core.runtime.system import LinguaManga
 from repro.llm.cache import PromptCache
 from repro.llm.providers import SimulatedProvider
 from repro.llm.service import LLMService
-from repro.resilience.clock import VirtualClock
 from repro.serve import JobServer
 from repro.serve.jobs import run_task
 from tests.serve.conftest import ApiClient, make_spec
@@ -44,7 +43,6 @@ def _direct_reports(task: str, workers: int, cache_path, runs: int) -> list[str]
         service = LLMService(
             SimulatedProvider(),
             cache=PromptCache(path=cache_path),
-            clock=VirtualClock(),
         )
         result = run_task(
             make_spec(task, workers=workers),
