@@ -64,7 +64,6 @@ class OperatorResilience:
     quarantined: int = 0
     degraded: int = 0
     llm_retries: int = 0
-    llm_fallbacks: int = 0
     llm_failures: int = 0
 
     @property
@@ -74,7 +73,6 @@ class OperatorResilience:
             self.quarantined
             or self.degraded
             or self.llm_retries
-            or self.llm_fallbacks
             or self.llm_failures
         )
 
@@ -82,8 +80,7 @@ class OperatorResilience:
         """One-line rendering."""
         return (
             f"quarantined={self.quarantined} degraded={self.degraded} "
-            f"llm_retries={self.llm_retries} llm_fallbacks={self.llm_fallbacks} "
-            f"llm_failures={self.llm_failures}"
+            f"llm_retries={self.llm_retries} llm_failures={self.llm_failures}"
         )
 
 
@@ -158,7 +155,6 @@ class RunReport:
                     "quarantined": c.quarantined,
                     "degraded": c.degraded,
                     "llm_retries": c.llm_retries,
-                    "llm_fallbacks": c.llm_fallbacks,
                     "llm_failures": c.llm_failures,
                 }
                 for name, c in self.resilience.items()
@@ -175,7 +171,6 @@ class RunReport:
                 "cost": round(self.cost.cost, 10),
                 "latency_seconds": round(self.cost.latency_seconds, 9),
                 "retries": self.cost.retries,
-                "fallback_calls": self.cost.fallback_calls,
                 "failed_calls": self.cost.failed_calls,
                 "distilled_calls": self.cost.distilled_calls,
                 "provider_seconds": round(self.cost.provider_seconds, 9),
@@ -483,7 +478,6 @@ def run_operator_step(
         quarantined=len(drained),
         degraded=degraded,
         llm_retries=row.retries,
-        llm_fallbacks=row.fallbacks,
         llm_failures=row.failures,
     )
     return value, slice_, drained, degraded

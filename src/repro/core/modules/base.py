@@ -220,8 +220,10 @@ class Module(ABC):
         clean-up, configuration identity, the degraded count and the
         parallel-safety check all recurse through it.  Children live under
         the conventional attributes ``inner``, ``stage``, ``fallback``,
-        ``teacher``, ``primary`` and ``wrapper``, or in a ``stages``
-        sequence (named ``stages[i]``).
+        ``teacher``, ``primary`` and ``wrapper``, in a ``stages`` sequence
+        (named ``stages[i]``), or as the ``tagger`` of a ``tagger_holder``
+        (the per-phrase tagger a name-extraction closure calls, which the
+        simulator may swap after compilation).
         """
         for attribute in (
             "inner", "stage", "fallback", "teacher", "primary", "wrapper"
@@ -232,6 +234,9 @@ class Module(ABC):
         for index, child in enumerate(getattr(self, "stages", ())):
             if isinstance(child, Module):
                 yield f"stages[{index}]", child
+        tagger = getattr(self, "tagger_holder", {}).get("tagger")
+        if isinstance(tagger, Module):
+            yield "tagger", tagger
 
     def drop_prefetched(self) -> None:
         """Forget what ``prefetch`` left on this thread, here and below.

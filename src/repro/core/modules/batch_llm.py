@@ -133,7 +133,7 @@ class BatchLLMModule(Module):
             except LLMError as batch_error:
                 if self.error_policy == ErrorPolicy.FAIL:
                     raise
-                # The whole batch prompt failed (outage, breaker open, budget):
+                # The whole batch prompt failed (outage, budget):
                 # resolve each item individually, quarantining double failures.
                 for original_index in indices:
                     with self._lock:

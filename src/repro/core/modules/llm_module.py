@@ -241,8 +241,8 @@ class LLMModule(Module):
                     )
                 except ProviderError:
                     # The service already exhausted its resilience policy
-                    # (retries, fallback providers, breaker); count it so run
-                    # reports can attribute outages per operator, then let the
+                    # (retries, deadline); count it so run reports can
+                    # attribute outages per operator, then let the
                     # executor's error policy decide the record's fate.
                     self.provider_failures += 1
                     raise

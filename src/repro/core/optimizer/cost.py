@@ -20,7 +20,7 @@ __all__ = ["CostSnapshot", "CostTracker", "CostComparison"]
 class CostSnapshot:
     """Usage delta between two points in time.
 
-    The resilience counters (retries, fallback calls, failed calls) show
+    The resilience counters (retries, failed calls) show
     what the reliability layer spent to deliver the run — the "extra cost
     of robustness" number the chaos benchmark reports.
     """
@@ -30,7 +30,6 @@ class CostSnapshot:
     cost: float
     latency_seconds: float
     retries: int = 0
-    fallback_calls: int = 0
     failed_calls: int = 0
     distilled_calls: int = 0
     #: virtual latency of provider-path calls only; ``latency_seconds``
@@ -48,11 +47,8 @@ class CostSnapshot:
         )
         if self.distilled_calls:
             text += f" distilled={self.distilled_calls}"
-        if self.retries or self.fallback_calls or self.failed_calls:
-            text += (
-                f" retries={self.retries} fallbacks={self.fallback_calls} "
-                f"failed={self.failed_calls}"
-            )
+        if self.retries or self.failed_calls:
+            text += f" retries={self.retries} failed={self.failed_calls}"
         return text
 
 
@@ -84,7 +80,6 @@ class CostTracker:
             cost=after.cost - self._before.cost,
             latency_seconds=after.latency_seconds - self._before.latency_seconds,
             retries=after.retries - self._before.retries,
-            fallback_calls=after.fallback_calls - self._before.fallback_calls,
             failed_calls=after.failed_calls - self._before.failed_calls,
             distilled_calls=after.distilled_calls - self._before.distilled_calls,
             provider_seconds=after.provider_seconds - self._before.provider_seconds,

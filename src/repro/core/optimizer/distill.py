@@ -313,7 +313,7 @@ class DistillationRouter(Module):
         try:
             label = self.teacher.run(value)
         except Exception:
-            # Teacher unreachable (outage, open breaker, exhausted budget).
+            # Teacher unreachable (outage, exhausted budget).
             # A trained student is the learned degraded path: answer with
             # its best guess, confidence threshold waived.
             if self._model is None:

@@ -47,10 +47,11 @@ per operator commit via ``fault_state()``.
 Durability is group-committed: every append flushes synchronously (an
 acknowledged line always survives a *process* crash), while fsyncs — the
 power-loss guard — are batched.  A ``durable`` append (header, ``op``
-commit) fsyncs only when ``fsync_interval`` seconds have passed since the
-last fsync, plain appends batch per ``fsync_every``, and ``close`` settles
-anything deferred.  A torn final line — the classic crash-mid-write
-artifact — is detected on load, truncated away and counted, never raised.
+commit) fsyncs only when ``DEFAULT_FSYNC_INTERVAL`` seconds have passed
+since the last fsync, plain appends batch per ``DEFAULT_FSYNC_EVERY``, and
+``close`` settles anything deferred.  A torn final line — the classic
+crash-mid-write artifact — is detected on load, truncated away and
+counted, never raised.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ __all__ = [
 #: Bumped whenever the journal schema changes; resume refuses other versions.
 JOURNAL_FORMAT_VERSION = 1
 
-#: Default number of appends between fsyncs (commits always fsync).
+#: Plain appends between fsyncs.
 DEFAULT_FSYNC_EVERY = 8
 
 #: Group-commit window: a durable append skips the fsync when one already
@@ -234,15 +235,8 @@ class CheckpointJournal:
     artifact, detected and truncated rather than raised.
     """
 
-    def __init__(
-        self,
-        path: str | Path,
-        fsync_every: int = DEFAULT_FSYNC_EVERY,
-        fsync_interval: float = DEFAULT_FSYNC_INTERVAL,
-    ):
+    def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.fsync_every = max(1, int(fsync_every))
-        self.fsync_interval = max(0.0, float(fsync_interval))
         self.torn_bytes = 0
         self._handle = None
         self._pending = 0
@@ -295,8 +289,9 @@ class CheckpointJournal:
         The flush is synchronous, so every acknowledged append survives a
         *process* crash.  fsyncs — which guard against power loss — are
         group-committed: a ``durable`` append only pays one if more than
-        ``fsync_interval`` seconds elapsed since the last (the first ever
-        append always does), and plain appends batch per ``fsync_every``.
+        ``DEFAULT_FSYNC_INTERVAL`` seconds elapsed since the last (the first
+        ever append always does), and plain appends batch per
+        ``DEFAULT_FSYNC_EVERY``.
         :meth:`close` settles whatever the interval deferred.
         """
         line = _dump_line(record)
@@ -308,8 +303,8 @@ class CheckpointJournal:
             self._handle.write(line)
             self._handle.flush()
             self._pending += 1
-            due = time.monotonic() - self._last_fsync >= self.fsync_interval
-            if (durable and due) or self._pending >= self.fsync_every:
+            due = time.monotonic() - self._last_fsync >= DEFAULT_FSYNC_INTERVAL
+            if (durable and due) or self._pending >= DEFAULT_FSYNC_EVERY:
                 self._fsync_locked()
 
     def _fsync_locked(self) -> None:

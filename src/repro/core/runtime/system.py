@@ -51,7 +51,7 @@ class LinguaManga:
         provider.
     obs:
         Optional :class:`repro.obs.Observability` hub.  When given, every
-        layer — service, cache, breakers, scheduler, modules, plan
+        layer — service, cache, scheduler, modules, plan
         executor — publishes spans and metrics into it, and run reports
         carry a per-module profile.  ``None`` (the default) collects
         nothing and adds no overhead.

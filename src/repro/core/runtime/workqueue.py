@@ -725,7 +725,6 @@ def _add_rows(accumulated: ProfileRow, row: ProfileRow) -> ProfileRow:
         provider_seconds=accumulated.provider_seconds + row.provider_seconds,
         distilled_seconds=accumulated.distilled_seconds + row.distilled_seconds,
         retries=accumulated.retries + row.retries,
-        fallbacks=accumulated.fallbacks + row.fallbacks,
         failures=accumulated.failures + row.failures,
         quarantined=accumulated.quarantined + row.quarantined,
     )
@@ -941,7 +940,6 @@ class StreamingExecutor:
                     quarantined=counts["quarantined"],
                     degraded=counts["degraded"],
                     llm_retries=row.retries,
-                    llm_fallbacks=row.fallbacks,
                     llm_failures=row.failures,
                 )
             if self.sink is None:
@@ -968,7 +966,6 @@ class StreamingExecutor:
             cost=totals.cost,
             latency_seconds=totals.latency_seconds,
             retries=totals.retries,
-            fallback_calls=totals.fallbacks,
             failed_calls=totals.failures,
             distilled_calls=totals.distilled,
             # Distilled time under its own key, not folded into provider time.

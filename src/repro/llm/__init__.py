@@ -6,7 +6,6 @@ substitution for the hosted APIs the paper used.
 
 from repro.llm.errors import (
     BudgetExceededError,
-    CircuitOpenError,
     LLMError,
     MalformedResponseError,
     ProviderError,
@@ -35,7 +34,6 @@ from repro.llm.tokenizer import count_tokens, estimate_cost
 
 __all__ = [
     "BudgetExceededError",
-    "CircuitOpenError",
     "ChaosProvider",
     "FaultKind",
     "FaultSpec",

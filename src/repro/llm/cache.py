@@ -51,6 +51,10 @@ PROVENANCE_PROVIDER = "provider"
 PROVENANCE_CACHE_EXACT = "cache-exact"
 PROVENANCE_DISTILLED = "distilled"
 
+#: A journal holding more than this many lines per live entry (and at least
+#: 128) is rewritten from the live entries on the next put.
+_COMPACT_FACTOR = 4
+
 
 @dataclass(frozen=True)
 class CacheKey:
@@ -324,7 +328,6 @@ class PromptCache:
 
     path: str | Path | None = None
     max_entries: int = 10_000
-    compact_factor: int = 4
 
     def __post_init__(self) -> None:
         if self.max_entries < 1:
@@ -393,7 +396,7 @@ class PromptCache:
             if self.journal is not None:
                 self.journal.append(key, response)
                 if self.journal.lines_appended > max(
-                    128, self.compact_factor * len(self._entries)
+                    128, _COMPACT_FACTOR * len(self._entries)
                 ):
                     self.journal.compact(self._entries.items())
 

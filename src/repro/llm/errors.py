@@ -6,7 +6,6 @@ __all__ = [
     "LLMError",
     "ProviderError",
     "RateLimitError",
-    "CircuitOpenError",
     "BudgetExceededError",
     "MalformedResponseError",
 ]
@@ -26,14 +25,6 @@ class RateLimitError(ProviderError):
     def __init__(self, message: str = "rate limit exceeded", retry_after: float = 1.0):
         super().__init__(message)
         self.retry_after = retry_after
-
-
-class CircuitOpenError(ProviderError):
-    """The service refused the call because the circuit breaker is open.
-
-    Subclasses :class:`ProviderError` so record-level isolation (quarantine)
-    treats a fast-failed call exactly like a slow provider failure.
-    """
 
 
 class BudgetExceededError(LLMError):

@@ -10,11 +10,10 @@ evaluation is measured here.  The service wraps a provider with:
   warm-start,
 - a **budget** (max calls and/or max dollars; exceeding raises
   :class:`BudgetExceededError`),
-- a **resilience policy** (retry backoff, per-call deadline, circuit
-  breaker, fallback provider chain — see :mod:`repro.resilience`), and
+- a **resilience policy** (retry backoff and a per-call deadline — see
+  :mod:`repro.resilience`), and
 - a **ledger** recording every call with token counts, cost, purpose and
-  its resilience ``outcome`` (served / cached / retried / fallback /
-  circuit_open / gave_up).
+  its resilience ``outcome`` (served / cached / retried / gave_up).
 
 Time is virtual: latency and every retry/cooldown wait are accumulated on a
 :class:`~repro.resilience.clock.VirtualClock` rather than slept, so
@@ -53,19 +52,15 @@ from repro.llm.cache import (
 )
 from repro.llm.errors import (
     BudgetExceededError,
-    CircuitOpenError,
     LLMError,
     ProviderError,
     RateLimitError,
 )
 from repro.llm.providers import LLMProvider, LLMRequest, LLMResponse, SimulatedProvider
 from repro.llm.tokenizer import count_tokens, estimate_cost
-from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.clock import VirtualClock
 from repro.resilience.policy import (
     OUTCOME_CACHED,
-    OUTCOME_CIRCUIT_OPEN,
-    OUTCOME_FALLBACK,
     OUTCOME_GAVE_UP,
     OUTCOME_RETRIED,
     OUTCOME_SERVED,
@@ -91,8 +86,8 @@ _NO_VERSION = ""  # default prompt-template version tag
 #: :meth:`repro.resilience.policy.RetryPolicy.delay` — so concurrent
 #: retries of different prompts de-synchronise instead of thundering back
 #: at the provider in lockstep, while any given prompt's schedule stays
-#: byte-reproducible.  Callers passing an explicit ``policy=`` (or relying
-#: on ``RetryPolicy()``'s own ``jitter=0.0`` default) are unaffected.
+#: byte-reproducible.  Callers passing an explicit ``policy=`` get that
+#: policy's own jitter (``RetryPolicy()`` defaults to ``jitter=0.0``).
 DEFAULT_RETRY_JITTER = 0.1
 
 
@@ -140,7 +135,6 @@ class UsageSummary:
     cost: float
     latency_seconds: float
     retries: int = 0
-    fallback_calls: int = 0
     failed_calls: int = 0
     distilled_calls: int = 0
     cache_evictions: int = 0
@@ -162,11 +156,8 @@ class UsageSummary:
             text += (
                 f" distilled={self.distilled_calls} evictions={self.cache_evictions}"
             )
-        if self.retries or self.fallback_calls or self.failed_calls:
-            text += (
-                f" retries={self.retries} fallbacks={self.fallback_calls} "
-                f"failed={self.failed_calls}"
-            )
+        if self.retries or self.failed_calls:
+            text += f" retries={self.retries} failed={self.failed_calls}"
         return text
 
 
@@ -208,9 +199,8 @@ class CallScope:
 class LLMService:
     """Cached, budgeted, resilient front end over an :class:`LLMProvider`.
 
-    ``max_retries``/``backoff_seconds`` are legacy shorthands; passing a
-    :class:`ResiliencePolicy` via ``policy=`` supersedes them and unlocks
-    deadlines, circuit breaking and fallback chains.
+    ``policy=`` sets the retry schedule and per-call deadline; the default
+    is ``RetryPolicy()`` with :data:`DEFAULT_RETRY_JITTER` and no deadline.
 
     The cache is a :class:`repro.llm.cache.PromptCache`; pass one via
     ``cache=`` (or just a journal location via ``cache_path=`` for a warm
@@ -226,8 +216,6 @@ class LLMService:
         cache_enabled: bool = True,
         max_calls: int | None = None,
         max_cost: float | None = None,
-        max_retries: int = 3,
-        backoff_seconds: float = 0.5,
         policy: ResiliencePolicy | None = None,
         clock: VirtualClock | None = None,
         cache: PromptCache | None = None,
@@ -250,11 +238,7 @@ class LLMService:
         self.max_calls = max_calls
         self.max_cost = max_cost
         self.policy = policy or ResiliencePolicy(
-            retry=RetryPolicy(
-                max_retries=max_retries,
-                backoff_seconds=backoff_seconds,
-                jitter=DEFAULT_RETRY_JITTER,
-            )
+            retry=RetryPolicy(jitter=DEFAULT_RETRY_JITTER)
         )
         self.clock = clock or VirtualClock()
         self.records: list[CallRecord] = []
@@ -270,7 +254,6 @@ class LLMService:
         # flight when it fired must not repopulate the fresh cache.
         self._cache_epoch = 0
         self.coalesced_calls = 0
-        self.breakers = self._build_breakers()
         self.obs = None
         if obs is not None:
             self.attach_obs(obs)
@@ -278,10 +261,9 @@ class LLMService:
     def attach_obs(self, obs) -> None:
         """Attach a :class:`repro.obs.Observability` hub to this service.
 
-        Wires the metrics registry into the prompt cache and every circuit
-        breaker; ledger records are published via :meth:`_record`.  The
-        observability path never alters what the service answers or
-        ledgers — it only mirrors.
+        Wires the metrics registry into the prompt cache; ledger records
+        are published via :meth:`_record`.  The observability path never
+        alters what the service answers or ledgers — it only mirrors.
         """
         self.obs = obs
         self.cache.metrics = obs.metrics
@@ -301,9 +283,6 @@ class LLMService:
                     lines=journal.corrupt_lines,
                     journal="cache",
                 )
-        for breaker in self.breakers:
-            if breaker is not None:
-                breaker.metrics = obs.metrics
 
     def _cache_key(self, prompt: str, max_tokens: int, version: str) -> CacheKey:
         return CacheKey(
@@ -327,22 +306,6 @@ class LLMService:
         if hub is not None and hub.provider is self.provider:
             return hub
         return None
-
-    def _provider_chain(self) -> list[LLMProvider]:
-        chain = [self.provider]
-        if self.policy.fallback is not None:
-            chain.extend(self.policy.fallback.providers)
-        return chain
-
-    def _build_breakers(self) -> list[CircuitBreaker | None]:
-        """One breaker per provider: the policy's for the primary, clones after."""
-        if self.policy.breaker is None:
-            return [None for _ in self._provider_chain()]
-        breakers: list[CircuitBreaker | None] = [self.policy.breaker]
-        breakers.extend(
-            self.policy.breaker.clone() for _ in self._provider_chain()[1:]
-        )
-        return breakers
 
     # -- virtual clock -----------------------------------------------------------
 
@@ -458,10 +421,9 @@ class LLMService:
         """Answer ``prompt``; returns the response text.
 
         Raises :class:`BudgetExceededError` when the call would exceed the
-        configured budget, :class:`CircuitOpenError` when the breaker
-        refuses the call, and :class:`ProviderError` when every provider and
-        retry is exhausted.  Failed calls are still recorded in the ledger
-        with their resilience outcome.
+        configured budget and :class:`ProviderError` when every retry is
+        exhausted.  Failed calls are still recorded in the ledger with
+        their resilience outcome.
 
         Concurrent callers asking the identical versioned key are
         **coalesced** (cache enabled only): one caller leads, the rest wait
@@ -807,7 +769,7 @@ class LLMService:
     def _batch_resilient(
         self, requests: list[LLMRequest]
     ) -> list[tuple[LLMResponse, str, int]] | None:
-        """One retried ``complete_batch`` against the primary provider.
+        """One retried ``complete_batch`` against the provider.
 
         Returns ``None`` when the batch path is exhausted (callers fall
         back to per-prompt resilient calls); never raises provider errors.
@@ -904,7 +866,7 @@ class LLMService:
 
         The checkpoint runtime calls this before re-executing any live
         chunk: every answer a completed chunk *paid for* (provider calls,
-        including retried/fallback ones) must be back in the cache first,
+        including retried ones) must be back in the cache first,
         or a live chunk that originally hit the cache would re-pay the
         provider and the resumed ledger would no longer be byte-identical
         to an uninterrupted run.
@@ -940,10 +902,10 @@ class LLMService:
     def _complete_resilient(
         self, request: LLMRequest, purpose: str
     ) -> tuple[LLMResponse, str, int]:
-        """Walk the provider chain under the resilience policy.
+        """Retry the provider under the resilience policy.
 
         Returns ``(response, outcome, retries)`` on success; on exhaustion
-        records a failure ledger entry and raises.
+        records a ``gave_up`` ledger entry and raises.
         """
         policy = self.policy
         # Keyed on the prompt (not a shared call counter) so the jitter
@@ -952,71 +914,27 @@ class LLMService:
         clock = self._active_clock()
         started = clock.now
         last_error: ProviderError | None = None
-        saw_open = False
-        chain = self._provider_chain()
-
-        for p_index, provider in enumerate(chain):
-            breaker = self.breakers[p_index] if p_index < len(self.breakers) else None
-            if breaker is not None and not breaker.allow(clock.now):
-                if p_index < len(chain) - 1:
-                    saw_open = True  # divert to the next provider immediately
-                    continue
-                # Last provider: block (in virtual time) until the breaker
-                # would allow a half-open probe, bounded by the deadline.
-                wait = breaker.remaining(clock.now)
-                if policy.deadline is not None:
-                    wait = policy.deadline.clamp(wait, clock.now - started)
-                clock.advance(wait)
-                if not breaker.allow(clock.now):
-                    saw_open = True
-                    continue
-            for attempt in range(policy.retry.max_retries + 1):
-                try:
-                    response = provider.complete(request)
-                except RateLimitError as error:
-                    last_error = error
-                    wait = error.retry_after
-                except ProviderError as error:
-                    last_error = error
-                    wait = policy.retry.delay(attempt, key=call_key)
-                else:
-                    if breaker is not None:
-                        breaker.record_success(clock.now)
-                    if p_index == 0:
-                        outcome = OUTCOME_SERVED if attempt == 0 else OUTCOME_RETRIED
-                    else:
-                        outcome = OUTCOME_FALLBACK
-                    return response, outcome, attempt
-                if breaker is not None:
-                    breaker.record_failure(clock.now)
-                if attempt >= policy.retry.max_retries:
+        for attempt in range(policy.retry.max_retries + 1):
+            try:
+                response = self.provider.complete(request)
+            except RateLimitError as error:
+                last_error = error
+                wait = error.retry_after
+            except ProviderError as error:
+                last_error = error
+                wait = policy.retry.delay(attempt, key=call_key)
+            else:
+                outcome = OUTCOME_SERVED if attempt == 0 else OUTCOME_RETRIED
+                return response, outcome, attempt
+            if attempt >= policy.retry.max_retries:
+                break
+            elapsed = clock.now - started
+            if policy.deadline is not None:
+                if policy.deadline.exhausted(elapsed):
                     break
-                elapsed = clock.now - started
-                if policy.deadline is not None:
-                    if policy.deadline.exhausted(elapsed):
-                        break
-                    wait = policy.deadline.clamp(wait, elapsed)
-                clock.advance(wait)
-                if breaker is not None and not breaker.allow(clock.now):
-                    break  # opened mid-storm: stop hammering this provider
+                wait = policy.deadline.clamp(wait, elapsed)
+            clock.advance(wait)
 
-        if policy.fallback is not None and policy.fallback.degraded is not None:
-            text = policy.fallback.degraded(request)
-            response = LLMResponse(
-                text=text,
-                prompt_tokens=count_tokens(request.prompt),
-                completion_tokens=count_tokens(text),
-                model="degraded",
-                skill="degraded",
-                latency_seconds=0.0,
-            )
-            return response, OUTCOME_FALLBACK, 0
-
-        outcome = (
-            OUTCOME_CIRCUIT_OPEN
-            if saw_open and last_error is None
-            else OUTCOME_GAVE_UP
-        )
         self._record(
             CallRecord(
                 prompt=request.prompt,
@@ -1028,18 +946,14 @@ class LLMService:
                 skill="",
                 purpose=purpose,
                 latency_seconds=0.0,
-                retries=policy.retry.max_retries if last_error is not None else 0,
-                outcome=outcome,
+                retries=policy.retry.max_retries,
+                outcome=OUTCOME_GAVE_UP,
                 max_tokens=request.max_tokens,
             )
         )
-        if outcome == OUTCOME_CIRCUIT_OPEN:
-            raise CircuitOpenError(
-                "circuit breaker open: call refused without reaching a provider"
-            )
         raise ProviderError(
-            f"provider failed after {policy.retry.max_retries + 1} attempts "
-            f"across {len(chain)} provider(s): {last_error}"
+            f"provider failed after {policy.retry.max_retries + 1} attempts: "
+            f"{last_error}"
         )
 
     def _check_budget(self) -> None:
@@ -1071,7 +985,7 @@ class LLMService:
 
     @property
     def failed_calls(self) -> int:
-        """Calls that exhausted the resilience policy (gave_up/circuit_open)."""
+        """Calls that exhausted the resilience policy (``gave_up``)."""
         return sum(1 for r in self.records if not r.succeeded)
 
     @property
@@ -1100,7 +1014,6 @@ class LLMService:
             cost=sum(r.cost for r in records),
             latency_seconds=sum(r.latency_seconds for r in records),
             retries=sum(r.retries for r in records),
-            fallback_calls=sum(1 for r in records if r.outcome == OUTCOME_FALLBACK),
             failed_calls=sum(1 for r in records if not r.succeeded),
             distilled_calls=sum(
                 1 for r in records if r.provenance == PROVENANCE_DISTILLED
@@ -1184,7 +1097,7 @@ class CoalesceHub:
     dedup.
 
     Results that a solo caller would *not* have recorded — retried
-    successes, fallbacks, failures — are never settled: the slot is
+    successes, failures — are never settled: the slot is
     released and the next claimant competes to lead.  Services whose
     ``provider`` is not :attr:`provider` (e.g. a job wrapping the shared
     provider in a chaos injector) bypass the hub entirely — see

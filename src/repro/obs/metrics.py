@@ -1,8 +1,8 @@
 """The metrics registry: counters, gauges and fixed-bucket histograms.
 
 Every subsystem with something to report — the LLM service, the prompt
-cache, the distillation router, the circuit breakers, the scheduler, the
-modules — publishes into one :class:`MetricsRegistry` owned by the
+cache, the distillation router, the scheduler, the modules — publishes
+into one :class:`MetricsRegistry` owned by the
 :class:`~repro.obs.Observability` hub.  Design constraints:
 
 - **thread safe** — workers publish concurrently; one registry lock guards

@@ -5,8 +5,8 @@ A :class:`RunProfile` is attached to every
 :class:`ProfileRow` per operator, derived from that operator's
 canonicalized ledger slice, breaking down how its answers were produced
 (provider / exact cache / distilled), what they cost,
-and what the resilience layer absorbed (retries, fallbacks, failures,
-quarantined records).
+and what the resilience layer absorbed (retries, failures, quarantined
+records).
 
 The profile is an exact decomposition of the run's
 :class:`~repro.core.optimizer.cost.CostSnapshot`: summing the rows
@@ -24,7 +24,6 @@ from repro.llm.cache import (
     PROVENANCE_CACHE_EXACT,
     PROVENANCE_DISTILLED,
 )
-from repro.resilience.policy import OUTCOME_FALLBACK
 
 __all__ = ["ProfileRow", "RunProfile", "profile_records"]
 
@@ -62,7 +61,6 @@ class ProfileRow:
     #: provider time.
     distilled_seconds: float = 0.0
     retries: int = 0
-    fallbacks: int = 0
     failures: int = 0
     quarantined: int = 0
 
@@ -84,7 +82,6 @@ class ProfileRow:
             "provider_seconds": round(self.provider_seconds, 9),
             "distilled_seconds": round(self.distilled_seconds, 9),
             "retries": self.retries,
-            "fallbacks": self.fallbacks,
             "failures": self.failures,
             "quarantined": self.quarantined,
         }
@@ -100,15 +97,13 @@ def profile_records(
     canonicalized — the executor profiles after the scheduler's merge.
     """
     calls = provider = exact = distilled = 0
-    retries = fallbacks = failures = 0
+    retries = failures = 0
     cost = latency = provider_seconds = distilled_seconds = 0.0
     for record in records:
         calls += 1
         cost += record.cost
         latency += record.latency_seconds
         retries += record.retries
-        if record.outcome == OUTCOME_FALLBACK:
-            fallbacks += 1
         if not record.cached:
             provider_seconds += record.latency_seconds
         elif record.provenance == PROVENANCE_DISTILLED:
@@ -133,7 +128,6 @@ def profile_records(
         provider_seconds=provider_seconds,
         distilled_seconds=distilled_seconds,
         retries=retries,
-        fallbacks=fallbacks,
         failures=failures,
         quarantined=quarantined,
     )
@@ -167,7 +161,6 @@ class RunProfile:
             provider_seconds=float(sum(r.provider_seconds for r in self.rows)),
             distilled_seconds=float(sum(r.distilled_seconds for r in self.rows)),
             retries=sum(r.retries for r in self.rows),
-            fallbacks=sum(r.fallbacks for r in self.rows),
             failures=sum(r.failures for r in self.rows),
             quarantined=sum(r.quarantined for r in self.rows),
         )
@@ -175,7 +168,7 @@ class RunProfile:
     def reconciles_with(self, cost: Any) -> bool:
         """Whether the rows decompose ``cost`` (a ``CostSnapshot``) exactly.
 
-        Served/cached/distilled/retry/fallback/failure counts must
+        Served/cached/distilled/retry/failure counts must
         match integer-exactly; dollar cost and virtual latency to within
         float-sum tolerance.
         """
@@ -185,7 +178,6 @@ class RunProfile:
             and totals.cached_calls == cost.cached_calls
             and totals.distilled == cost.distilled_calls
             and totals.retries == cost.retries
-            and totals.fallbacks == cost.fallback_calls
             and totals.failures == cost.failed_calls
             and abs(totals.cost - cost.cost) < 1e-9
             and abs(totals.latency_seconds - cost.latency_seconds) < 1e-6

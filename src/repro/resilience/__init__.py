@@ -1,26 +1,20 @@
-"""Resilience layer: virtual clock, retry/deadline policies, breaker, fallbacks.
+"""Resilience layer: virtual clock and retry/deadline policies.
 
 Lingua Manga treats the LLM as an unreliable, expensive black box.  This
-package supplies the machinery the service and executor use to absorb
-provider outages instead of aborting pipelines:
+package supplies the machinery the service uses to absorb transient
+provider failures instead of aborting pipelines:
 
 - :class:`VirtualClock` — the shared virtual timeline every policy reasons on.
 - :class:`RetryPolicy` / :class:`Deadline` — bounded, deterministic retries.
-- :class:`CircuitBreaker` — fail-fast once a provider is clearly down.
-- :class:`FallbackChain` — secondary providers and degraded last resorts.
 - :class:`ResiliencePolicy` — the composite the :class:`LLMService` accepts.
 
 All waiting happens on the virtual clock, so chaos experiments replay
 instantly and deterministically.
 """
 
-from repro.resilience.breaker import BreakerState, CircuitBreaker
 from repro.resilience.clock import VirtualClock
-from repro.resilience.fallback import FallbackChain
 from repro.resilience.policy import (
     OUTCOME_CACHED,
-    OUTCOME_CIRCUIT_OPEN,
-    OUTCOME_FALLBACK,
     OUTCOME_GAVE_UP,
     OUTCOME_RETRIED,
     OUTCOME_SERVED,
@@ -31,16 +25,11 @@ from repro.resilience.policy import (
 )
 
 __all__ = [
-    "BreakerState",
-    "CircuitBreaker",
     "VirtualClock",
-    "FallbackChain",
     "Deadline",
     "ResiliencePolicy",
     "RetryPolicy",
     "OUTCOME_CACHED",
-    "OUTCOME_CIRCUIT_OPEN",
-    "OUTCOME_FALLBACK",
     "OUTCOME_GAVE_UP",
     "OUTCOME_RETRIED",
     "OUTCOME_SERVED",

@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro._util import stable_unit
-from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.fallback import FallbackChain
 
 __all__ = [
     "RetryPolicy",
@@ -20,21 +18,17 @@ __all__ = [
     "OUTCOME_SERVED",
     "OUTCOME_CACHED",
     "OUTCOME_RETRIED",
-    "OUTCOME_FALLBACK",
-    "OUTCOME_CIRCUIT_OPEN",
     "OUTCOME_GAVE_UP",
     "SUCCESS_OUTCOMES",
 ]
 
 # Per-call resilience outcomes recorded in the service ledger.
-OUTCOME_SERVED = "served"  # first attempt on the primary provider succeeded
+OUTCOME_SERVED = "served"  # first attempt succeeded
 OUTCOME_CACHED = "cached"  # answered from the local response cache
-OUTCOME_RETRIED = "retried"  # primary succeeded after >= 1 retry
-OUTCOME_FALLBACK = "fallback"  # a secondary provider or degraded answer served
-OUTCOME_CIRCUIT_OPEN = "circuit_open"  # refused: breaker open, no fallback
-OUTCOME_GAVE_UP = "gave_up"  # every provider and retry exhausted
+OUTCOME_RETRIED = "retried"  # succeeded after >= 1 retry
+OUTCOME_GAVE_UP = "gave_up"  # every retry exhausted
 
-SUCCESS_OUTCOMES = (OUTCOME_SERVED, OUTCOME_CACHED, OUTCOME_RETRIED, OUTCOME_FALLBACK)
+SUCCESS_OUTCOMES = (OUTCOME_SERVED, OUTCOME_CACHED, OUTCOME_RETRIED)
 
 
 @dataclass(frozen=True)
@@ -99,33 +93,10 @@ class ResiliencePolicy:
     Parameters
     ----------
     retry:
-        Backoff schedule applied per provider.
+        Backoff schedule applied to every provider call.
     deadline:
         Per-call cap on cumulative virtual-clock waiting (``None`` = uncapped).
-    breaker:
-        Breaker guarding the primary provider; fallback providers receive
-        independent clones.  ``None`` disables circuit breaking.
-    fallback:
-        Secondary providers and/or a degraded answer function.
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     deadline: Deadline | None = None
-    breaker: CircuitBreaker | None = None
-    fallback: FallbackChain | None = None
-
-    def describe(self) -> str:
-        """One-line rendering for reports and EXPLAIN output."""
-        parts = [
-            f"retry(max={self.retry.max_retries}, base={self.retry.backoff_seconds}s)"
-        ]
-        if self.deadline is not None:
-            parts.append(f"deadline({self.deadline.max_seconds}s)")
-        if self.breaker is not None:
-            parts.append(
-                f"breaker(rate>={self.breaker.failure_threshold}, "
-                f"cooldown={self.breaker.cooldown_seconds}s)"
-            )
-        if self.fallback is not None:
-            parts.append(f"fallback({self.fallback.describe()})")
-        return " + ".join(parts)

@@ -139,7 +139,7 @@ class TestJournal:
 
     def test_auto_compaction_bounds_journal_growth(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        cache = PromptCache(path=path, compact_factor=2)
+        cache = PromptCache(path=path)
         for i in range(300):  # one live key, 300 appends
             cache.put(key("p"), response(f"v{i}"))
         lines = len(path.read_text(encoding="utf-8").strip().splitlines())

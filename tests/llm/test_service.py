@@ -7,10 +7,18 @@ import pytest
 from repro.llm.cache import CacheKey
 from repro.llm.errors import BudgetExceededError, ProviderError
 from repro.llm.providers import FlakyProvider, LLMRequest, SimulatedProvider
-from repro.llm.service import LLMService
+from repro.llm.service import DEFAULT_RETRY_JITTER, LLMService
 from repro.llm.tokenizer import count_tokens, estimate_cost
+from repro.resilience import ResiliencePolicy, RetryPolicy
 
 PROMPT = "Which language is this? Text: El informe fue presentado ayer."
+
+
+def _retries(max_retries: int) -> ResiliencePolicy:
+    """The service's default policy with a different retry budget."""
+    return ResiliencePolicy(
+        retry=RetryPolicy(max_retries=max_retries, jitter=DEFAULT_RETRY_JITTER)
+    )
 
 
 class TestTokenizer:
@@ -79,7 +87,7 @@ class TestBudget:
 class TestRetries:
     def test_transient_failures_are_retried(self):
         flaky = FlakyProvider(SimulatedProvider(), failure_rate=0.45, seed_tag="t1")
-        service = LLMService(flaky, max_retries=5)
+        service = LLMService(flaky, policy=_retries(5))
         for i in range(10):
             assert service.complete(f"summarize document number {i}")
         assert all(r.retries <= 5 for r in service.records)
@@ -89,14 +97,14 @@ class TestRetries:
         flaky = FlakyProvider(
             SimulatedProvider(), failure_rate=0.0, rate_limit_rate=0.5, seed_tag="t2"
         )
-        service = LLMService(flaky, max_retries=6)
+        service = LLMService(flaky, policy=_retries(6))
         for i in range(6):
             service.complete(f"summarize item {i}")
         assert service.clock_seconds > 0
 
     def test_permanent_outage_raises_after_retries(self):
         flaky = FlakyProvider(SimulatedProvider(), failure_rate=1.0)
-        service = LLMService(flaky, max_retries=2)
+        service = LLMService(flaky, policy=_retries(2))
         with pytest.raises(ProviderError):
             service.complete("anything")
         assert service.served_calls == 0  # nothing ever succeeded
@@ -244,7 +252,7 @@ class TestCompleteMany:
 
     def test_a_failed_batch_falls_back_to_per_prompt_resilience(self):
         provider = _NoBatches()
-        service = LLMService(provider, max_retries=2)
+        service = LLMService(provider, policy=_retries(2))
         texts = service.complete_many(self.PROMPTS)
         assert len(provider.batches) == 3  # the batch was retried, then given up
         assert texts == [SimulatedProvider().complete(LLMRequest(p)).text for p in self.PROMPTS]

@@ -1,24 +1,23 @@
-"""Tests for LLMService resilience: outcomes, deadline, breaker, fallbacks."""
+"""Tests for LLMService resilience: outcomes, retry jitter, deadline."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.llm.errors import CircuitOpenError, ProviderError, RateLimitError
+from repro.llm.errors import ProviderError, RateLimitError
 from repro.llm.faults import ChaosProvider, FaultKind, FaultSpec
 from repro.llm.providers import LLMProvider, LLMRequest, LLMResponse, SimulatedProvider
-from repro.llm.service import LLMService
-from repro.resilience import (
-    BreakerState,
-    CircuitBreaker,
-    Deadline,
-    FallbackChain,
-    ResiliencePolicy,
-    RetryPolicy,
-    VirtualClock,
-)
+from repro.llm.service import DEFAULT_RETRY_JITTER, LLMService
+from repro.resilience import Deadline, ResiliencePolicy, RetryPolicy, VirtualClock
 
 PROMPT = "Which language is this? Text: El informe fue presentado ayer."
+
+
+def _retries(max_retries: int) -> ResiliencePolicy:
+    """The service's default policy with a different retry budget."""
+    return ResiliencePolicy(
+        retry=RetryPolicy(max_retries=max_retries, jitter=DEFAULT_RETRY_JITTER)
+    )
 
 
 class DeadProvider(LLMProvider):
@@ -83,14 +82,14 @@ class TestOutcomes:
             [FaultSpec(kind=FaultKind.TRANSIENT, rate=0.5)],
             seed=4,
         )
-        service = LLMService(chaos, max_retries=6)
+        service = LLMService(chaos, policy=_retries(6))
         for index in range(10):
             service.complete(f"summarize document number {index}")
         outcomes = {r.outcome for r in service.records}
         assert "retried" in outcomes and "served" in outcomes
 
     def test_gave_up_recorded_and_excluded_from_served(self):
-        service = LLMService(DeadProvider(), max_retries=2)
+        service = LLMService(DeadProvider(), policy=_retries(2))
         with pytest.raises(ProviderError):
             service.complete("anything at all")
         assert service.served_calls == 0
@@ -104,7 +103,7 @@ class TestOutcomes:
             [FaultSpec(kind=FaultKind.TRANSIENT, rate=0.5)],
             seed=4,
         )
-        service = LLMService(chaos, max_retries=6)
+        service = LLMService(chaos, policy=_retries(6))
         for index in range(10):
             service.complete(f"summarize document number {index}")
         assert service.usage().retries == sum(r.retries for r in service.records)
@@ -145,8 +144,6 @@ class TestDefaultPolicyJitter:
     """
 
     def test_default_policy_carries_jitter(self):
-        from repro.llm.service import DEFAULT_RETRY_JITTER
-
         service = LLMService(SimulatedProvider())
         assert service.policy.retry.jitter == DEFAULT_RETRY_JITTER > 0
 
@@ -202,116 +199,6 @@ class TestDeadline:
         with pytest.raises(ProviderError):
             service.complete("anything")
         assert service.clock_seconds == pytest.approx(180.0)  # 3 waits of 60s
-
-
-class TestFallbackChain:
-    def test_secondary_provider_serves_when_primary_down(self):
-        policy = ResiliencePolicy(
-            retry=RetryPolicy(max_retries=1, backoff_seconds=0.1),
-            fallback=FallbackChain(providers=[SimulatedProvider()]),
-        )
-        service = LLMService(DeadProvider(), policy=policy)
-        text = service.complete(PROMPT)
-        assert text
-        assert service.records[-1].outcome == "fallback"
-        assert service.usage().fallback_calls == 1
-
-    def test_fallback_order_primary_first(self):
-        primary = SimulatedProvider()
-        secondary = SimulatedProvider()
-        policy = ResiliencePolicy(fallback=FallbackChain(providers=[secondary]))
-        service = LLMService(primary, policy=policy)
-        service.complete(PROMPT)
-        assert primary.calls_served == 1
-        assert secondary.calls_served == 0
-
-    def test_degraded_answer_as_last_resort(self):
-        policy = ResiliencePolicy(
-            retry=RetryPolicy(max_retries=1, backoff_seconds=0.1),
-            fallback=FallbackChain(
-                providers=[DeadProvider()], degraded=lambda request: "Unknown."
-            ),
-        )
-        service = LLMService(DeadProvider(), policy=policy)
-        assert service.complete(PROMPT) == "Unknown."
-        record = service.records[-1]
-        assert record.outcome == "fallback"
-        assert record.skill == "degraded"
-
-
-class TestCircuitBreaker:
-    def make_service(self, deadline=None, cooldown=30.0):
-        clock = VirtualClock()
-        chaos = ChaosProvider(
-            SimulatedProvider(),
-            [FaultSpec(kind=FaultKind.OUTAGE, start=0.0, end=100.0)],
-            clock=clock,
-        )
-        policy = ResiliencePolicy(
-            retry=RetryPolicy(max_retries=1, backoff_seconds=1.0),
-            deadline=deadline,
-            breaker=CircuitBreaker(
-                failure_threshold=0.5, min_calls=4, cooldown_seconds=cooldown
-            ),
-        )
-        return LLMService(chaos, policy=policy, clock=clock)
-
-    def test_breaker_opens_under_outage(self):
-        service = self.make_service()
-        for index in range(2):
-            with pytest.raises(ProviderError):
-                service.complete(f"summarize item {index}")
-        assert service.breakers[0].state == BreakerState.OPEN
-
-    def test_open_breaker_waits_cooldown_and_recovers(self):
-        service = self.make_service(cooldown=40.0)
-        succeeded = False
-        for index in range(50):
-            try:
-                service.complete(f"summarize item number {index}")
-                succeeded = True
-                break
-            except ProviderError:
-                pass
-        # Waiting out breaker cooldowns advances the virtual clock past the
-        # outage window (100s); the next half-open probe then succeeds.
-        assert succeeded
-        assert service.clock_seconds > 100.0
-        assert service.breakers[0].state == BreakerState.CLOSED
-
-    def test_circuit_open_outcome_when_deadline_blocks_probe(self):
-        service = self.make_service(deadline=Deadline(5.0), cooldown=1000.0)
-        for index in range(2):
-            with pytest.raises(ProviderError):
-                service.complete(f"summarize item {index}")
-        assert service.breakers[0].state == BreakerState.OPEN
-        # Cooldown (1000s) far exceeds the per-call deadline (5s): the call
-        # cannot wait for a probe and is refused outright.
-        with pytest.raises(CircuitOpenError):
-            service.complete("one more item")
-        assert service.records[-1].outcome == "circuit_open"
-
-    def test_fallback_used_while_breaker_open(self):
-        clock = VirtualClock()
-        chaos = ChaosProvider(
-            SimulatedProvider(),
-            [FaultSpec(kind=FaultKind.OUTAGE, start=0.0, end=1e9)],
-            clock=clock,
-        )
-        policy = ResiliencePolicy(
-            retry=RetryPolicy(max_retries=1, backoff_seconds=0.5),
-            breaker=CircuitBreaker(failure_threshold=0.5, min_calls=2),
-            fallback=FallbackChain(providers=[SimulatedProvider()]),
-        )
-        service = LLMService(chaos, policy=policy, clock=clock)
-        for index in range(4):
-            assert service.complete(f"summarize item number {index}")
-        assert service.breakers[0].state == BreakerState.OPEN
-        # Primary breaker open: calls divert straight to the secondary.
-        primary_attempts_before = chaos.calls
-        assert service.complete("summarize one more item")
-        assert chaos.calls == primary_attempts_before
-        assert service.records[-1].outcome == "fallback"
 
 
 class TestEndToEndDeterminism:

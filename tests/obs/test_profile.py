@@ -6,8 +6,8 @@ from repro.llm.service import CallRecord
 from repro.obs import ProfileRow, RunProfile, profile_records
 from repro.resilience.policy import (
     OUTCOME_CACHED,
-    OUTCOME_FALLBACK,
     OUTCOME_GAVE_UP,
+    OUTCOME_RETRIED,
     OUTCOME_SERVED,
 )
 
@@ -64,15 +64,14 @@ class TestProfileRecords:
 
     def test_failures_fallbacks_retries(self):
         rows = [
-            record(retries=2),
-            record(outcome=OUTCOME_FALLBACK),
+            record(retries=2, outcome=OUTCOME_RETRIED),
+            record(),
             record(outcome=OUTCOME_GAVE_UP, cost=0.0, retries=3),
         ]
         row = profile_records("m", rows)
         assert row.retries == 5
-        assert row.fallbacks == 1
         assert row.failures == 1
-        # fallback answers still count as provider calls; failures do not
+        # retried answers still count as provider calls; failures do not
         assert row.provider_calls == 2
 
     def test_empty_slice(self):
@@ -128,7 +127,6 @@ class TestRunProfile:
             cost=totals.cost,
             latency_seconds=totals.latency_seconds,
             retries=totals.retries,
-            fallback_calls=totals.fallbacks,
             failed_calls=totals.failures,
             distilled_calls=totals.distilled,
             provider_seconds=totals.provider_seconds,

@@ -1,19 +1,10 @@
-"""Tests for repro.resilience: retry policy, deadline, breaker, fallbacks."""
+"""Tests for repro.resilience: virtual clock, retry policy, deadline."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.llm.providers import SimulatedProvider
-from repro.resilience import (
-    BreakerState,
-    CircuitBreaker,
-    Deadline,
-    FallbackChain,
-    ResiliencePolicy,
-    RetryPolicy,
-    VirtualClock,
-)
+from repro.resilience import Deadline, RetryPolicy, VirtualClock
 
 
 class TestVirtualClock:
@@ -79,99 +70,3 @@ class TestDeadline:
         deadline = Deadline(10.0)
         assert deadline.clamp(60.0, elapsed=7.0) == pytest.approx(3.0)
         assert deadline.clamp(1.0, elapsed=7.0) == pytest.approx(1.0)
-
-
-class TestCircuitBreaker:
-    def make(self, **overrides):
-        config = dict(
-            failure_threshold=0.5, window=10, min_calls=4, cooldown_seconds=30.0
-        )
-        config.update(overrides)
-        return CircuitBreaker(**config)
-
-    def test_starts_closed(self):
-        breaker = self.make()
-        assert breaker.state == BreakerState.CLOSED
-        assert breaker.allow(0.0)
-
-    def test_does_not_open_before_min_calls(self):
-        breaker = self.make(min_calls=5)
-        for _ in range(4):
-            breaker.record_failure(0.0)
-        assert breaker.state == BreakerState.CLOSED
-
-    def test_opens_on_failure_rate(self):
-        breaker = self.make()
-        for _ in range(4):
-            breaker.record_failure(1.0)
-        assert breaker.state == BreakerState.OPEN
-        assert breaker.opens == 1
-        assert not breaker.allow(2.0)
-
-    def test_open_to_half_open_after_cooldown(self):
-        breaker = self.make(cooldown_seconds=30.0)
-        for _ in range(4):
-            breaker.record_failure(10.0)
-        assert not breaker.allow(39.9)
-        assert breaker.remaining(20.0) == pytest.approx(20.0)
-        assert breaker.allow(40.0)  # cooldown elapsed: half-open probe
-        assert breaker.state == BreakerState.HALF_OPEN
-
-    def test_half_open_success_closes(self):
-        breaker = self.make()
-        for _ in range(4):
-            breaker.record_failure(0.0)
-        assert breaker.allow(30.0)
-        breaker.record_success(30.0)
-        assert breaker.state == BreakerState.CLOSED
-        assert breaker.failure_rate == 0.0  # window cleared
-
-    def test_half_open_failure_reopens(self):
-        breaker = self.make()
-        for _ in range(4):
-            breaker.record_failure(0.0)
-        assert breaker.allow(30.0)
-        breaker.record_failure(30.0)
-        assert breaker.state == BreakerState.OPEN
-        assert breaker.opened_at == pytest.approx(30.0)
-        assert breaker.opens == 2
-
-    def test_mixed_outcomes_below_threshold_stay_closed(self):
-        breaker = self.make(failure_threshold=0.7)
-        for index in range(20):
-            if index % 2 == 0:
-                breaker.record_failure(0.0)
-            else:
-                breaker.record_success(0.0)
-        assert breaker.state == BreakerState.CLOSED
-
-    def test_clone_copies_config_not_state(self):
-        breaker = self.make(cooldown_seconds=12.0)
-        for _ in range(4):
-            breaker.record_failure(0.0)
-        clone = breaker.clone()
-        assert clone.cooldown_seconds == 12.0
-        assert clone.state == BreakerState.CLOSED
-        assert clone.opens == 0
-
-
-class TestFallbackChain:
-    def test_describe_orders_providers(self):
-        chain = FallbackChain(
-            providers=[SimulatedProvider(), SimulatedProvider()],
-            degraded=lambda request: "n/a",
-        )
-        text = chain.describe()
-        assert text.count("sim-gpt-2023") == 2
-        assert text.endswith("degraded")
-
-    def test_policy_describe_mentions_components(self):
-        policy = ResiliencePolicy(
-            retry=RetryPolicy(max_retries=2),
-            deadline=Deadline(20.0),
-            breaker=CircuitBreaker(),
-            fallback=FallbackChain(degraded=lambda request: ""),
-        )
-        text = policy.describe()
-        assert "retry" in text and "deadline" in text
-        assert "breaker" in text and "fallback" in text

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.runtime.checkpoint import (
+    DEFAULT_FSYNC_EVERY,
     JOURNAL_FORMAT_VERSION,
     CheckpointError,
     CheckpointJournal,
@@ -136,7 +137,8 @@ class TestCheckpointJournal:
     def test_appends_are_readable_before_close(self, tmp_path):
         # flush-on-append means a concurrent reader (or a crash) sees
         # every acknowledged record even while the handle stays open.
-        journal = CheckpointJournal(tmp_path / "run.wal", fsync_every=100)
+        journal = CheckpointJournal(tmp_path / "run.wal")
+        assert DEFAULT_FSYNC_EVERY > 5  # no group commit fires below
         for n in range(5):
             journal.append({"n": n})
         assert len(CheckpointJournal(journal.path).load()) == 5

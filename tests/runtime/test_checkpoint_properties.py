@@ -20,11 +20,13 @@ from __future__ import annotations
 import tempfile
 from functools import lru_cache
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.runtime import checkpoint as checkpoint_module
 from repro.core.runtime.checkpoint import (
     CheckpointJournal,
     RunCheckpoint,
@@ -171,8 +173,11 @@ class TestRoundTrips:
     @example(rows=[{"": -9223372036854775809}])
     @example(rows=[{"": 2**70}])
     def test_journal_round_trips_arbitrary_records(self, rows):
-        with tempfile.TemporaryDirectory() as scratch:
-            journal = CheckpointJournal(Path(scratch) / "j.wal", fsync_every=3)
+        # A short fsync batch so group commits land mid-stream too.
+        with tempfile.TemporaryDirectory() as scratch, mock.patch.object(
+            checkpoint_module, "DEFAULT_FSYNC_EVERY", 3
+        ):
+            journal = CheckpointJournal(Path(scratch) / "j.wal")
             for row in rows:
                 journal.append(row)
             journal.close()

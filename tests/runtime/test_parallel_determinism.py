@@ -4,7 +4,8 @@ Same seed + same fault spec must yield byte-identical canonical run
 reports at any worker count.  These tests execute the real ER pipeline —
 template instantiation, MapModule chunking, request coalescing, batch
 prefetching — at ``workers`` 1, 2 and 8, with and without a content-keyed
-:class:`ChaosProvider`, and compare :meth:`RunReport.canonical_json`
+:class:`ChaosProvider`, and the Fig. 3 name-extraction pipeline with and
+without its simulator student, and compare :meth:`RunReport.canonical_json`
 byte for byte.
 """
 
@@ -12,15 +13,18 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.optimizer.distill import DistillationRouter
 from repro.core.runtime.scheduler import partition, tree_parallel_safe
 from repro.core.runtime.system import LinguaManga
 from repro.core.templates.library import get_template
 from repro.datasets.entity_resolution import generate_er_dataset
+from repro.datasets.names import generate_name_dataset
 from repro.llm.faults import ChaosProvider, FaultKind, FaultSpec
 from repro.llm.providers import SimulatedProvider
 from repro.llm.service import LLMService
 from repro.tasks.blocking import block_records
 from repro.tasks.entity_resolution import pairs_as_inputs, pick_examples
+from repro.tasks.name_extraction import run_name_extraction
 from tests.conftest import assert_reports_identical, block_records_reference
 
 WORKER_COUNTS = (1, 2, 8)
@@ -160,6 +164,34 @@ class TestChaosDeterminism:
             for run in runs
         ]
         assert keys[0] == keys[1] == keys[2]
+
+
+class TestNameExtractionDeterminism:
+    """The per-phrase tagger lives in a closure's ``tagger_holder``, where
+    the simulator swaps in an online learner after compilation; the module
+    walker has to see it there or two threads refit the learner at once."""
+
+    @pytest.fixture(scope="class")
+    def documents(self):
+        return generate_name_dataset(seed=3, n_documents=120).documents
+
+    @pytest.mark.parametrize("simulate", [False, True], ids=["plain", "simulate"])
+    def test_byte_identical_across_worker_counts(self, documents, simulate):
+        reports = [
+            run_name_extraction(
+                LinguaManga(), documents, simulate_tagging=simulate, workers=workers
+            ).report.canonical_json()
+            for workers in WORKER_COUNTS
+        ]
+        assert_reports_identical(*reports)
+
+    def test_a_held_router_is_walked(self):
+        pipeline = get_template("name_extraction").instantiate(simulate_tagging=True)
+        stage = LinguaManga().compile(pipeline).module("tag_names_5").inner
+        router = stage.tagger_holder["tagger"]
+        assert isinstance(router, DistillationRouter)
+        assert not tree_parallel_safe(stage)
+        assert stage.config_identity()["tagger"] == router.config_identity()
 
 
 class TestColumnarDeterminism:
