@@ -20,7 +20,7 @@ from repro.llm.faults import ChaosProvider, FaultKind, FaultSpec
 from repro.llm.providers import SimulatedProvider
 from repro.llm.service import LLMService
 from repro.ml.metrics import f1_score
-from repro.resilience import Deadline, ResiliencePolicy, RetryPolicy
+from repro.resilience import Deadline, RetryPolicy
 from repro.tasks.entity_resolution import pairs_as_inputs, pick_examples
 
 from _harness import emit, emit_json
@@ -39,11 +39,9 @@ ARMS = (
 def chaos_system(rate: float, max_retries: int) -> LinguaManga:
     faults = [FaultSpec(kind=FaultKind.TRANSIENT, rate=rate)]
     chaos = ChaosProvider(SimulatedProvider(), faults, seed=2023)
-    policy = ResiliencePolicy(
-        retry=RetryPolicy(max_retries=max_retries, backoff_seconds=0.5, jitter=0.2),
-        deadline=Deadline(60.0),
-    )
-    return LinguaManga(service=LLMService(chaos, policy=policy))
+    retry = RetryPolicy(max_retries=max_retries, backoff_seconds=0.5, jitter=0.2)
+    service = LLMService(chaos, retry=retry, deadline=Deadline(60.0))
+    return LinguaManga(service=service)
 
 
 def run_arm(rate: float, max_retries: int = 3) -> dict:
@@ -67,6 +65,7 @@ def run_arm(rate: float, max_retries: int = 3) -> dict:
         "quarantined": len(report.quarantine),
         "partial": report.partial,
         "f1": 100 * f1_score(y_true, predictions),
+        "attempts": system.service.provider.calls,
         "retries": usage.retries,
         "failed": usage.failed_calls,
         "clock": system.service.clock_seconds,
@@ -81,14 +80,15 @@ def sweep():
 def _render(rows: dict) -> str:
     lines = [
         f"{'arm':16s} {'total':>6s} {'done':>6s} {'quar':>5s} {'rate':>7s} "
-        f"{'F1':>7s} {'retries':>8s} {'failed':>7s} {'clock_s':>8s}",
+        f"{'F1':>7s} {'attempts':>9s} {'retries':>8s} {'failed':>7s} {'clock_s':>8s}",
     ]
     for name, row in rows.items():
         completion = 100 * row["processed"] / row["total"]
         lines.append(
             f"{name:16s} {row['total']:6d} {row['processed']:6d} "
             f"{row['quarantined']:5d} {completion:6.1f}% {row['f1']:7.2f} "
-            f"{row['retries']:8d} {row['failed']:7d} {row['clock']:8.1f}"
+            f"{row['attempts']:9d} {row['retries']:8d} {row['failed']:7d} "
+            f"{row['clock']:8.1f}"
         )
     return "\n".join(lines)
 
@@ -103,6 +103,7 @@ def test_robustness_sweep(sweep):
                 "processed": row["processed"],
                 "quarantined": row["quarantined"],
                 "f1": row["f1"],
+                "provider_calls": row["attempts"],
                 "retries": row["retries"],
                 "failed_calls": row["failed"],
                 "clock_seconds": row["clock"],

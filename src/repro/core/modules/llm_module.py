@@ -16,7 +16,7 @@ from typing import Any, Callable, Sequence
 
 from repro.core.modules.base import Module
 from repro.core.modules.validation import OutputValidator
-from repro.llm.errors import MalformedResponseError, ProviderError
+from repro.llm.errors import LLMError, MalformedResponseError, ProviderError
 from repro.llm.service import LLMService
 
 __all__ = [
@@ -165,11 +165,13 @@ class LLMModule(Module):
         """Pay for ``values``' uncached prompts with one batched call.
 
         Builds the first-attempt prompt for every value and submits the
-        distinct uncached ones through the service's batched provider path
-        (:meth:`LLMService.prime`), so a chunk of N records costs one
-        provider round trip.  Best effort: failures surface on the per-item
-        path, which owns retry/fallback/quarantine semantics — a value whose
-        prompt cannot be rendered is left out here and fails there.
+        distinct uncached ones through :meth:`LLMService.prime`, so a chunk
+        of N records costs one provider round trip plus one per retry
+        round of the items that failed.  Nothing is raised here: the
+        answer — or the error the service gave up with — reaches the
+        per-item run of the record that asked, which owns
+        fallback/quarantine semantics; a value whose prompt cannot be
+        rendered is left out here and fails there.
 
         The rendered prompts and the answers this call paid for stay on
         this thread for the per-item calls of the same chunk (see
@@ -187,7 +189,7 @@ class LLMModule(Module):
                 continue
             rendered[id(value)] = (value, prompt)
             prompts.append(prompt)
-        answers: dict[str, str] = {}
+        answers: dict[str, str | LLMError] = {}
         self._tls.rendered = rendered
         self._tls.answers = answers
         return self.service.prime(
@@ -214,13 +216,15 @@ class LLMModule(Module):
                 return entry[1]
         return self.build_prompt(value, strictness=0)
 
-    def _paid_answer(self, prompt: str) -> str | None:
-        """The answer prefetch paid for ``prompt`` in this chunk, once.
+    def _paid_answer(self, prompt: str) -> str | LLMError | None:
+        """What prefetch paid for ``prompt`` in this chunk, once.
 
-        The provider call is already in the ledger and the cache; asking
+        The answer, or the error the service gave up with.  The provider
+        call is already in the ledger (and an answer in the cache); asking
         the service again would only ledger a cache hit for an answer
-        nothing reused.  Taken, not read: a second record with the same
-        prompt asks the service and is the cache hit it looks like.
+        nothing reused, or spend a second retry budget on a failure.
+        Taken, not read: a second record with the same prompt asks the
+        service and is what it looks like.
         """
         answers = getattr(self._tls, "answers", None)
         return answers.pop(prompt, None) if answers else None
@@ -234,8 +238,10 @@ class LLMModule(Module):
                 text = self._paid_answer(prompt)
             else:
                 prompt = self.build_prompt(value, strictness=attempt)
-            if text is None:
+            if not isinstance(text, str):
                 try:
+                    if text is not None:
+                        raise text  # what ``complete`` would have raised
                     text = self.service.complete(
                         prompt, purpose=self.purpose, version=self.prompt_version
                     )

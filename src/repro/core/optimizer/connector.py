@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.storage.database import Database
 from repro.storage.sql.ast import SelectStatement

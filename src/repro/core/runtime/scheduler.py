@@ -248,12 +248,17 @@ class Scheduler:
             for chunk in chunks:
                 sizes.observe(len(chunk))
 
+        scopes: list[CallScope] = []
+
         def task(index: int, chunk: list[Any]) -> tuple[CallScope, ChunkOutcome]:
             if self.cancel is not None:
                 self.cancel.raise_if_cancelled()
             if op_ctx is not None:
                 op_ctx.crash("chunk:entered")
             with service.scoped(base) as scope:
+                # Registered on entry: a chunk that raises after paying must
+                # still have its cache inserts rolled back.
+                scopes.append(scope)
                 outcome = module.apply_chunk(chunk)
             if op_ctx is not None:
                 op_ctx.crash("chunk:executed")
@@ -279,6 +284,10 @@ class Scheduler:
                     for index, future in futures.items():
                         live[index] = future.result()
         except Exception:
+            # No scope is merged, so no answer it cached may outlive it:
+            # the ledger would not say who paid for the entry.
+            for scope in scopes:
+                service.rollback_scope(scope)
             with module._lock:
                 module.stats.failures += 1
                 module.stats.total_seconds += time.perf_counter() - started

@@ -52,6 +52,14 @@ class LLMResponse:
     latency_seconds: float = 0.0
 
 
+def _answer_or_error(complete, request: LLMRequest) -> LLMResponse | ProviderError:
+    """``complete(request)``, or the :class:`ProviderError` it raised."""
+    try:
+        return complete(request)
+    except ProviderError as error:
+        return error
+
+
 class LLMProvider(ABC):
     """Interface every back end implements."""
 
@@ -72,16 +80,20 @@ class LLMProvider(ABC):
     def complete(self, request: LLMRequest) -> LLMResponse:
         """Serve one completion (may raise :class:`ProviderError`)."""
 
-    def complete_batch(self, requests: list[LLMRequest]) -> list[LLMResponse]:
+    def complete_batch(
+        self, requests: list[LLMRequest]
+    ) -> list[LLMResponse | ProviderError]:
         """Serve many completions in one provider round trip.
 
-        The default walks :meth:`complete` per request; back ends with a
-        native batch endpoint (or per-request connection overhead worth
-        amortising, like :class:`LatencyProvider`) override this.  The
-        whole batch fails if any request fails — the service's per-prompt
-        path handles partial recovery.
+        The contract the service relies on: one :class:`LLMResponse` or one
+        :class:`ProviderError` per request, in order — an item fails, not
+        the batch — and raising fails the whole round trip.  The service
+        calls nothing else, so a single call is a batch of one.  The
+        default walks :meth:`complete` per request; back ends with a native
+        batch endpoint (or per-request connection overhead worth
+        amortising, like :class:`LatencyProvider`) override this.
         """
-        return [self.complete(request) for request in requests]
+        return [_answer_or_error(self.complete, request) for request in requests]
 
 
 class SimulatedProvider(LLMProvider):
@@ -189,7 +201,9 @@ class LatencyProvider(LLMProvider):
         self._sleep_once()
         return self.inner.complete(request)
 
-    def complete_batch(self, requests: list[LLMRequest]) -> list[LLMResponse]:
+    def complete_batch(
+        self, requests: list[LLMRequest]
+    ) -> list[LLMResponse | ProviderError]:
         """Sleep one round trip for the whole batch, then delegate each."""
         self._sleep_once()
-        return [self.inner.complete(request) for request in requests]
+        return [_answer_or_error(self.inner.complete, request) for request in requests]

@@ -10,10 +10,16 @@ evaluation is measured here.  The service wraps a provider with:
   warm-start,
 - a **budget** (max calls and/or max dollars; exceeding raises
   :class:`BudgetExceededError`),
-- a **resilience policy** (retry backoff and a per-call deadline — see
-  :mod:`repro.resilience`), and
+- **retries** (a backoff schedule and an optional deadline on the waits —
+  see :mod:`repro.resilience`), and
 - a **ledger** recording every call with token counts, cost, purpose and
   its resilience ``outcome`` (served / cached / retried / gave_up).
+
+One method reaches the provider, :meth:`LLMService._pay`: one budget
+check, one ``complete_batch`` round trip, retries of the items that
+failed, one ledger record per prompt.  :meth:`complete` is a cache read
+or a batch of one; :meth:`prime` is a batch of the distinct uncached
+prompts.
 
 Time is virtual: latency and every retry/cooldown wait are accumulated on a
 :class:`~repro.resilience.clock.VirtualClock` rather than slept, so
@@ -25,10 +31,9 @@ The service is **thread safe** and built for the concurrent scheduler
 - identical in-flight prompts are **coalesced** — concurrent duplicates
   wait for the leader's provider call and are answered as cache hits, so a
   prompt is never served twice just because callers raced;
-- :meth:`prime` / :meth:`complete_many` are the **batched provider path**:
-  N distinct uncached prompts go to the provider as one
-  ``complete_batch`` request instead of N sequential calls, and each
-  answer is handed to the caller that asked (one ledger record per paid
+- :meth:`prime` / :meth:`complete_many` pay for N distinct uncached
+  prompts with one round trip instead of N, and each answer (or error)
+  is handed to the caller that asked (one ledger record per paid
   prompt — a ``cached`` record always means an answer was reused);
 - :meth:`scoped` gives a worker thread its own ledger buffer and shadow
   clock so the scheduler can merge per-chunk call records in a
@@ -65,7 +70,7 @@ from repro.resilience.policy import (
     OUTCOME_RETRIED,
     OUTCOME_SERVED,
     SUCCESS_OUTCOMES,
-    ResiliencePolicy,
+    Deadline,
     RetryPolicy,
 )
 
@@ -86,7 +91,7 @@ _NO_VERSION = ""  # default prompt-template version tag
 #: :meth:`repro.resilience.policy.RetryPolicy.delay` — so concurrent
 #: retries of different prompts de-synchronise instead of thundering back
 #: at the provider in lockstep, while any given prompt's schedule stays
-#: byte-reproducible.  Callers passing an explicit ``policy=`` get that
+#: byte-reproducible.  Callers passing an explicit ``retry=`` get that
 #: policy's own jitter (``RetryPolicy()`` defaults to ``jitter=0.0``).
 DEFAULT_RETRY_JITTER = 0.1
 
@@ -187,7 +192,7 @@ class CallScope:
     records: list[CallRecord] = field(default_factory=list)
     #: exact-tier cache keys this scope *created* (first insert, not a
     #: refresh of a pre-existing entry); :meth:`LLMService.rollback_scope`
-    #: removes them when the scope's shard attempt fails.
+    #: removes them when the scope's operator raises.
     cache_keys: list[CacheKey] = field(default_factory=list)
 
     @property
@@ -199,8 +204,9 @@ class CallScope:
 class LLMService:
     """Cached, budgeted, resilient front end over an :class:`LLMProvider`.
 
-    ``policy=`` sets the retry schedule and per-call deadline; the default
-    is ``RetryPolicy()`` with :data:`DEFAULT_RETRY_JITTER` and no deadline.
+    ``retry=`` sets the backoff schedule (default: ``RetryPolicy()`` with
+    :data:`DEFAULT_RETRY_JITTER`) and ``deadline=`` caps the virtual time
+    one paid call may spend waiting between retries (default: no cap).
 
     The cache is a :class:`repro.llm.cache.PromptCache`; pass one via
     ``cache=`` (or just a journal location via ``cache_path=`` for a warm
@@ -216,7 +222,8 @@ class LLMService:
         cache_enabled: bool = True,
         max_calls: int | None = None,
         max_cost: float | None = None,
-        policy: ResiliencePolicy | None = None,
+        retry: RetryPolicy | None = None,
+        deadline: Deadline | None = None,
         clock: VirtualClock | None = None,
         cache: PromptCache | None = None,
         cache_path: str | Path | None = None,
@@ -237,9 +244,8 @@ class LLMService:
         self.coalesce_hub = coalesce_hub
         self.max_calls = max_calls
         self.max_cost = max_cost
-        self.policy = policy or ResiliencePolicy(
-            retry=RetryPolicy(jitter=DEFAULT_RETRY_JITTER)
-        )
+        self.retry = retry or RetryPolicy(jitter=DEFAULT_RETRY_JITTER)
+        self.deadline = deadline
         self.clock = clock or VirtualClock()
         self.records: list[CallRecord] = []
         if cache is None:
@@ -351,13 +357,15 @@ class LLMService:
     def rollback_scope(self, scope: CallScope) -> int:
         """Undo an abandoned scope's cache inserts; returns entries removed.
 
-        The streaming executor calls this instead of :meth:`merge_scope`
-        when a shard attempt fails (an operator raised): its ledger
-        records are discarded with the scope, but the exact-tier entries
-        its provider calls created would otherwise survive — and
-        the shard's *retry* would then find its own half-done answers
-        cached, making the disturbed run cheaper than an undisturbed one
-        instead of byte-identical.  Only entries this scope created are
+        Both engines call this instead of :meth:`merge_scope` when an
+        operator raised (the scheduler for each of the operator's chunk
+        scopes, the streaming executor for a failed shard attempt's): the
+        ledger records are discarded with the scope, but the exact-tier
+        entries its provider calls created would otherwise survive — a
+        shard's *retry* would find its own half-done answers cached,
+        making the disturbed run cheaper than an undisturbed one, and a
+        served job's sibling would hit entries no ledger says were paid
+        for.  Only entries this scope created are
         removed (refreshes of pre-existing entries are never tracked), so
         rollback cannot evict warm-start state.
         """
@@ -420,10 +428,10 @@ class LLMService:
     ) -> str:
         """Answer ``prompt``; returns the response text.
 
-        Raises :class:`BudgetExceededError` when the call would exceed the
-        configured budget and :class:`ProviderError` when every retry is
-        exhausted.  Failed calls are still recorded in the ledger with
-        their resilience outcome.
+        A cache read, or :meth:`_pay` for a batch of one.  Raises
+        :class:`BudgetExceededError` when the budget is spent and
+        :class:`ProviderError` when every retry is exhausted; a failed
+        call is still in the ledger with its resilience outcome.
 
         Concurrent callers asking the identical versioned key are
         **coalesced** (cache enabled only): one caller leads, the rest wait
@@ -432,57 +440,39 @@ class LLMService:
         provider attempts stay sequential and deterministic even under
         heavy concurrency.
         """
-        if not self.cache_enabled:
-            return self._complete_uncached(prompt, purpose, max_tokens, version, None)
-        cache_key = self._cache_key(prompt, max_tokens, version)
-        while True:
-            leader_gate: threading.Event | None = None
+        key = self._cache_key(prompt, max_tokens, version)
+        gate: threading.Event | None = None
+        while self.cache_enabled:
             with self._lock:
-                cached = self.cache.get(cache_key)
-                if cached is None:
-                    leader_gate = self._inflight.get(cache_key)
-                    if leader_gate is None:
-                        self._inflight[cache_key] = threading.Event()
+                cached = self.cache.get(key)
+                leader = None if cached is not None else self._inflight.get(key)
+                if cached is None and leader is None:
+                    gate = self._inflight[key] = threading.Event()
+                    break  # this thread leads the provider call
             if cached is not None:
-                self._record(
-                    self._cached_record(
-                        cached,
-                        prompt,
-                        purpose,
-                        max_tokens=max_tokens,
-                        version=version,
-                    )
-                )
+                self._record(self._cached_record(cached, key, purpose))
                 return cached.text
-            if leader_gate is None:
-                break  # this thread leads the provider call
             with self._lock:
                 self.coalesced_calls += 1
             if self.obs is not None:
                 self.obs.metrics.counter("llm.coalesced").inc()
-            leader_gate.wait()
+            leader.wait()
             # Re-check: the leader either cached a response (-> hit) or
             # failed (-> compete to become the next leader).
         try:
-            return self._complete_uncached(
-                prompt, purpose, max_tokens, version, cache_key
-            )
+            (answer,) = self._pay([key], purpose)
         finally:
-            with self._lock:
-                gate = self._inflight.pop(cache_key, None)
             if gate is not None:
-                gate.set()
+                self._release([key], gate)
+        if isinstance(answer, LLMError):
+            raise answer
+        return answer
 
     def _cached_record(
-        self,
-        response: LLMResponse,
-        prompt: str,
-        purpose: str,
-        max_tokens: int = 256,
-        version: str = _NO_VERSION,
+        self, response: LLMResponse, key: CacheKey, purpose: str
     ) -> CallRecord:
         return CallRecord(
-            prompt=prompt,
+            prompt=key.prompt,
             response_text=response.text,
             prompt_tokens=response.prompt_tokens,
             completion_tokens=response.completion_tokens,
@@ -493,8 +483,8 @@ class LLMService:
             latency_seconds=0.0,
             outcome=OUTCOME_CACHED,
             provenance=PROVENANCE_CACHE_EXACT,
-            max_tokens=max_tokens,
-            version=version,
+            max_tokens=key.max_tokens,
+            version=key.version,
             model=response.model,
         )
 
@@ -514,90 +504,12 @@ class LLMService:
                 scope.cache_keys.append(key)
             self.cache.put(key, response)
 
-    def _complete_uncached(
-        self,
-        prompt: str,
-        purpose: str,
-        max_tokens: int,
-        version: str,
-        cache_key: CacheKey | None,
-    ) -> str:
-        """Provider path: budget check, resilient call, record, cache.
-
-        ``cache_key`` is the key :meth:`complete` already built for this
-        call (``None`` with the cache disabled: nothing is stored).
-        """
-        self._check_budget()
+    def _release(self, keys: list[CacheKey], gate: threading.Event) -> None:
+        """Drop ``keys`` from ``_inflight`` and wake whoever waits on them."""
         with self._lock:
-            epoch = self._cache_epoch
-        request = LLMRequest(prompt=prompt, max_tokens=max_tokens)
-        hub = self._hub()
-        if hub is not None:
-            response, outcome, retries = self._complete_via_hub(hub, request, purpose)
-        else:
-            response, outcome, retries = self._complete_resilient(request, purpose)
-        cost = estimate_cost(response.prompt_tokens, response.completion_tokens)
-        self._active_clock().advance(response.latency_seconds)
-        self._record(
-            CallRecord(
-                prompt=prompt,
-                response_text=response.text,
-                prompt_tokens=response.prompt_tokens,
-                completion_tokens=response.completion_tokens,
-                cost=cost,
-                cached=False,
-                skill=response.skill,
-                purpose=purpose,
-                latency_seconds=response.latency_seconds,
-                retries=retries,
-                outcome=outcome,
-                max_tokens=max_tokens,
-                version=version,
-                model=response.model,
-            )
-        )
-        if cache_key is not None:
-            self._cache_put(cache_key, response, epoch)
-        return response.text
-
-    def _complete_via_hub(
-        self, hub: "CoalesceHub", request: LLMRequest, purpose: str
-    ) -> tuple[LLMResponse, str, int]:
-        """One provider call routed through the cross-service hub.
-
-        Claims leadership of the request's hub slot; a hit returns another
-        service's settled answer (recorded by the caller exactly as a
-        provider call — tenant ledgers never betray who actually paid), a
-        wait blocks on the current leader and re-claims, and a lead pays
-        the provider and publishes the result if it is shareable (a clean
-        first-attempt success — precisely what a solo caller would have
-        recorded, which is what keeps tenant reports byte-identical to
-        their direct runs).
-        """
-        while True:
-            status, settled = hub.claim(request)
-            if status == "hit":
-                self._note_hub_share(hub)
-                return settled
-            if status == "wait":
-                settled.wait()
-                continue
-            try:
-                result = self._complete_resilient(request, purpose)
-            except BaseException:
-                hub.publish(request, None)
-                raise
-            _response, outcome, retries = result
-            shareable = outcome == OUTCOME_SERVED and retries == 0
-            hub.publish(request, result if shareable else None)
-            return result
-
-    def _note_hub_share(self, hub: "CoalesceHub") -> None:
-        hub.note_shared()
-        if self.obs is not None:
-            self.obs.metrics.counter("llm.hub_shared").inc()
-
-    # -- batched provider path ----------------------------------------------------
+            for key in keys:
+                self._inflight.pop(key, None)
+        gate.set()
 
     def prime(
         self,
@@ -605,190 +517,51 @@ class LLMService:
         purpose: str = "",
         max_tokens: int = 256,
         version: str = _NO_VERSION,
-        answers: dict[str, str] | None = None,
+        answers: dict[str, str | LLMError] | None = None,
     ) -> int:
-        """Warm the cache for ``prompts`` via one batched provider call.
+        """Pay for ``prompts``' distinct uncached prompts with one :meth:`_pay`.
 
-        The cache is consulted first: prompts with a cached answer never
-        enter the provider batch (the chunk-prefetch path rides on this,
-        so a warm run primes nothing).  The remaining distinct
-        not-in-flight prompts are submitted together through
-        :meth:`LLMProvider.complete_batch` (N prompts per call instead of
-        N calls).  Best effort: a batch failure is swallowed so per-item
-        calls can retry with the full resilience policy.  Returns the
-        number of prompts served.
+        The cache is consulted first: prompts with a cached answer are not
+        paid for (the chunk-prefetch path rides on this, so a warm run
+        primes nothing), nor are prompts another caller has in flight.
+        The rest are held in flight under one gate, paid for together and
+        released together.  Returns the number of prompts answered; a
+        failure or a spent budget is not raised here.
 
         ``answers`` is an out-parameter: it receives ``prompt -> response
-        text`` for exactly the prompts this call paid for (and ledgered
-        as provider calls), so the caller can give each answer to the
-        record that asked for it instead of calling :meth:`complete` for
-        what would be an immediate cache hit.  Prompts skipped as cached
-        or in flight, and prompts the batch gave up on, are not in it.
-        Each paid prompt counts one cache miss — the lookup that found it
-        absent used :meth:`PromptCache.peek`, which counts nothing.
+        text`` for each prompt this call paid for, and ``prompt ->`` the
+        :class:`LLMError` :meth:`complete` would have raised for each it
+        gave up on (retries exhausted, or the budget spent).  The caller
+        gives each to the record that asked — it raises an error where it
+        would have called :meth:`complete` — so a prompt gets one retry
+        budget and at most one ``gave_up`` record.  Prompts skipped as
+        cached or in flight are not in it.  Each prompt asked for counts
+        one cache miss — the lookup that found it absent used
+        :meth:`PromptCache.peek`, which counts nothing.
         """
         if not self.cache_enabled:
             return 0
-        batch: list[tuple[CacheKey, str]] = []
-        # One gate for the whole batch: its keys are released together.
+        keys: list[CacheKey] = []
         gate = threading.Event()
         with self._lock:
-            epoch = self._cache_epoch
             for prompt in prompts:
                 key = self._cache_key(prompt, max_tokens, version)
-                # Every key this batch holds is in ``_inflight`` from the
+                # Every key this call holds is in ``_inflight`` from the
                 # moment it joins, so this is also the duplicate test.
                 if key in self._inflight or self.cache.peek(key):
                     continue
                 self._inflight[key] = gate
-                batch.append((key, prompt))
-        if not batch:
+                keys.append(key)
+        if not keys:
             return 0
-        served = 0
         try:
-            requests = [
-                LLMRequest(prompt=prompt, max_tokens=max_tokens)
-                for _, prompt in batch
-            ]
-            hub = self._hub()
-            if hub is None:
-                try:
-                    self._check_budget()
-                    responses = self._batch_resilient(requests)
-                except LLMError:
-                    responses = None
-                results: list[tuple[LLMResponse, str, int] | None] = (
-                    list(responses)
-                    if responses is not None
-                    else [None] * len(batch)
-                )
-            else:
-                results = self._prime_via_hub(hub, requests)
-            if any(result is not None for result in results):
-                clock = self._active_clock()
-                for (key, prompt), result in zip(batch, results):
-                    if result is None:
-                        continue
-                    response, outcome, retries = result
-                    cost = estimate_cost(
-                        response.prompt_tokens, response.completion_tokens
-                    )
-                    clock.advance(response.latency_seconds)
-                    self._record(
-                        CallRecord(
-                            prompt=prompt,
-                            response_text=response.text,
-                            prompt_tokens=response.prompt_tokens,
-                            completion_tokens=response.completion_tokens,
-                            cost=cost,
-                            cached=False,
-                            skill=response.skill,
-                            purpose=purpose,
-                            latency_seconds=response.latency_seconds,
-                            retries=retries,
-                            outcome=outcome,
-                            max_tokens=max_tokens,
-                            version=version,
-                            model=response.model,
-                        )
-                    )
-                    self._cache_put(key, response, epoch)
-                    if answers is not None:
-                        answers[prompt] = response.text
-                    served += 1
-                self.cache.count_misses(served)
+            results = self._pay(keys, purpose)
         finally:
-            with self._lock:
-                for key, _ in batch:
-                    self._inflight.pop(key, None)
-            gate.set()
-        return served
-
-    def _prime_via_hub(
-        self, hub: "CoalesceHub", requests: list[LLMRequest]
-    ) -> list[tuple[LLMResponse, str, int] | None]:
-        """Resolve a prime batch through the cross-service hub.
-
-        Each request is claimed individually: settled answers are shared
-        immediately, and the slots this service wins are paid for with
-        **one** batched provider call whose shareable results (clean
-        first-attempt successes) are published back.  Contested slots are
-        waited on only *after* every led slot has been published — a
-        leader never blocks while still holding unpublished slots, so two
-        services whose prime batches overlap in different prompt orders
-        cannot deadlock on each other (no hold-and-wait).  Returns
-        results aligned with ``requests``; a ``None`` entry means the
-        batch path gave up on that prompt and per-item calls should retry
-        it with the full resilience policy.
-        """
-        results: list[tuple[LLMResponse, str, int] | None] = [None] * len(requests)
-        pending = list(range(len(requests)))
-        while pending:
-            leads: list[int] = []
-            contested: list[tuple[int, threading.Event]] = []
-            for index in pending:
-                status, settled = hub.claim(requests[index])
-                if status == "hit":
-                    self._note_hub_share(hub)
-                    results[index] = settled
-                elif status == "lead":
-                    leads.append(index)
-                else:
-                    contested.append((index, settled))
-            if leads:
-                try:
-                    self._check_budget()
-                    responses = self._batch_resilient(
-                        [requests[i] for i in leads]
-                    )
-                except LLMError:
-                    responses = None
-                except BaseException:
-                    for index in leads:
-                        hub.publish(requests[index], None)
-                    raise
-                if responses is None:
-                    # Batch path exhausted: release the led slots so
-                    # waiters re-compete; these entries stay ``None`` and
-                    # per-item calls retry them with full resilience.
-                    for index in leads:
-                        hub.publish(requests[index], None)
-                else:
-                    for index, result in zip(leads, responses):
-                        results[index] = result
-                        _response, outcome, retries = result
-                        shareable = outcome == OUTCOME_SERVED and retries == 0
-                        hub.publish(
-                            requests[index], result if shareable else None
-                        )
-            for _index, gate in contested:
-                gate.wait()
-            pending = [index for index, _gate in contested]
-        return results
-
-    def _batch_resilient(
-        self, requests: list[LLMRequest]
-    ) -> list[tuple[LLMResponse, str, int]] | None:
-        """One retried ``complete_batch`` against the provider.
-
-        Returns ``None`` when the batch path is exhausted (callers fall
-        back to per-prompt resilient calls); never raises provider errors.
-        """
-        clock = self._active_clock()
-        for attempt in range(self.policy.retry.max_retries + 1):
-            try:
-                responses = self.provider.complete_batch(requests)
-            except RateLimitError as error:
-                wait = error.retry_after
-            except ProviderError:
-                wait = self.policy.retry.delay(attempt, key=requests[0].prompt)
-            else:
-                outcome = OUTCOME_SERVED if attempt == 0 else OUTCOME_RETRIED
-                return [(response, outcome, attempt) for response in responses]
-            if attempt >= self.policy.retry.max_retries:
-                return None
-            clock.advance(wait)
-        return None
+            self._release(keys, gate)
+        self.cache.count_misses(len(keys))
+        if answers is not None:
+            answers.update((key.prompt, result) for key, result in zip(keys, results))
+        return sum(1 for result in results if isinstance(result, str))
 
     def complete_many(
         self,
@@ -799,14 +572,14 @@ class LLMService:
     ) -> list[str]:
         """Answer many prompts, batching the distinct uncached ones.
 
-        One batched provider request pays for the distinct uncached
-        prompts and each answer goes to the first occurrence of its
-        prompt; every other prompt — cached, repeated, or given up on by
-        the batch — is a :meth:`complete` call with its per-prompt
-        semantics (ledger record, errors, resilience).  The ledger is the
-        one a prefetched ``MapModule`` chunk over the same prompts leaves.
+        :meth:`prime` pays for the distinct uncached prompts and each
+        answer or error goes to the first occurrence of its prompt (an
+        error is raised there, as :meth:`complete` would have raised it);
+        every other prompt — cached or repeated — is a :meth:`complete`
+        call.  The ledger is the one a prefetched ``MapModule`` chunk over
+        the same prompts leaves.
         """
-        answers: dict[str, str] = {}
+        answers: dict[str, str | LLMError] = {}
         self.prime(
             prompts,
             purpose=purpose,
@@ -816,13 +589,206 @@ class LLMService:
         )
         texts: list[str] = []
         for prompt in prompts:
-            text = answers.pop(prompt, None)
-            if text is None:
-                text = self.complete(
+            answer = answers.pop(prompt, None)
+            if answer is None:
+                answer = self.complete(
                     prompt, purpose=purpose, max_tokens=max_tokens, version=version
                 )
-            texts.append(text)
+            elif isinstance(answer, LLMError):
+                raise answer
+            texts.append(answer)
         return texts
+
+    # -- the paid path ---------------------------------------------------------
+
+    def _pay(self, keys: list[CacheKey], purpose: str) -> list[str | LLMError]:
+        """The one way to the provider: an answer or an error per key, in order.
+
+        Checks the budget once (a spent budget is a
+        :class:`BudgetExceededError` per key and no ledger record), settles
+        every key's request (:meth:`_settle`), then writes one ledger
+        record per key: a provider record for an answer — cached, unless
+        the cache is disabled — or ``gave_up`` for a key whose retries ran
+        out, whose error is the :class:`ProviderError` :meth:`complete`
+        raises.
+        """
+        problem = self._budget_problem()
+        if problem is not None:
+            return [BudgetExceededError(problem) for _ in keys]
+        with self._lock:
+            epoch = self._cache_epoch
+        requests = [
+            LLMRequest(prompt=key.prompt, max_tokens=key.max_tokens) for key in keys
+        ]
+        responses, attempts = self._settle(requests)
+        clock = self._active_clock()
+        results: list[str | LLMError] = []
+        for key, response, attempt in zip(keys, responses, attempts):
+            if isinstance(response, LLMResponse):
+                clock.advance(response.latency_seconds)
+                self._record(
+                    CallRecord(
+                        prompt=key.prompt,
+                        response_text=response.text,
+                        prompt_tokens=response.prompt_tokens,
+                        completion_tokens=response.completion_tokens,
+                        cost=estimate_cost(
+                            response.prompt_tokens, response.completion_tokens
+                        ),
+                        cached=False,
+                        skill=response.skill,
+                        purpose=purpose,
+                        latency_seconds=response.latency_seconds,
+                        retries=attempt,
+                        outcome=OUTCOME_SERVED if attempt == 0 else OUTCOME_RETRIED,
+                        max_tokens=key.max_tokens,
+                        version=key.version,
+                        model=response.model,
+                    )
+                )
+                if self.cache_enabled:
+                    self._cache_put(key, response, epoch)
+                results.append(response.text)
+                continue
+            self._record(
+                CallRecord(
+                    prompt=key.prompt,
+                    response_text="",
+                    prompt_tokens=0,
+                    completion_tokens=0,
+                    cost=0.0,
+                    cached=False,
+                    skill="",
+                    purpose=purpose,
+                    latency_seconds=0.0,
+                    retries=self.retry.max_retries,
+                    outcome=OUTCOME_GAVE_UP,
+                    max_tokens=key.max_tokens,
+                )
+            )
+            results.append(
+                ProviderError(
+                    f"provider failed after {self.retry.max_retries + 1} "
+                    f"attempts: {response}"
+                )
+            )
+        return results
+
+    def _settle(
+        self, requests: list[LLMRequest]
+    ) -> tuple[list[LLMResponse | ProviderError], list[int]]:
+        """Each request's response or last error, and its attempt index.
+
+        Without a hub this is :meth:`_retry`.  Through the hub each
+        request claims its slot: a settled answer is shared, the slots this
+        call leads are paid for together and published back — shareable
+        only as a clean first-attempt success, precisely what a solo caller
+        would have recorded, which keeps tenant reports byte-identical to
+        their direct runs — and contested slots are waited on only *after*
+        every led slot is published.  A leader never blocks while holding
+        unpublished slots, so two services whose batches overlap in
+        different prompt orders cannot deadlock (no hold-and-wait).
+        """
+        started = self._active_clock().now
+        hub = self._hub()
+        if hub is None:
+            return self._retry(requests, started)
+        responses: list = [None] * len(requests)
+        attempts = [0] * len(requests)
+        pending = list(range(len(requests)))
+        while pending:
+            leads: list[int] = []
+            contested: list[tuple[int, threading.Event]] = []
+            for index in pending:
+                status, settled = hub.claim(requests[index])
+                if status == "hit":
+                    self._note_hub_share(hub)
+                    responses[index] = settled
+                elif status == "lead":
+                    leads.append(index)
+                else:
+                    contested.append((index, settled))
+            if leads:
+                try:
+                    paid, tries = self._retry([requests[i] for i in leads], started)
+                except BaseException:
+                    for index in leads:
+                        hub.publish(requests[index], None)
+                    raise
+                for index, response, attempt in zip(leads, paid, tries):
+                    responses[index], attempts[index] = response, attempt
+                    shareable = isinstance(response, LLMResponse) and attempt == 0
+                    hub.publish(requests[index], response if shareable else None)
+            for _index, gate in contested:
+                gate.wait()
+            pending = [index for index, _gate in contested]
+        return responses, attempts
+
+    def _retry(
+        self, requests: list[LLMRequest], started: float
+    ) -> tuple[list[LLMResponse | ProviderError], list[int]]:
+        """Round trips until every request is answered or out of retries.
+
+        The first round sends every request; each later round sends only
+        the ones that failed, after the longest wait among them — a
+        ``RateLimitError``'s ``retry_after``, else the retry policy's delay
+        keyed on the prompt — clamped by the deadline, which counts from
+        ``started``.  A round trip that raises a :class:`ProviderError`
+        failed every request in it; anything else it raises propagates.
+        For a batch of one these are the waits, jitter keys and give-up
+        point of one call retried on its own.
+        """
+        clock = self._active_clock()
+        retry, deadline = self.retry, self.deadline
+        responses: list = [None] * len(requests)
+        attempts = [0] * len(requests)
+        pending = list(range(len(requests)))
+        for attempt in range(retry.max_retries + 1):
+            try:
+                batch = self.provider.complete_batch([requests[i] for i in pending])
+            except ProviderError as error:
+                batch = [error] * len(pending)
+            failed: list[int] = []
+            wait = 0.0
+            for index, response in zip(pending, batch):
+                responses[index], attempts[index] = response, attempt
+                if isinstance(response, RateLimitError):
+                    wait = max(wait, response.retry_after)
+                elif isinstance(response, ProviderError):
+                    wait = max(wait, retry.delay(attempt, key=requests[index].prompt))
+                else:
+                    continue
+                failed.append(index)
+            pending = failed
+            if not pending or attempt >= retry.max_retries:
+                break
+            elapsed = clock.now - started
+            if deadline is not None:
+                if deadline.exhausted(elapsed):
+                    break
+                wait = deadline.clamp(wait, elapsed)
+            clock.advance(wait)
+        return responses, attempts
+
+    def _note_hub_share(self, hub: "CoalesceHub") -> None:
+        hub.note_shared()
+        if self.obs is not None:
+            self.obs.metrics.counter("llm.hub_shared").inc()
+
+    def _budget_problem(self) -> str | None:
+        """Why the budget refuses another paid call, or ``None``."""
+        # Budget checks read the merged ledger; records still buffered in
+        # unfinished worker scopes are not yet visible, so under heavy
+        # parallelism a budget may be overshot by up to one in-flight wave.
+        with self._lock:
+            if self.max_calls is not None and self.served_calls >= self.max_calls:
+                return f"call budget exhausted ({self.served_calls}/{self.max_calls})"
+            if self.max_cost is not None and self.total_cost >= self.max_cost:
+                return (
+                    f"cost budget exhausted "
+                    f"(${self.total_cost:.4f}/${self.max_cost:.4f})"
+                )
+        return None
 
     def record_distilled(
         self,
@@ -899,78 +865,6 @@ class LLMService:
             inserted += 1
         return inserted
 
-    def _complete_resilient(
-        self, request: LLMRequest, purpose: str
-    ) -> tuple[LLMResponse, str, int]:
-        """Retry the provider under the resilience policy.
-
-        Returns ``(response, outcome, retries)`` on success; on exhaustion
-        records a ``gave_up`` ledger entry and raises.
-        """
-        policy = self.policy
-        # Keyed on the prompt (not a shared call counter) so the jitter
-        # schedule is deterministic regardless of thread arrival order.
-        call_key = request.prompt
-        clock = self._active_clock()
-        started = clock.now
-        last_error: ProviderError | None = None
-        for attempt in range(policy.retry.max_retries + 1):
-            try:
-                response = self.provider.complete(request)
-            except RateLimitError as error:
-                last_error = error
-                wait = error.retry_after
-            except ProviderError as error:
-                last_error = error
-                wait = policy.retry.delay(attempt, key=call_key)
-            else:
-                outcome = OUTCOME_SERVED if attempt == 0 else OUTCOME_RETRIED
-                return response, outcome, attempt
-            if attempt >= policy.retry.max_retries:
-                break
-            elapsed = clock.now - started
-            if policy.deadline is not None:
-                if policy.deadline.exhausted(elapsed):
-                    break
-                wait = policy.deadline.clamp(wait, elapsed)
-            clock.advance(wait)
-
-        self._record(
-            CallRecord(
-                prompt=request.prompt,
-                response_text="",
-                prompt_tokens=0,
-                completion_tokens=0,
-                cost=0.0,
-                cached=False,
-                skill="",
-                purpose=purpose,
-                latency_seconds=0.0,
-                retries=policy.retry.max_retries,
-                outcome=OUTCOME_GAVE_UP,
-                max_tokens=request.max_tokens,
-            )
-        )
-        raise ProviderError(
-            f"provider failed after {policy.retry.max_retries + 1} attempts: "
-            f"{last_error}"
-        )
-
-    def _check_budget(self) -> None:
-        # Budget checks read the merged ledger; records still buffered in
-        # unfinished worker scopes are not yet visible, so under heavy
-        # parallelism a budget may be overshot by up to one in-flight wave.
-        with self._lock:
-            if self.max_calls is not None and self.served_calls >= self.max_calls:
-                raise BudgetExceededError(
-                    f"call budget exhausted ({self.served_calls}/{self.max_calls})"
-                )
-            if self.max_cost is not None and self.total_cost >= self.max_cost:
-                raise BudgetExceededError(
-                    f"cost budget exhausted "
-                    f"(${self.total_cost:.4f}/${self.max_cost:.4f})"
-                )
-
     # -- accounting --------------------------------------------------------------
 
     @property
@@ -985,7 +879,7 @@ class LLMService:
 
     @property
     def failed_calls(self) -> int:
-        """Calls that exhausted the resilience policy (``gave_up``)."""
+        """Calls whose retries ran out (``gave_up``)."""
         return sum(1 for r in self.records if not r.succeeded)
 
     @property
@@ -1115,7 +1009,7 @@ class CoalesceHub:
         self.provider = provider
         self._lock = threading.Lock()
         self._inflight: dict[tuple[str, int], threading.Event] = {}
-        self._settled: dict[tuple[str, int], tuple[LLMResponse, str, int]] = {}
+        self._settled: dict[tuple[str, int], LLMResponse] = {}
         #: Calls answered from another service's settled result.
         self.shared_calls = 0
         #: Slots this hub's claimants paid the provider for and settled.
@@ -1128,7 +1022,7 @@ class CoalesceHub:
     def claim(self, request: LLMRequest):
         """Claim the slot for ``request``.
 
-        Returns ``("hit", result)`` when a settled answer exists,
+        Returns ``("hit", response)`` when a settled answer exists,
         ``("wait", event)`` when another claimant is leading (wait on the
         event, then re-claim), or ``("lead", None)`` when the caller now
         leads and **must** eventually :meth:`publish` — on every path,
@@ -1145,11 +1039,7 @@ class CoalesceHub:
             self._inflight[key] = threading.Event()
             return ("lead", None)
 
-    def publish(
-        self,
-        request: LLMRequest,
-        result: "tuple[LLMResponse, str, int] | None",
-    ) -> None:
+    def publish(self, request: LLMRequest, response: LLMResponse | None) -> None:
         """Settle (or release) a led slot and wake every waiter.
 
         ``None`` releases without settling — the result was unshareable or
@@ -1157,8 +1047,8 @@ class CoalesceHub:
         """
         key = self._key(request)
         with self._lock:
-            if result is not None and key not in self._settled:
-                self._settled[key] = result
+            if response is not None and key not in self._settled:
+                self._settled[key] = response
                 self.settled_calls += 1
             gate = self._inflight.pop(key, None)
         if gate is not None:

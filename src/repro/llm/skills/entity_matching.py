@@ -24,7 +24,6 @@ from repro.text.normalize import extract_numbers, normalize_text
 from repro.text.similarity import (
     jaccard_similarity,
     jaro_winkler_similarity,
-    numeric_similarity,
     qgram_similarity,
 )
 

@@ -20,10 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from repro.llm.cache import (
-    PROVENANCE_CACHE_EXACT,
-    PROVENANCE_DISTILLED,
-)
+from repro.llm.cache import PROVENANCE_DISTILLED
 
 __all__ = ["ProfileRow", "RunProfile", "profile_records"]
 

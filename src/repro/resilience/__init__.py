@@ -5,8 +5,8 @@ package supplies the machinery the service uses to absorb transient
 provider failures instead of aborting pipelines:
 
 - :class:`VirtualClock` — the shared virtual timeline every policy reasons on.
-- :class:`RetryPolicy` / :class:`Deadline` — bounded, deterministic retries.
-- :class:`ResiliencePolicy` — the composite the :class:`LLMService` accepts.
+- :class:`RetryPolicy` / :class:`Deadline` — bounded, deterministic retries,
+  passed to :class:`LLMService` as ``retry=`` / ``deadline=``.
 
 All waiting happens on the virtual clock, so chaos experiments replay
 instantly and deterministically.
@@ -20,14 +20,12 @@ from repro.resilience.policy import (
     OUTCOME_SERVED,
     SUCCESS_OUTCOMES,
     Deadline,
-    ResiliencePolicy,
     RetryPolicy,
 )
 
 __all__ = [
     "VirtualClock",
     "Deadline",
-    "ResiliencePolicy",
     "RetryPolicy",
     "OUTCOME_CACHED",
     "OUTCOME_GAVE_UP",

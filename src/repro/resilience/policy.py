@@ -1,4 +1,4 @@
-"""Composable resilience policies: retries, deadlines, the service composite.
+"""Resilience policies: retries and deadlines, as ``LLMService`` takes them.
 
 Every knob is deterministic: backoff jitter comes from a stable hash of the
 call index, and all waiting is virtual-clock time, so a chaos run with a
@@ -7,14 +7,13 @@ fixed seed reproduces the exact same retry schedule every time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro._util import stable_unit
 
 __all__ = [
     "RetryPolicy",
     "Deadline",
-    "ResiliencePolicy",
     "OUTCOME_SERVED",
     "OUTCOME_CACHED",
     "OUTCOME_RETRIED",
@@ -84,19 +83,3 @@ class Deadline:
     def clamp(self, wait: float, elapsed: float) -> float:
         """Clip a proposed wait to the remaining budget."""
         return min(wait, self.remaining(elapsed))
-
-
-@dataclass
-class ResiliencePolicy:
-    """The composite policy :class:`repro.llm.service.LLMService` executes.
-
-    Parameters
-    ----------
-    retry:
-        Backoff schedule applied to every provider call.
-    deadline:
-        Per-call cap on cumulative virtual-clock waiting (``None`` = uncapped).
-    """
-
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    deadline: Deadline | None = None

@@ -99,8 +99,6 @@ class TenantRegistry:
         name: str,
         provider: Any = None,
         obs: Any = None,
-        max_calls: int | None = None,
-        max_cost: float | None = None,
     ) -> LLMService:
         """A fresh service for one job of tenant ``name``.
 
@@ -118,8 +116,6 @@ class TenantRegistry:
             coalesce_hub=self.hub,
             clock=VirtualClock(),
             obs=obs,
-            max_calls=max_calls,
-            max_cost=max_cost,
         )
 
     def close(self) -> None:

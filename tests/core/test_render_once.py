@@ -40,7 +40,6 @@ class ScriptedProvider(LLMProvider):
     def __init__(self, rejects=lambda prompt: False):
         self.rejects = rejects
         self.batches: list[list[str]] = []
-        self.singles: list[str] = []
         self._lock = threading.Lock()
 
     def _respond(self, request: LLMRequest) -> LLMResponse:
@@ -49,8 +48,6 @@ class ScriptedProvider(LLMProvider):
         return LLMResponse(text=text, prompt_tokens=5, completion_tokens=1, model="scripted")
 
     def complete(self, request: LLMRequest) -> LLMResponse:
-        with self._lock:
-            self.singles.append(request.prompt)
         return self._respond(request)
 
     def complete_batch(self, requests: list[LLMRequest]) -> list[LLMResponse]:
@@ -60,7 +57,7 @@ class ScriptedProvider(LLMProvider):
 
     @property
     def calls(self) -> int:
-        return len(self.singles) + sum(len(batch) for batch in self.batches)
+        return sum(len(batch) for batch in self.batches)
 
 
 class CountingLLM(LLMModule):
@@ -98,7 +95,6 @@ class TestRenderCounts:
         assert outcome.outputs == [True] * 20
         assert llm.renders == [0] * 20
         assert [len(batch) for batch in provider.batches] == [20]
-        assert provider.singles == []
 
     def test_warm_chunk_renders_each_record_once(self):
         provider = ScriptedProvider()
@@ -118,7 +114,8 @@ class TestRenderCounts:
         assert outcome.outputs == [True] * 12
         assert llm.validation_retries == 12
         assert sorted(llm.renders) == [0] * 12 + [1] * 12
-        assert len(provider.singles) == 12  # the re-prompts, one by one
+        # one round trip for the chunk, then the re-prompts, one by one
+        assert [len(batch) for batch in provider.batches] == [12] + [1] * 12
 
     def test_cascade_renders_only_the_escalated_items(self):
         provider = ScriptedProvider()
@@ -133,7 +130,6 @@ class TestRenderCounts:
         assert 0 < len(escalated) < 30
         assert llm.renders == [0] * len(escalated)
         assert [len(batch) for batch in provider.batches] == [len(escalated)]
-        assert provider.singles == []
 
     def test_distillation_router_renders_once_per_teacher_call(self):
         # The router does not prefetch (an online learner decides record by
@@ -151,7 +147,7 @@ class TestRenderCounts:
         outcome = MapModule("map", router).apply_chunk(records(15))
         assert outcome.outputs == [True] * 15
         assert llm.renders == [0] * 15
-        assert provider.batches == [] and len(provider.singles) == 15
+        assert [len(batch) for batch in provider.batches] == [1] * 15
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_worker_count_does_not_change_the_counts(self, workers):
@@ -163,7 +159,8 @@ class TestRenderCounts:
         )
         assert outputs == [True] * 50
         assert sorted(llm.renders) == [0] * 50 + [1] * 50
-        assert sorted(len(batch) for batch in provider.batches) == [1] + [7] * 7
+        # 8 chunks (7 of 7, 1 of 1), then 50 re-prompts, one by one
+        assert sorted(len(batch) for batch in provider.batches) == [1] * 51 + [7] * 7
 
 
 class TestHandOffScope:
@@ -205,7 +202,10 @@ class TestHandOffScope:
             llm.drop_prefetched()
         assert llm.renders == [0] * 6
         # The changed record was asked about as it is now, not as prefetched.
-        assert [prompt.count('"score": 0.99') for prompt in provider.singles] == [1]
+        assert [
+            [prompt.count('"score": 0.99') for prompt in batch]
+            for batch in provider.batches[1:]
+        ] == [[1]]
         assert cached_flags(llm) == [False] * 4
 
     def test_a_prompt_is_handed_over_once(self):

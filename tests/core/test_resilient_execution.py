@@ -18,7 +18,7 @@ from repro.datasets.entity_resolution import generate_er_dataset
 from repro.llm.faults import ChaosProvider, FaultKind, FaultSpec
 from repro.llm.providers import SimulatedProvider
 from repro.llm.service import LLMService
-from repro.resilience import Deadline, ResiliencePolicy, RetryPolicy, VirtualClock
+from repro.resilience import Deadline, RetryPolicy, VirtualClock
 from repro.tasks.entity_resolution import pairs_as_inputs, pick_examples
 
 
@@ -90,11 +90,12 @@ def make_chaos_system(rate: float, seed=7, outage=None, max_retries=3):
         start, end = outage
         faults.append(FaultSpec(kind=FaultKind.OUTAGE, start=start, end=end))
     chaos = ChaosProvider(SimulatedProvider(), faults, seed=seed, clock=clock)
-    policy = ResiliencePolicy(
+    service = LLMService(
+        chaos,
         retry=RetryPolicy(max_retries=max_retries, backoff_seconds=0.1),
         deadline=Deadline(30.0),
+        clock=clock,
     )
-    service = LLMService(chaos, policy=policy, clock=clock)
     return LinguaManga(service=service)
 
 
@@ -207,8 +208,7 @@ class TestDegradeToSimulator:
             seed=3,
             clock=clock,
         )
-        policy = ResiliencePolicy(retry=RetryPolicy(max_retries=0))
-        service = LLMService(chaos, policy=policy, clock=clock)
+        service = LLMService(chaos, retry=RetryPolicy(max_retries=0), clock=clock)
         system = LinguaManga(service=service)
         dataset = generate_er_dataset("beer", n_entities=20)
         pipeline = get_template("entity_resolution").instantiate(

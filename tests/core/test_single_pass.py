@@ -31,6 +31,7 @@ from repro.core.templates.library import get_template
 from repro.datasets import StreamingERCorpus
 from repro.datasets.imputation import generate_buy_dataset
 from repro.llm.errors import BudgetExceededError, ProviderError
+from repro.llm.providers import LLMProvider
 from repro.llm.service import CoalesceHub, LLMService
 from repro.llm.tokenizer import estimate_cost
 from repro.tasks.imputation import run_llm_imputation
@@ -116,8 +117,10 @@ class TestCounts:
         llm = CountingLLM(service)
         assert MapModule("map", llm).apply_chunk(records(12)).outputs == [True] * 12
         assert llm.validation_retries == 12
-        assert calls["complete"] == 12 and len(provider.singles) == 12
-        assert all("Answer strictly" in prompt for prompt in provider.singles)
+        first, *reprompts = provider.batches
+        assert calls["complete"] == 12 and len(first) == 12
+        assert [len(batch) for batch in reprompts] == [1] * 12
+        assert all("Answer strictly" in prompt for (prompt,) in reprompts)
         assert service.served_calls == 24 and service.cached_calls == 0
 
     def test_a_cascade_hands_over_only_the_escalated_items(self):
@@ -134,21 +137,42 @@ class TestCounts:
         assert len(service.records) == service.served_calls == escalated
         assert calls == {"cache.put": escalated}
 
-    def test_a_failed_batch_leaves_every_record_to_complete(self):
-        class NoBatches(ScriptedProvider):
+    def test_a_raising_round_trip_retries_every_item_in_it(self):
+        class FirstRoundTripDown(ScriptedProvider):
             def complete_batch(self, requests):
-                raise ProviderError("batch endpoint down")
+                if not self.batches:
+                    self.batches.append([request.prompt for request in requests])
+                    raise ProviderError("connection reset")
+                return super().complete_batch(requests)
 
-        provider = NoBatches()
+        provider = FirstRoundTripDown()
         service = LLMService(provider)
         calls = count_calls(service)
         assert MapModule("map", CountingLLM(service)).apply_chunk(
             records(5)
         ).outputs == [True] * 5
-        assert calls == {"complete": 5, "cache.get": 5, "cache.put": 5}
-        assert len(provider.singles) == 5
+        assert calls == {"cache.put": 5}  # still handed over: no complete
+        assert [len(batch) for batch in provider.batches] == [5, 5]
+        assert [r.outcome for r in service.records] == ["retried"] * 5
         assert service.served_calls == 5 and service.cached_calls == 0
-        assert hits_and_misses(service) == (0, 5)  # counted by the gets alone
+        assert hits_and_misses(service) == (0, 5)
+
+    def test_a_prompt_that_always_fails_spends_one_retry_budget(self):
+        provider = DownFor(lambda prompt: '"id": 2,' in prompt)
+        service = LLMService(provider)
+        llm = CountingLLM(service)
+        mapper = MapModule("map", llm, error_policy=ErrorPolicy.SKIP_RECORD)
+        outcome = mapper.apply_chunk(records(5))
+        assert outcome.outputs == [True] * 4
+        assert [entry.record["id"] for entry in outcome.quarantine] == [2]
+        assert "provider failed after 4 attempts" in outcome.quarantine[0].error
+        (doomed,) = [p for p in provider.attempts if '"id": 2,' in p]
+        assert provider.attempts[doomed] == service.retry.max_retries + 1
+        assert [r.outcome for r in service.records] == (
+            ["served"] * 2 + ["gave_up"] + ["served"] * 2
+        )
+        assert llm.provider_failures == 1
+        assert hits_and_misses(service) == (0, 5)  # as an unchunked run counts
 
     def test_a_disabled_cache_hands_nothing_over(self):
         provider = ScriptedProvider()
@@ -161,7 +185,7 @@ class TestCounts:
         llm.drop_prefetched()
         assert MapModule("map", llm).apply_chunk(items).outputs == [True] * 4
         assert calls == {"complete": 4}
-        assert provider.batches == [] and len(provider.singles) == 4
+        assert [len(batch) for batch in provider.batches] == [1] * 4
 
 
 class TestCacheStats:
@@ -284,6 +308,25 @@ class TestHubPath:
         assert hub.shared_calls == 10 and hub.settled_calls == 10
 
 
+class DownFor(ScriptedProvider):
+    """Fails every attempt at a prompt ``down`` picks out, item by item (the
+    default ``complete_batch``); counts attempts per prompt."""
+
+    complete_batch = LLMProvider.complete_batch
+
+    def __init__(self, down):
+        super().__init__()
+        self.down = down
+        self.attempts: Counter = Counter()
+
+    def complete(self, request):
+        with self._lock:
+            self.attempts[request.prompt] += 1
+        if self.down(request.prompt):
+            raise ProviderError("down")
+        return self._respond(request)
+
+
 def rejecting_record_2(max_attempts: int = 1, **kwargs) -> CountingLLM:
     provider = ScriptedProvider(rejects=lambda prompt: '"id": 2,' in prompt)
     return CountingLLM(LLMService(provider), max_attempts=max_attempts, **kwargs)
@@ -324,9 +367,8 @@ class TestErrorPolicies:
 
 
 class TestBudgets:
-    """The budget is checked where it was: once per prime batch, then per
-    uncached ``complete`` — a refused batch leaves its records to the
-    per-item path, whose first call raises."""
+    """The budget is checked once per paid round: a refused prime hands
+    each record the error, and the first record that asks raises it."""
 
     def run(self, **budget) -> tuple[LLMService, BaseException]:
         service = LLMService(ScriptedProvider(), **budget)

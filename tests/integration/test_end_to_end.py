@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.runtime.system import LinguaManga
 from repro.core.templates.library import get_template
 from repro.storage.table import Table

@@ -5,20 +5,18 @@ from __future__ import annotations
 import pytest
 
 from repro.llm.cache import CacheKey
-from repro.llm.errors import BudgetExceededError, ProviderError
+from repro.llm.errors import BudgetExceededError, ProviderError, RateLimitError
 from repro.llm.providers import FlakyProvider, LLMRequest, SimulatedProvider
 from repro.llm.service import DEFAULT_RETRY_JITTER, LLMService
 from repro.llm.tokenizer import count_tokens, estimate_cost
-from repro.resilience import ResiliencePolicy, RetryPolicy
+from repro.resilience import RetryPolicy
 
 PROMPT = "Which language is this? Text: El informe fue presentado ayer."
 
 
-def _retries(max_retries: int) -> ResiliencePolicy:
+def _retries(max_retries: int) -> RetryPolicy:
     """The service's default policy with a different retry budget."""
-    return ResiliencePolicy(
-        retry=RetryPolicy(max_retries=max_retries, jitter=DEFAULT_RETRY_JITTER)
-    )
+    return RetryPolicy(max_retries=max_retries, jitter=DEFAULT_RETRY_JITTER)
 
 
 class TestTokenizer:
@@ -87,7 +85,7 @@ class TestBudget:
 class TestRetries:
     def test_transient_failures_are_retried(self):
         flaky = FlakyProvider(SimulatedProvider(), failure_rate=0.45, seed_tag="t1")
-        service = LLMService(flaky, policy=_retries(5))
+        service = LLMService(flaky, retry=_retries(5))
         for i in range(10):
             assert service.complete(f"summarize document number {i}")
         assert all(r.retries <= 5 for r in service.records)
@@ -97,14 +95,14 @@ class TestRetries:
         flaky = FlakyProvider(
             SimulatedProvider(), failure_rate=0.0, rate_limit_rate=0.5, seed_tag="t2"
         )
-        service = LLMService(flaky, policy=_retries(6))
+        service = LLMService(flaky, retry=_retries(6))
         for i in range(6):
             service.complete(f"summarize item {i}")
         assert service.clock_seconds > 0
 
     def test_permanent_outage_raises_after_retries(self):
         flaky = FlakyProvider(SimulatedProvider(), failure_rate=1.0)
-        service = LLMService(flaky, policy=_retries(2))
+        service = LLMService(flaky, retry=_retries(2))
         with pytest.raises(ProviderError):
             service.complete("anything")
         assert service.served_calls == 0  # nothing ever succeeded
@@ -200,12 +198,34 @@ class TestPrimeBatch:
         assert len(built) == 2
 
 
-class _NoBatches(_BatchRecorder):
-    """The batch endpoint is down; single calls work."""
+class _FirstRoundTripDown(_BatchRecorder):
+    """The first round trip raises; every later one is served."""
 
     def complete_batch(self, requests):
-        self.batches.append([request.prompt for request in requests])
-        raise ProviderError("batch endpoint down")
+        if not self.batches:
+            self.batches.append([request.prompt for request in requests])
+            raise ProviderError("connection reset")
+        return super().complete_batch(requests)
+
+
+class _FailsFirstAttempt(SimulatedProvider):
+    """Fails the first attempt at each prompt in ``doomed`` — item by item,
+    through the default ``complete_batch`` — and notes every attempt."""
+
+    def __init__(self, doomed, retry_after=None):
+        super().__init__()
+        self.doomed = set(doomed)
+        self.retry_after = retry_after or {}
+        self.attempts: list[str] = []
+
+    def complete(self, request):
+        self.attempts.append(request.prompt)
+        if request.prompt in self.doomed:
+            self.doomed.discard(request.prompt)
+            if request.prompt in self.retry_after:
+                raise RateLimitError(retry_after=self.retry_after[request.prompt])
+            raise ProviderError("transient")
+        return super().complete(request)
 
 
 def _shape(service: LLMService) -> list[tuple]:
@@ -250,21 +270,43 @@ class TestCompleteMany:
             (a, False), (b, False), (a, True), (a, True)
         ]
 
-    def test_a_failed_batch_falls_back_to_per_prompt_resilience(self):
-        provider = _NoBatches()
-        service = LLMService(provider, policy=_retries(2))
+    def test_a_raising_round_trip_retries_every_item_in_it(self):
+        provider = _FirstRoundTripDown()
+        service = LLMService(provider, retry=_retries(2))
         texts = service.complete_many(self.PROMPTS)
-        assert len(provider.batches) == 3  # the batch was retried, then given up
+        assert provider.batches == [self.PROMPTS, self.PROMPTS]
         assert texts == [SimulatedProvider().complete(LLMRequest(p)).text for p in self.PROMPTS]
         assert _shape(service) == [
-            (p, False, "served", "provider") for p in self.PROMPTS
+            (p, False, "retried", "provider") for p in self.PROMPTS
         ]
 
     def test_budget_exhausted_mid_list_raises_at_that_prompt(self):
-        service = LLMService(_NoBatches(), max_calls=2)
+        service = LLMService(_BatchRecorder(), max_calls=2)
+        service.complete_many(self.PROMPTS[:2])
         with pytest.raises(BudgetExceededError):
             service.complete_many(self.PROMPTS)
-        assert [r.prompt for r in service.records] == self.PROMPTS[:2]
+        # the two cached prompts were answered, the third raised
+        assert [(r.prompt, r.cached) for r in service.records] == [
+            (p, cached) for cached in (False, True) for p in self.PROMPTS[:2]
+        ]
+
+    def test_only_the_failed_item_is_retried(self):
+        provider = _FailsFirstAttempt({self.PROMPTS[2]})
+        service = LLMService(provider)
+        assert service.prime(self.PROMPTS) == 6
+        assert provider.attempts == self.PROMPTS + [self.PROMPTS[2]]  # 7, not 9
+        assert [r.outcome for r in service.records] == (
+            ["served"] * 2 + ["retried"] + ["served"] * 3
+        )
+
+    def test_a_retry_round_waits_for_its_longest_wait(self):
+        a, b, c = self.PROMPTS[:3]
+        provider = _FailsFirstAttempt({a, b}, retry_after={a: 2.0, b: 5.0})
+        service = LLMService(provider)
+        service.complete_many([a, b, c])
+        assert provider.attempts == [a, b, c, a, b]
+        latency = sum(r.latency_seconds for r in service.records)
+        assert service.clock_seconds == pytest.approx(5.0 + latency)
 
     def test_the_ledger_is_a_prefetched_chunks_ledger(self):
         from repro.core.modules.llm_module import LLMModule

@@ -220,7 +220,7 @@ class TestScopedIsolation:
 
 
 class TestHubPrimeNoHoldAndWait:
-    """Regression: ``_prime_via_hub`` must publish led slots before waiting.
+    """Regression: a hub batch must publish its led slots before waiting.
 
     Two services whose prime batches overlapped in different prompt orders
     used to deadlock permanently: each led one hub slot and blocked inline
@@ -276,7 +276,7 @@ class TestHubPrimeNoHoldAndWait:
             assert settled.wait(timeout=30)
             status, settled = hub.claim(led)
         assert status == "hit"
-        assert settled[0].text == "answer:X"
+        assert settled.text == "answer:X"
         assert not done.is_set()  # prime is (correctly) parked on Y now
 
         # Release Y unsettled: the prime re-claims, leads and pays for it.

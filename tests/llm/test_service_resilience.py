@@ -8,16 +8,14 @@ from repro.llm.errors import ProviderError, RateLimitError
 from repro.llm.faults import ChaosProvider, FaultKind, FaultSpec
 from repro.llm.providers import LLMProvider, LLMRequest, LLMResponse, SimulatedProvider
 from repro.llm.service import DEFAULT_RETRY_JITTER, LLMService
-from repro.resilience import Deadline, ResiliencePolicy, RetryPolicy, VirtualClock
+from repro.resilience import Deadline, RetryPolicy, VirtualClock
 
 PROMPT = "Which language is this? Text: El informe fue presentado ayer."
 
 
-def _retries(max_retries: int) -> ResiliencePolicy:
+def _retries(max_retries: int) -> RetryPolicy:
     """The service's default policy with a different retry budget."""
-    return ResiliencePolicy(
-        retry=RetryPolicy(max_retries=max_retries, jitter=DEFAULT_RETRY_JITTER)
-    )
+    return RetryPolicy(max_retries=max_retries, jitter=DEFAULT_RETRY_JITTER)
 
 
 class DeadProvider(LLMProvider):
@@ -82,14 +80,14 @@ class TestOutcomes:
             [FaultSpec(kind=FaultKind.TRANSIENT, rate=0.5)],
             seed=4,
         )
-        service = LLMService(chaos, policy=_retries(6))
+        service = LLMService(chaos, retry=_retries(6))
         for index in range(10):
             service.complete(f"summarize document number {index}")
         outcomes = {r.outcome for r in service.records}
         assert "retried" in outcomes and "served" in outcomes
 
     def test_gave_up_recorded_and_excluded_from_served(self):
-        service = LLMService(DeadProvider(), policy=_retries(2))
+        service = LLMService(DeadProvider(), retry=_retries(2))
         with pytest.raises(ProviderError):
             service.complete("anything at all")
         assert service.served_calls == 0
@@ -103,7 +101,7 @@ class TestOutcomes:
             [FaultSpec(kind=FaultKind.TRANSIENT, rate=0.5)],
             seed=4,
         )
-        service = LLMService(chaos, policy=_retries(6))
+        service = LLMService(chaos, retry=_retries(6))
         for index in range(10):
             service.complete(f"summarize document number {index}")
         assert service.usage().retries == sum(r.retries for r in service.records)
@@ -145,10 +143,10 @@ class TestDefaultPolicyJitter:
 
     def test_default_policy_carries_jitter(self):
         service = LLMService(SimulatedProvider())
-        assert service.policy.retry.jitter == DEFAULT_RETRY_JITTER > 0
+        assert service.retry.jitter == DEFAULT_RETRY_JITTER > 0
 
     def test_schedules_desynchronize_by_prompt(self):
-        retry = LLMService(SimulatedProvider()).policy.retry
+        retry = LLMService(SimulatedProvider()).retry
         schedules = {
             prompt: tuple(retry.schedule(key=prompt))
             for prompt in (f"summarize document number {i}" for i in range(8))
@@ -159,8 +157,8 @@ class TestDefaultPolicyJitter:
         assert all(base <= d <= base * (1 + retry.jitter) for d in spread)
 
     def test_schedules_are_deterministic_across_services(self):
-        first = LLMService(SimulatedProvider()).policy.retry
-        second = LLMService(SimulatedProvider()).policy.retry
+        first = LLMService(SimulatedProvider()).retry
+        second = LLMService(SimulatedProvider()).retry
         for prompt in ("alpha", "beta", "gamma"):
             assert first.schedule(key=prompt) == second.schedule(key=prompt)
 
@@ -176,7 +174,7 @@ class TestDefaultPolicyJitter:
             for prompt, times in provider.attempt_times.items()
         }
         expected = {
-            prompt: service.policy.retry.delay(0, key=prompt) for prompt in prompts
+            prompt: service.retry.delay(0, key=prompt) for prompt in prompts
         }
         assert waits == pytest.approx(expected)
         assert len(set(waits.values())) > 1
@@ -184,18 +182,20 @@ class TestDefaultPolicyJitter:
 
 class TestDeadline:
     def test_rate_limit_storm_clock_is_bounded(self):
-        policy = ResiliencePolicy(
-            retry=RetryPolicy(max_retries=50), deadline=Deadline(10.0)
+        service = LLMService(
+            RateLimitStormProvider(retry_after=60.0),
+            retry=RetryPolicy(max_retries=50),
+            deadline=Deadline(10.0),
         )
-        service = LLMService(RateLimitStormProvider(retry_after=60.0), policy=policy)
         with pytest.raises(ProviderError):
             service.complete("anything")
         # Without the deadline this would be 50 * 60s; the deadline caps it.
         assert service.clock_seconds <= 10.0 + 1e-9
 
     def test_unbounded_without_deadline(self):
-        policy = ResiliencePolicy(retry=RetryPolicy(max_retries=3))
-        service = LLMService(RateLimitStormProvider(retry_after=60.0), policy=policy)
+        service = LLMService(
+            RateLimitStormProvider(retry_after=60.0), retry=RetryPolicy(max_retries=3)
+        )
         with pytest.raises(ProviderError):
             service.complete("anything")
         assert service.clock_seconds == pytest.approx(180.0)  # 3 waits of 60s
@@ -213,11 +213,12 @@ class TestEndToEndDeterminism:
             seed=42,
             clock=clock,
         )
-        policy = ResiliencePolicy(
+        return LLMService(
+            chaos,
             retry=RetryPolicy(max_retries=4, backoff_seconds=0.5, jitter=0.3),
             deadline=Deadline(30.0),
+            clock=clock,
         )
-        return LLMService(chaos, policy=policy, clock=clock)
 
     def test_identical_runs_produce_identical_ledgers(self):
         ledgers = []

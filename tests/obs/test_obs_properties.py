@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.obs import (
     MetricsRegistry,
-    Span,
     Tracer,
     span_tree_problems,
     walk_spans,

@@ -313,6 +313,56 @@ def test_failed_job_cache_entries_count_as_self_paid(serve_dir):
     queue.close()
 
 
+def test_a_failed_operator_leaves_no_unpaid_cache_entries(serve_dir):
+    """An operator that raises rolls back what its chunks cached.
+
+    Pre-fix the scheduler dropped the raising operator's chunk scopes —
+    their ledger records with them — but kept their cache inserts, so the
+    sibling job hit entries no folded ledger said anyone paid for: five
+    audit violations with ``owners: []``.
+    """
+    from repro.llm.errors import ProviderError
+    from repro.llm.providers import LLMProvider
+
+    class FailsSixthPrompt(LLMProvider):
+        """Delegates to the shared provider, except the 6th distinct prompt."""
+
+        def __init__(self, inner):
+            self.inner = inner
+            self.seen: list[str] = []
+            self._lock = threading.Lock()
+
+        def cache_identity(self) -> str:
+            return self.inner.cache_identity()
+
+        def complete(self, request):
+            with self._lock:
+                if request.prompt not in self.seen:
+                    self.seen.append(request.prompt)
+                doomed = self.seen.index(request.prompt) == 5
+            if doomed:
+                raise ProviderError("the sixth prompt never succeeds")
+            return self.inner.complete(request)
+
+    shared = SimulatedProvider()
+    queue = JobQueue(
+        serve_dir,
+        provider=shared,
+        max_workers=1,
+        provider_factory=lambda spec: (
+            FailsSixthPrompt(shared) if spec.options.get("doomed") else None
+        ),
+        start=False,  # both jobs submit (and seed) before either runs
+    )
+    doomed = queue.submit(make_spec("imputation", doomed=True))
+    sibling = queue.submit(make_spec("imputation"))
+    queue.resume_pending()
+    assert queue.store.wait_for(doomed.job_id).status == "failed"
+    assert queue.store.wait_for(sibling.job_id).status == "succeeded"
+    assert queue.audit_violations == []
+    queue.close()
+
+
 def seeding_digests(queue, monkeypatch) -> list:
     """Record every ``_base_digest`` call ``audit.seed`` makes from here on.
 

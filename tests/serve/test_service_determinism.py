@@ -18,7 +18,6 @@ from repro.core.runtime.system import LinguaManga
 from repro.llm.cache import PromptCache
 from repro.llm.providers import SimulatedProvider
 from repro.llm.service import LLMService
-from repro.serve import JobServer
 from repro.serve.jobs import run_task
 from tests.serve.conftest import ApiClient, make_spec
 

@@ -14,7 +14,6 @@ from repro.text.similarity import (
     jaro_similarity,
     jaro_winkler_similarity,
     levenshtein_distance,
-    levenshtein_similarity,
     levenshtein_within,
     monge_elkan_similarity,
     numeric_similarity,
