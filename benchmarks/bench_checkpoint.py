@@ -44,8 +44,8 @@ METERED_RUNS = 5
 #: Time is the best of METERED_RUNS, so only a real cost can exceed it.
 US_PER_RECORD_BAR = 40  # measured 13-15
 BYTES_PER_RECORD_BAR = 1024  # measured 932; deterministic
-#: Header, group commits of chunk lines, operator commits, close.
-FSYNCS_PER_RUN_BAR = 8  # measured 6; 4 durable lines + 30 chunk lines / 8 + close
+#: The first append, one per 50 ms of appending after it, close.
+FSYNCS_PER_RUN_BAR = 8  # measured 3
 
 #: Everything the engine calls to journal a run.
 JOURNAL_ENTRY_POINTS = (

@@ -388,6 +388,7 @@ class PhysicalPlan:
                 "replayed_records": stats.replayed_records,
                 "cache_entries_pruned": stats.cache_entries_pruned,
                 "torn_bytes": stats.torn_bytes,
+                "corrupt_lines": stats.corrupt_lines,
             }
         for sink in self.pipeline.sinks():
             report.outputs[sink.name] = values[sink.name]

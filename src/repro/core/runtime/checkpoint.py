@@ -44,14 +44,12 @@ only mutable time state a resume must restore.  The one stateful exception
 — :class:`~repro.llm.faults.ChaosProvider` attempt counters — is captured
 per operator commit via ``fault_state()``.
 
-Durability is group-committed: every append flushes synchronously (an
-acknowledged line always survives a *process* crash), while fsyncs — the
-power-loss guard — are batched.  A ``durable`` append (header, ``op``
-commit) fsyncs only when ``DEFAULT_FSYNC_INTERVAL`` seconds have passed
-since the last fsync, plain appends batch per ``DEFAULT_FSYNC_EVERY``, and
-``close`` settles anything deferred.  A torn final line — the classic
-crash-mid-write artifact — is detected on load, truncated away and
-counted, never raised.
+The file itself is a :class:`~repro._jsonl.CheckpointJournal`, the
+primitive all four journals share (re-exported here): its fsync,
+damaged-line and compaction rules are stated once, in :mod:`repro._jsonl`.
+A skipped damaged line can only cost work, never correctness: the header
+check refuses a journal whose first line is gone, and an ``op`` commit
+whose chunk lines are gone fails its record-count or chunk-coverage check.
 """
 
 from __future__ import annotations
@@ -59,15 +57,13 @@ from __future__ import annotations
 import hashlib
 import json
 import operator as operator_module
-import os
 import threading
-import time
 from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro._jsonl import _dump_line, _parse_line
+from repro._jsonl import CheckpointJournal, emit_torn_tail
 from repro.core.modules.base import QuarantinedRecord
 from repro.llm.service import CallRecord, CallScope, LLMService
 from repro.resilience.clock import VirtualClock
@@ -93,14 +89,6 @@ __all__ = [
 
 #: Bumped whenever the journal schema changes; resume refuses other versions.
 JOURNAL_FORMAT_VERSION = 1
-
-#: Plain appends between fsyncs.
-DEFAULT_FSYNC_EVERY = 8
-
-#: Group-commit window: a durable append skips the fsync when one already
-#: happened this recently (close() settles the remainder).  Bounds the
-#: power-loss exposure, not process-crash safety — flushes are synchronous.
-DEFAULT_FSYNC_INTERVAL = 0.05
 
 
 class CheckpointError(RuntimeError):
@@ -223,175 +211,7 @@ class ReplayedValue:
         return hash(self._repr)
 
 
-# -- journal file -----------------------------------------------------------------
-
-
-class CheckpointJournal:
-    """Append-only fsync-batched JSONL file with torn-tail recovery.
-
-    Thread safe: scheduler workers append chunk records concurrently.
-    ``torn_bytes`` reports how many trailing bytes the last :meth:`load`
-    discarded (0 for a clean journal) — a crash mid-write is an expected
-    artifact, detected and truncated rather than raised.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self.torn_bytes = 0
-        self._handle = None
-        self._pending = 0
-        self._last_fsync = 0.0
-        self._fsync_thread: threading.Thread | None = None
-        self._fsync_wake = threading.Event()
-        self._closing = False
-        self._lock = threading.Lock()
-
-    def load(self) -> list[dict]:
-        """Parse every intact record; truncate a torn or corrupt tail.
-
-        A line is intact when it is newline-terminated and parses as a
-        JSON object.  The first violation marks the torn tail: it and
-        everything after it are truncated from the file (the bytes were
-        never acknowledged, so dropping them is exactly what replaying a
-        real crash requires) and counted in ``torn_bytes``.
-        """
-        self.torn_bytes = 0
-        if not self.path.exists():
-            return []
-        data = self.path.read_bytes()
-        records: list[dict] = []
-        offset = 0
-        good_end = 0
-        while offset < len(data):
-            newline = data.find(b"\n", offset)
-            if newline < 0:
-                break  # unterminated final line: torn mid-write
-            line = data[offset:newline]
-            if line.strip():
-                try:
-                    record = _parse_line(line)
-                except (ValueError, UnicodeDecodeError):
-                    break  # corrupt record: discard it and everything after
-                if not isinstance(record, dict):
-                    break
-                records.append(record)
-            offset = newline + 1
-            good_end = offset
-        if good_end < len(data):
-            self.torn_bytes = len(data) - good_end
-            with open(self.path, "r+b") as handle:
-                handle.truncate(good_end)
-        return records
-
-    def append(self, record: dict, durable: bool = False) -> None:
-        """Write one record: flush always, fsync by group commit.
-
-        The flush is synchronous, so every acknowledged append survives a
-        *process* crash.  fsyncs — which guard against power loss — are
-        group-committed: a ``durable`` append only pays one if more than
-        ``DEFAULT_FSYNC_INTERVAL`` seconds elapsed since the last (the first
-        ever append always does), and plain appends batch per
-        ``DEFAULT_FSYNC_EVERY``.
-        :meth:`close` settles whatever the interval deferred.
-        """
-        line = _dump_line(record)
-        with self._lock:
-            if self._handle is None:
-                if self.path.parent and not self.path.parent.exists():
-                    self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._handle = open(self.path, "ab")
-            self._handle.write(line)
-            self._handle.flush()
-            self._pending += 1
-            due = time.monotonic() - self._last_fsync >= DEFAULT_FSYNC_INTERVAL
-            if (durable and due) or self._pending >= DEFAULT_FSYNC_EVERY:
-                self._fsync_locked()
-
-    def _fsync_locked(self) -> None:
-        """Kick one group commit on the journal's background sync thread.
-
-        ``os.fsync`` releases the GIL and a buffered flush already
-        happened, so the commit costs the run nothing; wakes already
-        coalesce (a sync in flight covers everything flushed before it —
-        standard group commit).  One long-lived thread per journal: a
-        spawn per commit costs more in interpreter lock waits than the
-        fsync itself.  :meth:`close` settles the stragglers inline.
-        """
-        if self._fsync_thread is None:
-            self._fsync_thread = threading.Thread(
-                target=self._fsync_loop, daemon=True
-            )
-            self._fsync_thread.start()
-        self._fsync_wake.set()
-        self._pending = 0
-        self._last_fsync = time.monotonic()
-
-    def _fsync_loop(self) -> None:
-        while True:
-            self._fsync_wake.wait()
-            self._fsync_wake.clear()
-            with self._lock:
-                if self._closing or self._handle is None:
-                    return
-                descriptor = self._handle.fileno()
-            try:
-                os.fsync(descriptor)
-            except OSError:  # pragma: no cover - close() fsyncs inline anyway
-                return
-
-    def close(self) -> None:
-        """fsync everything, then release the handle (idempotent).
-
-        Once ``close`` returns, every append is on disk — the final inline
-        fsync settles whatever the group-commit window deferred.
-        """
-        with self._lock:
-            self._closing = True
-            sync_thread, self._fsync_thread = self._fsync_thread, None
-        if sync_thread is not None:
-            self._fsync_wake.set()
-            sync_thread.join()
-        with self._lock:
-            if self._handle is not None:
-                self._handle.flush()
-                os.fsync(self._handle.fileno())
-                self._handle.close()
-                self._handle = None
-                self._pending = 0
-            self._closing = False
-            self._fsync_wake.clear()
-
-    def delete(self) -> None:
-        """Close and remove the journal file, if present."""
-        self.close()
-        if self.path.exists():
-            self.path.unlink()
-
-
 # -- the run-start header protocol -------------------------------------------------
-
-
-def emit_torn_tail(obs, clock, path, torn_bytes: int, journal: str) -> None:
-    """Surface one torn-tail truncation as a metric and a trace event.
-
-    Called by :func:`begin_journal` whenever a journal load discarded
-    unacknowledged trailing bytes — expected after a crash mid-write, but
-    worth counting: a torn tail on every start means something else is
-    truncating the file.
-    """
-    if obs is None or torn_bytes <= 0:
-        return
-    obs.metrics.counter("journal.torn_tails").inc()
-    obs.metrics.counter("journal.torn_bytes").inc(torn_bytes)
-    if obs.tracer.enabled:
-        obs.tracer.add_span(
-            f"torn-tail[{journal}]",
-            kind="event",
-            start=float(clock.now) if clock is not None else 0.0,
-            bytes=torn_bytes,
-            journal=journal,
-            path=str(path),
-        )
 
 
 def begin_journal(
@@ -413,9 +233,9 @@ def begin_journal(
     plan/config fingerprint and the virtual clock at begin (a recompiled
     plan is deterministic, so any divergence means the configuration
     changed), then rewinds the prompt cache to the recorded run-start
-    state.  On a fresh journal: writes the header durably.  A torn tail is
-    truncated, counted in ``stats.torn_bytes`` and surfaced as a metric
-    plus an ``event`` trace span when observability is attached.
+    state.  On a fresh journal: writes the header.  What the load repaired
+    is counted in ``stats.torn_bytes`` / ``stats.corrupt_lines`` and
+    surfaced by :func:`~repro._jsonl.emit_torn_tail`.
 
     Returns the lines after the header, for the caller to index (empty
     for a fresh journal).  Header fields this build does not read (an older
@@ -433,9 +253,8 @@ def begin_journal(
         journal.delete()
     lines = journal.load()
     stats.torn_bytes = journal.torn_bytes
-    emit_torn_tail(
-        getattr(service, "obs", None), service.clock, path, stats.torn_bytes, label
-    )
+    stats.corrupt_lines = journal.corrupt_lines
+    emit_torn_tail(getattr(service, "obs", None), service.clock, journal, label)
     if not lines:
         header = {"type": "header", "format": format_version}
         if mode is not None:
@@ -443,7 +262,7 @@ def begin_journal(
         header["fingerprint"] = fingerprint
         header["clock_start"] = service.clock.now
         header["cache_exact"] = service.cache.state_digests()
-        journal.append(header, durable=True)
+        journal.append(header)
         return []
     header = lines[0]
     if header.get("type") != "header":
@@ -523,6 +342,7 @@ class CheckpointStats:
     replayed_records: int = 0
     cache_entries_pruned: int = 0
     torn_bytes: int = 0
+    corrupt_lines: int = 0
 
 
 # CallRecord is a flat dataclass of scalars: one attrgetter call per
@@ -845,7 +665,9 @@ class RunCheckpoint:
         else:
             records = _decode_records(raw["records"])
         if raw.get("outputs_from_chunks"):
-            outputs = self._reconstruct_op_outputs(index)
+            outputs = self._reconstruct_op_outputs(
+                index, len(raw.get("chunk_summaries") or [])
+            )
         else:
             outputs = decode_value(raw["outputs"])
         return OperatorReplay(
@@ -890,16 +712,25 @@ class RunCheckpoint:
         canonicalize_ledger(records, 0)
         return records
 
-    def _reconstruct_op_outputs(self, index: int) -> list[Any]:
+    def _reconstruct_op_outputs(self, index: int, n_chunks: int) -> list[Any]:
         """Rebuild a committed operator's merged outputs from chunk lines.
 
         The scheduler merges chunk outputs by concatenation in chunk
         order, so an ``op`` record flagged ``outputs_from_chunks`` stores
         nothing and the concatenation is replayed here.  The flag is only
-        written when every chunk line was replayable; a journal that says
-        otherwise is internally inconsistent.
+        written when every one of the ``n_chunks`` chunk lines (one span
+        summary each) was replayable; a journal that says otherwise — a
+        chunk line missing, say, because load skipped it as damaged — is
+        internally inconsistent.  (A chunk may hold no ledger records, so
+        the record-count check alone cannot tell.)
         """
         raw_chunks = self._chunks.get(index, {})
+        if sorted(raw_chunks) != list(range(n_chunks)):
+            raise CheckpointMismatchError(
+                f"operator {index} was committed with outputs in {n_chunks} "
+                f"chunk line(s), but the journal holds chunks "
+                f"{sorted(raw_chunks)}; the journal is internally inconsistent"
+            )
         outputs: list[Any] = []
         for chunk_index in sorted(raw_chunks):
             raw = raw_chunks[chunk_index]
@@ -999,8 +830,7 @@ class RunCheckpoint:
                 "tree_degraded": tree_degraded,
                 "chunk_summaries": chunk_summaries,
                 "fault_state": fault_state,
-            },
-            durable=True,
+            }
         )
         self.reached("operator:committed")
 

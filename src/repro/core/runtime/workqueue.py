@@ -174,6 +174,7 @@ class ShardLedgerStats:
     quarantined_shards: int = 0
     cache_entries_pruned: int = 0
     torn_bytes: int = 0
+    corrupt_lines: int = 0
 
 
 # -- the shard ledger ---------------------------------------------------------------
@@ -184,7 +185,7 @@ class ShardLedger:
 
     JSONL with four record types:
 
-    - ``header`` — written once, durably, before any work: the streaming
+    - ``header`` — written once, before any work: the streaming
       run fingerprint, the virtual clock at begin, and the prompt-cache
       state digests (resume rewinds the cache to them, exactly like the
       batch checkpoint, so a crashed run's extra cache appends cannot make
@@ -203,7 +204,7 @@ class ShardLedger:
       once a ``shard`` (or ``poison``) line exists for the index.
     - ``poison`` — the quarantine verdict for a shard that exhausted its
       attempts: reprs of its input records (all the canonical report
-      renders), the final error, written durably.  A poisoned shard is
+      renders) and the final error.  A poisoned shard is
       never re-executed after this line commits.
     """
 
@@ -370,8 +371,7 @@ class ShardLedger:
                 ],
                 "outputs": encoded,
                 "replayable": replayable,
-            },
-            durable=True,
+            }
         )
         with self._lock:
             self.stats.journaled_shards += 1
@@ -384,7 +384,7 @@ class ShardLedger:
         )
 
     def record_poison(self, info: PoisonInfo) -> None:
-        """Durably journal a quarantine verdict; the shard never re-runs."""
+        """Journal a quarantine verdict; the shard never re-runs."""
         self.journal.append(
             {
                 "type": "poison",
@@ -394,8 +394,7 @@ class ShardLedger:
                 "op": info.op,
                 "error": info.error,
                 "records": [repr(record) for record in info.records],
-            },
-            durable=True,
+            }
         )
 
     def close(self) -> None:
@@ -1000,6 +999,7 @@ class StreamingExecutor:
             "quarantined_shards": stats.quarantined_shards,
             "cache_entries_pruned": stats.cache_entries_pruned,
             "torn_bytes": stats.torn_bytes,
+            "corrupt_lines": stats.corrupt_lines,
             "shard_failures": queue.shard_failures if queue is not None else 0,
             "inflight_peak_records": (
                 queue.inflight_peak_records if queue is not None else 0

@@ -13,10 +13,10 @@ sits on:
   answered by its own cached answer (DESIGN §9 records why there is no
   near-duplicate tier).
 - **Persistence** (:class:`CacheJournal`): an append-only JSONL
-  journal makes repeated runs of the demo apps warm-start.  Loading
-  tolerates a truncated or corrupt tail (a crash mid-append loses at most
-  the damaged lines), and the journal is compacted — rewritten from live
-  entries — once its dead weight grows past a factor of the live set.
+  journal makes repeated runs of the demo apps warm-start.  It is the
+  journal primitive every durable file shares (a crash mid-append loses
+  at most the damaged lines), and it is compacted — rewritten from live
+  entries — once the lines it holds grow past a factor of the live set.
 
 Provenance strings (``provider`` / ``cache-exact`` / ``distilled``) tag
 every ledger record with which path answered it.
@@ -25,14 +25,13 @@ every ledger record with which path answered it.
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from repro._jsonl import _dump_line, _dump_scalar, _parse_line
+from repro._jsonl import CheckpointJournal, _dump_scalar
 from repro.llm.providers import LLMResponse
 
 __all__ = [
@@ -52,7 +51,8 @@ PROVENANCE_CACHE_EXACT = "cache-exact"
 PROVENANCE_DISTILLED = "distilled"
 
 #: A journal holding more than this many lines per live entry (and at least
-#: 128) is rewritten from the live entries on the next put.
+#: 128) — lines earlier processes wrote included — is rewritten from the
+#: live entries on the next put.
 _COMPACT_FACTOR = 4
 
 
@@ -129,8 +129,8 @@ class CacheStats:
         )
 
 
-def _encode_entry(key: CacheKey, response: LLMResponse) -> bytes:
-    """One journal line, keys inserted in the sorted order they are written in."""
+def _entry_record(key: CacheKey, response: LLMResponse) -> dict:
+    """One journal entry, keys inserted in the sorted order they are written in."""
     payload: dict = {"max_tokens": key.max_tokens}
     if key.namespace:
         # Written only when set so un-namespaced journals keep their
@@ -147,11 +147,10 @@ def _encode_entry(key: CacheKey, response: LLMResponse) -> bytes:
         "text": response.text,
     }
     payload["version"] = key.version
-    return _dump_line(payload)
+    return payload
 
 
-def _decode_entry(line: bytes) -> tuple[CacheKey, LLMResponse]:
-    payload = _parse_line(line)
+def _decode_entry(payload: dict) -> tuple[CacheKey, LLMResponse]:
     key = CacheKey(
         provider=str(payload["provider"]),
         version=str(payload["version"]),
@@ -171,144 +170,34 @@ def _decode_entry(line: bytes) -> tuple[CacheKey, LLMResponse]:
     return key, response
 
 
-class CacheJournal:
-    """Append-only JSONL persistence for the prompt cache.
+class CacheJournal(CheckpointJournal):
+    """The prompt cache's journal: a :class:`~repro._jsonl.CheckpointJournal`
+    of entries.
 
-    Every ``put`` appends one line; a rerun replays the journal to
-    warm-start.  The format is crash tolerant: :meth:`load` skips lines
-    that fail to parse (a truncated final line after a crash, editor
-    damage, bytes that are not UTF-8, garbage) and counts them in
-    ``corrupt_lines`` instead of failing the load, and the first
-    :meth:`append` after a torn final line ends that line before writing
-    its own.  :meth:`compact` rewrites the file from the live entries,
-    dropping superseded duplicates and evicted entries.  Lines go through
-    the codec all four journals share (:mod:`repro._jsonl`).
-
-    Durability contract: every appended line is flushed to the operating
-    system before :meth:`append` returns, so it survives the death of the
-    process; it is ``fsync``-ed — survives power loss — only at
-    :meth:`compact` and :meth:`close`.  Appends go through one handle held
-    from the first append until :meth:`close`; anything that replaces the
-    file under the path (:meth:`compact`, :meth:`recover`) releases it
-    first, so the next append opens the new file.
+    Every ``put`` appends one entry; a rerun replays the journal to
+    warm-start.  Handling the file is the primitive's job, under the rules
+    :mod:`repro._jsonl` states for all four journals; only the entry codec
+    lives here.
     """
 
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self.corrupt_lines = 0
-        self.lines_appended = 0
-        self._handle = None
-        #: optional callable invoked at named internal boundaries
-        #: (``compaction:tmp-written``); the crash-injection harness arms a
-        #: :class:`repro.llm.faults.CrashPoint` here to simulate process
-        #: death in the middle of a compaction.
-        self.crash_hook = None
-
-    @property
-    def _compact_tmp(self) -> Path:
-        return self.path.with_suffix(self.path.suffix + ".compact")
-
-    def recover(self) -> str | None:
-        """Repair the on-disk state after a crash mid-compaction.
-
-        A compaction writes the live entries to a ``.compact`` sibling and
-        then atomically renames it over the journal.  Process death between
-        the two steps leaves *both* files on disk.  Recovery is
-        conservative: when the main journal still exists it is authoritative
-        (it is a superset of the tmp's live entries, so replaying it loses
-        nothing) and the orphaned tmp is deleted; when only the tmp exists
-        the rename is completed.  Returns the action taken, if any.
-        """
-        tmp = self._compact_tmp
-        if not tmp.exists():
-            return None
-        self._release()
-        if self.path.exists():
-            tmp.unlink()
-            return "dropped-orphan-tmp"
-        tmp.replace(self.path)
-        return "promoted-tmp"
+    #: A JSON object that is not an entry is one more damaged line.
+    _decode = staticmethod(_decode_entry)
 
     def load(self) -> list[tuple[CacheKey, LLMResponse]]:
-        """Replay the journal; later lines for the same key win.
-
-        Runs :meth:`recover` first, so a journal left mid-compaction by a
-        crash loads cleanly instead of silently shadowing the tmp file.
-        """
-        self.corrupt_lines = 0
-        self.recover()
-        if not self.path.exists():
-            return []
+        """Replay the journal; later lines for the same key win."""
         entries: "OrderedDict[CacheKey, LLMResponse]" = OrderedDict()
-        with self.path.open("rb") as handle:
-            for line in handle:
-                if line.isspace():
-                    continue
-                try:
-                    key, response = _decode_entry(line)
-                except (KeyError, TypeError, ValueError):
-                    self.corrupt_lines += 1
-                    continue
-                entries.pop(key, None)  # re-puts refresh recency order
-                entries[key] = response
+        for key, response in super().load():
+            entries.pop(key, None)  # re-puts refresh recency order
+            entries[key] = response
         return list(entries.items())
 
     def append(self, key: CacheKey, response: LLMResponse) -> None:
-        """Record one entry: one line, flushed to the operating system.
-
-        Survives process death once this returns; not ``fsync``-ed (see
-        the class docstring).
-        """
-        handle = self._handle
-        if handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            handle = self._handle = self.path.open("ab")
-            if handle.tell():
-                with self.path.open("rb") as written:
-                    written.seek(-1, os.SEEK_END)
-                    if written.read(1) != b"\n":
-                        # A crash mid-append left a line without its
-                        # newline.  It stays (load skips and counts it);
-                        # end it, or this entry is glued on and lost too.
-                        handle.write(b"\n")
-        handle.write(_encode_entry(key, response))
-        handle.flush()
-        self.lines_appended += 1
-
-    def _release(self) -> None:
-        """Close the append handle; the next :meth:`append` reopens the path."""
-        handle, self._handle = self._handle, None
-        if handle is not None:
-            handle.close()
-
-    def close(self) -> None:
-        """Flush, ``fsync`` and release the append handle (idempotent)."""
-        if self._handle is not None:
-            try:
-                self._handle.flush()
-                os.fsync(self._handle.fileno())
-            finally:
-                self._release()
+        """Record one entry (see :meth:`CheckpointJournal.append`)."""
+        super().append(_entry_record(key, response))
 
     def compact(self, entries: Iterable[tuple[CacheKey, LLMResponse]]) -> int:
         """Rewrite the journal from ``entries``; returns lines written."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self._compact_tmp
-        count = 0
-        with tmp.open("wb") as handle:
-            for key, response in entries:
-                handle.write(_encode_entry(key, response))
-                count += 1
-            handle.flush()
-            # Data must reach the disk before the rename can: otherwise a
-            # power cut persists the new name over unwritten blocks.
-            os.fsync(handle.fileno())
-        if self.crash_hook is not None:
-            self.crash_hook("compaction:tmp-written")
-        self._release()
-        tmp.replace(self.path)
-        self.lines_appended = 0
-        return count
+        return self.rewrite(_entry_record(key, response) for key, response in entries)
 
 
 @dataclass
@@ -395,7 +284,7 @@ class PromptCache:
                 self.metrics.gauge("cache.entries").set(len(self._entries))
             if self.journal is not None:
                 self.journal.append(key, response)
-                if self.journal.lines_appended > max(
+                if self.journal.lines_held > max(
                     128, _COMPACT_FACTOR * len(self._entries)
                 ):
                     self.journal.compact(self._entries.items())
@@ -481,10 +370,7 @@ class PromptCache:
             return self.journal.compact(self._entries.items())
 
     def close(self) -> None:
-        """Flush, ``fsync`` and release the journal handle (idempotent).
-
-        The cache stays usable: a later :meth:`put` reopens the journal.
-        """
+        """Close the journal (idempotent); the cache stays usable."""
         with self._lock:
             if self.journal is not None:
                 self.journal.close()

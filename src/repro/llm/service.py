@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+from repro._jsonl import emit_torn_tail
 from repro.llm.cache import (
     PROVENANCE_CACHE_EXACT,
     PROVENANCE_DISTILLED,
@@ -274,21 +275,10 @@ class LLMService:
         self.obs = obs
         self.cache.metrics = obs.metrics
         journal = getattr(self.cache, "journal", None)
-        if journal is not None and journal.corrupt_lines:
+        if journal is not None:
             # The cache journal loads at construction, before observability
-            # exists, so damaged lines it truncated are surfaced here — the
-            # same signal the run journals emit for torn tails.
-            obs.metrics.counter("cache.journal_corrupt_lines").inc(
-                journal.corrupt_lines
-            )
-            if obs.tracer.enabled:
-                obs.tracer.add_span(
-                    "torn-tail[cache-journal]",
-                    kind="event",
-                    start=float(self.clock.now),
-                    lines=journal.corrupt_lines,
-                    journal="cache",
-                )
+            # exists, so what its load repaired is surfaced here.
+            emit_torn_tail(obs, self.clock, journal, "cache-journal")
 
     def _cache_key(self, prompt: str, max_tokens: int, version: str) -> CacheKey:
         return CacheKey(

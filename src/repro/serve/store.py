@@ -1,11 +1,11 @@
 """The crash-safe job store: a write-ahead JSONL ledger plus an in-memory view.
 
-Durability rides on :class:`~repro.core.runtime.checkpoint.CheckpointJournal`
-— the same append-only, flush-always, group-committed-fsync,
-torn-tail-truncating JSONL primitive the run checkpoints use — so the job
-queue inherits the crash discipline PR 5's suite already proves: an
-acknowledged submission survives a process kill, and a torn final line is
-truncated on load rather than poisoning the replay.
+Durability rides on :class:`~repro._jsonl.CheckpointJournal`, the
+primitive all four journals share (its fsync, damaged-line and compaction
+rules are stated in :mod:`repro._jsonl`), so the job queue inherits the
+crash discipline the run checkpoints prove: an acknowledged submission
+survives a process kill, a torn final line is truncated on load, and a
+damaged line costs that one record, not every job after it.
 
 The ledger holds two record kinds::
 
@@ -30,7 +30,7 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
-from repro.core.runtime.checkpoint import CheckpointJournal
+from repro._jsonl import CheckpointJournal
 from repro.serve.jobs import JOB_STATUSES, TERMINAL_STATUSES, JobSpec
 
 __all__ = ["JobRecord", "JobStore"]
@@ -79,8 +79,7 @@ class JobStore:
     """Thread-safe job table backed by the write-ahead ledger.
 
     Status transitions append to the ledger *before* they are visible in
-    memory (write-ahead), and submissions/terminal transitions request a
-    durable (fsynced) append.  ``wait_for`` gives tests and the server a
+    memory (write-ahead).  ``wait_for`` gives tests and the server a
     bounded, fail-loud way to await a status without polling sleeps.
     """
 
@@ -136,10 +135,10 @@ class JobStore:
 
     # -- submission and transitions ----------------------------------------------
 
-    def _append(self, record: dict, durable: bool) -> None:
+    def _append(self, record: dict) -> None:
         if self._closed:
             return
-        self.journal.append(record, durable=durable)
+        self.journal.append(record)
 
     def submit(self, spec: JobSpec) -> JobRecord:
         with self._lock:
@@ -153,8 +152,7 @@ class JobStore:
                     "job": job_id,
                     "seq": self._seq,
                     "spec": spec.to_dict(),
-                },
-                durable=True,
+                }
             )
             self._jobs[job_id] = job
             self._order.append(job_id)
@@ -170,7 +168,6 @@ class JobStore:
         progress: list[dict] | None = None,
         attempts: int | None = None,
         resumed: bool | None = None,
-        durable: bool | None = None,
     ) -> JobRecord:
         """Append a status record and update the in-memory view."""
         if status not in JOB_STATUSES:
@@ -196,14 +193,7 @@ class JobStore:
                 record["error"] = error
             if progress is not None:
                 record["progress"] = progress
-            self._append(
-                record,
-                durable=(
-                    durable
-                    if durable is not None
-                    else status in TERMINAL_STATUSES
-                ),
-            )
+            self._append(record)
             job.status = status
             job.status_seq = self._seq
             job.result = result

@@ -311,25 +311,30 @@ class TestDamagedLines:
     def test_the_count_reaches_the_metrics(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         lines = three_entries(path)
-        path.write_bytes(lines[0] + b"\xff\n" + lines[1] + b"[]\n" + lines[2])
+        path.write_bytes(lines[0] + b"\xff\n" + lines[1] + b"[]\n" + lines[2] + b"{")
         obs = Observability()
         service = LLMService(SimulatedProvider(), cache_path=str(path), obs=obs)
         assert len(service.cache) == 3
-        assert obs.metrics.counter("cache.journal_corrupt_lines").value == 2
+        # the counters every journal reports its damage through
+        assert obs.metrics.counter("journal.corrupt_lines").value == 2
+        assert obs.metrics.counter("journal.torn_bytes").value == 1
 
 
 class TestTornTail:
-    """A crash mid-append leaves a line without its newline; the line stays
-    and is counted, and the next entry written is not lost with it."""
+    """A crash mid-append leaves a line without its newline; load truncates
+    and counts it, so the next entry written starts a clean line."""
 
-    def torn(self, path: Path) -> None:
-        three_entries(path)
+    def torn(self, path: Path) -> int:
+        """Tear the last line; returns how many of its bytes are left."""
+        last = three_entries(path)[-1]
         with path.open("r+b") as handle:
             handle.truncate(path.stat().st_size - 40)
+        return len(last) - 40
 
-    def check(self, path: Path) -> None:
+    def check(self, path: Path, left: int) -> None:
         cache = PromptCache(path=path)
-        assert (len(cache), cache.journal.corrupt_lines) == (2, 1)
+        assert len(cache) == 2
+        assert (cache.journal.corrupt_lines, cache.journal.torn_bytes) == (0, left)
         cache.put(key("paid after the crash"), response("kept"))
         cache.put(key("and another"), response("kept too"))
         cache.close()
@@ -337,30 +342,31 @@ class TestTornTail:
         assert [r.text for _, r in reopened.entries()] == [
             "first", "middle", "kept", "kept too",
         ]  # fmt: skip
-        assert reopened.journal.corrupt_lines == 1
+        assert (reopened.journal.corrupt_lines, reopened.journal.torn_bytes) == (0, 0)
         assert b"\n\n" not in path.read_bytes()
 
     def test_put_after_a_torn_tail_survives(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        self.torn(path)
-        self.check(path)
+        self.check(path, self.torn(path))
 
     def test_put_after_a_promoted_torn_tmp_survives(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        self.torn(path)
+        left = self.torn(path)
         path.rename(CacheJournal(path)._compact_tmp)
         assert CacheJournal(path).recover() == "promoted-tmp"
-        self.check(path)
+        self.check(path, left)
 
-    def test_a_whole_line_missing_only_its_newline_is_kept(self, tmp_path):
+    def test_a_whole_line_missing_only_its_newline_is_a_torn_tail(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        three_entries(path)
+        last = three_entries(path)[-1]
         path.write_bytes(path.read_bytes()[:-1])
         cache = PromptCache(path=path)
-        assert (len(cache), cache.journal.corrupt_lines) == (3, 0)
+        assert (len(cache), cache.journal.torn_bytes) == (2, len(last) - 1)
         cache.put(key("next"), response("next"))
         cache.close()
-        assert len(PromptCache(path=path)) == 4
+        assert [r.text for _, r in PromptCache(path=path).entries()] == [
+            "first", "middle", "next",
+        ]  # fmt: skip
 
     def test_a_clean_file_gains_no_blank_line(self, tmp_path):
         path = tmp_path / "cache.jsonl"

@@ -13,7 +13,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.runtime.checkpoint import (
-    DEFAULT_FSYNC_EVERY,
     JOURNAL_FORMAT_VERSION,
     CheckpointError,
     CheckpointJournal,
@@ -107,20 +106,21 @@ class TestCheckpointJournal:
         assert CheckpointJournal(path).load() == [{"type": "header"}]
         assert CheckpointJournal(path).torn_bytes == 0
 
-    def test_corrupt_line_discards_it_and_everything_after(self, tmp_path):
+    def test_corrupt_line_is_skipped_counted_and_kept(self, tmp_path):
         path = tmp_path / "run.wal"
-        path.write_text(
-            '{"a":1}\nnot json at all\n{"b":2}\n',
-            encoding="utf-8",
-        )
+        text = '{"a":1}\nnot json at all\n{"b":2}\n'
+        path.write_text(text, encoding="utf-8")
         journal = CheckpointJournal(path)
-        assert journal.load() == [{"a": 1}]
-        assert journal.torn_bytes > 0
+        assert journal.load() == [{"a": 1}, {"b": 2}]
+        assert (journal.corrupt_lines, journal.torn_bytes) == (1, 0)
+        assert path.read_text(encoding="utf-8") == text  # left in the file
 
-    def test_non_object_line_is_a_torn_tail(self, tmp_path):
+    def test_non_object_line_is_a_corrupt_line(self, tmp_path):
         path = tmp_path / "run.wal"
-        path.write_text('{"a":1}\n[1,2,3]\n', encoding="utf-8")
-        assert CheckpointJournal(path).load() == [{"a": 1}]
+        path.write_text('{"a":1}\n[1,2,3]\n{"b":2}\n', encoding="utf-8")
+        journal = CheckpointJournal(path)
+        assert journal.load() == [{"a": 1}, {"b": 2}]
+        assert journal.corrupt_lines == 1
 
     def test_missing_file_loads_empty(self, tmp_path):
         journal = CheckpointJournal(tmp_path / "absent.wal")
@@ -138,7 +138,6 @@ class TestCheckpointJournal:
         # flush-on-append means a concurrent reader (or a crash) sees
         # every acknowledged record even while the handle stays open.
         journal = CheckpointJournal(tmp_path / "run.wal")
-        assert DEFAULT_FSYNC_EVERY > 5  # no group commit fires below
         for n in range(5):
             journal.append({"n": n})
         assert len(CheckpointJournal(journal.path).load()) == 5

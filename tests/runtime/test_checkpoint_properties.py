@@ -26,7 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.runtime import checkpoint as checkpoint_module
+import repro._jsonl as jsonl_module
 from repro.core.runtime.checkpoint import (
     CheckpointJournal,
     RunCheckpoint,
@@ -173,9 +173,9 @@ class TestRoundTrips:
     @example(rows=[{"": -9223372036854775809}])
     @example(rows=[{"": 2**70}])
     def test_journal_round_trips_arbitrary_records(self, rows):
-        # A short fsync batch so group commits land mid-stream too.
+        # No fsync interval, so group commits land mid-stream too.
         with tempfile.TemporaryDirectory() as scratch, mock.patch.object(
-            checkpoint_module, "DEFAULT_FSYNC_EVERY", 3
+            jsonl_module, "DEFAULT_FSYNC_INTERVAL", 0
         ):
             journal = CheckpointJournal(Path(scratch) / "j.wal")
             for row in rows:
