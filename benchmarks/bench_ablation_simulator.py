@@ -23,9 +23,7 @@ THRESHOLDS = (0.95, 0.8, 0.65, 0.5)
 def sweep():
     documents = generate_name_dataset(n_documents=220).documents
     baseline_system = LinguaManga()
-    baseline = run_name_extraction(
-        baseline_system, documents, multilingual=True, variant="no simulator"
-    )
+    baseline = run_name_extraction(baseline_system, documents, multilingual=True)
     rows = [
         {
             "threshold": None,

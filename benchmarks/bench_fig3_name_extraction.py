@@ -26,23 +26,19 @@ from _harness import emit, emit_json
 @pytest.fixture(scope="module")
 def storyline():
     documents = generate_name_dataset(n_documents=260).documents
-    results = []
     system = LinguaManga()
-    results.append(
-        run_name_extraction(system, documents, multilingual=False, variant="monolingual")
-    )
-    results.append(
-        run_name_extraction(system, documents, multilingual=True, variant="+langdetect")
-    )
+    results = [
+        ("monolingual", run_name_extraction(system, documents, multilingual=False)),
+        ("+langdetect", run_name_extraction(system, documents, multilingual=True)),
+    ]
     # Fresh system for the simulator arm so its call count is self-contained.
     sim_system = LinguaManga()
     results.append(
-        run_name_extraction(
-            sim_system,
-            documents,
-            multilingual=True,
-            simulate_tagging=True,
-            variant="+simulator",
+        (
+            "+simulator",
+            run_name_extraction(
+                sim_system, documents, multilingual=True, simulate_tagging=True
+            ),
         )
     )
     return documents, results
@@ -54,12 +50,12 @@ def _render(documents, results) -> str:
         f"{lang:>6s}" for lang in languages
     )
     lines = [header]
-    for result in results:
+    for variant, result in results:
         per_language = " ".join(
             f"{100 * result.per_language_f1.get(lang, 0.0):6.1f}" for lang in languages
         )
         lines.append(
-            f"{result.variant:14s} {100 * result.f1:7.2f} {result.llm_calls:6d} "
+            f"{variant:14s} {100 * result.f1:7.2f} {result.llm_calls:6d} "
             f"${result.cost:<8.4f} {per_language}"
         )
     return "\n".join(lines)
@@ -72,15 +68,15 @@ def test_fig3_name_extraction(storyline, benchmark):
         "fig3_name_extraction",
         [
             {
-                "name": result.variant,
+                "name": variant,
                 "provider_calls": result.llm_calls,
                 "cost": result.cost,
                 "f1": result.f1,
             }
-            for result in results
+            for variant, result in results
         ],
     )
-    mono, multi, simulated = results
+    (_, mono), (_, multi), (_, simulated) = results
 
     # 1. multilingual data degrades the monolingual pipeline...
     assert mono.per_language_f1["en"] > 0.85

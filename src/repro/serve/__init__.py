@@ -2,8 +2,9 @@
 
 Lingua Manga, the paper, is a single-user library: one person, one
 pipeline, one run.  This package is the deployment story the evaluation
-section gestures at — many tenants submitting curation jobs (the demo
-applications, or inline DSL programs) to one long-lived service that
+section gestures at — many tenants submitting curation jobs (any row of
+the task table: the demo applications, the curation family, or inline DSL
+programs) to one long-lived service that
 shares a single provider while keeping every tenant's cache, ledger and
 results fully isolated.  The load-bearing properties:
 

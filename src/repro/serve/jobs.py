@@ -3,15 +3,17 @@
 A job is one curation run: a task (a named demo application or an inline
 DSL program), a **dataset reference** (a seeded generator spec — datasets
 are never uploaded, they are regenerated deterministically from the ref),
-and options (worker count, chunk size, task-specific flags).  Everything
+and options (worker count and the task's own flags).  Everything
 about a job is canonical JSON with no wall-clock timestamps, so job
 payloads are byte-stable across runs, restarts and worker counts — the
 golden API suite pins them.
 
-The task registry maps task names onto the demo-app runners from
-:mod:`repro.tasks`; every runner already accepts ``workers`` /
-``checkpoint_path`` / ``resume`` / ``cancel``, which is the entire
-contract the job queue needs.
+``TASKS`` is the task table of :mod:`repro.tasks.table`, so every
+registered row is servable: a job's ``options`` are ``workers`` plus the
+row's own keyword options (checked at submit), its dataset ref is the
+row's resolver input, and :func:`run_task` is :func:`repro.tasks.table.run`
+with the queue's checkpoint path and cancel token — an API job *is* a
+direct run.  ``dsl`` is the row whose pipeline is the spec's ``program``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
+
+from repro.tasks.table import TASKS, TaskResult, run
 
 __all__ = [
     "JOB_STATUSES",
@@ -91,7 +95,22 @@ class JobSpec:
             raise JobError("dataset must be an object")
         if not isinstance(self.options, dict):
             raise JobError("options must be an object")
+        workers = self.options.get("workers", 1)
+        if type(workers) is not int or workers < 1:
+            raise JobError(f"option 'workers' must be an integer >= 1, got {workers!r}")
+        try:
+            TASKS[self.task].settings(self.task_options())
+        except ValueError as error:
+            raise JobError(str(error)) from None
         resolve_dataset(self.task, self.dataset, probe=True)
+
+    def task_options(self) -> dict:
+        """The row's keyword options: ``options`` without ``workers``, plus
+        the program when there is one."""
+        options = {key: value for key, value in self.options.items() if key != "workers"}
+        if self.program:
+            options["program"] = self.program
+        return options
 
     def to_dict(self) -> dict:
         return {
@@ -121,115 +140,24 @@ class JobSpec:
         ).hexdigest()[:16]
 
 
-# -- dataset references -----------------------------------------------------------
-
-
-def _int(ref: dict, key: str, default: int) -> int:
-    try:
-        return int(ref.get(key, default))
-    except (TypeError, ValueError):
-        raise JobError(f"dataset field {key!r} must be an integer") from None
+# -- dataset references and execution: one row of the task table each -----------
 
 
 def resolve_dataset(task: str, ref: dict, probe: bool = False) -> Any:
-    """Materialise a dataset reference for ``task``.
+    """Materialise a dataset reference for ``task`` (its row's resolver).
 
     ``probe=True`` only validates the ref without generating anything
     (submission-time validation must stay cheap).  Generation is seeded and
     deterministic: the same ref always yields the same records, which is
     what makes a job re-runnable from its ledger entry alone.
     """
-    if task == "er":
-        name = str(ref.get("name", "beer"))
-        from repro.datasets.entity_resolution import ER_DATASET_NAMES
-
-        if name not in ER_DATASET_NAMES:
-            raise JobError(
-                f"unknown ER dataset {name!r}; have {sorted(ER_DATASET_NAMES)}"
-            )
-        seed = _int(ref, "seed", 7)
-        n_entities = ref.get("n_entities")
-        if probe:
-            return None
-        from repro.datasets.entity_resolution import generate_er_dataset
-
-        return generate_er_dataset(
-            name,
-            seed=seed,
-            n_entities=int(n_entities) if n_entities is not None else None,
-        )
-    if task == "names":
-        seed = _int(ref, "seed", 3)
-        n_documents = _int(ref, "n_documents", 80)
-        if n_documents < 1:
-            raise JobError("n_documents must be positive")
-        if probe:
-            return None
-        from repro.datasets.names import generate_name_dataset
-
-        return generate_name_dataset(seed=seed, n_documents=n_documents).documents
-    if task == "imputation":
-        seed = _int(ref, "seed", 11)
-        n_train = _int(ref, "n_train", 60)
-        n_test = _int(ref, "n_test", 120)
-        if n_test < 1:
-            raise JobError("n_test must be positive")
-        if probe:
-            return None
-        from repro.datasets.imputation import generate_buy_dataset
-
-        return generate_buy_dataset(seed=seed, n_train=n_train, n_test=n_test).test
-    if task == "dsl":
-        inputs = ref.get("inputs", {})
-        if not isinstance(inputs, dict):
-            raise JobError("dsl dataset ref must carry an 'inputs' object")
-        return None if probe else dict(inputs)
-    raise JobError(f"unknown task {task!r}; have {sorted(TASKS)}")
-
-
-# -- task execution ---------------------------------------------------------------
-
-
-def _run_er(system, data, options: dict, **run_kw) -> Any:
-    from repro.tasks.entity_resolution import run_lingua_manga_er
-
-    return run_lingua_manga_er(
-        system,
-        data,
-        n_examples=int(options.get("n_examples", 4)),
-        **run_kw,
-    )
-
-
-def _run_names(system, data, options: dict, **run_kw) -> Any:
-    from repro.tasks.name_extraction import run_name_extraction
-
-    return run_name_extraction(
-        system,
-        data,
-        multilingual=bool(options.get("multilingual", True)),
-        **run_kw,
-    )
-
-
-def _run_imputation(system, data, options: dict, **run_kw) -> Any:
-    from repro.tasks.imputation import run_llm_imputation
-
-    return run_llm_imputation(system, data, **run_kw)
-
-
-def _run_dsl(system, data, options: dict, **run_kw) -> Any:
-    pipeline = system.parse(options.get("program", ""))
-    return system.run(pipeline, inputs=data or {}, **run_kw)
-
-
-#: task name -> runner(system, dataset, options, **run_kw) -> result object.
-TASKS: dict[str, Callable[..., Any]] = {
-    "er": _run_er,
-    "names": _run_names,
-    "imputation": _run_imputation,
-    "dsl": _run_dsl,
-}
+    row = TASKS.get(task)
+    if row is None:
+        raise JobError(f"unknown task {task!r}; have {sorted(TASKS)}")
+    try:
+        return row.resolve(ref, probe)
+    except ValueError as error:
+        raise JobError(str(error)) from None
 
 
 def run_task(
@@ -239,53 +167,42 @@ def run_task(
     checkpoint_path: str | None = None,
     resume: bool = True,
     cancel: Any = None,
-) -> Any:
-    """Execute ``spec`` on ``system``; returns the task's result object."""
-    data = resolve_dataset(spec.task, spec.dataset)
-    options = dict(spec.options)
-    if spec.task == "dsl":
-        options["program"] = spec.program
-    return TASKS[spec.task](
+) -> TaskResult:
+    """Execute ``spec`` on ``system``: its row, on its dataset."""
+    return run(
+        spec.task,
         system,
-        data,
-        options,
+        resolve_dataset(spec.task, spec.dataset),
         workers=workers,
         checkpoint_path=checkpoint_path,
         resume=resume,
         cancel=cancel,
+        **spec.task_options(),
     )
 
 
-def result_payload(spec: JobSpec, result: Any) -> dict:
+def result_payload(spec: JobSpec, result: TaskResult) -> dict:
     """The canonical result summary a terminal job reports.
 
     Floats are rounded the way ``RunReport.canonical_dict`` rounds cost, so
     payloads are platform-stable; the full run report travels separately as
-    its canonical JSON digest (and on-disk copy) rather than inline.
+    its canonical JSON digest (and on-disk copy) rather than inline.  A
+    dict-valued score (names' per-language F1) stays off the payload.
     """
-    report = getattr(result, "report", None)
-    if report is None and type(result).__name__ == "RunReport":
-        report, result = result, None
-    payload: dict[str, Any] = {"task": spec.task}
-    if result is not None:
-        for metric in (
-            "f1",
-            "precision",
-            "recall",
-            "accuracy",
-            "llm_calls",
-            "cost",
-            "cached_calls",
-            "distilled_calls",
-        ):
-            value = getattr(result, metric, None)
-            if value is None:
-                continue
-            payload[metric] = round(value, 10) if isinstance(value, float) else value
-    if report is not None:
-        canonical = report.canonical_json()
-        payload["report_digest"] = hashlib.sha256(
-            canonical.encode("utf-8")
-        ).hexdigest()[:16]
-        payload["quarantined"] = len(report.quarantine)
-    return payload
+    report = result.report
+    return {
+        "task": spec.task,
+        **{
+            name: round(value, 10)
+            for name, value in result.scores.items()
+            if isinstance(value, float)
+        },
+        "llm_calls": result.llm_calls,
+        "cost": round(result.cost, 10),
+        "cached_calls": result.cached_calls,
+        "distilled_calls": result.distilled_calls,
+        "report_digest": hashlib.sha256(
+            report.canonical_json().encode("utf-8")
+        ).hexdigest()[:16],
+        "quarantined": len(report.quarantine),
+    }

@@ -396,13 +396,11 @@ class JobQueue:
                 )
         else:
             if not self._killed:
-                report = getattr(result, "report", result)
                 self.audit.fold(tenant, job.job_id, service.records)
                 payload = result_payload(spec, result)
-                if report is not None and hasattr(report, "canonical_json"):
-                    (job_dir / "report.json").write_text(
-                        report.canonical_json(), encoding="utf-8"
-                    )
+                (job_dir / "report.json").write_text(
+                    result.report.canonical_json(), encoding="utf-8"
+                )
                 self.store.transition(
                     job.job_id,
                     "succeeded",

@@ -1,5 +1,9 @@
 """Packaged data-curation tasks: the paper's demo applications plus the
-blocking and discovery stages a full deployment needs."""
+blocking and discovery stages a full deployment needs.
+
+Every packaged task is a row of one table (:mod:`repro.tasks.table`);
+importing this package registers them all.
+"""
 
 from repro.tasks.blocking import BlockingResult, block_records
 from repro.tasks.discovery import TableMatch, search_tables
@@ -11,8 +15,8 @@ from repro.tasks.profiling import (
     profile_table,
     summarize_table,
 )
+from repro.tasks.table import TASKS, Task, TaskResult, run
 from repro.tasks.curation import (
-    CurationResult,
     iter_dedup_candidate_ids,
     iter_dedup_candidates,
     run_decontamination,
@@ -20,21 +24,12 @@ from repro.tasks.curation import (
     run_quality_filter,
 )
 from repro.tasks.entity_resolution import (
-    ERResult,
     pairs_as_inputs,
     pick_examples,
     run_lingua_manga_er,
 )
-from repro.tasks.imputation import (
-    ImputationResult,
-    run_hybrid_imputation,
-    run_llm_imputation,
-)
-from repro.tasks.name_extraction import (
-    NameExtractionResult,
-    run_name_extraction,
-    score_extractions,
-)
+from repro.tasks.imputation import run_hybrid_imputation, run_llm_imputation
+from repro.tasks.name_extraction import run_name_extraction, score_extractions
 
 __all__ = [
     "BlockingResult",
@@ -47,20 +42,20 @@ __all__ = [
     "detect_anomalies",
     "profile_table",
     "summarize_table",
-    "CurationResult",
+    "TASKS",
+    "Task",
+    "TaskResult",
+    "run",
     "iter_dedup_candidate_ids",
     "iter_dedup_candidates",
     "run_decontamination",
     "run_dedup",
     "run_quality_filter",
-    "ERResult",
     "pairs_as_inputs",
     "pick_examples",
     "run_lingua_manga_er",
-    "ImputationResult",
     "run_hybrid_imputation",
     "run_llm_imputation",
-    "NameExtractionResult",
     "run_name_extraction",
     "score_extractions",
 ]

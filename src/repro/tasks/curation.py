@@ -1,11 +1,12 @@
 """Corpus-curation tasks: deduplication, quality filtering, decontamination.
 
-Packages the three curation templates the way
-:mod:`repro.tasks.entity_resolution` packages ER: instantiate the template
+Registers the three curation rows of :mod:`repro.tasks.table` the way
+:mod:`repro.tasks.entity_resolution` registers ER: instantiate the template
 with corpus-derived few-shot examples, run it through
 :meth:`~repro.core.runtime.system.LinguaManga.run` (or, out of core,
 :meth:`~repro.core.runtime.system.LinguaManga.run_stream`), score against
-the corpus's planted ground truth and report the cost breakdown.
+the corpus's planted ground truth.  A served job names its corpus by
+``{"n_docs", "seed"}``.
 
 The streaming dedup path needs candidate pairs *without materialising the
 corpus*: :func:`iter_dedup_candidate_ids` re-implements the in-memory
@@ -26,9 +27,9 @@ import itertools
 import json
 import shutil
 import tempfile
-from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro._util import chunked, stable_hash
 from repro.core.compiler.curation import (
@@ -42,43 +43,20 @@ from repro.core.compiler.curation import (
     dedup_candidate_pairs,
     tier_band_keys,
 )
-from repro.core.runtime.system import LinguaManga
 from repro.core.templates.library import get_template
 from repro.datasets.curation import CurationCorpus
-from repro.llm.service import usage_delta
 from repro.ml.metrics import f1_score
+from repro.tasks.table import Plan, Task, ref_int, register, run
 from repro.text.minhash import MinHashParams, minhash_params
 from repro.text.shingle import document_sketch
 
 __all__ = [
-    "CurationResult",
     "iter_dedup_candidate_ids",
     "iter_dedup_candidates",
     "run_dedup",
     "run_quality_filter",
     "run_decontamination",
 ]
-
-
-@dataclass(frozen=True)
-class CurationResult:
-    """Outcome of one curation run, scored against planted ground truth.
-
-    ``predictions`` are per-document 0/1 flags in corpus order (duplicate /
-    keep / contaminated depending on the task); the cost fields carry the
-    same cache/distillation breakdown as :class:`repro.tasks.entity_resolution.ERResult`.
-    """
-
-    task: str
-    corpus: str
-    f1: float
-    predictions: list[int]
-    llm_calls: int
-    cost: float
-    cached_calls: int = 0
-    distilled_calls: int = 0
-    #: the underlying RunReport (module stats, quarantine, profile)
-    report: Any = None
 
 
 # ---------------------------------------------------------------------------
@@ -213,267 +191,138 @@ def iter_dedup_candidate_ids(
             shutil.rmtree(root, ignore_errors=True)
 
 
-def iter_dedup_candidates(
-    corpus: CurationCorpus,
-    *,
-    fetch: Callable[[Any], dict] | None = None,
-    **kernel: Any,
-) -> Iterator[dict]:
+def iter_dedup_candidates(corpus: CurationCorpus) -> Iterator[dict]:
     """Stream candidate pairs as the ``{"left", "right"}`` records the
     pairs-mode dedup template consumes.
 
     ``corpus`` must be index-addressable (``doc(i)``) so pair sides can be
     re-derived on demand — the stream never holds more than the two
-    documents of the current pair (plus the scan's bounded state).  Pass
-    ``fetch`` to override how a document id resolves to a record.
+    documents of the current pair (plus the scan's bounded state).
     """
-    if fetch is None:
 
-        def fetch(doc_id: Any) -> dict:
-            return corpus.doc(int(str(doc_id)[1:])).record()
+    def fetch(doc_id: str) -> dict:
+        return corpus.doc(int(doc_id[1:])).record()
 
-    for left_id, right_id in iter_dedup_candidate_ids(corpus.inputs(), **kernel):
+    for left_id, right_id in iter_dedup_candidate_ids(corpus.inputs()):
         yield {"left": fetch(left_id), "right": fetch(right_id)}
 
 
 # ---------------------------------------------------------------------------
-# Task runners
+# The three rows
 # ---------------------------------------------------------------------------
 
 
-def _report_usage(report) -> dict:
-    """Usage of a streamed run, read off the report's cost snapshot.
-
-    ``run_stream`` accounts provider work on the report rather than the
-    service-level counters (workers pay the provider; the canonical replay
-    is served from the rewarmed cache), so the system-usage delta a batch
-    run exposes reads zero here.  ``served_calls`` equals the number of
-    LLM-adjudicated items — the same figure the batch path reports.
-    """
-    cost = report.cost
-    return {
-        "llm_calls": cost.served_calls,
-        "cost": cost.cost,
-        "cached_calls": cost.cached_calls,
-        "distilled_calls": cost.distilled_calls,
-    }
+def _resolve(ref: dict, probe: bool) -> CurationCorpus | None:
+    n_docs = ref_int(ref, "n_docs", 120, minimum=1)
+    seed = ref_int(ref, "seed", 7)
+    return None if probe else CurationCorpus(n_docs=n_docs, seed=seed)
 
 
-def run_dedup(
-    system: LinguaManga,
-    corpus: CurationCorpus,
-    n_examples: int = 4,
-    workers: int | None = None,
-    chunk_size: int | None = None,
-    stream: bool = False,
-    checkpoint_path: Any = None,
-    ledger_path: Any = None,
-    resume: bool = True,
-    num_perm: int = DEDUP_NUM_PERM,
-    bands: int = DEDUP_BANDS,
-    rows: int = DEDUP_ROWS,
-    shingle_n: int = DEDUP_SHINGLE_N,
-    dual: bool = True,
-) -> CurationResult:
-    """Deduplicate ``corpus`` and score duplicate detection per document.
-
-    ``stream=False`` runs the docs-mode template (whole-corpus candidate
-    kernel inside the pipeline); ``stream=True`` generates candidates with
-    the memory-flat external scan and streams the pair records through the
-    pairs-mode template's verifier core — same verdicts, bounded memory.
-    A document is flagged duplicate when any verified pair links it to a
-    lower-id partner (the cluster canonical keeps its place).
-    """
-    kernel = dict(num_perm=num_perm, bands=bands, rows=rows, shingle_n=shingle_n, dual=dual)
-    examples = corpus.dedup_examples(n_examples)
-    # Batch derives each document once, for records and labels; stream stays lazy.
-    docs = corpus if stream else list(corpus)
-    before = system.usage()
-    if stream:
-        pipeline = get_template("document_dedup").instantiate(
-            mode="pairs", examples=examples
-        )
-        # The executor drains the source on every run (a resume consumes and
-        # discards the shards it replays), so the ids it saw are all of them.
-        pair_ids: list[tuple] = []
-
-        def candidates() -> Iterator[dict]:
-            for pair in iter_dedup_candidates(corpus, **kernel):
-                pair_ids.append((pair["left"]["id"], pair["right"]["id"]))
-                yield pair
-
-        report = system.run_stream(
-            pipeline,
-            {"pairs": candidates()},
-            workers=workers,
-            chunk_size=chunk_size,
-            ledger_path=ledger_path,
-            resume=resume,
-            source_id=f"{corpus.fingerprint}|dedup-pairs",
-        )
-    else:
-        pipeline = get_template("document_dedup").instantiate(
-            mode="docs", examples=examples, **kernel
-        )
-        records = [doc.record() for doc in docs]
-        report = system.run(
-            pipeline,
-            {"documents": records},
-            workers=workers,
-            chunk_size=chunk_size,
-            checkpoint_path=checkpoint_path,
-            resume=resume,
-        )
-        # Pair ids are not part of the report; the kernel's sketches are still
-        # in the LRU, so this is a MinHash + bucket pass, not a second shingling.
-        pair_ids = dedup_candidate_pairs(records, **kernel)
-    usage = _report_usage(report) if stream else usage_delta(before, system.usage())
-    verdicts = next(iter(report.outputs.values()))
+def _dedup_scores(docs: Iterable[Any], pair_ids: list[tuple], verdicts: list) -> tuple:
+    """A document is flagged duplicate when any verified pair links it to a
+    lower-id partner (the cluster canonical keeps its place)."""
     if len(verdicts) != len(pair_ids):
         raise RuntimeError(
             f"verifier returned {len(verdicts)} verdicts for {len(pair_ids)} pairs"
         )
     duplicates = {max(a, b) for (a, b), verdict in zip(pair_ids, verdicts) if verdict}
-    labels = []
-    predictions = []
+    labels, predictions = [], []
     for doc in docs:
         labels.append(int(doc.is_duplicate))
         predictions.append(int(doc.doc_id in duplicates))
-    return CurationResult(
-        task="document_dedup",
-        corpus=corpus.fingerprint,
-        f1=f1_score(labels, predictions),
-        predictions=predictions,
-        report=report,
-        **usage,
+    return {"f1": f1_score(labels, predictions)}, predictions
+
+
+def _dedup(corpus: CurationCorpus, n_examples: int) -> Plan:
+    """The docs-mode template: the whole-corpus candidate kernel runs inside
+    the pipeline, then the verifier cascade over its pairs."""
+    pipeline = get_template("document_dedup").instantiate(
+        mode="docs", examples=corpus.dedup_examples(n_examples)
+    )
+    # Batch derives each document once, for records and labels.
+    docs = list(corpus)
+    records = [doc.record() for doc in docs]
+
+    def score(verdicts: list) -> tuple[dict, list]:
+        # Pair ids are not part of the report; the kernel's sketches are still
+        # in the LRU, so this is a MinHash + bucket pass, not a second shingling.
+        return _dedup_scores(docs, dedup_candidate_pairs(records), verdicts)
+
+    return Plan(pipeline, {"documents": records}, score)
+
+
+def _dedup_stream(corpus: CurationCorpus, n_examples: int) -> Plan:
+    """The memory-flat external scan feeds candidate pairs to the pairs-mode
+    template's verifier core — same verdicts as batch, bounded memory."""
+    pipeline = get_template("document_dedup").instantiate(
+        mode="pairs", examples=corpus.dedup_examples(n_examples)
+    )
+    # The executor drains the source on every run (a resume consumes and
+    # discards the shards it replays), so the ids it saw are all of them.
+    pair_ids: list[tuple] = []
+
+    def candidates() -> Iterator[dict]:
+        for pair in iter_dedup_candidates(corpus):
+            pair_ids.append((pair["left"]["id"], pair["right"]["id"]))
+            yield pair
+
+    return Plan(
+        pipeline,
+        {"pairs": candidates()},
+        lambda verdicts: _dedup_scores(corpus, pair_ids, verdicts),
+        f"{corpus.fingerprint}|dedup-pairs",
     )
 
 
-def _run_doc_flag_task(
-    system: LinguaManga,
-    corpus: CurationCorpus,
-    template: str,
-    template_kwargs: dict,
-    out_key: str,
-    label_of: Callable[[Any], bool],
-    *,
-    workers: int | None,
-    chunk_size: int | None,
-    stream: bool,
-    checkpoint_path: Any,
-    ledger_path: Any,
-    resume: bool,
-    source_tag: str,
-) -> tuple[dict, list[int], list[int], Any]:
-    """Shared run/score plumbing of the two per-document flag tasks."""
-    pipeline = get_template(template).instantiate(**template_kwargs)
-    # Batch derives each document once, for records and labels; stream stays lazy.
+def _flag_plan(
+    pipeline, corpus: CurationCorpus, stream: bool, key: str, label_of, tag: str
+) -> Plan:
+    """A per-document flag task (``item[key]``), scored by F1 against
+    ``label_of(doc)``.  Batch derives each document once, for records and
+    labels; a stream stays lazy and derives the labels after the run."""
     docs = corpus if stream else list(corpus)
-    before = system.usage()
+
+    def score(output: list) -> tuple[dict, list]:
+        predictions = [int(bool(item[key])) for item in output]
+        labels = [int(label_of(doc)) for doc in docs]
+        return {"f1": f1_score(labels, predictions)}, predictions
+
     if stream:
-        report = system.run_stream(
-            pipeline,
-            {"documents": corpus.inputs()},
-            workers=workers,
-            chunk_size=chunk_size,
-            ledger_path=ledger_path,
-            resume=resume,
-            source_id=f"{corpus.fingerprint}|{source_tag}",
-        )
-    else:
-        report = system.run(
-            pipeline,
-            {"documents": [doc.record() for doc in docs]},
-            workers=workers,
-            chunk_size=chunk_size,
-            checkpoint_path=checkpoint_path,
-            resume=resume,
-        )
-    usage = _report_usage(report) if stream else usage_delta(before, system.usage())
-    output = next(iter(report.outputs.values()))
-    predictions = [int(bool(item[out_key])) for item in output]
-    labels = [int(label_of(doc)) for doc in docs]
-    return usage, labels, predictions, report
+        return Plan(pipeline, {"documents": corpus.inputs()}, score, f"{corpus.fingerprint}|{tag}")
+    return Plan(pipeline, {"documents": [doc.record() for doc in docs]}, score)
 
 
-def run_quality_filter(
-    system: LinguaManga,
-    corpus: CurationCorpus,
-    n_examples: int = 4,
-    workers: int | None = None,
-    chunk_size: int | None = None,
-    stream: bool = False,
-    checkpoint_path: Any = None,
-    ledger_path: Any = None,
-    resume: bool = True,
-    distill: bool = False,
-    distill_config: dict | None = None,
-) -> CurationResult:
-    """Run the quality-filter cascade over ``corpus``, score keep/drop F1."""
-    delta, labels, predictions, report = _run_doc_flag_task(
-        system,
-        corpus,
-        "quality_filter",
-        {
-            "examples": corpus.quality_examples(n_examples),
-            "distill": distill,
-            "distill_config": distill_config,
-        },
-        "keep",
-        lambda doc: doc.keep,
-        workers=workers,
-        chunk_size=chunk_size,
-        stream=stream,
-        checkpoint_path=checkpoint_path,
-        ledger_path=ledger_path,
-        resume=resume,
-        source_tag="quality",
+def _quality(corpus: CurationCorpus, n_examples: int, distill: bool, stream: bool = False) -> Plan:
+    """The quality-filter cascade, scored by keep/drop F1."""
+    pipeline = get_template("quality_filter").instantiate(
+        examples=corpus.quality_examples(n_examples), distill=distill
     )
-    return CurationResult(
-        task="quality_filter",
-        corpus=corpus.fingerprint,
-        f1=f1_score(labels, predictions),
-        predictions=predictions,
-        report=report,
-        **delta,
+    return _flag_plan(pipeline, corpus, stream, "keep", lambda doc: doc.keep, "quality")
+
+
+def _decontamination(corpus: CurationCorpus, n_examples: int, stream: bool = False) -> Plan:
+    """The scan against the corpus's held-out eval set, scored by contamination F1."""
+    pipeline = get_template("decontamination").instantiate(
+        eval_items=list(corpus.eval_set.items()),
+        examples=corpus.decontamination_examples(n_examples),
+    )
+    return _flag_plan(
+        pipeline, corpus, stream, "contaminated", lambda doc: doc.contaminated, "decontam"
     )
 
 
-def run_decontamination(
-    system: LinguaManga,
-    corpus: CurationCorpus,
-    n_examples: int = 4,
-    workers: int | None = None,
-    chunk_size: int | None = None,
-    stream: bool = False,
-    checkpoint_path: Any = None,
-    ledger_path: Any = None,
-    resume: bool = True,
-) -> CurationResult:
-    """Scan ``corpus`` against its held-out eval set, score contamination F1."""
-    delta, labels, predictions, report = _run_doc_flag_task(
-        system,
-        corpus,
-        "decontamination",
-        {
-            "eval_items": list(corpus.eval_set.items()),
-            "examples": corpus.decontamination_examples(n_examples),
-        },
-        "contaminated",
-        lambda doc: doc.contaminated,
-        workers=workers,
-        chunk_size=chunk_size,
-        stream=stream,
-        checkpoint_path=checkpoint_path,
-        ledger_path=ledger_path,
-        resume=resume,
-        source_tag="decontam",
-    )
-    return CurationResult(
-        task="decontamination",
-        corpus=corpus.fingerprint,
-        f1=f1_score(labels, predictions),
-        predictions=predictions,
-        report=report,
-        **delta,
-    )
+register(Task("dedup", _resolve, {"n_examples": 4}, _dedup, _dedup_stream, "document_dedup"))
+register(
+    Task("quality_filter", _resolve, {"n_examples": 4, "distill": False}, _quality,
+         partial(_quality, stream=True))
+)
+register(
+    Task("decontamination", _resolve, {"n_examples": 4}, _decontamination,
+         partial(_decontamination, stream=True))
+)
+
+#: ``run_dedup(system, corpus, *, n_examples=4, stream=False, ...)``, and
+#: so on: each runner is :func:`~repro.tasks.table.run` bound to its row.
+run_dedup = partial(run, "dedup")
+run_quality_filter = partial(run, "quality_filter")
+run_decontamination = partial(run, "decontamination")

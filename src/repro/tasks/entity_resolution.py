@@ -7,36 +7,19 @@ and evaluates it with the Table 1 protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from functools import partial
 
-from repro.core.runtime.system import LinguaManga
 from repro.core.templates.library import get_template
-from repro.datasets.entity_resolution import ERDataset, RecordPair
-from repro.llm.service import usage_delta
+from repro.datasets.entity_resolution import (
+    ER_DATASET_NAMES,
+    ERDataset,
+    RecordPair,
+    generate_er_dataset,
+)
 from repro.ml.metrics import f1_score
+from repro.tasks.table import Plan, Task, ref_int, register, run
 
-__all__ = ["ERResult", "pick_examples", "run_lingua_manga_er", "pairs_as_inputs"]
-
-
-@dataclass(frozen=True)
-class ERResult:
-    """Outcome of one entity-resolution run.
-
-    ``cached_calls``/``distilled_calls`` break down how many answers were
-    produced without paying the provider (cache hits and distilled
-    local-model answers).
-    """
-
-    dataset: str
-    f1: float
-    predictions: list[int]
-    llm_calls: int
-    cost: float
-    cached_calls: int = 0
-    distilled_calls: int = 0
-    #: the underlying RunReport (module stats, quarantine, profile)
-    report: Any = None
+__all__ = ["pick_examples", "run_lingua_manga_er", "pairs_as_inputs"]
 
 
 def pick_examples(pairs: list[RecordPair], k: int = 4) -> list[tuple[tuple, bool]]:
@@ -60,48 +43,35 @@ def pairs_as_inputs(pairs: list[RecordPair]) -> list[dict]:
     return [{"left": p.left, "right": p.right} for p in pairs]
 
 
-def run_lingua_manga_er(
-    system: LinguaManga,
-    dataset: ERDataset,
-    n_examples: int = 4,
-    workers: int | None = None,
-    distill: bool = False,
-    distill_config: dict | None = None,
-    checkpoint_path: str | None = None,
-    resume: bool = True,
-    checkpoint: Any = None,
-    cancel: Any = None,
-) -> ERResult:
-    """Instantiate the ER template, run it on the test split, score F1.
+def _resolve(ref: dict, probe: bool) -> ERDataset | None:
+    name = str(ref.get("name", "beer"))
+    if name not in ER_DATASET_NAMES:
+        raise ValueError(f"unknown ER dataset {name!r}; have {sorted(ER_DATASET_NAMES)}")
+    seed = ref_int(ref, "seed", 7)
+    n_entities = ref_int(ref, "n_entities", None)
+    return None if probe else generate_er_dataset(name, seed=seed, n_entities=n_entities)
 
-    ``workers`` routes execution through the concurrent scheduler; results
-    are identical at any worker count (see the determinism test suite).
+
+def _build(dataset: ERDataset, n_examples: int, distill: bool) -> Plan:
+    """The ER template on the test split, scored by F1.
+
     ``distill=True`` attaches the optimizer's distillation router to the
-    matcher so high-confidence pairs are answered by a shadow-trained
-    local classifier instead of the provider.  ``checkpoint_path`` makes
-    the run crash-safe and resumable (see :meth:`LinguaManga.run`).
+    matcher, so high-confidence pairs are answered by a shadow-trained
+    local classifier instead of the provider.
     """
-    examples = pick_examples(dataset.train, n_examples)
     pipeline = get_template("entity_resolution").instantiate(
-        examples=examples, distill=distill, distill_config=distill_config
+        examples=pick_examples(dataset.train, n_examples), distill=distill
     )
-    before = system.usage()
-    report = system.run(
-        pipeline,
-        {"pairs": pairs_as_inputs(dataset.test)},
-        workers=workers,
-        checkpoint_path=checkpoint_path,
-        resume=resume,
-        checkpoint=checkpoint,
-        cancel=cancel,
-    )
-    after = system.usage()
-    verdicts = next(iter(report.outputs.values()))
-    predictions = [int(bool(v)) for v in verdicts]
-    return ERResult(
-        dataset=dataset.name,
-        f1=f1_score([p.label for p in dataset.test], predictions),
-        predictions=predictions,
-        **usage_delta(before, after),
-        report=report,
-    )
+    labels = [p.label for p in dataset.test]
+
+    def score(verdicts: list) -> tuple[dict, list]:
+        predictions = [int(bool(v)) for v in verdicts]
+        return {"f1": f1_score(labels, predictions)}, predictions
+
+    return Plan(pipeline, {"pairs": pairs_as_inputs(dataset.test)}, score)
+
+
+register(Task("er", _resolve, {"n_examples": 4, "distill": False}, _build))
+
+#: ``run_lingua_manga_er(system, dataset, *, n_examples=4, distill=False, ...)``
+run_lingua_manga_er = partial(run, "er")

@@ -11,69 +11,39 @@ Two Lingua Manga variants are provided, matching the paper's comparison:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from functools import partial
 
 from repro.core.dsl.builder import PipelineBuilder
-from repro.core.runtime.system import LinguaManga
 from repro.core.templates.library import get_template
-from repro.datasets.imputation import ImputationRecord
-from repro.llm.service import usage_delta
+from repro.datasets.imputation import ImputationRecord, generate_buy_dataset
 from repro.ml.metrics import accuracy
+from repro.tasks.table import Plan, Task, ref_int, register, run
 
-__all__ = ["ImputationResult", "run_llm_imputation", "run_hybrid_imputation"]
-
-
-@dataclass(frozen=True)
-class ImputationResult:
-    """Outcome of one imputation run."""
-
-    method: str
-    accuracy: float
-    predictions: list[str]
-    llm_calls: int
-    cost: float
-    cached_calls: int = 0
-    distilled_calls: int = 0
-    #: the underlying RunReport (module stats, quarantine, profile)
-    report: Any = None
+__all__ = ["run_llm_imputation", "run_hybrid_imputation"]
 
 
-def _score(
-    method: str,
-    system: LinguaManga,
-    records: list[ImputationRecord],
-    raw_predictions: list,
-    before,
-    after,
-    report=None,
-) -> ImputationResult:
-    predictions = [
-        "Unknown" if p is None else str(p).strip() for p in raw_predictions
-    ]
-    return ImputationResult(
-        method=method,
-        accuracy=accuracy([r.manufacturer for r in records], predictions),
-        predictions=predictions,
-        **usage_delta(before, after),
-        report=report,
-    )
+def _resolve(ref: dict, probe: bool) -> list[ImputationRecord] | None:
+    seed = ref_int(ref, "seed", 11)
+    n_train = ref_int(ref, "n_train", 60)
+    n_test = ref_int(ref, "n_test", 120, minimum=1)
+    if probe:
+        return None
+    return generate_buy_dataset(seed=seed, n_train=n_train, n_test=n_test).test
 
 
-def run_llm_imputation(
-    system: LinguaManga,
-    records: list[ImputationRecord],
-    workers: int | None = None,
-    checkpoint_path: str | None = None,
-    resume: bool = True,
-    checkpoint: Any = None,
-    cancel: Any = None,
-) -> ImputationResult:
-    """Pure LLM-module pipeline: one (validated) prompt per record.
+def _plan(pipeline, records: list[ImputationRecord]) -> Plan:
+    """``pipeline`` over the visible records, scored by manufacturer accuracy."""
+    truth = [r.manufacturer for r in records]
 
-    ``checkpoint_path`` makes the run crash-safe and resumable (see
-    :meth:`LinguaManga.run`).
-    """
+    def score(imputed: list) -> tuple[dict, list]:
+        predictions = ["Unknown" if p is None else str(p).strip() for p in imputed]
+        return {"accuracy": accuracy(truth, predictions)}, predictions
+
+    return Plan(pipeline, {"records": [r.visible() for r in records]}, score)
+
+
+def _build_llm(records: list[ImputationRecord]) -> Plan:
+    """Pure LLM-module pipeline: one (validated) prompt per record."""
     pipeline = (
         PipelineBuilder("imputation_pure_llm", "LLM module for every record")
         .load(source="records")
@@ -81,63 +51,21 @@ def run_llm_imputation(
         .save(key="imputed")
         .build()
     )
-    before = system.usage()
-    report = system.run(
-        pipeline,
-        {"records": [r.visible() for r in records]},
-        workers=workers,
-        checkpoint_path=checkpoint_path,
-        resume=resume,
-        checkpoint=checkpoint,
-        cancel=cancel,
-    )
-    after = system.usage()
-    return _score(
-        "pure_llm",
-        system,
-        records,
-        next(iter(report.outputs.values())),
-        before,
-        after,
-        report=report,
-    )
+    return _plan(pipeline, records)
 
 
-def run_hybrid_imputation(
-    system: LinguaManga,
-    records: list[ImputationRecord],
-    workers: int | None = None,
-    checkpoint_path: str | None = None,
-    resume: bool = True,
-    checkpoint: Any = None,
-    cancel: Any = None,
-) -> ImputationResult:
+def _build_hybrid(records: list[ImputationRecord]) -> Plan:
     """The expert template: LLMGC rules + LLM escalation (Figure 4).
 
-    ``workers`` is accepted for API symmetry with the other task runners;
-    the LLMGC stage is not parallel-safe (self-repairing codegen), so the
-    scheduler runs it whole-input sequentially either way.
-    ``checkpoint_path`` makes the run crash-safe and resumable (see
-    :meth:`LinguaManga.run`).
+    The LLMGC stage is not parallel-safe (self-repairing codegen), so the
+    scheduler runs it whole-input sequentially at any worker count.
     """
-    pipeline = get_template("data_imputation").instantiate()
-    before = system.usage()
-    report = system.run(
-        pipeline,
-        {"records": [r.visible() for r in records]},
-        workers=workers,
-        checkpoint_path=checkpoint_path,
-        resume=resume,
-        checkpoint=checkpoint,
-        cancel=cancel,
-    )
-    after = system.usage()
-    return _score(
-        "hybrid_llmgc",
-        system,
-        records,
-        next(iter(report.outputs.values())),
-        before,
-        after,
-        report=report,
-    )
+    return _plan(get_template("data_imputation").instantiate(), records)
+
+
+register(Task("imputation", _resolve, {}, _build_llm))
+register(Task("imputation_hybrid", _resolve, {}, _build_hybrid))
+
+#: ``run_llm_imputation(system, records, *, workers=, ...)``, and the hybrid alike.
+run_llm_imputation = partial(run, "imputation")
+run_hybrid_imputation = partial(run, "imputation_hybrid")

@@ -1,39 +1,21 @@
 """Name-extraction task: the section 4.2 flow, packaged.
 
 Runs the Figure 3 pipeline over a (multilingual) corpus and scores
-name-level precision/recall/F1 against ground truth.  Variants cover the
-demo's storyline: a monolingual first draft, the language-detection fix, and
-the simulator-accelerated version.
+name-level precision/recall/F1 against ground truth.  The options cover the
+demo's storyline: a monolingual first draft (``multilingual=False``), the
+language-detection fix, and the simulator-accelerated version
+(``simulate_tagging=True``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from functools import partial
 
-from repro.core.runtime.system import LinguaManga
 from repro.core.templates.library import get_template
-from repro.datasets.names import NameDocument
-from repro.llm.service import usage_delta
+from repro.datasets.names import NameDocument, generate_name_dataset
+from repro.tasks.table import Plan, Task, ref_int, register, run
 
-__all__ = ["NameExtractionResult", "score_extractions", "run_name_extraction"]
-
-
-@dataclass(frozen=True)
-class NameExtractionResult:
-    """Outcome of one name-extraction run."""
-
-    variant: str
-    precision: float
-    recall: float
-    f1: float
-    llm_calls: int
-    cost: float
-    per_language_f1: dict[str, float]
-    cached_calls: int = 0
-    distilled_calls: int = 0
-    #: the underlying RunReport (module stats, quarantine, profile)
-    report: Any = None
+__all__ = ["score_extractions", "run_name_extraction"]
 
 
 def score_extractions(
@@ -55,64 +37,43 @@ def score_extractions(
     return precision, recall, f1
 
 
-def run_name_extraction(
-    system: LinguaManga,
-    documents: list[NameDocument],
-    multilingual: bool = True,
-    simulate_tagging: bool = False,
-    variant: str | None = None,
-    workers: int | None = None,
-    checkpoint_path: str | None = None,
-    resume: bool = True,
-    checkpoint: Any = None,
-    cancel: Any = None,
-) -> NameExtractionResult:
-    """Run the Figure 3 template over ``documents`` and score it.
+def _resolve(ref: dict, probe: bool) -> list[NameDocument] | None:
+    seed = ref_int(ref, "seed", 3)
+    n_documents = ref_int(ref, "n_documents", 80, minimum=1)
+    if probe:
+        return None
+    return generate_name_dataset(seed=seed, n_documents=n_documents).documents
 
-    ``checkpoint_path`` makes the run crash-safe and resumable (see
-    :meth:`LinguaManga.run`).
-    """
+
+def _build(documents: list[NameDocument], multilingual: bool, simulate_tagging: bool) -> Plan:
+    """The Figure 3 template over ``documents``; predictions are the names found."""
     pipeline = get_template("name_extraction").instantiate(
         multilingual=multilingual, simulate_tagging=simulate_tagging
     )
-    before = system.usage()
-    report = system.run(
-        pipeline,
-        {"documents": [{"text": d.text} for d in documents]},
-        workers=workers,
-        checkpoint_path=checkpoint_path,
-        resume=resume,
-        checkpoint=checkpoint,
-        cancel=cancel,
-    )
-    after = system.usage()
-    enriched = next(iter(report.outputs.values()))
-    extracted = [doc.get("names", []) for doc in enriched]
-    precision, recall, f1 = score_extractions(documents, extracted)
 
-    per_language: dict[str, float] = {}
-    languages = sorted({d.language for d in documents})
-    for language in languages:
-        subset = [
-            (d, names)
-            for d, names in zip(documents, extracted)
-            if d.language == language
-        ]
-        _, _, lang_f1 = score_extractions(
-            [d for d, _ in subset], [names for _, names in subset]
-        )
-        per_language[language] = lang_f1
+    def score(enriched: list) -> tuple[dict, list]:
+        extracted = [doc.get("names", []) for doc in enriched]
+        precision, recall, f1 = score_extractions(documents, extracted)
+        per_language: dict[str, float] = {}
+        for language in sorted({d.language for d in documents}):
+            subset = [
+                (d, names) for d, names in zip(documents, extracted) if d.language == language
+            ]
+            per_language[language] = score_extractions(
+                [d for d, _ in subset], [names for _, names in subset]
+            )[2]
+        scores = {
+            "precision": precision,
+            "recall": recall,
+            "f1": f1,
+            "per_language_f1": per_language,
+        }
+        return scores, extracted
 
-    label = variant or (
-        ("multilingual" if multilingual else "monolingual")
-        + ("+simulator" if simulate_tagging else "")
-    )
-    return NameExtractionResult(
-        variant=label,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        per_language_f1=per_language,
-        **usage_delta(before, after),
-        report=report,
-    )
+    return Plan(pipeline, {"documents": [{"text": d.text} for d in documents]}, score)
+
+
+register(Task("names", _resolve, {"multilingual": True, "simulate_tagging": False}, _build))
+
+#: ``run_name_extraction(system, documents, *, multilingual=True, simulate_tagging=False, ...)``
+run_name_extraction = partial(run, "names")

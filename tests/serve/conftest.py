@@ -18,18 +18,48 @@ from repro.serve import JobQueue, JobServer, JobSpec
 
 #: Small dataset refs for the three demo apps — big enough to exercise
 #: chunked parallel execution (several chunks at the default chunk size),
-#: small enough to run hundreds of jobs in the chaos suite.
+#: small enough to run hundreds of jobs in the chaos suite — plus the
+#: curation family's corpora and the ``dsl`` row's inline inputs.
 DATASET_REFS = {
     "er": {"name": "beer", "seed": 7},
     "names": {"seed": 3, "n_documents": 24},
     "imputation": {"seed": 11, "n_train": 8, "n_test": 24},
+    "dedup": {"n_docs": 48, "seed": 13},
+    "quality_filter": {"n_docs": 48, "seed": 13},
+    "decontamination": {"n_docs": 48, "seed": 13},
+    "dsl": {
+        "inputs": {
+            "records": [
+                {"name": name, "description": description, "manufacturer": None}
+                for name, description in (
+                    ("diNovo Mount Kit", "Official Logitech Mount Kit."),
+                    ("Apple MacBook Console", "Compatible Console for MacBook devices."),
+                    ("Cordless 5.8GHz Dock", "GE original accessory."),
+                    ("EOS Battery Pack", "Compatible Battery Pack for EOS devices."),
+                    ("PlayStation Controller", "game pad"),
+                )
+            ]
+        }
+    },
 }
+
+#: The program every ``dsl`` spec carries: an LLM imputation written by hand.
+DSL_PROGRAM = """
+pipeline "served_imputation":
+  records = load(source="records")
+  imputed = impute(input=records, impl="llm")
+  save(input=imputed, key="imputed")
+"""
 
 
 def make_spec(task: str, tenant: str = "acme", workers: int = 1, **options) -> JobSpec:
     options = {"workers": workers, **options}
     return JobSpec(
-        tenant=tenant, task=task, dataset=dict(DATASET_REFS[task]), options=options
+        tenant=tenant,
+        task=task,
+        dataset=dict(DATASET_REFS[task]),
+        options=options,
+        program=DSL_PROGRAM if task == "dsl" else "",
     )
 
 

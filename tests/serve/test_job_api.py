@@ -1,9 +1,10 @@
 """Golden-response regression tests for the HTTP job API.
 
 Every status/progress payload the API returns is canonical JSON with no
-wall-clock fields, so the full response bodies for the three demo apps —
-cold and warm — are pinned byte-for-byte as golden fixtures under
-``tests/serve/golden_api/``.  A change in job payloads, progress events,
+wall-clock fields, so the full response bodies for the three demo apps and
+the three curation rows — cold and warm — are pinned byte-for-byte as
+golden fixtures under ``tests/serve/golden_api/``.  A change in job
+payloads, progress events,
 metric rounding or sequence numbering shows up as a fixture diff, not a
 silent drift.
 
@@ -48,7 +49,9 @@ def _check_golden(name: str, payload: dict) -> None:
     )
 
 
-@pytest.mark.parametrize("task", ["er", "names", "imputation"])
+@pytest.mark.parametrize(
+    "task", ["er", "names", "imputation", "dedup", "quality_filter", "decontamination"]
+)
 def test_job_payloads_match_golden(task, queue, client):
     # cold: fresh tenant cache, every answer paid at the provider
     status, accepted = client.submit(make_spec(task))
@@ -112,6 +115,11 @@ def test_cancel_over_http(serve_dir):
 def test_error_paths(queue, client, server):
     status, body = client.request("POST", "/jobs", {"tenant": "acme", "task": "x"})
     assert status == 400 and "unknown task" in body["error"]
+
+    status, body = client.request(
+        "POST", "/jobs", {"tenant": "acme", "task": "er", "options": {"n_exampels": 2}}
+    )
+    assert status == 400 and "n_exampels" in body["error"]
 
     status, body = client.request("GET", "/jobs/job-9999")
     assert status == 404

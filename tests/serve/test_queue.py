@@ -48,6 +48,31 @@ def test_invalid_specs_are_refused_without_a_ledger_trace(queue, serve_dir):
     assert queue.store.jobs() == []
 
 
+@pytest.mark.parametrize(
+    "options",
+    [
+        {"workers": "two"},
+        {"workers": 0},
+        {"workers": True},
+        {"n_exampels": 2},
+        {"n_examples": "2"},
+        {"multilingual": False},  # a names option, not an er one
+    ],
+)
+def test_bad_options_are_refused_at_submit(queue, options):
+    """Options are checked against the row before any ledger write.
+
+    Pre-fix ``{"workers": "two"}`` was accepted and then failed the job,
+    ``{"workers": 0}`` ran at one worker and a misspelled key was dropped.
+    """
+    spec = JobSpec(
+        tenant="acme", task="er", dataset={"name": "beer"}, options=options
+    )
+    with pytest.raises(JobError):
+        queue.submit(spec)
+    assert queue.store.jobs() == []
+
+
 def test_queue_quota_refuses_floods(serve_dir):
     queue = JobQueue(
         serve_dir,
@@ -293,16 +318,15 @@ def test_failed_job_cache_entries_count_as_self_paid(serve_dir):
             return self.inner.complete(request)
 
     shared = SimulatedProvider()
+    dying = [DieAfter(shared, 2)]  # the first job to start gets it
     queue = JobQueue(
         serve_dir,
         provider=shared,
         max_workers=1,
-        provider_factory=lambda spec: (
-            DieAfter(shared, 2) if spec.options.get("die") else None
-        ),
+        provider_factory=lambda spec: dying.pop() if dying else None,
         start=False,  # both jobs submit (and seed) before either runs
     )
-    doomed = queue.submit(make_spec("imputation", die=True))
+    doomed = queue.submit(make_spec("imputation"))
     sibling = queue.submit(make_spec("imputation"))
     queue.resume_pending()
     assert queue.store.wait_for(doomed.job_id).status == "failed"
@@ -345,16 +369,15 @@ def test_a_failed_operator_leaves_no_unpaid_cache_entries(serve_dir):
             return self.inner.complete(request)
 
     shared = SimulatedProvider()
+    failing = [FailsSixthPrompt(shared)]  # the first job to start gets it
     queue = JobQueue(
         serve_dir,
         provider=shared,
         max_workers=1,
-        provider_factory=lambda spec: (
-            FailsSixthPrompt(shared) if spec.options.get("doomed") else None
-        ),
+        provider_factory=lambda spec: failing.pop() if failing else None,
         start=False,  # both jobs submit (and seed) before either runs
     )
-    doomed = queue.submit(make_spec("imputation", doomed=True))
+    doomed = queue.submit(make_spec("imputation"))
     sibling = queue.submit(make_spec("imputation"))
     queue.resume_pending()
     assert queue.store.wait_for(doomed.job_id).status == "failed"

@@ -27,6 +27,8 @@ MATRIX = [
     ("imputation", 8),
     ("er", 2),
     ("names", 2),
+    ("dsl", 1),
+    ("dedup", 2),
 ]
 
 

@@ -1,18 +1,22 @@
-"""Tests for the packaged demo tasks (paper sections 4.1-4.3)."""
+"""Tests for the packaged demo tasks (paper sections 4.1-4.3) and their table."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.runtime.cancel import CancelToken, JobCancelled
 from repro.core.runtime.system import LinguaManga
 from repro.core.templates.library import get_template
+from repro.datasets.curation import CurationCorpus
 from repro.datasets.entity_resolution import generate_er_dataset
 from repro.datasets.imputation import generate_buy_dataset
 from repro.datasets.names import generate_name_dataset
 from repro.llm.cache import PROVENANCE_DISTILLED
+from repro.tasks.curation import run_decontamination, run_dedup, run_quality_filter
 from repro.tasks.entity_resolution import pick_examples, run_lingua_manga_er
 from repro.tasks.imputation import run_hybrid_imputation, run_llm_imputation
 from repro.tasks.name_extraction import run_name_extraction, score_extractions
+from repro.tasks.table import TASKS, run
 
 
 class TestPickExamples:
@@ -134,3 +138,52 @@ class TestNameExtractionTask:
         documents = generate_name_dataset(n_documents=50).documents
         result = run_name_extraction(system, documents, multilingual=True)
         assert set(result.per_language_f1) == {d.language for d in documents}
+
+
+class TestTaskTable:
+    """One ``run`` behind every runner: options, keywords and results."""
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        return generate_buy_dataset(seed=11, n_train=4, n_test=6).test
+
+    def test_every_runner_is_run_bound_to_its_row(self):
+        runners = {
+            run_lingua_manga_er: "er",
+            run_name_extraction: "names",
+            run_llm_imputation: "imputation",
+            run_hybrid_imputation: "imputation_hybrid",
+            run_dedup: "dedup",
+            run_quality_filter: "quality_filter",
+            run_decontamination: "decontamination",
+        }
+        for runner, name in runners.items():
+            assert runner.func is run and runner.args == (name,)
+        assert set(runners.values()) | {"dsl"} == set(TASKS)
+
+    def test_unknown_or_mistyped_options_are_refused(self, records):
+        with pytest.raises(ValueError, match="no option 'variant'"):
+            run_llm_imputation(LinguaManga(), records, variant="pure")
+        with pytest.raises(ValueError, match="must be int"):
+            run_dedup(LinguaManga(), CurationCorpus(n_docs=8), n_examples="4")
+
+    def test_execution_keywords_match_the_engine(self, records):
+        corpus = CurationCorpus(n_docs=8)
+        with pytest.raises(ValueError, match="no streaming form"):
+            run_llm_imputation(LinguaManga(), records, stream=True)
+        with pytest.raises(ValueError, match="ledger_path is for stream=True"):
+            run_dedup(LinguaManga(), corpus, ledger_path="ledger.jsonl")
+        with pytest.raises(ValueError, match="not a checkpoint or cancel"):
+            run_dedup(LinguaManga(), corpus, stream=True, cancel=CancelToken())
+
+    def test_a_curation_run_is_cancellable(self):
+        token = CancelToken()
+        token.cancel("stop")
+        with pytest.raises(JobCancelled):
+            run_quality_filter(LinguaManga(), CurationCorpus(n_docs=16), cancel=token)
+
+    def test_scores_read_as_attributes(self, records):
+        result = run_llm_imputation(LinguaManga(), records)
+        assert result.task == "imputation" and result.corpus == ""
+        assert result.accuracy == result.scores["accuracy"]
+        assert not hasattr(result, "f1")  # imputation is scored by accuracy alone

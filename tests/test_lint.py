@@ -10,6 +10,9 @@ part of it an ``ast`` walk decides without scope analysis, as a test:
   re-export) are exempt.
 - E401, E711–E714, E721, E722, E731, E741–E743, and every file parses
   (E999).  A line carrying ``# noqa`` or ``# noqa: <code>`` is exempt.
+- F541 (f-string without placeholders), F822 (undefined name in
+  ``__all__``) and F841 (local assigned, never read), with the same
+  ``# noqa`` rule.
 
 Undefined names (F821) need scope analysis and are not checked here.
 """
@@ -17,6 +20,7 @@ Undefined names (F821) need scope analysis and are not checked here.
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -243,5 +247,191 @@ def test_no_pycodestyle_errors():
         str(path.relative_to(ROOT)): errors
         for path in ALL_FILES
         if (errors := pycodestyle_errors(path))
+    }
+    assert found == {}
+
+
+# -- pyflakes rules an ``ast`` walk decides (F541 / F822 / F841) ------------------
+
+#: ruff's default ``dummy-variable-rgx``: underscore names are meant to go unread.
+_DUMMY = re.compile(r"^(_+|(_+[a-zA-Z0-9_]*[a-zA-Z0-9]+?))$")
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_scope(node: ast.AST):
+    """``node``'s descendants, not descending into nested scopes."""
+    for child in ast.iter_child_nodes(node):
+        yield child
+        if not isinstance(child, _SCOPES):
+            yield from _own_scope(child)
+
+
+def _placeholderless_fstrings(tree: ast.AST) -> list[ast.JoinedStr]:
+    """F541: f-strings with nothing to format (format specs are not f-strings)."""
+    specs = {
+        id(node.format_spec)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FormattedValue) and node.format_spec is not None
+    }
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.JoinedStr)
+        and id(node) not in specs
+        and not any(isinstance(value, ast.FormattedValue) for value in node.values)
+    ]
+
+
+def _bound_names(node: ast.AST) -> set[str]:
+    """Names a statement binds in its own scope."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return {alias.asname or alias.name.split(".")[0] for alias in node.names}
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+        return {node.id}
+    if isinstance(node, ast.ExceptHandler) and node.name:
+        return {node.name}
+    return set()
+
+
+def _undefined_exports(tree: ast.Module) -> list[tuple[int, str]]:
+    """F822: ``__all__`` entries the module never binds."""
+    module = list(_own_scope(tree))
+    if any(
+        isinstance(node, ast.ImportFrom) and any(a.name == "*" for a in node.names)
+        for node in module
+    ):
+        return []
+    bound = set().union(*(_bound_names(node) for node in module))
+    exported = [
+        (node.lineno, element.value)
+        for node in module
+        if isinstance(node, (ast.Assign, ast.AugAssign))
+        and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        )
+        and isinstance(node.value, (ast.List, ast.Tuple))
+        for element in node.value.elts
+        if isinstance(element, ast.Constant) and isinstance(element.value, str)
+    ]
+    return [(line, name) for line, name in exported if name not in bound]
+
+
+def _unused_locals(tree: ast.AST) -> list[tuple[int, str]]:
+    """F841: a function's local, bound by ``=`` or ``except ... as``, never read.
+
+    Reads anywhere in the function count, nested functions included, and an
+    augmented assignment or ``del`` counts as a read; tuple unpacking,
+    ``global`` / ``nonlocal`` names and underscore names are exempt, and a
+    function that calls ``locals()`` is skipped.
+    """
+    found = []
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = list(ast.walk(function))
+        if any(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "locals"
+            for node in nodes
+        ):
+            continue
+        read = {
+            node.id
+            for node in nodes
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        }
+        read |= {
+            node.target.id
+            for node in nodes
+            if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name)
+        }
+        read |= {
+            name
+            for node in nodes
+            if isinstance(node, (ast.Global, ast.Nonlocal))
+            for name in node.names
+        }
+        for node in _own_scope(function):
+            if isinstance(node, ast.Assign):
+                targets = [t for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets = [node.target] if isinstance(node.target, ast.Name) else []
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                targets = [ast.Name(id=node.name, lineno=node.lineno)]
+            else:
+                continue
+            found.extend(
+                (target.lineno, target.id)
+                for target in targets
+                if target.id not in read and not _DUMMY.match(target.id)
+            )
+    return found
+
+
+def pyflakes_errors(path: Path) -> list[str]:
+    """``"line: code name"`` for every F541 / F822 / F841 error in ``path``."""
+    source = path.read_text(encoding="utf-8")
+    tree = ast.parse(source, filename=str(path))
+    lines = source.splitlines()
+    errors = [(node.lineno, "F541", "") for node in _placeholderless_fstrings(tree)]
+    errors += [(line, "F822", name) for line, name in _undefined_exports(tree)]
+    errors += [(line, "F841", name) for line, name in _unused_locals(tree)]
+    return [
+        f"{line}: {code}{' ' + name if name else ''}"
+        for line, code, name in sorted(errors)
+        if not _suppressed(lines[line - 1], code)
+    ]
+
+
+def test_the_pyflakes_checker_finds_what_it_should(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import os\n"
+        "from json import *  # noqa: F401\n"
+        "__all__ = ['os', 'f', 'ghost', 'Spectre']\n"
+        "def f(width):\n"
+        "    a = f'plain'\n"
+        "    b = f'{width:>6s}' f'{os.sep:{width}}'\n"
+        "    c: int = 1\n"
+        "    d, e = 1, 2\n"
+        "    g = 0\n"
+        "    g += 1\n"
+        "    _ = 3\n"
+        "    try:\n"
+        "        pass\n"
+        "    except ValueError as error:\n"
+        "        pass\n"
+        "    h = 1\n"
+        "    def inner():\n"
+        "        return h\n"
+        "    k = 2  # noqa: F841\n"
+        "    return inner, b, f'x' 'y'\n",
+        encoding="utf-8",
+    )
+    assert pyflakes_errors(sample) == [
+        "5: F541", "5: F841 a", "7: F841 c", "14: F841 error", "20: F541",
+    ]  # fmt: skip
+    exports = tmp_path / "exports.py"
+    exports.write_text(
+        "import os.path\n"
+        "if os:\n"
+        "    from json import loads as parse\n"
+        "class Spectre: pass\n"
+        "__all__ = ['os', 'parse', 'Spectre', 'ghost']\n"
+        "__all__ += ['phantom']\n",
+        encoding="utf-8",
+    )
+    assert pyflakes_errors(exports) == ["5: F822 ghost", "6: F822 phantom"]
+
+
+def test_no_pyflakes_errors():
+    found = {
+        str(path.relative_to(ROOT)): errors
+        for path in ALL_FILES
+        if (errors := pyflakes_errors(path))
     }
     assert found == {}
