@@ -1,6 +1,6 @@
 """Streaming execution — memory-bounded ER over an out-of-core corpus.
 
-Runs the entity-resolution template through the shard work-queue executor
+Runs the entity-resolution template through the streaming executor
 (:meth:`LinguaManga.run_stream`) over a :class:`StreamingERCorpus` that is
 never materialized: pairs are generated on demand, at most ``WINDOW``
 shards wait in memory between the source and the fold, and matched

@@ -1,7 +1,7 @@
 """Memory-bounded streaming: curate a corpus too large to materialize.
 
 ``run_stream()`` executes a linear pipeline as a pipelined stream of
-fixed-size shards pulled from a durable work queue: the input generator
+fixed-size shards pulled lazily from the source: the input generator
 is never materialized, at most ``window`` shards wait in memory between
 the source and the fold, verdicts leave through a sink as each shard
 folds, and peak residency stays O(chunk_size x window) no matter how many

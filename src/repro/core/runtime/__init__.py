@@ -1,4 +1,4 @@
-"""Runtime facade: system, scheduler, checkpoints, streaming work queue."""
+"""Runtime facade: system, scheduler, checkpoints, streaming executor."""
 
 from repro.core.runtime.cancel import CancelToken, JobCancelled
 from repro.core.runtime.checkpoint import (
@@ -14,7 +14,6 @@ from repro.core.runtime.workqueue import (
     ShardLedger,
     StreamingExecutor,
     StreamingPlanError,
-    WorkQueue,
 )
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "CheckpointError",
     "CheckpointMismatchError",
     "ShardLedger",
-    "WorkQueue",
     "PoisonInfo",
     "StreamingExecutor",
     "StreamingPlanError",

@@ -4,8 +4,9 @@ The plan executor walks one operator at a time; inside an operator the LLM
 provider is the dominant latency source and independent record chunks can
 be in flight at once.  :class:`Scheduler` partitions an operator's list
 input into fixed-size record chunks, runs them on a bounded worker pool
-(inline at ``workers=1``) and merges everything back **in chunk order**,
-which is what makes runs reproducible at any worker count:
+(:func:`ordered_map`, inline at ``workers=1``) and merges everything back
+**in chunk order**, which is what makes runs reproducible at any worker
+count:
 
 - every chunk executes inside an :meth:`LLMService.scoped` call scope — a
   private ledger buffer plus a shadow virtual clock frozen at the
@@ -32,8 +33,9 @@ parallel execution for themselves or any wrapped child with
 from __future__ import annotations
 
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.core.modules.base import ChunkOutcome, Module
 from repro.llm.service import CallScope, LLMService
@@ -43,8 +45,10 @@ __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "partition",
     "iter_chunks",
+    "ordered_map",
     "resolve_chunk_size",
     "tree_parallel_safe",
+    "chunkable",
     "canonicalize_ledger",
     "Scheduler",
 ]
@@ -89,6 +93,36 @@ def iter_chunks(values, chunk_size: int):
         yield chunk
 
 
+def ordered_map(
+    fn: Callable[[Any], Any], items: Iterable[Any], *, workers: int, window: int
+) -> Iterator[Any]:
+    """Yield ``fn(item)`` for every item, in item order.
+
+    The one worker pool behind both engines: the batch scheduler's chunks
+    and the streaming executor's shards.  With ``workers == 1`` (or a
+    window of at most one) every item runs inline on the calling thread.
+    Otherwise ``items`` is pulled lazily, on the calling thread, and only
+    while fewer than ``window`` items are outstanding (pulled, not yet
+    yielded): the in-flight window, which bounds what a stream holds.
+    A raise — from ``fn`` or from ``items`` — stops the map when its item's
+    turn comes: nothing more is pulled, items already submitted run to
+    completion, and the error propagates.
+    """
+    if workers == 1 or window <= 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(
+        max_workers=min(workers, window), thread_name_prefix="repro-pool"
+    ) as pool:
+        outstanding: deque = deque()
+        for item in items:
+            outstanding.append(pool.submit(fn, item))
+            if len(outstanding) >= window:
+                yield outstanding.popleft().result()
+        while outstanding:
+            yield outstanding.popleft().result()
+
+
 def resolve_chunk_size(module: Module, chunk_size: int | None = None) -> int:
     """The chunk size one operator actually runs with.
 
@@ -109,6 +143,11 @@ def tree_parallel_safe(module: Module) -> bool:
     return module.parallel_safe and all(
         tree_parallel_safe(child) for _, child in module._children()
     )
+
+
+def chunkable(module: Module) -> bool:
+    """Whether either engine may split ``module``'s input into chunks."""
+    return module.chunk_capable and tree_parallel_safe(module)
 
 
 def _canonical_rank(record) -> int:
@@ -175,6 +214,10 @@ class Scheduler:
     ):
         if workers < 1:
             raise ValueError("workers must be at least 1")
+        # Here, not at the first chunk: a checkpoint header written first
+        # would pin the bad value into the fingerprint of its path.
+        if chunk_size is not None and chunk_size < 1:
+            raise ValueError("chunk_size must be at least 1")
         self.workers = workers
         self.chunk_size = chunk_size
         #: optional :class:`~repro.core.runtime.cancel.CancelToken`; checked
@@ -187,12 +230,7 @@ class Scheduler:
 
     def should_chunk(self, module: Module, value: Any) -> bool:
         """Whether ``value`` can be split for ``module``."""
-        return (
-            isinstance(value, list)
-            and len(value) > 1
-            and module.chunk_capable
-            and tree_parallel_safe(module)
-        )
+        return isinstance(value, list) and len(value) > 1 and chunkable(module)
 
     def run_operator(
         self, module: Module, value: Any, service: LLMService, op_ctx=None
@@ -250,7 +288,7 @@ class Scheduler:
 
         scopes: list[CallScope] = []
 
-        def task(index: int, chunk: list[Any]) -> tuple[CallScope, ChunkOutcome]:
+        def task(index: int) -> tuple[CallScope, ChunkOutcome]:
             if self.cancel is not None:
                 self.cancel.raise_if_cancelled()
             if op_ctx is not None:
@@ -259,30 +297,18 @@ class Scheduler:
                 # Registered on entry: a chunk that raises after paying must
                 # still have its cache inserts rolled back.
                 scopes.append(scope)
-                outcome = module.apply_chunk(chunk)
+                outcome = module.apply_chunk(chunks[index])
             if op_ctx is not None:
                 op_ctx.crash("chunk:executed")
-                op_ctx.record_chunk(index, chunk, scope, outcome)
+                op_ctx.record_chunk(index, chunks[index], scope, outcome)
                 op_ctx.crash("chunk:journaled")
             return scope, outcome
 
         pending = [index for index in range(len(chunks)) if index not in completed]
-        live: dict[int, tuple[CallScope, ChunkOutcome]] = {}
         try:
-            if self.workers == 1 or len(pending) <= 1:
-                for index in pending:
-                    live[index] = task(index, chunks[index])
-            else:
-                pool_size = min(self.workers, len(pending))
-                with ThreadPoolExecutor(
-                    max_workers=pool_size, thread_name_prefix="repro-sched"
-                ) as pool:
-                    futures = {
-                        index: pool.submit(task, index, chunks[index])
-                        for index in pending
-                    }
-                    for index, future in futures.items():
-                        live[index] = future.result()
+            results = list(
+                ordered_map(task, pending, workers=self.workers, window=len(pending))
+            )
         except Exception:
             # No scope is merged, so no answer it cached may outlive it:
             # the ledger would not say who paid for the entry.
@@ -293,6 +319,7 @@ class Scheduler:
                 module.stats.total_seconds += time.perf_counter() - started
             raise
 
+        live = dict(zip(pending, results))
         outputs: list[Any] = []
         tracer = obs.tracer if obs is not None else None
         for index in range(len(chunks)):

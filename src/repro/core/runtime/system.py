@@ -185,8 +185,8 @@ class LinguaManga:
 
         The out-of-core counterpart to :meth:`run`: ``inputs`` may be any
         iterable (a generator over millions of records is never
-        materialized), the pipeline's chunk-capable core pulls fixed-size
-        shards from a durable work queue, and peak memory stays
+        materialized), the pipeline's chunk-capable core runs fixed-size
+        shards pulled lazily from the source, and peak memory stays
         O(chunk_size x window) regardless of dataset size: at most
         ``window`` shards wait, in memory, between the source and the fold
         (``report.recovery["inflight_peak_records"]``).  Requires a

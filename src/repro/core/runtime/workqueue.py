@@ -1,15 +1,16 @@
-"""Durable shard work-queue and pipelined streaming executor.
+"""Shard ledger and pipelined streaming executor.
 
 The batch runtime (:mod:`repro.core.runtime.scheduler` +
 :mod:`repro.core.runtime.checkpoint`) materializes every operator's full
 input before chunking it, so a million-record curation run holds the whole
 dataset — and every intermediate — in memory.  This module is the
-out-of-core counterpart: datasets stay *iterators*, operators pull fixed
-size **shards** from a durable work queue and emit downstream without
-waiting for full-operator completion, and peak RSS is bounded at
-O(chunk_size x window) instead of O(dataset).
+out-of-core counterpart: datasets stay *iterators*, the streamed operators
+run fixed-size **shards** pulled lazily from the source through the
+scheduler's bounded in-order pool
+(:func:`~repro.core.runtime.scheduler.ordered_map`), and peak RSS is
+bounded at O(chunk_size x window) instead of O(dataset).
 
-Three pieces:
+Two pieces:
 
 - :class:`ShardLedger` — the write-ahead journal.  One ``shard`` line per
   completed shard (superseding the batch runtime's linear chunk log), plus
@@ -17,17 +18,14 @@ Three pieces:
   when a shard exhausts its attempt budget.  The header pins the run
   fingerprint, the virtual clock and the prompt-cache state exactly like
   :class:`~repro.core.runtime.checkpoint.RunCheckpoint` does.
-- :class:`WorkQueue` — the in-memory shard state machine: ``pending ->
-  running -> done | poisoned``.  A shard whose execution raises is
-  pending again at once and, being the smallest pending index, is what
-  the next idle worker runs; a shard that keeps failing is **quarantined
-  as poison** after ``max_attempts`` — reported, never aborting the run.
-  Backpressure: shards are materialized from the source only while the
-  in-flight window has room, and a live shard's records wait on its
-  queue entry until the shard is folded.
 - :class:`StreamingExecutor` — drives a compiled
-  :class:`~repro.core.compiler.plan.PhysicalPlan` through the queue and
-  folds shard results into a normal :class:`RunReport`.
+  :class:`~repro.core.compiler.plan.PhysicalPlan` as an ordered map over
+  shards: each pulled chunk is classified against the ledger (replay,
+  poison or live), one pool task runs every attempt of a live shard — a
+  shard whose execution raises is retried at once and **quarantined as
+  poison** after ``max_attempts``, reported, never aborting the run — and
+  the calling thread folds the results into a normal :class:`RunReport`
+  in shard order.
 
 Determinism contract (the streaming crash matrix pins this): a run
 crashed and resumed at any shard boundary, at any worker count, cold or
@@ -62,11 +60,10 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.core.compiler.plan import (
     OperatorResilience,
@@ -91,9 +88,10 @@ from repro.core.runtime.checkpoint import (
     fingerprint_payload,
 )
 from repro.core.runtime.scheduler import (
+    chunkable,
     iter_chunks,
+    ordered_map,
     resolve_chunk_size,
-    tree_parallel_safe,
 )
 from repro.llm.service import CallRecord, LLMService
 from repro.obs.profile import ProfileRow, RunProfile, profile_records
@@ -107,7 +105,6 @@ __all__ = [
     "PoisonInfo",
     "ShardLedgerStats",
     "ShardLedger",
-    "WorkQueue",
     "StreamingExecutor",
 ]
 
@@ -116,11 +113,6 @@ SHARD_LEDGER_FORMAT_VERSION = 1
 
 #: Failed executions before a shard is quarantined as poison.
 DEFAULT_MAX_ATTEMPTS = 3
-
-_PENDING = "pending"
-_RUNNING = "running"
-_DONE = "done"
-_POISONED = "poisoned"
 
 
 class StreamingPlanError(RuntimeError):
@@ -181,7 +173,7 @@ class ShardLedgerStats:
 
 
 class ShardLedger:
-    """Write-ahead shard journal: the durable half of the work queue.
+    """Write-ahead shard journal: what a resumed stream replays.
 
     JSONL with four record types:
 
@@ -193,8 +185,8 @@ class ShardLedger:
     - ``shard`` — one completed shard: per-operator ledger records (the
       columnar, prefix-shared encoding shared with the batch journal),
       per-operator virtual elapsed time, quarantine and degraded counts,
-      and the shard's final outputs.  Written *before* the queue marks the
-      shard done, so an acknowledged completion is always resumable.
+      and the shard's final outputs.  Written *before* the shard's results
+      reach the fold, so a folded shard is always resumable.
       Duplicate lines for one index are tolerated (a shard whose outputs
       did not serialize re-executes on resume and re-journals); the last
       line wins.
@@ -402,334 +394,28 @@ class ShardLedger:
         self.journal.close()
 
 
-# -- the work queue -----------------------------------------------------------------
+# -- the streaming executor ----------------------------------------------------------
 
 
 @dataclass
-class _Shard:
-    """Mutable per-shard queue state (guarded by the queue condition)."""
+class _ShardRun:
+    """One pulled chunk on its way through the pool to the fold.
+
+    Classification sets ``records`` on a live shard (what the source
+    produced, shared by every attempt and never mutated in place) and
+    ``poison`` on one the ledger already quarantined; a replay shard
+    carries neither.  The pool task fills in ``ops`` and ``outputs``, or
+    ``poison`` once the attempt budget is spent.
+    """
 
     index: int
     n_records: int
-    status: str = _PENDING
-    source: str = "live"  # live | replay | poison
-    attempts: int = 0  # executions that raised, this run and prior ones
-    #: What the source produced for a live shard, shared by every attempt
-    #: (never mutated in place); replay and poison shards hold nothing.
     records: list[Any] | None = None
-
-
-class WorkQueue:
-    """The shard state machine: pending -> running -> done | poisoned.
-
-    Single condition variable; every state change notifies.  A claim is
-    the shard's index: :meth:`next_task` hands the smallest pending index
-    to an idle worker, which ends the attempt with :meth:`complete` or
-    :meth:`fail`.  A failed shard is pending again at once, so it is the
-    next thing run; after ``max_attempts`` failures it is held running
-    until the caller has journalled the verdict and confirms the poison.
-
-    Shards are materialized lazily from ``chunks`` (an iterator of record
-    lists) under one backpressure gate, the in-flight **window**: at most
-    ``window`` shards past the fold frontier exist at once, so the queue
-    holds at most ``window x chunk_size`` source records
-    (``inflight_peak_records`` is the observed high-watermark).  A live
-    shard's record list stays on its entry — a retry re-reads it without
-    rewinding the source — and goes with the entry at :meth:`mark_folded`.
-    Chunks whose index already has a ledger ``shard``/``poison`` line are
-    registered as replay/poison folds and their records discarded
-    immediately — a resume re-iterates the (deterministic) source instead
-    of persisting shard inputs.
-    """
-
-    def __init__(
-        self,
-        chunks: Iterable[list[Any]],
-        *,
-        window: int,
-        ledger: ShardLedger,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        metrics: Any = None,
-    ):
-        if window < 1:
-            raise ValueError("window must be at least 1")
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        self._chunks = iter(chunks)
-        self.window = window
-        self.ledger = ledger
-        self.max_attempts = max_attempts
-        self.metrics = metrics
-        self._cond = threading.Condition()
-        self._shards: dict[int, _Shard] = {}
-        self._next_index = 0
-        self._exhausted = False
-        self.n_shards: int | None = None
-        self._frontier = 0
-        self._aborted = False
-        self.inflight_peak_records = 0
-        self.shard_failures = 0
-        self.poisoned = 0
-        self.replayed = 0
-
-    @property
-    def frontier(self) -> int:
-        """First shard index not yet folded downstream."""
-        with self._cond:
-            return self._frontier
-
-    def abort(self) -> None:
-        """Stop handing out work (crash propagation); wakes every waiter."""
-        with self._cond:
-            self._aborted = True
-            self._cond.notify_all()
-
-    @property
-    def aborted(self) -> bool:
-        """Whether :meth:`abort` was called."""
-        with self._cond:
-            return self._aborted
-
-    # -- the single evaluation pass ---------------------------------------------------
-
-    def next_task(self) -> tuple[str, int | None]:
-        """One scheduling decision for one idle worker.
-
-        Returns ``("run", index)`` to execute a shard, ``("poison",
-        index)`` when a shard's carried-over attempt budget is already
-        exhausted (the caller writes the verdict without re-executing),
-        ``("retry", None)`` when the caller should fold and ask again, and
-        ``("done", None)`` when every shard is folded (or the queue
-        aborted).
-        """
-        with self._cond:
-            while True:
-                if self._aborted:
-                    return ("done", None)
-                shard = self._claimable_locked()
-                if shard is not None:
-                    shard.status = _RUNNING
-                    self._gauges_locked()
-                    # A prior run burned the whole budget (crash landed
-                    # between the final fail line and the poison line):
-                    # quarantine without re-executing, so the resumed
-                    # verdict matches the uninterrupted one byte for byte.
-                    carried = shard.attempts >= self.max_attempts
-                    return ("poison" if carried else "run", shard.index)
-                if self._materialize_locked():
-                    continue
-                if self._foldable_locked():
-                    return ("retry", None)
-                if self._done_locked():
-                    return ("done", None)
-                # Timeout guards against a missed notify under real-time
-                # scheduling jitter; state is re-evaluated on every wake.
-                self._cond.wait(timeout=0.1)
-
-    def _claimable_locked(self) -> _Shard | None:
-        """Smallest-index pending live shard."""
-        candidate = None
-        for shard in self._shards.values():
-            if (
-                shard.status == _PENDING
-                and shard.source == "live"
-                and (candidate is None or shard.index < candidate.index)
-            ):
-                candidate = shard
-        return candidate
-
-    def _materialize_locked(self) -> bool:
-        """Pull (at most) one chunk from the source; True if state changed."""
-        if self._exhausted:
-            return False
-        if self._next_index >= self._frontier + self.window:
-            return False  # in-flight window full: backpressure
-        try:
-            chunk = next(self._chunks)
-        except StopIteration:
-            self._exhausted = True
-            self.n_shards = self._next_index
-            recorded = self.ledger.max_recorded_index()
-            if recorded >= self.n_shards:
-                raise CheckpointMismatchError(
-                    f"ledger mentions shard {recorded} but the source "
-                    f"produced only {self.n_shards} shard(s); the source "
-                    "changed under a reused ledger"
-                )
-            self._cond.notify_all()
-            return True
-        index = self._next_index
-        if self.ledger.has_shard(index):
-            expected = self.ledger.shard_n_records(index)
-            if expected != len(chunk):
-                raise CheckpointMismatchError(
-                    f"ledger shard {index} covered {expected} record(s); the "
-                    f"source produced {len(chunk)}"
-                )
-            if self.ledger.shard_replayable(index):
-                # Completed in a prior run: discard the records (the fold
-                # replays the journalled results) — this is the
-                # consume-and-discard source skip.
-                self._register_locked(
-                    _Shard(index, len(chunk), status=_DONE, source="replay")
-                )
-                self.replayed += 1
-                return True
-            # Outputs did not serialize: fall through and re-execute live.
-        else:
-            poison = self.ledger.poison(index)
-            if poison is not None:
-                if poison.n_records != len(chunk):
-                    raise CheckpointMismatchError(
-                        f"ledger poison {index} covered {poison.n_records} "
-                        f"record(s); the source produced {len(chunk)}"
-                    )
-                self._register_locked(
-                    _Shard(index, len(chunk), status=_POISONED, source="poison")
-                )
-                return True
-        self._register_locked(
-            _Shard(
-                index,
-                len(chunk),
-                status=_PENDING,
-                source="live",
-                attempts=self.ledger.attempts(index),
-                records=chunk,
-            )
-        )
-        held = sum(
-            shard.n_records
-            for shard in self._shards.values()
-            if shard.records is not None
-        )
-        self.inflight_peak_records = max(self.inflight_peak_records, held)
-        return True
-
-    def _register_locked(self, shard: _Shard) -> None:
-        self._shards[shard.index] = shard
-        self._next_index += 1
-        self._cond.notify_all()
-        self._gauges_locked()
-
-    def _foldable_locked(self) -> bool:
-        shard = self._shards.get(self._frontier)
-        return shard is not None and shard.status in (_DONE, _POISONED)
-
-    def _done_locked(self) -> bool:
-        return self._exhausted and self._frontier == self.n_shards
-
-    # -- attempt verbs (a claim is the shard's index) ----------------------------------
-
-    def _running_locked(self, index: int) -> _Shard:
-        shard = self._shards.get(index)
-        if shard is None or shard.status != _RUNNING:
-            raise RuntimeError(f"shard {index} is not running")
-        return shard
-
-    def records(self, index: int) -> list[Any] | None:
-        """What the source produced for shard ``index`` (None once folded)."""
-        with self._cond:
-            shard = self._shards.get(index)
-            return None if shard is None else shard.records
-
-    def complete(self, index: int) -> None:
-        """Mark a running shard done: the fold may take it."""
-        with self._cond:
-            self._running_locked(index).status = _DONE
-            self._cond.notify_all()
-            self._gauges_locked()
-
-    def fail(self, index: int) -> tuple[str, int]:
-        """Register a failed execution; returns the verdict.
-
-        ``("retry", attempts)``: the shard is pending again and is the
-        next thing run; ``("poison", attempts)``: the budget is spent and
-        the shard stays running until the caller has journalled the
-        verdict and calls :meth:`confirm_poison`.
-        """
-        with self._cond:
-            shard = self._running_locked(index)
-            shard.attempts += 1
-            self.shard_failures += 1
-            if self.metrics is not None:
-                self.metrics.counter("workqueue.shard_failures").inc()
-            if shard.attempts >= self.max_attempts:
-                return ("poison", shard.attempts)
-            shard.status = _PENDING
-            self._cond.notify_all()
-            self._gauges_locked()
-            return ("retry", shard.attempts)
-
-    def confirm_poison(self, index: int) -> None:
-        """Commit the quarantine after the poison line is journalled."""
-        with self._cond:
-            self._running_locked(index).status = _POISONED
-            self.poisoned += 1
-            if self.metrics is not None:
-                self.metrics.counter("workqueue.poisoned").inc()
-            self._cond.notify_all()
-            self._gauges_locked()
-
-    # -- fold frontier -----------------------------------------------------------------
-
-    def next_foldable(self) -> _Shard | None:
-        """The frontier shard, iff it is ready to fold downstream."""
-        with self._cond:
-            shard = self._shards.get(self._frontier)
-            if shard is None or shard.status not in (_DONE, _POISONED):
-                return None
-            return shard
-
-    def mark_folded(self, index: int) -> None:
-        """Advance the fold frontier past ``index`` (unblocks the window)."""
-        with self._cond:
-            if index != self._frontier:
-                raise RuntimeError(
-                    f"fold order violation: folding shard {index} at "
-                    f"frontier {self._frontier}"
-                )
-            self._shards.pop(index, None)
-            self._frontier += 1
-            self._cond.notify_all()
-            self._gauges_locked()
-
-    def _gauges_locked(self) -> None:
-        if self.metrics is None:
-            return
-        pending = running = 0
-        for shard in self._shards.values():
-            if shard.status == _PENDING:
-                pending += 1
-            elif shard.status == _RUNNING:
-                running += 1
-        self.metrics.gauge("workqueue.depth").set(pending)
-        self.metrics.gauge("workqueue.inflight").set(running)
-        self.metrics.gauge("workqueue.frontier").set(self._frontier)
-
-
-# -- profile-row folding ------------------------------------------------------------
-
-
-def _add_rows(accumulated: ProfileRow, row: ProfileRow) -> ProfileRow:
-    """Field-wise sum of two profile rows (fold order fixes float order)."""
-    return ProfileRow(
-        module=accumulated.module,
-        calls=accumulated.calls + row.calls,
-        provider_calls=accumulated.provider_calls + row.provider_calls,
-        cache_exact=accumulated.cache_exact + row.cache_exact,
-        distilled=accumulated.distilled + row.distilled,
-        cost=accumulated.cost + row.cost,
-        latency_seconds=accumulated.latency_seconds + row.latency_seconds,
-        provider_seconds=accumulated.provider_seconds + row.provider_seconds,
-        distilled_seconds=accumulated.distilled_seconds + row.distilled_seconds,
-        retries=accumulated.retries + row.retries,
-        failures=accumulated.failures + row.failures,
-        quarantined=accumulated.quarantined + row.quarantined,
-    )
-
-
-# -- the streaming executor ----------------------------------------------------------
+    attempts: int = 0  # executions that raised, this run and prior ones
+    failures: int = 0  # of which in this run
+    ops: list[ShardOpReplay] | None = None
+    outputs: list[Any] | None = None
+    poison: PoisonInfo | None = None
 
 
 class StreamingExecutor:
@@ -737,11 +423,11 @@ class StreamingExecutor:
 
     The plan must be a **linear chain** with a chunk-capable, parallel-safe
     core: a (possibly empty) coordinator-side *prefix* (e.g. a lazy load),
-    a maximal run of chunk-capable *middle* operators that the work queue
-    streams shard by shard, and a (possibly empty) coordinator-side
-    *suffix* (e.g. a save).  The prefix's output feeds the queue as an
-    iterator and is never materialized by the executor; keep prefix
-    transforms lazy and the whole run is O(window x chunk) resident.
+    a maximal run of chunk-capable *middle* operators streamed shard by
+    shard, and a (possibly empty) coordinator-side *suffix* (e.g. a save).
+    The prefix's output is pulled as an iterator and is never materialized
+    by the executor; keep prefix transforms lazy and the whole run is
+    O(window x chunk) resident.
 
     ``sink`` switches the output mode: ``None`` collects the middle
     outputs into a list and runs the suffix on it (convenient, but O(n)
@@ -765,30 +451,39 @@ class StreamingExecutor:
         source_id: str = "",
         crash: Any = None,
     ):
+        if window is None:
+            window = max(4 * workers, 8)
+        # Here, before execute() writes the ledger header: a bad value must
+        # not leave a journal behind, and a bad chunk_size would be pinned
+        # into its fingerprint.
         if workers < 1:
             raise ValueError("workers must be at least 1")
+        if chunk_size is not None and chunk_size < 1:
+            raise ValueError("chunk_size must be at least 1")
+        if window < 1:
+            raise ValueError("window must be at least 1")
+        if max_attempts < 1:
+            raise ValueError("max_attempts must be at least 1")
         self.plan = plan
         self.ledger = ledger
         self.workers = workers
         self.chunk_size = chunk_size
-        self.window = window if window is not None else max(4 * workers, 8)
+        self.window = window
         self.max_attempts = max_attempts
         self.sink = sink
         self.source_id = source_id
         self.crash = crash
-        self.queue: WorkQueue | None = None
-        # fold state
-        self._fold_lock = threading.Lock()
-        self._results_lock = threading.Lock()
-        self._results: dict[int, tuple[list, list]] = {}
-        self._live_poisons: dict[int, PoisonInfo] = {}
+        # run state: _pull and the fold advance it, both on the calling thread
+        self.n_shards = 0
+        self.shard_failures = 0
+        self.inflight_peak_records = 0
+        self._held_records = 0
         self._rows: dict[str, ProfileRow] = {}
         self._resil: dict[str, dict[str, int]] = {}
         self._output_buffer: list[Any] = []
         self._sink_records = 0
         self._sink_digest = hashlib.sha256()
         self._run_base = 0.0
-        self._report: RunReport | None = None
 
     # -- plan splitting ----------------------------------------------------------------
 
@@ -814,11 +509,9 @@ class StreamingExecutor:
                 )
             previous = binding
 
-        def streamable(binding) -> bool:
-            return binding.module.chunk_capable and tree_parallel_safe(binding.module)
-
         start = next(
-            (i for i, binding in enumerate(bound) if streamable(binding)), None
+            (i for i, binding in enumerate(bound) if chunkable(binding.module)),
+            None,
         )
         if start is None:
             raise StreamingPlanError(
@@ -826,7 +519,7 @@ class StreamingExecutor:
                 "plan.execute() instead"
             )
         end = start
-        while end < len(bound) and streamable(bound[end]):
+        while end < len(bound) and chunkable(bound[end].module):
             end += 1
         prefix, middle, suffix = bound[:start], bound[start:end], bound[end:]
         if self.sink is not None:
@@ -869,8 +562,8 @@ class StreamingExecutor:
     def execute(self, inputs: Any = None) -> RunReport:
         """Run the plan over a streaming source; returns a normal report.
 
-        ``inputs`` is handed to the prefix (or, with no prefix, fed to the
-        queue directly) and may be any iterable — a generator is never
+        ``inputs`` is handed to the prefix (or, with no prefix, chunked
+        directly) and may be any iterable — a generator is never
         materialized.  Crash-resume: re-run with the same ledger path and
         the completed shard prefix replays at zero provider cost.
         """
@@ -887,6 +580,8 @@ class StreamingExecutor:
         self._module_by_op = {
             binding.operator.name: binding.module for binding in middle
         }
+        self._metrics = obs.metrics if obs is not None else None
+        self._tracer = tracer
         for binding in middle:
             self._rows[binding.operator.name] = ProfileRow(
                 module=binding.operator.name
@@ -921,14 +616,14 @@ class StreamingExecutor:
                     f"{prefix[-1].operator.name if prefix else '<inputs>'} "
                     "produced no iterable for the streamed core"
                 )
-            self.queue = WorkQueue(
-                iter_chunks(argument, chunk_size),
+            for shard in ordered_map(
+                self._run_shard,
+                self._pull(iter_chunks(argument, chunk_size)),
+                workers=self.workers,
                 window=self.window,
-                ledger=self.ledger,
-                max_attempts=self.max_attempts,
-                metrics=obs.metrics if obs is not None else None,
-            )
-            self._run_workers()
+            ):
+                self._fold_shard(shard)
+                del shard  # workers=1 holds one shard: none past its fold
             # Middle rows, in operator order, after every shard folded.
             for binding in middle:
                 name = binding.operator.name
@@ -988,11 +683,10 @@ class StreamingExecutor:
     def _recovery_summary(self) -> dict:
         """Operational (non-canonical) counters for ``report.recovery``."""
         stats = self.ledger.stats
-        queue = self.queue
         return {
             "mode": "streaming",
             "resumed": stats.resumed,
-            "shards": queue.n_shards if queue is not None else 0,
+            "shards": self.n_shards,
             "replayed_shards": stats.replayed_shards,
             "journaled_shards": stats.journaled_shards,
             "replayed_records": stats.replayed_records,
@@ -1000,151 +694,108 @@ class StreamingExecutor:
             "cache_entries_pruned": stats.cache_entries_pruned,
             "torn_bytes": stats.torn_bytes,
             "corrupt_lines": stats.corrupt_lines,
-            "shard_failures": queue.shard_failures if queue is not None else 0,
-            "inflight_peak_records": (
-                queue.inflight_peak_records if queue is not None else 0
-            ),
+            "shard_failures": self.shard_failures,
+            "inflight_peak_records": self.inflight_peak_records,
             # Pinned: there is no spill tier, but the frozen
             # benchmarks/e2e/workloads.py subscripts this key.
             "spill_peak_bytes": 0,
         }
 
-    # -- worker pool -------------------------------------------------------------------
+    # -- the source side ---------------------------------------------------------------
 
-    def _run_workers(self) -> None:
-        errors: list[BaseException] = []
-        errors_lock = threading.Lock()
+    def _pull(self, chunks: Iterable[list[Any]]) -> Iterator[_ShardRun]:
+        """Classify each chunk the pool pulls: replay, poison or live.
 
-        def runner() -> None:
-            try:
-                self._worker_loop()
-            except BaseException as error:  # noqa: BLE001 - propagated below
-                with errors_lock:
-                    errors.append(error)
-                self.queue.abort()
-
-        if self.workers == 1:
-            runner()
-        else:
-            with ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-stream"
-            ) as pool:
-                futures = [pool.submit(runner) for _ in range(self.workers)]
-                for future in futures:
-                    future.result()
-        if errors:
-            raise errors[0]
-
-    def _worker_loop(self) -> None:
-        """One worker: fold what is ready, then claim and execute a shard."""
-        while True:
-            self._fold_ready()
-            kind, index = self.queue.next_task()
-            if kind == "done":
-                return
-            if kind == "poison":
-                self._poison_carried(index)
-            elif kind == "run":
-                self._execute_shard(index)
-
-    def _execute_shard(self, index: int) -> None:
-        """One shard attempt: ops -> journal -> complete."""
-        service = self.plan.context.service
-        queue = self.queue
-        scopes: list = []
-        op_name = self._middle[0].operator.name
-        records = queue.records(index)
-        try:
-            self._announce("shard:claimed")
-            current = records
-            op_results = []
-            for binding in self._middle:
-                op_name = binding.operator.name
-                with service.scoped(self._run_base) as scope:
-                    # Registered on entry: an operator that raises after
-                    # paying must still have its cache inserts rolled back.
-                    scopes.append(scope)
-                    outcome = binding.module.apply_chunk(current)
-                op_results.append((op_name, scope, outcome))
-                current = list(outcome.outputs)
-            self._announce("shard:executed")
-            self.ledger.record_shard(index, len(records), op_results, current)
-            self._announce("shard:journaled")
-            # Results first: once the shard is done another worker may fold it.
-            with self._results_lock:
-                self._results[index] = (op_results, current)
-            queue.complete(index)
-        except Exception as error:  # a CrashInjected unwinds past this
-            for scope in scopes:
-                service.rollback_scope(scope)
-            verdict, attempts = queue.fail(index)
-            self.ledger.record_fail(index, attempts, op_name, str(error))
-            if verdict == "poison":
-                self._quarantine(
-                    PoisonInfo(
-                        index=index,
-                        n_records=len(records),
-                        attempts=attempts,
-                        op=op_name,
-                        error=str(error),
-                        records=records,
-                    )
-                )
-
-    def _poison_carried(self, index: int) -> None:
-        """Quarantine a shard whose attempt budget died in a prior run."""
-        op_name, error = self.ledger.last_fail(index)
-        records = self.queue.records(index)
-        self._quarantine(
-            PoisonInfo(
-                index=index,
-                n_records=len(records),
-                attempts=self.ledger.attempts(index),
-                op=op_name or self._middle[0].operator.name,
-                error=error,
-                records=records,
-            )
-        )
-
-    def _quarantine(self, info: PoisonInfo) -> None:
-        """Journal the poison verdict, then commit it in the queue."""
-        self.ledger.record_poison(info)
-        with self._results_lock:
-            self._live_poisons[info.index] = info
-        self.queue.confirm_poison(info.index)
-
-    # -- the fold ----------------------------------------------------------------------
-
-    def _fold_ready(self) -> None:
-        """Fold every frontier shard that is ready, in shard order.
-
-        Serialized by ``_fold_lock``: shard results enter the report, the
-        shared clock and the per-operator accumulators in strict frontier
-        order, which is what makes the canonical report independent of
-        worker interleaving.
+        Runs on the calling thread, only as fast as the in-flight window
+        admits shards.  A chunk whose index has a replayable ``shard``
+        line or a ``poison`` line keeps only its size, checked against the
+        ledger's — a resume re-iterates the (deterministic) source instead
+        of persisting shard inputs.  A live chunk's records are held until
+        its shard folds; ``inflight_peak_records`` is their high-watermark.
         """
-        while True:
-            with self._fold_lock:
-                shard = self.queue.next_foldable()
-                if shard is None:
-                    return
-                self._fold_shard(shard)
-                self.queue.mark_folded(shard.index)
+        ledger = self.ledger
+        for index, chunk in enumerate(chunks):
+            self.n_shards = index + 1
+            shard = _ShardRun(index, len(chunk))
+            if ledger.has_shard(index):
+                kind, covered = "shard", ledger.shard_n_records(index)
+                # Outputs that did not serialize re-execute live.
+                live = not ledger.shard_replayable(index)
+            else:
+                shard.poison = ledger.poison(index)
+                kind, live = "poison", shard.poison is None
+                covered = len(chunk) if live else shard.poison.n_records
+            if covered != len(chunk):
+                raise CheckpointMismatchError(
+                    f"ledger {kind} {index} covered {covered} record(s); the "
+                    f"source produced {len(chunk)}"
+                )
+            if live:
+                shard.records = chunk
+                shard.attempts = ledger.attempts(index)
+                self._held_records += len(chunk)
+                self.inflight_peak_records = max(
+                    self.inflight_peak_records, self._held_records
+                )
+            yield shard
+            del shard, chunk  # the fold is the last to hold them
+        recorded = ledger.max_recorded_index()
+        if recorded >= self.n_shards:
+            raise CheckpointMismatchError(
+                f"ledger mentions shard {recorded} but the source "
+                f"produced only {self.n_shards} shard(s); the source "
+                "changed under a reused ledger"
+            )
 
-    def _fold_shard(self, shard: _Shard) -> None:
+    # -- one pool task -----------------------------------------------------------------
+
+    def _run_shard(self, shard: _ShardRun) -> _ShardRun:
+        """Every attempt of one live shard; replay and poison shards pass.
+
+        An attempt runs the middle operators, journals the ``shard`` line
+        and hands the results to the fold.  One that raises has every
+        scope it opened rolled back (the raising operator's included),
+        journals a ``fail`` line and is retried at once.  Once the budget
+        is spent the poison verdict is journalled — without another
+        execution when a prior run already spent it (its crash landed
+        between the final fail line and the poison line), so the resumed
+        verdict matches the uninterrupted one byte for byte.
+        """
+        if shard.records is None:
+            return shard
         service = self.plan.context.service
-        obs = getattr(service, "obs", None)
-        tracer = obs.tracer if obs is not None and obs.tracer.enabled else None
-        report = self._report
-        index = shard.index
-        if shard.status == _POISONED:
-            self._fold_poison(index, report, tracer, service)
-            return
-        with self._results_lock:
-            live = self._results.pop(index, None)
-        if live is not None:
-            op_results, outputs = live
-            ops = [
+        op_name, error = self.ledger.last_fail(shard.index)
+        while shard.attempts < self.max_attempts:
+            scopes: list = []
+            op_results = []
+            current = shard.records
+            try:
+                self._announce("shard:claimed")
+                for binding in self._middle:
+                    op_name = binding.operator.name
+                    with service.scoped(self._run_base) as scope:
+                        # Registered on entry: an operator that raises after
+                        # paying must still have its cache inserts rolled back.
+                        scopes.append(scope)
+                        outcome = binding.module.apply_chunk(current)
+                    op_results.append((op_name, scope, outcome))
+                    current = list(outcome.outputs)
+                self._announce("shard:executed")
+                self.ledger.record_shard(
+                    shard.index, shard.n_records, op_results, current
+                )
+                self._announce("shard:journaled")
+            except Exception as failure:  # a CrashInjected unwinds past this
+                for scope in scopes:
+                    service.rollback_scope(scope)
+                shard.attempts += 1
+                shard.failures += 1
+                error = str(failure)
+                self.ledger.record_fail(shard.index, shard.attempts, op_name, error)
+                if self._metrics is not None:
+                    self._metrics.counter("workqueue.shard_failures").inc()
+                continue
+            shard.ops = [
                 ShardOpReplay(
                     name=name,
                     records=scope.records,
@@ -1154,20 +805,52 @@ class StreamingExecutor:
                 )
                 for name, scope, outcome in op_results
             ]
+            shard.outputs = current
+            return shard
+        shard.poison = PoisonInfo(
+            index=shard.index,
+            n_records=shard.n_records,
+            attempts=shard.attempts,
+            op=op_name or self._middle[0].operator.name,
+            error=error,
+            records=shard.records,
+        )
+        self.ledger.record_poison(shard.poison)
+        if self._metrics is not None:
+            self._metrics.counter("workqueue.poisoned").inc()
+        return shard
+
+    # -- the fold ----------------------------------------------------------------------
+
+    def _fold_shard(self, shard: _ShardRun) -> None:
+        """Fold one shard into the report, on the calling thread.
+
+        The pool yields shards in index order, so results enter the
+        report, the shared clock and the per-operator accumulators in
+        strict shard order — what makes the canonical report independent
+        of worker interleaving.
+        """
+        service = self.plan.context.service
+        tracer = self._tracer
+        report = self._report
+        self.shard_failures += shard.failures
+        if shard.records is not None:
+            self._held_records -= shard.n_records
+        if shard.poison is not None:
+            self._fold_poison(shard.poison, report, tracer)
+            return
+        replayed = shard.ops is None
+        if replayed:
+            replay = self.ledger.shard_replay(shard.index)
+            ops, outputs = replay.ops, replay.outputs
+            self.ledger.stats.replayed_shards += 1
+            self.ledger.stats.replayed_records += sum(len(op.records) for op in ops)
         else:
-            replay = self.ledger.shard_replay(index)
-            ops = replay.ops
-            outputs = replay.outputs
-            with self.ledger._lock:
-                self.ledger.stats.replayed_shards += 1
-                self.ledger.stats.replayed_records += sum(
-                    len(op.records) for op in ops
-                )
+            ops, outputs = shard.ops, shard.outputs
         quarantined = degraded = 0
         for op in ops:
-            self._rows[op.name] = _add_rows(
-                self._rows[op.name],
-                profile_records(op.name, op.records, quarantined=len(op.quarantine)),
+            self._rows[op.name] += profile_records(
+                op.name, op.records, quarantined=len(op.quarantine)
             )
             service.clock.advance(op.elapsed)
             module = self._module_by_op[op.name]
@@ -1195,7 +878,7 @@ class StreamingExecutor:
             )
         if tracer is not None:
             tracer.add_span(
-                f"shard[{index}]",
+                f"shard[{shard.index}]",
                 kind="shard",
                 start=self._run_base,
                 end=self._run_base,
@@ -1203,16 +886,12 @@ class StreamingExecutor:
                 outputs=len(outputs),
                 quarantined=quarantined,
                 degraded=degraded,
-                replayed=live is None,
+                replayed=replayed,
             )
 
-    def _fold_poison(self, index, report, tracer, service) -> None:
-        with self._results_lock:
-            info = self._live_poisons.pop(index, None)
-        if info is None:
-            info = self.ledger.poison(index)
+    def _fold_poison(self, info: PoisonInfo, report, tracer) -> None:
         message = (
-            f"shard {index} poisoned after {info.attempts} attempt(s): "
+            f"shard {info.index} poisoned after {info.attempts} attempt(s): "
             f"{info.error}"
         )
         module_name = info.op or self._middle[0].operator.name
@@ -1229,11 +908,10 @@ class StreamingExecutor:
         counts = self._resil.get(module_name)
         if counts is not None:
             counts["quarantined"] += info.n_records
-        with self.ledger._lock:
-            self.ledger.stats.quarantined_shards += 1
+        self.ledger.stats.quarantined_shards += 1
         if tracer is not None:
             tracer.add_span(
-                f"shard[{index}]",
+                f"shard[{info.index}]",
                 kind="shard",
                 start=self._run_base,
                 end=self._run_base,

@@ -50,7 +50,7 @@ class CrashPoint:
 
     The checkpoint runtime (:mod:`repro.core.runtime.checkpoint`) announces
     named execution boundaries — ``chunk:entered``, ``chunk:executed``,
-    ``chunk:journaled``, ``operator:committed`` — the streaming work queue
+    ``chunk:journaled``, ``operator:committed`` — the streaming executor
     ``shard:claimed``, ``shard:executed``, ``shard:journaled``, and the
     cache journal ``compaction:tmp-written``.  A crash point armed on one of
     them raises :class:`CrashInjected` on its ``hits``-th arrival, which

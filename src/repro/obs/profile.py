@@ -17,7 +17,7 @@ every demo app.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Iterable
 
 from repro.llm.cache import PROVENANCE_DISTILLED
@@ -66,6 +66,17 @@ class ProfileRow:
         """All zero-cost answers (exact + distilled)."""
         return self.cache_exact + self.distilled
 
+    def __add__(self, other: ProfileRow) -> ProfileRow:
+        """Field-wise sum under this row's module name.
+
+        The one row sum: :meth:`RunProfile.totals` and the streaming fold
+        both add left to right from a zero row, so float order is fixed.
+        """
+        return ProfileRow(
+            self.module,
+            *(getattr(self, name) + getattr(other, name) for name in _SUMMED),
+        )
+
     def to_dict(self) -> dict[str, Any]:
         """Canonical dict with cost fields normalized (rounded)."""
         return {
@@ -82,6 +93,10 @@ class ProfileRow:
             "failures": self.failures,
             "quarantined": self.quarantined,
         }
+
+
+#: Every field but ``module``, in declaration order.
+_SUMMED = tuple(f.name for f in fields(ProfileRow))[1:]
 
 
 def profile_records(
@@ -145,22 +160,7 @@ class RunProfile:
 
     def totals(self) -> ProfileRow:
         """Column sums across every row."""
-        return ProfileRow(
-            module="TOTAL",
-            calls=sum(r.calls for r in self.rows),
-            provider_calls=sum(r.provider_calls for r in self.rows),
-            cache_exact=sum(r.cache_exact for r in self.rows),
-            distilled=sum(r.distilled for r in self.rows),
-            # float(): summing zero rows yields int 0, which would render
-            # differently from 0.0 in canonical report JSON.
-            cost=float(sum(r.cost for r in self.rows)),
-            latency_seconds=float(sum(r.latency_seconds for r in self.rows)),
-            provider_seconds=float(sum(r.provider_seconds for r in self.rows)),
-            distilled_seconds=float(sum(r.distilled_seconds for r in self.rows)),
-            retries=sum(r.retries for r in self.rows),
-            failures=sum(r.failures for r in self.rows),
-            quarantined=sum(r.quarantined for r in self.rows),
-        )
+        return sum(self.rows, ProfileRow(module="TOTAL"))
 
     def reconciles_with(self, cost: Any) -> bool:
         """Whether the rows decompose ``cost`` (a ``CostSnapshot``) exactly.

@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 #: The span kinds, outermost first.  ``shard`` is the streaming executor's
-#: analogue of ``chunk`` (one durable work-queue shard, pinned to the
+#: analogue of ``chunk`` (one streamed, ledger-journalled shard, pinned to the
 #: operator-entry timestamp); ``event`` marks point-in-time occurrences
 #: such as a journal torn-tail truncation.
 SPAN_KINDS = ("run", "phase", "module", "chunk", "shard", "llm_call", "event")

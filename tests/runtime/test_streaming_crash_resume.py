@@ -1,4 +1,4 @@
-"""Chaos matrix for the streaming work-queue executor.
+"""Chaos matrix for the streaming executor.
 
 The tentpole invariant (PR 6): a streaming run killed at *any* shard
 boundary and then resumed produces a :class:`RunReport` byte-identical to
@@ -6,13 +6,11 @@ an uninterrupted run, at workers 1, 2 and 8, cold or warm cache.
 
 Boundaries are enumerated mechanically with a probe run (a
 :class:`CrashPoint` armed on a name that never fires, read back through
-``seen``), mirroring ``test_crash_resume.py``; CI narrows the sweep per
-matrix cell via ``STREAM_MATRIX_WORKERS`` / ``STREAM_MATRIX_PHASES``.
+``seen``), mirroring ``test_crash_resume.py``.
 """
 
 from __future__ import annotations
 
-import os
 import shutil
 
 import pytest
@@ -25,15 +23,11 @@ from repro.datasets import StreamingERCorpus
 from repro.llm.faults import CrashInjected, CrashPoint
 from tests.conftest import assert_reports_identical
 
-#: Every boundary the streaming executor announces (see workqueue._announce).
+#: Every boundary the streaming executor announces (see its ``_announce``).
 BOUNDARIES = ("shard:claimed", "shard:executed", "shard:journaled")
 
-_ENV_WORKERS = os.environ.get("STREAM_MATRIX_WORKERS")
-MATRIX_WORKERS = (
-    tuple(int(item) for item in _ENV_WORKERS.split(",")) if _ENV_WORKERS else (1, 2, 8)
-)
-_ENV_PHASES = os.environ.get("STREAM_MATRIX_PHASES")
-MATRIX_PHASES = tuple(_ENV_PHASES.split(",")) if _ENV_PHASES else ("cold", "warm")
+MATRIX_WORKERS = (1, 2, 8)
+MATRIX_PHASES = ("cold", "warm")
 
 CORPUS = StreamingERCorpus(24, seed=7)
 CHUNK = 8  # -> 3 shards

@@ -14,7 +14,6 @@ import json
 import shutil
 import tempfile
 import threading
-import time
 
 import pytest
 
@@ -30,7 +29,6 @@ from repro.core.runtime.workqueue import (
     ShardLedger,
     StreamingExecutor,
     StreamingPlanError,
-    WorkQueue,
 )
 from repro.core.templates.library import get_template
 from repro.datasets import CurationCorpus, StreamingERCorpus
@@ -120,23 +118,6 @@ class TestByteIdentity:
         assert second.recovery["resumed"]
         assert second.recovery["replayed_shards"] == 3
 
-    def test_done_shard_always_folds_from_its_live_results(self, monkeypatch):
-        # A worker that stalls right after marking its shard done must not
-        # leave the other worker a done shard with no results to fold.
-        complete = WorkQueue.complete
-
-        def slow_complete(self, index):
-            try:
-                return complete(self, index)
-            finally:
-                time.sleep(0.05)
-
-        monkeypatch.setattr(WorkQueue, "complete", slow_complete)
-        stalled, _ = run_streaming(workers=2, n_pairs=24)
-        assert stalled.recovery["replayed_shards"] == 0
-        monkeypatch.undo()
-        assert_reports_identical(run_streaming(workers=1, n_pairs=24)[0], stalled)
-
     def test_recovery_counters_shape(self):
         report, _ = run_streaming(workers=2)
         recovery = report.recovery
@@ -222,7 +203,8 @@ class TestObservability:
         assert [s.name for s in shard_spans] == [f"shard[{i}]" for i in range(3)]
         assert sum(s.attributes["records"] for s in shard_spans) == 24
         names = set(obs.metrics.as_dict())
-        assert "workqueue.depth" in names
+        # The streamed core is not an operator of the batch scheduler.
+        assert "scheduler.chunks" not in names
         assert not any(name.startswith("spill.") for name in names)
 
 
@@ -572,45 +554,33 @@ class TestPlanValidation:
 
 
 class TestMemoryBounding:
-    def test_window_bounds_in_flight_shards(self, tmp_path):
-        high_water = {"value": 0}
-
-        class Watcher(Flaky):
-            def apply_chunk(self, chunk):
-                outcome = super().apply_chunk(chunk)
-                return outcome
-
-        plan = toy_plan(middle=Watcher("work"))
-        ledger = ShardLedger(tmp_path / "run.wal")
-        executor = StreamingExecutor(
-            plan, ledger=ledger, workers=2, chunk_size=2, window=3, source_id="toy"
-        )
-        original = executor.__class__._fold_ready
-
-        def tracking_fold(self):
-            if self.queue is not None:
-                with self.queue._cond:
-                    high_water["value"] = max(
-                        high_water["value"], len(self.queue._shards)
-                    )
-            original(self)
-
-        executor._fold_ready = tracking_fold.__get__(executor)
-        try:
-            report = executor.execute({"records": iter(range(40))})
-        finally:
-            ledger.close()
-        assert next(iter(report.outputs.values())) == [v * 2 for v in range(40)]
-        # Never more than the window's worth of shards resident at once.
-        assert 0 < high_water["value"] <= 3
-
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_inflight_records_bounded_by_window_times_chunk(
         self, workers, tmp_path
     ):
-        report = run_toy(range(80), tmp_path, workers=workers, window=3)
+        # The window is the one memory bound: shards pulled from the source
+        # and not yet folded never outnumber it, so neither do their records.
+        folded, resident = [], []
+
+        def source():
+            for value in range(80):
+                # Shards pulled so far (this one included) minus those folded.
+                resident.append(value // 2 + 1 - len(folded))
+                yield value
+
+        report = run_toy(
+            source(), tmp_path, workers=workers, window=3, sink=folded.append
+        )
+        assert [v for batch in folded for v in batch] == [v * 2 for v in range(80)]
         assert report.recovery["shards"] == 40
+        assert 0 < max(resident) <= 3
         assert 0 < report.recovery["inflight_peak_records"] <= 3 * 2
+
+    def test_one_worker_holds_one_shard(self, tmp_path):
+        # At workers=1 the map pulls a shard, runs it and folds it before
+        # the next pull, whatever the window.
+        report = run_toy(range(80), tmp_path, workers=1, window=3)
+        assert report.recovery["inflight_peak_records"] == 2  # chunk_size
 
     def test_resume_holds_no_records_for_replayed_or_poisoned_shards(
         self, tmp_path
@@ -623,3 +593,37 @@ class TestMemoryBounding:
         assert second.recovery["replayed_shards"] == 2
         assert second.recovery["quarantined_shards"] == 1
         assert second.recovery["inflight_peak_records"] == 0
+
+
+class TestKnobValidation:
+    @pytest.mark.parametrize(
+        "engine, knob",
+        [
+            ("batch", "chunk_size"),
+            ("stream", "chunk_size"),
+            ("stream", "window"),
+            ("stream", "max_attempts"),
+        ],
+    )
+    def test_bad_knob_leaves_no_journal_behind(self, engine, knob, tmp_path):
+        # A header written before the check would pin chunk_size: 0 into
+        # the fingerprint, and the corrected rerun on the path would fail.
+        path = tmp_path / "run.wal"
+        corpus = StreamingERCorpus(16, seed=7)
+
+        def run(**override):
+            knobs = {"chunk_size": 8, **override}
+            if engine == "batch":
+                return LinguaManga().run(
+                    er_pipeline(), {"pairs": list(corpus.inputs())},
+                    checkpoint_path=path, **knobs,
+                )
+            return LinguaManga().run_stream(
+                er_pipeline(), {"pairs": corpus.inputs()}, ledger_path=path,
+                source_id=corpus.fingerprint, **knobs,
+            )
+
+        with pytest.raises(ValueError, match=knob):
+            run(**{knob: 0})
+        assert not path.exists()
+        assert not run().partial

@@ -1,6 +1,11 @@
-"""Unit tests for the durable shard work-queue and its ledger."""
+"""Unit tests for the shard ledger, the in-order pool and shard lifecycle."""
 
 from __future__ import annotations
+
+import json
+import sys
+import threading
+import time
 
 import pytest
 
@@ -9,12 +14,11 @@ from repro.core.runtime.checkpoint import (
     CheckpointMismatchError,
     ReplayedValue,
 )
-from repro.core.runtime.workqueue import (
-    PoisonInfo,
-    ShardLedger,
-    WorkQueue,
-)
+from repro.core.runtime.scheduler import ordered_map
+from repro.core.runtime.workqueue import PoisonInfo, ShardLedger
+from repro.llm.faults import CrashInjected, CrashPoint
 from repro.llm.service import LLMService
+from tests.runtime.test_streaming_executor import Scripted, run_toy
 
 
 class _Scope:
@@ -37,12 +41,6 @@ def make_ledger(tmp_path, name="ledger.jsonl", resume=True, fingerprint="fp"):
     ledger = ShardLedger(tmp_path / name, resume=resume)
     ledger.begin(fingerprint, LLMService())
     return ledger
-
-
-def make_queue(tmp_path, chunks, ledger=None, **kwargs):
-    ledger = ledger or make_ledger(tmp_path)
-    kwargs.setdefault("window", 8)
-    return WorkQueue(iter(chunks), ledger=ledger, **kwargs), ledger
 
 
 class TestShardLedger:
@@ -156,154 +154,168 @@ class TestShardLedger:
 
 class TestWorkQueueLifecycle:
     def test_claims_in_order_and_drains(self, tmp_path):
-        queue, _ = make_queue(tmp_path, [[1, 2], [3, 4], [5]])
         seen = []
-        while True:
-            kind, index = queue.next_task()
-            if kind == "done":
-                break
-            if kind == "retry":
-                shard = queue.next_foldable()
-                queue.mark_folded(shard.index)
-                continue
-            seen.append(index)
-            queue.complete(index)
-        assert seen == [0, 1, 2]
-        assert queue.n_shards == 3
 
-    def test_fold_order_enforced(self, tmp_path):
-        queue, _ = make_queue(tmp_path, [[1], [2]])
-        assert queue.next_task() == ("run", 0)
-        assert queue.next_task() == ("run", 1)
-        queue.complete(0)
-        queue.complete(1)
-        with pytest.raises(RuntimeError):
-            queue.mark_folded(1)
-        queue.mark_folded(0)
-        queue.mark_folded(1)
+        def work(chunk):
+            seen.append(list(chunk))
+            return chunk
 
-    def test_abort_wakes_everyone(self, tmp_path):
-        queue, _ = make_queue(tmp_path, [[1]])
-        queue.abort()
-        assert queue.next_task() == ("done", None)
-        assert queue.aborted
+        report = run_toy([1, 2, 3, 4, 5], tmp_path, middle=Scripted(work))
+        assert seen == [[1, 2], [3, 4], [5]]
+        assert report.recovery["shards"] == 3
+        assert next(iter(report.outputs.values())) == [1, 2, 3, 4, 5]
+
+    def test_fold_order_enforced(self):
+        # Item 0 finishes last; the map still yields it first.
+        finished = []
+        others_done = threading.Event()
+
+        def fn(item):
+            if item == 0:
+                assert others_done.wait(timeout=10)
+            finished.append(item)
+            if len(finished) == 3:
+                others_done.set()
+            return item
+
+        assert list(ordered_map(fn, range(4), workers=4, window=4)) == [0, 1, 2, 3]
+        assert finished[-1] == 0
+
+    def test_abort_wakes_everyone(self):
+        # A raise stops the map: nothing more is pulled, and every task
+        # already submitted has finished by the time the error surfaces.
+        pulled, finished = [], []
+
+        def items():
+            for item in range(100):
+                pulled.append(item)
+                yield item
+
+        def fn(item):
+            if item == 1:
+                raise RuntimeError("boom")
+            time.sleep(0.01)
+            finished.append(item)
+            return item
+
+        with pytest.raises(RuntimeError, match="boom"):
+            list(ordered_map(fn, items(), workers=2, window=2))
+        assert pulled == [0, 1, 2]
+        assert sorted(finished) == [0, 2]
 
     def test_source_growth_under_reused_ledger_rejected(self, tmp_path):
-        ledger = make_ledger(tmp_path)
-        ledger.record_fail(5, 1, "op", "boom")
-        ledger.close()
-        again = ShardLedger(tmp_path / "ledger.jsonl")
-        again.begin("fp", LLMService())
-        queue, _ = make_queue(tmp_path, [[1], [2]], ledger=again)
-        _, index = queue.next_task()
-        queue.complete(index)
-        queue.mark_folded(0)
-        with pytest.raises(CheckpointMismatchError):
-            while True:
-                kind, index = queue.next_task()
-                if kind == "run":
-                    queue.complete(index)
-                elif kind == "retry":
-                    queue.mark_folded(queue.next_foldable().index)
+        run_toy([1, 2, 3, 4], tmp_path)
+        with pytest.raises(CheckpointMismatchError, match="mentions shard 1"):
+            run_toy([1, 2], tmp_path)
 
     def test_shard_geometry_validated_on_resume(self, tmp_path):
-        ledger = make_ledger(tmp_path)
-        ledger.record_shard(0, 4, [("op", _Scope(), _Outcome())], [1])
-        ledger.close()
-        again = ShardLedger(tmp_path / "ledger.jsonl")
-        again.begin("fp", LLMService())
-        queue, _ = make_queue(tmp_path, [[1, 2]], ledger=again)
-        with pytest.raises(CheckpointMismatchError):
-            queue.next_task()
+        run_toy([1, 2, 3, 4], tmp_path, name="shard.wal")
+        with pytest.raises(CheckpointMismatchError, match="shard 1 covered 2"):
+            run_toy([1, 2, 3], tmp_path, name="shard.wal")
+        run_toy([1, 2, "POISON", 4], tmp_path, name="poison.wal")
+        with pytest.raises(CheckpointMismatchError, match="poison 1 covered 2"):
+            run_toy([1, 2, "POISON"], tmp_path, name="poison.wal")
 
 
 class TestWorkQueueBackpressure:
-    def test_window_caps_materialization(self, tmp_path):
-        queue, _ = make_queue(
-            tmp_path, [[i] for i in range(6)], window=2
-        )
-        queue.next_task()
-        queue.next_task()
-        assert queue._next_index == 2
-        with queue._cond:
-            assert not queue._materialize_locked()  # window full
-        queue.complete(0)
-        queue.mark_folded(0)
-        with queue._cond:
-            assert queue._materialize_locked()  # frontier advanced
+    def test_window_caps_materialization(self):
+        pulled = []
 
-    def test_held_records_bounded_by_window_times_chunk(self, tmp_path):
-        # The window is the one memory bound: 40 two-record shards through a
-        # window of 3 never leave more than 3 x 2 source records waiting.
-        queue, _ = make_queue(tmp_path, [[i, -i] for i in range(40)], window=3)
-        while True:
-            kind, index = queue.next_task()
-            if kind == "done":
-                break
-            if kind == "retry":
-                queue.mark_folded(queue.next_foldable().index)
-                continue
-            assert queue.records(index) == [index, -index]
-            queue.complete(index)
-        assert queue.n_shards == 40
-        assert 0 < queue.inflight_peak_records <= 3 * 2
-        assert queue._shards == {}  # records went with their entries
+        def items():
+            for item in range(6):
+                pulled.append(item)
+                yield item
+
+        results = ordered_map(lambda item: item, items(), workers=2, window=2)
+        assert next(results) == 0
+        assert pulled == [0, 1]  # window full: nothing pulled past it
+        assert next(results) == 1
+        assert pulled == [0, 1, 2]  # one pull per item the consumer takes
+        assert list(results) == [2, 3, 4, 5]
+
+    def test_held_records_bounded_by_window_times_chunk(self):
+        # Stress: more workers than cores and a short switch interval; the
+        # records pulled and not yet consumed never exceed window x chunk,
+        # and results still arrive in item order.
+        held = peak = 0
+        consumed = []
+
+        def chunks():
+            nonlocal held, peak
+            for index in range(300):
+                held += 2
+                peak = max(peak, held)
+                yield [index, -index]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for chunk in ordered_map(list, chunks(), workers=8, window=3):
+                consumed.append(chunk[0])
+                held -= len(chunk)
+        finally:
+            sys.setswitchinterval(interval)
+        assert consumed == list(range(300))
+        assert 0 < peak <= 3 * 2
 
     def test_replayed_and_poisoned_shards_hold_no_records(self, tmp_path):
-        ledger = make_ledger(tmp_path)
-        ledger.record_shard(0, 2, [("op", _Scope(), _Outcome())], [1, 2])
-        ledger.record_poison(
-            PoisonInfo(
-                index=1, n_records=2, attempts=3, op="op", error="bad",
-                records=[3, 4],
-            )
-        )
-        ledger.close()
-        again = ShardLedger(tmp_path / "ledger.jsonl")
-        again.begin("fp", LLMService())
-        queue, _ = make_queue(tmp_path, [[1, 2], [3, 4], [5, 6]], ledger=again)
-        assert queue.next_task() == ("run", 2)  # the only live shard
-        assert queue.records(2) == [5, 6]
-        with queue._cond:
-            assert queue._shards[0].records is None  # replay: discarded
-            assert queue._shards[1].records is None  # poison: discarded
-        assert queue.inflight_peak_records == 2
+        records = [1, 2, "POISON", 4, 5, 6]
+        # Shard 0 journals, shard 1 is poisoned, shard 2 dies unjournalled.
+        with pytest.raises(CrashInjected):
+            run_toy(records, tmp_path, crash=CrashPoint("shard:executed", hits=2))
+        resumed = run_toy(records, tmp_path)
+        assert resumed.recovery["replayed_shards"] == 1
+        assert resumed.recovery["quarantined_shards"] == 1
+        assert resumed.recovery["inflight_peak_records"] == 2  # the live shard only
 
 
 class TestWorkQueueFailure:
     def test_retry_backoff_then_poison(self, tmp_path):
-        queue, _ = make_queue(tmp_path, [[1]], max_attempts=2)
-        assert queue.next_task() == ("run", 0)
-        assert queue.fail(0) == ("retry", 1)
-        assert queue.next_task() == ("run", 0)  # pending again at once
-        assert queue.fail(0) == ("poison", 2)
-        queue.confirm_poison(0)
-        shard = queue.next_foldable()
-        assert shard.status == "poisoned"
-        queue.mark_folded(0)
-        assert queue.next_task() == ("done", None)
-        assert queue.poisoned == 1
-        assert queue.shard_failures == 2
+        calls = []
+
+        def work(chunk):
+            calls.append(chunk[0])
+            if chunk[0] == "bad":
+                raise RuntimeError("boom")
+            return chunk
+
+        report = run_toy(["bad", 1, 2, 3], tmp_path, middle=Scripted(work))
+        assert calls == ["bad", "bad", 2]  # retried at once, then poisoned
+        assert report.recovery["shard_failures"] == 2
+        assert report.recovery["quarantined_shards"] == 1
+        lines = (tmp_path / "run.wal").read_text().splitlines()
+        kinds = [json.loads(line)["type"] for line in lines]
+        assert kinds == ["header", "fail", "fail", "poison", "shard"]
 
     def test_retry_is_handed_what_the_source_produced(self, tmp_path):
-        queue, _ = make_queue(tmp_path, [[{"k": 1}, {"k": (2, "b")}]])
-        queue.next_task()
-        first = queue.records(0)
-        assert queue.fail(0) == ("retry", 1)
-        assert queue.next_task() == ("run", 0)
-        assert queue.records(0) == [{"k": 1}, {"k": (2, "b")}]
-        assert queue.records(0) is first  # attempts share the objects
-        queue.complete(0)
-        queue.mark_folded(0)
-        assert queue.records(0) is None  # gone with the folded entry
+        records = [{"k": 1}, {"k": (2, "b")}]
+        seen = []
+
+        def work(chunk):
+            seen.append(chunk)
+            raise RuntimeError("boom")
+
+        report = run_toy(records, tmp_path, middle=Scripted(work))
+        assert seen == [records, records]
+        assert seen[0] is seen[1]  # attempts share the one list
+        assert report.quarantine[0].record is records[0]  # and so does the verdict
 
     def test_carried_budget_poisons_without_reexecution(self, tmp_path):
-        ledger = make_ledger(tmp_path)
-        ledger.record_fail(0, 1, "op", "boom")
-        ledger.record_fail(0, 2, "op", "boom")
-        ledger.close()
-        again = ShardLedger(tmp_path / "ledger.jsonl")
-        again.begin("fp", LLMService())
-        queue, _ = make_queue(tmp_path, [[1]], ledger=again, max_attempts=2)
-        assert queue.next_task() == ("poison", 0)  # budget spent in a prior run
-        queue.confirm_poison(0)
+        calls = []
+
+        def work(chunk):
+            calls.append(list(chunk))
+            raise RuntimeError("boom")
+
+        # Two attempts fail and journal, the crash lands before the third.
+        with pytest.raises(CrashInjected):
+            run_toy(
+                [1, 2], tmp_path, middle=Scripted(work), max_attempts=3,
+                crash=CrashPoint("shard:claimed", hits=3),
+            )
+        assert len(calls) == 2
+        report = run_toy([1, 2], tmp_path, middle=Scripted(work), max_attempts=2)
+        assert len(calls) == 2  # budget spent in a prior run: not re-executed
+        assert [q.error for q in report.quarantine] == [
+            "shard 0 poisoned after 2 attempt(s): boom"
+        ] * 2

@@ -1,126 +1,83 @@
-"""Hypothesis property tests for the shard ledger and work queue.
+"""Hypothesis property tests for the streaming executor's shard lifecycle.
 
-Two laws the streaming tentpole rests on, checked over generated
-schedules instead of hand-picked ones:
+Two laws the streaming engine rests on, checked over generated failure
+schedules, worker counts and crash points instead of hand-picked ones:
 
-1. **Replay composition** — journalling a prefix, reopening the ledger and
-   executing the suffix yields the same fold sequence as one uninterrupted
-   run: ``replay(prefix) . resume == full``.
-2. **Poison finality** — once a poison verdict is journalled and confirmed,
-   that shard is never served for execution again, in this run or any
-   resumed one.
+1. **Replay composition** — a run crashed at any shard boundary and
+   resumed yields the report of one uninterrupted ``workers=1`` run:
+   ``replay(prefix) . resume == full``, poisoned shards included.
+2. **Poison finality** — a shard that always fails runs ``apply_chunk``
+   exactly ``max_attempts`` times across a crash and any number of
+   resumes: never again once its verdict commits.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 from hypothesis import given, settings, strategies as st
 
-from repro.core.runtime.workqueue import ShardLedger, WorkQueue
-from repro.llm.service import LLMService
+from repro.llm.faults import CrashInjected, CrashPoint
+from tests.conftest import assert_reports_identical
+from tests.runtime.test_streaming_executor import Scripted, run_toy
+
+BOUNDARIES = ("shard:claimed", "shard:executed", "shard:journaled")
+
+crashes = st.none() | st.tuples(
+    st.sampled_from(BOUNDARIES), st.integers(min_value=1, max_value=8)
+)
 
 
-class _Scope:
-    """Stand-in for a CallScope in ledger shard lines."""
+def scheduled_work(fails, executions):
+    """Shard ``i`` raises on its first ``fails[i]`` executions, ever.
 
-    def __init__(self, records=(), elapsed=0.0):
-        self.records = list(records)
-        self.elapsed = elapsed
+    ``executions`` is shared by every run of one schedule, so a failure
+    burnt before a crash is not burnt again after it.
+    """
 
+    def work(chunk):
+        index = chunk[0] // 2  # records are range(2n): shard i is [2i, 2i+1]
+        executions[index] += 1
+        if executions[index] <= fails[index]:
+            raise RuntimeError(f"shard {index} failed")
+        return [value * 2 for value in chunk]
 
-class _Outcome:
-    def __init__(self, quarantine=(), degraded=0):
-        self.quarantine = list(quarantine)
-        self.degraded = degraded
-
-
-def fresh_ledger(tmp_path, name):
-    ledger = ShardLedger(tmp_path / name)
-    ledger.begin("fp", LLMService())
-    return ledger
+    return work
 
 
-def fresh_queue(tmp_path, chunks, name="q", **kwargs):
-    ledger = fresh_ledger(tmp_path, f"{name}.jsonl")
-    queue = WorkQueue(iter(chunks), window=64, ledger=ledger, **kwargs)
-    return queue, ledger
-
-
-def drain(queue, ledger, fail_indexes=frozenset()):
-    """Run the queue to completion; returns the folded (index, kind) list."""
-    folded = []
-    while True:
-        kind, index = queue.next_task()
-        if kind == "done":
-            return folded
-        if kind == "retry":
-            shard = queue.next_foldable()
-            while shard is not None:
-                folded.append((shard.index, shard.status))
-                queue.mark_folded(shard.index)
-                shard = queue.next_foldable()
-            continue
-        if kind == "poison":  # carried budget from a prior run
-            queue.confirm_poison(index)
-            continue
-        if index in fail_indexes:
-            verdict, attempts = queue.fail(index)
-            ledger.record_fail(index, attempts, "op", "boom")
-            if verdict == "poison":
-                queue.confirm_poison(index)
-        else:
-            ledger.record_shard(
-                index, 1, [("op", _Scope([]), _Outcome())], [index]
+def crashed_then_resumed(records, tmp_path, work, crash, **kwargs):
+    """Run once with ``crash`` armed (it may not fire), then resume."""
+    if crash is not None:
+        try:
+            run_toy(
+                records, tmp_path, middle=Scripted(work),
+                crash=CrashPoint(*crash), **kwargs,
             )
-            queue.complete(index)
+        except CrashInjected:
+            pass
+    return run_toy(records, tmp_path, middle=Scripted(work), **kwargs)
 
 
 @settings(max_examples=30, deadline=None)
 @given(
-    n_shards=st.integers(min_value=1, max_value=10),
-    prefix_frac=st.floats(min_value=0.0, max_value=1.0),
-    fail_shard=st.integers(min_value=0, max_value=9) | st.none(),
+    fails=st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=6),
+    workers=st.sampled_from([1, 2, 4]),
+    crash=crashes,
 )
 def test_replay_of_prefix_composes_with_resume(
-    tmp_path_factory, n_shards, prefix_frac, fail_shard
+    tmp_path_factory, fails, workers, crash
 ):
-    """replay(prefix) . resume == full, including a poisoned shard."""
-    tmp_path = tmp_path_factory.mktemp("replay")
-    fails = (
-        frozenset({fail_shard})
-        if fail_shard is not None and fail_shard < n_shards
-        else frozenset()
+    """replay(prefix) . resume == full, including poisoned shards."""
+    records = list(range(2 * len(fails)))
+    full = run_toy(
+        records, tmp_path_factory.mktemp("full"),
+        middle=Scripted(scheduled_work(fails, Counter())),
     )
-    chunks = [[i] for i in range(n_shards)]
-
-    # One uninterrupted run.
-    queue, ledger = fresh_queue(tmp_path, chunks, name="full", max_attempts=2)
-    full = drain(queue, ledger, fails)
-    ledger.close()
-
-    # A prefix run journals only the first k shards, then "crashes".
-    k = int(round(prefix_frac * n_shards))
-    prefix_path = tmp_path / "prefix.jsonl"
-    ledger = ShardLedger(prefix_path)
-    ledger.begin("fp", LLMService())
-    for index in range(k):
-        if index in fails:
-            # the prefix run burned one attempt before dying
-            ledger.record_fail(index, 1, "op", "boom")
-        else:
-            ledger.record_shard(
-                index, 1, [("op", _Scope([]), _Outcome())], [index]
-            )
-    ledger.close()
-
-    # Resume: journalled shards replay, the suffix executes.
-    ledger = ShardLedger(prefix_path)
-    ledger.begin("fp", LLMService())
-    queue = WorkQueue(iter(chunks), window=64, ledger=ledger, max_attempts=2)
-    resumed = drain(queue, ledger, fails)
-    ledger.close()
-
-    assert [(i, s) for i, s in resumed] == [(i, s) for i, s in full]
-    assert [i for i, _ in resumed] == list(range(n_shards))
+    resumed = crashed_then_resumed(
+        records, tmp_path_factory.mktemp("resumed"),
+        scheduled_work(fails, Counter()), crash, workers=workers,
+    )
+    assert_reports_identical(full, resumed)
 
 
 @settings(max_examples=30, deadline=None)
@@ -128,61 +85,27 @@ def test_replay_of_prefix_composes_with_resume(
     n_shards=st.integers(min_value=1, max_value=6),
     poison_shard=st.integers(min_value=0, max_value=5),
     max_attempts=st.integers(min_value=1, max_value=3),
+    workers=st.sampled_from([1, 2, 4]),
+    crash=crashes,
 )
 def test_poisoned_shards_never_reexecute_after_commit(
-    tmp_path_factory, n_shards, poison_shard, max_attempts
+    tmp_path_factory, n_shards, poison_shard, max_attempts, workers, crash
 ):
     tmp_path = tmp_path_factory.mktemp("poison")
     poison_shard %= n_shards
-    chunks = [[i] for i in range(n_shards)]
-    queue, ledger = fresh_queue(
-        tmp_path, chunks, name="run", max_attempts=max_attempts
-    )
-    serves = {poison_shard: 0}
-    while True:
-        kind, index = queue.next_task()
-        if kind == "done":
-            break
-        if kind == "retry":
-            shard = queue.next_foldable()
-            while shard is not None:
-                queue.mark_folded(shard.index)
-                shard = queue.next_foldable()
-            continue
-        assert kind == "run"
-        if index == poison_shard:
-            serves[poison_shard] += 1
-            verdict, attempts = queue.fail(index)
-            ledger.record_fail(index, attempts, "op", "boom")
-            if verdict == "poison":
-                queue.confirm_poison(index)
-            continue
-        ledger.record_shard(index, 1, [("op", _Scope([]), _Outcome())], [index])
-        queue.complete(index)
-    # The budget bounds execution attempts exactly.
-    assert serves[poison_shard] == max_attempts
-    assert queue.poisoned == 1
-    ledger.close()
-
-    # Any number of resumes afterwards: the poison verdict is final — the
-    # shard comes back as a carried "poison" task, never as "execute".
-    for round_ in range(2):
-        ledger = ShardLedger(tmp_path / "run.jsonl")
-        ledger.begin("fp", LLMService())
-        queue = WorkQueue(
-            iter(chunks), window=64, ledger=ledger, max_attempts=max_attempts
-        )
-        while True:
-            kind, index = queue.next_task()
-            if kind == "done":
-                break
-            if kind == "retry":
-                shard = queue.next_foldable()
-                while shard is not None:
-                    queue.mark_folded(shard.index)
-                    shard = queue.next_foldable()
-                continue
-            assert kind != "run", "poisoned shard re-executed after commit"
-            assert kind == "poison" and index == poison_shard
-            queue.confirm_poison(index)
-        ledger.close()
+    fails = [0] * n_shards
+    fails[poison_shard] = max_attempts + 1  # never succeeds
+    executions = Counter()
+    work = scheduled_work(fails, executions)
+    records = list(range(2 * n_shards))
+    kwargs = {"workers": workers, "max_attempts": max_attempts}
+    report = crashed_then_resumed(records, tmp_path, work, crash, **kwargs)
+    for _ in range(2):  # any number of resumes afterwards: pure replay
+        again = run_toy(records, tmp_path, middle=Scripted(work), **kwargs)
+        assert_reports_identical(report, again)
+    assert executions[poison_shard] == max_attempts
+    assert report.recovery["quarantined_shards"] == 1
+    assert {q.error for q in report.quarantine} == {
+        f"shard {poison_shard} poisoned after {max_attempts} attempt(s): "
+        f"shard {poison_shard} failed"
+    }
