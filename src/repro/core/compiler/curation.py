@@ -30,6 +30,7 @@ resume and the prompt-cache ledger notice parameter changes.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -173,6 +174,21 @@ def tier_band_keys(
         yield tag, band_keys_many(signatures, bands, rows)
 
 
+#: ``(key, pairs)`` of the last scan.  A batch dedup run asks for one
+#: corpus's pairs twice — the pipeline's kernel, then the runner's score —
+#: and the second ask is answered from here.  The key is a digest, so no
+#: text is held; one entry, replaced whole, so threads see old or new.
+_last_scan: tuple[bytes, tuple[tuple, ...]] = (b"", ())
+
+
+def _scan_key(ids: list, texts: list[str], config: tuple) -> bytes:
+    state = hashlib.blake2b(repr(config).encode("utf-8"), digest_size=16)
+    for doc_id, text in zip(ids, texts):
+        # ``repr`` of a tuple is self-delimiting: distinct inputs, distinct bytes.
+        state.update(repr((doc_id, text)).encode("utf-8"))
+    return state.digest()
+
+
 def dedup_candidate_pairs(
     docs: Sequence[Any],
     *,
@@ -193,13 +209,20 @@ def dedup_candidate_pairs(
        rewrites, typos) still collide.
 
     Output is a sorted list of ``(left_id, right_id)`` with ``left < right``
-    — order-insensitive in the corpus.
+    — order-insensitive in the corpus.  Asking again for the last scan's
+    ids, texts and knobs returns its pairs without rescanning.
     """
+    global _last_scan
     if bands * rows != num_perm:
         raise ValueError(f"bands*rows must equal num_perm ({bands}*{rows} != {num_perm})")
     ids = [_doc_id(doc, index) for index, doc in enumerate(docs)]
+    texts = [_doc_text(doc) for doc in docs]
+    scan_key = _scan_key(ids, texts, (num_perm, bands, rows, shingle_n, dual))
+    last_key, last_pairs = _last_scan
+    if scan_key == last_key:
+        return list(last_pairs)
     # Each document is canonicalised and shingled here, once, for all tiers.
-    sketches = [document_sketch(_doc_text(doc), shingle_n) for doc in docs]
+    sketches = [document_sketch(text, shingle_n) for text in texts]
 
     pairs: set[tuple] = set()
 
@@ -218,13 +241,25 @@ def dedup_candidate_pairs(
                 buckets.setdefault(key, set()).add(doc_id)
         _bucket_pairs(buckets.values(), pairs)
 
-    return sorted(pairs)
+    ordered = sorted(pairs)
+    _last_scan = (scan_key, tuple(ordered))
+    return ordered
 
 
 def candidate_pair_records(docs: Sequence[Any], pairs: Sequence[tuple]) -> list[dict]:
     """Materialise id pairs as the ``{"left", "right"}`` dicts the verifier renders."""
     by_id = {_doc_id(doc, index): doc for index, doc in enumerate(docs)}
     return [{"left": by_id[a], "right": by_id[b]} for a, b in pairs]
+
+
+def _width(operator: LogicalOperator, key: str, default: int) -> int:
+    """An n-gram width param; below 1 it would window nothing (or junk)."""
+    width = int(operator.params.get(key, default))
+    if width < 1:
+        raise CompileError(
+            f"operator {operator.name!r}: {key} must be at least 1, got {width}"
+        )
+    return width
 
 
 def _dedup_candidates_factory(
@@ -235,7 +270,7 @@ def _dedup_candidates_factory(
         "num_perm": int(params.get("num_perm", DEDUP_NUM_PERM)),
         "bands": int(params.get("bands", DEDUP_BANDS)),
         "rows": int(params.get("rows", DEDUP_ROWS)),
-        "shingle_n": int(params.get("shingle_n", DEDUP_SHINGLE_N)),
+        "shingle_n": _width(operator, "shingle_n", DEDUP_SHINGLE_N),
         "dual": bool(params.get("dual", True)),
     }
     if config["bands"] * config["rows"] != config["num_perm"]:
@@ -335,8 +370,9 @@ def _decontaminate_factory(
             f"operator {operator.name!r}: decontaminate requires a non-empty "
             "'eval_items' param (the held-out benchmark sentences)"
         )
-    hard_n = int(params.get("hard_n", DECONTAM_HARD_N))
-    soft_n = int(params.get("soft_n", DECONTAM_SOFT_N))
+    # Width 0 would make every document share the empty gram: all leak.
+    hard_n = _width(operator, "hard_n", DECONTAM_HARD_N)
+    soft_n = _width(operator, "soft_n", DECONTAM_SOFT_N)
     hard_index = build_ngram_index(eval_items, hard_n)
     soft_index = build_ngram_index(eval_items, soft_n)
 
@@ -354,9 +390,10 @@ def _decontaminate_factory(
         return 0.5  # gray zone: soft echoes only — adjudicate
 
     def render(doc: Any) -> str:
+        # Only gray-zone documents escalate, and they have a soft hit.
         scan = profile(doc)
-        item = eval_items[scan.best_item if scan.best_item is not None else 0]
-        return f"{render_document(doc)}\nBenchmark: {item}"
+        assert scan.best_item >= 0, "rendered a document with no soft hit"
+        return f"{render_document(doc)}\nBenchmark: {eval_items[scan.best_item]}"
 
     rendered_examples = [
         (
@@ -441,7 +478,7 @@ def _match_cascade_factory(
     from repro.core.compiler.registry import make_pair_matcher
 
     params = operator.params
-    shingle_n = int(params.get("shingle_n", DEDUP_SHINGLE_N))
+    shingle_n = _width(operator, "shingle_n", DEDUP_SHINGLE_N)
 
     def rule(pair: Any) -> float:
         left, right = _pair_sides(pair)

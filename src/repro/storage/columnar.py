@@ -102,9 +102,13 @@ class Vocabulary:
 # ---------------------------------------------------------------------------
 
 # Shingle ids and the multipliers both live below 2**31, so a*x + b stays
-# under 2**62: uint64 arithmetic computes the exact residue and the kernels
-# below are *bitwise* equal to the scalar oracles, not approximately so.
+# under 2**63: uint64 arithmetic holds it exactly, and the residue is taken
+# by folding (``y mod p == (y & p) + (y >> 31) mod p`` for ``p = 2**31 - 1``)
+# instead of a division.  Two folds bring any such ``y`` below ``2p``, one
+# wrapping subtraction finishes it, so the kernels below are *bitwise* equal
+# to the scalar oracles, not approximately so.
 _MINHASH_PRIME = np.uint64((1 << 31) - 1)
+_FOLD_SHIFT = np.uint64(31)
 
 
 def minhash_signatures_many(
@@ -112,21 +116,36 @@ def minhash_signatures_many(
 ) -> np.ndarray:
     """MinHash signatures for a batch of shingle-id sets.
 
-    ``a``/``b`` come from :func:`repro.text.minhash.minhash_params`.  Returns
-    an ``(n_docs, num_perm)`` ``uint64`` array; empty rows get the all-
+    ``a``/``b`` come from :func:`repro.text.minhash.minhash_params`; ids
+    must lie below ``2**32`` (shingle ids lie below the prime).  Returns an
+    ``(n_docs, num_perm)`` ``uint64`` array; empty rows get the all-
     ``EMPTY_SLOT`` (= prime) sentinel, matching the scalar oracle.
     """
     num_perm = len(a)
     a_arr = np.asarray(a, dtype=np.uint64)
     b_arr = np.asarray(b, dtype=np.uint64)
     out = np.full((len(id_rows), num_perm), _MINHASH_PRIME, dtype=np.uint64)
+    # One (n_ids, num_perm) residue table and its scratch, sized for the
+    # longest row and reused as views by every row.
+    width = max((len(ids) for ids in id_rows), default=0)
+    table = np.empty((width, num_perm), dtype=np.uint64)
+    scratch = np.empty_like(table)
     for row_index, ids in enumerate(id_rows):
         if not len(ids):
             continue
-        x = np.asarray(ids, dtype=np.uint64)
-        # (n_ids, num_perm) residue table; min over the id axis.
-        hashed = (x[:, None] * a_arr[None, :] + b_arr[None, :]) % _MINHASH_PRIME
-        out[row_index] = hashed.min(axis=0)
+        hashed, high = table[: len(ids)], scratch[: len(ids)]
+        np.multiply(np.asarray(ids, dtype=np.uint64)[:, None], a_arr, out=hashed)
+        hashed += b_arr
+        for _ in range(2):
+            np.right_shift(hashed, _FOLD_SHIFT, out=high)
+            hashed &= _MINHASH_PRIME
+            hashed += high
+        # ``hashed - p`` wraps above ``hashed`` unless ``hashed >= p``, so the
+        # minimum is the residue.  It must be taken before the min over ids:
+        # an unreduced ``p`` would lose to every nonzero residue.
+        np.subtract(hashed, _MINHASH_PRIME, out=high)
+        np.minimum(hashed, high, out=hashed)
+        hashed.min(axis=0, out=out[row_index])
     return out
 
 

@@ -244,8 +244,8 @@ def _dedup(corpus: CurationCorpus, n_examples: int) -> Plan:
     records = [doc.record() for doc in docs]
 
     def score(verdicts: list) -> tuple[dict, list]:
-        # Pair ids are not part of the report; the kernel's sketches are still
-        # in the LRU, so this is a MinHash + bucket pass, not a second shingling.
+        # Pair ids are not part of the report.  The kernel just scanned these
+        # records with these knobs, so this is its answer, not a second scan.
         return _dedup_scores(docs, dedup_candidate_pairs(records), verdicts)
 
     return Plan(pipeline, {"documents": records}, score)

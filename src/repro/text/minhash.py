@@ -9,9 +9,10 @@ agreeing signature positions is an unbiased estimate with standard error
 Permutations are the classic universal-hash family ``h(x) = (a*x + b) mod p``
 with ``p = 2**31 - 1`` (Mersenne prime).  Because shingle ids and ``a`` are
 both below ``2**31``, the product fits in 62 bits — numpy ``uint64``
-arithmetic computes the identical residue, which is what makes the columnar
-kernel in :mod:`repro.storage.columnar` *bitwise* equal to this scalar one
-rather than merely approximately so.
+arithmetic holds it exactly and the columnar kernel in
+:mod:`repro.storage.columnar` reduces it (by Mersenne folding) to the
+identical residue, *bitwise* equal to this scalar one rather than merely
+approximately so.
 
 LSH banding splits a ``k``-position signature into ``bands`` bands of
 ``rows`` rows; documents sharing any full band become candidate pairs.  The
@@ -42,7 +43,6 @@ __all__ = [
     "band_key",
     "band_keys",
     "minhash_error_bound",
-    "LSHIndex",
 ]
 
 #: Modulus of the permutation family; equals :data:`~repro.text.shingle.SHINGLE_SPACE`.
@@ -144,36 +144,3 @@ def band_keys(signature: tuple[int, ...], bands: int, rows: int) -> list[str]:
             f"bands*rows must equal signature length ({bands}*{rows} != {len(signature)})"
         )
     return [band_key(signature, i, rows) for i in range(bands)]
-
-
-class LSHIndex:
-    """In-memory LSH candidate index: band key -> sorted doc keys.
-
-    Candidate generation is order-insensitive by construction — buckets are
-    sets and emitted pairs are globally sorted — which is what makes the
-    dedup pipeline's output independent of corpus iteration order.
-    """
-
-    def __init__(self, bands: int, rows: int):
-        if bands <= 0 or rows <= 0:
-            raise ValueError("bands and rows must be positive")
-        self.bands = bands
-        self.rows = rows
-        self._buckets: dict[str, set] = {}
-
-    def add(self, doc_key, signature: tuple[int, ...]) -> None:
-        """Index one document's signature under all its band keys."""
-        for key in band_keys(signature, self.bands, self.rows):
-            self._buckets.setdefault(key, set()).add(doc_key)
-
-    def candidate_pairs(self) -> list[tuple]:
-        """All distinct same-bucket pairs, globally sorted."""
-        pairs: set[tuple] = set()
-        for bucket in self._buckets.values():
-            if len(bucket) < 2:
-                continue
-            members = sorted(bucket)
-            for i, left in enumerate(members):
-                for right in members[i + 1 :]:
-                    pairs.add((left, right))
-        return sorted(pairs)

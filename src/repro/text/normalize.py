@@ -83,22 +83,46 @@ _UNIT_HINT = re.compile(
     re.I,
 )
 
-_WHITESPACE_RE = re.compile(r"\s+")
 _PUNCT_RE = re.compile(r"[^\w\s.%'-]", re.UNICODE)
 _NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
+
+
+class _AccentTable(dict):
+    """Code point -> its NFKD form without combining marks, filled on first sight.
+
+    NFKD decomposes each character on its own and then reorders only
+    combining marks (nonzero combining class), which the filter drops; so
+    the filtered NFKD of a text is the concatenation of its characters'
+    entries, and ``str.translate`` over this table builds it in C.  The
+    table holds one entry per distinct code point ever seen — bounded by
+    Unicode, not by the texts.
+    """
+
+    def __missing__(self, code: int) -> str:
+        decomposed = unicodedata.normalize("NFKD", chr(code))
+        self[code] = stripped = "".join(
+            ch for ch in decomposed if not unicodedata.combining(ch)
+        )
+        return stripped
+
+
+_ACCENTS = _AccentTable()
 
 
 def strip_accents(text: str) -> str:
     """Remove diacritics: ``'Köln' -> 'Koln'``."""
     if text.isascii():
         return text  # NFKD leaves ASCII alone and ASCII has no combining marks
-    decomposed = unicodedata.normalize("NFKD", text)
-    return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+    return text.translate(_ACCENTS)
 
 
 def normalize_whitespace(text: str) -> str:
-    """Collapse runs of whitespace to single spaces and strip the ends."""
-    return _WHITESPACE_RE.sub(" ", text).strip()
+    """Collapse runs of whitespace to single spaces and strip the ends.
+
+    ``str.split()`` splits on exactly the characters ``\\s`` matches in a
+    ``str`` pattern (``str.isspace``) and drops empty ends.
+    """
+    return " ".join(text.split())
 
 
 def expand_abbreviations(text: str) -> str:

@@ -38,13 +38,21 @@ __all__ = [
 
 
 def _token_ngrams(tokens: list[str], n: int) -> set[tuple[str, ...]]:
+    if n < 1:
+        raise ValueError(f"n-gram width must be at least 1, got {n}")
     if len(tokens) < n:
         return {tuple(tokens)} if tokens else set()
-    return {tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)}
+    # ``n`` staggered views zipped together: the windows, built in C.
+    return set(zip(*[tokens[i:] for i in range(n)]))
 
 
 def ngram_set(text: str, n: int) -> set[tuple[str, ...]]:
-    """All word ``n``-grams of ``text`` (already canonicalised by caller)."""
+    """All word ``n``-grams of ``text`` (already canonicalised by caller).
+
+    Texts shorter than ``n`` words yield their one whole-text gram; ``n``
+    below 1 raises ``ValueError`` (width 0 would make every text share the
+    empty gram).
+    """
     return _token_ngrams(text.split(), n)
 
 

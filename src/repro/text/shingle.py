@@ -28,12 +28,12 @@ implies ``a * x + b < 2**62``) — the columnar kernels in
 :mod:`repro.storage.columnar` are bitwise-identical to these oracles.
 
 A curation run needs the same document's canonical forms and shingle ids
-several times (the in-pipeline candidate scan, the runner's id pass, both
-sides of every candidate pair in the verify rung).  :func:`document_sketch`
-is the one place the curation kernels compute them: a pure function of
-``(text, shingle_n)`` memoised in a small content-keyed LRU, so each
-document is canonicalised and shingled once per run — and, within one
-sketch, each distinct shingle string of the two forms is hashed once.
+several times (the candidate scan, then both sides of every candidate pair
+in the verify rung).  :func:`document_sketch` is the one place the curation
+kernels compute them: a pure function of ``(text, shingle_n)`` memoised in
+a small content-keyed LRU, so each document is canonicalised and shingled
+once per run — and, within one sketch, each distinct shingle string of the
+two forms is hashed once.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def word_shingles(text: str, n: int = 3) -> list[str]:
         return []
     if len(tokens) < n:
         return [" ".join(tokens)]
-    return [" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
+    return list(map(" ".join, zip(*[tokens[i:] for i in range(n)])))
 
 
 #: blake2b state after ``stable_hash("shingle", ...)``'s constant prefix;
@@ -165,7 +165,7 @@ def _frozen_ids(ids: Iterable[int]) -> memoryview:
 #: Documents the sketch LRU holds (a few KB each).  One scan never relies on
 #: it — every scan sketches its documents once and passes the sketches along
 #: — so capacity only bounds how large a corpus the *later* passes of a run
-#: (id pass, verify rung) find already sketched; past it they recompute.
+#: (the verify rung) find already sketched; past it they recompute.
 _SKETCH_CAPACITY = 1024
 
 

@@ -112,6 +112,18 @@ class TestOverlapScan:
         assert ngram_set("alpha beta", 4) == {("alpha", "beta")}
         assert ngram_set("", 4) == set()
 
+    @pytest.mark.parametrize("width", [0, -1, -3])
+    def test_widths_below_one_are_refused(self, width):
+        # Width 0 made every text share the empty gram: an unrelated document
+        # scored a verbatim (hard) hit against any eval set.
+        index = build_ngram_index(["totally unrelated words here"], 2)
+        with pytest.raises(ValueError, match="at least 1"):
+            ngram_set("totally unrelated text", width)
+        with pytest.raises(ValueError, match="at least 1"):
+            build_ngram_index(["a b c"], width)
+        with pytest.raises(ValueError, match="at least 1"):
+            overlap_profile("totally unrelated text", index, index, hard_n=width, soft_n=2)
+
     def test_index_prefers_lowest_item_on_collision(self):
         index = build_ngram_index(["shared gram here", "shared gram here too"], 3)
         assert index[("shared", "gram", "here")] == 0

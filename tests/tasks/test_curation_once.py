@@ -2,10 +2,12 @@
 
 The batch runners used to derive every document two to four times
 (``CurationCorpus.doc`` per pass over the corpus, canonicalise + shingle
-per scan and again per candidate pair).  These tests count calls, so the
-redundancy cannot creep back unnoticed on a machine where it happens to be
-fast; and they pin the two defects of the streaming scan's id handling
-(batch-local numbering of id-less records, ids stringified by the spill).
+per scan and again per candidate pair), and a batch dedup run scanned for
+candidates twice (the pipeline's kernel, then the runner's score).  These
+tests count calls, so the redundancy cannot creep back unnoticed on a
+machine where it happens to be fast; and they pin the two defects of the
+streaming scan's id handling (batch-local numbering of id-less records, ids
+stringified by the spill).
 """
 
 from __future__ import annotations
@@ -36,6 +38,22 @@ def cold_sketches():
     shingle.document_sketch.cache_clear()
     yield
     shingle.document_sketch.cache_clear()
+
+
+@pytest.fixture()
+def minhashed(monkeypatch) -> list[int]:
+    """Rows of every ``minhash_signatures_many`` call, after a scan of nothing
+    (so no earlier test's corpus is the last scan)."""
+    kernels.dedup_candidate_pairs([])
+    rows: list[int] = []
+    signatures = kernels.minhash_signatures_many
+
+    def counted(id_rows, a, b):
+        rows.append(len(id_rows))
+        return signatures(id_rows, a, b)
+
+    monkeypatch.setattr(kernels, "minhash_signatures_many", counted)
+    return rows
 
 
 def _count_doc_calls(monkeypatch) -> Counter:
@@ -80,6 +98,29 @@ def test_batch_dedup_derives_and_normalises_each_document_once(
     assert dict(doc_calls) == {index: 1 for index in range(N_DOCS)}
 
 
+def test_batch_dedup_minhashes_each_document_once_per_tier(corpus, minhashed):
+    result = run_dedup(LinguaManga(), corpus)
+    assert any(result.predictions)
+    # The kernel's scan, one batch per tier; the score reads its pairs.
+    assert minhashed == [N_DOCS, N_DOCS]
+
+
+def test_the_last_scan_answers_only_its_own_ids_texts_and_knobs(corpus, minhashed):
+    records = [doc.record() for doc in corpus]
+    pairs = kernels.dedup_candidate_pairs(records)
+    assert kernels.dedup_candidate_pairs([dict(record) for record in records]) == pairs
+    assert len(minhashed) == 2
+    edited = [dict(record) for record in records]
+    edited[0]["text"] += " and one more sentence"
+    renamed = [{**record, "id": f"x{record['id']}"} for record in records]
+    # Each differs from the scan before it in one thing: knobs, a text, the ids.
+    for docs, knobs in ((records, {"dual": False}), (edited, {"dual": False}), (renamed, {})):
+        before = len(minhashed)
+        kernels.dedup_candidate_pairs(docs, **knobs)
+        assert len(minhashed) > before
+    assert {side[0] for pair in kernels.dedup_candidate_pairs(renamed) for side in pair} == {"x"}
+
+
 def test_stream_dedup_runs_one_external_scan(corpus, monkeypatch):
     batch = run_dedup(LinguaManga(), corpus)
     scans = []
@@ -115,6 +156,7 @@ def test_lru_eviction_never_changes_a_result(corpus, monkeypatch):
     tiny = lru_cache(maxsize=2)(shingle.document_sketch.__wrapped__)
     monkeypatch.setattr(kernels, "document_sketch", tiny)
     monkeypatch.setattr(tasks, "document_sketch", tiny)
+    kernels.dedup_candidate_pairs([])  # the next scan scans, it does not recall
     assert kernels.dedup_candidate_pairs(records) == pairs
     assert kernels.dedup_candidate_pairs(records[::-1]) == pairs
     batch = run_dedup(LinguaManga(), corpus)

@@ -30,6 +30,7 @@ from repro.core.compiler.curation import (
     DEDUP_SHINGLE_N,
     dedup_candidate_pairs,
 )
+from repro.core.compiler.registry import CompileError
 from repro.core.runtime.system import LinguaManga
 from repro.core.templates import get_template
 from repro.datasets.curation import CurationCorpus
@@ -141,6 +142,11 @@ class TestDedupInvariants:
         warm = [streamed(w, tmp_path / f"w{w}.wal") for w in (1, 2, 8)]
         assert_reports_identical(*cold, *warm)
 
+    def test_shingle_width_below_one_does_not_compile(self):
+        pipeline = get_template("document_dedup").instantiate(shingle_n=0)
+        with pytest.raises(CompileError, match="at least 1"):
+            LinguaManga().run(pipeline, {"documents": [{"id": 0, "text": "a b"}]})
+
 
 class TestMemoryFlatCandidateScan:
     def test_scans_equal_scalar_reference(self, corpus):
@@ -234,6 +240,14 @@ class TestDecontamination:
         assert missed_by_scan, "corpus should plant disguised splices"
         caught = sum(decontam_result.predictions[i] for i in missed_by_scan)
         assert caught > len(missed_by_scan) / 2
+
+    @pytest.mark.parametrize("widths", [{"hard_n": 0}, {"soft_n": 0}, {"hard_n": -2}])
+    def test_widths_below_one_do_not_compile(self, widths):
+        pipeline = get_template("decontamination").instantiate(
+            eval_items=["the quick brown fox"], **widths
+        )
+        with pytest.raises(CompileError, match="at least 1"):
+            LinguaManga().run(pipeline, {"documents": ["totally unrelated text"]})
 
     def test_template_requires_eval_items(self):
         # The template guards with ValueError; the factory itself raises

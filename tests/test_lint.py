@@ -14,13 +14,19 @@ part of it an ``ast`` walk decides without scope analysis, as a test:
   ``__all__``) and F841 (local assigned, never read), with the same
   ``# noqa`` rule.
 
-Undefined names (F821) need scope analysis and are not checked here.
+- F821 (undefined name) over ``src/``, ``tests/`` and ``benchmarks/``:
+  the stdlib ``symtable`` resolves every scope — function, class, lambda,
+  comprehension — and a name any of them reads as a global must be bound
+  at module level or be a builtin.  Names inside string annotations are
+  not resolved.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 import re
+import symtable
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -433,5 +439,99 @@ def test_no_pyflakes_errors():
         str(path.relative_to(ROOT)): errors
         for path in ALL_FILES
         if (errors := pyflakes_errors(path))
+    }
+    assert found == {}
+
+
+# -- undefined names (F821), by the compiler's own scope analysis ----------------
+
+#: What a module's globals hold without binding them.
+_IMPLICIT_GLOBALS = set(dir(builtins)) | {
+    "__file__", "__path__", "__cached__", "__builtins__", "__annotations__",
+}
+
+
+def _scopes(table: symtable.SymbolTable):
+    yield table
+    for child in table.get_children():
+        yield from _scopes(child)
+
+
+def undefined_names(path: Path) -> list[str]:
+    """``"line: F821 name"`` for every read of a global nothing binds."""
+    source = path.read_text(encoding="utf-8")
+    tree = ast.parse(source, filename=str(path))
+    if any(
+        isinstance(node, ast.ImportFrom) and any(a.name == "*" for a in node.names)
+        for node in ast.walk(tree)
+    ):
+        return []
+    scopes = list(_scopes(symtable.symtable(source, str(path), "exec")))
+    bound = {symbol.get_name() for symbol in scopes[0].get_symbols() if symbol.is_local()}
+    bound |= {
+        symbol.get_name()
+        for scope in scopes
+        for symbol in scope.get_symbols()
+        if symbol.is_declared_global() and symbol.is_assigned()
+    }
+    undefined = {
+        symbol.get_name()
+        for scope in scopes
+        for symbol in scope.get_symbols()
+        if symbol.is_referenced() and symbol.is_global()
+    } - bound - _IMPLICIT_GLOBALS
+    lines = source.splitlines()
+    return sorted(
+        {
+            f"{node.lineno}: F821 {node.id}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Load)
+            and node.id in undefined
+            and not _suppressed(lines[node.lineno - 1], "F821")
+        },
+        key=lambda found: int(found.split(":")[0]),
+    )
+
+
+def test_the_undefined_name_checker_finds_what_it_should(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import os\n"
+        "def f(a):\n"
+        "    b = a + ghost\n"
+        "    def g():\n"
+        "        return b, os.sep, len(a)\n"
+        "    return [c for c in a if c > phantom]\n"
+        "class C:\n"
+        "    y = f\n"
+        "    z = spectre\n"
+        "    def m(self):\n"
+        "        return __class__, super(), y\n"
+        "h = lambda q: q + wraith\n"
+        "def late():\n"
+        "    global later\n"
+        "    later = 1\n"
+        "print(__name__, __file__, later, banshee)  # noqa: F821\n"
+        "try:\n"
+        "    pass\n"
+        "except ValueError as error:\n"
+        "    del error\n",
+        encoding="utf-8",
+    )
+    assert undefined_names(sample) == [
+        "3: F821 ghost", "6: F821 phantom", "9: F821 spectre", "11: F821 y",
+        "12: F821 wraith",
+    ]  # fmt: skip
+    star = tmp_path / "star.py"
+    star.write_text("from json import *\nloads(ghost)\n", encoding="utf-8")
+    assert undefined_names(star) == []
+
+
+def test_no_undefined_names():
+    found = {
+        str(path.relative_to(ROOT)): errors
+        for path in [*ALL_FILES, *sorted((ROOT / "benchmarks").rglob("*.py"))]
+        if (errors := undefined_names(path))
     }
     assert found == {}

@@ -5,7 +5,10 @@
 settled, ``_fuzzy_containment`` does not Jaro-score a token the longer value
 holds, ``match_score`` evaluates Jaccard once, ``document_sketch`` hashes a
 shingle string once and ``overlap_profile`` intersects instead of looping.
-None of that may change a value — the simulator's verdicts, hence every tape,
+``normalize_whitespace``, ``strip_accents``, the n-gram windows and the
+MinHash residues are built by C loops (``str.split``, ``str.translate``,
+``zip``, Mersenne folding) instead of a regex, per-text NFKD, slices and
+``%``.  None of that may change a value — the simulator's verdicts, hence every tape,
 report and golden, are made of these — so each is locked against the
 unconditional code it replaced, which survives here, written out, as the
 oracle.  The counts at the bottom fail wherever the sweeps come back.
@@ -14,6 +17,9 @@ oracle.  The counts at the bottom fail wherever the sweeps come back.
 from __future__ import annotations
 
 import os
+import re
+import sys
+import unicodedata
 from collections import Counter
 
 import pytest
@@ -34,13 +40,16 @@ from repro.text.normalize import (  # noqa: E402
     normalize_whitespace,
     strip_accents,
 )
+from repro.storage.columnar import minhash_signatures_many  # noqa: E402
+from repro.text.minhash import MINHASH_PRIME, minhash_params, minhash_signature  # noqa: E402
 from repro.text.overlap import (  # noqa: E402
     OverlapProfile,
+    _token_ngrams,
     build_ngram_index,
     ngram_set,
     overlap_profile,
 )
-from repro.text.shingle import simple_canonical  # noqa: E402
+from repro.text.shingle import simple_canonical, word_shingles  # noqa: E402
 from repro.text.similarity import (  # noqa: E402
     jaccard_similarity,
     jaro_winkler_similarity,
@@ -76,6 +85,47 @@ ANY_TEXT = st.text(
 # -- normalisation ------------------------------------------------------------------
 
 
+def whitespace_reference(text: str) -> str:
+    return re.sub(r"\s+", " ", text).strip()
+
+
+def accents_reference(text: str) -> str:
+    decomposed = unicodedata.normalize("NFKD", text)
+    return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+
+
+def test_normalize_whitespace_equals_the_regex_on_every_code_point():
+    # Each code point alone, doubled, and at both ends: a character the two
+    # forms disagree on survives in one output and is a space in the other.
+    text = "".join(f"{chr(code)}x{chr(code)}{chr(code)}" for code in range(sys.maxunicode + 1))
+    assert normalize_whitespace(text) == whitespace_reference(text)
+    for code in (0x20, 0x85, 0xA0, 0x1C, 0x200B, 0x3000, 0xFEFF):
+        edged = f"{chr(code)}a{chr(code)}"
+        assert normalize_whitespace(edged) == whitespace_reference(edged)
+
+
+ACCENT_CASES = [
+    "Köln café",
+    "e\u0301 a\u0323\u0302 x\u0302\u0323",  # marks in and out of canonical order
+    "İstanbul ı",  # dotted capital I sheds its combining dot
+    "straße ẞ",  # no decomposition
+    "ﬁne ﬀ ﬃ ĳ Ǆ ŉ",  # ligatures and digraphs split
+    "Å Å ガ ｶﾞ 한국어",  # angstrom sign, kana voicing mark, Hangul syllables
+    "½ ① ² ℌ ſ",  # compatibility forms
+    "\u0301leading mark",
+]
+
+
+@pytest.mark.parametrize("text", ACCENT_CASES)
+def test_strip_accents_equals_the_nfkd_filter_on_named_cases(text):
+    assert strip_accents(text) == accents_reference(text)
+
+
+def test_strip_accents_equals_the_nfkd_filter_below_u3000():
+    text = "".join(chr(code) for code in range(0x3000) if code not in range(0xD800, 0xE000))
+    assert strip_accents(text) == accents_reference(text)
+
+
 def units_reference(text: str) -> str:
     for pattern, replacement in normalize._UNIT_PATTERNS:
         text = pattern.sub(replacement, text)
@@ -83,12 +133,12 @@ def units_reference(text: str) -> str:
 
 
 def sweep_reference(text: str) -> str:
-    text = strip_accents(text).lower()
+    text = accents_reference(text).lower()
     text = units_reference(text)
     text = text.replace("&", " and ")
     text = normalize._PUNCT_RE.sub(" ", text)
     text = expand_abbreviations(text)
-    return normalize_whitespace(text)
+    return whitespace_reference(text)
 
 
 def normalize_reference(text: str) -> str:
@@ -273,6 +323,69 @@ def test_overlap_profile_equals_the_per_gram_loop(text, items):
     assert overlap_profile(text, hard, soft, hard_n=3, soft_n=2) == overlap_reference(
         text, hard, soft, 3, 2
     )
+
+
+# -- n-gram windows -----------------------------------------------------------------
+
+
+def token_ngrams_reference(tokens: list[str], n: int) -> set[tuple[str, ...]]:
+    if len(tokens) < n:
+        return {tuple(tokens)} if tokens else set()
+    return {tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)}
+
+
+def word_shingles_reference(text: str, n: int) -> list[str]:
+    tokens = text.split()
+    if not tokens:
+        return []
+    if len(tokens) < n:
+        return [" ".join(tokens)]
+    return [" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
+
+
+WINDOW_TEXTS = ["", "a", "a b", "a b a", "x y z x y", " a  b\tc d e f g h i ", "one two three"]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("text", WINDOW_TEXTS)
+def test_windows_equal_the_slice_loops(text, n):
+    assert _token_ngrams(text.split(), n) == token_ngrams_reference(text.split(), n)
+    assert ngram_set(text, n) == token_ngrams_reference(text.split(), n)
+    assert word_shingles(text, n) == word_shingles_reference(text, n)
+
+
+@settings(max_examples=MAX_EXAMPLES, deadline=None)
+@given(text=SCAN_TEXT, n=st.integers(min_value=1, max_value=8))
+def test_windows_equal_the_slice_loops_on_scan_text(text, n):
+    assert ngram_set(text, n) == token_ngrams_reference(text.split(), n)
+    assert word_shingles(text, n) == word_shingles_reference(text, n)
+
+
+# -- MinHash residues ---------------------------------------------------------------
+
+
+def test_minhash_folding_equals_the_modulo_on_zero_residues_and_empty_rows():
+    params = minhash_params(128)
+    prime = MINHASH_PRIME
+    # x = -b / a (mod p) sends permutation i to residue 0, i.e. a*x + b is a
+    # multiple of p: an unreduced fold leaves p there, which must read 0.
+    zeros = [(-b * pow(a, -1, prime)) % prime for a, b in zip(params.a[:16], params.b[:16])]
+    rows = [
+        (),
+        tuple(sorted(set(zeros))),
+        (zeros[0],),
+        (0,),
+        (prime - 1,),
+        (2**32 - 1,),  # the widest id a sketch's buffer can hold
+        tuple(sorted({0, 1, prime - 1, *zeros})),
+        (),
+    ]
+    batch = minhash_signatures_many(rows, params.a, params.b)
+    for row, signature in zip(rows, batch):
+        assert tuple(int(value) for value in signature) == minhash_signature(row, params)
+    assert [int(value) for value in batch[1][:16]] == [0] * 16
+    assert int(batch[2][0]) == 0
+    assert set(batch[0].tolist()) == set(batch[-1].tolist()) == {prime}
 
 
 # -- counts: the work that is no longer done ---------------------------------------

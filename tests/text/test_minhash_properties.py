@@ -27,9 +27,9 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from repro.core.compiler.curation import _bucket_pairs  # noqa: E402
 from repro.text.minhash import (  # noqa: E402
     EMPTY_SLOT,
-    LSHIndex,
     band_keys,
     estimate_jaccard,
     minhash_error_bound,
@@ -108,10 +108,14 @@ def test_lsh_pigeonhole_never_drops_close_pairs(ids, bands, rows, data):
     keys_a = band_keys(tuple(sig_a), bands, rows)
     keys_b = band_keys(tuple(sig_b), bands, rows)
     assert set(keys_a) & set(keys_b), "pigeonhole guarantee violated"
-    index = LSHIndex(bands, rows)
-    index.add("a", tuple(sig_a))
-    index.add("b", tuple(sig_b))
-    assert ("a", "b") in index.candidate_pairs()
+    # Bucketed as the dedup scan buckets: band key -> the documents holding it.
+    buckets: dict[str, set] = {}
+    for doc, keys in (("a", keys_a), ("b", keys_b)):
+        for key in keys:
+            buckets.setdefault(key, set()).add(doc)
+    pairs: set[tuple] = set()
+    _bucket_pairs(buckets.values(), pairs)
+    assert pairs == {("a", "b")}
 
 
 @settings(max_examples=MAX_EXAMPLES, deadline=None)
