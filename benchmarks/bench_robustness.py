@@ -20,7 +20,13 @@ from repro.llm.faults import ChaosProvider, FaultKind, FaultSpec
 from repro.llm.providers import SimulatedProvider
 from repro.llm.service import LLMService
 from repro.ml.metrics import f1_score
-from repro.resilience import Deadline, RetryPolicy
+from repro.resilience import (
+    OUTCOME_GAVE_UP,
+    OUTCOME_RETRIED,
+    OUTCOME_SERVED,
+    Deadline,
+    RetryPolicy,
+)
 from repro.tasks.entity_resolution import pairs_as_inputs, pick_examples
 
 from _harness import emit, emit_json
@@ -59,13 +65,16 @@ def run_arm(rate: float, max_retries: int = 3) -> dict:
     y_true = [p.label for pair, p in zip(pairs, dataset.test) if id(pair) not in quarantined]
     predictions = [int(bool(v)) for v in verdicts]
     usage = system.usage()
+    # Provider attempts, from the ledger: a paid record made retries + 1.
+    paid = (OUTCOME_SERVED, OUTCOME_RETRIED, OUTCOME_GAVE_UP)
+    attempts = sum(r.retries + 1 for r in system.service.records if r.outcome in paid)
     return {
         "total": len(pairs),
         "processed": len(verdicts),
         "quarantined": len(report.quarantine),
         "partial": report.partial,
         "f1": 100 * f1_score(y_true, predictions),
-        "attempts": system.service.provider.calls,
+        "attempts": attempts,
         "retries": usage.retries,
         "failed": usage.failed_calls,
         "clock": system.service.clock_seconds,

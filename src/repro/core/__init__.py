@@ -6,7 +6,6 @@ from repro.core.compiler import (
     PhysicalPlan,
     RewriteReport,
     RunReport,
-    compile_pipeline,
     explain_pipeline,
     explain_plan,
     render_architecture,
@@ -43,7 +42,6 @@ __all__ = [
     "LinguaMangaCompiler",
     "PhysicalPlan",
     "RunReport",
-    "compile_pipeline",
     "RewriteReport",
     "rewrite_pipeline",
     "explain_pipeline",

@@ -3,7 +3,6 @@
 from repro.core.compiler.compiler import (
     CompileError,
     LinguaMangaCompiler,
-    compile_pipeline,
 )
 from repro.core.compiler.context import CompilerContext
 from repro.core.compiler.explain import (
@@ -30,7 +29,6 @@ from repro.core.compiler import curation as _curation  # noqa: E402,F401
 __all__ = [
     "CompileError",
     "LinguaMangaCompiler",
-    "compile_pipeline",
     "CompilerContext",
     "explain_pipeline",
     "explain_plan",

@@ -30,7 +30,7 @@ from repro.core.modules.mapping import EnrichModule, MapModule
 from repro.core.optimizer.distill import DistillationRouter
 from repro.core.optimizer.validator import ModuleValidator, TestCase, ValidationReport
 
-__all__ = ["CompileError", "LinguaMangaCompiler", "compile_pipeline"]
+__all__ = ["CompileError", "LinguaMangaCompiler"]
 
 
 def _innermost(module: Module) -> Module:
@@ -150,10 +150,3 @@ def _attach_obs(module: Module, obs) -> None:
     module.obs = obs
     for _, child in module._children():
         _attach_obs(child, obs)
-
-
-def compile_pipeline(
-    pipeline: Pipeline, context: CompilerContext | None = None
-) -> PhysicalPlan:
-    """One-shot convenience: compile ``pipeline`` with a fresh compiler."""
-    return LinguaMangaCompiler(context).compile(pipeline)

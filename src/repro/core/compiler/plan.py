@@ -350,7 +350,7 @@ class PhysicalPlan:
                     )
                 )
                 if replay is not None:
-                    checkpoint.finish_replay(replay, service)
+                    checkpoint.finish_replay()
                 elif checkpoint is not None:
                     checkpoint.commit_operator(
                         op_index,
@@ -363,7 +363,6 @@ class PhysicalPlan:
                             stats_before, _stats_snapshot(binding.module)
                         ),
                         tree_degraded=degraded,
-                        service=service,
                         chunked=op_ctx.chunked,
                     )
         report.partial = bool(report.quarantine)

@@ -21,9 +21,8 @@ The journal is JSONL with three record types:
   finishes: the chunk's raw (pre-canonicalization) ledger records, its
   scope's virtual elapsed time, quarantine decisions, degraded count and
   outputs.  A chunked operator's work lives here and nowhere else.
-- ``op`` — written by the plan executor when an operator fully commits,
-  with the ``ChaosProvider`` counters at commit (``fault_state``).  A
-  chunked operator's commit is only that marker (``chunked``); an
+- ``op`` — written by the plan executor when an operator fully commits.
+  A chunked operator's commit is only that marker (``chunked``); an
   unchunked one also carries its work — the ledger slice, the absolute
   clock at commit (absolute, not a delta, so replay is float-exact),
   encoded outputs, quarantine and module-stats deltas.
@@ -41,9 +40,7 @@ byte-identical to an uninterrupted run at any worker count.
 There is deliberately no RNG snapshot in the header: every random decision
 in the system (simulated responses, chaos fault draws, retry jitter) is a
 stable content hash, not a stateful generator, so the virtual clock is the
-only mutable time state a resume must restore.  The one stateful exception
-— :class:`~repro.llm.faults.ChaosProvider` attempt counters — is captured
-per operator commit via ``fault_state()``.
+only mutable time state a resume must restore.
 
 The file itself is a :class:`~repro._jsonl.CheckpointJournal`, the
 primitive all four journals share (re-exported here): its fsync,
@@ -307,11 +304,10 @@ class OperatorReplay:
     """One committed operator, decoded for zero-cost replay.
 
     A ``chunked`` commit holds no work of its own: the scheduler replays
-    the operator's chunk lines, and only ``fault_state`` comes from here.
+    the operator's chunk lines.
     """
 
     chunked: bool
-    fault_state: dict | None
     records: list[CallRecord] = field(default_factory=list)
     clock_end: float = 0.0
     outputs: Any = None
@@ -617,15 +613,14 @@ class RunCheckpoint:
                 f"journal operator {index} is {raw.get('name')!r}; the plan "
                 f"has {name!r} there"
             )
-        fault_state = raw.get("fault_state")
-        # A commit written before the ``chunked`` marker says records_from_chunks.
+        # A commit written before the ``chunked`` marker says records_from_chunks;
+        # one from an older build may also carry fault counters, which nothing reads.
         if raw.get("chunked", raw.get("records_from_chunks", False)):
-            return OperatorReplay(chunked=True, fault_state=fault_state)
+            return OperatorReplay(chunked=True)
         if not raw.get("replayable", False):
             return None
         return OperatorReplay(
             chunked=False,
-            fault_state=fault_state,
             records=_decode_records(raw["records"]),
             clock_end=float(raw["clock_end"]),
             outputs=decode_value(raw["outputs"]),
@@ -664,13 +659,8 @@ class RunCheckpoint:
             self.stats.replayed_records += len(replay.records)
         return replay.outputs
 
-    def finish_replay(self, replay: OperatorReplay, service: LLMService) -> None:
-        """Close one replayed commit: restore the chaos-provider fault
-        counters it captured and count the operator as replayed."""
-        if replay.fault_state is not None:
-            restore = getattr(service.provider, "restore_fault_state", None)
-            if callable(restore):
-                restore(replay.fault_state)
+    def finish_replay(self) -> None:
+        """Count one replayed commit's operator as replayed."""
         with self._lock:
             self.stats.replayed_operators += 1
 
@@ -685,14 +675,13 @@ class RunCheckpoint:
         quarantine: list[QuarantinedRecord],
         stats_delta: dict[str, int],
         tree_degraded: int,
-        service: LLMService,
         chunked: bool = False,
     ) -> None:
         """Durably commit one finished operator.
 
         A ``chunked`` operator's work is already in its chunk lines, so its
-        commit is a marker plus the fault counters; the other arguments
-        are journalled only for an operator that ran whole.
+        commit is a marker; the other arguments are journalled only for an
+        operator that ran whole.
         """
         line: dict[str, Any] = {"type": "op", "index": index, "name": name}
         if chunked:
@@ -711,8 +700,6 @@ class RunCheckpoint:
                 stats_delta=stats_delta,
                 tree_degraded=tree_degraded,
             )
-        snapshot = getattr(service.provider, "fault_state", None)
-        line["fault_state"] = snapshot() if callable(snapshot) else None
         self.journal.append(line)
         self.reached("operator:committed")
 

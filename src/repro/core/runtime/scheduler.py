@@ -21,7 +21,7 @@ count:
   to win a request-coalescing race.
 
 The result is the determinism contract the test suite pins down: with a
-deterministic provider stack (and content-keyed chaos, if any), the same
+deterministic provider stack (chaos injection included), the same
 seed and fault spec yield byte-identical canonical run reports at any
 worker count.
 

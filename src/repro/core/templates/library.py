@@ -134,7 +134,7 @@ def _name_extraction_template(
         description="name extraction with LLMGC chunking and LLM tagging",
     )
     builder.load(source="documents")
-    builder.tokenize(impl="llmgc", validator_cases=default_tokenize_cases())
+    builder.tokenize(impl="llmgc", validator_cases=_tokenize_cases())
     if multilingual:
         builder.detect_language(impl="custom")
     builder.noun_phrases(impl="llmgc", validator_cases=noun_phrase_cases)
@@ -158,7 +158,7 @@ def _data_imputation_template(
 ) -> Pipeline:
     """Figure 4: the expert imputation pipeline (LLMGC hybrid + validator)."""
     if validator_cases is None:
-        validator_cases = default_imputation_cases()
+        validator_cases = _imputation_cases()
     return (
         PipelineBuilder(
             "data_imputation_template",
@@ -359,7 +359,7 @@ def _decontamination_template(
 # ---------------------------------------------------------------------------
 
 
-def default_tokenize_cases() -> list[TestCase]:
+def _tokenize_cases() -> list[TestCase]:
     """Test cases that force the tokenizer past the whitespace-split draft."""
     return [
         TestCase(
@@ -392,7 +392,7 @@ def default_noun_phrase_cases() -> list[TestCase]:
     ]
 
 
-def default_imputation_cases() -> list[TestCase]:
+def _imputation_cases() -> list[TestCase]:
     """Cases that force the imputer to read descriptions and escalate."""
     return [
         TestCase(

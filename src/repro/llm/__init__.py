@@ -23,7 +23,6 @@ from repro.llm.cache import (
 from repro.llm.faults import ChaosProvider, FaultKind, FaultSpec
 from repro.llm.knowledge import KnowledgeBase
 from repro.llm.providers import (
-    FlakyProvider,
     LLMProvider,
     LLMRequest,
     LLMResponse,
@@ -42,7 +41,6 @@ __all__ = [
     "ProviderError",
     "RateLimitError",
     "KnowledgeBase",
-    "FlakyProvider",
     "LLMProvider",
     "LLMRequest",
     "LLMResponse",

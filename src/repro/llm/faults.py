@@ -4,10 +4,10 @@
 according to a declarative list of :class:`FaultSpec` schedules: transient
 ``ProviderError`` bursts, ``RateLimitError`` storms, latency spikes,
 truncated/malformed completions, and hard outage windows on the virtual
-clock.  Every decision is a stable hash of ``(seed, call index, spec
-index)``, so a chaos run with a fixed seed replays byte-identically —
-robustness becomes a reproducible, benchmarkable property instead of a
-flaky one.
+clock.  Every decision is a stable hash of ``(seed, prompt, attempt, spec
+index)``, so a chaos run with a fixed seed replays byte-identically at any
+worker count and across a resume — robustness becomes a reproducible,
+benchmarkable property instead of a flaky one.
 """
 
 from __future__ import annotations
@@ -131,6 +131,11 @@ class FaultSpec:
             raise ValueError(f"unknown fault kind {self.kind!r}; known: {FaultKind.ALL}")
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError("rate must be in [0, 1]")
+        for name in ("retry_after", "extra_latency", "truncate_to"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative")
+        if self.start is not None and self.end is not None and self.start >= self.end:
+            raise ValueError("window start must be before its end")
 
     def active_at(self, now: float) -> bool:
         """Whether the spec's window covers virtual time ``now``."""
@@ -149,19 +154,13 @@ class ChaosProvider(LLMProvider):
     inner provider's response on the way out (and compose if several fire).
     ``injected`` counts fired faults by kind for assertions and reports.
 
-    ``key_mode`` selects how fault decisions are keyed:
-
-    - ``"arrival"`` (default, legacy): a global call counter — replayable
-      for strictly sequential execution, but dependent on arrival order.
-    - ``"content"``: the prompt text plus that prompt's own attempt
-      counter — a given prompt's fault schedule is identical no matter when
-      (or on which thread) it arrives, which is what makes chaos runs under
-      the parallel scheduler byte-identical at any worker count.
-
-    ``schedule_preview`` only models ``"arrival"`` keying.
+    A draw is a stable hash of ``(seed, prompt, attempt, spec index)``,
+    where ``attempt`` is the retry round the service stamps on the request
+    (``metadata["attempt"]``, counted from 1; an unstamped request is
+    attempt 1).  The provider keeps no decision state, so a prompt's faults
+    are the same at any worker count, in any arrival order and across a
+    crash and resume.
     """
-
-    KEY_MODES = ("arrival", "content")
 
     def __init__(
         self,
@@ -169,82 +168,18 @@ class ChaosProvider(LLMProvider):
         faults: list[FaultSpec],
         seed: int | str = "chaos",
         clock: VirtualClock | None = None,
-        key_mode: str = "arrival",
     ):
-        if key_mode not in self.KEY_MODES:
-            raise ValueError(
-                f"unknown key_mode {key_mode!r}; known: {self.KEY_MODES}"
-            )
         self.inner = inner
         self.model_name = inner.model_name
         self.faults = list(faults)
         self.seed = seed
         self.clock = clock or VirtualClock()
-        self.key_mode = key_mode
         self.injected: Counter[str] = Counter()
-        self.calls = 0
-        self._attempts: Counter[str] = Counter()
         self._lock = threading.Lock()
-
-    def schedule_preview(self, n_calls: int) -> list[list[str]]:
-        """The fault kinds that *would* fire on the next ``n_calls`` calls.
-
-        Window-gated specs are evaluated at the current clock; the preview
-        is what makes chaos schedules assertable before a run.
-        """
-        now = self.clock.now
-        preview: list[list[str]] = []
-        for call in range(self.calls + 1, self.calls + n_calls + 1):
-            fired = [
-                spec.kind
-                for index, spec in enumerate(self.faults)
-                if spec.active_at(now)
-                and (
-                    spec.kind == FaultKind.OUTAGE
-                    or stable_unit(self.seed, call, index) < spec.rate
-                )
-            ]
-            preview.append(fired)
-        return preview
-
-    def fault_state(self) -> dict:
-        """Snapshot of the mutable fault-decision state (JSON-safe).
-
-        The checkpoint runtime records this at operator commit boundaries:
-        content-keyed fault decisions depend on each prompt's attempt
-        counter, so a resumed run must restore the counters or incomplete
-        prompts would re-draw their fault schedules from attempt one.
-        """
-        with self._lock:
-            return {
-                "calls": self.calls,
-                "attempts": dict(self._attempts),
-                "injected": dict(self.injected),
-            }
-
-    def restore_fault_state(self, state: dict) -> None:
-        """Restore a :meth:`fault_state` snapshot (checkpoint resume)."""
-        with self._lock:
-            self.calls = int(state.get("calls", 0))
-            self._attempts = Counter(
-                {str(k): int(v) for k, v in state.get("attempts", {}).items()}
-            )
-            self.injected = Counter(
-                {str(k): int(v) for k, v in state.get("injected", {}).items()}
-            )
-
-    def _decision_key(self, request: LLMRequest) -> tuple[object, ...]:
-        """The stable-hash parts that decide this call's faults."""
-        with self._lock:
-            self.calls += 1
-            if self.key_mode == "content":
-                self._attempts[request.prompt] += 1
-                return (request.prompt, self._attempts[request.prompt])
-            return (self.calls,)
 
     def complete(self, request: LLMRequest) -> LLMResponse:
         """Serve the request, injecting any scheduled faults."""
-        key = self._decision_key(request)
+        attempt = request.metadata.get("attempt", 1)
         now = self.clock.now
         mutations: list[FaultSpec] = []
         for index, spec in enumerate(self.faults):
@@ -256,18 +191,17 @@ class ChaosProvider(LLMProvider):
                 raise ProviderError(
                     f"chaos: hard outage window at t={now:.1f}s"
                 )
-            if stable_unit(self.seed, *key, index) >= spec.rate:
+            if stable_unit(self.seed, request.prompt, attempt, index) >= spec.rate:
                 continue
             with self._lock:
                 self.injected[spec.kind] += 1
-            tag = "attempt" if self.key_mode == "content" else "call"
             if spec.kind == FaultKind.TRANSIENT:
                 raise ProviderError(
-                    f"chaos: injected transient failure ({tag} {key[-1]})"
+                    f"chaos: injected transient failure (attempt {attempt})"
                 )
             if spec.kind == FaultKind.RATE_LIMIT:
                 raise RateLimitError(
-                    f"chaos: injected rate limit ({tag} {key[-1]})",
+                    f"chaos: injected rate limit (attempt {attempt})",
                     retry_after=spec.retry_after,
                 )
             mutations.append(spec)  # latency / malformed apply post-response

@@ -14,8 +14,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro._util import stable_unit
-from repro.llm.errors import ProviderError, RateLimitError
+from repro.llm.errors import ProviderError
 from repro.llm.knowledge import KnowledgeBase
 from repro.llm.skills import Skill, default_skills
 from repro.llm.tokenizer import count_tokens
@@ -25,7 +24,6 @@ __all__ = [
     "LLMResponse",
     "LLMProvider",
     "SimulatedProvider",
-    "FlakyProvider",
     "LatencyProvider",
 ]
 
@@ -71,7 +69,7 @@ class LLMProvider(ABC):
         Two providers whose answers are interchangeable must share an
         identity; any behavioural change must change it, or stale answers
         leak across providers.  The model name is the right default —
-        wrappers (flaky/latency/chaos) inherit their inner model's identity
+        wrappers (latency/chaos) inherit their inner model's identity
         because they change *delivery*, not answers.
         """
         return self.model_name
@@ -137,41 +135,6 @@ class SimulatedProvider(LLMProvider):
             skill=skill.name,
             latency_seconds=latency,
         )
-
-
-class FlakyProvider(LLMProvider):
-    """Failure-injection wrapper: a fraction of calls raise transient errors.
-
-    Used by the test suite to exercise the service's retry path.  Failures
-    are deterministic in the call index so tests are stable.
-    """
-
-    def __init__(
-        self,
-        inner: LLMProvider,
-        failure_rate: float = 0.2,
-        rate_limit_rate: float = 0.0,
-        seed_tag: str = "flaky",
-    ):
-        self.inner = inner
-        self.model_name = inner.model_name
-        self.failure_rate = failure_rate
-        self.rate_limit_rate = rate_limit_rate
-        self.seed_tag = seed_tag
-        self._counter = 0
-        self._lock = threading.Lock()
-
-    def complete(self, request: LLMRequest) -> LLMResponse:
-        """Fail deterministically by call index, else delegate."""
-        with self._lock:
-            self._counter += 1
-            counter = self._counter
-        roll = stable_unit(self.seed_tag, counter)
-        if roll < self.rate_limit_rate:
-            raise RateLimitError(retry_after=0.5)
-        if roll < self.rate_limit_rate + self.failure_rate:
-            raise ProviderError(f"simulated transient outage on call {counter}")
-        return self.inner.complete(request)
 
 
 class LatencyProvider(LLMProvider):

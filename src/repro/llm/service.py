@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -726,7 +726,11 @@ class LLMService:
         ``started``.  A round trip that raises a :class:`ProviderError`
         failed every request in it; anything else it raises propagates.
         For a batch of one these are the waits, jitter keys and give-up
-        point of one call retried on its own.
+        point of one call retried on its own.  A retry round sends copies
+        stamped ``metadata["attempt"]`` (2, 3, ...); the first round's
+        requests go unstamped, which reads as attempt 1.  The attempt is the
+        one input besides the prompt a :class:`~repro.llm.faults.ChaosProvider`
+        draws on.
         """
         clock = self._active_clock()
         retry, deadline = self.retry, self.deadline
@@ -734,8 +738,14 @@ class LLMService:
         attempts = [0] * len(requests)
         pending = list(range(len(requests)))
         for attempt in range(retry.max_retries + 1):
+            sent = [requests[i] for i in pending]
+            if attempt:
+                sent = [
+                    replace(r, metadata={**r.metadata, "attempt": attempt + 1})
+                    for r in sent
+                ]
             try:
-                batch = self.provider.complete_batch([requests[i] for i in pending])
+                batch = self.provider.complete_batch(sent)
             except ProviderError as error:
                 batch = [error] * len(pending)
             failed: list[int] = []

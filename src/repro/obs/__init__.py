@@ -36,7 +36,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.profile import ProfileRow, RunProfile, profile_records
-from repro.obs.progress import progress_events, progress_json
+from repro.obs.progress import progress_events
 from repro.obs.trace import (
     NULL_SPAN,
     SPAN_KINDS,
@@ -67,7 +67,6 @@ __all__ = [
     "ProfileRow",
     "profile_records",
     "progress_events",
-    "progress_json",
 ]
 
 

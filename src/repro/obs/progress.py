@@ -15,12 +15,11 @@ Events are plain dicts with monotonically increasing ``seq`` numbers and
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from repro.obs.trace import Span
 
-__all__ = ["progress_events", "progress_json"]
+__all__ = ["progress_events"]
 
 _AT_DIGITS = 9  # matches trace export rounding (platform-stable goldens)
 
@@ -123,13 +122,3 @@ def progress_events(roots: "list[Span] | Span") -> list[dict[str, Any]]:
             }
         )
     return events
-
-
-def progress_json(roots: "list[Span] | Span") -> str:
-    """The progress feed as canonical JSON (sorted keys, no whitespace)."""
-    return json.dumps(
-        progress_events(roots),
-        ensure_ascii=False,
-        sort_keys=True,
-        separators=(",", ":"),
-    )

@@ -1,7 +1,7 @@
 """Resilience policies: retries and deadlines, as ``LLMService`` takes them.
 
 Every knob is deterministic: backoff jitter comes from a stable hash of the
-call index, and all waiting is virtual-clock time, so a chaos run with a
+prompt and attempt, and all waiting is virtual-clock time, so a chaos run with a
 fixed seed reproduces the exact same retry schedule every time.
 """
 

@@ -38,7 +38,6 @@ __all__ = [
     "overlap_coefficient",
     "dice_similarity",
     "cosine_similarity",
-    "tfidf_cosine",
     "monge_elkan_similarity",
     "numeric_similarity",
     "TfIdfModel",
@@ -321,11 +320,6 @@ class TfIdfModel:
         result = np.where(empty_a & empty_b, 1.0, result)
         result = np.where(empty_a ^ empty_b, 0.0, result)
         return result
-
-
-def tfidf_cosine(a: str, b: str, corpus: Sequence[str]) -> float:
-    """One-shot TF-IDF cosine for small corpora (fits a model each call)."""
-    return TfIdfModel(corpus).similarity(a, b)
 
 
 def monge_elkan_similarity(a: str, b: str) -> float:

@@ -6,7 +6,8 @@ import pytest
 
 from repro.llm.cache import CacheKey
 from repro.llm.errors import BudgetExceededError, ProviderError, RateLimitError
-from repro.llm.providers import FlakyProvider, LLMRequest, SimulatedProvider
+from repro.llm.faults import ChaosProvider, FaultKind, FaultSpec
+from repro.llm.providers import LLMRequest, SimulatedProvider
 from repro.llm.service import DEFAULT_RETRY_JITTER, LLMService
 from repro.llm.tokenizer import count_tokens, estimate_cost
 from repro.resilience import RetryPolicy
@@ -84,7 +85,9 @@ class TestBudget:
 
 class TestRetries:
     def test_transient_failures_are_retried(self):
-        flaky = FlakyProvider(SimulatedProvider(), failure_rate=0.45, seed_tag="t1")
+        flaky = ChaosProvider(
+            SimulatedProvider(), [FaultSpec(FaultKind.TRANSIENT, rate=0.45)], seed="t1"
+        )
         service = LLMService(flaky, retry=_retries(5))
         for i in range(10):
             assert service.complete(f"summarize document number {i}")
@@ -92,8 +95,10 @@ class TestRetries:
         assert any(r.retries > 0 for r in service.records)
 
     def test_rate_limit_advances_clock(self):
-        flaky = FlakyProvider(
-            SimulatedProvider(), failure_rate=0.0, rate_limit_rate=0.5, seed_tag="t2"
+        flaky = ChaosProvider(
+            SimulatedProvider(),
+            [FaultSpec(FaultKind.RATE_LIMIT, rate=0.5, retry_after=0.5)],
+            seed="t3",
         )
         service = LLMService(flaky, retry=_retries(6))
         for i in range(6):
@@ -101,7 +106,7 @@ class TestRetries:
         assert service.clock_seconds > 0
 
     def test_permanent_outage_raises_after_retries(self):
-        flaky = FlakyProvider(SimulatedProvider(), failure_rate=1.0)
+        flaky = ChaosProvider(SimulatedProvider(), [FaultSpec(FaultKind.TRANSIENT)])
         service = LLMService(flaky, retry=_retries(2))
         with pytest.raises(ProviderError):
             service.complete("anything")

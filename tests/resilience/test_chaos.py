@@ -15,19 +15,23 @@ def make_chaos(faults, seed="chaos", clock=None):
     return ChaosProvider(SimulatedProvider(), faults, seed=seed, clock=clock)
 
 
+def outcome(provider, request):
+    """One call's outcome label: ``ok``, ``rate_limit`` or ``error``."""
+    try:
+        provider.complete(request)
+    except RateLimitError:
+        return "rate_limit"
+    except ProviderError:
+        return "error"
+    return "ok"
+
+
 def drive(provider, n_calls):
     """Call the provider n times; returns the per-call outcome labels."""
-    outcomes = []
-    for index in range(n_calls):
-        request = LLMRequest(prompt=f"summarize item number {index}")
-        try:
-            provider.complete(request)
-            outcomes.append("ok")
-        except RateLimitError:
-            outcomes.append("rate_limit")
-        except ProviderError:
-            outcomes.append("error")
-    return outcomes
+    return [
+        outcome(provider, LLMRequest(prompt=f"summarize item number {index}"))
+        for index in range(n_calls)
+    ]
 
 
 class TestFaultSpec:
@@ -38,6 +42,27 @@ class TestFaultSpec:
     def test_rate_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             FaultSpec(kind=FaultKind.TRANSIENT, rate=1.5)
+
+    @pytest.mark.parametrize(
+        "field", ["retry_after", "extra_latency", "truncate_to"]
+    )
+    def test_negative_magnitude_rejected(self, field):
+        # A negative latency would book negative provider seconds; a
+        # negative cooldown or truncation is meaningless.
+        with pytest.raises(ValueError, match=field):
+            FaultSpec(kind=FaultKind.LATENCY, **{field: -1})
+
+    @pytest.mark.parametrize("start, end", [(20.0, 10.0), (10.0, 10.0)])
+    def test_empty_window_rejected(self, start, end):
+        # A window that can never be active is a silently dormant spec.
+        with pytest.raises(ValueError, match="window"):
+            FaultSpec(kind=FaultKind.OUTAGE, start=start, end=end)
+
+    def test_zero_magnitudes_accepted(self):
+        spec = FaultSpec(
+            kind=FaultKind.MALFORMED, retry_after=0, extra_latency=0, truncate_to=0
+        )
+        assert spec.truncate_to == 0
 
     def test_window_activation(self):
         spec = FaultSpec(kind=FaultKind.OUTAGE, start=10.0, end=20.0)
@@ -64,13 +89,23 @@ class TestChaosDeterminism:
             make_chaos(faults, seed=2), 60
         )
 
-    def test_schedule_preview_matches_execution(self):
-        faults = [FaultSpec(kind=FaultKind.TRANSIENT, rate=0.4)]
-        chaos = make_chaos(faults, seed=5)
-        preview = chaos.schedule_preview(40)
-        outcomes = drive(chaos, 40)
-        expected = ["error" if fired else "ok" for fired in preview]
-        assert outcomes == expected
+    def test_a_draw_is_a_function_of_prompt_and_attempt(self):
+        # No state: asking again, in any order, draws the same faults; the
+        # retry round stamped on the request is what moves the draw, and
+        # an unstamped request is attempt 1.
+        chaos = make_chaos([FaultSpec(kind=FaultKind.TRANSIENT, rate=0.5)], seed=5)
+        forward = drive(chaos, 40)
+        backward = [
+            outcome(chaos, LLMRequest(prompt=f"summarize item number {index}"))
+            for index in reversed(range(40))
+        ]
+        assert backward[::-1] == forward
+        by_attempt = [
+            outcome(chaos, LLMRequest(prompt=PROMPT, metadata={"attempt": attempt}))
+            for attempt in range(1, 21)
+        ]
+        assert {"ok", "error"} <= set(by_attempt)
+        assert outcome(chaos, LLMRequest(prompt=PROMPT)) == by_attempt[0]
 
     def test_injected_counter_counts_by_kind(self):
         faults = [FaultSpec(kind=FaultKind.TRANSIENT, rate=0.5)]

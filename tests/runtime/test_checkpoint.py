@@ -227,7 +227,6 @@ class TestOperatorCommit:
             quarantine=[],
             stats_delta={},
             tree_degraded=0,
-            service=service,
         )
         checkpoint.close()
         resume = RunCheckpoint(tmp_path / "run.wal")
@@ -249,7 +248,6 @@ class TestOperatorCommit:
             quarantine=[],
             stats_delta={},
             tree_degraded=0,
-            service=service,
         )
         checkpoint.close()
         resume = RunCheckpoint(tmp_path / "run.wal")
@@ -307,7 +305,7 @@ class TestChunkedCommits:
         commits = [line for line in lines if line["type"] == "op"]
         chunked = [line for line in commits if line.get("chunked")]
         assert chunked and all(
-            set(line) == {"type", "index", "name", "chunked", "fault_state"}
+            set(line) == {"type", "index", "name", "chunked"}
             for line in chunked
         )
         holders = [line for line in lines if line["type"] == "chunk"] + [

@@ -22,14 +22,25 @@ import pytest
 
 from repro.core.runtime.checkpoint import RunCheckpoint
 from repro.core.runtime.system import LinguaManga
+from repro.core.templates.library import get_template
 from repro.datasets.entity_resolution import generate_er_dataset
 from repro.datasets.imputation import generate_buy_dataset
 from repro.datasets.names import generate_name_dataset
-from repro.llm.faults import CrashInjected, CrashPoint
+from repro.llm.faults import (
+    ChaosProvider,
+    CrashInjected,
+    CrashPoint,
+    FaultKind,
+    FaultSpec,
+)
 from repro.llm.providers import SimulatedProvider
 from repro.llm.service import LLMService
 from repro.obs import Observability
-from repro.tasks.entity_resolution import run_lingua_manga_er
+from repro.tasks.entity_resolution import (
+    pairs_as_inputs,
+    pick_examples,
+    run_lingua_manga_er,
+)
 from repro.tasks.imputation import run_llm_imputation
 from repro.tasks.name_extraction import run_name_extraction
 from tests.conftest import assert_reports_identical
@@ -268,3 +279,51 @@ class TestResumeDetails:
         assert resume.stats.resumed  # header was durable before the kill
         assert resume.stats.replayed_chunks == 0
         assert_reports_identical(baselines[("er", "cold")], resumed.report)
+
+
+def _run_chaos_er(dataset, workers, checkpoint=None):
+    """ER through a transient-fault provider; a record that gives up is skipped."""
+    provider = ChaosProvider(
+        SimulatedProvider(), [FaultSpec(kind=FaultKind.TRANSIENT, rate=0.3)], seed=7
+    )
+    system = LinguaManga(service=LLMService(provider))
+    pipeline = get_template("entity_resolution").instantiate(
+        examples=pick_examples(dataset.train, 4), error_policy="skip_record"
+    )
+    return system.run(
+        pipeline,
+        {"pairs": pairs_as_inputs(dataset.test)},
+        workers=workers,
+        chunk_size=2,
+        checkpoint=checkpoint,
+    )
+
+
+class TestChaosResume:
+    """A fault is a function of (prompt, attempt), so a run killed mid-
+    operator re-draws exactly the faults the uninterrupted run drew: the
+    journal carries no fault state and needs none."""
+
+    @pytest.fixture(scope="class")
+    def chaos_baseline(self, datasets):
+        report = _run_chaos_er(datasets["er"], workers=1)
+        assert report.cost.retries > 0
+        return report.canonical_json()
+
+    @pytest.mark.parametrize("workers", MATRIX_WORKERS)
+    def test_kill_at_every_journaled_chunk_then_resume(
+        self, workers, datasets, chaos_baseline, tmp_path
+    ):
+        probe = CrashPoint("__probe__")
+        _run_chaos_er(
+            datasets["er"], workers, RunCheckpoint(tmp_path / "probe.wal", crash=probe)
+        )
+        total = probe.seen["chunk:journaled"]
+        assert total > 1
+        for hit in range(1, total + 1):
+            wal = tmp_path / f"chunk-journaled-{hit}.wal"
+            crash = CrashPoint("chunk:journaled", hits=hit)
+            with pytest.raises(CrashInjected):
+                _run_chaos_er(datasets["er"], workers, RunCheckpoint(wal, crash=crash))
+            resumed = _run_chaos_er(datasets["er"], workers, RunCheckpoint(wal))
+            assert_reports_identical(chaos_baseline, resumed.canonical_json())

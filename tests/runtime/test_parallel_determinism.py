@@ -59,7 +59,6 @@ def _run_chaos(dataset, workers: int, rate: float) -> "tuple[str, object]":
             FaultSpec(kind=FaultKind.MALFORMED, rate=0.15),
         ],
         seed=13,
-        key_mode="content",
     )
     system = LinguaManga(service=LLMService(provider))
     report = system.run(

@@ -78,7 +78,6 @@ def _chaos_factory(shared):
             shared,
             faults=FAULTS,
             seed=f"chaos-{spec.digest()}",
-            key_mode="content",
         )
 
     return factory
