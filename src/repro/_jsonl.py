@@ -7,9 +7,11 @@ read back through :func:`_parse_line` (orjson when it is installed, the
 stdlib otherwise; either reads what the other wrote).  They share three
 rules:
 
-- **fsync.**  Every append is flushed, so an acknowledged line survives
-  the death of the process.  An append starts a background fsync when at
-  least :data:`DEFAULT_FSYNC_INTERVAL` has passed since the last one, which
+- **fsync.**  One :meth:`~CheckpointJournal.append` call is one write
+  and one flush, however many records it carries (a paid batch's cache
+  entries are one call), so an acknowledged line survives the death of
+  the process.  An append starts a background fsync when at least
+  :data:`DEFAULT_FSYNC_INTERVAL` has passed since the last one, which
   bounds what a power cut can take; :meth:`~CheckpointJournal.close` and
   :meth:`~CheckpointJournal.rewrite` fsync inline.
 - **Damaged lines.**  A newline-terminated line that does not decode (not
@@ -47,6 +49,10 @@ except ImportError:  # pragma: no cover - CI's no-orjson cell runs without it
 #: safety — every append is flushed.
 DEFAULT_FSYNC_INTERVAL = 0.05
 
+#: An append hands the file at most this many bytes per ``write``: a batch
+#: costs a few system calls, never a copy of itself joined whole.
+_WRITE_SLICE = 64 * 1024
+
 
 def _dump_line(record: dict) -> bytes:
     """Encode one compact JSONL line (orjson when present, else stdlib).
@@ -54,7 +60,9 @@ def _dump_line(record: dict) -> bytes:
     A line orjson refused (non-str keys, an integer beyond 64 bits) is
     written by the stdlib behind one leading space, so :func:`_parse_line`
     hands it back to the stdlib: ``orjson.loads`` would read such an
-    integer as a float and a resumed run would silently differ.
+    integer as a float and a resumed run would silently differ.  A string
+    holding a lone surrogate has no UTF-8 spelling, so its line alone is
+    escaped to ASCII, also behind the space (orjson refuses to read it).
     """
     lead = ""
     if _orjson is not None:
@@ -62,9 +70,12 @@ def _dump_line(record: dict) -> bytes:
             return _orjson.dumps(record) + b"\n"
         except TypeError:
             lead = " "
-    return (
-        lead + json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n"
-    ).encode("utf-8")
+    try:
+        return (
+            lead + json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n"
+        ).encode("utf-8")
+    except UnicodeEncodeError:
+        return (" " + json.dumps(record, separators=(",", ":")) + "\n").encode("ascii")
 
 
 def _parse_line(line: bytes) -> Any:
@@ -80,14 +91,19 @@ def _dump_scalar(value: str | int) -> bytes:
     Digests hash these bytes, so they may never change: orjson spells
     every string without a lone surrogate and every 64-bit integer exactly
     as the stdlib does, and refuses the rest, which the stdlib then encodes
-    (or fails on) as it always did.
+    as it always did.  A string with a lone surrogate, which UTF-8 cannot
+    spell (encoding it always raised, so no recorded digest has it), is
+    escaped to ASCII instead.
     """
     if _orjson is not None:
         try:
             return _orjson.dumps(value)
         except TypeError:
             pass
-    return json.dumps(value, ensure_ascii=False).encode("utf-8")
+    try:
+        return json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        return json.dumps(value).encode("ascii")
 
 
 class CheckpointJournal:
@@ -179,16 +195,30 @@ class CheckpointJournal:
             raise TypeError(f"a journal line is a JSON object, not {type(record).__name__}")
         return record
 
-    def append(self, record: dict) -> None:
-        """Write and flush one record; start a background fsync when one is due."""
-        line = _dump_line(record)
+    def append(self, *records: dict) -> None:
+        """Write ``records`` and flush once; start a background fsync when due.
+
+        The lines go out in writes of at most :data:`_WRITE_SLICE` bytes (a
+        longer line alone), so a crash mid-call leaves whole lines and at
+        most one torn tail, which :meth:`load` truncates.
+        """
+        lines = [_dump_line(record) for record in records]
         with self._lock:
             if self._handle is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._handle = self.path.open("ab")
-            self._handle.write(line)
+            piece: list[bytes] = []
+            size = 0
+            for line in lines:
+                if piece and size + len(line) > _WRITE_SLICE:
+                    self._handle.write(b"".join(piece))
+                    piece, size = [], 0
+                piece.append(line)
+                size += len(line)
+            if piece:
+                self._handle.write(b"".join(piece))
             self._handle.flush()
-            self.lines_held += 1
+            self.lines_held += len(lines)
             if time.monotonic() - self._last_fsync >= DEFAULT_FSYNC_INTERVAL:
                 self._fsync_locked()
 

@@ -20,6 +20,7 @@ from repro.core.modules.base import ErrorPolicy, Module
 from repro.core.modules.custom import CustomModule
 from repro.core.modules.llm_module import (
     LLMModule,
+    encode_payload,
     parse_leading_word,
     parse_yes_no,
 )
@@ -106,10 +107,7 @@ def render_pair(pair: Any) -> str:
         left, right = pair
     else:
         raise TypeError(f"cannot interpret {pair!r} as a record pair")
-    return (
-        "Record A: " + json.dumps(left, ensure_ascii=False, sort_keys=True, default=str)
-        + "\nRecord B: " + json.dumps(right, ensure_ascii=False, sort_keys=True, default=str)
-    )
+    return "Record A: " + encode_payload(left) + "\nRecord B: " + encode_payload(right)
 
 
 def make_pair_matcher(

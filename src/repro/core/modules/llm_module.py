@@ -28,10 +28,25 @@ __all__ = [
 ]
 
 
+#: ``json.dumps(value, ensure_ascii=False, sort_keys=True, default=str)``
+#: with one encoder built once instead of one per call (``encode`` keeps no
+#: state between calls, so threads share it).
+encode_payload = json.JSONEncoder(ensure_ascii=False, sort_keys=True, default=str).encode
+
+#: What a re-prompt at each strictness appends (strictness 2 and above
+#: share the last).
+_STRICT_SUFFIX = (
+    "",
+    "\nAnswer strictly in the required output format, with no extra words.",
+    "\nIMPORTANT: your previous answer was malformed. Output ONLY the "
+    "required value and nothing else.",
+)
+
+
 def render_value(value: Any) -> str:
     """Default payload rendering: dicts as JSON, everything else as str."""
     if isinstance(value, dict):
-        return json.dumps(value, ensure_ascii=False, sort_keys=True, default=str)
+        return encode_payload(value)
     return str(value)
 
 
@@ -122,6 +137,7 @@ class LLMModule(Module):
         self.prompt_version = prompt_version
         self.validation_retries = 0
         self.provider_failures = 0
+        self._prefix: str | None = None
 
     def config_identity(self) -> dict:
         identity = super().config_identity()
@@ -139,27 +155,25 @@ class LLMModule(Module):
     def build_prompt(self, value: Any, strictness: int = 0) -> str:
         """Render the full prompt for ``value``.
 
+        The task, instructions, worked examples and payload label form a
+        prefix every prompt of this module shares; it is rendered once, on
+        the first call, from the attributes as they are then.
         ``strictness`` > 0 appends increasingly firm output-format demands —
         the re-prompt path after a validation failure.
         """
-        lines = [f"Task: {self.task_description}"]
-        if self.instructions:
-            lines.append(self.instructions)
-        for index, (example_in, example_out) in enumerate(self.examples, start=1):
-            lines.append(f"Example {index}:")
-            lines.append(f"{self.payload_label}: {example_in}")
-            lines.append(f"Output: {example_out}")
-        lines.append(f"{self.payload_label}: {self.render(value)}")
-        if strictness == 1:
-            lines.append(
-                "Answer strictly in the required output format, with no extra words."
-            )
-        elif strictness >= 2:
-            lines.append(
-                "IMPORTANT: your previous answer was malformed. Output ONLY the "
-                "required value and nothing else."
-            )
-        return "\n".join(lines)
+        prefix = self._prefix
+        if prefix is None:
+            lines = [f"Task: {self.task_description}"]
+            if self.instructions:
+                lines.append(self.instructions)
+            for index, (example_in, example_out) in enumerate(self.examples, start=1):
+                lines.append(f"Example {index}:")
+                lines.append(f"{self.payload_label}: {example_in}")
+                lines.append(f"Output: {example_out}")
+            lines.append(f"{self.payload_label}: ")
+            prefix = self._prefix = "\n".join(lines)
+        suffix = _STRICT_SUFFIX[min(max(strictness, 0), 2)]
+        return prefix + self.render(value) + suffix
 
     def prefetch(self, values: Sequence[Any]) -> int:
         """Pay for ``values``' uncached prompts with one batched call.

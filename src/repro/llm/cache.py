@@ -29,7 +29,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro._jsonl import CheckpointJournal, _dump_scalar
 from repro.llm.providers import LLMResponse
@@ -83,6 +83,23 @@ class CacheKey:
     #: :func:`key_digest` of this key, kept once computed; no part of its
     #: identity (constructor, ``==``, ``hash`` and ``repr`` do not see it).
     _digest: str | None = field(default=None, init=False, repr=False, compare=False)
+    #: ``hash`` of this key, kept once computed, like ``_digest``.
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = hash(
+                (self.provider, self.version, self.prompt, self.max_tokens, self.namespace)
+            )
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    def __getstate__(self) -> dict:
+        # String hashes are salted per process: a pickled key drops its hash.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
 
 def key_digest(key: CacheKey) -> str:
@@ -174,10 +191,10 @@ class CacheJournal(CheckpointJournal):
     """The prompt cache's journal: a :class:`~repro._jsonl.CheckpointJournal`
     of entries.
 
-    Every ``put`` appends one entry; a rerun replays the journal to
-    warm-start.  Handling the file is the primitive's job, under the rules
-    :mod:`repro._jsonl` states for all four journals; only the entry codec
-    lives here.
+    Every insert appends its entries, one :meth:`append` per batch; a rerun
+    replays the journal to warm-start.  Handling the file is the
+    primitive's job, under the rules :mod:`repro._jsonl` states for all
+    four journals; only the entry codec lives here.
     """
 
     #: A JSON object that is not an entry is one more damaged line.
@@ -191,9 +208,10 @@ class CacheJournal(CheckpointJournal):
             entries[key] = response
         return list(entries.items())
 
-    def append(self, key: CacheKey, response: LLMResponse) -> None:
-        """Record one entry (see :meth:`CheckpointJournal.append`)."""
-        super().append(_entry_record(key, response))
+    def append(self, *entries: tuple[CacheKey, LLMResponse]) -> None:
+        """Record ``(key, response)`` entries in one write (see
+        :meth:`CheckpointJournal.append`)."""
+        super().append(*[_entry_record(key, response) for key, response in entries])
 
     def compact(self, entries: Iterable[tuple[CacheKey, LLMResponse]]) -> int:
         """Rewrite the journal from ``entries``; returns lines written."""
@@ -271,23 +289,38 @@ class PromptCache:
                 self.metrics.counter("cache.misses").inc(count)
 
     def put(self, key: CacheKey, response: LLMResponse) -> None:
-        """Insert/refresh an entry, evicting LRU past ``max_entries``."""
+        """Insert/refresh one entry: :meth:`put_many` of one."""
+        self.put_many(((key, response),))
+
+    def put_many(
+        self, entries: Sequence[tuple[CacheKey, LLMResponse]]
+    ) -> list[CacheKey]:
+        """Insert/refresh ``entries`` in order, evicting LRU past ``max_entries``.
+
+        The batch is one journal append, and compaction is considered
+        once, after it, counting all of its lines.  Returns the keys that
+        were absent when their entry went in (the ones a scope rollback
+        may remove).
+        """
+        created: list[CacheKey] = []
         with self._lock:
-            self._entries.pop(key, None)
-            self._entries[key] = response
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-                if self.metrics is not None:
-                    self.metrics.counter("cache.evictions").inc()
+            live = self._entries
+            for key, response in entries:
+                if live.pop(key, None) is None:
+                    created.append(key)
+                live[key] = response
+                while len(live) > self.max_entries:
+                    live.popitem(last=False)
+                    self.stats.evictions += 1
+                    if self.metrics is not None:
+                        self.metrics.counter("cache.evictions").inc()
             if self.metrics is not None:
-                self.metrics.gauge("cache.entries").set(len(self._entries))
+                self.metrics.gauge("cache.entries").set(len(live))
             if self.journal is not None:
-                self.journal.append(key, response)
-                if self.journal.lines_held > max(
-                    128, _COMPACT_FACTOR * len(self._entries)
-                ):
-                    self.journal.compact(self._entries.items())
+                self.journal.append(*entries)
+                if self.journal.lines_held > max(128, _COMPACT_FACTOR * len(live)):
+                    self.journal.compact(live.items())
+        return created
 
     def remove(self, key: CacheKey) -> bool:
         """Drop one entry (in-memory only); True if it existed.

@@ -478,21 +478,27 @@ class LLMService:
             model=response.model,
         )
 
-    def _cache_put(self, key: CacheKey, response: LLMResponse, epoch: int) -> None:
-        """Insert unless :meth:`clear_cache` fired after this call started.
+    def _cache_put(
+        self, entries: list[tuple[CacheKey, LLMResponse]], epoch: int
+    ) -> None:
+        """Insert ``entries`` with one cache call (one journal append),
+        unless :meth:`clear_cache` fired after this call started.
 
         ``epoch`` is the value of ``_cache_epoch`` observed when the call
-        began; a mismatch means someone cleared the cache while the answer
-        was in flight, and inserting it would resurrect exactly what the
-        clear was meant to drop.
+        began; a mismatch means someone cleared the cache while the answers
+        were in flight, and inserting them would resurrect exactly what the
+        clear was meant to drop.  The keys the insert created go to the
+        active scope, for :meth:`rollback_scope`.
         """
+        if not entries:
+            return
         with self._lock:
             if epoch != self._cache_epoch:
                 return
+            created = self.cache.put_many(entries)
             scope = self._scope()
-            if scope is not None and not self.cache.peek(key):
-                scope.cache_keys.append(key)
-            self.cache.put(key, response)
+            if scope is not None:
+                scope.cache_keys.extend(created)
 
     def _release(self, keys: list[CacheKey], gate: threading.Event) -> None:
         """Drop ``keys`` from ``_inflight`` and wake whoever waits on them."""
@@ -597,10 +603,11 @@ class LLMService:
         Checks the budget once (a spent budget is a
         :class:`BudgetExceededError` per key and no ledger record), settles
         every key's request (:meth:`_settle`), then writes one ledger
-        record per key: a provider record for an answer — cached, unless
-        the cache is disabled — or ``gave_up`` for a key whose retries ran
-        out, whose error is the :class:`ProviderError` :meth:`complete`
-        raises.
+        record per key: a provider record for an answer, or ``gave_up`` for
+        a key whose retries ran out, whose error is the
+        :class:`ProviderError` :meth:`complete` raises.  The answers are
+        cached together, unless the cache is disabled: one insert, one
+        journal append per call.
         """
         problem = self._budget_problem()
         if problem is not None:
@@ -613,8 +620,10 @@ class LLMService:
         responses, attempts = self._settle(requests)
         clock = self._active_clock()
         results: list[str | LLMError] = []
+        answered: list[tuple[CacheKey, LLMResponse]] = []
         for key, response, attempt in zip(keys, responses, attempts):
             if isinstance(response, LLMResponse):
+                answered.append((key, response))
                 clock.advance(response.latency_seconds)
                 self._record(
                     CallRecord(
@@ -636,8 +645,6 @@ class LLMService:
                         model=response.model,
                     )
                 )
-                if self.cache_enabled:
-                    self._cache_put(key, response, epoch)
                 results.append(response.text)
                 continue
             self._record(
@@ -662,6 +669,8 @@ class LLMService:
                     f"attempts: {response}"
                 )
             )
+        if self.cache_enabled:
+            self._cache_put(answered, epoch)
         return results
 
     def _settle(
@@ -840,30 +849,30 @@ class LLMService:
         Cache hits are deliberately skipped: their backing entry is
         restored by whichever provider record originally created it, and
         re-inserting from a hit would also resurrect entries that predate
-        the run.  Returns the number of entries inserted.
+        the run.  The entries go in as one batch (one journal append).
+        Returns the number of entries inserted.
         """
         if not self.cache_enabled:
             return 0
-        inserted = 0
         with self._lock:
             epoch = self._cache_epoch
-        for record in records:
-            if not record.succeeded:
-                continue
-            if record.cached:
-                continue
-            response = LLMResponse(
-                text=record.response_text,
-                prompt_tokens=record.prompt_tokens,
-                completion_tokens=record.completion_tokens,
-                model=record.model,
-                skill=record.skill,
-                latency_seconds=record.latency_seconds,
+        entries = [
+            (
+                self._cache_key(record.prompt, record.max_tokens, record.version),
+                LLMResponse(
+                    text=record.response_text,
+                    prompt_tokens=record.prompt_tokens,
+                    completion_tokens=record.completion_tokens,
+                    model=record.model,
+                    skill=record.skill,
+                    latency_seconds=record.latency_seconds,
+                ),
             )
-            key = self._cache_key(record.prompt, record.max_tokens, record.version)
-            self._cache_put(key, response, epoch)
-            inserted += 1
-        return inserted
+            for record in records
+            if record.succeeded and not record.cached
+        ]
+        self._cache_put(entries, epoch)
+        return len(entries)
 
     # -- accounting --------------------------------------------------------------
 

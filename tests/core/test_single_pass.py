@@ -3,8 +3,9 @@
 ``LLMService.prime`` pays for a chunk's uncached prompts in one batch and
 hands each answer to the record that asked for it (``answers=``), so the
 per-item runs of the same chunk do not call ``complete`` for what would be
-an immediate cache hit: one ledger record per paid prompt, no ``cache.get``
-after the ``cache.put``, and ``cached_calls`` counts reuse only.  These
+an immediate cache hit: one ledger record per paid prompt, one batch
+insert (``cache.put_many``) per paid batch and no ``cache.get`` after it,
+and ``cached_calls`` counts reuse only.  These
 tests pin the call and record counts on every path that can or cannot take
 the hand-off, the cache statistics of a chunked run, and that journals
 written before the change still resume.
@@ -47,19 +48,23 @@ PARENT_JOURNALS = Path(__file__).parent / "parent_journals"
 
 
 def count_calls(service: LLMService) -> Counter:
-    """Count ``service.complete`` and the cache's ``get`` / ``put`` from here on."""
+    """Count ``service.complete``, the cache's ``get`` and its batch inserts
+    from here on: ``cache.put_many`` calls, and under ``cache.entries`` the
+    entries they carried (``cache.put`` is a batch of one)."""
     calls: Counter = Counter()
 
     def counted(name, function):
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if name == "cache.put_many":
+                calls["cache.entries"] += len(args[0])
             return function(*args, **kwargs)
 
         return wrapper
 
     service.complete = counted("complete", service.complete)
     service.cache.get = counted("cache.get", service.cache.get)
-    service.cache.put = counted("cache.put", service.cache.put)
+    service.cache.put_many = counted("cache.put_many", service.cache.put_many)
     return calls
 
 
@@ -87,7 +92,7 @@ class TestCounts:
         assert outcome.outputs == [True] * 20
         assert service.served_calls == 20 and service.cached_calls == 0
         assert len(service.records) == 20
-        assert calls == {"cache.put": 20}  # no complete, no cache.get
+        assert calls == {"cache.put_many": 1, "cache.entries": 20}  # no complete, no get
 
     def test_a_repeated_prompt_is_paid_once_and_reused_by_the_rest(self):
         service = LLMService(ScriptedProvider())
@@ -96,7 +101,9 @@ class TestCounts:
         outcome = MapModule("map", CountingLLM(service)).apply_chunk(items)
         assert outcome.outputs == [True] * 9
         assert service.served_calls == 6 and service.cached_calls == 3
-        assert calls == {"cache.put": 6, "complete": 3, "cache.get": 3}
+        assert calls == {
+            "cache.put_many": 1, "cache.entries": 6, "complete": 3, "cache.get": 3
+        }
         repeated = [r for r in service.records if '"id": 2,' in r.prompt]
         assert [r.cached for r in repeated] == [False, True, True, True]
 
@@ -135,7 +142,7 @@ class TestCounts:
         assert 0 < escalated < 30
         assert len(MapModule("map", cascade).apply_chunk(items).outputs) == 30
         assert len(service.records) == service.served_calls == escalated
-        assert calls == {"cache.put": escalated}
+        assert calls == {"cache.put_many": 1, "cache.entries": escalated}
 
     def test_a_raising_round_trip_retries_every_item_in_it(self):
         class FirstRoundTripDown(ScriptedProvider):
@@ -151,7 +158,7 @@ class TestCounts:
         assert MapModule("map", CountingLLM(service)).apply_chunk(
             records(5)
         ).outputs == [True] * 5
-        assert calls == {"cache.put": 5}  # still handed over: no complete
+        assert calls == {"cache.put_many": 1, "cache.entries": 5}  # handed over: no complete
         assert [len(batch) for batch in provider.batches] == [5, 5]
         assert [r.outcome for r in service.records] == ["retried"] * 5
         assert service.served_calls == 5 and service.cached_calls == 0
@@ -299,7 +306,7 @@ class TestHubPath:
             calls = count_calls(service)
             outcome = MapModule("map", CountingLLM(service)).apply_chunk(items)
             assert outcome.outputs == [True] * 10
-            assert calls == {"cache.put": 10}
+            assert calls == {"cache.put_many": 1, "cache.entries": 10}
             assert service.served_calls == 10 and service.cached_calls == 0
             assert hits_and_misses(service) == (0, 10)
             ledgers.append(ledger(service))

@@ -190,7 +190,7 @@ class TestJournal:
 class TestJournalDirect:
     def test_append_then_load(self, tmp_path):
         journal = CacheJournal(tmp_path / "j.jsonl")
-        journal.append(key("p"), response("one"))
+        journal.append((key("p"), response("one")))
         entries = journal.load()
         assert len(entries) == 1
         assert entries[0][0] == key("p")
@@ -202,8 +202,8 @@ class TestJournalDirect:
     def test_compact_is_atomic_replacement(self, tmp_path):
         path = tmp_path / "j.jsonl"
         journal = CacheJournal(path)
-        journal.append(key("a"), response("a"))
-        journal.append(key("b"), response("b"))
+        journal.append((key("a"), response("a")))
+        journal.append((key("b"), response("b")))
         written = journal.compact([(key("b"), response("b"))])
         assert written == 1
         assert journal.lines_held == 1
@@ -212,7 +212,7 @@ class TestJournalDirect:
     def test_compact_fsyncs_tmp_before_rename(self, tmp_path, monkeypatch):
         """The rewritten file must be on disk before its rename can be."""
         journal = CacheJournal(tmp_path / "j.jsonl")
-        journal.append(key("a"), response("a"))
+        journal.append((key("a"), response("a")))
         events = []
         real_fsync, real_replace = os.fsync, Path.replace
 
@@ -250,11 +250,11 @@ class TestServiceCacheLifecycle:
         stale_epoch = service._cache_epoch
         service.clear_cache()
         service._cache_put(
-            service._cache_key("p", 64, ""), response("stale"), stale_epoch
+            [(service._cache_key("p", 64, ""), response("stale"))], stale_epoch
         )
         assert len(service.cache) == 0
         service._cache_put(
-            service._cache_key("p", 64, ""), response("fresh"), service._cache_epoch
+            [(service._cache_key("p", 64, ""), response("fresh"))], service._cache_epoch
         )
         assert len(service.cache) == 1
 
@@ -274,8 +274,8 @@ class TestCompactionCrashRecovery:
         from repro.llm.faults import CrashInjected, CrashPoint
 
         journal = CacheJournal(path)
-        journal.append(key("a"), response("a"))
-        journal.append(key("b"), response("b"))
+        journal.append((key("a"), response("a")))
+        journal.append((key("b"), response("b")))
         crash = CrashPoint("compaction:tmp-written")
         journal.crash_hook = crash.reached
         with pytest.raises(CrashInjected):
@@ -316,7 +316,7 @@ class TestCompactionCrashRecovery:
 
     def test_recover_is_a_noop_without_leftovers(self, tmp_path):
         journal = CacheJournal(tmp_path / "cache.jsonl")
-        journal.append(key("a"), response("a"))
+        journal.append((key("a"), response("a")))
         assert journal.recover() is None
 
     def test_warm_start_after_mid_compaction_crash(self, tmp_path):
@@ -403,29 +403,29 @@ class TestHeldJournalHandle:
         from repro.llm.faults import CrashInjected, CrashPoint
 
         journal = CacheJournal(tmp_path / "cache.jsonl")
-        journal.append(key("a"), response("a"))
+        journal.append((key("a"), response("a")))
         journal.crash_hook = CrashPoint("compaction:tmp-written").reached
         with pytest.raises(CrashInjected):
             journal.compact([(key("a"), response("a"))])
         journal.crash_hook = None
         # Same object, handle still open on the uncompacted journal.
         assert journal.recover() == "dropped-orphan-tmp"
-        journal.append(key("b"), response("b"))
+        journal.append((key("b"), response("b")))
         assert _lines(journal.path) == ["a", "b"]
 
     def test_recover_with_a_handle_open_promotes_the_tmp(self, tmp_path):
         from repro.llm.faults import CrashInjected, CrashPoint
 
         journal = CacheJournal(tmp_path / "cache.jsonl")
-        journal.append(key("a"), response("a"))
-        journal.append(key("b"), response("b"))
+        journal.append((key("a"), response("a")))
+        journal.append((key("b"), response("b")))
         journal.crash_hook = CrashPoint("compaction:tmp-written").reached
         with pytest.raises(CrashInjected):
             journal.compact([(key("b"), response("b"))])
         journal.crash_hook = None
         journal.path.unlink()  # the held handle now points at an unlinked inode
         assert journal.recover() == "promoted-tmp"
-        journal.append(key("c"), response("c"))
+        journal.append((key("c"), response("c")))
         assert _lines(journal.path) == ["b", "c"]
 
     def test_entries_of_a_process_that_died_without_closing_all_load(self, tmp_path):

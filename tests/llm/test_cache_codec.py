@@ -52,6 +52,22 @@ def reference_digest(key: CacheKey) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
+def surrogate_digest(key: CacheKey) -> str:
+    """``key_digest`` of a key the parent formula raised on (a lone surrogate):
+    each part the parent's way, save that a part UTF-8 cannot spell is
+    escaped to ASCII."""
+    parts: list = [key.provider, key.version, key.prompt, key.max_tokens]
+    if key.namespace:
+        parts.append(key.namespace)
+    spelled = []
+    for part in parts:
+        try:
+            spelled.append(json.dumps(part, ensure_ascii=False).encode("utf-8"))
+        except UnicodeEncodeError:
+            spelled.append(json.dumps(part).encode("ascii"))
+    return hashlib.sha256(b"[" + b", ".join(spelled) + b"]").hexdigest()[:16]
+
+
 def reference_line(key: CacheKey, response: LLMResponse) -> bytes:
     """A journal line as the parent commit wrote it."""
     payload = {
@@ -126,6 +142,8 @@ class TestDigestValue:
     ):
         built = CacheKey(provider, version, prompt, max_tokens, namespace)
         expected = outcome(reference_digest, built)
+        if expected is UnicodeEncodeError:  # the parent raised: nothing recorded it
+            expected = surrogate_digest(built)
         assert outcome(key_digest, built) == expected
         assert outcome(key_digest, built) == expected  # and again, remembered
 
@@ -255,8 +273,8 @@ class TestLineFormat:
     def test_integers_past_64_bits_round_trip(self, tmp_path, either_codec):
         journal = CacheJournal(tmp_path / "cache.jsonl")
         huge = CacheKey("sim", "", "p", 2**64 + 1)
-        journal.append(huge, response("x"))
-        journal.append(key("q"), response("x"))
+        journal.append((huge, response("x")))
+        journal.append((key("q"), response("x")))
         journal.close()
         assert [k for k, _ in journal.load()] == [huge, key("q")]
         assert [k for k, _ in PromptCache(path=journal.path).entries()] == [huge, key("q")]
