@@ -52,10 +52,11 @@ def main() -> None:
         baseline, full_calls = run_er(dataset, Path(scratch) / "baseline.wal")
         print(f"uninterrupted run: {full_calls} provider calls")
 
-        # Now the same run, killed after the 4th chunk hits the journal.
+        # Now the same run, killed after the 4th chunk of pairs hits the
+        # journal (the 5th chunk line: ``load`` runs as one chunk first).
         wal = Path(scratch) / "run.wal"
         try:
-            run_er(dataset, wal, crash=CrashPoint("chunk:journaled", hits=4))
+            run_er(dataset, wal, crash=CrashPoint("chunk:journaled", hits=5))
         except CrashInjected as death:
             print(f"crashed: {death}")
 

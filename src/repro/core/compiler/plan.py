@@ -323,48 +323,24 @@ class PhysicalPlan:
                     argument = values[operator.inputs[0]]
                 else:
                     argument = tuple(values[name] for name in operator.inputs)
-                stats_before = _stats_snapshot(binding.module)
-                replay = op_ctx = journalled = None
+                op_ctx = None
+                committed = False
                 if checkpoint is not None:
-                    replay = checkpoint.operator_replay(op_index, operator.name)
-                    if replay is None or replay.chunked:
-                        op_ctx = checkpoint.operator_context(
-                            op_index, operator.name
-                        )
-                if replay is not None and not replay.chunked:
-                    run = partial(
-                        _replay_operator, checkpoint, binding.module, replay, service
-                    )
-                    journalled = (list(replay.quarantine), replay.tree_degraded)
-                else:
-                    # Live or a chunked commit: the scheduler replays what
-                    # chunk lines hold and runs the rest.
-                    run = partial(
+                    committed = checkpoint.committed(op_index, operator.name)
+                    op_ctx = checkpoint.operator_context(op_index, operator.name)
+                # Live or committed, the scheduler replays what chunk lines
+                # hold and runs the rest.
+                values[operator.name] = run_operator_step(
+                    binding, argument, report, profile, tracer, service,
+                    run=partial(
                         scheduler.run_operator, binding.module,
                         service=service, op_ctx=op_ctx,
-                    )
-                values[operator.name], slice_, drained, degraded = (
-                    run_operator_step(
-                        binding, argument, report, profile, tracer, service,
-                        run=run, journalled=journalled,
-                    )
+                    ),
                 )
-                if replay is not None:
+                if committed:
                     checkpoint.finish_replay()
                 elif checkpoint is not None:
-                    checkpoint.commit_operator(
-                        op_index,
-                        operator.name,
-                        records=list(slice_),
-                        clock_end=service.clock.now,
-                        outputs=values[operator.name],
-                        quarantine=drained,
-                        stats_delta=_stats_delta(
-                            stats_before, _stats_snapshot(binding.module)
-                        ),
-                        tree_degraded=degraded,
-                        chunked=op_ctx.chunked,
-                    )
+                    checkpoint.commit_operator(op_index, operator.name)
         report.partial = bool(report.quarantine)
         report.cost = tracker.snapshot
         report.profile = profile
@@ -403,9 +379,8 @@ def run_operator_step(
     tracer,
     service,
     run=None,
-    journalled=None,
 ):
-    """Run one operator coordinator-side and book it into ``report``.
+    """Run one operator coordinator-side, book it into ``report``, return its value.
 
     The one step both engines share — every operator of
     :meth:`PhysicalPlan.execute` and the streaming executor's prefix and
@@ -417,12 +392,6 @@ def run_operator_step(
 
     ``run(argument)`` produces the value; it defaults to the module's own
     ``run`` (the batch engine passes the scheduler's chunked runner).
-    ``journalled`` is set only for a checkpoint replay, whose ``run``
-    re-applies a committed operator's effects: the ``(quarantine,
-    degraded)`` the journal holds, used instead of draining and measuring
-    a module that did not execute.
-
-    Returns ``(value, ledger slice, drained quarantine, degraded)``.
     """
     operator = binding.operator
     module = binding.module
@@ -448,15 +417,12 @@ def run_operator_step(
         )
         with module_span as span:
             value = (run or module.run)(argument)
-            if journalled is not None:
-                drained, degraded = journalled
-            else:
-                drained = module.drain_quarantine()
-                degraded = _tree_degraded(module) - degraded_before
+            drained = module.drain_quarantine()
+            degraded = _tree_degraded(module) - degraded_before
             # The slice is canonical here (the scheduler merged and
             # canonicalized; a whole-input ``module.run`` is ordered by
-            # construction; replay re-inserts the canonical slice), so
-            # spans and profile rows are deterministic at any worker count.
+            # construction), so spans and profile rows are deterministic
+            # at any worker count.
             slice_ = service.records[ledger_mark:]
             if tracer is not None:
                 span.set("quarantined", len(drained))
@@ -472,12 +438,7 @@ def run_operator_step(
         llm_retries=row.retries,
         llm_failures=row.failures,
     )
-    return value, slice_, drained, degraded
-
-
-def _replay_operator(checkpoint, module, replay, service, _argument):
-    """An unchunked commit's runner: its journalled effects, verbatim."""
-    return checkpoint.apply_operator_replay(module, replay, service)
+    return value
 
 
 def _add_call_spans(parent, records, module_start: float) -> None:
@@ -516,24 +477,6 @@ def _add_call_spans(parent, records, module_start: float) -> None:
                 },
             )
         )
-
-
-def _stats_snapshot(module: Module) -> dict[str, int]:
-    """The module's deterministic counters (wall time deliberately excluded)."""
-    stats = module.stats
-    return {
-        "invocations": stats.invocations,
-        "failures": stats.failures,
-        "quarantined": stats.quarantined,
-        "degraded": stats.degraded,
-    }
-
-
-def _stats_delta(
-    before: dict[str, int], after: dict[str, int]
-) -> dict[str, int]:
-    """Per-counter change over one operator, journalled for stats replay."""
-    return {key: after[key] - before[key] for key in after}
 
 
 def _tree_degraded(module: Module) -> int:

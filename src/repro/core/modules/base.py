@@ -116,7 +116,7 @@ class Module(ABC):
     counters are guarded by ``_lock``.  List-processing modules that can be
     split into independent record chunks advertise ``chunk_capable`` and
     implement :meth:`apply_chunk`; modules whose behaviour depends on call
-    order (online learners, self-repairing codegen) set ``parallel_safe``
+    order (online learners, lazily generated code) set ``parallel_safe``
     to ``False`` to force whole-input sequential execution.
     """
 

@@ -76,8 +76,9 @@ class LLMGCModule(Module):
     """
 
     module_type = "llmgc"
-    # Self-repairing codegen mutates its own implementation between calls;
-    # concurrent execution could observe mid-repair state.
+    # Repair happens only in the compile-time validator; at run time the
+    # first call generates the code if no draft exists yet, and concurrent
+    # first calls would each generate it.
     parallel_safe = False
 
     def __init__(

@@ -17,19 +17,16 @@ The journal is JSONL with three record types:
   journal right up to the kill, and serving those extra entries early
   would make the resumed report cheaper than the uninterrupted one
   instead of byte-identical.
-- ``chunk`` — written by a scheduler worker the moment one record chunk
-  finishes: the chunk's raw (pre-canonicalization) ledger records, its
-  scope's virtual elapsed time, quarantine decisions, degraded count and
-  outputs.  A chunked operator's work lives here and nowhere else.
-- ``op`` — written by the plan executor when an operator fully commits.
-  A chunked operator's commit is only that marker (``chunked``); an
-  unchunked one also carries its work — the ledger slice, the absolute
-  clock at commit (absolute, not a delta, so replay is float-exact),
-  encoded outputs, quarantine and module-stats deltas.
+- ``chunk`` — written the moment one chunk finishes: the chunk's raw
+  (pre-canonicalization) ledger records, its scope's virtual elapsed
+  time, quarantine decisions, degraded count and outputs.  Every
+  operator's work lives here and nowhere else; one that cannot be split
+  runs as one chunk.
+- ``op`` — written by the plan executor when an operator fully commits:
+  a marker, ``{type, index, name, chunked: true}``.
 
-Work replays from the line that holds it.  Resume re-applies an unchunked
-commit from its ``op`` line and hands every chunked operator — committed
-or in flight — to the scheduler, which replays the operator's chunk lines
+There is one replay path.  Resume hands every operator — committed or in
+flight — to the scheduler, which replays the operator's chunk lines
 *verbatim* (ledger records are re-inserted, not re-requested, so completed
 work costs zero provider calls), warms the prompt cache from them and runs
 only chunks no line holds.  Because replay re-inserts the exact bytes the
@@ -47,7 +44,9 @@ primitive all four journals share (re-exported here): its fsync,
 damaged-line and compaction rules are stated once, in :mod:`repro._jsonl`.
 A skipped damaged line can only cost work, never correctness: the header
 check refuses a journal whose first line is gone, and a chunk line that is
-gone is a chunk the scheduler runs again, committed operator or not.
+gone is a chunk the scheduler runs again, committed operator or not.  An
+``op`` line an older build wrote with the work of a whole operator on it
+reads as not committed, by the same rule: that operator runs again.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ import hashlib
 import json
 import operator as operator_module
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 from typing import Any, Iterable
@@ -75,7 +74,6 @@ __all__ = [
     "decode_value",
     "ReplayedValue",
     "CheckpointJournal",
-    "OperatorReplay",
     "OperatorContext",
     "CheckpointStats",
     "RunCheckpoint",
@@ -99,9 +97,9 @@ class CheckpointMismatchError(CheckpointError):
 class UnserializableValueError(CheckpointError):
     """An operator output cannot be round-tripped through the journal.
 
-    Not fatal: the chunk/operator is journalled as non-replayable and a
-    resume re-executes it from scratch — provider cost is re-paid for that
-    operator, but the report stays byte-identical because the re-execution
+    Not fatal: the chunk is journalled as non-replayable and a resume
+    re-executes it from scratch — provider cost is re-paid for that chunk,
+    but the report stays byte-identical because the re-execution
     sees exactly the cache state the original first execution saw.
     """
 
@@ -300,23 +298,6 @@ def begin_journal(
 
 
 @dataclass
-class OperatorReplay:
-    """One committed operator, decoded for zero-cost replay.
-
-    A ``chunked`` commit holds no work of its own: the scheduler replays
-    the operator's chunk lines.
-    """
-
-    chunked: bool
-    records: list[CallRecord] = field(default_factory=list)
-    clock_end: float = 0.0
-    outputs: Any = None
-    quarantine: list[QuarantinedRecord] = field(default_factory=list)
-    stats_delta: dict[str, int] = field(default_factory=dict)
-    tree_degraded: int = 0
-
-
-@dataclass
 class CheckpointStats:
     """What one checkpointed execution replayed, journalled and repaired."""
 
@@ -445,15 +426,13 @@ class OperatorContext:
     """The scheduler's handle on the checkpoint for one operator it runs.
 
     Carries the operator's journalled chunks in, journals finished chunks
-    and announces crash boundaries.  ``chunked`` is set once the scheduler
-    splits the operator, so its commit can point at the chunk lines.
+    and announces crash boundaries.
     """
 
     def __init__(self, checkpoint: "RunCheckpoint", index: int, name: str):
         self.checkpoint = checkpoint
         self.index = index
         self.name = name
-        self.chunked = False
         self._journalled = checkpoint._chunks.get(index, {})
 
     def crash(self, boundary: str) -> None:
@@ -472,7 +451,6 @@ class OperatorContext:
         the fingerprint should have caught, so it raises rather than
         guessing.  A chunk with no replayable line runs live.
         """
-        self.chunked = True
         replays: dict[int, tuple[CallScope, ChunkOutcome]] = {}
         for chunk_index, raw in self._journalled.items():
             if chunk_index >= len(chunk_sizes):
@@ -598,16 +576,16 @@ class RunCheckpoint:
 
     # -- operator replay / commit -------------------------------------------------
 
-    def operator_replay(self, index: int, name: str) -> OperatorReplay | None:
-        """The decoded commit record for operator ``index``, if replayable.
+    def committed(self, index: int, name: str) -> bool:
+        """Whether operator ``index`` committed; its chunk lines hold its work.
 
-        A chunked commit always replays, through its chunk lines.  An
-        unchunked one whose outputs did not serialize does not: the
-        operator re-executes and commits again.
+        A line an older build wrote with the work of a whole operator on it
+        (no ``chunked`` marker) reads as not committed, so that operator
+        runs again: the same rule as for a damaged line.
         """
         raw = self._ops.get(index)
         if raw is None:
-            return None
+            return False
         if raw.get("name") != name:
             raise CheckpointMismatchError(
                 f"journal operator {index} is {raw.get('name')!r}; the plan "
@@ -615,92 +593,22 @@ class RunCheckpoint:
             )
         # A commit written before the ``chunked`` marker says records_from_chunks;
         # one from an older build may also carry fault counters, which nothing reads.
-        if raw.get("chunked", raw.get("records_from_chunks", False)):
-            return OperatorReplay(chunked=True)
-        if not raw.get("replayable", False):
-            return None
-        return OperatorReplay(
-            chunked=False,
-            records=_decode_records(raw["records"]),
-            clock_end=float(raw["clock_end"]),
-            outputs=decode_value(raw["outputs"]),
-            quarantine=_decode_quarantine(raw.get("quarantine", [])),
-            stats_delta={k: int(v) for k, v in raw.get("stats_delta", {}).items()},
-            tree_degraded=int(raw.get("tree_degraded", 0)),
-        )
+        return bool(raw.get("chunked", raw.get("records_from_chunks", False)))
 
     def operator_context(self, index: int, name: str) -> OperatorContext:
         """The scheduler-facing context for running operator ``index``."""
         return OperatorContext(self, index, name)
-
-    def apply_operator_replay(
-        self, module, replay: OperatorReplay, service: LLMService
-    ) -> Any:
-        """Re-apply an unchunked commit's effects at zero provider cost.
-
-        Restores the module's stat counters (so ``module_stats`` text
-        matches), re-warms the exact cache from the replayed records (so
-        later live operators hit exactly what they originally hit),
-        re-inserts the canonical ledger slice and pins the virtual clock to
-        the recorded absolute commit time (absolute assignment, so no
-        float drift accumulates across replayed operators).  Returns the
-        operator's outputs.
-        """
-        with module._lock:
-            stats = module.stats
-            for field_name, delta in replay.stats_delta.items():
-                setattr(stats, field_name, getattr(stats, field_name) + delta)
-        service.restore_from_records(replay.records)
-        service.merge_scope(
-            CallScope(base=0.0, clock=VirtualClock(0.0), records=list(replay.records))
-        )
-        service.clock.now = replay.clock_end
-        with self._lock:
-            self.stats.replayed_records += len(replay.records)
-        return replay.outputs
 
     def finish_replay(self) -> None:
         """Count one replayed commit's operator as replayed."""
         with self._lock:
             self.stats.replayed_operators += 1
 
-    def commit_operator(
-        self,
-        index: int,
-        name: str,
-        *,
-        records: list[CallRecord],
-        clock_end: float,
-        outputs: Any,
-        quarantine: list[QuarantinedRecord],
-        stats_delta: dict[str, int],
-        tree_degraded: int,
-        chunked: bool = False,
-    ) -> None:
-        """Durably commit one finished operator.
-
-        A ``chunked`` operator's work is already in its chunk lines, so its
-        commit is a marker; the other arguments are journalled only for an
-        operator that ran whole.
-        """
-        line: dict[str, Any] = {"type": "op", "index": index, "name": name}
-        if chunked:
-            line["chunked"] = True
-        else:
-            try:
-                encoded, replayable = encode_value(outputs), True
-            except UnserializableValueError:
-                encoded, replayable = None, False
-            line.update(
-                records=_encode_records(records),
-                clock_end=clock_end,
-                outputs=encoded,
-                replayable=replayable,
-                quarantine=_encode_quarantine(quarantine),
-                stats_delta=stats_delta,
-                tree_degraded=tree_degraded,
-            )
-        self.journal.append(line)
+    def commit_operator(self, index: int, name: str) -> None:
+        """Durably commit one finished operator: its work is in its chunk lines."""
+        self.journal.append(
+            {"type": "op", "index": index, "name": name, "chunked": True}
+        )
         self.reached("operator:committed")
 
 

@@ -2,17 +2,19 @@
 
 The plan executor walks one operator at a time; inside an operator the LLM
 provider is the dominant latency source and independent record chunks can
-be in flight at once.  :class:`Scheduler` partitions an operator's list
-input into fixed-size record chunks, runs them on a bounded worker pool
-(:func:`ordered_map`, inline at ``workers=1``) and merges everything back
-**in chunk order**, which is what makes runs reproducible at any worker
-count:
+be in flight at once.  :class:`Scheduler` runs every operator as an
+ordered run of chunks: a list input the module can split becomes
+fixed-size record chunks on a bounded worker pool (:func:`ordered_map`,
+inline at ``workers=1``); any other operator is one chunk.  Chunks merge
+back **in chunk order**, which is what makes runs reproducible at any
+worker count:
 
 - every chunk executes inside an :meth:`LLMService.scoped` call scope — a
   private ledger buffer plus a shadow virtual clock frozen at the
   operator-entry time — so ledger records never interleave across threads;
 - scopes, quarantined records and degraded counts are merged in chunk
-  index order, not thread completion order;
+  index order, each as its chunk's turn comes, not in thread completion
+  order;
 - chunk boundaries depend only on ``chunk_size`` (never on ``workers``),
   so the same run at 1, 2 or 8 workers produces the same chunks;
 - after the merge, the new ledger slice is **canonicalised**: within each
@@ -25,9 +27,9 @@ deterministic provider stack (chaos injection included), the same
 seed and fault spec yield byte-identical canonical run reports at any
 worker count.
 
-Modules opt in via ``chunk_capable`` + ``apply_chunk`` and can veto
-parallel execution for themselves or any wrapped child with
-``parallel_safe = False`` (online learners, self-repairing codegen).
+Modules opt in to splitting via ``chunk_capable`` + ``apply_chunk`` and
+can veto it for themselves or any wrapped child with
+``parallel_safe = False`` (online learners, lazily generated code).
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
+from repro.core.compiler.plan import _tree_degraded
 from repro.core.modules.base import ChunkOutcome, Module
 from repro.llm.service import CallScope, LLMService
 
@@ -234,10 +237,16 @@ class Scheduler:
     def run_operator(
         self, module: Module, value: Any, service: LLMService, op_ctx=None
     ) -> Any:
-        """Execute one operator, chunked and parallel where possible.
+        """Execute one operator as an ordered run of chunks.
 
-        Falls back to a plain ``module.run(value)`` for non-list inputs
-        and modules that are not chunk-capable (or not parallel-safe).
+        A list input the module can split (:meth:`should_chunk`) becomes
+        fixed-size record chunks, run through :meth:`Module.apply_chunk` on
+        the pool.  Any other operator is one chunk, ``[[value]]``, that runs
+        ``module.run(value)`` (:func:`_run_whole`); it emits no ``chunk[i]``
+        span and no ``scheduler.*`` metric.  Each chunk runs in its own call
+        scope and is merged as its turn comes, in chunk order, so at one
+        worker chunk *k + 1* runs against a ledger (and budget) that holds
+        chunks *0..k*.  A raise rolls back the scopes not yet merged.
 
         ``op_ctx`` is a checkpoint :class:`~repro.core.runtime.checkpoint.
         OperatorContext`: journalled chunks from a prior run — of an
@@ -251,10 +260,8 @@ class Scheduler:
         """
         if self.cancel is not None:
             self.cancel.raise_if_cancelled()
-        if not self.should_chunk(module, value):
-            return module.run(value)
-
-        chunks = partition(value, self._chunk_size_for(module))
+        split = self.should_chunk(module, value)
+        chunks = partition(value, self._chunk_size_for(module)) if split else [[value]]
         completed = {}
         if op_ctx is not None:
             completed = op_ctx.replayable_chunks([len(chunk) for chunk in chunks])
@@ -274,7 +281,7 @@ class Scheduler:
         started = time.perf_counter()
         with module._lock:
             module.stats.invocations += 1
-        obs = getattr(service, "obs", None)
+        obs = getattr(service, "obs", None) if split else None
         if obs is not None:
             obs.metrics.counter("scheduler.chunked_operators").inc()
             obs.metrics.counter("scheduler.chunks").inc(len(chunks))
@@ -286,7 +293,7 @@ class Scheduler:
             for chunk in chunks:
                 sizes.observe(len(chunk))
 
-        scopes: list[CallScope] = []
+        scopes: dict[int, CallScope] = {}
 
         def task(index: int) -> tuple[CallScope, ChunkOutcome]:
             if self.cancel is not None:
@@ -296,8 +303,11 @@ class Scheduler:
             with service.scoped(base) as scope:
                 # Registered on entry: a chunk that raises after paying must
                 # still have its cache inserts rolled back.
-                scopes.append(scope)
-                outcome = module.apply_chunk(chunks[index])
+                scopes[index] = scope
+                if split:
+                    outcome = module.apply_chunk(chunks[index])
+                else:
+                    outcome = _run_whole(module, value)
             if op_ctx is not None:
                 op_ctx.crash("chunk:executed")
                 op_ctx.record_chunk(index, chunks[index], scope, outcome)
@@ -305,46 +315,67 @@ class Scheduler:
             return scope, outcome
 
         pending = [index for index in range(len(chunks)) if index not in completed]
+        live = ordered_map(task, pending, workers=self.workers, window=len(pending))
+        outputs: list[Any] = []
+        tracer = obs.tracer if obs is not None and obs.tracer.enabled else None
+        index = 0
         try:
-            results = list(
-                ordered_map(task, pending, workers=self.workers, window=len(pending))
-            )
+            for index in range(len(chunks)):
+                scope, outcome = completed[index] if index in completed else next(live)
+                service.merge_scope(scope)
+                with module._lock:
+                    module.quarantine.extend(outcome.quarantine)
+                    module.stats.quarantined += len(outcome.quarantine)
+                    module.stats.degraded += outcome.degraded
+                outputs.extend(outcome.outputs)
+                if tracer is not None:
+                    # Chunk spans carry structure, not latency: which chunk
+                    # pays a coalesced call's wait is racy, so they pin the
+                    # operator-entry timestamp and deterministic counts only.
+                    tracer.add_span(
+                        f"chunk[{index}]",
+                        kind="chunk",
+                        start=base,
+                        records=len(chunks[index]),
+                        outputs=len(outcome.outputs),
+                        quarantined=len(outcome.quarantine),
+                        degraded=outcome.degraded,
+                    )
         except Exception:
-            # No scope is merged, so no answer it cached may outlive it:
-            # the ledger would not say who paid for the entry.
-            for scope in scopes:
-                service.rollback_scope(scope)
+            # Let every chunk in flight finish, then undo the scopes not
+            # merged: no answer they cached may outlive them, as the ledger
+            # would not say who paid for it.
+            live.close()
+            for chunk_index, scope in scopes.items():
+                if chunk_index >= index:
+                    service.rollback_scope(scope)
             with module._lock:
                 module.stats.failures += 1
                 module.stats.total_seconds += time.perf_counter() - started
             raise
-
-        live = dict(zip(pending, results))
-        outputs: list[Any] = []
-        tracer = obs.tracer if obs is not None else None
-        for index in range(len(chunks)):
-            scope, outcome = completed[index] if index in completed else live[index]
-            service.merge_scope(scope)
-            with module._lock:
-                module.quarantine.extend(outcome.quarantine)
-                module.stats.quarantined += len(outcome.quarantine)
-                module.stats.degraded += outcome.degraded
-            outputs.extend(outcome.outputs)
-            if tracer is not None and tracer.enabled:
-                # Chunk spans carry structure, not latency: which chunk pays
-                # a coalesced call's wait is racy, so they pin the
-                # operator-entry timestamp and deterministic counts only.
-                tracer.add_span(
-                    f"chunk[{index}]",
-                    kind="chunk",
-                    start=base,
-                    records=len(chunks[index]),
-                    outputs=len(outcome.outputs),
-                    quarantined=len(outcome.quarantine),
-                    degraded=outcome.degraded,
-                )
         with service._lock:
             canonicalize_ledger(service.records, mark)
         with module._lock:
             module.stats.total_seconds += time.perf_counter() - started
-        return outputs
+        return outputs if split else outputs[0]
+
+
+def _run_whole(module: Module, value: Any) -> ChunkOutcome:
+    """Run an operator that cannot be split as the one chunk it is.
+
+    ``module.run`` books the top module's counters itself; they are taken
+    back, so the merge books them once from the outcome, as for any chunk.
+    The outcome's quarantine is the tree's, drained, and its degraded count
+    is the tree's delta.
+    """
+    with module._lock:
+        counters = vars(module.stats).copy()
+    degraded_before = _tree_degraded(module)
+    try:
+        output = module.run(value)
+        quarantine = module.drain_quarantine()
+        degraded = _tree_degraded(module) - degraded_before
+    finally:
+        with module._lock:
+            vars(module.stats).update(counters)
+    return ChunkOutcome(outputs=[output], quarantine=quarantine, degraded=degraded)

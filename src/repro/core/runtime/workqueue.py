@@ -587,7 +587,7 @@ class StreamingExecutor:
             for binding in prefix:
                 argument = run_operator_step(
                     binding, argument, report, report.profile, tracer, service
-                )[0]
+                )
             # Re-warm the exact cache from the replayable shard prefix
             # *after* the prefix re-executed — the same temporal order the
             # original run inserted cache entries in.
@@ -628,7 +628,7 @@ class StreamingExecutor:
                 for binding in suffix:
                     value = run_operator_step(
                         binding, value, report, report.profile, tracer, service
-                    )[0]
+                    )
                     values[binding.operator.name] = value
             else:
                 summary = {

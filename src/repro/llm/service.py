@@ -785,18 +785,27 @@ class LLMService:
             self.obs.metrics.counter("llm.hub_shared").inc()
 
     def _budget_problem(self) -> str | None:
-        """Why the budget refuses another paid call, or ``None``."""
-        # Budget checks read the merged ledger; records still buffered in
-        # unfinished worker scopes are not yet visible, so under heavy
-        # parallelism a budget may be overshot by up to one in-flight wave.
+        """Why the budget refuses another paid call, or ``None``.
+
+        Counts the merged ledger and the calling thread's open scope.  Other
+        threads' scopes count once merged: the scheduler merges each chunk
+        as its turn comes, so at one worker a chunk sees every chunk before
+        it, and with several in flight a budget may be overshot by one paid
+        round per chunk in flight.
+        """
+        if self.max_calls is None and self.max_cost is None:
+            return None
+        scope = self._scope()
         with self._lock:
-            if self.max_calls is not None and self.served_calls >= self.max_calls:
-                return f"call budget exhausted ({self.served_calls}/{self.max_calls})"
-            if self.max_cost is not None and self.total_cost >= self.max_cost:
-                return (
-                    f"cost budget exhausted "
-                    f"(${self.total_cost:.4f}/${self.max_cost:.4f})"
-                )
+            records = self.records if scope is None else self.records + scope.records
+            if self.max_calls is not None:
+                calls = sum(1 for r in records if not r.cached and r.succeeded)
+                if calls >= self.max_calls:
+                    return f"call budget exhausted ({calls}/{self.max_calls})"
+            if self.max_cost is not None:
+                cost = sum(r.cost for r in records)
+                if cost >= self.max_cost:
+                    return f"cost budget exhausted (${cost:.4f}/${self.max_cost:.4f})"
         return None
 
     def record_distilled(

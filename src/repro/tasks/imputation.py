@@ -57,8 +57,9 @@ def _build_llm(records: list[ImputationRecord]) -> Plan:
 def _build_hybrid(records: list[ImputationRecord]) -> Plan:
     """The expert template: LLMGC rules + LLM escalation (Figure 4).
 
-    The LLMGC stage is not parallel-safe (self-repairing codegen), so the
-    scheduler runs it whole-input sequentially at any worker count.
+    The LLMGC stage is not parallel-safe (its first call generates the
+    code), so the scheduler runs it as one whole-input chunk at any worker
+    count.
     """
     return _plan(get_template("data_imputation").instantiate(), records)
 

@@ -27,6 +27,8 @@ from repro.core.runtime.checkpoint import (
     encode_value,
     fingerprint_payload,
 )
+from repro.core.modules.custom import CustomModule
+from repro.core.runtime.scheduler import Scheduler
 from repro.core.runtime.system import LinguaManga
 from repro.core.templates.library import get_template
 from repro.datasets.entity_resolution import generate_er_dataset
@@ -218,41 +220,48 @@ class TestOperatorCommit:
         service = self._service()
         checkpoint = RunCheckpoint(tmp_path / "run.wal")
         checkpoint.begin("abc", service)
-        checkpoint.commit_operator(
-            0,
-            "load",
-            records=[],
-            clock_end=0.5,
-            outputs=[1, 2],
-            quarantine=[],
-            stats_delta={},
-            tree_degraded=0,
-        )
+        checkpoint.commit_operator(0, "load")
         checkpoint.close()
         resume = RunCheckpoint(tmp_path / "run.wal")
         resume.begin("abc", self._service())
+        assert resume.committed(0, "load")
         with pytest.raises(CheckpointMismatchError, match="load"):
-            resume.operator_replay(0, "save")
+            resume.committed(0, "save")
         resume.close()
 
     def test_unserializable_outputs_commit_as_non_replayable(self, tmp_path):
-        service = self._service()
-        checkpoint = RunCheckpoint(tmp_path / "run.wal")
-        checkpoint.begin("abc", service)
-        checkpoint.commit_operator(
-            0,
-            "load",
-            records=[],
-            clock_end=0.5,
-            outputs={1, 2},  # sets do not round-trip through JSON
-            quarantine=[],
-            stats_delta={},
-            tree_degraded=0,
-        )
-        checkpoint.close()
-        resume = RunCheckpoint(tmp_path / "run.wal")
-        resume.begin("abc", self._service())
-        assert resume.operator_replay(0, "load") is None  # re-execute live
+        """A whole operator's output that does not round-trip (a set) is
+        journalled as a ``replayable: false`` chunk line: the resume runs
+        the committed operator again instead of replaying it."""
+        calls = []
+
+        def load(value):
+            calls.append(value)
+            return {1, 2}  # sets do not round-trip through JSON
+
+        def run(checkpoint):
+            service = self._service()
+            checkpoint.begin("abc", service)
+            module = CustomModule("load", load)
+            output = Scheduler().run_operator(
+                module, {"rows": 2}, service, checkpoint.operator_context(0, "load")
+            )
+            return checkpoint, module, output
+
+        first, _, output = run(RunCheckpoint(tmp_path / "run.wal"))
+        first.commit_operator(0, "load")
+        first.close()
+        [chunk] = [
+            line
+            for line in CheckpointJournal(tmp_path / "run.wal").load()
+            if line["type"] == "chunk"
+        ]
+        assert (chunk["n_records"], chunk["replayable"]) == (1, False)
+        resume, module, again = run(RunCheckpoint(tmp_path / "run.wal"))
+        assert resume.committed(0, "load")
+        assert again == output == {1, 2}
+        assert len(calls) == 2 and module.stats.invocations == 1
+        assert resume.stats.replayed_chunks == 0
         resume.close()
 
     def test_chunk_geometry_mismatch_refuses(self, tmp_path):
@@ -279,7 +288,7 @@ class TestOperatorCommit:
 
 
 class TestChunkedCommits:
-    """A chunked operator's work is journalled once, in its chunk lines; its
+    """Every operator's work is journalled once, in its chunk lines; every
     ``op`` line is a commit marker, and a resume replays the chunk lines."""
 
     def _run(self, dataset, checkpoint=None):
@@ -300,18 +309,16 @@ class TestChunkedCommits:
 
     def test_each_ledger_record_is_journalled_once(self, er_dataset, tmp_path):
         wal = tmp_path / "run.wal"
-        _, system, _, _ = self._run(er_dataset, RunCheckpoint(wal))
+        report, system, _, _ = self._run(er_dataset, RunCheckpoint(wal))
         lines = CheckpointJournal(wal).load()[1:]
         commits = [line for line in lines if line["type"] == "op"]
-        chunked = [line for line in commits if line.get("chunked")]
-        assert chunked and all(
-            set(line) == {"type", "index", "name", "chunked"}
-            for line in chunked
+        assert len(commits) == len(report.module_stats)
+        assert all(
+            line == {"type": "op", "index": i, "name": line["name"], "chunked": True}
+            for i, line in enumerate(commits)
         )
-        holders = [line for line in lines if line["type"] == "chunk"] + [
-            line for line in commits if not line.get("chunked")
-        ]
-        rows = sum(len(line["records"]["rows"]) for line in holders)
+        chunks = [line for line in lines if line["type"] == "chunk"]
+        rows = sum(len(line["records"]["rows"]) for line in chunks)
         assert rows == len(system.service.records)
 
     def test_a_finished_journal_replays_through_the_scheduler(
@@ -343,7 +350,10 @@ class TestChunkedCommits:
         resumed, provider = make_committed_run.run(resume)
         assert provider.calls_served == 0
         assert resumed.report.canonical_json() == fresh.report.canonical_json()
-        assert (resume.stats.replayed_operators, resume.stats.replayed_chunks) == (3, 3)
+        # Its LLM-free ``load`` / ``save`` lines carry their work, which this
+        # build reads as not committed: they run again, and only ``match``,
+        # committed as chunked, replays.
+        assert (resume.stats.replayed_operators, resume.stats.replayed_chunks) == (1, 3)
 
 
 class TestFingerprint:

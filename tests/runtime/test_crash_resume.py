@@ -1,4 +1,4 @@
-"""Crash-injection matrix over the three demo applications.
+"""Crash-injection matrix over the demo applications and the hybrid imputation.
 
 The checkpoint contract (PR 5): kill a checkpointed run at *any* execution
 boundary, re-run with the same journal path, and the merged
@@ -9,13 +9,11 @@ provider calls.
 The matrix enumerates every boundary mechanically: a probe run arms a
 :class:`CrashPoint` on a name that never fires and reads its ``seen``
 counter, so new boundaries added to the runtime are covered the moment
-they are announced.  CI narrows the sweep per matrix cell via
-``CRASH_MATRIX_WORKERS`` / ``CRASH_MATRIX_PHASES``.
+they are announced.
 """
 
 from __future__ import annotations
 
-import os
 import shutil
 
 import pytest
@@ -41,7 +39,7 @@ from repro.tasks.entity_resolution import (
     pick_examples,
     run_lingua_manga_er,
 )
-from repro.tasks.imputation import run_llm_imputation
+from repro.tasks.imputation import run_hybrid_imputation, run_llm_imputation
 from repro.tasks.name_extraction import run_name_extraction
 from tests.conftest import assert_reports_identical
 
@@ -53,12 +51,8 @@ BOUNDARIES = (
     "operator:committed",
 )
 
-_ENV_WORKERS = os.environ.get("CRASH_MATRIX_WORKERS")
-MATRIX_WORKERS = (
-    tuple(int(item) for item in _ENV_WORKERS.split(",")) if _ENV_WORKERS else (1, 2, 8)
-)
-_ENV_PHASES = os.environ.get("CRASH_MATRIX_PHASES")
-MATRIX_PHASES = tuple(_ENV_PHASES.split(",")) if _ENV_PHASES else ("cold", "warm")
+MATRIX_WORKERS = (1, 2, 8)
+MATRIX_PHASES = ("cold", "warm")
 
 APPS = {
     "er": lambda system, data, workers, **kw: run_lingua_manga_er(
@@ -68,6 +62,10 @@ APPS = {
         system, data, workers=workers, **kw
     ),
     "imputation": lambda system, data, workers, **kw: run_llm_imputation(
+        system, data, workers=workers, **kw
+    ),
+    # Its LLMGC operator cannot be split: it pays inside one whole chunk.
+    "imputation_hybrid": lambda system, data, workers, **kw: run_hybrid_imputation(
         system, data, workers=workers, **kw
     ),
 }
@@ -84,6 +82,7 @@ def datasets():
         "er": generate_er_dataset("beer", seed=7, n_entities=60),
         "names": generate_name_dataset(seed=3, n_documents=12).documents,
         "imputation": generate_buy_dataset(seed=11, n_train=8, n_test=12).test,
+        "imputation_hybrid": generate_buy_dataset(seed=11, n_train=8, n_test=12).test,
     }
 
 
