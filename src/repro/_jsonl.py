@@ -9,20 +9,27 @@ rules:
 
 - **fsync.**  One :meth:`~CheckpointJournal.append` call is one write
   and one flush, however many records it carries (a paid batch's cache
-  entries are one call), so an acknowledged line survives the death of
-  the process.  An append starts a background fsync when at least
-  :data:`DEFAULT_FSYNC_INTERVAL` has passed since the last one, which
-  bounds what a power cut can take; :meth:`~CheckpointJournal.close` and
-  :meth:`~CheckpointJournal.rewrite` fsync inline.
+  entries are one call, and one block line), so an acknowledged line
+  survives the death of the process.  An append starts a background fsync
+  when at least :data:`DEFAULT_FSYNC_INTERVAL` has passed since the last
+  one, which bounds what a power cut can take;
+  :meth:`~CheckpointJournal.close` and :meth:`~CheckpointJournal.rewrite`
+  fsync inline.
 - **Damaged lines.**  A newline-terminated line that does not decode (not
-  a JSON object; for the cache, not an entry) is skipped, counted in
-  ``corrupt_lines`` and left in the file: lines are indexed by key, not
-  position, so the lines after it still count.  Bytes
+  a JSON object; for the cache, not a block or entry of the right types)
+  is skipped, counted in ``corrupt_lines`` and left in the file: lines are
+  indexed by key, not position, so the lines after it still count.  Bytes
   after the last newline are a torn tail: truncated and counted in
   ``torn_bytes``, so the next append starts a clean line.
 - **Compaction.**  :meth:`~CheckpointJournal.rewrite` writes a
   ``.compact`` sibling, fsyncs it and renames it over the journal;
   :meth:`~CheckpointJournal.load` first repairs a crash in between.
+
+Records that share their columns travel as one **record block**
+(:func:`_encode_block`): field names once, one row per record, and a
+long prompt preamble the rows share written once as ``prompt_prefix``.
+The run journal's chunk lines, the shard ledger's op entries and the
+cache's paid batches are all written this way.
 
 A leaf on purpose: it imports nothing of ``repro``, so ``repro.llm.cache``
 and ``repro.core.runtime.checkpoint`` (which imports the LLM service,
@@ -37,7 +44,7 @@ import threading
 import time
 import weakref
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 try:  # pre-installed accelerator; journal bytes never require it
     import orjson as _orjson
@@ -104,6 +111,73 @@ def _dump_scalar(value: str | int) -> bytes:
         return json.dumps(value, ensure_ascii=False).encode("utf-8")
     except UnicodeEncodeError:
         return json.dumps(value).encode("ascii")
+
+
+#: Minimum shared-prompt length worth factoring out of a record block.
+_MIN_PROMPT_PREFIX = 32
+
+
+def _common_prefix(strings: list[str]) -> str:
+    """Longest common prefix, via C-speed comparisons.
+
+    The lexicographic min and max bound every other string, and the split
+    point is found by bisection on ``startswith`` — unlike
+    ``os.path.commonprefix``, no Python-level per-character loop (prompt
+    preambles run to kilobytes).
+    """
+    lo, hi = min(strings), max(strings)
+    limit = min(len(lo), len(hi))
+    if lo[:limit] == hi[:limit]:
+        return lo[:limit]
+    left, right = 0, limit
+    while left < right:
+        mid = (left + right + 1) // 2
+        if hi.startswith(lo[:mid]):
+            left = mid
+        else:
+            right = mid - 1
+    return lo[:left]
+
+
+def _encode_block(fields: Sequence[str], rows: list[list]) -> dict:
+    """One record block: ``{"fields": [...], "rows": [[...], ...]}``.
+
+    Field names go once per line instead of once per record.  The rows of
+    one block come from one operator or one paid batch, so their
+    ``prompt`` column repeats one instructions-plus-examples preamble —
+    most of the bytes; a common prefix of at least
+    :data:`_MIN_PROMPT_PREFIX` characters is factored into
+    ``prompt_prefix`` and the rows keep their suffixes.  ``rows`` is
+    edited in place.
+    """
+    block: dict = {"fields": list(fields), "rows": rows}
+    if len(rows) > 1 and "prompt" in fields:
+        column = fields.index("prompt")
+        prompts = [row[column] for row in rows]
+        if all(type(prompt) is str for prompt in prompts):
+            prefix = _common_prefix(prompts)
+            if len(prefix) >= _MIN_PROMPT_PREFIX:
+                cut = len(prefix)
+                for row in rows:
+                    row[column] = row[column][cut:]
+                block["prompt_prefix"] = prefix
+    return block
+
+
+def _decode_block(block: dict) -> tuple[list, list[list]]:
+    """Invert :func:`_encode_block`: ``(fields, rows)``, prompts whole again.
+
+    ``block`` is left as it was (a journal may decode one line twice); the
+    caller checks the rows' shape.
+    """
+    fields, rows = block["fields"], block["rows"]
+    prefix = block.get("prompt_prefix")
+    if prefix is None:
+        return fields, rows
+    column = fields.index("prompt")
+    return fields, [
+        [*row[:column], prefix + row[column], *row[column + 1 :]] for row in rows
+    ]
 
 
 class CheckpointJournal:

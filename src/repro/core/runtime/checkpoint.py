@@ -60,7 +60,7 @@ from dataclasses import fields as dataclass_fields
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro._jsonl import CheckpointJournal, emit_torn_tail
+from repro._jsonl import CheckpointJournal, _decode_block, _encode_block, emit_torn_tail
 from repro.core.modules.base import ChunkOutcome, QuarantinedRecord
 from repro.llm.service import CallRecord, CallScope, LLMService
 from repro.resilience.clock import VirtualClock
@@ -316,68 +316,19 @@ class CheckpointStats:
 # the single hottest line in a checkpointed run) snapshots every field.
 _RECORD_FIELDS = tuple(item.name for item in dataclass_fields(CallRecord))
 _RECORD_GETTER = operator_module.attrgetter(*_RECORD_FIELDS)
-_PROMPT_COLUMN = _RECORD_FIELDS.index("prompt") if "prompt" in _RECORD_FIELDS else -1
-
-#: Minimum shared-prompt length worth factoring out of a record block.
-_MIN_PROMPT_PREFIX = 32
-
-
-def _common_prefix(strings: list[str]) -> str:
-    """Longest common prefix, via C-speed comparisons.
-
-    The lexicographic min and max bound every other string, and the split
-    point is found by bisection on ``startswith`` — unlike
-    ``os.path.commonprefix``, no Python-level per-character loop (prompt
-    preambles run to kilobytes).
-    """
-    lo, hi = min(strings), max(strings)
-    limit = min(len(lo), len(hi))
-    if lo[:limit] == hi[:limit]:
-        return lo[:limit]
-    left, right = 0, limit
-    while left < right:
-        mid = (left + right + 1) // 2
-        if hi.startswith(lo[:mid]):
-            left = mid
-        else:
-            right = mid - 1
-    return lo[:left]
 
 
 def _encode_records(records: Iterable[CallRecord]) -> dict:
-    """Encode one journal line's ledger records, columnar, prefix-shared.
-
-    The block is ``{"fields": [...], "rows": [[...], ...]}`` — field names
-    once per line instead of once per record.  Records in a line come from
-    one operator, so their prompts repeat the same instructions-plus-
-    examples preamble — close to 90% of journal bytes; a worthwhile common
-    prefix is factored into ``prompt_prefix`` with per-record suffixes.
-    """
-    rows = [list(_RECORD_GETTER(record)) for record in records]
-    block: dict = {"fields": list(_RECORD_FIELDS), "rows": rows}
-    if len(rows) > 1 and _PROMPT_COLUMN >= 0:
-        prompts = [row[_PROMPT_COLUMN] for row in rows]
-        if all(type(prompt) is str for prompt in prompts):
-            prefix = _common_prefix(prompts)
-            if len(prefix) >= _MIN_PROMPT_PREFIX:
-                cut = len(prefix)
-                for row in rows:
-                    row[_PROMPT_COLUMN] = row[_PROMPT_COLUMN][cut:]
-                block["prompt_prefix"] = prefix
-    return block
+    """One journal line's ledger records as a prompt-sharing record block."""
+    return _encode_block(
+        _RECORD_FIELDS, [list(_RECORD_GETTER(record)) for record in records]
+    )
 
 
 def _decode_records(raw: Iterable[dict] | dict) -> list[CallRecord]:
     if isinstance(raw, dict):
-        fields = raw["fields"]
-        prefix = raw.get("prompt_prefix")
-        records = []
-        for row in raw["rows"]:
-            item = dict(zip(fields, row))
-            if prefix is not None:
-                item["prompt"] = prefix + item["prompt"]
-            records.append(CallRecord(**item))
-        return records
+        fields, rows = _decode_block(raw)
+        return [CallRecord(**dict(zip(fields, row))) for row in rows]
     return [CallRecord(**item) for item in raw]
 
 

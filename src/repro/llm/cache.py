@@ -14,9 +14,10 @@ sits on:
   near-duplicate tier).
 - **Persistence** (:class:`CacheJournal`): an append-only JSONL
   journal makes repeated runs of the demo apps warm-start.  It is the
-  journal primitive every durable file shares (a crash mid-append loses
-  at most the damaged lines), and it is compacted — rewritten from live
-  entries — once the lines it holds grow past a factor of the live set.
+  journal primitive every durable file shares, writing a paid batch as
+  one record block line (a crash mid-append loses at most that batch),
+  and it is compacted — rewritten from live entries — once the entries
+  it holds grow past a factor of the live set.
 
 Provenance strings (``provider`` / ``cache-exact`` / ``distilled``) tag
 every ledger record with which path answered it.
@@ -29,9 +30,9 @@ import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
-from repro._jsonl import CheckpointJournal, _dump_scalar
+from repro._jsonl import CheckpointJournal, _decode_block, _dump_scalar, _encode_block
 from repro.llm.providers import LLMResponse
 
 __all__ = [
@@ -50,10 +51,19 @@ PROVENANCE_PROVIDER = "provider"
 PROVENANCE_CACHE_EXACT = "cache-exact"
 PROVENANCE_DISTILLED = "distilled"
 
-#: A journal holding more than this many lines per live entry (and at least
-#: 128) — lines earlier processes wrote included — is rewritten from the
-#: live entries on the next put.
+#: A journal holding more than this many entries per live entry (and at
+#: least 128) — entries earlier processes wrote included — is rewritten
+#: from the live entries on the next put.
 _COMPACT_FACTOR = 4
+
+#: The columns of a journal block row, key first, then response.
+_ENTRY_FIELDS = [
+    "provider", "version", "namespace", "max_tokens", "prompt",
+    "text", "prompt_tokens", "completion_tokens", "model", "skill", "latency_seconds",
+]  # fmt: skip
+
+#: A block line holds at most this many entries, appended or compacted.
+_BLOCK_ENTRIES = 256
 
 
 @dataclass(frozen=True)
@@ -146,76 +156,124 @@ class CacheStats:
         )
 
 
-def _entry_record(key: CacheKey, response: LLMResponse) -> dict:
-    """One journal entry, keys inserted in the sorted order they are written in."""
-    payload: dict = {"max_tokens": key.max_tokens}
-    if key.namespace:
-        # Written only when set so un-namespaced journals keep their
-        # pre-namespace format (and digests) exactly.
-        payload["namespace"] = key.namespace
-    payload["prompt"] = key.prompt
-    payload["provider"] = key.provider
-    payload["response"] = {
-        "completion_tokens": response.completion_tokens,
-        "latency_seconds": response.latency_seconds,
-        "model": response.model,
-        "prompt_tokens": response.prompt_tokens,
-        "skill": response.skill,
-        "text": response.text,
-    }
-    payload["version"] = key.version
-    return payload
+def _encode_entries(entries: Sequence[tuple[CacheKey, LLMResponse]]) -> list[dict]:
+    """``entries`` as record blocks of at most :data:`_BLOCK_ENTRIES` rows."""
+    rows = [
+        [
+            key.provider, key.version, key.namespace, key.max_tokens, key.prompt,
+            response.text, response.prompt_tokens, response.completion_tokens,
+            response.model, response.skill, response.latency_seconds,
+        ]  # fmt: skip
+        for key, response in entries
+    ]
+    return [
+        _encode_block(_ENTRY_FIELDS, rows[start : start + _BLOCK_ENTRIES])
+        for start in range(0, len(rows), _BLOCK_ENTRIES)
+    ]
+
+
+def _entry(
+    provider, version, namespace, max_tokens, prompt,
+    text, prompt_tokens, completion_tokens, model, skill, latency,
+) -> tuple[CacheKey, LLMResponse]:  # fmt: skip
+    """One entry from its columns, each of its JSON type, or TypeError.
+
+    No coercion: a ``null`` answer read as ``"None"``, or ``true`` as one
+    token, would be served as if the provider had said it.
+    """
+    if not (
+        type(provider) is type(version) is type(namespace) is type(prompt)
+        is type(text) is type(model) is type(skill) is str
+        and type(max_tokens) is type(prompt_tokens) is type(completion_tokens) is int
+        and type(latency) in (int, float)
+    ):  # fmt: skip
+        raise TypeError("a cache entry column has the wrong JSON type")
+    return (
+        CacheKey(provider, version, prompt, max_tokens, namespace),
+        LLMResponse(text, prompt_tokens, completion_tokens, model, skill, float(latency)),
+    )
 
 
 def _decode_entry(payload: dict) -> tuple[CacheKey, LLMResponse]:
-    key = CacheKey(
-        provider=str(payload["provider"]),
-        version=str(payload["version"]),
-        prompt=str(payload["prompt"]),
-        max_tokens=int(payload["max_tokens"]),
-        namespace=str(payload.get("namespace", "")),
-    )
+    """One entry line, as builds before record blocks wrote them."""
     raw = payload["response"]
-    response = LLMResponse(
-        text=str(raw["text"]),
-        prompt_tokens=int(raw["prompt_tokens"]),
-        completion_tokens=int(raw["completion_tokens"]),
-        model=str(raw.get("model", "")),
-        skill=str(raw.get("skill", "")),
-        latency_seconds=float(raw.get("latency_seconds", 0.0)),
-    )
-    return key, response
+    if type(raw) is not dict:
+        raise TypeError("an entry's response must be a JSON object")
+    return _entry(
+        payload["provider"], payload["version"], payload.get("namespace", ""),
+        payload["max_tokens"], payload["prompt"], raw["text"], raw["prompt_tokens"],
+        raw["completion_tokens"], raw.get("model", ""), raw.get("skill", ""),
+        raw.get("latency_seconds", 0.0),
+    )  # fmt: skip
+
+
+def _decode_line(record: Any) -> list[tuple[CacheKey, LLMResponse]]:
+    """The entries of one journal line, a block or an older entry line.
+
+    Raises on any damage, so a block is kept or lost whole.
+    """
+    if type(record) is not dict:
+        raise TypeError("a journal line must be a JSON object")
+    if "fields" not in record:
+        return [_decode_entry(record)]
+    rows, prefix = record["rows"], record.get("prompt_prefix")
+    width = len(_ENTRY_FIELDS)
+    if not (
+        record["fields"] == _ENTRY_FIELDS
+        and type(rows) is list
+        and all(type(row) is list and len(row) == width for row in rows)
+        and (prefix is None or type(prefix) is str)
+    ):
+        raise ValueError("a cache block of the wrong shape")
+    return [_entry(*row) for row in _decode_block(record)[1]]
 
 
 class CacheJournal(CheckpointJournal):
     """The prompt cache's journal: a :class:`~repro._jsonl.CheckpointJournal`
     of entries.
 
-    Every insert appends its entries, one :meth:`append` per batch; a rerun
-    replays the journal to warm-start.  Handling the file is the
-    primitive's job, under the rules :mod:`repro._jsonl` states for all
-    four journals; only the entry codec lives here.
+    Every insert appends its entries, one :meth:`append` per batch, as
+    record blocks (:func:`repro._jsonl._encode_block`) of at most
+    :data:`_BLOCK_ENTRIES` entries; a rerun replays the journal to
+    warm-start.  Handling the file is the primitive's job, under the rules
+    :mod:`repro._jsonl` states for all four journals; only the entry codec
+    lives here.  ``entries_held`` counts the entries the file holds — a
+    damaged line as one — for the compaction trigger; :class:`PromptCache`
+    appends under its own lock, so the count needs no other.
     """
 
-    #: A JSON object that is not an entry is one more damaged line.
-    _decode = staticmethod(_decode_entry)
+    #: A line that is not a block or entry line of the right types is
+    #: one more damaged line.
+    _decode = staticmethod(_decode_line)
+
+    def __init__(self, path: str | Path):
+        super().__init__(path)
+        self.entries_held = 0
 
     def load(self) -> list[tuple[CacheKey, LLMResponse]]:
-        """Replay the journal; later lines for the same key win."""
-        entries: "OrderedDict[CacheKey, LLMResponse]" = OrderedDict()
-        for key, response in super().load():
-            entries.pop(key, None)  # re-puts refresh recency order
-            entries[key] = response
+        """Replay the journal; a later entry for the same key wins."""
+        entries: dict[CacheKey, LLMResponse] = {}
+        held = 0
+        for line in super().load():
+            held += len(line)
+            for key, response in line:
+                entries.pop(key, None)  # re-puts refresh recency order
+                entries[key] = response
+        self.entries_held = held + self.corrupt_lines
         return list(entries.items())
 
     def append(self, *entries: tuple[CacheKey, LLMResponse]) -> None:
         """Record ``(key, response)`` entries in one write (see
         :meth:`CheckpointJournal.append`)."""
-        super().append(*[_entry_record(key, response) for key, response in entries])
+        super().append(*_encode_entries(entries))
+        self.entries_held += len(entries)
 
     def compact(self, entries: Iterable[tuple[CacheKey, LLMResponse]]) -> int:
-        """Rewrite the journal from ``entries``; returns lines written."""
-        return self.rewrite(_entry_record(key, response) for key, response in entries)
+        """Rewrite the journal from ``entries``; returns entries written."""
+        entries = list(entries)
+        self.rewrite(_encode_entries(entries))
+        self.entries_held = len(entries)
+        return len(entries)
 
 
 @dataclass
@@ -298,7 +356,7 @@ class PromptCache:
         """Insert/refresh ``entries`` in order, evicting LRU past ``max_entries``.
 
         The batch is one journal append, and compaction is considered
-        once, after it, counting all of its lines.  Returns the keys that
+        once, after it, counting all of its entries.  Returns the keys that
         were absent when their entry went in (the ones a scope rollback
         may remove).
         """
@@ -318,7 +376,7 @@ class PromptCache:
                 self.metrics.gauge("cache.entries").set(len(live))
             if self.journal is not None:
                 self.journal.append(*entries)
-                if self.journal.lines_held > max(128, _COMPACT_FACTOR * len(live)):
+                if self.journal.entries_held > max(128, _COMPACT_FACTOR * len(live)):
                     self.journal.compact(live.items())
         return created
 
@@ -396,7 +454,7 @@ class PromptCache:
                 self.journal.compact(())
 
     def compact(self) -> int:
-        """Force a journal compaction; returns live lines written (0 if no journal)."""
+        """Force a journal compaction; returns live entries written (0 if no journal)."""
         with self._lock:
             if self.journal is None:
                 return 0

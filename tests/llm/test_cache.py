@@ -333,12 +333,41 @@ class TestCompactionCrashRecovery:
         fresh = CacheJournal(journal.path)
         live = fresh.load()
         assert fresh.compact(live) == 2  # no crash hook armed this time
+        assert fresh.lines_held == 1  # one block line
         assert not fresh._compact_tmp.exists()
         assert [k for k, _ in fresh.load()] == [key("a"), key("b")]
 
 
+def entry_objects(line: bytes) -> list[dict]:
+    """The entries of one block line, each as the one-entry JSON object
+    builds before record blocks wrote a line of."""
+    block = json.loads(line)
+    objects = []
+    for row in block["rows"]:
+        item = dict(zip(block["fields"], row))
+        item["prompt"] = block.get("prompt_prefix", "") + item["prompt"]
+        entry = {name: item[name] for name in ("provider", "version", "prompt", "max_tokens")}
+        if item["namespace"]:
+            entry["namespace"] = item["namespace"]
+        entry["response"] = {
+            name: item[name]
+            for name in (
+                "text", "prompt_tokens", "completion_tokens", "model", "skill", "latency_seconds",
+            )
+        }  # fmt: skip
+        objects.append(entry)
+    return objects
+
+
 def _lines(path):
-    return [json.loads(line)["prompt"] for line in path.read_text("utf-8").splitlines()]
+    """Each journal line's prompt, in file order: a lone put is one line of
+    one entry."""
+    prompts = []
+    for line in path.read_text("utf-8").splitlines():
+        block = json.loads(line)
+        (row,) = block["rows"]
+        prompts.append(row[block["fields"].index("prompt")])
+    return prompts
 
 
 class TestHeldJournalHandle:
@@ -483,15 +512,16 @@ class TestHeldJournalHandle:
 
     def test_journal_bytes_for_a_fixed_put_sequence_are_pinned(self, tmp_path):
         """Which bytes reach the file for a fixed put sequence.  The line
-        format moved to the shared compact codec: each line re-encoded the
-        way every earlier build wrote it gives back the bytes pinned here
-        since the open-per-append implementation."""
+        format moved to the shared compact codec, then to record blocks:
+        each entry, in file order, spelled as the one-entry line every
+        earlier build wrote gives back the bytes pinned here since the
+        open-per-append implementation."""
 
         def as_written_before(data: bytes) -> bytes:
             return b"".join(
-                json.dumps(json.loads(line), ensure_ascii=False, sort_keys=True).encode()
-                + b"\n"
+                json.dumps(entry, ensure_ascii=False, sort_keys=True).encode() + b"\n"
                 for line in data.splitlines()
+                for entry in entry_objects(line)
             )
 
         def pin(data: bytes) -> tuple[int, str]:
@@ -500,7 +530,7 @@ class TestHeldJournalHandle:
         path = tmp_path / "cache.jsonl"
         cache = PromptCache(path=path, max_entries=3)
         prompts = ["plain", "naïve café ☕", 'quote " and \\ and\nnewline', "d", "e"]
-        for turn in range(140):  # > 128 appended lines: one auto-compaction on the way
+        for turn in range(140):  # > 128 appended entries: one auto-compaction on the way
             cache.put(
                 key(
                     prompts[turn % len(prompts)],
@@ -511,8 +541,8 @@ class TestHeldJournalHandle:
             )
         data = path.read_bytes()
         assert pin(data) == (
-            2734,
-            "2e4753abebba79ed2e575a5e1f2153469e4a493a5b30b43d26c8267c261eaf3a",
+            2732,
+            "d820d391350ce5e06ce95df1243eabff82fe451158730fe4d94091c04e5ef2c0",
         )
         assert pin(as_written_before(data)) == (
             3018,
@@ -522,8 +552,8 @@ class TestHeldJournalHandle:
         cache.put(key("after clear"), response("kept"))
         data = path.read_bytes()
         assert pin(data) == (
-            185,
-            "686431001894a43cd4ca186dc505a8ac0f4073302fd0f25d027ba22246d57a34",
+            209,
+            "d549c182800876b11f62ab5b5aa5583869cd71703be64ee6649a3f996e567c44",
         )
         assert pin(as_written_before(data)) == (
             205,

@@ -32,7 +32,7 @@ from tests.core.parent_journals.make_warm_fixtures import (
     mixed_entries,
     resume_figures,
 )
-from tests.llm.test_cache import key, response
+from tests.llm.test_cache import entry_objects, key, response
 
 hypothesis = pytest.importorskip("hypothesis")
 
@@ -108,13 +108,6 @@ def sha256_calls(monkeypatch):
 
     monkeypatch.setattr(hashlib, "sha256", counting)
     return calls
-
-
-@pytest.fixture(params=["accelerated", "stdlib"])
-def either_codec(request, monkeypatch):
-    """Run the test with orjson (when installed) and again without it."""
-    if request.param == "stdlib":
-        monkeypatch.setattr(jsonl, "_orjson", None)
 
 
 # What JSON string escaping and UTF-8 treat specially, over-sampled.
@@ -258,16 +251,18 @@ class TestLineFormat:
         cache.close()
         lines = path.read_bytes().splitlines(keepends=True)
         parent = (PARENT_JOURNALS / "cache_mixed.jsonl").read_bytes().splitlines(True)
-        assert [json.loads(line) for line in lines] == [json.loads(old) for old in parent]
-        # ...and differs from it by separator blanks and exponent spelling
-        # only: re-encoded the parent's way, it is the parent's bytes.
+        assert len(lines) == len(parent)  # a lone put is a block line of one entry
+        entries = [entry for line in lines for entry in entry_objects(line)]
+        assert entries == [json.loads(old) for old in parent]
+        # ...and differs from it by layout, separator blanks and exponent
+        # spelling only: re-encoded the parent's way, it is the parent's bytes.
         assert [
-            (json.dumps(json.loads(line), ensure_ascii=False, sort_keys=True) + "\n").encode()
-            for line in lines
+            (json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n").encode()
+            for entry in entries
         ] == parent
         assert all(b'": ' not in line and b', "' not in line for line in lines)
         if jsonl._orjson is not None:
-            assert b"e-06," in parent[0] and b"e-6," in lines[0]
+            assert b"e-06," in parent[0] and b"e-6]" in lines[0]
         assert CacheJournal(path).load() == parent_replay()
 
     def test_integers_past_64_bits_round_trip(self, tmp_path, either_codec):
@@ -318,9 +313,20 @@ class TestDamagedLines:
         path = tmp_path / "cache.jsonl"
         lines = three_entries(path)
         junk = [b"[]\n", b'"x"\n', b'{"response": 5}\n', b"5\n", b"null\n", b"\n"]
-        whole = json.loads(lines[0])
+        (whole,) = entry_objects(lines[0])  # an older one-entry line
         junk.append(json.dumps({**whole, "response": 5}).encode() + b"\n")
         junk.append(json.dumps({**whole, "max_tokens": "many"}).encode() + b"\n")
+        block = json.loads(lines[0])
+        (row,) = block["rows"]
+        for damaged in (
+            {**block, "rows": [row[:-1]]},
+            {**block, "rows": [[*row, 0]]},
+            {**block, "rows": row},
+            {**block, "rows": "rows"},
+            {**block, "fields": block["fields"][::-1]},
+            {**block, "prompt_prefix": ["not", "text"]},
+        ):
+            junk.append(json.dumps(damaged).encode() + b"\n")
         path.write_bytes(b"".join([lines[0], *junk, lines[1], lines[2]]))
         cache = PromptCache(path=path)
         assert [r.text for _, r in cache.entries()] == ["first", "middle", "last"]

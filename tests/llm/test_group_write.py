@@ -3,10 +3,10 @@
 ``CheckpointJournal.append`` takes a batch of records, and the service
 inserts a paid batch's answers — or a resume's re-warmed ones — into the
 prompt cache with one call, so the cache journal sees one append per
-batch.  These tests pin the system calls of a batch, what a crash inside
-one leaves behind, the lines inside one that only the stdlib (a >64-bit
-integer) or only ASCII (a lone surrogate) can spell, and that the
-compaction trigger counts every line of a batch.
+batch, written as one record block line.  These tests pin the system
+calls of a batch, what a crash inside one leaves behind, the lines that
+only the stdlib (a >64-bit integer) or only ASCII (a lone surrogate) can
+spell, and that the compaction trigger counts every entry of a batch.
 """
 
 from __future__ import annotations
@@ -30,13 +30,6 @@ from repro.tasks.entity_resolution import run_lingua_manga_er
 from tests.conftest import assert_reports_identical
 from tests.core.test_render_once import CountingLLM, ScriptedProvider, records
 from tests.llm.test_cache import key, response
-
-
-@pytest.fixture(params=["accelerated", "stdlib"])
-def either_codec(request, monkeypatch):
-    """Run the test with orjson (when installed) and again without it."""
-    if request.param == "stdlib":
-        monkeypatch.setattr(jsonl, "_orjson", None)
 
 
 class CountingHandle:
@@ -83,7 +76,8 @@ class TestOneWritePerBatch:
         service = LLMService(ScriptedProvider(), cache_path=path)
         outcome = MapModule("map", CountingLLM(service)).apply_chunk(records(20))
         assert outcome.outputs == [True] * 20
-        assert [call[:2] for call in appends[path].calls] == [("write", 20), ("flush",)]
+        # one block line for the batch
+        assert [call[:2] for call in appends[path].calls] == [("write", 1), ("flush",)]
         assert len(CacheJournal(path).load()) == service.served_calls == 20
 
     def test_a_resume_rewarms_the_cache_with_one_write(self, tmp_path, appends):
@@ -92,7 +86,7 @@ class TestOneWritePerBatch:
         path = tmp_path / "cache.jsonl"
         resumed = LLMService(ScriptedProvider(), cache_path=path)
         assert resumed.restore_from_records(paid.records) == 20
-        assert [call[:2] for call in appends[path].calls] == [("write", 20), ("flush",)]
+        assert [call[:2] for call in appends[path].calls] == [("write", 1), ("flush",)]
         assert resumed.cache.entries() == paid.cache.entries()
 
     def test_a_batch_past_the_slice_is_written_in_whole_line_slices(
@@ -113,23 +107,25 @@ class TestInsideABatch:
     def test_a_torn_group_write_truncates_to_its_last_whole_line_and_resumes(
         self, tmp_path, monkeypatch
     ):
-        """Killed mid-way through a paid batch's write: the lines before the
-        tear load, the tail is cut, and the resumed run's report is the
-        uninterrupted run's, byte for byte."""
+        """Killed mid-way through a paid batch's write: the torn block is
+        dropped whole, the lines before it load, the tail is cut, and the
+        resumed run's report is the uninterrupted run's, byte for byte."""
         data = generate_er_dataset("beer", seed=7, n_entities=60)
         baseline = run_lingua_manga_er(LinguaManga(), data, workers=1)
         cache_path, wal = tmp_path / "cache.jsonl", tmp_path / "run.wal"
         real_append = CacheJournal.append
+        appended: list[int] = []
         torn: dict = {}
 
         def tearing_append(journal, *entries):
             before = journal.path.stat().st_size if journal.path.exists() else 0
             real_append(journal, *entries)
-            if len(entries) < 3:
+            appended.append(len(entries))
+            if len(appended) < 2 or len(entries) < 3:  # tear a later paid batch
                 return
             written = journal.path.read_bytes()
             cut = before + (len(written) - before) // 2
-            torn.update(batch=len(entries), kept=written[:cut], before=before)
+            torn.update(kept=written[:cut], before=before, held=sum(appended[:-1]))
             with journal.path.open("r+b") as handle:
                 handle.truncate(cut)
             raise CrashInjected("cache:group-write", 1)
@@ -147,9 +143,10 @@ class TestInsideABatch:
         kept = torn["kept"]
         whole = kept[: kept.rindex(b"\n") + 1]
         assert len(kept) > len(whole)  # the cut is inside a line
-        assert 0 < whole[torn["before"] :].count(b"\n") < torn["batch"]  # mid-batch
+        assert whole == kept[: torn["before"]] != b""  # the torn block goes whole
         journal = CacheJournal(cache_path)
-        assert len(journal.load()) == journal.lines_held == whole.count(b"\n")
+        assert len(journal.load()) == journal.entries_held == torn["held"]
+        assert journal.lines_held == whole.count(b"\n")
         assert (journal.torn_bytes, journal.corrupt_lines) == (len(kept) - len(whole), 0)
         assert cache_path.read_bytes() == whole
 
@@ -165,28 +162,32 @@ class TestInsideABatch:
         path = tmp_path / "cache.jsonl"
         huge = CacheKey("sim", "", "p", 2**64 + 1)
         batch = [(key("a"), response("a")), (huge, response("h")), (key("b"), response("b"))]
-        CacheJournal(path).append(*batch)
+        CacheJournal(path).append(*batch[:2])
+        CacheJournal(path).append(batch[2])
         lines = path.read_bytes().splitlines(keepends=True)
-        assert len(lines) == 3
+        assert len(lines) == 2  # one block line per append
         if jsonl._orjson is not None:
-            assert [line[:1] == b" " for line in lines] == [False, True, False]
+            assert [line[:1] == b" " for line in lines] == [True, False]
         assert CacheJournal(path).load() == batch
         assert PromptCache(path=path).entries() == batch
 
     def test_the_compaction_trigger_counts_every_line_of_a_batch(self, tmp_path):
+        """...by the entries it holds: one block line of 130 entries."""
         path = tmp_path / "cache.jsonl"
         cache = PromptCache(path=path, max_entries=20)
         batch = [(key(f"p{i}"), response(str(i))) for i in range(130)]
         assert len(cache.put_many(batch)) == 130
-        # 130 lines for 20 live entries is past max(128, 4 * 20): compacted.
-        assert cache.journal.lines_held == len(cache) == 20
+        # 130 entries for 20 live ones is past max(128, 4 * 20): compacted.
+        assert cache.journal.entries_held == len(cache) == 20
+        assert cache.journal.lines_held == 1
         assert cache.stats.evictions == 110
         assert CacheJournal(path).load() == batch[-20:]
 
     def test_a_batch_under_the_trigger_is_not_compacted(self, tmp_path):
         cache = PromptCache(path=tmp_path / "cache.jsonl", max_entries=20)
         cache.put_many([(key(f"p{i}"), response(str(i))) for i in range(128)])
-        assert cache.journal.lines_held == 128 and len(cache) == 20
+        assert cache.journal.entries_held == 128 and len(cache) == 20
+        assert cache.journal.lines_held == 1
 
 
 #: A prompt with a lone surrogate, as JSON input spells it and
@@ -212,12 +213,18 @@ class TestLoneSurrogate:
     def test_its_line_alone_is_escaped(self, tmp_path, either_codec):
         plain = [(key("a"), response("é")), (key("b"), response("b"))]
         odd = (key(SURROGATE_PROMPT), response("c"))
-        CacheJournal(tmp_path / "plain.jsonl").append(*plain)
-        CacheJournal(tmp_path / "mixed.jsonl").append(plain[0], odd, plain[1])
+        for name, batches in (
+            ("plain", [plain[:1], plain[1:]]),
+            ("mixed", [plain[:1], [odd, plain[1]], plain[1:]]),
+        ):
+            for batch in batches:
+                CacheJournal(tmp_path / f"{name}.jsonl").append(*batch)
         clean = (tmp_path / "plain.jsonl").read_bytes().splitlines(keepends=True)
         mixed = (tmp_path / "mixed.jsonl").read_bytes().splitlines(keepends=True)
         assert [mixed[0], mixed[2]] == clean
+        # the block holding it is escaped whole, the others not at all
         assert mixed[1].startswith(b" ") and mixed[1].isascii()
+        assert not clean[0].isascii()
         assert CacheJournal(tmp_path / "mixed.jsonl").load() == [plain[0], odd, plain[1]]
 
     def test_a_run_journal_line_holding_one_round_trips(self, tmp_path, either_codec):

@@ -14,6 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.llm.cache import CacheJournal
 from repro.llm.providers import SimulatedProvider
 from repro.serve import JobQueue, JobSpec, QuotaExceeded
 from repro.serve.admission import TenantQuota
@@ -148,9 +149,9 @@ def test_tenant_caches_stay_isolated_on_disk(queue, serve_dir):
     queue.store.wait_for(job.job_id)
     queue.drain()
     for tenant in ("acme", "globex"):
-        journal = serve_dir / "tenants" / tenant / "cache.jsonl"
-        lines = journal.read_bytes().splitlines()
-        namespaces = [json.loads(line)["namespace"] for line in lines]
+        journal = CacheJournal(serve_dir / "tenants" / tenant / "cache.jsonl")
+        namespaces = [key.namespace for key, _ in journal.load()]
+        assert journal.corrupt_lines == 0  # no line hides a key
         assert namespaces and set(namespaces) == {tenant}
 
 
