@@ -16,11 +16,13 @@ rules:
   :meth:`~CheckpointJournal.close` and :meth:`~CheckpointJournal.rewrite`
   fsync inline.
 - **Damaged lines.**  A newline-terminated line that does not decode (not
-  a JSON object; for the cache, not a block or entry of the right types)
-  is skipped, counted in ``corrupt_lines`` and left in the file: lines are
-  indexed by key, not position, so the lines after it still count.  Bytes
-  after the last newline are a torn tail: truncated and counted in
-  ``torn_bytes``, so the next append starts a clean line.
+  a JSON object; for the cache, not a block or entry of the right types;
+  for the run journal and shard ledger, a chunk or shard line whose
+  records do not decode) is skipped, counted in ``corrupt_lines`` and
+  left in the file: lines are indexed by key, not position, so the lines
+  after it still count.  Bytes after the last newline are a torn tail:
+  truncated and counted in ``torn_bytes``, so the next append starts a
+  clean line.
 - **Compaction.**  :meth:`~CheckpointJournal.rewrite` writes a
   ``.compact`` sibling, fsyncs it and renames it over the journal;
   :meth:`~CheckpointJournal.load` first repairs a crash in between.
@@ -167,11 +169,20 @@ def _encode_block(fields: Sequence[str], rows: list[list]) -> dict:
 def _decode_block(block: dict) -> tuple[list, list[list]]:
     """Invert :func:`_encode_block`: ``(fields, rows)``, prompts whole again.
 
-    ``block`` is left as it was (a journal may decode one line twice); the
-    caller checks the rows' shape.
+    Raises ``ValueError`` unless ``rows`` is a list of lists, each one
+    entry per field, and ``prompt_prefix`` is a string or absent: a short
+    row would otherwise decode with its missing columns defaulted.
+    ``block`` is left as it was (a journal may decode one line twice).
     """
     fields, rows = block["fields"], block["rows"]
     prefix = block.get("prompt_prefix")
+    width = len(fields)
+    if not (
+        type(rows) is list
+        and all(type(row) is list and len(row) == width for row in rows)
+        and (prefix is None or type(prefix) is str)
+    ):
+        raise ValueError("a record block of the wrong shape")
     if prefix is None:
         return fields, rows
     column = fields.index("prompt")

@@ -20,12 +20,9 @@ from repro.core.dsl import (
 )
 from repro.core.modules import (
     CustomModule,
-    DecoratedModule,
     LLMGCModule,
     LLMModule,
     Module,
-    RouterModule,
-    SequentialModule,
 )
 from repro.core.optimizer import (
     CostComparison,
@@ -53,12 +50,9 @@ __all__ = [
     "PipelineBuilder",
     "parse_pipeline",
     "CustomModule",
-    "DecoratedModule",
     "LLMGCModule",
     "LLMModule",
     "Module",
-    "RouterModule",
-    "SequentialModule",
     "CostComparison",
     "CostTracker",
     "ModuleValidator",

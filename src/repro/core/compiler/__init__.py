@@ -19,7 +19,6 @@ from repro.core.compiler.registry import (
     make_pair_matcher,
     register_strategy,
     render_pair,
-    strategies_for,
 )
 
 # Registers the curation operator strategies (dedup_candidates,
@@ -44,5 +43,4 @@ __all__ = [
     "make_pair_matcher",
     "register_strategy",
     "render_pair",
-    "strategies_for",
 ]

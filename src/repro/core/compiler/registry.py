@@ -39,7 +39,6 @@ __all__ = [
     "CompileError",
     "ModuleFactory",
     "register_strategy",
-    "strategies_for",
     "default_strategy",
     "build_module",
     "render_pair",
@@ -65,11 +64,6 @@ def register_strategy(
     _REGISTRY.setdefault(kind, {})[strategy] = factory
     if default or kind not in _DEFAULTS:
         _DEFAULTS[kind] = strategy
-
-
-def strategies_for(kind: str) -> list[str]:
-    """Names of the registered strategies for ``kind``."""
-    return sorted(_REGISTRY.get(kind, {}))
 
 
 def default_strategy(kind: str) -> str:

@@ -10,11 +10,9 @@ from repro.core.modules.base import (
 from repro.core.modules.batch_llm import BatchLLMModule
 from repro.core.modules.cascade import CascadeModule
 from repro.core.modules.custom import CustomModule
-from repro.core.modules.decorated import DecoratedModule, RouterModule, SequentialModule
 from repro.core.modules.llm_module import (
     LLMModule,
     parse_leading_word,
-    parse_number,
     parse_yes_no,
     render_value,
 )
@@ -22,11 +20,7 @@ from repro.core.modules.llmgc import CodeSandboxError, LLMGCModule, compile_gene
 from repro.core.modules.validation import (
     ChoiceValidator,
     NonEmptyValidator,
-    NumericRangeValidator,
     OutputValidator,
-    PredicateValidator,
-    RegexValidator,
-    TypeValidator,
 )
 
 __all__ = [
@@ -38,12 +32,8 @@ __all__ = [
     "ModuleStats",
     "QuarantinedRecord",
     "CustomModule",
-    "DecoratedModule",
-    "RouterModule",
-    "SequentialModule",
     "LLMModule",
     "parse_leading_word",
-    "parse_number",
     "parse_yes_no",
     "render_value",
     "CodeSandboxError",
@@ -51,9 +41,5 @@ __all__ = [
     "compile_generated_code",
     "ChoiceValidator",
     "NonEmptyValidator",
-    "NumericRangeValidator",
     "OutputValidator",
-    "PredicateValidator",
-    "RegexValidator",
-    "TypeValidator",
 ]

@@ -219,21 +219,15 @@ class Module(ABC):
         The one module-tree walker: quarantine draining, prefetch
         clean-up, configuration identity, the degraded count and the
         parallel-safety check all recurse through it.  Children live under
-        the conventional attributes ``inner``, ``stage``, ``fallback``,
-        ``teacher``, ``primary`` and ``wrapper``, in a ``stages`` sequence
-        (named ``stages[i]``), or as the ``tagger`` of a ``tagger_holder``
-        (the per-phrase tagger a name-extraction closure calls, which the
+        the conventional attributes ``inner``, ``stage``, ``fallback`` and
+        ``teacher``, or as the ``tagger`` of a ``tagger_holder`` (the
+        per-phrase tagger a name-extraction closure calls, which the
         simulator may swap after compilation).
         """
-        for attribute in (
-            "inner", "stage", "fallback", "teacher", "primary", "wrapper"
-        ):
+        for attribute in ("inner", "stage", "fallback", "teacher"):
             child = getattr(self, attribute, None)
             if isinstance(child, Module):
                 yield attribute, child
-        for index, child in enumerate(getattr(self, "stages", ())):
-            if isinstance(child, Module):
-                yield f"stages[{index}]", child
         tagger = getattr(self, "tagger_holder", {}).get("tagger")
         if isinstance(tagger, Module):
             yield "tagger", tagger

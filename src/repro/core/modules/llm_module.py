@@ -24,7 +24,6 @@ __all__ = [
     "render_value",
     "parse_yes_no",
     "parse_leading_word",
-    "parse_number",
 ]
 
 
@@ -64,14 +63,6 @@ def parse_leading_word(text: str) -> str:
     if not head:
         raise MalformedResponseError("empty response")
     return head
-
-
-def parse_number(text: str) -> float:
-    """First decimal number in the response."""
-    match = re.search(r"-?\d+(?:\.\d+)?", text)
-    if match is None:
-        raise MalformedResponseError(f"no number in {text[:80]!r}")
-    return float(match.group())
 
 
 class LLMModule(Module):

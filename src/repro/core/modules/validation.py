@@ -9,17 +9,12 @@ value range can identify and correct potential errors."  Validators check a
 
 from __future__ import annotations
 
-import re
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 __all__ = [
     "OutputValidator",
-    "NumericRangeValidator",
     "ChoiceValidator",
-    "RegexValidator",
-    "TypeValidator",
-    "PredicateValidator",
     "NonEmptyValidator",
 ]
 
@@ -30,23 +25,6 @@ class OutputValidator(ABC):
     @abstractmethod
     def check(self, value: Any) -> tuple[bool, str]:
         """Return ``(ok, message)``; ``message`` explains a failure."""
-
-
-class NumericRangeValidator(OutputValidator):
-    """Value must be a number within ``[low, high]``."""
-
-    def __init__(self, low: float, high: float):
-        if low > high:
-            raise ValueError("low must not exceed high")
-        self.low = low
-        self.high = high
-
-    def check(self, value: Any) -> tuple[bool, str]:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            return False, f"expected a number, got {type(value).__name__}"
-        if not self.low <= value <= self.high:
-            return False, f"{value} outside [{self.low}, {self.high}]"
-        return True, ""
 
 
 class ChoiceValidator(OutputValidator):
@@ -69,50 +47,6 @@ class ChoiceValidator(OutputValidator):
         if not ok:
             return False, f"{value!r} not in {self.choices}"
         return True, ""
-
-
-class RegexValidator(OutputValidator):
-    """String value must match a pattern in full."""
-
-    def __init__(self, pattern: str):
-        self.pattern = re.compile(pattern)
-
-    def check(self, value: Any) -> tuple[bool, str]:
-        if not isinstance(value, str):
-            return False, f"expected a string, got {type(value).__name__}"
-        if self.pattern.fullmatch(value) is None:
-            return False, f"{value!r} does not match /{self.pattern.pattern}/"
-        return True, ""
-
-
-class TypeValidator(OutputValidator):
-    """Value must be an instance of the given type(s)."""
-
-    def __init__(self, *types: type):
-        if not types:
-            raise ValueError("at least one type required")
-        self.types = types
-
-    def check(self, value: Any) -> tuple[bool, str]:
-        if not isinstance(value, self.types):
-            names = "/".join(t.__name__ for t in self.types)
-            return False, f"expected {names}, got {type(value).__name__}"
-        return True, ""
-
-
-class PredicateValidator(OutputValidator):
-    """Arbitrary user predicate with a description."""
-
-    def __init__(self, predicate: Callable[[Any], bool], description: str):
-        self.predicate = predicate
-        self.description = description
-
-    def check(self, value: Any) -> tuple[bool, str]:
-        try:
-            ok = bool(self.predicate(value))
-        except Exception as error:  # a broken predicate is a failed check
-            return False, f"predicate raised {error!r}"
-        return (True, "") if ok else (False, f"failed: {self.description}")
 
 
 class NonEmptyValidator(OutputValidator):

@@ -247,6 +247,13 @@ def begin_journal(
     if not owner.resume:
         journal.delete()
     lines = journal.load()
+    # A chunk or shard line whose work does not decode is damaged like a
+    # line that is not JSON: skipped and counted, so its chunk or shard
+    # runs again instead of replaying defaulted columns or raising
+    # mid-replay.  The first line is left to the header check below.
+    intact = lines[:1] + [line for line in lines[1:] if _work_decodes(line)]
+    journal.corrupt_lines += len(lines) - len(intact)
+    lines = intact
     stats.torn_bytes = journal.torn_bytes
     stats.corrupt_lines = journal.corrupt_lines
     emit_torn_tail(getattr(service, "obs", None), service.clock, journal, label)
@@ -326,6 +333,11 @@ def _encode_records(records: Iterable[CallRecord]) -> dict:
 
 
 def _decode_records(raw: Iterable[dict] | dict) -> list[CallRecord]:
+    """Invert :func:`_encode_records` (or read an older line's record list).
+
+    Raises on a block of the wrong shape (:func:`~repro._jsonl._decode_block`)
+    and on a field name :class:`CallRecord` does not have.
+    """
     if isinstance(raw, dict):
         fields, rows = _decode_block(raw)
         return [CallRecord(**dict(zip(fields, row))) for row in rows]
@@ -368,6 +380,19 @@ def _decode_slice(raw: dict) -> dict:
         "quarantine": _decode_quarantine(raw.get("quarantine", [])),
         "degraded": int(raw.get("degraded", 0)),
     }
+
+
+def _work_decodes(line: dict) -> bool:
+    """Whether a ``chunk`` or ``shard`` line's journalled work decodes."""
+    try:
+        if line.get("type") == "chunk":
+            _decode_slice(line)
+        elif line.get("type") == "shard":
+            for op in line["ops"]:
+                _decode_slice(op)
+    except (KeyError, TypeError, ValueError):
+        return False
+    return True
 
 
 # -- per-operator scheduler context ----------------------------------------------

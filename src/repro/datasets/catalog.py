@@ -18,7 +18,6 @@ from dataclasses import dataclass
 __all__ = [
     "Brand",
     "BRANDS",
-    "brand_of_product",
     "brand_and_line_of_product",
     "FIRST_NAMES",
     "LAST_NAMES",
@@ -167,11 +166,6 @@ def brand_and_line_of_product(product_name: str) -> tuple[str | None, str | None
         if re.search(r"\b" + re.escape(brand.name.lower()) + r"\b", lowered):
             return brand.name, None
     return None, None
-
-
-def brand_of_product(product_name: str) -> str | None:
-    """Ground-truth manufacturer of a product name, if any line matches."""
-    return brand_and_line_of_product(product_name)[0]
 
 
 # -- person names ---------------------------------------------------------------

@@ -216,15 +216,8 @@ def _decode_line(record: Any) -> list[tuple[CacheKey, LLMResponse]]:
         raise TypeError("a journal line must be a JSON object")
     if "fields" not in record:
         return [_decode_entry(record)]
-    rows, prefix = record["rows"], record.get("prompt_prefix")
-    width = len(_ENTRY_FIELDS)
-    if not (
-        record["fields"] == _ENTRY_FIELDS
-        and type(rows) is list
-        and all(type(row) is list and len(row) == width for row in rows)
-        and (prefix is None or type(prefix) is str)
-    ):
-        raise ValueError("a cache block of the wrong shape")
+    if record["fields"] != _ENTRY_FIELDS:
+        raise ValueError("a cache block of the wrong fields")
     return [_entry(*row) for row in _decode_block(record)[1]]
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "CodeCandidate",
     "route_task",
     "candidate_for",
-    "max_revision",
     "suggestion_for",
     "KNOWN_TASKS",
 ]
@@ -297,11 +296,6 @@ def route_task(description: str) -> str | None:
         if re.search(pattern, lowered):
             return task
     return None
-
-
-def max_revision(task: str) -> int:
-    """Highest available revision index for ``task``."""
-    return len(_LIBRARY[task]) - 1
 
 
 def candidate_for(task: str, revision: int) -> CodeCandidate:

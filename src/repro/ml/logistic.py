@@ -1,8 +1,6 @@
-"""L2-regularised logistic regression (binary and multinomial), pure numpy.
+"""L2-regularised multinomial logistic regression, pure numpy.
 
-This is the workhorse learner of the reproduction: the Ditto- and IMP-style
-baselines and the optimizer's simulator students are all logistic models over
-rich text features.
+The distillation router's default student (``student="logistic"``).
 """
 
 from __future__ import annotations
@@ -12,78 +10,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-__all__ = ["LogisticRegression", "SoftmaxRegression"]
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    exp_z = np.exp(z[~positive])
-    out[~positive] = exp_z / (1.0 + exp_z)
-    return out
-
-
-@dataclass
-class LogisticRegression:
-    """Binary logistic regression trained by full-batch gradient descent.
-
-    Parameters mirror the scikit-learn conventions where sensible: ``l2`` is
-    the regularisation strength (0 disables), ``lr`` the learning rate, and
-    training stops early when the loss improvement falls below ``tol``.
-    """
-
-    lr: float = 0.5
-    epochs: int = 300
-    l2: float = 1e-3
-    tol: float = 1e-7
-    weights: np.ndarray | None = field(default=None, repr=False)
-    bias: float = 0.0
-
-    def fit(self, X: np.ndarray, y: Sequence[int]) -> "LogisticRegression":
-        """Fit on matrix ``X`` and 0/1 labels ``y``; returns self."""
-        X = np.asarray(X, dtype=np.float64)
-        y_arr = np.asarray(y, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError("X must be 2-dimensional")
-        if X.shape[0] != y_arr.shape[0]:
-            raise ValueError("X and y must have the same number of rows")
-        if X.shape[0] == 0:
-            raise ValueError("cannot fit on an empty dataset")
-        n, d = X.shape
-        self.weights = np.zeros(d, dtype=np.float64)
-        self.bias = 0.0
-        previous_loss = np.inf
-        for _ in range(self.epochs):
-            probs = _sigmoid(X @ self.weights + self.bias)
-            error = probs - y_arr
-            grad_w = X.T @ error / n + self.l2 * self.weights
-            grad_b = float(np.mean(error))
-            self.weights -= self.lr * grad_w
-            self.bias -= self.lr * grad_b
-            eps = 1e-12
-            loss = float(
-                -np.mean(y_arr * np.log(probs + eps) + (1 - y_arr) * np.log(1 - probs + eps))
-                + 0.5 * self.l2 * float(self.weights @ self.weights)
-            )
-            if previous_loss - loss < self.tol:
-                break
-            previous_loss = loss
-        return self
-
-    def _check_fitted(self) -> None:
-        if self.weights is None:
-            raise RuntimeError("model is not fitted; call fit() first")
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Probability of the positive class for each row of ``X``."""
-        self._check_fitted()
-        X = np.asarray(X, dtype=np.float64)
-        return _sigmoid(X @ self.weights + self.bias)
-
-    def predict(self, X: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-        """0/1 predictions at the given probability ``threshold``."""
-        return (self.predict_proba(X) >= threshold).astype(int)
+__all__ = ["SoftmaxRegression"]
 
 
 @dataclass

@@ -7,17 +7,12 @@ the core of the benchmark harness.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 __all__ = [
     "accuracy",
     "precision_recall_f1",
     "f1_score",
-    "confusion_matrix",
-    "ClassificationReport",
-    "classification_report",
 ]
 
 
@@ -52,50 +47,3 @@ def precision_recall_f1(
 def f1_score(y_true: Sequence[int], y_pred: Sequence[int], positive: Hashable = 1) -> float:
     """Binary F1 (harmonic mean of precision and recall)."""
     return precision_recall_f1(y_true, y_pred, positive)[2]
-
-
-def confusion_matrix(
-    y_true: Sequence[Hashable], y_pred: Sequence[Hashable]
-) -> dict[tuple[Hashable, Hashable], int]:
-    """Sparse confusion matrix keyed by ``(true_label, predicted_label)``."""
-    if len(y_true) != len(y_pred):
-        raise ValueError("y_true and y_pred must have the same length")
-    return dict(Counter(zip(y_true, y_pred)))
-
-
-@dataclass(frozen=True)
-class ClassificationReport:
-    """Per-class precision/recall/F1 plus overall accuracy."""
-
-    accuracy: float
-    per_class: dict[Hashable, tuple[float, float, float]]
-    support: dict[Hashable, int]
-
-    def macro_f1(self) -> float:
-        """Unweighted mean F1 over classes."""
-        if not self.per_class:
-            return 0.0
-        return sum(f1 for _, _, f1 in self.per_class.values()) / len(self.per_class)
-
-    def to_text(self) -> str:
-        """Human-readable table of the report."""
-        lines = [f"accuracy: {self.accuracy:.4f}"]
-        for label in sorted(self.per_class, key=repr):
-            p, r, f1 = self.per_class[label]
-            lines.append(
-                f"  {label!r}: precision={p:.4f} recall={r:.4f} "
-                f"f1={f1:.4f} support={self.support[label]}"
-            )
-        return "\n".join(lines)
-
-
-def classification_report(
-    y_true: Sequence[Hashable], y_pred: Sequence[Hashable]
-) -> ClassificationReport:
-    """Full multi-class report (one-vs-rest precision/recall/F1 per label)."""
-    labels = sorted(set(y_true), key=repr)
-    per_class = {
-        label: precision_recall_f1(y_true, y_pred, positive=label) for label in labels
-    }
-    support = dict(Counter(y_true))
-    return ClassificationReport(accuracy(y_true, y_pred), per_class, support)

@@ -42,9 +42,6 @@ from repro.obs.trace import (
     SPAN_KINDS,
     Span,
     Tracer,
-    provenance_counts,
-    span_tree_problems,
-    walk_spans,
 )
 
 __all__ = [
@@ -53,9 +50,6 @@ __all__ = [
     "Span",
     "SPAN_KINDS",
     "NULL_SPAN",
-    "walk_spans",
-    "span_tree_problems",
-    "provenance_counts",
     "MetricsRegistry",
     "Counter",
     "Gauge",

@@ -45,9 +45,6 @@ __all__ = [
     "NULL_SPAN",
     "Span",
     "Tracer",
-    "walk_spans",
-    "span_tree_problems",
-    "provenance_counts",
 ]
 
 #: The span kinds, outermost first.  ``shard`` is the streaming executor's
@@ -114,55 +111,6 @@ class _NullSpan:
 
 
 NULL_SPAN = _NullSpan()
-
-
-def walk_spans(roots: "list[Span] | Span") -> Iterator[tuple[Span, Span | None]]:
-    """Yield ``(span, parent)`` pairs depth-first over one or more trees."""
-    stack: list[tuple[Span, Span | None]]
-    if isinstance(roots, Span):
-        stack = [(roots, None)]
-    else:
-        stack = [(root, None) for root in reversed(roots)]
-    while stack:
-        span, parent = stack.pop()
-        yield span, parent
-        for child in reversed(span.children):
-            stack.append((child, span))
-
-
-def span_tree_problems(root: Span) -> list[str]:
-    """Well-formedness violations of one span tree (empty list = valid).
-
-    Checks the invariants the property suite pins: every interval is
-    ordered (``end >= start``), every child's interval nests inside its
-    parent's, and every kind is known.
-    """
-    problems: list[str] = []
-    for span, parent in walk_spans(root):
-        if span.kind not in SPAN_KINDS:
-            problems.append(f"{span.name}: unknown kind {span.kind!r}")
-        if span.end < span.start:
-            problems.append(
-                f"{span.name}: end {span.end} precedes start {span.start}"
-            )
-        if parent is not None and (
-            span.start < parent.start or span.end > parent.end
-        ):
-            problems.append(
-                f"{span.name}: interval [{span.start}, {span.end}] escapes "
-                f"parent {parent.name} [{parent.start}, {parent.end}]"
-            )
-    return problems
-
-
-def provenance_counts(roots: "list[Span] | Span") -> dict[str, int]:
-    """Count ``llm_call`` spans per provenance attribute (golden assertions)."""
-    counts: dict[str, int] = {}
-    for span, _ in walk_spans(roots):
-        if span.kind == "llm_call":
-            provenance = str(span.attributes.get("provenance", "unknown"))
-            counts[provenance] = counts.get(provenance, 0) + 1
-    return dict(sorted(counts.items()))
 
 
 class Tracer:

@@ -13,8 +13,8 @@ holds the array substrate those hot paths vectorize over:
   :func:`band_keys_many`) behind the dedup candidate scan.
 
 Every vectorized call site is the only production path; the scalar
-implementation it replaced stays beside it as the reference the
-equivalence suites compare against by name.
+implementation it replaced is the reference the equivalence suites compare
+it against (``tests/oracles.py`` holds the ones production no longer calls).
 
 Determinism contract: token ids are assigned in sorted token order and all
 array layouts are pure functions of the input rows, so two processes
@@ -98,7 +98,7 @@ class Vocabulary:
 
 
 # ---------------------------------------------------------------------------
-# MinHash / LSH kernels (vectorized counterparts of repro.text.minhash)
+# MinHash / LSH kernels (the conventions of repro.text.minhash)
 # ---------------------------------------------------------------------------
 
 # Shingle ids and the multipliers both live below 2**31, so a*x + b stays
@@ -153,8 +153,8 @@ def band_keys_many(signatures: np.ndarray, bands: int, rows: int) -> list[list[s
     """LSH band keys per signature row, bitwise-equal to the scalar path.
 
     The digest input is the 4-byte little-endian band index followed by the
-    band's values packed ``<u4`` — exactly the :func:`repro.text.minhash.band_key`
-    layout — so candidate buckets agree with the scalar reference.
+    band's values packed ``<u4`` — the :mod:`repro.text.minhash` layout — so
+    candidate buckets agree with the scalar reference.
     """
     import hashlib
     import struct

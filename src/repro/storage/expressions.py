@@ -267,31 +267,3 @@ def evaluate(expr: Expression, env: Mapping[str, Any]) -> Any:
         hit = bool(_like_to_regex(expr.pattern).match(str(value)))
         return (not hit) if expr.negated else hit
     raise TypeError(f"cannot evaluate expression of type {type(expr).__name__}")
-
-
-def columns_referenced(expr: Expression) -> set[str]:
-    """All column names referenced anywhere in ``expr``."""
-    if isinstance(expr, ColumnRef):
-        return {expr.name}
-    if isinstance(expr, Literal):
-        return set()
-    if isinstance(expr, UnaryOp):
-        return columns_referenced(expr.operand)
-    if isinstance(expr, BinaryOp):
-        return columns_referenced(expr.left) | columns_referenced(expr.right)
-    if isinstance(expr, FunctionCall):
-        out: set[str] = set()
-        for arg in expr.args:
-            out |= columns_referenced(arg)
-        return out
-    if isinstance(expr, InList):
-        out = columns_referenced(expr.operand)
-        for option in expr.options:
-            out |= columns_referenced(option)
-        return out
-    if isinstance(expr, (IsNull, Like)):
-        return columns_referenced(expr.operand)
-    return set()
-
-
-__all__.append("columns_referenced")

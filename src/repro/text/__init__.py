@@ -13,12 +13,7 @@ from repro.text.minhash import (
     EMPTY_SLOT,
     MINHASH_PRIME,
     MinHashParams,
-    band_key,
-    band_keys,
-    estimate_jaccard,
-    minhash_error_bound,
     minhash_params,
-    minhash_signature,
 )
 from repro.text.overlap import (
     OverlapProfile,
@@ -26,12 +21,11 @@ from repro.text.overlap import (
     ngram_set,
     overlap_profile,
 )
-from repro.text.phrases import PhraseSpan, naive_noun_phrases, noun_phrases
+from repro.text.phrases import PhraseSpan, noun_phrases
 from repro.text.quality import QualityStats, quality_stats, rule_quality_score
 from repro.text.shingle import (
     SHINGLE_SPACE,
     DocumentSketch,
-    document_digest,
     document_sketch,
     exact_jaccard,
     knowledge_canonical,
@@ -42,8 +36,6 @@ from repro.text.shingle import (
 )
 from repro.text.similarity import (
     TfIdfModel,
-    cosine_similarity,
-    dice_similarity,
     jaccard_similarity,
     jaro_similarity,
     jaro_winkler_similarity,
@@ -57,7 +49,6 @@ from repro.text.similarity import (
 from repro.text.tokenize import (
     Token,
     char_ngrams,
-    ngrams,
     sentence_split,
     tokens_with_spans,
     word_tokenize,
@@ -77,7 +68,6 @@ __all__ = [
     "ngram_set",
     "overlap_profile",
     "PhraseSpan",
-    "naive_noun_phrases",
     "noun_phrases",
     "QualityStats",
     "quality_stats",
@@ -85,15 +75,9 @@ __all__ = [
     "EMPTY_SLOT",
     "MINHASH_PRIME",
     "MinHashParams",
-    "band_key",
-    "band_keys",
-    "estimate_jaccard",
-    "minhash_error_bound",
     "minhash_params",
-    "minhash_signature",
     "SHINGLE_SPACE",
     "DocumentSketch",
-    "document_digest",
     "document_sketch",
     "exact_jaccard",
     "knowledge_canonical",
@@ -102,8 +86,6 @@ __all__ = [
     "simple_canonical",
     "word_shingles",
     "TfIdfModel",
-    "cosine_similarity",
-    "dice_similarity",
     "jaccard_similarity",
     "jaro_similarity",
     "jaro_winkler_similarity",
@@ -115,7 +97,6 @@ __all__ = [
     "qgram_similarity",
     "Token",
     "char_ngrams",
-    "ngrams",
     "sentence_split",
     "tokens_with_spans",
     "word_tokenize",

@@ -2,10 +2,10 @@
 
 The second operator of the name-extraction pipeline (paper Figure 3).  The
 chunker finds maximal spans of capitalised words — the candidate set that the
-tagging operator later labels as person names or not.  Two quality levels are
-provided because the paper's LLMGC story needs a *naive* first-draft chunker
-(what the LLM generates initially) and a *refined* one (after the validator's
-repair loop adds honorific and particle handling).
+tagging operator later labels as person names or not.  This is the *refined*
+chunker, the one the validator's repair loop ends at (honorific and particle
+handling); the LLM's naive first drafts are the earlier ``noun_phrases``
+revisions in :mod:`repro.llm.codegen`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from repro.text.tokenize import Token, tokens_with_spans
 
-__all__ = ["PhraseSpan", "naive_noun_phrases", "noun_phrases"]
+__all__ = ["PhraseSpan", "noun_phrases"]
 
 # Sentence-initial words that are capitalised only because of position.
 _FUNCTION_WORDS = {
@@ -70,31 +70,10 @@ def _spans_from_groups(groups: list[list[Token]]) -> list[PhraseSpan]:
     return spans
 
 
-def naive_noun_phrases(text: str) -> list[PhraseSpan]:
-    """First-draft chunker: every maximal run of capitalised tokens.
-
-    This is the quality level the simulated LLM emits on its first code
-    generation attempt.  It over-triggers on sentence-initial function words
-    and breaks names containing lowercase particles ("Maria de la Cruz").
-    """
-    groups: list[list[Token]] = []
-    current: list[Token] = []
-    for token in tokens_with_spans(text):
-        if _is_capitalised(token.text):
-            current.append(token)
-        else:
-            if current:
-                groups.append(current)
-            current = []
-    if current:
-        groups.append(current)
-    return _spans_from_groups(groups)
-
-
 def noun_phrases(text: str) -> list[PhraseSpan]:
     """Refined chunker (post validator repair).
 
-    Improvements over :func:`naive_noun_phrases`:
+    Improvements over the naive draft (every maximal capitalised run):
 
     - drops sentence-initial capitalised function words ("The", "Ayer"),
     - bridges lowercase name particles so "Maria de la Cruz" stays one span,

@@ -54,7 +54,6 @@ __all__ = [
     "shingle_id",
     "shingle_ids",
     "exact_jaccard",
-    "document_digest",
     "DocumentSketch",
     "document_sketch",
 ]
@@ -140,11 +139,6 @@ def _canonical_digest(canonical: str) -> str:
     return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
 
 
-def document_digest(text: str) -> str:
-    """Exact-duplicate key: blake2b over the simple-canonical text."""
-    return _canonical_digest(simple_canonical(text))
-
-
 class DocumentSketch(NamedTuple):
     """Everything the dedup kernels derive from one document's text.
 
@@ -153,7 +147,7 @@ class DocumentSketch(NamedTuple):
     shared between callers through the LRU, so nobody may write to one.
     """
 
-    digest: str  #: :func:`document_digest` of the text
+    digest: str  #: exact-duplicate key: blake2b over ``simple_canonical(text)``
     simple_ids: memoryview  #: ``shingle_ids(simple_canonical(text), n)``
     knowledge_ids: memoryview  #: ``shingle_ids(knowledge_canonical(text), n)``
 

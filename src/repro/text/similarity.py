@@ -5,16 +5,15 @@ These metrics are the backbone of the classical entity-resolution baselines
 the built-in entity-resolution template.  All functions return a similarity
 in ``[0, 1]`` where ``1`` means identical.
 
-Every metric exists in two forms: the original **scalar** implementation
+A metric exists in up to two forms: the original **scalar** implementation
 (one pair per call, plain Python) and a **batch** ``*_many`` variant that
 evaluates many pairs at once over the columnar encodings of
 :mod:`repro.storage.columnar` (padded codepoint matrices for edit metrics,
 token-id sets over a shared vocabulary for set metrics).  The scalar forms
 are the semantic oracle: the batch forms are property-tested against them
 (`tests/text/test_columnar_equivalence.py`) — bit-exact for the integer-
-derived metrics (Levenshtein, the set family, Jaro/Jaro-Winkler,
-Monge-Elkan) and within ``1e-12`` for the accumulation-order-sensitive ones
-(cosine, TF-IDF cosine).
+derived metrics (Levenshtein, the set family, Jaro-Winkler, Monge-Elkan)
+and within ``1e-12`` for the accumulation-order-sensitive TF-IDF cosine.
 """
 
 from __future__ import annotations
@@ -30,25 +29,19 @@ from repro.text.tokenize import char_ngrams, word_tokenize
 
 __all__ = [
     "levenshtein_distance",
-    "levenshtein_within",
     "levenshtein_similarity",
     "jaro_similarity",
     "jaro_winkler_similarity",
     "jaccard_similarity",
     "overlap_coefficient",
-    "dice_similarity",
-    "cosine_similarity",
     "monge_elkan_similarity",
     "numeric_similarity",
     "TfIdfModel",
     "levenshtein_distance_many",
     "levenshtein_similarity_many",
-    "jaro_similarity_many",
     "jaro_winkler_similarity_many",
     "jaccard_similarity_many",
     "overlap_coefficient_many",
-    "dice_similarity_many",
-    "cosine_similarity_many",
     "monge_elkan_similarity_many",
     "numeric_similarity_many",
 ]
@@ -109,11 +102,6 @@ def levenshtein_distance(a: str, b: str, max_distance: int | None = None) -> int
             current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
         previous = current
     return previous[-1]
-
-
-def levenshtein_within(a: str, b: str, max_distance: int) -> bool:
-    """Whether ``a`` and ``b`` are within ``max_distance`` edits (banded)."""
-    return levenshtein_distance(a, b, max_distance=max_distance) <= max_distance
 
 
 def levenshtein_similarity(a: str, b: str) -> float:
@@ -193,28 +181,6 @@ def overlap_coefficient(a: Iterable[str] | str, b: Iterable[str] | str) -> float
     if not sa or not sb:
         return 1.0 if sa == sb else 0.0
     return len(sa & sb) / min(len(sa), len(sb))
-
-
-def dice_similarity(a: Iterable[str] | str, b: Iterable[str] | str) -> float:
-    """Sørensen–Dice coefficient over token sets."""
-    sa, sb = _as_set(a), _as_set(b)
-    if not sa and not sb:
-        return 1.0
-    return 2.0 * len(sa & sb) / (len(sa) + len(sb))
-
-
-def cosine_similarity(a: Iterable[str] | str, b: Iterable[str] | str) -> float:
-    """Cosine over token multiset counts."""
-    ca = Counter(word_tokenize(a.lower()) if isinstance(a, str) else a)
-    cb = Counter(word_tokenize(b.lower()) if isinstance(b, str) else b)
-    if not ca and not cb:
-        return 1.0
-    if not ca or not cb:
-        return 0.0
-    dot = sum(ca[t] * cb[t] for t in ca.keys() & cb.keys())
-    na = math.sqrt(sum(v * v for v in ca.values()))
-    nb = math.sqrt(sum(v * v for v in cb.values()))
-    return min(1.0, dot / (na * nb))
 
 
 class TfIdfModel:
@@ -550,19 +516,6 @@ def _jaro_codes(
     return np.where(matches == 0, 0.0, jaro)
 
 
-def jaro_similarity_many(a: Sequence[str], b: Sequence[str]) -> np.ndarray:
-    """Batched :func:`jaro_similarity`."""
-    if len(a) != len(b):
-        raise ValueError("batch sides must have equal length")
-    if not len(a):
-        return np.empty(0, dtype=np.float64)
-    codes_a, len_a = pack_codepoints(a, fill=-1)
-    codes_b, len_b = pack_codepoints(b, fill=-2)
-    jaro = _jaro_codes(codes_a, len_a, codes_b, len_b)
-    equal = np.fromiter((x == y for x, y in zip(a, b)), dtype=bool, count=len(a))
-    return np.where(equal, 1.0, jaro)
-
-
 def jaro_winkler_similarity_many(
     a: Sequence[str], b: Sequence[str], prefix_scale: float = 0.1
 ) -> np.ndarray:
@@ -686,19 +639,6 @@ def overlap_coefficient_many(
     return result
 
 
-def dice_similarity_many(
-    a: Sequence["Iterable[str] | str"],
-    b: Sequence["Iterable[str] | str"],
-    stats: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
-    """Batched :func:`dice_similarity` (bit-exact)."""
-    sa, sb, inter = word_set_stats(a, b) if stats is None else stats
-    total = sa + sb
-    with np.errstate(divide="ignore", invalid="ignore"):
-        result = 2.0 * inter / total
-    return np.where(total == 0, 1.0, result)
-
-
 def qgram_similarity_many(a: Sequence[str], b: Sequence[str], q: int = 3) -> np.ndarray:
     """Batched :func:`qgram_similarity` (bit-exact)."""
     if len(a) != len(b):
@@ -748,68 +688,6 @@ def _weighted_rows(
         empty = np.empty(0, dtype=np.int64)
         return empty, np.empty(0, dtype=np.float64), empty
     return np.concatenate(keys), np.concatenate(weights), np.concatenate(rows)
-
-
-def cosine_similarity_many(
-    a: Sequence["Iterable[str] | str"], b: Sequence["Iterable[str] | str"]
-) -> np.ndarray:
-    """Batched :func:`cosine_similarity` (within ``1e-12`` of scalar)."""
-    if len(a) != len(b):
-        raise ValueError("batch sides must have equal length")
-    n = len(a)
-    if not n:
-        return np.empty(0, dtype=np.float64)
-    cache: dict[str, Counter] = {}
-
-    def multiset(item: "Iterable[str] | str") -> Counter:
-        if isinstance(item, str):
-            counter = cache.get(item)
-            if counter is None:
-                counter = Counter(word_tokenize(item.lower()))
-                cache[item] = counter
-            return counter
-        return Counter(item)
-
-    rows_a = [multiset(item) for item in a]
-    rows_b = [multiset(item) for item in b]
-    vocab = Vocabulary(token for row in rows_a + rows_b for token in row)
-    stride = max(len(vocab), 1)
-
-    def flatten(rows: list[Counter]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        keys: list[np.ndarray] = []
-        weights: list[np.ndarray] = []
-        row_ids: list[np.ndarray] = []
-        for i, counter in enumerate(rows):
-            if not counter:
-                continue
-            ids = np.sort(vocab.encode(list(counter)))
-            tf = np.fromiter(
-                (counter[vocab.tokens[tid]] for tid in ids),
-                dtype=np.float64,
-                count=len(ids),
-            )
-            keys.append(i * stride + ids.astype(np.int64))
-            weights.append(tf)
-            row_ids.append(np.full(len(ids), i, dtype=np.int64))
-        if not keys:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, np.empty(0, dtype=np.float64), empty
-        return np.concatenate(keys), np.concatenate(weights), np.concatenate(row_ids)
-
-    keys_a, tf_a, rid_a = flatten(rows_a)
-    keys_b, tf_b, rid_b = flatten(rows_b)
-    _, ia, ib = np.intersect1d(keys_a, keys_b, assume_unique=True, return_indices=True)
-    dot = np.bincount(
-        (keys_a[ia] // stride).astype(np.int64), weights=tf_a[ia] * tf_b[ib], minlength=n
-    )
-    norm_a = np.sqrt(np.bincount(rid_a, weights=tf_a**2, minlength=n))
-    norm_b = np.sqrt(np.bincount(rid_b, weights=tf_b**2, minlength=n))
-    empty_a = norm_a == 0.0
-    empty_b = norm_b == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        result = np.minimum(1.0, dot / (norm_a * norm_b))
-    result = np.where(empty_a & empty_b, 1.0, result)
-    return np.where(empty_a ^ empty_b, 0.0, result)
 
 
 def monge_elkan_similarity_many(a: Sequence[str], b: Sequence[str]) -> np.ndarray:

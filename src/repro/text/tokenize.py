@@ -16,7 +16,6 @@ __all__ = [
     "word_tokenize",
     "sentence_split",
     "tokens_with_spans",
-    "ngrams",
     "char_ngrams",
 ]
 
@@ -63,13 +62,6 @@ def sentence_split(text: str) -> list[str]:
     """
     parts = [part.strip() for part in _SENTENCE_END_RE.split(text)]
     return [part for part in parts if part]
-
-
-def ngrams(tokens: list[str], n: int) -> list[tuple[str, ...]]:
-    """Return the list of ``n``-grams over ``tokens`` (empty if too short)."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
 
 
 def char_ngrams(text: str, n: int, pad: bool = True) -> list[str]:

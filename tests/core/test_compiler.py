@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.compiler.explain import explain_pipeline, render_architecture
-from repro.core.compiler.registry import CompileError, build_module, strategies_for
+from repro.core.compiler.registry import CompileError, build_module, default_strategy
 from repro.core.dsl.builder import PipelineBuilder
 from repro.core.dsl.operators import LogicalOperator, OperatorKind
 from repro.core.modules.cascade import CascadeModule
@@ -21,7 +21,7 @@ from repro.core.templates.library import (
 class TestRegistry:
     def test_strategies_registered_for_every_kind(self):
         for kind in OperatorKind.ALL:
-            assert strategies_for(kind), f"no strategies for {kind}"
+            assert default_strategy(kind), f"no strategies for {kind}"
 
     def test_impl_param_selects_strategy(self, context):
         op = LogicalOperator("c", OperatorKind.CLEAN_TEXT, params={"impl": "custom"})

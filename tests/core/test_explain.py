@@ -14,7 +14,9 @@ from repro.core.compiler.explain import (
 )
 from repro.core.dsl.builder import PipelineBuilder
 from repro.core.runtime.system import LinguaManga
-from repro.obs import Observability, walk_spans
+from repro.obs import Observability
+
+from ..oracles import walk_spans
 
 
 def make_pipeline():

@@ -7,27 +7,15 @@ import pytest
 from repro.core.compiler.plan import _tree_degraded
 from repro.core.modules.base import ModuleExecutionError
 from repro.core.modules.custom import CustomModule
-from repro.core.modules.decorated import (
-    DecoratedModule,
-    RouterModule,
-    SequentialModule,
-)
+from repro.core.modules.cascade import CascadeModule
 from repro.core.modules.llm_module import (
     LLMModule,
     parse_leading_word,
-    parse_number,
     parse_yes_no,
 )
 from repro.core.modules.llmgc import CodeSandboxError, LLMGCModule, compile_generated_code
 from repro.core.modules.mapping import EnrichModule, MapModule
-from repro.core.modules.validation import (
-    ChoiceValidator,
-    NonEmptyValidator,
-    NumericRangeValidator,
-    PredicateValidator,
-    RegexValidator,
-    TypeValidator,
-)
+from repro.core.modules.validation import ChoiceValidator, NonEmptyValidator
 from repro.core.runtime.scheduler import tree_parallel_safe
 from repro.llm.errors import MalformedResponseError
 
@@ -52,27 +40,8 @@ class TestCustomModule:
 
 
 class TestComposition:
-    def test_sequential_chains(self):
-        seq = SequentialModule(
-            "s",
-            [CustomModule("a", lambda x: x + 1), CustomModule("b", lambda x: x * 10)],
-        )
-        assert seq.run(1) == 20
-
-    def test_sequential_needs_stages(self):
-        with pytest.raises(ValueError):
-            SequentialModule("s", [])
-
-    def test_router_escalates(self):
-        primary = CustomModule("rules", lambda x: None if x == "hard" else "cheap")
-        fallback = CustomModule("llm", lambda x: "expensive")
-        router = RouterModule("r", primary, fallback, lambda v, result: result is None)
-        assert router.run("easy") == "cheap"
-        assert router.run("hard") == "expensive"
-        assert router.escalations == 1
-
     def test_decorated_children_are_walked_once(self):
-        """One tree walker: stages, ``primary`` and ``wrapper`` are children."""
+        """One tree walker: ``inner``, ``fallback`` and ``teacher`` are children."""
 
         def picky(value):
             if value == "bad":
@@ -85,30 +54,32 @@ class TestComposition:
                 error_policy="skip_record",
             )
 
-        seq = SequentialModule("s", [skipping_map("m")])
-        assert seq.run(["a", "bad", "b"]) == ["a", "b"]
-        assert [q.record for q in seq.drain_quarantine()] == ["bad"]
-        assert seq.config_identity() != SequentialModule(
-            "s", [skipping_map("m"), CustomModule("tail", picky)]
+        outer = MapModule("o", skipping_map("m"))
+        assert outer.run([["a", "bad", "b"]]) == [["a", "b"]]
+        assert [q.record for q in outer.drain_quarantine()] == ["bad"]
+        assert outer.drain_quarantine() == []
+        assert outer.config_identity() != MapModule(
+            "o", skipping_map("n")
         ).config_identity()
 
-        router = RouterModule(
-            "r", skipping_map("p"), CustomModule("f", picky), lambda v, r: False
+        degrading = MapModule(
+            "d", CustomModule("d-inner", picky), error_policy="degrade",
+            fallback=CustomModule("d-fallback", str.upper),
         )
-        assert router.run(["bad"]) == []
-        assert [q.record for q in router.drain_quarantine()] == ["bad"]
+        assert [name for name, _ in degrading._children()] == ["inner", "fallback"]
+        assert degrading.config_identity() != MapModule(
+            "d", CustomModule("d-inner", picky), error_policy="degrade"
+        ).config_identity()
 
-        # ``inner`` is reached through ``wrapper``: drained once, not twice.
-        inner = skipping_map("i")
-        decorated = DecoratedModule(
-            "d", inner, SequentialModule("w", [inner]), ["validator"]
+        cascade = CascadeModule(
+            "c", rule=lambda value: 0.5, teacher=degrading, lower=0.0, upper=1.0
         )
-        assert decorated.run(["bad", "c"]) == ["c"]
-        assert [name for name, _ in decorated._children()] == ["wrapper"]
-        assert [q.record for q in decorated.drain_quarantine()] == ["bad"]
-        inner.parallel_safe = False
-        assert not tree_parallel_safe(decorated)
-        assert _tree_degraded(decorated) == 0
+        assert cascade.run(["a", "bad"]) == ["a", "BAD"]
+        assert [name for name, _ in cascade._children()] == ["teacher"]
+        assert _tree_degraded(cascade) == 1
+        assert tree_parallel_safe(cascade)
+        degrading.fallback.parallel_safe = False
+        assert not tree_parallel_safe(cascade)
 
     def test_map_module(self):
         mapper = MapModule("m", CustomModule("inc", lambda x: x + 1))
@@ -152,44 +123,12 @@ class TestParsers:
         with pytest.raises(MalformedResponseError):
             parse_leading_word("   ")
 
-    def test_parse_number(self):
-        assert parse_number("around 42.5 units") == 42.5
-
-    def test_parse_number_rejects_no_number(self):
-        with pytest.raises(MalformedResponseError):
-            parse_number("none")
-
 
 class TestValidators:
-    def test_numeric_range(self):
-        v = NumericRangeValidator(0, 10)
-        assert v.check(5)[0] is True
-        assert v.check(11)[0] is False
-        assert v.check("5")[0] is False
-
-    def test_numeric_range_rejects_bool(self):
-        assert NumericRangeValidator(0, 1).check(True)[0] is False
-
     def test_choice_case_insensitive(self):
         v = ChoiceValidator(["Yes", "No"])
         assert v.check("yes")[0] is True
         assert v.check("maybe")[0] is False
-
-    def test_regex(self):
-        v = RegexValidator(r"[a-z]{2}")
-        assert v.check("de")[0] is True
-        assert v.check("deu")[0] is False
-        assert v.check(5)[0] is False
-
-    def test_type(self):
-        v = TypeValidator(str, int)
-        assert v.check("x")[0] is True
-        assert v.check(1.5)[0] is False
-
-    def test_predicate_catches_exceptions(self):
-        v = PredicateValidator(lambda x: x["k"] > 0, "k positive")
-        ok, message = v.check({})
-        assert ok is False and "raised" in message
 
     def test_non_empty(self):
         v = NonEmptyValidator()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.datasets.catalog import BRANDS, brand_and_line_of_product, brand_of_product
+from repro.datasets.catalog import BRANDS, brand_and_line_of_product
 from repro.datasets.entity_resolution import ER_DATASET_NAMES, generate_er_dataset
 from repro.datasets.imputation import generate_buy_dataset
 from repro.datasets.names import generate_name_dataset
@@ -12,19 +12,19 @@ from repro.datasets.names import generate_name_dataset
 
 class TestCatalog:
     def test_line_lookup(self):
-        assert brand_of_product("PlayStation 2 Memory Card 8MB") == "Sony"
+        assert brand_and_line_of_product("PlayStation 2 Memory Card 8MB")[0] == "Sony"
 
     def test_longest_line_wins(self):
-        assert brand_of_product("Memory Stick Pro Duo") == "SanDisk"
+        assert brand_and_line_of_product("Memory Stick Pro Duo")[0] == "SanDisk"
 
     def test_brand_mention_fallback(self):
-        assert brand_of_product("a genuine Bose product") == "Bose"
+        assert brand_and_line_of_product("a genuine Bose product")[0] == "Bose"
 
     def test_short_brand_needs_word_boundary(self):
-        assert brand_of_product("Generic Gadget 9000") is None
+        assert brand_and_line_of_product("Generic Gadget 9000")[0] is None
 
     def test_no_match(self):
-        assert brand_of_product("completely unknown thing") is None
+        assert brand_and_line_of_product("completely unknown thing")[0] is None
 
     def test_line_reported(self):
         brand, line = brand_and_line_of_product("Walkman portable player")
@@ -101,7 +101,7 @@ class TestBuyGenerator:
         hits = sum(
             1
             for r in buy.test
-            if brand_of_product(r.name) == r.manufacturer
+            if brand_and_line_of_product(r.name)[0] == r.manufacturer
         )
         assert hits / 200 > 0.95
 

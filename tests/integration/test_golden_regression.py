@@ -20,10 +20,12 @@ from repro.core.runtime.system import LinguaManga
 from repro.datasets.entity_resolution import generate_er_dataset
 from repro.datasets.imputation import generate_buy_dataset
 from repro.datasets.names import generate_name_dataset
-from repro.obs import Observability, provenance_counts, span_tree_problems
+from repro.obs import Observability
 from repro.tasks.entity_resolution import run_lingua_manga_er
 from repro.tasks.imputation import run_hybrid_imputation, run_llm_imputation
 from repro.tasks.name_extraction import run_name_extraction
+
+from ..oracles import provenance_counts, span_tree_problems
 
 
 @pytest.fixture(scope="module")

@@ -28,16 +28,21 @@ class TestRouting:
         assert codegen.route_task("paint a watercolor") is None
 
 
+def max_revision(task: str) -> int:
+    """Highest revision index the library holds for ``task``."""
+    return len(codegen._LIBRARY[task]) - 1
+
+
 class TestCandidates:
     def test_revisions_ascend(self):
         for task in codegen.KNOWN_TASKS:
-            for revision in range(codegen.max_revision(task) + 1):
+            for revision in range(max_revision(task) + 1):
                 candidate = codegen.candidate_for(task, revision)
                 assert candidate.revision == revision
                 assert "def run(" in candidate.source
 
     def test_revision_clamped_to_best(self):
-        best = codegen.max_revision("tokenize")
+        best = max_revision("tokenize")
         assert codegen.candidate_for("tokenize", 99).revision == best
 
     def test_negative_revision_clamped_to_zero(self):
@@ -49,7 +54,7 @@ class TestCandidates:
 
     def test_suggestions_exist_for_non_final_revisions(self):
         for task in codegen.KNOWN_TASKS:
-            for revision in range(codegen.max_revision(task)):
+            for revision in range(max_revision(task)):
                 assert len(codegen.suggestion_for(task, revision)) > 10
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro._util import seeded_rng
 from repro.ml.forest import RandomForest
-from repro.ml.logistic import LogisticRegression, SoftmaxRegression
+from repro.ml.logistic import SoftmaxRegression
 from repro.ml.naive_bayes import MultinomialNaiveBayes
 from repro.ml.tree import DecisionTree
 
@@ -30,38 +30,6 @@ def xor_data(n: int = 200, seed: int = 1):
         X.append([x0, x1])
         y.append(1 if (x0 > 0) != (x1 > 0) else 0)
     return np.array(X), y
-
-
-class TestLogisticRegression:
-    def test_learns_separable_data(self):
-        X, y = linearly_separable()
-        model = LogisticRegression(epochs=500, lr=1.0).fit(X, y)
-        assert (model.predict(X) == np.array(y)).mean() > 0.95
-
-    def test_probabilities_in_range(self):
-        X, y = linearly_separable()
-        model = LogisticRegression().fit(X, y)
-        probs = model.predict_proba(X)
-        assert (probs >= 0).all() and (probs <= 1).all()
-
-    def test_unfitted_raises(self):
-        with pytest.raises(RuntimeError):
-            LogisticRegression().predict(np.zeros((1, 2)))
-
-    def test_empty_fit_raises(self):
-        with pytest.raises(ValueError):
-            LogisticRegression().fit(np.zeros((0, 2)), [])
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            LogisticRegression().fit(np.zeros((3, 2)), [0, 1])
-
-    def test_threshold_changes_predictions(self):
-        X, y = linearly_separable()
-        model = LogisticRegression(epochs=300).fit(X, y)
-        strict = model.predict(X, threshold=0.95).sum()
-        lenient = model.predict(X, threshold=0.05).sum()
-        assert lenient >= strict
 
 
 class TestSoftmaxRegression:
@@ -163,4 +131,3 @@ class TestRandomForest:
         X, y = xor_data(80)
         probs = RandomForest(n_trees=5, seed=0).fit(X, y).predict_proba(X)
         assert (probs >= 0).all() and (probs <= 1).all()
-

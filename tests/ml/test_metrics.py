@@ -6,13 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.ml.metrics import (
-    accuracy,
-    classification_report,
-    confusion_matrix,
-    f1_score,
-    precision_recall_f1,
-)
+from repro.ml.metrics import accuracy, f1_score, precision_recall_f1
 
 LABELS = st.lists(st.integers(0, 1), min_size=1, max_size=40)
 
@@ -64,29 +58,3 @@ class TestPrecisionRecallF1:
     def test_f1_in_unit_range(self, a: list[int], b: list[int]):
         n = min(len(a), len(b))
         assert 0.0 <= f1_score(a[:n], b[:n]) <= 1.0
-
-
-class TestConfusionMatrix:
-    def test_counts(self):
-        cm = confusion_matrix([1, 1, 0], [1, 0, 0])
-        assert cm == {(1, 1): 1, (1, 0): 1, (0, 0): 1}
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            confusion_matrix([1], [])
-
-
-class TestClassificationReport:
-    def test_macro_f1_and_accuracy(self):
-        report = classification_report(["a", "a", "b"], ["a", "b", "b"])
-        assert report.accuracy == pytest.approx(2 / 3)
-        assert 0.0 < report.macro_f1() <= 1.0
-
-    def test_support_counts(self):
-        report = classification_report(["a", "a", "b"], ["a", "a", "b"])
-        assert report.support == {"a": 2, "b": 1}
-
-    def test_text_rendering_mentions_all_classes(self):
-        report = classification_report(["x", "y"], ["x", "y"])
-        text = report.to_text()
-        assert "'x'" in text and "'y'" in text

@@ -16,13 +16,10 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import (
-    MetricsRegistry,
-    Tracer,
-    span_tree_problems,
-    walk_spans,
-)
+from repro.obs import MetricsRegistry, Tracer
 from repro.resilience.clock import VirtualClock
+
+from ..oracles import span_tree_problems, walk_spans
 
 # -- generators -----------------------------------------------------------------
 

@@ -2,15 +2,10 @@
 
 import pytest
 
-from repro.obs import (
-    NULL_SPAN,
-    Span,
-    Tracer,
-    provenance_counts,
-    span_tree_problems,
-    walk_spans,
-)
+from repro.obs import NULL_SPAN, Span, Tracer
 from repro.resilience.clock import VirtualClock
+
+from ..oracles import provenance_counts, span_tree_problems, walk_spans
 
 
 def build_tree() -> Span:

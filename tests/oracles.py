@@ -1,0 +1,137 @@
+"""Scalar references and trace helpers that only the test suites use.
+
+Production runs the columnar MinHash / LSH kernels
+(:mod:`repro.storage.columnar`) and the one-pass :func:`document_sketch`;
+the plain-Python forms below define what those kernels must equal, bit for
+bit.  The span-tree helpers walk a :class:`~repro.obs.trace.Span` tree for
+the golden and property assertions.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import struct
+from typing import Iterator
+
+from repro.obs.trace import SPAN_KINDS, Span
+from repro.text.minhash import EMPTY_SLOT, MINHASH_PRIME, MinHashParams
+from repro.text.shingle import simple_canonical
+
+# -- MinHash / LSH ----------------------------------------------------------
+
+
+def minhash_signature(ids: tuple[int, ...], params: MinHashParams) -> tuple[int, ...]:
+    """MinHash signature of one shingle-id set.
+
+    Empty sets get the all-:data:`EMPTY_SLOT` signature.
+    """
+    if not ids:
+        return (EMPTY_SLOT,) * params.num_perm
+    return tuple(
+        min((a * x + b) % MINHASH_PRIME for x in ids)
+        for a, b in zip(params.a, params.b)
+    )
+
+
+def estimate_jaccard(sig_a: tuple[int, ...], sig_b: tuple[int, ...]) -> float:
+    """Fraction of agreeing signature positions — the MinHash estimate."""
+    if len(sig_a) != len(sig_b):
+        raise ValueError("signatures must have equal length")
+    if not sig_a:
+        return 0.0
+    agree = sum(1 for x, y in zip(sig_a, sig_b) if x == y)
+    return agree / len(sig_a)
+
+
+def minhash_error_bound(jaccard: float, num_perm: int, sigmas: float = 5.0) -> float:
+    """Analytic deviation bound for the MinHash estimate at ``num_perm``.
+
+    The estimate is a mean of ``num_perm`` Bernoulli(J) indicators, so its
+    standard error is ``sqrt(J(1-J)/k)``; the property suite allows
+    ``sigmas`` standard errors plus one quantisation step ``1/k``.
+    """
+    variance = max(jaccard * (1.0 - jaccard), 1e-12)
+    return sigmas * (variance / num_perm) ** 0.5 + 1.0 / num_perm
+
+
+def band_key(signature: tuple[int, ...], band_index: int, rows: int) -> str:
+    """Bucket key of one LSH band: blake2b over the packed band values.
+
+    The byte layout — 4-byte little-endian band index, then each band value
+    as little-endian ``uint32`` — is the one ``band_keys_many`` hashes.
+    """
+    start = band_index * rows
+    values = signature[start : start + rows]
+    if len(values) != rows:
+        raise ValueError(
+            f"band {band_index} needs {rows} values, signature has {len(signature)}"
+        )
+    payload = struct.pack("<I", band_index) + struct.pack(f"<{rows}I", *values)
+    return hashlib.blake2b(payload, digest_size=8).hexdigest()
+
+
+def band_keys(signature: tuple[int, ...], bands: int, rows: int) -> list[str]:
+    """All ``bands`` bucket keys of a signature (requires ``bands*rows == k``)."""
+    if bands * rows != len(signature):
+        raise ValueError(
+            f"bands*rows must equal signature length ({bands}*{rows} != {len(signature)})"
+        )
+    return [band_key(signature, i, rows) for i in range(bands)]
+
+
+def document_digest(text: str) -> str:
+    """Exact-duplicate key: blake2b over the simple-canonical text."""
+    return hashlib.blake2b(
+        simple_canonical(text).encode("utf-8"), digest_size=16
+    ).hexdigest()
+
+
+# -- span trees --------------------------------------------------------------
+
+
+def walk_spans(roots: "list[Span] | Span") -> Iterator[tuple[Span, Span | None]]:
+    """Yield ``(span, parent)`` pairs depth-first over one or more trees."""
+    stack: list[tuple[Span, Span | None]]
+    if isinstance(roots, Span):
+        stack = [(roots, None)]
+    else:
+        stack = [(root, None) for root in reversed(roots)]
+    while stack:
+        span, parent = stack.pop()
+        yield span, parent
+        for child in reversed(span.children):
+            stack.append((child, span))
+
+
+def span_tree_problems(root: Span) -> list[str]:
+    """Well-formedness violations of one span tree (empty list = valid).
+
+    Every interval is ordered (``end >= start``), every child's interval
+    nests inside its parent's, and every kind is known.
+    """
+    problems: list[str] = []
+    for span, parent in walk_spans(root):
+        if span.kind not in SPAN_KINDS:
+            problems.append(f"{span.name}: unknown kind {span.kind!r}")
+        if span.end < span.start:
+            problems.append(
+                f"{span.name}: end {span.end} precedes start {span.start}"
+            )
+        if parent is not None and (
+            span.start < parent.start or span.end > parent.end
+        ):
+            problems.append(
+                f"{span.name}: interval [{span.start}, {span.end}] escapes "
+                f"parent {parent.name} [{parent.start}, {parent.end}]"
+            )
+    return problems
+
+
+def provenance_counts(roots: "list[Span] | Span") -> dict[str, int]:
+    """Count ``llm_call`` spans per provenance attribute."""
+    counts: dict[str, int] = {}
+    for span, _ in walk_spans(roots):
+        if span.kind == "llm_call":
+            provenance = str(span.attributes.get("provenance", "unknown"))
+            counts[provenance] = counts.get(provenance, 0) + 1
+    return dict(sorted(counts.items()))

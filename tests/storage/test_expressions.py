@@ -13,7 +13,6 @@ from repro.storage.expressions import (
     Like,
     Literal,
     UnaryOp,
-    columns_referenced,
     evaluate,
 )
 
@@ -139,10 +138,6 @@ class TestMisc:
     def test_unknown_column_raises(self):
         with pytest.raises(KeyError):
             evaluate(col("nope"), ENV)
-
-    def test_columns_referenced(self):
-        expr = BinaryOp("AND", BinaryOp(">", col("a"), Literal(1)), Like(col("name"), "%"))
-        assert columns_referenced(expr) == {"a", "name"}
 
     def test_sql_rendering_roundtrips_structure(self):
         expr = BinaryOp("AND", BinaryOp(">", col("a"), Literal(1)), IsNull(col("b")))

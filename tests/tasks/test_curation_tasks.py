@@ -47,15 +47,11 @@ from repro.tasks.curation import (
     run_quality_filter,
 )
 
-from repro.text.minhash import band_keys, minhash_params, minhash_signature
-from repro.text.shingle import (
-    document_digest,
-    knowledge_canonical,
-    shingle_ids,
-    simple_canonical,
-)
+from repro.text.minhash import minhash_params
+from repro.text.shingle import knowledge_canonical, shingle_ids, simple_canonical
 
 from ..conftest import assert_reports_identical
+from ..oracles import band_keys, document_digest, minhash_signature
 
 N_DOCS = 160
 

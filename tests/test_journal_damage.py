@@ -18,12 +18,15 @@ import pytest
 from repro.core.runtime.checkpoint import CheckpointError, RunCheckpoint
 from repro.core.runtime.system import LinguaManga
 from repro.core.runtime.workqueue import ShardLedger
+from repro.core.templates.library import get_template
+from repro.datasets import StreamingERCorpus
 from repro.datasets.entity_resolution import generate_er_dataset
 from repro.llm.cache import PromptCache
 from repro.llm.providers import SimulatedProvider
 from repro.llm.service import LLMService
 from repro.serve.store import JobStore
 from repro.tasks.entity_resolution import run_lingua_manga_er
+from tests.conftest import assert_reports_identical
 from tests.llm.test_cache import key, response
 from tests.serve.conftest import make_spec
 
@@ -191,3 +194,93 @@ def test_a_committed_operator_missing_a_chunk_line_reruns_that_chunk(tmp_path):
     assert resumed == clean
     assert checkpoint.stats.corrupt_lines == 1
     assert 0 < repaid == len(rows) < paid
+
+
+def _damage_block(block: dict, damage: str) -> None:
+    """Cut the last two columns (``version``, ``model``) from every row, or
+    rename one field to a name :class:`CallRecord` does not have."""
+    if damage == "short-rows":
+        block["rows"] = [row[:-2] for row in block["rows"]]
+    else:
+        block["fields"][block["fields"].index("model")] = "colour"
+
+
+DAMAGES = ["short-rows", "unknown-field"]
+
+
+@pytest.mark.parametrize("damage", DAMAGES)
+def test_a_chunk_line_whose_records_do_not_decode_reruns_that_chunk(damage, tmp_path):
+    """A record block that does not decode damages its chunk line: skipped
+    and counted at load, so its chunk is paid for again, and the report and
+    the ledger equal the uninterrupted run's."""
+    dataset = generate_er_dataset("beer", seed=7, n_entities=30)
+
+    def run(**kwargs):
+        provider = SimulatedProvider()
+        system = LinguaManga(service=LLMService(provider))
+        result = run_lingua_manga_er(
+            system, dataset, workers=1, chunk_size=2, **kwargs
+        )
+        return (
+            result.report.canonical_json(), system.service.records,
+            provider.calls_served,
+        )
+
+    clean, ledger, paid = run()
+    path = tmp_path / "journal.jsonl"
+    run(checkpoint=RunCheckpoint(path))
+    lines = path.read_bytes().splitlines(keepends=True)
+    target = next(
+        index
+        for index, line in enumerate(lines)
+        if json.loads(line)["type"] == "chunk" and json.loads(line)["records"]["rows"]
+    )
+    line = json.loads(lines[target])
+    _damage_block(line["records"], damage)
+    lines[target] = json.dumps(line).encode() + b"\n"
+    path.write_bytes(b"".join(lines))
+
+    checkpoint = RunCheckpoint(path)
+    resumed, resumed_ledger, repaid = run(checkpoint=checkpoint)
+    assert resumed == clean
+    assert resumed_ledger == ledger
+    assert checkpoint.stats.corrupt_lines == 1
+    assert 0 < repaid == len(line["records"]["rows"]) < paid
+
+
+@pytest.mark.parametrize("damage", DAMAGES)
+def test_a_shard_line_whose_records_do_not_decode_reruns_that_shard(damage, tmp_path):
+    """The same rule for the shard ledger: the damaged shard runs again."""
+    corpus = StreamingERCorpus(48, seed=7)
+    pipeline = get_template("entity_resolution").instantiate(examples=corpus.examples())
+
+    def run(ledger_path):
+        provider = SimulatedProvider()
+        system = LinguaManga(service=LLMService(provider))
+        report = system.run_stream(
+            pipeline, {"pairs": corpus.inputs()}, workers=1, chunk_size=8,
+            ledger_path=ledger_path, source_id=corpus.fingerprint,
+        )
+        return report, system.service.records, provider.calls_served
+
+    path = tmp_path / "ledger.jsonl"
+    clean, ledger, paid = run(path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    target = next(
+        index
+        for index, line in enumerate(lines)
+        if json.loads(line)["type"] == "shard"
+        and json.loads(line)["ops"][0]["records"]["rows"]
+    )
+    line = json.loads(lines[target])
+    block = line["ops"][0]["records"]
+    _damage_block(block, damage)
+    lines[target] = json.dumps(line).encode() + b"\n"
+    path.write_bytes(b"".join(lines))
+
+    resumed, resumed_ledger, repaid = run(path)
+    assert_reports_identical(clean, resumed)
+    assert resumed_ledger == ledger
+    assert resumed.recovery["corrupt_lines"] == 1
+    assert resumed.recovery["replayed_shards"] == resumed.recovery["shards"] - 1
+    assert 0 < repaid == len(block["rows"]) < paid

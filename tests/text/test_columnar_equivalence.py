@@ -21,14 +21,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.text.similarity import (  # noqa: E402
     TfIdfModel,
-    cosine_similarity,
-    cosine_similarity_many,
-    dice_similarity,
-    dice_similarity_many,
     jaccard_similarity,
     jaccard_similarity_many,
-    jaro_similarity,
-    jaro_similarity_many,
     jaro_winkler_similarity,
     jaro_winkler_similarity_many,
     levenshtein_distance,
@@ -121,10 +115,8 @@ class TestLevenshteinEquivalence:
 
 class TestFloatMetricEquivalence:
     CASES = [
-        (jaro_similarity_many, jaro_similarity),
         (jaro_winkler_similarity_many, jaro_winkler_similarity),
         (monge_elkan_similarity_many, monge_elkan_similarity),
-        (cosine_similarity_many, cosine_similarity),
     ]
 
     @given(PAIRS)
@@ -139,7 +131,6 @@ class TestFloatMetricEquivalence:
     @given(TEXT)
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
     def test_identity_rows(self, text):
-        assert jaro_similarity_many([text], [text])[0] == jaro_similarity(text, text)
         assert (
             jaro_winkler_similarity_many([text], [text])[0]
             == jaro_winkler_similarity(text, text)
@@ -150,7 +141,6 @@ class TestSetMetricEquivalence:
     CASES = [
         (jaccard_similarity_many, jaccard_similarity),
         (overlap_coefficient_many, overlap_coefficient),
-        (dice_similarity_many, dice_similarity),
     ]
 
     @given(PAIRS)

@@ -41,7 +41,7 @@ from repro.text.normalize import (  # noqa: E402
     strip_accents,
 )
 from repro.storage.columnar import minhash_signatures_many  # noqa: E402
-from repro.text.minhash import MINHASH_PRIME, minhash_params, minhash_signature  # noqa: E402
+from repro.text.minhash import MINHASH_PRIME, minhash_params  # noqa: E402
 from repro.text.overlap import (  # noqa: E402
     OverlapProfile,
     _token_ngrams,
@@ -55,6 +55,8 @@ from repro.text.similarity import (  # noqa: E402
     jaro_winkler_similarity,
     qgram_similarity,
 )
+
+from ..oracles import minhash_signature  # noqa: E402
 
 MAX_EXAMPLES = int(os.environ.get("MINHASH_PROP_EXAMPLES", "60"))
 

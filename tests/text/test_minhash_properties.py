@@ -4,7 +4,7 @@ Hypothesis locks the three guarantees the dedup template leans on:
 
 - **Estimator accuracy** — the MinHash Jaccard estimate stays inside the
   analytic bound ``sigmas * sqrt(J(1-J)/k) + 1/k`` of the exact Jaccard
-  (:func:`repro.text.minhash.minhash_error_bound`); the permutation family
+  (:func:`tests.oracles.minhash_error_bound`); the permutation family
   is a real universal-hash family, not a biased stand-in.
 - **LSH no-drop (pigeonhole form)** — a pair whose signatures disagree in
   fewer than ``bands`` positions always shares at least one complete band,
@@ -28,20 +28,20 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.core.compiler.curation import _bucket_pairs  # noqa: E402
-from repro.text.minhash import (  # noqa: E402
-    EMPTY_SLOT,
-    band_keys,
-    estimate_jaccard,
-    minhash_error_bound,
-    minhash_params,
-    minhash_signature,
-)
+from repro.text.minhash import EMPTY_SLOT, minhash_params  # noqa: E402
 from repro.text.shingle import (  # noqa: E402
     SHINGLE_SPACE,
     exact_jaccard,
     knowledge_canonical,
     shingle_ids,
     simple_canonical,
+)
+
+from ..oracles import (  # noqa: E402
+    band_keys,
+    estimate_jaccard,
+    minhash_error_bound,
+    minhash_signature,
 )
 
 MAX_EXAMPLES = int(os.environ.get("MINHASH_PROP_EXAMPLES", "60"))

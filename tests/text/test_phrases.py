@@ -1,26 +1,12 @@
-"""Tests for the noun-phrase chunkers (naive vs refined)."""
+"""Tests for the noun-phrase chunker."""
 
 from __future__ import annotations
 
-from repro.text.phrases import naive_noun_phrases, noun_phrases
+from repro.text.phrases import noun_phrases
 
 
 def texts(spans):
     return [s.text for s in spans]
-
-
-class TestNaiveChunker:
-    def test_keeps_sentence_initial_function_words(self):
-        assert "Yesterday" in " ".join(texts(naive_noun_phrases("Yesterday John arrived.")))
-
-    def test_splits_on_particles(self):
-        found = texts(naive_noun_phrases("Maria de la Cruz spoke."))
-        assert "Maria de la Cruz" not in found
-
-    def test_finds_simple_runs_and_overtriggers(self):
-        # The naive draft keeps sentence-initial pronouns — that is the bug
-        # the validator's repair loop later fixes.
-        assert texts(naive_noun_phrases("He met John Smith there.")) == ["He", "John Smith"]
 
 
 class TestRefinedChunker:
@@ -64,13 +50,3 @@ class TestRefinedChunker:
         # "de" with nothing capitalised after it must not extend the phrase.
         found = texts(noun_phrases("Maria de que hablaba."))
         assert found == ["Maria"]
-
-
-class TestChunkerContrast:
-    def test_refined_beats_naive_on_particles(self):
-        text = "Yesterday Vincent van Gogh met Maria de la Cruz."
-        naive = set(texts(naive_noun_phrases(text)))
-        refined = set(texts(noun_phrases(text)))
-        assert "Vincent van Gogh" in refined
-        assert "Maria de la Cruz" in refined
-        assert "Vincent van Gogh" not in naive

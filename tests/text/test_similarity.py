@@ -8,13 +8,10 @@ from hypothesis import strategies as st
 
 from repro.text.similarity import (
     TfIdfModel,
-    cosine_similarity,
-    dice_similarity,
     jaccard_similarity,
     jaro_similarity,
     jaro_winkler_similarity,
     levenshtein_distance,
-    levenshtein_within,
     monge_elkan_similarity,
     numeric_similarity,
     overlap_coefficient,
@@ -70,13 +67,6 @@ class TestBandedLevenshtein:
         assert levenshtein_distance("same", "same", max_distance=0) == 0
         assert levenshtein_distance("same", "sane", max_distance=0) == 1
 
-    @given(WORDS, WORDS)
-    def test_within_agrees_with_distance(self, a: str, b: str):
-        true_distance = levenshtein_distance(a, b)
-        assert levenshtein_within(a, b, true_distance)
-        if true_distance > 0:
-            assert not levenshtein_within(a, b, true_distance - 1)
-
 
 class TestJaro:
     def test_classic_martha_example(self):
@@ -108,18 +98,12 @@ class TestSetSimilarities:
     def test_overlap_subset_is_one(self):
         assert overlap_coefficient("a b", "a b c d") == 1.0
 
-    def test_dice_known_value(self):
-        assert dice_similarity("a b", "b c") == pytest.approx(0.5)
-
     def test_empty_inputs_equal(self):
         assert jaccard_similarity("", "") == 1.0
 
-    def test_cosine_orthogonal(self):
-        assert cosine_similarity("a a", "b b") == 0.0
-
     @given(st.lists(WORDS, max_size=6), st.lists(WORDS, max_size=6))
     def test_all_in_unit_range(self, a: list[str], b: list[str]):
-        for fn in (jaccard_similarity, overlap_coefficient, dice_similarity, cosine_similarity):
+        for fn in (jaccard_similarity, overlap_coefficient):
             assert 0.0 <= fn(a, b) <= 1.0
 
 

@@ -32,13 +32,14 @@ from repro.text.normalize import strip_accents  # noqa: E402
 from repro.text.quality import quality_stats  # noqa: E402
 from repro.text.shingle import (  # noqa: E402
     SHINGLE_SPACE,
-    document_digest,
     document_sketch,
     knowledge_canonical,
     shingle_id,
     shingle_ids,
     simple_canonical,
 )
+
+from ..oracles import document_digest  # noqa: E402
 
 MAX_EXAMPLES = int(os.environ.get("MINHASH_PROP_EXAMPLES", "60"))
 

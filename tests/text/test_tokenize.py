@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.text.tokenize import (
     char_ngrams,
-    ngrams,
     sentence_split,
     tokens_with_spans,
     word_tokenize,
@@ -78,25 +77,6 @@ class TestSentenceSplit:
 
     def test_cjk_full_stop(self):
         assert sentence_split("你好。 再见。") == ["你好。", "再见。"]
-
-
-class TestNgrams:
-    def test_bigrams(self):
-        assert ngrams(["a", "b", "c"], 2) == [("a", "b"), ("b", "c")]
-
-    def test_n_longer_than_input(self):
-        assert ngrams(["a"], 2) == []
-
-    def test_unigrams_identity(self):
-        assert ngrams(["x", "y"], 1) == [("x",), ("y",)]
-
-    def test_rejects_nonpositive_n(self):
-        with pytest.raises(ValueError):
-            ngrams(["a"], 0)
-
-    @given(st.lists(st.text(max_size=4), max_size=12), st.integers(1, 5))
-    def test_count_formula(self, tokens: list[str], n: int):
-        assert len(ngrams(tokens, n)) == max(0, len(tokens) - n + 1)
 
 
 class TestCharNgrams:
