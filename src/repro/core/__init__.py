@@ -26,7 +26,6 @@ from repro.core.modules import (
 )
 from repro.core.optimizer import (
     CostComparison,
-    CostTracker,
     ModuleValidator,
     TabularConnector,
     TestCase,
@@ -54,7 +53,6 @@ __all__ = [
     "LLMModule",
     "Module",
     "CostComparison",
-    "CostTracker",
     "ModuleValidator",
     "TabularConnector",
     "TestCase",

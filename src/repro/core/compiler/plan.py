@@ -29,7 +29,7 @@ from repro.core.compiler.context import CompilerContext
 from repro.core.dsl.operators import LogicalOperator
 from repro.core.dsl.pipeline import Pipeline
 from repro.core.modules.base import Module, QuarantinedRecord
-from repro.core.optimizer.cost import CostSnapshot, CostTracker
+from repro.core.optimizer.cost import CostSnapshot
 from repro.obs.profile import RunProfile, profile_records
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "OperatorResilience",
     "RunReport",
     "PhysicalPlan",
+    "close_report",
     "run_operator_step",
 ]
 
@@ -298,9 +299,9 @@ class PhysicalPlan:
         report = RunReport(pipeline_name=self.pipeline.name)
         service = self.context.service
         if checkpoint is not None:
-            # Before any spans or cost marks: validates the fingerprint
-            # and the clock, rewinds the cache to the journalled run-start
-            # state, and indexes the replayable prefix.
+            # Before any spans: validates the fingerprint and the clock
+            # and indexes the replayable prefix (opening the journal, and
+            # rewinding the cache, if the caller did not before compile).
             checkpoint.begin(
                 self.fingerprint(inputs, chunk_size=chunk_size), service
             )
@@ -312,7 +313,7 @@ class PhysicalPlan:
             if tracer is not None
             else nullcontext()
         )
-        with CostTracker(service) as tracker, run_span:
+        with run_span:
             for op_index, binding in enumerate(self.bound):
                 if cancel is not None:
                     cancel.raise_if_cancelled()
@@ -341,9 +342,8 @@ class PhysicalPlan:
                     checkpoint.finish_replay()
                 elif checkpoint is not None:
                     checkpoint.commit_operator(op_index, operator.name)
-        report.partial = bool(report.quarantine)
-        report.cost = tracker.snapshot
         report.profile = profile
+        close_report(report)
         if checkpoint is not None:
             stats = checkpoint.stats
             report.recovery = {
@@ -439,6 +439,27 @@ def run_operator_step(
         llm_failures=row.failures,
     )
     return value
+
+
+def close_report(report: RunReport) -> None:
+    """Close ``report``'s account: its ``partial`` flag and its bill.
+
+    The bill is the totals of the report's profile, so ``cost`` and the
+    profile rows cannot disagree.  Both engines close a report here.
+    """
+    report.partial = bool(report.quarantine)
+    totals = report.profile.totals()
+    report.cost = CostSnapshot(
+        served_calls=totals.provider_calls,
+        cached_calls=totals.cached_calls,
+        cost=totals.cost,
+        latency_seconds=totals.latency_seconds,
+        retries=totals.retries,
+        failed_calls=totals.failures,
+        distilled_calls=totals.distilled,
+        provider_seconds=totals.provider_seconds,
+        distilled_seconds=totals.distilled_seconds,
+    )
 
 
 def _add_call_spans(parent, records, module_start: float) -> None:

@@ -6,7 +6,7 @@ from repro.core.optimizer.connector import (
     ExposureReport,
     TabularConnector,
 )
-from repro.core.optimizer.cost import CostComparison, CostSnapshot, CostTracker
+from repro.core.optimizer.cost import CostComparison, CostSnapshot
 from repro.core.optimizer.distill import DistillationRouter, DistillStats
 from repro.core.optimizer.validator import (
     CaseResult,
@@ -22,7 +22,6 @@ __all__ = [
     "TabularConnector",
     "CostComparison",
     "CostSnapshot",
-    "CostTracker",
     "DistillationRouter",
     "DistillStats",
     "CaseResult",

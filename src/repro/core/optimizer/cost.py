@@ -1,8 +1,8 @@
-"""Cost model and budget tracking for pipelines.
+"""The bill of a pipeline run.
 
 The paper's "Highly Performant" property is economic: minimise LLM calls.
-:class:`CostTracker` snapshots the LLM service ledger around a pipeline run
-so every run report can state exactly what it cost, and
+A run report's :class:`CostSnapshot` is the totals of its per-operator
+profile (:func:`repro.core.compiler.plan.close_report`), and
 :class:`CostComparison` renders the head-to-head numbers the section 4.3
 experiment reports (the 1/6-calls claim).
 """
@@ -11,14 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.llm.service import LLMService, UsageSummary
-
-__all__ = ["CostSnapshot", "CostTracker", "CostComparison"]
+__all__ = ["CostSnapshot", "CostComparison"]
 
 
 @dataclass(frozen=True)
 class CostSnapshot:
-    """Usage delta between two points in time.
+    """What one run cost: the totals of its profile.
 
     The resilience counters (retries, failed calls) show
     what the reliability layer spent to deliver the run — the "extra cost
@@ -50,43 +48,6 @@ class CostSnapshot:
         if self.retries or self.failed_calls:
             text += f" retries={self.retries} failed={self.failed_calls}"
         return text
-
-
-class CostTracker:
-    """Measure the LLM usage of a code region.
-
-    Use as a context manager::
-
-        with CostTracker(service) as tracker:
-            plan.execute(data)
-        print(tracker.snapshot.to_text())
-    """
-
-    def __init__(self, service: LLMService):
-        self.service = service
-        self._before: UsageSummary | None = None
-        self.snapshot: CostSnapshot | None = None
-
-    def __enter__(self) -> "CostTracker":
-        self._before = self.service.usage()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        after = self.service.usage()
-        assert self._before is not None
-        self.snapshot = CostSnapshot(
-            served_calls=after.served_calls - self._before.served_calls,
-            cached_calls=after.cached_calls - self._before.cached_calls,
-            cost=after.cost - self._before.cost,
-            latency_seconds=after.latency_seconds - self._before.latency_seconds,
-            retries=after.retries - self._before.retries,
-            failed_calls=after.failed_calls - self._before.failed_calls,
-            distilled_calls=after.distilled_calls - self._before.distilled_calls,
-            provider_seconds=after.provider_seconds - self._before.provider_seconds,
-            distilled_seconds=(
-                after.distilled_seconds - self._before.distilled_seconds
-            ),
-        )
 
 
 @dataclass

@@ -6,17 +6,19 @@ DataDreamer-style resumable workflows make first-class.  This module turns
 the crash-tolerant *cache* of PR 3 into a crash-tolerant *system* by
 journalling execution itself, write-ahead, beside the cache journal.
 
-The journal is JSONL with three record types:
+The journal is JSONL with four record types:
 
-- ``header`` — written once, before any work: the plan/config
-  **fingerprint** (:meth:`PhysicalPlan.fingerprint`), the virtual clock at
-  execute begin, and key digests describing the prompt-cache state at
-  that instant.  Resume refuses a journal whose
-  fingerprint does not match the recompiled plan, and rewinds the cache to
-  the recorded state — a crashed run keeps appending to the *cache*
-  journal right up to the kill, and serving those extra entries early
-  would make the resumed report cheaper than the uninterrupted one
-  instead of byte-identical.
+- ``header`` — written once, before the plan compiles: key digests
+  describing the prompt-cache state at that instant.  Resume rewinds the
+  cache to the recorded state before it recompiles — a crashed run keeps
+  appending to the *cache* journal right up to the kill, and serving
+  those extra entries early would make the resumed report (and its
+  compile step) cheaper than the uninterrupted one instead of
+  byte-identical.
+- ``plan`` — written once the plan has compiled: the plan/config
+  **fingerprint** (:meth:`PhysicalPlan.fingerprint`) and the virtual clock
+  at execute begin.  Resume refuses a journal whose fingerprint does not
+  match the recompiled plan (:class:`RunJournal`).
 - ``chunk`` — written the moment one chunk finishes: the chunk's raw
   (pre-canonicalization) ledger records, its scope's virtual elapsed
   time, quarantine decisions, degraded count and outputs.  Every
@@ -77,7 +79,7 @@ __all__ = [
     "OperatorContext",
     "CheckpointStats",
     "RunCheckpoint",
-    "begin_journal",
+    "RunJournal",
     "fingerprint_payload",
     "digest_inputs",
 ]
@@ -206,99 +208,150 @@ class ReplayedValue:
         return hash(self._repr)
 
 
-# -- the run-start header protocol -------------------------------------------------
+# -- the run-start protocol ---------------------------------------------------------
 
 
-def begin_journal(
-    owner,
-    fingerprint: str,
-    service: LLMService,
-    *,
-    format_version: int,
-    noun: str,
-    label: str,
-    mode: str | None = None,
-) -> list[dict]:
-    """Validate (or create) a run's write-ahead journal before any work runs.
+class RunJournal:
+    """The run-start protocol :class:`RunCheckpoint` and the shard ledger share.
 
-    The one run-start protocol behind :meth:`RunCheckpoint.begin` and
-    :meth:`~repro.core.runtime.workqueue.ShardLedger.begin`; ``owner`` is
-    either (both carry ``journal``, ``resume``, ``stats`` and ``_began``).
-    On resume: checks the header's type, schema version, ``mode``, the
-    plan/config fingerprint and the virtual clock at begin (a recompiled
-    plan is deterministic, so any divergence means the configuration
-    changed), then rewinds the prompt cache to the recorded run-start
-    state.  On a fresh journal: writes the header.  What the load repaired
-    is counted in ``stats.torn_bytes`` / ``stats.corrupt_lines`` and
-    surfaced by :func:`~repro._jsonl.emit_torn_tail`.
+    :meth:`open` runs before the plan compiles and :meth:`begin` once it
+    has.  A fresh journal gets its ``header`` at open (the prompt-cache
+    state digests) and a ``plan`` line at begin (the plan/config
+    fingerprint and the virtual clock).  On resume, open checks the
+    header's type, schema version and ``mode`` and rewinds the cache to the
+    recorded state, before compile: a compile step that paid the LLM pays
+    it again, and the clock at begin matches.  Begin then checks the
+    fingerprint and the clock (a recompiled plan is deterministic, so any
+    divergence means the configuration changed).  A journal whose last
+    attempt died before its plan compiled has a header and no plan line:
+    it is rewound, then begun afresh.  The rewind comes before the
+    fingerprint is known, so a resume that then fails the check has
+    already pruned what the cache gained since the header.
 
-    Returns the lines after the header, for the caller to index (empty
-    for a fresh journal).  Header fields this build does not read (an older
-    build recorded a second digest list) are ignored.
+    An older build wrote one header line, at execute begin, fingerprint
+    and clock included; such a journal is rewound at begin instead.
+    Header fields this build does not read (a second digest list) are
+    ignored.  What the load repaired is counted in ``stats.torn_bytes`` /
+    ``stats.corrupt_lines`` and surfaced by
+    :func:`~repro._jsonl.emit_torn_tail`.
     """
-    if owner._began:
-        raise CheckpointError(
-            f"a {type(owner).__name__} drives exactly one execute(); create "
-            "a new one (same path) to resume"
-        )
-    owner._began = True
-    journal, stats = owner.journal, owner.stats
-    path = journal.path
-    if not owner.resume:
-        journal.delete()
-    lines = journal.load()
-    # A chunk or shard line whose work does not decode is damaged like a
-    # line that is not JSON: skipped and counted, so its chunk or shard
-    # runs again instead of replaying defaulted columns or raising
-    # mid-replay.  The first line is left to the header check below.
-    intact = lines[:1] + [line for line in lines[1:] if _work_decodes(line)]
-    journal.corrupt_lines += len(lines) - len(intact)
-    lines = intact
-    stats.torn_bytes = journal.torn_bytes
-    stats.corrupt_lines = journal.corrupt_lines
-    emit_torn_tail(getattr(service, "obs", None), service.clock, journal, label)
-    if not lines:
-        header = {"type": "header", "format": format_version}
-        if mode is not None:
-            header["mode"] = mode
-        header["fingerprint"] = fingerprint
-        header["clock_start"] = service.clock.now
-        header["cache_exact"] = service.cache.state_digests()
-        journal.append(header)
-        return []
-    header = lines[0]
-    if header.get("type") != "header":
-        raise CheckpointError(
-            f"{path}: first record is {header.get('type')!r}, "
-            f"not a {noun} header"
-        )
-    if header.get("format") != format_version:
-        raise CheckpointError(
-            f"{path}: {noun} format {header.get('format')!r} "
-            f"(this build reads {format_version})"
-        )
-    if header.get("mode") != mode:
-        raise CheckpointError(
-            f"{path}: journal mode {header.get('mode')!r} is not {mode!r}"
-        )
-    if header.get("fingerprint") != fingerprint:
-        raise CheckpointMismatchError(
-            f"{path}: {noun} fingerprint {header.get('fingerprint')!r} does "
-            f"not match this plan/config ({fingerprint!r}); pass "
-            "resume=False to discard it"
-        )
-    if float(header.get("clock_start", 0.0)) != service.clock.now:
-        raise CheckpointMismatchError(
-            f"{path}: virtual clock at begin is {service.clock.now!r}, "
-            f"{noun} recorded {header.get('clock_start')!r}; the set-up "
-            "before execute diverged from the original run"
-        )
-    if service.cache_enabled:
-        stats.cache_entries_pruned = service.cache.restore_state(
-            header.get("cache_exact", [])
-        )
-    stats.resumed = True
-    return lines[1:]
+
+    format_version = JOURNAL_FORMAT_VERSION
+    noun = "journal"
+    label = "checkpoint"
+    mode: str | None = None
+
+    def __init__(self, path: str | Path, resume: bool = True):
+        self.journal = CheckpointJournal(path)
+        self.resume = resume
+        self._lines: list[dict] | None = None
+        self._began = False
+        self._lock = threading.Lock()
+
+    @property
+    def path(self) -> Path:
+        """The journal file path."""
+        return self.journal.path
+
+    def close(self) -> None:
+        """fsync and release the journal file handle."""
+        self.journal.close()
+
+    def open(self, service: LLMService) -> None:
+        """Load or create the journal and rewind the cache; idempotent."""
+        if self._lines is not None:
+            return
+        journal, stats = self.journal, self.stats
+        if not self.resume:
+            journal.delete()
+        lines = journal.load()
+        # A chunk or shard line whose work does not decode is damaged like a
+        # line that is not JSON: skipped and counted, so its chunk or shard
+        # runs again instead of replaying defaulted columns or raising
+        # mid-replay.  The first line is left to the header check below.
+        intact = lines[:1] + [line for line in lines[1:] if _work_decodes(line)]
+        journal.corrupt_lines += len(lines) - len(intact)
+        stats.torn_bytes = journal.torn_bytes
+        stats.corrupt_lines = journal.corrupt_lines
+        emit_torn_tail(getattr(service, "obs", None), service.clock, journal, self.label)
+        if not intact:
+            header = {"type": "header", "format": self.format_version}
+            if self.mode is not None:
+                header["mode"] = self.mode
+            header["cache_exact"] = service.cache.state_digests()
+            journal.append(header)
+            intact = [header]
+        else:
+            self._check_header(intact[0])
+            if "fingerprint" not in intact[0]:
+                self._rewind(intact[0], service)
+        self._lines = intact
+
+    def _check_header(self, header: dict) -> None:
+        path, noun = self.path, self.noun
+        if header.get("type") != "header":
+            raise CheckpointError(
+                f"{path}: first record is {header.get('type')!r}, "
+                f"not a {noun} header"
+            )
+        if header.get("format") != self.format_version:
+            raise CheckpointError(
+                f"{path}: {noun} format {header.get('format')!r} "
+                f"(this build reads {self.format_version})"
+            )
+        if header.get("mode") != self.mode:
+            raise CheckpointError(
+                f"{path}: journal mode {header.get('mode')!r} is not {self.mode!r}"
+            )
+
+    def _rewind(self, header: dict, service: LLMService) -> None:
+        if service.cache_enabled:
+            self.stats.cache_entries_pruned = service.cache.restore_state(
+                header.get("cache_exact", [])
+            )
+
+    def _begin(self, fingerprint: str, service: LLMService) -> list[dict]:
+        """Open if nobody did, check or write the plan line; the work lines."""
+        if self._began:
+            raise CheckpointError(
+                f"a {type(self).__name__} drives exactly one execute(); create "
+                "a new one (same path) to resume"
+            )
+        self._began = True
+        self.open(service)
+        path, noun = self.path, self.noun
+        header, *lines = self._lines
+        if "fingerprint" in header:
+            plan = header
+        elif lines and lines[0].get("type") == "plan":
+            plan = lines.pop(0)
+        elif lines:
+            raise CheckpointError(f"{path}: the {noun}'s plan line is missing")
+        else:
+            self.journal.append(
+                {
+                    "type": "plan",
+                    "fingerprint": fingerprint,
+                    "clock_start": service.clock.now,
+                }
+            )
+            return []
+        if plan.get("fingerprint") != fingerprint:
+            raise CheckpointMismatchError(
+                f"{path}: {noun} fingerprint {plan.get('fingerprint')!r} does "
+                f"not match this plan/config ({fingerprint!r}); pass "
+                "resume=False to discard it"
+            )
+        if float(plan.get("clock_start", 0.0)) != service.clock.now:
+            raise CheckpointMismatchError(
+                f"{path}: virtual clock at begin is {service.clock.now!r}, "
+                f"{noun} recorded {plan.get('clock_start')!r}; the set-up "
+                "before execute diverged from the original run"
+            )
+        if plan is header:
+            self._rewind(header, service)
+        self.stats.resumed = True
+        return lines
 
 
 # -- decoded journal records ------------------------------------------------------
@@ -490,7 +543,7 @@ class OperatorContext:
 # -- the run checkpoint -----------------------------------------------------------
 
 
-class RunCheckpoint:
+class RunCheckpoint(RunJournal):
     """Write-ahead journal + replay state for exactly one ``execute()``.
 
     Parameters
@@ -507,19 +560,11 @@ class RunCheckpoint:
     """
 
     def __init__(self, path: str | Path, resume: bool = True, crash=None):
-        self.journal = CheckpointJournal(path)
-        self.resume = resume
+        super().__init__(path, resume)
         self.crash = crash
         self.stats = CheckpointStats()
         self._ops: dict[int, dict] = {}
         self._chunks: dict[int, dict[int, dict]] = {}
-        self._began = False
-        self._lock = threading.Lock()
-
-    @property
-    def path(self) -> Path:
-        """The journal file path."""
-        return self.journal.path
 
     def reached(self, boundary: str) -> None:
         """Forward a named boundary to the armed crash point, if any."""
@@ -529,15 +574,8 @@ class RunCheckpoint:
     # -- lifecycle ---------------------------------------------------------------
 
     def begin(self, fingerprint: str, service: LLMService) -> None:
-        """Run :func:`begin_journal`, then index ``op``/``chunk`` records."""
-        for line in begin_journal(
-            self,
-            fingerprint,
-            service,
-            format_version=JOURNAL_FORMAT_VERSION,
-            noun="journal",
-            label="checkpoint",
-        ):
+        """Begin the journal (``RunJournal._begin``), then index ``op``/``chunk`` lines."""
+        for line in self._begin(fingerprint, service):
             kind = line.get("type")
             if kind == "op":
                 self._ops[int(line["index"])] = line
@@ -545,10 +583,6 @@ class RunCheckpoint:
                 self._chunks.setdefault(int(line["op"]), {})[
                     int(line["chunk"])
                 ] = line
-
-    def close(self) -> None:
-        """Release the journal file handle."""
-        self.journal.close()
 
     # -- operator replay / commit -------------------------------------------------
 

@@ -52,6 +52,7 @@ __all__ = [
     "tree_parallel_safe",
     "chunkable",
     "canonicalize_ledger",
+    "require_positive",
     "Scheduler",
 ]
 
@@ -59,6 +60,17 @@ __all__ = [
 #: execution (they decide batch-prime groups), so this must never be
 #: derived from the worker count.
 DEFAULT_CHUNK_SIZE = 8
+
+
+def require_positive(**knobs: int | None) -> None:
+    """Refuse the first execution knob below 1; ``None`` means its default.
+
+    Both engines and :class:`~repro.core.runtime.system.LinguaManga` check
+    before a run journal opens: a bad value must leave no journal behind.
+    """
+    for name, value in knobs.items():
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be at least 1")
 
 
 def partition(values: Sequence[Any], chunk_size: int) -> list[list[Any]]:
@@ -214,12 +226,7 @@ class Scheduler:
         chunk_size: int | None = None,
         cancel: "Any | None" = None,
     ):
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
-        # Here, not at the first chunk: a checkpoint header written first
-        # would pin the bad value into the fingerprint of its path.
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1")
+        require_positive(workers=workers, chunk_size=chunk_size)
         self.workers = workers
         self.chunk_size = chunk_size
         #: optional :class:`~repro.core.runtime.cancel.CancelToken`; checked

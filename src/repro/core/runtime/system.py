@@ -154,6 +154,14 @@ class LinguaManga:
 
             checkpoint = RunCheckpoint(checkpoint_path, resume=resume)
         try:
+            if checkpoint is not None:
+                from repro.core.runtime.scheduler import require_positive
+
+                # Before compile: a resume rewinds the cache here, so a
+                # compile step that paid the LLM pays it again.  A bad
+                # knob is refused first and leaves no journal behind.
+                require_positive(workers=workers, chunk_size=chunk_size)
+                checkpoint.open(self.service)
             plan = self.compile(pipeline)
             return plan.execute(
                 inputs,
@@ -215,9 +223,9 @@ class LinguaManga:
         import tempfile
         from pathlib import Path
 
+        from repro.core.runtime.scheduler import require_positive
         from repro.core.runtime.workqueue import ShardLedger, StreamingExecutor
 
-        plan = self.compile(pipeline)
         if workers is None:
             workers = 1
         ephemeral_dir = None
@@ -226,6 +234,12 @@ class LinguaManga:
             ledger_path = Path(ephemeral_dir) / "ledger.jsonl"
         ledger = ShardLedger(ledger_path, resume=resume)
         try:
+            require_positive(
+                workers=workers, chunk_size=chunk_size, window=window,
+                max_attempts=max_attempts,
+            )
+            ledger.open(self.service)  # before compile, as in run()
+            plan = self.compile(pipeline)
             executor = StreamingExecutor(
                 plan,
                 ledger=ledger,

@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -69,19 +68,18 @@ from repro.core.compiler.plan import (
     OperatorResilience,
     PhysicalPlan,
     RunReport,
+    close_report,
     run_operator_step,
 )
 from repro.core.modules.base import QuarantinedRecord
-from repro.core.optimizer.cost import CostSnapshot
 from repro.core.runtime.checkpoint import (
-    CheckpointJournal,
     CheckpointMismatchError,
     ReplayedValue,
+    RunJournal,
     UnserializableValueError,
     _decode_records,
     _decode_slice,
     _encode_slice,
-    begin_journal,
     decode_value,
     encode_value,
     fingerprint_payload,
@@ -90,6 +88,7 @@ from repro.core.runtime.scheduler import (
     chunkable,
     iter_chunks,
     ordered_map,
+    require_positive,
     resolve_chunk_size,
 )
 from repro.llm.service import CallRecord, LLMService
@@ -171,16 +170,18 @@ class ShardLedgerStats:
 # -- the shard ledger ---------------------------------------------------------------
 
 
-class ShardLedger:
+class ShardLedger(RunJournal):
     """Write-ahead shard journal: what a resumed stream replays.
 
-    JSONL with four record types:
+    JSONL with five record types:
 
-    - ``header`` — written once, before any work: the streaming
-      run fingerprint, the virtual clock at begin, and the prompt-cache
-      state digests (resume rewinds the cache to them, exactly like the
-      batch checkpoint, so a crashed run's extra cache appends cannot make
-      the resumed report cheaper than the uninterrupted one).
+    - ``header`` and ``plan`` — the run-start lines every
+      :class:`~repro.core.runtime.checkpoint.RunJournal` writes: the
+      prompt-cache state digests before compile (resume rewinds the cache
+      to them, exactly like the batch checkpoint, so a crashed run's extra
+      cache appends cannot make the resumed report cheaper than the
+      uninterrupted one), then the streaming run fingerprint and the
+      virtual clock at begin.
     - ``shard`` — one completed shard: per-operator ledger records (the
       columnar, prefix-shared encoding shared with the batch journal),
       per-operator virtual elapsed time, quarantine and degraded counts,
@@ -199,32 +200,21 @@ class ShardLedger:
       never re-executed after this line commits.
     """
 
+    format_version = SHARD_LEDGER_FORMAT_VERSION
+    noun = "ledger"
+    label = "shard-ledger"
+    mode = "streaming"
+
     def __init__(self, path: str | Path, resume: bool = True):
-        self.journal = CheckpointJournal(path)
-        self.resume = resume
+        super().__init__(path, resume)
         self.stats = ShardLedgerStats()
         self._shards: dict[int, dict] = {}
         self._poisons: dict[int, dict] = {}
         self._fails: dict[int, list[dict]] = {}
-        self._began = False
-        self._lock = threading.Lock()
-
-    @property
-    def path(self) -> Path:
-        """The journal file path."""
-        return self.journal.path
 
     def begin(self, fingerprint: str, service: LLMService) -> None:
-        """Run :func:`begin_journal`, then index shard/fail/poison lines."""
-        for line in begin_journal(
-            self,
-            fingerprint,
-            service,
-            format_version=SHARD_LEDGER_FORMAT_VERSION,
-            noun="ledger",
-            label="shard-ledger",
-            mode="streaming",
-        ):
+        """Begin the journal (``RunJournal._begin``), then index shard/fail/poison lines."""
+        for line in self._begin(fingerprint, service):
             kind = line.get("type")
             if kind == "shard":
                 self._shards[int(line["index"])] = line
@@ -375,10 +365,6 @@ class ShardLedger:
             }
         )
 
-    def close(self) -> None:
-        """fsync and release the journal file handle."""
-        self.journal.close()
-
 
 # -- the streaming executor ----------------------------------------------------------
 
@@ -439,17 +425,10 @@ class StreamingExecutor:
     ):
         if window is None:
             window = max(4 * workers, 8)
-        # Here, before execute() writes the ledger header: a bad value must
-        # not leave a journal behind, and a bad chunk_size would be pinned
-        # into its fingerprint.
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1")
-        if window < 1:
-            raise ValueError("window must be at least 1")
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
+        require_positive(
+            workers=workers, chunk_size=chunk_size, window=window,
+            max_attempts=max_attempts,
+        )
         self.plan = plan
         self.ledger = ledger
         self.workers = workers
@@ -638,20 +617,7 @@ class StreamingExecutor:
                 values[middle[-1].operator.name] = summary
                 for binding in suffix:
                     values[binding.operator.name] = summary
-        report.partial = bool(report.quarantine)
-        totals = report.profile.totals()
-        report.cost = CostSnapshot(
-            served_calls=totals.provider_calls,
-            cached_calls=totals.cached_calls,
-            cost=totals.cost,
-            latency_seconds=totals.latency_seconds,
-            retries=totals.retries,
-            failed_calls=totals.failures,
-            distilled_calls=totals.distilled,
-            # Distilled time under its own key, not folded into provider time.
-            provider_seconds=totals.provider_seconds,
-            distilled_seconds=totals.distilled_seconds,
-        )
+        close_report(report)
         for sink_op in self.plan.pipeline.sinks():
             if sink_op.name not in values:
                 raise StreamingPlanError(

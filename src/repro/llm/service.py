@@ -177,6 +177,15 @@ def usage_delta(before: UsageSummary, after: UsageSummary) -> dict[str, float]:
     }
 
 
+def _profile(records: Iterable[CallRecord]):
+    """Classify and sum ``records`` with the run profiler's counting function."""
+    # Deferred: repro.obs imports repro.llm.cache, so a module-level
+    # import here would be circular through the repro.llm package.
+    from repro.obs.profile import profile_records
+
+    return profile_records("", records)
+
+
 @dataclass
 class CallScope:
     """A worker thread's private view of the service during one chunk.
@@ -797,15 +806,13 @@ class LLMService:
             return None
         scope = self._scope()
         with self._lock:
-            records = self.records if scope is None else self.records + scope.records
-            if self.max_calls is not None:
-                calls = sum(1 for r in records if not r.cached and r.succeeded)
-                if calls >= self.max_calls:
-                    return f"call budget exhausted ({calls}/{self.max_calls})"
-            if self.max_cost is not None:
-                cost = sum(r.cost for r in records)
-                if cost >= self.max_cost:
-                    return f"cost budget exhausted (${cost:.4f}/${self.max_cost:.4f})"
+            row = _profile(
+                self.records if scope is None else self.records + scope.records
+            )
+        if self.max_calls is not None and row.provider_calls >= self.max_calls:
+            return f"call budget exhausted ({row.provider_calls}/{self.max_calls})"
+        if self.max_cost is not None and row.cost >= self.max_cost:
+            return f"cost budget exhausted (${row.cost:.4f}/${self.max_cost:.4f})"
         return None
 
     def record_distilled(
@@ -885,64 +892,33 @@ class LLMService:
 
     # -- accounting --------------------------------------------------------------
 
-    @property
-    def served_calls(self) -> int:
-        """Successful calls that hit a provider (excludes cache hits/failures)."""
-        return sum(1 for r in self.records if not r.cached and r.succeeded)
-
-    @property
-    def cached_calls(self) -> int:
-        """Calls answered from the local cache."""
-        return sum(1 for r in self.records if r.cached)
-
-    @property
-    def failed_calls(self) -> int:
-        """Calls whose retries ran out (``gave_up``)."""
-        return sum(1 for r in self.records if not r.succeeded)
-
-    @property
-    def distilled_calls(self) -> int:
-        """Calls answered by a distilled local model."""
-        return sum(1 for r in self.records if r.provenance == PROVENANCE_DISTILLED)
-
-    @property
-    def total_cost(self) -> float:
-        """Accumulated dollar cost."""
-        return sum(r.cost for r in self.records)
-
     def usage(self, purpose: str | None = None) -> UsageSummary:
-        """Aggregate usage, optionally filtered to one ``purpose`` label."""
+        """Aggregate usage, optionally filtered to one ``purpose`` label.
+
+        One :func:`~repro.obs.profile.profile_records` pass classifies and
+        sums the records; the token sums are the only other folds.
+        """
         with self._lock:
-            records: Iterable[CallRecord] = list(self.records)
+            records = list(self.records)
         if purpose is not None:
             records = [r for r in records if r.purpose == purpose]
-        records = list(records)
+        row = _profile(records)
         return UsageSummary(
-            total_calls=len(records),
-            served_calls=sum(1 for r in records if not r.cached and r.succeeded),
-            cached_calls=sum(1 for r in records if r.cached),
+            total_calls=row.calls,
+            served_calls=row.provider_calls,
+            cached_calls=row.cached_calls,
             prompt_tokens=sum(r.prompt_tokens for r in records),
             completion_tokens=sum(r.completion_tokens for r in records),
-            cost=sum(r.cost for r in records),
-            latency_seconds=sum(r.latency_seconds for r in records),
-            retries=sum(r.retries for r in records),
-            failed_calls=sum(1 for r in records if not r.succeeded),
-            distilled_calls=sum(
-                1 for r in records if r.provenance == PROVENANCE_DISTILLED
-            ),
+            # An empty ledger bills int 0, as ``sum`` always spelled it:
+            # task results and the API payloads render it as "0".
+            cost=row.cost if records else 0,
+            latency_seconds=row.latency_seconds if records else 0,
+            retries=row.retries,
+            failed_calls=row.failures,
+            distilled_calls=row.distilled,
             cache_evictions=self.cache.stats.evictions,
-            # float(): an empty generator sums to int 0, which would render
-            # as "0" instead of "0.0" in canonical report JSON.
-            provider_seconds=float(
-                sum(r.latency_seconds for r in records if not r.cached)
-            ),
-            distilled_seconds=float(
-                sum(
-                    r.latency_seconds
-                    for r in records
-                    if r.provenance == PROVENANCE_DISTILLED
-                )
-            ),
+            provider_seconds=row.provider_seconds,
+            distilled_seconds=row.distilled_seconds,
         )
 
     def ledger_table(self):

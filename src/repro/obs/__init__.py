@@ -10,7 +10,7 @@ cache tier.  This package is that substrate:
 - :mod:`repro.obs.metrics` — a registry of counters, gauges and
   fixed-bucket histograms that every subsystem publishes into;
 - :mod:`repro.obs.profile` — the per-module run profiler attached to
-  ``RunReport.profile``, reconciling exactly with ``CostSnapshot``.
+  ``RunReport.profile``, whose totals are the run's bill (``RunReport.cost``).
 
 Everything hangs off one :class:`Observability` hub::
 

@@ -8,11 +8,12 @@ canonicalized ledger slice, breaking down how its answers were produced
 and what the resilience layer absorbed (retries, failures, quarantined
 records).
 
-The profile is an exact decomposition of the run's
-:class:`~repro.core.optimizer.cost.CostSnapshot`: summing the rows
-reproduces the snapshot's totals field for field
-(:meth:`RunProfile.reconciles_with`), which the golden suite asserts on
-every demo app.
+The profile is the run's bill: ``report.cost`` is :meth:`RunProfile.totals`
+(:func:`~repro.core.compiler.plan.close_report`), in both engines.
+:func:`profile_records` is the one function that decides what a ledger
+record counts as (provider, exact cache, distilled, failed) and sums it;
+:meth:`~repro.llm.service.LLMService.usage` and the service's budget check
+count with it too.
 """
 
 from __future__ import annotations
@@ -161,26 +162,6 @@ class RunProfile:
     def totals(self) -> ProfileRow:
         """Column sums across every row."""
         return sum(self.rows, ProfileRow(module="TOTAL"))
-
-    def reconciles_with(self, cost: Any) -> bool:
-        """Whether the rows decompose ``cost`` (a ``CostSnapshot``) exactly.
-
-        Served/cached/distilled/retry/failure counts must
-        match integer-exactly; dollar cost and virtual latency to within
-        float-sum tolerance.
-        """
-        totals = self.totals()
-        return (
-            totals.provider_calls == cost.served_calls
-            and totals.cached_calls == cost.cached_calls
-            and totals.distilled == cost.distilled_calls
-            and totals.retries == cost.retries
-            and totals.failures == cost.failed_calls
-            and abs(totals.cost - cost.cost) < 1e-9
-            and abs(totals.latency_seconds - cost.latency_seconds) < 1e-6
-            and abs(totals.provider_seconds - cost.provider_seconds) < 1e-6
-            and abs(totals.distilled_seconds - cost.distilled_seconds) < 1e-6
-        )
 
     def to_dict(self) -> list[dict[str, Any]]:
         """Canonical row dicts (cost fields normalized)."""

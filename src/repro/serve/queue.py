@@ -24,8 +24,9 @@ The job ledger (:class:`~repro.serve.store.JobStore`) is write-ahead:
 ``kill()`` simulates server death by cancelling every running job's token
 and *writing nothing* — the ledger still says ``running``, so the next
 queue constructed over the same directory reports those jobs
-``resumable`` and re-runs them through the PR 5 checkpoint machinery,
-replaying committed chunks byte-identically.
+``resumable`` and re-runs them through the checkpoint machinery: the
+job's run journal rewinds the tenant cache to its state before the first
+attempt compiled, then replays committed chunks byte-identically.
 
 Cross-tenant isolation audit
 ----------------------------
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 import time
 from collections import deque
@@ -285,45 +285,6 @@ class JobQueue:
     def _job_dir(self, job_id: str) -> Path:
         return self.data_dir / "jobs" / job_id
 
-    def _restore_cache_state(self, job: JobRecord, tenant: str, job_dir: Path) -> None:
-        """Pin the tenant cache to the state the job's *first* attempt saw.
-
-        A killed attempt keeps appending to the tenant's cache journal up
-        to the kill — including compile-phase entries written before the
-        checkpoint header exists.  Re-running over that partially-warmed
-        cache would make the resumed run cheaper (and its clock earlier)
-        than the uninterrupted one instead of byte-identical, so the first
-        attempt snapshots the cache's state digests beside the checkpoint
-        and every re-attempt rewinds to them; the rewound entries are
-        re-created identically as the resumed run re-pays them.  Only safe
-        while no sibling job of the tenant is mid-flight — guaranteed by
-        the default one-running-job-per-tenant quota; with a raised
-        ``max_running`` the rewind is skipped and resumed byte-identity is
-        out of contract.
-        """
-        if not self.registry.cache_enabled:
-            return
-        tenant_state = self.registry.get(tenant)
-        if tenant_state.active_jobs != 1:
-            return
-        snapshot_path = job_dir / "cache_state.json"
-        if job.attempts == 0:
-            exact = tenant_state.cache.state_digests()
-            tmp_path = snapshot_path.with_name(snapshot_path.name + ".tmp")
-            tmp_path.write_text(json.dumps({"exact": exact}), encoding="utf-8")
-            os.replace(tmp_path, snapshot_path)
-        elif snapshot_path.exists():
-            try:
-                state = json.loads(snapshot_path.read_text(encoding="utf-8"))
-                # An older build's snapshot carries a second list; only
-                # "exact" is read.
-                exact = state["exact"]
-            except (ValueError, KeyError, TypeError, OSError):
-                # A torn or unreadable snapshot is treated as absent: the
-                # resume still runs, it just skips the cache rewind.
-                return
-            tenant_state.cache.restore_state(exact)
-
     def _run_job(self, job: JobRecord, token: CancelToken) -> None:
         spec = job.spec
         tenant = spec.tenant
@@ -340,7 +301,6 @@ class JobQueue:
             job_dir.mkdir(parents=True, exist_ok=True)
             checkpoint_path = job_dir / "checkpoint.jsonl"
             resumed = checkpoint_path.exists()
-            self._restore_cache_state(job, tenant, job_dir)
             self.store.transition(
                 job.job_id,
                 "running",

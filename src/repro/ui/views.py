@@ -134,14 +134,13 @@ class UsagePanelView:
 
     def render(self) -> str:
         """Render the usage footer."""
-        usage = self.service.usage()
-        by_purpose: dict[str, int] = {}
-        for record in self.service.records:
-            if not record.cached:
-                by_purpose[record.purpose] = by_purpose.get(record.purpose, 0) + 1
-        lines = [usage.to_text()]
-        for purpose in sorted(by_purpose):
-            lines.append(f"  {purpose}: {by_purpose[purpose]} calls")
+        lines = [self.service.usage().to_text()]
+        for purpose in sorted({record.purpose for record in self.service.records}):
+            usage = self.service.usage(purpose)
+            # Provider-path calls, failed ones included: not cache answers.
+            calls = usage.total_calls - usage.cached_calls
+            if calls:
+                lines.append(f"  {purpose}: {calls} calls")
         return _box("LLM usage", lines)
 
 

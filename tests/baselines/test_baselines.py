@@ -61,7 +61,7 @@ class TestFMs:
         y_pred = [int(fms_match_pair(service, p)) for p in small]
         y_true = [p.label for p in small]
         assert 0.0 <= f1_score(y_true, y_pred) <= 1.0
-        assert service.served_calls == len(small)
+        assert service.usage().served_calls == len(small)
 
     def test_imputation_accuracy_reasonable(self, service, buy):
         accuracy = evaluate_fms_imputation(service, buy.test[:100])

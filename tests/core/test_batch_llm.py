@@ -75,7 +75,7 @@ class TestBatchModule:
         pairs = [MATCH_PAIR, DIFFERENT_PAIR] * 5
         module = make_batch_module(context, batch_size=10)
         module.run(list(pairs))
-        assert context.service.served_calls == 1
+        assert context.service.usage().served_calls == 1
 
     def test_multiple_batches(self, context):
         # Distinct pairs so the service cache cannot merge identical batches.
@@ -85,7 +85,7 @@ class TestBatchModule:
         module = make_batch_module(context, batch_size=3)
         results = module.run(list(pairs))
         assert len(results) == 7
-        assert context.service.served_calls == 3
+        assert context.service.usage().served_calls == 3
 
     def test_rejects_non_list(self, context):
         module = make_batch_module(context)

@@ -10,7 +10,7 @@ import pytest
 from repro.core.modules.custom import CustomModule
 from repro.core.modules.llmgc import LLMGCModule
 from repro.core.optimizer.connector import ConnectorPolicyError, TabularConnector
-from repro.core.optimizer.cost import CostComparison, CostSnapshot, CostTracker
+from repro.core.optimizer.cost import CostComparison, CostSnapshot
 from repro.core.optimizer.validator import ModuleValidator, TestCase
 from repro.storage.database import Database
 from repro.storage.table import Table
@@ -144,20 +144,6 @@ class TestConnector:
 
 
 class TestCostTracking:
-    def test_tracker_measures_delta(self, service):
-        service.complete("summarize warm-up call")
-        with CostTracker(service) as tracker:
-            service.complete("summarize tracked call")
-        assert tracker.snapshot.served_calls == 1
-        assert tracker.snapshot.cost > 0
-
-    def test_tracker_counts_cache_hits_separately(self, service):
-        service.complete("summarize x")
-        with CostTracker(service) as tracker:
-            service.complete("summarize x")
-        assert tracker.snapshot.served_calls == 0
-        assert tracker.snapshot.cached_calls == 1
-
     def test_comparison_ratio(self):
         comparison = CostComparison(
             "baseline",

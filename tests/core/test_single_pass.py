@@ -90,7 +90,7 @@ class TestCounts:
         calls = count_calls(service)
         outcome = MapModule("map", CountingLLM(service)).apply_chunk(records(20))
         assert outcome.outputs == [True] * 20
-        assert service.served_calls == 20 and service.cached_calls == 0
+        assert service.usage().served_calls == 20 and service.usage().cached_calls == 0
         assert len(service.records) == 20
         assert calls == {"cache.put_many": 1, "cache.entries": 20}  # no complete, no get
 
@@ -100,7 +100,7 @@ class TestCounts:
         items = with_repeats(6, repeated=2, times=4)
         outcome = MapModule("map", CountingLLM(service)).apply_chunk(items)
         assert outcome.outputs == [True] * 9
-        assert service.served_calls == 6 and service.cached_calls == 3
+        assert service.usage().served_calls == 6 and service.usage().cached_calls == 3
         assert calls == {
             "cache.put_many": 1, "cache.entries": 6, "complete": 3, "cache.get": 3
         }
@@ -114,7 +114,7 @@ class TestCounts:
         service.reset_usage()
         calls = count_calls(service)
         assert mapper.apply_chunk(records(20)).outputs == [True] * 20
-        assert service.served_calls == 0 and service.cached_calls == 20
+        assert service.usage().served_calls == 0 and service.usage().cached_calls == 20
         assert calls == {"complete": 20, "cache.get": 20}
 
     def test_a_rejected_first_answer_is_reprompted_through_complete(self):
@@ -128,7 +128,7 @@ class TestCounts:
         assert calls["complete"] == 12 and len(first) == 12
         assert [len(batch) for batch in reprompts] == [1] * 12
         assert all("Answer strictly" in prompt for (prompt,) in reprompts)
-        assert service.served_calls == 24 and service.cached_calls == 0
+        assert service.usage().served_calls == 24 and service.usage().cached_calls == 0
 
     def test_a_cascade_hands_over_only_the_escalated_items(self):
         service = LLMService(ScriptedProvider())
@@ -141,7 +141,7 @@ class TestCounts:
         escalated = sum(1 for item in items if cascade.escalates(item))
         assert 0 < escalated < 30
         assert len(MapModule("map", cascade).apply_chunk(items).outputs) == 30
-        assert len(service.records) == service.served_calls == escalated
+        assert len(service.records) == service.usage().served_calls == escalated
         assert calls == {"cache.put_many": 1, "cache.entries": escalated}
 
     def test_a_raising_round_trip_retries_every_item_in_it(self):
@@ -161,7 +161,7 @@ class TestCounts:
         assert calls == {"cache.put_many": 1, "cache.entries": 5}  # handed over: no complete
         assert [len(batch) for batch in provider.batches] == [5, 5]
         assert [r.outcome for r in service.records] == ["retried"] * 5
-        assert service.served_calls == 5 and service.cached_calls == 0
+        assert service.usage().served_calls == 5 and service.usage().cached_calls == 0
         assert hits_and_misses(service) == (0, 5)
 
     def test_a_prompt_that_always_fails_spends_one_retry_budget(self):
@@ -285,7 +285,7 @@ class TestWorkerCounts:
 
     def test_cross_chunk_duplicates_give_one_ledger_at_any_worker_count(self):
         sequential = self.run(1)
-        assert sequential.served_calls == 22 and sequential.cached_calls == 8
+        assert sequential.usage().served_calls == 22 and sequential.usage().cached_calls == 8
         for workers in WORKER_COUNTS[1:]:
             service = self.run(workers)
             assert ledger(service) == ledger(sequential)
@@ -307,7 +307,7 @@ class TestHubPath:
             outcome = MapModule("map", CountingLLM(service)).apply_chunk(items)
             assert outcome.outputs == [True] * 10
             assert calls == {"cache.put_many": 1, "cache.entries": 10}
-            assert service.served_calls == 10 and service.cached_calls == 0
+            assert service.usage().served_calls == 10 and service.usage().cached_calls == 0
             assert hits_and_misses(service) == (0, 10)
             ledgers.append(ledger(service))
         assert ledgers[0] == ledgers[1]  # the follower's bill does not say who paid
@@ -352,7 +352,7 @@ class TestErrorPolicies:
         assert [entry.record["id"] for entry in outcome.quarantine] == [2]
         assert "failed validation" in outcome.quarantine[0].error
         service = mapper.inner.service
-        assert service.served_calls == 5 and service.cached_calls == 0
+        assert service.usage().served_calls == 5 and service.usage().cached_calls == 0
 
     def test_degrade_hands_the_record_to_the_fallback(self):
         mapper = MapModule(
@@ -390,13 +390,13 @@ class TestBudgets:
         service, cause = self.run(max_calls=10)
         assert isinstance(cause, BudgetExceededError)
         assert service.provider.calls == 10
-        assert service.served_calls == 10 and service.cached_calls == 0
+        assert service.usage().served_calls == 10 and service.usage().cached_calls == 0
 
     def test_max_cost_trips_at_the_same_call(self):
         service, cause = self.run(max_cost=9.5 * estimate_cost(5, 1))
         assert isinstance(cause, BudgetExceededError)
         assert service.provider.calls == 10
-        assert service.total_cost == pytest.approx(10 * estimate_cost(5, 1))
+        assert service.usage().cost == pytest.approx(10 * estimate_cost(5, 1))
 
 
 class TestClearCacheMidChunk:

@@ -151,7 +151,7 @@ def served_after(path: Path, answer: str, damaged: int) -> None:
     assert service.cache.journal.corrupt_lines == damaged
     assert len(service.cache) == 0
     assert service.complete(PROMPT) == answer
-    assert (service.served_calls, service.cached_calls) == (1, 0)
+    assert (service.usage().served_calls, service.usage().cached_calls) == (1, 0)
 
 
 #: (where, column, a value of the wrong JSON type)

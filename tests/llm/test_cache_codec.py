@@ -3,8 +3,9 @@
 The prompt cache writes its journal through the codec the other three
 journals use (:mod:`repro._jsonl`) and keeps a key's digest on the key.
 Neither may change a value anything recorded: digests sit in run-journal
-and shard-ledger headers and in the serve layer's ``cache_state.json``,
-and journals written by earlier builds must keep loading.  The parent
+and shard-ledger headers (and, from older builds, in the serve layer's
+``cache_state.json``), and journals written by earlier builds must keep
+loading.  The parent
 commit's formulas are kept here as the references, and
 ``tests/core/parent_journals/`` holds files that commit wrote.
 """

@@ -78,7 +78,7 @@ class TestOneWritePerBatch:
         assert outcome.outputs == [True] * 20
         # one block line for the batch
         assert [call[:2] for call in appends[path].calls] == [("write", 1), ("flush",)]
-        assert len(CacheJournal(path).load()) == service.served_calls == 20
+        assert len(CacheJournal(path).load()) == service.usage().served_calls == 20
 
     def test_a_resume_rewarms_the_cache_with_one_write(self, tmp_path, appends):
         paid = LLMService(ScriptedProvider())
@@ -202,12 +202,12 @@ class TestLoneSurrogate:
         path = tmp_path / "cache.jsonl"
         service = LLMService(ScriptedProvider(), cache_path=path)
         assert service.complete(SURROGATE_PROMPT) == "Yes."
-        assert service.served_calls == 1
+        assert service.usage().served_calls == 1
         service.cache.close()
         warm = LLMService(ScriptedProvider(), cache_path=path)
         assert [k.prompt for k, _ in warm.cache.entries()] == [SURROGATE_PROMPT]
         assert warm.complete(SURROGATE_PROMPT) == "Yes."
-        assert warm.served_calls == 0 and warm.cached_calls == 1
+        assert warm.usage().served_calls == 0 and warm.usage().cached_calls == 1
         assert len(key_digest(warm.cache.entries()[0][0])) == 16
 
     def test_its_line_alone_is_escaped(self, tmp_path, either_codec):

@@ -39,26 +39,26 @@ class TestCache:
         first = service.complete(PROMPT)
         second = service.complete(PROMPT)
         assert first == second
-        assert service.served_calls == 1
-        assert service.cached_calls == 1
+        assert service.usage().served_calls == 1
+        assert service.usage().cached_calls == 1
 
     def test_cached_call_is_free(self, service: LLMService):
         service.complete(PROMPT)
-        cost_after_first = service.total_cost
+        cost_after_first = service.usage().cost
         service.complete(PROMPT)
-        assert service.total_cost == cost_after_first
+        assert service.usage().cost == cost_after_first
 
     def test_cache_can_be_disabled(self):
         service = LLMService(SimulatedProvider(), cache_enabled=False)
         service.complete(PROMPT)
         service.complete(PROMPT)
-        assert service.served_calls == 2
+        assert service.usage().served_calls == 2
 
     def test_clear_cache_forces_refetch(self, service: LLMService):
         service.complete(PROMPT)
         service.clear_cache()
         service.complete(PROMPT)
-        assert service.served_calls == 2
+        assert service.usage().served_calls == 2
 
 
 class TestBudget:
@@ -110,7 +110,7 @@ class TestRetries:
         service = LLMService(flaky, retry=_retries(2))
         with pytest.raises(ProviderError):
             service.complete("anything")
-        assert service.served_calls == 0  # nothing ever succeeded
+        assert service.usage().served_calls == 0  # nothing ever succeeded
 
 
 class TestLedger:
@@ -134,7 +134,7 @@ class TestLedger:
         service.reset_usage()
         assert service.usage().total_calls == 0
         service.complete(PROMPT)
-        assert service.cached_calls == 1  # cache survived
+        assert service.usage().cached_calls == 1  # cache survived
 
     def test_records_tag_skill(self, service: LLMService):
         service.complete(PROMPT)
@@ -182,7 +182,7 @@ class TestPrimeBatch:
         other = PROMPT + " Also this."
         assert service.prime([PROMPT, other, PROMPT, PROMPT]) == 2
         assert provider.batches == [[PROMPT, other]]
-        assert service.served_calls == 2 and len(service.records) == 2
+        assert service.usage().served_calls == 2 and len(service.records) == 2
         assert service._inflight == {}
         assert service.prime([PROMPT, PROMPT]) == 0  # cached now: nothing to send
         assert len(provider.batches) == 1
@@ -327,7 +327,7 @@ class TestCompleteMany:
         chunked = LLMService(SimulatedProvider())
         MapModule("map", Verbatim("ask", chunked, "unused")).apply_chunk(prompts)
         assert direct.records == chunked.records
-        assert direct.served_calls == 6 and direct.cached_calls == 2
+        assert direct.usage().served_calls == 6 and direct.usage().cached_calls == 2
 
 
 class TestSimulatedProviderDeterminism:

@@ -48,10 +48,10 @@ class TestCacheKey:
         service = LLMService(SimulatedProvider())
         service.complete(PROMPT, max_tokens=256)
         service.complete(PROMPT, max_tokens=8)
-        assert service.served_calls == 2  # not conflated
-        assert service.cached_calls == 0
+        assert service.usage().served_calls == 2  # not conflated
+        assert service.usage().cached_calls == 0
         service.complete(PROMPT, max_tokens=8)
-        assert service.cached_calls == 1
+        assert service.usage().cached_calls == 1
 
     def test_truncation_respects_max_tokens_per_entry(self):
         service = LLMService(SimulatedProvider())
@@ -90,8 +90,8 @@ class TestOutcomes:
         service = LLMService(DeadProvider(), retry=_retries(2))
         with pytest.raises(ProviderError):
             service.complete("anything at all")
-        assert service.served_calls == 0
-        assert service.failed_calls == 1
+        assert service.usage().served_calls == 0
+        assert service.usage().failed_calls == 1
         assert service.records[-1].outcome == "gave_up"
         assert service.usage().failed_calls == 1
 

@@ -115,28 +115,3 @@ class TestRunProfile:
         payload = self.make().to_dict()
         assert payload[0]["module"] == "a"
         assert payload[0]["cost"] == round(0.02, 10)
-
-    def test_reconciles_with_matching_snapshot(self):
-        from repro.core.optimizer.cost import CostSnapshot
-
-        profile = self.make()
-        totals = profile.totals()
-        snapshot = CostSnapshot(
-            served_calls=totals.provider_calls,
-            cached_calls=totals.cached_calls,
-            cost=totals.cost,
-            latency_seconds=totals.latency_seconds,
-            retries=totals.retries,
-            failed_calls=totals.failures,
-            distilled_calls=totals.distilled,
-            provider_seconds=totals.provider_seconds,
-            distilled_seconds=totals.distilled_seconds,
-        )
-        assert profile.reconciles_with(snapshot)
-        off_by_one = CostSnapshot(
-            served_calls=totals.provider_calls + 1,
-            cached_calls=totals.cached_calls,
-            cost=totals.cost,
-            latency_seconds=totals.latency_seconds,
-        )
-        assert not profile.reconciles_with(off_by_one)

@@ -32,11 +32,14 @@ from repro.core.runtime.scheduler import Scheduler
 from repro.core.runtime.system import LinguaManga
 from repro.core.templates.library import get_template
 from repro.datasets.entity_resolution import generate_er_dataset
+from repro.datasets.imputation import generate_buy_dataset
 from repro.llm.faults import CrashInjected, CrashPoint
 from repro.llm.providers import LLMResponse, SimulatedProvider
 from repro.llm.service import LLMService
 from repro.obs import Observability
 from repro.tasks.entity_resolution import pairs_as_inputs, pick_examples
+from repro.tasks.imputation import run_hybrid_imputation
+from repro.tasks.table import TASKS
 from tests.core.parent_journals import make_committed_run
 
 PARENT_JOURNALS = Path(make_committed_run.__file__).parent
@@ -161,10 +164,10 @@ class TestHeaderValidation:
     def test_fresh_journal_writes_header(self, tmp_path):
         checkpoint = self._begin(tmp_path / "run.wal", "abc")
         checkpoint.close()
-        header = CheckpointJournal(checkpoint.path).load()[0]
+        header, plan = CheckpointJournal(checkpoint.path).load()
         assert header["type"] == "header"
         assert header["format"] == JOURNAL_FORMAT_VERSION
-        assert header["fingerprint"] == "abc"
+        assert (plan["type"], plan["fingerprint"]) == ("plan", "abc")
         assert not checkpoint.stats.resumed
 
     def test_matching_fingerprint_resumes(self, tmp_path):
@@ -196,6 +199,17 @@ class TestHeaderValidation:
         path = tmp_path / "run.wal"
         path.write_text(json.dumps({"type": "chunk"}) + "\n")
         with pytest.raises(CheckpointError, match="header"):
+            self._begin(path, "abc")
+
+    def test_work_without_a_plan_line_refuses(self, tmp_path):
+        """A damaged plan line is refused like a damaged header: the work
+        after it cannot be matched to a plan."""
+        path = tmp_path / "run.wal"
+        header = {"type": "header", "format": JOURNAL_FORMAT_VERSION, "cache_exact": []}
+        path.write_text(
+            json.dumps(header) + "\n" + json.dumps({"type": "op", "index": 0}) + "\n"
+        )
+        with pytest.raises(CheckpointError, match="plan line"):
             self._begin(path, "abc")
 
     def test_clock_divergence_refuses(self, tmp_path):
@@ -419,9 +433,11 @@ class TestCacheRewind:
     def test_resumes_a_journal_whose_header_an_older_build_wrote(
         self, er_dataset, tmp_path
     ):
-        """Upgrade compatibility: the header used to carry a second digest
-        list (``cache_sealed``); it is ignored and the resume still rewinds
-        the cache and reproduces the uninterrupted report byte for byte."""
+        """Upgrade compatibility: the header used to be one line, written at
+        execute begin with the fingerprint and the clock, and to carry a
+        second digest list (``cache_sealed``), which is ignored; the resume
+        still rewinds the cache and reproduces the uninterrupted report
+        byte for byte."""
 
         def run(cache_name, checkpoint=None):
             system = LinguaManga(cache_path=str(tmp_path / cache_name))
@@ -438,8 +454,8 @@ class TestCacheRewind:
         crash = CrashPoint("chunk:journaled", hits=2)
         with pytest.raises(CrashInjected):
             run("crashed.jsonl", RunCheckpoint(wal, crash=crash))
-        header, *rest = wal.read_bytes().splitlines(keepends=True)
-        written = json.loads(header)
+        header, plan, *rest = wal.read_bytes().splitlines(keepends=True)
+        written = {**json.loads(header), **json.loads(plan)}
         older = {
             "type": "header",
             "format": 1,
@@ -455,3 +471,64 @@ class TestCacheRewind:
         assert resume.stats.resumed
         assert resume.stats.cache_entries_pruned > 0  # the crashed run's appends
         assert resumed.canonical_json() == baseline
+
+
+class TestCompileThatPays:
+    """The hybrid imputation plan pays the LLM at compile (the validator's
+    code generation), so a resume over a persistent cache must rewind the
+    cache before it recompiles, or the recompile is free and the clock at
+    begin no longer matches the journal's."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return generate_buy_dataset(seed=11, n_train=8, n_test=24).test
+
+    @pytest.fixture(scope="class")
+    def uninterrupted(self, data):
+        return run_hybrid_imputation(LinguaManga(), data, workers=1)
+
+    @staticmethod
+    def same(result, uninterrupted):
+        assert result.report.canonical_json() == uninterrupted.report.canonical_json()
+        assert (result.llm_calls, result.cost, result.cached_calls) == (
+            uninterrupted.llm_calls, uninterrupted.cost, uninterrupted.cached_calls
+        )
+
+    @pytest.mark.parametrize("boundary", ["chunk:journaled", "operator:committed"])
+    def test_a_crashed_run_resumes_over_its_cache(
+        self, boundary, data, uninterrupted, tmp_path
+    ):
+        cache, wal = tmp_path / "cache.jsonl", tmp_path / "run.wal"
+        with pytest.raises(CrashInjected):
+            run_hybrid_imputation(
+                LinguaManga(cache_path=cache), data, workers=1,
+                checkpoint=RunCheckpoint(wal, crash=CrashPoint(boundary)),
+            )
+        resumed = run_hybrid_imputation(
+            LinguaManga(cache_path=cache), data, workers=1, checkpoint_path=wal
+        )
+        self.same(resumed, uninterrupted)
+
+    def test_a_run_killed_while_compiling_resumes_over_its_cache(
+        self, data, uninterrupted, tmp_path
+    ):
+        """The header is durable before compile: an attempt that paid for
+        part of its compile and died leaves a header and no plan line, and
+        the next attempt rewinds the cache to it and pays the compile again."""
+        cache, wal = tmp_path / "cache.jsonl", tmp_path / "run.wal"
+        system = LinguaManga(cache_path=cache)
+        killed = RunCheckpoint(wal)
+        killed.open(system.service)
+        plan = TASKS["imputation_hybrid"].build(data)
+        system.compile(plan.pipeline)  # pays, journals the cache, then dies
+        killed.close()
+        assert [line["type"] for line in CheckpointJournal(wal).load()] == ["header"]
+        assert len(LinguaManga(cache_path=cache).service.cache) > 0
+
+        resume = RunCheckpoint(wal)
+        resumed = run_hybrid_imputation(
+            LinguaManga(cache_path=cache), data, workers=1, checkpoint=resume
+        )
+        assert resume.stats.cache_entries_pruned > 0
+        assert not resume.stats.resumed  # nothing had begun: no replay
+        self.same(resumed, uninterrupted)

@@ -98,7 +98,7 @@ class TestCleanDeterminism:
         assert report.outputs == {"save_3": outputs}
         assert not report.partial
         assert report.cost.cost == whole.usage().cost
-        assert report.cost.served_calls == whole.service.served_calls
+        assert report.cost.served_calls == whole.service.usage().served_calls
 
 
 class CountingProvider(SimulatedProvider):

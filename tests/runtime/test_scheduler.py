@@ -281,7 +281,7 @@ class TestBudgets:
         # Chunk 0 pays 8 and merges; chunk 1 sees 8 < 10 and pays its 8;
         # chunk 2 is refused.  Both merged chunks stay in ledger and cache.
         service = system.service
-        assert provider.calls_served == service.served_calls == 16
+        assert provider.calls_served == service.usage().served_calls == 16
         assert len(service.cache) == 16
 
     @staticmethod

@@ -96,12 +96,13 @@ class TestByteIdentity:
         assert second.recovery["replayed_shards"] == 6
 
     def test_resumes_a_ledger_whose_header_an_older_build_wrote(self, tmp_path):
-        """Upgrade compatibility: the header used to carry a second digest
-        list (``cache_sealed``); it is ignored on resume."""
+        """Upgrade compatibility: the header used to be one line, fingerprint
+        and clock included, and to carry a second digest list
+        (``cache_sealed``), which is ignored on resume."""
         wal = tmp_path / "run.wal"
         first, _ = run_streaming(workers=2, ledger_path=wal)
-        header, *shards = wal.read_bytes().splitlines(keepends=True)
-        written = json.loads(header)
+        header, plan, *shards = wal.read_bytes().splitlines(keepends=True)
+        written = {**json.loads(header), **json.loads(plan)}
         older = {
             "type": "header",
             "format": 1,
@@ -437,9 +438,7 @@ class TestShardInputs:
         batch = toy_plan(Scripted(work)).execute(
             {"records": records}, workers=1, chunk_size=2
         )
-        # Dict equality, not bytes: on a plan without a single LLM call the
-        # engines spell the zero cost totals ``0.0`` and ``0``.
-        assert streamed.canonical_dict() == batch.canonical_dict()
+        assert streamed.canonical_json() == batch.canonical_json()
         assert next(iter(streamed.outputs.values())) == [2, 3, 4, 5, 6, 7]
 
     @pytest.mark.parametrize(

@@ -285,7 +285,7 @@ class TestWorkQueueFailure:
         assert report.recovery["quarantined_shards"] == 1
         lines = (tmp_path / "run.wal").read_text().splitlines()
         kinds = [json.loads(line)["type"] for line in lines]
-        assert kinds == ["header", "fail", "fail", "poison", "shard"]
+        assert kinds == ["header", "plan", "fail", "fail", "poison", "shard"]
 
     def test_retry_is_handed_what_the_source_produced(self, tmp_path):
         records = [{"k": 1}, {"k": (2, "b")}]

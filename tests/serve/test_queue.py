@@ -14,11 +14,13 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.core.runtime.checkpoint import CheckpointJournal, RunCheckpoint
+from repro.core.runtime.system import LinguaManga
 from repro.llm.cache import CacheJournal
 from repro.llm.providers import SimulatedProvider
 from repro.serve import JobQueue, JobSpec, QuotaExceeded
 from repro.serve.admission import TenantQuota
-from repro.serve.jobs import JobError
+from repro.serve.jobs import JobError, result_payload, run_task
 from tests.serve.conftest import GateProvider, make_spec
 
 
@@ -239,53 +241,59 @@ def test_stats_shape(queue):
 
 
 def test_first_attempt_snapshot_is_atomic_and_parseable(queue, serve_dir):
+    """The tenant-cache state a re-attempt rewinds to is the run journal's
+    header: one journal line, written before the job compiles, and no side
+    file beside it."""
     job = queue.submit(make_spec("imputation"))
     queue.store.wait_for(job.job_id)
     job_dir = serve_dir / "jobs" / job.job_id
-    snapshot = json.loads((job_dir / "cache_state.json").read_text())
-    assert set(snapshot) == {"exact"}
-    # the write goes through a tmp file + rename; no tmp file survives
-    assert not (job_dir / "cache_state.json.tmp").exists()
+    header, plan = CheckpointJournal(job_dir / "checkpoint.jsonl").load()[:2]
+    assert (header["type"], plan["type"]) == ("header", "plan")
+    assert header["cache_exact"] == []  # the tenant's first job: a cold cache
+    assert sorted(path.name for path in job_dir.iterdir()) == [
+        "checkpoint.jsonl",
+        "report.json",
+    ]
 
 
 def test_torn_cache_snapshot_is_treated_as_absent(queue, serve_dir):
-    """A snapshot torn by a mid-write process kill must not crash resume.
-
-    Pre-fix, ``json.loads`` of the torn file raised *outside* the worker's
-    try/finally, leaking the admission slot and leaving the job
-    non-terminal forever.  Now the snapshot is written atomically, and a
-    corrupt leftover from an older incarnation reads as "no snapshot".
-    """
+    """A header torn by a mid-write process kill must not crash the
+    re-attempt: it is a torn tail, so the journal starts afresh."""
     job = queue.submit(make_spec("imputation"))
     queue.store.wait_for(job.job_id)
-    job_dir = serve_dir / "jobs" / job.job_id
-    (job_dir / "cache_state.json").write_text('{"exact": ["tor', encoding="utf-8")
-    record = queue.store.get(job.job_id)
-    assert record.attempts == 1  # > 0: the restore (not snapshot) path
-    queue.registry.job_started("acme")
-    try:
-        queue._restore_cache_state(record, "acme", job_dir)  # must not raise
-    finally:
-        queue.registry.job_finished("acme")
+    path = serve_dir / "jobs" / job.job_id / "checkpoint.jsonl"
+    path.write_text('{"type": "header", "format": 1, "cache_exact": ["tor')
+    service = queue.registry.service_for_job("acme")
+    checkpoint = RunCheckpoint(path)
+    checkpoint.open(service)  # must not raise
+    checkpoint.close()
+    assert checkpoint.stats.torn_bytes > 0
+    [header] = CheckpointJournal(path).load()
+    assert header["cache_exact"] == service.cache.state_digests()
 
 
 def test_older_builds_cache_snapshot_still_rewinds_a_reattempt(queue, serve_dir):
-    """Upgrade compatibility: ``cache_state.json`` used to carry a second
-    list (``sealed``); a re-attempt ignores it and still rewinds."""
-    job = queue.submit(make_spec("imputation"))
-    queue.store.wait_for(job.job_id)
-    job_dir = serve_dir / "jobs" / job.job_id
-    snapshot_path = job_dir / "cache_state.json"
-    exact = json.loads(snapshot_path.read_text())["exact"]
-    snapshot_path.write_text(json.dumps({"exact": exact, "sealed": exact}))
+    """Upgrade compatibility: an older build kept the first attempt's cache
+    state in ``cache_state.json`` and wrote one journal header, fingerprint
+    and clock included, at execute begin.  A re-attempt ignores the file;
+    the header rewinds the cache at begin, so the re-run pays again what
+    the first attempt paid and reports it byte for byte."""
+    spec = make_spec("imputation")
+    done = queue.store.wait_for(queue.submit(spec).job_id)
+    job_dir = serve_dir / "jobs" / done.job_id
+    path = job_dir / "checkpoint.jsonl"
+    header, plan = CheckpointJournal(path).load()[:2]
+    older = {**header, **plan, "type": "header", "cache_sealed": []}
+    path.write_text(json.dumps(older) + "\n")  # killed right after begin
+    exact = header["cache_exact"]
+    (job_dir / "cache_state.json").write_text(json.dumps({"exact": exact}))
     cache = queue.registry.get("acme").cache
     assert len(cache) > len(exact)  # the job's own answers, cached since
-    queue.registry.job_started("acme")
-    try:
-        queue._restore_cache_state(queue.store.get(job.job_id), "acme", job_dir)
-    finally:
-        queue.registry.job_finished("acme")
-    assert cache.state_digests() == exact
+    system = LinguaManga(service=queue.registry.service_for_job("acme"))
+    again = run_task(spec, system, checkpoint_path=str(path))
+    assert again.report.recovery["resumed"]
+    assert again.report.recovery["cache_entries_pruned"] > 0
+    assert result_payload(spec, again) == done.result
 
 
 def test_failed_job_cache_entries_count_as_self_paid(serve_dir):

@@ -98,7 +98,7 @@ class TestSummarizeAndLedger:
         summary = summarize_table(make_orders(), service)
         assert summary
         # Only one (aggregate) prompt was sent, and no cell row dump.
-        assert service.served_calls == 1
+        assert service.usage().served_calls == 1
         assert "10.1" not in service.records[0].prompt  # raw cells absent
 
     def test_ledger_table_queryable_with_sql(self):

@@ -13,7 +13,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 #: DESIGN.md's length when the ceiling was set; a docs diet lowers it.
-DESIGN_MAX_LINES = 1262
+DESIGN_MAX_LINES = 1153
 CHANGES_ENTRY_MAX_CHARS = 1500
 #: The first CHANGES.md entry number the budget holds.
 CHANGES_FIRST_BUDGETED = 31
