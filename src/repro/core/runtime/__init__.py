@@ -10,7 +10,6 @@ from repro.core.runtime.checkpoint import (
 from repro.core.runtime.scheduler import Scheduler
 from repro.core.runtime.system import LinguaManga
 from repro.core.runtime.workqueue import (
-    PoisonInfo,
     ShardLedger,
     StreamingExecutor,
     StreamingPlanError,
@@ -26,7 +25,6 @@ __all__ = [
     "CheckpointError",
     "CheckpointMismatchError",
     "ShardLedger",
-    "PoisonInfo",
     "StreamingExecutor",
     "StreamingPlanError",
 ]

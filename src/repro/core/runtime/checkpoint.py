@@ -80,6 +80,7 @@ __all__ = [
     "CheckpointStats",
     "RunCheckpoint",
     "RunJournal",
+    "replayed_slice",
     "fingerprint_payload",
     "digest_inputs",
 ]
@@ -234,6 +235,11 @@ class RunJournal:
     ignored.  What the load repaired is counted in ``stats.torn_bytes`` /
     ``stats.corrupt_lines`` and surfaced by
     :func:`~repro._jsonl.emit_torn_tail`.
+
+    ``crash`` is an optional :class:`~repro.llm.faults.CrashPoint`: both
+    engines announce every named execution boundary through
+    :meth:`reached`, so tests can kill a run at any chunk, commit or shard
+    boundary.
     """
 
     format_version = JOURNAL_FORMAT_VERSION
@@ -241,12 +247,18 @@ class RunJournal:
     label = "checkpoint"
     mode: str | None = None
 
-    def __init__(self, path: str | Path, resume: bool = True):
+    def __init__(self, path: str | Path, resume: bool = True, crash=None):
         self.journal = CheckpointJournal(path)
         self.resume = resume
+        self.crash = crash
         self._lines: list[dict] | None = None
         self._began = False
         self._lock = threading.Lock()
+
+    def reached(self, boundary: str) -> None:
+        """Forward a named boundary to the armed crash point, if any."""
+        if self.crash is not None:
+            self.crash.reached(boundary)
 
     @property
     def path(self) -> Path:
@@ -425,24 +437,39 @@ def _encode_slice(scope, outcome) -> dict:
     }
 
 
-def _decode_slice(raw: dict) -> dict:
-    """Invert :func:`_encode_slice`."""
-    return {
-        "records": _decode_records(raw["records"]),
-        "elapsed": float(raw["elapsed"]),
-        "quarantine": _decode_quarantine(raw.get("quarantine", [])),
-        "degraded": int(raw.get("degraded", 0)),
-    }
+def replayed_slice(
+    raw: dict, outputs: list | None = None
+) -> tuple[CallScope, ChunkOutcome]:
+    """Invert :func:`_encode_slice` into what a live scope produces.
+
+    A journalled chunk or shard op comes back as a finished scope (its
+    records, and a clock that has run its elapsed time from base 0) and an
+    outcome, so both engines fold replayed and live work alike.  A shard
+    op journals no outputs of its own; its shard's final outputs stand
+    for it.
+    """
+    return (
+        CallScope(
+            base=0.0,
+            clock=VirtualClock(float(raw["elapsed"])),
+            records=_decode_records(raw["records"]),
+        ),
+        ChunkOutcome(
+            outputs=[] if outputs is None else outputs,
+            quarantine=_decode_quarantine(raw.get("quarantine", [])),
+            degraded=int(raw.get("degraded", 0)),
+        ),
+    )
 
 
 def _work_decodes(line: dict) -> bool:
     """Whether a ``chunk`` or ``shard`` line's journalled work decodes."""
     try:
         if line.get("type") == "chunk":
-            _decode_slice(line)
+            replayed_slice(line)
         elif line.get("type") == "shard":
             for op in line["ops"]:
-                _decode_slice(op)
+                replayed_slice(op)
     except (KeyError, TypeError, ValueError):
         return False
     return True
@@ -454,8 +481,8 @@ def _work_decodes(line: dict) -> bool:
 class OperatorContext:
     """The scheduler's handle on the checkpoint for one operator it runs.
 
-    Carries the operator's journalled chunks in, journals finished chunks
-    and announces crash boundaries.
+    Carries the operator's journalled chunks in and journals finished
+    chunks.
     """
 
     def __init__(self, checkpoint: "RunCheckpoint", index: int, name: str):
@@ -463,10 +490,6 @@ class OperatorContext:
         self.index = index
         self.name = name
         self._journalled = checkpoint._chunks.get(index, {})
-
-    def crash(self, boundary: str) -> None:
-        """Announce a named execution boundary to any armed crash point."""
-        self.checkpoint.reached(boundary)
 
     def replayable_chunks(
         self, chunk_sizes: list[int]
@@ -496,19 +519,7 @@ class OperatorContext:
                 )
             if not raw.get("replayable", False):
                 continue  # outputs did not serialize: re-execute this chunk
-            work = _decode_slice(raw)
-            replays[chunk_index] = (
-                CallScope(
-                    base=0.0,
-                    clock=VirtualClock(work["elapsed"]),
-                    records=work["records"],
-                ),
-                ChunkOutcome(
-                    outputs=decode_value(raw["outputs"]),
-                    quarantine=work["quarantine"],
-                    degraded=work["degraded"],
-                ),
-            )
+            replays[chunk_index] = replayed_slice(raw, decode_value(raw["outputs"]))
         with self.checkpoint._lock:
             self.checkpoint.stats.replayed_chunks += len(replays)
             self.checkpoint.stats.replayed_records += sum(
@@ -554,22 +565,14 @@ class RunCheckpoint(RunJournal):
         ``True`` (default) replays an existing journal; ``False`` deletes
         any journal at ``path`` and starts fresh.
     crash:
-        Optional :class:`~repro.llm.faults.CrashPoint`; every named
-        execution boundary is announced to it, so tests can kill the run
-        at any chunk or commit boundary.
+        Optional :class:`~repro.llm.faults.CrashPoint` (:class:`RunJournal`).
     """
 
     def __init__(self, path: str | Path, resume: bool = True, crash=None):
-        super().__init__(path, resume)
-        self.crash = crash
+        super().__init__(path, resume, crash)
         self.stats = CheckpointStats()
         self._ops: dict[int, dict] = {}
         self._chunks: dict[int, dict[int, dict]] = {}
-
-    def reached(self, boundary: str) -> None:
-        """Forward a named boundary to the armed crash point, if any."""
-        if self.crash is not None:
-            self.crash.reached(boundary)
 
     # -- lifecycle ---------------------------------------------------------------
 

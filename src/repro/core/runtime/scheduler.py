@@ -306,7 +306,7 @@ class Scheduler:
             if self.cancel is not None:
                 self.cancel.raise_if_cancelled()
             if op_ctx is not None:
-                op_ctx.crash("chunk:entered")
+                op_ctx.checkpoint.reached("chunk:entered")
             with service.scoped(base) as scope:
                 # Registered on entry: a chunk that raises after paying must
                 # still have its cache inserts rolled back.
@@ -316,9 +316,9 @@ class Scheduler:
                 else:
                     outcome = _run_whole(module, value)
             if op_ctx is not None:
-                op_ctx.crash("chunk:executed")
+                op_ctx.checkpoint.reached("chunk:executed")
                 op_ctx.record_chunk(index, chunks[index], scope, outcome)
-                op_ctx.crash("chunk:journaled")
+                op_ctx.checkpoint.reached("chunk:journaled")
             return scope, outcome
 
         pending = [index for index in range(len(chunks)) if index not in completed]

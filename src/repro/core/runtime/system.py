@@ -186,7 +186,6 @@ class LinguaManga:
         resume: bool = True,
         sink: "Any | None" = None,
         source_id: str = "",
-        max_attempts: int = 3,
         crash: "Any | None" = None,
     ) -> RunReport:
         """Compile and execute as a memory-bounded stream.
@@ -202,14 +201,19 @@ class LinguaManga:
         :class:`~repro.core.runtime.workqueue.StreamingExecutor`).
 
         ``ledger_path`` makes the run crash-safe shard by shard: every
-        completed shard is journalled write-ahead, a failed shard retries
-        at once and is quarantined as poison after ``max_attempts``
-        (reported, never fatal), and re-running with the
+        completed shard is journalled write-ahead, and re-running with the
         same path resumes at the shard frontier with a byte-identical
         report.  Without it a temporary ledger is used and removed when
         the run ends.  ``source_id`` should carry the input source's own
         stable fingerprint (e.g. ``StreamingERCorpus.fingerprint``) so a
         resumed ledger cannot silently pair with a different source.
+
+        A shard that raises fails the run as a raising chunk fails
+        :meth:`run`: its work is rolled back, the error propagates, and
+        the shards journalled before it stay resumable.  Records that
+        should not fail the run need the operator's ``error_policy``
+        (``skip_record`` or ``degrade``), which acts alike in both engines.
+        The service's call and cost budget holds as in :meth:`run`.
 
         ``sink`` streams outputs out instead of collecting them: a callable
         receiving each shard's output list in shard order; the report then
@@ -217,7 +221,9 @@ class LinguaManga:
         every operator after the streamed core must be a pass-through save.
 
         ``crash`` is the chaos hook (:class:`repro.llm.faults.CrashPoint`)
-        for the crash-resume test matrix.
+        for the crash-resume test matrix; the ledger announces each shard
+        boundary to it, as :class:`~repro.core.runtime.checkpoint.
+        RunCheckpoint` does each chunk boundary.
         """
         import shutil
         import tempfile
@@ -232,12 +238,9 @@ class LinguaManga:
         if ledger_path is None:
             ephemeral_dir = tempfile.mkdtemp(prefix="repro-stream-")
             ledger_path = Path(ephemeral_dir) / "ledger.jsonl"
-        ledger = ShardLedger(ledger_path, resume=resume)
+        ledger = ShardLedger(ledger_path, resume=resume, crash=crash)
         try:
-            require_positive(
-                workers=workers, chunk_size=chunk_size, window=window,
-                max_attempts=max_attempts,
-            )
+            require_positive(workers=workers, chunk_size=chunk_size, window=window)
             ledger.open(self.service)  # before compile, as in run()
             plan = self.compile(pipeline)
             executor = StreamingExecutor(
@@ -246,10 +249,8 @@ class LinguaManga:
                 workers=workers,
                 chunk_size=chunk_size,
                 window=window,
-                max_attempts=max_attempts,
                 sink=sink,
                 source_id=source_id,
-                crash=crash,
             )
             return executor.execute(inputs)
         finally:

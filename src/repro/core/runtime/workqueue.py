@@ -13,19 +13,19 @@ bounded at O(chunk_size x window) instead of O(dataset).
 Two pieces:
 
 - :class:`ShardLedger` — the write-ahead journal.  One ``shard`` line per
-  completed shard (superseding the batch runtime's linear chunk log), plus
-  ``fail`` lines for deterministic shard failures and a ``poison`` line
-  when a shard exhausts its attempt budget.  The header pins the run
-  fingerprint, the virtual clock and the prompt-cache state exactly like
-  :class:`~repro.core.runtime.checkpoint.RunCheckpoint` does.
+  completed shard (superseding the batch runtime's linear chunk log).  The
+  header pins the run fingerprint, the virtual clock and the prompt-cache
+  state exactly like :class:`~repro.core.runtime.checkpoint.RunCheckpoint`
+  does.
 - :class:`StreamingExecutor` — drives a compiled
   :class:`~repro.core.compiler.plan.PhysicalPlan` as an ordered map over
-  shards: each pulled chunk is classified against the ledger (replay,
-  poison or live), one pool task runs every attempt of a live shard — a
-  shard whose execution raises is retried at once and **quarantined as
-  poison** after ``max_attempts``, reported, never aborting the run — and
-  the calling thread folds the results into a normal :class:`RunReport`
-  in shard order.
+  shards: each pulled chunk is classified against the ledger (replay or
+  live), one pool task runs a live shard once, and the calling thread
+  folds the results into a normal :class:`RunReport` in shard order.  A
+  shard that raises fails the run the way a raising chunk fails a batch
+  run: its scopes are rolled back and the error propagates, while the
+  shards already journalled stay resumable.  Per-record isolation is the
+  operator's own ``error_policy``, alike in both engines.
 
 Determinism contract (the streaming crash matrix pins this): a run
 crashed and resumed at any shard boundary, at any worker count, cold or
@@ -37,22 +37,21 @@ The mechanics:
   (shard, op) order — the same float addition sequence live or replayed;
 - per-shard ledger records are **not** retained (that would be O(dataset)
   memory); instead the fold accumulates per-operator profile sums, which
-  are invariant under coalescing races and retries because every
-  distinct prompt contributes exactly one originating record plus its
-  exact-cache hits regardless of which shard attempt produced them;
-- a failed shard attempt has its cache inserts **rolled back**
-  (:meth:`~repro.llm.service.LLMService.rollback_scope`), so the retry
-  re-serves exactly what an undisturbed run would have served.  This
-  requires that duplicate prompts not straddle shards that can race with
-  a failing one — :class:`repro.datasets.streaming.StreamingERCorpus`
-  makes prompts corpus-unique for precisely this reason.  What a failed
-  attempt paid the provider is not in the report;
-- the poison verdict counts executions that raised, carried across a
-  crash by the ledger's ``fail`` lines, so the quarantine section of the
-  report is identical under any crash schedule.
+  are invariant under coalescing races because every distinct prompt
+  contributes exactly one originating record plus its exact-cache hits
+  regardless of which shard produced them.  The same rows feed the
+  service's call and cost budget
+  (:meth:`~repro.llm.service.LLMService.count_paid`);
+- a failed shard has its cache inserts **rolled back**
+  (:meth:`~repro.llm.service.LLMService.rollback_scope`): no answer
+  outlives a scope that no ledger line names.  Duplicate prompts should
+  not straddle shards that can race with a failing one —
+  :class:`repro.datasets.streaming.StreamingERCorpus` makes prompts
+  corpus-unique for this reason.
 
-Fault points (for :class:`~repro.llm.faults.CrashPoint`): the per-shard
-boundaries ``shard:claimed``, ``shard:executed``, ``shard:journaled``.
+Fault points (for :class:`~repro.llm.faults.CrashPoint`, armed on the
+ledger): the per-shard boundaries ``shard:claimed``, ``shard:executed``,
+``shard:journaled``.
 """
 
 from __future__ import annotations
@@ -71,18 +70,17 @@ from repro.core.compiler.plan import (
     close_report,
     run_operator_step,
 )
-from repro.core.modules.base import QuarantinedRecord
+from repro.core.modules.base import ChunkOutcome
 from repro.core.runtime.checkpoint import (
     CheckpointMismatchError,
-    ReplayedValue,
     RunJournal,
     UnserializableValueError,
     _decode_records,
-    _decode_slice,
     _encode_slice,
     decode_value,
     encode_value,
     fingerprint_payload,
+    replayed_slice,
 )
 from repro.core.runtime.scheduler import (
     chunkable,
@@ -91,16 +89,12 @@ from repro.core.runtime.scheduler import (
     require_positive,
     resolve_chunk_size,
 )
-from repro.llm.service import CallRecord, LLMService
+from repro.llm.service import CallScope, LLMService
 from repro.obs.profile import ProfileRow, RunProfile, profile_records
 
 __all__ = [
     "SHARD_LEDGER_FORMAT_VERSION",
-    "DEFAULT_MAX_ATTEMPTS",
     "StreamingPlanError",
-    "ShardOpReplay",
-    "ShardReplay",
-    "PoisonInfo",
     "ShardLedgerStats",
     "ShardLedger",
     "StreamingExecutor",
@@ -109,48 +103,9 @@ __all__ = [
 #: Bumped whenever the shard-ledger schema changes; resume refuses others.
 SHARD_LEDGER_FORMAT_VERSION = 1
 
-#: Failed executions before a shard is quarantined as poison.
-DEFAULT_MAX_ATTEMPTS = 3
-
 
 class StreamingPlanError(RuntimeError):
     """The plan cannot run as a stream (non-linear, no chunkable core)."""
-
-
-# -- decoded ledger records ---------------------------------------------------------
-
-
-@dataclass
-class ShardOpReplay:
-    """One middle operator's journalled slice of one shard."""
-
-    name: str
-    records: list[CallRecord]
-    elapsed: float
-    quarantine: list[QuarantinedRecord]
-    degraded: int
-
-
-@dataclass
-class ShardReplay:
-    """One journalled shard, decoded for zero-cost replay."""
-
-    index: int
-    n_records: int
-    ops: list[ShardOpReplay]
-    outputs: list[Any]
-
-
-@dataclass
-class PoisonInfo:
-    """One quarantined shard: who failed, how often, on what records."""
-
-    index: int
-    n_records: int
-    attempts: int
-    op: str
-    error: str
-    records: list[Any]  # record objects live, ReplayedValue stand-ins on resume
 
 
 @dataclass
@@ -161,7 +116,6 @@ class ShardLedgerStats:
     replayed_shards: int = 0
     journaled_shards: int = 0
     replayed_records: int = 0
-    quarantined_shards: int = 0
     cache_entries_pruned: int = 0
     torn_bytes: int = 0
     corrupt_lines: int = 0
@@ -173,7 +127,7 @@ class ShardLedgerStats:
 class ShardLedger(RunJournal):
     """Write-ahead shard journal: what a resumed stream replays.
 
-    JSONL with five record types:
+    JSONL with three record types:
 
     - ``header`` and ``plan`` — the run-start lines every
       :class:`~repro.core.runtime.checkpoint.RunJournal` writes: the
@@ -190,14 +144,9 @@ class ShardLedger(RunJournal):
       Duplicate lines for one index are tolerated (a shard whose outputs
       did not serialize re-executes on resume and re-journals); the last
       line wins.
-    - ``fail`` — one deterministic shard failure: attempt number, the
-      operator that raised, the error text.  Resume counts a shard's fail
-      lines to carry its attempt budget across a crash; they are ignored
-      once a ``shard`` (or ``poison``) line exists for the index.
-    - ``poison`` — the quarantine verdict for a shard that exhausted its
-      attempts: reprs of its input records (all the canonical report
-      renders) and the final error.  A poisoned shard is
-      never re-executed after this line commits.
+
+    A shard that raised left no line.  An older build also wrote ``fail``
+    and ``poison`` lines; they are ignored, and their shards run live.
     """
 
     format_version = SHARD_LEDGER_FORMAT_VERSION
@@ -205,23 +154,16 @@ class ShardLedger(RunJournal):
     label = "shard-ledger"
     mode = "streaming"
 
-    def __init__(self, path: str | Path, resume: bool = True):
-        super().__init__(path, resume)
+    def __init__(self, path: str | Path, resume: bool = True, crash=None):
+        super().__init__(path, resume, crash)
         self.stats = ShardLedgerStats()
         self._shards: dict[int, dict] = {}
-        self._poisons: dict[int, dict] = {}
-        self._fails: dict[int, list[dict]] = {}
 
     def begin(self, fingerprint: str, service: LLMService) -> None:
-        """Begin the journal (``RunJournal._begin``), then index shard/fail/poison lines."""
+        """Begin the journal (``RunJournal._begin``), then index ``shard`` lines."""
         for line in self._begin(fingerprint, service):
-            kind = line.get("type")
-            if kind == "shard":
+            if line.get("type") == "shard":
                 self._shards[int(line["index"])] = line
-            elif kind == "poison":
-                self._poisons[int(line["index"])] = line
-            elif kind == "fail":
-                self._fails.setdefault(int(line["index"]), []).append(line)
 
     # -- resume-side reads ---------------------------------------------------------
 
@@ -238,22 +180,16 @@ class ShardLedger(RunJournal):
         return bool(self._shards[index].get("replayable", False))
 
     def max_recorded_index(self) -> int:
-        """Largest shard index any journalled line mentions (-1 if none)."""
-        indexes = [*self._shards, *self._poisons, *self._fails]
-        return max(indexes) if indexes else -1
+        """Largest journalled shard index (-1 if none)."""
+        return max(self._shards, default=-1)
 
-    def shard_replay(self, index: int) -> ShardReplay:
-        """Decode one journalled shard for replay."""
+    def replayed_shard(
+        self, index: int
+    ) -> tuple[list[tuple[str, CallScope, ChunkOutcome]], list[Any]]:
+        """Decode one journalled shard: ``(name, scope, outcome)`` ops, outputs."""
         raw = self._shards[index]
-        return ShardReplay(
-            index=index,
-            n_records=int(raw["n_records"]),
-            ops=[
-                ShardOpReplay(name=str(op["name"]), **_decode_slice(op))
-                for op in raw["ops"]
-            ],
-            outputs=decode_value(raw["outputs"]),
-        )
+        ops = [(str(op["name"]), *replayed_slice(op)) for op in raw["ops"]]
+        return ops, decode_value(raw["outputs"])
 
     def replayable_shard_indexes(self) -> list[int]:
         """Indexes with replayable shard lines, ascending."""
@@ -279,38 +215,6 @@ class ShardLedger(RunJournal):
             for op in self._shards[index]["ops"]:
                 warmed += service.restore_from_records(_decode_records(op["records"]))
         return warmed
-
-    def poison(self, index: int) -> PoisonInfo | None:
-        """The journalled quarantine verdict for ``index``, if any."""
-        raw = self._poisons.get(index)
-        if raw is None:
-            return None
-        return PoisonInfo(
-            index=index,
-            n_records=int(raw["n_records"]),
-            attempts=int(raw["attempts"]),
-            op=str(raw["op"]),
-            error=str(raw["error"]),
-            records=[ReplayedValue(text) for text in raw.get("records", [])],
-        )
-
-    def attempts(self, index: int) -> int:
-        """Attempt budget already spent on ``index`` in a prior run.
-
-        Fail lines are ignored once a shard line exists — the shard
-        eventually succeeded, so its early failures are history, not debt.
-        """
-        if index in self._shards or index in self._poisons:
-            return 0
-        return len(self._fails.get(index, []))
-
-    def last_fail(self, index: int) -> tuple[str, str]:
-        """``(op, error)`` of the highest-attempt fail line for ``index``."""
-        fails = self._fails.get(index)
-        if not fails:
-            return ("", "")
-        last = max(fails, key=lambda line: int(line.get("attempt", 0)))
-        return (str(last.get("op", "")), str(last.get("error", "")))
 
     # -- write-ahead appends ---------------------------------------------------------
 
@@ -344,27 +248,6 @@ class ShardLedger(RunJournal):
         with self._lock:
             self.stats.journaled_shards += 1
 
-    def record_fail(self, index: int, attempt: int, op: str, error: str) -> None:
-        """Journal one deterministic shard failure (carries the budget)."""
-        self.journal.append(
-            {"type": "fail", "index": index, "attempt": attempt, "op": op,
-             "error": error}
-        )
-
-    def record_poison(self, info: PoisonInfo) -> None:
-        """Journal a quarantine verdict; the shard never re-runs."""
-        self.journal.append(
-            {
-                "type": "poison",
-                "index": info.index,
-                "n_records": info.n_records,
-                "attempts": info.attempts,
-                "op": info.op,
-                "error": info.error,
-                "records": [repr(record) for record in info.records],
-            }
-        )
-
 
 # -- the streaming executor ----------------------------------------------------------
 
@@ -374,20 +257,17 @@ class _ShardRun:
     """One pulled chunk on its way through the pool to the fold.
 
     Classification sets ``records`` on a live shard (what the source
-    produced, shared by every attempt and never mutated in place) and
-    ``poison`` on one the ledger already quarantined; a replay shard
-    carries neither.  The pool task fills in ``ops`` and ``outputs``, or
-    ``poison`` once the attempt budget is spent.
+    produced, never mutated in place); a replay shard carries none.  The
+    pool task fills in a live shard's ``ops`` — one ``(name, scope,
+    outcome)`` per middle operator — and ``outputs``; the fold decodes a
+    replay shard's from its ledger line.
     """
 
     index: int
     n_records: int
     records: list[Any] | None = None
-    attempts: int = 0  # executions that raised, this run and prior ones
-    failures: int = 0  # of which in this run
-    ops: list[ShardOpReplay] | None = None
+    ops: list[tuple[str, CallScope, ChunkOutcome]] | None = None
     outputs: list[Any] | None = None
-    poison: PoisonInfo | None = None
 
 
 class StreamingExecutor:
@@ -418,29 +298,21 @@ class StreamingExecutor:
         workers: int = 1,
         chunk_size: int | None = None,
         window: int | None = None,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         sink: Callable[[list[Any]], Any] | None = None,
         source_id: str = "",
-        crash: Any = None,
     ):
         if window is None:
             window = max(4 * workers, 8)
-        require_positive(
-            workers=workers, chunk_size=chunk_size, window=window,
-            max_attempts=max_attempts,
-        )
+        require_positive(workers=workers, chunk_size=chunk_size, window=window)
         self.plan = plan
         self.ledger = ledger
         self.workers = workers
         self.chunk_size = chunk_size
         self.window = window
-        self.max_attempts = max_attempts
         self.sink = sink
         self.source_id = source_id
-        self.crash = crash
         # run state: _pull and the fold advance it, both on the calling thread
         self.n_shards = 0
-        self.shard_failures = 0
         self.inflight_peak_records = 0
         self._held_records = 0
         self._rows: dict[str, ProfileRow] = {}
@@ -498,13 +370,6 @@ class StreamingExecutor:
                     )
         return prefix, middle, suffix
 
-    # -- fault boundaries --------------------------------------------------------------
-
-    def _announce(self, boundary: str) -> None:
-        """Offer one named boundary to the armed crash point."""
-        if self.crash is not None:
-            self.crash.reached(boundary)
-
     # -- execution ---------------------------------------------------------------------
 
     def fingerprint(self, chunk_size: int) -> str:
@@ -513,8 +378,8 @@ class StreamingExecutor:
         The caller's inputs are deliberately excluded (generator reprs are
         not stable); ``source_id`` carries the source's own fingerprint —
         e.g. :attr:`repro.datasets.streaming.StreamingERCorpus.fingerprint`.
-        Worker count, window and attempt budget are operational knobs, not
-        identity: a run may resume with any of them changed.
+        Worker count and window are operational knobs, not identity: a run
+        may resume with either changed.
         """
         return fingerprint_payload(
             {
@@ -545,7 +410,6 @@ class StreamingExecutor:
         self._module_by_op = {
             binding.operator.name: binding.module for binding in middle
         }
-        self._metrics = obs.metrics if obs is not None else None
         self._tracer = tracer
         for binding in middle:
             self._rows[binding.operator.name] = ProfileRow(
@@ -642,11 +506,9 @@ class StreamingExecutor:
             "replayed_shards": stats.replayed_shards,
             "journaled_shards": stats.journaled_shards,
             "replayed_records": stats.replayed_records,
-            "quarantined_shards": stats.quarantined_shards,
             "cache_entries_pruned": stats.cache_entries_pruned,
             "torn_bytes": stats.torn_bytes,
             "corrupt_lines": stats.corrupt_lines,
-            "shard_failures": self.shard_failures,
             "inflight_peak_records": self.inflight_peak_records,
             # Pinned: there is no spill tier, but the frozen
             # benchmarks/e2e/workloads.py subscripts this key.
@@ -656,35 +518,31 @@ class StreamingExecutor:
     # -- the source side ---------------------------------------------------------------
 
     def _pull(self, chunks: Iterable[list[Any]]) -> Iterator[_ShardRun]:
-        """Classify each chunk the pool pulls: replay, poison or live.
+        """Classify each chunk the pool pulls: replay or live.
 
         Runs on the calling thread, only as fast as the in-flight window
-        admits shards.  A chunk whose index has a replayable ``shard``
-        line or a ``poison`` line keeps only its size, checked against the
-        ledger's — a resume re-iterates the (deterministic) source instead
-        of persisting shard inputs.  A live chunk's records are held until
-        its shard folds; ``inflight_peak_records`` is their high-watermark.
+        admits shards.  A chunk whose index has a replayable ``shard`` line
+        keeps only its size, checked against the ledger's — a resume
+        re-iterates the (deterministic) source instead of persisting shard
+        inputs.  A live chunk's records are held until its shard folds;
+        ``inflight_peak_records`` is their high-watermark.
         """
         ledger = self.ledger
         for index, chunk in enumerate(chunks):
             self.n_shards = index + 1
             shard = _ShardRun(index, len(chunk))
+            live = True
             if ledger.has_shard(index):
-                kind, covered = "shard", ledger.shard_n_records(index)
+                covered = ledger.shard_n_records(index)
+                if covered != len(chunk):
+                    raise CheckpointMismatchError(
+                        f"ledger shard {index} covered {covered} record(s); the "
+                        f"source produced {len(chunk)}"
+                    )
                 # Outputs that did not serialize re-execute live.
                 live = not ledger.shard_replayable(index)
-            else:
-                shard.poison = ledger.poison(index)
-                kind, live = "poison", shard.poison is None
-                covered = len(chunk) if live else shard.poison.n_records
-            if covered != len(chunk):
-                raise CheckpointMismatchError(
-                    f"ledger {kind} {index} covered {covered} record(s); the "
-                    f"source produced {len(chunk)}"
-                )
             if live:
                 shard.records = chunk
-                shard.attempts = ledger.attempts(index)
                 self._held_records += len(chunk)
                 self.inflight_peak_records = max(
                     self.inflight_peak_records, self._held_records
@@ -702,74 +560,44 @@ class StreamingExecutor:
     # -- one pool task -----------------------------------------------------------------
 
     def _run_shard(self, shard: _ShardRun) -> _ShardRun:
-        """Every attempt of one live shard; replay and poison shards pass.
+        """Run one live shard once; a replay shard passes through.
 
-        An attempt runs the middle operators, journals the ``shard`` line
-        and hands the results to the fold.  One that raises has every
-        scope it opened rolled back (the raising operator's included),
-        journals a ``fail`` line and is retried at once.  Once the budget
-        is spent the poison verdict is journalled — without another
-        execution when a prior run already spent it (its crash landed
-        between the final fail line and the poison line), so the resumed
-        verdict matches the uninterrupted one byte for byte.
+        The middle operators run in turn, each in its own call scope; the
+        ``shard`` line is journalled and the results go to the fold.  A
+        shard that raises has every scope it opened rolled back (the
+        raising operator's included) and the error propagates, as a
+        raising chunk does in :meth:`Scheduler.run_operator
+        <repro.core.runtime.scheduler.Scheduler.run_operator>`.
         """
         if shard.records is None:
             return shard
         service = self.plan.context.service
-        op_name, error = self.ledger.last_fail(shard.index)
-        while shard.attempts < self.max_attempts:
-            scopes: list = []
-            op_results = []
-            current = shard.records
-            try:
-                self._announce("shard:claimed")
-                for binding in self._middle:
-                    op_name = binding.operator.name
-                    with service.scoped(self._run_base) as scope:
-                        # Registered on entry: an operator that raises after
-                        # paying must still have its cache inserts rolled back.
-                        scopes.append(scope)
-                        outcome = binding.module.apply_chunk(current)
-                    op_results.append((op_name, scope, outcome))
-                    current = list(outcome.outputs)
-                self._announce("shard:executed")
-                self.ledger.record_shard(
-                    shard.index, shard.n_records, op_results, current
-                )
-                self._announce("shard:journaled")
-            except Exception as failure:  # a CrashInjected unwinds past this
-                for scope in scopes:
-                    service.rollback_scope(scope)
-                shard.attempts += 1
-                shard.failures += 1
-                error = str(failure)
-                self.ledger.record_fail(shard.index, shard.attempts, op_name, error)
-                if self._metrics is not None:
-                    self._metrics.counter("workqueue.shard_failures").inc()
-                continue
-            shard.ops = [
-                ShardOpReplay(
-                    name=name,
-                    records=scope.records,
-                    elapsed=scope.elapsed,
-                    quarantine=outcome.quarantine,
-                    degraded=outcome.degraded,
-                )
-                for name, scope, outcome in op_results
-            ]
-            shard.outputs = current
-            return shard
-        shard.poison = PoisonInfo(
-            index=shard.index,
-            n_records=shard.n_records,
-            attempts=shard.attempts,
-            op=op_name or self._middle[0].operator.name,
-            error=error,
-            records=shard.records,
-        )
-        self.ledger.record_poison(shard.poison)
-        if self._metrics is not None:
-            self._metrics.counter("workqueue.poisoned").inc()
+        ledger = self.ledger
+        scopes: list[CallScope] = []
+        ops: list[tuple[str, CallScope, ChunkOutcome]] = []
+        current = shard.records
+        ledger.reached("shard:claimed")
+        try:
+            for binding in self._middle:
+                with service.scoped(self._run_base) as scope:
+                    # Registered on entry: an operator that raises after
+                    # paying must still have its cache inserts rolled back.
+                    scopes.append(scope)
+                    outcome = binding.module.apply_chunk(current)
+                ops.append((binding.operator.name, scope, outcome))
+                current = list(outcome.outputs)
+            ledger.reached("shard:executed")
+            ledger.record_shard(shard.index, shard.n_records, ops, current)
+        except Exception:  # a CrashInjected unwinds past this, as a kill would
+            for scope in scopes:
+                service.rollback_scope(scope)
+            raise
+        # Journalled: the ledger names what the shard cached, so nothing
+        # rolls it back any more, and the fold needs no cache keys.
+        for scope in scopes:
+            scope.cache_keys.clear()
+        ledger.reached("shard:journaled")
+        shard.ops, shard.outputs = ops, current
         return shard
 
     # -- the fold ----------------------------------------------------------------------
@@ -778,43 +606,43 @@ class StreamingExecutor:
         """Fold one shard into the report, on the calling thread.
 
         The pool yields shards in index order, so results enter the
-        report, the shared clock and the per-operator accumulators in
-        strict shard order — what makes the canonical report independent
-        of worker interleaving.
+        report, the shared clock, the budget and the per-operator
+        accumulators in strict shard order — what makes the canonical
+        report independent of worker interleaving.  Live and replayed
+        shards fold alike, from their ``(name, scope, outcome)`` ops.
         """
         service = self.plan.context.service
         tracer = self._tracer
         report = self._report
-        self.shard_failures += shard.failures
         if shard.records is not None:
             self._held_records -= shard.n_records
-        if shard.poison is not None:
-            self._fold_poison(shard.poison, report, tracer)
-            return
         replayed = shard.ops is None
         if replayed:
-            replay = self.ledger.shard_replay(shard.index)
-            ops, outputs = replay.ops, replay.outputs
+            ops, outputs = self.ledger.replayed_shard(shard.index)
             self.ledger.stats.replayed_shards += 1
-            self.ledger.stats.replayed_records += sum(len(op.records) for op in ops)
+            self.ledger.stats.replayed_records += sum(
+                len(scope.records) for _, scope, _ in ops
+            )
         else:
             ops, outputs = shard.ops, shard.outputs
         quarantined = degraded = 0
-        for op in ops:
-            self._rows[op.name] += profile_records(
-                op.name, op.records, quarantined=len(op.quarantine)
+        for name, scope, outcome in ops:
+            row = profile_records(
+                name, scope.records, quarantined=len(outcome.quarantine)
             )
-            service.clock.advance(op.elapsed)
-            module = self._module_by_op[op.name]
+            self._rows[name] += row
+            service.count_paid(row)
+            service.clock.advance(scope.elapsed)
+            module = self._module_by_op[name]
             with module._lock:
-                module.stats.quarantined += len(op.quarantine)
-                module.stats.degraded += op.degraded
-            report.quarantine.extend(op.quarantine)
-            counts = self._resil[op.name]
-            counts["quarantined"] += len(op.quarantine)
-            counts["degraded"] += op.degraded
-            quarantined += len(op.quarantine)
-            degraded += op.degraded
+                module.stats.quarantined += len(outcome.quarantine)
+                module.stats.degraded += outcome.degraded
+            report.quarantine.extend(outcome.quarantine)
+            counts = self._resil[name]
+            counts["quarantined"] += len(outcome.quarantine)
+            counts["degraded"] += outcome.degraded
+            quarantined += len(outcome.quarantine)
+            degraded += outcome.degraded
         if self.sink is None:
             self._output_buffer.extend(outputs)
         else:
@@ -839,37 +667,4 @@ class StreamingExecutor:
                 quarantined=quarantined,
                 degraded=degraded,
                 replayed=replayed,
-            )
-
-    def _fold_poison(self, info: PoisonInfo, report, tracer) -> None:
-        message = (
-            f"shard {info.index} poisoned after {info.attempts} attempt(s): "
-            f"{info.error}"
-        )
-        module_name = info.op or self._middle[0].operator.name
-        for record in info.records:
-            report.quarantine.append(
-                QuarantinedRecord(record=record, module_name=module_name,
-                                  error=message)
-            )
-        module = self._module_by_op.get(module_name)
-        if module is not None:
-            with module._lock:
-                module.stats.failures += info.attempts
-                module.stats.quarantined += info.n_records
-        counts = self._resil.get(module_name)
-        if counts is not None:
-            counts["quarantined"] += info.n_records
-        self.ledger.stats.quarantined_shards += 1
-        if tracer is not None:
-            tracer.add_span(
-                f"shard[{info.index}]",
-                kind="shard",
-                start=self._run_base,
-                end=self._run_base,
-                records=info.n_records,
-                outputs=0,
-                quarantined=info.n_records,
-                degraded=0,
-                poisoned=True,
             )

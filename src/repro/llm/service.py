@@ -258,6 +258,10 @@ class LLMService:
         self.deadline = deadline
         self.clock = clock or VirtualClock()
         self.records: list[CallRecord] = []
+        # What the budget counts: paid calls and cost of every merged scope,
+        # unscoped record and streamed shard (:meth:`count_paid`).
+        self._paid_calls = 0
+        self._paid_cost = 0.0
         if cache is None:
             cache = PromptCache(path=cache_path)
         elif cache_path is not None:
@@ -348,25 +352,34 @@ class LLMService:
             self._tls.scope = None
 
     def merge_scope(self, scope: CallScope) -> None:
-        """Fold a finished scope into the shared ledger and clock."""
+        """Fold a finished scope into the shared ledger, clock and budget."""
         with self._lock:
             self.records.extend(scope.records)
             self.clock.advance(scope.elapsed)
+        self.count_paid(_profile(scope.records))
+
+    def count_paid(self, row) -> None:
+        """Add a profile row's paid calls and cost to what the budget counts.
+
+        The streaming fold calls this per shard op: its rows never reach
+        the ledger.
+        """
+        with self._lock:
+            self._paid_calls += row.provider_calls
+            self._paid_cost += row.cost
 
     def rollback_scope(self, scope: CallScope) -> int:
         """Undo an abandoned scope's cache inserts; returns entries removed.
 
         Both engines call this instead of :meth:`merge_scope` when an
         operator raised (the scheduler for each of the operator's chunk
-        scopes, the streaming executor for a failed shard attempt's): the
-        ledger records are discarded with the scope, but the exact-tier
-        entries its provider calls created would otherwise survive — a
-        shard's *retry* would find its own half-done answers cached,
-        making the disturbed run cheaper than an undisturbed one, and a
-        served job's sibling would hit entries no ledger says were paid
-        for.  Only entries this scope created are
-        removed (refreshes of pre-existing entries are never tracked), so
-        rollback cannot evict warm-start state.
+        scopes, the streaming executor for a failed shard's): the ledger
+        records are discarded with the scope, but the exact-tier entries
+        its provider calls created would otherwise survive, and a served
+        job's sibling would hit entries no ledger says were paid for.  Only
+        entries this scope created are removed (refreshes of pre-existing
+        entries are never tracked), so rollback cannot evict warm-start
+        state.
         """
         removed = 0
         with self._lock:
@@ -393,6 +406,7 @@ class LLMService:
             return
         with self._lock:
             self.records.append(record)
+        self.count_paid(_profile((record,)))
 
     def _publish_record(self, record: CallRecord) -> None:
         """Mirror one ledger record into the attached metrics registry."""
@@ -796,23 +810,25 @@ class LLMService:
     def _budget_problem(self) -> str | None:
         """Why the budget refuses another paid call, or ``None``.
 
-        Counts the merged ledger and the calling thread's open scope.  Other
-        threads' scopes count once merged: the scheduler merges each chunk
-        as its turn comes, so at one worker a chunk sees every chunk before
-        it, and with several in flight a budget may be overshot by one paid
-        round per chunk in flight.
+        Counts the running tally (:meth:`count_paid`) and the calling
+        thread's open scope.  Other threads' scopes count once merged or
+        folded: both engines take each chunk or shard as its turn comes, so
+        at one worker a chunk sees every chunk before it, and with several
+        in flight a budget may be overshot by one paid round per chunk in
+        flight.
         """
         if self.max_calls is None and self.max_cost is None:
             return None
         scope = self._scope()
         with self._lock:
-            row = _profile(
-                self.records if scope is None else self.records + scope.records
-            )
-        if self.max_calls is not None and row.provider_calls >= self.max_calls:
-            return f"call budget exhausted ({row.provider_calls}/{self.max_calls})"
-        if self.max_cost is not None and row.cost >= self.max_cost:
-            return f"cost budget exhausted (${row.cost:.4f}/${self.max_cost:.4f})"
+            calls, cost = self._paid_calls, self._paid_cost
+        if scope is not None:
+            row = _profile(scope.records)
+            calls, cost = calls + row.provider_calls, cost + row.cost
+        if self.max_calls is not None and calls >= self.max_calls:
+            return f"call budget exhausted ({calls}/{self.max_calls})"
+        if self.max_cost is not None and cost >= self.max_cost:
+            return f"cost budget exhausted (${cost:.4f}/${self.max_cost:.4f})"
         return None
 
     def record_distilled(
@@ -949,9 +965,11 @@ class LLMService:
         )
 
     def reset_usage(self) -> None:
-        """Clear the ledger and virtual clock (cache is kept)."""
+        """Clear the ledger, the budget's tally and the virtual clock (not the cache)."""
         with self._lock:
             self.records.clear()
+            self._paid_calls = 0
+            self._paid_cost = 0.0
             self.clock.reset()
 
     def clear_cache(self) -> None:

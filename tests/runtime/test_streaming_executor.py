@@ -3,7 +3,8 @@
 The contract under test: a linear pipeline with a chunk-capable core runs
 as a memory-bounded stream and produces a :class:`RunReport` byte-identical
 to the batch scheduler's — at any worker count, with or without a durable
-ledger, and on a pure-replay resume.
+ledger, and on a pure-replay resume — and fails where the batch scheduler
+fails, with the same error.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.core.dsl.operators import LogicalOperator
 from repro.core.dsl.pipeline import Pipeline
 from repro.core.compiler.context import CompilerContext
 from repro.core.compiler.plan import BoundOperator, PhysicalPlan
-from repro.core.modules.base import ChunkOutcome, Module
+from repro.core.modules.base import ChunkOutcome, Module, ModuleExecutionError
 from repro.core.modules.custom import CustomModule
 from repro.core.modules.mapping import MapModule
 from repro.core.runtime.system import LinguaManga
@@ -33,6 +34,7 @@ from repro.core.runtime.workqueue import (
 from repro.core.templates.library import get_template
 from repro.datasets import CurationCorpus, StreamingERCorpus
 from repro.llm.faults import CrashInjected, CrashPoint
+from repro.llm.errors import BudgetExceededError
 from repro.llm.providers import SimulatedProvider
 from repro.llm.service import LLMService
 from repro.obs import Observability
@@ -118,6 +120,66 @@ class TestByteIdentity:
         assert_reports_identical(first, second)
         assert second.recovery["resumed"]
         assert second.recovery["replayed_shards"] == 3
+
+    def test_resumes_a_ledger_with_an_older_builds_fail_and_poison_lines(
+        self, tmp_path
+    ):
+        """An older build retried a failing shard, journalling ``fail`` lines
+        and then a ``poison`` verdict.  Both are ignored: the shard runs live."""
+        wal = tmp_path / "run.wal"
+        fresh, _ = run_streaming(workers=1, ledger_path=wal)
+        header, plan, *shards = wal.read_bytes().splitlines(keepends=True)
+        fail = {"type": "fail", "index": 2, "op": "match", "error": "boom"}
+        older = [
+            {**fail, "attempt": 1},
+            {**fail, "attempt": 2},
+            {"type": "poison", "index": 2, "n_records": 8, "attempts": 2,
+             "op": "match", "error": "boom", "records": ["{}"] * 8},
+        ]
+        wal.write_bytes(
+            header + plan + b"".join(shards[:2])
+            + b"".join(json.dumps(line).encode() + b"\n" for line in older)
+        )
+        provider = SimulatedProvider()
+        resumed, _ = run_streaming(
+            workers=2, ledger_path=wal, service=LLMService(provider)
+        )
+        assert_reports_identical(fresh, resumed)
+        assert resumed.recovery["replayed_shards"] == 2
+        assert provider.calls_served == 48 - 2 * 8  # shard 2 onwards, live
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    @pytest.mark.parametrize("case", ["raising_record", "call_budget"])
+    def test_engines_fail_alike(self, case, workers, tmp_path):
+        """A record that raises, or a spent call budget, fails a stream as
+        it fails a batch run.  The shards the stream journalled replay for
+        free, and a resume with the fault gone equals an uninterrupted run."""
+        wal = tmp_path / "run.wal"
+        errors, paid = [], []
+        for engine in ("batch", "stream"):
+            provider = SimulatedProvider()
+            with pytest.raises(Exception) as raised:
+                run_failure_case(case, engine, workers, provider, wal, faulty=True)
+            errors.append(raised.value)
+            paid.append(provider.calls_served)
+        assert type(errors[0]) is type(errors[1])
+        if case == "call_budget":
+            assert isinstance(errors[0], ModuleExecutionError)
+            assert all(isinstance(e.cause, BudgetExceededError) for e in errors)
+        if workers == 1:
+            assert paid[0] == paid[1] > 0
+        full_provider, resumed_provider = SimulatedProvider(), SimulatedProvider()
+        full = run_failure_case(
+            case, "stream", 1, full_provider, tmp_path / "full.wal", faulty=False
+        )
+        resumed = run_failure_case(
+            case, "stream", workers, resumed_provider, wal, faulty=False
+        )
+        assert_reports_identical(full, resumed)
+        per_shard = 8 if case == "call_budget" else 2  # one paid call per record
+        assert resumed_provider.calls_served == (
+            full_provider.calls_served - per_shard * resumed.recovery["replayed_shards"]
+        )
 
     def test_recovery_counters_shape(self):
         report, _ = run_streaming(workers=2)
@@ -213,18 +275,20 @@ class TestObservability:
 
 
 class Flaky(Module):
-    """Chunk-capable toy module that fails on chunks containing a marker."""
+    """Chunk-capable toy module that fails on chunks containing a marker,
+    while ``armed``."""
 
     chunk_capable = True
 
-    def __init__(self, name="flaky"):
+    def __init__(self, name="flaky", armed=True):
         super().__init__(name)
+        self.armed = armed
 
     def _run(self, value):
         return [v * 2 for v in value]
 
     def apply_chunk(self, chunk):
-        if any(v == "POISON" for v in chunk):
+        if self.armed and any(v == "POISON" for v in chunk):
             raise RuntimeError("poison pill")
         return ChunkOutcome(outputs=[v * 2 for v in chunk])
 
@@ -240,7 +304,7 @@ class Scripted(Flaky):
         return ChunkOutcome(outputs=self.fn(chunk))
 
 
-def toy_plan(middle=None):
+def toy_plan(middle=None, service=None):
     pipeline = Pipeline(name="toy")
     pipeline.add(LogicalOperator(name="src", kind="load", params={}, inputs=[]))
     pipeline.add(
@@ -249,7 +313,7 @@ def toy_plan(middle=None):
     pipeline.add(
         LogicalOperator(name="out", kind="save", params={}, inputs=["work"])
     )
-    context = CompilerContext()
+    context = CompilerContext() if service is None else CompilerContext(service=service)
     bound = [
         BoundOperator(
             operator=pipeline.operators[0],
@@ -264,14 +328,14 @@ def toy_plan(middle=None):
 
 
 def run_toy(
-    records, tmp_path, name="run.wal", workers=1, max_attempts=2, middle=None,
-    **kwargs,
+    records, tmp_path, name="run.wal", workers=1, middle=None, crash=None,
+    service=None, **kwargs,
 ):
-    plan = toy_plan(middle)
-    ledger = ShardLedger(tmp_path / name)
+    plan = toy_plan(middle, service)
+    ledger = ShardLedger(tmp_path / name, crash=crash)
     executor = StreamingExecutor(
-        plan, ledger=ledger, workers=workers, chunk_size=2,
-        max_attempts=max_attempts, source_id="toy", **kwargs,
+        plan, ledger=ledger, workers=workers, chunk_size=2, source_id="toy",
+        **kwargs,
     )
     try:
         return executor.execute({"records": iter(records)})
@@ -279,102 +343,70 @@ def run_toy(
         ledger.close()
 
 
-class TestPoisonQuarantine:
-    def test_poison_shard_quarantined_not_fatal(self, tmp_path):
-        records = [1, 2, "POISON", 4, 5, 6]
-        report = run_toy(records, tmp_path)
-        assert report.partial
-        assert next(iter(report.outputs.values())) == [2, 4, 10, 12]
-        assert len(report.quarantine) == 2  # the poison shard's records
-        assert all("poisoned after 2 attempt(s)" in q.error for q in report.quarantine)
-        assert all(q.module_name == "work" for q in report.quarantine)
-        assert report.recovery["quarantined_shards"] == 1
-        assert report.recovery["shard_failures"] == 2
+def ask_each(service, failing=()):
+    """A toy chunk function: one paid call per record, raising on ``failing``."""
 
-    def test_poison_reported_in_resilience_and_stats(self, tmp_path):
-        report = run_toy([1, 2, "POISON", 4], tmp_path)
-        assert report.resilience["work"].quarantined == 2
-        assert report.resilience["work"].degraded == 0
-        assert "failures=2" in report.module_stats["work"]
+    def work(chunk):
+        answers = []
+        for value in chunk:
+            if value in failing:
+                raise RuntimeError(f"record {value} failed")
+            answers.append(service.complete(f"Repeat the number {value}."))
+        return answers
 
-    def test_poison_replay_identical_without_reexecution(self, tmp_path):
-        records = [1, 2, "POISON", 4, 5, 6]
-        first = run_toy(records, tmp_path)
-        second = run_toy(records, tmp_path)
-        assert_reports_identical(first, second)
-        assert second.recovery["resumed"]
-        assert second.recovery["shard_failures"] == 0  # never re-executed
+    return work
 
-    def test_healthy_shards_unaffected_at_higher_workers(self, tmp_path):
-        records = [1, 2, "POISON", 4, 5, 6, 7, 8]
-        a = run_toy(records, tmp_path, name="a.wal", workers=1)
-        b = run_toy(records, tmp_path, name="b.wal", workers=4)
-        assert_reports_identical(a, b)
 
-    def test_poison_quarantine_reprs_are_the_source_records(self, tmp_path):
-        # Shards used to reach the quarantine as decoded copies of a JSON
-        # round trip; the reprs the canonical report renders are pinned here.
-        def work(chunk):
-            if any(record["bad"] for record in chunk):
-                raise RuntimeError("poison pill")
-            return [record["id"] for record in chunk]
+#: Shards in flight overshoot a call budget by one paid round each, so the
+#: budget case's source must outlast eight workers' worth of them.
+BUDGET_PAIRS = 400
 
-        records = [
-            {"id": 1, "bad": False, "pair": ("a", "b")},
-            {"id": 2, "bad": False, "pair": ("c", "d")},
-            {"id": 3, "bad": True, "pair": ("caf\u00e9", 1.5), "nested": {"x": [1, None]}},
-            {"id": 4, "bad": False, "pair": ("e", "f")},
-        ]
-        expected = [
-            {
-                "module": "work",
-                "record": "{'id': 3, 'bad': True, 'pair': ('caf\u00e9', 1.5), "
-                "'nested': {'x': [1, None]}}",
-                "error": "shard 1 poisoned after 2 attempt(s): poison pill",
-            },
-            {
-                "module": "work",
-                "record": "{'id': 4, 'bad': False, 'pair': ('e', 'f')}",
-                "error": "shard 1 poisoned after 2 attempt(s): poison pill",
-            },
-        ]
-        first = run_toy(records, tmp_path, middle=Scripted(work))
-        assert first.canonical_dict()["quarantine"] == expected
-        resumed = run_toy(records, tmp_path, middle=Scripted(work))
-        assert resumed.canonical_dict()["quarantine"] == expected
 
-    def test_failed_shard_retries_on_what_the_source_produced(self, tmp_path):
-        seen = []
+def run_failure_case(case, engine, workers, provider, ledger_path, faulty):
+    """One engine over one failure case, with its fault in or removed.
 
-        def work(chunk):
-            seen.append(list(chunk))
-            if len(seen) == 1:
-                raise RuntimeError("transient")
-            return [record["id"] for record in chunk]
+    ``raising_record``: a toy plan whose middle operator pays one call per
+    record and raises on record 7.  ``call_budget``: the ER template under
+    ``max_calls=10``.
+    """
+    if case == "call_budget":
+        service = LLMService(provider, max_calls=10 if faulty else None)
+        if engine == "batch":
+            pairs = list(StreamingERCorpus(BUDGET_PAIRS, seed=7).inputs())
+            return LinguaManga(service=service).run(
+                er_pipeline(), {"pairs": pairs}, workers=workers, chunk_size=8
+            )
+        return run_streaming(
+            workers, ledger_path, n_pairs=BUDGET_PAIRS, service=service
+        )[0]
+    service = LLMService(provider)
+    middle = Scripted(ask_each(service, failing={7} if faulty else ()), name="work")
+    if engine == "batch":
+        return toy_plan(middle, service).execute(
+            {"records": list(range(12))}, workers=workers, chunk_size=2
+        )
+    return run_toy(
+        range(12), ledger_path.parent, name=ledger_path.name, workers=workers,
+        middle=middle, service=service,
+    )
 
-        records = [{"id": i, "pair": (i, str(i))} for i in range(4)]
-        report = run_toy(records, tmp_path, middle=Scripted(work))
-        # Shard 0 fails and, the smallest pending index, runs again at once.
-        assert seen == [records[:2], records[:2], records[2:]]
-        assert seen[1][0] is records[0]  # attempts share the source's objects
-        assert not report.partial
-        assert report.recovery["shard_failures"] == 1
-        assert next(iter(report.outputs.values())) == [0, 1, 2, 3]
+
+class TestShardFailure:
+    """A shard that raises fails the run, and what it cached goes with it."""
 
     @staticmethod
-    def _fail_shard_zero_once_after_serving(monkeypatch):
-        """Shard 0's first attempt raises *after* its LLM calls were paid."""
+    def _fail_shard_zero_after_serving(monkeypatch):
+        """Shard 0 raises *after* its LLM calls were paid, each time it runs;
+        ``monkeypatch.undo()`` removes the fault."""
         apply_chunk = MapModule.apply_chunk
-        armed = [True]
 
-        def failing_once(self, chunk):
+        def failing(self, chunk):
             outcome = apply_chunk(self, chunk)
-            if chunk[0]["left"]["lot"] == "LOT-00000000" and armed:
-                armed.pop()
+            if chunk[0]["left"]["lot"] == "LOT-00000000":
                 raise RuntimeError("died after paying")
             return outcome
 
-        monkeypatch.setattr(MapModule, "apply_chunk", failing_once)
+        monkeypatch.setattr(MapModule, "apply_chunk", failing)
 
     @pytest.mark.parametrize("phase", ["cold", "warm"])
     @pytest.mark.parametrize("workers", [1, 2])
@@ -384,7 +416,7 @@ class TestPoisonQuarantine:
         warm = 0
         if phase == "warm":
             # Half of shard 0 is cached before the run: the rollback must
-            # drop what the failed attempt added and keep these four.
+            # drop what the failed shard added and keep these four.
             warm = 4
             seed = tmp_path / "seed.cache.jsonl"
             LinguaManga(cache_path=str(seed)).run_stream(
@@ -393,33 +425,45 @@ class TestPoisonQuarantine:
                 chunk_size=8,
             )
 
-        def run(tag):
+        def service(tag):
             cache_path = None
             if warm:
                 cache_path = str(tmp_path / f"{tag}.cache.jsonl")
                 shutil.copy(seed, cache_path)
-            service = LLMService(SimulatedProvider(), cache_path=cache_path)
-            return run_streaming(workers, n_pairs=24, service=service)[0]
+            return LLMService(SimulatedProvider(), cache_path=cache_path)
 
-        clean = run("clean")
-        assert (clean.cost.served_calls, clean.cost.cached_calls) == (24 - warm, warm)
-        self._fail_shard_zero_once_after_serving(monkeypatch)
-        disturbed = run("disturbed")
-        assert disturbed.recovery["shard_failures"] == 1
-        assert_reports_identical(clean, disturbed)
+        clean, _ = run_streaming(workers, n_pairs=24, service=service("clean"))
+        disturbed = service("disturbed")
+        wal = tmp_path / "run.wal"
+        self._fail_shard_zero_after_serving(monkeypatch)
+        with pytest.raises(RuntimeError, match="died after paying"):
+            run_streaming(workers, wal, n_pairs=24, service=disturbed)
+        lines = [json.loads(line) for line in wal.read_text().splitlines()]
+        journalled = sum(line["type"] == "shard" for line in lines)
+        if workers == 1:
+            assert journalled == 0
+        # Every shard holds 8 distinct prompts: the cache keeps the warm
+        # entries and what the ledger names, nothing shard 0 paid for.
+        assert len(disturbed.cache) == warm + 8 * journalled
+        monkeypatch.undo()
+        resumed, _ = run_streaming(workers, wal, n_pairs=24, service=disturbed)
+        assert_reports_identical(clean, resumed)
 
     def test_failed_attempt_then_crash_then_resume_is_identical(
         self, tmp_path, monkeypatch
     ):
-        # The crash lands after the retry was journalled: the resume replays
-        # the retry's records, so they must be those of an undisturbed run.
+        # The run fails at shard 0; the resume, the fault gone, crashes once
+        # it journals a shard; a second resume finishes the run.
         clean, _ = run_streaming(workers=2, n_pairs=24)
-        self._fail_shard_zero_once_after_serving(monkeypatch)
+        self._fail_shard_zero_after_serving(monkeypatch)
         wal = tmp_path / "run.wal"
+        with pytest.raises(RuntimeError, match="died after paying"):
+            run_streaming(workers=2, n_pairs=24, ledger_path=wal)
+        monkeypatch.undo()
         with pytest.raises(CrashInjected):
             run_streaming(
                 workers=2, n_pairs=24, ledger_path=wal,
-                crash=CrashPoint("shard:journaled", hits=3),
+                crash=CrashPoint("shard:journaled", hits=1),
             )
         resumed, _ = run_streaming(workers=2, n_pairs=24, ledger_path=wal)
         assert resumed.recovery["resumed"]
@@ -581,16 +625,13 @@ class TestMemoryBounding:
         report = run_toy(range(80), tmp_path, workers=1, window=3)
         assert report.recovery["inflight_peak_records"] == 2  # chunk_size
 
-    def test_resume_holds_no_records_for_replayed_or_poisoned_shards(
-        self, tmp_path
-    ):
-        records = [1, 2, "POISON", 4, 5, 6]
+    def test_resume_holds_no_records_for_replayed_shards(self, tmp_path):
+        records = [1, 2, 3, 4, 5, 6]
         first = run_toy(records, tmp_path)
         assert first.recovery["inflight_peak_records"] > 0
         second = run_toy(records, tmp_path)
         assert second.recovery["resumed"]
-        assert second.recovery["replayed_shards"] == 2
-        assert second.recovery["quarantined_shards"] == 1
+        assert second.recovery["replayed_shards"] == 3
         assert second.recovery["inflight_peak_records"] == 0
 
 
@@ -601,7 +642,6 @@ class TestKnobValidation:
             ("batch", "chunk_size"),
             ("stream", "chunk_size"),
             ("stream", "window"),
-            ("stream", "max_attempts"),
         ],
     )
     def test_bad_knob_leaves_no_journal_behind(self, engine, knob, tmp_path):

@@ -2,23 +2,17 @@
 
 from __future__ import annotations
 
-import json
 import sys
 import threading
 import time
 
 import pytest
 
-from repro.core.runtime.checkpoint import (
-    CheckpointError,
-    CheckpointMismatchError,
-    ReplayedValue,
-)
+from repro.core.runtime.checkpoint import CheckpointError, CheckpointMismatchError
 from repro.core.runtime.scheduler import ordered_map
-from repro.core.runtime.workqueue import PoisonInfo, ShardLedger
-from repro.llm.faults import CrashInjected, CrashPoint
+from repro.core.runtime.workqueue import ShardLedger
 from repro.llm.service import LLMService
-from tests.runtime.test_streaming_executor import Scripted, run_toy
+from tests.runtime.test_streaming_executor import Flaky, Scripted, run_toy
 
 
 class _Scope:
@@ -81,10 +75,11 @@ class TestShardLedger:
         assert again.has_shard(0)
         assert again.shard_n_records(0) == 3
         assert again.shard_replayable(0)
-        replay = again.shard_replay(0)
-        assert replay.outputs == [True, False, True]
-        assert replay.ops[0].name == "op"
-        assert replay.ops[0].elapsed == 1.5
+        ops, outputs = again.replayed_shard(0)
+        assert outputs == [True, False, True]
+        [(name, scope, outcome)] = ops
+        assert (name, scope.elapsed, scope.records) == ("op", 1.5, [])
+        assert (outcome.quarantine, outcome.degraded) == ([], 0)
         again.close()
 
     def test_unserializable_outputs_not_replayable(self, tmp_path):
@@ -95,47 +90,6 @@ class TestShardLedger:
         again.begin("fp", LLMService())
         assert again.has_shard(0)
         assert not again.shard_replayable(0)
-        again.close()
-
-    def test_fail_lines_carry_attempts(self, tmp_path):
-        ledger = make_ledger(tmp_path)
-        ledger.record_fail(2, 1, "op", "boom")
-        ledger.record_fail(2, 2, "op", "boom")
-        ledger.close()
-        again = ShardLedger(tmp_path / "ledger.jsonl")
-        again.begin("fp", LLMService())
-        assert again.attempts(2) == 2
-        assert again.last_fail(2) == ("op", "boom")
-        again.close()
-
-    def test_attempts_zero_once_shard_completes(self, tmp_path):
-        ledger = make_ledger(tmp_path)
-        ledger.record_fail(0, 1, "op", "boom")
-        ledger.record_shard(0, 1, [("op", _Scope(), _Outcome())], [1])
-        ledger.close()
-        again = ShardLedger(tmp_path / "ledger.jsonl")
-        again.begin("fp", LLMService())
-        assert again.attempts(0) == 0
-        again.close()
-
-    def test_poison_round_trip(self, tmp_path):
-        ledger = make_ledger(tmp_path)
-        ledger.record_poison(
-            PoisonInfo(
-                index=1, n_records=2, attempts=3, op="op", error="bad",
-                records=[{"k": 1}, {"k": 2}],
-            )
-        )
-        ledger.close()
-        again = ShardLedger(tmp_path / "ledger.jsonl")
-        again.begin("fp", LLMService())
-        info = again.poison(1)
-        assert info is not None
-        assert (info.n_records, info.attempts, info.op, info.error) == (
-            2, 3, "op", "bad",
-        )
-        assert all(isinstance(r, ReplayedValue) for r in info.records)
-        assert repr(info.records[0]) == repr({"k": 1})
         again.close()
 
     def test_torn_tail_truncated_and_counted(self, tmp_path):
@@ -212,9 +166,6 @@ class TestWorkQueueLifecycle:
         run_toy([1, 2, 3, 4], tmp_path, name="shard.wal")
         with pytest.raises(CheckpointMismatchError, match="shard 1 covered 2"):
             run_toy([1, 2, 3], tmp_path, name="shard.wal")
-        run_toy([1, 2, "POISON", 4], tmp_path, name="poison.wal")
-        with pytest.raises(CheckpointMismatchError, match="poison 1 covered 2"):
-            run_toy([1, 2, "POISON"], tmp_path, name="poison.wal")
 
 
 class TestWorkQueueBackpressure:
@@ -258,64 +209,11 @@ class TestWorkQueueBackpressure:
         assert consumed == list(range(300))
         assert 0 < peak <= 3 * 2
 
-    def test_replayed_and_poisoned_shards_hold_no_records(self, tmp_path):
+    def test_replayed_shards_hold_no_records(self, tmp_path):
         records = [1, 2, "POISON", 4, 5, 6]
-        # Shard 0 journals, shard 1 is poisoned, shard 2 dies unjournalled.
-        with pytest.raises(CrashInjected):
-            run_toy(records, tmp_path, crash=CrashPoint("shard:executed", hits=2))
-        resumed = run_toy(records, tmp_path)
+        # Shard 0 journals, then shard 1 fails the run.
+        with pytest.raises(RuntimeError, match="poison pill"):
+            run_toy(records, tmp_path)
+        resumed = run_toy(records, tmp_path, middle=Flaky("work", armed=False))
         assert resumed.recovery["replayed_shards"] == 1
-        assert resumed.recovery["quarantined_shards"] == 1
-        assert resumed.recovery["inflight_peak_records"] == 2  # the live shard only
-
-
-class TestWorkQueueFailure:
-    def test_retry_backoff_then_poison(self, tmp_path):
-        calls = []
-
-        def work(chunk):
-            calls.append(chunk[0])
-            if chunk[0] == "bad":
-                raise RuntimeError("boom")
-            return chunk
-
-        report = run_toy(["bad", 1, 2, 3], tmp_path, middle=Scripted(work))
-        assert calls == ["bad", "bad", 2]  # retried at once, then poisoned
-        assert report.recovery["shard_failures"] == 2
-        assert report.recovery["quarantined_shards"] == 1
-        lines = (tmp_path / "run.wal").read_text().splitlines()
-        kinds = [json.loads(line)["type"] for line in lines]
-        assert kinds == ["header", "plan", "fail", "fail", "poison", "shard"]
-
-    def test_retry_is_handed_what_the_source_produced(self, tmp_path):
-        records = [{"k": 1}, {"k": (2, "b")}]
-        seen = []
-
-        def work(chunk):
-            seen.append(chunk)
-            raise RuntimeError("boom")
-
-        report = run_toy(records, tmp_path, middle=Scripted(work))
-        assert seen == [records, records]
-        assert seen[0] is seen[1]  # attempts share the one list
-        assert report.quarantine[0].record is records[0]  # and so does the verdict
-
-    def test_carried_budget_poisons_without_reexecution(self, tmp_path):
-        calls = []
-
-        def work(chunk):
-            calls.append(list(chunk))
-            raise RuntimeError("boom")
-
-        # Two attempts fail and journal, the crash lands before the third.
-        with pytest.raises(CrashInjected):
-            run_toy(
-                [1, 2], tmp_path, middle=Scripted(work), max_attempts=3,
-                crash=CrashPoint("shard:claimed", hits=3),
-            )
-        assert len(calls) == 2
-        report = run_toy([1, 2], tmp_path, middle=Scripted(work), max_attempts=2)
-        assert len(calls) == 2  # budget spent in a prior run: not re-executed
-        assert [q.error for q in report.quarantine] == [
-            "shard 0 poisoned after 2 attempt(s): boom"
-        ] * 2
+        assert resumed.recovery["inflight_peak_records"] == 2  # one live shard at a time
