@@ -6,7 +6,7 @@ Two claims, measured on the ER demo app:
    run keeps a write-ahead journal (header + per-chunk ledger slices +
    operator commits) beside the execution.  Its cost is read where it is
    paid: the run journal's four entry points (``begin``, ``record_chunk``,
-   ``commit_operator``, ``close``) are timed directly in a one-worker run,
+   ``commit``, ``close``) are timed directly in a one-worker run,
    its ``fsync`` calls counted and its file measured, and each is gated per
    journalled record.  (The gate used to be the journal's share of a plain
    run's wall clock; that run times the simulated provider, so the share
@@ -51,7 +51,7 @@ FSYNCS_PER_RUN_BAR = 8  # measured 3
 JOURNAL_ENTRY_POINTS = (
     (RunCheckpoint, "begin"),
     (OperatorContext, "record_chunk"),
-    (RunCheckpoint, "commit_operator"),
+    (OperatorContext, "commit"),
     (RunCheckpoint, "close"),
 )
 

@@ -13,25 +13,36 @@ job parked on the store's condition variable — no polling.
 Gates are determinism-grade, not timing-grade (CI runners are noisy):
 every job succeeds, admission refuses nothing, the provenance audit sees
 zero cross-tenant hits at every pool size, and the warm arm pays zero
-provider calls.
+provider calls.  Two exact counts repeat run to run where wall clock does
+not: each job's run journal takes one append per line it holds, less one
+per operator (the commit marker rides with the operator's last chunk
+line), and each queue generates each ``(task, ref)`` dataset once.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 import time
+from collections import Counter
 
 import pytest
 
+from repro._jsonl import CheckpointJournal
 from repro.llm.providers import SimulatedProvider
 from repro.serve import JobQueue, JobSpec
+from repro.serve import jobs as jobs_module
 
 from _harness import emit, emit_json
 
 N_JOBS = int(os.environ.get("BENCH_SERVE_JOBS", "32"))
 N_TENANTS = 8
 POOL_SIZES = (1, 2, 4, 8)
+
+#: Run-journal appends per served job, by task: the header, the plan line
+#: and one per chunk line; no ``op`` line costs an append of its own.
+APPENDS_PER_JOB = {"imputation": 5, "names": 8, "er": 5}
 
 TASK_CYCLE = (
     ("imputation", {"seed": 11, "n_train": 4, "n_test": 8}),
@@ -88,9 +99,34 @@ def _drive_fleet(queue: JobQueue) -> dict:
 
 
 @pytest.fixture(scope="module")
-def sweep(tmp_path_factory) -> list[dict]:
+def counts() -> dict:
+    """Run-journal appends per job directory over the whole sweep, and
+    dataset generations per ``(task, ref)`` (the sweep clears them per queue)."""
+    appends: Counter = Counter()
+    generated: Counter = Counter()
+    append, resolve = CheckpointJournal.append, jobs_module.resolve_dataset
+
+    def counted_append(journal, *records):
+        if journal.path.name == "checkpoint.jsonl":
+            appends[journal.path.parent] += 1
+        append(journal, *records)
+
+    def counted_resolve(task, ref, probe=False):
+        if not probe:
+            generated[task, json.dumps(ref, sort_keys=True)] += 1
+        return resolve(task, ref, probe)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CheckpointJournal, "append", counted_append)
+        patch.setattr(jobs_module, "resolve_dataset", counted_resolve)
+        yield {"appends": appends, "generated": generated, "tasks": {}}
+
+
+@pytest.fixture(scope="module")
+def sweep(tmp_path_factory, counts) -> list[dict]:
     arms = []
     for workers in POOL_SIZES:
+        counts["generated"].clear()
         provider = SimulatedProvider()
         queue = JobQueue(
             tmp_path_factory.mktemp(f"pool{workers}"),
@@ -116,6 +152,10 @@ def sweep(tmp_path_factory) -> list[dict]:
             )
             arms.append(warm)
         queue.close()
+        # per (task, ref), on the queue the last arm ran on
+        arms[-1]["generations"] = sorted(counts["generated"].values())
+        for job in queue.store.jobs():
+            counts["tasks"][queue.data_dir / "jobs" / job.job_id] = job.spec.task
     return arms
 
 
@@ -137,6 +177,26 @@ def test_cold_arms_pay_the_provider_once_per_identity(sweep):
 def test_warm_arm_pays_nothing(sweep):
     warm = next(arm for arm in sweep if arm["name"].startswith("warm"))
     assert warm["provider_calls"] == 0
+
+
+def test_each_queue_generates_each_dataset_once(sweep):
+    for arm in sweep:
+        if "generations" in arm:  # the last arm on each queue
+            assert arm["generations"] == [1] * len(TASK_CYCLE), arm["name"]
+
+
+def test_a_commit_costs_no_append_of_its_own(sweep, counts):
+    """A job's journal holds a header, a plan line, chunk lines and one
+    ``op`` line per operator; each line but the ``op`` lines costs one append."""
+    assert len(counts["tasks"]) == len(sweep) * N_JOBS
+    observed: dict[str, set] = {}
+    for job_dir, task in counts["tasks"].items():
+        journal = (job_dir / "checkpoint.jsonl").read_text("utf-8").splitlines()
+        kinds = [json.loads(line)["type"] for line in journal]
+        appends = counts["appends"][job_dir]
+        assert appends == len(kinds) - kinds.count("op"), (job_dir, kinds)
+        observed.setdefault(task, set()).add(appends)
+    assert observed == {task: {appends} for task, appends in APPENDS_PER_JOB.items()}
 
 
 def test_emit_report(sweep):

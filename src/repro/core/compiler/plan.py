@@ -274,10 +274,10 @@ class PhysicalPlan:
 
         ``checkpoint`` (a :class:`~repro.core.runtime.checkpoint.
         RunCheckpoint`) turns execution crash-safe: every finished chunk
-        and operator is journalled write-ahead, and a resume replays the
-        journalled prefix verbatim — zero provider calls for completed
-        work — before executing only what remains, producing a report
-        byte-identical to an uninterrupted run.
+        is journalled write-ahead, the last one with its operator's commit
+        marker, and a resume replays the journalled prefix verbatim — zero
+        provider calls for completed work — before executing only what
+        remains, producing a report byte-identical to an uninterrupted run.
 
         ``cancel`` (a :class:`~repro.core.runtime.cancel.CancelToken`)
         enables cooperative cancellation: the token is checked between
@@ -325,9 +325,7 @@ class PhysicalPlan:
                 else:
                     argument = tuple(values[name] for name in operator.inputs)
                 op_ctx = None
-                committed = False
                 if checkpoint is not None:
-                    committed = checkpoint.committed(op_index, operator.name)
                     op_ctx = checkpoint.operator_context(op_index, operator.name)
                 # Live or committed, the scheduler replays what chunk lines
                 # hold and runs the rest.
@@ -338,10 +336,8 @@ class PhysicalPlan:
                         service=service, op_ctx=op_ctx,
                     ),
                 )
-                if committed:
-                    checkpoint.finish_replay()
-                elif checkpoint is not None:
-                    checkpoint.commit_operator(op_index, operator.name)
+                if op_ctx is not None:
+                    op_ctx.commit()
         report.profile = profile
         close_report(report)
         if checkpoint is not None:

@@ -24,8 +24,10 @@ The journal is JSONL with four record types:
   time, quarantine decisions, degraded count and outputs.  Every
   operator's work lives here and nowhere else; one that cannot be split
   runs as one chunk.
-- ``op`` — written by the plan executor when an operator fully commits:
-  a marker, ``{type, index, name, chunked: true}``.
+- ``op`` — an operator's commit marker, ``{type, index, name, chunked:
+  true}``.  It rides in the same append as the last chunk line the
+  operator journals, so a one-chunk operator costs one append; an
+  operator whose chunks all replayed writes it alone.
 
 There is one replay path.  Resume hands every operator — committed or in
 flight — to the scheduler, which replays the operator's chunk lines
@@ -46,9 +48,11 @@ primitive all four journals share (re-exported here): its fsync,
 damaged-line and compaction rules are stated once, in :mod:`repro._jsonl`.
 A skipped damaged line can only cost work, never correctness: the header
 check refuses a journal whose first line is gone, and a chunk line that is
-gone is a chunk the scheduler runs again, committed operator or not.  An
-``op`` line an older build wrote with the work of a whole operator on it
-reads as not committed, by the same rule: that operator runs again.
+gone is a chunk the scheduler runs again, committed operator or not.  A
+torn final append loses the marker with its chunk line, so that chunk runs
+again and the marker is written anew.  An ``op`` line an older build wrote
+with the work of a whole operator on it reads as not committed, by the
+same rule: that operator runs again.
 """
 
 from __future__ import annotations
@@ -478,18 +482,33 @@ def _work_decodes(line: dict) -> bool:
 # -- per-operator scheduler context ----------------------------------------------
 
 
-class OperatorContext:
-    """The scheduler's handle on the checkpoint for one operator it runs.
+def _op_marker(index: int, name: str) -> dict:
+    """The ``op`` line that commits operator ``index``."""
+    return {"type": "op", "index": index, "name": name, "chunked": True}
 
-    Carries the operator's journalled chunks in and journals finished
-    chunks.
+
+class OperatorContext:
+    """The checkpoint's handle on one operator the plan runs.
+
+    Carries the operator's journalled chunks in, journals finished chunks
+    and commits the operator.  Once :meth:`replayable_chunks` has counted
+    the chunks that must run live, the last of them to be journalled
+    carries the operator's ``op`` marker in the same append.  The count
+    and that append share a lock, so the marker follows every chunk line
+    of its operator in the file at any worker count.
     """
 
     def __init__(self, checkpoint: "RunCheckpoint", index: int, name: str):
         self.checkpoint = checkpoint
         self.index = index
         self.name = name
+        #: committed by an earlier attempt: its marker is on file already
+        self.committed = checkpoint.committed(index, name)
         self._journalled = checkpoint._chunks.get(index, {})
+        #: live chunks not yet journalled; ``None`` until counted
+        self._unjournalled: int | None = None
+        self._marked = False
+        self._lock = threading.Lock()
 
     def replayable_chunks(
         self, chunk_sizes: list[int]
@@ -520,6 +539,7 @@ class OperatorContext:
             if not raw.get("replayable", False):
                 continue  # outputs did not serialize: re-execute this chunk
             replays[chunk_index] = replayed_slice(raw, decode_value(raw["outputs"]))
+        self._unjournalled = len(chunk_sizes) - len(replays)
         with self.checkpoint._lock:
             self.checkpoint.stats.replayed_chunks += len(replays)
             self.checkpoint.stats.replayed_records += sum(
@@ -535,20 +555,43 @@ class OperatorContext:
         except UnserializableValueError:
             outputs = None
             replayable = False
-        self.checkpoint.journal.append(
-            {
-                "type": "chunk",
-                "op": self.index,
-                "op_name": self.name,
-                "chunk": chunk_index,
-                "n_records": len(chunk),
-                **_encode_slice(scope, outcome),
-                "outputs": outputs,
-                "replayable": replayable,
-            }
-        )
+        line = {
+            "type": "chunk",
+            "op": self.index,
+            "op_name": self.name,
+            "chunk": chunk_index,
+            "n_records": len(chunk),
+            **_encode_slice(scope, outcome),
+            "outputs": outputs,
+            "replayable": replayable,
+        }
+        with self._lock:
+            if self._unjournalled is not None:
+                self._unjournalled -= 1
+            if self._unjournalled == 0 and not self.committed:
+                self.checkpoint.journal.append(line, _op_marker(self.index, self.name))
+                self._marked = True
+            else:
+                self.checkpoint.journal.append(line)
         with self.checkpoint._lock:
             self.checkpoint.stats.journaled_chunks += 1
+
+    def commit(self) -> None:
+        """Commit the operator once the plan has booked it.
+
+        An operator an earlier attempt committed counts as replayed.
+        Otherwise its marker went out with its last chunk line, or goes out
+        alone now (every chunk replayed), and ``operator:committed`` is
+        announced.
+        """
+        checkpoint = self.checkpoint
+        if self.committed:
+            with checkpoint._lock:
+                checkpoint.stats.replayed_operators += 1
+        elif self._marked:
+            checkpoint.reached("operator:committed")
+        else:
+            checkpoint.commit_operator(self.index, self.name)
 
 
 # -- the run checkpoint -----------------------------------------------------------
@@ -612,16 +655,9 @@ class RunCheckpoint(RunJournal):
         """The scheduler-facing context for running operator ``index``."""
         return OperatorContext(self, index, name)
 
-    def finish_replay(self) -> None:
-        """Count one replayed commit's operator as replayed."""
-        with self._lock:
-            self.stats.replayed_operators += 1
-
     def commit_operator(self, index: int, name: str) -> None:
-        """Durably commit one finished operator: its work is in its chunk lines."""
-        self.journal.append(
-            {"type": "op", "index": index, "name": name, "chunked": True}
-        )
+        """Journal operator ``index``'s marker alone: its work is in its chunk lines."""
+        self.journal.append(_op_marker(index, name))
         self.reached("operator:committed")
 
 

@@ -261,7 +261,9 @@ class Scheduler:
         (their ledger records re-warm the exact cache before any live chunk
         executes, so live chunks hit exactly what they originally hit),
         remaining chunks run live and are journalled write-ahead the moment
-        they finish, and the named crash boundaries ``chunk:entered`` /
+        they finish (the last one with the operator's commit marker, see
+        :class:`~repro.core.runtime.checkpoint.OperatorContext`), and the
+        named crash boundaries ``chunk:entered`` /
         ``chunk:executed`` / ``chunk:journaled`` are announced around each
         live chunk.
         """

@@ -21,6 +21,8 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -33,6 +35,7 @@ __all__ = [
     "JobSpec",
     "JobError",
     "resolve_dataset",
+    "ResolvedDatasets",
     "run_task",
     "result_payload",
     "canonical_json",
@@ -55,6 +58,11 @@ JOB_STATUSES = (
 TERMINAL_STATUSES = ("succeeded", "failed", "cancelled")
 
 _TENANT_RE = re.compile(r"^[a-z0-9][a-z0-9_-]{0,63}$")
+
+#: Resolved datasets one :class:`ResolvedDatasets` holds; the least
+#: recently used goes first.  A ref is regenerated on a miss, so this
+#: bounds memory, not correctness.
+DATASET_SLOTS = 8
 
 
 class JobError(ValueError):
@@ -160,6 +168,50 @@ def resolve_dataset(task: str, ref: dict, probe: bool = False) -> Any:
         raise JobError(str(error)) from None
 
 
+class _Slot:
+    """One resolved dataset, and the lock its one resolver holds."""
+
+    __slots__ = ("lock", "data", "resolved")
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.data: Any = None
+        self.resolved = False
+
+
+class ResolvedDatasets:
+    """Datasets resolved once per ``(task, canonical ref)``, least recently
+    used evicted past :data:`DATASET_SLOTS`.
+
+    Generation is deterministic, so every job on a ref can share one copy:
+    jobs read it and never write it (no task row mutates its data).  A
+    thread that misses resolves under the ref's own lock, so two threads
+    never generate the same ref at once, and a second job on it waits for
+    the first one's copy instead of making its own.
+    """
+
+    def __init__(self) -> None:
+        self._slots: OrderedDict[tuple[str, str], _Slot] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, task: str, ref: dict) -> Any:
+        """The data ``ref`` resolves to for ``task`` (:func:`resolve_dataset`)."""
+        key = (task, canonical_json(ref))
+        with self._lock:
+            slot = self._slots.get(key)
+            if slot is None:
+                slot = self._slots[key] = _Slot()
+                if len(self._slots) > DATASET_SLOTS:
+                    self._slots.popitem(last=False)
+            else:
+                self._slots.move_to_end(key)
+        with slot.lock:
+            if not slot.resolved:
+                slot.data = resolve_dataset(task, ref)
+                slot.resolved = True
+            return slot.data
+
+
 def run_task(
     spec: JobSpec,
     system,
@@ -167,12 +219,17 @@ def run_task(
     checkpoint_path: str | None = None,
     resume: bool = True,
     cancel: Any = None,
+    dataset: Any = None,
 ) -> TaskResult:
-    """Execute ``spec`` on ``system``: its row, on its dataset."""
+    """Execute ``spec`` on ``system``: its row, on its dataset.
+
+    ``dataset`` is the spec's resolved data when the caller holds it (the
+    queue's :class:`ResolvedDatasets`); otherwise it is resolved here.
+    """
     return run(
         spec.task,
         system,
-        resolve_dataset(spec.task, spec.dataset),
+        resolve_dataset(spec.task, spec.dataset) if dataset is None else dataset,
         workers=workers,
         checkpoint_path=checkpoint_path,
         resume=resume,

@@ -15,7 +15,9 @@ narrow:
 - the **tenant's prompt cache** (namespaced keys, own journal), shared
   only between that tenant's own jobs — which, with the default
   one-running-job-per-tenant quota, makes an API warm run equal a direct
-  warm run byte for byte.
+  warm run byte for byte;
+- the **resolved dataset** of each (task, ref)
+  (:class:`~repro.serve.jobs.ResolvedDatasets`), read-only.
 
 Crash safety
 ------------
@@ -57,6 +59,7 @@ from repro.serve.jobs import (
     TERMINAL_STATUSES,
     JobError,
     JobSpec,
+    ResolvedDatasets,
     result_payload,
     run_task,
 )
@@ -66,17 +69,26 @@ from repro.serve.tenancy import TenantRegistry
 __all__ = ["JobQueue", "QuotaExceeded", "JobError"]
 
 
+def _identity(call) -> tuple[str, int, str]:
+    """A cache key's or ledger record's namespace-free prompt identity."""
+    return call.prompt, call.max_tokens, call.version
+
+
 def _base_digest(prompt: str, max_tokens: int, version: str) -> str:
-    """Namespace-free prompt identity for the isolation audit."""
+    """The digest a reported violation names its prompt identity by."""
     payload = json.dumps([prompt, max_tokens, version], ensure_ascii=False)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
 class _IsolationAudit:
-    """Tracks which tenants paid for which prompts; flags alien cache hits."""
+    """Tracks which tenants paid for which prompts; flags alien cache hits.
+
+    Keyed on the identity triple itself: its strings cache their hashes,
+    so a record costs a dict probe, and only a violation is digested.
+    """
 
     def __init__(self) -> None:
-        self._creators: dict[str, set[str]] = {}
+        self._creators: dict[tuple[str, int, str], set[str]] = {}
         #: tenant -> the cache keys its last :meth:`seed` saw, all registered.
         self._seeded: dict[str, set] = {}
         self.violations: list[dict] = []
@@ -92,31 +104,29 @@ class _IsolationAudit:
         with self._lock:
             live = set(keys)
             for key in live.difference(self._seeded.get(tenant, ())):
-                digest = _base_digest(key.prompt, key.max_tokens, key.version)
-                self._creators.setdefault(digest, set()).add(tenant)
+                self._creators.setdefault(_identity(key), set()).add(tenant)
             self._seeded[tenant] = live
 
     def fold(self, tenant: str, job_id: str, records) -> None:
         with self._lock:
+            creators = self._creators
             for record in records:
-                digest = _base_digest(
-                    record.prompt, record.max_tokens, record.version
-                )
+                identity = _identity(record)
                 if record.provenance == "cache-exact":
-                    owners = self._creators.get(digest, set())
+                    owners = creators.get(identity, ())
                     if tenant not in owners:
                         self.violations.append(
                             {
                                 "job": job_id,
                                 "tenant": tenant,
-                                "digest": digest,
+                                "digest": _base_digest(*identity),
                                 "owners": sorted(owners),
                             }
                         )
                 else:
                     # provider calls and distilled answers both *create*
                     # the cache entry this tenant may hit later.
-                    self._creators.setdefault(digest, set()).add(tenant)
+                    creators.setdefault(identity, set()).add(tenant)
 
 
 class JobQueue:
@@ -164,6 +174,8 @@ class JobQueue:
         )
         self.admission = AdmissionController(default_quota=default_quota)
         self.audit = _IsolationAudit()
+        #: every job on one (task, ref) shares one resolved copy
+        self.datasets = ResolvedDatasets()
         self._lock = threading.RLock()
         self._backlog: dict[str, deque[str]] = {}
         self._tokens: dict[str, CancelToken] = {}
@@ -326,6 +338,7 @@ class JobQueue:
                 checkpoint_path=str(checkpoint_path),
                 resume=True,
                 cancel=token,
+                dataset=self.datasets.get(spec.task, spec.dataset),
             )
         except JobCancelled as cancelled:
             if not self._killed:

@@ -14,7 +14,9 @@ The ledger holds two record kinds::
 
 ``seq`` is a monotonic logical sequence number — the ledger carries **no
 wall-clock timestamps**, which is what makes job payloads (and the golden
-API fixtures) byte-stable across runs.
+API fixtures) byte-stable across runs.  A line that parses but carries a
+field of the wrong type is a damaged line like any other: skipped and
+counted in the journal's ``corrupt_lines``.
 
 Crash semantics fall out of the fold: a job whose last status is
 ``running`` when the ledger is reloaded was interrupted by a server death
@@ -34,6 +36,40 @@ from repro._jsonl import CheckpointJournal
 from repro.serve.jobs import JOB_STATUSES, TERMINAL_STATUSES, JobSpec
 
 __all__ = ["JobRecord", "JobStore"]
+
+#: The type each ledger field must have when a line carries it.
+_FIELD_TYPES = (
+    ("job", str),
+    ("seq", int),
+    ("attempts", int),
+    ("progress", list),
+    ("result", dict),
+    ("spec", dict),
+)
+
+
+def _decode_line(record: Any) -> dict:
+    """One ledger line, type-checked, its spec a :class:`JobSpec`.
+
+    Raises on a line of the wrong types, which the journal then skips and
+    counts, so one bad line costs its own record, not the store's start.
+    """
+    if type(record) is not dict:
+        raise TypeError("a ledger line must be a JSON object")
+    for name, kind in _FIELD_TYPES:
+        if name in record and type(record[name]) is not kind:
+            raise TypeError(f"ledger field {name!r} must be {kind.__name__}")
+    if record.get("kind") == "submit":
+        if "job" not in record:
+            raise KeyError("a submit line names its job")
+        record["spec"] = JobSpec.from_dict(record["spec"])
+    return record
+
+
+class _LedgerJournal(CheckpointJournal):
+    """The job ledger's journal: a line of the wrong types is damaged."""
+
+    _decode = staticmethod(_decode_line)
 
 
 class JobRecord:
@@ -85,7 +121,7 @@ class JobStore:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.journal = CheckpointJournal(self.path)
+        self.journal = _LedgerJournal(self.path)
         self._lock = threading.RLock()
         self._changed = threading.Condition(self._lock)
         self._jobs: dict[str, JobRecord] = {}
@@ -100,11 +136,10 @@ class JobStore:
     def _load(self) -> None:
         for record in self.journal.load():
             kind = record.get("kind")
-            self._seq = max(self._seq, int(record.get("seq", 0)))
+            self._seq = max(self._seq, record.get("seq", 0))
             if kind == "submit":
-                job_id = str(record["job"])
-                spec = JobSpec.from_dict(record.get("spec") or {})
-                job = JobRecord(job_id, spec, int(record.get("seq", 0)))
+                job_id = record["job"]
+                job = JobRecord(job_id, record["spec"], record.get("seq", 0))
                 self._jobs[job_id] = job
                 self._order.append(job_id)
                 try:
@@ -113,18 +148,18 @@ class JobStore:
                     number = len(self._jobs)
                 self._next_id = max(self._next_id, number + 1)
             elif kind == "status":
-                job = self._jobs.get(str(record.get("job", "")))
+                job = self._jobs.get(record.get("job", ""))
                 if job is None:
                     continue
                 status = str(record.get("status", ""))
                 if status not in JOB_STATUSES:
                     continue
                 job.status = status
-                job.status_seq = int(record.get("seq", job.status_seq))
+                job.status_seq = record.get("seq", job.status_seq)
                 job.result = record.get("result")
                 job.error = str(record.get("error", ""))
-                job.progress = list(record.get("progress") or [])
-                job.attempts = int(record.get("attempts", job.attempts))
+                job.progress = record.get("progress", [])
+                job.attempts = record.get("attempts", job.attempts)
                 job.resumed = bool(record.get("resumed", job.resumed))
         # A job mid-flight when the process died never wrote a terminal
         # status: surface it as resumable so the queue re-runs it from its

@@ -370,6 +370,111 @@ class TestChunkedCommits:
         assert (resume.stats.replayed_operators, resume.stats.replayed_chunks) == (1, 3)
 
 
+class TestOneAppendCommit:
+    """An operator's ``op`` marker rides in the append of the last chunk line
+    it journals: a 12-pair ER run at ``chunk_size=4`` (load, match in three
+    chunks, save) writes 10 lines in 7 appends, where one append per line
+    made 10."""
+
+    @pytest.fixture(scope="class")
+    def er12(self):
+        dataset = generate_er_dataset("beer", seed=7, n_entities=60)
+        return dataset, pairs_as_inputs(dataset.test[:12])
+
+    @staticmethod
+    def _run(er12, workers, checkpoint=None):
+        dataset, pairs = er12
+        pipeline = get_template("entity_resolution").instantiate(
+            examples=pick_examples(dataset.train, 4)
+        )
+        return LinguaManga().run(
+            pipeline, {"pairs": pairs}, workers=workers, chunk_size=4,
+            checkpoint=checkpoint,
+        )
+
+    @pytest.fixture(scope="class")
+    def baseline(self, er12):
+        return self._run(er12, workers=1).canonical_json()
+
+    @staticmethod
+    def _recorded(checkpoint) -> list[tuple]:
+        """Every ``append`` call's records, in call order."""
+        appends = []
+        real = checkpoint.journal.append
+
+        def append(*records):
+            appends.append(records)
+            real(*records)
+
+        checkpoint.journal.append = append
+        return appends
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_a_marker_shares_its_last_chunk_lines_append(
+        self, er12, baseline, workers, tmp_path
+    ):
+        checkpoint = RunCheckpoint(tmp_path / "run.wal")
+        appends = self._recorded(checkpoint)
+        report = self._run(er12, workers, checkpoint)
+        checkpoint.close()
+        assert report.canonical_json() == baseline
+        lines = CheckpointJournal(checkpoint.path).load()
+        assert (len(appends), len(lines)) == (7, 10)
+        assert [record["type"] for records in appends for record in records] == [
+            line["type"] for line in lines
+        ]
+        commits = [records for records in appends if records[-1]["type"] == "op"]
+        assert [marker["index"] for *_, marker in commits] == [0, 1, 2]
+        for records in commits:
+            chunk, marker = records
+            assert (chunk["type"], chunk["op"]) == ("chunk", marker["index"])
+            # ...and no chunk line of that operator comes after it.
+            later = [
+                record
+                for rest in appends[appends.index(records) + 1 :]
+                for record in rest
+                if record["type"] == "chunk"
+            ]
+            assert marker["index"] not in {record["op"] for record in later}
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    @pytest.mark.parametrize("hits", [1, 2, 3])
+    def test_killed_at_a_commit_resumes_byte_identical(
+        self, er12, baseline, workers, hits, tmp_path
+    ):
+        wal = tmp_path / "run.wal"
+        crash = CrashPoint("operator:committed", hits=hits)
+        with pytest.raises(CrashInjected):
+            self._run(er12, workers, RunCheckpoint(wal, crash=crash))
+        resume = RunCheckpoint(wal)
+        assert self._run(er12, workers, resume).canonical_json() == baseline
+        assert resume.stats.replayed_operators == hits
+        ops = [line for line in CheckpointJournal(wal).load() if line["type"] == "op"]
+        assert [line["index"] for line in ops] == [0, 1, 2]  # no marker twice
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    @pytest.mark.parametrize("cut", ["chunk line", "marker"])
+    def test_a_torn_final_append_resumes_byte_identical(
+        self, er12, baseline, workers, cut, tmp_path
+    ):
+        """The final append is ``save``'s chunk line and its marker.  Torn
+        inside the chunk line, both are lost and the chunk runs again; torn
+        inside the marker, the chunk replays and the marker goes out alone.
+        Either way the journal ends as the uninterrupted run left it."""
+        wal = tmp_path / "run.wal"
+        self._run(er12, workers, RunCheckpoint(wal))
+        whole = wal.read_bytes()
+        *_, chunk, marker = whole.splitlines(keepends=True)
+        assert json.loads(marker)["type"] == "op"
+        keep = len(whole) - len(marker) - (len(chunk) // 2 if cut == "chunk line" else -3)
+        wal.write_bytes(whole[:keep])
+        resume = RunCheckpoint(wal)
+        assert self._run(er12, workers, resume).canonical_json() == baseline
+        assert resume.stats.torn_bytes > 0
+        assert resume.stats.journaled_chunks == (1 if cut == "chunk line" else 0)
+        assert wal.read_bytes() == whole
+
+
 class TestFingerprint:
     def test_payload_is_stable_under_key_order(self):
         assert fingerprint_payload({"a": 1, "b": 2}) == fingerprint_payload(

@@ -8,6 +8,7 @@ audit's tripwire.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 from types import SimpleNamespace
@@ -16,12 +17,21 @@ import pytest
 
 from repro.core.runtime.checkpoint import CheckpointJournal, RunCheckpoint
 from repro.core.runtime.system import LinguaManga
-from repro.llm.cache import CacheJournal
+from repro.llm.cache import CacheJournal, PromptCache
 from repro.llm.providers import SimulatedProvider
+from repro.llm.service import LLMService
 from repro.serve import JobQueue, JobSpec, QuotaExceeded
 from repro.serve.admission import TenantQuota
-from repro.serve.jobs import JobError, result_payload, run_task
-from tests.serve.conftest import GateProvider, make_spec
+from repro.serve.jobs import (
+    DATASET_SLOTS,
+    JobError,
+    ResolvedDatasets,
+    canonical_json,
+    resolve_dataset,
+    result_payload,
+    run_task,
+)
+from tests.serve.conftest import DATASET_REFS, GateProvider, make_spec
 
 
 def test_job_runs_to_success(queue, serve_dir):
@@ -396,7 +406,7 @@ def test_a_failed_operator_leaves_no_unpaid_cache_entries(serve_dir):
 
 
 def seeding_digests(queue, monkeypatch) -> list:
-    """Record every ``_base_digest`` call ``audit.seed`` makes from here on.
+    """Record every key ``audit.seed`` registers (``_identity``) from here on.
 
     Jobs fold their ledgers from worker threads, so a caller that wants
     seeding alone submits only while nothing runs.
@@ -404,12 +414,12 @@ def seeding_digests(queue, monkeypatch) -> list:
     from repro.serve import queue as queue_module
 
     digested, seeding = [], []
-    real_digest, real_seed = queue_module._base_digest, queue.audit.seed
+    real_identity, real_seed = queue_module._identity, queue.audit.seed
 
-    def digest(*args):
+    def identity(key):
         if seeding:
-            digested.append(args)
-        return real_digest(*args)
+            digested.append(key)
+        return real_identity(key)
 
     def seed(tenant, keys):
         seeding.append(tenant)
@@ -418,7 +428,7 @@ def seeding_digests(queue, monkeypatch) -> list:
         finally:
             seeding.pop()
 
-    monkeypatch.setattr(queue_module, "_base_digest", digest)
+    monkeypatch.setattr(queue_module, "_identity", identity)
     monkeypatch.setattr(queue.audit, "seed", seed)
     return digested
 
@@ -468,3 +478,100 @@ def test_keys_of_a_cancelled_attempt_are_seeded_by_the_next_submit(
     assert len(digested) == len(queue.registry.get("acme").cache)
     assert queue.audit_violations == []
     queue.close()
+
+
+def _data_digest(data) -> str:
+    """A resolved dataset's identity: the repr of its records, hashed."""
+    return hashlib.sha256(repr(data).encode("utf-8")).hexdigest()
+
+
+def _counting_resolver(monkeypatch) -> list:
+    """Record the ``(task, ref)`` of every dataset generation from here on."""
+    from repro.serve import jobs as jobs_module
+
+    generated, real = [], jobs_module.resolve_dataset
+
+    def resolve(task, ref, probe=False):
+        if not probe:
+            generated.append((task, json.dumps(ref, sort_keys=True)))
+        return real(task, ref, probe)
+
+    monkeypatch.setattr(jobs_module, "resolve_dataset", resolve)
+    return generated
+
+
+@pytest.mark.parametrize("task", ["er", "names", "imputation", "dsl"])
+def test_jobs_on_one_ref_share_one_read_only_dataset(
+    task, serve_dir, tmp_path, monkeypatch
+):
+    """Two tenants' jobs on one ref, two at a time, generate its dataset once,
+    leave it as generated, and report what direct runs on a freshly resolved
+    copy report: each tenant's first job cold, its second warm."""
+    generated = _counting_resolver(monkeypatch)
+    queue = JobQueue(serve_dir, max_workers=2)
+    specs = [make_spec(task, tenant=tenant) for _ in range(2) for tenant in ("acme", "globex")]
+    jobs = [queue.submit(spec) for spec in specs]
+    payloads = []
+    for job in jobs:
+        done = queue.store.wait_for(job.job_id)
+        assert done.status == "succeeded", done.error
+        payloads.append(done.result)
+    shared = queue.datasets.get(task, specs[0].dataset)
+    queue.close()
+    assert generated == [(task, json.dumps(specs[0].dataset, sort_keys=True))]
+
+    fresh = resolve_dataset(task, specs[0].dataset)
+    assert shared is not fresh and _data_digest(shared) == _data_digest(fresh)
+    for tenant in ("acme", "globex"):
+        cache = tmp_path / f"direct-{tenant}.jsonl"
+        for spec, payload in zip(specs, payloads):
+            if spec.tenant != tenant:
+                continue
+            service = LLMService(SimulatedProvider(), cache=PromptCache(path=cache))
+            direct = run_task(
+                spec, LinguaManga(service=service), dataset=resolve_dataset(task, spec.dataset)
+            )
+            assert canonical_json(payload) == canonical_json(result_payload(spec, direct))
+
+
+def test_resolved_datasets_generate_a_ref_once_and_evict_the_oldest(monkeypatch):
+    from repro.serve import jobs as jobs_module
+
+    generated = _counting_resolver(monkeypatch)
+    counted, inside, release = jobs_module.resolve_dataset, threading.Event(), threading.Event()
+
+    def held(task, ref, probe=False):
+        inside.set()
+        assert release.wait(timeout=30)
+        return counted(task, ref, probe)
+
+    monkeypatch.setattr(jobs_module, "resolve_dataset", held)
+    datasets = ResolvedDatasets()
+    ref = dict(DATASET_REFS["names"])
+    results = [None, None]
+
+    def get(slot: int) -> None:
+        results[slot] = datasets.get("names", ref)
+
+    first, second = (threading.Thread(target=get, args=(slot,)) for slot in range(2))
+    first.start()
+    assert inside.wait(timeout=30)  # the first thread is generating the ref...
+    second.start()
+    second.join(timeout=0.2)  # ...and the second waits for it, not beside it
+    release.set()
+    first.join()
+    second.join()
+    assert results[0] is results[1] and len(generated) == 1
+    monkeypatch.setattr(jobs_module, "resolve_dataset", counted)
+
+    others = [{**ref, "seed": 100 + index} for index in range(DATASET_SLOTS)]
+    for other in others[:-1]:
+        datasets.get("names", other)  # the table is full: ref, then others[:-1]
+    datasets.get("names", ref)  # touched: now the most recently used
+    generated.clear()
+    datasets.get("names", others[-1])  # one more than it holds: evicts others[0]
+    assert datasets.get("names", ref) is results[0]
+    datasets.get("names", others[0])
+    assert [json.loads(key)["seed"] for _, key in generated] == [
+        others[-1]["seed"], others[0]["seed"]
+    ]

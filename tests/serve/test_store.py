@@ -92,6 +92,41 @@ def test_torn_tail_is_truncated_not_fatal(ledger):
     assert JobStore(ledger).get(job.job_id).status == "failed"
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"kind": "status", "job": "job-0001", "seq": "x", "status": "failed"},
+        {"kind": "status", "job": "job-0001", "seq": 3, "status": "failed", "progress": 5},
+        {"kind": "status", "job": "job-0001", "seq": 3, "status": "failed", "attempts": "2"},
+        {"kind": "status", "job": "job-0001", "seq": 3, "status": "succeeded", "result": [1]},
+        {"kind": "status", "job": 1, "seq": 3, "status": "failed"},
+        {"kind": "submit", "job": "job-0002", "seq": 3, "spec": "er"},
+        {"kind": "submit", "job": "job-0002", "seq": 3, "spec": {"dataset": 5}},
+        {"kind": "submit", "seq": 3, "spec": {}},
+    ],
+)
+def test_a_line_of_wrong_types_is_skipped_and_counted(ledger, bad):
+    """A line that parses but carries a wrong-typed field is a damaged line:
+    the store starts, skips it, counts it, and the lines after it count."""
+    store = JobStore(ledger)
+    job = store.submit(make_spec("er"))
+    store.transition(job.job_id, "running", attempts=1)
+    store.close()
+    with ledger.open("a", encoding="utf-8") as handle:
+        handle.write(json.dumps(bad) + "\n")
+    store = JobStore(ledger)
+    store.transition(job.job_id, "succeeded", result={"task": "er"})
+    store.close()
+
+    reloaded = JobStore(ledger)
+    assert reloaded.journal.corrupt_lines == 1
+    assert [j.job_id for j in reloaded.jobs()] == [job.job_id]
+    done = reloaded.get(job.job_id)
+    assert (done.status, done.attempts, done.result) == ("succeeded", 1, {"task": "er"})
+    assert done.status_seq == 3  # the skipped line's seq is not counted
+    reloaded.close()
+
+
 def test_ledger_carries_no_wall_clock_fields(ledger):
     store = JobStore(ledger)
     job = store.submit(make_spec("names"))
