@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterable, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -19,7 +19,6 @@ __all__ = [
     "stable_unit",
     "stable_choice",
     "seeded_rng",
-    "chunked",
 ]
 
 
@@ -61,17 +60,3 @@ def seeded_rng(seed: int | str) -> random.Random:
     if isinstance(seed, str):
         seed = stable_hash(seed)
     return random.Random(seed)
-
-
-def chunked(items: Iterable[T], size: int) -> Iterable[list[T]]:
-    """Yield successive lists of at most ``size`` items from ``items``."""
-    if size <= 0:
-        raise ValueError("chunk size must be positive")
-    batch: list[T] = []
-    for item in items:
-        batch.append(item)
-        if len(batch) == size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch

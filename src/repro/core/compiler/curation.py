@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro._util import stable_hash
 from repro.core.compiler.context import CompilerContext
@@ -47,10 +47,10 @@ from repro.core.modules.cascade import CascadeModule
 from repro.core.modules.custom import CustomModule
 from repro.core.modules.llm_module import LLMModule, parse_yes_no
 from repro.storage.columnar import band_keys_many, minhash_signatures_many
-from repro.text.minhash import MinHashParams, minhash_params
+from repro.text.minhash import minhash_params
 from repro.text.overlap import build_ngram_index, overlap_profile
 from repro.text.quality import rule_quality_score
-from repro.text.shingle import DocumentSketch, document_sketch, exact_jaccard
+from repro.text.shingle import document_sketch, exact_jaccard
 
 __all__ = [
     "CorpusKernelModule",
@@ -65,7 +65,6 @@ __all__ = [
     "QUALITY_RULE_UPPER",
     "DECONTAM_HARD_N",
     "DECONTAM_SOFT_N",
-    "tier_band_keys",
     "dedup_candidate_pairs",
     "candidate_pair_records",
     "render_document",
@@ -152,28 +151,6 @@ def _bucket_pairs(buckets: Iterable[set], pairs: set) -> None:
                 pairs.add((left, right))
 
 
-def tier_band_keys(
-    sketches: Sequence[DocumentSketch],
-    params: MinHashParams,
-    bands: int,
-    rows: int,
-    dual: bool,
-) -> Iterator[tuple[str, list[list[str]]]]:
-    """Per LSH tier, the band keys of every sketched document.
-
-    Yields ``(tag, keys_per_document)``: ``"s"`` for the knowledge-free
-    canonical form, then (``dual=True``) ``"k"`` for the knowledge canonical
-    form.  The in-memory scan and the streaming scan both bucket on these
-    keys, which is what keeps their candidate sets identical.
-    """
-    tiers = [("s", [sketch.simple_ids for sketch in sketches])]
-    if dual:
-        tiers.append(("k", [sketch.knowledge_ids for sketch in sketches]))
-    for tag, id_rows in tiers:
-        signatures = minhash_signatures_many(id_rows, params.a, params.b)
-        yield tag, band_keys_many(signatures, bands, rows)
-
-
 #: ``(key, pairs)`` of the last scan.  A batch dedup run asks for one
 #: corpus's pairs twice — the pipeline's kernel, then the runner's score —
 #: and the second ask is answered from here.  The key is a digest, so no
@@ -234,7 +211,12 @@ def dedup_candidate_pairs(
 
     # Tiers 2 + 3: LSH banding per canonicaliser.
     params = minhash_params(num_perm)
-    for _tag, doc_keys in tier_band_keys(sketches, params, bands, rows, dual):
+    tiers = [[sketch.simple_ids for sketch in sketches]]
+    if dual:
+        tiers.append([sketch.knowledge_ids for sketch in sketches])
+    for id_rows in tiers:
+        signatures = minhash_signatures_many(id_rows, params.a, params.b)
+        doc_keys = band_keys_many(signatures, bands, rows)
         buckets: dict[str, set] = {}
         for doc_id, keys in zip(ids, doc_keys):
             for key in keys:

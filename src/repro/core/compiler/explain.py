@@ -63,8 +63,8 @@ def render_architecture() -> str:
             "|  +-----------+    +------------+               v              |",
             "|  | Templates |    | Optimizer  |     +------------------+     |",
             "|  +-----------+    | validator  |<--->|   LLM service    |     |",
-            "|                   | simulator  |     | (cache, budget,  |     |",
-            "|                   | connector  |     |  ledger, retry)  |     |",
+            "|                   | simulator  |     | (cache, retry,   |     |",
+            "|                   | connector  |     |  ledger, hub)    |     |",
             "|                   +------------+     +------------------+     |",
             "|                         |                      |              |",
             "|                         v                      v              |",

@@ -78,10 +78,6 @@ class CascadeModule(Module):
         self.rule_decisions = 0
         self.escalations = 0
 
-    def escalates(self, item: Any) -> bool:
-        """Whether ``item`` falls in the uncertainty band (pure)."""
-        return self.lower <= self.rule(item) < self.upper
-
     def _score(self, value: Any) -> float:
         """The rule's score: prefetch's, once, else scored here.
 

@@ -71,7 +71,7 @@ class LLMModule(Module):
     Parameters
     ----------
     service:
-        The budgeted/cached :class:`LLMService` to call.
+        The cached :class:`LLMService` to call.
     task_description:
         Natural-language statement of the task ("Determine if the following
         entities are equivalent").  This is what the no-code user writes.

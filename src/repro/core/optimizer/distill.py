@@ -269,11 +269,6 @@ class DistillationRouter(Module):
         """Whether the student currently answers high-confidence records."""
         return self._promoted and self._model is not None
 
-    @property
-    def holdout_accuracy(self) -> float:
-        """Latest held-out accuracy measured at refit time."""
-        return self._holdout_accuracy
-
     def _book_audit(self, agreed: bool) -> None:
         self.distill_stats.audits += 1
         self._bump("audits")
@@ -313,7 +308,7 @@ class DistillationRouter(Module):
         try:
             label = self.teacher.run(value)
         except Exception:
-            # Teacher unreachable (outage, exhausted budget).
+            # Teacher unreachable (an outage).
             # A trained student is the learned degraded path: answer with
             # its best guess, confidence threshold waived.
             if self._model is None:

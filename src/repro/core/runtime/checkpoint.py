@@ -281,10 +281,11 @@ class RunJournal:
         if not self.resume:
             journal.delete()
         lines = journal.load()
-        # A chunk or shard line whose work does not decode is damaged like a
-        # line that is not JSON: skipped and counted, so its chunk or shard
-        # runs again instead of replaying defaulted columns or raising
-        # mid-replay.  The first line is left to the header check below.
+        # An op, chunk or shard line whose fields or work do not decode is
+        # damaged like a line that is not JSON: skipped and counted, so its
+        # chunk or shard runs again (its operator reads as uncommitted)
+        # instead of replaying defaulted columns or raising mid-replay.  The
+        # first line is left to the header check below.
         intact = lines[:1] + [line for line in lines[1:] if _work_decodes(line)]
         journal.corrupt_lines += len(lines) - len(intact)
         stats.torn_bytes = journal.torn_bytes
@@ -321,10 +322,9 @@ class RunJournal:
             )
 
     def _rewind(self, header: dict, service: LLMService) -> None:
-        if service.cache_enabled:
-            self.stats.cache_entries_pruned = service.cache.restore_state(
-                header.get("cache_exact", [])
-            )
+        self.stats.cache_entries_pruned = service.cache.restore_state(
+            header.get("cache_exact", [])
+        )
 
     def _begin(self, fingerprint: str, service: LLMService) -> list[dict]:
         """Open if nobody did, check or write the plan line; the work lines."""
@@ -466,14 +466,30 @@ def replayed_slice(
     )
 
 
+#: The fields an ``op``, ``chunk`` or ``shard`` line is indexed and checked
+#: by; each must be an ``int`` (not a ``bool``).
+_INT_FIELDS = {
+    "op": ("index",),
+    "chunk": ("op", "chunk", "n_records"),
+    "shard": ("index", "n_records"),
+}
+
+
 def _work_decodes(line: dict) -> bool:
-    """Whether a ``chunk`` or ``shard`` line's journalled work decodes."""
+    """Whether an ``op``, ``chunk`` or ``shard`` line can be replayed: its
+    index fields are ints, and its journalled work and (when replayable)
+    its outputs decode."""
+    kind = line.get("type")
+    if any(type(line.get(key)) is not int for key in _INT_FIELDS.get(kind, ())):
+        return False
     try:
-        if line.get("type") == "chunk":
+        if kind == "chunk":
             replayed_slice(line)
-        elif line.get("type") == "shard":
+        elif kind == "shard":
             for op in line["ops"]:
                 replayed_slice(op)
+        if kind in ("chunk", "shard") and line.get("replayable", False):
+            decode_value(line["outputs"])
     except (KeyError, TypeError, ValueError):
         return False
     return True
@@ -624,11 +640,9 @@ class RunCheckpoint(RunJournal):
         for line in self._begin(fingerprint, service):
             kind = line.get("type")
             if kind == "op":
-                self._ops[int(line["index"])] = line
+                self._ops[line["index"]] = line
             elif kind == "chunk":
-                self._chunks.setdefault(int(line["op"]), {})[
-                    int(line["chunk"])
-                ] = line
+                self._chunks.setdefault(line["op"], {})[line["chunk"]] = line
 
     # -- operator replay / commit -------------------------------------------------
 

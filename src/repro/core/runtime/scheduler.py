@@ -252,7 +252,7 @@ class Scheduler:
         ``module.run(value)`` (:func:`_run_whole`); it emits no ``chunk[i]``
         span and no ``scheduler.*`` metric.  Each chunk runs in its own call
         scope and is merged as its turn comes, in chunk order, so at one
-        worker chunk *k + 1* runs against a ledger (and budget) that holds
+        worker chunk *k + 1* runs against a ledger that holds
         chunks *0..k*.  A raise rolls back the scopes not yet merged.
 
         ``op_ctx`` is a checkpoint :class:`~repro.core.runtime.checkpoint.

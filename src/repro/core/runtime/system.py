@@ -19,7 +19,6 @@ from repro.core.dsl.pipeline import Pipeline
 from repro.core.optimizer.connector import TabularConnector
 from repro.core.templates.library import (
     Template,
-    available_templates,
     get_template,
     search_templates,
 )
@@ -91,10 +90,6 @@ class LinguaManga:
         return parse_pipeline(dsl_text)
 
     # -- templates -------------------------------------------------------------------
-
-    def templates(self) -> list[Template]:
-        """All built-in templates."""
-        return available_templates()
 
     def search_templates(self, query: str, limit: int = 3) -> list[tuple[Template, float]]:
         """Rank templates against a natural-language need."""
@@ -213,7 +208,6 @@ class LinguaManga:
         the shards journalled before it stay resumable.  Records that
         should not fail the run need the operator's ``error_policy``
         (``skip_record`` or ``degrade``), which acts alike in both engines.
-        The service's call and cost budget holds as in :meth:`run`.
 
         ``sink`` streams outputs out instead of collecting them: a callable
         receiving each shard's output list in shard order; the report then
@@ -274,7 +268,3 @@ class LinguaManga:
     def usage(self, purpose: str | None = None) -> UsageSummary:
         """LLM usage so far (optionally for one purpose label)."""
         return self.service.usage(purpose)
-
-    def reset_usage(self) -> None:
-        """Clear the LLM ledger (e.g. between experiment arms)."""
-        self.service.reset_usage()

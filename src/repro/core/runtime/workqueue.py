@@ -39,9 +39,7 @@ The mechanics:
   memory); instead the fold accumulates per-operator profile sums, which
   are invariant under coalescing races because every distinct prompt
   contributes exactly one originating record plus its exact-cache hits
-  regardless of which shard produced them.  The same rows feed the
-  service's call and cost budget
-  (:meth:`~repro.llm.service.LLMService.count_paid`);
+  regardless of which shard produced them;
 - a failed shard has its cache inserts **rolled back**
   (:meth:`~repro.llm.service.LLMService.rollback_scope`): no answer
   outlives a scope that no ledger line names.  Duplicate prompts should
@@ -163,7 +161,7 @@ class ShardLedger(RunJournal):
         """Begin the journal (``RunJournal._begin``), then index ``shard`` lines."""
         for line in self._begin(fingerprint, service):
             if line.get("type") == "shard":
-                self._shards[int(line["index"])] = line
+                self._shards[line["index"]] = line
 
     # -- resume-side reads ---------------------------------------------------------
 
@@ -173,7 +171,7 @@ class ShardLedger(RunJournal):
 
     def shard_n_records(self, index: int) -> int:
         """Journalled input-record count of shard ``index``."""
-        return int(self._shards[index]["n_records"])
+        return self._shards[index]["n_records"]
 
     def shard_replayable(self, index: int) -> bool:
         """Whether shard ``index``'s outputs round-tripped the journal."""
@@ -606,7 +604,7 @@ class StreamingExecutor:
         """Fold one shard into the report, on the calling thread.
 
         The pool yields shards in index order, so results enter the
-        report, the shared clock, the budget and the per-operator
+        report, the shared clock and the per-operator
         accumulators in strict shard order — what makes the canonical
         report independent of worker interleaving.  Live and replayed
         shards fold alike, from their ``(name, scope, outcome)`` ops.
@@ -631,7 +629,6 @@ class StreamingExecutor:
                 name, scope.records, quarantined=len(outcome.quarantine)
             )
             self._rows[name] += row
-            service.count_paid(row)
             service.clock.advance(scope.elapsed)
             module = self._module_by_op[name]
             with module._lock:

@@ -210,7 +210,6 @@ def _data_cleaning_template() -> Pipeline:
 
 
 def _document_dedup_template(
-    mode: str = "docs",
     examples: list[tuple[Any, bool]] | None = None,
     instructions: str = "",
     error_policy: str | None = None,
@@ -222,17 +221,12 @@ def _document_dedup_template(
 ) -> Pipeline:
     """Corpus deduplication: candidate generation + LLM pair verification.
 
-    ``mode="docs"`` takes raw documents and runs the full flow — exact
-    digests plus dual-pass MinHash/LSH candidate generation, then the LLM
-    verifier over candidate pairs.  ``mode="pairs"`` takes pre-generated
-    candidate pair records and runs only the verifier — the streaming shape
-    (candidate generation is a whole-corpus kernel; the verifier map is the
-    chunk-capable core ``run_stream`` shards).
+    Takes raw documents: exact digests plus dual-pass MinHash/LSH candidate
+    generation (a whole-corpus kernel), then the LLM verifier over the
+    candidate pairs.
     """
     from repro.core.compiler.curation import DEDUP_VERIFY_TASK
 
-    if mode not in ("docs", "pairs"):
-        raise ValueError(f"mode must be 'docs' or 'pairs', got {mode!r}")
     builder = PipelineBuilder(
         "document_dedup_template",
         description="corpus dedup: digest + MinHash/LSH candidates -> LLM verify",
@@ -244,18 +238,15 @@ def _document_dedup_template(
         match_params["instructions"] = instructions
     if error_policy:
         match_params["error_policy"] = error_policy
-    if mode == "pairs":
-        builder.load(source="pairs")
-    else:
-        candidate_params: dict[str, Any] = {"dual": dual}
-        for key, value in (
-            ("num_perm", num_perm), ("bands", bands),
-            ("rows", rows), ("shingle_n", shingle_n),
-        ):
-            if value is not None:
-                candidate_params[key] = value
-        builder.load(source="documents")
-        builder.dedup_candidates(**candidate_params)
+    candidate_params: dict[str, Any] = {"dual": dual}
+    for key, value in (
+        ("num_perm", num_perm), ("bands", bands),
+        ("rows", rows), ("shingle_n", shingle_n),
+    ):
+        if value is not None:
+            candidate_params[key] = value
+    builder.load(source="documents")
+    builder.dedup_candidates(**candidate_params)
     builder.match_entities(**match_params)
     builder.save(key="verdicts")
     return builder.build()

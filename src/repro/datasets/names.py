@@ -76,10 +76,6 @@ class NameExtractionDataset:
 
     documents: list[NameDocument] = field(default_factory=list)
 
-    def by_language(self, language: str) -> list[NameDocument]:
-        """Documents in one language."""
-        return [d for d in self.documents if d.language == language]
-
     def summary(self) -> str:
         """Per-language document counts."""
         counts: dict[str, int] = {}

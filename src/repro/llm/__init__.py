@@ -5,7 +5,6 @@ substitution for the hosted APIs the paper used.
 """
 
 from repro.llm.errors import (
-    BudgetExceededError,
     LLMError,
     MalformedResponseError,
     ProviderError,
@@ -32,7 +31,6 @@ from repro.llm.service import CallRecord, CoalesceHub, LLMService, UsageSummary
 from repro.llm.tokenizer import count_tokens, estimate_cost
 
 __all__ = [
-    "BudgetExceededError",
     "ChaosProvider",
     "FaultKind",
     "FaultSpec",

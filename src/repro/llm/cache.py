@@ -439,13 +439,6 @@ class PromptCache:
 
     # -- maintenance ----------------------------------------------------------------
 
-    def clear(self) -> None:
-        """Drop all entries and the journal contents."""
-        with self._lock:
-            self._entries.clear()
-            if self.journal is not None:
-                self.journal.compact(())
-
     def compact(self) -> int:
         """Force a journal compaction; returns live entries written (0 if no journal)."""
         with self._lock:

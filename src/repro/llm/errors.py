@@ -6,7 +6,6 @@ __all__ = [
     "LLMError",
     "ProviderError",
     "RateLimitError",
-    "BudgetExceededError",
     "MalformedResponseError",
 ]
 
@@ -25,15 +24,6 @@ class RateLimitError(ProviderError):
     def __init__(self, message: str = "rate limit exceeded", retry_after: float = 1.0):
         super().__init__(message)
         self.retry_after = retry_after
-
-
-class BudgetExceededError(LLMError):
-    """The service refused the call because the cost budget is exhausted.
-
-    Budget enforcement is a Lingua Manga system property ("minimizes the
-    frequency of calling the LLM service"), so exceeding it is an error the
-    pipeline surfaces rather than silently absorbing.
-    """
 
 
 class MalformedResponseError(LLMError):

@@ -1,4 +1,4 @@
-"""The LLM service: caching, budgets, resilience and the call ledger.
+"""The LLM service: caching, resilience and the call ledger.
 
 Lingua Manga's "Highly Performant" property (paper section 1) is about
 *minimising LLM service calls* — every cost and call-count number in the
@@ -8,16 +8,14 @@ evaluation is measured here.  The service wraps a provider with:
   versioned key (provider identity, prompt-template version, prompt,
   ``max_tokens``) and optional JSONL persistence so repeated runs
   warm-start,
-- a **budget** (max calls and/or max dollars; exceeding raises
-  :class:`BudgetExceededError`),
 - **retries** (a backoff schedule and an optional deadline on the waits —
   see :mod:`repro.resilience`), and
 - a **ledger** recording every call with token counts, cost, purpose and
   its resilience ``outcome`` (served / cached / retried / gave_up).
 
-One method reaches the provider, :meth:`LLMService._pay`: one budget
-check, one ``complete_batch`` round trip, retries of the items that
-failed, one ledger record per prompt.  :meth:`complete` is a cache read
+One method reaches the provider, :meth:`LLMService._pay`: one
+``complete_batch`` round trip, retries of the items that failed, one
+ledger record per prompt.  :meth:`complete` is a cache read
 or a batch of one; :meth:`prime` is a batch of the distinct uncached
 prompts.
 
@@ -56,12 +54,7 @@ from repro.llm.cache import (
     CacheKey,
     PromptCache,
 )
-from repro.llm.errors import (
-    BudgetExceededError,
-    LLMError,
-    ProviderError,
-    RateLimitError,
-)
+from repro.llm.errors import LLMError, ProviderError, RateLimitError
 from repro.llm.providers import LLMProvider, LLMRequest, LLMResponse, SimulatedProvider
 from repro.llm.tokenizer import count_tokens, estimate_cost
 from repro.resilience.clock import VirtualClock
@@ -212,7 +205,7 @@ class CallScope:
 
 
 class LLMService:
-    """Cached, budgeted, resilient front end over an :class:`LLMProvider`.
+    """Cached, resilient front end over an :class:`LLMProvider`.
 
     ``retry=`` sets the backoff schedule (default: ``RetryPolicy()`` with
     :data:`DEFAULT_RETRY_JITTER`) and ``deadline=`` caps the virtual time
@@ -229,9 +222,6 @@ class LLMService:
     def __init__(
         self,
         provider: LLMProvider | None = None,
-        cache_enabled: bool = True,
-        max_calls: int | None = None,
-        max_cost: float | None = None,
         retry: RetryPolicy | None = None,
         deadline: Deadline | None = None,
         clock: VirtualClock | None = None,
@@ -242,7 +232,6 @@ class LLMService:
         coalesce_hub: "CoalesceHub | None" = None,
     ):
         self.provider = provider or SimulatedProvider()
-        self.cache_enabled = cache_enabled
         #: Tenant namespace stamped into every cache key this service makes.
         #: ``""`` (the default) is the single-tenant identity and leaves key
         #: digests exactly as they were before namespaces existed.
@@ -252,16 +241,10 @@ class LLMService:
         #: identical in-flight provider requests through it while keeping
         #: their ledgers and namespaced caches fully isolated.
         self.coalesce_hub = coalesce_hub
-        self.max_calls = max_calls
-        self.max_cost = max_cost
         self.retry = retry or RetryPolicy(jitter=DEFAULT_RETRY_JITTER)
         self.deadline = deadline
         self.clock = clock or VirtualClock()
         self.records: list[CallRecord] = []
-        # What the budget counts: paid calls and cost of every merged scope,
-        # unscoped record and streamed shard (:meth:`count_paid`).
-        self._paid_calls = 0
-        self._paid_cost = 0.0
         if cache is None:
             cache = PromptCache(path=cache_path)
         elif cache_path is not None:
@@ -270,9 +253,6 @@ class LLMService:
         self._lock = threading.RLock()
         self._tls = threading.local()
         self._inflight: dict[CacheKey, threading.Event] = {}
-        # clear_cache() bumps the epoch; provider responses already in
-        # flight when it fired must not repopulate the fresh cache.
-        self._cache_epoch = 0
         self.coalesced_calls = 0
         self.obs = None
         if obs is not None:
@@ -352,21 +332,10 @@ class LLMService:
             self._tls.scope = None
 
     def merge_scope(self, scope: CallScope) -> None:
-        """Fold a finished scope into the shared ledger, clock and budget."""
+        """Fold a finished scope into the shared ledger and clock."""
         with self._lock:
             self.records.extend(scope.records)
             self.clock.advance(scope.elapsed)
-        self.count_paid(_profile(scope.records))
-
-    def count_paid(self, row) -> None:
-        """Add a profile row's paid calls and cost to what the budget counts.
-
-        The streaming fold calls this per shard op: its rows never reach
-        the ledger.
-        """
-        with self._lock:
-            self._paid_calls += row.provider_calls
-            self._paid_cost += row.cost
 
     def rollback_scope(self, scope: CallScope) -> int:
         """Undo an abandoned scope's cache inserts; returns entries removed.
@@ -406,7 +375,6 @@ class LLMService:
             return
         with self._lock:
             self.records.append(record)
-        self.count_paid(_profile((record,)))
 
     def _publish_record(self, record: CallRecord) -> None:
         """Mirror one ledger record into the attached metrics registry."""
@@ -442,20 +410,18 @@ class LLMService:
         """Answer ``prompt``; returns the response text.
 
         A cache read, or :meth:`_pay` for a batch of one.  Raises
-        :class:`BudgetExceededError` when the budget is spent and
-        :class:`ProviderError` when every retry is exhausted; a failed
-        call is still in the ledger with its resilience outcome.
+        :class:`ProviderError` when every retry is exhausted; a failed call
+        is still in the ledger with its resilience outcome.
 
         Concurrent callers asking the identical versioned key are
-        **coalesced** (cache enabled only): one caller leads, the rest wait
+        **coalesced**: one caller leads, the rest wait
         and are answered as cache hits.  A leader failure releases the
         followers, who then retry leadership one at a time — so per-prompt
         provider attempts stay sequential and deterministic even under
         heavy concurrency.
         """
         key = self._cache_key(prompt, max_tokens, version)
-        gate: threading.Event | None = None
-        while self.cache_enabled:
+        while True:
             with self._lock:
                 cached = self.cache.get(key)
                 leader = None if cached is not None else self._inflight.get(key)
@@ -475,8 +441,7 @@ class LLMService:
         try:
             (answer,) = self._pay([key], purpose)
         finally:
-            if gate is not None:
-                self._release([key], gate)
+            self._release([key], gate)
         if isinstance(answer, LLMError):
             raise answer
         return answer
@@ -501,23 +466,15 @@ class LLMService:
             model=response.model,
         )
 
-    def _cache_put(
-        self, entries: list[tuple[CacheKey, LLMResponse]], epoch: int
-    ) -> None:
-        """Insert ``entries`` with one cache call (one journal append),
-        unless :meth:`clear_cache` fired after this call started.
+    def _cache_put(self, entries: list[tuple[CacheKey, LLMResponse]]) -> None:
+        """Insert ``entries`` with one cache call (one journal append).
 
-        ``epoch`` is the value of ``_cache_epoch`` observed when the call
-        began; a mismatch means someone cleared the cache while the answers
-        were in flight, and inserting them would resurrect exactly what the
-        clear was meant to drop.  The keys the insert created go to the
-        active scope, for :meth:`rollback_scope`.
+        The keys the insert created go to the active scope, for
+        :meth:`rollback_scope`.
         """
         if not entries:
             return
         with self._lock:
-            if epoch != self._cache_epoch:
-                return
             created = self.cache.put_many(entries)
             scope = self._scope()
             if scope is not None:
@@ -545,12 +502,12 @@ class LLMService:
         primes nothing), nor are prompts another caller has in flight.
         The rest are held in flight under one gate, paid for together and
         released together.  Returns the number of prompts answered; a
-        failure or a spent budget is not raised here.
+        failure is not raised here.
 
         ``answers`` is an out-parameter: it receives ``prompt -> response
         text`` for each prompt this call paid for, and ``prompt ->`` the
         :class:`LLMError` :meth:`complete` would have raised for each it
-        gave up on (retries exhausted, or the budget spent).  The caller
+        gave up on (retries exhausted).  The caller
         gives each to the record that asked — it raises an error where it
         would have called :meth:`complete` — so a prompt gets one retry
         budget and at most one ``gave_up`` record.  Prompts skipped as
@@ -558,8 +515,6 @@ class LLMService:
         one cache miss — the lookup that found it absent used
         :meth:`PromptCache.peek`, which counts nothing.
         """
-        if not self.cache_enabled:
-            return 0
         keys: list[CacheKey] = []
         gate = threading.Event()
         with self._lock:
@@ -623,20 +578,12 @@ class LLMService:
     def _pay(self, keys: list[CacheKey], purpose: str) -> list[str | LLMError]:
         """The one way to the provider: an answer or an error per key, in order.
 
-        Checks the budget once (a spent budget is a
-        :class:`BudgetExceededError` per key and no ledger record), settles
-        every key's request (:meth:`_settle`), then writes one ledger
-        record per key: a provider record for an answer, or ``gave_up`` for
-        a key whose retries ran out, whose error is the
+        Settles every key's request (:meth:`_settle`), then writes one
+        ledger record per key: a provider record for an answer, or
+        ``gave_up`` for a key whose retries ran out, whose error is the
         :class:`ProviderError` :meth:`complete` raises.  The answers are
-        cached together, unless the cache is disabled: one insert, one
-        journal append per call.
+        cached together: one insert, one journal append per call.
         """
-        problem = self._budget_problem()
-        if problem is not None:
-            return [BudgetExceededError(problem) for _ in keys]
-        with self._lock:
-            epoch = self._cache_epoch
         requests = [
             LLMRequest(prompt=key.prompt, max_tokens=key.max_tokens) for key in keys
         ]
@@ -692,8 +639,7 @@ class LLMService:
                     f"attempts: {response}"
                 )
             )
-        if self.cache_enabled:
-            self._cache_put(answered, epoch)
+        self._cache_put(answered)
         return results
 
     def _settle(
@@ -807,30 +753,6 @@ class LLMService:
         if self.obs is not None:
             self.obs.metrics.counter("llm.hub_shared").inc()
 
-    def _budget_problem(self) -> str | None:
-        """Why the budget refuses another paid call, or ``None``.
-
-        Counts the running tally (:meth:`count_paid`) and the calling
-        thread's open scope.  Other threads' scopes count once merged or
-        folded: both engines take each chunk or shard as its turn comes, so
-        at one worker a chunk sees every chunk before it, and with several
-        in flight a budget may be overshot by one paid round per chunk in
-        flight.
-        """
-        if self.max_calls is None and self.max_cost is None:
-            return None
-        scope = self._scope()
-        with self._lock:
-            calls, cost = self._paid_calls, self._paid_cost
-        if scope is not None:
-            row = _profile(scope.records)
-            calls, cost = calls + row.provider_calls, cost + row.cost
-        if self.max_calls is not None and calls >= self.max_calls:
-            return f"call budget exhausted ({calls}/{self.max_calls})"
-        if self.max_cost is not None and cost >= self.max_cost:
-            return f"cost budget exhausted (${cost:.4f}/${self.max_cost:.4f})"
-        return None
-
     def record_distilled(
         self,
         prompt: str,
@@ -884,10 +806,6 @@ class LLMService:
         the run.  The entries go in as one batch (one journal append).
         Returns the number of entries inserted.
         """
-        if not self.cache_enabled:
-            return 0
-        with self._lock:
-            epoch = self._cache_epoch
         entries = [
             (
                 self._cache_key(record.prompt, record.max_tokens, record.version),
@@ -903,7 +821,7 @@ class LLMService:
             for record in records
             if record.succeeded and not record.cached
         ]
-        self._cache_put(entries, epoch)
+        self._cache_put(entries)
         return len(entries)
 
     # -- accounting --------------------------------------------------------------
@@ -964,26 +882,6 @@ class LLMService:
             ],
         )
 
-    def reset_usage(self) -> None:
-        """Clear the ledger, the budget's tally and the virtual clock (not the cache)."""
-        with self._lock:
-            self.records.clear()
-            self._paid_calls = 0
-            self._paid_cost = 0.0
-            self.clock.reset()
-
-    def clear_cache(self) -> None:
-        """Drop all cached responses (and the journal contents).
-
-        Bumps the cache epoch so provider answers already in flight when
-        the clear fired do not repopulate the fresh cache — a ``complete``
-        after ``clear_cache`` always re-asks the provider, even when the
-        clear raced an in-flight call for the same prompt.
-        """
-        with self._lock:
-            self._cache_epoch += 1
-            self.cache.clear()
-
 
 class CoalesceHub:
     """Cross-service request coalescing for one shared provider.
@@ -1013,8 +911,8 @@ class CoalesceHub:
     dedup schedule-independent: across any interleaving of tenant jobs,
     the provider pays at most once per distinct shareable request.  The
     memo is *not* a cache tier — no tenant ledger ever records a hub
-    answer as a cache hit — and :meth:`reset` drops it (the serving layer
-    resets the hub whenever the shared provider's world changes).
+    answer as a cache hit — and it lives as long as the hub, which the
+    serving layer builds once per shared provider.
     """
 
     def __init__(self, provider: LLMProvider):
@@ -1069,11 +967,6 @@ class CoalesceHub:
     def note_shared(self) -> None:
         with self._lock:
             self.shared_calls += 1
-
-    def reset(self) -> None:
-        """Drop settled results (in-flight slots are left to their leaders)."""
-        with self._lock:
-            self._settled.clear()
 
     def stats(self) -> dict:
         with self._lock:

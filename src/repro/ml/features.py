@@ -123,14 +123,6 @@ class PairFeatureExtractor:
         """Width of the emitted feature vector."""
         return len(self.attributes) * len(self.metrics)
 
-    def feature_names(self) -> list[str]:
-        """Flat feature names, ``<attribute>.<metric>``."""
-        return [
-            f"{attribute}.{metric}"
-            for attribute in self.attributes
-            for metric in self.metrics
-        ]
-
     def _clean(self, value: object) -> str:
         text = "" if value is None else str(value)
         if not self.normalize:

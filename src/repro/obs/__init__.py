@@ -6,7 +6,7 @@ cache tier.  This package is that substrate:
 
 - :mod:`repro.obs.trace` — deterministic hierarchical spans
   (``run > phase > module > chunk > llm_call``) on the virtual clock,
-  exportable to JSONL and byte-identical at any worker count;
+  identical at any worker count;
 - :mod:`repro.obs.metrics` — a registry of counters, gauges and
   fixed-bucket histograms that every subsystem publishes into;
 - :mod:`repro.obs.profile` — the per-module run profiler attached to
@@ -18,7 +18,7 @@ Everything hangs off one :class:`Observability` hub::
     system = LinguaManga(obs=obs)
     report = run_lingua_manga_er(system, dataset)
     print(report.profile.to_table())
-    obs.tracer.export_jsonl("trace.jsonl")
+    print(len(obs.tracer.roots), "traced runs")
     print(obs.metrics.to_text())
 
 Observability is **off by default**: a system without an ``obs=`` makes

@@ -12,8 +12,7 @@ The profile is the run's bill: ``report.cost`` is :meth:`RunProfile.totals`
 (:func:`~repro.core.compiler.plan.close_report`), in both engines.
 :func:`profile_records` is the one function that decides what a ledger
 record counts as (provider, exact cache, distilled, failed) and sums it;
-:meth:`~repro.llm.service.LLMService.usage` and the service's budget check
-count with it too.
+:meth:`~repro.llm.service.LLMService.usage` counts with it too.
 """
 
 from __future__ import annotations

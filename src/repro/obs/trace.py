@@ -26,9 +26,8 @@ Determinism rules (the golden-trace suite pins these):
    operator-entry timestamp and deterministic counts (records, outputs,
    quarantined, degraded) rather than per-chunk durations.
 
-With these rules a trace exported at ``workers=1`` is byte-identical to
-one exported at ``workers=8``.  Traces round-trip through JSONL (one span
-per line, parent-linked by deterministic path ids).
+With these rules a trace collected at ``workers=1`` is identical to one
+collected at ``workers=8``.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ import json
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Iterator
 
 __all__ = [
@@ -52,11 +50,6 @@ __all__ = [
 #: operator-entry timestamp); ``event`` marks point-in-time occurrences
 #: such as a journal torn-tail truncation.
 SPAN_KINDS = ("run", "phase", "module", "chunk", "shard", "llm_call", "event")
-
-#: Float attribute names normalized on export (they are deterministic, but
-#: rounding keeps golden fixtures readable and platform-stable).
-_ROUNDED_FIELDS = {"cost": 10, "latency_seconds": 9, "start": 9, "end": 9}
-
 
 @dataclass
 class Span:
@@ -78,23 +71,6 @@ class Span:
     def duration(self) -> float:
         """Logical duration in virtual seconds."""
         return self.end - self.start
-
-    def to_dict(self) -> dict[str, Any]:
-        """This span alone (no children) as a plain dict."""
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "start": round(self.start, _ROUNDED_FIELDS["start"]),
-            "end": round(self.end, _ROUNDED_FIELDS["end"]),
-            "attributes": {
-                key: (
-                    round(value, _ROUNDED_FIELDS[key])
-                    if key in _ROUNDED_FIELDS and isinstance(value, float)
-                    else value
-                )
-                for key, value in sorted(self.attributes.items())
-            },
-        }
 
 
 class _NullSpan:
@@ -211,77 +187,6 @@ class Tracer:
         with self._lock, other._lock:
             self.roots.extend(other.roots)
             self.roots.sort(key=_merge_key)
-
-    # -- export / import ----------------------------------------------------------
-
-    def to_records(self) -> list[dict[str, Any]]:
-        """Flatten all root spans to parent-linked dict records.
-
-        Span ids are deterministic tree paths (``"0"``, ``"0.2"``,
-        ``"0.2.1"``), so two identical trees export identical records.
-        """
-        with self._lock:
-            roots = list(self.roots)
-        records: list[dict[str, Any]] = []
-
-        def visit(span: Span, span_id: str, parent_id: str | None) -> None:
-            record = span.to_dict()
-            record["span_id"] = span_id
-            record["parent_id"] = parent_id
-            records.append(record)
-            for index, child in enumerate(span.children):
-                visit(child, f"{span_id}.{index}", span_id)
-
-        for index, root in enumerate(roots):
-            visit(root, str(index), None)
-        return records
-
-    def export_jsonl(self, path: str | Path) -> int:
-        """Write one span per line; returns the number of spans written."""
-        records = self.to_records()
-        text = "".join(
-            json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
-            for record in records
-        )
-        Path(path).write_text(text, encoding="utf-8")
-        return len(records)
-
-    @staticmethod
-    def from_records(records: list[dict[str, Any]]) -> list[Span]:
-        """Rebuild span trees from :meth:`to_records` output."""
-        by_id: dict[str, Span] = {}
-        roots: list[Span] = []
-        for record in records:
-            span = Span(
-                name=str(record["name"]),
-                kind=str(record["kind"]),
-                start=float(record["start"]),
-                end=float(record["end"]),
-                attributes=dict(record.get("attributes", {})),
-            )
-            by_id[str(record["span_id"])] = span
-            parent_id = record.get("parent_id")
-            if parent_id is None:
-                roots.append(span)
-            else:
-                parent = by_id.get(str(parent_id))
-                if parent is None:
-                    raise ValueError(
-                        f"span {record['span_id']} arrives before its parent "
-                        f"{parent_id}"
-                    )
-                parent.children.append(span)
-        return roots
-
-    @staticmethod
-    def load_jsonl(path: str | Path) -> list[Span]:
-        """Read span trees back from a JSONL export."""
-        records = [
-            json.loads(line)
-            for line in Path(path).read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        ]
-        return Tracer.from_records(records)
 
 
 def _merge_key(span: Span) -> tuple:

@@ -23,9 +23,5 @@ class VirtualClock:
             self.now += seconds
         return self.now
 
-    def reset(self, now: float = 0.0) -> None:
-        """Rewind the clock (between experiment arms)."""
-        self.now = float(now)
-
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return f"VirtualClock(now={self.now:.3f})"

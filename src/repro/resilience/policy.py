@@ -56,10 +56,6 @@ class RetryPolicy:
             return base
         return base * (1.0 + self.jitter * stable_unit(self.seed, key, attempt))
 
-    def schedule(self, key: object = 0) -> list[float]:
-        """The full backoff sequence for one call (for tests and reports)."""
-        return [self.delay(attempt, key) for attempt in range(self.max_retries)]
-
 
 @dataclass(frozen=True)
 class Deadline:

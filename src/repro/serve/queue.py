@@ -158,7 +158,6 @@ class JobQueue:
         provider: Any = None,
         max_workers: int = 4,
         default_quota: TenantQuota | None = None,
-        cache_enabled: bool = True,
         provider_factory: Callable[[JobSpec], Any] | None = None,
         start: bool = True,
     ):
@@ -169,9 +168,7 @@ class JobQueue:
         self.max_workers = max_workers
         self.provider_factory = provider_factory
         self.store = JobStore(self.data_dir / "jobs.jsonl")
-        self.registry = TenantRegistry(
-            self.data_dir, provider=provider, cache_enabled=cache_enabled
-        )
+        self.registry = TenantRegistry(self.data_dir, provider=provider)
         self.admission = AdmissionController(default_quota=default_quota)
         self.audit = _IsolationAudit()
         #: every job on one (task, ref) shares one resolved copy

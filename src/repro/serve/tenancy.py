@@ -49,13 +49,7 @@ class Tenant:
 class TenantRegistry:
     """Creates tenants on first use and builds per-job services."""
 
-    def __init__(
-        self,
-        data_dir: str | Path,
-        provider: Any = None,
-        cache_enabled: bool = True,
-        persist_caches: bool = True,
-    ):
+    def __init__(self, data_dir: str | Path, provider: Any = None):
         self.data_dir = Path(data_dir)
         if provider is None:
             from repro.llm.providers import SimulatedProvider
@@ -63,8 +57,6 @@ class TenantRegistry:
             provider = SimulatedProvider()
         self.provider = provider
         self.hub = CoalesceHub(provider)
-        self.cache_enabled = cache_enabled
-        self.persist_caches = persist_caches
         self._tenants: dict[str, Tenant] = {}
         self._lock = threading.RLock()
 
@@ -72,9 +64,7 @@ class TenantRegistry:
         with self._lock:
             tenant = self._tenants.get(name)
             if tenant is None:
-                path = None
-                if self.persist_caches:
-                    path = self.data_dir / "tenants" / name / "cache.jsonl"
+                path = self.data_dir / "tenants" / name / "cache.jsonl"
                 tenant = Tenant(name, PromptCache(path=path))
                 self._tenants[name] = tenant
             return tenant
@@ -111,7 +101,6 @@ class TenantRegistry:
         return LLMService(
             provider=provider if provider is not None else self.provider,
             cache=tenant.cache,
-            cache_enabled=self.cache_enabled,
             namespace=tenant.namespace,
             coalesce_hub=self.hub,
             clock=VirtualClock(),

@@ -86,10 +86,6 @@ class Vocabulary:
     def __contains__(self, token: str) -> bool:
         return token in self._ids
 
-    def id_of(self, token: str) -> int:
-        """Id of ``token`` (``-1`` when out of vocabulary)."""
-        return self._ids.get(token, -1)
-
     def encode(self, tokens: Sequence[str]) -> np.ndarray:
         """Encode a token sequence to an int32 id array (OOV -> ``-1``)."""
         return np.fromiter(

@@ -38,10 +38,6 @@ class Database:
         """Add (or replace) ``table`` under ``name`` (default: its own name)."""
         self.tables[name or table.name] = table
 
-    def drop(self, name: str) -> None:
-        """Remove table ``name`` (raises KeyError if absent)."""
-        del self.tables[name]
-
     def table(self, name: str) -> Table:
         """Fetch table ``name`` (raises KeyError if absent)."""
         if name not in self.tables:

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 __all__ = ["ColumnType", "Column", "Schema", "Table"]
 
@@ -222,14 +221,6 @@ class Table:
         index = self.schema.index_of(name)
         return [row[index] for row in self._rows]
 
-    def select_rows(self, predicate: Callable[[dict[str, Any]], bool]) -> "Table":
-        """New table containing the rows whose record satisfies ``predicate``."""
-        out = Table(self.name, self.schema)
-        for record, row in zip(self.records(), self._rows):
-            if predicate(record):
-                out._rows.append(row)
-        return out
-
     def head(self, n: int = 5) -> "Table":
         """New table with the first ``n`` rows."""
         out = Table(self.name, self.schema)
@@ -289,34 +280,6 @@ class Table:
         for row in data:
             padded = list(row) + [None] * (len(schema) - len(row))
             table.insert(padded[: len(schema)])
-        return table
-
-    def to_json(self, path: str | Path | None = None) -> str:
-        """Serialise to a JSON document with schema and rows."""
-        doc = {
-            "name": self.name,
-            "schema": [{"name": c.name, "type": c.type} for c in self.schema.columns],
-            "rows": [list(row) for row in self._rows],
-        }
-        text = json.dumps(doc, ensure_ascii=False, indent=2)
-        if path is not None:
-            Path(path).write_text(text, encoding="utf-8")
-        return text
-
-    @classmethod
-    def from_json(cls, source: str | Path) -> "Table":
-        """Deserialise a table previously written by :meth:`to_json`."""
-        path = Path(str(source))
-        try:
-            exists = path.is_file()
-        except OSError:
-            exists = False
-        text = path.read_text(encoding="utf-8") if exists else str(source)
-        doc = json.loads(text)
-        schema = Schema(tuple(Column(c["name"], c["type"]) for c in doc["schema"]))
-        table = cls(doc["name"], schema)
-        for row in doc["rows"]:
-            table.insert(row)
         return table
 
     # -- display -------------------------------------------------------------------

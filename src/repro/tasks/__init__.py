@@ -17,8 +17,6 @@ from repro.tasks.profiling import (
 )
 from repro.tasks.table import TASKS, Task, TaskResult, run
 from repro.tasks.curation import (
-    iter_dedup_candidate_ids,
-    iter_dedup_candidates,
     run_decontamination,
     run_dedup,
     run_quality_filter,
@@ -46,8 +44,6 @@ __all__ = [
     "Task",
     "TaskResult",
     "run",
-    "iter_dedup_candidate_ids",
-    "iter_dedup_candidates",
     "run_decontamination",
     "run_dedup",
     "run_quality_filter",

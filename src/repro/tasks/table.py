@@ -4,12 +4,12 @@ The paper's demo applications (§4.1–4.3) are each a template instantiated
 on a dataset and then scored.  A :class:`Task` row says exactly that much:
 how a served job's dataset reference becomes data (``resolve``), which
 keyword options it takes and their defaults, how the data becomes a
-pipeline plus its inputs (``build``, or ``stream`` for the out-of-core
-form), and — through the :class:`Plan` that build returns — how the saved
-output is scored.  Rows live beside their domain code and :func:`register`
-themselves on import; :func:`run` is the only code that turns a row into a
-run, so the named runners (``run_lingua_manga_er``, ``run_dedup``, …), the
-job server (``repro.serve.jobs``) and the benchmarks share one path.
+pipeline plus its inputs (``build``), and — through the :class:`Plan` that
+build returns — how the saved output is scored.  Rows live beside their
+domain code and :func:`register` themselves on import; :func:`run` is the
+only code that turns a row into a run, so the named runners
+(``run_lingua_manga_er``, ``run_dedup``, …), the job server
+(``repro.serve.jobs``) and the benchmarks share one path.
 """
 
 from __future__ import annotations
@@ -24,15 +24,12 @@ __all__ = ["Plan", "Task", "TaskResult", "TASKS", "ref_int", "register", "run"]
 
 
 class Plan(NamedTuple):
-    """What a row's ``build`` (or ``stream``) hands :func:`run`."""
+    """What a row's ``build`` hands :func:`run`."""
 
     pipeline: Any
-    #: pipeline inputs; a streamed plan's are a lazy source
     inputs: dict
     #: ``score(output) -> (scores, predictions)`` over the saved output
     score: Callable[[list], tuple[dict, list]]
-    #: the shard ledger's source tag (streamed plans only)
-    source_id: str = ""
 
 
 @dataclass(frozen=True)
@@ -47,8 +44,6 @@ class Task:
     options: dict[str, Any]
     #: ``build(data, **options) -> Plan`` for ``system.run``
     build: Callable[..., Plan]
-    #: ``stream(data, **options) -> Plan`` for ``system.run_stream``
-    stream: Callable[..., Plan] | None = None
     #: what :attr:`TaskResult.task` reads, when it is not ``name``
     label: str = ""
 
@@ -138,61 +133,29 @@ def run(
     resume: bool = True,
     checkpoint: Any = None,
     cancel: Any = None,
-    stream: bool = False,
-    ledger_path: Any = None,
     **options: Any,
 ) -> TaskResult:
     """Build row ``name`` on ``data``, run it on ``system``, score it.
 
     The execution keywords go to :meth:`LinguaManga.run` (``workers``,
     ``chunk_size``, ``checkpoint_path`` / ``checkpoint`` for crash-safe
-    resume, ``cancel``) or, with ``stream=True``, to
-    :meth:`LinguaManga.run_stream` (``workers``, ``chunk_size``,
-    ``ledger_path``); ``options`` are the row's own.
+    resume, ``cancel``); ``options`` are the row's own.
     """
     task = TASKS[name]
     settings = task.settings(options)
-    if stream:
-        if task.stream is None:
-            raise ValueError(f"task {name!r} has no streaming form")
-        if checkpoint_path is not None or checkpoint is not None or cancel is not None:
-            raise ValueError("a streamed run takes ledger_path, not a checkpoint or cancel")
-        plan = task.stream(data, **settings)
-        report = system.run_stream(
-            plan.pipeline,
-            plan.inputs,
-            workers=workers,
-            chunk_size=chunk_size,
-            ledger_path=ledger_path,
-            resume=resume,
-            source_id=plan.source_id,
-        )
-        # Workers pay the provider and the canonical replay is served from the
-        # rewarmed cache, so a stream's usage is the report's cost snapshot,
-        # not the service counters' delta (which reads zero here).
-        cost = report.cost
-        usage = {
-            "llm_calls": cost.served_calls,
-            "cost": cost.cost,
-            "cached_calls": cost.cached_calls,
-            "distilled_calls": cost.distilled_calls,
-        }
-    else:
-        if ledger_path is not None:
-            raise ValueError("a batch run takes checkpoint_path; ledger_path is for stream=True")
-        plan = task.build(data, **settings)
-        before = system.usage()
-        report = system.run(
-            plan.pipeline,
-            plan.inputs,
-            workers=workers,
-            chunk_size=chunk_size,
-            checkpoint_path=checkpoint_path,
-            resume=resume,
-            checkpoint=checkpoint,
-            cancel=cancel,
-        )
-        usage = usage_delta(before, system.usage())
+    plan = task.build(data, **settings)
+    before = system.usage()
+    report = system.run(
+        plan.pipeline,
+        plan.inputs,
+        workers=workers,
+        chunk_size=chunk_size,
+        checkpoint_path=checkpoint_path,
+        resume=resume,
+        checkpoint=checkpoint,
+        cancel=cancel,
+    )
+    usage = usage_delta(before, system.usage())
     scores, predictions = plan.score(next(iter(report.outputs.values()), []))
     return TaskResult(
         task=task.label or name,

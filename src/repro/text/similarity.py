@@ -238,55 +238,6 @@ class TfIdfModel:
         nb = math.sqrt(sum(v * v for v in vb.values()))
         return min(1.0, dot / (na * nb))
 
-    def similarity_many(
-        self, a: Sequence[str], b: Sequence[str]
-    ) -> np.ndarray:
-        """Batched TF-IDF cosine over aligned pairs, as sparse array ops.
-
-        Equivalent to ``[self.similarity(x, y) for x, y in zip(a, b)]``
-        within ``1e-12`` (summation order differs from the scalar path).
-        """
-        if len(a) != len(b):
-            raise ValueError("batch sides must have equal length")
-        n = len(a)
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
-        counts: dict[str, Counter] = {}
-        for text in a:
-            if text not in counts:
-                counts[text] = Counter(word_tokenize(text.lower()))
-        for text in b:
-            if text not in counts:
-                counts[text] = Counter(word_tokenize(text.lower()))
-        vocab = Vocabulary(
-            token for counter in counts.values() for token in counter
-        )
-        idf = np.fromiter(
-            (self.idf(token) for token in vocab.tokens),
-            dtype=np.float64,
-            count=len(vocab),
-        )
-        keys_a, weights_a, rows_a = _weighted_rows(a, counts, vocab, idf)
-        keys_b, weights_b, rows_b = _weighted_rows(b, counts, vocab, idf)
-        _, ia, ib = np.intersect1d(
-            keys_a, keys_b, assume_unique=True, return_indices=True
-        )
-        stride = max(len(vocab), 1)
-        dot = np.bincount(
-            (keys_a[ia] // stride).astype(np.int64),
-            weights=weights_a[ia] * weights_b[ib],
-            minlength=n,
-        )
-        norm_a = np.sqrt(np.bincount(rows_a, weights=weights_a**2, minlength=n))
-        norm_b = np.sqrt(np.bincount(rows_b, weights=weights_b**2, minlength=n))
-        empty_a = norm_a == 0.0
-        empty_b = norm_b == 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            result = np.minimum(1.0, dot / (norm_a * norm_b))
-        result = np.where(empty_a & empty_b, 1.0, result)
-        result = np.where(empty_a ^ empty_b, 0.0, result)
-        return result
-
 
 def monge_elkan_similarity(a: str, b: str) -> float:
     """Monge-Elkan: mean of best Jaro-Winkler match per token of ``a``.
@@ -659,35 +610,6 @@ def qgram_similarity_many(a: Sequence[str], b: Sequence[str], q: int = 3) -> np.
     with np.errstate(divide="ignore", invalid="ignore"):
         result = inter / union
     return np.where(union == 0, 1.0, result)
-
-
-def _weighted_rows(
-    texts: Sequence[str],
-    counts: dict[str, Counter],
-    vocab: Vocabulary,
-    idf: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted per-row ``row * |V| + id`` keys with TF-IDF weights."""
-    stride = max(len(vocab), 1)
-    keys: list[np.ndarray] = []
-    weights: list[np.ndarray] = []
-    rows: list[np.ndarray] = []
-    for i, text in enumerate(texts):
-        counter = counts[text]
-        if not counter:
-            continue
-        ids = np.sort(vocab.encode(list(counter)))
-        tokens_sorted = [vocab.tokens[tid] for tid in ids]
-        tf = np.fromiter(
-            (counter[token] for token in tokens_sorted), dtype=np.float64, count=len(ids)
-        )
-        keys.append(i * stride + ids.astype(np.int64))
-        weights.append(tf * idf[ids])
-        rows.append(np.full(len(ids), i, dtype=np.int64))
-    if not keys:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, np.empty(0, dtype=np.float64), empty
-    return np.concatenate(keys), np.concatenate(weights), np.concatenate(rows)
 
 
 def monge_elkan_similarity_many(a: Sequence[str], b: Sequence[str]) -> np.ndarray:

@@ -16,6 +16,7 @@ from repro.core.templates.library import (
     get_template,
     search_templates,
 )
+from tests.oracles import cascade_escalates
 
 
 class TestRegistry:
@@ -172,7 +173,7 @@ class TestSimulatorAttachment:
             # The student sits behind the free rule rung, never in front of
             # it: a document the rule decides is not shown to it.
             cascade = module.inner
-            assert not cascade.escalates({"text": "zzz"})
+            assert not cascade_escalates(cascade, {"text": "zzz"})
             cascade.run({"text": "zzz"})
             assert cascade.rule_decisions == 1 and cascade.escalations == 0
             assert student.distill_stats.total == 0

@@ -92,7 +92,7 @@ class TestPromotion:
         for value in stream(40):
             router.run(value)
         assert router.promoted
-        assert router.holdout_accuracy >= 0.9
+        assert router._holdout_accuracy >= 0.9
         assert router.distill_stats.promotions == 1
 
     def test_promoted_student_answers_and_is_ledgered(self):
@@ -147,7 +147,7 @@ class TestDemotion:
         assert router.promoted
         router._demote()
         assert not router.promoted
-        assert router.holdout_accuracy == 0.0
+        assert router._holdout_accuracy == 0.0
         assert router.distill_stats.demotions == 1
 
 

@@ -27,6 +27,7 @@ from repro.core.optimizer.distill import DistillationRouter
 from repro.core.runtime.scheduler import Scheduler
 from repro.llm.providers import LLMProvider, LLMRequest, LLMResponse
 from repro.llm.service import LLMService
+from tests.oracles import cascade_escalates
 
 WORKER_COUNTS = (1, 2, 8)
 
@@ -124,7 +125,7 @@ class TestRenderCounts:
             "cascade", lambda item: item["score"], llm, lower=0.3, upper=0.7
         )
         items = records(30)
-        escalated = [item for item in items if cascade.escalates(item)]
+        escalated = [item for item in items if cascade_escalates(cascade, item)]
         outcome = MapModule("map", cascade).apply_chunk(items)
         assert len(outcome.outputs) == 30
         assert 0 < len(escalated) < 30

@@ -31,18 +31,17 @@ from repro.core.runtime.system import LinguaManga
 from repro.core.templates.library import get_template
 from repro.datasets import StreamingERCorpus
 from repro.datasets.imputation import generate_buy_dataset
-from repro.llm.errors import BudgetExceededError, ProviderError
+from repro.llm.errors import ProviderError
 from repro.llm.providers import LLMProvider
 from repro.llm.service import CoalesceHub, LLMService
-from repro.llm.tokenizer import estimate_cost
 from repro.tasks.imputation import run_llm_imputation
 from tests.core.test_render_once import (
     WORKER_COUNTS,
     CountingLLM,
     ScriptedProvider,
-    handoff,
     records,
 )
+from tests.oracles import cascade_escalates
 
 PARENT_JOURNALS = Path(__file__).parent / "parent_journals"
 
@@ -111,7 +110,7 @@ class TestCounts:
         service = LLMService(ScriptedProvider())
         mapper = MapModule("map", CountingLLM(service))
         mapper.apply_chunk(records(20))
-        service.reset_usage()
+        service.records.clear()
         calls = count_calls(service)
         assert mapper.apply_chunk(records(20)).outputs == [True] * 20
         assert service.usage().served_calls == 0 and service.usage().cached_calls == 20
@@ -138,7 +137,7 @@ class TestCounts:
             lower=0.3, upper=0.7,
         )
         items = records(30)
-        escalated = sum(1 for item in items if cascade.escalates(item))
+        escalated = sum(1 for item in items if cascade_escalates(cascade, item))
         assert 0 < escalated < 30
         assert len(MapModule("map", cascade).apply_chunk(items).outputs) == 30
         assert len(service.records) == service.usage().served_calls == escalated
@@ -180,19 +179,6 @@ class TestCounts:
         )
         assert llm.provider_failures == 1
         assert hits_and_misses(service) == (0, 5)  # as an unchunked run counts
-
-    def test_a_disabled_cache_hands_nothing_over(self):
-        provider = ScriptedProvider()
-        service = LLMService(provider, cache_enabled=False)
-        calls = count_calls(service)
-        llm = CountingLLM(service)
-        items = records(4)
-        assert llm.prefetch(items) == 0
-        assert handoff(llm)[1] == {}
-        llm.drop_prefetched()
-        assert MapModule("map", llm).apply_chunk(items).outputs == [True] * 4
-        assert calls == {"complete": 4}
-        assert [len(batch) for batch in provider.batches] == [1] * 4
 
 
 class TestCacheStats:
@@ -371,53 +357,6 @@ class TestErrorPolicies:
         with pytest.raises(ModuleExecutionError) as from_chunk:
             MapModule("map", rejecting_record_2()).apply_chunk(records(5))
         assert str(from_chunk.value) == str(from_run.value)
-
-
-class TestBudgets:
-    """The budget is checked once per paid round: a refused prime hands
-    each record the error, and the first record that asks raises it."""
-
-    def run(self, **budget) -> tuple[LLMService, BaseException]:
-        service = LLMService(ScriptedProvider(), **budget)
-        mapper = MapModule("map", CountingLLM(service))
-        mapper.apply_chunk(records(5))
-        mapper.apply_chunk(records(5, start=5))
-        with pytest.raises(ModuleExecutionError) as raised:
-            mapper.apply_chunk(records(5, start=10))
-        return service, raised.value.cause
-
-    def test_max_calls_trips_at_the_same_call(self):
-        service, cause = self.run(max_calls=10)
-        assert isinstance(cause, BudgetExceededError)
-        assert service.provider.calls == 10
-        assert service.usage().served_calls == 10 and service.usage().cached_calls == 0
-
-    def test_max_cost_trips_at_the_same_call(self):
-        service, cause = self.run(max_cost=9.5 * estimate_cost(5, 1))
-        assert isinstance(cause, BudgetExceededError)
-        assert service.provider.calls == 10
-        assert service.usage().cost == pytest.approx(10 * estimate_cost(5, 1))
-
-
-class TestClearCacheMidChunk:
-    def test_an_answer_this_chunk_paid_for_is_still_used(self):
-        """``clear_cache`` drops what the cache would *serve*; the answer in
-        the hand-off was never served from the cache, it was bought for
-        this record a moment ago."""
-        provider = ScriptedProvider()
-        service = LLMService(provider)
-        llm = CountingLLM(service)
-        items = records(3)
-        llm.prefetch(items)
-        try:
-            service.clear_cache()
-            assert [llm.run(item) for item in items] == [True] * 3
-        finally:
-            llm.drop_prefetched()
-        assert provider.calls == 3 and len(service.records) == 3
-        assert len(service.cache) == 0  # and the clear stays a clear
-        llm.run(items[0])
-        assert provider.calls == 4  # nothing left to reuse: paid again
 
 
 class TestParentJournals:

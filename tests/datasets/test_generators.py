@@ -122,7 +122,7 @@ class TestBuyGenerator:
 class TestNamesGenerator:
     def test_language_mix_roughly_respected(self):
         ds = generate_name_dataset(n_documents=400)
-        english = len(ds.by_language("en"))
+        english = sum(1 for doc in ds.documents if doc.language == "en")
         assert 0.3 < english / 400 < 0.5
 
     def test_names_appear_in_text(self):

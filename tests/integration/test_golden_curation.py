@@ -65,10 +65,3 @@ def _assert_matches(name: str, snapshot: dict) -> None:
 def test_golden_run(name, corpus):
     result = RUNNERS[name](LinguaManga(), corpus)
     _assert_matches(name, _snapshot(result))
-
-
-@pytest.mark.parametrize("name", sorted(RUNNERS))
-def test_golden_run_streaming(name, corpus):
-    """The streamed runs must match the same fixtures as the batch runs."""
-    result = RUNNERS[name](LinguaManga(), corpus, stream=True, workers=2)
-    _assert_matches(name, _snapshot(result))

@@ -25,7 +25,7 @@ from repro.tasks.entity_resolution import run_lingua_manga_er
 from repro.tasks.imputation import run_hybrid_imputation, run_llm_imputation
 from repro.tasks.name_extraction import run_name_extraction
 
-from ..oracles import provenance_counts, span_tree_problems
+from ..oracles import provenance_counts, span_tree_problems, trace_records
 
 
 @pytest.fixture(scope="module")
@@ -195,7 +195,7 @@ class _GoldenTraceSuite:
     @pytest.mark.parametrize("phase", ["cold", "warm"])
     def test_trace_identical_across_worker_counts(self, traces, phase):
         records = [
-            traces[phase][workers][0].tracer.to_records()
+            trace_records(traces[phase][workers][0].tracer)
             for workers in TRACE_WORKER_COUNTS
         ]
         assert records[0] == records[1] == records[2]
@@ -204,7 +204,7 @@ class _GoldenTraceSuite:
     def test_trace_matches_fixture(self, traces, phase):
         obs, _ = traces[phase][1]
         _assert_matches_fixture(
-            f"{self.stem}_{phase}.jsonl", obs.tracer.to_records()
+            f"{self.stem}_{phase}.jsonl", trace_records(obs.tracer)
         )
 
     @pytest.mark.parametrize("phase", ["cold", "warm"])

@@ -12,8 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.llm.cache import CacheJournal, CacheKey, PromptCache
-from repro.llm.providers import LLMResponse, SimulatedProvider
-from repro.llm.service import LLMService
+from repro.llm.providers import LLMResponse
 
 
 def key(
@@ -233,39 +232,6 @@ class TestJournalDirect:
         assert ("fsync", journal.path.stat().st_ino) in events[:-1]
 
 
-class TestServiceCacheLifecycle:
-    def test_clear_cache_bumps_epoch_and_empties_cache(self):
-        service = LLMService(SimulatedProvider())
-        service.complete("Extract all person names from: John met Mary.")
-        assert len(service.cache) == 1
-        epoch = service._cache_epoch
-        service.clear_cache()
-        assert service._cache_epoch == epoch + 1
-        assert len(service.cache) == 0
-
-    def test_stale_epoch_put_is_dropped(self):
-        """An in-flight call that started before clear_cache() must not
-        resurrect its answer into the cleared cache."""
-        service = LLMService(SimulatedProvider())
-        stale_epoch = service._cache_epoch
-        service.clear_cache()
-        service._cache_put(
-            [(service._cache_key("p", 64, ""), response("stale"))], stale_epoch
-        )
-        assert len(service.cache) == 0
-        service._cache_put(
-            [(service._cache_key("p", 64, ""), response("fresh"))], service._cache_epoch
-        )
-        assert len(service.cache) == 1
-
-    def test_reset_usage_keeps_cache(self):
-        service = LLMService(SimulatedProvider())
-        service.complete("Extract all person names from: John met Mary.")
-        service.reset_usage()
-        assert len(service.cache) == 1
-        assert service.usage().total_calls == 0
-
-
 class TestCompactionCrashRecovery:
     """A kill between compaction's tmp-write and its atomic rename must
     never lose acknowledged entries: recover() reconciles the two files."""
@@ -408,15 +374,6 @@ class TestHeldJournalHandle:
         assert _lines(path) == ["a", "b"]
         assert [k for k, _ in CacheJournal(path).load()] == [key("a"), key("b")]
 
-    def test_put_after_clear_lands_in_the_new_file(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        cache = PromptCache(path=path)
-        cache.put(key("a"), response("1"))
-        cache.clear()
-        assert path.read_bytes() == b""
-        cache.put(key("b"), response("2"))
-        assert _lines(path) == ["b"]
-
     def test_auto_compaction_keeps_later_puts(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = PromptCache(path=path, max_entries=2)
@@ -548,7 +505,7 @@ class TestHeldJournalHandle:
             3018,
             "5939c7223e29acc5173d9977f8ed4c12eb04858239c40f5e4ed093a18aa7a005",
         )
-        cache.clear()
+        cache.journal.compact(())  # an emptied file: the next put starts it anew
         cache.put(key("after clear"), response("kept"))
         data = path.read_bytes()
         assert pin(data) == (

@@ -1,11 +1,11 @@
-"""Tests for the LLM service layer: cache, budget, retries, ledger."""
+"""Tests for the LLM service layer: cache, retries, ledger."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.llm.cache import CacheKey
-from repro.llm.errors import BudgetExceededError, ProviderError, RateLimitError
+from repro.llm.errors import ProviderError, RateLimitError
 from repro.llm.faults import ChaosProvider, FaultKind, FaultSpec
 from repro.llm.providers import LLMRequest, SimulatedProvider
 from repro.llm.service import DEFAULT_RETRY_JITTER, LLMService
@@ -47,40 +47,6 @@ class TestCache:
         cost_after_first = service.usage().cost
         service.complete(PROMPT)
         assert service.usage().cost == cost_after_first
-
-    def test_cache_can_be_disabled(self):
-        service = LLMService(SimulatedProvider(), cache_enabled=False)
-        service.complete(PROMPT)
-        service.complete(PROMPT)
-        assert service.usage().served_calls == 2
-
-    def test_clear_cache_forces_refetch(self, service: LLMService):
-        service.complete(PROMPT)
-        service.clear_cache()
-        service.complete(PROMPT)
-        assert service.usage().served_calls == 2
-
-
-class TestBudget:
-    def test_call_budget_enforced(self):
-        service = LLMService(SimulatedProvider(), max_calls=2)
-        service.complete("prompt one: summarize this")
-        service.complete("prompt two: summarize that")
-        with pytest.raises(BudgetExceededError):
-            service.complete("prompt three: summarize more")
-
-    def test_cached_hits_do_not_consume_budget(self):
-        service = LLMService(SimulatedProvider(), max_calls=1)
-        service.complete(PROMPT)
-        service.complete(PROMPT)  # cache hit, fine
-        with pytest.raises(BudgetExceededError):
-            service.complete("a different prompt entirely")
-
-    def test_cost_budget_enforced(self):
-        service = LLMService(SimulatedProvider(), max_cost=1e-9)
-        service.complete(PROMPT)  # first call allowed (budget checked before)
-        with pytest.raises(BudgetExceededError):
-            service.complete("another prompt")
 
 
 class TestRetries:
@@ -128,13 +94,6 @@ class TestLedger:
         service.complete("summarize b", purpose="y")
         assert service.usage("x").total_calls == 1
         assert service.usage("zzz").total_calls == 0
-
-    def test_reset_usage_keeps_cache(self, service: LLMService):
-        service.complete(PROMPT)
-        service.reset_usage()
-        assert service.usage().total_calls == 0
-        service.complete(PROMPT)
-        assert service.usage().cached_calls == 1  # cache survived
 
     def test_records_tag_skill(self, service: LLMService):
         service.complete(PROMPT)
@@ -257,7 +216,7 @@ class TestCompleteMany:
         provider = _BatchRecorder()
         service = LLMService(provider)
         cold = service.complete_many(self.PROMPTS)
-        service.reset_usage()
+        service.records.clear()
         assert service.complete_many(self.PROMPTS) == cold
         assert len(provider.batches) == 1
         assert _shape(service) == [
@@ -283,16 +242,6 @@ class TestCompleteMany:
         assert texts == [SimulatedProvider().complete(LLMRequest(p)).text for p in self.PROMPTS]
         assert _shape(service) == [
             (p, False, "retried", "provider") for p in self.PROMPTS
-        ]
-
-    def test_budget_exhausted_mid_list_raises_at_that_prompt(self):
-        service = LLMService(_BatchRecorder(), max_calls=2)
-        service.complete_many(self.PROMPTS[:2])
-        with pytest.raises(BudgetExceededError):
-            service.complete_many(self.PROMPTS)
-        # the two cached prompts were answered, the third raised
-        assert [(r.prompt, r.cached) for r in service.records] == [
-            (p, cached) for cached in (False, True) for p in self.PROMPTS[:2]
         ]
 
     def test_only_the_failed_item_is_retried(self):

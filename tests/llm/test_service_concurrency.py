@@ -126,12 +126,6 @@ class TestCoalescing:
         assert usage.total_calls == THREADS * 4
         assert usage.served_calls == distinct
 
-    def test_coalescing_disabled_without_cache(self):
-        provider = BlockingProvider()
-        service = LLMService(provider, cache_enabled=False)
-        _hammer(lambda i: service.complete("same prompt"), n_threads=8)
-        assert provider.calls_served == 8
-
     def test_leader_failure_releases_followers(self):
         service = LLMService(FailingProvider())
 
@@ -178,14 +172,6 @@ class TestCounterIntegrity:
         assert usage.served_calls == 3
         assert usage.total_calls == THREADS * 4
         assert usage.cached_calls == usage.total_calls - usage.served_calls
-
-    def test_reset_usage_is_atomic(self):
-        service = LLMService(SimulatedProvider())
-        _hammer(lambda i: service.complete(f"prompt {i}"))
-        service.reset_usage()
-        assert service.usage().total_calls == 0
-        assert service.records == []
-
 
 class TestScopedIsolation:
     def test_scopes_keep_private_ledgers(self):

@@ -9,6 +9,7 @@ from repro.llm.faults import ChaosProvider, FaultKind, FaultSpec
 from repro.llm.providers import LLMProvider, LLMRequest, LLMResponse, SimulatedProvider
 from repro.llm.service import DEFAULT_RETRY_JITTER, LLMService
 from repro.resilience import Deadline, RetryPolicy, VirtualClock
+from tests.oracles import retry_schedule
 
 PROMPT = "Which language is this? Text: El informe fue presentado ayer."
 
@@ -148,7 +149,7 @@ class TestDefaultPolicyJitter:
     def test_schedules_desynchronize_by_prompt(self):
         retry = LLMService(SimulatedProvider()).retry
         schedules = {
-            prompt: tuple(retry.schedule(key=prompt))
+            prompt: tuple(retry_schedule(retry, key=prompt))
             for prompt in (f"summarize document number {i}" for i in range(8))
         }
         assert len(set(schedules.values())) > 1  # not a thundering herd
@@ -160,7 +161,7 @@ class TestDefaultPolicyJitter:
         first = LLMService(SimulatedProvider()).retry
         second = LLMService(SimulatedProvider()).retry
         for prompt in ("alpha", "beta", "gamma"):
-            assert first.schedule(key=prompt) == second.schedule(key=prompt)
+            assert retry_schedule(first, key=prompt) == retry_schedule(second, key=prompt)
 
     def test_observed_retry_waits_match_the_schedule(self):
         clock = VirtualClock()

@@ -66,7 +66,6 @@ class TestPairFeatureExtractor:
     def test_metric_subset(self):
         ex = PairFeatureExtractor(["name"], metrics=("jaccard", "numeric"))
         assert ex.n_features == 2
-        assert ex.feature_names() == ["name.jaccard", "name.numeric"]
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError):

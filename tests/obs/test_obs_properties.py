@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.obs import MetricsRegistry, Tracer
 from repro.resilience.clock import VirtualClock
 
-from ..oracles import span_tree_problems, walk_spans
+from ..oracles import span_tree_problems, spans_from_records, trace_records, walk_spans
 
 # -- generators -----------------------------------------------------------------
 
@@ -80,10 +80,10 @@ class TestSpanTreeWellFormed:
     @given(tree_programs)
     def test_record_roundtrip_preserves_tree(self, program):
         tracer = build_tree(program)
-        records = tracer.to_records()
+        records = trace_records(tracer)
         rebuilt = Tracer()
-        rebuilt.roots = Tracer.from_records(records)
-        assert rebuilt.to_records() == records
+        rebuilt.roots = spans_from_records(records)
+        assert trace_records(rebuilt) == records
 
 
 class TestHistogramBuckets:
@@ -176,6 +176,6 @@ class TestMergeOrderIndependence:
             target = Tracer()
             for spans in order:
                 target.merge(collector(spans))
-            return target.to_records()
+            return trace_records(target)
 
         assert merged(worker_spans) == merged(list(reversed(worker_spans)))

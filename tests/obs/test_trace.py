@@ -5,7 +5,14 @@ import pytest
 from repro.obs import NULL_SPAN, Span, Tracer
 from repro.resilience.clock import VirtualClock
 
-from ..oracles import provenance_counts, span_tree_problems, walk_spans
+from ..oracles import (
+    provenance_counts,
+    span_record,
+    span_tree_problems,
+    spans_from_records,
+    trace_records,
+    walk_spans,
+)
 
 
 def build_tree() -> Span:
@@ -34,7 +41,7 @@ class TestSpan:
         span = Span("s", "llm_call", start=0.1234567891234, end=1.0)
         span.set("cost", 0.12345678901234567)
         span.set("a", 1)
-        payload = span.to_dict()
+        payload = span_record(span)
         assert list(payload["attributes"]) == ["a", "cost"]
         assert payload["start"] == round(0.1234567891234, 9)
         assert payload["attributes"]["cost"] == round(0.12345678901234567, 10)
@@ -127,35 +134,23 @@ class TestTracer:
         left_first.merge(make(["c"]))
         right_first = make(["c"])
         right_first.merge(make(["a", "b"]))
-        assert left_first.to_records() == right_first.to_records()
+        assert trace_records(left_first) == trace_records(right_first)
 
     def test_to_records_path_ids(self):
         tracer = Tracer()
         with tracer.span("run", "run"):
             tracer.add_span("a", "phase")
             tracer.add_span("b", "phase")
-        records = tracer.to_records()
+        records = trace_records(tracer)
         assert [(r["span_id"], r["parent_id"]) for r in records] == [
             ("0", None),
             ("0.0", "0"),
             ("0.1", "0"),
         ]
 
-    def test_jsonl_roundtrip(self, tmp_path):
-        tracer = Tracer()
-        with tracer.span("run", "run"):
-            with tracer.span("op", "phase"):
-                tracer.add_span("leaf", "llm_call", cost=0.5, provenance="provider")
-        path = tmp_path / "trace.jsonl"
-        written = tracer.export_jsonl(path)
-        assert written == 3
-        rebuilt = Tracer()
-        rebuilt.roots = Tracer.load_jsonl(path)
-        assert rebuilt.to_records() == tracer.to_records()
-
     def test_from_records_rejects_orphans(self):
         with pytest.raises(ValueError, match="before its parent"):
-            Tracer.from_records(
+            spans_from_records(
                 [
                     {
                         "name": "x",

@@ -4,16 +4,19 @@ Production runs the columnar MinHash / LSH kernels
 (:mod:`repro.storage.columnar`) and the one-pass :func:`document_sketch`;
 the plain-Python forms below define what those kernels must equal, bit for
 bit.  The span-tree helpers walk a :class:`~repro.obs.trace.Span` tree for
-the golden and property assertions.
+the golden and property assertions, and flatten it to the parent-linked
+records the golden traces are stored as.  The last two restate a cascade's
+escalation band and a retry policy's backoff sequence for the tests that
+check behaviour against them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Iterator
+from typing import Any, Iterator
 
-from repro.obs.trace import SPAN_KINDS, Span
+from repro.obs.trace import SPAN_KINDS, Span, Tracer
 from repro.text.minhash import EMPTY_SLOT, MINHASH_PRIME, MinHashParams
 from repro.text.shingle import simple_canonical
 
@@ -135,3 +138,86 @@ def provenance_counts(roots: "list[Span] | Span") -> dict[str, int]:
             provenance = str(span.attributes.get("provenance", "unknown"))
             counts[provenance] = counts.get(provenance, 0) + 1
     return dict(sorted(counts.items()))
+
+
+#: Float attribute names a span record rounds (they are deterministic, but
+#: rounding keeps golden fixtures readable and platform-stable).
+_ROUNDED_FIELDS = {"cost": 10, "latency_seconds": 9, "start": 9, "end": 9}
+
+
+def span_record(span: Span) -> dict[str, Any]:
+    """One span alone (no children) as a plain dict, attributes sorted."""
+    return {
+        "name": span.name,
+        "kind": span.kind,
+        "start": round(span.start, _ROUNDED_FIELDS["start"]),
+        "end": round(span.end, _ROUNDED_FIELDS["end"]),
+        "attributes": {
+            key: (
+                round(value, _ROUNDED_FIELDS[key])
+                if key in _ROUNDED_FIELDS and isinstance(value, float)
+                else value
+            )
+            for key, value in sorted(span.attributes.items())
+        },
+    }
+
+
+def trace_records(tracer: Tracer) -> list[dict[str, Any]]:
+    """Flatten a tracer's root spans to parent-linked records.
+
+    Span ids are deterministic tree paths (``"0"``, ``"0.2"``,
+    ``"0.2.1"``), so two identical trees give identical records.
+    """
+    records: list[dict[str, Any]] = []
+
+    def visit(span: Span, span_id: str, parent_id: str | None) -> None:
+        record = span_record(span)
+        record["span_id"] = span_id
+        record["parent_id"] = parent_id
+        records.append(record)
+        for index, child in enumerate(span.children):
+            visit(child, f"{span_id}.{index}", span_id)
+
+    for index, root in enumerate(tracer.roots):
+        visit(root, str(index), None)
+    return records
+
+
+def spans_from_records(records: list[dict[str, Any]]) -> list[Span]:
+    """Rebuild span trees from :func:`trace_records` output."""
+    by_id: dict[str, Span] = {}
+    roots: list[Span] = []
+    for record in records:
+        span = Span(
+            name=str(record["name"]),
+            kind=str(record["kind"]),
+            start=float(record["start"]),
+            end=float(record["end"]),
+            attributes=dict(record.get("attributes", {})),
+        )
+        by_id[str(record["span_id"])] = span
+        parent_id = record.get("parent_id")
+        if parent_id is None:
+            roots.append(span)
+        else:
+            parent = by_id.get(str(parent_id))
+            if parent is None:
+                raise ValueError(
+                    f"span {record['span_id']} arrives before its parent {parent_id}"
+                )
+            parent.children.append(span)
+    return roots
+
+
+# -- module rules ------------------------------------------------------------
+
+
+def cascade_escalates(cascade, item: Any) -> bool:
+    """Whether ``item`` falls in a cascade's uncertainty band."""
+    return cascade.lower <= cascade.rule(item) < cascade.upper
+
+
+def retry_schedule(policy, key: object = 0) -> list[float]:
+    """A retry policy's full backoff sequence for one call."""
+    return [policy.delay(attempt, key) for attempt in range(policy.max_retries)]

@@ -41,6 +41,7 @@ from repro.tasks.entity_resolution import pairs_as_inputs, pick_examples
 from repro.tasks.imputation import run_hybrid_imputation
 from repro.tasks.table import TASKS
 from tests.core.parent_journals import make_committed_run
+from tests.oracles import trace_records
 
 PARENT_JOURNALS = Path(make_committed_run.__file__).parent
 
@@ -347,7 +348,7 @@ class TestChunkedCommits:
         again, _, provider, obs = self._run(er_dataset, resume)
         assert provider.calls_served == 0
         assert again.canonical_json() == first.canonical_json()
-        assert obs.tracer.to_records() == first_obs.tracer.to_records()
+        assert trace_records(obs.tracer) == trace_records(first_obs.tracer)
         for name in ("scheduler.chunked_operators", "scheduler.chunks"):
             assert obs.metrics.value(name) == first_obs.metrics.value(name) > 0
         assert resume.stats.replayed_operators == len(again.module_stats)

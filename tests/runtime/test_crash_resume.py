@@ -42,6 +42,7 @@ from repro.tasks.entity_resolution import (
 from repro.tasks.imputation import run_hybrid_imputation, run_llm_imputation
 from repro.tasks.name_extraction import run_name_extraction
 from tests.conftest import assert_reports_identical
+from tests.oracles import trace_records
 
 #: Every boundary the runtime announces (see repro.core.runtime.checkpoint).
 BOUNDARIES = (
@@ -207,7 +208,7 @@ class TestResumeDetails:
         _run_app(
             "er", datasets["er"], 2, obs=resumed_obs, checkpoint=RunCheckpoint(wal)
         )
-        assert resumed_obs.tracer.to_records() == baseline_obs.tracer.to_records()
+        assert trace_records(resumed_obs.tracer) == trace_records(baseline_obs.tracer)
 
     def test_replayed_prefix_costs_zero_provider_calls(self, datasets, tmp_path):
         full_provider = SimulatedProvider()

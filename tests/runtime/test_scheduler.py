@@ -20,7 +20,6 @@ from repro.core.runtime.scheduler import (
 from repro.core.runtime.system import LinguaManga
 from repro.core.templates.library import get_template
 from repro.datasets.entity_resolution import generate_er_dataset
-from repro.llm.errors import BudgetExceededError
 from repro.llm.providers import SimulatedProvider
 from repro.llm.service import CallRecord, LLMService
 from repro.tasks.entity_resolution import pairs_as_inputs, pick_examples
@@ -262,48 +261,20 @@ class TestMergeAsChunksFinish:
         assert reports == [expected] * 3
 
 
-class TestBudgets:
-    """Each chunk's scope merges as its turn comes, so a budget sees the
-    chunks before it; a whole operator sees its own open scope."""
-
-    def test_a_chunked_operator_stops_one_round_past_the_budget(self):
-        dataset = generate_er_dataset("beer", seed=7, n_entities=250)
-        provider = SimulatedProvider()
-        system = LinguaManga(service=LLMService(provider, max_calls=10))
-        pipeline = get_template("entity_resolution").instantiate(
-            examples=pick_examples(dataset.train, 4)
-        )
-        pairs = pairs_as_inputs(dataset.test)[:40]
-        assert len(pairs) == 40
-        with pytest.raises(ModuleExecutionError) as raised:
-            system.run(pipeline, {"pairs": pairs}, workers=1, chunk_size=8)
-        assert isinstance(raised.value.cause, BudgetExceededError)
-        # Chunk 0 pays 8 and merges; chunk 1 sees 8 < 10 and pays its 8;
-        # chunk 2 is refused.  Both merged chunks stay in ledger and cache.
-        service = system.service
-        assert provider.calls_served == service.usage().served_calls == 16
-        assert len(service.cache) == 16
-
-    @staticmethod
-    def _ask_ten(service):
-        def ask_ten(value):
-            return [service.complete(f"question {i} about {value}") for i in range(10)]
-
-        return CustomModule("ask", ask_ten)
-
-    def test_a_whole_operator_counts_its_own_paid_calls(self):
-        provider = SimulatedProvider()
-        service = LLMService(provider, max_calls=3)
-        with pytest.raises(ModuleExecutionError) as raised:
-            Scheduler().run_operator(self._ask_ten(service), "x", service)
-        assert isinstance(raised.value.cause, BudgetExceededError)
-        assert provider.calls_served == 3
-
+class TestWholeOperatorRollback:
     def test_a_failing_whole_operator_is_rolled_back(self):
-        service = LLMService(SimulatedProvider(), max_calls=3)
-        module = self._ask_ten(service)
+        provider = SimulatedProvider()
+        service = LLMService(provider)
+
+        def pay_three_then_raise(value):
+            for i in range(3):
+                service.complete(f"question {i} about {value}")
+            raise RuntimeError("the operator fails after paying")
+
+        module = CustomModule("ask", pay_three_then_raise)
         with pytest.raises(ModuleExecutionError):
             Scheduler().run_operator(module, "x", service)
+        assert provider.calls_served == 3
         # As for a chunked operator: no ledger record and no cache entry
         # outlives the scope of an operator that raised.
         assert service.records == [] and len(service.cache) == 0

@@ -22,7 +22,7 @@ from repro.core.dsl.operators import LogicalOperator
 from repro.core.dsl.pipeline import Pipeline
 from repro.core.compiler.context import CompilerContext
 from repro.core.compiler.plan import BoundOperator, PhysicalPlan
-from repro.core.modules.base import ChunkOutcome, Module, ModuleExecutionError
+from repro.core.modules.base import ChunkOutcome, Module
 from repro.core.modules.custom import CustomModule
 from repro.core.modules.mapping import MapModule
 from repro.core.runtime.system import LinguaManga
@@ -34,7 +34,6 @@ from repro.core.runtime.workqueue import (
 from repro.core.templates.library import get_template
 from repro.datasets import CurationCorpus, StreamingERCorpus
 from repro.llm.faults import CrashInjected, CrashPoint
-from repro.llm.errors import BudgetExceededError
 from repro.llm.providers import SimulatedProvider
 from repro.llm.service import LLMService
 from repro.obs import Observability
@@ -149,36 +148,28 @@ class TestByteIdentity:
         assert provider.calls_served == 48 - 2 * 8  # shard 2 onwards, live
 
     @pytest.mark.parametrize("workers", [1, 2, 8])
-    @pytest.mark.parametrize("case", ["raising_record", "call_budget"])
-    def test_engines_fail_alike(self, case, workers, tmp_path):
-        """A record that raises, or a spent call budget, fails a stream as
-        it fails a batch run.  The shards the stream journalled replay for
-        free, and a resume with the fault gone equals an uninterrupted run."""
+    def test_engines_fail_alike(self, workers, tmp_path):
+        """A record that raises fails a stream as it fails a batch run.  The
+        shards the stream journalled replay for free, and a resume with the
+        fault gone equals an uninterrupted run."""
         wal = tmp_path / "run.wal"
         errors, paid = [], []
         for engine in ("batch", "stream"):
             provider = SimulatedProvider()
             with pytest.raises(Exception) as raised:
-                run_failure_case(case, engine, workers, provider, wal, faulty=True)
+                run_failure_case(engine, workers, provider, wal, faulty=True)
             errors.append(raised.value)
             paid.append(provider.calls_served)
         assert type(errors[0]) is type(errors[1])
-        if case == "call_budget":
-            assert isinstance(errors[0], ModuleExecutionError)
-            assert all(isinstance(e.cause, BudgetExceededError) for e in errors)
         if workers == 1:
             assert paid[0] == paid[1] > 0
         full_provider, resumed_provider = SimulatedProvider(), SimulatedProvider()
-        full = run_failure_case(
-            case, "stream", 1, full_provider, tmp_path / "full.wal", faulty=False
-        )
-        resumed = run_failure_case(
-            case, "stream", workers, resumed_provider, wal, faulty=False
-        )
+        full = run_failure_case("stream", 1, full_provider, tmp_path / "full.wal", faulty=False)
+        resumed = run_failure_case("stream", workers, resumed_provider, wal, faulty=False)
         assert_reports_identical(full, resumed)
-        per_shard = 8 if case == "call_budget" else 2  # one paid call per record
+        # One paid call per record, two records per shard.
         assert resumed_provider.calls_served == (
-            full_provider.calls_served - per_shard * resumed.recovery["replayed_shards"]
+            full_provider.calls_served - 2 * resumed.recovery["replayed_shards"]
         )
 
     def test_recovery_counters_shape(self):
@@ -357,28 +348,9 @@ def ask_each(service, failing=()):
     return work
 
 
-#: Shards in flight overshoot a call budget by one paid round each, so the
-#: budget case's source must outlast eight workers' worth of them.
-BUDGET_PAIRS = 400
-
-
-def run_failure_case(case, engine, workers, provider, ledger_path, faulty):
-    """One engine over one failure case, with its fault in or removed.
-
-    ``raising_record``: a toy plan whose middle operator pays one call per
-    record and raises on record 7.  ``call_budget``: the ER template under
-    ``max_calls=10``.
-    """
-    if case == "call_budget":
-        service = LLMService(provider, max_calls=10 if faulty else None)
-        if engine == "batch":
-            pairs = list(StreamingERCorpus(BUDGET_PAIRS, seed=7).inputs())
-            return LinguaManga(service=service).run(
-                er_pipeline(), {"pairs": pairs}, workers=workers, chunk_size=8
-            )
-        return run_streaming(
-            workers, ledger_path, n_pairs=BUDGET_PAIRS, service=service
-        )[0]
+def run_failure_case(engine, workers, provider, ledger_path, faulty):
+    """One engine over a toy plan whose middle operator pays one call per
+    record and, with its fault in, raises on record 7."""
     service = LLMService(provider)
     middle = Scripted(ask_each(service, failing={7} if faulty else ()), name="work")
     if engine == "batch":

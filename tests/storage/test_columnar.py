@@ -10,7 +10,7 @@ class TestVocabulary:
     def test_ids_follow_sorted_token_order(self):
         vocab = Vocabulary(["zeta", "alpha", "mid", "alpha"])
         assert vocab.tokens == ("alpha", "mid", "zeta")
-        assert [vocab.id_of(t) for t in vocab.tokens] == [0, 1, 2]
+        assert vocab.encode(vocab.tokens).tolist() == [0, 1, 2]
 
     def test_same_multiset_same_vocabulary(self):
         a = Vocabulary(["b", "a", "c"])

@@ -97,10 +97,6 @@ class TestTable:
     def test_column_access(self):
         assert self.make().column("name") == ["alpha", "beta"]
 
-    def test_select_rows(self):
-        filtered = self.make().select_rows(lambda r: r["id"] > 1)
-        assert len(filtered) == 1
-
     def test_head(self):
         assert len(self.make().head(1)) == 1
 
@@ -117,12 +113,6 @@ class TestTable:
         back = Table.from_csv(path)
         assert back.records() == table.records()
         assert back.name == "t"
-
-    def test_json_roundtrip(self):
-        table = self.make()
-        back = Table.from_json(table.to_json())
-        assert back.records() == table.records()
-        assert back.schema == table.schema
 
     def test_to_text_contains_headers_and_values(self):
         text = self.make().to_text()

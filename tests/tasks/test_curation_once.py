@@ -5,9 +5,7 @@ The batch runners used to derive every document two to four times
 per scan and again per candidate pair), and a batch dedup run scanned for
 candidates twice (the pipeline's kernel, then the runner's score).  These
 tests count calls, so the redundancy cannot creep back unnoticed on a
-machine where it happens to be fast; and they pin the two defects of the
-streaming scan's id handling (batch-local numbering of id-less records, ids
-stringified by the spill).
+machine where it happens to be fast.
 """
 
 from __future__ import annotations
@@ -18,11 +16,10 @@ from functools import lru_cache
 import pytest
 
 import repro.core.compiler.curation as kernels
-import repro.tasks.curation as tasks
 import repro.text.shingle as shingle
 from repro.core.runtime.system import LinguaManga
 from repro.datasets.curation import CurationCorpus
-from repro.tasks.curation import iter_dedup_candidate_ids, run_dedup
+from repro.tasks.curation import run_dedup
 
 N_DOCS = 60
 
@@ -121,31 +118,6 @@ def test_the_last_scan_answers_only_its_own_ids_texts_and_knobs(corpus, minhashe
     assert {side[0] for pair in kernels.dedup_candidate_pairs(renamed) for side in pair} == {"x"}
 
 
-def test_stream_dedup_runs_one_external_scan(corpus, monkeypatch):
-    batch = run_dedup(LinguaManga(), corpus)
-    scans = []
-
-    def counted_scan(records, **kernel):
-        scans.append(kernel)
-        return iter_dedup_candidate_ids(records, **kernel)
-
-    monkeypatch.setattr(tasks, "iter_dedup_candidate_ids", counted_scan)
-    streamed = run_dedup(LinguaManga(), corpus, stream=True, chunk_size=16)
-    assert len(scans) == 1
-    assert streamed.predictions == batch.predictions
-
-
-def test_stream_dedup_resume_sees_every_pair_id(corpus, tmp_path):
-    """A resumed run replays its shards; the id list must still be whole."""
-    ledger = tmp_path / "dedup.wal"
-    first = run_dedup(LinguaManga(), corpus, stream=True, chunk_size=8, ledger_path=ledger)
-    again = run_dedup(LinguaManga(), corpus, stream=True, chunk_size=8, ledger_path=ledger)
-    recovery = again.report.recovery
-    assert recovery["replayed_shards"] == recovery["shards"] > 1
-    assert again.predictions == first.predictions
-    assert any(again.predictions)
-
-
 def test_lru_eviction_never_changes_a_result(corpus, monkeypatch):
     """Two documents of capacity: every later pass of a run re-sketches."""
     records = [doc.record() for doc in corpus]
@@ -155,60 +127,12 @@ def test_lru_eviction_never_changes_a_result(corpus, monkeypatch):
 
     tiny = lru_cache(maxsize=2)(shingle.document_sketch.__wrapped__)
     monkeypatch.setattr(kernels, "document_sketch", tiny)
-    monkeypatch.setattr(tasks, "document_sketch", tiny)
     kernels.dedup_candidate_pairs([])  # the next scan scans, it does not recall
     assert kernels.dedup_candidate_pairs(records) == pairs
     assert kernels.dedup_candidate_pairs(records[::-1]) == pairs
     batch = run_dedup(LinguaManga(), corpus)
     assert batch.predictions == expected.predictions
     assert batch.report.canonical_json() == expected.report.canonical_json()
-    streamed = run_dedup(LinguaManga(), corpus, stream=True)
-    assert streamed.predictions == expected.predictions
     info = tiny.cache_info()
-    assert info.currsize == 2 and info.misses > 4 * N_DOCS
-
-
-class TestStreamingScanIds:
-    """Both scans agree pair for pair whatever the records use as ids."""
-
-    TEXTS = [doc.text for doc in CurationCorpus(n_docs=40, seed=5)]
-
-    @pytest.mark.parametrize("batch_size", [1, 8, 256])
-    @pytest.mark.parametrize(
-        "make_record",
-        [
-            pytest.param(lambda index, text: {"text": text}, id="no-id"),
-            pytest.param(lambda index, text: text, id="bare-text"),
-            pytest.param(lambda index, text: {"id": index * 7, "text": text}, id="int-id"),
-            pytest.param(
-                lambda index, text: {"id": f"doc\t{index}\n", "text": text}, id="str-id"
-            ),
-        ],
-    )
-    def test_external_scan_equals_kernel(self, make_record, batch_size):
-        records = [make_record(index, text) for index, text in enumerate(self.TEXTS)]
-        expected = kernels.dedup_candidate_pairs(records)
-        assert len(expected) > 5
-        streamed = list(iter_dedup_candidate_ids(iter(records), batch_size=batch_size))
-        assert streamed == expected
-        assert {type(side) for pair in streamed for side in pair} == {
-            type(side) for pair in expected for side in pair
-        }
-
-    def test_int_ids_sort_numerically(self):
-        records = [{"id": index, "text": text} for index, text in enumerate(self.TEXTS)]
-        streamed = list(iter_dedup_candidate_ids(iter(records), batch_size=8))
-        assert streamed == sorted(streamed)
-        assert any(left < 10 <= right for left, right in streamed)
-
-    def test_unspillable_id_is_refused(self):
-        records = [{"id": (index, "x"), "text": text} for index, text in enumerate(self.TEXTS)]
-        with pytest.raises(TypeError, match="str or int document ids"):
-            list(iter_dedup_candidate_ids(iter(records)))
-
-    def test_spilled_bytes_are_file_bytes(self, tmp_path):
-        stats: dict = {}
-        records = [{"id": f"é{index}", "text": text} for index, text in enumerate(self.TEXTS)]
-        list(iter_dedup_candidate_ids(iter(records), spill_dir=tmp_path, stats=stats))
-        on_disk = sum(path.stat().st_size for path in tmp_path.glob("part-*.tsv"))
-        assert stats["spilled_bytes"] == on_disk > 0
+    # Three scans of N_DOCS each, every one of them re-sketching.
+    assert info.currsize == 2 and info.misses > 3 * N_DOCS

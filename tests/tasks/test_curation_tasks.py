@@ -7,9 +7,6 @@ The locked invariants:
   generation is a per-document property, so no surviving pair can flip).
 - **Dedup is order-insensitive** — shuffling the input records changes
   neither the candidate pair set nor the flagged duplicate ids.
-- **Batch ≡ stream** — ``run`` and ``run_stream`` produce identical
-  predictions for every template, and streamed reports are byte-identical
-  across worker counts 1/2/8, cold and warm.
 - **Warm reruns are free** — a second run on the same system serves every
   verdict from the exact cache: zero provider calls.
 - **The LLM pipelines earn their cost** — each template beats its fixed
@@ -41,7 +38,6 @@ from repro.baselines.curation import (
     threshold_dedup_flags,
 )
 from repro.tasks.curation import (
-    iter_dedup_candidate_ids,
     run_decontamination,
     run_dedup,
     run_quality_filter,
@@ -50,7 +46,6 @@ from repro.tasks.curation import (
 from repro.text.minhash import minhash_params
 from repro.text.shingle import knowledge_canonical, shingle_ids, simple_canonical
 
-from ..conftest import assert_reports_identical
 from ..oracles import band_keys, document_digest, minhash_signature
 
 N_DOCS = 160
@@ -93,7 +88,7 @@ class TestDedupInvariants:
             if not flagged
         ]
         pipeline = get_template("document_dedup").instantiate(
-            mode="docs", examples=corpus.dedup_examples(4)
+            examples=corpus.dedup_examples(4)
         )
         report = LinguaManga().run(pipeline, {"documents": survivors})
         verdicts = next(iter(report.outputs.values()))
@@ -103,7 +98,7 @@ class TestDedupInvariants:
         records = [d.record() for d in corpus]
         shuffled = records[::-1]
         pipeline = get_template("document_dedup").instantiate(
-            mode="docs", examples=corpus.dedup_examples(4)
+            examples=corpus.dedup_examples(4)
         )
         report = LinguaManga().run(pipeline, {"documents": shuffled})
         verdicts = next(iter(report.outputs.values()))
@@ -116,27 +111,12 @@ class TestDedupInvariants:
         }
         assert flagged == original
 
-    def test_stream_matches_batch(self, corpus, dedup_result):
-        streamed = run_dedup(LinguaManga(), corpus, stream=True, workers=2)
-        assert streamed.predictions == dedup_result.predictions
-
     def test_warm_rerun_serves_from_cache(self, corpus):
         system = LinguaManga()
         first = run_dedup(system, corpus)
         again = run_dedup(system, corpus)
         assert again.llm_calls == 0
         assert again.predictions == first.predictions
-
-    def test_stream_reports_identical_across_workers(self, corpus, tmp_path):
-        def streamed(workers: int, ledger):
-            return run_dedup(
-                LinguaManga(), corpus, stream=True, workers=workers,
-                chunk_size=16, ledger_path=ledger,
-            ).report
-
-        cold = [streamed(w, tmp_path / f"w{w}.wal") for w in (1, 2, 8)]
-        warm = [streamed(w, tmp_path / f"w{w}.wal") for w in (1, 2, 8)]
-        assert_reports_identical(*cold, *warm)
 
     def test_shingle_width_below_one_does_not_compile(self):
         pipeline = get_template("document_dedup").instantiate(shingle_n=0)
@@ -146,7 +126,7 @@ class TestDedupInvariants:
 
 class TestMemoryFlatCandidateScan:
     def test_scans_equal_scalar_reference(self, corpus):
-        """Both scans against per-document scalar MinHash / band keys."""
+        """The kernel against per-document scalar MinHash / band keys."""
         records = [d.record() for d in corpus]
         params = minhash_params(DEDUP_NUM_PERM)
         buckets: dict = defaultdict(set)
@@ -168,29 +148,6 @@ class TestMemoryFlatCandidateScan:
         )
         assert expected
         assert dedup_candidate_pairs(records) == expected
-        assert list(iter_dedup_candidate_ids(corpus.inputs())) == expected
-
-    def test_external_scan_equals_kernel(self, corpus):
-        records = [d.record() for d in corpus]
-        stats: dict = {}
-        streamed = list(
-            iter_dedup_candidate_ids(corpus.inputs(), partitions=8, stats=stats)
-        )
-        assert streamed == dedup_candidate_pairs(records)
-        assert stats["docs"] == len(records)
-        assert stats["spilled_bytes"] > 0
-
-    def test_partitioning_bounds_resident_postings(self, corpus):
-        stats: dict = {}
-        list(iter_dedup_candidate_ids(corpus.inputs(), partitions=16, stats=stats))
-        # The scan holds one partition at a time; with 16 partitions the
-        # peak resident slice must be far below the full posting count.
-        assert stats["peak_partition_postings"] <= stats["postings"] / 4
-
-    def test_partition_count_does_not_change_pairs(self, corpus):
-        one = list(iter_dedup_candidate_ids(corpus.inputs(), partitions=1))
-        many = list(iter_dedup_candidate_ids(corpus.inputs(), partitions=32))
-        assert one == many
 
 
 class TestQualityFilter:
@@ -200,10 +157,6 @@ class TestQualityFilter:
 
     def test_cascade_skips_confident_tails(self, corpus, quality_result):
         assert 0 < quality_result.llm_calls < len(corpus)
-
-    def test_stream_matches_batch(self, corpus, quality_result):
-        streamed = run_quality_filter(LinguaManga(), corpus, stream=True, workers=2)
-        assert streamed.predictions == quality_result.predictions
 
     def test_distillation_takes_over_on_rerun(self, corpus):
         system = LinguaManga()
@@ -220,10 +173,6 @@ class TestDecontamination:
 
     def test_scan_clears_most_documents_for_free(self, corpus, decontam_result):
         assert 0 < decontam_result.llm_calls < len(corpus) / 4
-
-    def test_stream_matches_batch(self, corpus, decontam_result):
-        streamed = run_decontamination(LinguaManga(), corpus, stream=True, workers=2)
-        assert streamed.predictions == decontam_result.predictions
 
     def test_catches_disguised_splices(self, corpus, decontam_result):
         """The hard scan alone misses disguised splices; the cascade must not."""

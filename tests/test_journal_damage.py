@@ -284,3 +284,99 @@ def test_a_shard_line_whose_records_do_not_decode_reruns_that_shard(damage, tmp_
     assert resumed.recovery["corrupt_lines"] == 1
     assert resumed.recovery["replayed_shards"] == resumed.recovery["shards"] - 1
     assert 0 < repaid == len(block["rows"]) < paid
+
+
+#: A run-journal line edited to valid JSON that cannot replay:
+#: ``(line type, fields to set)``.
+RUN_LINE_DAMAGES = {
+    "chunk-op-not-int": ("chunk", {"op": "x"}),
+    "chunk-index-not-int": ("chunk", {"chunk": "one"}),
+    "op-index-not-int": ("op", {"index": "z"}),
+    "outputs-do-not-decode": ("chunk", {"outputs": {"__ckpt__": "tuple", "v": 5}}),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(RUN_LINE_DAMAGES))
+def test_a_run_journal_line_of_wrong_types_is_skipped(damage, tmp_path):
+    """A line that parses but whose fields are of the wrong type, or whose
+    outputs do not decode, is skipped and counted like any damaged line:
+    its chunk runs again (an ``op`` line lost leaves its operator in
+    flight), and the report and the ledger equal the uninterrupted run's."""
+    corpus = StreamingERCorpus(24, seed=7)
+    pairs = list(corpus.inputs())
+    pipeline = get_template("entity_resolution").instantiate(examples=corpus.examples())
+
+    def run(**kwargs):
+        provider = SimulatedProvider()
+        system = LinguaManga(service=LLMService(provider))
+        report = system.run(
+            pipeline, {"pairs": pairs}, workers=1, chunk_size=8, **kwargs
+        )
+        return report.canonical_json(), system.service.records, provider.calls_served
+
+    clean, ledger, paid = run()
+    path = tmp_path / "journal.jsonl"
+    run(checkpoint_path=path)
+    kind, fields = RUN_LINE_DAMAGES[damage]
+    lines = path.read_bytes().splitlines(keepends=True)
+    target = next(
+        index
+        for index, line in enumerate(lines)
+        if json.loads(line)["type"] == kind
+        and (kind == "op" or json.loads(line)["records"]["rows"])
+    )
+    line = json.loads(lines[target])
+    rows = len(line["records"]["rows"]) if kind == "chunk" else 0
+    lines[target] = json.dumps({**line, **fields}).encode() + b"\n"
+    path.write_bytes(b"".join(lines))
+
+    checkpoint = RunCheckpoint(path)
+    resumed, resumed_ledger, repaid = run(checkpoint=checkpoint)
+    assert resumed == clean
+    assert resumed_ledger == ledger
+    assert checkpoint.stats.corrupt_lines == 1
+    assert repaid == rows < paid
+
+
+#: The same for a shard-ledger line.
+SHARD_LINE_DAMAGES = {
+    "index-not-int": {"index": "one"},
+    "n-records-not-int": {"n_records": "eight"},
+    "outputs-do-not-decode": {"outputs": {"__ckpt__": "tuple", "v": 5}},
+}
+
+
+@pytest.mark.parametrize("damage", sorted(SHARD_LINE_DAMAGES))
+def test_a_shard_line_of_wrong_types_is_skipped(damage, tmp_path):
+    """The damaged shard runs again; the report and the ledger do not change."""
+    corpus = StreamingERCorpus(24, seed=7)
+    pipeline = get_template("entity_resolution").instantiate(examples=corpus.examples())
+
+    def run(ledger_path):
+        provider = SimulatedProvider()
+        system = LinguaManga(service=LLMService(provider))
+        report = system.run_stream(
+            pipeline, {"pairs": corpus.inputs()}, workers=1, chunk_size=8,
+            ledger_path=ledger_path, source_id=corpus.fingerprint,
+        )
+        return report, system.service.records, provider.calls_served
+
+    path = tmp_path / "ledger.jsonl"
+    clean, ledger, paid = run(path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    target = next(
+        index
+        for index, line in enumerate(lines)
+        if json.loads(line)["type"] == "shard"
+        and json.loads(line)["ops"][0]["records"]["rows"]
+    )
+    line = json.loads(lines[target])
+    lines[target] = json.dumps({**line, **SHARD_LINE_DAMAGES[damage]}).encode() + b"\n"
+    path.write_bytes(b"".join(lines))
+
+    resumed, resumed_ledger, repaid = run(path)
+    assert_reports_identical(clean, resumed)
+    assert resumed_ledger == ledger
+    assert resumed.recovery["corrupt_lines"] == 1
+    assert resumed.recovery["replayed_shards"] == resumed.recovery["shards"] - 1
+    assert 0 < repaid == len(line["ops"][0]["records"]["rows"]) < paid

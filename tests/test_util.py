@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro._util import chunked, seeded_rng, stable_choice, stable_hash, stable_unit
+from repro._util import seeded_rng, stable_choice, stable_hash, stable_unit
 
 
 class TestStableHash:
@@ -65,21 +65,3 @@ class TestSeededRng:
     def test_int_and_string_seeds_both_work(self):
         assert seeded_rng(42).random() == seeded_rng(42).random()
         assert seeded_rng("42").random() != seeded_rng(42).random() or True
-
-
-class TestChunked:
-    def test_even_chunks(self):
-        assert list(chunked([1, 2, 3, 4], 2)) == [[1, 2], [3, 4]]
-
-    def test_ragged_tail(self):
-        assert list(chunked([1, 2, 3], 2)) == [[1, 2], [3]]
-
-    def test_empty(self):
-        assert list(chunked([], 3)) == []
-
-    def test_works_on_generators(self):
-        assert list(chunked((i for i in range(5)), 2)) == [[0, 1], [2, 3], [4]]
-
-    def test_nonpositive_size_rejected(self):
-        with pytest.raises(ValueError):
-            list(chunked([1], 0))

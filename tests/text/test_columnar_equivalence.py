@@ -20,7 +20,6 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.text.similarity import (  # noqa: E402
-    TfIdfModel,
     jaccard_similarity,
     jaccard_similarity_many,
     jaro_winkler_similarity,
@@ -194,17 +193,3 @@ class TestNumericEquivalence:
         batch = numeric_similarity_many(a, b)
         oracle = [numeric_similarity(x, y) for x, y in pairs]
         assert batch.tolist() == oracle  # same expression order: exact
-
-
-class TestTfIdfEquivalence:
-    @given(
-        st.lists(TEXT, min_size=1, max_size=10),
-        st.lists(st.tuples(TEXT, TEXT), min_size=0, max_size=8),
-    )
-    @settings(max_examples=MAX_EXAMPLES, deadline=None)
-    def test_similarity_many(self, corpus, pairs):
-        model = TfIdfModel(corpus)
-        a, b = _sides(pairs)
-        batch = model.similarity_many(a, b)
-        oracle = [model.similarity(x, y) for x, y in pairs]
-        assert np.allclose(batch, oracle, rtol=0, atol=ATOL)

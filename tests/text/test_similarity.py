@@ -185,11 +185,3 @@ class TestTfIdf:
         assert public == first
         public["stone"] = -1.0  # mutating the copy must not poison the cache
         assert model.vector("stone ipa beer") == first
-
-    def test_similarity_many_matches_scalar(self):
-        model = TfIdfModel(self.CORPUS)
-        a = ["stone ipa", "lucky otter", "", "stone ipa beer"]
-        b = ["stone porter", "otter pilsner", "stone", "stone ipa beer"]
-        batch = model.similarity_many(a, b)
-        for value, (x, y) in zip(batch, zip(a, b)):
-            assert value == pytest.approx(model.similarity(x, y), abs=1e-12)
