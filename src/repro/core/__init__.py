@@ -4,12 +4,10 @@ from repro.core.compiler import (
     CompilerContext,
     LinguaMangaCompiler,
     PhysicalPlan,
-    RewriteReport,
     RunReport,
     explain_pipeline,
     explain_plan,
     render_architecture,
-    rewrite_pipeline,
 )
 from repro.core.dsl import (
     LogicalOperator,
@@ -38,8 +36,6 @@ __all__ = [
     "LinguaMangaCompiler",
     "PhysicalPlan",
     "RunReport",
-    "RewriteReport",
-    "rewrite_pipeline",
     "explain_pipeline",
     "explain_plan",
     "render_architecture",

@@ -11,7 +11,6 @@ from repro.core.compiler.explain import (
     render_architecture,
 )
 from repro.core.compiler.plan import BoundOperator, PhysicalPlan, RunReport
-from repro.core.compiler.rewriter import RewriteReport, rewrite_pipeline
 from repro.core.compiler.registry import (
     build_module,
     default_strategy,
@@ -32,8 +31,6 @@ __all__ = [
     "explain_pipeline",
     "explain_plan",
     "render_architecture",
-    "RewriteReport",
-    "rewrite_pipeline",
     "BoundOperator",
     "PhysicalPlan",
     "RunReport",

@@ -20,7 +20,6 @@ from typing import Any
 from repro.core.compiler.context import CompilerContext
 from repro.core.compiler.plan import BoundOperator, PhysicalPlan
 from repro.core.compiler.registry import CompileError, build_module
-from repro.core.compiler.rewriter import RewriteReport, rewrite_pipeline
 from repro.core.dsl.operators import LogicalOperator
 from repro.core.dsl.pipeline import Pipeline
 from repro.core.modules.base import Module
@@ -57,18 +56,10 @@ class LinguaMangaCompiler:
     def __init__(self, context: CompilerContext | None = None):
         self.context = context or CompilerContext()
         self.validation_reports: list[ValidationReport] = []
-        self.last_rewrite: RewriteReport | None = None
 
-    def compile(self, pipeline: Pipeline, optimize: bool = False) -> PhysicalPlan:
-        """Bind every operator, applying optimizer attachments.
-
-        With ``optimize=True`` the logical rewriter runs first (fuse
-        duplicate stages, push filters early); the rewrite report is kept
-        on ``last_rewrite``.
-        """
+    def compile(self, pipeline: Pipeline) -> PhysicalPlan:
+        """Bind every operator, applying optimizer attachments."""
         pipeline.validate()
-        if optimize:
-            pipeline, self.last_rewrite = rewrite_pipeline(pipeline)
         bound: list[BoundOperator] = []
         obs = getattr(self.context.service, "obs", None)
         for operator in pipeline.topological_order():
@@ -93,12 +84,7 @@ class LinguaMangaCompiler:
         target = _innermost(module)
         # The validator repairs LLMGC modules in place; for other module
         # types it simply reports.
-        validator = ModuleValidator(
-            self.context.service,
-            list(cases),
-            max_rounds=int(operator.params.get("validator_rounds", 4)),
-            max_regenerations=int(operator.params.get("validator_regenerations", 1)),
-        )
+        validator = ModuleValidator(self.context.service, list(cases))
         if isinstance(target, LLMGCModule):
             report = validator.validate_and_repair(target)
         else:

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.llm.knowledge import KnowledgeBase
 from repro.llm.providers import SimulatedProvider
 from repro.llm.service import LLMService
 from repro.storage.database import Database
@@ -26,9 +25,3 @@ class CompilerContext:
     database: Database = field(default_factory=Database)
     tools: dict[str, Any] = field(default_factory=dict)
     options: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def knowledge(self) -> KnowledgeBase | None:
-        """The simulated provider's knowledge base, when available."""
-        provider = self.service.provider
-        return getattr(provider, "knowledge", None)

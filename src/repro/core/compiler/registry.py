@@ -26,14 +26,13 @@ from repro.core.modules.llm_module import (
 )
 from repro.core.modules.llmgc import LLMGCModule
 from repro.core.modules.mapping import EnrichModule, MapModule
-from repro.core.modules.validation import ChoiceValidator, NonEmptyValidator
+from repro.core.modules.validation import NonEmptyValidator
 from repro.datasets.catalog import BRANDS
 from repro.storage.table import Table
 from repro.text.language import detect_language
 from repro.text.normalize import normalize_text
 from repro.text.phrases import noun_phrases
-from repro.text.similarity import jaccard_similarity, jaro_winkler_similarity
-from repro.text.tokenize import word_tokenize
+from repro.text.similarity import jaro_winkler_similarity
 
 __all__ = [
     "CompileError",
@@ -294,40 +293,12 @@ def _match_llm_batch_factory(operator: LogicalOperator, context: CompilerContext
     )
 
 
-def _match_custom_factory(operator: LogicalOperator, context: CompilerContext) -> Module:
-    threshold = float(operator.params.get("threshold", 0.5))
-
-    def match(pair: Any) -> bool:
-        if isinstance(pair, dict) and "left" in pair:
-            left, right = pair["left"], pair["right"]
-        else:
-            left, right = pair
-        scores = []
-        for attribute in sorted(set(left) & set(right)):
-            a, b = left.get(attribute), right.get(attribute)
-            if a is None or b is None:
-                continue
-            scores.append(
-                0.6 * jaccard_similarity(str(a), str(b))
-                + 0.4 * jaro_winkler_similarity(str(a).lower(), str(b).lower())
-            )
-        return bool(scores) and sum(scores) / len(scores) >= threshold
-
-    inner = CustomModule(
-        f"{operator.name}_sim", match, f"similarity matcher (threshold {threshold})"
-    )
-    return _maybe_map(inner, operator)
-
-
 # ---------------------------------------------------------------------------
 # imputation
 # ---------------------------------------------------------------------------
 
 
 def _impute_llm_factory(operator: LogicalOperator, context: CompilerContext) -> Module:
-    validators = []
-    if operator.params.get("validate_choices", False):
-        validators.append(ChoiceValidator([b.name for b in BRANDS] + ["Unknown"]))
     module = LLMModule(
         name=f"{operator.name}_llm",
         service=context.service,
@@ -338,7 +309,6 @@ def _impute_llm_factory(operator: LogicalOperator, context: CompilerContext) -> 
         ),
         parser=parse_leading_word,
         payload_label="Product",
-        validators=validators,
         instructions=operator.params.get("instructions", ""),
         purpose=operator.params.get("purpose", operator.name),
     )
@@ -393,10 +363,8 @@ def _tools_for_text(context: CompilerContext) -> dict[str, Any]:
     return tools
 
 
-def _text_stage_factory(
-    kind_task: str, in_key: str, out_key: str, custom_fn: Callable[[Any], Any]
-) -> tuple[ModuleFactory, ModuleFactory]:
-    """Build (llmgc_factory, custom_factory) for a document text stage."""
+def _text_stage_factory(kind_task: str, in_key: str, out_key: str) -> ModuleFactory:
+    """The LLMGC factory of a document text stage."""
 
     def llmgc_factory(operator: LogicalOperator, context: CompilerContext) -> Module:
         inner = LLMGCModule(
@@ -410,11 +378,7 @@ def _text_stage_factory(
         stage = EnrichModule(operator.name, inner, in_key=in_key, out_key=out_key)
         return _maybe_map(stage, operator)
 
-    def custom_factory(operator: LogicalOperator, context: CompilerContext) -> Module:
-        stage = EnrichModule(operator.name, custom_fn, in_key=in_key, out_key=out_key)
-        return _maybe_map(stage, operator)
-
-    return llmgc_factory, custom_factory
+    return llmgc_factory
 
 
 def _tag_names_factory(operator: LogicalOperator, context: CompilerContext) -> Module:
@@ -445,21 +409,6 @@ def _tag_names_factory(operator: LogicalOperator, context: CompilerContext) -> M
     return _maybe_map(stage, operator)
 
 
-def _detect_language_llm_factory(
-    operator: LogicalOperator, context: CompilerContext
-) -> Module:
-    inner = LLMModule(
-        name=f"{operator.name}_llm",
-        service=context.service,
-        task_description="Detect the language of the text. Answer with a two-letter code.",
-        parser=lambda text: parse_leading_word(text).lower()[:2],
-        payload_label="Text",
-        purpose=operator.params.get("purpose", operator.name),
-    )
-    stage = EnrichModule(operator.name, inner, in_key="text", out_key="language")
-    return _maybe_map(stage, operator)
-
-
 def _detect_language_custom_factory(
     operator: LogicalOperator, context: CompilerContext
 ) -> Module:
@@ -475,35 +424,6 @@ def _detect_language_custom_factory(
 # ---------------------------------------------------------------------------
 # generic operators
 # ---------------------------------------------------------------------------
-
-
-def _classify_factory(operator: LogicalOperator, context: CompilerContext) -> Module:
-    choices = operator.params.get("choices")
-    if not choices:
-        raise CompileError(f"classify operator {operator.name!r} needs choices=")
-    module = LLMModule(
-        name=f"{operator.name}_llm",
-        service=context.service,
-        task_description=(
-            "Classify the input into exactly one of the choices.\n"
-            "Choices: " + " | ".join(str(c) for c in choices)
-        ),
-        parser=parse_leading_word,
-        validators=[ChoiceValidator(choices)],
-        purpose=operator.params.get("purpose", operator.name),
-    )
-    return _maybe_map(module, operator)
-
-
-def _dedupe_factory(operator: LogicalOperator, context: CompilerContext) -> Module:
-    inner = LLMGCModule(
-        name=f"{operator.name}_llmgc",
-        service=context.service,
-        task_description="Remove duplicate records from a list.",
-        tools=_tools_for_text(context),
-        purpose=operator.params.get("purpose", f"{operator.name}-codegen"),
-    )
-    return inner  # dedupe consumes the whole list
 
 
 def _dedupe_custom_factory(operator: LogicalOperator, context: CompilerContext) -> Module:
@@ -524,54 +444,25 @@ def _dedupe_custom_factory(operator: LogicalOperator, context: CompilerContext) 
     return CustomModule(operator.name, dedupe, "exact dedupe")
 
 
-def _clean_text_factory(operator: LogicalOperator, context: CompilerContext) -> Module:
-    inner = LLMGCModule(
-        name=f"{operator.name}_llmgc",
-        service=context.service,
-        task_description="Normalise a text value for comparison (clean it).",
-        tools=_tools_for_text(context),
-        purpose=operator.params.get("purpose", f"{operator.name}-codegen"),
-    )
-    return _maybe_map(inner, operator)
-
-
 def _clean_text_custom_factory(operator: LogicalOperator, context: CompilerContext) -> Module:
     inner = CustomModule(f"{operator.name}_fn", lambda v: normalize_text(str(v)), "normalize_text")
     return _maybe_map(inner, operator)
 
 
-def _filter_factory(operator: LogicalOperator, context: CompilerContext) -> Module:
-    predicate = operator.params.get("predicate")
-    if predicate is None or not callable(predicate):
-        raise CompileError(f"filter operator {operator.name!r} needs a callable predicate=")
-
-    def apply(records: list) -> list:
-        return [r for r in records if predicate(r)]
-
-    return CustomModule(operator.name, apply, "filter")
-
-
-def _transform_factory(operator: LogicalOperator, context: CompilerContext) -> Module:
-    fn = operator.params.get("fn")
-    if fn is None or not callable(fn):
-        raise CompileError(f"transform operator {operator.name!r} needs a callable fn=")
-    inner = CustomModule(f"{operator.name}_fn", fn, "user transform")
-    return _maybe_map(inner, operator)
-
-
 def _custom_factory(operator: LogicalOperator, context: CompilerContext) -> Module:
+    """A user's own ``Module``, or ``fn`` applied whole (or per item with ``map=True``)."""
     module = operator.params.get("module")
     if isinstance(module, Module):
         return module
     fn = operator.params.get("fn")
-    if callable(fn):
-        inner = CustomModule(operator.name, fn, operator.params.get("description", ""))
-        return inner if not operator.params.get("map", False) else MapModule(
-            f"{operator.name}_map", inner
+    if not callable(fn):
+        raise CompileError(
+            f"custom operator {operator.name!r} needs module= (a Module) or fn= (a callable)"
         )
-    raise CompileError(
-        f"custom operator {operator.name!r} needs module= (a Module) or fn= (a callable)"
-    )
+    description = operator.params.get("description", "")
+    if not operator.params.get("map", False):
+        return CustomModule(operator.name, fn, description)
+    return _maybe_map(CustomModule(f"{operator.name}_fn", fn, description), operator)
 
 
 def _schema_match_factory(operator: LogicalOperator, context: CompilerContext) -> Module:
@@ -597,59 +488,6 @@ def _schema_match_factory(operator: LogicalOperator, context: CompilerContext) -
     )
 
 
-def _schema_match_llmgc_factory(operator: LogicalOperator, context: CompilerContext) -> Module:
-    return LLMGCModule(
-        name=f"{operator.name}_llmgc",
-        service=context.service,
-        task_description="Write a schema matcher: match columns of two schemas by name similarity.",
-        tools=_tools_for_text(context),
-        purpose=operator.params.get("purpose", f"{operator.name}-codegen"),
-    )
-
-
-def _summarize_factory(operator: LogicalOperator, context: CompilerContext) -> Module:
-    module = LLMModule(
-        name=f"{operator.name}_llm",
-        service=context.service,
-        task_description="Summarize the text in at most two sentences.",
-        parser=lambda text: text.strip(),
-        payload_label="Text",
-        validators=[NonEmptyValidator()],
-        purpose=operator.params.get("purpose", operator.name),
-    )
-    return _maybe_map(module, operator)
-
-
-def _extract_names_factory(operator: LogicalOperator, context: CompilerContext) -> Module:
-    """Composite: noun phrases (custom) + language (custom) + tagging (LLM)."""
-    use_language = bool(operator.params.get("use_language", True))
-    holder: dict[str, Module] = {
-        "tagger": make_name_tagger(
-            f"{operator.name}_tagger", context, use_language=use_language
-        )
-    }
-
-    def extract(doc: Any) -> dict:
-        text = doc["text"] if isinstance(doc, dict) else str(doc)
-        enriched: dict[str, Any] = {"text": text}
-        enriched["tokens"] = word_tokenize(text)
-        if use_language:
-            enriched["language"] = detect_language(text).language
-        enriched["phrases"] = [span.text for span in noun_phrases(text)]
-        enriched["names"] = [
-            phrase
-            for phrase in enriched["phrases"]
-            if holder["tagger"].run(
-                {"phrase": phrase, "language": enriched.get("language")}
-            )
-        ]
-        return enriched
-
-    inner = CustomModule(f"{operator.name}_fn", extract, "end-to-end name extraction")
-    inner.tagger_holder = holder
-    return _maybe_map(inner, operator)
-
-
 # ---------------------------------------------------------------------------
 # registration
 # ---------------------------------------------------------------------------
@@ -658,47 +496,26 @@ register_strategy(OperatorKind.LOAD, "custom", _load_factory, default=True)
 register_strategy(OperatorKind.SAVE, "custom", _save_factory, default=True)
 
 register_strategy(OperatorKind.MATCH_ENTITIES, "llm", _match_llm_factory, default=True)
-register_strategy(OperatorKind.MATCH_ENTITIES, "custom", _match_custom_factory)
 register_strategy(OperatorKind.MATCH_ENTITIES, "llm_batch", _match_llm_batch_factory)
 
 register_strategy(OperatorKind.IMPUTE, "llm", _impute_llm_factory, default=True)
 register_strategy(OperatorKind.IMPUTE, "llmgc", _impute_llmgc_factory)
 
-_tokenize_llmgc, _tokenize_custom = _text_stage_factory(
-    "Tokenize a text into words.", "text", "tokens", word_tokenize
+register_strategy(
+    OperatorKind.TOKENIZE,
+    "llmgc",
+    _text_stage_factory("Tokenize a text into words.", "text", "tokens"),
 )
-register_strategy(OperatorKind.TOKENIZE, "llmgc", _tokenize_llmgc, default=True)
-register_strategy(OperatorKind.TOKENIZE, "custom", _tokenize_custom)
-
-_np_llmgc, _np_custom = _text_stage_factory(
-    "Extract candidate noun phrases (capitalised spans) from a text.",
-    "text",
-    "phrases",
-    lambda text: [span.text for span in noun_phrases(text)],
+register_strategy(
+    OperatorKind.NOUN_PHRASES,
+    "llmgc",
+    _text_stage_factory(
+        "Extract candidate noun phrases (capitalised spans) from a text.", "text", "phrases"
+    ),
 )
-register_strategy(OperatorKind.NOUN_PHRASES, "llmgc", _np_llmgc, default=True)
-register_strategy(OperatorKind.NOUN_PHRASES, "custom", _np_custom)
-
-register_strategy(OperatorKind.TAG_NAMES, "llm", _tag_names_factory, default=True)
-
-register_strategy(OperatorKind.DETECT_LANGUAGE, "llm", _detect_language_llm_factory, default=True)
+register_strategy(OperatorKind.TAG_NAMES, "llm", _tag_names_factory)
 register_strategy(OperatorKind.DETECT_LANGUAGE, "custom", _detect_language_custom_factory)
-
-register_strategy(OperatorKind.EXTRACT_NAMES, "llm", _extract_names_factory, default=True)
-
-register_strategy(OperatorKind.CLASSIFY, "llm", _classify_factory, default=True)
-
-register_strategy(OperatorKind.DEDUPE, "llmgc", _dedupe_factory)
-register_strategy(OperatorKind.DEDUPE, "custom", _dedupe_custom_factory, default=True)
-
-register_strategy(OperatorKind.CLEAN_TEXT, "llmgc", _clean_text_factory)
-register_strategy(OperatorKind.CLEAN_TEXT, "custom", _clean_text_custom_factory, default=True)
-
-register_strategy(OperatorKind.FILTER, "custom", _filter_factory, default=True)
-register_strategy(OperatorKind.TRANSFORM, "custom", _transform_factory, default=True)
-register_strategy(OperatorKind.CUSTOM, "custom", _custom_factory, default=True)
-
-register_strategy(OperatorKind.SCHEMA_MATCH, "llm", _schema_match_factory, default=True)
-register_strategy(OperatorKind.SCHEMA_MATCH, "llmgc", _schema_match_llmgc_factory)
-
-register_strategy(OperatorKind.SUMMARIZE, "llm", _summarize_factory, default=True)
+register_strategy(OperatorKind.DEDUPE, "custom", _dedupe_custom_factory)
+register_strategy(OperatorKind.CLEAN_TEXT, "custom", _clean_text_custom_factory)
+register_strategy(OperatorKind.CUSTOM, "custom", _custom_factory)
+register_strategy(OperatorKind.SCHEMA_MATCH, "llm", _schema_match_factory)

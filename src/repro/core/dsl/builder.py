@@ -90,14 +90,6 @@ class PipelineBuilder:
         """Append a text-normalisation operator."""
         return self.add(OperatorKind.CLEAN_TEXT, **params)
 
-    def filter(self, **params: Any) -> "PipelineBuilder":
-        """Append a filtering operator."""
-        return self.add(OperatorKind.FILTER, **params)
-
-    def transform(self, **params: Any) -> "PipelineBuilder":
-        """Append a per-record transform operator."""
-        return self.add(OperatorKind.TRANSFORM, **params)
-
     def custom(self, **params: Any) -> "PipelineBuilder":
         """Append a custom (user-code) operator."""
         return self.add(OperatorKind.CUSTOM, **params)

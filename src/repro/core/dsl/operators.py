@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-__all__ = ["OperatorKind", "LogicalOperator", "OPERATOR_CATALOGUE"]
+__all__ = ["OperatorKind", "LogicalOperator"]
 
 
 class OperatorKind:
@@ -25,14 +25,9 @@ class OperatorKind:
     NOUN_PHRASES = "noun_phrases"
     TAG_NAMES = "tag_names"
     DETECT_LANGUAGE = "detect_language"
-    EXTRACT_NAMES = "extract_names"
-    CLASSIFY = "classify"
     DEDUPE = "dedupe"
     CLEAN_TEXT = "clean_text"
-    FILTER = "filter"
-    TRANSFORM = "transform"
     SCHEMA_MATCH = "schema_match"
-    SUMMARIZE = "summarize"
     CUSTOM = "custom"
     DEDUP_CANDIDATES = "dedup_candidates"
     QUALITY_FILTER = "quality_filter"
@@ -40,41 +35,9 @@ class OperatorKind:
 
     ALL = (
         LOAD, SAVE, MATCH_ENTITIES, IMPUTE, TOKENIZE, NOUN_PHRASES, TAG_NAMES,
-        DETECT_LANGUAGE, EXTRACT_NAMES, CLASSIFY, DEDUPE, CLEAN_TEXT, FILTER,
-        TRANSFORM, SCHEMA_MATCH, SUMMARIZE, CUSTOM, DEDUP_CANDIDATES,
-        QUALITY_FILTER, DECONTAMINATE,
+        DETECT_LANGUAGE, DEDUPE, CLEAN_TEXT, SCHEMA_MATCH, CUSTOM,
+        DEDUP_CANDIDATES, QUALITY_FILTER, DECONTAMINATE,
     )
-
-
-#: Human descriptions used by template search and the UI.
-OPERATOR_CATALOGUE: dict[str, str] = {
-    OperatorKind.LOAD: "Load a table from CSV/JSON or an in-memory source",
-    OperatorKind.SAVE: "Save a table or values to CSV/JSON",
-    OperatorKind.MATCH_ENTITIES: "Decide whether record pairs refer to the same entity",
-    OperatorKind.IMPUTE: "Fill in missing attribute values",
-    OperatorKind.TOKENIZE: "Split text into tokens",
-    OperatorKind.NOUN_PHRASES: "Extract candidate noun phrases from text",
-    OperatorKind.TAG_NAMES: "Tag which phrases are person names",
-    OperatorKind.DETECT_LANGUAGE: "Detect the language of a text",
-    OperatorKind.EXTRACT_NAMES: "Extract person names from text end-to-end",
-    OperatorKind.CLASSIFY: "Classify an input into one of a set of labels",
-    OperatorKind.DEDUPE: "Remove duplicate records",
-    OperatorKind.CLEAN_TEXT: "Normalise text values",
-    OperatorKind.FILTER: "Keep records matching a predicate",
-    OperatorKind.TRANSFORM: "Apply a function to each record",
-    OperatorKind.SCHEMA_MATCH: "Match columns between two schemas",
-    OperatorKind.SUMMARIZE: "Summarise a text",
-    OperatorKind.CUSTOM: "A user-provided operator",
-    OperatorKind.DEDUP_CANDIDATES: (
-        "Generate candidate duplicate pairs via exact digests and MinHash/LSH"
-    ),
-    OperatorKind.QUALITY_FILTER: (
-        "Judge document quality via a rule/LLM classifier cascade"
-    ),
-    OperatorKind.DECONTAMINATE: (
-        "Flag documents that leak held-out benchmark items"
-    ),
-}
 
 
 @dataclass

@@ -13,7 +13,7 @@ Grammar (line oriented)::
   an operator parameter.
 - Values: single/double-quoted strings, numbers, ``true``/``false``,
   ``null``, bare identifiers (operator references), and ``[...]`` lists.
-- ``#`` starts a comment.
+- ``#`` outside a quoted string starts a comment.
 """
 
 from __future__ import annotations
@@ -33,6 +33,9 @@ class DslParseError(ValueError):
 
 _HEADER_RE = re.compile(r'^pipeline\s+(?:"([^"]*)"|\'([^\']*)\'|(\w+))\s*:\s*$')
 _STATEMENT_RE = re.compile(r"^(?:(\w+)\s*=\s*)?(\w+)\s*\((.*)\)\s*$")
+# A line's code: quoted strings (a ``#`` inside one is data) and any other
+# character but ``#``; an unterminated string runs to the end of the line.
+_CODE_RE = re.compile(r"""(?:"(?:[^"\\]|\\.)*"?|'(?:[^'\\]|\\.)*'?|[^"'#])*""")
 _TOKEN_RE = re.compile(
     r"""\s*(?:
         (?P<string>"(?:[^"\\]|\\.)*"|'(?:[^'\\]|\\.)*')
@@ -132,7 +135,7 @@ def parse_pipeline(text: str) -> Pipeline:
     pipeline: Pipeline | None = None
     auto_counter = 0
     for line_number, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _CODE_RE.match(raw).group(0).strip()
         if not line:
             continue
         if pipeline is None:

@@ -18,7 +18,6 @@ from repro.core.modules.llm_module import (
 )
 from repro.core.modules.llmgc import CodeSandboxError, LLMGCModule, compile_generated_code
 from repro.core.modules.validation import (
-    ChoiceValidator,
     NonEmptyValidator,
     OutputValidator,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "CodeSandboxError",
     "LLMGCModule",
     "compile_generated_code",
-    "ChoiceValidator",
     "NonEmptyValidator",
     "OutputValidator",
 ]

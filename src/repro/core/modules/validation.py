@@ -10,11 +10,10 @@ value range can identify and correct potential errors."  Validators check a
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Iterable
+from typing import Any
 
 __all__ = [
     "OutputValidator",
-    "ChoiceValidator",
     "NonEmptyValidator",
 ]
 
@@ -25,28 +24,6 @@ class OutputValidator(ABC):
     @abstractmethod
     def check(self, value: Any) -> tuple[bool, str]:
         """Return ``(ok, message)``; ``message`` explains a failure."""
-
-
-class ChoiceValidator(OutputValidator):
-    """Value must be one of a closed set (case-insensitive for strings)."""
-
-    def __init__(self, choices: Iterable[Any]):
-        self.choices = list(choices)
-        if not self.choices:
-            raise ValueError("choices must be non-empty")
-        self._folded = {
-            c.lower() if isinstance(c, str) else c for c in self.choices
-        }
-
-    def check(self, value: Any) -> tuple[bool, str]:
-        folded = value.lower() if isinstance(value, str) else value
-        try:
-            ok = folded in self._folded
-        except TypeError:
-            return False, f"unhashable output {value!r}"
-        if not ok:
-            return False, f"{value!r} not in {self.choices}"
-        return True, ""
 
 
 class NonEmptyValidator(OutputValidator):

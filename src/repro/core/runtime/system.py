@@ -101,12 +101,9 @@ class LinguaManga:
 
     # -- compile and run ---------------------------------------------------------------
 
-    def compile(self, pipeline: Pipeline, optimize: bool = False) -> PhysicalPlan:
-        """Compile a logical pipeline into a physical plan.
-
-        ``optimize=True`` runs the logical rewriter first.
-        """
-        return self.compiler.compile(pipeline, optimize=optimize)
+    def compile(self, pipeline: Pipeline) -> PhysicalPlan:
+        """Compile a logical pipeline into a physical plan."""
+        return self.compiler.compile(pipeline)
 
     def run(
         self,

@@ -159,58 +159,6 @@ def run(value, tools):
     return None
 '''
 
-_LANG_DETECT_V0 = '''
-def run(value, tools):
-    """Detect the language of a text passage."""
-    detect = tools["detect_language"]
-    return detect(value).language
-'''
-
-_DEDUPE_V0 = '''
-def run(value, tools):
-    """Drop exact-duplicate records (by full value equality)."""
-    seen, out = set(), []
-    for record in value:
-        key = tuple(sorted(record.items()))
-        if key not in seen:
-            seen.add(key)
-            out.append(record)
-    return out
-'''
-
-_CLEAN_TEXT_V0 = '''
-def run(value, tools):
-    """Normalise a text value for comparison."""
-    return " ".join(str(value).lower().split())
-'''
-
-_CLEAN_TEXT_V1 = '''
-def run(value, tools):
-    """Normalise a text value: accents, units, abbreviations, whitespace."""
-    normalize = tools["normalize_text"]
-    return normalize(str(value))
-'''
-
-_SCHEMA_MATCH_V0 = '''
-def run(value, tools):
-    """Match columns of two schemas by name similarity.
-
-    ``value`` is a dict with 'left' and 'right' lists of column names;
-    returns a list of (left, right) pairs above a similarity threshold.
-    """
-    similarity = tools["string_similarity"]
-    matches = []
-    for left in value["left"]:
-        best, best_score = None, 0.0
-        for right in value["right"]:
-            score = similarity(left.lower(), right.lower())
-            if score > best_score:
-                best, best_score = right, score
-        if best is not None and best_score >= 0.55:
-            matches.append((left, best))
-    return matches
-'''
-
 _LIBRARY: dict[str, list[CodeCandidate]] = {
     "tokenize": [
         CodeCandidate("tokenize", 0, _TOKENIZE_V0, "whitespace split; punctuation glued to words"),
@@ -225,19 +173,6 @@ _LIBRARY: dict[str, list[CodeCandidate]] = {
         CodeCandidate("impute_manufacturer", 0, _IMPUTE_V0, "brand mention in name only"),
         CodeCandidate("impute_manufacturer", 1, _IMPUTE_V1, "brand mention in name or description"),
         CodeCandidate("impute_manufacturer", 2, _IMPUTE_V2, "rules first, LLM escalation for hard cases"),
-    ],
-    "detect_language": [
-        CodeCandidate("detect_language", 0, _LANG_DETECT_V0, "delegates to granted language tool"),
-    ],
-    "dedupe": [
-        CodeCandidate("dedupe", 0, _DEDUPE_V0, "exact-duplicate removal"),
-    ],
-    "clean_text": [
-        CodeCandidate("clean_text", 0, _CLEAN_TEXT_V0, "lowercase + whitespace"),
-        CodeCandidate("clean_text", 1, _CLEAN_TEXT_V1, "full normalisation via granted tool"),
-    ],
-    "schema_match": [
-        CodeCandidate("schema_match", 0, _SCHEMA_MATCH_V0, "name-similarity column matching"),
     ],
 }
 
@@ -271,10 +206,6 @@ _SUGGESTIONS: dict[tuple[str, int], str] = {
         "Escalate those records to the provided llm_impute tool, keeping the "
         "cheap rule for records that do mention their brand."
     ),
-    ("clean_text", 0): (
-        "Lowercasing is not enough: accents, measurement units and "
-        "abbreviations still differ. Use the provided normalize_text tool."
-    ),
 }
 
 # Keyword routing: first match wins, so order matters.
@@ -282,10 +213,6 @@ _ROUTES: tuple[tuple[str, str], ...] = (
     (r"manufactur|imput|brand|missing value", "impute_manufacturer"),
     (r"noun.?phrase|candidate phrase|capitali[sz]ed span", "noun_phrases"),
     (r"token", "tokenize"),
-    (r"language", "detect_language"),
-    (r"dedup|duplicate", "dedupe"),
-    (r"normali[sz]e|clean", "clean_text"),
-    (r"schema|column match", "schema_match"),
 )
 
 

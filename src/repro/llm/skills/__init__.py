@@ -11,10 +11,8 @@ from repro.llm.skills.curation import (
 )
 from repro.llm.skills.entity_matching import EntityMatchingSkill, match_score
 from repro.llm.skills.imputation import ImputationSkill
-from repro.llm.skills.langdetect import LanguageDetectionSkill
 from repro.llm.skills.misc import (
     ChatFallbackSkill,
-    ClassificationSkill,
     NL2SQLSkill,
     SchemaMatchingSkill,
     SummarizationSkill,
@@ -38,11 +36,9 @@ def default_skills() -> list[Skill]:
         ContaminationJudgmentSkill(),
         ImputationSkill(),
         TaggingSkill(),
-        LanguageDetectionSkill(),
         NL2SQLSkill(),
         TableQASkill(),
         SchemaMatchingSkill(),
-        ClassificationSkill(),
         SummarizationSkill(),
         ChatFallbackSkill(),
     ]
@@ -63,9 +59,7 @@ __all__ = [
     "knowledge_quality_score",
     "containment_score",
     "ImputationSkill",
-    "LanguageDetectionSkill",
     "ChatFallbackSkill",
-    "ClassificationSkill",
     "NL2SQLSkill",
     "SchemaMatchingSkill",
     "SummarizationSkill",

@@ -1,5 +1,5 @@
-"""General-purpose skills: classification, NL-to-SQL, summarisation,
-schema matching, and the conversational fallback.
+"""General-purpose skills: NL-to-SQL, summarisation, schema matching, and
+the conversational fallback.
 """
 
 from __future__ import annotations
@@ -7,59 +7,17 @@ from __future__ import annotations
 import json
 import re
 
-from repro._util import stable_choice, stable_unit
 from repro.llm.knowledge import KnowledgeBase
 from repro.llm.skills.base import Skill, extract_text_field
 from repro.text.similarity import jaro_winkler_similarity
-from repro.text.tokenize import sentence_split, word_tokenize
+from repro.text.tokenize import sentence_split
 
 __all__ = [
-    "ClassificationSkill",
     "NL2SQLSkill",
     "SummarizationSkill",
     "SchemaMatchingSkill",
     "ChatFallbackSkill",
 ]
-
-
-class ClassificationSkill(Skill):
-    """Pick one of the offered choices for an input.
-
-    The prompt must contain ``Choices: a | b | c`` and an ``Input:`` line.
-    The model votes by token overlap between the input and each choice, with
-    a small calibrated error rate on near-ties.
-    """
-
-    name = "classify"
-
-    def matches(self, prompt: str) -> bool:
-        return (
-            "classify" in prompt.lower()
-            and extract_text_field(prompt, "Choices") is not None
-        )
-
-    def respond(self, prompt: str, kb: KnowledgeBase) -> str:
-        choices_text = extract_text_field(prompt, "Choices") or ""
-        choices = [c.strip() for c in choices_text.split("|") if c.strip()]
-        if not choices:
-            return "I need a 'Choices:' line with | separated options."
-        payload = extract_text_field(prompt, "Input") or prompt
-        tokens = set(word_tokenize(payload.lower()))
-        scores = []
-        for choice in choices:
-            choice_tokens = set(word_tokenize(choice.lower()))
-            overlap = len(tokens & choice_tokens)
-            fuzzy = max(
-                (jaro_winkler_similarity(choice.lower(), t) for t in tokens),
-                default=0.0,
-            )
-            scores.append(overlap + 0.5 * fuzzy)
-        best = max(range(len(choices)), key=lambda i: scores[i])
-        ranked = sorted(scores, reverse=True)
-        margin = ranked[0] - (ranked[1] if len(ranked) > 1 else 0.0)
-        if margin < 0.25 and stable_unit("classify", payload) < 0.15:
-            best = stable_choice(range(len(choices)), "classify-err", payload)
-        return choices[best]
 
 
 class NL2SQLSkill(Skill):

@@ -39,7 +39,6 @@ from repro.obs.profile import ProfileRow, RunProfile, profile_records
 from repro.obs.progress import progress_events
 from repro.obs.trace import (
     NULL_SPAN,
-    SPAN_KINDS,
     Span,
     Tracer,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "Observability",
     "Tracer",
     "Span",
-    "SPAN_KINDS",
     "NULL_SPAN",
     "MetricsRegistry",
     "Counter",

@@ -39,17 +39,10 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 __all__ = [
-    "SPAN_KINDS",
     "NULL_SPAN",
     "Span",
     "Tracer",
 ]
-
-#: The span kinds, outermost first.  ``shard`` is the streaming executor's
-#: analogue of ``chunk`` (one streamed, ledger-journalled shard, pinned to the
-#: operator-entry timestamp); ``event`` marks point-in-time occurrences
-#: such as a journal torn-tail truncation.
-SPAN_KINDS = ("run", "phase", "module", "chunk", "shard", "llm_call", "event")
 
 @dataclass
 class Span:

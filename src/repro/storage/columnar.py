@@ -114,8 +114,9 @@ def minhash_signatures_many(
 
     ``a``/``b`` come from :func:`repro.text.minhash.minhash_params`; ids
     must lie below ``2**32`` (shingle ids lie below the prime).  Returns an
-    ``(n_docs, num_perm)`` ``uint64`` array; empty rows get the all-
-    ``EMPTY_SLOT`` (= prime) sentinel, matching the scalar oracle.
+    ``(n_docs, num_perm)`` ``uint64`` array; an empty row is all prime, an
+    impossible minimum (permutation outputs lie below it), matching the
+    scalar oracle.
     """
     num_perm = len(a)
     a_arr = np.asarray(a, dtype=np.uint64)

@@ -10,7 +10,6 @@ from repro.text.normalize import (
     strip_accents,
 )
 from repro.text.minhash import (
-    EMPTY_SLOT,
     MINHASH_PRIME,
     MinHashParams,
     minhash_params,
@@ -72,7 +71,6 @@ __all__ = [
     "QualityStats",
     "quality_stats",
     "rule_quality_score",
-    "EMPTY_SLOT",
     "MINHASH_PRIME",
     "MinHashParams",
     "minhash_params",

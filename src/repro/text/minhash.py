@@ -32,19 +32,12 @@ from repro.text.shingle import SHINGLE_SPACE
 
 __all__ = [
     "MINHASH_PRIME",
-    "EMPTY_SLOT",
     "MinHashParams",
     "minhash_params",
 ]
 
 #: Modulus of the permutation family; equals :data:`~repro.text.shingle.SHINGLE_SPACE`.
 MINHASH_PRIME = (1 << 31) - 1
-
-#: Signature slot value for an *empty* shingle set.  Permutation outputs lie
-#: in ``[0, MINHASH_PRIME)``, so the prime itself is an impossible minimum —
-#: two empty documents agree everywhere (J = 1) and an empty vs non-empty
-#: document agrees nowhere (J = 0), matching exact Jaccard's conventions.
-EMPTY_SLOT = MINHASH_PRIME
 
 assert SHINGLE_SPACE == MINHASH_PRIME
 

@@ -5,7 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.core.compiler.explain import explain_pipeline, render_architecture
-from repro.core.compiler.registry import CompileError, build_module, default_strategy
+from repro.core.compiler.registry import (
+    _REGISTRY,
+    CompileError,
+    build_module,
+    default_strategy,
+)
 from repro.core.dsl.builder import PipelineBuilder
 from repro.core.dsl.operators import LogicalOperator, OperatorKind
 from repro.core.modules.cascade import CascadeModule
@@ -24,6 +29,16 @@ class TestRegistry:
         for kind in OperatorKind.ALL:
             assert default_strategy(kind), f"no strategies for {kind}"
 
+    def test_only_the_measured_kinds_offer_a_choice(self):
+        # Fig. 2 batching (match_entities) and Fig. 4 hybrid (impute) are the
+        # choices a template or workload picks; every other kind has one.
+        choices = {kind: strategies for kind, strategies in _REGISTRY.items() if len(strategies) > 1}
+        assert set(_REGISTRY) == set(OperatorKind.ALL)
+        assert {kind: sorted(s) for kind, s in choices.items()} == {
+            "match_entities": ["cascade", "llm", "llm_batch"],
+            "impute": ["llm", "llmgc"],
+        }
+
     def test_impl_param_selects_strategy(self, context):
         op = LogicalOperator("c", OperatorKind.CLEAN_TEXT, params={"impl": "custom"})
         module = build_module(op, context)
@@ -40,14 +55,29 @@ class TestRegistry:
         with pytest.raises(Exception):
             module.run({})
 
-    def test_filter_requires_callable(self, context):
-        op = LogicalOperator("f", OperatorKind.FILTER, params={"predicate": "nope"})
-        with pytest.raises(CompileError):
-            build_module(op, context)
+    def test_custom_requires_module_or_callable(self, context):
+        for params in ({}, {"fn": "nope"}, {"module": "nope"}):
+            op = LogicalOperator("f", OperatorKind.CUSTOM, params=params)
+            with pytest.raises(CompileError, match="module= .* or fn="):
+                build_module(op, context)
 
-    def test_classify_requires_choices(self, context):
-        with pytest.raises(CompileError):
-            build_module(LogicalOperator("c", OperatorKind.CLASSIFY), context)
+    def test_custom_map_isolates_records_per_error_policy(self, system):
+        def halve(value):
+            if value < 0:
+                raise ValueError("negative")
+            return value / 2
+
+        pipeline = (
+            PipelineBuilder("p")
+            .load(source="values")
+            .custom(fn=halve, map=True, error_policy="skip_record")
+            .save(key="out")
+            .build()
+        )
+        report = system.run(pipeline, {"values": [4, -1, 6]})
+        assert report.outputs[pipeline.sinks()[0].name] == [2.0, 3.0]
+        assert [(q.record, q.module_name) for q in report.quarantine] == [(-1, "custom_2")]
+        assert "negative" in report.quarantine[0].error
 
 
 class TestCompileAndExecute:
@@ -102,11 +132,11 @@ class TestCompileAndExecute:
         pipeline = (
             PipelineBuilder("p")
             .load(source="docs")
-            .detect_language(impl="llm")
+            .impute(impl="llm")
             .save(key="out")
             .build()
         )
-        report = system.run(pipeline, {"docs": [{"text": "hola amigo ayer"}]})
+        report = system.run(pipeline, {"docs": [{"name": "PlayStation 2 Memory Card"}]})
         assert report.cost is not None
         assert report.cost.served_calls >= 1
         assert any("invocations=1" in s for s in report.module_stats.values())
@@ -151,9 +181,9 @@ class TestValidatorAttachment:
 #: placement -> (builder step, its params, where the student must sit)
 PLACEMENTS = {
     "tagger_holder": ("tag_names", {}, lambda m: m.inner.tagger_holder["tagger"]),
-    "map": ("transform", {"fn": lambda x: x * 2}, lambda m: m.inner),
+    "map": ("custom", {"fn": lambda x: x * 2, "map": True}, lambda m: m.inner),
     "map_over_cascade": ("quality_filter", {}, lambda m: m.inner.teacher),
-    "enrich": ("detect_language", {"impl": "llm", "map": False}, lambda m: m.stage),
+    "enrich": ("tokenize", {"impl": "llmgc", "map": False}, lambda m: m.stage),
     "bare": ("match_entities", {"impl": "llm", "map": False}, lambda m: m),
 }
 

@@ -182,6 +182,16 @@ class TestTextualParser:
         with pytest.raises(DslParseError):
             parse_pipeline("   \n  # only a comment\n")
 
+    def test_hash_inside_quotes_is_data(self):
+        p = parse_pipeline(
+            'pipeline "C# demo":  # header comment\n'
+            '  a = load(source="in#put")\n'
+            '  s = save(input=a, key="out#1", note=\'x # y\')  # trailing "#" comment\n'
+        )
+        assert p.name == "C# demo"
+        assert p.operator("a").params == {"source": "in#put"}
+        assert p.operator("s").params == {"key": "out#1", "note": "x # y"}
+
     def test_string_escapes(self):
         p = parse_pipeline('pipeline "x":\n  load(path="a\\"b")\n')
         assert p.operators[0].params["path"] == 'a"b'

@@ -59,10 +59,10 @@ class TestValidator:
         assert validator.validate_and_repair(module).passed is True
 
     def test_unfixable_task_exhausts_timeouts(self, service):
-        # The dedupe candidate can never satisfy an impossible expectation.
-        module = LLMGCModule("d", service, "remove duplicate records")
+        # No tokenizer candidate can satisfy an impossible expectation.
+        module = LLMGCModule("d", service, "tokenize text into words")
         validator = ModuleValidator(
-            service, [TestCase([{"a": 1}], "impossible")], max_rounds=2, max_regenerations=1
+            service, [TestCase("a b", "impossible")], max_rounds=2, max_regenerations=1
         )
         report = validator.validate_and_repair(module)
         assert report.passed is False

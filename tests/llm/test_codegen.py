@@ -15,10 +15,6 @@ class TestRouting:
             ("impute the missing manufacturer of products", "impute_manufacturer"),
             ("extract noun phrases from text", "noun_phrases"),
             ("tokenize a sentence into words", "tokenize"),
-            ("detect the language of a passage", "detect_language"),
-            ("remove duplicate records", "dedupe"),
-            ("normalise messy strings", "clean_text"),
-            ("match columns of two schemas", "schema_match"),
         ],
     )
     def test_routes(self, description: str, task: str):

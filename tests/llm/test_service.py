@@ -96,8 +96,8 @@ class TestLedger:
         assert service.usage("zzz").total_calls == 0
 
     def test_records_tag_skill(self, service: LLMService):
-        service.complete(PROMPT)
-        assert service.records[0].skill == "langdetect"
+        service.complete("Summarize the text.\nText: El informe fue presentado ayer.")
+        assert service.records[0].skill == "summarize"
 
     def test_usage_text_rendering(self, service: LLMService):
         service.complete(PROMPT)

@@ -163,9 +163,6 @@ class TestRouting:
     def test_tagging_routed(self):
         assert self.prompt_for("Is this a person name?\nPhrase: John Smith") == "tagging"
 
-    def test_langdetect_routed(self):
-        assert self.prompt_for("Detect the language of the text.\nText: hola amigo") == "langdetect"
-
     def test_codegen_routed(self):
         assert self.prompt_for("Please write a python code for this.\nTask: tokenize text") == "codegen"
 
@@ -401,17 +398,6 @@ class TestNL2SQL:
     def test_listing_question(self):
         sql = self.respond("Show the name of products under 10")
         assert sql.startswith("SELECT name")
-
-
-class TestClassification:
-    def test_classify_picks_overlapping_choice(self):
-        provider = SimulatedProvider()
-        prompt = (
-            "Classify the input into exactly one of the choices.\n"
-            "Choices: beverage | furniture | music\n"
-            "Input: a hoppy beverage from the brewery"
-        )
-        assert provider.complete(LLMRequest(prompt=prompt)).text == "beverage"
 
 
 class TestSkillStackOrder:

@@ -16,11 +16,17 @@ import hashlib
 import struct
 from typing import Any, Iterator
 
-from repro.obs.trace import SPAN_KINDS, Span, Tracer
-from repro.text.minhash import EMPTY_SLOT, MINHASH_PRIME, MinHashParams
+from repro.obs.trace import Span, Tracer
+from repro.text.minhash import MINHASH_PRIME, MinHashParams
 from repro.text.shingle import simple_canonical
 
 # -- MinHash / LSH ----------------------------------------------------------
+
+#: Signature slot value for an *empty* shingle set.  Permutation outputs lie
+#: in ``[0, MINHASH_PRIME)``, so the prime itself is an impossible minimum —
+#: two empty documents agree everywhere (J = 1) and an empty vs non-empty
+#: document agrees nowhere (J = 0), matching exact Jaccard's conventions.
+EMPTY_SLOT = MINHASH_PRIME
 
 
 def minhash_signature(ids: tuple[int, ...], params: MinHashParams) -> tuple[int, ...]:
@@ -104,6 +110,13 @@ def walk_spans(roots: "list[Span] | Span") -> Iterator[tuple[Span, Span | None]]
         yield span, parent
         for child in reversed(span.children):
             stack.append((child, span))
+
+
+#: The span kinds, outermost first.  ``shard`` is the streaming executor's
+#: analogue of ``chunk`` (one streamed, ledger-journalled shard, pinned to the
+#: operator-entry timestamp); ``event`` marks point-in-time occurrences
+#: such as a journal torn-tail truncation.
+SPAN_KINDS = ("run", "phase", "module", "chunk", "shard", "llm_call", "event")
 
 
 def span_tree_problems(root: Span) -> list[str]:

@@ -299,7 +299,7 @@ def toy_plan(middle=None, service=None):
     pipeline = Pipeline(name="toy")
     pipeline.add(LogicalOperator(name="src", kind="load", params={}, inputs=[]))
     pipeline.add(
-        LogicalOperator(name="work", kind="transform", params={}, inputs=["src"])
+        LogicalOperator(name="work", kind="custom", params={}, inputs=["src"])
     )
     pipeline.add(
         LogicalOperator(name="out", kind="save", params={}, inputs=["work"])
@@ -497,7 +497,7 @@ class TestPlanValidation:
         pipeline = Pipeline(name="diamond")
         pipeline.add(LogicalOperator(name="a", kind="load", params={}, inputs=[]))
         pipeline.add(
-            LogicalOperator(name="b", kind="transform", params={}, inputs=["a"])
+            LogicalOperator(name="b", kind="custom", params={}, inputs=["a"])
         )
         pipeline.add(
             LogicalOperator(
@@ -541,7 +541,7 @@ class TestPlanValidation:
         pipeline = Pipeline(name="toy2")
         pipeline.add(LogicalOperator(name="src", kind="load", params={}, inputs=[]))
         pipeline.add(
-            LogicalOperator(name="work", kind="transform", params={}, inputs=["src"])
+            LogicalOperator(name="work", kind="custom", params={}, inputs=["src"])
         )
         pipeline.add(
             LogicalOperator(

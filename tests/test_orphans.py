@@ -1,7 +1,8 @@
 """No public name or method in ``src/repro`` that only the tests reach.
 
-A public module-level ``def`` or ``class`` (outside ``__init__.py``), and a
-public method of such a class, must be referenced from ``src/``,
+A public module-level ``def``, ``class`` or constant (a name a top-level
+assignment binds) outside ``__init__.py``, and a public method of such a
+class, must be referenced from ``src/``,
 ``benchmarks/`` or ``examples/``: as a name that is read, as an attribute
 name, or as a string equal to the name (``getattr`` and string dispatch).
 A reference from inside the definition's own body does not count, and
@@ -37,6 +38,11 @@ ALLOWED: dict[str, str] = {
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_CONSTANTS = (ast.Assign, ast.AnnAssign)
+
+
+def _targets(node: ast.Assign | ast.AnnAssign) -> list[ast.expr]:
+    return node.targets if isinstance(node, ast.Assign) else [node.target]
 
 
 def _scan() -> tuple[dict[tuple[str, str], int], list[tuple[str, tuple | None]]]:
@@ -56,6 +62,12 @@ def _scan() -> tuple[dict[tuple[str, str], int], list[tuple[str, tuple | None]]]
             public = folder == "src" and path.name != "__init__.py"
             owners: dict[int, tuple[str, str]] = {}
             for node in tree.body:
+                if isinstance(node, _CONSTANTS) and public:
+                    for target in _targets(node):
+                        if isinstance(target, ast.Name) and not target.id.startswith("_"):
+                            definitions[relative, target.id] = node.lineno
+                            for child in ast.walk(node):
+                                owners[id(child)] = (relative, target.id)
                 if not isinstance(node, _DEFINITIONS):
                     continue
                 key = (relative, node.name)
@@ -72,7 +84,16 @@ def _scan() -> tuple[dict[tuple[str, str], int], list[tuple[str, tuple | None]]]
                         definitions[method_key] = method.lineno
                         for child in ast.walk(method):
                             owners[id(child)] = method_key
+            listed = {
+                id(child)
+                for node in tree.body
+                if isinstance(node, _CONSTANTS)
+                and "__all__" in {getattr(t, "id", None) for t in _targets(node)}
+                for child in ast.walk(node)
+            }
             for node in ast.walk(tree):
+                if id(node) in listed:
+                    continue
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     references.append((node.id, owners.get(id(node))))
                 elif isinstance(node, ast.Attribute):

@@ -28,7 +28,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.core.compiler.curation import _bucket_pairs  # noqa: E402
-from repro.text.minhash import EMPTY_SLOT, minhash_params  # noqa: E402
+from repro.text.minhash import minhash_params  # noqa: E402
 from repro.text.shingle import (  # noqa: E402
     SHINGLE_SPACE,
     exact_jaccard,
@@ -38,6 +38,7 @@ from repro.text.shingle import (  # noqa: E402
 )
 
 from ..oracles import (  # noqa: E402
+    EMPTY_SLOT,
     band_keys,
     estimate_jaccard,
     minhash_error_bound,

@@ -53,13 +53,13 @@ class TestModuleInspector:
     def test_shows_generated_source_for_llmgc(self, system):
         pipeline = (
             PipelineBuilder("p")
-            .load(source="values")
-            .clean_text(impl="llmgc")
+            .load(source="docs")
+            .tokenize(impl="llmgc")
             .save(key="out")
             .build()
         )
         plan = system.compile(pipeline)
-        plan.execute({"values": ["a"]})
+        plan.execute({"docs": [{"text": "a b"}]})
         from repro.core.compiler.compiler import _innermost
 
         inner = _innermost(plan.module(pipeline.operators[1].name))
