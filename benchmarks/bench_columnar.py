@@ -1,6 +1,6 @@
 """Columnar kernels against their scalar references — a kernel micro-bench.
 
-Two kernels are measured against the reference functions the equivalence
+Three kernels are measured against the reference functions the equivalence
 suites compare them with, on synthetic corpora sized by
 ``BENCH_COLUMNAR_RECORDS`` (default 100k records):
 
@@ -9,7 +9,10 @@ suites compare them with, on synthetic corpora sized by
   (dict probes, per-pair Levenshtein), both downstream of the shared
   TF-IDF model build;
 - **baseline feature extraction**: ``PairFeatureExtractor.transform`` vs
-  stacked ``transform_pair`` rows over the full Magellan/Ditto metric menu.
+  stacked ``transform_pair`` rows over the full Magellan/Ditto metric menu;
+- **quality statistics**: ``quality_stats`` (whole-text regex passes) vs
+  the per-token ``per_token_quality_stats`` of ``tests/oracles.py``, over
+  one ``CurationCorpus`` document per 40 records (2 500 by default).
 
 The reference side of feature extraction is measured on a
 ``BENCH_COLUMNAR_SCALAR_SAMPLE`` subset (default 4000 pairs) and
@@ -30,16 +33,23 @@ import itertools
 import math
 import os
 import random
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+from repro.datasets.curation import CurationCorpus
 from repro.ml.features import PAIR_FEATURE_NAMES, PairFeatureExtractor
 from repro.tasks.blocking import _block_columnar, _block_scalar
 from repro.text.normalize import normalize_text
+from repro.text.quality import quality_stats
 from repro.text.similarity import TfIdfModel
 
 from _harness import emit, emit_json
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.oracles import per_token_quality_stats  # noqa: E402
 
 N_RECORDS = int(os.environ.get("BENCH_COLUMNAR_RECORDS", "100000"))
 SCALAR_SAMPLE = int(os.environ.get("BENCH_COLUMNAR_SCALAR_SAMPLE", "4000"))
@@ -237,4 +247,34 @@ def test_feature_extraction_speedup():
             },
         ],
         speedup=speedup,
+    )
+
+
+def test_quality_kernel_speedup():
+    texts = [doc.text for doc in CurationCorpus(max(N_RECORDS // 40, 50), seed=7)]
+
+    per_token_seconds, per_token_rows = _best_of(
+        lambda: [per_token_quality_stats(text) for text in texts]
+    )
+    one_pass_seconds, one_pass_rows = _best_of(
+        lambda: [quality_stats(text) for text in texts]
+    )
+
+    assert one_pass_rows == per_token_rows
+    speedup = per_token_seconds / one_pass_seconds
+    emit(
+        "columnar_quality",
+        f"quality statistics, {len(texts):,} curation documents:\n"
+        f"per-token {per_token_seconds:8.3f}s\n"
+        f"one-pass  {one_pass_seconds:8.3f}s\n"
+        f"speedup   {speedup:7.2f}x (identical stats)",
+    )
+    emit_json(
+        "columnar_quality",
+        [
+            {"name": "per_token", "wall_seconds": per_token_seconds},
+            {"name": "one_pass", "wall_seconds": one_pass_seconds},
+        ],
+        speedup=speedup,
+        documents=len(texts),
     )

@@ -33,13 +33,6 @@ class Pipeline:
         self.operators.append(operator)
         return self
 
-    def operator(self, name: str) -> LogicalOperator:
-        """Look up an operator by name."""
-        for op in self.operators:
-            if op.name == name:
-                return op
-        raise KeyError(f"no operator named {name!r} in pipeline {self.name!r}")
-
     def validate(self) -> None:
         """Check structure; raises :class:`PipelineError` on problems."""
         if not self.operators:

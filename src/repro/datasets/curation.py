@@ -18,22 +18,27 @@ three curation tasks —
   raw n-gram scan) or disguised through normalisation-invertible rewrites
   (only the LLM adjudicator recovers those).
 
-Determinism contract (the ISSUE's generator fix): every random decision is
-drawn from a ``stable_hash``-keyed stream scoped to the record (or cluster)
-it concerns — there is **no** shared ``random.Random`` advanced in
-iteration order — so ``corpus.doc(i)`` is a pure function of
-``(seed, name, i)`` and streaming consumption equals materialised
-iteration, in any access order.
+Determinism contract: every random decision is drawn from a
+``stable_hash``-keyed stream scoped to the record (or cluster) it concerns —
+there is **no** shared ``random.Random`` advanced in iteration order — so
+``corpus.doc(i)`` is a pure function of ``(seed, name, i)`` and streaming
+consumption equals materialised iteration, in any access order.
+
+A corpus object derives each document once: ``doc`` memoises the frozen
+:class:`CurationDoc` it returns, and a cluster's canonical content once for
+all its duplicates.  The memo lives and dies with the corpus object; a
+second object with the same identity derives equal documents afresh.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro._util import seeded_rng, stable_hash, stable_unit
+from repro.datasets.catalog import BEER_STYLES, BREWERY_WORDS, CUISINES
 
 __all__ = [
     "CurationDoc",
@@ -145,6 +150,10 @@ _GENERIC_SENTENCES = (
     "A portion of proceeds supports the local watershed restoration fund.",
 )
 
+#: Beer styles a canonical document draws from (the catalogue's first two
+#: spelled as the variant forms the mutator flips).
+_CONTENT_STYLES = ("IPA", "ESB") + BEER_STYLES[2:]
+
 _VOCAB_WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
 
 
@@ -158,8 +167,6 @@ def curation_vocabulary() -> frozenset[str]:
     word, slot value, catalogue entry, variant form, boilerplate phrase and
     eval-frame word is.
     """
-    from repro.datasets.catalog import BEER_STYLES, BREWERY_WORDS, CUISINES
-
     words: set[str] = set()
 
     def add(text: str) -> None:
@@ -332,6 +339,14 @@ class CurationCorpus:
     eval_size: int = 32
     #: first index eligible to be a duplicate (guarantees canonical targets)
     dup_floor: int = 8
+    #: documents derived so far, by index (see :meth:`doc`)
+    _docs: dict[int, CurationDoc] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    #: canonical ``(sentences, quality)`` derived so far, by cluster
+    _contents: dict[int, tuple[tuple[str, ...], float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.n_docs < 0:
@@ -393,12 +408,10 @@ class CurationCorpus:
 
     def _canonical_content(self, cluster: int) -> tuple[list[str], float]:
         """``(sentences, quality)`` of a cluster's canonical document."""
-        from repro.datasets.catalog import BEER_STYLES, BREWERY_WORDS, CUISINES
-
         rng = seeded_rng(stable_hash(self.seed, self.name, "content", cluster))
         quality = rng.random()
         subject = f"{rng.choice(_ADJECTIVES)} {rng.choice(_NOUNS)}"
-        style = rng.choice(("IPA", "ESB") + BEER_STYLES[2:])
+        style = rng.choice(_CONTENT_STYLES)
         brewery = rng.choice(BREWERY_WORDS)
         cuisine = rng.choice(CUISINES).lower()
         street = rng.choice(_STREETS)
@@ -438,9 +451,14 @@ class CurationCorpus:
             "finish": finish,
             "score": score,
         }
-        pool = [template.format(**slots) for template in _SENTENCE_TEMPLATES]
-        n_sentences = rng.randint(6, min(9, len(pool)))
-        sentences = rng.sample(pool, n_sentences)
+        # ``sample`` draws by position alone, so picking positions and
+        # formatting only those equals sampling the formatted pool.
+        n_templates = len(_SENTENCE_TEMPLATES)
+        n_sentences = rng.randint(6, min(9, n_templates))
+        sentences = [
+            _SENTENCE_TEMPLATES[position].format(**slots)
+            for position in rng.sample(range(n_templates), n_sentences)
+        ]
         # Up to three *generic* sentences from a small shared pool: different
         # clusters can share these verbatim, which pushes negative-pair raw
         # Jaccard into the LSH candidate band — the hard negatives the LLM
@@ -484,6 +502,14 @@ class CurationCorpus:
                 f"SERIES {number}.",
             )
         return sentences, quality
+
+    def _cluster_content(self, cluster: int) -> tuple[tuple[str, ...], float]:
+        """:meth:`_canonical_content`, derived once per cluster."""
+        content = self._contents.get(cluster)
+        if content is None:
+            sentences, quality = self._canonical_content(cluster)
+            content = self._contents.setdefault(cluster, (tuple(sentences), quality))
+        return content
 
     # -- mutation and contamination ---------------------------------------------
 
@@ -556,11 +582,20 @@ class CurationCorpus:
     # -- the document ------------------------------------------------------------
 
     def doc(self, index: int) -> CurationDoc:
-        """Derive document ``index`` from scratch; O(1) memory, deterministic."""
+        """Document ``index``, derived once per corpus object.
+
+        The first call derives it (deterministically) and keeps it; later
+        calls return that same object.  Two threads racing on one index may
+        both derive it, into equal documents, and both get the one kept.
+        """
+        known = self._docs.get(index)
+        if known is not None:
+            return known
         if not 0 <= index < self.n_docs:
             raise IndexError(f"doc index {index} out of range [0, {self.n_docs})")
         cluster = self._cluster_of(index)
-        sentences, quality = self._canonical_content(cluster)
+        content, quality = self._cluster_content(cluster)
+        sentences = list(content)
         is_duplicate = cluster != index
         if is_duplicate:
             rng = seeded_rng(stable_hash(self.seed, self.name, "mutate", index))
@@ -582,7 +617,7 @@ class CurationCorpus:
         # corpus-unique — the streaming executor's rollback of a failed
         # attempt relies on that (see repro.core.runtime.workqueue).
         text = " ".join(sentences + [f"Catalogue ref {doc_id}."])
-        return CurationDoc(
+        derived = CurationDoc(
             index=index,
             doc_id=doc_id,
             text=text,
@@ -593,6 +628,7 @@ class CurationCorpus:
             contaminated=contaminated,
             eval_index=eval_index,
         )
+        return self._docs.setdefault(index, derived)
 
     # -- streaming views ---------------------------------------------------------
 
@@ -616,7 +652,7 @@ class CurationCorpus:
 
         Positives pair a duplicate with its cluster canonical; negatives
         pair two nearby canonicals.  Found by a bounded forward scan (the
-        :meth:`StreamingERCorpus.examples` idiom) so nothing materialises.
+        :meth:`StreamingERCorpus.examples` idiom): at most ``scan`` documents.
         """
         positives: list[tuple[dict, dict]] = []
         negatives: list[tuple[dict, dict]] = []

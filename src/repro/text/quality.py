@@ -33,15 +33,43 @@ __all__ = [
 _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+")
 _WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
 _CONSONANT_CLUSTER_RE = re.compile(r"[bcdfghjklmnpqrstvwxz]{4,}")
-_ASCII_DIGIT_RE = re.compile(r"[0-9]")
+# The whole-text passes, for text that :func:`_counts_in_one_pass` admits.
+# There every non-ASCII character of the lowered text is a letter, so a
+# word (``_WORD_RE``) is a run of ``a-z`` and non-ASCII characters.
+_LOWERED_WORD_RE = re.compile(r"[a-z\x80-\U0010ffff]+")
+# One match per whitespace token that holds an ASCII digit: the match starts
+# at the token's first digit and runs to its end.
+_DIGIT_TOKEN_RE = re.compile(r"[0-9]\S*")
+# One match per lowered word holding a 4+ consonant run: the match starts at
+# the word's first such run and runs to the word's end.
+_CLUSTER_WORD_RE = re.compile(r"[bcdfghjklmnpqrstvwxz]{4}[a-z\x80-\U0010ffff]*")
+_NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
+# The one letter ``lower()`` maps by context: "ς" at the end of a word.
+_CAPITAL_SIGMA = "\u03a3"
 
 
-def _has_digit(token: str) -> bool:
-    """``any(c.isdigit() for c in token)``, one regex search when ASCII."""
-    if _ASCII_DIGIT_RE.search(token):
+def _counts_in_one_pass(text: str) -> bool:
+    """Whether the whole-text passes of :func:`quality_stats` are exact.
+
+    They are when every non-ASCII character is a letter whose ``lower()``
+    is one letter, independent of its context: then lower-casing keeps
+    every character's word/digit/space class, so words of the lowered text
+    are the lowered words, and only ASCII digits exist.  ``str.isdigit``
+    accepts ``"²"``, ``"İ".lower()`` is two characters and ``"Σ"`` lowers
+    by position, so such text keeps the per-token loop.
+    """
+    if text.isascii():
         return True
-    # str.isdigit also accepts non-ASCII digits ("²", "٣").
-    return not token.isascii() and any(c.isdigit() for c in token)
+    for char in set(_NON_ASCII_RE.findall(text)):
+        lowered = char.lower()
+        if (
+            char == _CAPITAL_SIGMA
+            or not char.isalpha()
+            or len(lowered) != 1
+            or not lowered.isalpha()
+        ):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -59,15 +87,26 @@ class QualityStats:
 
 
 def quality_stats(text: str) -> QualityStats:
-    """Compute the surface statistics :func:`rule_quality_score` scores."""
+    """Compute the surface statistics :func:`rule_quality_score` scores.
+
+    Words, digit tokens and consonant-cluster words are counted in
+    whole-text regex passes when :func:`_counts_in_one_pass` proves them
+    equal to a per-token count; any other text is counted token by token.
+    """
     tokens = text.split()
     sentences = [s.strip() for s in _SENTENCE_SPLIT_RE.split(text.strip()) if s.strip()]
-    words = [w.lower() for w in _WORD_RE.findall(text)]
+    if _counts_in_one_pass(text):
+        lowered = text.lower()
+        words = _LOWERED_WORD_RE.findall(lowered)
+        digits = len(_DIGIT_TOKEN_RE.findall(text))
+        clustered = len(_CLUSTER_WORD_RE.findall(lowered))
+    else:
+        words = [w.lower() for w in _WORD_RE.findall(text)]
+        digits = sum(1 for t in tokens if any(c.isdigit() for c in t))
+        clustered = sum(1 for w in words if _CONSONANT_CLUSTER_RE.search(w))
     n_tokens = len(tokens)
     n_sentences = len(sentences)
     caps = sum(1 for t in tokens if len(t) > 2 and t.isupper())
-    digits = sum(1 for t in tokens if _has_digit(t))
-    clustered = sum(1 for w in words if _CONSONANT_CLUSTER_RE.search(w))
     return QualityStats(
         n_tokens=n_tokens,
         n_sentences=n_sentences,

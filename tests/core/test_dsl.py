@@ -8,6 +8,11 @@ from repro.core.dsl.builder import PipelineBuilder
 from repro.core.dsl.operators import LogicalOperator, OperatorKind
 from repro.core.dsl.parser import DslParseError, parse_pipeline
 from repro.core.dsl.pipeline import Pipeline, PipelineError
+from repro.core.runtime.system import LinguaManga
+
+
+def by_name(pipeline: Pipeline, name: str) -> LogicalOperator:
+    return next(op for op in pipeline.operators if op.name == name)
 
 
 class TestLogicalOperator:
@@ -111,7 +116,7 @@ class TestBuilder:
             .add(OperatorKind.CUSTOM, name="j", inputs=["a", "b"], fn=lambda v: v)
             .build()
         )
-        assert p.operator("j").inputs == ["a", "b"]
+        assert by_name(p, "j").inputs == ["a", "b"]
 
     def test_params_forwarded(self):
         p = PipelineBuilder("t").load(source="x").match_entities(impl="llm", examples=[]).save().build()
@@ -147,16 +152,29 @@ class TestTextualParser:
 
     def test_inputs_wired(self):
         p = parse_pipeline(self.GOOD)
-        assert p.operator("b").inputs == ["a"]
+        assert by_name(p, "b").inputs == ["a"]
 
     def test_inputs_list(self):
         text = '''
         pipeline "m":
           a = load(source="x")
           b = load(source="y")
-          j = custom(inputs=[a, b], description="join")
+          j = save(inputs=[a, b], key="both")
         '''
-        assert parse_pipeline(text).operator("j").inputs == ["a", "b"]
+        p = parse_pipeline(text)
+        assert by_name(p, "j").inputs == ["a", "b"]
+        # What the DSL spells also compiles and runs: both inputs arrive.
+        report = LinguaManga().run(p, inputs={"x": [1], "y": [2]})
+        assert report.outputs["j"] == ([1], [2])
+
+    def test_custom_refused_at_its_line(self):
+        text = (
+            'pipeline "m":\n'
+            '  a = load(source="x")\n'
+            '  j = custom(inputs=[a], description="join")\n'
+        )
+        with pytest.raises(DslParseError, match=r"line 3: .*PipelineBuilder\.custom"):
+            parse_pipeline(text)
 
     def test_unnamed_operator_gets_auto_alias(self):
         p = parse_pipeline('pipeline "x":\n  load(source="v")\n')
@@ -189,8 +207,8 @@ class TestTextualParser:
             '  s = save(input=a, key="out#1", note=\'x # y\')  # trailing "#" comment\n'
         )
         assert p.name == "C# demo"
-        assert p.operator("a").params == {"source": "in#put"}
-        assert p.operator("s").params == {"key": "out#1", "note": "x # y"}
+        assert by_name(p, "a").params == {"source": "in#put"}
+        assert by_name(p, "s").params == {"key": "out#1", "note": "x # y"}
 
     def test_string_escapes(self):
         p = parse_pipeline('pipeline "x":\n  load(path="a\\"b")\n')

@@ -5,19 +5,22 @@ Production runs the columnar MinHash / LSH kernels
 the plain-Python forms below define what those kernels must equal, bit for
 bit.  The span-tree helpers walk a :class:`~repro.obs.trace.Span` tree for
 the golden and property assertions, and flatten it to the parent-linked
-records the golden traces are stored as.  The last two restate a cascade's
-escalation band and a retry policy's backoff sequence for the tests that
-check behaviour against them.
+records the golden traces are stored as.  The per-token quality statistics
+define what the whole-text passes of :func:`repro.text.quality.quality_stats`
+must equal.  The last two restate a cascade's escalation band and a retry
+policy's backoff sequence for the tests that check behaviour against them.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 import struct
 from typing import Any, Iterator
 
 from repro.obs.trace import Span, Tracer
 from repro.text.minhash import MINHASH_PRIME, MinHashParams
+from repro.text.quality import QualityStats
 from repro.text.shingle import simple_canonical
 
 # -- MinHash / LSH ----------------------------------------------------------
@@ -93,6 +96,37 @@ def document_digest(text: str) -> str:
     return hashlib.blake2b(
         simple_canonical(text).encode("utf-8"), digest_size=16
     ).hexdigest()
+
+
+# -- quality statistics -------------------------------------------------------
+
+_SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+")
+_WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
+_CONSONANT_CLUSTER_RE = re.compile(r"[bcdfghjklmnpqrstvwxz]{4,}")
+
+
+def per_token_quality_stats(text: str) -> QualityStats:
+    """:class:`QualityStats` counted token by token and word by word."""
+    tokens = text.split()
+    sentences = [s.strip() for s in _SENTENCE_SPLIT_RE.split(text.strip()) if s.strip()]
+    words = [w.lower() for w in _WORD_RE.findall(text)]
+    n_tokens = len(tokens)
+    n_sentences = len(sentences)
+    caps = sum(1 for t in tokens if len(t) > 2 and t.isupper())
+    digits = sum(1 for t in tokens if any(c.isdigit() for c in t))
+    clustered = sum(1 for w in words if _CONSONANT_CLUSTER_RE.search(w))
+    return QualityStats(
+        n_tokens=n_tokens,
+        n_sentences=n_sentences,
+        tokens_per_sentence=n_tokens / n_sentences if n_sentences else 0.0,
+        allcaps_ratio=caps / n_tokens if n_tokens else 0.0,
+        digit_token_ratio=digits / n_tokens if n_tokens else 0.0,
+        distinct_sentence_ratio=(
+            len(set(sentences)) / n_sentences if n_sentences else 0.0
+        ),
+        distinct_word_ratio=len(set(words)) / len(words) if words else 0.0,
+        cluster_word_ratio=clustered / len(words) if words else 0.0,
+    )
 
 
 # -- span trees --------------------------------------------------------------
