@@ -1,6 +1,6 @@
 """Columnar kernels against their scalar references — a kernel micro-bench.
 
-Three kernels are measured against the reference functions the equivalence
+Four kernels are measured against the reference functions the equivalence
 suites compare them with, on synthetic corpora sized by
 ``BENCH_COLUMNAR_RECORDS`` (default 100k records):
 
@@ -12,7 +12,11 @@ suites compare them with, on synthetic corpora sized by
   stacked ``transform_pair`` rows over the full Magellan/Ditto metric menu;
 - **quality statistics**: ``quality_stats`` (whole-text regex passes) vs
   the per-token ``per_token_quality_stats`` of ``tests/oracles.py``, over
-  one ``CurationCorpus`` document per 40 records (2 500 by default).
+  one ``CurationCorpus`` document per 40 records (2 500 by default);
+- **long-document Jaro**: ``jaro_similarity`` (a stack of unmatched
+  positions per character) vs the window scan ``jaro_reference`` of
+  ``tests/oracles.py``, over pairs of ``CurationCorpus`` documents (one per
+  400 records, 250 by default), each with its neighbour.
 
 The reference side of feature extraction is measured on a
 ``BENCH_COLUMNAR_SCALAR_SAMPLE`` subset (default 4000 pairs) and
@@ -44,12 +48,12 @@ from repro.ml.features import PAIR_FEATURE_NAMES, PairFeatureExtractor
 from repro.tasks.blocking import _block_columnar, _block_scalar
 from repro.text.normalize import normalize_text
 from repro.text.quality import quality_stats
-from repro.text.similarity import TfIdfModel
+from repro.text.similarity import TfIdfModel, jaro_similarity
 
 from _harness import emit, emit_json
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-from tests.oracles import per_token_quality_stats  # noqa: E402
+from tests.oracles import jaro_reference, per_token_quality_stats  # noqa: E402
 
 N_RECORDS = int(os.environ.get("BENCH_COLUMNAR_RECORDS", "100000"))
 SCALAR_SAMPLE = int(os.environ.get("BENCH_COLUMNAR_SCALAR_SAMPLE", "4000"))
@@ -277,4 +281,38 @@ def test_quality_kernel_speedup():
         ],
         speedup=speedup,
         documents=len(texts),
+    )
+
+
+def test_jaro_kernel_speedup():
+    texts = [doc.text for doc in CurationCorpus(max(N_RECORDS // 400, 20), seed=7)]
+    pairs = list(zip(texts, texts[1:] + texts[:1]))
+    mean_chars = sum(len(text) for text in texts) / len(texts)
+
+    window_seconds, window_scores = _best_of(
+        lambda: [jaro_reference(a, b) for a, b in pairs]
+    )
+    linear_seconds, linear_scores = _best_of(
+        lambda: [jaro_similarity(a, b) for a, b in pairs]
+    )
+
+    assert linear_scores == window_scores
+    speedup = window_seconds / linear_seconds
+    emit(
+        "columnar_jaro",
+        f"Jaro similarity, {len(pairs):,} curation document pairs "
+        f"({mean_chars:.0f} characters a document):\n"
+        f"window scan {window_seconds:8.3f}s\n"
+        f"linear      {linear_seconds:8.3f}s\n"
+        f"speedup     {speedup:7.2f}x (bit-equal scores)",
+    )
+    emit_json(
+        "columnar_jaro",
+        [
+            {"name": "window_scan", "wall_seconds": window_seconds},
+            {"name": "linear", "wall_seconds": linear_seconds},
+        ],
+        speedup=speedup,
+        pairs=len(pairs),
+        mean_chars=round(mean_chars, 1),
     )

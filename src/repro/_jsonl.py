@@ -12,7 +12,7 @@ rules:
   entries are one call, and one block line), so an acknowledged line
   survives the death of the process.  An append starts a background fsync
   when at least :data:`DEFAULT_FSYNC_INTERVAL` has passed since the last
-  one, which bounds what a power cut can take;
+  one (or since the handle opened), which bounds what a power cut can take;
   :meth:`~CheckpointJournal.close` and :meth:`~CheckpointJournal.rewrite`
   fsync inline.
 - **Damaged lines.**  A newline-terminated line that does not decode (not
@@ -292,6 +292,9 @@ class CheckpointJournal:
             if self._handle is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._handle = self.path.open("ab")
+                # The interval counts from the open: close() fsyncs a
+                # short-lived journal, which needs no sync thread.
+                self._last_fsync = time.monotonic()
             piece: list[bytes] = []
             size = 0
             for line in lines:

@@ -28,9 +28,11 @@ class BatchEntityMatchingSkill(Skill):
     name = "batch_entity_matching"
 
     def matches(self, prompt: str) -> bool:
-        headers = _PAIR_HEADER_RE.findall(prompt)
-        return len(headers) >= 1 and "record a" in prompt.lower() and (
-            "same entity" in prompt.lower() or "equivalent" in prompt.lower()
+        lowered = prompt.lower()
+        return (
+            "record a" in lowered
+            and ("same entity" in lowered or "equivalent" in lowered)
+            and _PAIR_HEADER_RE.search(prompt) is not None
         )
 
     def respond(self, prompt: str, kb: KnowledgeBase) -> str:

@@ -209,10 +209,12 @@ class EntityMatchingSkill(Skill):
     threshold = MATCH_THRESHOLD
 
     def matches(self, prompt: str) -> bool:
-        return bool(_TRIGGER.search(prompt)) and (
-            extract_json_field(prompt, "Record A") is not None
-            or "record a" in prompt.lower()
-        )
+        # The substring test first: a prompt without it (a curation quality
+        # or decontamination prompt) never pays the trigger's scan.  A
+        # ``Record A:`` label holds it too — the label matches case-blind,
+        # and every character that matches one of its letters case-blind
+        # lowers to that letter — so the label needs no test of its own.
+        return "record a" in prompt.lower() and bool(_TRIGGER.search(prompt))
 
     def respond(self, prompt: str, kb: KnowledgeBase) -> str:
         left = extract_json_field(prompt, "Record A")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -112,38 +113,46 @@ def levenshtein_similarity(a: str, b: str) -> float:
 
 
 def jaro_similarity(a: str, b: str) -> float:
-    """Jaro similarity: order-tolerant character matching."""
+    """Jaro similarity: order-tolerant character matching, in O(|a| + |b|).
+
+    The greedy pass matches ``a[i]`` to the leftmost unmatched equal
+    character of ``b`` within ``window`` of ``i``.  Windows only move
+    right, so per character the positions of ``b`` are taken in increasing
+    order, and one that falls below a window is below every later one:
+    each character keeps a stack of its unmatched positions, smallest on
+    top, and a position is pushed once and popped at most once.  The
+    matches, the transpositions and the float are the window scan's
+    (``jaro_reference`` in ``tests/oracles.py``).
+    """
     if a == b:
         return 1.0
     if not a or not b:
         return 0.0
-    window = max(len(a), len(b)) // 2 - 1
-    window = max(window, 0)
-    a_flags = [False] * len(a)
-    b_flags = [False] * len(b)
-    matches = 0
+    window = max(max(len(a), len(b)) // 2 - 1, 0)
+    unmatched: dict[str, list[int]] = {}
+    for j in range(len(b) - 1, -1, -1):
+        stack = unmatched.get(b[j])
+        if stack is None:
+            unmatched[b[j]] = [j]
+        else:
+            stack.append(j)
+    b_flags = bytearray(len(b))
+    a_matched: list[str] = []
     for i, ca in enumerate(a):
-        lo = max(0, i - window)
-        hi = min(len(b), i + window + 1)
-        for j in range(lo, hi):
-            if not b_flags[j] and b[j] == ca:
-                a_flags[i] = b_flags[j] = True
-                matches += 1
-                break
-    if matches == 0:
-        return 0.0
-    transpositions = 0
-    j = 0
-    for i, flagged in enumerate(a_flags):
-        if not flagged:
+        stack = unmatched.get(ca)
+        if not stack:
             continue
-        while not b_flags[j]:
-            j += 1
-        if a[i] != b[j]:
-            transpositions += 1
-        j += 1
-    transpositions //= 2
-    m = float(matches)
+        lo = i - window
+        while stack and stack[-1] < lo:
+            stack.pop()
+        if stack and stack[-1] <= i + window:
+            b_flags[stack.pop()] = 1
+            a_matched.append(ca)
+    if not a_matched:
+        return 0.0
+    # Matched characters pair up in order on both sides.
+    transpositions = sum(x != y for x, y in zip(a_matched, compress(b, b_flags))) // 2
+    m = float(len(a_matched))
     return (m / len(a) + m / len(b) + (m - transpositions) / m) / 3.0
 
 

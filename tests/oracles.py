@@ -7,7 +7,8 @@ bit.  The span-tree helpers walk a :class:`~repro.obs.trace.Span` tree for
 the golden and property assertions, and flatten it to the parent-linked
 records the golden traces are stored as.  The per-token quality statistics
 define what the whole-text passes of :func:`repro.text.quality.quality_stats`
-must equal.  The last two restate a cascade's escalation band and a retry
+must equal, and the window-scan Jaro what :func:`jaro_similarity` must.
+The last two restate a cascade's escalation band and a retry
 policy's backoff sequence for the tests that check behaviour against them.
 """
 
@@ -127,6 +128,46 @@ def per_token_quality_stats(text: str) -> QualityStats:
         distinct_word_ratio=len(set(words)) / len(words) if words else 0.0,
         cluster_word_ratio=clustered / len(words) if words else 0.0,
     )
+
+
+# -- Jaro ---------------------------------------------------------------------
+
+
+def jaro_reference(a: str, b: str) -> float:
+    """Jaro similarity by the window scan: O(|a| * window).
+
+    For each character of ``a``, scan ``b`` within ``max(|a|, |b|) // 2 - 1``
+    of its position for the leftmost unmatched equal character.
+    """
+    if a == b:
+        return 1.0
+    if not a or not b:
+        return 0.0
+    window = max(max(len(a), len(b)) // 2 - 1, 0)
+    a_flags = [False] * len(a)
+    b_flags = [False] * len(b)
+    matches = 0
+    for i, ca in enumerate(a):
+        for j in range(max(0, i - window), min(len(b), i + window + 1)):
+            if not b_flags[j] and b[j] == ca:
+                a_flags[i] = b_flags[j] = True
+                matches += 1
+                break
+    if matches == 0:
+        return 0.0
+    transpositions = 0
+    j = 0
+    for i, flagged in enumerate(a_flags):
+        if not flagged:
+            continue
+        while not b_flags[j]:
+            j += 1
+        if a[i] != b[j]:
+            transpositions += 1
+        j += 1
+    transpositions //= 2
+    m = float(matches)
+    return (m / len(a) + m / len(b) + (m - transpositions) / m) / 3.0
 
 
 # -- span trees --------------------------------------------------------------

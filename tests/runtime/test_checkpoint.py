@@ -8,12 +8,14 @@ recovery, header validation, fingerprint stability and the cache rewind.
 from __future__ import annotations
 
 import json
+import os
 import shutil
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import repro._jsonl as jsonl
 from repro.core.runtime.checkpoint import (
     JOURNAL_FORMAT_VERSION,
     CheckpointError,
@@ -154,6 +156,40 @@ class TestCheckpointJournal:
             journal.append({"n": n})
         assert len(CheckpointJournal(journal.path).load()) == 5
         journal.close()
+
+    @pytest.fixture()
+    def clock(self, monkeypatch):
+        """The journal module's monotonic clock, moved by hand; counts fsyncs."""
+        now = SimpleNamespace(value=1000.0, fsyncs=0)
+        monkeypatch.setattr(jsonl, "time", SimpleNamespace(monotonic=lambda: now.value))
+        real_fsync = os.fsync
+
+        def fsync(descriptor):
+            now.fsyncs += 1
+            real_fsync(descriptor)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        return now
+
+    def test_a_journal_closed_within_the_interval_fsyncs_once_and_starts_no_thread(
+        self, tmp_path, clock
+    ):
+        journal = CheckpointJournal(tmp_path / "run.wal")
+        for n in range(3):
+            journal.append({"n": n})
+            clock.value += jsonl.DEFAULT_FSYNC_INTERVAL / 4
+        assert journal._fsync_thread is None
+        journal.close()
+        assert clock.fsyncs == 1  # close's
+
+    def test_appends_spanning_the_interval_start_the_sync_thread(self, tmp_path, clock):
+        journal = CheckpointJournal(tmp_path / "run.wal")
+        journal.append({"n": 0})
+        clock.value += 2 * jsonl.DEFAULT_FSYNC_INTERVAL  # past the interval since the open
+        journal.append({"n": 1})
+        assert journal._fsync_thread is not None
+        journal.close()
+        assert 1 <= clock.fsyncs <= 2  # the thread's, if it ran first, and close's
 
 
 class TestHeaderValidation:

@@ -5,6 +5,9 @@
 settled, ``_fuzzy_containment`` does not Jaro-score a token the longer value
 holds, ``match_score`` evaluates Jaccard once, ``document_sketch`` hashes a
 shingle string once and ``overlap_profile`` intersects instead of looping.
+``jaro_similarity`` walks a stack of unmatched positions per character
+instead of scanning a window per character, and the entity-matching skills
+test a substring before they run a regex over the prompt.
 ``normalize_whitespace``, ``strip_accents``, the n-gram windows and the
 MinHash residues are built by C loops (``str.split``, ``str.translate``,
 ``zip``, Mersenne folding) instead of a regex, per-text NFKD, slices and
@@ -31,7 +34,21 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 import repro.llm.skills.entity_matching as matching  # noqa: E402
 import repro.text.normalize as normalize  # noqa: E402
 import repro.text.shingle as shingle  # noqa: E402
+from repro.core.dsl.builder import PipelineBuilder  # noqa: E402
+from repro.core.runtime.system import LinguaManga  # noqa: E402
 from repro.datasets import StreamingERCorpus, generate_er_dataset  # noqa: E402
+from repro.datasets.curation import CurationCorpus  # noqa: E402
+from repro.llm.providers import LLMRequest, SimulatedProvider  # noqa: E402
+from repro.llm.service import LLMService  # noqa: E402
+from repro.llm.skills import (  # noqa: E402
+    BatchEntityMatchingSkill,
+    EntityMatchingSkill,
+    default_skills,
+)
+from repro.llm.skills.base import extract_json_field  # noqa: E402
+from repro.llm.skills.batch_matching import _PAIR_HEADER_RE  # noqa: E402
+from repro.tasks import table  # noqa: E402
+from repro.tasks.curation import run_quality_filter  # noqa: E402
 from repro.text.normalize import (  # noqa: E402
     expand_abbreviations,
     extract_numbers,
@@ -52,11 +69,13 @@ from repro.text.overlap import (  # noqa: E402
 from repro.text.shingle import simple_canonical, word_shingles  # noqa: E402
 from repro.text.similarity import (  # noqa: E402
     jaccard_similarity,
+    jaro_similarity,
     jaro_winkler_similarity,
+    jaro_winkler_similarity_many,
     qgram_similarity,
 )
 
-from ..oracles import minhash_signature  # noqa: E402
+from ..oracles import jaro_reference, minhash_signature  # noqa: E402
 
 MAX_EXAMPLES = int(os.environ.get("MINHASH_PROP_EXAMPLES", "60"))
 
@@ -288,6 +307,177 @@ def test_match_score_is_bit_equal_on_generated_record_pairs():
         assert matching.match_score(left, right) == match_score_reference(left, right)
 
 
+# -- Jaro ---------------------------------------------------------------------------
+
+#: Curation documents of 500 characters or more (the dedup prompts send two
+#: whole ones through ``match_score``), each with its cluster's original.
+LONG_DOCS = [doc for doc in CurationCorpus(40, seed=7) if len(doc.text) >= 500]
+LONG_PAIRS = [
+    (a.text, b.text) for a, b in zip(LONG_DOCS, LONG_DOCS[1:] + LONG_DOCS[:1])
+] + [(doc.text, LONG_DOCS[doc.cluster].text) for doc in LONG_DOCS if doc.cluster != doc.index]
+#: Few letters, many repeats: a character's unmatched positions pile up,
+#: fall below the window and are matched out of the middle of its stack.
+REPEATS = st.text(alphabet=st.sampled_from("abc"), max_size=40)
+#: Astral code points, combining marks (a decomposed ``é`` is two of them)
+#: and a precomposed ``é``: each is one position, whatever it renders as.
+ODD_CODE_POINTS = st.text(
+    alphabet=st.sampled_from(
+        ["a", "e", "\u0301", "\u00e9", "\U0001F600", "\U00010348", "\u200d"]
+    ),
+    max_size=16,
+)
+JARO_TEXT = st.one_of(
+    REPEATS, ODD_CODE_POINTS, st.sampled_from([doc.text for doc in LONG_DOCS])
+)
+
+
+def test_the_long_documents_are_long_and_include_near_duplicates():
+    assert len(LONG_DOCS) == 40 and min(len(doc.text) for doc in LONG_DOCS) >= 500
+    assert sum(1 for doc in LONG_DOCS if doc.cluster != doc.index) >= 5
+
+
+@settings(max_examples=MAX_EXAMPLES, deadline=None)
+@given(a=JARO_TEXT, b=JARO_TEXT)
+@example(a="", b="")
+@example(a="", b="abc")
+@example(a="abc", b="")
+@example(a="a", b="b")
+@example(a="aaab", b="baaa")  # the stale ``a`` at 0 is below every later window
+@example(a="e\u0301", b="\u00e9")  # canonically equal, no position alike
+def test_jaro_equals_the_window_scan_bit_for_bit(a, b):
+    assert jaro_similarity(a, b) == jaro_reference(a, b)
+    assert jaro_similarity(b, a) == jaro_reference(b, a)
+
+
+@pytest.mark.parametrize("index", range(len(LONG_PAIRS)))
+def test_jaro_equals_the_window_scan_on_curation_documents(index):
+    a, b = LONG_PAIRS[index]
+    assert jaro_similarity(a, b) == jaro_reference(a, b)
+
+
+def test_batched_jaro_winkler_equals_the_scalar_on_curation_documents():
+    left, right = zip(*LONG_PAIRS)
+    batch = jaro_winkler_similarity_many(left, right).tolist()
+    assert batch == [jaro_winkler_similarity(a, b) for a, b in LONG_PAIRS]
+
+
+# -- skill routing ------------------------------------------------------------------
+
+
+class _TriggerFirstMatching(EntityMatchingSkill):
+    def matches(self, prompt):
+        return bool(matching._TRIGGER.search(prompt)) and (
+            extract_json_field(prompt, "Record A") is not None
+            or "record a" in prompt.lower()
+        )
+
+
+class _HeadersFirstBatchMatching(BatchEntityMatchingSkill):
+    def matches(self, prompt):
+        headers = _PAIR_HEADER_RE.findall(prompt)
+        return len(headers) >= 1 and "record a" in prompt.lower() and (
+            "same entity" in prompt.lower() or "equivalent" in prompt.lower()
+        )
+
+
+def reference_route(prompt: str) -> str:
+    """The skill the routing picked with each regex tested before its substrings."""
+    replaced = {
+        "entity_matching": _TriggerFirstMatching(),
+        "batch_entity_matching": _HeadersFirstBatchMatching(),
+    }
+    skills = [replaced.get(skill.name, skill) for skill in default_skills()]
+    return next(skill.name for skill in skills if skill.matches(prompt))
+
+
+class _Recording(SimulatedProvider):
+    def __init__(self):
+        super().__init__()
+        self.routed: list[tuple[str, str]] = []
+
+    def complete(self, request):
+        response = super().complete(request)
+        self.routed.append((request.prompt, response.skill))
+        return response
+
+
+#: A served row per prompt family: single-pair ER, curation dedup, quality and
+#: decontamination, imputation (plain, and hybrid with code generation and
+#: critique), and name extraction (tagging, code generation).
+ROUTED_ROWS = {
+    "er": {"name": "beer", "seed": 7, "n_entities": 30},
+    "dedup": {"n_docs": 48, "seed": 13},
+    "quality_filter": {"n_docs": 48, "seed": 13},
+    "decontamination": {"n_docs": 48, "seed": 13},
+    "imputation": {"seed": 11, "n_train": 8, "n_test": 24},
+    "imputation_hybrid": {"seed": 11, "n_train": 8, "n_test": 24},
+    "names": {"seed": 3, "n_documents": 24},
+}
+#: Hand-written prompts on the edges of both orders' conjuncts.
+EDGE_PROMPTS = [
+    'Do these refer to the same entity?\nRECORD A: {"name": "x"}\nRecord B: {"name": "y"}',
+    "Do these refer to the same entity? record a and record b differ.",
+    'Record A: {"name": "x"} Record B: {"name": "x"}',  # the label but no trigger
+    "Please match the records: entity resolution for record a.",
+    "Pair 1: are these equivalent? Record A: {} Record B: {}",
+    "Pair 1: same entity?",  # a header but no record
+    'Is this document high-quality?\nDocument: {"text": "a record album"}',
+    "",
+]
+
+
+@pytest.fixture(scope="module")
+def routed_prompts() -> list[tuple[str, str]]:
+    routed = []
+    for name, ref in ROUTED_ROWS.items():
+        provider = _Recording()
+        data = table.TASKS[name].resolve(ref, False)
+        table.run(name, LinguaManga(service=LLMService(provider)), data)
+        routed += provider.routed
+    provider = _Recording()
+    pipeline = (
+        PipelineBuilder("batched")
+        .load(source="pairs")
+        .match_entities(impl="llm_batch", batch_size=5)
+        .save(key="verdicts")
+        .build()
+    )
+    pairs = generate_er_dataset("music", seed=7, n_entities=30).test[:20]
+    LinguaManga(service=LLMService(provider)).run(
+        pipeline, {"pairs": [{"left": pair.left, "right": pair.right} for pair in pairs]}
+    )
+    routed += provider.routed
+    provider = _Recording()
+    for prompt in EDGE_PROMPTS:
+        provider.complete(LLMRequest(prompt=prompt))
+    return routed + provider.routed
+
+
+def test_every_prompt_family_is_in_the_routing_corpus(routed_prompts):
+    assert {skill for _, skill in routed_prompts} >= {
+        "entity_matching", "batch_entity_matching", "doc_quality", "decontam",
+        "imputation", "codegen", "suggest", "tagging", "chat",
+    }
+
+
+def test_cheap_first_routing_picks_the_skill_the_regex_first_order_picked(routed_prompts):
+    assert [skill for _, skill in routed_prompts] == [
+        reference_route(prompt) for prompt, _ in routed_prompts
+    ]
+
+
+def test_every_character_matching_the_record_label_case_blind_lowers_to_it():
+    # Why ``"record a" in prompt.lower()`` covers an ``extract_json_field``
+    # hit on the case-blind label ``Record A``.
+    every = "".join(
+        chr(code) for code in range(sys.maxunicode + 1) if not 0xD800 <= code < 0xE000
+    )
+    for letter in "Record A":
+        assert {ch.lower() for ch in re.findall(re.escape(letter), every, re.IGNORECASE)} == {
+            letter.lower()
+        }
+
+
 # -- decontamination scan -----------------------------------------------------------
 
 
@@ -489,3 +679,20 @@ def test_a_sketch_hashes_each_distinct_shingle_string_once(monkeypatch):
     calls = _count_calls(monkeypatch, shingle, "shingle_id")
     shingle.document_sketch.__wrapped__(text, 3)
     assert Counter(calls) == {(s,): 1 for s in strings}
+
+
+def test_a_quality_prompt_costs_no_entity_matching_trigger_scan(monkeypatch):
+    class CountingTrigger:
+        calls = 0
+
+        def search(self, prompt):
+            CountingTrigger.calls += 1
+            return trigger.search(prompt)
+
+    trigger = matching._TRIGGER
+    monkeypatch.setattr(matching, "_TRIGGER", CountingTrigger())
+    provider = _Recording()
+    # ``curation_batch``'s quality prompts at its smoke size.
+    run_quality_filter(LinguaManga(service=LLMService(provider)), CurationCorpus(30, seed=7))
+    assert {skill for _, skill in provider.routed} == {"doc_quality"}
+    assert CountingTrigger.calls == 0  # 24 when the trigger ran first
