@@ -417,13 +417,12 @@ def emit_torn_tail(obs, clock, journal: CheckpointJournal, label: str) -> None:
         obs.metrics.counter("journal.torn_bytes").inc(torn)
     if corrupt:
         obs.metrics.counter("journal.corrupt_lines").inc(corrupt)
-    if obs.tracer.enabled:
-        obs.tracer.add_span(
-            f"torn-tail[{label}]",
-            kind="event",
-            start=float(clock.now),
-            bytes=torn,
-            lines=corrupt,
-            journal=label,
-            path=str(journal.path),
-        )
+    obs.tracer.add_span(
+        f"torn-tail[{label}]",
+        kind="event",
+        start=float(clock.now),
+        bytes=torn,
+        lines=corrupt,
+        journal=label,
+        path=str(journal.path),
+    )

@@ -306,7 +306,7 @@ class PhysicalPlan:
                 self.fingerprint(inputs, chunk_size=chunk_size), service
             )
         obs = getattr(service, "obs", None)
-        tracer = obs.tracer if obs is not None and obs.tracer.enabled else None
+        tracer = obs.tracer if obs is not None else None
         profile = RunProfile()
         run_span = (
             tracer.span(self.pipeline.name, "run", clock=service.clock)

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 from repro.storage.database import Database
 from repro.storage.sql.ast import SelectStatement
-from repro.storage.sql.parser import SqlParseError
+from repro.storage.sql.executor import execute_statement
+from repro.storage.sql.parser import SqlParseError, parse_sql
 from repro.storage.table import Table
 from repro.llm.service import LLMService
 
@@ -93,16 +94,17 @@ class TabularConnector:
     # -- policy ---------------------------------------------------------------
 
     def _check_policy(self, sql: str) -> SelectStatement:
+        """Parse ``sql`` under the policy; a refusal is counted and raised.
+
+        The parser refuses anything but ``SELECT`` itself.
+        """
         try:
-            statement = self.database.parse(sql)
+            statement = parse_sql(sql)
         except SqlParseError as error:
             self.report.rejected_statements += 1
-            raise ConnectorPolicyError(f"unparseable SQL from LLM: {error}") from error
-        if not isinstance(statement, SelectStatement):
-            self.report.rejected_statements += 1
             raise ConnectorPolicyError(
-                f"connector policy allows SELECT only, got {type(statement).__name__}"
-            )
+                f"connector policy allows SELECT only: {error}"
+            ) from error
         if self.allowed_tables is not None and statement.table not in self.allowed_tables:
             self.report.rejected_statements += 1
             raise ConnectorPolicyError(
@@ -129,8 +131,7 @@ class TabularConnector:
         )
         response = self.service.complete(prompt, purpose=purpose)
         sql = self._extract_sql(response)
-        self._check_policy(sql)
-        result = self.database.query(sql)
+        result = execute_statement(self._check_policy(sql), self.database.tables)
         exposed_rows = min(len(result), self.max_result_rows)
         values = exposed_rows * len(result.schema)
         self.report.questions += 1
@@ -147,8 +148,7 @@ class TabularConnector:
 
     def run_user_sql(self, sql: str) -> Table:
         """Execute user-specified SQL under the same SELECT-only policy."""
-        self._check_policy(sql)
-        return self.database.query(sql)
+        return execute_statement(self._check_policy(sql), self.database.tables)
 
     @staticmethod
     def _extract_sql(response: str) -> str:

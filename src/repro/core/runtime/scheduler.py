@@ -326,7 +326,7 @@ class Scheduler:
         pending = [index for index in range(len(chunks)) if index not in completed]
         live = ordered_map(task, pending, workers=self.workers, window=len(pending))
         outputs: list[Any] = []
-        tracer = obs.tracer if obs is not None and obs.tracer.enabled else None
+        tracer = obs.tracer if obs is not None else None
         index = 0
         try:
             for index in range(len(chunks)):

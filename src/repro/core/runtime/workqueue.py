@@ -398,7 +398,7 @@ class StreamingExecutor:
         prefix, middle, suffix = self._split_chain()
         service = self.plan.context.service
         obs = getattr(service, "obs", None)
-        tracer = obs.tracer if obs is not None and obs.tracer.enabled else None
+        tracer = obs.tracer if obs is not None else None
         chunk_size = resolve_chunk_size(middle[0].module, self.chunk_size)
         self.ledger.begin(self.fingerprint(chunk_size), service)
         report = RunReport(pipeline_name=self.plan.pipeline.name)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -143,10 +143,6 @@ class CacheStats:
     misses: int = 0
     evictions: int = 0
     loaded: int = 0  # entries restored from the disk journal
-
-    def snapshot(self) -> "CacheStats":
-        """A copy safe to hand out while counters keep moving."""
-        return CacheStats(**asdict(self))
 
     def to_text(self) -> str:
         """One-line rendering."""

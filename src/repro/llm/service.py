@@ -383,8 +383,6 @@ class LLMService:
         from repro.obs.metrics import DEFAULT_TOKEN_BUCKETS
 
         metrics = self.obs.metrics
-        if not metrics.enabled:
-            return
         metrics.counter("llm.records").inc()
         metrics.counter(f"llm.provenance.{record.provenance}").inc()
         metrics.counter(f"llm.outcome.{record.outcome}").inc()

@@ -21,9 +21,10 @@ Everything hangs off one :class:`Observability` hub::
     print(len(obs.tracer.roots), "traced runs")
     print(obs.metrics.to_text())
 
-Observability is **off by default**: a system without an ``obs=`` makes
-the exact same provider calls, writes the exact same ledger, and pays no
-tracing overhead (null spans/metrics, nothing allocated).
+Observability is **off by default**, and ``obs=None`` is the one way to
+turn it off: a system without an ``obs=`` makes the exact same provider
+calls, writes the exact same ledger, and pays no tracing overhead — every
+instrumentation point checks ``obs is None`` and does nothing.
 """
 
 from repro.obs.metrics import (
@@ -37,17 +38,12 @@ from repro.obs.metrics import (
 )
 from repro.obs.profile import ProfileRow, RunProfile, profile_records
 from repro.obs.progress import progress_events
-from repro.obs.trace import (
-    NULL_SPAN,
-    Span,
-    Tracer,
-)
+from repro.obs.trace import Span, Tracer
 
 __all__ = [
     "Observability",
     "Tracer",
     "Span",
-    "NULL_SPAN",
     "MetricsRegistry",
     "Counter",
     "Gauge",
@@ -67,19 +63,8 @@ class Observability:
 
     Pass to :class:`~repro.core.runtime.system.LinguaManga` (or
     :meth:`LLMService.attach_obs`) to instrument every layer at once.
-    ``trace=False`` / ``metrics=False`` disable a half independently —
-    disabled halves hand out shared null objects and record nothing.
     """
 
-    def __init__(self, trace: bool = True, metrics: bool = True):
-        self.tracer = Tracer(enabled=trace)
-        self.metrics = MetricsRegistry(enabled=metrics)
-
-    @property
-    def enabled(self) -> bool:
-        """Whether any half is collecting."""
-        return self.tracer.enabled or self.metrics.enabled
-
-    def clear(self) -> None:
-        """Drop collected spans (metrics registries are append-only)."""
-        self.tracer.clear()
+    def __init__(self) -> None:
+        self.tracer = Tracer()
+        self.metrics = MetricsRegistry()

@@ -7,12 +7,9 @@ into one :class:`MetricsRegistry` owned by the
 
 - **thread safe** — workers publish concurrently; one registry lock guards
   every mutation;
-- **merge is order-independent** — counters and histogram buckets are sums
-  (commutative), gauges merge by maximum, so folding per-worker registries
-  together yields the same result in any order (property-tested);
 - **fixed bucket boundaries** — histograms declare their boundaries at
   first use and reject conflicting redeclarations, so bucket counts are
-  comparable across runs and mergeable across workers.
+  comparable across runs.
 
 Metric values that count racy events (e.g. ``llm.coalesced``) are real
 observations about a particular execution and are *not* covered by the
@@ -65,7 +62,7 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value; merges by maximum (order-independent)."""
+    """A point-in-time value."""
 
     kind = "gauge"
 
@@ -125,29 +122,14 @@ class Histogram:
         }
 
 
-class _NullMetric:
-    """Shared sink handed out by a disabled registry."""
-
-    __slots__ = ()
-
-    def inc(self, amount: float = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-_NULL_METRIC = _NullMetric()
-
-
 class MetricsRegistry:
-    """Named metrics with get-or-create accessors and commutative merging."""
+    """Named metrics with get-or-create accessors.
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    The read side (:meth:`value`, :meth:`as_dict`, :meth:`to_text`) is what
+    an exporter renders.
+    """
+
+    def __init__(self) -> None:
         self._lock = threading.RLock()
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
 
@@ -161,8 +143,6 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Counter:
         """Get or create a counter."""
-        if not self.enabled:
-            return _NULL_METRIC  # type: ignore[return-value]
         with self._lock:
             metric = self._get(name, "counter")
             if metric is None:
@@ -171,8 +151,6 @@ class MetricsRegistry:
 
     def gauge(self, name: str) -> Gauge:
         """Get or create a gauge."""
-        if not self.enabled:
-            return _NULL_METRIC  # type: ignore[return-value]
         with self._lock:
             metric = self._get(name, "gauge")
             if metric is None:
@@ -183,8 +161,6 @@ class MetricsRegistry:
         self, name: str, bounds: Iterable[float] = DEFAULT_LATENCY_BUCKETS
     ) -> Histogram:
         """Get or create a histogram; redeclaring with new bounds raises."""
-        if not self.enabled:
-            return _NULL_METRIC  # type: ignore[return-value]
         bounds = tuple(float(bound) for bound in bounds)
         with self._lock:
             metric = self._get(name, "histogram")
@@ -212,29 +188,6 @@ class MetricsRegistry:
                 name: self._metrics[name].as_dict()
                 for name in sorted(self._metrics)
             }
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry into this one (commutative per metric).
-
-        Counters and histogram buckets add; gauges take the maximum.
-        Conflicting metric kinds or histogram bounds raise.
-        """
-        with other._lock:
-            snapshot = dict(other._metrics)
-        for name, metric in snapshot.items():
-            if isinstance(metric, Counter):
-                self.counter(name).inc(metric.value)
-            elif isinstance(metric, Gauge):
-                mine = self.gauge(name)
-                with self._lock:
-                    mine.value = max(mine.value, metric.value)
-            else:
-                mine = self.histogram(name, metric.bounds)
-                with self._lock:
-                    for index, count in enumerate(metric.counts):
-                        mine.counts[index] += count
-                    mine.total += metric.total
-                    mine.sum += metric.sum
 
     def to_text(self) -> str:
         """Readable dump, one metric per line."""

@@ -32,17 +32,16 @@ collected at ``workers=8``.
 
 from __future__ import annotations
 
-import json
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 __all__ = [
-    "NULL_SPAN",
     "Span",
     "Tracer",
 ]
+
 
 @dataclass
 class Span:
@@ -66,22 +65,6 @@ class Span:
         return self.end - self.start
 
 
-class _NullSpan:
-    """The no-op span handed out while tracing is disabled."""
-
-    __slots__ = ()
-
-    def set(self, key: str, value: Any) -> "_NullSpan":
-        return self
-
-    @property
-    def attributes(self) -> dict[str, Any]:
-        return {}
-
-
-NULL_SPAN = _NullSpan()
-
-
 class Tracer:
     """Thread-safe span collector with a coordinator-thread span stack.
 
@@ -91,37 +74,25 @@ class Tracer:
     :meth:`add_span`.  Worker threads never push onto the stack — their
     work is attributed deterministically after the chunk-order merge, which
     is what keeps traces byte-identical at any worker count.
-
-    Disabled tracers (``enabled=False``) hand out a shared null span and
-    allocate nothing, so the observability path is zero-cost when off.
     """
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self) -> None:
         self.roots: list[Span] = []
         self._stack: list[Span] = []
         self._lock = threading.RLock()
 
     # -- recording ---------------------------------------------------------------
 
-    def current(self) -> Span | None:
-        """The innermost open span, if any."""
-        with self._lock:
-            return self._stack[-1] if self._stack else None
-
     @contextmanager
     def span(
         self, name: str, kind: str, clock: Any = None, **attributes: Any
-    ) -> Iterator[Span | _NullSpan]:
+    ) -> Iterator[Span]:
         """Open a span; ``start``/``end`` are read from ``clock.now``.
 
         ``clock`` is any object with a ``now`` attribute (a
         :class:`~repro.resilience.clock.VirtualClock`); without one the
         span keeps logical time zero.
         """
-        if not self.enabled:
-            yield NULL_SPAN
-            return
         now = float(clock.now) if clock is not None else 0.0
         span = Span(name=name, kind=kind, start=now, end=now, attributes=attributes)
         with self._lock:
@@ -145,10 +116,8 @@ class Tracer:
         start: float = 0.0,
         end: float | None = None,
         **attributes: Any,
-    ) -> Span | _NullSpan:
+    ) -> Span:
         """Append a closed leaf span under the innermost open span."""
-        if not self.enabled:
-            return NULL_SPAN
         span = Span(
             name=name,
             kind=kind,
@@ -162,31 +131,3 @@ class Tracer:
             else:
                 self.roots.append(span)
         return span
-
-    def clear(self) -> None:
-        """Drop all finished spans (open spans stay on the stack)."""
-        with self._lock:
-            self.roots = [span for span in self._stack[:1]]
-            if not self._stack:
-                self.roots = []
-
-    def merge(self, other: "Tracer") -> None:
-        """Fold another collector's root spans into this one.
-
-        Order-independent: merged roots are kept sorted by a deterministic
-        key, so ``a.merge(b)`` and ``b.merge(a)`` produce identical
-        collectors — the property the per-worker merge tests pin.
-        """
-        with self._lock, other._lock:
-            self.roots.extend(other.roots)
-            self.roots.sort(key=_merge_key)
-
-
-def _merge_key(span: Span) -> tuple:
-    return (
-        span.start,
-        span.end,
-        span.kind,
-        span.name,
-        json.dumps(span.attributes, sort_keys=True, default=repr),
-    )

@@ -1,7 +1,7 @@
-"""Relational storage substrate: typed tables, a SQL subset, a catalog."""
+"""Relational storage substrate: typed tables, a read-only SQL subset, a catalog."""
 
 from repro.storage.columnar import Vocabulary
-from repro.storage.database import Database, QueryLogEntry
+from repro.storage.database import Database
 from repro.storage.sql.executor import SqlExecutionError, execute_statement
 from repro.storage.sql.lexer import SqlLexError, tokenize_sql
 from repro.storage.sql.parser import SqlParseError, parse_sql
@@ -10,7 +10,6 @@ from repro.storage.table import Column, ColumnType, Schema, Table
 __all__ = [
     "Vocabulary",
     "Database",
-    "QueryLogEntry",
     "SqlExecutionError",
     "execute_statement",
     "SqlLexError",

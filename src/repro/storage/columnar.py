@@ -83,9 +83,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
-
     def encode(self, tokens: Sequence[str]) -> np.ndarray:
         """Encode a token sequence to an int32 id array (OOV -> ``-1``)."""
         return np.fromiter(

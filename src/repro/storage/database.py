@@ -9,30 +9,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.storage.sql.ast import SelectStatement, Statement
-from repro.storage.sql.executor import SqlExecutionError, execute_statement
+from repro.storage.sql.executor import execute_statement
 from repro.storage.sql.parser import parse_sql
 from repro.storage.table import Table
 
-__all__ = ["Database", "QueryLogEntry"]
-
-
-@dataclass(frozen=True)
-class QueryLogEntry:
-    """One executed statement with its result cardinality."""
-
-    sql: str
-    kind: str
-    rows_returned: int
+__all__ = ["Database"]
 
 
 @dataclass
 class Database:
-    """An in-memory database: tables by name plus a query log."""
+    """An in-memory, read-only-through-SQL database: tables by name."""
 
     name: str = "default"
     tables: dict[str, Table] = field(default_factory=dict)
-    query_log: list[QueryLogEntry] = field(default_factory=list)
 
     def register(self, table: Table, name: str | None = None) -> None:
         """Add (or replace) ``table`` under ``name`` (default: its own name)."""
@@ -44,31 +33,9 @@ class Database:
             raise KeyError(f"no such table: {name!r}; have {sorted(self.tables)}")
         return self.tables[name]
 
-    def execute(self, sql: str) -> Table | int:
-        """Parse and run one SQL statement; logs the execution."""
-        statement = parse_sql(sql)
-        result = execute_statement(statement, self.tables)
-        rows = len(result) if isinstance(result, Table) else int(result)
-        self.query_log.append(
-            QueryLogEntry(sql=sql, kind=type(statement).__name__, rows_returned=rows)
-        )
-        return result
-
     def query(self, sql: str) -> Table:
-        """Run a SELECT and return its result table (rejects non-SELECT)."""
-        statement = parse_sql(sql)
-        if not isinstance(statement, SelectStatement):
-            raise SqlExecutionError("query() only accepts SELECT statements")
-        result = execute_statement(statement, self.tables)
-        assert isinstance(result, Table)
-        self.query_log.append(
-            QueryLogEntry(sql=sql, kind="SelectStatement", rows_returned=len(result))
-        )
-        return result
-
-    def parse(self, sql: str) -> Statement:
-        """Parse without executing (used by the connector's allow-list check)."""
-        return parse_sql(sql)
+        """Run one ``SELECT`` and return its result table."""
+        return execute_statement(parse_sql(sql), self.tables)
 
     def schema_text(self) -> str:
         """Human/LLM-readable description of every table's schema.

@@ -1,28 +1,15 @@
-"""SQL subset: lexer, parser, AST and executor."""
+"""SQL subset: lexer, parser, AST and executor for read-only ``SELECT``."""
 
-from repro.storage.sql.ast import (
-    Aggregate,
-    CreateTableStatement,
-    DeleteStatement,
-    InsertStatement,
-    OrderItem,
-    SelectItem,
-    SelectStatement,
-    Statement,
-)
+from repro.storage.sql.ast import Aggregate, OrderItem, SelectItem, SelectStatement
 from repro.storage.sql.executor import SqlExecutionError, execute_statement
 from repro.storage.sql.lexer import SqlLexError, SqlToken, tokenize_sql
 from repro.storage.sql.parser import SqlParseError, parse_sql
 
 __all__ = [
     "Aggregate",
-    "CreateTableStatement",
-    "DeleteStatement",
-    "InsertStatement",
     "OrderItem",
     "SelectItem",
     "SelectStatement",
-    "Statement",
     "SqlExecutionError",
     "execute_statement",
     "SqlLexError",

@@ -1,26 +1,17 @@
-"""Statement AST for the SQL subset."""
+"""Statement AST for the SQL subset: one ``SELECT`` statement."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.storage.expressions import Expression
 
 __all__ = [
-    "Statement",
     "SelectItem",
     "Aggregate",
     "OrderItem",
     "SelectStatement",
-    "InsertStatement",
-    "CreateTableStatement",
-    "DeleteStatement",
 ]
-
-
-class Statement:
-    """Base class for parsed SQL statements."""
 
 
 @dataclass(frozen=True)
@@ -67,7 +58,7 @@ class OrderItem:
 
 
 @dataclass
-class SelectStatement(Statement):
+class SelectStatement:
     """``SELECT ... FROM ... [WHERE] [GROUP BY] [HAVING] [ORDER BY] [LIMIT]``."""
 
     items: list[SelectItem] = field(default_factory=list)
@@ -80,28 +71,3 @@ class SelectStatement(Statement):
     limit: int | None = None
     offset: int | None = None
     distinct: bool = False
-
-
-@dataclass
-class InsertStatement(Statement):
-    """``INSERT INTO table [(cols)] VALUES (...), (...)``."""
-
-    table: str
-    columns: list[str] = field(default_factory=list)
-    rows: list[list[Any]] = field(default_factory=list)
-
-
-@dataclass
-class CreateTableStatement(Statement):
-    """``CREATE TABLE name (col TYPE, ...)``."""
-
-    table: str
-    columns: list[tuple[str, str]] = field(default_factory=list)
-
-
-@dataclass
-class DeleteStatement(Statement):
-    """``DELETE FROM table [WHERE ...]``."""
-
-    table: str
-    where: Expression | None = None

@@ -1,18 +1,11 @@
-"""Executor for the SQL subset: statements against a table catalog."""
+"""Executor for the SQL subset: a ``SELECT`` against a table catalog."""
 
 from __future__ import annotations
 
 from typing import Any, Mapping
 
 from repro.storage.expressions import evaluate
-from repro.storage.sql.ast import (
-    Aggregate,
-    CreateTableStatement,
-    DeleteStatement,
-    InsertStatement,
-    SelectStatement,
-    Statement,
-)
+from repro.storage.sql.ast import Aggregate, SelectStatement
 from repro.storage.table import Column, ColumnType, Schema, Table
 
 __all__ = ["SqlExecutionError", "execute_statement"]
@@ -22,71 +15,13 @@ class SqlExecutionError(ValueError):
     """Raised on semantic errors (unknown table/column, bad aggregates...)."""
 
 
-def execute_statement(statement: Statement, catalog: Mapping[str, Table]) -> Table | int:
-    """Execute ``statement`` against ``catalog`` (name -> Table).
-
-    SELECT returns a result :class:`Table`; INSERT/DELETE return the affected
-    row count; CREATE TABLE registers a new table in the (mutable) catalog
-    and returns 0.
-    """
-    if isinstance(statement, SelectStatement):
-        return _execute_select(statement, catalog)
-    if isinstance(statement, InsertStatement):
-        return _execute_insert(statement, catalog)
-    if isinstance(statement, CreateTableStatement):
-        return _execute_create(statement, catalog)
-    if isinstance(statement, DeleteStatement):
-        return _execute_delete(statement, catalog)
-    raise SqlExecutionError(f"unsupported statement type: {type(statement).__name__}")
-
-
-def _get_table(catalog: Mapping[str, Table], name: str) -> Table:
-    if name not in catalog:
-        raise SqlExecutionError(f"no such table: {name!r}; have {sorted(catalog)}")
-    return catalog[name]
-
-
-def _execute_insert(statement: InsertStatement, catalog: Mapping[str, Table]) -> int:
-    table = _get_table(catalog, statement.table)
-    names = statement.columns or table.schema.names
-    for row in statement.rows:
-        if len(row) != len(names):
-            raise SqlExecutionError(
-                f"INSERT row has {len(row)} values for {len(names)} columns"
-            )
-        table.insert(dict(zip(names, row)))
-    return len(statement.rows)
-
-
-def _execute_create(statement: CreateTableStatement, catalog: Mapping[str, Table]) -> int:
-    if statement.table in catalog:
-        raise SqlExecutionError(f"table already exists: {statement.table!r}")
-    schema = Schema(tuple(Column(name, type_) for name, type_ in statement.columns))
-    if not isinstance(catalog, dict):
-        raise SqlExecutionError("catalog is read-only; cannot CREATE TABLE")
-    catalog[statement.table] = Table(statement.table, schema)
-    return 0
-
-
-def _execute_delete(statement: DeleteStatement, catalog: Mapping[str, Table]) -> int:
-    table = _get_table(catalog, statement.table)
-    if statement.where is None:
-        count = len(table)
-        table.rows.clear()
-        return count
-    keep: list[tuple[Any, ...]] = []
-    deleted = 0
-    for record, row in zip(table.records(), table.rows):
-        if evaluate(statement.where, record) is True:
-            deleted += 1
-        else:
-            keep.append(row)
-    table.rows[:] = keep
-    return deleted
-
-
-def _execute_select(statement: SelectStatement, catalog: Mapping[str, Table]) -> Table:
-    table = _get_table(catalog, statement.table)
+def execute_statement(statement: SelectStatement, catalog: Mapping[str, Table]) -> Table:
+    """Run ``statement`` against ``catalog`` (name -> Table); a new result table."""
+    if statement.table not in catalog:
+        raise SqlExecutionError(
+            f"no such table: {statement.table!r}; have {sorted(catalog)}"
+        )
+    table = catalog[statement.table]
     records = table.records()
     if statement.where is not None:
         records = [r for r in records if evaluate(statement.where, r) is True]

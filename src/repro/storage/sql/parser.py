@@ -1,9 +1,8 @@
-"""Recursive-descent parser for the SQL subset.
+"""Recursive-descent parser for the SQL subset the connector allows.
 
 Grammar (informal)::
 
-    statement   := select | insert | create | delete
-    select      := SELECT [DISTINCT] select_list FROM ident
+    statement   := SELECT [DISTINCT] select_list FROM ident
                    [WHERE expr] [GROUP BY expr_list] [HAVING expr]
                    [ORDER BY order_list] [LIMIT n [OFFSET m]]
     expr        := or_expr
@@ -18,8 +17,6 @@ Grammar (informal)::
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.storage.expressions import (
     BinaryOp,
     ColumnRef,
@@ -31,16 +28,7 @@ from repro.storage.expressions import (
     Literal,
     UnaryOp,
 )
-from repro.storage.sql.ast import (
-    Aggregate,
-    CreateTableStatement,
-    DeleteStatement,
-    InsertStatement,
-    OrderItem,
-    SelectItem,
-    SelectStatement,
-    Statement,
-)
+from repro.storage.sql.ast import Aggregate, OrderItem, SelectItem, SelectStatement
 from repro.storage.sql.lexer import SqlToken, tokenize_sql
 
 __all__ = ["SqlParseError", "parse_sql"]
@@ -106,22 +94,17 @@ class _Parser:
 
     # -- statements ------------------------------------------------------------
 
-    def parse_statement(self) -> Statement:
+    def parse_statement(self) -> SelectStatement:
         token = self._peek()
         if token is None:
             raise SqlParseError("empty statement")
         if token.kind != "KEYWORD":
             raise SqlParseError(f"expected a statement keyword, found {token.value!r}")
-        if token.value == "SELECT":
-            statement: Statement = self._parse_select()
-        elif token.value == "INSERT":
-            statement = self._parse_insert()
-        elif token.value == "CREATE":
-            statement = self._parse_create()
-        elif token.value == "DELETE":
-            statement = self._parse_delete()
-        else:
-            raise SqlParseError(f"unsupported statement: {token.value}")
+        if token.value != "SELECT":
+            raise SqlParseError(
+                f"unsupported statement: {token.value} (the store is read-only)"
+            )
+        statement = self._parse_select()
         self._match_symbol(";")
         if self._peek() is not None:
             raise SqlParseError(f"trailing input after statement: {self._peek().value!r}")
@@ -195,73 +178,6 @@ class _Parser:
             if nxt is not None and nxt.kind == "IDENT":
                 alias = self._next().value
         return SelectItem(expression, alias)
-
-    def _parse_insert(self) -> InsertStatement:
-        self._expect_keyword("INSERT")
-        self._expect_keyword("INTO")
-        table = self._expect_ident()
-        columns: list[str] = []
-        if self._match_symbol("("):
-            columns.append(self._expect_ident())
-            while self._match_symbol(","):
-                columns.append(self._expect_ident())
-            self._expect_symbol(")")
-        self._expect_keyword("VALUES")
-        rows: list[list[Any]] = []
-        while True:
-            self._expect_symbol("(")
-            row: list[Any] = [self._parse_literal_value()]
-            while self._match_symbol(","):
-                row.append(self._parse_literal_value())
-            self._expect_symbol(")")
-            rows.append(row)
-            if not self._match_symbol(","):
-                break
-        return InsertStatement(table, columns, rows)
-
-    def _parse_literal_value(self) -> Any:
-        token = self._next()
-        if token.kind == "STRING":
-            return token.value
-        if token.kind == "NUMBER":
-            return float(token.value) if "." in token.value else int(token.value)
-        if token.kind == "KEYWORD" and token.value == "NULL":
-            return None
-        if token.kind == "KEYWORD" and token.value in ("TRUE", "FALSE"):
-            return token.value == "TRUE"
-        if token.kind == "SYMBOL" and token.value == "-":
-            inner = self._parse_literal_value()
-            if not isinstance(inner, (int, float)):
-                raise SqlParseError("cannot negate a non-numeric literal")
-            return -inner
-        raise SqlParseError(f"expected a literal, found {token.value!r}")
-
-    def _parse_create(self) -> CreateTableStatement:
-        self._expect_keyword("CREATE")
-        self._expect_keyword("TABLE")
-        table = self._expect_ident()
-        self._expect_symbol("(")
-        columns: list[tuple[str, str]] = [self._parse_column_def()]
-        while self._match_symbol(","):
-            columns.append(self._parse_column_def())
-        self._expect_symbol(")")
-        return CreateTableStatement(table, columns)
-
-    def _parse_column_def(self) -> tuple[str, str]:
-        name = self._expect_ident()
-        token = self._next()
-        if token.kind != "KEYWORD" or token.value not in ("INT", "FLOAT", "TEXT", "BOOL"):
-            raise SqlParseError(f"expected a column type, found {token.value!r}")
-        return name, token.value
-
-    def _parse_delete(self) -> DeleteStatement:
-        self._expect_keyword("DELETE")
-        self._expect_keyword("FROM")
-        table = self._expect_ident()
-        where = None
-        if self._match_keyword("WHERE"):
-            where = self._parse_expression()
-        return DeleteStatement(table, where)
 
     # -- expressions ----------------------------------------------------------
 
@@ -379,7 +295,11 @@ class _Parser:
         raise SqlParseError(f"unexpected token in expression: {token.value!r}")
 
 
-def parse_sql(text: str) -> Statement:
-    """Parse a single SQL statement; raises :class:`SqlParseError` on failure."""
+def parse_sql(text: str) -> SelectStatement:
+    """Parse one ``SELECT`` statement; raises :class:`SqlParseError` on failure.
+
+    The store is read-only: any other statement (``INSERT``, ``DELETE``,
+    ...) is refused here, naming its keyword.
+    """
     tokens = tokenize_sql(text)
     return _Parser(tokens, text).parse_statement()

@@ -11,7 +11,7 @@ import csv
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 __all__ = ["ColumnType", "Column", "Schema", "Table"]
 
@@ -95,19 +95,6 @@ class Schema:
         if len(names) != len(set(names)):
             raise ValueError(f"duplicate column names in schema: {names}")
 
-    @classmethod
-    def of(cls, *specs: str | Column | tuple[str, str]) -> "Schema":
-        """Build a schema from names, ``(name, type)`` pairs, or columns."""
-        columns: list[Column] = []
-        for spec in specs:
-            if isinstance(spec, Column):
-                columns.append(spec)
-            elif isinstance(spec, tuple):
-                columns.append(Column(spec[0], spec[1]))
-            else:
-                columns.append(Column(spec))
-        return cls(tuple(columns))
-
     @property
     def names(self) -> list[str]:
         """Column names in order."""
@@ -189,23 +176,10 @@ class Table:
         )
         self._rows.append(converted)
 
-    def extend(self, rows: Iterable[Sequence[Any] | Mapping[str, Any]]) -> None:
-        """Insert many rows."""
-        for row in rows:
-            self.insert(row)
-
     # -- access ------------------------------------------------------------------
-
-    @property
-    def rows(self) -> list[tuple[Any, ...]]:
-        """The raw row tuples (do not mutate)."""
-        return self._rows
 
     def __len__(self) -> int:
         return len(self._rows)
-
-    def __iter__(self) -> Iterator[tuple[Any, ...]]:
-        return iter(self._rows)
 
     def record(self, index: int) -> dict[str, Any]:
         """Row ``index`` as a dict keyed by column name."""

@@ -7,7 +7,6 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.metrics import _NULL_METRIC
 
 
 class TestCounter:
@@ -67,41 +66,11 @@ class TestRegistry:
         with pytest.raises(ValueError, match="is a counter"):
             registry.gauge("x")
 
-    def test_disabled_registry_hands_out_null_metrics(self):
-        registry = MetricsRegistry(enabled=False)
-        assert registry.counter("c") is _NULL_METRIC
-        assert registry.gauge("g") is _NULL_METRIC
-        assert registry.histogram("h") is _NULL_METRIC
-        registry.counter("c").inc()
-        assert registry.as_dict() == {}
-
     def test_as_dict_sorted(self):
         registry = MetricsRegistry()
         registry.counter("zeta").inc()
         registry.counter("alpha").inc()
         assert list(registry.as_dict()) == ["alpha", "zeta"]
-
-    def test_merge_counters_add_gauges_max_histograms_add(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("c").inc(2)
-        b.counter("c").inc(3)
-        a.gauge("g").set(1)
-        b.gauge("g").set(9)
-        a.histogram("h", bounds=(1.0,)).observe(0.5)
-        b.histogram("h", bounds=(1.0,)).observe(2.0)
-        a.merge(b)
-        assert a.value("c") == 5
-        assert a.value("g") == 9
-        merged = a.as_dict()["h"]
-        assert merged["counts"] == [1, 1]
-        assert merged["total"] == 2
-
-    def test_merge_rejects_conflicting_histogram_bounds(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("h", bounds=(1.0,))
-        b.histogram("h", bounds=(2.0,)).observe(1.0)
-        with pytest.raises(ValueError, match="already declared"):
-            a.merge(b)
 
     def test_to_text_mentions_every_metric(self):
         registry = MetricsRegistry()

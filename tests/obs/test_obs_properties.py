@@ -1,14 +1,12 @@
 """Property tests for the observability layer (ISSUE 4, satellite 2).
 
-Three invariants, each pinned over generated inputs:
+Two invariants, each pinned over generated inputs:
 
 - span trees built through the Tracer API are always well-formed (single
   root per tree, no orphans, child intervals nested in parents) and
   survive a JSONL-shaped record round-trip;
 - histogram bucket counts always sum to the observation count, for any
-  bucket boundaries and any observations;
-- merging per-worker collectors (metrics registries and tracers) is
-  order-independent.
+  bucket boundaries and any observations.
 """
 
 from __future__ import annotations
@@ -106,76 +104,3 @@ class TestHistogramBuckets:
         for value in values:
             histogram.observe(value)
         assert sum(histogram.counts) == histogram.total == len(values)
-
-
-# One per-worker collector's worth of events.  Values are quarter-integers:
-# exactly representable in binary, so float sums are exact and the merge
-# commutativity below is bitwise (the engine itself never relies on float
-# commutativity — per-worker results merge in deterministic chunk order).
-def quarters(lo: int, hi: int):
-    return st.integers(min_value=lo, max_value=hi).map(lambda n: n / 4.0)
-
-
-metric_events = st.lists(
-    st.one_of(
-        st.tuples(st.just("counter"), st.sampled_from(["a", "b", "c"]), quarters(0, 400)),
-        st.tuples(st.just("gauge"), st.sampled_from(["g1", "g2"]), quarters(-200, 200)),
-        st.tuples(st.just("histogram"), st.sampled_from(["h"]), quarters(0, 400)),
-    ),
-    max_size=30,
-)
-
-
-def apply_events(registry: MetricsRegistry, events) -> None:
-    for kind, name, value in events:
-        if kind == "counter":
-            registry.counter(name).inc(value)
-        elif kind == "gauge":
-            registry.gauge(name).set(value)
-        else:
-            registry.histogram(name, bounds=(1.0, 10.0, 100.0)).observe(value)
-
-
-class TestMergeOrderIndependence:
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(metric_events, min_size=2, max_size=4))
-    def test_registry_merge_any_order(self, worker_events):
-        workers = []
-        for events in worker_events:
-            registry = MetricsRegistry()
-            apply_events(registry, events)
-            workers.append(registry)
-
-        forward, backward = MetricsRegistry(), MetricsRegistry()
-        for registry in workers:
-            forward.merge(registry)
-        for registry in reversed(workers):
-            backward.merge(registry)
-        assert forward.as_dict() == backward.as_dict()
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(
-            st.lists(
-                st.tuples(advance, span_kind),
-                min_size=1,
-                max_size=5,
-            ),
-            min_size=2,
-            max_size=4,
-        )
-    )
-    def test_tracer_merge_any_order(self, worker_spans):
-        def collector(spans) -> Tracer:
-            tracer = Tracer()
-            for index, (start, kind) in enumerate(spans):
-                tracer.add_span(f"s{index}", kind, start=start, end=start + 1.0)
-            return tracer
-
-        def merged(order) -> list:
-            target = Tracer()
-            for spans in order:
-                target.merge(collector(spans))
-            return trace_records(target)
-
-        assert merged(worker_spans) == merged(list(reversed(worker_spans)))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import NULL_SPAN, Span, Tracer
+from repro.obs import Span, Tracer
 from repro.resilience.clock import VirtualClock
 
 from ..oracles import (
@@ -86,22 +86,13 @@ class TestWalkAndValidate:
 
 
 class TestTracer:
-    def test_disabled_tracer_is_null(self):
-        tracer = Tracer(enabled=False)
-        with tracer.span("run", "run") as span:
-            assert span is NULL_SPAN
-            assert span.set("k", 1) is NULL_SPAN
-        assert tracer.add_span("x", "llm_call") is NULL_SPAN
-        assert tracer.roots == []
-
     def test_span_nesting_and_clock(self):
         clock = VirtualClock()
         tracer = Tracer()
         with tracer.span("run", "run", clock=clock):
             clock.advance(1.0)
-            with tracer.span("op", "phase", clock=clock) as phase:
+            with tracer.span("op", "phase", clock=clock):
                 clock.advance(2.0)
-                assert tracer.current() is phase
             clock.advance(0.5)
         (root,) = tracer.roots
         assert (root.start, root.end) == (0.0, 3.5)
@@ -115,26 +106,6 @@ class TestTracer:
             tracer.add_span("leaf", "llm_call", start=0.0, end=0.0, provenance="x")
         (root,) = tracer.roots
         assert [c.name for c in root.children] == ["leaf"]
-
-    def test_clear_drops_roots(self):
-        tracer = Tracer()
-        with tracer.span("run", "run"):
-            pass
-        tracer.clear()
-        assert tracer.roots == []
-
-    def test_merge_is_order_independent(self):
-        def make(names):
-            tracer = Tracer()
-            for index, name in enumerate(names):
-                tracer.add_span(name, "run", start=float(index))
-            return tracer
-
-        left_first = make(["a", "b"])
-        left_first.merge(make(["c"]))
-        right_first = make(["c"])
-        right_first.merge(make(["a", "b"]))
-        assert trace_records(left_first) == trace_records(right_first)
 
     def test_to_records_path_ids(self):
         tracer = Tracer()

@@ -39,7 +39,7 @@ def make_db(rows) -> Database:
 def test_where_filter_matches_reference(rows, threshold):
     db = make_db(rows)
     result = db.query(f"SELECT k FROM t WHERE k > {threshold}")
-    expected = [r[0] for r in db.table("t").rows if r[0] is not None and r[0] > threshold]
+    expected = [k for k in db.table("t").column("k") if k is not None and k > threshold]
     assert result.column("k") == expected
 
 
@@ -49,10 +49,10 @@ def test_count_and_sum_match_reference(rows):
     db = make_db(rows)
     result = db.query("SELECT COUNT(*) AS n, COUNT(v) AS nv, SUM(k) AS s FROM t")
     record = result.record(0)
-    raw = db.table("t").rows
+    raw = db.table("t").records()
     assert record["n"] == len(raw)
-    assert record["nv"] == sum(1 for r in raw if r[1] is not None)
-    expected_sum = sum(r[0] for r in raw) if raw else None
+    assert record["nv"] == sum(1 for r in raw if r["v"] is not None)
+    expected_sum = sum(r["k"] for r in raw) if raw else None
     assert record["s"] == expected_sum
 
 
@@ -79,9 +79,9 @@ def test_distinct_removes_duplicates(rows):
     db = make_db(rows)
     result = db.query("SELECT DISTINCT c FROM t")
     expected = []
-    for row in db.table("t").rows:
-        if row[2] not in expected:
-            expected.append(row[2])
+    for c in db.table("t").column("c"):
+        if c not in expected:
+            expected.append(c)
     assert result.column("c") == expected
 
 
@@ -92,15 +92,6 @@ def test_group_by_counts_match_reference(rows):
     result = db.query("SELECT c, COUNT(*) AS n FROM t GROUP BY c")
     from collections import Counter
 
-    expected = Counter(row[2] for row in db.table("t").rows)
+    expected = Counter(db.table("t").column("c"))
     got = {r["c"]: r["n"] for r in result.records()}
     assert got == dict(expected)
-
-
-@settings(max_examples=40, deadline=None)
-@given(ROWS)
-def test_delete_then_count_is_zero(rows):
-    db = make_db(rows)
-    deleted = db.execute("DELETE FROM t")
-    assert deleted == len(rows)
-    assert db.query("SELECT COUNT(*) AS n FROM t").column("n") == [0]

@@ -45,22 +45,24 @@ class TestColumnType:
 
 
 class TestSchema:
-    def test_of_mixed_specs(self):
-        schema = Schema.of("a", ("b", ColumnType.INT), Column("c", ColumnType.FLOAT))
+    def test_names_in_order(self):
+        schema = Schema(
+            (Column("a"), Column("b", ColumnType.INT), Column("c", ColumnType.FLOAT))
+        )
         assert schema.names == ["a", "b", "c"]
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
-            Schema.of("a", "a")
+            Schema((Column("a"), Column("a")))
 
     def test_index_of(self):
-        schema = Schema.of("x", "y")
+        schema = Schema((Column("x"), Column("y")))
         assert schema.index_of("y") == 1
         with pytest.raises(KeyError):
             schema.index_of("z")
 
     def test_contains(self):
-        schema = Schema.of("x")
+        schema = Schema((Column("x"),))
         assert "x" in schema and "q" not in schema
 
 
