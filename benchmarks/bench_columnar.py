@@ -16,7 +16,13 @@ suites compare them with, on synthetic corpora sized by
 - **long-document Jaro**: ``jaro_similarity`` (a stack of unmatched
   positions per character) vs the window scan ``jaro_reference`` of
   ``tests/oracles.py``, over pairs of ``CurationCorpus`` documents (one per
-  400 records, 250 by default), each with its neighbour.
+  400 records, 250 by default), each with its neighbour;
+- **source derivation**: ``StreamingERCorpus`` pairs and ``CurationCorpus``
+  documents drawn straight from ``getrandbits`` / ``random()`` vs the
+  ``random.Random`` wrapper derivation of ``tests/oracles.py`` (one pair
+  per 40 records and one document per 150: 2 500 and 666 by default), with
+  the seeding floor (blake2b + ``random.Random(seed)`` + one draw per pair)
+  beside them.  Its JSON also records the commit and the host.
 
 The reference side of feature extraction is measured on a
 ``BENCH_COLUMNAR_SCALAR_SAMPLE`` subset (default 4000 pairs) and
@@ -36,14 +42,18 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import platform
 import random
+import subprocess
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
+from repro._util import indexed_hash
 from repro.datasets.curation import CurationCorpus
+from repro.datasets.streaming import StreamingERCorpus
 from repro.ml.features import PAIR_FEATURE_NAMES, PairFeatureExtractor
 from repro.tasks.blocking import _block_columnar, _block_scalar
 from repro.text.normalize import normalize_text
@@ -53,19 +63,24 @@ from repro.text.similarity import TfIdfModel, jaro_similarity
 from _harness import emit, emit_json
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-from tests.oracles import jaro_reference, per_token_quality_stats  # noqa: E402
+from tests.oracles import (  # noqa: E402
+    curation_doc_reference,
+    er_pair_reference,
+    jaro_reference,
+    per_token_quality_stats,
+)
 
 N_RECORDS = int(os.environ.get("BENCH_COLUMNAR_RECORDS", "100000"))
 SCALAR_SAMPLE = int(os.environ.get("BENCH_COLUMNAR_SCALAR_SAMPLE", "4000"))
 REPEATS = int(os.environ.get("BENCH_COLUMNAR_REPEATS", "2"))
 
 
-def _best_of(fn):
-    """Best-of-``REPEATS`` wall time: damps scheduler/cache noise for both
+def _best_of(fn, repeats: int = REPEATS):
+    """Best-of-``repeats`` wall time: damps scheduler/cache noise for both
     contenders equally.  Returns ``(seconds, result)``."""
     best = float("inf")
     result = None
-    for _ in range(max(REPEATS, 1)):
+    for _ in range(max(repeats, 1)):
         started = time.perf_counter()
         result = fn()
         best = min(best, time.perf_counter() - started)
@@ -315,4 +330,90 @@ def test_jaro_kernel_speedup():
         speedup=speedup,
         pairs=len(pairs),
         mean_chars=round(mean_chars, 1),
+    )
+
+
+def _commit_and_host() -> dict:
+    """The tree and the machine a recorded number belongs to."""
+    root = Path(__file__).resolve().parents[1]
+    try:
+        commit = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=root, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        commit = "unknown"
+    return {
+        "commit": commit,
+        "host": {
+            "platform": platform.platform(),
+            "machine": platform.machine(),
+            "nproc": os.cpu_count(),
+            "python": platform.python_version(),
+        },
+    }
+
+
+def test_source_derivation_speedup():
+    er = StreamingERCorpus(max(N_RECORDS // 40, 200), seed=7)
+    n_docs = max(N_RECORDS // 150, 100)
+    # Each repetition takes tens of milliseconds, so more of them fit.
+    repeats = max(REPEATS, 7)
+
+    er_reference_seconds, reference_pairs = _best_of(
+        lambda: [er_pair_reference(er, index) for index in range(len(er))], repeats
+    )
+    er_direct_seconds, direct_pairs = _best_of(lambda: list(er), repeats)
+    floor_seconds, _ = _best_of(
+        lambda: [
+            random.Random(indexed_hash(er._prefix, index)).random()
+            for index in range(len(er))
+        ],
+        repeats,
+    )
+    assert direct_pairs == reference_pairs
+
+    def reference_docs():
+        corpus, contents = CurationCorpus(n_docs, seed=7), {}
+        return [curation_doc_reference(corpus, index, contents) for index in range(n_docs)]
+
+    # A fresh corpus object per repetition: it keeps what it has derived.
+    doc_reference_seconds, reference_docs_out = _best_of(reference_docs, repeats)
+    doc_direct_seconds, direct_docs = _best_of(
+        lambda: list(CurationCorpus(n_docs, seed=7)), repeats
+    )
+    assert direct_docs == reference_docs_out
+
+    pairs, docs = len(er), n_docs
+    emit(
+        "columnar_sources",
+        f"source derivation, {pairs:,} StreamingERCorpus pairs and "
+        f"{docs:,} CurationCorpus documents (best of {repeats}):\n"
+        f"ER reference   {er_reference_seconds:8.4f}s {pairs / er_reference_seconds:9.0f} pairs/s\n"
+        f"ER direct      {er_direct_seconds:8.4f}s {pairs / er_direct_seconds:9.0f} pairs/s\n"
+        f"ER seed floor  {floor_seconds:8.4f}s\n"
+        f"doc reference  {doc_reference_seconds:8.4f}s {docs / doc_reference_seconds:9.0f} docs/s\n"
+        f"doc direct     {doc_direct_seconds:8.4f}s {docs / doc_direct_seconds:9.0f} docs/s\n"
+        f"speedup        {er_reference_seconds / er_direct_seconds:7.2f}x pairs, "
+        f"{doc_reference_seconds / doc_direct_seconds:.2f}x docs (equal records)",
+    )
+    emit_json(
+        "columnar_sources",
+        [
+            {"name": "er_reference", "wall_seconds": er_reference_seconds,
+             "records_per_s": pairs / er_reference_seconds},
+            {"name": "er_direct", "wall_seconds": er_direct_seconds,
+             "records_per_s": pairs / er_direct_seconds},
+            {"name": "er_seed_floor", "wall_seconds": floor_seconds},
+            {"name": "doc_reference", "wall_seconds": doc_reference_seconds,
+             "records_per_s": docs / doc_reference_seconds},
+            {"name": "doc_direct", "wall_seconds": doc_direct_seconds,
+             "records_per_s": docs / doc_direct_seconds},
+        ],
+        pairs=pairs,
+        documents=docs,
+        repeats=repeats,
+        er_speedup=er_reference_seconds / er_direct_seconds,
+        doc_speedup=doc_reference_seconds / doc_direct_seconds,
+        **_commit_and_host(),
     )

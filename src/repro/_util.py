@@ -10,15 +10,18 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 
 __all__ = [
     "stable_hash",
+    "stable_prefix",
+    "indexed_hash",
     "stable_unit",
     "stable_choice",
     "seeded_rng",
+    "below",
 ]
 
 
@@ -31,6 +34,21 @@ def stable_hash(*parts: object, bits: int = 64) -> int:
     """
     text = "\x1f".join(repr(p) for p in parts)
     digest = hashlib.blake2b(text.encode("utf-8"), digest_size=bits // 8)
+    return int.from_bytes(digest.digest(), "big")
+
+
+def stable_prefix(*parts: object) -> bytes:
+    """The bytes :func:`stable_hash` hashes for ``parts`` when more follow.
+
+    An index-addressable source joins its fixed identity once and hashes
+    only each record's index after it (see :func:`indexed_hash`).
+    """
+    return "".join(f"{part!r}\x1f" for part in parts).encode("utf-8")
+
+
+def indexed_hash(prefix: bytes, index: int) -> int:
+    """``stable_hash(*parts, index)`` for ``prefix == stable_prefix(*parts)``."""
+    digest = hashlib.blake2b(prefix + b"%d" % index, digest_size=8)
     return int.from_bytes(digest.digest(), "big")
 
 
@@ -60,3 +78,22 @@ def seeded_rng(seed: int | str) -> random.Random:
     if isinstance(seed, str):
         seed = stable_hash(seed)
     return random.Random(seed)
+
+
+def below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A uniform int in ``[0, n)`` (``n > 0``) by rejection over ``getrandbits``.
+
+    The synthetic sources draw through this and ``random()`` alone, so what
+    they derive depends on the Mersenne Twister's own outputs only, not on
+    the ``choice`` / ``randrange`` / ``randint`` algorithms of
+    :mod:`random`, which Python does not promise to keep.  It draws what
+    those wrappers draw today: ``seq[below(bits, len(seq))]`` is
+    ``choice(seq)``, ``a + below(bits, b - a)`` is ``randrange(a, b)``.
+    """
+    if n <= 0:
+        raise ValueError(f"below() needs n > 0, got {n}")
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r

@@ -22,7 +22,9 @@ Determinism contract: every random decision is drawn from a
 ``stable_hash``-keyed stream scoped to the record (or cluster) it concerns —
 there is **no** shared ``random.Random`` advanced in iteration order — so
 ``corpus.doc(i)`` is a pure function of ``(seed, name, i)`` and streaming
-consumption equals materialised iteration, in any access order.
+consumption equals materialised iteration, in any access order.  A stream
+is read through ``random()`` and ``getrandbits()`` alone (see
+:func:`repro._util.below`).
 
 A corpus object derives each document once: ``doc`` memoises the frozen
 :class:`CurationDoc` it returns, and a cluster's canonical content once for
@@ -35,9 +37,10 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass, field
-from typing import Iterator
+from random import Random
+from typing import Callable, Iterator, Sequence
 
-from repro._util import seeded_rng, stable_hash, stable_unit
+from repro._util import below, indexed_hash, stable_prefix
 from repro.datasets.catalog import BEER_STYLES, BREWERY_WORDS, CUISINES
 
 __all__ = [
@@ -205,25 +208,68 @@ _CONSONANTS = "bcdfgkmprstvz"
 _VOWELS = "aeiou"
 
 
-def _junk_word(rng) -> str:
+def _junk_word(rng: Random) -> str:
     """A plausible-looking pseudo-word no vocabulary contains."""
-    parts = [rng.choice(_JUNK_SYLLABLES) for _ in range(rng.randint(2, 3))]
+    bits = rng.getrandbits
+    parts = [
+        _JUNK_SYLLABLES[below(bits, len(_JUNK_SYLLABLES))]
+        for _ in range(2 + below(bits, 2))
+    ]
     if rng.random() < 0.4:
-        parts.append(rng.choice(_CONSONANTS) + rng.choice(_VOWELS))
+        parts.append(
+            _CONSONANTS[below(bits, len(_CONSONANTS))] + _VOWELS[below(bits, len(_VOWELS))]
+        )
     return "".join(parts)
 
 
-def _typo_word(word: str, rng) -> str:
+def _sample(bits: Callable[[int], int], population: Sequence, k: int) -> list:
+    """``random.Random.sample(population, k)`` for a small ``population``.
+
+    The pool form that ``sample`` takes whenever the population is no
+    larger than a ``k``-set: ``k`` partial Fisher-Yates draws.
+    """
+    pool = list(population)
+    n = len(pool)
+    picked = []
+    for i in range(k):
+        j = below(bits, n - i)
+        picked.append(pool[j])
+        pool[j] = pool[n - i - 1]
+    return picked
+
+
+def _typo_word(word: str, rng: Random) -> str:
     """One character-level typo (swap/drop/double) in ``word``."""
     if len(word) < 4:
         return word
-    i = rng.randrange(1, len(word) - 1)
+    i = 1 + below(rng.getrandbits, len(word) - 2)
     mode = rng.random()
     if mode < 0.34:
         return word[:i] + word[i + 1] + word[i] + word[i + 2 :]
     if mode < 0.67:
         return word[:i] + word[i + 1 :]
     return word[:i] + word[i] + word[i:]
+
+
+#: Each per-record stream's tag as :func:`~repro._util.stable_prefix` bytes.
+_TAGS = {
+    tag: stable_prefix(tag)
+    for tag in (
+        "eval", "code", "dup", "pick", "contam", "content", "mutate",
+        "evalpick", "disguise", "slot",
+    )
+}
+
+
+def _key(prefix: bytes, tag: str, index: int) -> int:
+    """``stable_hash(seed, name, tag, index)`` for ``prefix == stable_prefix(seed, name)``.
+
+    The seed of one record's stream (or its one hashed decision).
+    """
+    return indexed_hash(prefix + _TAGS[tag], index)
+
+#: ``stable_hash`` scale: a 64-bit hash over this is a unit float.
+_UNIT = float(1 << 64)
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +292,13 @@ class CurationEvalSet:
     size: int
     seed: int | str = 7
     name: str = "curation-eval"
+    #: ``stable_prefix(seed, name)``, joined once (see ``_TAGS``)
+    _prefix: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.size <= 0:
             raise ValueError("eval set size must be positive")
+        object.__setattr__(self, "_prefix", stable_prefix(self.seed, self.name))
 
     def __len__(self) -> int:
         return self.size
@@ -262,12 +311,15 @@ class CurationEvalSet:
         """Derive eval question ``index``; pure function of the identity."""
         if not 0 <= index < self.size:
             raise IndexError(f"eval index {index} out of range [0, {self.size})")
-        rng = seeded_rng(stable_hash(self.seed, self.name, "eval", index))
-        year = rng.randint(1958, 2014)
-        subject = f"{rng.choice(_ADJECTIVES)} {rng.choice(_NOUNS)}"
-        style = rng.choice(("IPA", "ESB", "Porter", "Stout"))
-        street = rng.choice(_STREETS)
-        code = 1000 + (stable_hash(self.seed, self.name, "code", index) % 9000)
+        bits = Random(_key(self._prefix, "eval", index)).getrandbits
+        year = 1958 + below(bits, 2014 - 1958 + 1)
+        subject = (
+            f"{_ADJECTIVES[below(bits, len(_ADJECTIVES))]} "
+            f"{_NOUNS[below(bits, len(_NOUNS))]}"
+        )
+        style = ("IPA", "ESB", "Porter", "Stout")[below(bits, 4)]
+        street = _STREETS[below(bits, len(_STREETS))]
+        code = 1000 + _key(self._prefix, "code", index) % 9000
         frames = (
             f"according to the {year} {street} St. census which brewery "
             f"released the {subject} {style} batch {code} & why",
@@ -276,7 +328,7 @@ class CurationEvalSet:
             f"which {subject} {style} from batch {code} won the {year} "
             f"{street} Blvd. tasting & what score",
         )
-        return f"Q{index}: {rng.choice(frames)}?"
+        return f"Q{index}: {frames[below(bits, 3)]}?"
 
     def items(self) -> Iterator[str]:
         for index in range(self.size):
@@ -339,6 +391,8 @@ class CurationCorpus:
     eval_size: int = 32
     #: first index eligible to be a duplicate (guarantees canonical targets)
     dup_floor: int = 8
+    #: ``stable_prefix(seed, name)``, joined once (see ``_TAGS``)
+    _prefix: bytes = field(init=False, repr=False, compare=False)
     #: documents derived so far, by index (see :meth:`doc`)
     _docs: dict[int, CurationDoc] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -355,6 +409,7 @@ class CurationCorpus:
             raise ValueError("dup_fraction must be in [0, 1]")
         if not 0.0 <= self.contamination_fraction <= 1.0:
             raise ValueError("contamination_fraction must be in [0, 1]")
+        object.__setattr__(self, "_prefix", stable_prefix(self.seed, self.name))
 
     def __len__(self) -> int:
         return self.n_docs
@@ -376,7 +431,7 @@ class CurationCorpus:
     def _is_duplicate_index(self, index: int) -> bool:
         if index < self.dup_floor:
             return False
-        return stable_unit(self.seed, self.name, "dup", index) < self.dup_fraction
+        return _key(self._prefix, "dup", index) / _UNIT < self.dup_fraction
 
     def _cluster_of(self, index: int) -> int:
         """Canonical index of document ``index``'s cluster.
@@ -387,10 +442,10 @@ class CurationCorpus:
         """
         if not self._is_duplicate_index(index):
             return index
-        rng = seeded_rng(stable_hash(self.seed, self.name, "pick", index))
+        bits = Random(_key(self._prefix, "pick", index)).getrandbits
         low = max(0, index - 64)
         for _ in range(24):
-            j = rng.randrange(low, index)
+            j = low + below(bits, index - low)
             if not self._is_duplicate_index(j):
                 return j
         for j in range(index - 1, -1, -1):
@@ -399,36 +454,37 @@ class CurationCorpus:
         return 0  # unreachable: indices below dup_floor are canonical
 
     def _is_contaminated_index(self, index: int) -> bool:
-        return (
-            stable_unit(self.seed, self.name, "contam", index)
-            < self.contamination_fraction
-        )
+        return _key(self._prefix, "contam", index) / _UNIT < self.contamination_fraction
 
     # -- canonical content ------------------------------------------------------
 
     def _canonical_content(self, cluster: int) -> tuple[list[str], float]:
         """``(sentences, quality)`` of a cluster's canonical document."""
-        rng = seeded_rng(stable_hash(self.seed, self.name, "content", cluster))
-        quality = rng.random()
-        subject = f"{rng.choice(_ADJECTIVES)} {rng.choice(_NOUNS)}"
-        style = rng.choice(_CONTENT_STYLES)
-        brewery = rng.choice(BREWERY_WORDS)
-        cuisine = rng.choice(CUISINES).lower()
-        street = rng.choice(_STREETS)
-        city = rng.choice(_CITIES)
-        number = rng.randint(4, 96)
-        abv = f"{rng.uniform(4.0, 11.0):.1f}"
-        volume = rng.choice(("12oz", "330ml"))
-        suffix = rng.choice(("Co.", "Ltd."))
-        amp = rng.choice(("&", "and"))
-        color = rng.choice(("amber", "mahogany", "copper", "garnet", "chestnut"))
-        head = rng.choice(("cream", "ivory", "mocha", "tan"))
-        season = rng.choice(("autumn", "winter", "spring", "midsummer"))
-        wood = rng.choice(("oak", "cherrywood", "acacia", "chestnut"))
-        malt = rng.choice(("floor-malted", "kilned", "peated", "biscuit"))
-        hop = rng.choice(("whole-cone", "cryo", "noble", "wet-picked"))
-        finish = rng.choice(("dry", "resinous", "silky", "bracing"))
-        score = rng.randint(81, 99)
+        rng = Random(_key(self._prefix, "content", cluster))
+        bits, random = rng.getrandbits, rng.random
+        quality = random()
+        subject = (
+            f"{_ADJECTIVES[below(bits, len(_ADJECTIVES))]} "
+            f"{_NOUNS[below(bits, len(_NOUNS))]}"
+        )
+        style = _CONTENT_STYLES[below(bits, len(_CONTENT_STYLES))]
+        brewery = BREWERY_WORDS[below(bits, len(BREWERY_WORDS))]
+        cuisine = CUISINES[below(bits, len(CUISINES))].lower()
+        street = _STREETS[below(bits, len(_STREETS))]
+        city = _CITIES[below(bits, len(_CITIES))]
+        number = 4 + below(bits, 96 - 4 + 1)
+        abv = f"{4.0 + 7.0 * random():.1f}"
+        volume = ("12oz", "330ml")[below(bits, 2)]
+        suffix = ("Co.", "Ltd.")[below(bits, 2)]
+        amp = ("&", "and")[below(bits, 2)]
+        color = ("amber", "mahogany", "copper", "garnet", "chestnut")[below(bits, 5)]
+        head = ("cream", "ivory", "mocha", "tan")[below(bits, 4)]
+        season = ("autumn", "winter", "spring", "midsummer")[below(bits, 4)]
+        wood = ("oak", "cherrywood", "acacia", "chestnut")[below(bits, 4)]
+        malt = ("floor-malted", "kilned", "peated", "biscuit")[below(bits, 4)]
+        hop = ("whole-cone", "cryo", "noble", "wet-picked")[below(bits, 4)]
+        finish = ("dry", "resinous", "silky", "bracing")[below(bits, 4)]
+        score = 81 + below(bits, 99 - 81 + 1)
 
         slots = {
             "subject": subject,
@@ -454,51 +510,52 @@ class CurationCorpus:
         # ``sample`` draws by position alone, so picking positions and
         # formatting only those equals sampling the formatted pool.
         n_templates = len(_SENTENCE_TEMPLATES)
-        n_sentences = rng.randint(6, min(9, n_templates))
+        n_sentences = 6 + below(bits, min(9, n_templates) - 5)
         sentences = [
-            _SENTENCE_TEMPLATES[position].format(**slots)
-            for position in rng.sample(range(n_templates), n_sentences)
+            _SENTENCE_TEMPLATES[position].format_map(slots)
+            for position in _sample(bits, range(n_templates), n_sentences)
         ]
         # Up to three *generic* sentences from a small shared pool: different
         # clusters can share these verbatim, which pushes negative-pair raw
         # Jaccard into the LSH candidate band — the hard negatives the LLM
         # verifier must reject.
-        generic = rng.sample(_GENERIC_SENTENCES, rng.randint(1, 3))
+        generic = _sample(bits, _GENERIC_SENTENCES, 1 + below(bits, 3))
         for sentence in generic:
-            sentences.insert(rng.randrange(len(sentences) + 1), sentence)
+            sentences.insert(below(bits, len(sentences) + 1), sentence)
 
         # Quality features: monotone in (1 - quality), plus decoys on the
         # high end so surface heuristics have genuine failure modes.
-        junk_count = int(max(0.0, 0.55 - quality) * 16.0 * (0.7 + 0.6 * rng.random()))
+        junk_count = int(max(0.0, 0.55 - quality) * 16.0 * (0.7 + 0.6 * random()))
         for _ in range(junk_count):
-            target = rng.randrange(len(sentences))
+            target = below(bits, len(sentences))
             words = sentences[target].split()
-            words.insert(rng.randrange(1, len(words)), _junk_word(rng))
+            words.insert(1 + below(bits, len(words) - 1), _junk_word(rng))
             sentences[target] = " ".join(words)
-        if quality < 0.55 and rng.random() < (0.85 - quality):
+        if quality < 0.55 and random() < (0.85 - quality):
             sentences.insert(
-                rng.randrange(len(sentences) + 1),
-                rng.choice(BOILERPLATE_PHRASES).capitalize() + ".",
+                below(bits, len(sentences) + 1),
+                BOILERPLATE_PHRASES[below(bits, len(BOILERPLATE_PHRASES))].capitalize()
+                + ".",
             )
         if quality < 0.5:
             # Spammy repetition: one sentence appears twice.
-            if rng.random() < (0.6 - quality) * 1.4:
-                victim = rng.choice(sentences)
-                sentences.insert(rng.randrange(len(sentences) + 1), victim)
+            if random() < (0.6 - quality) * 1.4:
+                victim = sentences[below(bits, len(sentences))]
+                sentences.insert(below(bits, len(sentences) + 1), victim)
         if quality < 0.45:
             # Scrape damage: truncated fragments and dropped terminal
             # punctuation (run-on text is the classic surface tell).
-            if rng.random() < 0.7:
-                target = rng.randrange(len(sentences))
+            if random() < 0.7:
+                target = below(bits, len(sentences))
                 words = sentences[target].split()
                 sentences[target] = " ".join(words[: max(3, len(words) // 2)])
             for target in range(len(sentences)):
-                if sentences[target].endswith(".") and rng.random() < (0.52 - quality):
+                if sentences[target].endswith(".") and random() < (0.52 - quality):
                     sentences[target] = sentences[target][:-1]
-        if quality >= 0.6 and rng.random() < 0.35:
+        if quality >= 0.6 and random() < 0.35:
             sentences.insert(
-                rng.randrange(len(sentences) + 1),
-                f"{brewery.upper()} OFFICIAL SPEC {rng.randint(10000, 99999)} "
+                below(bits, len(sentences) + 1),
+                f"{brewery.upper()} OFFICIAL SPEC {10000 + below(bits, 99999 - 10000 + 1)} "
                 f"SERIES {number}.",
             )
         return sentences, quality
@@ -514,8 +571,9 @@ class CurationCorpus:
     # -- mutation and contamination ---------------------------------------------
 
     @staticmethod
-    def _mutate(sentences: list[str], rng) -> list[str]:
+    def _mutate(sentences: list[str], rng: Random) -> list[str]:
         """A near-duplicate view: variant flips, drop/swap, a typo or two."""
+        bits, random = rng.getrandbits, rng.random
         out = list(sentences)
         # A *disguised* duplicate is aggressively rewritten: it flips
         # essentially every variant token, drops more sentences and takes
@@ -524,23 +582,21 @@ class CurationCorpus:
         # still maps both copies to (nearly) the same canonical text.  A
         # raw-similarity threshold cannot separate these from negatives; the
         # knowledge path can.
-        disguised = rng.random() < 0.4
-        drops = 1 if (disguised or rng.random() < 0.35) else 0
+        disguised = random() < 0.4
+        drops = 1 if (disguised or random() < 0.35) else 0
         for _ in range(drops):
             if len(out) > 4:
-                out.pop(rng.randrange(len(out)))
+                out.pop(below(bits, len(out)))
         if disguised:
             # A re-scraped page carries different boilerplate: swap one shared
             # generic sentence for another from the pool.
             present = [i for i, s in enumerate(out) if s in _GENERIC_SENTENCES]
             if present:
-                slot = rng.choice(present)
-                replacement = rng.choice(
-                    [g for g in _GENERIC_SENTENCES if g != out[slot]]
-                )
-                out[slot] = replacement
-        if len(out) > 2 and rng.random() < 0.4:
-            i = rng.randrange(len(out) - 1)
+                slot = present[below(bits, len(present))]
+                others = [g for g in _GENERIC_SENTENCES if g != out[slot]]
+                out[slot] = others[below(bits, len(others))]
+        if len(out) > 2 and random() < 0.4:
+            i = below(bits, len(out) - 1)
             out[i], out[i + 1] = out[i + 1], out[i]
         flip_probability = 0.95 if disguised else 0.6
         mutated: list[str] = []
@@ -548,20 +604,20 @@ class CurationCorpus:
             words = sentence.split()
             for w, word in enumerate(words):
                 stripped = word.rstrip(".,?!")
-                tail = word[len(stripped) :]
-                if stripped in _VARIANT_LOOKUP and rng.random() < flip_probability:
-                    words[w] = _VARIANT_LOOKUP[stripped] + tail
+                if stripped in _VARIANT_LOOKUP and random() < flip_probability:
+                    words[w] = _VARIANT_LOOKUP[stripped] + word[len(stripped) :]
             mutated.append(" ".join(words))
-        typos = rng.randint(0, 2) if disguised else (1 if rng.random() < 0.5 else 0)
+        typos = below(bits, 3) if disguised else (1 if random() < 0.5 else 0)
         for _ in range(typos):
-            target = rng.randrange(len(mutated))
+            target = below(bits, len(mutated))
             words = mutated[target].split()
-            w = rng.randrange(len(words))
+            w = below(bits, len(words))
             words[w] = _typo_word(words[w], rng)
             mutated[target] = " ".join(words)
         return mutated
 
-    def _disguise(self, sentence: str, rng) -> str:
+    @staticmethod
+    def _disguise(sentence: str, rng: Random) -> str:
         """Rewrite of an eval sentence that breaks every clean 8-gram.
 
         Variant flips plus a typo roughly every fifth word guarantee no
@@ -569,13 +625,14 @@ class CurationCorpus:
         blind; enough 4-token windows survive that the *soft* scan still
         raises a borderline flag for the LLM to adjudicate.
         """
+        random = rng.random
         words = sentence.split()
         for w, word in enumerate(words):
             stripped = word.rstrip(".,?!")
             tail = word[len(stripped) :]
-            if stripped in _VARIANT_LOOKUP and rng.random() < 0.85:
+            if stripped in _VARIANT_LOOKUP and random() < 0.85:
                 words[w] = _VARIANT_LOOKUP[stripped] + tail
-            elif rng.random() < 0.18:
+            elif random() < 0.18:
                 words[w] = _typo_word(stripped, rng) + tail
         return " ".join(words)
 
@@ -598,19 +655,16 @@ class CurationCorpus:
         sentences = list(content)
         is_duplicate = cluster != index
         if is_duplicate:
-            rng = seeded_rng(stable_hash(self.seed, self.name, "mutate", index))
-            sentences = self._mutate(sentences, rng)
+            sentences = self._mutate(sentences, Random(_key(self._prefix, "mutate", index)))
         contaminated = self._is_contaminated_index(index)
         eval_index = -1
         if contaminated:
-            eval_index = stable_hash(self.seed, self.name, "evalpick", index) % self.eval_size
+            eval_index = _key(self._prefix, "evalpick", index) % self.eval_size
             splice = self.eval_set.item(eval_index)
-            rng = seeded_rng(stable_hash(self.seed, self.name, "disguise", index))
+            rng = Random(_key(self._prefix, "disguise", index))
             if rng.random() < 0.55:
                 splice = self._disguise(splice, rng)
-            position = stable_hash(self.seed, self.name, "slot", index) % (
-                len(sentences) + 1
-            )
+            position = _key(self._prefix, "slot", index) % (len(sentences) + 1)
             sentences = sentences[:position] + [splice] + sentences[position:]
         doc_id = f"D{index:07d}"
         # A per-document reference sentence keeps every rendered prompt

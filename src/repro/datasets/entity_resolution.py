@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro._util import seeded_rng
+from repro._util import below, seeded_rng
 
 __all__ = ["RecordPair", "ERDataset", "generate_er_dataset", "ER_DATASET_NAMES"]
 
@@ -68,7 +68,7 @@ class ERDataset:
 def _typo(text: str, rng: random.Random) -> str:
     if len(text) < 4:
         return text
-    i = rng.randrange(1, len(text) - 2)
+    i = 1 + below(rng.getrandbits, len(text) - 3)
     kind = rng.random()
     if kind < 0.4:  # transpose
         return text[:i] + text[i + 1] + text[i] + text[i + 2 :]

@@ -8,7 +8,9 @@ out-of-core counterpart: a *seeded, index-addressable* pair generator —
 ``(seed, name, i)`` alone, so a million-pair corpus occupies a few dozen
 bytes until iterated and re-yields byte-identical pairs on every pass.
 That re-iterability is what lets a durable streaming resume rebuild shard
-inputs by skipping the source forward instead of persisting them.
+inputs by skipping the source forward instead of persisting them.  A
+pair's stream is read through ``random()`` and ``getrandbits()`` alone
+(see :func:`repro._util.below`).
 
 Every record carries an index-derived ``lot`` attribute, which makes each
 pair's rendered prompt unique across the corpus.  That is deliberate: the
@@ -25,14 +27,15 @@ helpers, so matcher prompts look the same in both modes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from random import Random
 from typing import Iterator
 
-from repro._util import seeded_rng, stable_hash
+from repro._util import below, indexed_hash, stable_prefix
+from repro.datasets.catalog import BEER_STYLES, BREWERY_WORDS
 from repro.datasets.entity_resolution import (
     _BREWERY_SUFFIXES,
     _STYLE_REWRITES,
-    _maybe,
     _typo,
     RecordPair,
 )
@@ -70,12 +73,16 @@ class StreamingERCorpus:
     seed: int | str = 7
     match_fraction: float = 0.4
     name: str = "stream-beer"
+    #: ``stable_prefix(seed, name, "pair")``: what every pair's seed hash
+    #: starts with, joined once per corpus
+    _prefix: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_pairs < 0:
             raise ValueError("n_pairs must be non-negative")
         if not 0.0 <= self.match_fraction <= 1.0:
             raise ValueError("match_fraction must be in [0, 1]")
+        object.__setattr__(self, "_prefix", stable_prefix(self.seed, self.name, "pair"))
 
     def __len__(self) -> int:
         return self.n_pairs
@@ -90,33 +97,38 @@ class StreamingERCorpus:
 
     # -- pair derivation ---------------------------------------------------------
 
-    def _entity(self, rng, lot: str) -> dict:
-        from repro.datasets.catalog import BEER_STYLES, BREWERY_WORDS
-
-        style = rng.choice(BEER_STYLES)
+    @staticmethod
+    def _entity(rng: Random, lot: str) -> dict:
+        bits = rng.getrandbits
+        style = BEER_STYLES[below(bits, len(BEER_STYLES))]
+        adjective = _ADJECTIVES[below(bits, len(_ADJECTIVES))]
+        noun = _NOUNS[below(bits, len(_NOUNS))]
+        brewery = BREWERY_WORDS[below(bits, len(BREWERY_WORDS))]
         return {
-            "name": f"{rng.choice(_ADJECTIVES)} {rng.choice(_NOUNS)} {style}",
-            "brewery": f"{rng.choice(BREWERY_WORDS)} {_BREWERY_SUFFIXES[0]}",
+            "name": f"{adjective} {noun} {style}",
+            "brewery": f"{brewery} {_BREWERY_SUFFIXES[0]}",
             "style": style,
-            "abv": f"{rng.uniform(4.0, 11.0):.1f}%",
+            "abv": f"{4.0 + 7.0 * rng.random():.1f}%",
             "lot": lot,
         }
 
     @staticmethod
-    def _corrupt(entity: dict, rng) -> dict:
+    def _corrupt(entity: dict, rng: Random) -> dict:
         """A dirty second view of ``entity`` (the matching right side)."""
+        random = rng.random
         dirty = dict(entity)
         style = dirty["style"]
-        if style in _STYLE_REWRITES and _maybe(rng, 0.6):
+        if style in _STYLE_REWRITES and random() < 0.6:
             rewritten = _STYLE_REWRITES[style]
             dirty["style"] = rewritten
             dirty["name"] = dirty["name"].replace(style, rewritten)
-        if _maybe(rng, 0.5):
+        if random() < 0.5:
             base = dirty["brewery"].removesuffix(" " + _BREWERY_SUFFIXES[0])
-            dirty["brewery"] = f"{base} {rng.choice(_BREWERY_SUFFIXES)}"
-        if _maybe(rng, 0.4):
+            suffix = _BREWERY_SUFFIXES[below(rng.getrandbits, len(_BREWERY_SUFFIXES))]
+            dirty["brewery"] = f"{base} {suffix}"
+        if random() < 0.4:
             dirty["abv"] = f"{float(dirty['abv'].rstrip('%')) + 0.1:.1f}%"
-        if _maybe(rng, 0.5):
+        if random() < 0.5:
             dirty["name"] = _typo(dirty["name"], rng)
         return dirty
 
@@ -124,7 +136,7 @@ class StreamingERCorpus:
         """Derive pair ``index`` from scratch; O(1) memory, deterministic."""
         if not 0 <= index < self.n_pairs:
             raise IndexError(f"pair index {index} out of range [0, {self.n_pairs})")
-        rng = seeded_rng(stable_hash(self.seed, self.name, "pair", index))
+        rng = Random(indexed_hash(self._prefix, index))
         label = 1 if rng.random() < self.match_fraction else 0
         lot = f"LOT-{index:08d}"
         left = self._entity(rng, lot)
@@ -151,9 +163,13 @@ class StreamingERCorpus:
             yield {"left": pair.left, "right": pair.right}
 
     def labels(self) -> Iterator[int]:
-        """Lazy gold labels, aligned with :meth:`inputs`."""
+        """Lazy gold labels, aligned with :meth:`inputs`.
+
+        A label is a pair's first draw, so nothing after it is derived.
+        """
+        prefix, match_fraction = self._prefix, self.match_fraction
         for index in range(self.n_pairs):
-            yield self.pair(index).label
+            yield 1 if Random(indexed_hash(prefix, index)).random() < match_fraction else 0
 
     def examples(self, k: int = 4, scan: int = 512) -> list[tuple[tuple, bool]]:
         """Balanced few-shot examples drawn from the first ``scan`` pairs.

@@ -95,6 +95,47 @@ def knowledge_quality_score(text: str) -> float:
     return max(0.0, min(1.0, score))
 
 
+#: Jaro-Winkler level at which a typo'd token still counts as contained.
+_FUZZY_MATCH = 0.88
+
+#: How far below :data:`_FUZZY_MATCH` a bound must be to skip the pair: many
+#: float roundings wide, so rounding in the bound or in the similarity
+#: cannot skip a pair that matches.
+_BOUND_MARGIN = 1e-9
+
+
+def _jaro_winkler_bound(a: str, b: str) -> float:
+    """An upper bound on ``jaro_winkler_similarity(a, b)`` for non-empty strings.
+
+    Jaro is ``(m/|a| + m/|b| + (m - t)/m) / 3`` with at most
+    ``min(|a|, |b|)`` matches ``m``, so at most ``(min/|a| + min/|b| + 1) / 3``;
+    the Winkler boost grows with Jaro and with the shared prefix (up to 4
+    characters), which is known exactly.
+    """
+    shortest = min(len(a), len(b))
+    jaro = (shortest / len(a) + shortest / len(b) + 1.0) / 3.0
+    prefix = 0
+    for ca, cb in zip(a[:4], b[:4]):
+        if ca != cb:
+            break
+        prefix += 1
+    return jaro + prefix * 0.1 * (1.0 - jaro)
+
+
+def _fuzzy_contained(token: str, pool: list[str]) -> bool:
+    """Whether some word of ``pool`` is within Jaro-Winkler 0.88 of ``token``.
+
+    A word whose bound is below the cut is skipped before the similarity is
+    computed; the verdict is the unpruned scan's.
+    """
+    floor = _FUZZY_MATCH - _BOUND_MARGIN
+    return any(
+        jaro_winkler_similarity(token, other) >= _FUZZY_MATCH
+        for other in pool
+        if _jaro_winkler_bound(token, other) >= floor
+    )
+
+
 def containment_score(benchmark: str, document: str) -> float:
     """Fraction of the benchmark item's tokens found in the document.
 
@@ -112,9 +153,7 @@ def containment_score(benchmark: str, document: str) -> float:
     for token in item_tokens:
         if token in doc_set:
             matched += 1
-        elif len(token) >= 4 and any(
-            jaro_winkler_similarity(token, other) >= 0.88 for other in fuzzy_pool
-        ):
+        elif len(token) >= 4 and _fuzzy_contained(token, fuzzy_pool):
             matched += 1
     return matched / len(item_tokens)
 

@@ -151,13 +151,6 @@ class RunProfile:
 
     rows: list[ProfileRow] = field(default_factory=list)
 
-    def row(self, module: str) -> ProfileRow | None:
-        """The row for ``module``, if present."""
-        for row in self.rows:
-            if row.module == module:
-                return row
-        return None
-
     def totals(self) -> ProfileRow:
         """Column sums across every row."""
         return sum(self.rows, ProfileRow(module="TOTAL"))

@@ -107,9 +107,6 @@ class Schema:
                 return i
         raise KeyError(f"no such column: {name!r}; have {self.names}")
 
-    def __contains__(self, name: object) -> bool:
-        return any(c.name == name for c in self.columns)
-
     def __len__(self) -> int:
         return len(self.columns)
 

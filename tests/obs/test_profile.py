@@ -92,10 +92,11 @@ class TestRunProfile:
             ]
         )
 
-    def test_row_lookup(self):
+    def test_one_row_per_module(self):
         profile = self.make()
-        assert profile.row("a").calls == 2
-        assert profile.row("nope") is None
+        by_module = {row.module: row for row in profile.rows}
+        assert len(by_module) == len(profile.rows)
+        assert by_module["a"].calls == 2 and "nope" not in by_module
 
     def test_totals_sum_columns(self):
         totals = self.make().totals()

@@ -10,11 +10,16 @@ define what the whole-text passes of :func:`repro.text.quality.quality_stats`
 must equal, and the window-scan Jaro what :func:`jaro_similarity` must.
 The last two restate a cascade's escalation band and a retry
 policy's backoff sequence for the tests that check behaviour against them.
+The synthetic-source references derive ER pairs and curation documents the
+way the sources first did, through ``random.Random``'s ``choice`` /
+``randrange`` / ``randint`` / ``uniform`` wrappers over a per-record
+``stable_hash`` seed; the direct ``getrandbits`` derivation must equal them.
 """
 
 from __future__ import annotations
 
 import hashlib
+import random
 import re
 import struct
 from typing import Any, Iterator
@@ -309,3 +314,306 @@ def cascade_escalates(cascade, item: Any) -> bool:
 def retry_schedule(policy, key: object = 0) -> list[float]:
     """A retry policy's full backoff sequence for one call."""
     return [policy.delay(attempt, key) for attempt in range(policy.max_retries)]
+
+
+# -- synthetic-source references -----------------------------------------------
+
+
+def _seeded(*parts: object) -> random.Random:
+    text = "\x1f".join(repr(p) for p in parts)
+    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
+    return random.Random(int.from_bytes(digest, "big"))
+
+
+def _stable_hash(*parts: object) -> int:
+    text = "\x1f".join(repr(p) for p in parts)
+    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "big")
+
+
+def er_typo_reference(text: str, rng: random.Random) -> str:
+    """The batch and streaming ER generators' one-character typo."""
+    if len(text) < 4:
+        return text
+    i = rng.randrange(1, len(text) - 2)
+    kind = rng.random()
+    if kind < 0.4:
+        return text[:i] + text[i + 1] + text[i] + text[i + 2 :]
+    if kind < 0.7:
+        return text[:i] + text[i + 1 :]
+    return text[:i] + text[i] + text[i:]
+
+
+def er_pair_reference(corpus, index: int):
+    """``StreamingERCorpus.pair(index)`` through ``random.Random``'s wrappers."""
+    from repro.datasets.catalog import BEER_STYLES, BREWERY_WORDS
+    from repro.datasets.entity_resolution import (
+        _BREWERY_SUFFIXES,
+        _STYLE_REWRITES,
+        RecordPair,
+    )
+    from repro.datasets.streaming import _ADJECTIVES, _NOUNS
+
+    def entity(lot: str) -> dict:
+        style = rng.choice(BEER_STYLES)
+        return {
+            "name": f"{rng.choice(_ADJECTIVES)} {rng.choice(_NOUNS)} {style}",
+            "brewery": f"{rng.choice(BREWERY_WORDS)} {_BREWERY_SUFFIXES[0]}",
+            "style": style,
+            "abv": f"{rng.uniform(4.0, 11.0):.1f}%",
+            "lot": lot,
+        }
+
+    if not 0 <= index < corpus.n_pairs:
+        raise IndexError(index)
+    rng = _seeded(corpus.seed, corpus.name, "pair", index)
+    label = 1 if rng.random() < corpus.match_fraction else 0
+    lot = f"LOT-{index:08d}"
+    left = entity(lot)
+    if label:
+        right = dict(left)
+        style = right["style"]
+        if style in _STYLE_REWRITES and rng.random() < 0.6:
+            right["style"] = _STYLE_REWRITES[style]
+            right["name"] = right["name"].replace(style, _STYLE_REWRITES[style])
+        if rng.random() < 0.5:
+            base = right["brewery"].removesuffix(" " + _BREWERY_SUFFIXES[0])
+            right["brewery"] = f"{base} {rng.choice(_BREWERY_SUFFIXES)}"
+        if rng.random() < 0.4:
+            right["abv"] = f"{float(right['abv'].rstrip('%')) + 0.1:.1f}%"
+        if rng.random() < 0.5:
+            right["name"] = er_typo_reference(right["name"], rng)
+    else:
+        right = entity(f"{lot}-B")
+        right["style"] = left["style"]
+    return RecordPair(left=left, right=right, label=label, pair_id=f"{corpus.name}-{index}")
+
+
+def _junk_word_reference(rng: random.Random) -> str:
+    from repro.datasets.curation import _CONSONANTS, _JUNK_SYLLABLES, _VOWELS
+
+    parts = [rng.choice(_JUNK_SYLLABLES) for _ in range(rng.randint(2, 3))]
+    if rng.random() < 0.4:
+        parts.append(rng.choice(_CONSONANTS) + rng.choice(_VOWELS))
+    return "".join(parts)
+
+
+def _typo_word_reference(word: str, rng: random.Random) -> str:
+    if len(word) < 4:
+        return word
+    i = rng.randrange(1, len(word) - 1)
+    mode = rng.random()
+    if mode < 0.34:
+        return word[:i] + word[i + 1] + word[i] + word[i + 2 :]
+    if mode < 0.67:
+        return word[:i] + word[i + 1 :]
+    return word[:i] + word[i] + word[i:]
+
+
+def curation_eval_item_reference(eval_set, index: int) -> str:
+    """``CurationEvalSet.item(index)`` through ``random.Random``'s wrappers."""
+    from repro.datasets.curation import _ADJECTIVES, _NOUNS, _STREETS
+
+    rng = _seeded(eval_set.seed, eval_set.name, "eval", index)
+    year = rng.randint(1958, 2014)
+    subject = f"{rng.choice(_ADJECTIVES)} {rng.choice(_NOUNS)}"
+    style = rng.choice(("IPA", "ESB", "Porter", "Stout"))
+    street = rng.choice(_STREETS)
+    code = 1000 + (_stable_hash(eval_set.seed, eval_set.name, "code", index) % 9000)
+    frames = (
+        f"according to the {year} {street} St. census which brewery "
+        f"released the {subject} {style} batch {code} & why",
+        f"in the {year} survey on {street} Ave. who brewed the "
+        f"{subject} {style} lot {code} & where",
+        f"which {subject} {style} from batch {code} won the {year} "
+        f"{street} Blvd. tasting & what score",
+    )
+    return f"Q{index}: {rng.choice(frames)}?"
+
+
+def _curation_content_reference(corpus, cluster: int) -> tuple[list[str], float]:
+    from repro.datasets.catalog import BREWERY_WORDS, CUISINES
+    from repro.datasets.curation import (
+        _ADJECTIVES,
+        _CITIES,
+        _CONTENT_STYLES,
+        _GENERIC_SENTENCES,
+        _NOUNS,
+        _SENTENCE_TEMPLATES,
+        _STREETS,
+        BOILERPLATE_PHRASES,
+    )
+
+    rng = _seeded(corpus.seed, corpus.name, "content", cluster)
+    quality = rng.random()
+    subject = f"{rng.choice(_ADJECTIVES)} {rng.choice(_NOUNS)}"
+    style = rng.choice(_CONTENT_STYLES)
+    brewery = rng.choice(BREWERY_WORDS)
+    slots = {
+        "subject": subject,
+        "style": style,
+        "brewery": brewery,
+        "cuisine": rng.choice(CUISINES).lower(),
+        "street": rng.choice(_STREETS),
+        "city": rng.choice(_CITIES),
+        "number": rng.randint(4, 96),
+        "abv": f"{rng.uniform(4.0, 11.0):.1f}",
+        "volume": rng.choice(("12oz", "330ml")),
+        "suffix": rng.choice(("Co.", "Ltd.")),
+        "amp": rng.choice(("&", "and")),
+        "color": rng.choice(("amber", "mahogany", "copper", "garnet", "chestnut")),
+        "head": rng.choice(("cream", "ivory", "mocha", "tan")),
+        "season": rng.choice(("autumn", "winter", "spring", "midsummer")),
+        "wood": rng.choice(("oak", "cherrywood", "acacia", "chestnut")),
+        "malt": rng.choice(("floor-malted", "kilned", "peated", "biscuit")),
+        "hop": rng.choice(("whole-cone", "cryo", "noble", "wet-picked")),
+        "finish": rng.choice(("dry", "resinous", "silky", "bracing")),
+        "score": rng.randint(81, 99),
+    }
+    n_templates = len(_SENTENCE_TEMPLATES)
+    sentences = [
+        _SENTENCE_TEMPLATES[position].format(**slots)
+        for position in rng.sample(range(n_templates), rng.randint(6, min(9, n_templates)))
+    ]
+    for sentence in rng.sample(_GENERIC_SENTENCES, rng.randint(1, 3)):
+        sentences.insert(rng.randrange(len(sentences) + 1), sentence)
+    junk_count = int(max(0.0, 0.55 - quality) * 16.0 * (0.7 + 0.6 * rng.random()))
+    for _ in range(junk_count):
+        target = rng.randrange(len(sentences))
+        words = sentences[target].split()
+        words.insert(rng.randrange(1, len(words)), _junk_word_reference(rng))
+        sentences[target] = " ".join(words)
+    if quality < 0.55 and rng.random() < (0.85 - quality):
+        sentences.insert(
+            rng.randrange(len(sentences) + 1),
+            rng.choice(BOILERPLATE_PHRASES).capitalize() + ".",
+        )
+    if quality < 0.5:
+        if rng.random() < (0.6 - quality) * 1.4:
+            victim = rng.choice(sentences)
+            sentences.insert(rng.randrange(len(sentences) + 1), victim)
+    if quality < 0.45:
+        if rng.random() < 0.7:
+            target = rng.randrange(len(sentences))
+            words = sentences[target].split()
+            sentences[target] = " ".join(words[: max(3, len(words) // 2)])
+        for target in range(len(sentences)):
+            if sentences[target].endswith(".") and rng.random() < (0.52 - quality):
+                sentences[target] = sentences[target][:-1]
+    if quality >= 0.6 and rng.random() < 0.35:
+        sentences.insert(
+            rng.randrange(len(sentences) + 1),
+            f"{brewery.upper()} OFFICIAL SPEC {rng.randint(10000, 99999)} "
+            f"SERIES {slots['number']}.",
+        )
+    return sentences, quality
+
+
+def _curation_mutate_reference(sentences: list[str], rng: random.Random) -> list[str]:
+    from repro.datasets.curation import _GENERIC_SENTENCES, _VARIANT_LOOKUP
+
+    out = list(sentences)
+    disguised = rng.random() < 0.4
+    drops = 1 if (disguised or rng.random() < 0.35) else 0
+    for _ in range(drops):
+        if len(out) > 4:
+            out.pop(rng.randrange(len(out)))
+    if disguised:
+        present = [i for i, s in enumerate(out) if s in _GENERIC_SENTENCES]
+        if present:
+            slot = rng.choice(present)
+            out[slot] = rng.choice([g for g in _GENERIC_SENTENCES if g != out[slot]])
+    if len(out) > 2 and rng.random() < 0.4:
+        i = rng.randrange(len(out) - 1)
+        out[i], out[i + 1] = out[i + 1], out[i]
+    flip_probability = 0.95 if disguised else 0.6
+    mutated: list[str] = []
+    for sentence in out:
+        words = sentence.split()
+        for w, word in enumerate(words):
+            stripped = word.rstrip(".,?!")
+            if stripped in _VARIANT_LOOKUP and rng.random() < flip_probability:
+                words[w] = _VARIANT_LOOKUP[stripped] + word[len(stripped) :]
+        mutated.append(" ".join(words))
+    typos = rng.randint(0, 2) if disguised else (1 if rng.random() < 0.5 else 0)
+    for _ in range(typos):
+        target = rng.randrange(len(mutated))
+        words = mutated[target].split()
+        w = rng.randrange(len(words))
+        words[w] = _typo_word_reference(words[w], rng)
+        mutated[target] = " ".join(words)
+    return mutated
+
+
+def _curation_disguise_reference(sentence: str, rng: random.Random) -> str:
+    from repro.datasets.curation import _VARIANT_LOOKUP
+
+    words = sentence.split()
+    for w, word in enumerate(words):
+        stripped = word.rstrip(".,?!")
+        tail = word[len(stripped) :]
+        if stripped in _VARIANT_LOOKUP and rng.random() < 0.85:
+            words[w] = _VARIANT_LOOKUP[stripped] + tail
+        elif rng.random() < 0.18:
+            words[w] = _typo_word_reference(stripped, rng) + tail
+    return " ".join(words)
+
+
+def curation_doc_reference(corpus, index: int, contents: dict | None = None):
+    """``CurationCorpus.doc(index)`` derived from scratch, wrappers and all.
+
+    ``contents`` keeps each cluster's canonical content across calls, as a
+    corpus object does, so timing a whole corpus compares like with like.
+    """
+    from repro.datasets.curation import CurationDoc
+
+    def unit(tag: str, i: int) -> float:
+        return _stable_hash(corpus.seed, corpus.name, tag, i) / float(1 << 64)
+
+    def is_duplicate(i: int) -> bool:
+        return i >= corpus.dup_floor and unit("dup", i) < corpus.dup_fraction
+
+    if not 0 <= index < corpus.n_docs:
+        raise IndexError(index)
+    cluster = index
+    if is_duplicate(index):
+        rng = _seeded(corpus.seed, corpus.name, "pick", index)
+        low = max(0, index - 64)
+        for _ in range(24):
+            j = rng.randrange(low, index)
+            if not is_duplicate(j):
+                cluster = j
+                break
+        else:
+            cluster = next(j for j in range(index - 1, -1, -1) if not is_duplicate(j))
+    if contents is None:
+        sentences, quality = _curation_content_reference(corpus, cluster)
+    else:
+        if cluster not in contents:
+            contents[cluster] = _curation_content_reference(corpus, cluster)
+        sentences, quality = list(contents[cluster][0]), contents[cluster][1]
+    if cluster != index:
+        rng = _seeded(corpus.seed, corpus.name, "mutate", index)
+        sentences = _curation_mutate_reference(sentences, rng)
+    contaminated = unit("contam", index) < corpus.contamination_fraction
+    eval_index = -1
+    if contaminated:
+        eval_index = _stable_hash(corpus.seed, corpus.name, "evalpick", index) % corpus.eval_size
+        splice = curation_eval_item_reference(corpus.eval_set, eval_index)
+        rng = _seeded(corpus.seed, corpus.name, "disguise", index)
+        if rng.random() < 0.55:
+            splice = _curation_disguise_reference(splice, rng)
+        position = _stable_hash(corpus.seed, corpus.name, "slot", index) % (len(sentences) + 1)
+        sentences = sentences[:position] + [splice] + sentences[position:]
+    doc_id = f"D{index:07d}"
+    return CurationDoc(
+        index=index,
+        doc_id=doc_id,
+        text=" ".join(sentences + [f"Catalogue ref {doc_id}."]),
+        cluster=cluster,
+        is_duplicate=cluster != index,
+        quality=quality,
+        keep=quality >= 0.5,
+        contaminated=contaminated,
+        eval_index=eval_index,
+    )

@@ -61,9 +61,9 @@ class TestSchema:
         with pytest.raises(KeyError):
             schema.index_of("z")
 
-    def test_contains(self):
+    def test_names(self):
         schema = Schema((Column("x"),))
-        assert "x" in schema and "q" not in schema
+        assert "x" in schema.names and "q" not in schema.names
 
 
 class TestTable:

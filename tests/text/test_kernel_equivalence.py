@@ -3,7 +3,9 @@
 ``normalize_units`` runs only the rewrites a hint scan says can match,
 ``normalize_text`` skips the confirming sweep when its output is provably
 settled, ``_fuzzy_containment`` does not Jaro-score a token the longer value
-holds, ``match_score`` evaluates Jaccard once, ``document_sketch`` hashes a
+holds, the decontamination skill's ``_fuzzy_contained`` does not Jaro-score a
+pool word whose length-and-prefix bound is below the cut,
+``match_score`` evaluates Jaccard once, ``document_sketch`` hashes a
 shingle string once and ``overlap_profile`` intersects instead of looping.
 ``jaro_similarity`` walks a stack of unmatched positions per character
 instead of scanning a window per character, and the entity-matching skills
@@ -31,13 +33,14 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+import repro.llm.skills.curation as curation_skill  # noqa: E402
 import repro.llm.skills.entity_matching as matching  # noqa: E402
 import repro.text.normalize as normalize  # noqa: E402
 import repro.text.shingle as shingle  # noqa: E402
 from repro.core.dsl.builder import PipelineBuilder  # noqa: E402
 from repro.core.runtime.system import LinguaManga  # noqa: E402
 from repro.datasets import StreamingERCorpus, generate_er_dataset  # noqa: E402
-from repro.datasets.curation import CurationCorpus  # noqa: E402
+from repro.datasets.curation import CurationCorpus, curation_vocabulary  # noqa: E402
 from repro.llm.providers import LLMRequest, SimulatedProvider  # noqa: E402
 from repro.llm.service import LLMService  # noqa: E402
 from repro.llm.skills import (  # noqa: E402
@@ -290,6 +293,55 @@ NAME = st.lists(st.sampled_from(NAME_WORDS), max_size=5).map(" ".join)
 @example(a="", b="otter")
 def test_containment_equals_its_shortcut_free_form(a, b):
     assert matching._fuzzy_containment(a, b) == containment_reference(a, b)
+
+
+def fuzzy_contained_reference(token: str, pool: list[str]) -> bool:
+    return any(jaro_winkler_similarity(token, other) >= 0.88 for other in pool)
+
+
+#: Vocabulary words and near-misses of them: typos keep most pairs near the
+#: 0.88 cut, a small alphabet makes length the only difference in others.
+FUZZY_WORD = st.one_of(
+    st.sampled_from(sorted(w for w in curation_vocabulary() if len(w) >= 4)),
+    st.builds(
+        lambda word, i, cut: word[:i] + word[i + cut :] if cut else word[:i] + word[i:] * 2,
+        st.sampled_from(["brewery", "census", "released", "harvest", "canyon"]),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=2),
+    ),
+    st.text(alphabet=st.sampled_from("abrne"), min_size=4, max_size=14),
+)
+
+
+@settings(max_examples=MAX_EXAMPLES, deadline=None)
+@given(token=FUZZY_WORD, pool=st.lists(FUZZY_WORD, max_size=8))
+@example(token="brewery", pool=["brewer", "brew", "breweries"])
+@example(token="census", pool=["censuses", "ensus"])
+def test_the_bounded_fuzzy_scan_equals_the_unpruned_one(token, pool):
+    assert curation_skill._fuzzy_contained(token, pool) == fuzzy_contained_reference(
+        token, pool
+    )
+    for other in pool:
+        assert curation_skill._jaro_winkler_bound(token, other) >= (
+            jaro_winkler_similarity(token, other) - curation_skill._BOUND_MARGIN
+        )
+
+
+def test_the_bounded_fuzzy_scan_equals_the_unpruned_one_on_decontamination_pairs():
+    corpus = CurationCorpus(120, seed=7)
+    leaked = [doc for doc in corpus if doc.contaminated]
+    assert len(leaked) >= 8
+    verdicts = []
+    for doc in leaked:
+        pool = [t for t in set(shingle.knowledge_canonical(doc.text).split()) if len(t) >= 4]
+        for index in (doc.eval_index, (doc.eval_index + 1) % corpus.eval_size):
+            item = corpus.eval_set.item(index)
+            for token in shingle.knowledge_canonical(item).split():
+                if len(token) >= 4:
+                    verdict = curation_skill._fuzzy_contained(token, pool)
+                    assert verdict == fuzzy_contained_reference(token, pool)
+                    verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 def _record_pairs():
@@ -660,6 +712,16 @@ def test_a_token_the_longer_value_holds_is_not_jaro_scored(monkeypatch):
     assert not calls
     matching._fuzzy_containment("rusty canyom", "rusty canyon red ale")
     assert {token for token, _ in calls} == {"canyom"}
+
+
+def test_a_pool_word_bounded_below_the_cut_is_not_jaro_scored(monkeypatch):
+    calls = _count_calls(monkeypatch, curation_skill, "jaro_winkler_similarity")
+    # Against "brewery": "alex" is bounded by (4/7 + 1 + 1) / 3 = 0.857 with
+    # no shared prefix — skipped; "harvest" has its length, bound 1.0 —
+    # scored, no match; "brew" is bounded by 0.857 raised by a 4-character
+    # prefix to 0.914 — scored, a match.
+    assert curation_skill._fuzzy_contained("brewery", ["alex", "harvest", "brew"])
+    assert [other for _, other in calls] == ["harvest", "brew"]
 
 
 def test_one_jaccard_per_secondary_attribute(monkeypatch):
