@@ -51,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro._util import indexed_hash
+from repro._util import indexed_hash, stable_prefix
 from repro.datasets.curation import CurationCorpus
 from repro.datasets.streaming import StreamingERCorpus
 from repro.ml.features import PAIR_FEATURE_NAMES, PairFeatureExtractor
@@ -365,11 +365,9 @@ def test_source_derivation_speedup():
         lambda: [er_pair_reference(er, index) for index in range(len(er))], repeats
     )
     er_direct_seconds, direct_pairs = _best_of(lambda: list(er), repeats)
+    prefix = stable_prefix(er.seed, er.name, "pair")
     floor_seconds, _ = _best_of(
-        lambda: [
-            random.Random(indexed_hash(er._prefix, index)).random()
-            for index in range(len(er))
-        ],
+        lambda: [random.Random(indexed_hash(prefix, index)).random() for index in range(len(er))],
         repeats,
     )
     assert direct_pairs == reference_pairs

@@ -319,16 +319,14 @@ def retry_schedule(policy, key: object = 0) -> list[float]:
 # -- synthetic-source references -----------------------------------------------
 
 
-def _seeded(*parts: object) -> random.Random:
-    text = "\x1f".join(repr(p) for p in parts)
-    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
-    return random.Random(int.from_bytes(digest, "big"))
-
-
 def _stable_hash(*parts: object) -> int:
     text = "\x1f".join(repr(p) for p in parts)
     digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
+
+
+def _seeded(*parts: object) -> random.Random:
+    return random.Random(_stable_hash(*parts))
 
 
 def er_typo_reference(text: str, rng: random.Random) -> str:
