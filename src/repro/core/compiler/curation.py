@@ -31,7 +31,6 @@ resume and the prompt-cache ledger notice parameter changes.
 from __future__ import annotations
 
 import hashlib
-import json
 from typing import Any, Iterable, Sequence
 
 from repro._util import stable_hash
@@ -45,7 +44,7 @@ from repro.core.dsl.operators import LogicalOperator
 from repro.core.modules.base import Module
 from repro.core.modules.cascade import CascadeModule
 from repro.core.modules.custom import CustomModule
-from repro.core.modules.llm_module import LLMModule, parse_yes_no
+from repro.core.modules.llm_module import LLMModule, encode_payload, parse_yes_no
 from repro.storage.columnar import band_keys_many, minhash_signatures_many
 from repro.text.minhash import minhash_params
 from repro.text.overlap import build_ngram_index, overlap_profile
@@ -288,9 +287,7 @@ def _dedup_candidates_factory(
 
 def render_document(value: Any) -> str:
     """Render one document as the labelled JSON line the quality skill parses."""
-    if isinstance(value, dict):
-        return json.dumps(value, ensure_ascii=False, sort_keys=True, default=str)
-    return json.dumps({"text": str(value)}, ensure_ascii=False)
+    return encode_payload(value if isinstance(value, dict) else {"text": str(value)})
 
 
 def _quality_rule(doc: Any) -> float:

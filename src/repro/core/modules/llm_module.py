@@ -27,10 +27,30 @@ __all__ = [
 ]
 
 
-#: ``json.dumps(value, ensure_ascii=False, sort_keys=True, default=str)``
-#: with one encoder built once instead of one per call (``encode`` keeps no
-#: state between calls, so threads share it).
-encode_payload = json.JSONEncoder(ensure_ascii=False, sort_keys=True, default=str).encode
+def _payload_encoder() -> Callable[[Any], str]:
+    """``json.dumps(value, ensure_ascii=False, sort_keys=True, default=str)``.
+
+    ``JSONEncoder.encode`` builds a C encoder on every call; this builds
+    the same one (same separators, ``sort_keys``, ``allow_nan`` and
+    ``default``) once.  It keeps no state between calls, so threads share
+    it: passing no circular-reference markers is what makes it stateless,
+    and a payload is a record, never a cycle.  Without the C accelerator
+    it is the stdlib's pure-Python ``encode``.
+    """
+    make_encoder = json.encoder.c_make_encoder
+    if make_encoder is None:
+        return json.JSONEncoder(ensure_ascii=False, sort_keys=True, default=str).encode
+    encode = make_encoder(
+        None, str, json.encoder.encode_basestring, None, ": ", ", ", True, False, True
+    )
+
+    def encode_payload(value: Any) -> str:
+        return "".join(encode(value, 0))
+
+    return encode_payload
+
+
+encode_payload = _payload_encoder()
 
 #: What a re-prompt at each strictness appends (strictness 2 and above
 #: share the last).
@@ -49,9 +69,12 @@ def render_value(value: Any) -> str:
     return str(value)
 
 
+_YES_NO = re.compile(r"\s*(yes|no)\b", re.IGNORECASE)
+
+
 def parse_yes_no(text: str) -> bool:
     """Parse a yes/no answer; raises :class:`MalformedResponseError`."""
-    match = re.match(r"\s*(yes|no)\b", text, re.IGNORECASE)
+    match = _YES_NO.match(text)
     if match is None:
         raise MalformedResponseError(f"expected Yes/No, got {text[:80]!r}")
     return match.group(1).lower() == "yes"

@@ -59,10 +59,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import operator as operator_module
 import threading
 from dataclasses import dataclass
-from dataclasses import fields as dataclass_fields
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -387,28 +385,28 @@ class CheckpointStats:
     corrupt_lines: int = 0
 
 
-# CallRecord is a flat dataclass of scalars: one attrgetter call per
-# record (a single C call, vs dataclasses.asdict's recursive deepcopy —
-# the single hottest line in a checkpointed run) snapshots every field.
-_RECORD_FIELDS = tuple(item.name for item in dataclass_fields(CallRecord))
-_RECORD_GETTER = operator_module.attrgetter(*_RECORD_FIELDS)
-
-
 def _encode_records(records: Iterable[CallRecord]) -> dict:
-    """One journal line's ledger records as a prompt-sharing record block."""
-    return _encode_block(
-        _RECORD_FIELDS, [list(_RECORD_GETTER(record)) for record in records]
-    )
+    """One journal line's ledger records as a prompt-sharing record block.
+
+    A :class:`CallRecord` is a named tuple of scalars, so ``list(record)``
+    is its row in field order.
+    """
+    return _encode_block(CallRecord._fields, [list(record) for record in records])
 
 
 def _decode_records(raw: Iterable[dict] | dict) -> list[CallRecord]:
     """Invert :func:`_encode_records` (or read an older line's record list).
 
-    Raises on a block of the wrong shape (:func:`~repro._jsonl._decode_block`)
-    and on a field name :class:`CallRecord` does not have.
+    A block whose fields are :class:`CallRecord`'s own, in order, builds
+    each record straight from its row; an older field set goes by name, so
+    a field it lacks takes its default.  Raises on a block of the wrong
+    shape (:func:`~repro._jsonl._decode_block`) and on a field name
+    :class:`CallRecord` does not have.
     """
     if isinstance(raw, dict):
         fields, rows = _decode_block(raw)
+        if tuple(fields) == CallRecord._fields:
+            return [CallRecord._make(row) for row in rows]
         return [CallRecord(**dict(zip(fields, row))) for row in rows]
     return [CallRecord(**item) for item in raw]
 

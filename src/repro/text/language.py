@@ -9,6 +9,7 @@ corpus (English, Spanish, German, French and romanised Chinese).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from repro.text.tokenize import word_tokenize
@@ -51,6 +52,12 @@ _ACCENT_CUES: dict[str, set[str]] = {
     "fr": set("àâçèéêëîïôùûœ"),
 }
 
+#: One character class per language with cues: one match is one cue.
+_CUE_PATTERNS = {
+    lang: re.compile("[" + re.escape("".join(sorted(cues))) + "]")
+    for lang, cues in _ACCENT_CUES.items()
+}
+
 
 @dataclass(frozen=True)
 class LanguageGuess:
@@ -71,13 +78,14 @@ def detect_language(text: str) -> LanguageGuess:
     """
     tokens = [t.lower() for t in word_tokenize(text)]
     token_set = set(tokens)
+    lowered = text.lower()
     scores: dict[str, float] = {}
     for lang in SUPPORTED_LANGUAGES:
-        hits = sum(1 for t in tokens if t in _STOPWORDS[lang])
-        score = float(hits)
-        for ch in text.lower():
-            if ch in _ACCENT_CUES.get(lang, ()):
-                score += 0.5
+        score = float(sum(map(_STOPWORDS[lang].__contains__, tokens)))
+        cues = _CUE_PATTERNS.get(lang)
+        if cues is not None:
+            # Exact: a count of halves adds up to what 0.5 per cue does.
+            score += 0.5 * len(cues.findall(lowered))
         scores[lang] = score
     # zh (pinyin) shares "de"/"he" with Romance stopword lists; require a
     # distinctive pinyin cue before awarding the shared tokens.

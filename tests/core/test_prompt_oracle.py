@@ -11,12 +11,17 @@ cached, kept here — builds from the module's attributes.
 from __future__ import annotations
 
 import json
+from decimal import Decimal
 from typing import Any, Iterator
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.compiler.curation import render_document
 from repro.core.compiler.registry import render_pair
-from repro.core.modules.llm_module import LLMModule
+from repro.core.modules.llm_module import LLMModule, _payload_encoder, encode_payload
 from repro.core.runtime.system import LinguaManga
 from repro.core.templates.library import available_templates, get_template
 from repro.datasets.entity_resolution import generate_er_dataset
@@ -72,6 +77,46 @@ def reference_pair(pair: Any) -> str:
         "Record A: " + json.dumps(left, ensure_ascii=False, sort_keys=True, default=str)
         + "\nRecord B: " + json.dumps(right, ensure_ascii=False, sort_keys=True, default=str)
     )
+
+
+def reference_document(value: Any) -> str:
+    """``render_document`` as it called ``json.dumps`` itself."""
+    if isinstance(value, dict):
+        return json.dumps(value, ensure_ascii=False, sort_keys=True, default=str)
+    return json.dumps({"text": str(value)}, ensure_ascii=False)
+
+
+def dumps(value: Any) -> str:
+    """What :func:`encode_payload` must return."""
+    return json.dumps(value, ensure_ascii=False, sort_keys=True, default=str)
+
+
+#: Payload leaves JSON escapes or spells specially: any text (lone
+#: surrogates and non-ASCII included), NaN and the infinities, integers past
+#: 64 bits, and objects only ``default=str`` can write.
+LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.text(alphabet=st.characters(exclude_categories=()), max_size=12),
+    st.sampled_from([object, Decimal("1.50"), complex(1, 2), b"raw", frozenset()]),
+)
+#: Nested lists, tuples and dicts of leaves; some dicts mix key types
+#: that cannot be sorted together, which both encoders refuse.
+PAYLOADS = st.recursive(
+    LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.tuples(children, children),
+        st.dictionaries(
+            st.one_of(st.text(max_size=6), st.integers(), st.floats(), st.none()),
+            children,
+            max_size=4,
+        ),
+    ),
+    max_leaves=24,
+)
 
 
 def llm_modules(obj: Any, seen: set[int]) -> Iterator[LLMModule]:
@@ -145,3 +190,24 @@ def test_build_prompt_is_the_line_by_line_render(label, module):
 def test_render_pair_encodes_as_json_dumps():
     for value in VALUES:
         assert outcome(render_pair, value) == outcome(reference_pair, value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(value=PAYLOADS)
+def test_encode_payload_is_json_dumps(value):
+    assert outcome(encode_payload, value) == outcome(dumps, value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(value=PAYLOADS)
+def test_encode_payload_without_the_c_encoder_is_json_dumps(value):
+    """The stdlib-only build: ``json.encoder`` has no C encoder to prebuild."""
+    with mock.patch.object(json.encoder, "c_make_encoder", None):
+        fallback = _payload_encoder()
+        assert outcome(fallback, value) == outcome(dumps, value)
+    assert isinstance(fallback.__self__, json.JSONEncoder)
+
+
+def test_render_document_is_its_own_json_dumps():
+    for value in VALUES:
+        assert outcome(render_document, value) == outcome(reference_document, value)

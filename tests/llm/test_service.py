@@ -4,13 +4,19 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.runtime.system import LinguaManga
 from repro.llm.cache import CacheKey
 from repro.llm.errors import ProviderError, RateLimitError
 from repro.llm.faults import ChaosProvider, FaultKind, FaultSpec
 from repro.llm.providers import LLMRequest, SimulatedProvider
 from repro.llm.service import DEFAULT_RETRY_JITTER, LLMService
 from repro.llm.tokenizer import count_tokens, estimate_cost
+from repro.obs import Observability
+from repro.obs.metrics import MetricsRegistry
 from repro.resilience import RetryPolicy
+from repro.serve.jobs import run_task
+from tests.oracles import publish_record_reference
+from tests.serve.conftest import make_spec
 
 PROMPT = "Which language is this? Text: El informe fue presentado ayer."
 
@@ -103,6 +109,35 @@ class TestLedger:
         service.complete(PROMPT)
         text = service.usage().to_text()
         assert "calls=1" in text and "cost=$" in text
+
+
+class TestMetricsMirror:
+    """The registry a service mirrors its ledger into holds what one
+    by-name lookup per record (:func:`publish_record_reference`) puts there:
+    the same names, first made in the same order, with the same values."""
+
+    @pytest.mark.parametrize("task", ["er", "names"])
+    def test_a_served_jobs_metrics_are_the_by_name_mirror(self, task):
+        flaky = ChaosProvider(
+            SimulatedProvider(), [FaultSpec(FaultKind.TRANSIENT, rate=0.3)], seed=task
+        )
+        obs = Observability()
+        service = LLMService(flaky, retry=_retries(4), obs=obs)
+        system = LinguaManga(service=service)
+        for _ in range(2):  # cold, then warm
+            run_task(make_spec(task), system, workers=1)
+        expected = MetricsRegistry()
+        for record in service.records:
+            publish_record_reference(expected, record)
+        mirrored = expected.as_dict()
+        assert {"llm.retries", "llm.outcome.retried", "llm.outcome.cached"} <= set(
+            mirrored
+        )
+        metrics = obs.metrics.as_dict()
+        assert {name: metrics[name] for name in mirrored} == mirrored
+        assert {name for name in metrics if name.startswith("llm.")} == set(mirrored)
+        made = [name for name in obs.metrics._metrics if name in mirrored]
+        assert made == list(expected._metrics)
 
 
 class _BatchRecorder(SimulatedProvider):

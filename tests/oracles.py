@@ -8,7 +8,10 @@ the golden and property assertions, and flatten it to the parent-linked
 records the golden traces are stored as.  The per-token quality statistics
 define what the whole-text passes of :func:`repro.text.quality.quality_stats`
 must equal, and the window-scan Jaro what :func:`jaro_similarity` must.
-The last two restate a cascade's escalation band and a retry
+The character-loop language identifier defines the scores
+:func:`~repro.text.language.detect_language` must give, and the by-name
+metric lookups the registry a service's record mirror must fill.
+Two more restate a cascade's escalation band and a retry
 policy's backoff sequence for the tests that check behaviour against them.
 The synthetic-source references derive ER pairs and curation documents the
 way the sources first did, through ``random.Random``'s ``choice`` /
@@ -24,10 +27,18 @@ import re
 import struct
 from typing import Any, Iterator
 
+from repro.obs.metrics import DEFAULT_TOKEN_BUCKETS, MetricsRegistry
 from repro.obs.trace import Span, Tracer
+from repro.text.language import (
+    _ACCENT_CUES,
+    _STOPWORDS,
+    SUPPORTED_LANGUAGES,
+    LanguageGuess,
+)
 from repro.text.minhash import MINHASH_PRIME, MinHashParams
 from repro.text.quality import QualityStats
 from repro.text.shingle import simple_canonical
+from repro.text.tokenize import word_tokenize
 
 # -- MinHash / LSH ----------------------------------------------------------
 
@@ -173,6 +184,54 @@ def jaro_reference(a: str, b: str) -> float:
     transpositions //= 2
     m = float(matches)
     return (m / len(a) + m / len(b) + (m - transpositions) / m) / 3.0
+
+
+# -- language identification ---------------------------------------------------
+
+
+def detect_language_reference(text: str) -> LanguageGuess:
+    """:func:`detect_language` by the character loop: the text lowered once
+    per language, one cue-set test per character, 0.5 added per cue."""
+    tokens = [t.lower() for t in word_tokenize(text)]
+    token_set = set(tokens)
+    scores: dict[str, float] = {}
+    for lang in SUPPORTED_LANGUAGES:
+        hits = sum(1 for t in tokens if t in _STOPWORDS[lang])
+        score = float(hits)
+        for ch in text.lower():
+            if ch in _ACCENT_CUES.get(lang, ()):
+                score += 0.5
+        scores[lang] = score
+    distinctive_zh = {"zuotian", "jintian", "biaoshi", "xuanbu", "huijian",
+                      "genju", "baogao", "jinxing", "fabiao", "canjia",
+                      "juxing"}
+    if not (token_set & distinctive_zh):
+        scores["zh"] = 0.0
+    total = sum(scores.values())
+    if total == 0:
+        return LanguageGuess("en", 0.0, scores)
+    best = max(SUPPORTED_LANGUAGES, key=lambda lang: scores[lang])
+    return LanguageGuess(best, scores[best] / total, scores)
+
+
+# -- metrics mirror -------------------------------------------------------------
+
+
+def publish_record_reference(metrics: MetricsRegistry, record) -> None:
+    """Mirror one ledger record into ``metrics`` the way
+    ``LLMService._publish_record`` does, looking every metric up by name."""
+    metrics.counter("llm.records").inc()
+    metrics.counter(f"llm.provenance.{record.provenance}").inc()
+    metrics.counter(f"llm.outcome.{record.outcome}").inc()
+    if record.retries:
+        metrics.counter("llm.retries").inc(record.retries)
+    metrics.counter("llm.cost").inc(record.cost)
+    metrics.counter("llm.prompt_tokens").inc(record.prompt_tokens)
+    metrics.counter("llm.completion_tokens").inc(record.completion_tokens)
+    metrics.histogram("llm.latency_seconds").observe(record.latency_seconds)
+    metrics.histogram("llm.prompt_tokens.dist", DEFAULT_TOKEN_BUCKETS).observe(
+        record.prompt_tokens
+    )
 
 
 # -- span trees --------------------------------------------------------------

@@ -24,6 +24,8 @@ from repro.core.runtime.checkpoint import (
     ReplayedValue,
     RunCheckpoint,
     UnserializableValueError,
+    _decode_records,
+    _encode_records,
     decode_value,
     digest_inputs,
     encode_value,
@@ -37,7 +39,7 @@ from repro.datasets.entity_resolution import generate_er_dataset
 from repro.datasets.imputation import generate_buy_dataset
 from repro.llm.faults import CrashInjected, CrashPoint
 from repro.llm.providers import LLMResponse, SimulatedProvider
-from repro.llm.service import LLMService
+from repro.llm.service import CallRecord, LLMService
 from repro.obs import Observability
 from repro.tasks.entity_resolution import pairs_as_inputs, pick_examples
 from repro.tasks.imputation import run_hybrid_imputation
@@ -405,6 +407,38 @@ class TestChunkedCommits:
         # build reads as not committed: they run again, and only ``match``,
         # committed as chunked, replays.
         assert (resume.stats.replayed_operators, resume.stats.replayed_chunks) == (1, 3)
+
+    @pytest.mark.parametrize(
+        "name", sorted(path.name for path in PARENT_JOURNALS.glob("*.wal"))
+    )
+    def test_older_record_blocks_decode_equal_and_re_encode_byte_for_byte(self, name):
+        """Every ledger block an older build wrote decodes to the records its
+        field names spell, and encodes back to the bytes it was written as."""
+        blocks = [
+            block
+            for line in (PARENT_JOURNALS / name).read_bytes().splitlines()
+            for block in _record_blocks(jsonl._parse_line(line))
+        ]
+        assert any(block["rows"] for block in blocks)
+        for block in blocks:
+            fields, rows = jsonl._decode_block(block)
+            records = _decode_records(block)
+            assert records == [CallRecord(**dict(zip(fields, row))) for row in rows]
+            assert all(type(record) is CallRecord for record in records)
+            assert jsonl._dump_line(_encode_records(records)) == jsonl._dump_line(block)
+
+
+def _record_blocks(value):
+    """Every ledger record block (a ``records`` value) nested in ``value``."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if key == "records" and isinstance(item, dict):
+                yield item
+            else:
+                yield from _record_blocks(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _record_blocks(item)
 
 
 class TestOneAppendCommit:

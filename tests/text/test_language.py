@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.datasets.names import generate_name_dataset
 from repro.text.language import SUPPORTED_LANGUAGES, detect_language
+
+from ..oracles import detect_language_reference
 
 
 class TestDetectLanguage:
@@ -43,3 +48,29 @@ class TestDetectLanguage:
 
     def test_accented_characters_add_evidence(self):
         assert detect_language("señor año mañana").language == "es"
+
+
+#: Text over the stopword-bearing words and every accent cue, cased both
+#: ways, so each language's stopword and cue counts both move.
+CUED_TEXT = st.lists(
+    st.sampled_from(
+        ["the", "El", "según", "und", "für", "déclaré", "ÉTÉ", "zuotian", "de",
+         "Ñ", "¿", "ß", "œ", "Ü", "İ", "x", "42", "\ud800"]
+    ),
+    max_size=40,
+).map(" ".join)
+
+
+class TestDetectLanguageOracle:
+    """Cues counted per pattern give the character loop's scores, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.one_of(st.text(max_size=80), CUED_TEXT))
+    def test_equals_the_character_loop(self, text):
+        assert detect_language(text) == detect_language_reference(text)
+
+    def test_equals_the_character_loop_on_the_names_corpus(self):
+        for document in generate_name_dataset(seed=3, n_documents=120).documents:
+            assert detect_language(document.text) == detect_language_reference(
+                document.text
+            )
