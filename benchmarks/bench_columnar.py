@@ -1,6 +1,6 @@
 """Columnar kernels against their scalar references — a kernel micro-bench.
 
-Four kernels are measured against the reference functions the equivalence
+Six kernels are measured against the reference functions the equivalence
 suites compare them with, on synthetic corpora sized by
 ``BENCH_COLUMNAR_RECORDS`` (default 100k records):
 
@@ -22,7 +22,13 @@ suites compare them with, on synthetic corpora sized by
   ``random.Random`` wrapper derivation of ``tests/oracles.py`` (one pair
   per 40 records and one document per 150: 2 500 and 666 by default), with
   the seeding floor (blake2b + ``random.Random(seed)`` + one draw per pair)
-  beside them.  Its JSON also records the commit and the host.
+  beside them.  Its JSON also records the commit and the host;
+- **per-call prompt path**: per ER pair (one per 250 records, 400 by
+  default) ``render_pair`` vs the stdlib ``JSONEncoder.encode``, a
+  ``CallRecord`` named tuple vs the frozen dataclass it was, and one
+  record's metrics mirror vs the lock-every-lookup
+  ``LockedMetricsRegistry``; per names document (192) ``detect_language``
+  vs its character-loop oracle.  Its JSON records the commit and host too.
 
 The reference side of feature extraction is measured on a
 ``BENCH_COLUMNAR_SCALAR_SAMPLE`` subset (default 4000 pairs) and
@@ -39,7 +45,9 @@ the env knobs.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import json
 import math
 import os
 import platform
@@ -52,10 +60,18 @@ from pathlib import Path
 import numpy as np
 
 from repro._util import indexed_hash, stable_prefix
+from repro.core.compiler.registry import render_pair
+from repro.core.modules.llm_module import encode_payload
 from repro.datasets.curation import CurationCorpus
+from repro.datasets.names import generate_name_dataset
 from repro.datasets.streaming import StreamingERCorpus
+from repro.llm.providers import SimulatedProvider
+from repro.llm.service import CallRecord, LLMService
 from repro.ml.features import PAIR_FEATURE_NAMES, PairFeatureExtractor
+from repro.obs import Observability
+from repro.obs.metrics import MetricsRegistry
 from repro.tasks.blocking import _block_columnar, _block_scalar
+from repro.text.language import detect_language
 from repro.text.normalize import normalize_text
 from repro.text.quality import quality_stats
 from repro.text.similarity import TfIdfModel, jaro_similarity
@@ -64,7 +80,9 @@ from _harness import emit, emit_json
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from tests.oracles import (  # noqa: E402
+    LockedMetricsRegistry,
     curation_doc_reference,
+    detect_language_reference,
     er_pair_reference,
     jaro_reference,
     per_token_quality_stats,
@@ -414,5 +432,103 @@ def test_source_derivation_speedup():
         repeats=repeats,
         er_speedup=er_reference_seconds / er_direct_seconds,
         doc_speedup=doc_reference_seconds / doc_direct_seconds,
+        **provenance,
+    )
+
+
+#: ``CallRecord`` as the frozen dataclass it was: the same fields, order
+#: and defaults, one ``object.__setattr__`` per field when built.
+FrozenCallRecord = dataclasses.make_dataclass(
+    "FrozenCallRecord",
+    [
+        (name, object, dataclasses.field(default=CallRecord._field_defaults[name]))
+        if name in CallRecord._field_defaults
+        else (name, object)
+        for name in CallRecord._fields
+    ],
+    frozen=True,
+)
+
+
+#: ``encode_payload`` as it was: the stdlib encoder's ``encode``, which
+#: builds a C encoder per call.
+_stdlib_encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True, default=str).encode
+
+
+def _stdlib_pair(pair: dict) -> str:
+    """:func:`render_pair` through :data:`_stdlib_encode`."""
+    return (
+        "Record A: " + _stdlib_encode(pair["left"])
+        + "\nRecord B: " + _stdlib_encode(pair["right"])
+    )
+
+
+def _published(registry: MetricsRegistry, records: list) -> dict:
+    """The registry a fresh service fills mirroring ``records``."""
+    obs = Observability()
+    obs.metrics = registry
+    service = LLMService(obs=obs)
+    for record in records:
+        service._publish_record(record)
+    return registry.as_dict()
+
+
+def test_prompt_path_speedup():
+    """The per-call work around one ER prompt: render it, ledger it, mirror
+    the ledger record into metrics; and the language check a names
+    document pays before its prompt.  Each step against what it replaced."""
+    provenance = _commit_and_host()
+    pairs = list(StreamingERCorpus(max(N_RECORDS // 250, 200), seed=7).inputs())
+    service = LLMService(SimulatedProvider())
+    for pair in pairs:
+        service.complete(render_pair(pair))
+    records = list(service.records)
+    fields = [record._asdict() for record in records]
+    texts = [doc.text for doc in generate_name_dataset(seed=3, n_documents=192).documents]
+    # Each repetition takes a few milliseconds, so more of them fit.
+    repeats = max(REPEATS, 15)
+
+    rows = {}
+    for step, n, reference, direct in (
+        ("render", len(pairs),
+         lambda: [_stdlib_pair(pair) for pair in pairs],
+         lambda: [render_pair(pair) for pair in pairs]),
+        ("record", len(fields),
+         lambda: [FrozenCallRecord(**item) for item in fields],
+         lambda: [CallRecord(**item) for item in fields]),
+        ("publish", len(records),
+         lambda: _published(LockedMetricsRegistry(), records),
+         lambda: _published(MetricsRegistry(), records)),
+        ("language", len(texts),
+         lambda: [detect_language_reference(text) for text in texts],
+         lambda: [detect_language(text) for text in texts]),
+    ):
+        reference_seconds, reference_out = _best_of(reference, repeats)
+        direct_seconds, direct_out = _best_of(direct, repeats)
+        if step == "record":  # a named tuple equals its fields' tuple
+            reference_out = [dataclasses.astuple(item) for item in reference_out]
+        assert direct_out == reference_out, step
+        rows[step] = (n, reference_seconds / n * 1e6, direct_seconds / n * 1e6)
+
+    emit(
+        "columnar_prompt",
+        f"per-call prompt path, {len(pairs):,} StreamingERCorpus pairs and "
+        f"{len(texts):,} names documents (best of {repeats}, µs a call):\n"
+        + "\n".join(
+            f"{step:9s} {before:7.2f} -> {after:6.2f}  {before / after:5.2f}x"
+            for step, (_, before, after) in rows.items()
+        )
+        + "\n(equal prompts, record fields, metrics and language scores)",
+    )
+    emit_json(
+        "columnar_prompt",
+        [
+            {"name": step, "calls": n, "reference_us": before, "direct_us": after,
+             "speedup": before / after}
+            for step, (n, before, after) in rows.items()
+        ],
+        pairs=len(pairs),
+        documents=len(texts),
+        repeats=repeats,
         **provenance,
     )

@@ -100,7 +100,7 @@ def render_pair(pair: Any) -> str:
         left, right = pair
     else:
         raise TypeError(f"cannot interpret {pair!r} as a record pair")
-    return f"Record A: {encode_payload(left)}\nRecord B: {encode_payload(right)}"
+    return "Record A: " + encode_payload(left) + "\nRecord B: " + encode_payload(right)
 
 
 def make_pair_matcher(

@@ -397,16 +397,11 @@ def _encode_records(records: Iterable[CallRecord]) -> dict:
 def _decode_records(raw: Iterable[dict] | dict) -> list[CallRecord]:
     """Invert :func:`_encode_records` (or read an older line's record list).
 
-    A block whose fields are :class:`CallRecord`'s own, in order, builds
-    each record straight from its row; an older field set goes by name, so
-    a field it lacks takes its default.  Raises on a block of the wrong
-    shape (:func:`~repro._jsonl._decode_block`) and on a field name
-    :class:`CallRecord` does not have.
+    Raises on a block of the wrong shape (:func:`~repro._jsonl._decode_block`)
+    and on a field name :class:`CallRecord` does not have.
     """
     if isinstance(raw, dict):
         fields, rows = _decode_block(raw)
-        if tuple(fields) == CallRecord._fields:
-            return [CallRecord._make(row) for row in rows]
         return [CallRecord(**dict(zip(fields, row))) for row in rows]
     return [CallRecord(**item) for item in raw]
 

@@ -256,9 +256,6 @@ class LLMService:
         self._inflight: dict[CacheKey, threading.Event] = {}
         self.coalesced_calls = 0
         self.obs = None
-        #: Metric handles :meth:`_publish_record` made in ``obs.metrics``.
-        self._counters: dict = {}
-        self._histograms: tuple | None = None
         if obs is not None:
             self.attach_obs(obs)
 
@@ -270,8 +267,6 @@ class LLMService:
         alters what the service answers or ledgers — it only mirrors.
         """
         self.obs = obs
-        self._counters = {}
-        self._histograms = None
         self.cache.metrics = obs.metrics
         journal = getattr(self.cache, "journal", None)
         if journal is not None:
@@ -384,39 +379,23 @@ class LLMService:
 
     def _publish_record(self, record: CallRecord) -> None:
         """Mirror one ledger record into the attached metrics registry."""
-        counter = self._counter
-        counter("llm.records").inc()
-        counter("llm.provenance." + record.provenance).inc()
-        counter("llm.outcome." + record.outcome).inc()
+        # Deferred: repro.obs imports repro.llm.cache, so a module-level
+        # import here would be circular through the repro.llm package.
+        from repro.obs.metrics import DEFAULT_TOKEN_BUCKETS
+
+        metrics = self.obs.metrics
+        metrics.counter("llm.records").inc()
+        metrics.counter(f"llm.provenance.{record.provenance}").inc()
+        metrics.counter(f"llm.outcome.{record.outcome}").inc()
         if record.retries:
-            counter("llm.retries").inc(record.retries)
-        counter("llm.cost").inc(record.cost)
-        counter("llm.prompt_tokens").inc(record.prompt_tokens)
-        counter("llm.completion_tokens").inc(record.completion_tokens)
-        histograms = self._histograms
-        if histograms is None:
-            # Deferred: repro.obs imports repro.llm.cache, so a module-level
-            # import here would be circular through the repro.llm package.
-            from repro.obs.metrics import DEFAULT_TOKEN_BUCKETS
-
-            metrics = self.obs.metrics
-            histograms = self._histograms = (
-                metrics.histogram("llm.latency_seconds"),
-                metrics.histogram("llm.prompt_tokens.dist", DEFAULT_TOKEN_BUCKETS),
-            )
-        histograms[0].observe(record.latency_seconds)
-        histograms[1].observe(record.prompt_tokens)
-
-    def _counter(self, name: str):
-        """The attached registry's counter ``name``, looked up once.
-
-        Handles are made on first use, so the registry gains the same
-        names, in the same order, as a lookup per record would make.
-        """
-        counter = self._counters.get(name)
-        if counter is None:
-            counter = self._counters[name] = self.obs.metrics.counter(name)
-        return counter
+            metrics.counter("llm.retries").inc(record.retries)
+        metrics.counter("llm.cost").inc(record.cost)
+        metrics.counter("llm.prompt_tokens").inc(record.prompt_tokens)
+        metrics.counter("llm.completion_tokens").inc(record.completion_tokens)
+        metrics.histogram("llm.latency_seconds").observe(record.latency_seconds)
+        metrics.histogram("llm.prompt_tokens.dist", DEFAULT_TOKEN_BUCKETS).observe(
+            record.prompt_tokens
+        )
 
     # -- core API --------------------------------------------------------------
 
@@ -454,7 +433,7 @@ class LLMService:
             with self._lock:
                 self.coalesced_calls += 1
             if self.obs is not None:
-                self._counter("llm.coalesced").inc()
+                self.obs.metrics.counter("llm.coalesced").inc()
             leader.wait()
             # Re-check: the leader either cached a response (-> hit) or
             # failed (-> compete to become the next leader).
@@ -771,7 +750,7 @@ class LLMService:
     def _note_hub_share(self, hub: "CoalesceHub") -> None:
         hub.note_shared()
         if self.obs is not None:
-            self._counter("llm.hub_shared").inc()
+            self.obs.metrics.counter("llm.hub_shared").inc()
 
     def record_distilled(
         self,

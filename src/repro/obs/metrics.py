@@ -143,6 +143,11 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Counter:
         """Get or create a counter."""
+        # A made metric is never replaced or removed, so a hit needs no
+        # lock: only making one (or reporting a kind clash) takes it.
+        metric = self._metrics.get(name)
+        if metric is not None and metric.kind == "counter":
+            return metric
         with self._lock:
             metric = self._get(name, "counter")
             if metric is None:
@@ -161,6 +166,16 @@ class MetricsRegistry:
         self, name: str, bounds: Iterable[float] = DEFAULT_LATENCY_BUCKETS
     ) -> Histogram:
         """Get or create a histogram; redeclaring with new bounds raises."""
+        # An unlocked hit, as in counter(): a tuple equal to the stored
+        # floats is equal once made floats too.
+        metric = self._metrics.get(name)
+        if (
+            metric is not None
+            and metric.kind == "histogram"
+            and type(bounds) is tuple
+            and metric.bounds == bounds
+        ):
+            return metric
         bounds = tuple(float(bound) for bound in bounds)
         with self._lock:
             metric = self._get(name, "histogram")

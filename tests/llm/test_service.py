@@ -15,7 +15,7 @@ from repro.obs import Observability
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience import RetryPolicy
 from repro.serve.jobs import run_task
-from tests.oracles import publish_record_reference
+from tests.oracles import LockedMetricsRegistry
 from tests.serve.conftest import make_spec
 
 PROMPT = "Which language is this? Text: El informe fue presentado ayer."
@@ -112,32 +112,29 @@ class TestLedger:
 
 
 class TestMetricsMirror:
-    """The registry a service mirrors its ledger into holds what one
-    by-name lookup per record (:func:`publish_record_reference`) puts there:
-    the same names, first made in the same order, with the same values."""
+    """A served job fills a registry whose lookups hit without the lock
+    exactly as it fills one that locks every lookup
+    (:class:`~tests.oracles.LockedMetricsRegistry`): the same names, made
+    in the same order, with the same values."""
 
     @pytest.mark.parametrize("task", ["er", "names"])
-    def test_a_served_jobs_metrics_are_the_by_name_mirror(self, task):
-        flaky = ChaosProvider(
-            SimulatedProvider(), [FaultSpec(FaultKind.TRANSIENT, rate=0.3)], seed=task
-        )
-        obs = Observability()
-        service = LLMService(flaky, retry=_retries(4), obs=obs)
-        system = LinguaManga(service=service)
-        for _ in range(2):  # cold, then warm
-            run_task(make_spec(task), system, workers=1)
-        expected = MetricsRegistry()
-        for record in service.records:
-            publish_record_reference(expected, record)
-        mirrored = expected.as_dict()
-        assert {"llm.retries", "llm.outcome.retried", "llm.outcome.cached"} <= set(
-            mirrored
-        )
-        metrics = obs.metrics.as_dict()
-        assert {name: metrics[name] for name in mirrored} == mirrored
-        assert {name for name in metrics if name.startswith("llm.")} == set(mirrored)
-        made = [name for name in obs.metrics._metrics if name in mirrored]
-        assert made == list(expected._metrics)
+    def test_a_served_jobs_metrics_match_the_locked_registry(self, task):
+        def served(metrics):
+            flaky = ChaosProvider(
+                SimulatedProvider(), [FaultSpec(FaultKind.TRANSIENT, rate=0.3)], seed=task
+            )
+            obs = Observability()
+            obs.metrics = metrics
+            system = LinguaManga(service=LLMService(flaky, retry=_retries(4), obs=obs))
+            for _ in range(2):  # cold, then warm
+                run_task(make_spec(task), system, workers=1)
+            return metrics
+
+        unlocked, locked = served(MetricsRegistry()), served(LockedMetricsRegistry())
+        made = list(unlocked._metrics)
+        assert {"llm.retries", "llm.outcome.retried", "llm.outcome.cached"} <= set(made)
+        assert made == list(locked._metrics)
+        assert unlocked.as_dict() == locked.as_dict()
 
 
 class _BatchRecorder(SimulatedProvider):

@@ -58,6 +58,20 @@ class TestHistogram:
         with pytest.raises(ValueError, match="already declared"):
             registry.histogram("h", bounds=(1.0, 3.0))
 
+    @pytest.mark.parametrize(
+        "bounds", [(1.0, 2.0), (1, 2), [1.0, 2.0], (bound for bound in (1, 2.0))]
+    )
+    def test_redeclaring_with_equal_bounds_returns_the_histogram(self, bounds):
+        """Equal as floats, whatever the container: the unlocked hit takes a
+        tuple as it is, anything else is made floats first, and neither
+        path makes a second histogram."""
+        registry = MetricsRegistry()
+        histogram = registry.histogram("h", bounds=(1.0, 2.0))
+        assert registry.histogram("h", bounds=bounds) is histogram
+        assert histogram.bounds == (1.0, 2.0)
+        with pytest.raises(ValueError, match="already declared"):
+            registry.histogram("h", bounds=(1, 2, 3))
+
 
 class TestRegistry:
     def test_kind_conflict_rejected(self):
@@ -65,6 +79,16 @@ class TestRegistry:
         registry.counter("x")
         with pytest.raises(ValueError, match="is a counter"):
             registry.gauge("x")
+
+    def test_a_hit_is_the_made_metric_and_a_kind_clash_still_raises(self):
+        registry = MetricsRegistry()
+        counter, histogram = registry.counter("c"), registry.histogram("h")
+        assert registry.counter("c") is counter
+        assert registry.histogram("h") is histogram
+        with pytest.raises(ValueError, match="is a histogram"):
+            registry.counter("h")
+        with pytest.raises(ValueError, match="is a counter"):
+            registry.histogram("c")
 
     def test_as_dict_sorted(self):
         registry = MetricsRegistry()

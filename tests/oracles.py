@@ -9,8 +9,8 @@ records the golden traces are stored as.  The per-token quality statistics
 define what the whole-text passes of :func:`repro.text.quality.quality_stats`
 must equal, and the window-scan Jaro what :func:`jaro_similarity` must.
 The character-loop language identifier defines the scores
-:func:`~repro.text.language.detect_language` must give, and the by-name
-metric lookups the registry a service's record mirror must fill.
+:func:`~repro.text.language.detect_language` must give, and the locked
+metric lookups what the registry's unlocked hits must leave the same.
 Two more restate a cascade's escalation band and a retry
 policy's backoff sequence for the tests that check behaviour against them.
 The synthetic-source references derive ER pairs and curation documents the
@@ -27,7 +27,12 @@ import re
 import struct
 from typing import Any, Iterator
 
-from repro.obs.metrics import DEFAULT_TOKEN_BUCKETS, MetricsRegistry
+from repro.obs.metrics import (
+    DEFAULT_LATENCY_BUCKETS,
+    Counter,
+    Histogram,
+    MetricsRegistry,
+)
 from repro.obs.trace import Span, Tracer
 from repro.text.language import (
     _ACCENT_CUES,
@@ -214,24 +219,34 @@ def detect_language_reference(text: str) -> LanguageGuess:
     return LanguageGuess(best, scores[best] / total, scores)
 
 
-# -- metrics mirror -------------------------------------------------------------
+# -- metrics registry -----------------------------------------------------------
 
 
-def publish_record_reference(metrics: MetricsRegistry, record) -> None:
-    """Mirror one ledger record into ``metrics`` the way
-    ``LLMService._publish_record`` does, looking every metric up by name."""
-    metrics.counter("llm.records").inc()
-    metrics.counter(f"llm.provenance.{record.provenance}").inc()
-    metrics.counter(f"llm.outcome.{record.outcome}").inc()
-    if record.retries:
-        metrics.counter("llm.retries").inc(record.retries)
-    metrics.counter("llm.cost").inc(record.cost)
-    metrics.counter("llm.prompt_tokens").inc(record.prompt_tokens)
-    metrics.counter("llm.completion_tokens").inc(record.completion_tokens)
-    metrics.histogram("llm.latency_seconds").observe(record.latency_seconds)
-    metrics.histogram("llm.prompt_tokens.dist", DEFAULT_TOKEN_BUCKETS).observe(
-        record.prompt_tokens
-    )
+class LockedMetricsRegistry(MetricsRegistry):
+    """A registry whose every counter and histogram lookup takes the lock
+    and makes a histogram's bounds floats first: what the unlocked hits of
+    :meth:`MetricsRegistry.counter` and :meth:`MetricsRegistry.histogram`
+    must leave the same."""
+
+    def counter(self, name: str) -> Counter:
+        with self._lock:
+            metric = self._get(name, "counter")
+            if metric is None:
+                metric = self._metrics[name] = Counter(name, self._lock)
+            return metric
+
+    def histogram(self, name: str, bounds=DEFAULT_LATENCY_BUCKETS) -> Histogram:
+        bounds = tuple(float(bound) for bound in bounds)
+        with self._lock:
+            metric = self._get(name, "histogram")
+            if metric is None:
+                metric = self._metrics[name] = Histogram(name, bounds, self._lock)
+            elif metric.bounds != bounds:
+                raise ValueError(
+                    f"histogram {name!r} already declared with bounds "
+                    f"{metric.bounds}, got {bounds}"
+                )
+            return metric
 
 
 # -- span trees --------------------------------------------------------------
