@@ -1,6 +1,6 @@
 """Columnar kernels against their scalar references — a kernel micro-bench.
 
-Six kernels are measured against the reference functions the equivalence
+Seven kernels are measured against the reference functions the equivalence
 suites compare them with, on synthetic corpora sized by
 ``BENCH_COLUMNAR_RECORDS`` (default 100k records):
 
@@ -28,7 +28,12 @@ suites compare them with, on synthetic corpora sized by
   ``CallRecord`` named tuple vs the frozen dataclass it was, and one
   record's metrics mirror vs the lock-every-lookup
   ``LockedMetricsRegistry``; per names document (192) ``detect_language``
-  vs its character-loop oracle.  Its JSON records the commit and host too.
+  vs its character-loop oracle.  Its JSON records the commit and host too;
+- **warm cache open**: opening ER cache journals (blocks of 200) of 600
+  entries and of one per 10 records (10 000 by default), alone and with
+  ``state_digests`` (the pin a run header records), vs the frozen-dataclass
+  key the cache had, whose digest is taken from the whole prompt at the
+  pin.  Its JSON records the commit and host too.
 
 The reference side of feature extraction is measured on a
 ``BENCH_COLUMNAR_SCALAR_SAMPLE`` subset (default 4000 pairs) and
@@ -46,6 +51,8 @@ the env knobs.
 from __future__ import annotations
 
 import dataclasses
+import gc
+import hashlib
 import itertools
 import json
 import math
@@ -55,17 +62,22 @@ import random
 import subprocess
 import sys
 import time
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
 
+from repro._jsonl import CheckpointJournal, _decode_block, _dump_scalar
 from repro._util import indexed_hash, stable_prefix
 from repro.core.compiler.registry import render_pair
 from repro.core.modules.llm_module import encode_payload
 from repro.datasets.curation import CurationCorpus
 from repro.datasets.names import generate_name_dataset
+from repro.core.runtime.system import LinguaManga
+from repro.core.templates.library import get_template
 from repro.datasets.streaming import StreamingERCorpus
-from repro.llm.providers import SimulatedProvider
+from repro.llm.cache import _ENTRY_FIELDS, CacheKey, PromptCache
+from repro.llm.providers import LLMResponse, SimulatedProvider
 from repro.llm.service import CallRecord, LLMService
 from repro.ml.features import PAIR_FEATURE_NAMES, PairFeatureExtractor
 from repro.obs import Observability
@@ -529,6 +541,166 @@ def test_prompt_path_speedup():
         ],
         pairs=len(pairs),
         documents=len(texts),
+        repeats=repeats,
+        **provenance,
+    )
+
+
+def _hash_once(key) -> int:
+    """``hash`` of a frozen key, kept once computed (as ``CacheKey`` kept it)."""
+    value = key._hash
+    if value is None:
+        value = hash((key.provider, key.version, key.prompt, key.max_tokens, key.namespace))
+        object.__setattr__(key, "_hash", value)
+    return value
+
+
+#: ``CacheKey`` as the frozen dataclass it was: the same fields, order and
+#: default, its digest and hash kept on it outside its identity.
+FrozenCacheKey = dataclasses.make_dataclass(
+    "FrozenCacheKey",
+    [
+        *((name, object) for name in CacheKey._fields[:-1]),
+        ("namespace", object, dataclasses.field(default="")),
+        *(
+            (name, object, dataclasses.field(default=None, init=False, repr=False, compare=False))
+            for name in ("_digest", "_hash")
+        ),
+    ],
+    frozen=True,
+    namespace={"__hash__": _hash_once},
+)
+
+
+def _frozen_digest(key) -> str:
+    """``key_digest`` as it was: the whole payload hashed, once per key."""
+    digest = key._digest
+    if digest is None:
+        parts: list = [key.provider, key.version, key.prompt, key.max_tokens]
+        if key.namespace:
+            parts.append(key.namespace)
+        payload = b"[" + b", ".join(map(_dump_scalar, parts)) + b"]"
+        digest = hashlib.sha256(payload).hexdigest()[:16]
+        object.__setattr__(key, "_digest", digest)
+    return digest
+
+
+def _frozen_entry(
+    provider, version, namespace, max_tokens, prompt,
+    text, prompt_tokens, completion_tokens, model, skill, latency,
+):  # fmt: skip
+    """``_entry`` building the frozen key: the same checks, in the same order."""
+    if not (
+        type(provider) is type(version) is type(namespace) is type(prompt)
+        is type(text) is type(model) is type(skill) is str
+        and type(max_tokens) is type(prompt_tokens) is type(completion_tokens) is int
+        and type(latency) in (int, float)
+    ):  # fmt: skip
+        raise TypeError("a cache entry column has the wrong JSON type")
+    return (
+        FrozenCacheKey(provider, version, prompt, max_tokens, namespace),
+        LLMResponse(text, prompt_tokens, completion_tokens, model, skill, float(latency)),
+    )
+
+
+class _FrozenKeyJournal(CheckpointJournal):
+    """``CacheJournal`` as it was: blocks joined back into whole-prompt rows,
+    one frozen key per row, then replayed into a dict and listed."""
+
+    @staticmethod
+    def _decode(record):
+        if record["fields"] != _ENTRY_FIELDS:
+            raise ValueError("a cache block of the wrong fields")
+        return [_frozen_entry(*row) for row in _decode_block(record)[1]]
+
+    def replay(self) -> list:
+        entries: dict = {}
+        for line in self.load():
+            for key, response in line:
+                entries.pop(key, None)
+                entries[key] = response
+        return list(entries.items())
+
+
+def _frozen_open(path: Path, pin: bool):
+    """Open ``path`` the way ``PromptCache`` did; pin it if asked."""
+    live: OrderedDict = OrderedDict()
+    for key, response in _FrozenKeyJournal(path).replay():
+        live[key] = response
+    return live, sorted(_frozen_digest(key) for key in live) if pin else None
+
+
+def _tuple_open(path: Path, pin: bool):
+    cache = PromptCache(path=path)
+    return cache._entries, cache.state_digests() if pin else None
+
+
+def _same_state(reference, direct) -> bool:
+    (frozen, frozen_digests), (live, digests) = reference, direct
+    return frozen_digests == digests and [
+        ((key.provider, key.version, key.prompt, key.max_tokens, key.namespace), response)
+        for key, response in frozen.items()
+    ] == [(tuple(key), response) for key, response in live.items()]
+
+
+def _er_cache_journal(path: Path, entries: int) -> None:
+    """A cache journal of ``entries`` ER prompts, written as a warm start's
+    set-up writes it (chunks of 200, so blocks of 200)."""
+    corpus = StreamingERCorpus(entries, seed=7)
+    service = LLMService(SimulatedProvider(), cache=PromptCache(path=path, max_entries=entries))
+    pipeline = get_template("entity_resolution").instantiate(examples=corpus.examples())
+    LinguaManga(service=service).run_stream(
+        pipeline, {"pairs": corpus.inputs()}, chunk_size=200, window=8,
+        source_id=corpus.fingerprint, sink=lambda outputs: None,
+    )  # fmt: skip
+    service.cache.close()
+    assert len(PromptCache(path=path, max_entries=entries)) == entries
+
+
+def test_cache_open_speedup(tmp_path):
+    """Opening a journaled prompt cache, and opening and pinning it (its
+    ``state_digests``, which a run header records), against the frozen
+    dataclass key whose digest is recomputed from the whole prompt."""
+    provenance = _commit_and_host()
+    sizes = sorted({600, max(N_RECORDS // 10, 600)})
+    repeats = max(REPEATS, 15)
+    rows = []
+    for entries in sizes:
+        path = tmp_path / f"cache_{entries}.jsonl"
+        _er_cache_journal(path, entries)
+        for step, pin in (("open", False), ("open_pin", True)):
+            # Alternate the two, each after a full collection with nothing
+            # of the other alive: a warm start opens into a fresh heap.
+            best = [float("inf"), float("inf")]
+            for _ in range(repeats):
+                outs = []
+                for side, open_ in enumerate((_frozen_open, _tuple_open)):
+                    gc.collect()
+                    started = time.perf_counter()
+                    outs.append(open_(path, pin))
+                    best[side] = min(best[side], time.perf_counter() - started)
+                assert _same_state(*outs), (step, entries)
+                del outs
+            rows.append((step, entries, *best))
+
+    emit(
+        "columnar_cache_open",
+        "warm prompt-cache open, ER journals in blocks of 200 "
+        f"(best of {repeats}, alternating; ms):\n"
+        + "\n".join(
+            f"{step:9s} {entries:6,d} {before * 1e3:8.2f} -> {after * 1e3:7.2f}  "
+            f"{(after - before) / before:+6.1%}"
+            for step, entries, before, after in rows
+        )
+        + "\n(equal entries, in order, and equal state digests)",
+    )
+    emit_json(
+        "columnar_cache_open",
+        [
+            {"name": f"{step}_{entries}", "entries": entries, "reference_seconds": before,
+             "direct_seconds": after, "speedup": before / after}
+            for step, entries, before, after in rows
+        ],
         repeats=repeats,
         **provenance,
     )

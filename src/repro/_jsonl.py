@@ -166,13 +166,12 @@ def _encode_block(fields: Sequence[str], rows: list[list]) -> dict:
     return block
 
 
-def _decode_block(block: dict) -> tuple[list, list[list]]:
-    """Invert :func:`_encode_block`: ``(fields, rows)``, prompts whole again.
+def _block_parts(block: dict) -> tuple[list, list[list], str | None]:
+    """A record block as stored: ``(fields, rows, prompt_prefix or None)``.
 
     Raises ``ValueError`` unless ``rows`` is a list of lists, each one
     entry per field, and ``prompt_prefix`` is a string or absent: a short
     row would otherwise decode with its missing columns defaulted.
-    ``block`` is left as it was (a journal may decode one line twice).
     """
     fields, rows = block["fields"], block["rows"]
     prefix = block.get("prompt_prefix")
@@ -183,6 +182,16 @@ def _decode_block(block: dict) -> tuple[list, list[list]]:
         and (prefix is None or type(prefix) is str)
     ):
         raise ValueError("a record block of the wrong shape")
+    return fields, rows, prefix
+
+
+def _decode_block(block: dict) -> tuple[list, list[list]]:
+    """Invert :func:`_encode_block`: ``(fields, rows)``, prompts whole again.
+
+    Raises as :func:`_block_parts` does.  ``block`` is left as it was (a
+    journal may decode one line twice).
+    """
+    fields, rows, prefix = _block_parts(block)
     if prefix is None:
         return fields, rows
     column = fields.index("prompt")

@@ -28,11 +28,11 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
-from repro._jsonl import CheckpointJournal, _decode_block, _dump_scalar, _encode_block
+from repro._jsonl import CheckpointJournal, _block_parts, _dump_scalar, _encode_block
 from repro.llm.providers import LLMResponse
 
 __all__ = [
@@ -66,9 +66,16 @@ _ENTRY_FIELDS = [
 _BLOCK_ENTRIES = 256
 
 
-@dataclass(frozen=True)
-class CacheKey:
-    """A versioned cache key.
+class _KeyFields(NamedTuple):
+    provider: str
+    version: str
+    prompt: str
+    max_tokens: int
+    namespace: str = ""
+
+
+class CacheKey(_KeyFields):
+    """A versioned cache key: a named tuple, so ``==`` and ``hash`` run in C.
 
     ``provider`` is the provider's cache identity (its model name),
     ``version`` the caller's skill/prompt-template version tag.  Both are
@@ -83,33 +90,54 @@ class CacheKey:
     property of the key, not of cache-object plumbing.  The default ``""``
     (single-tenant library use) leaves digests and journal bytes exactly
     as they were before namespaces existed.
+
+    The fields cannot be assigned.  A key is equal to the plain tuple of
+    its fields; no mapping holds both.
     """
 
-    provider: str
-    version: str
-    prompt: str
-    max_tokens: int
-    namespace: str = ""
-    #: :func:`key_digest` of this key, kept once computed; no part of its
-    #: identity (constructor, ``==``, ``hash`` and ``repr`` do not see it).
-    _digest: str | None = field(default=None, init=False, repr=False, compare=False)
-    #: ``hash`` of this key, kept once computed, like ``_digest``.
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    #: :func:`key_digest` of this key, kept once computed in the instance
+    #: dict; no part of its identity (constructor, ``==``, ``hash`` and
+    #: ``repr`` do not see it; copies and pickles carry it, ``_replace``
+    #: does not).
+    _digest: str | None = None
 
-    def __hash__(self) -> int:
-        value = self._hash
-        if value is None:
-            value = hash(
-                (self.provider, self.version, self.prompt, self.max_tokens, self.namespace)
-            )
-            object.__setattr__(self, "_hash", value)
-        return value
 
-    def __getstate__(self) -> dict:
-        # String hashes are salted per process: a pickled key drops its hash.
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
+def _digest_head(provider: str, version: str, prefix: bytes = b'""'):
+    """SHA-256 fed a key's digest payload up to the end of a prompt prefix.
+
+    ``prefix`` is the :func:`~repro._jsonl._dump_scalar` spelling of a
+    prefix of the prompt, quotes included; its closing quote is not fed.
+    The default, the empty prefix, leaves the whole prompt to
+    :func:`_digest_tail`.
+    """
+    return hashlib.sha256(
+        b"[" + _dump_scalar(provider) + b", " + _dump_scalar(version) + b", " + prefix[:-1]
+    )
+
+
+def _digest_tail(head, suffix: bytes, max_tokens: int, namespace: str) -> str:
+    """The digest ``head`` (consumed) gives a key whose prompt ends in the
+    string spelled ``suffix``, quotes included; its opening quote is not fed.
+
+    Joining the two spellings gives the whole prompt's spelling because a
+    JSON string escapes character by character, unless either half needed
+    the ASCII spelling of a lone surrogate, which escapes the whole string:
+    such halves go to :func:`key_digest` whole instead.
+    """
+    # JSON spells an int as ``%d`` does, at any size.
+    number = b"%d" % max_tokens if type(max_tokens) is int else _dump_scalar(max_tokens)
+    if namespace:
+        head.update(b"%s, %s, %s]" % (suffix[1:], number, _dump_scalar(namespace)))
+    else:
+        head.update(b"%s, %s]" % (suffix[1:], number))
+    return head.hexdigest()[:16]
+
+
+def _spelled(text: str) -> bytes | None:
+    """``_dump_scalar(text)``, or None where that is the ASCII spelling (a
+    lone surrogate), which cannot be split at a prefix."""
+    spelling = _dump_scalar(text)
+    return None if not text.isascii() and spelling.isascii() else spelling
 
 
 def key_digest(key: CacheKey) -> str:
@@ -121,17 +149,19 @@ def key_digest(key: CacheKey) -> str:
     prompt text around.  Namespaced keys append the namespace to the
     digested payload; the un-namespaced payload shape is unchanged, so
     every digest recorded before namespaces existed still verifies.
+
+    The payload is the bytes ``json.dumps([provider, version, prompt,
+    max_tokens(, namespace)], ensure_ascii=False)`` encodes to: recorded
+    digests are of exactly these.  A journal block's rows share a prompt
+    prefix, so :func:`_decode_line` feeds it once per block and finishes
+    each row from its suffix; here the prefix is empty.
     """
     digest = key._digest
     if digest is None:
-        parts: list = [key.provider, key.version, key.prompt, key.max_tokens]
-        if key.namespace:
-            parts.append(key.namespace)
-        # The bytes ``json.dumps(parts, ensure_ascii=False)`` encodes to:
-        # recorded digests are of exactly these.
-        payload = b"[" + b", ".join(map(_dump_scalar, parts)) + b"]"
-        digest = hashlib.sha256(payload).hexdigest()[:16]
-        object.__setattr__(key, "_digest", digest)
+        digest = key._digest = _digest_tail(
+            _digest_head(key.provider, key.version),
+            _dump_scalar(key.prompt), key.max_tokens, key.namespace,
+        )  # fmt: skip
     return digest
 
 
@@ -206,7 +236,10 @@ def _decode_entry(payload: dict) -> tuple[CacheKey, LLMResponse]:
 def _decode_line(record: Any) -> list[tuple[CacheKey, LLMResponse]]:
     """The entries of one journal line, a block or an older entry line.
 
-    Raises on any damage, so a block is kept or lost whole.
+    A block's keys get their digests here, from one SHA-256 state per
+    (provider, version) fed the shared ``prompt_prefix`` once; other keys
+    are digested when asked.  Raises on any damage, so a block is kept or
+    lost whole.
     """
     if type(record) is not dict:
         raise TypeError("a journal line must be a JSON object")
@@ -214,7 +247,25 @@ def _decode_line(record: Any) -> list[tuple[CacheKey, LLMResponse]]:
         return [_decode_entry(record)]
     if record["fields"] != _ENTRY_FIELDS:
         raise ValueError("a cache block of the wrong fields")
-    return [_entry(*row) for row in _decode_block(record)[1]]
+    _, rows, prefix = _block_parts(record)
+    if prefix is None:
+        return [_entry(*row) for row in rows]
+    spelled = _spelled(prefix)
+    heads: dict = {}
+    entries = []
+    for row in rows:  # this decode's own lists: joined in place
+        suffix = row[4]
+        row[4] = prefix + suffix
+        key, _ = entry = _entry(*row)
+        entries.append(entry)
+        if spelled is None or (tail := _spelled(suffix)) is None:
+            continue  # a lone surrogate: key_digest spells the whole prompt
+        provider, version, namespace, max_tokens = row[:4]
+        head = heads.get((provider, version))
+        if head is None:
+            head = heads[provider, version] = _digest_head(provider, version, spelled)
+        key._digest = _digest_tail(head.copy(), tail, max_tokens, namespace)
+    return entries
 
 
 class CacheJournal(CheckpointJournal):
@@ -239,17 +290,18 @@ class CacheJournal(CheckpointJournal):
         super().__init__(path)
         self.entries_held = 0
 
-    def load(self) -> list[tuple[CacheKey, LLMResponse]]:
-        """Replay the journal; a later entry for the same key wins."""
-        entries: dict[CacheKey, LLMResponse] = {}
+    def load(self) -> "OrderedDict[CacheKey, LLMResponse]":
+        """Replay the journal; a later entry for the same key wins and
+        moves last, so the order is a recency order."""
+        entries: "OrderedDict[CacheKey, LLMResponse]" = OrderedDict()
         held = 0
         for line in super().load():
             held += len(line)
             for key, response in line:
-                entries.pop(key, None)  # re-puts refresh recency order
+                entries.pop(key, None)
                 entries[key] = response
         self.entries_held = held + self.corrupt_lines
-        return list(entries.items())
+        return entries
 
     def append(self, *entries: tuple[CacheKey, LLMResponse]) -> None:
         """Record ``(key, response)`` entries in one write (see
@@ -294,8 +346,7 @@ class PromptCache:
         self.metrics = None
         self.journal = CacheJournal(self.path) if self.path is not None else None
         if self.journal is not None:
-            for key, response in self.journal.load():
-                self._entries[key] = response
+            self._entries = self.journal.load()
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
             self.stats.loaded = len(self._entries)
@@ -408,7 +459,8 @@ class PromptCache:
         this state via :meth:`restore_state`.
         """
         with self._lock:
-            return sorted(key_digest(key) for key in self._entries)
+            # Keys loaded from a journal block already hold theirs.
+            return sorted([key._digest or key_digest(key) for key in self._entries])
 
     def restore_state(self, exact: Iterable[str]) -> int:
         """Reconcile the cache back to a recorded :meth:`state_digests`.

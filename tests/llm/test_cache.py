@@ -191,12 +191,11 @@ class TestJournalDirect:
         journal = CacheJournal(tmp_path / "j.jsonl")
         journal.append((key("p"), response("one")))
         entries = journal.load()
-        assert len(entries) == 1
-        assert entries[0][0] == key("p")
-        assert entries[0][1].text == "one"
+        assert list(entries) == [key("p")]
+        assert entries[key("p")].text == "one"
 
     def test_missing_file_loads_empty(self, tmp_path):
-        assert CacheJournal(tmp_path / "absent.jsonl").load() == []
+        assert CacheJournal(tmp_path / "absent.jsonl").load() == {}
 
     def test_compact_is_atomic_replacement(self, tmp_path):
         path = tmp_path / "j.jsonl"
@@ -206,7 +205,7 @@ class TestJournalDirect:
         written = journal.compact([(key("b"), response("b"))])
         assert written == 1
         assert journal.lines_held == 1
-        assert [k for k, _ in journal.load()] == [key("b")]
+        assert list(journal.load()) == [key("b")]
 
     def test_compact_fsyncs_tmp_before_rename(self, tmp_path, monkeypatch):
         """The rewritten file must be on disk before its rename can be."""
@@ -261,12 +260,12 @@ class TestCompactionCrashRecovery:
         fresh = CacheJournal(journal.path)
         assert fresh.recover() == "dropped-orphan-tmp"
         assert not fresh._compact_tmp.exists()
-        assert [k for k, _ in fresh.load()] == [key("a"), key("b")]
+        assert list(fresh.load()) == [key("a"), key("b")]
 
     def test_load_runs_recovery_implicitly(self, tmp_path):
         journal = self._crashing_journal(tmp_path / "cache.jsonl")
         entries = CacheJournal(journal.path).load()
-        assert [k for k, _ in entries] == [key("a"), key("b")]
+        assert list(entries) == [key("a"), key("b")]
         assert not journal._compact_tmp.exists()
 
     def test_recover_promotes_tmp_when_rename_was_interrupted(self, tmp_path):
@@ -278,7 +277,7 @@ class TestCompactionCrashRecovery:
         assert fresh.recover() == "promoted-tmp"
         assert fresh.path.exists()
         assert not fresh._compact_tmp.exists()
-        assert [k for k, _ in fresh.load()] == [key("b")]
+        assert list(fresh.load()) == [key("b")]
 
     def test_recover_is_a_noop_without_leftovers(self, tmp_path):
         journal = CacheJournal(tmp_path / "cache.jsonl")
@@ -298,10 +297,10 @@ class TestCompactionCrashRecovery:
         journal = self._crashing_journal(tmp_path / "cache.jsonl")
         fresh = CacheJournal(journal.path)
         live = fresh.load()
-        assert fresh.compact(live) == 2  # no crash hook armed this time
+        assert fresh.compact(live.items()) == 2  # no crash hook armed this time
         assert fresh.lines_held == 1  # one block line
         assert not fresh._compact_tmp.exists()
-        assert [k for k, _ in fresh.load()] == [key("a"), key("b")]
+        assert list(fresh.load()) == [key("a"), key("b")]
 
 
 def entry_objects(line: bytes) -> list[dict]:
@@ -372,7 +371,7 @@ class TestHeldJournalHandle:
         assert cache.compact() == 1
         cache.put(key("b"), response("3"))
         assert _lines(path) == ["a", "b"]
-        assert [k for k, _ in CacheJournal(path).load()] == [key("a"), key("b")]
+        assert list(CacheJournal(path).load()) == [key("a"), key("b")]
 
     def test_auto_compaction_keeps_later_puts(self, tmp_path):
         path = tmp_path / "cache.jsonl"

@@ -83,7 +83,7 @@ class TestRoundTrip:
             (line,) = path.read_bytes().splitlines()
             shared = "prompt_prefix" in json.loads(line)
             assert shared == (bool(prefix) and len(batch) > 1)
-            assert CacheJournal(path).load() == replay(batch)
+            assert list(CacheJournal(path).load().items()) == replay(batch)
             cache = PromptCache(path=path)
             assert cache.entries() == replay(batch)
             assert cache.journal.entries_held == len(batch)
@@ -106,7 +106,7 @@ class TestBlockSize:
         rows = [len(json.loads(line)["rows"]) for line in path.read_bytes().splitlines()]
         assert rows == [_BLOCK_ENTRIES, 300 - _BLOCK_ENTRIES]
         assert journal.entries_held == 300
-        assert CacheJournal(path).load() == batch
+        assert list(CacheJournal(path).load().items()) == batch
 
     def test_a_compaction_writes_capped_blocks(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -114,7 +114,7 @@ class TestBlockSize:
         journal = CacheJournal(path)
         assert journal.compact(batch) == 600
         assert journal.lines_held == 3 and journal.entries_held == 600
-        assert CacheJournal(path).load() == batch
+        assert list(CacheJournal(path).load().items()) == batch
 
     def test_older_entry_lines_then_blocks_load_in_order(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -126,10 +126,10 @@ class TestBlockSize:
         journal.append(older[1], added[0])  # both supersede an earlier line
         journal.close()
         fresh = CacheJournal(path)
-        assert fresh.load() == replay([*older, *added, older[1], added[0]])
+        assert list(fresh.load().items()) == replay([*older, *added, older[1], added[0]])
         assert fresh.corrupt_lines == 0
         assert fresh.entries_held == len(older) + 5
-        assert PromptCache(path=path).entries() == fresh.load()
+        assert PromptCache(path=path).entries() == list(fresh.load().items())
 
 
 PROMPT = "Extract all person names from: John met Mary."

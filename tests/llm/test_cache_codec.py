@@ -13,7 +13,6 @@ commit's formulas are kept here as the references, and
 from __future__ import annotations
 
 import copy
-import dataclasses
 import hashlib
 import json
 import os
@@ -190,8 +189,9 @@ class TestDigestOnce:
         assert {digested: 1}[fresh] == 1
         with pytest.raises(TypeError):
             CacheKey("sim", "", "p", 64, "acme", "0123456789abcdef")
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             digested.prompt = "q"
+        assert digested.prompt == "p"
 
     def test_copies_keep_a_true_digest(self):
         digested = key("p", namespace="acme")
@@ -202,8 +202,53 @@ class TestDigestOnce:
             pickle.loads(pickle.dumps(digested)),
         ):
             assert clone == digested and key_digest(clone) == expected
-        other = dataclasses.replace(digested, prompt="q")
+        other = digested._replace(prompt="q")
         assert key_digest(other) == reference_digest(other) != expected
+
+
+#: A shared preamble past the block codec's minimum prefix length.
+PREAMBLE = 'Do these match? naïve café ☕ 𝄞, "quoted" \\ and\ttab\n' * 2
+
+
+def preamble_batch(preamble: str) -> list[tuple[CacheKey, LLMResponse]]:
+    """One paid batch over ``preamble``: mixed providers and versions, a
+    namespace, non-ASCII, a lone surrogate in one suffix, a huge integer."""
+    return [
+        (key(preamble + suffix, version, provider, max_tokens, namespace), response(suffix))
+        for provider, version, suffix, max_tokens, namespace in (
+            ("sim", "", "plain suffix", 64, ""),
+            ("sim", "v1", "naïve ☕ suffix", 64, "acme"),
+            ("other-model", "", "x", 2**64, ""),
+            ("sim", "", "lone \ud800 in a suffix", 8, ""),
+            ("sim", "v1", "", 64, "acme"),
+        )
+    ]
+
+
+class TestDecodedDigests:
+    """A block's keys get their digests at decode, from its shared prefix,
+    and every decoded key's digest is the parent formula's."""
+
+    def test_every_loaded_key_has_the_parent_digest(self, tmp_path, either_codec):
+        path = tmp_path / "cache.jsonl"
+        shutil.copy(PARENT_JOURNALS / "cache_mixed.jsonl", path)
+        journal = CacheJournal(path)
+        clean, dirty = preamble_batch(PREAMBLE), preamble_batch(PREAMBLE + "\udfff ")
+        journal.append(*clean)
+        journal.append(*dirty)  # a lone surrogate in the shared prefix
+        journal.close()
+        assert path.read_bytes().count(b'"prompt_prefix"') == 2
+        loaded = CacheJournal(path).load()
+        assert list(loaded) == [k for k, _ in [*parent_replay(), *clean, *dirty]]
+        # only rows whose prefix and suffix UTF-8 spells are digested early
+        early = [k for k, _ in clean if "\ud800" not in k.prompt]
+        assert [k for k in loaded if k._digest is not None] == early
+        for built in loaded:
+            expected = outcome(reference_digest, built)
+            if expected is UnicodeEncodeError:
+                expected = surrogate_digest(built)
+            assert built._digest in (None, expected)
+            assert key_digest(built) == expected
 
 
 def parent_replay() -> list[tuple[CacheKey, LLMResponse]]:
@@ -218,7 +263,7 @@ def parent_replay() -> list[tuple[CacheKey, LLMResponse]]:
 class TestLineFormat:
     def test_a_parent_written_journal_loads(self):
         journal = CacheJournal(PARENT_JOURNALS / "cache_mixed.jsonl")
-        loaded = journal.load()
+        loaded = list(journal.load().items())
         assert loaded == parent_replay()
         assert journal.corrupt_lines == 0
         # the superseded first line is gone, its key moved behind the third
@@ -264,7 +309,7 @@ class TestLineFormat:
         assert all(b'": ' not in line and b', "' not in line for line in lines)
         if jsonl._orjson is not None:
             assert b"e-06," in parent[0] and b"e-6]" in lines[0]
-        assert CacheJournal(path).load() == parent_replay()
+        assert list(CacheJournal(path).load().items()) == parent_replay()
 
     def test_integers_past_64_bits_round_trip(self, tmp_path, either_codec):
         journal = CacheJournal(tmp_path / "cache.jsonl")
@@ -272,7 +317,7 @@ class TestLineFormat:
         journal.append((huge, response("x")))
         journal.append((key("q"), response("x")))
         journal.close()
-        assert [k for k, _ in journal.load()] == [huge, key("q")]
+        assert list(journal.load()) == [huge, key("q")]
         assert [k for k, _ in PromptCache(path=journal.path).entries()] == [huge, key("q")]
 
     def test_a_journal_written_without_the_accelerator_loads_with_it(
@@ -285,7 +330,7 @@ class TestLineFormat:
             for built, answer in mixed_entries():
                 cache.put(built, answer)
             cache.close()
-        assert CacheJournal(path).load() == parent_replay()
+        assert list(CacheJournal(path).load().items()) == parent_replay()
 
 
 def three_entries(path: Path) -> list[bytes]:
@@ -413,7 +458,7 @@ class TestRecordedDigests:
             header = json.loads(wal[: wal.index(b"\n")])
             journal = CacheJournal(PARENT_JOURNALS / f"{name}.cache.jsonl")
             recorded = header["cache_exact"]
-            held = [key_digest(k) for k, _ in journal.load()]
+            held = [key_digest(k) for k in journal.load()]
             assert len(recorded) == count and set(recorded) < set(held)
             assert sorted(held[:count]) == recorded
 

@@ -168,7 +168,7 @@ class TestInsideABatch:
         assert len(lines) == 2  # one block line per append
         if jsonl._orjson is not None:
             assert [line[:1] == b" " for line in lines] == [True, False]
-        assert CacheJournal(path).load() == batch
+        assert list(CacheJournal(path).load().items()) == batch
         assert PromptCache(path=path).entries() == batch
 
     def test_the_compaction_trigger_counts_every_line_of_a_batch(self, tmp_path):
@@ -181,7 +181,7 @@ class TestInsideABatch:
         assert cache.journal.entries_held == len(cache) == 20
         assert cache.journal.lines_held == 1
         assert cache.stats.evictions == 110
-        assert CacheJournal(path).load() == batch[-20:]
+        assert list(CacheJournal(path).load().items()) == batch[-20:]
 
     def test_a_batch_under_the_trigger_is_not_compacted(self, tmp_path):
         cache = PromptCache(path=tmp_path / "cache.jsonl", max_entries=20)
@@ -225,7 +225,7 @@ class TestLoneSurrogate:
         # the block holding it is escaped whole, the others not at all
         assert mixed[1].startswith(b" ") and mixed[1].isascii()
         assert not clean[0].isascii()
-        assert CacheJournal(tmp_path / "mixed.jsonl").load() == [plain[0], odd, plain[1]]
+        assert list(CacheJournal(tmp_path / "mixed.jsonl").load().items()) == [plain[0], odd, plain[1]]
 
     def test_a_run_journal_line_holding_one_round_trips(self, tmp_path, either_codec):
         journal = CheckpointJournal(tmp_path / "run.jsonl")

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro._util import seeded_rng
 from repro.ml.forest import RandomForest
 from repro.ml.logistic import SoftmaxRegression
 from repro.ml.naive_bayes import MultinomialNaiveBayes
 from repro.ml.tree import DecisionTree
+from tests.oracles import tree_build_reference, tree_predict_reference
 
 
 def linearly_separable(n: int = 120, seed: int = 0):
@@ -94,6 +96,15 @@ class TestNaiveBayes:
             MultinomialNaiveBayes().fit([], [])
 
 
+#: Feature values: a small grid (ties), bounded floats (signed zeros too),
+#: infinities, NaN, and pairs whose midpoint overflows.
+_CELLS = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.floats(-1e6, 1e6),
+    st.sampled_from([np.inf, -np.inf, np.nan, 1.5e308, 1.7e308, -1.6e308]),
+)
+
+
 class TestDecisionTree:
     def test_solves_xor(self):
         X, y = xor_data()
@@ -113,6 +124,63 @@ class TestDecisionTree:
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             DecisionTree().predict(np.zeros((1, 1)))
+
+    def test_labels_other_than_0_1_are_refused(self):
+        # the split search counts labels; it cannot average other values
+        with pytest.raises(ValueError):
+            DecisionTree().fit(np.array([[0.0], [1.0]]), [0, 2])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 60).flatmap(
+            lambda n: st.tuples(
+                st.integers(1, 4).flatmap(
+                    lambda d: st.lists(st.lists(_CELLS, min_size=d, max_size=d),
+                                       min_size=n, max_size=n)
+                ),
+                st.lists(st.integers(0, 1), min_size=n, max_size=n),
+            )
+        ),
+        st.integers(0, 7), st.integers(0, 4), st.sampled_from([1.0, 0.7, 0.4]),
+        st.integers(0, 2**30),
+    )  # fmt: skip
+    def test_grows_the_tree_the_scalar_search_grows(
+        self, data, max_depth, min_leaf, max_features, seed
+    ):
+        rows, y = data
+        X, labels = np.array(rows), np.array(y, dtype=np.float64)
+        tree = DecisionTree(max_depth, min_leaf, max_features, seed).fit(X, y)
+        root = tree_build_reference(tree, X, labels, 0, seeded_rng(seed))
+        nodes = tree._nodes
+        assert list(zip(*(column.tolist() for column in nodes[:5]))) == _preorder(root)
+        assert tree.depth() == max(_depths(root))
+        probes = np.vstack([X, X + 0.5, -X])
+        assert tree.predict_proba(probes).tolist() == tree_predict_reference(root, probes)
+
+
+def _preorder(node: tuple, rows: list | None = None) -> list[tuple]:
+    """The reference tree in ``DecisionTree``'s node layout: preorder, a
+    leaf splitting on feature 0 into itself."""
+    rows = [] if rows is None else rows
+    index = len(rows)
+    rows.append(None)
+    feature, threshold, prediction, left, right = node
+    if left is None:
+        rows[index] = (0, 0.0, index, index, prediction)
+    else:
+        _preorder(left, rows)
+        right_index = len(rows)
+        _preorder(right, rows)
+        rows[index] = (feature, threshold, index + 1, right_index, prediction)
+    return rows
+
+
+def _depths(node: tuple, depth: int = 0):
+    yield depth
+    for child in node[3:]:
+        if child is not None:
+            yield from _depths(child, depth + 1)
 
 
 class TestRandomForest:

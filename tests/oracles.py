@@ -27,6 +27,8 @@ import re
 import struct
 from typing import Any, Iterator
 
+import numpy as np
+
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
@@ -689,3 +691,77 @@ def curation_doc_reference(corpus, index: int, contents: dict | None = None):
         contaminated=contaminated,
         eval_index=eval_index,
     )
+
+
+# -- decision tree -------------------------------------------------------------------
+
+
+def _gini_reference(y) -> float:
+    if y.size == 0:
+        return 0.0
+    p = float(y.mean())
+    return 2.0 * p * (1.0 - p)
+
+
+def tree_build_reference(tree, X, y, depth: int, rng) -> tuple:
+    """``DecisionTree``'s split search as it first was: two masks and two
+    gini calls per threshold.  ``X`` and ``y`` are float64 arrays and
+    ``rng`` is seeded as ``fit`` seeds it.  Returns the fitted tree as
+    nested ``(feature, threshold, prediction, left, right)`` tuples, a leaf
+    as ``(-1, 0.0, prediction, None, None)``."""
+    prediction = float(y.mean()) if y.size else 0.5
+    leaf = (-1, 0.0, prediction, None, None)
+    if depth >= tree.max_depth or y.size < 2 * tree.min_leaf or _gini_reference(y) == 0.0:
+        return leaf
+    n_features = X.shape[1]
+    k = max(1, int(round(tree.max_features * n_features)))
+    candidates = (
+        list(range(n_features)) if k >= n_features else sorted(rng.sample(range(n_features), k))
+    )
+    best_gain = 0.0
+    best = None
+    parent_impurity = _gini_reference(y)
+    for feature in candidates:
+        column = X[:, feature]
+        values = np.unique(column)
+        if values.size < 2:
+            continue
+        thresholds = (values[:-1] + values[1:]) / 2.0
+        if thresholds.size > 16:
+            idx = np.linspace(0, thresholds.size - 1, 16).astype(int)
+            thresholds = thresholds[idx]
+        for threshold in thresholds:
+            mask = column <= threshold
+            n_left = int(mask.sum())
+            n_right = y.size - n_left
+            if n_left < tree.min_leaf or n_right < tree.min_leaf:
+                continue
+            gain = parent_impurity - (
+                n_left / y.size * _gini_reference(y[mask])
+                + n_right / y.size * _gini_reference(y[~mask])
+            )
+            if gain > best_gain + 1e-12:
+                best_gain = gain
+                best = (feature, float(threshold))
+    if best is None:
+        return leaf
+    feature, threshold = best
+    mask = X[:, feature] <= threshold
+    return (
+        feature,
+        threshold,
+        prediction,
+        tree_build_reference(tree, X[mask], y[mask], depth + 1, rng),
+        tree_build_reference(tree, X[~mask], y[~mask], depth + 1, rng),
+    )
+
+
+def tree_predict_reference(root: tuple, X) -> list[float]:
+    """P(y=1) per row of ``X``, walking :func:`tree_build_reference`'s tree."""
+    out = []
+    for row in X:
+        node = root
+        while node[3] is not None:
+            node = node[3] if row[node[0]] <= node[1] else node[4]
+        out.append(node[2])
+    return out

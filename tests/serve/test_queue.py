@@ -162,7 +162,7 @@ def test_tenant_caches_stay_isolated_on_disk(queue, serve_dir):
     queue.drain()
     for tenant in ("acme", "globex"):
         journal = CacheJournal(serve_dir / "tenants" / tenant / "cache.jsonl")
-        namespaces = [key.namespace for key, _ in journal.load()]
+        namespaces = [key.namespace for key in journal.load()]
         assert journal.corrupt_lines == 0  # no line hides a key
         assert namespaces and set(namespaces) == {tenant}
 
