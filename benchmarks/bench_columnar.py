@@ -1,6 +1,6 @@
 """Columnar kernels against their scalar references — a kernel micro-bench.
 
-Seven kernels are measured against the reference functions the equivalence
+Eight kernels are measured against the reference functions the equivalence
 suites compare them with, on synthetic corpora sized by
 ``BENCH_COLUMNAR_RECORDS`` (default 100k records):
 
@@ -33,7 +33,14 @@ suites compare them with, on synthetic corpora sized by
   entries and of one per 10 records (10 000 by default), alone and with
   ``state_digests`` (the pin a run header records), vs the frozen-dataclass
   key the cache had, whose digest is taken from the whole prompt at the
-  pin.  Its JSON records the commit and host too.
+  pin.  Its JSON records the commit and host too;
+- **curation scans**: the dedup candidate scan over one ``CurationCorpus``
+  document per 625 records (160 by default) with ``document_sketches``
+  (each distinct text and shingle string once per scan) vs each document
+  sketched on its own (``document_sketch_reference``), and the
+  decontamination verdicts of one document per 200 records (500) by the
+  soft-first ``overlap_tier`` vs the full ``overlap_profile``.  Equal pairs
+  and verdicts are asserted; its JSON records the commit and host too.
 
 The reference side of feature extraction is measured on a
 ``BENCH_COLUMNAR_SCALAR_SAMPLE`` subset (default 4000 pairs) and
@@ -62,13 +69,16 @@ import random
 import subprocess
 import sys
 import time
+from array import array
 from collections import OrderedDict
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
 from repro._jsonl import CheckpointJournal, _decode_block, _dump_scalar
 from repro._util import indexed_hash, stable_prefix
+import repro.core.compiler.curation as curation_kernels
 from repro.core.compiler.registry import render_pair
 from repro.core.modules.llm_module import encode_payload
 from repro.datasets.curation import CurationCorpus
@@ -85,7 +95,9 @@ from repro.obs.metrics import MetricsRegistry
 from repro.tasks.blocking import _block_columnar, _block_scalar
 from repro.text.language import detect_language
 from repro.text.normalize import normalize_text
+from repro.text.overlap import build_ngram_index, overlap_profile, overlap_tier
 from repro.text.quality import quality_stats
+from repro.text.shingle import DocumentSketch
 from repro.text.similarity import TfIdfModel, jaro_similarity
 
 from _harness import emit, emit_json
@@ -95,6 +107,7 @@ from tests.oracles import (  # noqa: E402
     LockedMetricsRegistry,
     curation_doc_reference,
     detect_language_reference,
+    document_sketch_reference,
     er_pair_reference,
     jaro_reference,
     per_token_quality_stats,
@@ -701,6 +714,87 @@ def test_cache_open_speedup(tmp_path):
              "direct_seconds": after, "speedup": before / after}
             for step, entries, before, after in rows
         ],
+        repeats=repeats,
+        **provenance,
+    )
+
+
+def _sketched_alone(texts, n: int) -> list[DocumentSketch]:
+    """The per-document path: every text sketched on its own, repeats too."""
+    return [
+        DocumentSketch(digest, *(memoryview(array("I", ids)).toreadonly() for ids in rows))
+        for digest, *rows in (document_sketch_reference(text, n) for text in texts)
+    ]
+
+
+def test_curation_scan_speedup():
+    """The dedup candidate scan and the decontamination rule of the
+    ``curation_batch`` workload, each against its per-document path."""
+    provenance = _commit_and_host()
+    repeats = max(REPEATS, 15)
+    records = [doc.record() for doc in CurationCorpus(max(N_RECORDS // 625, 40), seed=7)]
+    flagged = CurationCorpus(max(N_RECORDS // 200, 50), seed=7)
+    texts = [doc.text for doc in flagged]
+    items = list(flagged.eval_set.items())
+    hard_n, soft_n = curation_kernels.DECONTAM_HARD_N, curation_kernels.DECONTAM_SOFT_N
+    hard, soft = build_ngram_index(items, hard_n), build_ngram_index(items, soft_n)
+
+    def scan(sketcher):
+        curation_kernels.dedup_candidate_pairs([])  # no last scan to recall
+        with mock.patch.object(curation_kernels, "document_sketches", sketcher):
+            return curation_kernels.dedup_candidate_pairs(records)
+
+    def profiled():
+        verdicts = []
+        for text in texts:
+            profile = overlap_profile(text, hard, soft, hard_n=hard_n, soft_n=soft_n)
+            verdicts.append(2 if profile.hard_hits else 1 if profile.soft_hits else 0)
+        return verdicts
+
+    contenders = {
+        "scan": (lambda: scan(_sketched_alone), lambda: scan(curation_kernels.document_sketches)),
+        "decontam": (
+            profiled,
+            lambda: [overlap_tier(t, hard, soft, hard_n=hard_n, soft_n=soft_n) for t in texts],
+        ),
+    }
+    rows = []
+    for step, sides in contenders.items():
+        # Alternate the two, each after a full collection.
+        best = [float("inf"), float("inf")]
+        for _ in range(repeats):
+            outs = []
+            for side, run in enumerate(sides):
+                gc.collect()
+                started = time.perf_counter()
+                outs.append(run())
+                best[side] = min(best[side], time.perf_counter() - started)
+            assert outs[0] == outs[1], step
+        rows.append((step, *best))
+    verdicts = outs[1]
+
+    emit(
+        "columnar_curation_scan",
+        f"curation scans (best of {repeats}, alternating; ms):\n"
+        + "\n".join(
+            f"{step:9s} {before * 1e3:8.2f} -> {after * 1e3:7.2f}  "
+            f"{(after - before) / before:+6.1%}"
+            for step, before, after in rows
+        )
+        + f"\n({len(records)} documents scanned, equal pairs; {len(texts)} flagged, "
+        f"{verdicts.count(0)} without a soft hit, equal verdicts)",
+    )
+    emit_json(
+        "columnar_curation_scan",
+        [
+            {"name": step, "reference_seconds": before, "direct_seconds": after,
+             "speedup": before / after}
+            for step, before, after in rows
+        ],
+        scanned=len(records),
+        flagged=len(texts),
+        soft_hits=len(texts) - verdicts.count(0),
+        hard_hits=verdicts.count(2),
         repeats=repeats,
         **provenance,
     )

@@ -13,8 +13,9 @@ Runs under pytest (CI smoke, asserting the acceptance claims) or directly
 ``CURATION_BENCH_DOCS`` scales the corpus (default 240 for CI smoke).
 
 The warm arm is what a *new process* over a filled prompt cache pays: the
-in-process document-sketch LRU is emptied first, so its wall (and the
-docs/s derived from it) is all local-kernel work, not memo hits.  Walls are
+in-process memo of the last dedup scan (its pairs and sketches) is emptied
+first, so its wall (and the docs/s derived from it) is all local-kernel
+work, not memo hits.  Walls are
 recorded, never gated.
 """
 
@@ -30,6 +31,7 @@ from repro.baselines.curation import (
     evaluate_rules_quality,
     evaluate_threshold_dedup,
 )
+from repro.core.compiler.curation import dedup_candidate_pairs
 from repro.core.runtime.system import LinguaManga
 from repro.datasets.curation import CurationCorpus
 from repro.tasks.curation import (
@@ -37,7 +39,6 @@ from repro.tasks.curation import (
     run_dedup,
     run_quality_filter,
 )
-from repro.text.shingle import document_sketch
 
 from _harness import emit, emit_json
 
@@ -70,7 +71,7 @@ def run_sweep() -> list[dict]:
         cold = runner(system, corpus)
         cold_wall = time.perf_counter() - start
 
-        document_sketch.cache_clear()
+        dedup_candidate_pairs([])  # forget the cold arm's scan
         start = time.perf_counter()
         warm = runner(system, corpus)
         warm_wall = time.perf_counter() - start

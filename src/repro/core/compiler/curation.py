@@ -47,9 +47,9 @@ from repro.core.modules.custom import CustomModule
 from repro.core.modules.llm_module import LLMModule, encode_payload, parse_yes_no
 from repro.storage.columnar import band_keys_many, minhash_signatures_many
 from repro.text.minhash import minhash_params
-from repro.text.overlap import build_ngram_index, overlap_profile
+from repro.text.overlap import build_ngram_index, overlap_profile, overlap_tier
 from repro.text.quality import rule_quality_score
-from repro.text.shingle import document_sketch, exact_jaccard
+from repro.text.shingle import document_sketches, exact_jaccard
 
 __all__ = [
     "CorpusKernelModule",
@@ -150,11 +150,13 @@ def _bucket_pairs(buckets: Iterable[set], pairs: set) -> None:
                 pairs.add((left, right))
 
 
-#: ``(key, pairs)`` of the last scan.  A batch dedup run asks for one
-#: corpus's pairs twice — the pipeline's kernel, then the runner's score —
-#: and the second ask is answered from here.  The key is a digest, so no
-#: text is held; one entry, replaced whole, so threads see old or new.
-_last_scan: tuple[bytes, tuple[tuple, ...]] = (b"", ())
+#: ``(key, pairs, shingle_n, knowledge_ids)`` of the last scan.  A batch
+#: dedup run asks for one corpus's pairs twice — the pipeline's kernel, then
+#: the runner's score — and the second ask is answered from here.  The verify
+#: rung then scores those pairs from ``knowledge_ids``, the scan's ids keyed
+#: by text, held only for documents in some pair.  One entry, replaced
+#: whole, so threads see old or new.
+_last_scan: tuple[bytes, tuple[tuple, ...], int, dict[str, memoryview]] = (b"", (), 0, {})
 
 
 def _scan_key(ids: list, texts: list[str], config: tuple) -> bytes:
@@ -194,11 +196,11 @@ def dedup_candidate_pairs(
     ids = [_doc_id(doc, index) for index, doc in enumerate(docs)]
     texts = [_doc_text(doc) for doc in docs]
     scan_key = _scan_key(ids, texts, (num_perm, bands, rows, shingle_n, dual))
-    last_key, last_pairs = _last_scan
+    last_key, last_pairs, _, _ = _last_scan
     if scan_key == last_key:
         return list(last_pairs)
-    # Each document is canonicalised and shingled here, once, for all tiers.
-    sketches = [document_sketch(text, shingle_n) for text in texts]
+    # Each distinct text is canonicalised and shingled here, once, for all tiers.
+    sketches = document_sketches(texts, shingle_n)
 
     pairs: set[tuple] = set()
 
@@ -223,8 +225,25 @@ def dedup_candidate_pairs(
         _bucket_pairs(buckets.values(), pairs)
 
     ordered = sorted(pairs)
-    _last_scan = (scan_key, tuple(ordered))
+    paired = {doc_id for pair in ordered for doc_id in pair}
+    knowledge_ids = {
+        text: sketch.knowledge_ids
+        for doc_id, text, sketch in zip(ids, texts, sketches)
+        if doc_id in paired
+    }
+    _last_scan = (scan_key, tuple(ordered), shingle_n, knowledge_ids)
     return ordered
+
+
+def _pair_knowledge_ids(left: str, right: str, shingle_n: int) -> tuple[memoryview, memoryview]:
+    """Both sides' knowledge-form shingle ids: the last scan's, else sketched here."""
+    _, _, scan_n, scanned = _last_scan
+    if scan_n == shingle_n and left in scanned and right in scanned:
+        return scanned[left], scanned[right]
+    # A pair the last scan did not propose (a resumed run, another corpus
+    # scanned since): the same values, computed for this pair alone.
+    left_sketch, right_sketch = document_sketches((left, right), shingle_n)
+    return left_sketch.knowledge_ids, right_sketch.knowledge_ids
 
 
 def candidate_pair_records(docs: Sequence[Any], pairs: Sequence[tuple]) -> list[dict]:
@@ -355,22 +374,19 @@ def _decontaminate_factory(
     hard_index = build_ngram_index(eval_items, hard_n)
     soft_index = build_ngram_index(eval_items, soft_n)
 
-    def profile(doc: Any):
-        return overlap_profile(
+    def rule(doc: Any) -> float:
+        tier = overlap_tier(
             _doc_text(doc), hard_index, soft_index, hard_n=hard_n, soft_n=soft_n
         )
-
-    def rule(doc: Any) -> float:
-        scan = profile(doc)
-        if scan.hard_hits:
-            return 1.0  # verbatim leak: flag without consulting the LLM
-        if not scan.soft_hits:
-            return 0.0  # no overlap at all: clean for free
-        return 0.5  # gray zone: soft echoes only — adjudicate
+        # 1.0: a verbatim leak, flagged without consulting the LLM; 0.0: no
+        # overlap at all, clean for free; 0.5: soft echoes only — adjudicate.
+        return (0.0, 0.5, 1.0)[tier]
 
     def render(doc: Any) -> str:
         # Only gray-zone documents escalate, and they have a soft hit.
-        scan = profile(doc)
+        scan = overlap_profile(
+            _doc_text(doc), hard_index, soft_index, hard_n=hard_n, soft_n=soft_n
+        )
         assert scan.best_item >= 0, "rendered a document with no soft hit"
         return f"{render_document(doc)}\nBenchmark: {eval_items[scan.best_item]}"
 
@@ -461,10 +477,8 @@ def _match_cascade_factory(
 
     def rule(pair: Any) -> float:
         left, right = _pair_sides(pair)
-        # Usually already sketched by the candidate scan that proposed the pair.
         return exact_jaccard(
-            document_sketch(_doc_text(left), shingle_n).knowledge_ids,
-            document_sketch(_doc_text(right), shingle_n).knowledge_ids,
+            *_pair_knowledge_ids(_doc_text(left), _doc_text(right), shingle_n)
         )
 
     teacher = make_pair_matcher(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import threading
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro._util import stable_unit
 from repro.llm.errors import ProviderError, RateLimitError
@@ -208,10 +208,9 @@ class ChaosProvider(LLMProvider):
         response = self.inner.complete(request)
         for spec in mutations:
             if spec.kind == FaultKind.LATENCY:
-                response = replace(
-                    response,
+                response = response._replace(
                     latency_seconds=response.latency_seconds + spec.extra_latency,
                 )
             elif spec.kind == FaultKind.MALFORMED:
-                response = replace(response, text=response.text[: spec.truncate_to])
+                response = response._replace(text=response.text[: spec.truncate_to])
         return response

@@ -12,7 +12,7 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.llm.errors import ProviderError
 from repro.llm.knowledge import KnowledgeBase
@@ -38,9 +38,12 @@ class LLMRequest:
     metadata: dict[str, Any] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class LLMResponse:
-    """A completion response with usage accounting."""
+class LLMResponse(NamedTuple):
+    """A completion response with usage accounting.
+
+    A named tuple: one is built per decoded cache entry and per provider
+    answer, and its fields cannot be assigned.
+    """
 
     text: str
     prompt_tokens: int

@@ -25,7 +25,7 @@ from repro.text.quality import QualityStats, quality_stats, rule_quality_score
 from repro.text.shingle import (
     SHINGLE_SPACE,
     DocumentSketch,
-    document_sketch,
+    document_sketches,
     exact_jaccard,
     knowledge_canonical,
     shingle_id,
@@ -76,7 +76,7 @@ __all__ = [
     "minhash_params",
     "SHINGLE_SPACE",
     "DocumentSketch",
-    "document_sketch",
+    "document_sketches",
     "exact_jaccard",
     "knowledge_canonical",
     "shingle_id",

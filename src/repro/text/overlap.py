@@ -34,16 +34,21 @@ __all__ = [
     "build_ngram_index",
     "ngram_set",
     "overlap_profile",
+    "overlap_tier",
 ]
 
 
-def _token_ngrams(tokens: list[str], n: int) -> set[tuple[str, ...]]:
+def _windows(tokens: list[str], n: int) -> Iterable[tuple[str, ...]]:
     if n < 1:
         raise ValueError(f"n-gram width must be at least 1, got {n}")
     if len(tokens) < n:
-        return {tuple(tokens)} if tokens else set()
+        return [tuple(tokens)] if tokens else []
     # ``n`` staggered views zipped together: the windows, built in C.
-    return set(zip(*[tokens[i:] for i in range(n)]))
+    return zip(*[tokens[i:] for i in range(n)])
+
+
+def _token_ngrams(tokens: list[str], n: int) -> set[tuple[str, ...]]:
+    return set(_windows(tokens, n))
 
 
 def ngram_set(text: str, n: int) -> set[tuple[str, ...]]:
@@ -112,3 +117,29 @@ def overlap_profile(
         doc_ngrams=len(hard_grams),
         best_item=best_item,
     )
+
+
+def overlap_tier(
+    text: str,
+    hard_index: Mapping[tuple[str, ...], int],
+    soft_index: Mapping[tuple[str, ...], int],
+    *,
+    hard_n: int = 8,
+    soft_n: int = 4,
+) -> int:
+    """``2`` if ``text`` has a hard hit, else ``1`` if it has a soft hit, else ``0``.
+
+    The verdict of :func:`overlap_profile`'s two counts, for indexes that
+    :func:`build_ngram_index` built from the same eval items.  With
+    ``soft_n <= hard_n`` a hard hit implies a soft hit — its first ``soft_n``
+    tokens, or for a text shorter than a width the whole text, are a soft
+    gram of the same item — so a text without a soft hit is clean and its
+    hard windows are never built.  Each probe stops at its first hit.
+    """
+    tokens = simple_canonical(text).split()
+    soft = not soft_index.keys().isdisjoint(_windows(tokens, soft_n))
+    if not soft and soft_n <= hard_n:
+        return 0
+    if not hard_index.keys().isdisjoint(_windows(tokens, hard_n)):
+        return 2
+    return int(soft)

@@ -29,11 +29,12 @@ implies ``a * x + b < 2**62``) — the columnar kernels in
 
 A curation run needs the same document's canonical forms and shingle ids
 several times (the candidate scan, then both sides of every candidate pair
-in the verify rung).  :func:`document_sketch` is the one place the curation
-kernels compute them: a pure function of ``(text, shingle_n)`` memoised in
-a small content-keyed LRU, so each document is canonicalised and shingled
-once per run — and, within one sketch, each distinct shingle string of the
-two forms is hashed once.
+in the verify rung).  :func:`document_sketches` is the one place the
+curation kernels compute them, a whole corpus per call: each distinct text
+is canonicalised once, and each distinct shingle string of the corpus is
+hashed once and read by every document and both forms that hold it.  The
+candidate scan hands the sketches it made to the verify rung, so nothing
+is memoised across calls.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from __future__ import annotations
 import hashlib
 import re
 from array import array
-from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from repro.text.normalize import normalize_text, normalize_whitespace
@@ -55,7 +55,7 @@ __all__ = [
     "shingle_ids",
     "exact_jaccard",
     "DocumentSketch",
-    "document_sketch",
+    "document_sketches",
 ]
 
 #: Shingle identifiers are drawn from ``[0, SHINGLE_SPACE)`` — one below the
@@ -143,8 +143,8 @@ class DocumentSketch(NamedTuple):
     """Everything the dedup kernels derive from one document's text.
 
     The id fields hold the values of :func:`shingle_ids` in a read-only
-    buffer of 4-byte unsigned ints (not a boxed ``int`` each): sketches are
-    shared between callers through the LRU, so nobody may write to one.
+    buffer of 4-byte unsigned ints (not a boxed ``int`` each): one sketch
+    serves every copy of its text in a scan, so nobody may write to one.
     """
 
     digest: str  #: exact-duplicate key: blake2b over ``simple_canonical(text)``
@@ -152,28 +152,27 @@ class DocumentSketch(NamedTuple):
     knowledge_ids: memoryview  #: ``shingle_ids(knowledge_canonical(text), n)``
 
 
-def _frozen_ids(ids: Iterable[int]) -> memoryview:
-    return memoryview(array("I", sorted(ids))).toreadonly()
+def _table_ids(text: str, n: int, table: dict[str, int]) -> memoryview:
+    """``shingle_ids(text, n)``, hashing only the shingles ``table`` lacks."""
+    shingles = set(word_shingles(text, n))
+    for shingle in shingles.difference(table):
+        table[shingle] = shingle_id(shingle)
+    return memoryview(array("I", sorted(set(map(table.__getitem__, shingles))))).toreadonly()
 
 
-#: Documents the sketch LRU holds (a few KB each).  One scan never relies on
-#: it — every scan sketches its documents once and passes the sketches along
-#: — so capacity only bounds how large a corpus the *later* passes of a run
-#: (the verify rung) find already sketched; past it they recompute.
-_SKETCH_CAPACITY = 1024
-
-
-@lru_cache(maxsize=_SKETCH_CAPACITY)
-def document_sketch(text: str, n: int = 3) -> DocumentSketch:
-    """The :class:`DocumentSketch` of ``text`` for shingle width ``n``."""
-    simple = simple_canonical(text)
-    simple_shingles = word_shingles(simple, n)
-    knowledge_shingles = word_shingles(knowledge_canonical(text), n)
-    # The two forms share most of their shingle strings (and a form repeats
-    # its own): each distinct string is hashed once and both tiers read it.
-    ids = {s: shingle_id(s) for s in {*simple_shingles, *knowledge_shingles}}
-    return DocumentSketch(
-        _canonical_digest(simple),
-        _frozen_ids({ids[s] for s in simple_shingles}),
-        _frozen_ids({ids[s] for s in knowledge_shingles}),
-    )
+def document_sketches(texts: Iterable[str], n: int = 3) -> list[DocumentSketch]:
+    """The :class:`DocumentSketch` of each of ``texts`` for shingle width ``n``, in order."""
+    table: dict[str, int] = {}
+    by_text: dict[str, DocumentSketch] = {}
+    sketches = []
+    for text in texts:
+        sketch = by_text.get(text)
+        if sketch is None:
+            simple = simple_canonical(text)
+            sketch = by_text[text] = DocumentSketch(
+                _canonical_digest(simple),
+                _table_ids(simple, n, table),
+                _table_ids(knowledge_canonical(text), n, table),
+            )
+        sketches.append(sketch)
+    return sketches

@@ -438,31 +438,48 @@ def _jaro_codes(
     codes_b: np.ndarray,
     len_b: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized Jaro kernel (greedy window matching, then transpositions)."""
+    """Vectorized Jaro kernel: :func:`jaro_similarity`'s matching, every row at once.
+
+    Each real character of ``b`` becomes one sorted key ``(row, code,
+    position)``, so the run of keys of one row's character is that
+    character's stack of unmatched positions, smallest first, and ``top``
+    points at the first one not yet popped.  Step ``i`` matches ``a[:, i]``
+    of every row still that long: two binary searches find the run and its
+    first position inside the window, and a hit pops it.  A row costs
+    O((|a| + |b|) log) instead of the window scan's O(|a| * |b|).
+    """
     n, width_a = codes_a.shape
     width_b = codes_b.shape[1]
     if width_a == 0 or width_b == 0:
         # A whole side of the batch is empty strings: no matches anywhere.
         return np.zeros(n, dtype=np.float64)
     window = np.maximum(np.maximum(len_a, len_b) // 2 - 1, 0)
+    # Padding is negative, so every code of either side is below ``span``.
+    span = int(max(codes_a.max(), codes_b.max())) + 1
+    row_b, pos_b = np.nonzero(np.arange(width_b)[None, :] < len_b[:, None])
+    keys = np.sort((row_b * span + codes_b[row_b, pos_b]) * width_b + pos_b)
+    top = np.arange(len(keys) + 1)
+    last = len(keys) - 1
+    # Longest ``a`` first: the rows step ``i`` still reads are a prefix.
+    order = np.argsort(-len_a, kind="stable")
+    active = n - np.searchsorted(np.sort(len_a), np.arange(width_a), side="right")
+    run_key = (order[:, None] * span + codes_a[order].astype(np.int64)) * width_b
+    reach = window[order]
     a_flags = np.zeros((n, width_a), dtype=bool)
     b_flags = np.zeros((n, width_b), dtype=bool)
-    j = np.arange(width_b)
     for i in range(width_a):
-        active = i < len_a
-        if not active.any():
+        k = active[i]
+        if not k:
             break
-        eligible = (
-            active[:, None]
-            & (j[None, :] >= (i - window)[:, None])
-            & (j[None, :] < np.minimum(len_b, i + window + 1)[:, None])
-            & ~b_flags
-            & (codes_b == codes_a[:, i][:, None])
-        )
-        hit = eligible.any(axis=1)
-        rows = np.nonzero(hit)[0]
-        b_flags[rows, eligible.argmax(axis=1)[rows]] = True
+        head = run_key[:k, i]
+        start = np.searchsorted(keys, head)
+        near = np.maximum(top[start], np.searchsorted(keys, head + np.maximum(i - reach[:k], 0)))
+        position = keys[np.minimum(near, last)] - head
+        hit = (near <= last) & (position <= np.minimum(i + reach[:k], width_b - 1))
+        rows = order[:k][hit]
         a_flags[rows, i] = True
+        b_flags[rows, position[hit]] = True
+        top[start[hit]] = near[hit] + 1
     matches = a_flags.sum(axis=1)
     row_a, pos_a = np.nonzero(a_flags)
     row_b, pos_b = np.nonzero(b_flags)

@@ -1,13 +1,15 @@
 """Scalar references and trace helpers that only the test suites use.
 
 Production runs the columnar MinHash / LSH kernels
-(:mod:`repro.storage.columnar`) and the one-pass :func:`document_sketch`;
-the plain-Python forms below define what those kernels must equal, bit for
-bit.  The span-tree helpers walk a :class:`~repro.obs.trace.Span` tree for
-the golden and property assertions, and flatten it to the parent-linked
-records the golden traces are stored as.  The per-token quality statistics
-define what the whole-text passes of :func:`repro.text.quality.quality_stats`
-must equal, and the window-scan Jaro what :func:`jaro_similarity` must.
+(:mod:`repro.storage.columnar`) and the corpus-wide
+:func:`~repro.text.shingle.document_sketches`; the plain-Python forms below
+(MinHash, band keys, a sketch of one document on its own) define what those
+kernels must equal, bit for bit.  The span-tree helpers walk a
+:class:`~repro.obs.trace.Span` tree for the golden and property assertions,
+and flatten it to the parent-linked records the golden traces are stored as.
+The per-token quality statistics define what the whole-text passes of
+:func:`repro.text.quality.quality_stats` must equal, and the window-scan
+Jaro what :func:`jaro_similarity` and its batched twin must.
 The character-loop language identifier defines the scores
 :func:`~repro.text.language.detect_language` must give, and the locked
 metric lookups what the registry's unlocked hits must leave the same.
@@ -44,7 +46,12 @@ from repro.text.language import (
 )
 from repro.text.minhash import MINHASH_PRIME, MinHashParams
 from repro.text.quality import QualityStats
-from repro.text.shingle import simple_canonical
+from repro.text.shingle import (
+    knowledge_canonical,
+    shingle_id,
+    simple_canonical,
+    word_shingles,
+)
 from repro.text.tokenize import word_tokenize
 
 # -- MinHash / LSH ----------------------------------------------------------
@@ -120,6 +127,19 @@ def document_digest(text: str) -> str:
     return hashlib.blake2b(
         simple_canonical(text).encode("utf-8"), digest_size=16
     ).hexdigest()
+
+
+def document_sketch_reference(text: str, n: int) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
+    """``(digest, simple ids, knowledge ids)`` of one document sketched on its
+    own, from its shingle strings, each distinct one of the two forms hashed once."""
+    simple_shingles = word_shingles(simple_canonical(text), n)
+    knowledge_shingles = word_shingles(knowledge_canonical(text), n)
+    ids = {s: shingle_id(s) for s in {*simple_shingles, *knowledge_shingles}}
+    return (
+        document_digest(text),
+        tuple(sorted({ids[s] for s in simple_shingles})),
+        tuple(sorted({ids[s] for s in knowledge_shingles})),
+    )
 
 
 # -- quality statistics -------------------------------------------------------

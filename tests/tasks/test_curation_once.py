@@ -11,7 +11,6 @@ machine where it happens to be fast.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 
 import pytest
 
@@ -31,10 +30,10 @@ def corpus() -> CurationCorpus:
 
 @pytest.fixture()
 def cold_sketches():
-    """Start (and leave) the process-wide sketch LRU empty."""
-    shingle.document_sketch.cache_clear()
+    """Start (and leave) with no earlier scan's pairs and sketches remembered."""
+    kernels.dedup_candidate_pairs([])
     yield
-    shingle.document_sketch.cache_clear()
+    kernels.dedup_candidate_pairs([])
 
 
 @pytest.fixture()
@@ -118,21 +117,36 @@ def test_the_last_scan_answers_only_its_own_ids_texts_and_knobs(corpus, minhashe
     assert {side[0] for pair in kernels.dedup_candidate_pairs(renamed) for side in pair} == {"x"}
 
 
-def test_lru_eviction_never_changes_a_result(corpus, monkeypatch):
-    """Two documents of capacity: every later pass of a run re-sketches."""
+def test_a_verify_rung_that_finds_no_scan_sketch_changes_no_result(corpus, monkeypatch):
+    """Every pair is scored from sketches the verify rung makes itself."""
     records = [doc.record() for doc in corpus]
     pairs = kernels.dedup_candidate_pairs(records)
     expected = run_dedup(LinguaManga(), corpus)
     assert pairs and any(expected.predictions)
 
-    tiny = lru_cache(maxsize=2)(shingle.document_sketch.__wrapped__)
-    monkeypatch.setattr(kernels, "document_sketch", tiny)
+    scan = kernels.dedup_candidate_pairs
+
+    def forgetful(docs, **knobs):
+        found = scan(docs, **knobs)
+        key, memo, shingle_n, _ = kernels._last_scan
+        kernels._last_scan = (key, memo, shingle_n, {})
+        return found
+
+    sketched: list[int] = []
+    sketch = kernels.document_sketches
+
+    def counted(texts, n):
+        texts = list(texts)
+        sketched.append(len(texts))
+        return sketch(texts, n)
+
+    monkeypatch.setattr(kernels, "dedup_candidate_pairs", forgetful)
+    monkeypatch.setattr(kernels, "document_sketches", counted)
     kernels.dedup_candidate_pairs([])  # the next scan scans, it does not recall
-    assert kernels.dedup_candidate_pairs(records) == pairs
     assert kernels.dedup_candidate_pairs(records[::-1]) == pairs
+    sketched.clear()
     batch = run_dedup(LinguaManga(), corpus)
     assert batch.predictions == expected.predictions
     assert batch.report.canonical_json() == expected.report.canonical_json()
-    info = tiny.cache_info()
-    # Three scans of N_DOCS each, every one of them re-sketching.
-    assert info.currsize == 2 and info.misses > 3 * N_DOCS
+    # The kernel's scan, then one two-document sketch per verified pair.
+    assert sketched == [N_DOCS] + [2] * len(pairs)

@@ -5,8 +5,9 @@
 settled, ``_fuzzy_containment`` does not Jaro-score a token the longer value
 holds, the decontamination skill's ``_fuzzy_contained`` does not Jaro-score a
 pool word whose length-and-prefix bound is below the cut,
-``match_score`` evaluates Jaccard once, ``document_sketch`` hashes a
-shingle string once and ``overlap_profile`` intersects instead of looping.
+``match_score`` evaluates Jaccard once, ``document_sketches`` hashes a
+shingle window once per scan, ``overlap_profile`` intersects instead of
+looping and ``overlap_tier`` builds hard windows only behind a soft hit.
 ``jaro_similarity`` walks a stack of unmatched positions per character
 instead of scanning a window per character, and the entity-matching skills
 test a substring before they run a regex over the prompt.
@@ -37,6 +38,7 @@ import repro.llm.skills.curation as curation_skill  # noqa: E402
 import repro.llm.skills.entity_matching as matching  # noqa: E402
 import repro.text.normalize as normalize  # noqa: E402
 import repro.text.shingle as shingle  # noqa: E402
+from repro.baselines.curation import hard_scan_contamination_flags  # noqa: E402
 from repro.core.dsl.builder import PipelineBuilder  # noqa: E402
 from repro.core.runtime.system import LinguaManga  # noqa: E402
 from repro.datasets import StreamingERCorpus, generate_er_dataset  # noqa: E402
@@ -68,6 +70,7 @@ from repro.text.overlap import (  # noqa: E402
     build_ngram_index,
     ngram_set,
     overlap_profile,
+    overlap_tier,
 )
 from repro.text.shingle import simple_canonical, word_shingles  # noqa: E402
 from repro.text.similarity import (  # noqa: E402
@@ -407,6 +410,17 @@ def test_jaro_equals_the_window_scan_on_curation_documents(index):
     assert jaro_similarity(a, b) == jaro_reference(a, b)
 
 
+@settings(max_examples=MAX_EXAMPLES, deadline=None)
+@given(pairs=st.lists(st.tuples(JARO_TEXT, JARO_TEXT), min_size=1, max_size=8))
+@example(pairs=[("aaab", "baaa"), ("", "abc"), ("abc", "abc"), ("a", "")])
+@example(pairs=[("abcabcabc", "cbacbacba"), ("\U0001F600e\u0301", "e\u00e9\U0001F600")])
+def test_batched_jaro_equals_the_window_scan_bit_for_bit(pairs):
+    # No prefix boost: the batch returns the Jaro of every row, one batch.
+    left, right = zip(*pairs)
+    batch = jaro_winkler_similarity_many(left, right, prefix_scale=0.0).tolist()
+    assert batch == [jaro_reference(a, b) for a, b in pairs]
+
+
 def test_batched_jaro_winkler_equals_the_scalar_on_curation_documents():
     left, right = zip(*LONG_PAIRS)
     batch = jaro_winkler_similarity_many(left, right).tolist()
@@ -567,6 +581,39 @@ def test_overlap_profile_equals_the_per_gram_loop(text, items):
     assert overlap_profile(text, hard, soft, hard_n=3, soft_n=2) == overlap_reference(
         text, hard, soft, 3, 2
     )
+
+
+@settings(max_examples=MAX_EXAMPLES, deadline=None)
+@given(
+    text=SCAN_TEXT,
+    items=st.lists(SCAN_TEXT, max_size=5),
+    hard_n=st.integers(min_value=1, max_value=5),
+    soft_n=st.integers(min_value=1, max_value=5),
+)
+@example(text="a b c d", items=["a b c d e"], hard_n=4, soft_n=2)  # hard and soft
+@example(text="a b", items=["a b"], hard_n=4, soft_n=3)  # both shorter than either width
+@example(text="a b c", items=["a b"], hard_n=4, soft_n=2)  # the item under the hard width
+@example(text="a b c d", items=["b c d e"], hard_n=2, soft_n=4)  # soft_n > hard_n: hard only
+@example(text="", items=["a"], hard_n=3, soft_n=1)
+def test_soft_first_tier_equals_the_full_profile_verdict(text, items, hard_n, soft_n):
+    hard, soft = build_ngram_index(items, hard_n), build_ngram_index(items, soft_n)
+    profile = overlap_reference(text, hard, soft, hard_n, soft_n)
+    expected = 2 if profile.hard_hits else 1 if profile.soft_hits else 0
+    assert overlap_tier(text, hard, soft, hard_n=hard_n, soft_n=soft_n) == expected
+
+
+@settings(max_examples=MAX_EXAMPLES, deadline=None)
+@given(
+    texts=st.lists(SCAN_TEXT, max_size=6),
+    items=st.lists(SCAN_TEXT, max_size=5),
+    n=st.integers(min_value=1, max_value=4),
+)
+def test_hard_scan_baseline_flags_equal_the_per_gram_loop(texts, items, n):
+    hard = build_ngram_index(items, n)
+    records = [{"id": i, "text": text} for i, text in enumerate(texts)]
+    assert hard_scan_contamination_flags(records, items, hard_n=n) == [
+        int(overlap_reference(text, hard, {}, n, n).hard_hits > 0) for text in texts
+    ]
 
 
 # -- n-gram windows -----------------------------------------------------------------
@@ -732,14 +779,21 @@ def test_one_jaccard_per_secondary_attribute(monkeypatch):
     assert len(calls) == 2  # brewery and style; the name goes through containment
 
 
-def test_a_sketch_hashes_each_distinct_shingle_string_once(monkeypatch):
-    text = "12 fl. oz of Stone IPA, 12 fl. oz of Stone IPA on Main St. and again on Main St."
+def test_a_scan_hashes_each_distinct_shingle_string_once(monkeypatch):
+    texts = [
+        "12 fl. oz of Stone IPA, 12 fl. oz of Stone IPA on Main St. and again on Main St.",
+        "Stone IPA on Main St. and again",  # windows of the first document
+        "12 fl. oz of Stone IPA, 12 fl. oz of Stone IPA on Main St. and again on Main St.",
+        "Stone",  # under the width: its whole text is its one shingle
+    ]
     strings = {
-        *shingle.word_shingles(shingle.simple_canonical(text), 3),
-        *shingle.word_shingles(shingle.knowledge_canonical(text), 3),
+        string
+        for text in texts
+        for canonical in (shingle.simple_canonical(text), shingle.knowledge_canonical(text))
+        for string in shingle.word_shingles(canonical, 3)
     }
     calls = _count_calls(monkeypatch, shingle, "shingle_id")
-    shingle.document_sketch.__wrapped__(text, 3)
+    shingle.document_sketches(texts, 3)
     assert Counter(calls) == {(s,): 1 for s in strings}
 
 

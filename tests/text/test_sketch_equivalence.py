@@ -10,10 +10,13 @@ locked here against the definition it replaced:
 - ``strip_accents`` (ASCII returned untouched) ≡ the NFKD combining filter;
 - the digit-token count of ``quality_stats`` ≡ ``any(c.isdigit() ...)``,
   including the non-ASCII digits ``str.isdigit`` accepts;
-- ``document_sketch`` ≡ ``(document_digest, shingle_ids(simple_canonical),
-  shingle_ids(knowledge_canonical))``, also when the two forms share shingle
-  strings and the sketch hashes each once (that evicting sketches changes no
-  run is checked end to end in ``tests/tasks/test_curation_once.py``).
+- ``document_sketches`` over a corpus ≡ each document sketched on its own
+  (``document_sketch_reference``) ≡ ``(document_digest,
+  shingle_ids(simple_canonical), shingle_ids(knowledge_canonical))``, also
+  when documents repeat, share shingle windows with each other and between
+  their two forms, and the scan hashes each window once (that a verify rung
+  which finds no scan sketch changes no run is checked end to end in
+  ``tests/tasks/test_curation_once.py``).
 """
 
 from __future__ import annotations
@@ -32,14 +35,14 @@ from repro.text.normalize import strip_accents  # noqa: E402
 from repro.text.quality import quality_stats  # noqa: E402
 from repro.text.shingle import (  # noqa: E402
     SHINGLE_SPACE,
-    document_sketch,
+    document_sketches,
     knowledge_canonical,
     shingle_id,
     shingle_ids,
     simple_canonical,
 )
 
-from ..oracles import document_digest  # noqa: E402
+from ..oracles import document_digest, document_sketch_reference  # noqa: E402
 
 MAX_EXAMPLES = int(os.environ.get("MINHASH_PROP_EXAMPLES", "60"))
 
@@ -98,25 +101,43 @@ def test_digit_token_count_equals_the_isdigit_predicate(text):
     assert quality_stats(text).digit_token_ratio == _digit_ratio_reference(text)
 
 
-#: Few words, so a form repeats its own shingles and the two forms share
-#: some (plain words) and not others (units, abbreviations, accents) — the
-#: table ``document_sketch`` hashes once is read by both tiers.
+#: Few words, so a form repeats its own shingles, documents share windows
+#: and the two forms share some (plain words) and not others (units,
+#: abbreviations, accents) — the table ``document_sketches`` hashes once per
+#: scan is read by every document and both tiers.
 REPETITIVE = st.lists(
     st.sampled_from("stone ipa 12 fl. oz St. café & co the the".split()), max_size=24
 ).map(" ".join)
 
 
 @settings(max_examples=MAX_EXAMPLES, deadline=None)
-@given(text=st.one_of(PRINTABLE, REPETITIVE), n=st.integers(min_value=1, max_value=5))
-@example(text="the the the the the", n=2)  # one distinct shingle, both forms
-@example(text="12 fl. oz of Stone IPA on Main St. 12 fl. oz of Stone IPA", n=3)
-@example(text="stone", n=3)  # shorter than the width: the whole text is the shingle
-@example(text="", n=3)
-def test_sketch_equals_the_three_scalar_kernels(text, n):
-    sketch = document_sketch(text, n)
-    assert sketch.digest == document_digest(text)
-    assert tuple(sketch.simple_ids) == shingle_ids(simple_canonical(text), n)
-    assert tuple(sketch.knowledge_ids) == shingle_ids(knowledge_canonical(text), n)
-    # Compact (not boxed ints) and safe to share through the LRU.
-    assert sketch.simple_ids.itemsize == sketch.knowledge_ids.itemsize == 4
-    assert sketch.simple_ids.readonly and sketch.knowledge_ids.readonly
+@given(
+    texts=st.lists(st.one_of(PRINTABLE, REPETITIVE), max_size=6).flatmap(
+        # Some documents again, verbatim: a repeat reuses its first sketch.
+        lambda texts: st.lists(st.sampled_from(texts), max_size=3).map(texts.__add__)
+        if texts
+        else st.just(texts)
+    ),
+    n=st.integers(min_value=1, max_value=5),
+)
+@example(texts=["the the the the the"], n=2)  # one distinct shingle, both forms
+@example(texts=["12 fl. oz of Stone IPA on Main St. 12 fl. oz of Stone IPA"] * 2, n=3)
+@example(texts=["stone", "stone ipa", "", "stone"], n=3)  # under the width; empty
+@example(texts=["Köln café ½ St.", "koln cafe", "٣ كتب ５ｇ"], n=2)  # non-ASCII
+@example(texts=[], n=3)
+def test_sketch_equals_the_three_scalar_kernels(texts, n):
+    sketches = document_sketches(texts, n)
+    assert len(sketches) == len(texts)
+    for text, sketch in zip(texts, sketches):
+        digest, simple_ids, knowledge_ids = document_sketch_reference(text, n)
+        assert (sketch.digest, tuple(sketch.simple_ids), tuple(sketch.knowledge_ids)) == (
+            digest,
+            simple_ids,
+            knowledge_ids,
+        )
+        assert digest == document_digest(text)
+        assert simple_ids == shingle_ids(simple_canonical(text), n)
+        assert knowledge_ids == shingle_ids(knowledge_canonical(text), n)
+        # Compact (not boxed ints) and safe to share between copies of a text.
+        assert sketch.simple_ids.itemsize == sketch.knowledge_ids.itemsize == 4
+        assert sketch.simple_ids.readonly and sketch.knowledge_ids.readonly
