@@ -257,7 +257,6 @@ class PhysicalPlan:
         workers: int | None = None,
         chunk_size: int | None = None,
         checkpoint: "Any | None" = None,
-        cancel: "Any | None" = None,
     ) -> RunReport:
         """Run the plan; returns a :class:`RunReport` with sink outputs.
 
@@ -278,22 +277,12 @@ class PhysicalPlan:
         marker, and a resume replays the journalled prefix verbatim — zero
         provider calls for completed work — before executing only what
         remains, producing a report byte-identical to an uninterrupted run.
-
-        ``cancel`` (a :class:`~repro.core.runtime.cancel.CancelToken`)
-        enables cooperative cancellation: the token is checked between
-        operators and before every chunk, and raises
-        :class:`~repro.core.runtime.cancel.JobCancelled` at the first
-        boundary after it fires — so a checkpointed run that is cancelled
-        leaves a valid replayable journal prefix behind (it is resumable,
-        not lost).
         """
         # Imported lazily: the runtime package imports the system facade,
         # which imports this module.
         from repro.core.runtime.scheduler import Scheduler
 
-        scheduler = Scheduler(
-            workers=workers or 1, chunk_size=chunk_size, cancel=cancel
-        )
+        scheduler = Scheduler(workers=workers or 1, chunk_size=chunk_size)
         inputs = inputs or {}
         values: dict[str, Any] = {}
         report = RunReport(pipeline_name=self.pipeline.name)
@@ -315,8 +304,6 @@ class PhysicalPlan:
         )
         with run_span:
             for op_index, binding in enumerate(self.bound):
-                if cancel is not None:
-                    cancel.raise_if_cancelled()
                 operator = binding.operator
                 if not operator.inputs:
                     argument: Any = inputs

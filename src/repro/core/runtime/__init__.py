@@ -1,6 +1,5 @@
 """Runtime facade: system, scheduler, checkpoints, streaming executor."""
 
-from repro.core.runtime.cancel import CancelToken, JobCancelled
 from repro.core.runtime.checkpoint import (
     CheckpointError,
     CheckpointJournal,
@@ -18,8 +17,6 @@ from repro.core.runtime.workqueue import (
 __all__ = [
     "LinguaManga",
     "Scheduler",
-    "CancelToken",
-    "JobCancelled",
     "RunCheckpoint",
     "CheckpointJournal",
     "CheckpointError",

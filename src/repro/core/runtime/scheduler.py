@@ -220,19 +220,10 @@ class Scheduler:
         ``preferred_chunk_size`` and then :data:`DEFAULT_CHUNK_SIZE`.
     """
 
-    def __init__(
-        self,
-        workers: int = 1,
-        chunk_size: int | None = None,
-        cancel: "Any | None" = None,
-    ):
+    def __init__(self, workers: int = 1, chunk_size: int | None = None):
         require_positive(workers=workers, chunk_size=chunk_size)
         self.workers = workers
         self.chunk_size = chunk_size
-        #: optional :class:`~repro.core.runtime.cancel.CancelToken`; checked
-        #: before every chunk so a cancelled job unwinds at a journal-valid
-        #: boundary instead of mid-provider-call.
-        self.cancel = cancel
 
     def _chunk_size_for(self, module: Module) -> int:
         return resolve_chunk_size(module, self.chunk_size)
@@ -267,8 +258,6 @@ class Scheduler:
         ``chunk:executed`` / ``chunk:journaled`` are announced around each
         live chunk.
         """
-        if self.cancel is not None:
-            self.cancel.raise_if_cancelled()
         split = self.should_chunk(module, value)
         chunks = partition(value, self._chunk_size_for(module)) if split else [[value]]
         completed = {}
@@ -305,8 +294,6 @@ class Scheduler:
         scopes: dict[int, CallScope] = {}
 
         def task(index: int) -> tuple[CallScope, ChunkOutcome]:
-            if self.cancel is not None:
-                self.cancel.raise_if_cancelled()
             if op_ctx is not None:
                 op_ctx.checkpoint.reached("chunk:entered")
             with service.scoped(base) as scope:

@@ -114,7 +114,6 @@ class LinguaManga:
         checkpoint_path: "str | Any | None" = None,
         resume: bool = True,
         checkpoint: "Any | None" = None,
-        cancel: "Any | None" = None,
     ) -> RunReport:
         """Compile and execute in one step.
 
@@ -131,13 +130,6 @@ class LinguaManga:
         path and starts fresh.  Pass a preconfigured
         :class:`~repro.core.runtime.checkpoint.RunCheckpoint` via
         ``checkpoint=`` instead for crash injection.
-
-        ``cancel`` (a :class:`~repro.core.runtime.cancel.CancelToken`)
-        makes the run cooperatively cancellable: the serving layer cancels
-        a job from another thread and execution unwinds with
-        :class:`~repro.core.runtime.cancel.JobCancelled` at the next
-        operator/chunk boundary — combined with ``checkpoint_path`` the
-        cancelled run stays resumable.
         """
         if checkpoint is not None and checkpoint_path is not None:
             raise ValueError("pass checkpoint= or checkpoint_path=, not both")
@@ -160,7 +152,6 @@ class LinguaManga:
                 workers=workers,
                 chunk_size=chunk_size,
                 checkpoint=checkpoint,
-                cancel=cancel,
             )
         finally:
             if checkpoint is not None:

@@ -15,10 +15,11 @@ results fully isolated.  The load-bearing properties:
   cache keys, per-tenant journals, quota admission, round-robin
   dispatch, and a live provenance audit that trips on the first
   cross-tenant cache hit;
-- **crashes are a feature**: the job ledger is write-ahead JSONL with
-  the checkpoint journal's fsync/torn-tail discipline, so a killed
-  server restarts with every accepted job either terminal or resumable,
-  and resumed jobs replay byte-identically from their checkpoints.
+- **a run stops one way, by the server dying**: there is no cancel.
+  The job ledger is write-ahead JSONL with the checkpoint journal's
+  fsync/torn-tail discipline, so a killed server restarts with every
+  accepted job either terminal or resumable, and resumed jobs replay
+  byte-identically from their checkpoints.
 
 Quickstart::
 

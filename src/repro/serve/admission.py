@@ -102,8 +102,8 @@ class AdmissionController:
         """Account one submission; raises :class:`QuotaExceeded` on refusal.
 
         A refused submission consumes no quota.  On success the tenant's
-        queued count is incremented — callers must pair every admit with
-        exactly one of :meth:`start` or :meth:`forget_queued`.
+        queued count is incremented — callers pair every admit with one
+        :meth:`start`.
         """
         with self._lock:
             quota = self.register(tenant)
@@ -148,13 +148,6 @@ class AdmissionController:
                 raise ValueError(f"tenant {tenant!r} has no running jobs to finish")
             self._running[tenant] -= 1
 
-    def forget_queued(self, tenant: str) -> None:
-        """Account one queued job leaving the queue without running."""
-        with self._lock:
-            if self._queued.get(tenant, 0) < 1:
-                raise ValueError(f"tenant {tenant!r} has no queued jobs to forget")
-            self._queued[tenant] -= 1
-
     def next_tenant(self) -> str | None:
         """The round-robin choice among tenants that could start a job now.
 
@@ -176,14 +169,6 @@ class AdmissionController:
             return None
 
     # -- introspection -----------------------------------------------------------
-
-    def queued(self, tenant: str) -> int:
-        with self._lock:
-            return self._queued.get(tenant, 0)
-
-    def running(self, tenant: str) -> int:
-        with self._lock:
-            return self._running.get(tenant, 0)
 
     def counts(self) -> dict[str, dict[str, int]]:
         with self._lock:

@@ -12,8 +12,8 @@ golden API suite pins them.
 registered row is servable: a job's ``options`` are ``workers`` plus the
 row's own keyword options (checked at submit), its dataset ref is the
 row's resolver input, and :func:`run_task` is :func:`repro.tasks.table.run`
-with the queue's checkpoint path and cancel token — an API job *is* a
-direct run.  ``dsl`` is the row whose pipeline is the spec's ``program``.
+with the queue's checkpoint path — an API job *is* a direct run.  ``dsl``
+is the row whose pipeline is the spec's ``program``.
 """
 
 from __future__ import annotations
@@ -41,10 +41,11 @@ __all__ = [
     "canonical_json",
 ]
 
-#: Every status a job can report.  ``resumable`` means the server died (or
-#: the job was cancelled) while a checkpoint journal existed: a restarted
-#: server requeues the job and the checkpoint machinery replays the
-#: committed prefix byte-identically.
+#: Every status a job can report.  ``resumable`` means the server died
+#: while the job ran: a restarted server requeues it and the checkpoint
+#: machinery replays the committed prefix byte-identically.  Nothing writes
+#: ``cancelled`` any more; a ledger an older build wrote may hold it, and
+#: such a job stays terminal.
 JOB_STATUSES = (
     "queued",
     "running",
@@ -218,7 +219,6 @@ def run_task(
     workers: int | None = None,
     checkpoint_path: str | None = None,
     resume: bool = True,
-    cancel: Any = None,
     dataset: Any = None,
 ) -> TaskResult:
     """Execute ``spec`` on ``system``: its row, on its dataset.
@@ -233,7 +233,6 @@ def run_task(
         workers=workers,
         checkpoint_path=checkpoint_path,
         resume=resume,
-        cancel=cancel,
         **spec.task_options(),
     )
 

@@ -22,13 +22,15 @@ narrow:
 Crash safety
 ------------
 
-The job ledger (:class:`~repro.serve.store.JobStore`) is write-ahead:
-``kill()`` simulates server death by cancelling every running job's token
-and *writing nothing* — the ledger still says ``running``, so the next
-queue constructed over the same directory reports those jobs
-``resumable`` and re-runs them through the checkpoint machinery: the
-job's run journal rewinds the tenant cache to its state before the first
-attempt compiled, then replays committed chunks byte-identically.
+A served run stops one way: the process dies.  The job ledger
+(:class:`~repro.serve.store.JobStore`) is write-ahead, so a job that was
+running when the server died still reads ``running`` on disk, and the next
+queue constructed over the same directory reports it ``resumable`` and
+re-runs it through the checkpoint machinery: the job's run journal rewinds
+the tenant cache to its state before the first attempt compiled, then
+replays committed chunks byte-identically.  ``close(drain=False)``, the
+CLI's shutdown, stops dispatch and ledger writes and leaves running jobs
+to die with the process.
 
 Cross-tenant isolation audit
 ----------------------------
@@ -52,7 +54,6 @@ from collections import deque
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.core.runtime.cancel import CancelToken, JobCancelled
 from repro.obs import Observability, progress_events
 from repro.serve.admission import AdmissionController, QuotaExceeded, TenantQuota
 from repro.serve.jobs import (
@@ -159,7 +160,6 @@ class JobQueue:
         max_workers: int = 4,
         default_quota: TenantQuota | None = None,
         provider_factory: Callable[[JobSpec], Any] | None = None,
-        start: bool = True,
     ):
         if max_workers < 1:
             raise ValueError("max_workers must be at least 1")
@@ -175,17 +175,8 @@ class JobQueue:
         self.datasets = ResolvedDatasets()
         self._lock = threading.RLock()
         self._backlog: dict[str, deque[str]] = {}
-        self._tokens: dict[str, CancelToken] = {}
         self._active: dict[str, threading.Thread] = {}
-        self._killed = False
         self._closed = False
-        self._paused = not start
-        #: Set by :meth:`kill` once the queue is marked dead and every
-        #: active job's token is cancelled (but before worker threads are
-        #: joined).  A test holding workers captive — e.g. parked on a
-        #: blocking provider — waits on this, then releases them, so the
-        #: kill is race-free without polling.
-        self.kill_cancelled = threading.Event()
         self._recover()
         self._pump()
 
@@ -215,7 +206,7 @@ class JobQueue:
         """
         spec.validate()
         with self._lock:
-            if self._closed or self._killed:
+            if self._closed:
                 raise QuotaExceeded("queue is shut down", retryable=False)
             self.admission.admit(spec.tenant)
             self._seed_tenant_audit(spec.tenant)
@@ -224,69 +215,27 @@ class JobQueue:
         self._pump()
         return job
 
-    def cancel(self, job_id: str) -> JobRecord | None:
-        """Cancel a job: dequeued immediately, or interrupted at the next
-        chunk boundary if running.  Terminal jobs are left untouched."""
-        with self._lock:
-            job = self.store.get(job_id)
-            if job is None or job.terminal:
-                return job
-            tenant = job.spec.tenant
-            backlog = self._backlog.get(tenant)
-            if backlog is not None and job_id in backlog:
-                backlog.remove(job_id)
-                self.admission.forget_queued(tenant)
-                return self.store.transition(
-                    job_id, "cancelled", error="cancelled before start"
-                )
-            token = self._tokens.get(job_id)
-        if token is not None:
-            token.cancel("cancelled")
-        return self.store.get(job_id)
-
     # -- dispatch ----------------------------------------------------------------
-
-    def resume_pending(self) -> None:
-        """Start dispatching (used with ``start=False`` construction)."""
-        with self._lock:
-            self._paused = False
-        self._pump()
 
     def _pump(self) -> None:
         """Start queued jobs while pool slots and quotas allow."""
         while True:
             with self._lock:
-                if self._paused or self._killed or self._closed:
-                    return
-                if len(self._active) >= self.max_workers:
+                if self._closed or len(self._active) >= self.max_workers:
                     return
                 tenant = self.admission.next_tenant()
-                if tenant is None:
+                if tenant is None or not self.admission.start(tenant):
                     return
-                backlog = self._backlog.get(tenant)
-                if not backlog:
-                    # admission thinks work exists but the backlog is
-                    # empty: reconcile (cancel raced) and try again.
-                    self.admission.forget_queued(tenant)
-                    continue
-                if not self.admission.start(tenant):
-                    return
-                job_id = backlog.popleft()
-                job = self.store.get(job_id)
-                token = CancelToken()
-                self._tokens[job_id] = token
+                job_id = self._backlog[tenant].popleft()
                 thread = threading.Thread(
                     target=self._run_job,
-                    args=(job, token),
+                    args=(self.store.get(job_id),),
                     name=f"repro-serve-{job_id}",
                     daemon=True,
                 )
                 self._active[job_id] = thread
-                # Start while still holding the lock: kill() snapshots
-                # _active under this lock and joins every entry, so a
-                # registered-but-unstarted thread would make join() raise
-                # (and could run after the store closes).  start() returns
-                # immediately, so holding the lock across it is safe.
+                # Started under the lock, so every thread in _active has
+                # started; start() returns at once.
                 thread.start()
 
     # -- execution ---------------------------------------------------------------
@@ -294,18 +243,16 @@ class JobQueue:
     def _job_dir(self, job_id: str) -> Path:
         return self.data_dir / "jobs" / job_id
 
-    def _run_job(self, job: JobRecord, token: CancelToken) -> None:
+    def _run_job(self, job: JobRecord) -> None:
         spec = job.spec
         tenant = spec.tenant
         obs = Observability()
         service = None
-        started = False
         # Everything after this line — including setup — runs under the
         # try, so any failure still reaches a terminal status and the
         # finally block releases the admission slot and pool entry.
         try:
             self.registry.job_started(tenant)
-            started = True
             job_dir = self._job_dir(job.job_id)
             job_dir.mkdir(parents=True, exist_ok=True)
             checkpoint_path = job_dir / "checkpoint.jsonl"
@@ -334,85 +281,39 @@ class JobQueue:
                 workers=workers,
                 checkpoint_path=str(checkpoint_path),
                 resume=True,
-                cancel=token,
                 dataset=self.datasets.get(spec.task, spec.dataset),
             )
-        except JobCancelled as cancelled:
-            if not self._killed:
-                if service is not None:
-                    # Only operator-merged records exist here (cancellation
-                    # unwinds at chunk/operator boundaries), so the ledger
-                    # prefix is consistent and safe to audit.
-                    self.audit.fold(tenant, job.job_id, list(service.records))
-                self.store.transition(
-                    job.job_id,
-                    "cancelled",
-                    error=str(cancelled.reason),
-                    progress=progress_events(obs.tracer.roots),
-                )
         except Exception as error:  # noqa: BLE001 - job boundary
-            if not self._killed:
-                if service is not None:
-                    # Entries a failed attempt wrote to the tenant cache
-                    # are real: register them as self-paid so a sibling
-                    # job's later exact hits on them don't read as
-                    # cross-tenant violations.
-                    self.audit.fold(tenant, job.job_id, list(service.records))
-                self.store.transition(
-                    job.job_id,
-                    "failed",
-                    error=f"{type(error).__name__}: {error}",
-                    progress=progress_events(obs.tracer.roots),
-                )
+            if service is not None:
+                # Entries a failed attempt wrote to the tenant cache are
+                # real: register them as self-paid so a sibling job's later
+                # exact hits on them don't read as cross-tenant violations.
+                self.audit.fold(tenant, job.job_id, list(service.records))
+            self.store.transition(
+                job.job_id,
+                "failed",
+                error=f"{type(error).__name__}: {error}",
+                progress=progress_events(obs.tracer.roots),
+            )
         else:
-            if not self._killed:
-                self.audit.fold(tenant, job.job_id, service.records)
-                payload = result_payload(spec, result)
-                (job_dir / "report.json").write_text(
-                    result.report.canonical_json(), encoding="utf-8"
-                )
-                self.store.transition(
-                    job.job_id,
-                    "succeeded",
-                    result=payload,
-                    progress=progress_events(obs.tracer.roots),
-                )
+            self.audit.fold(tenant, job.job_id, service.records)
+            payload = result_payload(spec, result)
+            (job_dir / "report.json").write_text(
+                result.report.canonical_json(), encoding="utf-8"
+            )
+            self.store.transition(
+                job.job_id,
+                "succeeded",
+                result=payload,
+                progress=progress_events(obs.tracer.roots),
+            )
         finally:
-            if started:
-                self.registry.job_finished(tenant)
             with self._lock:
-                self._tokens.pop(job.job_id, None)
                 self._active.pop(job.job_id, None)
                 self.admission.finish(tenant)
             self._pump()
 
     # -- lifecycle ---------------------------------------------------------------
-
-    def kill(self, join_timeout: float = 60.0) -> None:
-        """Simulate abrupt server death.
-
-        Running jobs are interrupted at their next cancellation boundary
-        and **no ledger record is written** — on-disk state is exactly
-        what a SIGKILL would leave, which is what the restart path (and
-        the chaos suite) exercises.  Worker threads are joined so the old
-        incarnation cannot keep appending to cache journals after a new
-        queue opens the same directory.
-        """
-        with self._lock:
-            self._killed = True
-            tokens = list(self._tokens.values())
-            threads = list(self._active.values())
-        for token in tokens:
-            token.cancel("server-killed")
-        self.kill_cancelled.set()
-        for thread in threads:
-            thread.join(timeout=join_timeout)
-            if thread.is_alive():
-                raise TimeoutError(
-                    f"worker {thread.name} survived kill for {join_timeout}s"
-                )
-        self.store.kill()
-        self.registry.close()
 
     def drain(self, timeout: float = 120.0) -> dict[str, str]:
         """Wait until every accepted job is terminal; returns statuses."""
@@ -433,14 +334,18 @@ class JobQueue:
             )
 
     def close(self, drain: bool = True, timeout: float = 120.0) -> None:
-        """Graceful shutdown: optionally drain, then settle the ledger."""
-        if drain and not self._killed:
+        """Shut down: optionally drain, then settle the ledger.
+
+        Without ``drain`` a running job is left to the process's end: the
+        closed store appends nothing more, so the ledger keeps it
+        ``running`` and the next queue over the directory resumes it.
+        """
+        if drain:
             self.drain(timeout=timeout)
         with self._lock:
             self._closed = True
-        if not self._killed:
-            self.store.close()
-            self.registry.close()
+        self.store.close()
+        self.registry.close()
 
     # -- introspection -----------------------------------------------------------
 

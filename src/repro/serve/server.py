@@ -3,9 +3,10 @@
 No web framework: requests are parsed off ``asyncio.start_server``
 streams directly (request line, headers, ``Content-Length`` body) and
 answered with canonical JSON.  The event loop only *parses and routes* —
-every queue operation it calls (submit, get, cancel) is a short
+every queue operation it calls (submit, get, list) is a short
 lock-guarded memory-or-append operation, so the loop never blocks on job
-execution; jobs run on the queue's own worker threads.
+execution; jobs run on the queue's own worker threads.  A job cannot be
+cancelled: it ends terminal, or with the server, and then resumes.
 
 Routes::
 
@@ -13,7 +14,6 @@ Routes::
     POST /jobs               submit  {tenant, task, dataset?, options?, program?}
     GET  /jobs               list    (?tenant=<name> to filter)
     GET  /jobs/<id>          status + result + tracer-derived progress events
-    POST /jobs/<id>/cancel   cancel queued or running
 
 Status codes: 202 accepted, 200 ok, 400 malformed request or headers,
 404 unknown job, 413 oversized body, 429 quota refused,
@@ -146,18 +146,12 @@ class JobServer:
                     for job in self.queue.store.jobs(tenant=tenant)
                 ]
             }
-        if path.startswith("/jobs/"):
-            rest = path[len("/jobs/") :]
-            if rest.endswith("/cancel") and method == "POST":
-                job_id = rest[: -len("/cancel")]
-                job = self.queue.cancel(job_id)
+        if path.startswith("/jobs/") and method == "GET":
+            job_id = path[len("/jobs/") :]
+            if "/" not in job_id:
+                job = self.queue.store.get(job_id)
                 if job is None:
                     return 404, {"error": f"unknown job {job_id!r}"}
-                return 200, job.to_dict()
-            if method == "GET" and "/" not in rest:
-                job = self.queue.store.get(rest)
-                if job is None:
-                    return 404, {"error": f"unknown job {rest!r}"}
                 return 200, job.to_dict()
         return (405 if path in ("/jobs", "/healthz") else 404), {
             "error": f"no route for {method} {path}"

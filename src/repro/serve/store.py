@@ -21,8 +21,8 @@ counted in the journal's ``corrupt_lines``.
 Crash semantics fall out of the fold: a job whose last status is
 ``running`` when the ledger is reloaded was interrupted by a server death
 — the restarted store reports it ``resumable`` and the queue re-runs it
-from its checkpoint journal.  A ``cancelled`` job with ``resumable: true``
-recorded keeps its checkpoint and may be resubmitted.
+from its checkpoint journal.  A closed store appends nothing, so a server
+shut down without draining leaves the same ``running`` line a crash does.
 """
 
 from __future__ import annotations
@@ -287,20 +287,8 @@ class JobStore:
 
     # -- lifecycle ---------------------------------------------------------------
 
-    def kill(self) -> None:
-        """Simulate server death: stop writing, leave the ledger as-is.
-
-        Nothing is appended — a job that was running stays ``running`` on
-        disk, which is exactly what makes the *next* load mark it
-        resumable.
-        """
-        with self._lock:
-            self._closed = True
-            self.journal.close()
-            self._changed.notify_all()
-
     def close(self) -> None:
-        """Graceful shutdown: settle fsyncs and release the file handle."""
+        """Settle fsyncs and release the file handle; append nothing more."""
         with self._lock:
             self._closed = True
             self._changed.notify_all()

@@ -37,9 +37,6 @@ class Tenant:
     def __init__(self, name: str, cache: PromptCache):
         self.name = name
         self.cache = cache
-        #: jobs currently executing for this tenant (registry-maintained).
-        self.active_jobs = 0
-        self._lock = threading.Lock()
 
     @property
     def namespace(self) -> str:
@@ -74,15 +71,8 @@ class TenantRegistry:
             return sorted(self._tenants)
 
     def job_started(self, name: str) -> None:
-        tenant = self.get(name)
-        with self._lock:
-            tenant.active_jobs += 1
-
-    def job_finished(self, name: str) -> None:
-        tenant = self.get(name)
-        with self._lock:
-            if tenant.active_jobs > 0:
-                tenant.active_jobs -= 1
+        """Open tenant ``name`` (and its cache journal) for a job about to run."""
+        self.get(name)
 
     def service_for_job(
         self,

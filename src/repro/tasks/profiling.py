@@ -30,6 +30,15 @@ __all__ = [
     "summarize_table",
 ]
 
+#: Most common values a non-numeric column's profile lists.
+TOP_K = 5
+#: Robust z-score at or past which a numeric value is an outlier.
+Z_THRESHOLD = 3.5
+#: Largest share of a column's rows a value seen once may hold to be rare.
+RARE_FRACTION = 0.05
+#: Rows (and non-null values of a numeric column) below which nothing is flagged.
+MIN_ROWS = 8
+
 
 @dataclass(frozen=True)
 class ColumnProfile:
@@ -98,7 +107,7 @@ class Anomaly:
         )
 
 
-def profile_table(table: Table, top_k: int = 5) -> TableProfile:
+def profile_table(table: Table) -> TableProfile:
     """Compute per-column statistics for ``table``."""
     profile = TableProfile(table=table.name, row_count=len(table))
     for column in table.schema.columns:
@@ -117,7 +126,7 @@ def profile_table(table: Table, top_k: int = 5) -> TableProfile:
             stats["mean"] = sum(numeric) / len(numeric)
         else:
             counts = Counter(str(v) for v in non_null)
-            stats["top_values"] = tuple(counts.most_common(top_k))
+            stats["top_values"] = tuple(counts.most_common(TOP_K))
         profile.columns.append(ColumnProfile(**stats))
     return profile
 
@@ -138,21 +147,16 @@ def _robust_z_scores(values: list[float]) -> list[float]:
     return [0.6745 * (v - median) / mad for v in values]
 
 
-def detect_anomalies(
-    table: Table,
-    z_threshold: float = 3.5,
-    rare_fraction: float = 0.05,
-    min_rows: int = 8,
-) -> list[Anomaly]:
+def detect_anomalies(table: Table) -> list[Anomaly]:
     """Flag numeric outliers and rare categorical values.
 
-    Numeric columns use robust z-scores with threshold ``z_threshold``;
-    text/bool columns flag values occurring in fewer than ``rare_fraction``
-    of rows (and exactly once), provided the column is categorical-ish
-    (distinct values << rows).
+    Numeric columns use robust z-scores with threshold :data:`Z_THRESHOLD`;
+    text/bool columns flag values occurring in fewer than
+    :data:`RARE_FRACTION` of rows (and exactly once), provided the column
+    is categorical-ish (distinct values << rows).
     """
     anomalies: list[Anomaly] = []
-    if len(table) < min_rows:
+    if len(table) < MIN_ROWS:
         return anomalies
     for column in table.schema.columns:
         values = table.column(column.name)
@@ -160,11 +164,11 @@ def detect_anomalies(
             indexed = [
                 (i, float(v)) for i, v in enumerate(values) if v is not None
             ]
-            if len(indexed) < min_rows:
+            if len(indexed) < MIN_ROWS:
                 continue
             scores = _robust_z_scores([v for _, v in indexed])
             for (row_index, value), score in zip(indexed, scores):
-                if abs(score) >= z_threshold:
+                if abs(score) >= Z_THRESHOLD:
                     anomalies.append(
                         Anomaly(column.name, row_index, value, "numeric_outlier", abs(score))
                     )
@@ -177,7 +181,7 @@ def detect_anomalies(
                 continue  # free-text column, rarity is meaningless
             for row_index, value in non_null:
                 count = counts[value]
-                if count == 1 and count / len(non_null) <= rare_fraction:
+                if count == 1 and count / len(non_null) <= RARE_FRACTION:
                     anomalies.append(
                         Anomaly(
                             column.name,

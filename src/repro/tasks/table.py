@@ -132,14 +132,13 @@ def run(
     checkpoint_path: Any = None,
     resume: bool = True,
     checkpoint: Any = None,
-    cancel: Any = None,
     **options: Any,
 ) -> TaskResult:
     """Build row ``name`` on ``data``, run it on ``system``, score it.
 
     The execution keywords go to :meth:`LinguaManga.run` (``workers``,
     ``chunk_size``, ``checkpoint_path`` / ``checkpoint`` for crash-safe
-    resume, ``cancel``); ``options`` are the row's own.
+    resume); ``options`` are the row's own.
     """
     task = TASKS[name]
     settings = task.settings(options)
@@ -153,7 +152,6 @@ def run(
         checkpoint_path=checkpoint_path,
         resume=resume,
         checkpoint=checkpoint,
-        cancel=cancel,
     )
     usage = usage_delta(before, system.usage())
     scores, predictions = plan.score(next(iter(report.outputs.values()), []))

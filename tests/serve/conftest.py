@@ -13,6 +13,7 @@ import threading
 
 import pytest
 
+from repro.llm.faults import CrashInjected
 from repro.llm.providers import LLMProvider, LLMRequest, LLMResponse
 from repro.serve import JobQueue, JobServer, JobSpec
 
@@ -72,8 +73,7 @@ def serve_dir(tmp_path):
 def queue(serve_dir):
     queue = JobQueue(serve_dir, max_workers=4)
     yield queue
-    if not queue._killed:
-        queue.close(drain=False)
+    queue.close(drain=False)
 
 
 @pytest.fixture
@@ -110,9 +110,6 @@ class ApiClient:
     def job(self, job_id: str):
         return self.request("GET", f"/jobs/{job_id}")
 
-    def cancel(self, job_id: str):
-        return self.request("POST", f"/jobs/{job_id}/cancel")
-
 
 @pytest.fixture
 def client(server):
@@ -122,12 +119,14 @@ def client(server):
 class GateProvider(LLMProvider):
     """Deterministic provider that blocks at a call-count threshold.
 
-    The kill/restart tests need the server to die *mid-run*, at a
-    reproducible point: after ``gate_after`` total calls the provider
-    parks every caller on an event until the test (having killed the
-    queue) releases them — workers then observe their cancellation token
-    at the next chunk boundary.  Answers delegate to the wrapped provider,
-    so gated runs stay byte-identical to ungated ones.
+    After ``gate_after`` total calls the provider parks every caller on an
+    event until the test releases them.  With ``gate_after=0`` the first
+    job parks on its first call, which holds the jobs behind it queued.
+    The restart tests need the server to die *mid-run*, at a reproducible
+    point: :func:`crash` releases the parked calls into
+    :class:`~repro.llm.faults.CrashInjected`, as the checkpoint crash
+    matrices kill a run.  Answers delegate to the wrapped provider, so
+    gated runs stay byte-identical to ungated ones.
     """
 
     def __init__(self, inner: LLMProvider, gate_after: int | None = None):
@@ -136,6 +135,7 @@ class GateProvider(LLMProvider):
         self.gate_after = gate_after
         self.release = threading.Event()
         self.gated = threading.Event()
+        self.crashed = False
         self.calls = 0
         self._lock = threading.Lock()
 
@@ -150,7 +150,39 @@ class GateProvider(LLMProvider):
             self.gated.set()
             if not self.release.wait(timeout=30):
                 raise RuntimeError("GateProvider was never released")
+            if self.crashed:
+                raise CrashInjected("provider call", self.calls)
         return self.inner.complete(request)
 
     def complete_batch(self, requests: list[LLMRequest]) -> list[LLMResponse]:
         return [self.complete(request) for request in requests]
+
+
+def crash(queue: JobQueue, gate: GateProvider, timeout: float = 120.0) -> None:
+    """Kill ``queue`` mid-run: the CLI's shutdown, then a crash of every worker.
+
+    ``close(drain=False)`` stops dispatch and ledger writes; then every
+    provider call parked at (or arriving past) the gate raises
+    :class:`~repro.llm.faults.CrashInjected`, so each running job dies where
+    it stands and its ledger line still reads ``running``.  The workers are
+    joined, so nothing of this incarnation writes once the next one opens
+    the directory.
+    """
+    queue.close(drain=False)
+    with queue._lock:
+        workers = list(queue._active.values())
+    hook = threading.excepthook
+
+    def quiet(args) -> None:  # a crashed worker is the point, not a failure
+        if not issubclass(args.exc_type, CrashInjected):
+            hook(args)
+
+    threading.excepthook = quiet
+    try:
+        gate.crashed = True
+        gate.release.set()
+        for worker in workers:
+            worker.join(timeout)
+            assert not worker.is_alive(), f"{worker.name} outlived the crash"
+    finally:
+        threading.excepthook = hook

@@ -34,7 +34,7 @@ def _admission_ops(draw):
     ops = draw(
         st.lists(
             st.tuples(
-                st.sampled_from(["admit", "start", "finish", "forget"]),
+                st.sampled_from(["admit", "start", "finish"]),
                 st.sampled_from(TENANTS),
             ),
             max_size=80,
@@ -64,23 +64,17 @@ def test_counters_never_negative(ops):
                 running[tenant] += 1
             else:
                 assert queued[tenant] == 0 or running[tenant] >= 2
-        elif action == "finish":
-            if running[tenant] > 0:
+        elif running[tenant] > 0:
+            controller.finish(tenant)
+            running[tenant] -= 1
+        else:
+            with pytest.raises(ValueError):
                 controller.finish(tenant)
-                running[tenant] -= 1
-            else:
-                with pytest.raises(ValueError):
-                    controller.finish(tenant)
-        elif action == "forget":
-            if queued[tenant] > 0:
-                controller.forget_queued(tenant)
-                queued[tenant] -= 1
-            else:
-                with pytest.raises(ValueError):
-                    controller.forget_queued(tenant)
+        counts = controller.counts()
         for name in TENANTS:
-            assert controller.queued(name) == queued[name] >= 0
-            assert controller.running(name) == running[name] >= 0
+            expected = {"queued": queued[name], "running": running[name]}
+            assert counts.get(name, {"queued": 0, "running": 0}) == expected
+            assert min(expected.values()) >= 0
 
 
 @given(
@@ -101,9 +95,8 @@ def test_grant_release_commutes(grants, order):
     order.shuffle(started)
     for tenant in started:
         controller.finish(tenant)
-    for tenant in TENANTS:
-        assert controller.queued(tenant) == 0
-        assert controller.running(tenant) == 0
+    for counts in controller.counts().values():
+        assert counts == {"queued": 0, "running": 0}
 
 
 # -- round-robin fairness -------------------------------------------------------

@@ -23,10 +23,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.llm.providers import SimulatedProvider
 from repro.serve import JobQueue, JobServer
 from repro.serve.admission import TenantQuota
 from repro.serve.jobs import canonical_json
-from tests.serve.conftest import ApiClient, make_spec
+from tests.serve.conftest import ApiClient, GateProvider, crash, make_spec
 
 GOLDEN_DIR = Path(__file__).parent / "golden_api"
 REGEN = os.environ.get("REGEN_GOLDEN_API") == "1"
@@ -100,18 +101,6 @@ def test_health_and_listing(queue, client):
     assert status == 200 and filtered["jobs"] == []
 
 
-def test_cancel_over_http(serve_dir):
-    queue = JobQueue(serve_dir, max_workers=1, start=False)
-    with JobServer(queue) as server:
-        client = ApiClient(server.host, server.port)
-        _, accepted = client.submit(make_spec("imputation"))
-        status, cancelled = client.cancel(accepted["job_id"])
-        assert status == 200 and cancelled["status"] == "cancelled"
-        status, _ = client.cancel("job-9999")
-        assert status == 404
-    queue.close(drain=False)
-
-
 def test_error_paths(queue, client, server):
     status, body = client.request("POST", "/jobs", {"tenant": "acme", "task": "x"})
     assert status == 400 and "unknown task" in body["error"]
@@ -130,6 +119,9 @@ def test_error_paths(queue, client, server):
     status, body = client.request("GET", "/nope")
     assert status == 404
 
+    status, body = client.request("POST", "/jobs/job-0001/cancel")
+    assert status == 404 and "no route" in body["error"]  # jobs cannot be cancelled
+
     # raw non-JSON body
     import http.client
 
@@ -145,19 +137,21 @@ def test_error_paths(queue, client, server):
 
 
 def test_quota_refusal_maps_to_429(serve_dir):
+    gate = GateProvider(SimulatedProvider(), gate_after=0)
     queue = JobQueue(
         serve_dir,
+        provider=gate,
         max_workers=1,
         default_quota=TenantQuota(max_queued=1, max_running=1),
-        start=False,
     )
     with JobServer(queue) as server:
         client = ApiClient(server.host, server.port)
-        status, _ = client.submit(make_spec("imputation"))
-        assert status == 202
+        for _ in range(2):  # one parks on the gate, one waits behind it
+            status, _ = client.submit(make_spec("imputation"))
+            assert status == 202
         status, refused = client.submit(make_spec("imputation"))
         assert status == 429 and "queued jobs" in refused["error"]
-    queue.close(drain=False)
+    crash(queue, gate)
 
 
 def test_shutdown_maps_to_503(serve_dir):

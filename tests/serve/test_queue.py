@@ -1,9 +1,8 @@
 """Unit tests for the multi-tenant job queue.
 
-End-to-end execution, admission refusal, cancellation (queued and
-running), cross-tenant request coalescing through the shared hub,
-restart recovery, kill-then-resume, and the cross-tenant isolation
-audit's tripwire.
+End-to-end execution, admission refusal, cross-tenant request
+coalescing through the shared hub, restart recovery, crash-then-resume,
+and the cross-tenant isolation audit's tripwire.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from repro.core.runtime.system import LinguaManga
 from repro.llm.cache import CacheJournal, PromptCache
 from repro.llm.providers import SimulatedProvider
 from repro.llm.service import LLMService
-from repro.serve import JobQueue, JobSpec, QuotaExceeded
+from repro.serve import JobQueue, JobSpec, JobStore, QuotaExceeded
 from repro.serve.admission import TenantQuota
 from repro.serve.jobs import (
     DATASET_SLOTS,
@@ -31,7 +30,7 @@ from repro.serve.jobs import (
     result_payload,
     run_task,
 )
-from tests.serve.conftest import DATASET_REFS, GateProvider, make_spec
+from tests.serve.conftest import DATASET_REFS, GateProvider, crash, make_spec
 
 
 def test_job_runs_to_success(queue, serve_dir):
@@ -87,55 +86,24 @@ def test_bad_options_are_refused_at_submit(queue, options):
 
 
 def test_queue_quota_refuses_floods(serve_dir):
+    gate = GateProvider(SimulatedProvider(), gate_after=0)
     queue = JobQueue(
         serve_dir,
+        provider=gate,
         max_workers=1,
         default_quota=TenantQuota(max_queued=2, max_running=1),
-        start=False,  # keep everything queued so the quota is what refuses
     )
-    queue.submit(make_spec("imputation"))
-    queue.submit(make_spec("imputation"))
+    # the first job starts and parks on the gate; the next two stay queued,
+    # so the quota is what refuses the fourth
+    for _ in range(3):
+        queue.submit(make_spec("imputation"))
     with pytest.raises(QuotaExceeded) as refusal:
         queue.submit(make_spec("imputation"))
     assert refusal.value.retryable
     # another tenant is unaffected by acme's full queue
     queue.submit(make_spec("imputation", tenant="globex"))
     assert queue.admission.refusals == 1
-    queue.close(drain=False)
-
-
-def test_cancel_queued_job_never_runs(serve_dir):
-    queue = JobQueue(serve_dir, max_workers=1, start=False)
-    job = queue.submit(make_spec("imputation"))
-    cancelled = queue.cancel(job.job_id)
-    assert cancelled.status == "cancelled"
-    assert cancelled.error == "cancelled before start"
-    queue.resume_pending()
-    queue.close()  # drains: nothing may still be pending
-    assert queue.store.get(job.job_id).status == "cancelled"
-    assert not (serve_dir / "jobs" / job.job_id).exists()
-
-
-def test_cancel_running_job_interrupts_at_chunk_boundary(serve_dir):
-    provider = GateProvider(SimulatedProvider(), gate_after=2)
-    queue = JobQueue(serve_dir, provider=provider, max_workers=1)
-    job = queue.submit(make_spec("imputation"))
-    assert provider.gated.wait(timeout=30)
-    result = queue.cancel(job.job_id)
-    assert result.status == "running"  # cancellation is cooperative
-    provider.release.set()
-    done = queue.store.wait_for(job.job_id)
-    assert done.status == "cancelled"
-    assert done.error == "cancelled"
-    # the checkpoint journal survives: the work is resumable, not lost
-    assert (serve_dir / "jobs" / job.job_id / "checkpoint.jsonl").exists()
-
-
-def test_cancel_unknown_and_terminal_jobs_is_safe(queue):
-    assert queue.cancel("job-9999") is None
-    job = queue.submit(make_spec("imputation"))
-    queue.store.wait_for(job.job_id)
-    assert queue.cancel(job.job_id).status == "succeeded"
+    crash(queue, gate)
 
 
 def test_hub_shares_identical_prompts_across_tenants(queue):
@@ -186,9 +154,11 @@ def test_audit_tripwire_flags_alien_cache_hits(queue):
 
 
 def test_restart_recovers_queued_jobs(serve_dir):
-    queue = JobQueue(serve_dir, max_workers=1, start=False)
+    gate = GateProvider(SimulatedProvider(), gate_after=0)
+    queue = JobQueue(serve_dir, provider=gate, max_workers=1)
+    queue.submit(make_spec("names"))  # parks on the gate, holding the pool
     job = queue.submit(make_spec("imputation"))
-    queue.close(drain=False)  # graceful stop before the job ever started
+    crash(queue, gate)  # dies before the second job ever started
 
     revived = JobQueue(serve_dir, max_workers=1)
     done = revived.store.wait_for(job.job_id)
@@ -197,20 +167,30 @@ def test_restart_recovers_queued_jobs(serve_dir):
     revived.close()
 
 
+def test_a_cancelled_job_of_an_older_ledger_stays_terminal(serve_dir):
+    """Older builds could cancel a job; nothing writes ``cancelled`` now,
+    but a ledger holding it loads that job terminal and never runs it."""
+    store = JobStore(serve_dir / "jobs.jsonl")
+    job = store.submit(make_spec("imputation"))
+    store.transition(job.job_id, "cancelled", error="cancelled before start")
+    store.close()
+
+    revived = JobQueue(serve_dir, max_workers=1)
+    assert revived.store.get(job.job_id).status == "cancelled"
+    assert revived.drain(timeout=5) == {job.job_id: "cancelled"}
+    later = revived.submit(make_spec("imputation"))
+    assert revived.store.wait_for(later.job_id).status == "succeeded"
+    revived.close()
+    assert revived.store.get(job.job_id).attempts == 0
+    assert not (serve_dir / "jobs" / job.job_id).exists()
+
+
 def test_kill_midrun_then_resume(serve_dir):
     provider = GateProvider(SimulatedProvider(), gate_after=3)
     queue = JobQueue(serve_dir, provider=provider, max_workers=1)
     job = queue.submit(make_spec("imputation", workers=2))
     assert provider.gated.wait(timeout=30)
-
-    killer = threading.Thread(target=queue.kill)
-    killer.start()
-    # kill() marks the queue dead and cancels tokens *before* joining;
-    # waiting on its barrier makes releasing the gate race-free.
-    assert queue.kill_cancelled.wait(timeout=30)
-    provider.release.set()
-    killer.join(timeout=60)
-    assert not killer.is_alive()
+    crash(queue, provider)
     # death wrote nothing: the ledger still says "running" on disk
     statuses = [
         json.loads(line).get("status")
@@ -337,17 +317,19 @@ def test_failed_job_cache_entries_count_as_self_paid(serve_dir):
             return self.inner.complete(request)
 
     shared = SimulatedProvider()
-    dying = [DieAfter(shared, 2)]  # the first job to start gets it
+    gate = GateProvider(shared, gate_after=0)
+    dying = [DieAfter(gate, 2)]  # the first job to start gets it
     queue = JobQueue(
         serve_dir,
         provider=shared,
         max_workers=1,
         provider_factory=lambda spec: dying.pop() if dying else None,
-        start=False,  # both jobs submit (and seed) before either runs
     )
+    # the doomed job parks on its first call: both jobs submit (and seed)
+    # before either caches anything
     doomed = queue.submit(make_spec("imputation"))
     sibling = queue.submit(make_spec("imputation"))
-    queue.resume_pending()
+    gate.release.set()
     assert queue.store.wait_for(doomed.job_id).status == "failed"
     assert queue.store.wait_for(sibling.job_id).status == "succeeded"
     # the sibling's exact hits on the failed attempt's entries are its
@@ -388,25 +370,28 @@ def test_a_failed_operator_leaves_no_unpaid_cache_entries(serve_dir):
             return self.inner.complete(request)
 
     shared = SimulatedProvider()
-    failing = [FailsSixthPrompt(shared)]  # the first job to start gets it
+    gate = GateProvider(shared, gate_after=0)
+    failing = [FailsSixthPrompt(gate)]  # the first job to start gets it
     queue = JobQueue(
         serve_dir,
         provider=shared,
         max_workers=1,
         provider_factory=lambda spec: failing.pop() if failing else None,
-        start=False,  # both jobs submit (and seed) before either runs
     )
+    # the doomed job parks on its first call: both jobs submit (and seed)
+    # before either caches anything
     doomed = queue.submit(make_spec("imputation"))
     sibling = queue.submit(make_spec("imputation"))
-    queue.resume_pending()
+    gate.release.set()
     assert queue.store.wait_for(doomed.job_id).status == "failed"
     assert queue.store.wait_for(sibling.job_id).status == "succeeded"
     assert queue.audit_violations == []
     queue.close()
 
 
-def seeding_digests(queue, monkeypatch) -> list:
-    """Record every key ``audit.seed`` registers (``_identity``) from here on.
+def seeding_digests(monkeypatch) -> list:
+    """Record every key any queue's ``audit.seed`` registers (``_identity``)
+    from here on.
 
     Jobs fold their ledgers from worker threads, so a caller that wants
     seeding alone submits only while nothing runs.
@@ -414,22 +399,23 @@ def seeding_digests(queue, monkeypatch) -> list:
     from repro.serve import queue as queue_module
 
     digested, seeding = [], []
-    real_identity, real_seed = queue_module._identity, queue.audit.seed
+    real_identity = queue_module._identity
+    real_seed = queue_module._IsolationAudit.seed
 
     def identity(key):
         if seeding:
             digested.append(key)
         return real_identity(key)
 
-    def seed(tenant, keys):
+    def seed(audit, tenant, keys):
         seeding.append(tenant)
         try:
-            real_seed(tenant, keys)
+            real_seed(audit, tenant, keys)
         finally:
             seeding.pop()
 
     monkeypatch.setattr(queue_module, "_identity", identity)
-    monkeypatch.setattr(queue.audit, "seed", seed)
+    monkeypatch.setattr(queue_module._IsolationAudit, "seed", seed)
     return digested
 
 
@@ -437,7 +423,7 @@ def test_audit_seeding_digests_each_cache_key_once(queue, monkeypatch):
     """Every submit seeds the audit with its tenant's whole cache; a key
     seeded before is skipped, so 12 jobs digest each key once — not each
     key once per later submit."""
-    digested = seeding_digests(queue, monkeypatch)
+    digested = seeding_digests(monkeypatch)
     for _ in range(2):  # the second round is answered from the caches
         for tenant in ("acme", "globex", "initech"):
             for task in ("imputation", "names"):
@@ -452,32 +438,29 @@ def test_audit_seeding_digests_each_cache_key_once(queue, monkeypatch):
     assert queue.audit_violations == []
 
 
-def test_keys_of_a_cancelled_attempt_are_seeded_by_the_next_submit(
-    serve_dir, monkeypatch
-):
-    """A chunk cancelled in flight leaves cache entries no ledger fold saw;
-    the next submit must register them before a job can hit them."""
-    provider = GateProvider(SimulatedProvider(), gate_after=2)
+def test_keys_of_a_crashed_attempt_are_seeded_on_restart(serve_dir, monkeypatch):
+    """A crashed attempt leaves its merged chunks' cache entries, which no
+    ledger fold saw; the restarted queue must register them before a job
+    can hit them."""
+    provider = GateProvider(SimulatedProvider(), gate_after=8)  # one chunk in
     queue = JobQueue(serve_dir, provider=provider, max_workers=1)
     first = queue.submit(make_spec("imputation"))
     assert provider.gated.wait(timeout=30)
-    queue.cancel(first.job_id)
-    provider.release.set()
-    assert queue.store.wait_for(first.job_id).status == "cancelled"
-    queue.drain()
-    left_behind = len(queue.registry.get("acme").cache)
+    crash(queue, provider)
+    journal = CacheJournal(serve_dir / "tenants" / "acme" / "cache.jsonl")
+    left_behind = len(journal.load())
     assert left_behind > 0
 
-    digested = seeding_digests(queue, monkeypatch)
-    second = queue.submit(make_spec("imputation"))
+    digested = seeding_digests(monkeypatch)
+    revived = JobQueue(serve_dir, max_workers=1)  # recovers before it runs
     assert len(digested) == left_behind
-    assert queue.store.wait_for(second.job_id).status == "succeeded"
-    queue.drain()
-    third = queue.submit(make_spec("imputation"))  # all hits, all its own
-    assert queue.store.wait_for(third.job_id).status == "succeeded"
-    assert len(digested) == len(queue.registry.get("acme").cache)
-    assert queue.audit_violations == []
-    queue.close()
+    assert revived.store.wait_for(first.job_id).status == "succeeded"
+    revived.drain()
+    second = revived.submit(make_spec("imputation"))  # all hits, all its own
+    assert revived.store.wait_for(second.job_id).status == "succeeded"
+    assert len(digested) == len(revived.registry.get("acme").cache)
+    assert revived.audit_violations == []
+    revived.close()
 
 
 def _data_digest(data) -> str:

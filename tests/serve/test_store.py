@@ -53,7 +53,7 @@ def test_running_job_is_resumable_after_reload(ledger):
     store = JobStore(ledger)
     job = store.submit(make_spec("imputation"))
     store.transition(job.job_id, "running", attempts=1)
-    store.kill()  # server death: the ledger still says "running"
+    store.close()  # server death: the ledger still says "running"
 
     reloaded = JobStore(ledger)
     revived = reloaded.get(job.job_id)
@@ -66,9 +66,9 @@ def test_kill_writes_nothing(ledger):
     store = JobStore(ledger)
     job = store.submit(make_spec("imputation"))
     before = ledger.read_bytes()
-    store.kill()
-    # Appends after the kill are suppressed rather than erroring: worker
-    # threads may still be unwinding when the store is already dead.
+    store.close()  # a server shut down without draining, then killed
+    # Appends after the close are suppressed rather than erroring: its
+    # workers may still be running when the store is already closed.
     store.transition(job.job_id, "succeeded", result={"task": "imputation"})
     assert ledger.read_bytes() == before
     assert JobStore(ledger).get(job.job_id).status == "queued"

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.runtime.cancel import CancelToken, JobCancelled
 from repro.core.runtime.system import LinguaManga
 from repro.core.templates.library import get_template
 from repro.datasets.curation import CurationCorpus
@@ -169,7 +168,8 @@ class TestTaskTable:
 
     def test_execution_keywords_match_the_engine(self, records):
         """A row runs on the batch engine only: the stream's keywords are
-        not execution keywords, so they are refused as unknown row options."""
+        not execution keywords, and a run cannot be cancelled, so they are
+        refused as unknown row options."""
         corpus = CurationCorpus(n_docs=8)
         with pytest.raises(ValueError, match="no option 'stream'"):
             run_llm_imputation(LinguaManga(), records, stream=True)
@@ -177,12 +177,8 @@ class TestTaskTable:
             run_dedup(LinguaManga(), corpus, ledger_path="ledger.jsonl")
         with pytest.raises(ValueError, match="no option 'stream'"):
             run_dedup(LinguaManga(), corpus, stream=True)
-
-    def test_a_curation_run_is_cancellable(self):
-        token = CancelToken()
-        token.cancel("stop")
-        with pytest.raises(JobCancelled):
-            run_quality_filter(LinguaManga(), CurationCorpus(n_docs=16), cancel=token)
+        with pytest.raises(ValueError, match="no option 'cancel'"):
+            run_quality_filter(LinguaManga(), corpus, cancel=None)
 
     def test_scores_read_as_attributes(self, records):
         result = run_llm_imputation(LinguaManga(), records)

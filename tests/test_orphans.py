@@ -38,14 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src", "benchmarks", "examples")
 
 #: ``{name: reason}`` for public names kept without a production caller.
-ALLOWED: dict[str, str] = {
-    "JobQueue.kill": "the crash harness's stand-in for server death (SIGKILL)",
-    "JobStore.kill": "the crash harness's stand-in for server death (SIGKILL)",
-    "JobQueue.resume_pending": (
-        "releases a queue built with start=False, which the serve suites use "
-        "to hold jobs queued"
-    ),
-}
+ALLOWED: dict[str, str] = {}
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
