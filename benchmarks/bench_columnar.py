@@ -64,9 +64,7 @@ import itertools
 import json
 import math
 import os
-import platform
 import random
-import subprocess
 import sys
 import time
 from array import array
@@ -376,29 +374,7 @@ def test_jaro_kernel_speedup():
     )
 
 
-def _commit_and_host() -> dict:
-    """The tree and the machine a recorded number belongs to."""
-    root = Path(__file__).resolve().parents[1]
-    try:
-        commit = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=root, capture_output=True, text=True, check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        commit = "unknown"
-    return {
-        "commit": commit,
-        "host": {
-            "platform": platform.platform(),
-            "machine": platform.machine(),
-            "nproc": os.cpu_count(),
-            "python": platform.python_version(),
-        },
-    }
-
-
 def test_source_derivation_speedup():
-    provenance = _commit_and_host()  # before this case rewrites its results
     er = StreamingERCorpus(max(N_RECORDS // 40, 200), seed=7)
     n_docs = max(N_RECORDS // 150, 100)
     # Each repetition takes tens of milliseconds, so more of them fit.
@@ -457,7 +433,6 @@ def test_source_derivation_speedup():
         repeats=repeats,
         er_speedup=er_reference_seconds / er_direct_seconds,
         doc_speedup=doc_reference_seconds / doc_direct_seconds,
-        **provenance,
     )
 
 
@@ -502,7 +477,6 @@ def test_prompt_path_speedup():
     """The per-call work around one ER prompt: render it, ledger it, mirror
     the ledger record into metrics; and the language check a names
     document pays before its prompt.  Each step against what it replaced."""
-    provenance = _commit_and_host()
     pairs = list(StreamingERCorpus(max(N_RECORDS // 250, 200), seed=7).inputs())
     service = LLMService(SimulatedProvider())
     for pair in pairs:
@@ -555,7 +529,6 @@ def test_prompt_path_speedup():
         pairs=len(pairs),
         documents=len(texts),
         repeats=repeats,
-        **provenance,
     )
 
 
@@ -674,7 +647,6 @@ def test_cache_open_speedup(tmp_path):
     """Opening a journaled prompt cache, and opening and pinning it (its
     ``state_digests``, which a run header records), against the frozen
     dataclass key whose digest is recomputed from the whole prompt."""
-    provenance = _commit_and_host()
     sizes = sorted({600, max(N_RECORDS // 10, 600)})
     repeats = max(REPEATS, 15)
     rows = []
@@ -715,7 +687,6 @@ def test_cache_open_speedup(tmp_path):
             for step, entries, before, after in rows
         ],
         repeats=repeats,
-        **provenance,
     )
 
 
@@ -730,7 +701,6 @@ def _sketched_alone(texts, n: int) -> list[DocumentSketch]:
 def test_curation_scan_speedup():
     """The dedup candidate scan and the decontamination rule of the
     ``curation_batch`` workload, each against its per-document path."""
-    provenance = _commit_and_host()
     repeats = max(REPEATS, 15)
     records = [doc.record() for doc in CurationCorpus(max(N_RECORDS // 625, 40), seed=7)]
     flagged = CurationCorpus(max(N_RECORDS // 200, 50), seed=7)
@@ -796,5 +766,4 @@ def test_curation_scan_speedup():
         soft_hits=len(texts) - verdicts.count(0),
         hard_hits=verdicts.count(2),
         repeats=repeats,
-        **provenance,
     )

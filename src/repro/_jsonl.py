@@ -16,7 +16,7 @@ rules:
   :meth:`~CheckpointJournal.close` and :meth:`~CheckpointJournal.rewrite`
   fsync inline.
 - **Damaged lines.**  A newline-terminated line that does not decode (not
-  a JSON object; for the cache, not a block or entry of the right types;
+  a JSON object; for the cache, not a block of the right types;
   for the run journal and shard ledger, a chunk or shard line whose
   records do not decode) is skipped, counted in ``corrupt_lines`` and
   left in the file: lines are indexed by key, not position, so the lines
@@ -226,7 +226,7 @@ class CheckpointJournal:
         # The sync thread holds the journal weakly; a journal dropped
         # without close() wakes it to exit instead of pinning its file.
         weakref.finalize(self, self._fsync_wake.set)
-        self._closing = False
+        self._closing = self._closed = False
         self._lock = threading.Lock()
 
     @property
@@ -245,7 +245,8 @@ class CheckpointJournal:
         tmp = self._compact_tmp
         if not tmp.exists():
             return None
-        self.close()
+        self._refuse_if_closed()
+        self._release()
         if self.path.exists():
             tmp.unlink()
             return "dropped-orphan-tmp"
@@ -278,6 +279,7 @@ class CheckpointJournal:
                 except (KeyError, TypeError, ValueError):  # UnicodeDecodeError too
                     self.corrupt_lines += 1
         if self.torn_bytes:
+            self._refuse_if_closed()
             with self.path.open("r+b") as handle:
                 handle.truncate(intact)
         return records
@@ -298,6 +300,7 @@ class CheckpointJournal:
         """
         lines = [_dump_line(record) for record in records]
         with self._lock:
+            self._refuse_if_closed()
             if self._handle is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._handle = self.path.open("ab")
@@ -339,11 +342,22 @@ class CheckpointJournal:
         self._last_fsync = time.monotonic()
 
     def close(self) -> None:
-        """fsync everything, then release the handle (idempotent).
+        """fsync everything and release the handle, for good (idempotent).
 
-        Once ``close`` returns, every append is on disk.  A later append
-        reopens the file.
+        Once ``close`` returns, every append is on disk and the file no
+        longer changes through this journal: a later append, rewrite or
+        repair raises, so a thread of its owner still running writes nothing.
         """
+        with self._lock:
+            self._closed = True
+        self._release()
+
+    def _refuse_if_closed(self) -> None:
+        if self._closed:
+            raise RuntimeError(f"{self.path}: the journal is closed")
+
+    def _release(self) -> None:
+        """fsync everything, then release the handle; the next append reopens."""
         with self._lock:
             self._closing = True
             sync_thread, self._fsync_thread = self._fsync_thread, None
@@ -367,6 +381,7 @@ class CheckpointJournal:
         the append handle is closed first, so the next append lands in the
         new file, never in an unlinked inode.
         """
+        self._refuse_if_closed()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         tmp = self._compact_tmp
         count = 0
@@ -378,14 +393,14 @@ class CheckpointJournal:
             os.fsync(handle.fileno())
         if self.crash_hook is not None:
             self.crash_hook("compaction:tmp-written")
-        self.close()
+        self._release()
         tmp.replace(self.path)
         self.lines_held = count
         return count
 
     def delete(self) -> None:
-        """Close and remove the journal file, if present."""
-        self.close()
+        """Release and remove the journal file, if present."""
+        self._release()
         if self.path.exists():
             self.path.unlink()
 

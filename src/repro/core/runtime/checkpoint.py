@@ -24,10 +24,10 @@ The journal is JSONL with four record types:
   time, quarantine decisions, degraded count and outputs.  Every
   operator's work lives here and nowhere else; one that cannot be split
   runs as one chunk.
-- ``op`` — an operator's commit marker, ``{type, index, name, chunked:
-  true}``.  It rides in the same append as the last chunk line the
-  operator journals, so a one-chunk operator costs one append; an
-  operator whose chunks all replayed writes it alone.
+- ``op`` — an operator's commit marker, ``{type, index, name}``.  It
+  rides in the same append as the last chunk line the operator journals,
+  so a one-chunk operator costs one append; an operator whose chunks all
+  replayed writes it alone.
 
 There is one replay path.  Resume hands every operator — committed or in
 flight — to the scheduler, which replays the operator's chunk lines
@@ -50,9 +50,7 @@ A skipped damaged line can only cost work, never correctness: the header
 check refuses a journal whose first line is gone, and a chunk line that is
 gone is a chunk the scheduler runs again, committed operator or not.  A
 torn final append loses the marker with its chunk line, so that chunk runs
-again and the marker is written anew.  An ``op`` line an older build wrote
-with the work of a whole operator on it reads as not committed, by the
-same rule: that operator runs again.
+again and the marker is written anew.
 """
 
 from __future__ import annotations
@@ -88,7 +86,7 @@ __all__ = [
 ]
 
 #: Bumped whenever the journal schema changes; resume refuses other versions.
-JOURNAL_FORMAT_VERSION = 1
+JOURNAL_FORMAT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -231,10 +229,9 @@ class RunJournal:
     fingerprint is known, so a resume that then fails the check has
     already pruned what the cache gained since the header.
 
-    An older build wrote one header line, at execute begin, fingerprint
-    and clock included; such a journal is rewound at begin instead.
-    Header fields this build does not read (a second digest list) are
-    ignored.  What the load repaired is counted in ``stats.torn_bytes`` /
+    A journal of another format version is refused, and nothing is
+    appended to it: this build reads the lines it writes and no others.
+    What the load repaired is counted in ``stats.torn_bytes`` /
     ``stats.corrupt_lines`` and surfaced by
     :func:`~repro._jsonl.emit_torn_tail`.
 
@@ -298,8 +295,9 @@ class RunJournal:
             intact = [header]
         else:
             self._check_header(intact[0])
-            if "fingerprint" not in intact[0]:
-                self._rewind(intact[0], service)
+            self.stats.cache_entries_pruned = service.cache.restore_state(
+                intact[0]["cache_exact"]
+            )
         self._lines = intact
 
     def _check_header(self, header: dict) -> None:
@@ -311,18 +309,16 @@ class RunJournal:
             )
         if header.get("format") != self.format_version:
             raise CheckpointError(
-                f"{path}: {noun} format {header.get('format')!r} "
-                f"(this build reads {self.format_version})"
+                f"{path}: {noun} format {header.get('format')!r}, but this build "
+                f"reads format {self.format_version} only; delete the file or "
+                "pass resume=False to start afresh"
             )
         if header.get("mode") != self.mode:
             raise CheckpointError(
                 f"{path}: journal mode {header.get('mode')!r} is not {self.mode!r}"
             )
-
-    def _rewind(self, header: dict, service: LLMService) -> None:
-        self.stats.cache_entries_pruned = service.cache.restore_state(
-            header.get("cache_exact", [])
-        )
+        if type(header.get("cache_exact")) is not list:
+            raise CheckpointError(f"{path}: the {noun} header has no cache state")
 
     def _begin(self, fingerprint: str, service: LLMService) -> list[dict]:
         """Open if nobody did, check or write the plan line; the work lines."""
@@ -334,10 +330,8 @@ class RunJournal:
         self._began = True
         self.open(service)
         path, noun = self.path, self.noun
-        header, *lines = self._lines
-        if "fingerprint" in header:
-            plan = header
-        elif lines and lines[0].get("type") == "plan":
+        lines = self._lines[1:]
+        if lines and lines[0].get("type") == "plan":
             plan = lines.pop(0)
         elif lines:
             raise CheckpointError(f"{path}: the {noun}'s plan line is missing")
@@ -356,14 +350,12 @@ class RunJournal:
                 f"not match this plan/config ({fingerprint!r}); pass "
                 "resume=False to discard it"
             )
-        if float(plan.get("clock_start", 0.0)) != service.clock.now:
+        if plan.get("clock_start") != service.clock.now:
             raise CheckpointMismatchError(
                 f"{path}: virtual clock at begin is {service.clock.now!r}, "
                 f"{noun} recorded {plan.get('clock_start')!r}; the set-up "
                 "before execute diverged from the original run"
             )
-        if plan is header:
-            self._rewind(header, service)
         self.stats.resumed = True
         return lines
 
@@ -394,16 +386,14 @@ def _encode_records(records: Iterable[CallRecord]) -> dict:
     return _encode_block(CallRecord._fields, [list(record) for record in records])
 
 
-def _decode_records(raw: Iterable[dict] | dict) -> list[CallRecord]:
-    """Invert :func:`_encode_records` (or read an older line's record list).
+def _decode_records(raw: dict) -> list[CallRecord]:
+    """Invert :func:`_encode_records`.
 
     Raises on a block of the wrong shape (:func:`~repro._jsonl._decode_block`)
     and on a field name :class:`CallRecord` does not have.
     """
-    if isinstance(raw, dict):
-        fields, rows = _decode_block(raw)
-        return [CallRecord(**dict(zip(fields, row))) for row in rows]
-    return [CallRecord(**item) for item in raw]
+    fields, rows = _decode_block(raw)
+    return [CallRecord(**dict(zip(fields, row))) for row in rows]
 
 
 def _encode_quarantine(quarantine: Iterable[QuarantinedRecord]) -> list[dict]:
@@ -453,8 +443,8 @@ def replayed_slice(
         ),
         ChunkOutcome(
             outputs=[] if outputs is None else outputs,
-            quarantine=_decode_quarantine(raw.get("quarantine", [])),
-            degraded=int(raw.get("degraded", 0)),
+            quarantine=_decode_quarantine(raw["quarantine"]),
+            degraded=int(raw["degraded"]),
         ),
     )
 
@@ -491,11 +481,6 @@ def _work_decodes(line: dict) -> bool:
 # -- per-operator scheduler context ----------------------------------------------
 
 
-def _op_marker(index: int, name: str) -> dict:
-    """The ``op`` line that commits operator ``index``."""
-    return {"type": "op", "index": index, "name": name, "chunked": True}
-
-
 class OperatorContext:
     """The checkpoint's handle on one operator the plan runs.
 
@@ -512,7 +497,13 @@ class OperatorContext:
         self.index = index
         self.name = name
         #: committed by an earlier attempt: its marker is on file already
-        self.committed = checkpoint.committed(index, name)
+        self.committed = index in checkpoint._ops
+        if self.committed and checkpoint._ops[index] != name:
+            raise CheckpointMismatchError(
+                f"journal operator {index} is {checkpoint._ops[index]!r}; the plan "
+                f"has {name!r} there"
+            )
+        self._marker = {"type": "op", "index": index, "name": name}
         self._journalled = checkpoint._chunks.get(index, {})
         #: live chunks not yet journalled; ``None`` until counted
         self._unjournalled: int | None = None
@@ -539,10 +530,10 @@ class OperatorContext:
                     f"{self.name!r} but the plan produces only "
                     f"{len(chunk_sizes)} chunk(s)"
                 )
-            if raw.get("n_records") != chunk_sizes[chunk_index]:
+            if raw["n_records"] != chunk_sizes[chunk_index]:
                 raise CheckpointMismatchError(
                     f"journalled chunk {chunk_index} of operator {self.name!r} "
-                    f"covered {raw.get('n_records')} record(s); the plan's "
+                    f"covered {raw['n_records']} record(s); the plan's "
                     f"chunk has {chunk_sizes[chunk_index]}"
                 )
             if not raw.get("replayable", False):
@@ -567,7 +558,6 @@ class OperatorContext:
         line = {
             "type": "chunk",
             "op": self.index,
-            "op_name": self.name,
             "chunk": chunk_index,
             "n_records": len(chunk),
             **_encode_slice(scope, outcome),
@@ -578,7 +568,7 @@ class OperatorContext:
             if self._unjournalled is not None:
                 self._unjournalled -= 1
             if self._unjournalled == 0 and not self.committed:
-                self.checkpoint.journal.append(line, _op_marker(self.index, self.name))
+                self.checkpoint.journal.append(line, self._marker)
                 self._marked = True
             else:
                 self.checkpoint.journal.append(line)
@@ -597,10 +587,10 @@ class OperatorContext:
         if self.committed:
             with checkpoint._lock:
                 checkpoint.stats.replayed_operators += 1
-        elif self._marked:
-            checkpoint.reached("operator:committed")
         else:
-            checkpoint.commit_operator(self.index, self.name)
+            if not self._marked:
+                checkpoint.journal.append(self._marker)
+            checkpoint.reached("operator:committed")
 
 
 # -- the run checkpoint -----------------------------------------------------------
@@ -623,7 +613,8 @@ class RunCheckpoint(RunJournal):
     def __init__(self, path: str | Path, resume: bool = True, crash=None):
         super().__init__(path, resume, crash)
         self.stats = CheckpointStats()
-        self._ops: dict[int, dict] = {}
+        #: committed operator index -> its name
+        self._ops: dict[int, Any] = {}
         self._chunks: dict[int, dict[int, dict]] = {}
 
     # -- lifecycle ---------------------------------------------------------------
@@ -633,39 +624,13 @@ class RunCheckpoint(RunJournal):
         for line in self._begin(fingerprint, service):
             kind = line.get("type")
             if kind == "op":
-                self._ops[line["index"]] = line
+                self._ops[line["index"]] = line.get("name")
             elif kind == "chunk":
                 self._chunks.setdefault(line["op"], {})[line["chunk"]] = line
-
-    # -- operator replay / commit -------------------------------------------------
-
-    def committed(self, index: int, name: str) -> bool:
-        """Whether operator ``index`` committed; its chunk lines hold its work.
-
-        A line an older build wrote with the work of a whole operator on it
-        (no ``chunked`` marker) reads as not committed, so that operator
-        runs again: the same rule as for a damaged line.
-        """
-        raw = self._ops.get(index)
-        if raw is None:
-            return False
-        if raw.get("name") != name:
-            raise CheckpointMismatchError(
-                f"journal operator {index} is {raw.get('name')!r}; the plan "
-                f"has {name!r} there"
-            )
-        # A commit written before the ``chunked`` marker says records_from_chunks;
-        # one from an older build may also carry fault counters, which nothing reads.
-        return bool(raw.get("chunked", raw.get("records_from_chunks", False)))
 
     def operator_context(self, index: int, name: str) -> OperatorContext:
         """The scheduler-facing context for running operator ``index``."""
         return OperatorContext(self, index, name)
-
-    def commit_operator(self, index: int, name: str) -> None:
-        """Journal operator ``index``'s marker alone: its work is in its chunk lines."""
-        self.journal.append(_op_marker(index, name))
-        self.reached("operator:committed")
 
 
 # -- fingerprinting ---------------------------------------------------------------

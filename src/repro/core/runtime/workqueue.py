@@ -99,7 +99,7 @@ __all__ = [
 ]
 
 #: Bumped whenever the shard-ledger schema changes; resume refuses others.
-SHARD_LEDGER_FORMAT_VERSION = 1
+SHARD_LEDGER_FORMAT_VERSION = 2
 
 
 class StreamingPlanError(RuntimeError):
@@ -143,8 +143,7 @@ class ShardLedger(RunJournal):
       did not serialize re-executes on resume and re-journals); the last
       line wins.
 
-    A shard that raised left no line.  An older build also wrote ``fail``
-    and ``poison`` lines; they are ignored, and their shards run live.
+    A shard that raised left no line.
     """
 
     format_version = SHARD_LEDGER_FORMAT_VERSION

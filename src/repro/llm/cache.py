@@ -220,21 +220,8 @@ def _entry(
     )
 
 
-def _decode_entry(payload: dict) -> tuple[CacheKey, LLMResponse]:
-    """One entry line, as builds before record blocks wrote them."""
-    raw = payload["response"]
-    if type(raw) is not dict:
-        raise TypeError("an entry's response must be a JSON object")
-    return _entry(
-        payload["provider"], payload["version"], payload.get("namespace", ""),
-        payload["max_tokens"], payload["prompt"], raw["text"], raw["prompt_tokens"],
-        raw["completion_tokens"], raw.get("model", ""), raw.get("skill", ""),
-        raw.get("latency_seconds", 0.0),
-    )  # fmt: skip
-
-
 def _decode_line(record: Any) -> list[tuple[CacheKey, LLMResponse]]:
-    """The entries of one journal line, a block or an older entry line.
+    """The entries of one journal line, a record block.
 
     A block's keys get their digests here, from one SHA-256 state per
     (provider, version) fed the shared ``prompt_prefix`` once; other keys
@@ -243,9 +230,7 @@ def _decode_line(record: Any) -> list[tuple[CacheKey, LLMResponse]]:
     """
     if type(record) is not dict:
         raise TypeError("a journal line must be a JSON object")
-    if "fields" not in record:
-        return [_decode_entry(record)]
-    if record["fields"] != _ENTRY_FIELDS:
+    if record.get("fields") != _ENTRY_FIELDS:
         raise ValueError("a cache block of the wrong fields")
     _, rows, prefix = _block_parts(record)
     if prefix is None:
@@ -282,8 +267,7 @@ class CacheJournal(CheckpointJournal):
     appends under its own lock, so the count needs no other.
     """
 
-    #: A line that is not a block or entry line of the right types is
-    #: one more damaged line.
+    #: A line that is not a block of the right types is one more damaged line.
     _decode = staticmethod(_decode_line)
 
     def __init__(self, path: str | Path):
@@ -495,7 +479,8 @@ class PromptCache:
             return self.journal.compact(self._entries.items())
 
     def close(self) -> None:
-        """Close the journal (idempotent); the cache stays usable."""
+        """Close the journal for good (idempotent): lookups still answer,
+        a put raises."""
         with self._lock:
             if self.journal is not None:
                 self.journal.close()

@@ -304,10 +304,6 @@ class LLMService:
         """Accumulated virtual time (latency + retry/cooldown waits)."""
         return self.clock.now
 
-    @clock_seconds.setter
-    def clock_seconds(self, value: float) -> None:
-        self.clock.now = value
-
     # -- worker scopes -----------------------------------------------------------
 
     @contextmanager

@@ -217,8 +217,7 @@ def run_task(
     spec: JobSpec,
     system,
     workers: int | None = None,
-    checkpoint_path: str | None = None,
-    resume: bool = True,
+    checkpoint: Any = None,
     dataset: Any = None,
 ) -> TaskResult:
     """Execute ``spec`` on ``system``: its row, on its dataset.
@@ -231,8 +230,7 @@ def run_task(
         system,
         resolve_dataset(spec.task, spec.dataset) if dataset is None else dataset,
         workers=workers,
-        checkpoint_path=checkpoint_path,
-        resume=resume,
+        checkpoint=checkpoint,
         **spec.task_options(),
     )
 

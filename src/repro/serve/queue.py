@@ -29,8 +29,9 @@ queue constructed over the same directory reports it ``resumable`` and
 re-runs it through the checkpoint machinery: the job's run journal rewinds
 the tenant cache to its state before the first attempt compiled, then
 replays committed chunks byte-identically.  ``close(drain=False)``, the
-CLI's shutdown, stops dispatch and ledger writes and leaves running jobs
-to die with the process.
+CLI's shutdown, stops dispatch and closes every journal the queue's jobs
+write, so a job still running writes nothing more: it dies at its next
+append, or finishes unrecorded, and the ledger keeps it ``running``.
 
 Cross-tenant isolation audit
 ----------------------------
@@ -54,6 +55,7 @@ from collections import deque
 from pathlib import Path
 from typing import Any, Callable
 
+from repro.core.runtime.checkpoint import RunCheckpoint
 from repro.obs import Observability, progress_events
 from repro.serve.admission import AdmissionController, QuotaExceeded, TenantQuota
 from repro.serve.jobs import (
@@ -176,6 +178,7 @@ class JobQueue:
         self._lock = threading.RLock()
         self._backlog: dict[str, deque[str]] = {}
         self._active: dict[str, threading.Thread] = {}
+        self._checkpoints: dict[str, RunCheckpoint] = {}
         self._closed = False
         self._recover()
         self._pump()
@@ -254,14 +257,16 @@ class JobQueue:
         try:
             self.registry.job_started(tenant)
             job_dir = self._job_dir(job.job_id)
-            job_dir.mkdir(parents=True, exist_ok=True)
-            checkpoint_path = job_dir / "checkpoint.jsonl"
-            resumed = checkpoint_path.exists()
+            checkpoint = RunCheckpoint(job_dir / "checkpoint.jsonl")
+            with self._lock:  # close() closes every checkpoint it finds here
+                if self._closed:
+                    return
+                self._checkpoints[job.job_id] = checkpoint
             self.store.transition(
                 job.job_id,
                 "running",
                 attempts=job.attempts + 1,
-                resumed=resumed,
+                resumed=checkpoint.path.exists(),
             )
             provider = (
                 self.provider_factory(spec)
@@ -279,8 +284,7 @@ class JobQueue:
                 spec,
                 system,
                 workers=workers,
-                checkpoint_path=str(checkpoint_path),
-                resume=True,
+                checkpoint=checkpoint,
                 dataset=self.datasets.get(spec.task, spec.dataset),
             )
         except Exception as error:  # noqa: BLE001 - job boundary
@@ -298,9 +302,11 @@ class JobQueue:
         else:
             self.audit.fold(tenant, job.job_id, service.records)
             payload = result_payload(spec, result)
-            (job_dir / "report.json").write_text(
-                result.report.canonical_json(), encoding="utf-8"
-            )
+            with self._lock:
+                if not self._closed:
+                    (job_dir / "report.json").write_text(
+                        result.report.canonical_json(), encoding="utf-8"
+                    )
             self.store.transition(
                 job.job_id,
                 "succeeded",
@@ -310,6 +316,7 @@ class JobQueue:
         finally:
             with self._lock:
                 self._active.pop(job.job_id, None)
+                self._checkpoints.pop(job.job_id, None)
                 self.admission.finish(tenant)
             self._pump()
 
@@ -334,16 +341,20 @@ class JobQueue:
             )
 
     def close(self, drain: bool = True, timeout: float = 120.0) -> None:
-        """Shut down: optionally drain, then settle the ledger.
+        """Shut down: optionally drain, then close every journal.
 
-        Without ``drain`` a running job is left to the process's end: the
-        closed store appends nothing more, so the ledger keeps it
-        ``running`` and the next queue over the directory resumes it.
+        Without ``drain`` a running job is left to the process's end, and
+        once ``close`` returns no file under ``data_dir`` changes: the job's
+        checkpoint and its tenant's cache are closed (an append raises), its
+        report is not written and the closed store changes nothing, so the
+        ledger keeps it ``running`` and the next queue resumes it.
         """
         if drain:
             self.drain(timeout=timeout)
         with self._lock:
             self._closed = True
+            for checkpoint in self._checkpoints.values():
+                checkpoint.close()
         self.store.close()
         self.registry.close()
 

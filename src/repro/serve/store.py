@@ -21,8 +21,9 @@ counted in the journal's ``corrupt_lines``.
 Crash semantics fall out of the fold: a job whose last status is
 ``running`` when the ledger is reloaded was interrupted by a server death
 — the restarted store reports it ``resumable`` and the queue re-runs it
-from its checkpoint journal.  A closed store appends nothing, so a server
-shut down without draining leaves the same ``running`` line a crash does.
+from its checkpoint journal.  A closed store neither appends nor changes a
+job, so a server shut down without draining leaves the same ``running``
+line a crash does, in memory as on disk.
 """
 
 from __future__ import annotations
@@ -170,18 +171,13 @@ class JobStore:
 
     # -- submission and transitions ----------------------------------------------
 
-    def _append(self, record: dict) -> None:
-        if self._closed:
-            return
-        self.journal.append(record)
-
     def submit(self, spec: JobSpec) -> JobRecord:
         with self._lock:
             job_id = f"job-{self._next_id:04d}"
             self._next_id += 1
             self._seq += 1
             job = JobRecord(job_id, spec, self._seq)
-            self._append(
+            self.journal.append(
                 {
                     "kind": "submit",
                     "job": job_id,
@@ -204,11 +200,13 @@ class JobStore:
         attempts: int | None = None,
         resumed: bool | None = None,
     ) -> JobRecord:
-        """Append a status record and update the in-memory view."""
+        """Append a status record and update the in-memory view (closed: neither)."""
         if status not in JOB_STATUSES:
             raise ValueError(f"unknown status {status!r}")
         with self._lock:
             job = self._jobs[job_id]
+            if self._closed:  # the view stays what the ledger says
+                return job
             self._seq += 1
             if attempts is not None:
                 job.attempts = attempts
@@ -228,7 +226,7 @@ class JobStore:
                 record["error"] = error
             if progress is not None:
                 record["progress"] = progress
-            self._append(record)
+            self.journal.append(record)
             job.status = status
             job.status_seq = self._seq
             job.result = result
@@ -288,7 +286,7 @@ class JobStore:
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
-        """Settle fsyncs and release the file handle; append nothing more."""
+        """Settle fsyncs and release the file handle; a later submit raises."""
         with self._lock:
             self._closed = True
             self._changed.notify_all()

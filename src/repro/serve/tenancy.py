@@ -98,8 +98,7 @@ class TenantRegistry:
         )
 
     def close(self) -> None:
-        """Close every tenant's cache journal and release tenant state."""
+        """Close every tenant's cache journal: a job still running puts no more."""
         with self._lock:
             for tenant in self._tenants.values():
                 tenant.cache.close()
-            self._tenants.clear()

@@ -7,17 +7,14 @@ an immediate cache hit: one ledger record per paid prompt, one batch
 insert (``cache.put_many``) per paid batch and no ``cache.get`` after it,
 and ``cached_calls`` counts reuse only.  These
 tests pin the call and record counts on every path that can or cannot take
-the hand-off, the cache statistics of a chunked run, and that journals
-written before the change still resume.
+the hand-off and the cache statistics of a chunked run.
 """
 
 from __future__ import annotations
 
-import shutil
 import threading
 import time
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -25,16 +22,10 @@ from repro.core.modules.base import ErrorPolicy, ModuleExecutionError
 from repro.core.modules.cascade import CascadeModule
 from repro.core.modules.custom import CustomModule
 from repro.core.modules.mapping import MapModule
-from repro.core.runtime.checkpoint import RunCheckpoint
 from repro.core.runtime.scheduler import Scheduler
-from repro.core.runtime.system import LinguaManga
-from repro.core.templates.library import get_template
-from repro.datasets import StreamingERCorpus
-from repro.datasets.imputation import generate_buy_dataset
 from repro.llm.errors import ProviderError
 from repro.llm.providers import LLMProvider
 from repro.llm.service import CoalesceHub, LLMService
-from repro.tasks.imputation import run_llm_imputation
 from tests.core.test_render_once import (
     WORKER_COUNTS,
     CountingLLM,
@@ -42,8 +33,6 @@ from tests.core.test_render_once import (
     records,
 )
 from tests.oracles import cascade_escalates
-
-PARENT_JOURNALS = Path(__file__).parent / "parent_journals"
 
 
 def count_calls(service: LLMService) -> Counter:
@@ -357,62 +346,3 @@ class TestErrorPolicies:
         with pytest.raises(ModuleExecutionError) as from_chunk:
             MapModule("map", rejecting_record_2()).apply_chunk(records(5))
         assert str(from_chunk.value) == str(from_run.value)
-
-
-class TestParentJournals:
-    """Journals written by the commit before the hand-off still resume.
-
-    ``parent_journals/`` holds a run checkpoint (imputation, killed after
-    the first of two chunks was journalled) and a shard ledger (streaming
-    ER, killed after the first of three shards) written at 7b0a419, when
-    every primed prompt was also ledgered as a cache hit.  A replayed
-    chunk keeps those records — a journal is replayed, not re-derived —
-    and the live remainder is one pass; answers and the bill are a fresh
-    run's.
-    """
-
-    def test_a_run_checkpoint_resumes(self, tmp_path):
-        data = generate_buy_dataset(seed=11, n_train=8, n_test=12).test
-        fresh = run_llm_imputation(LinguaManga(), data, workers=1)
-        wal = tmp_path / "run.wal"
-        shutil.copy(PARENT_JOURNALS / "run.wal", wal)
-        checkpoint = RunCheckpoint(wal)
-        system = LinguaManga()
-        resumed = run_llm_imputation(system, data, workers=1, checkpoint=checkpoint)
-        assert checkpoint.stats.resumed and checkpoint.stats.replayed_chunks == 1
-        assert resumed.predictions == fresh.predictions
-        assert resumed.accuracy == fresh.accuracy
-        assert resumed.cost == fresh.cost
-        assert resumed.llm_calls == fresh.llm_calls == 12
-        assert (fresh.cached_calls, resumed.cached_calls) == (0, 8)
-        # chunk 0 as the parent journalled it, chunk 1 live
-        assert [r.cached for r in system.service.records] == (
-            [False] * 8 + [True] * 8 + [False] * 4
-        )
-
-    def test_a_shard_ledger_resumes(self, tmp_path):
-        corpus = StreamingERCorpus(24, seed=7)
-
-        def run(**kwargs):
-            pipeline = get_template("entity_resolution").instantiate(
-                examples=corpus.examples()
-            )
-            return LinguaManga().run_stream(
-                pipeline,
-                {"pairs": corpus.inputs()},
-                workers=1,
-                chunk_size=8,
-                source_id=corpus.fingerprint,
-                **kwargs,
-            )
-
-        fresh = run()
-        wal = tmp_path / "ledger.wal"
-        shutil.copy(PARENT_JOURNALS / "ledger.wal", wal)
-        resumed = run(ledger_path=wal)
-        assert resumed.recovery["resumed"] and resumed.recovery["replayed_shards"] == 1
-        assert resumed.outputs == fresh.outputs
-        assert resumed.cost.cost == fresh.cost.cost
-        assert resumed.cost.served_calls == fresh.cost.served_calls == 24
-        assert resumed.cost.latency_seconds == fresh.cost.latency_seconds
-        assert (fresh.cost.cached_calls, resumed.cost.cached_calls) == (0, 8)

@@ -450,9 +450,9 @@ class TestHeldJournalHandle:
         settled = len(synced)
         cache.close()
         assert len(synced) == settled
-        cache.put(key("b"), response("2"))  # a later put reopens
-        assert _lines(path) == ["a", "b"]
-        cache.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            cache.put(key("b"), response("2"))  # closed for good: nothing reopens
+        assert _lines(path) == ["a"]
         PromptCache().close()  # no journal: nothing to do
 
     def test_tenant_registry_close_closes_every_tenant_journal(self, tmp_path):

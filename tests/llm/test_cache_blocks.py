@@ -3,16 +3,15 @@
 ``CacheJournal.append`` writes a batch as the prompt-sharing record block
 the run journal writes its ledger slices as (``repro._jsonl._encode_block``),
 at most ``_BLOCK_ENTRIES`` entries a line.  These tests round-trip blocks
-under both codecs, cap their size, load them after the one-entry lines
-earlier builds wrote, and check that a line holding a value of the wrong
-JSON type is damaged — skipped, counted and paid again — never coerced
-into an answer.
+under both codecs and cap their size.  A line holding a value of the
+wrong JSON type, and a one-entry line as builds before record blocks wrote
+it, is damaged — skipped, counted and paid again — never coerced into an
+answer.
 """
 
 from __future__ import annotations
 
 import json
-import shutil
 import tempfile
 from pathlib import Path
 
@@ -21,14 +20,11 @@ import pytest
 from repro.llm.cache import _BLOCK_ENTRIES, CacheJournal, CacheKey, PromptCache
 from repro.llm.providers import LLMResponse, SimulatedProvider
 from repro.llm.service import LLMService
-from tests.core.parent_journals.make_warm_fixtures import mixed_entries
 from tests.llm.test_cache import entry_objects, key, response
 
 hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st  # noqa: E402
-
-PARENT_JOURNALS = Path(__file__).parents[1] / "core" / "parent_journals"
 
 
 def replay(entries) -> list[tuple[CacheKey, LLMResponse]]:
@@ -116,21 +112,6 @@ class TestBlockSize:
         assert journal.lines_held == 3 and journal.entries_held == 600
         assert list(CacheJournal(path).load().items()) == batch
 
-    def test_older_entry_lines_then_blocks_load_in_order(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        shutil.copy(PARENT_JOURNALS / "cache_mixed.jsonl", path)
-        older = list(mixed_entries())
-        added = [(key(f"added {n}", namespace="acme"), response(str(n))) for n in range(3)]
-        journal = CacheJournal(path)
-        journal.append(*added)
-        journal.append(older[1], added[0])  # both supersede an earlier line
-        journal.close()
-        fresh = CacheJournal(path)
-        assert list(fresh.load().items()) == replay([*older, *added, older[1], added[0]])
-        assert fresh.corrupt_lines == 0
-        assert fresh.entries_held == len(older) + 5
-        assert PromptCache(path=path).entries() == list(fresh.load().items())
-
 
 PROMPT = "Extract all person names from: John met Mary."
 
@@ -182,6 +163,14 @@ class TestWrongTypes:
         path = tmp_path / "cache.jsonl"
         answer, entry = paid_entry(path)
         (entry[where] if where else entry)[column] = value
+        path.write_bytes(json.dumps(entry).encode() + b"\n")
+        served_after(path, answer, damaged=1)
+
+    def test_an_intact_older_entry_line_is_damaged(self, tmp_path):
+        """Only record blocks are read: an entry line of the right types is
+        one damaged line too, paid again rather than read a second way."""
+        path = tmp_path / "cache.jsonl"
+        answer, entry = paid_entry(path)
         path.write_bytes(json.dumps(entry).encode() + b"\n")
         served_after(path, answer, damaged=1)
 

@@ -3,11 +3,8 @@
 The prompt cache writes its journal through the codec the other three
 journals use (:mod:`repro._jsonl`) and keeps a key's digest on the key.
 Neither may change a value anything recorded: digests sit in run-journal
-and shard-ledger headers (and, from older builds, in the serve layer's
-``cache_state.json``), and journals written by earlier builds must keep
-loading.  The parent
-commit's formulas are kept here as the references, and
-``tests/core/parent_journals/`` holds files that commit wrote.
+and shard-ledger headers.  The parent commit's formulas are kept here as
+the references.
 """
 
 from __future__ import annotations
@@ -17,7 +14,6 @@ import hashlib
 import json
 import os
 import pickle
-import shutil
 from pathlib import Path
 
 import pytest
@@ -27,20 +23,45 @@ from repro.llm.cache import CacheJournal, CacheKey, PromptCache, key_digest
 from repro.llm.providers import LLMResponse, SimulatedProvider
 from repro.llm.service import LLMService
 from repro.obs import Observability
-from tests.core.parent_journals.make_warm_fixtures import (
-    MIXED,
-    mixed_entries,
-    resume_figures,
-)
 from tests.llm.test_cache import entry_objects, key, response
 
 hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-PARENT_JOURNALS = Path(__file__).parents[1] / "core" / "parent_journals"
-PARENT_FIGURES = json.loads((PARENT_JOURNALS / "warm_figures.json").read_text("utf-8"))
 MAX_EXAMPLES = int(os.environ.get("CACHE_CODEC_EXAMPLES", "150"))
+
+#: (provider, version, prompt, max_tokens, namespace, response text); the
+#: fourth put supersedes the first, so the first line of a file is dead.
+MIXED = [
+    ("sim", "", "plain", 64, "", "one"),
+    ("sim", "v1", "naïve café ☕ 𝄞", 64, "", "zwei ✓"),
+    ("sim", "", 'quote " and \\ and\nnewline\ttab \x7f  ', 8, "", 'a "b"\n'),
+    ("sim", "", "plain", 64, "", "one, again"),
+    ("sim", "v1", "tenant's prompt", 256, "acme", "namespaced"),
+    ("other-model", "", "plain", 64, "", "other provider"),
+]
+
+
+def mixed_entries():
+    for provider, version, prompt, max_tokens, namespace, text in MIXED:
+        yield CacheKey(provider, version, prompt, max_tokens, namespace), LLMResponse(
+            text=text,
+            prompt_tokens=len(prompt),
+            completion_tokens=len(text),
+            model=provider,
+            skill="demo",
+            # most spell an exponent, which the two encoders write differently
+            latency_seconds=0.25 if namespace else 1e-06 * len(prompt),
+        )
+
+
+def write_mixed(path: Path) -> None:
+    """Put each of :data:`MIXED` into a cache journal at ``path``, one line each."""
+    cache = PromptCache(path=path)
+    for built, answer in mixed_entries():
+        cache.put(built, answer)
+    cache.close()
 
 
 def reference_digest(key: CacheKey) -> str:
@@ -149,8 +170,10 @@ class TestDigestValue:
 
     def test_digests_computed_on_the_parent_commit(self, either_codec):
         digests = [key_digest(built) for built, _ in mixed_entries()]
-        assert digests == PARENT_FIGURES["mixed_digests"]
-        assert digests[0] == digests[3] == "9beb15c3d62a4258"
+        assert digests == [
+            "9beb15c3d62a4258", "f6a34b36b0677633", "99d502ed5b8102c2",
+            "9beb15c3d62a4258", "7c9101da770d54d8", "1a428118c085ebc7",
+        ]  # fmt: skip
 
 
 class TestDigestOnce:
@@ -231,7 +254,7 @@ class TestDecodedDigests:
 
     def test_every_loaded_key_has_the_parent_digest(self, tmp_path, either_codec):
         path = tmp_path / "cache.jsonl"
-        shutil.copy(PARENT_JOURNALS / "cache_mixed.jsonl", path)
+        write_mixed(path)
         journal = CacheJournal(path)
         clean, dirty = preamble_batch(PREAMBLE), preamble_batch(PREAMBLE + "\udfff ")
         journal.append(*clean)
@@ -252,7 +275,7 @@ class TestDecodedDigests:
 
 
 def parent_replay() -> list[tuple[CacheKey, LLMResponse]]:
-    """What loading ``cache_mixed.jsonl`` gives: later puts win and move last."""
+    """What loading :data:`MIXED` gives: later puts win and move last."""
     entries: dict = {}
     for built, answer in mixed_entries():
         entries.pop(built, None)
@@ -261,42 +284,11 @@ def parent_replay() -> list[tuple[CacheKey, LLMResponse]]:
 
 
 class TestLineFormat:
-    def test_a_parent_written_journal_loads(self):
-        journal = CacheJournal(PARENT_JOURNALS / "cache_mixed.jsonl")
-        loaded = list(journal.load().items())
-        assert loaded == parent_replay()
-        assert journal.corrupt_lines == 0
-        # the superseded first line is gone, its key moved behind the third
-        assert [(k.prompt, r.text) for k, r in loaded] == [
-            (MIXED[i][2], MIXED[i][5]) for i in (1, 2, 3, 4, 5)
-        ]
-
-    def test_the_fixture_is_what_the_parent_formula_writes(self):
-        # guards the reference below, not the code under test
-        written = (PARENT_JOURNALS / "cache_mixed.jsonl").read_bytes()
-        assert written == b"".join(reference_line(*entry) for entry in mixed_entries())
-
-    def test_a_file_holding_both_formats_loads(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        shutil.copy(PARENT_JOURNALS / "cache_mixed.jsonl", path)
-        cache = PromptCache(path=path)
-        assert cache.entries() == parent_replay()
-        cache.put(key("added later", namespace="acme"), response("new"))
-        cache.put(*next(mixed_entries()))  # supersedes a parent-written line
-        cache.close()
-        reopened = PromptCache(path=path)
-        assert reopened.journal.corrupt_lines == 0
-        assert reopened.entries() == cache.entries()
-        assert [k.prompt for k, _ in reopened.entries()][-2:] == ["added later", "plain"]
-
     def test_each_line_parses_to_what_the_parent_wrote(self, tmp_path, either_codec):
         path = tmp_path / "cache.jsonl"
-        cache = PromptCache(path=path)
-        for built, answer in mixed_entries():
-            cache.put(built, answer)
-        cache.close()
+        write_mixed(path)
         lines = path.read_bytes().splitlines(keepends=True)
-        parent = (PARENT_JOURNALS / "cache_mixed.jsonl").read_bytes().splitlines(True)
+        parent = [reference_line(*entry) for entry in mixed_entries()]
         assert len(lines) == len(parent)  # a lone put is a block line of one entry
         entries = [entry for line in lines for entry in entry_objects(line)]
         assert entries == [json.loads(old) for old in parent]
@@ -326,10 +318,7 @@ class TestLineFormat:
         path = tmp_path / "cache.jsonl"
         with monkeypatch.context() as patch:
             patch.setattr(jsonl, "_orjson", None)
-            cache = PromptCache(path=path)
-            for built, answer in mixed_entries():
-                cache.put(built, answer)
-            cache.close()
+            write_mixed(path)
         assert list(CacheJournal(path).load().items()) == parent_replay()
 
 
@@ -447,23 +436,3 @@ class TestTornTail:
         after = path.read_bytes()
         assert after.startswith(before) and after.count(b"\n") == 4
         assert b"\n\n" not in after
-
-
-class TestRecordedDigests:
-    """Headers written by the parent over a warm cache still rewind it."""
-
-    def test_the_fixtures_record_digests(self):
-        for name, count in (("warm_run", 4), ("warm_ledger", 5)):
-            wal = (PARENT_JOURNALS / f"{name}.wal").read_bytes()
-            header = json.loads(wal[: wal.index(b"\n")])
-            journal = CacheJournal(PARENT_JOURNALS / f"{name}.cache.jsonl")
-            recorded = header["cache_exact"]
-            held = [key_digest(k) for k in journal.load()]
-            assert len(recorded) == count and set(recorded) < set(held)
-            assert sorted(held[:count]) == recorded
-
-    def test_resume_reports_what_the_parent_reported(self):
-        figures = resume_figures(PARENT_JOURNALS)
-        assert figures["run"]["cache_entries_pruned"] == 4
-        assert figures["stream"]["cache_entries_pruned"] == 3
-        assert figures == {k: PARENT_FIGURES[k] for k in ("run", "stream")}

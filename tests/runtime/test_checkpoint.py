@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -24,8 +22,6 @@ from repro.core.runtime.checkpoint import (
     ReplayedValue,
     RunCheckpoint,
     UnserializableValueError,
-    _decode_records,
-    _encode_records,
     decode_value,
     digest_inputs,
     encode_value,
@@ -39,15 +35,12 @@ from repro.datasets.entity_resolution import generate_er_dataset
 from repro.datasets.imputation import generate_buy_dataset
 from repro.llm.faults import CrashInjected, CrashPoint
 from repro.llm.providers import LLMResponse, SimulatedProvider
-from repro.llm.service import CallRecord, LLMService
+from repro.llm.service import LLMService
 from repro.obs import Observability
 from repro.tasks.entity_resolution import pairs_as_inputs, pick_examples
 from repro.tasks.imputation import run_hybrid_imputation
 from repro.tasks.table import TASKS
-from tests.core.parent_journals import make_committed_run
 from tests.oracles import trace_records
-
-PARENT_JOURNALS = Path(make_committed_run.__file__).parent
 
 
 @pytest.fixture(scope="module")
@@ -273,13 +266,13 @@ class TestOperatorCommit:
         service = self._service()
         checkpoint = RunCheckpoint(tmp_path / "run.wal")
         checkpoint.begin("abc", service)
-        checkpoint.commit_operator(0, "load")
+        checkpoint.operator_context(0, "load").commit()
         checkpoint.close()
         resume = RunCheckpoint(tmp_path / "run.wal")
         resume.begin("abc", self._service())
-        assert resume.committed(0, "load")
+        assert resume.operator_context(0, "load").committed
         with pytest.raises(CheckpointMismatchError, match="load"):
-            resume.committed(0, "save")
+            resume.operator_context(0, "save")
         resume.close()
 
     def test_unserializable_outputs_commit_as_non_replayable(self, tmp_path):
@@ -302,7 +295,7 @@ class TestOperatorCommit:
             return checkpoint, module, output
 
         first, _, output = run(RunCheckpoint(tmp_path / "run.wal"))
-        first.commit_operator(0, "load")
+        first.operator_context(0, "load").commit()
         first.close()
         [chunk] = [
             line
@@ -311,7 +304,7 @@ class TestOperatorCommit:
         ]
         assert (chunk["n_records"], chunk["replayable"]) == (1, False)
         resume, module, again = run(RunCheckpoint(tmp_path / "run.wal"))
-        assert resume.committed(0, "load")
+        assert resume.operator_context(0, "load").committed
         assert again == output == {1, 2}
         assert len(calls) == 2 and module.stats.invocations == 1
         assert resume.stats.replayed_chunks == 0
@@ -367,7 +360,7 @@ class TestChunkedCommits:
         commits = [line for line in lines if line["type"] == "op"]
         assert len(commits) == len(report.module_stats)
         assert all(
-            line == {"type": "op", "index": i, "name": line["name"], "chunked": True}
+            line == {"type": "op", "index": i, "name": line["name"]}
             for i, line in enumerate(commits)
         )
         chunks = [line for line in lines if line["type"] == "chunk"]
@@ -392,53 +385,6 @@ class TestChunkedCommits:
         assert resume.stats.replayed_operators == len(again.module_stats)
         assert resume.stats.replayed_chunks == journalled
         assert resume.stats.journaled_chunks == 0
-
-    def test_resumes_a_committed_run_an_older_build_wrote(self, tmp_path):
-        """``committed_run.wal`` (see make_committed_run.py) rebuilt its
-        chunked operator from the chunk lines at the ``op`` line."""
-        fresh, _ = make_committed_run.run()
-        wal = tmp_path / "run.wal"
-        shutil.copy(PARENT_JOURNALS / "committed_run.wal", wal)
-        resume = RunCheckpoint(wal)
-        resumed, provider = make_committed_run.run(resume)
-        assert provider.calls_served == 0
-        assert resumed.report.canonical_json() == fresh.report.canonical_json()
-        # Its LLM-free ``load`` / ``save`` lines carry their work, which this
-        # build reads as not committed: they run again, and only ``match``,
-        # committed as chunked, replays.
-        assert (resume.stats.replayed_operators, resume.stats.replayed_chunks) == (1, 3)
-
-    @pytest.mark.parametrize(
-        "name", sorted(path.name for path in PARENT_JOURNALS.glob("*.wal"))
-    )
-    def test_older_record_blocks_decode_equal_and_re_encode_byte_for_byte(self, name):
-        """Every ledger block an older build wrote decodes to the records its
-        field names spell, and encodes back to the bytes it was written as."""
-        blocks = [
-            block
-            for line in (PARENT_JOURNALS / name).read_bytes().splitlines()
-            for block in _record_blocks(jsonl._parse_line(line))
-        ]
-        assert any(block["rows"] for block in blocks)
-        for block in blocks:
-            fields, rows = jsonl._decode_block(block)
-            records = _decode_records(block)
-            assert records == [CallRecord(**dict(zip(fields, row))) for row in rows]
-            assert all(type(record) is CallRecord for record in records)
-            assert jsonl._dump_line(_encode_records(records)) == jsonl._dump_line(block)
-
-
-def _record_blocks(value):
-    """Every ledger record block (a ``records`` value) nested in ``value``."""
-    if isinstance(value, dict):
-        for key, item in value.items():
-            if key == "records" and isinstance(item, dict):
-                yield item
-            else:
-                yield from _record_blocks(item)
-    elif isinstance(value, list):
-        for item in value:
-            yield from _record_blocks(item)
 
 
 class TestOneAppendCommit:
@@ -605,48 +551,6 @@ class TestCacheRewind:
         assert len(cache) == 1
         assert cache.peek(early)
         assert cache.state_digests() == exact
-
-    def test_resumes_a_journal_whose_header_an_older_build_wrote(
-        self, er_dataset, tmp_path
-    ):
-        """Upgrade compatibility: the header used to be one line, written at
-        execute begin with the fingerprint and the clock, and to carry a
-        second digest list (``cache_sealed``), which is ignored; the resume
-        still rewinds the cache and reproduces the uninterrupted report
-        byte for byte."""
-
-        def run(cache_name, checkpoint=None):
-            system = LinguaManga(cache_path=str(tmp_path / cache_name))
-            plan_inputs = {"pairs": pairs_as_inputs(er_dataset.test)}
-            pipeline = get_template("entity_resolution").instantiate(
-                examples=pick_examples(er_dataset.train, 4)
-            )
-            return system.run(
-                pipeline, plan_inputs, workers=2, chunk_size=2, checkpoint=checkpoint
-            )
-
-        baseline = run("uninterrupted.jsonl").canonical_json()
-        wal = tmp_path / "run.wal"
-        crash = CrashPoint("chunk:journaled", hits=2)
-        with pytest.raises(CrashInjected):
-            run("crashed.jsonl", RunCheckpoint(wal, crash=crash))
-        header, plan, *rest = wal.read_bytes().splitlines(keepends=True)
-        written = {**json.loads(header), **json.loads(plan)}
-        older = {
-            "type": "header",
-            "format": 1,
-            "fingerprint": written["fingerprint"],
-            "clock_start": written["clock_start"],
-            "cache_exact": written["cache_exact"],
-            "cache_sealed": [],
-        }
-        wal.write_bytes(json.dumps(older).encode() + b"\n" + b"".join(rest))
-
-        resume = RunCheckpoint(wal)
-        resumed = run("crashed.jsonl", resume)
-        assert resume.stats.resumed
-        assert resume.stats.cache_entries_pruned > 0  # the crashed run's appends
-        assert resumed.canonical_json() == baseline
 
 
 class TestCompileThatPays:

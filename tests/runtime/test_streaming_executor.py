@@ -96,57 +96,6 @@ class TestByteIdentity:
         assert second.recovery["resumed"]
         assert second.recovery["replayed_shards"] == 6
 
-    def test_resumes_a_ledger_whose_header_an_older_build_wrote(self, tmp_path):
-        """Upgrade compatibility: the header used to be one line, fingerprint
-        and clock included, and to carry a second digest list
-        (``cache_sealed``), which is ignored on resume."""
-        wal = tmp_path / "run.wal"
-        first, _ = run_streaming(workers=2, ledger_path=wal)
-        header, plan, *shards = wal.read_bytes().splitlines(keepends=True)
-        written = {**json.loads(header), **json.loads(plan)}
-        older = {
-            "type": "header",
-            "format": 1,
-            "mode": "streaming",
-            "fingerprint": written["fingerprint"],
-            "clock_start": written["clock_start"],
-            "cache_exact": written["cache_exact"],
-            "cache_sealed": [],
-        }
-        # Keep half the shard lines: the resume replays three, runs three.
-        wal.write_bytes(json.dumps(older).encode() + b"\n" + b"".join(shards[:3]))
-        second, _ = run_streaming(workers=2, ledger_path=wal)
-        assert_reports_identical(first, second)
-        assert second.recovery["resumed"]
-        assert second.recovery["replayed_shards"] == 3
-
-    def test_resumes_a_ledger_with_an_older_builds_fail_and_poison_lines(
-        self, tmp_path
-    ):
-        """An older build retried a failing shard, journalling ``fail`` lines
-        and then a ``poison`` verdict.  Both are ignored: the shard runs live."""
-        wal = tmp_path / "run.wal"
-        fresh, _ = run_streaming(workers=1, ledger_path=wal)
-        header, plan, *shards = wal.read_bytes().splitlines(keepends=True)
-        fail = {"type": "fail", "index": 2, "op": "match", "error": "boom"}
-        older = [
-            {**fail, "attempt": 1},
-            {**fail, "attempt": 2},
-            {"type": "poison", "index": 2, "n_records": 8, "attempts": 2,
-             "op": "match", "error": "boom", "records": ["{}"] * 8},
-        ]
-        wal.write_bytes(
-            header + plan + b"".join(shards[:2])
-            + b"".join(json.dumps(line).encode() + b"\n" for line in older)
-        )
-        provider = SimulatedProvider()
-        resumed, _ = run_streaming(
-            workers=2, ledger_path=wal, service=LLMService(provider)
-        )
-        assert_reports_identical(fresh, resumed)
-        assert resumed.recovery["replayed_shards"] == 2
-        assert provider.calls_served == 48 - 2 * 8  # shard 2 onwards, live
-
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_engines_fail_alike(self, workers, tmp_path):
         """A record that raises fails a stream as it fails a batch run.  The

@@ -206,6 +206,37 @@ def test_kill_midrun_then_resume(serve_dir):
     revived.close()
 
 
+def test_a_job_running_at_close_changes_no_file_after_it(serve_dir):
+    """``close(drain=False)`` is the last write: a job released after it
+    runs on, but no file under the directory changes, the store still
+    reads ``running`` as its ledger does, and the next start resumes it."""
+    gate = GateProvider(SimulatedProvider(), gate_after=3)
+    queue = JobQueue(serve_dir, provider=gate, max_workers=1)
+    job = queue.submit(make_spec("imputation", workers=2))
+    assert gate.gated.wait(timeout=30)
+    queue.close(drain=False)
+    with queue._lock:
+        workers = list(queue._active.values())
+
+    def files() -> dict:
+        return {path: path.read_bytes() for path in serve_dir.rglob("*") if path.is_file()}
+
+    closed = files()
+    gate.release.set()
+    for worker in workers:
+        worker.join(60)
+        assert not worker.is_alive()
+    assert files() == closed
+    assert queue.store.get(job.job_id).status == "running"
+    assert JobStore(serve_dir / "jobs.jsonl").get(job.job_id).status == "resumable"
+
+    revived = JobQueue(serve_dir, max_workers=1)
+    done = revived.store.wait_for(job.job_id)
+    assert done.status == "succeeded"
+    assert done.resumed is True and done.attempts == 2
+    revived.close()
+
+
 def test_submit_after_shutdown_is_refused(serve_dir):
     queue = JobQueue(serve_dir, max_workers=1)
     queue.close()
@@ -260,30 +291,6 @@ def test_torn_cache_snapshot_is_treated_as_absent(queue, serve_dir):
     assert checkpoint.stats.torn_bytes > 0
     [header] = CheckpointJournal(path).load()
     assert header["cache_exact"] == service.cache.state_digests()
-
-
-def test_older_builds_cache_snapshot_still_rewinds_a_reattempt(queue, serve_dir):
-    """Upgrade compatibility: an older build kept the first attempt's cache
-    state in ``cache_state.json`` and wrote one journal header, fingerprint
-    and clock included, at execute begin.  A re-attempt ignores the file;
-    the header rewinds the cache at begin, so the re-run pays again what
-    the first attempt paid and reports it byte for byte."""
-    spec = make_spec("imputation")
-    done = queue.store.wait_for(queue.submit(spec).job_id)
-    job_dir = serve_dir / "jobs" / done.job_id
-    path = job_dir / "checkpoint.jsonl"
-    header, plan = CheckpointJournal(path).load()[:2]
-    older = {**header, **plan, "type": "header", "cache_sealed": []}
-    path.write_text(json.dumps(older) + "\n")  # killed right after begin
-    exact = header["cache_exact"]
-    (job_dir / "cache_state.json").write_text(json.dumps({"exact": exact}))
-    cache = queue.registry.get("acme").cache
-    assert len(cache) > len(exact)  # the job's own answers, cached since
-    system = LinguaManga(service=queue.registry.service_for_job("acme"))
-    again = run_task(spec, system, checkpoint_path=str(path))
-    assert again.report.recovery["resumed"]
-    assert again.report.recovery["cache_entries_pruned"] > 0
-    assert result_payload(spec, again) == done.result
 
 
 def test_failed_job_cache_entries_count_as_self_paid(serve_dir):

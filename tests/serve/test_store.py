@@ -71,6 +71,7 @@ def test_kill_writes_nothing(ledger):
     # workers may still be running when the store is already closed.
     store.transition(job.job_id, "succeeded", result={"task": "imputation"})
     assert ledger.read_bytes() == before
+    assert store.get(job.job_id).status == "queued"  # as the ledger says
     assert JobStore(ledger).get(job.job_id).status == "queued"
 
 

@@ -12,12 +12,17 @@ public API; every journal below holds three records, keyed 0, 1 and 2.
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
-from repro.core.runtime.checkpoint import CheckpointError, RunCheckpoint
+from repro.core.runtime.checkpoint import (
+    JOURNAL_FORMAT_VERSION,
+    CheckpointError,
+    RunCheckpoint,
+)
 from repro.core.runtime.system import LinguaManga
-from repro.core.runtime.workqueue import ShardLedger
+from repro.core.runtime.workqueue import SHARD_LEDGER_FORMAT_VERSION, ShardLedger
 from repro.core.templates.library import get_template
 from repro.datasets import StreamingERCorpus
 from repro.datasets.entity_resolution import generate_er_dataset
@@ -163,6 +168,30 @@ def test_a_damaged_header_is_refused(owner, tmp_path):
         kind.open(path)
 
 
+@pytest.mark.parametrize(
+    "owner, noun, version",
+    [
+        ("run-journal", "journal", JOURNAL_FORMAT_VERSION),
+        ("shard-ledger", "ledger", SHARD_LEDGER_FORMAT_VERSION),
+    ],
+)
+def test_a_version_1_journal_is_refused_unchanged(owner, noun, version, tmp_path):
+    """A journal of another format is not read: the refusal names the file,
+    both versions and what to do, and nothing is appended to the file."""
+    kind = KINDS[owner]
+    path = tmp_path / "journal.jsonl"
+    header, *rest = filled(kind, path).splitlines(keepends=True)
+    older = json.dumps({**json.loads(header), "format": 1}).encode() + b"\n" + b"".join(rest)
+    path.write_bytes(older)
+    message = (
+        f"{path}: {noun} format 1, but this build reads format {version} only; "
+        "delete the file or pass resume=False to start afresh"
+    )
+    with pytest.raises(CheckpointError, match=f"^{re.escape(message)}$"):
+        kind.open(path)
+    assert path.read_bytes() == older
+
+
 def test_a_committed_operator_missing_a_chunk_line_reruns_that_chunk(tmp_path):
     """A committed operator replays from its chunk lines, so a line skipped
     as damaged is one chunk paid for again, and the report is unchanged."""
@@ -286,6 +315,25 @@ def test_a_shard_line_whose_records_do_not_decode_reruns_that_shard(damage, tmp_
     assert 0 < repaid == len(block["rows"]) < paid
 
 
+#: A field value that stands for the field taken out of the line.
+MISSING = object()
+
+
+def _edited(line: dict, fields: dict) -> dict:
+    """``line`` with ``fields`` set, or taken out where :data:`MISSING`: from
+    the line, or from each op entry of a shard line that lacks the field."""
+    edited = {**line, **fields}
+    for field, value in fields.items():
+        if value is MISSING:
+            del edited[field]
+            if field not in line:
+                edited["ops"] = [
+                    {key: item for key, item in op.items() if key != field}
+                    for op in line["ops"]
+                ]
+    return edited
+
+
 #: A run-journal line edited to valid JSON that cannot replay:
 #: ``(line type, fields to set)``.
 RUN_LINE_DAMAGES = {
@@ -293,13 +341,16 @@ RUN_LINE_DAMAGES = {
     "chunk-index-not-int": ("chunk", {"chunk": "one"}),
     "op-index-not-int": ("op", {"index": "z"}),
     "outputs-do-not-decode": ("chunk", {"outputs": {"__ckpt__": "tuple", "v": 5}}),
+    "chunk-without-quarantine": ("chunk", {"quarantine": MISSING}),
+    "chunk-without-degraded": ("chunk", {"degraded": MISSING}),
+    "chunk-without-n-records": ("chunk", {"n_records": MISSING}),
 }
 
 
 @pytest.mark.parametrize("damage", sorted(RUN_LINE_DAMAGES))
 def test_a_run_journal_line_of_wrong_types_is_skipped(damage, tmp_path):
-    """A line that parses but whose fields are of the wrong type, or whose
-    outputs do not decode, is skipped and counted like any damaged line:
+    """A line that parses but whose fields are of the wrong type or missing,
+    or whose outputs do not decode, is skipped and counted like any damaged line:
     its chunk runs again (an ``op`` line lost leaves its operator in
     flight), and the report and the ledger equal the uninterrupted run's."""
     corpus = StreamingERCorpus(24, seed=7)
@@ -327,7 +378,7 @@ def test_a_run_journal_line_of_wrong_types_is_skipped(damage, tmp_path):
     )
     line = json.loads(lines[target])
     rows = len(line["records"]["rows"]) if kind == "chunk" else 0
-    lines[target] = json.dumps({**line, **fields}).encode() + b"\n"
+    lines[target] = json.dumps(_edited(line, fields)).encode() + b"\n"
     path.write_bytes(b"".join(lines))
 
     checkpoint = RunCheckpoint(path)
@@ -343,6 +394,9 @@ SHARD_LINE_DAMAGES = {
     "index-not-int": {"index": "one"},
     "n-records-not-int": {"n_records": "eight"},
     "outputs-do-not-decode": {"outputs": {"__ckpt__": "tuple", "v": 5}},
+    "without-n-records": {"n_records": MISSING},
+    "op-without-quarantine": {"quarantine": MISSING},
+    "op-without-degraded": {"degraded": MISSING},
 }
 
 
@@ -371,7 +425,7 @@ def test_a_shard_line_of_wrong_types_is_skipped(damage, tmp_path):
         and json.loads(line)["ops"][0]["records"]["rows"]
     )
     line = json.loads(lines[target])
-    lines[target] = json.dumps({**line, **SHARD_LINE_DAMAGES[damage]}).encode() + b"\n"
+    lines[target] = json.dumps(_edited(line, SHARD_LINE_DAMAGES[damage])).encode() + b"\n"
     path.write_bytes(b"".join(lines))
 
     resumed, resumed_ledger, repaid = run(path)
