@@ -25,15 +25,15 @@ __all__ = [
 ]
 
 
-def stable_hash(*parts: object, bits: int = 64) -> int:
-    """Return a deterministic non-negative integer hash of ``parts``.
+def stable_hash(*parts: object) -> int:
+    """Return a deterministic non-negative 64-bit integer hash of ``parts``.
 
     The hash is stable across processes and Python versions (unlike the
     built-in :func:`hash`).  Parts are joined with an unlikely separator so
     that ``stable_hash("ab", "c") != stable_hash("a", "bc")``.
     """
     text = "\x1f".join(repr(p) for p in parts)
-    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=bits // 8)
+    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8)
     return int.from_bytes(digest.digest(), "big")
 
 

@@ -18,7 +18,7 @@ chosen once (documented below), not tuned per corpus against ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.core.compiler.curation import (
     DEDUP_SHINGLE_N,
@@ -61,47 +61,41 @@ class CurationBaselineResult:
     predictions: list[int]
 
 
-def threshold_dedup_flags(
-    records: Sequence[dict],
-    *,
-    threshold: float = DEDUP_JACCARD_THRESHOLD,
-    shingle_n: int = DEDUP_SHINGLE_N,
-    **kernel: Any,
-) -> list[int]:
+def threshold_dedup_flags(records: Sequence[dict]) -> list[int]:
     """Duplicate flags from simple-canonical candidates + fixed Jaccard cut."""
-    pairs = dedup_candidate_pairs(records, dual=False, shingle_n=shingle_n, **kernel)
+    pairs = dedup_candidate_pairs(records, dual=False, shingle_n=DEDUP_SHINGLE_N)
     shingles = {
-        record["id"]: shingle_ids(simple_canonical(str(record["text"])), shingle_n)
+        record["id"]: shingle_ids(
+            simple_canonical(str(record["text"])), DEDUP_SHINGLE_N
+        )
         for record in records
     }
     duplicates = {
         max(a, b)
         for a, b in pairs
-        if exact_jaccard(shingles[a], shingles[b]) >= threshold
+        if exact_jaccard(shingles[a], shingles[b]) >= DEDUP_JACCARD_THRESHOLD
     }
     return [int(record["id"] in duplicates) for record in records]
 
 
-def rules_quality_flags(
-    records: Sequence[dict], *, threshold: float = QUALITY_RULE_THRESHOLD
-) -> list[int]:
+def rules_quality_flags(records: Sequence[dict]) -> list[int]:
     """Keep flags from the surface heuristic against a fixed cut."""
     return [
-        int(rule_quality_score(str(record["text"])) >= threshold)
+        int(rule_quality_score(str(record["text"])) >= QUALITY_RULE_THRESHOLD)
         for record in records
     ]
 
 
 def hard_scan_contamination_flags(
-    records: Sequence[dict], eval_items: Sequence[str], *, hard_n: int = 8
+    records: Sequence[dict], eval_items: Sequence[str]
 ) -> list[int]:
-    """Contamination flags from verbatim hard n-gram hits only."""
-    hard_index = build_ngram_index(list(eval_items), hard_n)
+    """Contamination flags from verbatim hard 8-gram hits only."""
+    hard_index = build_ngram_index(list(eval_items), 8)
     empty: dict = {}
     flags = []
     for record in records:
         profile = overlap_profile(
-            str(record["text"]), hard_index, empty, hard_n=hard_n, soft_n=hard_n
+            str(record["text"]), hard_index, empty, hard_n=8, soft_n=8
         )
         flags.append(int(profile.hard_hits > 0))
     return flags
@@ -115,26 +109,22 @@ def _evaluate(
     )
 
 
-def evaluate_threshold_dedup(
-    corpus: CurationCorpus, threshold: float = DEDUP_JACCARD_THRESHOLD
-) -> CurationBaselineResult:
+def evaluate_threshold_dedup(corpus: CurationCorpus) -> CurationBaselineResult:
     docs = corpus.materialize()
     return _evaluate(
         corpus,
         "threshold_dedup",
-        threshold_dedup_flags([d.record() for d in docs], threshold=threshold),
+        threshold_dedup_flags([d.record() for d in docs]),
         [int(d.is_duplicate) for d in docs],
     )
 
 
-def evaluate_rules_quality(
-    corpus: CurationCorpus, threshold: float = QUALITY_RULE_THRESHOLD
-) -> CurationBaselineResult:
+def evaluate_rules_quality(corpus: CurationCorpus) -> CurationBaselineResult:
     docs = corpus.materialize()
     return _evaluate(
         corpus,
         "rules_quality",
-        rules_quality_flags([d.record() for d in docs], threshold=threshold),
+        rules_quality_flags([d.record() for d in docs]),
         [int(d.keep) for d in docs],
     )
 

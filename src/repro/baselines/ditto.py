@@ -40,9 +40,6 @@ def _serialize(pair: RecordPair) -> str:
 class DittoMatcher:
     """Normalised similarity features + hashed pair text -> logistic model."""
 
-    n_features: int = 1024
-    epochs: int = 400
-    seed: int = 0
     _extractor: PairFeatureExtractor | None = field(default=None, repr=False)
     _vectorizer: HashingVectorizer = field(
         default_factory=lambda: HashingVectorizer(n_features=512, word_ngrams=(1,)),
@@ -65,7 +62,7 @@ class DittoMatcher:
         X = self._features(pairs, attributes)
         y = [p.label for p in pairs]
         self._model = RandomForest(
-            n_trees=40, max_depth=12, max_features=0.7, seed=self.seed
+            n_trees=40, max_depth=12, max_features=0.7, seed=0
         ).fit(X, y)
         # Calibrate the decision threshold on the training data for max F1 —
         # the fine-tuning analogue of Ditto's validation-split selection.
@@ -88,9 +85,9 @@ class DittoMatcher:
         )
 
 
-def evaluate_ditto(dataset: ERDataset, seed: int = 0) -> float:
+def evaluate_ditto(dataset: ERDataset) -> float:
     """Train on train+valid, report test F1 (the Table 1 protocol)."""
-    matcher = DittoMatcher(seed=seed)
+    matcher = DittoMatcher()
     matcher.fit(dataset.attributes, dataset.train + dataset.valid)
     predictions = matcher.predict(dataset.test)
     return f1_score([p.label for p in dataset.test], predictions)

@@ -41,7 +41,6 @@ def _top_vote(votes: Counter) -> str:
 class HoloCleanImputer:
     """Co-occurrence voting over frequent categorical tokens."""
 
-    min_token_frequency: int = 25
     _exact: dict[str, Counter] = field(default_factory=dict, repr=False)
     _token_votes: dict[str, Counter] = field(default_factory=dict, repr=False)
     _prior: Counter = field(default_factory=Counter, repr=False)
@@ -63,11 +62,11 @@ class HoloCleanImputer:
             for token in set(record.name.lower().split()):
                 token_frequency[token] += 1
                 raw_votes[token][record.manufacturer] += 1
-        # Only high-frequency tokens act as categorical domain values.
+        # Only tokens seen at least 25 times act as categorical domain values.
         self._token_votes = {
             token: votes
             for token, votes in raw_votes.items()
-            if token_frequency[token] >= self.min_token_frequency
+            if token_frequency[token] >= 25
         }
         # Columnar side tables: labels in sorted order (so argmax's
         # first-maximum tie-break IS the alphabetical tie-break of

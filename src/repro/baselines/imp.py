@@ -34,7 +34,6 @@ class IMPImputer:
     which a token-level model captures the same way IMP's Transformer does.
     """
 
-    alpha: float = 0.1
     _model: MultinomialNaiveBayes | None = field(default=None, repr=False)
 
     def fit(self, labelled: list[ImputationRecord]) -> "IMPImputer":
@@ -43,7 +42,7 @@ class IMPImputer:
             raise ValueError("cannot fit on an empty training set")
         texts = [_record_text(record.visible()) for record in labelled]
         y = [record.manufacturer for record in labelled]
-        self._model = MultinomialNaiveBayes(alpha=self.alpha).fit(texts, y)
+        self._model = MultinomialNaiveBayes(alpha=0.1).fit(texts, y)
         return self
 
     def predict_one(self, record: dict) -> str:

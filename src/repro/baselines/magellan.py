@@ -23,9 +23,6 @@ __all__ = ["MagellanMatcher", "evaluate_magellan"]
 class MagellanMatcher:
     """Random forest over classic record-pair similarity features."""
 
-    n_trees: int = 30
-    max_depth: int = 10
-    seed: int = 0
     _extractor: PairFeatureExtractor | None = field(default=None, repr=False)
     _model: RandomForest | None = field(default=None, repr=False)
 
@@ -44,9 +41,7 @@ class MagellanMatcher:
         )
         X = self._extractor.transform([(p.left, p.right) for p in pairs])
         y = [p.label for p in pairs]
-        self._model = RandomForest(
-            n_trees=self.n_trees, max_depth=self.max_depth, seed=self.seed
-        ).fit(X, y)
+        self._model = RandomForest(n_trees=30, max_depth=10, seed=0).fit(X, y)
         return self
 
     def predict(self, pairs: list[RecordPair]) -> list[int]:
@@ -57,9 +52,9 @@ class MagellanMatcher:
         return list(self._model.predict(X))
 
 
-def evaluate_magellan(dataset: ERDataset, seed: int = 0) -> float:
+def evaluate_magellan(dataset: ERDataset) -> float:
     """Train on train+valid, report test F1 (the Table 1 protocol)."""
-    matcher = MagellanMatcher(seed=seed)
+    matcher = MagellanMatcher()
     matcher.fit(dataset.attributes, dataset.train + dataset.valid)
     predictions = matcher.predict(dataset.test)
     return f1_score([p.label for p in dataset.test], predictions)

@@ -333,15 +333,14 @@ def _quality_filter_factory(
         render=render_document,
         payload_label="Document",
         examples=rendered_examples,
-        instructions=params.get("instructions", ""),
         purpose=params.get("purpose", f"{operator.name}-quality"),
     )
     cascade = CascadeModule(
         name=f"{operator.name}_cascade",
         rule=_quality_rule,
         teacher=teacher,
-        lower=float(params.get("rule_lower", QUALITY_RULE_LOWER)),
-        upper=float(params.get("rule_upper", QUALITY_RULE_UPPER)),
+        lower=QUALITY_RULE_LOWER,
+        upper=QUALITY_RULE_UPPER,
         rule_tag="quality-rules-v1",
         out_key=params.get("out_key", "keep"),
     )
@@ -368,9 +367,7 @@ def _decontaminate_factory(
             f"operator {operator.name!r}: decontaminate requires a non-empty "
             "'eval_items' param (the held-out benchmark sentences)"
         )
-    # Width 0 would make every document share the empty gram: all leak.
-    hard_n = _width(operator, "hard_n", DECONTAM_HARD_N)
-    soft_n = _width(operator, "soft_n", DECONTAM_SOFT_N)
+    hard_n, soft_n = DECONTAM_HARD_N, DECONTAM_SOFT_N
     hard_index = build_ngram_index(eval_items, hard_n)
     soft_index = build_ngram_index(eval_items, soft_n)
 
@@ -409,7 +406,6 @@ def _decontaminate_factory(
         render=render,
         payload_label="Document",
         examples=rendered_examples,
-        instructions=params.get("instructions", ""),
         purpose=params.get("purpose", f"{operator.name}-decontam"),
     )
     cascade = CascadeModule(
@@ -486,15 +482,14 @@ def _match_cascade_factory(
         context,
         task=params.get("task", DEDUP_VERIFY_TASK),
         examples=params.get("examples"),
-        instructions=params.get("instructions", ""),
         purpose=params.get("purpose", f"{operator.name}-verify"),
     )
     cascade = CascadeModule(
         name=f"{operator.name}_cascade",
         rule=rule,
         teacher=teacher,
-        lower=float(params.get("rule_lower", DEDUP_VERIFY_LOWER)),
-        upper=float(params.get("rule_upper", DEDUP_VERIFY_UPPER)),
+        lower=DEDUP_VERIFY_LOWER,
+        upper=DEDUP_VERIFY_UPPER,
         rule_tag=f"pair-jaccard-v1:n{shingle_n}",
     )
     return _maybe_map(cascade, operator)

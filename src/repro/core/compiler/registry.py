@@ -108,7 +108,6 @@ def make_pair_matcher(
     context: CompilerContext,
     task: str | None = None,
     examples: list[tuple[Any, bool]] | None = None,
-    instructions: str = "",
     purpose: str = "match",
 ) -> LLMModule:
     """Per-pair LLM matcher used by both the compiler and the templates."""
@@ -128,7 +127,6 @@ def make_pair_matcher(
         render=render_pair,
         payload_label="Pair",
         examples=rendered_examples,
-        instructions=instructions,
         purpose=purpose,
     )
 
@@ -165,15 +163,14 @@ def _maybe_map(module: Module, operator: LogicalOperator) -> Module:
     """Wrap per-item modules in a MapModule unless ``map=False``.
 
     The operator's ``error_policy`` param (``fail`` | ``skip_record`` |
-    ``degrade``) and optional ``degrade_fallback`` module are threaded onto
-    the wrapper, giving every mapped operator record-level isolation.
+    ``degrade``) is threaded onto the wrapper, giving every mapped operator
+    record-level isolation.
     """
     if operator.params.get("map", True):
         return MapModule(
             f"{operator.name}",
             module,
             error_policy=operator.params.get("error_policy", ErrorPolicy.FAIL),
-            fallback=operator.params.get("degrade_fallback"),
         )
     return module
 
@@ -248,7 +245,6 @@ def _match_llm_factory(operator: LogicalOperator, context: CompilerContext) -> M
         context,
         task=operator.params.get("task"),
         examples=examples,
-        instructions=operator.params.get("instructions", ""),
         purpose=operator.params.get("purpose", operator.name),
     )
     return _maybe_map(matcher, operator)
@@ -267,7 +263,6 @@ def _match_llm_batch_factory(operator: LogicalOperator, context: CompilerContext
         context,
         task=operator.params.get("task"),
         examples=examples,
-        instructions=operator.params.get("instructions", ""),
         purpose=operator.params.get("purpose", operator.name),
     )
     rendered_examples = [
@@ -309,7 +304,6 @@ def _impute_llm_factory(operator: LogicalOperator, context: CompilerContext) -> 
         ),
         parser=parse_leading_word,
         payload_label="Product",
-        instructions=operator.params.get("instructions", ""),
         purpose=operator.params.get("purpose", operator.name),
     )
     return _maybe_map(module, operator)
@@ -450,19 +444,11 @@ def _clean_text_custom_factory(operator: LogicalOperator, context: CompilerConte
 
 
 def _custom_factory(operator: LogicalOperator, context: CompilerContext) -> Module:
-    """A user's own ``Module``, or ``fn`` applied whole (or per item with ``map=True``)."""
+    """A user's own ``Module``."""
     module = operator.params.get("module")
-    if isinstance(module, Module):
-        return module
-    fn = operator.params.get("fn")
-    if not callable(fn):
-        raise CompileError(
-            f"custom operator {operator.name!r} needs module= (a Module) or fn= (a callable)"
-        )
-    description = operator.params.get("description", "")
-    if not operator.params.get("map", False):
-        return CustomModule(operator.name, fn, description)
-    return _maybe_map(CustomModule(f"{operator.name}_fn", fn, description), operator)
+    if not isinstance(module, Module):
+        raise CompileError(f"custom operator {operator.name!r} needs module= (a Module)")
+    return module
 
 
 def _schema_match_factory(operator: LogicalOperator, context: CompilerContext) -> Module:

@@ -14,8 +14,8 @@ Grammar (line oriented)::
 - Values: single/double-quoted strings, numbers, ``true``/``false``,
   ``null``, bare identifiers (operator references), and ``[...]`` lists.
 - ``#`` outside a quoted string starts a comment.
-- ``custom`` is refused: its ``fn=`` / ``module=`` take a Python callable or
-  ``Module``, which no DSL value spells; ``PipelineBuilder.custom`` builds one.
+- ``custom`` is refused: its ``module=`` takes a Python ``Module``, which
+  no DSL value spells; ``PipelineBuilder.custom`` builds one.
 """
 
 from __future__ import annotations
@@ -159,8 +159,8 @@ def parse_pipeline(text: str) -> Pipeline:
             )
         if kind == OperatorKind.CUSTOM:
             raise DslParseError(
-                f"line {line_number}: custom(...) takes a Python callable or "
-                "Module, which DSL text cannot spell; build it with "
+                f"line {line_number}: custom(...) takes a Python Module, "
+                "which DSL text cannot spell; build it with "
                 "PipelineBuilder.custom"
             )
         kwargs = _parse_kwargs(args_text, line_number)

@@ -31,9 +31,9 @@ class ErrorPolicy:
 
     - ``fail``: any record failure aborts the whole run (legacy behaviour).
     - ``skip_record``: a poisoned record is quarantined; the rest proceed.
-    - ``degrade``: route the failed record to the module's degraded fallback
-      (e.g. the optimizer's learned simulator); quarantine only if that
-      also fails.
+    - ``degrade``: route the failed record to the module's fallback (the
+      batch module's per-item matcher); quarantine it if that also fails,
+      or if the module has none.
     """
 
     FAIL = "fail"

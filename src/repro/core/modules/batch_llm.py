@@ -54,13 +54,11 @@ class BatchLLMModule(Module):
         fallback: Module | None = None,
         purpose: str | None = None,
         error_policy: str = ErrorPolicy.FAIL,
-        prompt_version: str = "",
     ):
         super().__init__(name)
         if batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         self.error_policy = ErrorPolicy.validate(error_policy)
-        self.prompt_version = prompt_version
         self.service = service
         self.task_description = task_description
         self.render_item = render_item
@@ -128,7 +126,6 @@ class BatchLLMModule(Module):
                     self.build_prompt(batch),
                     purpose=self.purpose,
                     max_tokens=1024,
-                    version=self.prompt_version,
                 )
             except LLMError as batch_error:
                 if self.error_policy == ErrorPolicy.FAIL:

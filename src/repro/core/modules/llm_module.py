@@ -52,6 +52,9 @@ def _payload_encoder() -> Callable[[Any], str]:
 
 encode_payload = _payload_encoder()
 
+#: Prompts a record gets: the first, then one stricter re-prompt.
+_ATTEMPTS = 2
+
 #: What a re-prompt at each strictness appends (strictness 2 and above
 #: share the last).
 _STRICT_SUFFIX = (
@@ -111,13 +114,9 @@ class LLMModule(Module):
     validators:
         Post-parse checks; failures trigger one stricter re-prompt before
         the module gives up and raises.
-    instructions:
-        Extra standing instructions (domain knowledge injected in NL).
-    prompt_version:
-        Version tag mixed into the service's cache keys.  Bump it whenever
-        the prompt template's *semantics* change (task rewording, new
-        parser) so stale cached answers from the previous revision — or
-        from another skill sharing a prompt string — can never be served.
+
+    A parse or validation failure re-prompts once, more strictly, before
+    the module gives up and raises.
     """
 
     module_type = "llm"
@@ -132,10 +131,7 @@ class LLMModule(Module):
         payload_label: str = "Input",
         examples: Sequence[tuple[str, str]] = (),
         validators: Sequence[OutputValidator] = (),
-        instructions: str = "",
-        max_attempts: int = 2,
         purpose: str | None = None,
-        prompt_version: str = "",
     ):
         super().__init__(name)
         self.service = service
@@ -145,10 +141,7 @@ class LLMModule(Module):
         self.payload_label = payload_label
         self.examples = list(examples)
         self.validators = list(validators)
-        self.instructions = instructions
-        self.max_attempts = max(1, max_attempts)
         self.purpose = purpose or name
-        self.prompt_version = prompt_version
         self.validation_retries = 0
         self.provider_failures = 0
         self._prefix: str | None = None
@@ -159,9 +152,6 @@ class LLMModule(Module):
             task=self.task_description,
             payload_label=self.payload_label,
             examples=[list(pair) for pair in self.examples],
-            instructions=self.instructions,
-            version=self.prompt_version,
-            max_attempts=self.max_attempts,
             purpose=self.purpose,
         )
         return identity
@@ -169,7 +159,7 @@ class LLMModule(Module):
     def build_prompt(self, value: Any, strictness: int = 0) -> str:
         """Render the full prompt for ``value``.
 
-        The task, instructions, worked examples and payload label form a
+        The task, worked examples and payload label form a
         prefix every prompt of this module shares; it is rendered once, on
         the first call, from the attributes as they are then.
         ``strictness`` > 0 appends increasingly firm output-format demands —
@@ -178,8 +168,6 @@ class LLMModule(Module):
         prefix = self._prefix
         if prefix is None:
             lines = [f"Task: {self.task_description}"]
-            if self.instructions:
-                lines.append(self.instructions)
             for index, (example_in, example_out) in enumerate(self.examples, start=1):
                 lines.append(f"Example {index}:")
                 lines.append(f"{self.payload_label}: {example_in}")
@@ -220,9 +208,7 @@ class LLMModule(Module):
         answers: dict[str, str | LLMError] = {}
         self._tls.rendered = rendered
         self._tls.answers = answers
-        return self.service.prime(
-            prompts, purpose=self.purpose, version=self.prompt_version, answers=answers
-        )
+        return self.service.prime(prompts, purpose=self.purpose, answers=answers)
 
     def drop_prefetched(self) -> None:
         """Forget what :meth:`prefetch` rendered and paid for on this thread."""
@@ -259,7 +245,7 @@ class LLMModule(Module):
 
     def _run(self, value: Any) -> Any:
         last_problem = ""
-        for attempt in range(self.max_attempts):
+        for attempt in range(_ATTEMPTS):
             text = None
             if attempt == 0:
                 prompt = self._first_prompt(value)
@@ -270,9 +256,7 @@ class LLMModule(Module):
                 try:
                     if text is not None:
                         raise text  # what ``complete`` would have raised
-                    text = self.service.complete(
-                        prompt, purpose=self.purpose, version=self.prompt_version
-                    )
+                    text = self.service.complete(prompt, purpose=self.purpose)
                 except ProviderError:
                     # The service already exhausted its resilience policy
                     # (retries, deadline); count it so run reports can
@@ -293,7 +277,7 @@ class LLMModule(Module):
             self.validation_retries += 1
         raise MalformedResponseError(
             f"module {self.name!r}: output failed validation after "
-            f"{self.max_attempts} attempts: {last_problem}"
+            f"{_ATTEMPTS} attempts: {last_problem}"
         )
 
     def _validate(self, parsed: Any) -> str | None:

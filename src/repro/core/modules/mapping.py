@@ -22,10 +22,9 @@ class MapModule(Module):
     """Apply ``inner`` to every element of a list input.
 
     ``error_policy`` controls record-level isolation (see
-    :class:`~repro.core.modules.base.ErrorPolicy`): under ``skip_record`` a
-    failing element is quarantined and omitted from the output; under
-    ``degrade`` the optional ``fallback`` module answers for it first, and
-    only a double failure quarantines.  ``fail`` keeps the legacy
+    :class:`~repro.core.modules.base.ErrorPolicy`): under ``skip_record``
+    and ``degrade`` (a map has no fallback of its own) a failing element is
+    quarantined and omitted from the output.  ``fail`` keeps the legacy
     abort-the-run behaviour.
 
     Map application is chunk-capable: the parallel scheduler may split the
@@ -43,54 +42,33 @@ class MapModule(Module):
         name: str,
         inner: Module,
         error_policy: str = ErrorPolicy.FAIL,
-        fallback: Module | None = None,
     ):
         super().__init__(name)
         self.inner = inner
         self.error_policy = ErrorPolicy.validate(error_policy)
-        self.fallback = fallback
 
-    def _apply_items(self, items: list[Any]) -> tuple[list[Any], int]:
-        """Run the per-item loop; returns ``(outputs, degraded_count)``.
+    def _apply_items(self, items: list[Any]) -> list[Any]:
+        """Run the per-item loop.
 
         Quarantined records flow through :meth:`quarantine_record`, which
         respects an active ``collecting_quarantine`` bucket.
         """
         if self.error_policy == ErrorPolicy.FAIL:
-            return [self.inner.run(item) for item in items], 0
+            return [self.inner.run(item) for item in items]
         out: list[Any] = []
-        degraded_count = 0
         for item in items:
             try:
                 out.append(self.inner.run(item))
             except Exception as error:
-                degraded = False
-                if (
-                    self.error_policy == ErrorPolicy.DEGRADE
-                    and self.fallback is not None
-                ):
-                    try:
-                        out.append(self.fallback.run(item))
-                        degraded_count += 1
-                        degraded = True
-                        if self.obs is not None:
-                            self.obs.metrics.counter("module.degraded").inc()
-                    except Exception as fallback_error:
-                        error = fallback_error
-                if not degraded:
-                    self.quarantine_record(item, error)
-        return out, degraded_count
+                self.quarantine_record(item, error)
+        return out
 
     def _run(self, value: Any) -> Any:
         if not isinstance(value, list):
             raise TypeError(
                 f"{self.name} expects a list, got {type(value).__name__}"
             )
-        out, degraded = self._apply_items(value)
-        if degraded:
-            with self._lock:
-                self.stats.degraded += degraded
-        return out
+        return self._apply_items(value)
 
     def prefetch(self, values: list[Any]) -> int:
         """Delegate cache warming to the inner module (if it supports it).
@@ -110,10 +88,10 @@ class MapModule(Module):
         try:
             self.prefetch(chunk)
             with self.collecting_quarantine() as bucket:
-                out, degraded = self._apply_items(chunk)
+                out = self._apply_items(chunk)
         finally:
             self.drop_prefetched()
-        return ChunkOutcome(outputs=out, quarantine=bucket, degraded=degraded)
+        return ChunkOutcome(outputs=out, quarantine=bucket)
 
     def describe(self) -> str:
         """Rendering that exposes the mapped module."""

@@ -114,7 +114,7 @@ class TabularConnector:
 
     # -- the NL question path ------------------------------------------------------
 
-    def ask(self, question: str, purpose: str = "connector") -> ConnectorAnswer:
+    def ask(self, question: str) -> ConnectorAnswer:
         """Answer an NL question: schema -> LLM SQL -> local execution.
 
         Only the schema text goes up; only capped result rows come back into
@@ -129,7 +129,7 @@ class TabularConnector:
             f"Schema: {schema}\n"
             f"Question: {question}"
         )
-        response = self.service.complete(prompt, purpose=purpose)
+        response = self.service.complete(prompt, purpose="connector")
         sql = self._extract_sql(response)
         result = execute_statement(self._check_policy(sql), self.database.tables)
         exposed_rows = min(len(result), self.max_result_rows)

@@ -22,9 +22,9 @@ low-confidence tail, which keeps training the student (the paper's
   LLM service ledger via :meth:`LLMService.record_distilled` with
   provenance ``distilled`` and zero cost, so run reports account for every
   answered prompt and the savings are auditable, not inferred;
-- **audited promotion** — after promotion every ``audit_every``-th
-  student-confident record is *also* sent to the teacher; rolling
-  agreement below ``demote_below`` demotes the student back to shadow
+- **audited promotion** — after promotion every 10th student-confident
+  record is *also* sent to the teacher; once 5 audits exist, agreement
+  below 0.7 over the last 20 demotes the student back to shadow
   training.  Promotion is therefore reversible when the data distribution
   drifts (or the provider's answers change under injected faults).
 
@@ -49,6 +49,15 @@ from repro.ml.forest import RandomForest
 from repro.ml.logistic import SoftmaxRegression
 
 __all__ = ["DistillStats", "DistillationRouter"]
+
+#: Audit control after promotion: every ``_AUDIT_EVERY``-th confident
+#: record also goes to the teacher; once ``_MIN_AUDITS`` audits exist,
+#: agreement below ``_DEMOTE_BELOW`` over the last ``_AUDIT_WINDOW``
+#: demotes the student.
+_AUDIT_EVERY = 10
+_AUDIT_WINDOW = 20
+_MIN_AUDITS = 5
+_DEMOTE_BELOW = 0.7
 
 
 @dataclass
@@ -158,12 +167,6 @@ class DistillationRouter(Module):
         Per-input confidence the promoted student needs to answer locally.
     refit_every:
         Retrain cadence (in new teacher-labelled samples).
-    audit_every:
-        After promotion, every Nth student-confident record is also sent
-        to the teacher and the two answers compared.
-    audit_window / demote_below / min_audits:
-        Demotion control: once ``min_audits`` audits exist in the rolling
-        window, agreement below ``demote_below`` demotes the student.
     """
 
     module_type = "decorated"
@@ -183,11 +186,6 @@ class DistillationRouter(Module):
         accuracy_bar: float = 0.9,
         confidence_threshold: float = 0.85,
         refit_every: int = 25,
-        audit_every: int = 10,
-        audit_window: int = 20,
-        demote_below: float = 0.7,
-        min_audits: int = 5,
-        n_features: int = 1024,
         purpose: str | None = None,
     ):
         super().__init__(name)
@@ -203,13 +201,10 @@ class DistillationRouter(Module):
         self.accuracy_bar = accuracy_bar
         self.confidence_threshold = confidence_threshold
         self.refit_every = max(1, refit_every)
-        self.audit_every = max(2, audit_every)
-        self.demote_below = demote_below
-        self.min_audits = min_audits
         self.purpose = purpose or name
         self.distill_stats = DistillStats()
         self._vectorize = vectorize
-        self._vectorizer = HashingVectorizer(n_features=n_features)
+        self._vectorizer = HashingVectorizer(n_features=1024)
         self._X: list[np.ndarray] = []
         self._y: list[Hashable] = []
         self._model: SoftmaxRegression | _ForestStudent | None = None
@@ -217,7 +212,7 @@ class DistillationRouter(Module):
         self._holdout_accuracy = 0.0
         self._promoted = False
         self._since_audit = 0
-        self._audit_results: deque[bool] = deque(maxlen=max(audit_window, min_audits))
+        self._audit_results: deque[bool] = deque(maxlen=_AUDIT_WINDOW)
 
     def _bump(self, name: str) -> None:
         """Mirror one router event into the service's metrics, when attached."""
@@ -277,9 +272,8 @@ class DistillationRouter(Module):
         self._audit_results.append(agreed)
         if (
             self._promoted
-            and len(self._audit_results) >= self.min_audits
-            and sum(self._audit_results) / len(self._audit_results)
-            < self.demote_below
+            and len(self._audit_results) >= _MIN_AUDITS
+            and sum(self._audit_results) / len(self._audit_results) < _DEMOTE_BELOW
         ):
             self._demote()
 
@@ -342,7 +336,7 @@ class DistillationRouter(Module):
             )[0]
             if confidence >= self.confidence_threshold:
                 self._since_audit += 1
-                if self._since_audit >= self.audit_every:
+                if self._since_audit >= _AUDIT_EVERY:
                     # Audit: pay the teacher for this one and compare.  An
                     # audit the teacher never answered is not an audit.
                     self._since_audit = 0

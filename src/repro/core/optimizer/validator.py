@@ -17,7 +17,7 @@ repair rounds rather than wall-clock so runs are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from repro.core.modules.base import Module
 from repro.core.modules.llmgc import LLMGCModule
@@ -28,19 +28,16 @@ __all__ = ["TestCase", "CaseResult", "ValidationReport", "ModuleValidator"]
 
 @dataclass(frozen=True)
 class TestCase:
-    """One example: input plus expected output (or a custom comparator)."""
+    """One example: input plus expected output."""
 
     __test__ = False  # not a pytest class, despite the name
 
     input: Any
     expected: Any = None
-    comparator: Callable[[Any, Any], bool] | None = None
     name: str = ""
 
     def passes(self, actual: Any) -> bool:
         """Whether ``actual`` satisfies this case."""
-        if self.comparator is not None:
-            return bool(self.comparator(actual, self.expected))
         return actual == self.expected
 
     def describe(self) -> str:

@@ -62,7 +62,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro._jsonl import CheckpointJournal, _decode_block, _encode_block, emit_torn_tail
+from repro._jsonl import (
+    CheckpointJournal,
+    _decode_block,
+    _encode_block,
+    _parse_line,
+    emit_torn_tail,
+)
 from repro.core.modules.base import ChunkOutcome, QuarantinedRecord
 from repro.llm.service import CallRecord, CallScope, LLMService
 from repro.resilience.clock import VirtualClock
@@ -229,9 +235,9 @@ class RunJournal:
     fingerprint is known, so a resume that then fails the check has
     already pruned what the cache gained since the header.
 
-    A journal of another format version is refused, and nothing is
-    appended to it: this build reads the lines it writes and no others.
-    What the load repaired is counted in ``stats.torn_bytes`` /
+    A journal of another format version is refused and left byte for
+    byte as it was: this build reads the lines it writes and no others.
+    What the load found damaged is counted in ``stats.torn_bytes`` /
     ``stats.corrupt_lines`` and surfaced by
     :func:`~repro._jsonl.emit_torn_tail`.
 
@@ -275,6 +281,17 @@ class RunJournal:
         journal, stats = self.journal, self.stats
         if not self.resume:
             journal.delete()
+        elif journal.path.exists():
+            # Check the header before the load cuts a torn tail: a journal
+            # this build refuses is left byte for byte as the user had it.
+            with journal.path.open("rb") as handle:
+                first = handle.readline()
+            if first.endswith(b"\n"):
+                try:
+                    header = _parse_line(first)
+                except ValueError:
+                    header = None
+                self._check_header(header if isinstance(header, dict) else {})
         lines = journal.load()
         # An op, chunk or shard line whose fields or work do not decode is
         # damaged like a line that is not JSON: skipped and counted, so its

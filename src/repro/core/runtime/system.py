@@ -22,7 +22,6 @@ from repro.core.templates.library import (
     get_template,
     search_templates,
 )
-from repro.llm.knowledge import KnowledgeBase
 from repro.llm.providers import SimulatedProvider
 from repro.llm.service import LLMService, UsageSummary
 from repro.storage.database import Database
@@ -38,11 +37,6 @@ class LinguaManga:
     ----------
     service:
         An :class:`LLMService`; a fresh simulated one is created by default.
-    database:
-        The local relational store the connector queries.
-    knowledge:
-        Knowledge-base overrides for the simulated provider (ignored when a
-        custom ``service`` is given).
     cache_path:
         Optional JSONL journal for the prompt cache (ignored when a custom
         ``service`` is given): answers persist across processes, so a
@@ -59,18 +53,15 @@ class LinguaManga:
     def __init__(
         self,
         service: LLMService | None = None,
-        database: Database | None = None,
-        knowledge: KnowledgeBase | None = None,
         cache_path: str | None = None,
         obs: "Any | None" = None,
     ):
         if service is None:
-            provider = SimulatedProvider(knowledge=knowledge)
-            service = LLMService(provider, cache_path=cache_path, obs=obs)
+            service = LLMService(SimulatedProvider(), cache_path=cache_path, obs=obs)
         elif obs is not None:
             service.attach_obs(obs)
         self.service = service
-        self.database = database or Database()
+        self.database = Database()
         self.context = CompilerContext(service=self.service, database=self.database)
         self.compiler = LinguaMangaCompiler(self.context)
 
@@ -81,9 +72,9 @@ class LinguaManga:
 
     # -- pipeline construction ----------------------------------------------------
 
-    def builder(self, name: str, description: str = "") -> PipelineBuilder:
+    def builder(self, name: str) -> PipelineBuilder:
         """Start a fluent pipeline builder."""
-        return PipelineBuilder(name, description)
+        return PipelineBuilder(name)
 
     def parse(self, dsl_text: str) -> Pipeline:
         """Parse a pipeline from DSL text."""
@@ -91,9 +82,9 @@ class LinguaManga:
 
     # -- templates -------------------------------------------------------------------
 
-    def search_templates(self, query: str, limit: int = 3) -> list[tuple[Template, float]]:
+    def search_templates(self, query: str) -> list[tuple[Template, float]]:
         """Rank templates against a natural-language need."""
-        return search_templates(query, limit)
+        return search_templates(query)
 
     def template(self, name: str) -> Template:
         """Fetch a template by name."""
@@ -243,9 +234,9 @@ class LinguaManga:
 
     # -- data and services ---------------------------------------------------------------
 
-    def register_table(self, table: Table, name: str | None = None) -> None:
+    def register_table(self, table: Table) -> None:
         """Add a table to the local database."""
-        self.database.register(table, name)
+        self.database.register(table)
 
     def connector(self, max_result_rows: int = 20) -> TabularConnector:
         """A privacy-preserving connector over the local database."""

@@ -65,10 +65,8 @@ def _pair_similarity_vectorize() -> Callable[[Any], Any]:
 def _entity_resolution_template(
     examples: list[tuple[Any, bool]] | None = None,
     task: str | None = None,
-    instructions: str = "",
     error_policy: str | None = None,
     distill: bool = False,
-    distill_config: dict[str, Any] | None = None,
 ) -> Pipeline:
     """Figure 2b: the built-in, well-optimized ER pipeline.
 
@@ -91,23 +89,21 @@ def _entity_resolution_template(
         params["examples"] = examples
     if task:
         params["task"] = task
-    if instructions:
-        params["instructions"] = instructions
     if error_policy:
         params["error_policy"] = error_policy
     if distill:
         params["simulate"] = True
-        config = dict(distill_config or {})
         # The student that actually distils an LLM matcher is the Magellan
         # shape: a forest over per-attribute similarity features, not a
         # bag-of-hashed-tokens text model.
-        config.setdefault("student", "forest")
-        config.setdefault("vectorize", _pair_similarity_vectorize())
-        config.setdefault("min_samples", 40)
-        config.setdefault("accuracy_bar", 0.85)
-        config.setdefault("confidence_threshold", 0.9)
-        config.setdefault("refit_every", 20)
-        params["simulate_config"] = config
+        params["simulate_config"] = {
+            "student": "forest",
+            "vectorize": _pair_similarity_vectorize(),
+            "min_samples": 40,
+            "accuracy_bar": 0.85,
+            "confidence_threshold": 0.9,
+            "refit_every": 20,
+        }
     return (
         builder.load(source="pairs")
         .match_entities(**params)
@@ -119,7 +115,6 @@ def _entity_resolution_template(
 def _name_extraction_template(
     multilingual: bool = True,
     simulate_tagging: bool = False,
-    noun_phrase_cases: list[TestCase] | None = None,
 ) -> Pipeline:
     """Figure 3: tokenize -> noun phrases (LLMGC) -> tag (LLM + validator).
 
@@ -127,8 +122,6 @@ def _name_extraction_template(
     section 4.2 adds to fix multilingual degradation; ``simulate_tagging``
     attaches the optimizer's simulator to the expensive tagging module.
     """
-    if noun_phrase_cases is None:
-        noun_phrase_cases = default_noun_phrase_cases()
     builder = PipelineBuilder(
         "name_extraction_template",
         description="name extraction with LLMGC chunking and LLM tagging",
@@ -137,7 +130,7 @@ def _name_extraction_template(
     builder.tokenize(impl="llmgc", validator_cases=_tokenize_cases())
     if multilingual:
         builder.detect_language(impl="custom")
-    builder.noun_phrases(impl="llmgc", validator_cases=noun_phrase_cases)
+    builder.noun_phrases(impl="llmgc", validator_cases=default_noun_phrase_cases())
     tag_params: dict[str, Any] = {"use_language": multilingual}
     if simulate_tagging:
         tag_params["simulate"] = True
@@ -211,7 +204,6 @@ def _data_cleaning_template() -> Pipeline:
 
 def _document_dedup_template(
     examples: list[tuple[Any, bool]] | None = None,
-    instructions: str = "",
     error_policy: str | None = None,
     num_perm: int | None = None,
     bands: int | None = None,
@@ -234,8 +226,6 @@ def _document_dedup_template(
     match_params: dict[str, Any] = {"impl": "cascade", "task": DEDUP_VERIFY_TASK}
     if examples:
         match_params["examples"] = examples
-    if instructions:
-        match_params["instructions"] = instructions
     if error_policy:
         match_params["error_policy"] = error_policy
     candidate_params: dict[str, Any] = {"dual": dual}
@@ -254,12 +244,8 @@ def _document_dedup_template(
 
 def _quality_filter_template(
     examples: list[tuple[Any, bool]] | None = None,
-    instructions: str = "",
     error_policy: str | None = None,
-    rule_lower: float | None = None,
-    rule_upper: float | None = None,
     distill: bool = False,
-    distill_config: dict[str, Any] | None = None,
 ) -> Pipeline:
     """Quality filtering as a classifier cascade (rules -> student -> LLM).
 
@@ -276,27 +262,20 @@ def _quality_filter_template(
     params: dict[str, Any] = {"impl": "llm"}
     if examples:
         params["examples"] = examples
-    if instructions:
-        params["instructions"] = instructions
     if error_policy:
         params["error_policy"] = error_policy
-    if rule_lower is not None:
-        params["rule_lower"] = rule_lower
-    if rule_upper is not None:
-        params["rule_upper"] = rule_upper
     if distill:
         params["simulate"] = True
-        config = dict(distill_config or {})
-        # The student reads the document text, not the record repr.
-        config.setdefault(
-            "featurize",
-            lambda doc: str(doc.get("text", doc)) if isinstance(doc, dict) else str(doc),
-        )
-        config.setdefault("min_samples", 40)
-        config.setdefault("accuracy_bar", 0.85)
-        config.setdefault("confidence_threshold", 0.9)
-        config.setdefault("refit_every", 20)
-        params["simulate_config"] = config
+        params["simulate_config"] = {
+            # The student reads the document text, not the record repr.
+            "featurize": lambda doc: (
+                str(doc.get("text", doc)) if isinstance(doc, dict) else str(doc)
+            ),
+            "min_samples": 40,
+            "accuracy_bar": 0.85,
+            "confidence_threshold": 0.9,
+            "refit_every": 20,
+        }
     return (
         builder.load(source="documents")
         .quality_filter(**params)
@@ -308,10 +287,7 @@ def _quality_filter_template(
 def _decontamination_template(
     eval_items: list[str] | None = None,
     examples: list[tuple[Any, str, bool]] | None = None,
-    instructions: str = "",
     error_policy: str | None = None,
-    hard_n: int | None = None,
-    soft_n: int | None = None,
 ) -> Pipeline:
     """Benchmark decontamination: two-tier n-gram scan + LLM adjudication.
 
@@ -329,14 +305,8 @@ def _decontamination_template(
     params: dict[str, Any] = {"impl": "llm", "eval_items": list(eval_items)}
     if examples:
         params["examples"] = examples
-    if instructions:
-        params["instructions"] = instructions
     if error_policy:
         params["error_policy"] = error_policy
-    if hard_n is not None:
-        params["hard_n"] = hard_n
-    if soft_n is not None:
-        params["soft_n"] = soft_n
     return (
         builder.load(source="documents")
         .decontaminate(**params)
@@ -518,8 +488,9 @@ def get_template(name: str) -> Template:
     return _TEMPLATES[name]
 
 
-def search_templates(query: str, limit: int = 3) -> list[tuple[Template, float]]:
-    """Rank templates against an NL ``query`` by keyword/description overlap.
+def search_templates(query: str) -> list[tuple[Template, float]]:
+    """The three templates that best match an NL ``query`` by keyword and
+    description overlap.
 
     This is the no-code entry point: "users can easily search for existing
     templates within the system" (section 4.1).
@@ -535,4 +506,4 @@ def search_templates(query: str, limit: int = 3) -> list[tuple[Template, float]]
         if score > 0:
             scored.append((template, score))
     scored.sort(key=lambda pair: (-pair[1], pair[0].name))
-    return scored[:limit]
+    return scored[:3]

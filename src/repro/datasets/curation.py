@@ -38,7 +38,7 @@ import functools
 import re
 from dataclasses import dataclass, field
 from random import Random
-from typing import Callable, Iterator, Sequence
+from typing import Callable, ClassVar, Iterator, Sequence
 
 from repro._util import below, indexed_hash, stable_prefix
 from repro.datasets.catalog import BEER_STYLES, BREWERY_WORDS, CUISINES
@@ -55,6 +55,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Shared word material
 # ---------------------------------------------------------------------------
+
+#: Documents an example picker looks through at most.
+_EXAMPLE_SCAN = 256
 
 _ADJECTIVES = (
     "Old", "Double", "Dark", "Wild", "Lucky", "Iron", "Golden",
@@ -374,23 +377,20 @@ class CurationCorpus:
     n_docs:
         Corpus size; document ``i`` is a pure function of
         ``(seed, name, i)``.
-    dup_fraction:
-        Probability that document ``i >= dup_floor`` is a mutated copy of
-        an earlier canonical document.
-    contamination_fraction:
-        Probability that a document splices in an eval-set sentence.
-    eval_size:
-        Size of the paired held-out :class:`CurationEvalSet`.
     """
 
     n_docs: int
     seed: int | str = 7
-    name: str = "curation"
-    dup_fraction: float = 0.28
-    contamination_fraction: float = 0.10
-    eval_size: int = 32
+    name: ClassVar[str] = "curation"
+    #: probability that document ``i >= dup_floor`` is a mutated copy of an
+    #: earlier canonical document
+    dup_fraction: ClassVar[float] = 0.28
+    #: probability that a document splices in an eval-set sentence
+    contamination_fraction: ClassVar[float] = 0.10
+    #: size of the paired held-out :class:`CurationEvalSet`
+    eval_size: ClassVar[int] = 32
     #: first index eligible to be a duplicate (guarantees canonical targets)
-    dup_floor: int = 8
+    dup_floor: ClassVar[int] = 8
     #: ``stable_prefix(seed, name)``, joined once (see ``_TAGS``)
     _prefix: bytes = field(init=False, repr=False, compare=False)
     #: documents derived so far, by index (see :meth:`doc`)
@@ -405,10 +405,6 @@ class CurationCorpus:
     def __post_init__(self) -> None:
         if self.n_docs < 0:
             raise ValueError("n_docs must be non-negative")
-        if not 0.0 <= self.dup_fraction <= 1.0:
-            raise ValueError("dup_fraction must be in [0, 1]")
-        if not 0.0 <= self.contamination_fraction <= 1.0:
-            raise ValueError("contamination_fraction must be in [0, 1]")
         object.__setattr__(self, "_prefix", stable_prefix(self.seed, self.name))
 
     def __len__(self) -> int:
@@ -701,18 +697,18 @@ class CurationCorpus:
 
     # -- few-shot example pickers -------------------------------------------------
 
-    def dedup_examples(self, k: int = 4, scan: int = 256) -> list[tuple[tuple, bool]]:
+    def dedup_examples(self, k: int = 4) -> list[tuple[tuple, bool]]:
         """Balanced duplicate/non-duplicate record-pair examples.
 
         Positives pair a duplicate with its cluster canonical; negatives
         pair two nearby canonicals.  Found by a bounded forward scan (the
-        :meth:`StreamingERCorpus.examples` idiom): at most ``scan`` documents.
+        :meth:`StreamingERCorpus.examples` idiom): at most 256 documents.
         """
         positives: list[tuple[dict, dict]] = []
         negatives: list[tuple[dict, dict]] = []
         need = (k + 1) // 2
         previous_canonical: CurationDoc | None = None
-        for index in range(min(scan, self.n_docs)):
+        for index in range(min(_EXAMPLE_SCAN, self.n_docs)):
             doc = self.doc(index)
             if doc.is_duplicate and len(positives) < need:
                 positives.append((self.doc(doc.cluster).record(), doc.record()))
@@ -729,9 +725,7 @@ class CurationCorpus:
                 chosen.append((source[index // 2], label))
         return chosen
 
-    def decontamination_examples(
-        self, k: int = 4, scan: int = 256
-    ) -> list[tuple[dict, str, bool]]:
+    def decontamination_examples(self, k: int = 4) -> list[tuple[dict, str, bool]]:
         """Balanced ``(document, eval item, leaked?)`` adjudication examples.
 
         Positives pair a contaminated document with the eval item actually
@@ -741,7 +735,7 @@ class CurationCorpus:
         positives: list[tuple[dict, str, bool]] = []
         negatives: list[tuple[dict, str, bool]] = []
         need = (k + 1) // 2
-        for index in range(min(scan, self.n_docs)):
+        for index in range(min(_EXAMPLE_SCAN, self.n_docs)):
             doc = self.doc(index)
             if doc.contaminated and len(positives) < need:
                 positives.append(
@@ -760,12 +754,12 @@ class CurationCorpus:
                 chosen.append(source[index // 2])
         return chosen
 
-    def quality_examples(self, k: int = 4, scan: int = 256) -> list[tuple[dict, bool]]:
+    def quality_examples(self, k: int = 4) -> list[tuple[dict, bool]]:
         """Balanced keep/drop document examples for the quality teacher."""
         keeps: list[CurationDoc] = []
         drops: list[CurationDoc] = []
         need = (k + 1) // 2
-        for index in range(min(scan, self.n_docs)):
+        for index in range(min(_EXAMPLE_SCAN, self.n_docs)):
             doc = self.doc(index)
             bucket = keeps if doc.keep else drops
             if len(bucket) < need:

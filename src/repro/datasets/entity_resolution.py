@@ -370,19 +370,17 @@ def generate_er_dataset(
     name: str,
     seed: int = 7,
     n_entities: int | None = None,
-    intensity: float | None = None,
 ) -> ERDataset:
     """Generate one of the three benchmark datasets by ``name``.
 
-    ``n_entities`` and ``intensity`` override the domain defaults (useful
-    for ablations on dataset dirtiness).
+    ``n_entities`` overrides the domain's default size.
     """
     if name not in _DOMAINS:
         raise ValueError(f"unknown ER dataset {name!r}; have {ER_DATASET_NAMES}")
     spec = _DOMAINS[name]
     rng = seeded_rng(f"er-{name}-{seed}")
     n = n_entities if n_entities is not None else spec["n_entities"]
-    level = intensity if intensity is not None else spec["intensity"]
+    level = spec["intensity"]
     entities = spec["build"](rng, n)
     corrupt = spec["corrupt"]
     key = spec["key"]

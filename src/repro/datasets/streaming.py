@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
-from typing import Iterator
+from typing import ClassVar, Iterator
 
 from repro._util import below, indexed_hash, stable_prefix
 from repro.datasets.catalog import BEER_STYLES, BREWERY_WORDS
@@ -61,18 +61,17 @@ class StreamingERCorpus:
     n_pairs:
         Corpus size; one labelled candidate pair per index in
         ``range(n_pairs)``.
-    seed / name:
-        Together the corpus identity: every pair is a pure function of
-        ``(seed, name, index)``.  ``fingerprint`` folds them into a stable
-        string for the shard ledger's run header.
-    match_fraction:
-        Probability that pair ``i`` is a true match (label 1).
+    seed:
+        With ``name``, the corpus identity: every pair is a pure function
+        of ``(seed, name, index)``.  ``fingerprint`` folds them into a
+        stable string for the shard ledger's run header.
     """
 
     n_pairs: int
     seed: int | str = 7
-    match_fraction: float = 0.4
-    name: str = "stream-beer"
+    #: probability that pair ``i`` is a true match (label 1)
+    match_fraction: ClassVar[float] = 0.4
+    name: ClassVar[str] = "stream-beer"
     #: ``stable_prefix(seed, name, "pair")``: what every pair's seed hash
     #: starts with, joined once per corpus
     _prefix: bytes = field(init=False, repr=False, compare=False)
@@ -80,8 +79,6 @@ class StreamingERCorpus:
     def __post_init__(self) -> None:
         if self.n_pairs < 0:
             raise ValueError("n_pairs must be non-negative")
-        if not 0.0 <= self.match_fraction <= 1.0:
-            raise ValueError("match_fraction must be in [0, 1]")
         object.__setattr__(self, "_prefix", stable_prefix(self.seed, self.name, "pair"))
 
     def __len__(self) -> int:
@@ -171,8 +168,8 @@ class StreamingERCorpus:
         for index in range(self.n_pairs):
             yield 1 if Random(indexed_hash(prefix, index)).random() < match_fraction else 0
 
-    def examples(self, k: int = 4, scan: int = 512) -> list[tuple[tuple, bool]]:
-        """Balanced few-shot examples drawn from the first ``scan`` pairs.
+    def examples(self) -> list[tuple[tuple, bool]]:
+        """Four balanced few-shot examples drawn from the first 512 pairs.
 
         The streaming analogue of
         :func:`repro.tasks.entity_resolution.pick_examples`: alternating
@@ -181,8 +178,8 @@ class StreamingERCorpus:
         """
         positives: list[RecordPair] = []
         negatives: list[RecordPair] = []
-        need = (k + 1) // 2
-        for index in range(min(scan, self.n_pairs)):
+        need = 2
+        for index in range(min(512, self.n_pairs)):
             pair = self.pair(index)
             bucket = positives if pair.label else negatives
             if len(bucket) < need:
@@ -190,7 +187,7 @@ class StreamingERCorpus:
             if len(positives) >= need and len(negatives) >= need:
                 break
         chosen: list[RecordPair] = []
-        for index in range(k):
+        for index in range(4):
             source = positives if index % 2 == 0 else negatives
             if index // 2 < len(source):
                 chosen.append(source[index // 2])

@@ -89,7 +89,7 @@ class FaultKind:
 
     TRANSIENT = "transient"  # raise ProviderError
     RATE_LIMIT = "rate_limit"  # raise RateLimitError(retry_after=...)
-    LATENCY = "latency"  # serve, but add extra_latency seconds
+    LATENCY = "latency"  # serve, but 5 seconds late
     MALFORMED = "malformed"  # serve, but truncate the completion text
     OUTAGE = "outage"  # fail everything inside the [start, end) window
 
@@ -112,10 +112,9 @@ class FaultSpec:
         spec is dormant.  ``None`` means unbounded on that side.
     retry_after:
         Cooldown attached to injected :class:`RateLimitError` responses.
-    extra_latency:
-        Seconds added to the response for ``latency`` spikes.
-    truncate_to:
-        Characters kept of the completion for ``malformed`` faults.
+
+    A ``latency`` spike adds 5 seconds to the response; a ``malformed``
+    fault keeps the completion's first 5 characters.
     """
 
     kind: str
@@ -123,17 +122,14 @@ class FaultSpec:
     start: float | None = None
     end: float | None = None
     retry_after: float = 1.0
-    extra_latency: float = 5.0
-    truncate_to: int = 5
 
     def __post_init__(self) -> None:
         if self.kind not in FaultKind.ALL:
             raise ValueError(f"unknown fault kind {self.kind!r}; known: {FaultKind.ALL}")
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError("rate must be in [0, 1]")
-        for name in ("retry_after", "extra_latency", "truncate_to"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must not be negative")
+        if self.retry_after < 0:
+            raise ValueError("retry_after must not be negative")
         if self.start is not None and self.end is not None and self.start >= self.end:
             raise ValueError("window start must be before its end")
 
@@ -209,8 +205,8 @@ class ChaosProvider(LLMProvider):
         for spec in mutations:
             if spec.kind == FaultKind.LATENCY:
                 response = response._replace(
-                    latency_seconds=response.latency_seconds + spec.extra_latency,
+                    latency_seconds=response.latency_seconds + 5.0,
                 )
             elif spec.kind == FaultKind.MALFORMED:
-                response = response._replace(text=response.text[: spec.truncate_to])
+                response = response._replace(text=response.text[:5])
         return response

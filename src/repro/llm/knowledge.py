@@ -35,40 +35,30 @@ _PARTICLES = {"de", "del", "della", "di", "da", "van", "von", "der", "den",
 _BRAND_NAMES = [brand.name for brand in catalog.BRANDS]
 
 
+#: Fraction of products whose manufacturer the model does not know.
+_BRAND_GAP = 0.045
+#: Of the known products, fraction answered with a *wrong* brand
+#: (hallucination) rather than "unknown".
+_BRAND_CONFUSION = 0.015
+#: Error rate when judging person names in a language the model was told
+#: about (or English).
+_NAME_NOISE_NATIVE = 0.04
+#: Error rate when judging non-English names *without* a language hint —
+#: the multilingual degradation of paper section 4.2.
+_NAME_NOISE_FOREIGN = 0.35
+#: Base error rate for borderline entity-match judgements.
+_MATCH_NOISE = 0.04
+#: Base error rate for borderline corpus-curation judgements (document
+#: quality, contamination adjudication).
+_CURATION_NOISE = 0.05
+#: Folded into every stochastic decision.
+_SEED_TAG = "kb-v1"
+
+
 @dataclass
 class KnowledgeBase:
-    """Calibrated, partial world knowledge for the simulated LLM.
+    """Calibrated, partial world knowledge for the simulated LLM."""
 
-    Parameters
-    ----------
-    brand_gap:
-        Fraction of products whose manufacturer the model does not know.
-    brand_confusion:
-        Of the known products, fraction answered with a *wrong* brand
-        (hallucination) rather than "unknown".
-    name_noise_native:
-        Error rate when judging person names in a language the model was
-        told about (or English).
-    name_noise_foreign:
-        Error rate when judging non-English names *without* a language hint
-        — the multilingual degradation of paper section 4.2.
-    match_noise:
-        Base error rate for borderline entity-match judgements.
-    curation_noise:
-        Base error rate for borderline corpus-curation judgements (document
-        quality, contamination adjudication).
-    seed_tag:
-        Folded into every stochastic decision so distinct experiment
-        configurations can decorrelate their noise.
-    """
-
-    brand_gap: float = 0.045
-    brand_confusion: float = 0.015
-    name_noise_native: float = 0.04
-    name_noise_foreign: float = 0.35
-    match_noise: float = 0.04
-    curation_noise: float = 0.05
-    seed_tag: str = "kb-v1"
     _memo: dict = field(default_factory=dict, repr=False)
 
     # -- product manufacturers ------------------------------------------------
@@ -87,18 +77,18 @@ class KnowledgeBase:
         # model knows who makes a line or it does not, regardless of how the
         # particular product is phrased.
         roll_key = line if line is not None else product_text.lower()
-        roll = stable_unit(self.seed_tag, "brand", truth, roll_key)
-        if roll < self.brand_gap:
+        roll = stable_unit(_SEED_TAG, "brand", truth, roll_key)
+        if roll < _BRAND_GAP:
             return None, 0.0
-        if roll < self.brand_gap + self.brand_confusion:
+        if roll < _BRAND_GAP + _BRAND_CONFUSION:
             wrong = stable_choice(
                 [b for b in _BRAND_NAMES if b != truth],
-                self.seed_tag,
+                _SEED_TAG,
                 "brand-wrong",
                 roll_key,
             )
             return wrong, 0.62
-        confidence = 0.8 + 0.19 * stable_unit(self.seed_tag, "brand-conf", product_text)
+        confidence = 0.8 + 0.19 * stable_unit(_SEED_TAG, "brand-conf", product_text)
         return truth, confidence
 
     # -- person names ----------------------------------------------------------
@@ -129,15 +119,15 @@ class KnowledgeBase:
         # Decide whether this particular judgement is corrupted by noise.
         language = language_hint or detect_language(phrase).language
         noise = (
-            self.name_noise_native
+            _NAME_NOISE_NATIVE
             if (language_hint or language == "en")
-            else self.name_noise_foreign
+            else _NAME_NOISE_FOREIGN
         )
-        if stable_unit(self.seed_tag, "name", phrase, bool(language_hint)) < noise:
+        if stable_unit(_SEED_TAG, "name", phrase, bool(language_hint)) < noise:
             truth = not truth
             confidence = 0.55
         else:
-            confidence = 0.85 + 0.14 * stable_unit(self.seed_tag, "name-conf", phrase)
+            confidence = 0.85 + 0.14 * stable_unit(_SEED_TAG, "name-conf", phrase)
         return truth, confidence
 
     # -- entity matching --------------------------------------------------------
@@ -150,8 +140,8 @@ class KnowledgeBase:
         ``extra_noise`` models poor prompt engineering (the FMs baseline).
         """
         hardness = max(0.0, 1.0 - margin * 4.0)
-        p_flip = min(0.95, self.match_noise * (0.4 + hardness) + extra_noise * hardness)
-        return stable_unit(self.seed_tag, "match", pair_key) < p_flip
+        p_flip = min(0.95, _MATCH_NOISE * (0.4 + hardness) + extra_noise * hardness)
+        return stable_unit(_SEED_TAG, "match", pair_key) < p_flip
 
     # -- corpus curation --------------------------------------------------------
 
@@ -166,6 +156,6 @@ class KnowledgeBase:
         """
         hardness = max(0.0, 1.0 - margin * 4.0)
         p_flip = min(
-            0.95, self.curation_noise * (0.4 + hardness) + extra_noise * hardness
+            0.95, _CURATION_NOISE * (0.4 + hardness) + extra_noise * hardness
         )
-        return stable_unit(self.seed_tag, "judgement", kind, key) < p_flip
+        return stable_unit(_SEED_TAG, "judgement", kind, key) < p_flip

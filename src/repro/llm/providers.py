@@ -16,7 +16,7 @@ from typing import Any, NamedTuple
 
 from repro.llm.errors import ProviderError
 from repro.llm.knowledge import KnowledgeBase
-from repro.llm.skills import Skill, default_skills
+from repro.llm.skills import default_skills
 from repro.llm.tokenizer import count_tokens
 
 __all__ = [
@@ -34,7 +34,6 @@ class LLMRequest:
 
     prompt: str
     max_tokens: int = 256
-    temperature: float = 0.0
     metadata: dict[str, Any] = field(default_factory=dict)
 
 
@@ -107,13 +106,9 @@ class SimulatedProvider(LLMProvider):
 
     model_name = "sim-gpt-2023"
 
-    def __init__(
-        self,
-        knowledge: KnowledgeBase | None = None,
-        skills: list[Skill] | None = None,
-    ):
-        self.knowledge = knowledge or KnowledgeBase()
-        self.skills = skills if skills is not None else default_skills()
+    def __init__(self):
+        self.knowledge = KnowledgeBase()
+        self.skills = default_skills()
         self.calls_served = 0
         self._lock = threading.Lock()
 

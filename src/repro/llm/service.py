@@ -400,7 +400,6 @@ class LLMService:
         prompt: str,
         purpose: str = "",
         max_tokens: int = 256,
-        version: str = _NO_VERSION,
     ) -> str:
         """Answer ``prompt``; returns the response text.
 
@@ -415,7 +414,7 @@ class LLMService:
         provider attempts stay sequential and deterministic even under
         heavy concurrency.
         """
-        key = self._cache_key(prompt, max_tokens, version)
+        key = self._cache_key(prompt, max_tokens, _NO_VERSION)
         while True:
             with self._lock:
                 cached = self.cache.get(key)
@@ -486,8 +485,6 @@ class LLMService:
         self,
         prompts: Sequence[str],
         purpose: str = "",
-        max_tokens: int = 256,
-        version: str = _NO_VERSION,
         answers: dict[str, str | LLMError] | None = None,
     ) -> int:
         """Pay for ``prompts``' distinct uncached prompts with one :meth:`_pay`.
@@ -514,7 +511,7 @@ class LLMService:
         gate = threading.Event()
         with self._lock:
             for prompt in prompts:
-                key = self._cache_key(prompt, max_tokens, version)
+                key = self._cache_key(prompt, 256, _NO_VERSION)
                 # Every key this call holds is in ``_inflight`` from the
                 # moment it joins, so this is also the duplicate test.
                 if key in self._inflight or self.cache.peek(key):
@@ -532,13 +529,7 @@ class LLMService:
             answers.update((key.prompt, result) for key, result in zip(keys, results))
         return sum(1 for result in results if isinstance(result, str))
 
-    def complete_many(
-        self,
-        prompts: Sequence[str],
-        purpose: str = "",
-        max_tokens: int = 256,
-        version: str = _NO_VERSION,
-    ) -> list[str]:
+    def complete_many(self, prompts: Sequence[str]) -> list[str]:
         """Answer many prompts, batching the distinct uncached ones.
 
         :meth:`prime` pays for the distinct uncached prompts and each
@@ -549,20 +540,12 @@ class LLMService:
         the same prompts leaves.
         """
         answers: dict[str, str | LLMError] = {}
-        self.prime(
-            prompts,
-            purpose=purpose,
-            max_tokens=max_tokens,
-            version=version,
-            answers=answers,
-        )
+        self.prime(prompts, answers=answers)
         texts: list[str] = []
         for prompt in prompts:
             answer = answers.pop(prompt, None)
             if answer is None:
-                answer = self.complete(
-                    prompt, purpose=purpose, max_tokens=max_tokens, version=version
-                )
+                answer = self.complete(prompt)
             elif isinstance(answer, LLMError):
                 raise answer
             texts.append(answer)
@@ -754,7 +737,6 @@ class LLMService:
         text: str,
         purpose: str = "",
         skill: str = "distilled",
-        latency: float = 0.0,
     ) -> None:
         """Ledger a zero-cost answer produced by a distilled local model.
 
@@ -762,13 +744,8 @@ class LLMService:
         this for every record it answers instead of the provider, so the
         ledger stays a complete account of *every* answered prompt with
         provenance ``distilled``.  Scope-aware like any other record.
-        ``latency`` (virtual seconds the local model charged, default 0)
-        advances the active clock and lands in the record's
-        ``latency_seconds`` — surfaced downstream as ``distilled_seconds``,
-        never folded into provider time.
+        A local answer takes no virtual time.
         """
-        if latency:
-            self._active_clock().advance(latency)
         self._record(
             CallRecord(
                 prompt=prompt,
@@ -779,7 +756,7 @@ class LLMService:
                 cached=True,
                 skill=skill,
                 purpose=purpose,
-                latency_seconds=latency,
+                latency_seconds=0.0,
                 outcome=OUTCOME_CACHED,
                 provenance=PROVENANCE_DISTILLED,
             )

@@ -51,13 +51,10 @@ class HashingVectorizer:
     n_features: int = 2048
     word_ngrams: tuple[int, ...] = (1, 2)
     char_ngram_sizes: tuple[int, ...] = (3,)
-    lowercase: bool = True
-    binary: bool = False
 
     def transform_one(self, text: str) -> np.ndarray:
-        """Vectorise a single string."""
-        if self.lowercase:
-            text = text.lower()
+        """Vectorise a single (lowercased) string."""
+        text = text.lower()
         vector = np.zeros(self.n_features, dtype=np.float64)
         if not text.strip():
             return vector
@@ -69,8 +66,6 @@ class HashingVectorizer:
         for size in self.char_ngram_sizes:
             for gram in char_ngrams(text, size):
                 vector[stable_hash("c", size, gram) % self.n_features] += 1.0
-        if self.binary:
-            vector = (vector > 0).astype(np.float64)
         norm = np.linalg.norm(vector)
         if norm > 0:
             vector /= norm

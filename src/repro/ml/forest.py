@@ -23,7 +23,6 @@ class RandomForest:
 
     n_trees: int = 25
     max_depth: int = 8
-    min_leaf: int = 2
     max_features: float = 0.6
     seed: int = 0
     _trees: list[DecisionTree] = field(default_factory=list, repr=False)
@@ -43,7 +42,7 @@ class RandomForest:
             indices = [rng.randrange(n) for _ in range(n)]
             tree = DecisionTree(
                 max_depth=self.max_depth,
-                min_leaf=self.min_leaf,
+                min_leaf=2,
                 max_features=self.max_features,
                 seed=rng.randrange(1 << 30),
             )
@@ -58,6 +57,6 @@ class RandomForest:
         X = np.asarray(X, dtype=np.float64)
         return np.mean([tree.predict_proba(X) for tree in self._trees], axis=0)
 
-    def predict(self, X: np.ndarray, threshold: float = 0.5) -> np.ndarray:
+    def predict(self, X: np.ndarray) -> np.ndarray:
         """0/1 predictions by averaged probability."""
-        return (self.predict_proba(X) >= threshold).astype(int)
+        return (self.predict_proba(X) >= 0.5).astype(int)

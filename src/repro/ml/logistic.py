@@ -20,7 +20,6 @@ class SoftmaxRegression:
     lr: float = 0.5
     epochs: int = 300
     l2: float = 1e-3
-    tol: float = 1e-7
     classes_: list[Hashable] = field(default_factory=list)
     weights: np.ndarray | None = field(default=None, repr=False)
     bias: np.ndarray | None = field(default=None, repr=False)
@@ -58,7 +57,7 @@ class SoftmaxRegression:
                 -np.mean(np.log((probs * onehot).sum(axis=1) + 1e-12))
                 + 0.5 * self.l2 * float((self.weights**2).sum())
             )
-            if previous_loss - loss < self.tol:
+            if previous_loss - loss < 1e-7:
                 break
             previous_loss = loss
         return self

@@ -26,24 +26,24 @@ def accuracy(y_true: Sequence[Hashable], y_pred: Sequence[Hashable]) -> float:
 
 
 def precision_recall_f1(
-    y_true: Sequence[int], y_pred: Sequence[int], positive: Hashable = 1
+    y_true: Sequence[int], y_pred: Sequence[int]
 ) -> tuple[float, float, float]:
-    """Binary precision, recall and F1 with respect to ``positive``.
+    """Binary precision, recall and F1 with respect to the label 1.
 
     Follows the usual convention: an undefined ratio (no predicted or no
     actual positives) is reported as 0.0.
     """
     if len(y_true) != len(y_pred):
         raise ValueError("y_true and y_pred must have the same length")
-    tp = sum(1 for t, p in zip(y_true, y_pred) if t == positive and p == positive)
-    fp = sum(1 for t, p in zip(y_true, y_pred) if t != positive and p == positive)
-    fn = sum(1 for t, p in zip(y_true, y_pred) if t == positive and p != positive)
+    tp = sum(1 for t, p in zip(y_true, y_pred) if t == 1 and p == 1)
+    fp = sum(1 for t, p in zip(y_true, y_pred) if t != 1 and p == 1)
+    fn = sum(1 for t, p in zip(y_true, y_pred) if t == 1 and p != 1)
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return precision, recall, f1
 
 
-def f1_score(y_true: Sequence[int], y_pred: Sequence[int], positive: Hashable = 1) -> float:
+def f1_score(y_true: Sequence[int], y_pred: Sequence[int]) -> float:
     """Binary F1 (harmonic mean of precision and recall)."""
-    return precision_recall_f1(y_true, y_pred, positive)[2]
+    return precision_recall_f1(y_true, y_pred)[2]

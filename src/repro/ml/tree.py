@@ -182,9 +182,9 @@ class DecisionTree:
             )
         return prediction[node]
 
-    def predict(self, X: np.ndarray, threshold: float = 0.5) -> np.ndarray:
+    def predict(self, X: np.ndarray) -> np.ndarray:
         """0/1 predictions."""
-        return (self.predict_proba(X) >= threshold).astype(int)
+        return (self.predict_proba(X) >= 0.5).astype(int)
 
     def depth(self) -> int:
         """Actual depth of the fitted tree."""

@@ -188,12 +188,12 @@ class MetricsRegistry:
                 )
             return metric
 
-    def value(self, name: str, default: float = 0) -> float:
+    def value(self, name: str) -> float:
         """Convenience: a counter/gauge's current value (0 when absent)."""
         with self._lock:
             metric = self._metrics.get(name)
         if metric is None or isinstance(metric, Histogram):
-            return default
+            return 0
         return metric.value
 
     def as_dict(self) -> dict[str, dict]:

@@ -159,12 +159,13 @@ class RunProfile:
         """Canonical row dicts (cost fields normalized)."""
         return [row.to_dict() for row in self.rows]
 
-    def to_table(self, include_totals: bool = True) -> str:
-        """Fixed-width per-module table (the UI's profile panel body)."""
+    def to_table(self) -> str:
+        """Fixed-width per-module table (the UI's profile panel body), with a
+        totals row under two or more modules."""
         header = " ".join(title.rjust(width) for title, width in _COLUMNS)
         lines = [header, "-" * len(header)]
         rows = list(self.rows)
-        if include_totals and len(rows) > 1:
+        if len(rows) > 1:
             rows.append(self.totals())
         for row in rows:
             values = (

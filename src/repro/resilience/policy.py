@@ -35,26 +35,21 @@ class RetryPolicy:
     """Exponential backoff with deterministic jitter and a retry budget.
 
     ``delay(attempt, key)`` is the wait after failed attempt ``attempt``
-    (0-based).  Jitter is a deterministic fraction of the base delay keyed
-    on ``(seed, key, attempt)`` so concurrent callers de-synchronise but a
-    rerun reproduces the identical schedule.
+    (0-based): ``backoff_seconds`` doubled per attempt, capped at 60 s.  Jitter is a deterministic fraction of the base delay keyed
+    on ``(key, attempt)`` so concurrent callers de-synchronise but a rerun
+    reproduces the identical schedule.
     """
 
     max_retries: int = 3
     backoff_seconds: float = 0.5
-    multiplier: float = 2.0
-    max_backoff_seconds: float = 60.0
     jitter: float = 0.0  # max extra delay as a fraction of the base delay
-    seed: str = "retry"
 
     def delay(self, attempt: int, key: object = 0) -> float:
         """Backoff after the ``attempt``-th failure (deterministic)."""
-        base = min(
-            self.backoff_seconds * self.multiplier**attempt, self.max_backoff_seconds
-        )
+        base = min(self.backoff_seconds * 2.0**attempt, 60.0)
         if self.jitter <= 0:
             return base
-        return base * (1.0 + self.jitter * stable_unit(self.seed, key, attempt))
+        return base * (1.0 + self.jitter * stable_unit("retry", key, attempt))
 
 
 @dataclass(frozen=True)

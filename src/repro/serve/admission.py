@@ -74,7 +74,6 @@ class AdmissionController:
     def __init__(self, default_quota: TenantQuota | None = None):
         self.default_quota = default_quota or DEFAULT_QUOTA
         self._lock = threading.RLock()
-        self._quotas: dict[str, TenantQuota] = {}
         self._queued: dict[str, int] = {}
         self._running: dict[str, int] = {}
         self._cursor: str | None = None
@@ -82,19 +81,12 @@ class AdmissionController:
 
     # -- registration ------------------------------------------------------------
 
-    def register(self, tenant: str, quota: TenantQuota | None = None) -> TenantQuota:
-        """Declare a tenant (idempotent); returns its effective quota."""
+    def register(self, tenant: str) -> TenantQuota:
+        """Declare a tenant (idempotent); returns its quota, the default."""
         with self._lock:
-            if quota is not None:
-                self._quotas[tenant] = quota
-            resolved = self._quotas.setdefault(tenant, self.default_quota)
             self._queued.setdefault(tenant, 0)
             self._running.setdefault(tenant, 0)
-            return resolved
-
-    def quota(self, tenant: str) -> TenantQuota:
-        with self._lock:
-            return self._quotas.get(tenant, self.default_quota)
+            return self.default_quota
 
     # -- submission --------------------------------------------------------------
 
@@ -128,7 +120,7 @@ class AdmissionController:
             return (
                 self._queued.get(tenant, 0) > 0
                 and self._running.get(tenant, 0)
-                < self.quota(tenant).max_running
+                < self.default_quota.max_running
             )
 
     def start(self, tenant: str) -> bool:

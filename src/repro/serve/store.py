@@ -31,7 +31,7 @@ from __future__ import annotations
 import threading
 import time
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from repro._jsonl import CheckpointJournal
 from repro.serve.jobs import JOB_STATUSES, TERMINAL_STATUSES, JobSpec
@@ -258,7 +258,6 @@ class JobStore:
         job_id: str,
         statuses: Iterable[str] = TERMINAL_STATUSES,
         timeout: float = 30.0,
-        predicate: Callable[[JobRecord], bool] | None = None,
     ) -> JobRecord:
         """Block until the job reaches one of ``statuses``; fail loud.
 
@@ -272,8 +271,7 @@ class JobStore:
             while True:
                 job = self._jobs.get(job_id)
                 if job is not None and job.status in wanted:
-                    if predicate is None or predicate(job):
-                        return job
+                    return job
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     current = job.status if job is not None else "<missing>"

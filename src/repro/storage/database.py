@@ -20,12 +20,11 @@ __all__ = ["Database"]
 class Database:
     """An in-memory, read-only-through-SQL database: tables by name."""
 
-    name: str = "default"
     tables: dict[str, Table] = field(default_factory=dict)
 
-    def register(self, table: Table, name: str | None = None) -> None:
-        """Add (or replace) ``table`` under ``name`` (default: its own name)."""
-        self.tables[name or table.name] = table
+    def register(self, table: Table) -> None:
+        """Add (or replace) ``table`` under its own name."""
+        self.tables[table.name] = table
 
     def table(self, name: str) -> Table:
         """Fetch table ``name`` (raises KeyError if absent)."""

@@ -118,18 +118,10 @@ class Table:
     insert, so a ``Table`` is always internally consistent.
     """
 
-    def __init__(
-        self,
-        name: str,
-        schema: Schema,
-        rows: Iterable[Sequence[Any]] | None = None,
-    ):
+    def __init__(self, name: str, schema: Schema):
         self.name = name
         self.schema = schema
         self._rows: list[tuple[Any, ...]] = []
-        if rows is not None:
-            for row in rows:
-                self.insert(row)
 
     # -- construction helpers -------------------------------------------------
 
@@ -219,10 +211,11 @@ class Table:
         return text
 
     @classmethod
-    def from_csv(
-        cls, source: str | Path, name: str | None = None, schema: Schema | None = None
-    ) -> "Table":
-        """Read a table from a CSV file path or CSV text."""
+    def from_csv(cls, source: str | Path) -> "Table":
+        """Read a table from a CSV file path or CSV text.
+
+        Column types are inferred; a file's table is named after its stem.
+        """
         path = Path(source) if isinstance(source, Path) else None
         if path is None:
             candidate = Path(str(source))
@@ -237,17 +230,16 @@ class Table:
         if not rows:
             raise ValueError("CSV source is empty")
         header, data = rows[0], rows[1:]
-        if schema is None:
-            columns = tuple(
+        schema = Schema(
+            tuple(
                 Column(
                     header[i],
                     ColumnType.infer(row[i] if i < len(row) else None for row in data),
                 )
                 for i in range(len(header))
             )
-            schema = Schema(columns)
-        table_name = name or (path.stem if path else "table")
-        table = cls(table_name, schema)
+        )
+        table = cls(path.stem if path else "table", schema)
         for row in data:
             padded = list(row) + [None] * (len(schema) - len(row))
             table.insert(padded[: len(schema)])
@@ -255,8 +247,10 @@ class Table:
 
     # -- display -------------------------------------------------------------------
 
-    def to_text(self, max_rows: int = 20) -> str:
-        """Fixed-width textual rendering (used by the terminal UI)."""
+    def to_text(self) -> str:
+        """Fixed-width textual rendering of the first 20 rows (used by the
+        terminal UI)."""
+        max_rows = 20
         names = self.schema.names
         shown = self._rows[:max_rows]
         widths = [len(n) for n in names]

@@ -301,20 +301,15 @@ def block_records(
     right: list[dict],
     key: str,
     max_candidates_per_record: int = 5,
-    min_shared_tokens: int = 1,
-    neighborhood_window: int = 3,
-    fallback_similarity: float = 0.55,
 ) -> BlockingResult:
     """TF-IDF token blocking between two record collections.
 
     For every left record, the ``max_candidates_per_record`` right records
     with the highest shared-token TF-IDF weight become candidate pairs.
-    Records sharing fewer than ``min_shared_tokens`` tokens are never paired
-    by the index; left records the index leaves *empty* get one
-    sorted-neighborhood pass over the ``neighborhood_window`` nearest right
-    keys in lexicographic order, admitted only above
-    ``fallback_similarity`` edit similarity (banded Levenshtein).  Set
-    ``neighborhood_window=0`` to disable the fallback.
+    Records sharing no token are never paired by the index; left records
+    the index leaves *empty* get one sorted-neighborhood pass over the 3
+    nearest right keys on each side in lexicographic order, admitted only
+    above 0.55 edit similarity (banded Levenshtein).
     """
     if not left or not right:
         return BlockingResult([], 0, 1.0)
@@ -331,9 +326,9 @@ def block_records(
         right_texts,
         model,
         max_candidates_per_record,
-        min_shared_tokens,
-        neighborhood_window,
-        fallback_similarity,
+        1,
+        3,
+        0.55,
     )
     total = len(left) * len(right)
     reduction = 1.0 - len(pairs) / total if total else 1.0

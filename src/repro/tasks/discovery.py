@@ -58,10 +58,8 @@ def _table_document(database: Database, name: str, sample_rows: int) -> str:
 def search_tables(
     database: Database,
     query: str,
-    limit: int = 5,
-    sample_rows: int = 20,
 ) -> list[TableMatch]:
-    """Rank tables against ``query``; returns at most ``limit`` scored hits.
+    """Rank tables against ``query``; returns at most 5 scored hits.
 
     Scoring is TF-IDF cosine between the query and each table's "document"
     (name + columns + sampled values), so a query mentioning either a column
@@ -71,7 +69,7 @@ def search_tables(
     if not names:
         return []
     documents = {
-        name: _table_document(database, name, sample_rows) for name in names
+        name: _table_document(database, name, 20) for name in names
     }
     model = TfIdfModel(list(documents.values()))
     cleaned_query = _expand_tokens(query)
@@ -86,4 +84,4 @@ def search_tables(
         )
         matches.append(TableMatch(table=name, score=score, matched_terms=matched))
     matches.sort(key=lambda m: (-m.score, m.table))
-    return matches[:limit]
+    return matches[:5]

@@ -130,7 +130,6 @@ def run(
     workers: int | None = None,
     chunk_size: int | None = None,
     checkpoint_path: Any = None,
-    resume: bool = True,
     checkpoint: Any = None,
     **options: Any,
 ) -> TaskResult:
@@ -150,7 +149,6 @@ def run(
         workers=workers,
         chunk_size=chunk_size,
         checkpoint_path=checkpoint_path,
-        resume=resume,
         checkpoint=checkpoint,
     )
     usage = usage_delta(before, system.usage())

@@ -55,8 +55,8 @@ class MinHashParams:
         return len(self.a)
 
 
-def minhash_params(num_perm: int = 128, seed: str = "minhash-v1") -> MinHashParams:
-    """Derive a deterministic permutation family from ``seed``.
+def minhash_params(num_perm: int = 128) -> MinHashParams:
+    """Derive a deterministic permutation family from the seed ``minhash-v1``.
 
     ``a_i`` is drawn from ``[1, p)`` (zero would collapse the permutation)
     and ``b_i`` from ``[0, p)``, both via :func:`repro._util.stable_hash`
@@ -64,6 +64,7 @@ def minhash_params(num_perm: int = 128, seed: str = "minhash-v1") -> MinHashPara
     """
     if num_perm <= 0:
         raise ValueError("num_perm must be positive")
+    seed = "minhash-v1"
     a = tuple(
         1 + stable_hash(seed, "a", i) % (MINHASH_PRIME - 1) for i in range(num_perm)
     )

@@ -156,15 +156,15 @@ def jaro_similarity(a: str, b: str) -> float:
     return (m / len(a) + m / len(b) + (m - transpositions) / m) / 3.0
 
 
-def jaro_winkler_similarity(a: str, b: str, prefix_scale: float = 0.1) -> float:
-    """Jaro-Winkler: Jaro boosted by a shared prefix of up to 4 chars."""
+def jaro_winkler_similarity(a: str, b: str) -> float:
+    """Jaro-Winkler: Jaro boosted by 0.1 per shared prefix char, up to 4."""
     jaro = jaro_similarity(a, b)
     prefix = 0
     for ca, cb in zip(a[:4], b[:4]):
         if ca != cb:
             break
         prefix += 1
-    return jaro + prefix * prefix_scale * (1.0 - jaro)
+    return jaro + prefix * 0.1 * (1.0 - jaro)
 
 
 def _as_set(items: Iterable[str] | str) -> set[str]:
@@ -281,9 +281,9 @@ def numeric_similarity(a: float | None, b: float | None) -> float:
     return max(0.0, 1.0 - abs(a - b) / denom)
 
 
-def qgram_similarity(a: str, b: str, q: int = 3) -> float:
-    """Jaccard over padded character q-grams (robust to small typos)."""
-    ga, gb = set(char_ngrams(a.lower(), q)), set(char_ngrams(b.lower(), q))
+def qgram_similarity(a: str, b: str) -> float:
+    """Jaccard over padded character 3-grams (robust to small typos)."""
+    ga, gb = set(char_ngrams(a.lower(), 3)), set(char_ngrams(b.lower(), 3))
     if not ga and not gb:
         return 1.0
     union = ga | gb
@@ -493,9 +493,7 @@ def _jaro_codes(
     return np.where(matches == 0, 0.0, jaro)
 
 
-def jaro_winkler_similarity_many(
-    a: Sequence[str], b: Sequence[str], prefix_scale: float = 0.1
-) -> np.ndarray:
+def jaro_winkler_similarity_many(a: Sequence[str], b: Sequence[str]) -> np.ndarray:
     """Batched :func:`jaro_winkler_similarity`."""
     if len(a) != len(b):
         raise ValueError("batch sides must have equal length")
@@ -517,7 +515,7 @@ def jaro_winkler_similarity_many(
         prefix = np.cumprod(leading, axis=1).sum(axis=1)
     else:
         prefix = np.zeros(len(len_a), dtype=np.int64)
-    return jaro + prefix * prefix_scale * (1.0 - jaro)
+    return jaro + prefix * 0.1 * (1.0 - jaro)
 
 
 def _cached_word_sets(
@@ -616,7 +614,7 @@ def overlap_coefficient_many(
     return result
 
 
-def qgram_similarity_many(a: Sequence[str], b: Sequence[str], q: int = 3) -> np.ndarray:
+def qgram_similarity_many(a: Sequence[str], b: Sequence[str]) -> np.ndarray:
     """Batched :func:`qgram_similarity` (bit-exact)."""
     if len(a) != len(b):
         raise ValueError("batch sides must have equal length")
@@ -627,7 +625,7 @@ def qgram_similarity_many(a: Sequence[str], b: Sequence[str], q: int = 3) -> np.
     def grams(text: str) -> frozenset:
         row = cache.get(text)
         if row is None:
-            row = frozenset(char_ngrams(text.lower(), q))
+            row = frozenset(char_ngrams(text.lower(), 3))
             cache[text] = row
         return row
 

@@ -64,17 +64,16 @@ def sentence_split(text: str) -> list[str]:
     return [part for part in parts if part]
 
 
-def char_ngrams(text: str, n: int, pad: bool = True) -> list[str]:
+def char_ngrams(text: str, n: int) -> list[str]:
     """Return character ``n``-grams of ``text``.
 
-    With ``pad=True`` the text is wrapped in ``#`` sentinels, so that prefixes
-    and suffixes form distinct grams — useful for language identification and
-    fuzzy matching features.
+    The text is wrapped in ``#`` sentinels, so that prefixes and suffixes
+    form distinct grams — useful for language identification and fuzzy
+    matching features.
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    if pad:
-        text = "#" + text + "#"
+    text = "#" + text + "#"
     if len(text) < n:
         return [text]
     return [text[i : i + n] for i in range(len(text) - n + 1)]

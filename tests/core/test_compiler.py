@@ -14,6 +14,8 @@ from repro.core.compiler.registry import (
 from repro.core.dsl.builder import PipelineBuilder
 from repro.core.dsl.operators import LogicalOperator, OperatorKind
 from repro.core.modules.cascade import CascadeModule
+from repro.core.modules.custom import CustomModule
+from repro.core.modules.mapping import MapModule
 from repro.core.optimizer.distill import DistillationRouter
 from repro.core.optimizer.validator import TestCase
 from repro.core.templates.library import (
@@ -56,9 +58,9 @@ class TestRegistry:
             module.run({})
 
     def test_custom_requires_module_or_callable(self, context):
-        for params in ({}, {"fn": "nope"}, {"module": "nope"}):
+        for params in ({}, {"module": "nope"}):
             op = LogicalOperator("f", OperatorKind.CUSTOM, params=params)
-            with pytest.raises(CompileError, match="module= .* or fn="):
+            with pytest.raises(CompileError, match="needs module="):
                 build_module(op, context)
 
     def test_custom_map_isolates_records_per_error_policy(self, system):
@@ -70,13 +72,17 @@ class TestRegistry:
         pipeline = (
             PipelineBuilder("p")
             .load(source="values")
-            .custom(fn=halve, map=True, error_policy="skip_record")
+            .custom(
+                module=MapModule(
+                    "halve", CustomModule("halve_fn", halve), error_policy="skip_record"
+                )
+            )
             .save(key="out")
             .build()
         )
         report = system.run(pipeline, {"values": [4, -1, 6]})
         assert report.outputs[pipeline.sinks()[0].name] == [2.0, 3.0]
-        assert [(q.record, q.module_name) for q in report.quarantine] == [(-1, "custom_2")]
+        assert [(q.record, q.module_name) for q in report.quarantine] == [(-1, "halve")]
         assert "negative" in report.quarantine[0].error
 
 
@@ -102,7 +108,7 @@ class TestCompileAndExecute:
                 OperatorKind.CUSTOM,
                 name="j",
                 inputs=["a", "b"],
-                fn=lambda pair: list(pair[0]) + list(pair[1]),
+                module=CustomModule("j", lambda pair: list(pair[0]) + list(pair[1])),
             )
             .build()
         )
@@ -181,7 +187,7 @@ class TestValidatorAttachment:
 #: placement -> (builder step, its params, where the student must sit)
 PLACEMENTS = {
     "tagger_holder": ("tag_names", {}, lambda m: m.inner.tagger_holder["tagger"]),
-    "map": ("custom", {"fn": lambda x: x * 2, "map": True}, lambda m: m.inner),
+    "map": ("match_entities", {"impl": "llm"}, lambda m: m.inner),
     "map_over_cascade": ("quality_filter", {}, lambda m: m.inner.teacher),
     "enrich": ("tokenize", {"impl": "llmgc", "map": False}, lambda m: m.stage),
     "bare": ("match_entities", {"impl": "llm", "map": False}, lambda m: m),

@@ -113,7 +113,7 @@ class TestBuilder:
             PipelineBuilder("t")
             .add(OperatorKind.LOAD, name="a", inputs=[])
             .add(OperatorKind.LOAD, name="b", inputs=[])
-            .add(OperatorKind.CUSTOM, name="j", inputs=["a", "b"], fn=lambda v: v)
+            .add(OperatorKind.CUSTOM, name="j", inputs=["a", "b"])
             .build()
         )
         assert by_name(p, "j").inputs == ["a", "b"]

@@ -52,12 +52,6 @@ class TestValidator:
         assert report.passed is False
         assert "division by zero" in report.failures[0].error
 
-    def test_custom_comparator(self, service):
-        case = TestCase("abc", 3, comparator=lambda actual, expected: len(actual) == expected)
-        validator = ModuleValidator(service, [case])
-        module = CustomModule("id", lambda text: text)
-        assert validator.validate_and_repair(module).passed is True
-
     def test_unfixable_task_exhausts_timeouts(self, service):
         # No tokenizer candidate can satisfy an impossible expectation.
         module = LLMGCModule("d", service, "tokenize text into words")

@@ -1,6 +1,6 @@
 """The cached-prefix prompt renderer against the line-by-line one.
 
-``LLMModule.build_prompt`` renders the task, instructions and worked
+``LLMModule.build_prompt`` renders the task and worked
 examples once per module and appends each value's payload to that prefix.
 The prompt is a cache key, so the bytes may not move: for every LLM module
 a built-in template compiles to, at strictness 0, 1 and 2, the prompt must
@@ -46,8 +46,6 @@ VALUES = (
 def reference_prompt(module: LLMModule, value: Any, strictness: int) -> str:
     """``build_prompt`` as it rendered every line on every call."""
     lines = [f"Task: {module.task_description}"]
-    if module.instructions:
-        lines.append(module.instructions)
     for index, (example_in, example_out) in enumerate(module.examples, start=1):
         lines.append(f"Example {index}:")
         lines.append(f"{module.payload_label}: {example_in}")
@@ -146,10 +144,9 @@ def compiled_modules() -> list[tuple[str, LLMModule]]:
     dataset = generate_er_dataset("beer", seed=7, n_entities=20)
     pipelines.append(
         (
-            "entity_resolution+examples+instructions",
+            "entity_resolution+examples",
             get_template("entity_resolution").instantiate(
                 examples=pick_examples(dataset.train, 3),
-                instructions="Brewery names may be abbreviated.\nIgnore case.",
             ),
         )
     )
@@ -172,8 +169,8 @@ def outcome(function, *args):
 
 def test_the_sweep_covers_instructions_examples_and_their_absence():
     assert len({label.split(":")[0] for label, _ in MODULES}) >= 6
-    assert any(m.instructions and m.examples for _, m in MODULES)
-    assert any(not m.instructions and not m.examples for _, m in MODULES)
+    assert any(m.examples for _, m in MODULES)
+    assert any(not m.examples for _, m in MODULES)
 
 
 @pytest.mark.parametrize("label,module", MODULES, ids=[label for label, _ in MODULES])

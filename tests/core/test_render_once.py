@@ -20,7 +20,6 @@ import pytest
 
 from repro.core.modules.base import ErrorPolicy, ModuleExecutionError
 from repro.core.modules.cascade import CascadeModule
-from repro.core.modules.custom import CustomModule
 from repro.core.modules.llm_module import LLMModule, parse_yes_no
 from repro.core.modules.mapping import MapModule
 from repro.core.optimizer.distill import DistillationRouter
@@ -33,19 +32,21 @@ WORKER_COUNTS = (1, 2, 8)
 
 
 class ScriptedProvider(LLMProvider):
-    """Answers ``Yes.`` — or, to a first-attempt prompt ``rejects`` picks out,
-    something ``parse_yes_no`` refuses."""
+    """Answers ``Yes.`` — or, to a prompt ``rejects`` picks out, something
+    ``parse_yes_no`` refuses: on the first attempt, or on every attempt
+    when ``every_attempt``."""
 
     model_name = "scripted"
 
-    def __init__(self, rejects=lambda prompt: False):
+    def __init__(self, rejects=lambda prompt: False, every_attempt=False):
         self.rejects = rejects
+        self.every_attempt = every_attempt
         self.batches: list[list[str]] = []
         self._lock = threading.Lock()
 
     def _respond(self, request: LLMRequest) -> LLMResponse:
-        strict = "Answer strictly" in request.prompt
-        text = "Yes." if strict or not self.rejects(request.prompt) else "Hard to say."
+        forgiven = "Answer strictly" in request.prompt and not self.every_attempt
+        text = "Yes." if forgiven or not self.rejects(request.prompt) else "Hard to say."
         return LLMResponse(text=text, prompt_tokens=5, completion_tokens=1, model="scripted")
 
     def complete(self, request: LLMRequest) -> LLMResponse:
@@ -175,16 +176,18 @@ class TestHandOffScope:
         assert cached_flags(llm) == [False] * 5 + [True]  # asked the service again
 
     def test_nothing_is_kept_after_the_chunk_raises(self):
-        provider = ScriptedProvider(rejects=lambda prompt: '"id": 2,' in prompt)
-        llm = CountingLLM(LLMService(provider), max_attempts=1)
+        provider = ScriptedProvider(
+            rejects=lambda prompt: '"id": 2,' in prompt, every_attempt=True
+        )
+        llm = CountingLLM(LLMService(provider))
         items = records(5)
         with pytest.raises(ModuleExecutionError, match="failed validation"):
             MapModule("map", llm).apply_chunk(items)  # fail policy: record 2 aborts it
-        assert llm.renders == [0] * 5
+        assert llm.renders == [0] * 5 + [1]  # record 2's stricter re-prompt
         assert handoff(llm) == (None, None)
         llm.run(items[4])  # rendered and paid for by prefetch, never run
-        assert llm.renders == [0] * 6  # must render again
-        assert cached_flags(llm) == [False] * 5 + [True]  # and ask the service
+        assert llm.renders == [0] * 5 + [1, 0]  # must render again
+        assert cached_flags(llm) == [False] * 6 + [True]  # and ask the service
 
     def test_a_replaced_value_is_rendered_again(self):
         provider = ScriptedProvider()
@@ -267,17 +270,6 @@ class TestUnrenderableRecord:
         assert "cannot render 'bad'" in outcome.quarantine[0].error
         provider = mapper.inner.service.provider
         assert [len(batch) for batch in provider.batches] == [2]  # still one round trip
-
-    def test_degrade_hands_it_to_the_fallback(self):
-        mapper = MapModule(
-            "map",
-            self._llm(),
-            error_policy=ErrorPolicy.DEGRADE,
-            fallback=CustomModule("rules", lambda value: False),
-        )
-        outcome = mapper.apply_chunk(["a", "bad", "b"])
-        assert outcome.outputs == [True, False, True]
-        assert outcome.degraded == 1 and outcome.quarantine == []
 
     def test_fail_raises_what_a_run_raises(self):
         values = ["a", "bad", "b"]

@@ -20,7 +20,6 @@ import pytest
 
 from repro.core.modules.base import ErrorPolicy, ModuleExecutionError
 from repro.core.modules.cascade import CascadeModule
-from repro.core.modules.custom import CustomModule
 from repro.core.modules.mapping import MapModule
 from repro.core.runtime.scheduler import Scheduler
 from repro.llm.errors import ProviderError
@@ -309,9 +308,11 @@ class DownFor(ScriptedProvider):
         return self._respond(request)
 
 
-def rejecting_record_2(max_attempts: int = 1, **kwargs) -> CountingLLM:
-    provider = ScriptedProvider(rejects=lambda prompt: '"id": 2,' in prompt)
-    return CountingLLM(LLMService(provider), max_attempts=max_attempts, **kwargs)
+def rejecting_record_2(**kwargs) -> CountingLLM:
+    provider = ScriptedProvider(
+        rejects=lambda prompt: '"id": 2,' in prompt, every_attempt=True
+    )
+    return CountingLLM(LLMService(provider), **kwargs)
 
 
 class TestErrorPolicies:
@@ -327,18 +328,8 @@ class TestErrorPolicies:
         assert [entry.record["id"] for entry in outcome.quarantine] == [2]
         assert "failed validation" in outcome.quarantine[0].error
         service = mapper.inner.service
-        assert service.usage().served_calls == 5 and service.usage().cached_calls == 0
-
-    def test_degrade_hands_the_record_to_the_fallback(self):
-        mapper = MapModule(
-            "map",
-            rejecting_record_2(),
-            error_policy=ErrorPolicy.DEGRADE,
-            fallback=CustomModule("rules", lambda value: False),
-        )
-        outcome = mapper.apply_chunk(records(5))
-        assert outcome.outputs == [True, True, False, True, True]
-        assert outcome.degraded == 1 and outcome.quarantine == []
+        # Record 2 is asked twice: the prefetched prompt, then the stricter one.
+        assert service.usage().served_calls == 6 and service.usage().cached_calls == 0
 
     def test_fail_raises_what_a_run_raises(self):
         with pytest.raises(ModuleExecutionError) as from_run:

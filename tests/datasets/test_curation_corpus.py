@@ -128,6 +128,4 @@ class TestEvalSet:
 
 def test_validation_rejects_bad_fractions():
     with pytest.raises(ValueError):
-        CurationCorpus(n_docs=10, dup_fraction=1.5)
-    with pytest.raises(ValueError):
         CurationCorpus(n_docs=-1)

@@ -135,10 +135,6 @@ class TestNamesGenerator:
         ds = generate_name_dataset(n_documents=100)
         assert all(doc.names for doc in ds.documents)
 
-    def test_unknown_language_rejected(self):
-        with pytest.raises(ValueError):
-            generate_name_dataset(language_mix={"xx": 1.0})
-
     def test_deterministic(self):
         a = generate_name_dataset(seed=9, n_documents=40)
         b = generate_name_dataset(seed=9, n_documents=40)

@@ -236,7 +236,7 @@ class TestCompleteMany:
     def test_cold_is_one_provider_record_per_prompt(self):
         provider = _BatchRecorder()
         service = LLMService(provider)
-        texts = service.complete_many(self.PROMPTS, purpose="ask")
+        texts = service.complete_many(self.PROMPTS)
         assert texts == [SimulatedProvider().complete(LLMRequest(p)).text for p in self.PROMPTS]
         assert provider.batches == [self.PROMPTS]
         assert _shape(service) == [
@@ -304,10 +304,11 @@ class TestCompleteMany:
 
         prompts = self.PROMPTS + self.PROMPTS[1:3]
         direct = LLMService(SimulatedProvider())
-        direct.complete_many(prompts, purpose="ask")
+        direct.complete_many(prompts)
         chunked = LLMService(SimulatedProvider())
         MapModule("map", Verbatim("ask", chunked, "unused")).apply_chunk(prompts)
-        assert direct.records == chunked.records
+        assert {r.purpose for r in chunked.records} == {"ask"}
+        assert direct.records == [r._replace(purpose="") for r in chunked.records]
         assert direct.usage().served_calls == 6 and direct.usage().cached_calls == 2
 
 

@@ -331,8 +331,8 @@ class TestEntityMatchingSkill:
 
 
 class TestImputationSkill:
-    def test_known_product_line(self, kb: KnowledgeBase):
-        provider = SimulatedProvider(kb)
+    def test_known_product_line(self):
+        provider = SimulatedProvider()
         response = provider.complete(
             LLMRequest(
                 prompt=(
@@ -343,8 +343,8 @@ class TestImputationSkill:
         )
         assert response.text.startswith("Sony")
 
-    def test_unknown_product(self, kb: KnowledgeBase):
-        provider = SimulatedProvider(kb)
+    def test_unknown_product(self):
+        provider = SimulatedProvider()
         response = provider.complete(
             LLMRequest(
                 prompt=(
@@ -357,15 +357,15 @@ class TestImputationSkill:
 
 
 class TestTaggingSkill:
-    def test_language_hint_improves_foreign_names(self, kb: KnowledgeBase):
-        provider = SimulatedProvider(kb)
+    def test_language_hint_improves_foreign_names(self):
+        provider = SimulatedProvider()
         hinted = provider.complete(
             LLMRequest(prompt="Is this a person name?\nPhrase: Hans Müller\nLanguage: de")
         )
         assert hinted.text.startswith("Yes")
 
-    def test_rejects_company(self, kb: KnowledgeBase):
-        provider = SimulatedProvider(kb)
+    def test_rejects_company(self):
+        provider = SimulatedProvider()
         response = provider.complete(
             LLMRequest(prompt="Is this a person name?\nPhrase: Acme Corporation")
         )

@@ -42,12 +42,6 @@ class TestHashingVectorizer:
         v = HashingVectorizer(n_features=128)
         assert v.transform([]).shape == (0, 128)
 
-    def test_binary_mode(self):
-        v = HashingVectorizer(n_features=64, binary=True)
-        vec = v.transform_one("a a a b")
-        nonzero = vec[vec > 0]
-        assert np.allclose(nonzero, nonzero[0])
-
     @given(st.text(max_size=40))
     def test_never_crashes_and_finite(self, text: str):
         v = HashingVectorizer(n_features=32)

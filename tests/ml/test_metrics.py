@@ -45,10 +45,6 @@ class TestPrecisionRecallF1:
         p, _, _ = precision_recall_f1([0, 0], [1, 0])
         assert p == 0.0
 
-    def test_custom_positive_label(self):
-        _, recall, _ = precision_recall_f1(["y", "n"], ["y", "y"], positive="y")
-        assert recall == 1.0
-
     @given(LABELS)
     def test_perfect_predictions_give_perfect_f1(self, y: list[int]):
         if 1 in y:

@@ -43,12 +43,9 @@ class TestFaultSpec:
         with pytest.raises(ValueError):
             FaultSpec(kind=FaultKind.TRANSIENT, rate=1.5)
 
-    @pytest.mark.parametrize(
-        "field", ["retry_after", "extra_latency", "truncate_to"]
-    )
+    @pytest.mark.parametrize("field", ["retry_after"])
     def test_negative_magnitude_rejected(self, field):
-        # A negative latency would book negative provider seconds; a
-        # negative cooldown or truncation is meaningless.
+        # A negative cooldown is meaningless.
         with pytest.raises(ValueError, match=field):
             FaultSpec(kind=FaultKind.LATENCY, **{field: -1})
 
@@ -59,10 +56,8 @@ class TestFaultSpec:
             FaultSpec(kind=FaultKind.OUTAGE, start=start, end=end)
 
     def test_zero_magnitudes_accepted(self):
-        spec = FaultSpec(
-            kind=FaultKind.MALFORMED, retry_after=0, extra_latency=0, truncate_to=0
-        )
-        assert spec.truncate_to == 0
+        spec = FaultSpec(kind=FaultKind.MALFORMED, retry_after=0)
+        assert spec.retry_after == 0
 
     def test_window_activation(self):
         spec = FaultSpec(kind=FaultKind.OUTAGE, start=10.0, end=20.0)
@@ -148,18 +143,18 @@ class TestFaultKinds:
         request = LLMRequest(prompt=PROMPT)
         baseline = SimulatedProvider().complete(request).latency_seconds
         chaos = make_chaos(
-            [FaultSpec(kind=FaultKind.LATENCY, rate=1.0, extra_latency=9.0)]
+            [FaultSpec(kind=FaultKind.LATENCY, rate=1.0)]
         )
         spiked = chaos.complete(request).latency_seconds
-        assert spiked == pytest.approx(baseline + 9.0)
+        assert spiked == pytest.approx(baseline + 5.0)
 
     def test_malformed_truncates_completion(self):
         request = LLMRequest(prompt=PROMPT)
         full = SimulatedProvider().complete(request).text
         chaos = make_chaos(
-            [FaultSpec(kind=FaultKind.MALFORMED, rate=1.0, truncate_to=3)]
+            [FaultSpec(kind=FaultKind.MALFORMED, rate=1.0)]
         )
-        assert chaos.complete(request).text == full[:3]
+        assert chaos.complete(request).text == full[:5]
 
     def test_model_name_passthrough(self):
         chaos = make_chaos([])

@@ -105,7 +105,7 @@ class TestTable:
     def test_csv_roundtrip(self):
         table = self.make()
         text = table.to_csv()
-        back = Table.from_csv(text, name="t")
+        back = Table.from_csv(text)
         assert back.records() == table.records()
 
     def test_csv_roundtrip_via_file(self, tmp_path):
@@ -124,7 +124,7 @@ class TestTable:
         table = self.make()
         for i in range(30):
             table.insert([i, f"r{i}", 0.0])
-        assert "more rows" in table.to_text(max_rows=5)
+        assert "more rows" in table.to_text()
 
     def test_copy_is_independent(self):
         table = self.make()

@@ -93,9 +93,11 @@ class TestNameExtractionTask:
         assert multi.f1 > mono.f1 + 0.1
 
     def test_monolingual_fine_on_english(self, system):
-        documents = generate_name_dataset(
-            n_documents=40, language_mix={"en": 1.0}
-        ).documents
+        documents = [
+            doc
+            for doc in generate_name_dataset(n_documents=100).documents
+            if doc.language == "en"
+        ]
         mono = run_name_extraction(system, documents, multilingual=False)
         assert mono.f1 > 0.8
 

@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: DESIGN.md's and EXPERIMENTS.md's lengths when their ceilings were set;
 #: a docs diet lowers them.
-DESIGN_MAX_LINES = 1116
+DESIGN_MAX_LINES = 1115
 EXPERIMENTS_MAX_LINES = 1206
 CHANGES_ENTRY_MAX_CHARS = 1500
 #: The first CHANGES.md entry number the budget holds.

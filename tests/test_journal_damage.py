@@ -192,6 +192,23 @@ def test_a_version_1_journal_is_refused_unchanged(owner, noun, version, tmp_path
     assert path.read_bytes() == older
 
 
+@pytest.mark.parametrize("owner", ["run-journal", "shard-ledger"])
+def test_a_refused_journal_keeps_its_torn_tail(owner, tmp_path):
+    """The header is checked before the load cuts a torn tail, so a refused
+    journal's bytes are what the user had."""
+    kind = KINDS[owner]
+    path = tmp_path / "journal.jsonl"
+    header, *rest = filled(kind, path).splitlines(keepends=True)
+    older = (
+        json.dumps({**json.loads(header), "format": 1}).encode() + b"\n"
+        + b"".join(rest) + b'{"type": "chunk", "op'
+    )
+    path.write_bytes(older)
+    with pytest.raises(CheckpointError, match="format 1"):
+        kind.open(path)
+    assert path.read_bytes() == older
+
+
 def test_a_committed_operator_missing_a_chunk_line_reruns_that_chunk(tmp_path):
     """A committed operator replays from its chunk lines, so a line skipped
     as damaged is one chunk paid for again, and the report is unchanged."""

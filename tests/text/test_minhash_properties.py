@@ -92,7 +92,7 @@ def test_empty_set_gets_sentinel_signature():
 )
 def test_lsh_pigeonhole_never_drops_close_pairs(ids, bands, rows, data):
     """< ``bands`` signature mismatches ⇒ at least one shared full band."""
-    params = minhash_params(bands * rows, seed=f"prop-{bands}x{rows}")
+    params = minhash_params(bands * rows)
     sig_a = list(minhash_signature(tuple(sorted(ids)), params))
     n_flips = data.draw(st.integers(min_value=0, max_value=bands - 1))
     positions = data.draw(

@@ -141,7 +141,7 @@ class TestTokenizeProperties:
 
     @given(SHORT_TEXT, st.integers(1, 4))
     def test_char_ngrams_reconstruct_padded_text(self, text, n):
-        grams = char_ngrams(text, n, pad=True)
+        grams = char_ngrams(text, n)
         padded = "#" + text + "#"
         if len(padded) < n:
             assert grams == [padded]

@@ -84,11 +84,8 @@ class TestCharNgrams:
         grams = char_ngrams("ab", 3)
         assert grams == ["#ab", "ab#"]
 
-    def test_unpadded(self):
-        assert char_ngrams("abcd", 2, pad=False) == ["ab", "bc", "cd"]
-
     def test_short_input_returns_whole(self):
-        assert char_ngrams("a", 5, pad=False) == ["a"]
+        assert char_ngrams("a", 5) == ["#a#"]
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
